@@ -367,16 +367,30 @@ impl Catalog {
         I: IntoIterator<Item = Vec<Job>>,
     {
         let _span = swim_obs::span("catalog.ingest");
+        self.ingest_blocks(kind, machines, blocks.into_iter().map(Ok), options)
+    }
+
+    /// The streaming ingest loop: buffer blocks, cut the buffer into
+    /// shards of `jobs_per_shard` jobs, write and fsync each as soon as
+    /// it fills, and publish the manifest after the last. Invalid options
+    /// or an `Err` block abort before any manifest change.
+    fn ingest_blocks(
+        &mut self,
+        kind: WorkloadKind,
+        machines: u32,
+        blocks: impl Iterator<Item = Result<Vec<Job>, CatalogError>>,
+        options: &CatalogOptions,
+    ) -> Result<IngestStats, CatalogError> {
         let per_shard = options.validate()? as usize;
         let gen = self.manifest.generation + 1;
         let mut entries = Vec::new();
         let mut buffer: Vec<Job> = Vec::new();
-        let mut seq = 0usize;
         for block in blocks {
-            buffer.extend(block);
+            buffer.extend(block?);
             while buffer.len() >= per_shard {
                 let rest = buffer.split_off(per_shard);
                 let full = std::mem::replace(&mut buffer, rest);
+                let seq = entries.len();
                 entries.push(self.write_shard_file(
                     gen,
                     seq,
@@ -385,10 +399,10 @@ impl Catalog {
                     full,
                     options,
                 )?);
-                seq += 1;
             }
         }
         if !buffer.is_empty() {
+            let seq = entries.len();
             entries.push(self.write_shard_file(gen, seq, kind, machines, buffer, options)?);
         }
         self.commit_new_shards(entries)
@@ -440,37 +454,17 @@ impl Catalog {
         options: &CatalogOptions,
     ) -> Result<IngestStats, CatalogError> {
         let _span = swim_obs::span("catalog.ingest");
-        let per_shard = options.validate()? as usize;
         let shard_err = |e| CatalogError::Parse {
             path: path.to_path_buf(),
             message: format!("{e}"),
         };
         let store = Store::open(path).map_err(shard_err)?;
         let (kind, machines) = (store.kind().clone(), store.machines());
-        let gen = self.manifest.generation + 1;
-        let mut entries = Vec::new();
-        let mut buffer: Vec<Job> = Vec::new();
-        let mut seq = 0usize;
-        for chunk in store.scan().map_err(shard_err)? {
-            buffer.extend(chunk.map_err(shard_err)?);
-            while buffer.len() >= per_shard {
-                let rest = buffer.split_off(per_shard);
-                let full = std::mem::replace(&mut buffer, rest);
-                entries.push(self.write_shard_file(
-                    gen,
-                    seq,
-                    kind.clone(),
-                    machines,
-                    full,
-                    options,
-                )?);
-                seq += 1;
-            }
-        }
-        if !buffer.is_empty() {
-            entries.push(self.write_shard_file(gen, seq, kind, machines, buffer, options)?);
-        }
-        self.commit_new_shards(entries)
+        let blocks = store
+            .scan()
+            .map_err(shard_err)?
+            .map(|chunk| chunk.map_err(shard_err));
+        self.ingest_blocks(kind, machines, blocks, options)
     }
 
     /// Adopt an existing `.swim` file verbatim: the file is copied into

@@ -1,28 +1,44 @@
 //! Streaming scenario execution: turn a [`Scenario`] into a
 //! submit-ordered, chunk-at-a-time job stream with bounded memory.
 //!
-//! Each tenant runs its own [`StreamingGenerator`] (itself O(chunk));
-//! the scenario k-way-merges the tenant streams by submit time, applies
-//! the heavy-tail and retry-storm overlays *in emission order* (so the
-//! output is bit-identical for a given seed regardless of chunk size),
-//! and reassigns sequential job ids. Pending retries live in a bounded
-//! binary-heap reorder buffer — when it fills, the storm saturates and
-//! further retries are dropped and counted rather than buffered, so
-//! memory stays O(buffer), never O(trace).
+//! The stream is a two-stage pipeline. Stage one samples: each tenant's
+//! [`StreamingGenerator`] (itself O(chunk)) runs on a thread of its own
+//! and hands blocks of [`TENANT_CHUNK`] heap-free [`JobDraft`]s over a
+//! bounded channel. Stage two, on the caller's thread, k-way-merges the
+//! tenant heads by `(submit, tenant index)`, builds each job (tenant
+//! prefix and path remap folded in), applies the heavy-tail and
+//! retry-storm overlays *in emission order*, and reassigns sequential
+//! job ids. Every tenant owns its RNG streams and the merge waits for
+//! the head it needs, so the output is bit-identical for a given seed
+//! regardless of chunk size, core count or scheduling.
+//!
+//! Only drafts cross threads — plain data, nothing allocated per job —
+//! because a `Job`'s name and path vectors, freed by a thread that did
+//! not allocate them, cost more CPU than the overlap wins back (see
+//! ARCHITECTURE.md, "Scenario layer").
+//!
+//! Pending retries live in a bounded binary-heap reorder buffer — when
+//! it fills, the storm saturates and further retries are dropped and
+//! counted rather than buffered. Memory is O(buffer + tenants ×
+//! [`CHANNEL_DEPTH`] × [`TENANT_CHUNK`]), never O(trace).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::thread::JoinHandle;
 use swim_catalog::{Catalog, CatalogOptions, IngestStats};
 use swim_obs::Counter;
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{Dur, Job, JobId, PathId, Timestamp, Trace};
+use swim_trace::{Dur, Job, JobId, Timestamp, Trace};
 use swim_workloadgen::dist::LogNormal;
 use swim_workloadgen::files::PopulationBounds;
 use swim_workloadgen::jobtypes::{derive_map_tasks, derive_reduce_tasks};
 use swim_workloadgen::profiles::WorkloadProfile;
-use swim_workloadgen::{GenerationStats, GeneratorConfig, StreamingGenerator};
+use swim_workloadgen::{
+    DraftPrefix, GenerationStats, GeneratorConfig, JobDraft, StreamingGenerator,
+};
 
 use crate::model::{HeavyTail, RetryStorm, Scenario, ScenarioError};
 
@@ -33,8 +49,16 @@ pub const DEFAULT_CHUNK: usize = 8_192;
 /// resubmissions held in memory.
 pub const REORDER_CAP: usize = 4_096;
 
-/// Inner chunk size used when pulling from each tenant's generator.
-const TENANT_CHUNK: usize = 512;
+/// Drafts per block handed from a tenant's sampling thread to the merge.
+pub const TENANT_CHUNK: usize = 512;
+
+/// Blocks a tenant's sampling thread may run ahead of the merge. Deep
+/// enough to keep sampling through a shard's encode and fsynced publish
+/// on the consumer; together with [`TENANT_CHUNK`] it is the whole
+/// per-tenant memory bound of the hand-off.
+pub const CHANNEL_DEPTH: usize = 16;
+
+const DRAFT_BYTES: usize = std::mem::size_of::<JobDraft>();
 
 static SCENARIO_JOBS: Counter = Counter::new("scenario.jobs");
 static SCENARIO_RETRIES: Counter = Counter::new("scenario.retries");
@@ -58,32 +82,134 @@ pub struct ScenarioStats {
     pub peak_pending: usize,
 }
 
-/// One tenant's live generator plus a small pull buffer.
+/// One hand-off from a tenant's sampling thread.
+struct TenantChunk {
+    drafts: Vec<JobDraft>,
+    /// The generator's `resident_bytes()` after sampling this block.
+    resident: usize,
+}
+
+/// Where a tenant's drafts come from.
+enum Source {
+    /// Not pulled from yet: the generator still sits on the caller's
+    /// thread, so builder calls such as `population_bounds` reach it.
+    Idle(Box<StreamingGenerator>),
+    /// Sampling on `worker`, which ends when the generator is exhausted
+    /// or `chunks` is dropped (its next `send` fails).
+    Running {
+        chunks: Receiver<TenantChunk>,
+        worker: JoinHandle<()>,
+    },
+    /// Exhausted and joined.
+    Done,
+}
+
+/// Start a sampling thread that sends what `produce` yields until it
+/// yields `None` or the receiver is gone.
+fn spawn_worker(
+    label: &str,
+    mut produce: impl FnMut() -> Option<TenantChunk> + Send + 'static,
+) -> Source {
+    let (tx, chunks) = sync_channel(CHANNEL_DEPTH);
+    let worker = std::thread::Builder::new()
+        .name(format!("swim-tenant-{label}"))
+        .spawn(move || {
+            while let Some(chunk) = produce() {
+                if tx.send(chunk).is_err() {
+                    break;
+                }
+            }
+        })
+        .expect("spawn a tenant sampling thread");
+    Source::Running { chunks, worker }
+}
+
+/// One tenant: its draft source plus the block being merged.
 struct TenantStream {
     label: String,
-    generator: StreamingGenerator,
-    buffer: VecDeque<Job>,
-    exhausted: bool,
+    source: Source,
+    buffer: std::vec::IntoIter<JobDraft>,
+    /// Generator state in bytes, as last reported by the worker.
+    resident: usize,
 }
 
 impl TenantStream {
-    fn peek(&mut self) -> Option<&Job> {
+    /// Submit time of the tenant's next draft (blocks until its worker
+    /// has one or is exhausted).
+    fn head(&mut self) -> Option<Timestamp> {
         self.refill();
-        self.buffer.front()
+        self.buffer.as_slice().first().map(|d| d.submit)
     }
 
-    fn pop(&mut self) -> Option<Job> {
+    fn pop(&mut self) -> Option<JobDraft> {
         self.refill();
-        self.buffer.pop_front()
+        self.buffer.next()
     }
 
     fn refill(&mut self) {
-        while self.buffer.is_empty() && !self.exhausted {
-            match self.generator.next_chunk() {
-                Some(chunk) => self.buffer.extend(chunk),
-                None => self.exhausted = true,
+        while self.buffer.as_slice().is_empty() {
+            match &self.source {
+                Source::Done => return,
+                Source::Idle(_) => self.start(),
+                Source::Running { chunks, .. } => match chunks.recv() {
+                    Ok(chunk) => {
+                        self.resident = chunk.resident;
+                        self.buffer = chunk.drafts.into_iter();
+                    }
+                    // Disconnected: the worker returned or panicked. A
+                    // panic is re-raised here, never read as "exhausted".
+                    Err(_) => {
+                        if let Err(panic) = self.stop() {
+                            std::panic::resume_unwind(panic);
+                        }
+                    }
+                },
             }
         }
+    }
+
+    /// Move the idle generator onto its own thread.
+    fn start(&mut self) {
+        if let Source::Idle(mut generator) = std::mem::replace(&mut self.source, Source::Done) {
+            self.source = spawn_worker(&self.label, move || {
+                let drafts = generator.next_drafts()?;
+                Some(TenantChunk {
+                    drafts,
+                    resident: generator.resident_bytes(),
+                })
+            });
+        }
+    }
+
+    /// End and join the worker, if one is running; `Err` carries its
+    /// panic. Dropping the receiver first fails the `send` a worker that
+    /// still has drafts is (or will be) blocked in.
+    fn stop(&mut self) -> std::thread::Result<()> {
+        match std::mem::replace(&mut self.source, Source::Done) {
+            Source::Running { chunks, worker } => {
+                drop(chunks);
+                worker.join()
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        match &self.source {
+            Source::Idle(generator) => generator.resident_bytes(),
+            // Plus the blocks outside the generator: a full channel, one
+            // in the worker's hands, one being merged.
+            _ => self.resident + (CHANNEL_DEPTH + 2) * TENANT_CHUNK * DRAFT_BYTES,
+        }
+    }
+}
+
+impl Drop for TenantStream {
+    fn drop(&mut self) {
+        // A stream dropped or cut short mid-way still joins its workers.
+        // A worker's panic has been printed by the panic hook; `Drop`
+        // must not raise it again.
+        let _ = self.stop();
     }
 }
 
@@ -180,9 +306,9 @@ impl ScenarioStream {
                 .max_jobs(*target);
             tenants.push(TenantStream {
                 label: tenant.label.clone(),
-                generator,
-                buffer: VecDeque::new(),
-                exhausted: false,
+                source: Source::Idle(Box::new(generator)),
+                buffer: Vec::new().into_iter(),
+                resident: 0,
             });
         }
         let heavy_tail = scenario.heavy_tail.clone().map(|ht| {
@@ -219,14 +345,14 @@ impl ScenarioStream {
     /// [`PopulationBounds`] to every tenant generator). Only meaningful
     /// before any chunk is pulled.
     pub fn population_bounds(mut self, bounds: PopulationBounds) -> Self {
-        self.tenants = self
-            .tenants
-            .into_iter()
-            .map(|t| TenantStream {
-                generator: t.generator.population_bounds(bounds),
-                ..t
-            })
-            .collect();
+        for tenant in &mut self.tenants {
+            tenant.source = match std::mem::replace(&mut tenant.source, Source::Done) {
+                Source::Idle(generator) => {
+                    Source::Idle(Box::new(generator.population_bounds(bounds)))
+                }
+                started => started,
+            };
+        }
         self
     }
 
@@ -245,17 +371,12 @@ impl ScenarioStream {
         &self.kind
     }
 
-    /// Bytes of resident generator state: tenant generators and pull
-    /// buffers plus the retry reorder buffer. Constant in trace length —
-    /// the O(chunk)-not-O(trace) figure the memory tests pin.
+    /// Bytes of resident generator state: tenant generators (each
+    /// worker reports its generator's figure with every block), the
+    /// hand-off at full depth, plus the retry reorder buffer. Constant in trace length — the
+    /// O(chunk)-not-O(trace) figure the memory tests pin.
     pub fn resident_bytes(&self) -> usize {
-        let tenants: usize = self
-            .tenants
-            .iter()
-            .map(|t| {
-                t.generator.resident_bytes() + t.buffer.capacity() * std::mem::size_of::<Job>()
-            })
-            .sum();
+        let tenants: usize = self.tenants.iter().map(|t| t.resident_bytes()).sum();
         tenants + self.pending.capacity() * std::mem::size_of::<Pending>()
     }
 
@@ -263,7 +384,7 @@ impl ScenarioStream {
     /// scenario (including all pending retries) is exhausted.
     pub fn next_chunk(&mut self) -> Option<Vec<Job>> {
         let _span = swim_obs::span("scenario.chunk");
-        let mut chunk = Vec::new();
+        let mut chunk = Vec::with_capacity(self.chunk_size.min(DEFAULT_CHUNK));
         while chunk.len() < self.chunk_size {
             match self.next_job() {
                 Some(job) => chunk.push(job),
@@ -281,9 +402,9 @@ impl ScenarioStream {
     fn next_job(&mut self) -> Option<Job> {
         // Earliest tenant head, by (submit, tenant index) for stability.
         let mut next_tenant: Option<(Timestamp, usize)> = None;
-        for i in 0..self.tenants.len() {
-            if let Some(job) = self.tenants[i].peek() {
-                let key = (job.submit, i);
+        for (i, tenant) in self.tenants.iter_mut().enumerate() {
+            if let Some(submit) = tenant.head() {
+                let key = (submit, i);
                 if next_tenant.is_none_or(|cur| key < cur) {
                     next_tenant = Some(key);
                 }
@@ -303,24 +424,19 @@ impl ScenarioStream {
             }
         }
         let (_, index) = next_tenant?;
-        let mut job = self.tenants[index].pop().expect("peeked above");
-        self.apply_tenant(index, &mut job);
+        let tenant = &mut self.tenants[index];
+        let draft = tenant.pop().expect("peeked above");
+        // Namespace the tenant's names and file paths (collision-free
+        // remap: old id times tenant count plus tenant index).
+        let mut job = draft.into_job(Some(&DraftPrefix {
+            label: &tenant.label,
+            path_stride: self.tenant_count,
+            path_offset: index as u64,
+        }));
         self.apply_heavy_tail(&mut job);
         self.schedule_retries(&job);
         self.stats.per_tenant[index].1 += 1;
         Some(self.finalize(job))
-    }
-
-    /// Namespace the tenant's file paths (collision-free remap: old id
-    /// times tenant count plus tenant index) and prefix its job names.
-    fn apply_tenant(&mut self, index: usize, job: &mut Job) {
-        let n = self.tenant_count;
-        let remap = |p: &mut PathId| *p = PathId(p.0.wrapping_mul(n).wrapping_add(index as u64));
-        job.input_paths.iter_mut().for_each(remap);
-        job.output_paths.iter_mut().for_each(remap);
-        if !job.name.is_empty() {
-            job.name = format!("{}:{}", self.tenants[index].label, job.name);
-        }
     }
 
     /// Heavy-tail overlay: boost data sizes and task-times by one
@@ -515,6 +631,203 @@ mod tests {
                 job.validate().expect("every job valid");
             }
         }
+    }
+
+    /// The stream as a single thread produces it, written out longhand:
+    /// every tenant's generator pulled on this thread, names prefixed
+    /// and paths remapped in a second pass over finished jobs, a linear
+    /// `(submit, index)` merge, and a flat list for the retry buffer.
+    fn serial_reference(scenario: &Scenario, seed: u64, jobs: u64) -> Vec<Job> {
+        let mut stream = ScenarioStream::new(scenario, seed, jobs).expect("preset is valid");
+        let count = stream.tenant_count;
+        let mut tenants = Vec::new();
+        for (index, tenant) in stream.tenants.iter_mut().enumerate() {
+            let Source::Idle(generator) = std::mem::replace(&mut tenant.source, Source::Done)
+            else {
+                panic!("workers start lazily");
+            };
+            let jobs: Vec<Job> = generator
+                .flatten()
+                .map(|mut job| {
+                    if !job.name.is_empty() {
+                        job.name = format!("{}:{}", tenant.label, job.name);
+                    }
+                    for p in job.input_paths.iter_mut().chain(&mut job.output_paths) {
+                        *p = swim_trace::PathId(p.0 * count + index as u64);
+                    }
+                    job
+                })
+                .collect();
+            tenants.push(jobs.into_iter().peekable());
+        }
+        let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0));
+        let mut pending: Vec<(Timestamp, u64, Job)> = Vec::new();
+        let mut pending_seq = 0u64;
+        let mut out: Vec<Job> = Vec::new();
+        loop {
+            let next = tenants
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(i, t)| t.peek().map(|job| (job.submit, i)))
+                .min();
+            let due = pending
+                .iter()
+                .map(|(submit, seq, _)| (*submit, *seq))
+                .min()
+                .filter(|(submit, _)| next.is_none_or(|(original, _)| *submit <= original));
+            let mut job = if let Some(key) = due {
+                let at = pending
+                    .iter()
+                    .position(|(submit, seq, _)| (*submit, *seq) == key)
+                    .expect("the minimum is in the list");
+                pending.swap_remove(at).2
+            } else if let Some((_, index)) = next {
+                let mut job = tenants[index].next().expect("peeked above");
+                if let Some(ht) = &scenario.heavy_tail {
+                    if rng.random_bool(ht.probability) {
+                        let factor =
+                            LogNormal::from_median(ht.median_boost, ht.sigma).sample(&mut rng);
+                        job.input = job.input.scale(factor);
+                        job.shuffle = job.shuffle.scale(factor);
+                        job.output = job.output.scale(factor);
+                        job.map_task_time = job.map_task_time.scale(factor);
+                        job.reduce_task_time = job.reduce_task_time.scale(factor);
+                        job.map_tasks =
+                            derive_map_tasks(job.input, job.map_task_time, job.duration);
+                        job.reduce_tasks = derive_reduce_tasks(job.shuffle, job.reduce_task_time);
+                    }
+                }
+                if let Some(rs) = &scenario.retry_storm {
+                    for attempt in 1..=rs.max_retries {
+                        if !rng.random_bool(rs.probability) {
+                            break;
+                        }
+                        if pending.len() >= REORDER_CAP {
+                            continue;
+                        }
+                        let mut retry = job.clone();
+                        retry.submit += Dur::from_secs(rs.backoff.secs() * attempt as u64);
+                        pending.push((retry.submit, pending_seq, retry));
+                        pending_seq += 1;
+                    }
+                }
+                job
+            } else {
+                return out;
+            };
+            job.id = JobId(out.len() as u64);
+            out.push(job);
+        }
+    }
+
+    #[test]
+    fn threaded_stream_equals_the_serial_reference() {
+        // 3 000 jobs: every tenant hands over several TENANT_CHUNK blocks.
+        for preset in presets::presets() {
+            let reference = serial_reference(&preset, 13, 3_000);
+            assert!(
+                reference.len() > 1_000,
+                "{}: {}",
+                preset.name,
+                reference.len()
+            );
+            for chunk in [1usize, 7, 4096] {
+                assert!(
+                    reference == chunked(&preset, 13, 3_000, chunk),
+                    "{} diverged from the serial reference at chunk size {chunk}",
+                    preset.name
+                );
+            }
+        }
+    }
+
+    fn tenant_over(source: Source) -> TenantStream {
+        TenantStream {
+            label: "t".into(),
+            source,
+            buffer: Vec::new().into_iter(),
+            resident: 0,
+        }
+    }
+
+    fn one_draft() -> JobDraft {
+        let config = GeneratorConfig::new(WorkloadKind::CcB).seed(1);
+        let mut generator = StreamingGenerator::new(config).expect("valid config");
+        generator.next_drafts().expect("CC-b has jobs")[0]
+    }
+
+    #[test]
+    fn workers_start_on_the_first_pull_not_before() {
+        let bounds = PopulationBounds {
+            max_files: 256,
+            reserved_files: 32,
+            max_outputs: 64,
+            max_access_log: 64,
+        };
+        let idle = |s: &ScenarioStream| {
+            s.tenants
+                .iter()
+                .filter(|t| matches!(t.source, Source::Idle(_)))
+                .count()
+        };
+        let preset = presets::multitenant_saas();
+        let mut stream = ScenarioStream::new(&preset, 5, 2_000)
+            .expect("valid")
+            .population_bounds(bounds);
+        // Still on this thread, where `population_bounds` reached them
+        // (`resident_state_is_constant_in_stream_length` shows it took).
+        assert_eq!(idle(&stream), preset.tenants.len());
+        stream.next_chunk().expect("a first chunk");
+        assert_eq!(idle(&stream), 0, "the merge needs every tenant's head");
+    }
+
+    #[test]
+    fn a_stream_dropped_mid_way_ends_and_joins_its_workers() {
+        // A worker that never runs dry, blocked in `send` on a full
+        // channel once the consumer stops pulling.
+        let alive = std::sync::Arc::new(());
+        let held = alive.clone();
+        let draft = one_draft();
+        let mut tenant = tenant_over(spawn_worker("endless", move || {
+            let _held = &held;
+            Some(TenantChunk {
+                drafts: vec![draft; 4],
+                resident: 0,
+            })
+        }));
+        assert_eq!(tenant.pop(), Some(draft));
+        drop(tenant);
+        // Joined, not detached: the closure (and its Arc) is gone.
+        assert_eq!(std::sync::Arc::strong_count(&alive), 1);
+
+        // The same through the public surface: cut short after one chunk
+        // of a budget far larger than the channels hold.
+        let mut stream = ScenarioStream::new(&presets::multitenant_saas(), 5, 1_000_000)
+            .expect("valid")
+            .chunk_size(64);
+        assert_eq!(stream.next_chunk().expect("a first chunk").len(), 64);
+        drop(stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampler exploded")]
+    fn a_worker_panic_is_re_raised_on_the_consumer() {
+        let mut stream = ScenarioStream::new(&presets::steady_retail(), 5, 2_000).expect("valid");
+        let draft = one_draft();
+        let mut sent = false;
+        stream.tenants[0].source = spawn_worker("doomed", move || {
+            if sent {
+                panic!("sampler exploded");
+            }
+            sent = true;
+            Some(TenantChunk {
+                drafts: vec![draft],
+                resident: 0,
+            })
+        });
+        // One good job, then the tenant's channel disconnects: that must
+        // not read as "tenant exhausted" and end the stream quietly.
+        while stream.next_chunk().is_some() {}
     }
 
     #[test]

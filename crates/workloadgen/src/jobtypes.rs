@@ -113,6 +113,13 @@ pub struct JobTypeMix {
     types: Vec<JobTypeProfile>,
     picker: Categorical,
     sigma: f64,
+    /// Correlated jitter: one shared factor scales the whole job
+    /// (bigger-than-median jobs are bigger in every dimension) …
+    shared: LogNormal,
+    /// … plus independent per-dimension noise. This is what keeps bytes
+    /// and task-time strongly correlated (Fig. 9: r ≈ 0.62) while
+    /// jobs/hour stays only weakly correlated with both.
+    noise: LogNormal,
 }
 
 impl JobTypeMix {
@@ -131,6 +138,8 @@ impl JobTypeMix {
             picker: Categorical::new(&weights),
             types,
             sigma,
+            shared: LogNormal::from_median(1.0, sigma * 0.7),
+            noise: LogNormal::from_median(1.0, sigma * 0.5),
         }
     }
 
@@ -169,19 +178,12 @@ impl JobTypeMix {
     /// Sample one job from a *specific* type (burst-storm routing).
     pub fn sample_type<R: Rng + ?Sized>(&self, rng: &mut R, idx: usize) -> SampledJob {
         let t = &self.types[idx];
-        // Correlated jitter: one shared factor scales the whole job
-        // (bigger-than-median jobs are bigger in every dimension), plus
-        // independent per-dimension noise. This is what keeps bytes and
-        // task-time strongly correlated (Fig. 9: r ≈ 0.62) while jobs/hour
-        // stays only weakly correlated with both.
-        let shared = LogNormal::from_median(1.0, self.sigma * 0.7);
-        let noise = LogNormal::from_median(1.0, self.sigma * 0.5);
-        let scale = shared.sample(rng);
+        let scale = self.shared.sample(rng);
         let mut jitter = |median: f64| -> f64 {
             if median <= 0.0 || self.sigma == 0.0 {
                 median
             } else {
-                median * scale * noise.sample(rng)
+                median * scale * self.noise.sample(rng)
             }
         };
         let input = DataSize::from_f64(jitter(t.input.as_f64()));

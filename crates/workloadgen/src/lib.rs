@@ -37,6 +37,7 @@
 
 pub mod arrival;
 pub mod dist;
+pub mod draft;
 pub mod files;
 pub mod generator;
 pub mod jobtypes;
@@ -44,6 +45,7 @@ pub mod naming;
 pub mod profiles;
 pub mod streaming;
 
+pub use draft::{DraftPrefix, JobDraft};
 pub use generator::{GeneratorConfig, GeneratorError, WorkloadGenerator};
 pub use jobtypes::JobTypeProfile;
 pub use profiles::WorkloadProfile;

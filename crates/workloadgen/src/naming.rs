@@ -14,6 +14,7 @@
 
 use crate::dist::Categorical;
 use rand::Rng;
+use std::fmt::Write;
 use swim_trace::Framework;
 
 /// One vocabulary entry: a first word, its framework, and its share of jobs.
@@ -82,13 +83,16 @@ impl NameVocabulary {
         &self.entries
     }
 
-    /// Sample a (name, framework) pair. `data_heavy` selects the
-    /// io-weighted sampler, used for job types whose centroid moves ≥ 1 GB.
-    pub fn sample<R: Rng + ?Sized>(
+    /// Sample a name as plain data — `(first word, sequence number,
+    /// framework)` — so a job can cross threads before its name is
+    /// rendered. `data_heavy` selects the io-weighted sampler, used for
+    /// job types whose centroid moves ≥ 1 GB. An unnamed vocabulary
+    /// yields the empty word (and consumes no sequence number).
+    pub fn sample_word<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         data_heavy: bool,
-    ) -> (String, Framework) {
+    ) -> (&'static str, u64, Framework) {
         let idx = if data_heavy {
             self.by_io.sample(rng)
         } else {
@@ -96,12 +100,46 @@ impl NameVocabulary {
         };
         let e = self.entries[idx];
         if e.word.is_empty() {
-            return (String::new(), e.framework);
+            return ("", 0, e.framework);
         }
         self.seq += 1;
-        // Suffix mimics framework-generated names ("insert_2041", staged ids).
-        (format!("{}_{}", e.word, self.seq), e.framework)
+        (e.word, self.seq, e.framework)
     }
+
+    /// Sample a rendered (name, framework) pair: [`Self::sample_word`]
+    /// through [`push_name`].
+    pub fn sample<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        data_heavy: bool,
+    ) -> (String, Framework) {
+        let (word, seq, framework) = self.sample_word(rng, data_heavy);
+        let mut name = String::new();
+        push_name(&mut name, word, seq);
+        (name, framework)
+    }
+}
+
+/// Rendered length of a sampled name (0 for the empty word).
+pub fn name_len(word: &str, seq: u64) -> usize {
+    if word.is_empty() {
+        return 0;
+    }
+    let digits = seq.checked_ilog10().map_or(1, |d| d as usize + 1);
+    word.len() + 1 + digits
+}
+
+/// Append the rendered name `"{word}_{seq}"` — the suffix mimics
+/// framework-generated names ("insert_2041", staged ids). The empty word
+/// renders as nothing.
+pub fn push_name(out: &mut String, word: &str, seq: u64) {
+    if word.is_empty() {
+        return;
+    }
+    out.push_str(word);
+    out.push('_');
+    // Writing to a String cannot fail.
+    let _ = write!(out, "{seq}");
 }
 
 /// FB-2009 vocabulary: native `ad` pipeline dominates by jobs (≈44 %),

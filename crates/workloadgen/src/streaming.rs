@@ -24,8 +24,18 @@
 //! **bit-identical for a given seed regardless of chunk size**, and equal
 //! to the one-shot `generate()` path (which now delegates here). This is
 //! pinned by proptests over chunk sizes {1, 7, 4096}.
+//!
+//! ## Drafts
+//!
+//! Sampling and building are two steps.
+//! [`StreamingGenerator::next_drafts`] does all the sampling and yields
+//! heap-free [`JobDraft`]s; [`JobDraft::into_job`] renders the name and
+//! wraps the paths. `next_chunk` is the one composed of the other, so a
+//! consumer that samples on one thread and builds on another (the
+//! scenario layer) runs the same code as `generate()`.
 
 use crate::arrival::ArrivalStream;
+use crate::draft::JobDraft;
 use crate::files::{FilePopulation, PopulationBounds};
 use crate::generator::{GeneratorConfig, GeneratorError};
 use crate::jobtypes::JobTypeMix;
@@ -34,7 +44,7 @@ use crate::profiles::WorkloadProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use swim_obs::Counter;
-use swim_trace::{DataSize, Dur, Job, JobBuilder, Timestamp, Trace};
+use swim_trace::{DataSize, Dur, Job, Timestamp, Trace};
 
 /// Default number of jobs per emitted chunk: large enough to amortize
 /// per-chunk overhead, small enough that a chunk of fat jobs stays well
@@ -77,13 +87,17 @@ pub struct GenerationStats {
 impl GenerationStats {
     /// Fold one emitted job into the totals.
     pub fn observe(&mut self, job: &Job) {
+        self.record(job.submit, job.total_io(), job.total_task_time());
+    }
+
+    fn record(&mut self, submit: Timestamp, bytes_moved: DataSize, task_time: Dur) {
         self.jobs += 1;
-        self.bytes_moved += job.total_io();
-        self.task_time += job.total_task_time();
+        self.bytes_moved += bytes_moved;
+        self.task_time += task_time;
         if self.first_submit.is_none() {
-            self.first_submit = Some(job.submit);
+            self.first_submit = Some(submit);
         }
-        self.last_submit = Some(job.submit);
+        self.last_submit = Some(submit);
     }
 
     /// First-to-last submit span of the emitted jobs (zero when empty).
@@ -218,15 +232,17 @@ impl StreamingGenerator {
         self.files.resident_bytes() + std::mem::size_of::<Self>()
     }
 
-    /// Emit the next chunk (at most `chunk_size` jobs), or `None` when the
-    /// arrival process is exhausted or the job cap is reached.
-    pub fn next_chunk(&mut self) -> Option<Vec<Job>> {
+    /// Sample the next block of at most `chunk_size` jobs as heap-free
+    /// [`JobDraft`]s, or `None` when the arrival process is exhausted or
+    /// the job cap is reached. This is the whole sampling step — every RNG
+    /// draw and every state update; [`JobDraft::into_job`] only builds.
+    pub fn next_drafts(&mut self) -> Option<Vec<JobDraft>> {
         if self.done {
             return None;
         }
         let _span = swim_obs::span("workloadgen.chunk");
-        let mut chunk = Vec::with_capacity(self.chunk_size);
-        while chunk.len() < self.chunk_size {
+        let mut drafts = Vec::with_capacity(self.chunk_size);
+        while drafts.len() < self.chunk_size {
             if self.max_jobs.is_some_and(|cap| self.stats.jobs >= cap) {
                 self.done = true;
                 break;
@@ -235,19 +251,26 @@ impl StreamingGenerator {
                 self.done = true;
                 break;
             };
-            chunk.push(self.emit_job(submit, intensity));
+            drafts.push(self.emit_draft(submit, intensity));
         }
-        if chunk.is_empty() {
+        if drafts.is_empty() {
             return None;
         }
-        JOBS_GENERATED.add(chunk.len() as u64);
+        JOBS_GENERATED.add(drafts.len() as u64);
         CHUNKS_EMITTED.incr();
-        Some(chunk)
+        Some(drafts)
+    }
+
+    /// Emit the next chunk (at most `chunk_size` jobs): the next block of
+    /// drafts, built into jobs under the generator's own names and paths.
+    pub fn next_chunk(&mut self) -> Option<Vec<Job>> {
+        let drafts = self.next_drafts()?;
+        Some(drafts.into_iter().map(|d| d.into_job(None)).collect())
     }
 
     /// One step of the per-job state machine — identical logic to the
     /// historical one-shot generator, driven by the dedicated body stream.
-    fn emit_job(&mut self, submit: Timestamp, intensity: f64) -> Job {
+    fn emit_draft(&mut self, submit: Timestamp, intensity: f64) -> JobDraft {
         let rng = &mut self.body_rng;
         let s = if intensity > 1.0 && rng.random::<f64>() < (intensity - 1.0) / intensity {
             // This arrival is burst excess: force the small-job type.
@@ -255,22 +278,12 @@ impl StreamingGenerator {
         } else {
             self.mix.sample(rng)
         };
-        let (name, _framework) = if self.profile.has_names {
-            self.vocab.sample(rng, self.heavy[s.type_index])
+        let (name_word, name_seq) = if self.profile.has_names {
+            let (word, seq, _framework) = self.vocab.sample_word(rng, self.heavy[s.type_index]);
+            (word, seq)
         } else {
-            (String::new(), swim_trace::Framework::Native)
+            ("", 0)
         };
-
-        let mut builder = JobBuilder::new(self.stats.jobs)
-            .name(name)
-            .submit(submit)
-            .duration(s.duration)
-            .input(s.input)
-            .shuffle(s.shuffle)
-            .output(s.output)
-            .map_task_time(s.map_time)
-            .reduce_task_time(s.reduce_time)
-            .tasks(s.map_tasks, s.reduce_tasks);
 
         // Attach paths per the availability matrix. The file population
         // is still *updated* for path-less workloads so access dynamics
@@ -278,16 +291,29 @@ impl StreamingGenerator {
         // stay comparable; the trace just does not expose the ids.
         let (input_path, _) = self.files.choose_input(rng, submit, s.input);
         let output_path = self.files.record_output(rng, submit + s.duration, s.output);
-        if self.profile.paths.input {
-            builder = builder.input_paths(vec![input_path]);
-        }
-        if self.profile.paths.output {
-            builder = builder.output_paths(vec![output_path]);
-        }
 
-        let job = builder.build_unchecked();
-        self.stats.observe(&job);
-        job
+        let draft = JobDraft {
+            id: self.stats.jobs,
+            submit,
+            duration: s.duration,
+            input: s.input,
+            shuffle: s.shuffle,
+            output: s.output,
+            map_task_time: s.map_time,
+            reduce_task_time: s.reduce_time,
+            map_tasks: s.map_tasks,
+            reduce_tasks: s.reduce_tasks,
+            name_word,
+            name_seq,
+            input_path: self.profile.paths.input.then_some(input_path),
+            output_path: self.profile.paths.output.then_some(output_path),
+        };
+        self.stats.record(
+            submit,
+            s.input + s.shuffle + s.output,
+            s.map_time + s.reduce_time,
+        );
+        draft
     }
 
     /// Drain the stream into a full in-memory [`Trace`] (the historical
