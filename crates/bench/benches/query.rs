@@ -2,11 +2,14 @@
 //! through the engine vs a hand-rolled column fold, and selective
 //! (zone-map-skipping) vs non-selective predicates. The selective query
 //! must decode at least 2x fewer chunks than a full scan — asserted here,
-//! so the CI bench smoke enforces the pruning win at 1M-job scale.
+//! so the CI bench smoke enforces the pruning win at 1M-job scale. The
+//! served mix's dominant shape (filter on `total_io`, hour-of-day key)
+//! is held to exact counts, not times: parallel ≡ serial, and the
+//! kernel's key-table probes stay far below the rows it groups.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use swim_query::{execute, Aggregate, Expr, Pred, Query};
+use swim_query::{execute, execute_serial, parse, Aggregate, Expr, Pred, Query};
 use swim_store::{store_to_vec, Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
@@ -68,6 +71,20 @@ fn grouped_hourly_query() -> Query {
         .select(Aggregate::Sum(Expr::total_task_time()))
 }
 
+/// `swim-perf`'s `groupby` class, half of every served round: the
+/// diurnal profile of jobs that moved data.
+fn hour_of_day_query() -> Query {
+    let mut query =
+        Query::new().filter(parse::parse_predicate("total_io * 1024 >= 7").expect("parses"));
+    for key in parse::parse_group_by("submit / 1h - submit / 1d * 24").expect("parses") {
+        query = query.group(key);
+    }
+    for agg in parse::parse_aggregates("count,sum(total_io),avg(duration)").expect("parses") {
+        query = query.select(agg);
+    }
+    query
+}
+
 fn bench_query(c: &mut Criterion) {
     let trace = million_job_trace();
     let store = Store::from_vec(store_to_vec(&trace, &StoreOptions::default())).expect("opens");
@@ -88,6 +105,33 @@ fn bench_query(c: &mut Criterion) {
         selective.stats.chunks_skipped
     );
 
+    // The kernel's memo at work: the 24 hour-of-day keys each keep a memo
+    // slot, so the key table is probed about once per key per worker,
+    // not once per row. Counts, so the gate holds on any machine.
+    swim_obs::set_enabled(swim_obs::ALL);
+    swim_obs::reset();
+    let hourly = execute(&store, &hour_of_day_query()).expect("executes");
+    let probes = swim_obs::snapshot()
+        .counter("query.group_probes")
+        .expect("the kernel records its probes");
+    swim_obs::set_enabled(0);
+    swim_obs::reset();
+    assert_eq!(
+        hourly,
+        execute_serial(&store, &hour_of_day_query()).expect("executes"),
+        "parallel ≡ serial on the hour-of-day shape"
+    );
+    assert_eq!(hourly.rows.len(), 24);
+    assert!(
+        probes <= hourly.stats.rows_matched / 8,
+        "the memo must answer most rows: {probes} probes for {} matched rows",
+        hourly.stats.rows_matched
+    );
+    eprintln!(
+        "1M-job store: hour-of-day group-by probed the key table {probes} times for {} matched rows",
+        hourly.stats.rows_matched
+    );
+
     let mut group = c.benchmark_group("query_1m_jobs");
     group.sample_size(10);
     group.bench_function("selective_day_1_of_30", |b| {
@@ -98,6 +142,9 @@ fn bench_query(c: &mut Criterion) {
     });
     group.bench_function("grouped_hourly_720_bins", |b| {
         b.iter(|| execute(black_box(&store), &grouped_hourly_query()).expect("executes"))
+    });
+    group.bench_function("filtered_hour_of_day_24_bins", |b| {
+        b.iter(|| execute(black_box(&store), &hour_of_day_query()).expect("executes"))
     });
     // Hand-rolled equivalent of the non-selective query, folding the raw
     // column projections directly: measures what the typed engine costs

@@ -6,6 +6,7 @@
 //! serial and parallel execution byte-for-byte interchangeable.
 
 use crate::expr::Expr;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// An aggregate over the rows of one group.
@@ -39,18 +40,6 @@ impl Aggregate {
             | Aggregate::Percentile(e, _) => Some(e),
         }
     }
-
-    /// Fresh accumulator state.
-    pub(crate) fn new_state(&self) -> AggState {
-        match self {
-            Aggregate::Count => AggState::Count(0),
-            Aggregate::Sum(_) => AggState::Sum(0),
-            Aggregate::Min(_) => AggState::Min(None),
-            Aggregate::Max(_) => AggState::Max(None),
-            Aggregate::Avg(_) => AggState::Avg { sum: 0, n: 0 },
-            Aggregate::Percentile(..) => AggState::Samples(Vec::new()),
-        }
-    }
 }
 
 impl fmt::Display for Aggregate {
@@ -79,11 +68,20 @@ pub enum AggValue {
 
 impl AggValue {
     /// Total order for `ORDER BY`: `Null` first, then numerically.
-    pub fn order_key(&self) -> (u8, f64) {
-        match self {
-            AggValue::Null => (0, 0.0),
-            AggValue::Int(v) => (1, *v as f64),
-            AggValue::Float(v) => (1, *v),
+    /// Integers compare as `u64` — exact past 2^53, where a detour
+    /// through `f64` would tie distinct sums — and floats by `total_cmp`.
+    pub fn order_cmp(&self, other: &AggValue) -> Ordering {
+        let real = |v: &AggValue| match v {
+            AggValue::Int(v) => *v as f64,
+            AggValue::Float(v) => *v,
+            AggValue::Null => f64::NEG_INFINITY,
+        };
+        match (self, other) {
+            (AggValue::Null, AggValue::Null) => Ordering::Equal,
+            (AggValue::Null, _) => Ordering::Less,
+            (_, AggValue::Null) => Ordering::Greater,
+            (AggValue::Int(a), AggValue::Int(b)) => a.cmp(b),
+            (a, b) => real(a).total_cmp(&real(b)),
         }
     }
 }
@@ -98,93 +96,157 @@ impl fmt::Display for AggValue {
     }
 }
 
-/// Mergeable accumulator state for one aggregate of one group.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AggState {
-    Count(u64),
-    Sum(u64),
-    Min(Option<u64>),
-    Max(Option<u64>),
-    Avg { sum: u64, n: u64 },
-    Samples(Vec<u64>),
+/// Mergeable accumulator state for one aggregate of *every* group of a
+/// worker, indexed by dense group id. A group's row count lives once in
+/// the kernel (it is `Count`'s value and `Avg`'s divisor), so `Min`/`Max`
+/// need no `Option`: a group exists only once a row reached it, and the
+/// one group that can be empty — the global one — is `Null` by its count.
+#[derive(Debug)]
+pub(crate) enum AggCol {
+    Count,
+    Sum(Vec<u64>),
+    Min(Vec<u64>),
+    Max(Vec<u64>),
+    Avg(Vec<u64>),
+    Samples { p: f64, groups: Vec<Vec<u64>> },
 }
 
-impl AggState {
-    /// Fold one row's value in (`v` is ignored by `Count`).
-    #[inline]
-    pub(crate) fn update(&mut self, v: u64) {
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum(s) => *s = s.saturating_add(v),
-            AggState::Min(m) => *m = Some(m.map_or(v, |m| m.min(v))),
-            AggState::Max(m) => *m = Some(m.map_or(v, |m| m.max(v))),
-            AggState::Avg { sum, n } => {
-                *sum = sum.saturating_add(v);
-                *n += 1;
+/// Fold `v[row]` into `state[id]` for each `(id, row)` pair — or, with no
+/// ids (a global aggregate), every row into the first state, in a register.
+fn fold_into(
+    state: &mut [u64],
+    rows: impl Iterator<Item = usize>,
+    ids: Option<&[u32]>,
+    v: &[u64],
+    f: impl Fn(u64, u64) -> u64,
+) {
+    match ids {
+        Some(ids) => {
+            for (&g, i) in ids.iter().zip(rows) {
+                let s = &mut state[g as usize];
+                *s = f(*s, v[i]);
             }
-            AggState::Samples(s) => s.push(v),
+        }
+        None => {
+            if let Some(s) = state.first_mut() {
+                *s = rows.fold(*s, |acc, i| f(acc, v[i]));
+            }
+        }
+    }
+}
+
+/// Index into the sorted samples that nearest-rank reads, identical to
+/// `Ecdf::quantile`: rank = ceil(p·n) clamped to `[1, n]`. `n` must be
+/// nonzero.
+fn rank_index(p: f64, n: usize) -> usize {
+    let p = p.clamp(0.0, 1.0);
+    if p == 0.0 {
+        0
+    } else {
+        ((p * n as f64).ceil() as usize).clamp(1, n) - 1
+    }
+}
+
+impl AggCol {
+    /// Empty state (no groups yet) for one aggregate.
+    pub(crate) fn new(agg: &Aggregate) -> AggCol {
+        match agg {
+            Aggregate::Count => AggCol::Count,
+            Aggregate::Sum(_) => AggCol::Sum(Vec::new()),
+            Aggregate::Min(_) => AggCol::Min(Vec::new()),
+            Aggregate::Max(_) => AggCol::Max(Vec::new()),
+            Aggregate::Avg(_) => AggCol::Avg(Vec::new()),
+            Aggregate::Percentile(_, p) => AggCol::Samples {
+                p: *p,
+                groups: Vec::new(),
+            },
         }
     }
 
-    /// Merge another partial state in (same aggregate, same group).
-    pub(crate) fn merge(&mut self, other: AggState) {
+    /// Extend to `groups` groups, new ones at the aggregate's identity.
+    pub(crate) fn grow(&mut self, groups: usize) {
+        match self {
+            AggCol::Count => {}
+            AggCol::Sum(s) | AggCol::Avg(s) | AggCol::Max(s) => s.resize(groups, 0),
+            AggCol::Min(s) => s.resize(groups, u64::MAX),
+            AggCol::Samples { groups: g, .. } => g.resize_with(groups, Vec::new),
+        }
+    }
+
+    /// Fold one chunk in, column-at-a-time: `v[row]` for each selected
+    /// row, into the group `ids` names for it (`ids` runs parallel to
+    /// `rows`; `None` means the single global group). The aggregate kind
+    /// is matched here, once per chunk, not per row.
+    pub(crate) fn update(
+        &mut self,
+        rows: impl Iterator<Item = usize>,
+        ids: Option<&[u32]>,
+        v: &[u64],
+    ) {
+        match self {
+            AggCol::Count => {}
+            AggCol::Sum(s) | AggCol::Avg(s) => fold_into(s, rows, ids, v, u64::saturating_add),
+            AggCol::Min(s) => fold_into(s, rows, ids, v, u64::min),
+            AggCol::Max(s) => fold_into(s, rows, ids, v, u64::max),
+            AggCol::Samples { groups, .. } => match ids {
+                Some(ids) => {
+                    for (&g, i) in ids.iter().zip(rows) {
+                        groups[g as usize].push(v[i]);
+                    }
+                }
+                None => {
+                    if let Some(all) = groups.first_mut() {
+                        all.extend(rows.map(|i| v[i]));
+                    }
+                }
+            },
+        }
+    }
+
+    /// Merge another worker's state in (same aggregate); `remap[g]` is
+    /// this side's id for the other side's group `g`. Exact and
+    /// order-insensitive: a merge is an update whose values are the other
+    /// side's states.
+    pub(crate) fn merge(&mut self, other: AggCol, remap: &[u32]) {
         match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Sum(a), AggState::Sum(b)) => *a = a.saturating_add(b),
-            (AggState::Min(a), AggState::Min(b)) => {
-                *a = match (*a, b) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, y) => x.or(y),
+            (AggCol::Count, AggCol::Count) => {}
+            (AggCol::Sum(a), AggCol::Sum(b)) | (AggCol::Avg(a), AggCol::Avg(b)) => {
+                fold_into(a, 0..b.len(), Some(remap), &b, u64::saturating_add)
+            }
+            (AggCol::Min(a), AggCol::Min(b)) => fold_into(a, 0..b.len(), Some(remap), &b, u64::min),
+            (AggCol::Max(a), AggCol::Max(b)) => fold_into(a, 0..b.len(), Some(remap), &b, u64::max),
+            (AggCol::Samples { groups: a, .. }, AggCol::Samples { groups: b, .. }) => {
+                for (&g, mut samples) in remap.iter().zip(b) {
+                    let dst = &mut a[g as usize];
+                    if dst.is_empty() {
+                        *dst = samples;
+                    } else {
+                        dst.append(&mut samples);
+                    }
                 }
             }
-            (AggState::Max(a), AggState::Max(b)) => {
-                *a = match (*a, b) {
-                    (Some(x), Some(y)) => Some(x.max(y)),
-                    (x, y) => x.or(y),
-                }
-            }
-            (AggState::Avg { sum, n }, AggState::Avg { sum: s2, n: n2 }) => {
-                *sum = sum.saturating_add(s2);
-                *n += n2;
-            }
-            (AggState::Samples(a), AggState::Samples(b)) => a.extend(b),
             // lint: allow(panic, "merge partners are built from the same aggregate list, so variants always pair up")
             _ => unreachable!("merged states always come from the same aggregate list"),
         }
     }
 
-    /// Finalize into a value. `agg` supplies the percentile rank.
-    pub(crate) fn finalize(self, agg: &Aggregate) -> AggValue {
+    /// Finalize group `g`, which `count` rows reached.
+    pub(crate) fn finalize(&mut self, g: usize, count: u64) -> AggValue {
         match self {
-            AggState::Count(n) => AggValue::Int(n),
-            AggState::Sum(s) => AggValue::Int(s),
-            AggState::Min(m) | AggState::Max(m) => m.map_or(AggValue::Null, AggValue::Int),
-            AggState::Avg { sum, n } => {
-                if n == 0 {
-                    AggValue::Null
-                } else {
-                    AggValue::Float(sum as f64 / n as f64)
-                }
-            }
-            AggState::Samples(mut s) => {
-                let Aggregate::Percentile(_, p) = agg else {
-                    // lint: allow(panic, "Samples state is only ever constructed for percentile aggregates")
-                    unreachable!("sample state belongs to a percentile aggregate")
-                };
-                if s.is_empty() {
-                    return AggValue::Null;
-                }
-                // Nearest-rank, identical to Ecdf::quantile: samples are
-                // sorted (order of arrival is irrelevant), rank =
-                // ceil(p·n) clamped to [1, n].
-                s.sort_unstable();
-                let p = p.clamp(0.0, 1.0);
-                let idx = if p == 0.0 {
-                    0
-                } else {
-                    ((p * s.len() as f64).ceil() as usize).clamp(1, s.len()) - 1
-                };
-                AggValue::Float(s[idx] as f64)
+            AggCol::Count => AggValue::Int(count),
+            AggCol::Sum(s) => AggValue::Int(s[g]),
+            _ if count == 0 => AggValue::Null,
+            AggCol::Min(s) | AggCol::Max(s) => AggValue::Int(s[g]),
+            AggCol::Avg(s) => AggValue::Float(s[g] as f64 / count as f64),
+            AggCol::Samples { p, groups } => {
+                // Rank-select instead of a full sort: it places at `idx`
+                // the element a sort would, and equal elements are equal
+                // bits, so the value read is the same whatever order the
+                // samples arrived or were merged in.
+                let samples = &mut groups[g];
+                let idx = rank_index(*p, samples.len());
+                let (_, nth, _) = samples.select_nth_unstable(idx);
+                AggValue::Float(*nth as f64)
             }
         }
     }
@@ -194,6 +256,19 @@ impl AggState {
 mod tests {
     use super::*;
     use crate::expr::Col;
+    use crate::oracle;
+
+    /// One group's state after `values` reached it.
+    fn state(agg: &Aggregate, values: &[u64]) -> AggCol {
+        let mut col = AggCol::new(agg);
+        col.grow(1);
+        col.update(0..values.len(), None, values);
+        col
+    }
+
+    fn finalize(agg: &Aggregate, values: &[u64]) -> AggValue {
+        state(agg, values).finalize(0, values.len() as u64)
+    }
 
     #[test]
     fn labels() {
@@ -214,20 +289,13 @@ mod tests {
         let values = [5u64, 1, 9, 3, 3, 7];
         // Split 2|4 merged forwards, and 4|2 merged backwards.
         let run = |first: &[u64], second: &[u64], swap: bool| {
-            let mut a = agg.new_state();
-            for &v in first {
-                a.update(v);
-            }
-            let mut b = agg.new_state();
-            for &v in second {
-                b.update(v);
-            }
+            let (mut a, mut b) = (state(&agg, first), state(&agg, second));
             if swap {
-                b.merge(a);
-                b.finalize(&agg)
+                b.merge(a, &[0]);
+                b.finalize(0, 6)
             } else {
-                a.merge(b);
-                a.finalize(&agg)
+                a.merge(b, &[0]);
+                a.finalize(0, 6)
             }
         };
         let x = run(&values[..2], &values[2..], false);
@@ -237,16 +305,37 @@ mod tests {
     }
 
     #[test]
+    fn merge_remaps_the_other_sides_group_ids() {
+        // This side knows groups [a, b]; the other met [b, c, a].
+        for agg in [
+            Aggregate::Sum(Expr::col(Col::Input)),
+            Aggregate::Min(Expr::col(Col::Input)),
+            Aggregate::Max(Expr::col(Col::Input)),
+            Aggregate::Percentile(Expr::col(Col::Input), 1.0),
+        ] {
+            let mut ours = AggCol::new(&agg);
+            ours.grow(2);
+            ours.update(0..3, Some(&[0, 1, 0]), &[10, 20, 30]);
+            let mut theirs = AggCol::new(&agg);
+            theirs.grow(3);
+            theirs.update(0..3, Some(&[0, 1, 2]), &[7, 8, 99]);
+            ours.grow(3);
+            ours.merge(theirs, &[1, 2, 0]);
+            let got: Vec<AggValue> = (0..3).map(|g| ours.finalize(g, 1)).collect();
+            let per_group = [&[10u64, 30, 99][..], &[20, 7], &[8]];
+            let expected: Vec<AggValue> = per_group
+                .iter()
+                .map(|v| oracle::aggregate(&agg, v))
+                .collect();
+            assert_eq!(got, expected, "{agg}");
+        }
+    }
+
+    #[test]
     fn percentile_matches_ecdf_rank_rule() {
         // Mirrors Ecdf::quantile: rank = ceil(p*n) clamped to [1, n].
-        let agg = |p| Aggregate::Percentile(Expr::col(Col::Duration), p);
-        let finalize = |p: f64, values: &[u64]| {
-            let a = agg(p);
-            let mut st = a.new_state();
-            for &v in values {
-                st.update(v);
-            }
-            st.finalize(&a)
+        let finalize = |p, values: &[u64]| {
+            finalize(&Aggregate::Percentile(Expr::col(Col::Duration), p), values)
         };
         assert_eq!(finalize(0.0, &[4, 2, 8]), AggValue::Float(2.0));
         assert_eq!(finalize(0.5, &[4, 2, 8]), AggValue::Float(4.0));
@@ -256,8 +345,39 @@ mod tests {
     }
 
     #[test]
+    fn percentile_by_rank_select_reads_what_a_sort_would() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let samples: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![42],
+            vec![3, 3, 3, 3],
+            vec![9, 1, 9, 1, 9, 1, 5, 5],
+            vec![u64::MAX, 0, u64::MAX, 0, 1],
+            (0..1000).map(|_| next() % 17).collect(),
+            (0..1001).map(|_| next()).collect(),
+        ];
+        for values in &samples {
+            for p in [0.0, 0.5, 0.9, 1.0] {
+                let agg = Aggregate::Percentile(Expr::col(Col::Duration), p);
+                assert_eq!(
+                    finalize(&agg, values),
+                    oracle::percentile_by_sort(values, p),
+                    "p{p} of {} samples",
+                    values.len()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn merging_an_empty_state_is_the_identity_in_both_directions() {
-        // The federation edge case: a shard with zero matching rows
+        // The federation edge case: a worker with zero matching rows
         // contributes a fresh accumulator, which must not disturb a
         // populated one — whichever side of the merge it lands on.
         let aggs = [
@@ -268,29 +388,27 @@ mod tests {
             Aggregate::Avg(Expr::col(Col::Input)),
             Aggregate::Percentile(Expr::col(Col::Input), 0.9),
         ];
+        let values = [3u64, 9, 1, 7];
         for agg in &aggs {
-            let mut populated = agg.new_state();
-            for v in [3u64, 9, 1, 7] {
-                populated.update(v);
-            }
-            let expected = populated.clone().finalize(agg);
+            let expected = finalize(agg, &values);
+            assert_eq!(expected, oracle::aggregate(agg, &values), "{agg}");
 
             // populated ← empty
-            let mut left = populated.clone();
-            left.merge(agg.new_state());
-            assert_eq!(left.finalize(agg), expected, "{agg}: populated ← empty");
+            let mut left = state(agg, &values);
+            left.merge(state(agg, &[]), &[0]);
+            assert_eq!(left.finalize(0, 4), expected, "{agg}: populated ← empty");
 
             // empty ← populated
-            let mut right = agg.new_state();
-            right.merge(populated);
-            assert_eq!(right.finalize(agg), expected, "{agg}: empty ← populated");
+            let mut right = state(agg, &[]);
+            right.merge(state(agg, &values), &[0]);
+            assert_eq!(right.finalize(0, 4), expected, "{agg}: empty ← populated");
 
             // empty ← empty stays empty (Null / zero).
-            let mut both = agg.new_state();
-            both.merge(agg.new_state());
+            let mut both = state(agg, &[]);
+            both.merge(state(agg, &[]), &[0]);
             assert_eq!(
-                both.finalize(agg),
-                agg.new_state().finalize(agg),
+                both.finalize(0, 0),
+                finalize(agg, &[]),
                 "{agg}: empty ← empty"
             );
         }
@@ -307,7 +425,7 @@ mod tests {
             Aggregate::Percentile(Expr::col(Col::Duration), 0.5),
             Aggregate::Percentile(Expr::col(Col::Duration), 1.0),
         ] {
-            assert_eq!(agg.new_state().finalize(&agg), AggValue::Null, "{agg}");
+            assert_eq!(finalize(&agg, &[]), AggValue::Null, "{agg}");
         }
     }
 
@@ -320,16 +438,31 @@ mod tests {
             (Aggregate::Max(Expr::col(Col::Input)), AggValue::Null),
             (Aggregate::Avg(Expr::col(Col::Input)), AggValue::Null),
         ] {
-            assert_eq!(agg.new_state().finalize(&agg), expect, "{agg}");
+            assert_eq!(finalize(&agg, &[]), expect, "{agg}");
         }
     }
 
     #[test]
     fn sum_saturates_like_datasize() {
         let agg = Aggregate::Sum(Expr::col(Col::Input));
-        let mut a = agg.new_state();
-        a.update(u64::MAX - 5);
-        a.update(100);
-        assert_eq!(a.finalize(&agg), AggValue::Int(u64::MAX));
+        assert_eq!(
+            finalize(&agg, &[u64::MAX - 5, 100]),
+            AggValue::Int(u64::MAX)
+        );
+    }
+
+    #[test]
+    fn order_by_compares_integers_exactly_past_2_pow_53() {
+        use std::cmp::Ordering::*;
+        let (a, b) = (AggValue::Int(1 << 60), AggValue::Int((1 << 60) + 1));
+        assert_eq!((1u64 << 60) as f64, ((1u64 << 60) + 1) as f64, "tie as f64");
+        assert_eq!(a.order_cmp(&b), Less);
+        assert_eq!(b.order_cmp(&a), Greater);
+        assert_eq!(a.order_cmp(&a), Equal);
+        // Null sorts first; floats by total order.
+        assert_eq!(AggValue::Null.order_cmp(&AggValue::Int(0)), Less);
+        assert_eq!(AggValue::Float(-1.0).order_cmp(&AggValue::Null), Greater);
+        assert_eq!(AggValue::Float(1.5).order_cmp(&AggValue::Float(2.5)), Less);
+        assert_eq!(AggValue::Int(2).order_cmp(&AggValue::Float(1.5)), Greater);
     }
 }

@@ -1,17 +1,17 @@
-//! Query execution: vectorized per-chunk evaluation, mergeable group
-//! tables, deterministic finalization.
+//! Query execution: plan, fold every planned chunk through the chunk
+//! kernel, finalize deterministically.
 //!
 //! Both entry points — [`execute`] (parallel, worker-claimed chunk
 //! indices via [`Store::par_fold_columns`]) and [`execute_serial`] — run
-//! the *same* per-chunk fold and the *same* finalization, and every
-//! accumulator merge is exact and order-insensitive, so the two produce
-//! bit-identical [`QueryOutput`]s (pinned by tests and proptests).
+//! the *same* kernel ([`crate::kernel`]) and the *same* finalization, and
+//! every worker merge is exact and order-insensitive, so the two produce
+//! bit-identical [`QueryOutput`]s (pinned by tests and proptests). They
+//! differ only in who claims chunks.
 
-use crate::agg::{AggState, AggValue};
+use crate::agg::AggValue;
+use crate::kernel::{Program, Worker};
 use crate::plan::{plan, Query};
 use crate::QueryError;
-use std::collections::HashMap;
-use swim_store::format::columns::NumericColumns;
 use swim_store::Store;
 
 /// What execution did, beyond the result rows: the observability side of
@@ -66,143 +66,25 @@ pub struct QueryOutput {
     pub stats: ExecStats,
 }
 
-/// Per-worker (or whole-serial-run) accumulator. Shared with the
-/// federated catalog executor ([`crate::federated`]), which folds chunks
-/// from many shards into the same state and merges it identically.
-pub(crate) struct Acc {
-    pub(crate) groups: HashMap<Vec<u64>, Vec<AggState>>,
-    pub(crate) rows_scanned: u64,
-    pub(crate) rows_matched: u64,
-}
-
-impl Acc {
-    pub(crate) fn new() -> Acc {
-        Acc {
-            groups: HashMap::new(),
-            rows_scanned: 0,
-            rows_matched: 0,
-        }
-    }
-}
-
-/// Fold one decoded chunk into the accumulator. `full_match` skips the
-/// row filter when the planner proved the whole chunk matches.
-pub(crate) fn fold_chunk(acc: &mut Acc, query: &Query, cols: &NumericColumns, full_match: bool) {
-    let n = cols.len();
-    acc.rows_scanned += n as u64;
-    let mask = if full_match {
-        None
-    } else {
-        Some(query.predicate.eval_mask(cols))
-    };
-    // Vectorized: evaluate every key and aggregate-input expression once
-    // per chunk, then walk rows through the selection.
-    let keys: Vec<_> = query.group_by.iter().map(|e| e.eval(cols)).collect();
-    let inputs: Vec<_> = query
-        .aggregates
-        .iter()
-        .map(|a| a.input().map(|e| e.eval(cols)))
-        .collect();
-    let new_states =
-        || -> Vec<AggState> { query.aggregates.iter().map(|a| a.new_state()).collect() };
-    if keys.is_empty() {
-        // Global aggregate: one group, so hoist the table lookup out of
-        // the row loop entirely.
-        let states = acc.groups.entry(Vec::new()).or_insert_with(new_states);
-        for i in 0..n {
-            if let Some(mask) = &mask {
-                if !mask[i] {
-                    continue;
-                }
-            }
-            acc.rows_matched += 1;
-            for (state, input) in states.iter_mut().zip(&inputs) {
-                state.update(input.as_ref().map_or(0, |v| v.get(i)));
-            }
-        }
-        return;
-    }
-    let mut key = Vec::with_capacity(keys.len());
-    for i in 0..n {
-        if let Some(mask) = &mask {
-            if !mask[i] {
-                continue;
-            }
-        }
-        acc.rows_matched += 1;
-        key.clear();
-        key.extend(keys.iter().map(|k| k.get(i)));
-        // `get_mut` first so the hot path (existing group) never clones
-        // the key.
-        let states = match acc.groups.get_mut(&key) {
-            Some(states) => states,
-            None => acc.groups.entry(key.clone()).or_insert_with(new_states),
-        };
-        for (state, input) in states.iter_mut().zip(&inputs) {
-            state.update(input.as_ref().map_or(0, |v| v.get(i)));
-        }
-    }
-}
-
-/// Merge a second accumulator into the first (exact, order-insensitive).
-pub(crate) fn merge_acc(a: &mut Acc, b: Acc) {
-    a.rows_scanned += b.rows_scanned;
-    a.rows_matched += b.rows_matched;
-    for (key, states) in b.groups {
-        match a.groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                for (dst, src) in e.get_mut().iter_mut().zip(states) {
-                    dst.merge(src);
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(states);
-            }
-        }
-    }
-}
-
-/// Canonical finalization: groups sorted by key, aggregates finalized,
-/// explicit ordering and limit applied. This is where any difference in
-/// accumulation order is erased, so serial ≡ parallel bit for bit.
-pub(crate) fn finalize(query: &Query, acc: Acc, stats: ExecStats) -> QueryOutput {
-    let mut rows: Vec<Row> = acc
-        .groups
-        .into_iter()
-        .map(|(key, states)| Row {
-            key,
-            values: states
-                .into_iter()
-                .zip(&query.aggregates)
-                .map(|(s, a)| s.finalize(a))
-                .collect(),
-        })
-        .collect();
+/// Canonical finalization: groups sorted by key, explicit ordering and
+/// limit applied, the worker's row totals recorded. This is where any
+/// difference in accumulation order is erased, so serial ≡ parallel bit
+/// for bit.
+pub(crate) fn finalize(query: &Query, worker: Worker<'_>, mut stats: ExecStats) -> QueryOutput {
+    stats.rows_scanned = worker.rows_scanned;
+    stats.rows_matched = worker.rows_matched;
+    crate::obs::record_rows(&worker);
+    let mut rows = worker.into_rows();
     rows.sort_by(|a, b| a.key.cmp(&b.key));
-    // A global aggregate (no group keys) over zero matching rows still
-    // yields its one row — count 0, sums 0, extrema null — like SQL.
-    if rows.is_empty() && query.group_by.is_empty() {
-        rows.push(Row {
-            key: Vec::new(),
-            values: query
-                .aggregates
-                .iter()
-                .map(|a| a.new_state().finalize(a))
-                .collect(),
-        });
-    }
     if let Some(order) = query.order_by {
         let key_cols = query.group_by.len();
+        let cell = |r: &Row| match r.key.get(order.column) {
+            Some(&k) => AggValue::Int(k),
+            None => r.values[order.column - key_cols],
+        };
+        // Stable, so ties stay in key order.
         rows.sort_by(|a, b| {
-            let cell = |r: &Row| {
-                if order.column < key_cols {
-                    AggValue::Int(r.key[order.column])
-                } else {
-                    r.values[order.column - key_cols]
-                }
-            };
-            let (ka, kb) = (cell(a).order_key(), cell(b).order_key());
-            let ord = ka.0.cmp(&kb.0).then_with(|| ka.1.total_cmp(&kb.1));
+            let ord = cell(a).order_cmp(&cell(b));
             if order.descending {
                 ord.reverse()
             } else {
@@ -231,32 +113,44 @@ pub(crate) fn stats_for(p: &crate::plan::Plan) -> ExecStats {
     }
 }
 
+fn run(store: &Store, query: &Query, parallel: bool) -> Result<QueryOutput, QueryError> {
+    query.validate()?;
+    let p = plan(store, query);
+    let program = Program::compile(query);
+    let full_match = &p.full_match;
+    let worker = if parallel {
+        store.par_fold_columns(
+            &p.selected,
+            || Worker::new(&program),
+            |mut worker, idx, cols| {
+                crate::obs::CHUNK_CLAIMS.incr();
+                worker.fold_chunk(cols, full_match[idx]);
+                worker
+            },
+            |mut a, b| {
+                a.merge(b);
+                a
+            },
+        )?
+    } else {
+        store.fold_columns(
+            &p.selected,
+            Worker::new(&program),
+            |mut worker, idx, cols| {
+                worker.fold_chunk(cols, full_match[idx]);
+                worker
+            },
+        )?
+    };
+    Ok(finalize(query, worker, stats_for(&p)))
+}
+
 /// Execute in parallel: workers claim planned chunk indices off a shared
 /// counter ([`Store::par_fold_columns`]) and per-worker group tables are
 /// merged exactly. Bit-identical to [`execute_serial`].
 pub fn execute(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> {
     let _span = swim_obs::span("query.execute");
-    query.validate()?;
-    let p = plan(store, query);
-    let mut stats = stats_for(&p);
-    let full_match = &p.full_match;
-    let acc = store.par_fold_columns(
-        &p.selected,
-        Acc::new,
-        |mut acc, idx, cols| {
-            crate::obs::CHUNK_CLAIMS.incr();
-            fold_chunk(&mut acc, query, cols, full_match[idx]);
-            acc
-        },
-        |mut a, b| {
-            merge_acc(&mut a, b);
-            a
-        },
-    )?;
-    stats.rows_scanned = acc.rows_scanned;
-    stats.rows_matched = acc.rows_matched;
-    crate::obs::record_rows(acc.rows_scanned, acc.rows_matched);
-    Ok(finalize(query, acc, stats))
+    run(store, query, true)
 }
 
 /// Execute on the calling thread, chunks in file order. The reference
@@ -264,18 +158,7 @@ pub fn execute(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> 
 /// stores.
 pub fn execute_serial(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> {
     let _span = swim_obs::span("query.execute_serial");
-    query.validate()?;
-    let p = plan(store, query);
-    let mut stats = stats_for(&p);
-    let full_match = &p.full_match;
-    let acc = store.fold_columns(&p.selected, Acc::new(), |mut acc, idx, cols| {
-        fold_chunk(&mut acc, query, cols, full_match[idx]);
-        acc
-    })?;
-    stats.rows_scanned = acc.rows_scanned;
-    stats.rows_matched = acc.rows_matched;
-    crate::obs::record_rows(acc.rows_scanned, acc.rows_matched);
-    Ok(finalize(query, acc, stats))
+    run(store, query, false)
 }
 
 #[cfg(test)]
@@ -416,7 +299,7 @@ mod tests {
         let out = execute(&store, &q).unwrap();
         assert_eq!(out.rows.len(), 2);
         let counts: Vec<_> = out.rows.iter().map(|r| r.values[0]).collect();
-        assert!(counts[0].order_key().1 >= counts[1].order_key().1);
+        assert!(counts[0].order_cmp(&counts[1]).is_ge());
     }
 
     #[test]

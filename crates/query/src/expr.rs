@@ -6,14 +6,11 @@
 //! (saturating sums of unsigned values are order-insensitive). Division
 //! by zero is defined as zero to keep evaluation total.
 //!
-//! Each expression supports two evaluation modes:
-//!
-//! * **vectorized** ([`Expr::eval`]) over a decoded chunk's
-//!   [`NumericColumns`], producing a column of values (raw columns are
-//!   borrowed, never copied; literals stay scalar);
-//! * **interval** ([`Expr::bounds`]) over a chunk's [`ZoneMap`],
-//!   producing conservative `[lo, hi]` bounds that the planner uses to
-//!   skip chunks without reading them.
+//! This module holds the trees and their **interval** evaluation
+//! ([`Expr::bounds`], [`Pred::zone_verdict`]) over a chunk's [`ZoneMap`]:
+//! conservative `[lo, hi]` bounds the planner uses to skip chunks without
+//! reading them. Evaluation over decoded rows is the chunk kernel's job
+//! (`crate::kernel`), which flattens these trees once per query.
 
 use std::fmt;
 use swim_store::format::columns::NumericColumns;
@@ -132,42 +129,6 @@ pub enum Expr {
     Div(Box<Expr>, Box<Expr>),
 }
 
-/// One evaluated expression over a chunk: a scalar (literals), a borrowed
-/// raw column, or a computed column.
-#[derive(Debug, Clone)]
-pub enum Values<'a> {
-    /// The same value for every row (literal subtrees).
-    Scalar(u64),
-    /// A raw column, borrowed from the decoded chunk.
-    Borrowed(&'a [u64]),
-    /// A computed column.
-    Owned(Vec<u64>),
-}
-
-impl Values<'_> {
-    /// Value at row `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> u64 {
-        match self {
-            Values::Scalar(v) => *v,
-            Values::Borrowed(s) => s[i],
-            Values::Owned(v) => v[i],
-        }
-    }
-}
-
-fn apply_op<'a>(
-    op: impl Fn(u64, u64) -> u64,
-    a: Values<'a>,
-    b: Values<'a>,
-    n: usize,
-) -> Values<'a> {
-    match (&a, &b) {
-        (Values::Scalar(x), Values::Scalar(y)) => Values::Scalar(op(*x, *y)),
-        _ => Values::Owned((0..n).map(|i| op(a.get(i), b.get(i))).collect()),
-    }
-}
-
 impl Expr {
     /// Convenience constructor: a raw column.
     pub fn col(c: Col) -> Expr {
@@ -209,40 +170,6 @@ impl Expr {
     /// `submit / 3600` — the Fig. 7 hourly bucket key.
     pub fn submit_hour() -> Expr {
         Expr::Div(Box::new(Expr::Col(Col::Submit)), Box::new(Expr::Lit(3600)))
-    }
-
-    /// Evaluate vectorized over one chunk.
-    pub fn eval<'a>(&self, cols: &'a NumericColumns) -> Values<'a> {
-        let n = cols.len();
-        match self {
-            Expr::Col(c) => Values::Borrowed(c.slice(cols)),
-            Expr::Lit(v) => Values::Scalar(*v),
-            Expr::Add(a, b) => apply_op(u64::saturating_add, a.eval(cols), b.eval(cols), n),
-            Expr::Sub(a, b) => apply_op(u64::saturating_sub, a.eval(cols), b.eval(cols), n),
-            Expr::Mul(a, b) => apply_op(u64::saturating_mul, a.eval(cols), b.eval(cols), n),
-            Expr::Div(a, b) => apply_op(
-                |x, y| x.checked_div(y).unwrap_or(0),
-                a.eval(cols),
-                b.eval(cols),
-                n,
-            ),
-        }
-    }
-
-    /// Evaluate for a single row (the oracle path used by tests; the
-    /// engine itself always evaluates vectorized).
-    pub fn eval_row(&self, cols: &NumericColumns, i: usize) -> u64 {
-        match self {
-            Expr::Col(c) => c.slice(cols)[i],
-            Expr::Lit(v) => *v,
-            Expr::Add(a, b) => a.eval_row(cols, i).saturating_add(b.eval_row(cols, i)),
-            Expr::Sub(a, b) => a.eval_row(cols, i).saturating_sub(b.eval_row(cols, i)),
-            Expr::Mul(a, b) => a.eval_row(cols, i).saturating_mul(b.eval_row(cols, i)),
-            Expr::Div(a, b) => a
-                .eval_row(cols, i)
-                .checked_div(b.eval_row(cols, i))
-                .unwrap_or(0),
-        }
     }
 
     /// Conservative `[lo, hi]` bounds of this expression over every job
@@ -468,52 +395,6 @@ impl Pred {
             Pred::Not(p) => p.zone_verdict(zone).not(),
         }
     }
-
-    /// Vectorized row filter over one chunk.
-    pub fn eval_mask(&self, cols: &NumericColumns) -> Vec<bool> {
-        let n = cols.len();
-        match self {
-            Pred::True => vec![true; n],
-            Pred::Cmp(a, op, b) => {
-                let (va, vb) = (a.eval(cols), b.eval(cols));
-                (0..n).map(|i| op.eval(va.get(i), vb.get(i))).collect()
-            }
-            Pred::And(a, b) => {
-                let mut m = a.eval_mask(cols);
-                let mb = b.eval_mask(cols);
-                for (x, y) in m.iter_mut().zip(mb) {
-                    *x = *x && y;
-                }
-                m
-            }
-            Pred::Or(a, b) => {
-                let mut m = a.eval_mask(cols);
-                let mb = b.eval_mask(cols);
-                for (x, y) in m.iter_mut().zip(mb) {
-                    *x = *x || y;
-                }
-                m
-            }
-            Pred::Not(p) => {
-                let mut m = p.eval_mask(cols);
-                for x in m.iter_mut() {
-                    *x = !*x;
-                }
-                m
-            }
-        }
-    }
-
-    /// Row filter for a single row (the oracle path used by tests).
-    pub fn eval_row(&self, cols: &NumericColumns, i: usize) -> bool {
-        match self {
-            Pred::True => true,
-            Pred::Cmp(a, op, b) => op.eval(a.eval_row(cols, i), b.eval_row(cols, i)),
-            Pred::And(a, b) => a.eval_row(cols, i) && b.eval_row(cols, i),
-            Pred::Or(a, b) => a.eval_row(cols, i) || b.eval_row(cols, i),
-            Pred::Not(p) => !p.eval_row(cols, i),
-        }
-    }
 }
 
 /// `(always, never)` — at most one may hold — to a [`Tri`].
@@ -543,6 +424,8 @@ impl fmt::Display for Pred {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests as kernel;
+    use crate::oracle;
 
     fn chunk() -> NumericColumns {
         NumericColumns {
@@ -574,9 +457,10 @@ mod tests {
             Expr::Div(Box::new(Expr::col(Col::Input)), Box::new(Expr::lit(0))),
         ];
         for e in &exprs {
-            let v = e.eval(&cols);
-            for i in 0..cols.len() {
-                assert_eq!(v.get(i), e.eval_row(&cols, i), "{e} row {i}");
+            let v = kernel::eval(e, &cols);
+            assert_eq!(v.len(), cols.len());
+            for (i, &v) in v.iter().enumerate() {
+                assert_eq!(v, oracle::eval_row(e, &cols, i), "{e} row {i}");
             }
         }
     }
@@ -586,16 +470,16 @@ mod tests {
         let cols = chunk();
         // 5 - 40 floors at 0.
         let sub = Expr::Sub(Box::new(Expr::col(Col::Duration)), Box::new(Expr::lit(40)));
-        assert_eq!(sub.eval(&cols).get(0), 0);
+        assert_eq!(kernel::eval(&sub, &cols)[0], 0);
         // x / 0 == 0.
         let div = Expr::Div(Box::new(Expr::col(Col::Input)), Box::new(Expr::lit(0)));
-        assert_eq!(div.eval(&cols).get(2), 0);
+        assert_eq!(kernel::eval(&div, &cols)[2], 0);
         // 2 * u64::MAX saturates.
         let mul = Expr::Mul(
             Box::new(Expr::col(Col::MapTasks)),
             Box::new(Expr::lit(u64::MAX)),
         );
-        assert_eq!(mul.eval(&cols).get(1), u64::MAX);
+        assert_eq!(kernel::eval(&mul, &cols)[1], u64::MAX);
     }
 
     fn zone() -> ZoneMap {
@@ -632,7 +516,7 @@ mod tests {
         for e in &exprs {
             let (lo, hi) = e.bounds(&z);
             for i in 0..cols.len() {
-                let v = e.eval_row(&cols, i);
+                let v = oracle::eval_row(e, &cols, i);
                 assert!(lo <= v && v <= hi, "{e}: {v} outside [{lo}, {hi}]");
             }
         }
@@ -690,11 +574,15 @@ mod tests {
                 CmpOp::Eq,
                 0,
             ))));
-        let mask = p.eval_mask(&cols);
-        for (i, &m) in mask.iter().enumerate() {
-            assert_eq!(m, p.eval_row(&cols, i), "row {i}");
+        let selected = kernel::select(&p, &cols);
+        for i in 0..cols.len() {
+            assert_eq!(
+                selected.contains(&(i as u32)),
+                oracle::matches_row(&p, &cols, i),
+                "row {i}"
+            );
         }
-        assert_eq!(mask, vec![true, false, true]);
+        assert_eq!(selected, vec![0, 2]);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!    exactly as single-store execution does.
 //!
 //! Execution fans surviving shards out over worker-claimed indices (the
-//! same claim-a-counter pattern as [`swim_store::Store::par_fold_columns`])
-//! and folds every chunk into the *same* accumulator type as single-store
-//! execution; merges are exact and order-insensitive and finalization is
+//! same claim-a-counter pattern as [`swim_store::Store::par_fold_columns`]).
+//! Each thread folds every chunk of every shard it claims into *one*
+//! kernel worker ([`crate::kernel`]) — the same one single-store
+//! execution runs — so a query merges once per thread, not once per
+//! shard; merges are exact and order-insensitive and finalization is
 //! shared, so [`CatalogQuery::execute`], [`CatalogQuery::execute_serial`],
 //! and a single-store query over the concatenated trace all produce
 //! bit-identical rows (property-tested).
@@ -21,7 +23,8 @@
 //! LRU when a full-shard decode is wanted; chunk-pruned reads bypass the
 //! cache rather than decode chunks the planner ruled out.
 
-use crate::exec::{fold_chunk, merge_acc, stats_for, Acc, ExecStats, QueryOutput};
+use crate::exec::{stats_for, ExecStats, QueryOutput};
+use crate::kernel::{Program, Worker};
 use crate::plan::{plan, Query};
 use crate::{QueryError, Tri};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,145 +89,113 @@ fn prune_shards(catalog: &Catalog, query: &Query) -> Vec<usize> {
     selected
 }
 
-/// Open, chunk-plan, and fold one shard.
+/// Add one shard's (or one thread's) chunk-level counters to a total.
+/// Row totals are the kernel worker's to report, not these.
+fn add_chunk_stats(total: &mut ExecStats, part: ExecStats) {
+    total.chunks_total += part.chunks_total;
+    total.chunks_scanned += part.chunks_scanned;
+    total.chunks_skipped += part.chunks_skipped;
+    total.chunks_full_match += part.chunks_full_match;
+}
+
+/// Open and chunk-plan one shard and fold its planned chunks into
+/// `worker`; returns the shard's chunk-level counters.
 fn fold_shard(
     catalog: &Catalog,
     idx: usize,
     query: &Query,
-) -> Result<(Acc, ExecStats), QueryError> {
+    worker: &mut Worker<'_>,
+) -> Result<ExecStats, QueryError> {
     let store = catalog.open_shard(idx)?;
     let p = plan(&store, query);
-    let mut stats = stats_for(&p);
-    let mut acc = Acc::new();
-    if let Some(chunks) = catalog.cached_columns(idx) {
+    // A full-shard read with caching enabled decodes through the LRU, so
+    // the next query skips the varint decode entirely.
+    let cached = match catalog.cached_columns(idx) {
+        None if p.selected.len() == store.chunk_count() && catalog.cache_capacity() > 0 => {
+            Some(catalog.load_columns(idx, &store)?)
+        }
+        cached => cached,
+    };
+    if let Some(chunks) = cached {
         debug_assert_eq!(chunks.len(), store.chunk_count(), "immutable shard files");
         for &ci in &p.selected {
-            fold_chunk(&mut acc, query, &chunks[ci], p.full_match[ci]);
-        }
-    } else if p.selected.len() == store.chunk_count() && catalog.cache_capacity() > 0 {
-        // Full-shard read with caching enabled: decode through the LRU
-        // so the next query skips the varint decode entirely.
-        let chunks = catalog.load_columns(idx, &store)?;
-        for &ci in &p.selected {
-            fold_chunk(&mut acc, query, &chunks[ci], p.full_match[ci]);
+            worker.fold_chunk(&chunks[ci], p.full_match[ci]);
         }
     } else {
         // Chunk-pruned read (or caching disabled): decode only what the
         // planner selected, straight off the store, no extra copy.
-        acc = store
-            .fold_columns(&p.selected, acc, |mut acc, ci, cols| {
-                fold_chunk(&mut acc, query, cols, p.full_match[ci]);
-                acc
-            })
-            .map_err(QueryError::from)?;
+        store.fold_columns(&p.selected, (), |(), ci, cols| {
+            worker.fold_chunk(cols, p.full_match[ci])
+        })?;
     }
-    stats.rows_scanned = acc.rows_scanned;
-    stats.rows_matched = acc.rows_matched;
-    Ok((acc, stats))
+    Ok(stats_for(&p))
 }
 
-fn add_stats(total: &mut ExecStats, shard: ExecStats) {
-    total.chunks_total += shard.chunks_total;
-    total.chunks_scanned += shard.chunks_scanned;
-    total.chunks_skipped += shard.chunks_skipped;
-    total.chunks_full_match += shard.chunks_full_match;
-    total.rows_scanned += shard.rows_scanned;
-    total.rows_matched += shard.rows_matched;
-}
-
-fn finalize_catalog(
-    catalog: &Catalog,
-    query: &Query,
-    selected: &[usize],
-    acc: Acc,
-    stats: ExecStats,
-) -> CatalogOutput {
-    crate::obs::record_rows(stats.rows_scanned, stats.rows_matched);
-    CatalogOutput {
-        output: crate::exec::finalize(query, acc, stats),
+/// Prune shards, fold the survivors, merge, finalize. Parallel and serial
+/// execution differ only in who runs `claim_shards`: one scoped thread
+/// per core, or the caller alone (which then claims in manifest order).
+fn run(catalog: &Catalog, query: &Query, parallel: bool) -> Result<CatalogOutput, QueryError> {
+    query.validate()?;
+    let selected = prune_shards(catalog, query);
+    let program = Program::compile(query);
+    let cursor = AtomicUsize::new(0);
+    let claim_shards = || -> Result<(Worker<'_>, ExecStats), QueryError> {
+        let mut worker = Worker::new(&program);
+        let mut stats = ExecStats::default();
+        loop {
+            // lint: ordering: work-stealing cursor; slot handoff is via scoped-thread join
+            let slot = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&idx) = selected.get(slot) else {
+                break;
+            };
+            add_chunk_stats(&mut stats, fold_shard(catalog, idx, query, &mut worker)?);
+        }
+        Ok((worker, stats))
+    };
+    let threads = if parallel {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(selected.len())
+    } else {
+        1
+    };
+    let claimed = if threads > 1 {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(claim_shards)).collect();
+            handles
+                .into_iter()
+                // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
+                .map(|h| h.join().expect("federated worker panicked"))
+                .collect()
+        })
+    } else {
+        vec![claim_shards()]
+    };
+    let mut worker = Worker::new(&program);
+    let mut stats = ExecStats::default();
+    for result in claimed {
+        let (theirs, chunk_stats) = result?;
+        worker.merge(theirs);
+        add_chunk_stats(&mut stats, chunk_stats);
+    }
+    Ok(CatalogOutput {
+        output: crate::exec::finalize(query, worker, stats),
         shards_total: catalog.shard_count(),
         shards_scanned: selected.len(),
         shards_pruned: catalog.shard_count() - selected.len(),
-    }
+    })
 }
 
 impl CatalogQuery for Catalog {
     fn execute(&self, query: &Query) -> Result<CatalogOutput, QueryError> {
         let _span = swim_obs::span("query.federated");
-        query.validate()?;
-        let selected = prune_shards(self, query);
-        if selected.is_empty() {
-            return Ok(finalize_catalog(
-                self,
-                query,
-                &selected,
-                Acc::new(),
-                ExecStats::default(),
-            ));
-        }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(selected.len());
-        let cursor = AtomicUsize::new(0);
-        let selected_ref = &selected;
-        let worker_results: Vec<Result<(Option<Acc>, ExecStats), QueryError>> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut merged: Option<Acc> = None;
-                            let mut stats = ExecStats::default();
-                            loop {
-                                // lint: ordering: work-stealing cursor; slot handoff is via scoped-thread join
-                                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&idx) = selected_ref.get(slot) else {
-                                    break;
-                                };
-                                let (acc, shard_stats) = fold_shard(self, idx, query)?;
-                                add_stats(&mut stats, shard_stats);
-                                merged = Some(match merged {
-                                    None => acc,
-                                    Some(mut m) => {
-                                        merge_acc(&mut m, acc);
-                                        m
-                                    }
-                                });
-                            }
-                            Ok((merged, stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
-                    .map(|h| h.join().expect("federated worker panicked"))
-                    .collect()
-            });
-        let mut acc = Acc::new();
-        let mut stats = ExecStats::default();
-        for result in worker_results {
-            let (worker_acc, worker_stats) = result?;
-            add_stats(&mut stats, worker_stats);
-            if let Some(worker_acc) = worker_acc {
-                merge_acc(&mut acc, worker_acc);
-            }
-        }
-        Ok(finalize_catalog(self, query, &selected, acc, stats))
+        run(self, query, true)
     }
 
     fn execute_serial(&self, query: &Query) -> Result<CatalogOutput, QueryError> {
         let _span = swim_obs::span("query.federated_serial");
-        query.validate()?;
-        let selected = prune_shards(self, query);
-        let mut acc = Acc::new();
-        let mut stats = ExecStats::default();
-        for &idx in &selected {
-            let (shard_acc, shard_stats) = fold_shard(self, idx, query)?;
-            add_stats(&mut stats, shard_stats);
-            merge_acc(&mut acc, shard_acc);
-        }
-        Ok(finalize_catalog(self, query, &selected, acc, stats))
+        run(self, query, false)
     }
 }
 
@@ -445,6 +416,52 @@ mod tests {
             Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 16 })).unwrap();
         let single = crate::execute_serial(&store, &query).unwrap();
         assert_eq!(out.output.rows, single.rows);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn order_by_tells_integer_sums_apart_past_2_pow_53() {
+        // Regression: `order_by` used to compare cells as `f64`, where
+        // 2^60 and 2^60 + 1 are the same number, so the tie fell back to
+        // key order and `--desc --limit 1` kept the smaller sum.
+        let dir = temp_dir("order-exact");
+        let half = 1u64 << 59;
+        let jobs: Vec<Job> = [(1u32, half), (1, half), (2, half), (2, half + 1)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (map_tasks, input))| {
+                JobBuilder::new(i as u64)
+                    .submit(Timestamp::from_secs(i as u64))
+                    .duration(Dur::from_secs(10))
+                    .input(DataSize::from_bytes(input))
+                    .map_task_time(Dur::from_secs(10))
+                    .tasks(map_tasks, 0)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let trace = Trace::new(WorkloadKind::Custom("big".into()), 3, jobs).unwrap();
+        let query = Query::new()
+            .group(Expr::col(Col::MapTasks))
+            .select(Aggregate::Sum(Expr::col(Col::Input)))
+            .order_by(1, true)
+            .limit(1);
+        let largest = vec![crate::Row {
+            key: vec![2],
+            values: vec![AggValue::Int((1 << 60) + 1)],
+        }];
+        let store = Store::from_vec(store_to_vec(&trace, &StoreOptions::default())).unwrap();
+        assert_eq!(crate::execute(&store, &query).unwrap().rows, largest);
+        assert_eq!(crate::execute_serial(&store, &query).unwrap().rows, largest);
+        let mut catalog = Catalog::init(&dir).unwrap();
+        catalog
+            .ingest_trace(&trace, &CatalogOptions::default())
+            .unwrap();
+        assert_eq!(catalog.execute(&query).unwrap().output.rows, largest);
+        assert_eq!(catalog.execute_serial(&query).unwrap().output.rows, largest);
+        // Ascending, the smaller sum leads.
+        let smallest = catalog.execute(&query.clone().order_by(1, false)).unwrap();
+        assert_eq!(smallest.output.rows[0].key, vec![1]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,13 +20,15 @@
 //!    Version-1 files still work (their synthesized maps prune on submit
 //!    only).
 //! 2. **Vectorized execution** — chunks decode to
-//!    [`swim_store::format::columns::NumericColumns`]; expressions
-//!    evaluate column-at-a-time over borrowed slices, and names/paths are
-//!    never decoded (they are not addressable from a query at all).
+//!    [`swim_store::format::columns::NumericColumns`] and one chunk
+//!    kernel folds them: expressions column-at-a-time into reused
+//!    scratch, one selection vector, dense group ids, one state vector
+//!    per aggregate. Names/paths are never decoded (they are not
+//!    addressable from a query at all).
 //! 3. **Deterministic parallelism** — workers claim chunk indices off a
 //!    shared counter ([`swim_store::Store::par_fold_columns`]); every
-//!    accumulator merge is exact and order-insensitive (counts, saturating
-//!    `u64` sums, extrema, sorted-at-finalize percentile samples), and
+//!    worker merge is exact and order-insensitive (counts, saturating
+//!    `u64` sums, extrema, rank-selected percentile samples), and
 //!    finalization sorts groups canonically, so [`execute`] and
 //!    [`execute_serial`] return bit-identical results.
 //!
@@ -81,16 +83,26 @@ pub mod exec;
 pub mod explain;
 pub mod expr;
 pub mod federated;
+mod kernel;
 mod obs;
 pub mod parse;
 pub mod plan;
 pub mod render;
 pub mod session;
 
+// The row-at-a-time oracle lives with the integration tests, which
+// cannot see `cfg(test)` items of this crate; the unit tests include the
+// same file, and the alias lets its `swim_query::` paths resolve here.
+#[cfg(test)]
+extern crate self as swim_query;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod oracle;
+
 pub use agg::{AggValue, Aggregate};
 pub use exec::{execute, execute_serial, ExecStats, QueryOutput, Row};
 pub use explain::{explain_catalog, explain_store, Explain, StoreExplain, VerdictCounts};
-pub use expr::{CmpOp, Col, Expr, Pred, Tri, Values};
+pub use expr::{CmpOp, Col, Expr, Pred, Tri};
 pub use federated::{CatalogOutput, CatalogQuery};
 pub use plan::{plan, OrderBy, Plan, Query};
 pub use render::{render_json, render_markdown, render_text};

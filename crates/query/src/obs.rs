@@ -29,10 +29,18 @@ pub(crate) static SHARDS_PRUNED: Counter = Counter::new("catalog.shards_pruned")
 /// Shards a federated query actually opened and scanned.
 pub(crate) static SHARDS_SCANNED: Counter = Counter::new("catalog.shards_scanned");
 
+/// Key-table lookups the kernel made while assigning group ids: rows
+/// its memo of recently met ids did not answer. Against
+/// `query.rows_matched` (the lookups a memo-less kernel would make) it is
+/// useful work over attempts; each worker pays its own first probe per
+/// key, so how chunks fall to workers moves it by a few.
+pub(crate) static GROUP_PROBES: Counter = Counter::new("query.group_probes");
+
 /// Record an executed query's row totals (shared by the store-level and
 /// federated executors).
-pub(crate) fn record_rows(rows_scanned: u64, rows_matched: u64) {
-    ROWS_SCANNED.add(rows_scanned);
-    ROWS_MATCHED.add(rows_matched);
-    ROWS_FILTERED.add(rows_scanned.saturating_sub(rows_matched));
+pub(crate) fn record_rows(worker: &crate::kernel::Worker<'_>) {
+    ROWS_SCANNED.add(worker.rows_scanned);
+    ROWS_MATCHED.add(worker.rows_matched);
+    ROWS_FILTERED.add(worker.rows_scanned.saturating_sub(worker.rows_matched));
+    GROUP_PROBES.add(worker.group_probes);
 }

@@ -1,10 +1,12 @@
-//! Property tests: swim-query over random traces must agree with a naive
-//! in-memory oracle that filters, groups, and aggregates a `Vec<Job>`
-//! directly — including the empty-result and all-match predicate edges —
-//! and parallel execution must be bit-identical to serial.
+//! Property tests: swim-query over random traces must agree with the
+//! row-at-a-time oracle (`support`), which filters, groups, and
+//! aggregates the jobs directly — including the empty-result and
+//! all-match predicate edges — and parallel execution must be
+//! bit-identical to serial.
+
+mod support;
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use swim_query::{execute, execute_serial, AggValue, Aggregate, CmpOp, Col, Expr, Pred, Query};
 use swim_store::format::columns::NumericColumns;
 use swim_store::{store_to_vec, Store, StoreOptions};
@@ -126,90 +128,27 @@ fn aggregates() -> Vec<Aggregate> {
     ]
 }
 
-/// One job as a single-row column chunk, so oracle expression evaluation
-/// shares the engine's `eval_row` arithmetic definitions exactly.
-fn row_of(job: &Job) -> NumericColumns {
-    NumericColumns {
-        ids: vec![job.id.0],
-        submits: vec![job.submit.secs()],
-        durations: vec![job.duration.secs()],
-        inputs: vec![job.input.bytes()],
-        shuffles: vec![job.shuffle.bytes()],
-        outputs: vec![job.output.bytes()],
-        map_times: vec![job.map_task_time.secs()],
-        reduce_times: vec![job.reduce_task_time.secs()],
-        map_tasks: vec![u64::from(job.map_tasks)],
-        reduce_tasks: vec![u64::from(job.reduce_tasks)],
+/// The trace's jobs as one unchunked, unfiltered column set: what the
+/// oracle evaluates rows of.
+fn columns_of(trace: &Trace) -> NumericColumns {
+    let mut cols = NumericColumns::default();
+    for job in trace.jobs() {
+        cols.ids.push(job.id.0);
+        cols.submits.push(job.submit.secs());
+        cols.durations.push(job.duration.secs());
+        cols.inputs.push(job.input.bytes());
+        cols.shuffles.push(job.shuffle.bytes());
+        cols.outputs.push(job.output.bytes());
+        cols.map_times.push(job.map_task_time.secs());
+        cols.reduce_times.push(job.reduce_task_time.secs());
+        cols.map_tasks.push(u64::from(job.map_tasks));
+        cols.reduce_tasks.push(u64::from(job.reduce_tasks));
     }
+    cols
 }
 
-/// The naive oracle: filter/group/aggregate straight over `Vec<Job>`,
-/// with independent aggregate implementations.
 fn oracle(trace: &Trace, query: &Query) -> Vec<(Vec<u64>, Vec<AggValue>)> {
-    let mut groups: BTreeMap<Vec<u64>, Vec<Vec<u64>>> = BTreeMap::new();
-    for job in trace.jobs() {
-        let row = row_of(job);
-        if !query.predicate.eval_row(&row, 0) {
-            continue;
-        }
-        let key: Vec<u64> = query.group_by.iter().map(|e| e.eval_row(&row, 0)).collect();
-        let values: Vec<u64> = query
-            .aggregates
-            .iter()
-            .map(|a| a.input().map_or(0, |e| e.eval_row(&row, 0)))
-            .collect();
-        groups.entry(key).or_default().push(values);
-    }
-    if groups.is_empty() && query.group_by.is_empty() {
-        groups.insert(Vec::new(), Vec::new());
-    }
-    groups
-        .into_iter()
-        .map(|(key, rows)| {
-            let values = query
-                .aggregates
-                .iter()
-                .enumerate()
-                .map(|(i, agg)| {
-                    let col: Vec<u64> = rows.iter().map(|r| r[i]).collect();
-                    match agg {
-                        Aggregate::Count => AggValue::Int(col.len() as u64),
-                        Aggregate::Sum(_) => {
-                            AggValue::Int(col.iter().fold(0u64, |a, &v| a.saturating_add(v)))
-                        }
-                        Aggregate::Min(_) => col
-                            .iter()
-                            .min()
-                            .map_or(AggValue::Null, |&v| AggValue::Int(v)),
-                        Aggregate::Max(_) => col
-                            .iter()
-                            .max()
-                            .map_or(AggValue::Null, |&v| AggValue::Int(v)),
-                        Aggregate::Avg(_) => {
-                            if col.is_empty() {
-                                AggValue::Null
-                            } else {
-                                let sum = col.iter().fold(0u64, |a, &v| a.saturating_add(v));
-                                AggValue::Float(sum as f64 / col.len() as f64)
-                            }
-                        }
-                        Aggregate::Percentile(_, p) => {
-                            if col.is_empty() {
-                                AggValue::Null
-                            } else {
-                                let mut sorted = col.clone();
-                                sorted.sort_unstable();
-                                let rank = ((p * sorted.len() as f64).ceil() as usize)
-                                    .clamp(1, sorted.len());
-                                AggValue::Float(sorted[rank - 1] as f64)
-                            }
-                        }
-                    }
-                })
-                .collect();
-            (key, values)
-        })
-        .collect()
+    support::run(query, &[(columns_of(trace), false)])
 }
 
 proptest! {
@@ -257,10 +196,9 @@ proptest! {
         prop_assert!(s.rows_matched <= s.rows_scanned);
         // Nothing the predicate matches may live in a skipped chunk:
         // total matches equal the oracle's row count.
-        let oracle_rows: u64 = trace
-            .jobs()
-            .iter()
-            .filter(|j| query.predicate.eval_row(&row_of(j), 0))
+        let cols = columns_of(&trace);
+        let oracle_rows = (0..cols.len())
+            .filter(|&i| support::matches_row(&query.predicate, &cols, i))
             .count() as u64;
         prop_assert_eq!(s.rows_matched, oracle_rows);
     }
