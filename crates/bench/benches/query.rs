@@ -5,11 +5,14 @@
 //! so the CI bench smoke enforces the pruning win at 1M-job scale. The
 //! served mix's dominant shape (filter on `total_io`, hour-of-day key)
 //! is held to exact counts, not times: parallel ≡ serial, and the
-//! kernel's key-table probes stay far below the rows it groups.
+//! kernel's key-table probes stay far below the rows it groups. So is
+//! projection: a two-column count decodes two columns of every chunk it
+//! scans, steps over the other eight, and agrees with the all-column fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use swim_query::{execute, execute_serial, parse, Aggregate, Expr, Pred, Query};
+use swim_query::{execute, execute_serial, parse, AggValue, Aggregate, Expr, Pred, Query};
+use swim_store::format::columns::{ColumnSet, NumericColumns};
 use swim_store::{store_to_vec, Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
@@ -132,6 +135,42 @@ fn bench_query(c: &mut Criterion) {
         hourly.stats.rows_matched
     );
 
+    // Projection at decode, as counts: the query reads `input` and
+    // `duration`, so each scanned chunk has two columns decoded and eight
+    // stepped over, and the answer is the all-column fold's.
+    let (min_input, min_duration) = (1u64 << 30, 1800u64);
+    let predicate = format!("input > {min_input} and duration >= {min_duration}");
+    let two_column = Query::new()
+        .filter(parse::parse_predicate(&predicate).expect("parses"))
+        .select(Aggregate::Count);
+    swim_obs::set_enabled(swim_obs::ALL);
+    swim_obs::reset();
+    let counted = execute(&store, &two_column).expect("executes");
+    let snapshot = swim_obs::snapshot();
+    swim_obs::set_enabled(0);
+    swim_obs::reset();
+    let scanned = counted.stats.chunks_scanned as u64;
+    assert!(scanned > 0, "the predicate must not prune everything");
+    assert_eq!(snapshot.counter("store.chunks_decoded"), Some(scanned));
+    assert_eq!(snapshot.counter("store.columns_decoded"), Some(2 * scanned));
+    assert_eq!(snapshot.counter("store.columns_skipped"), Some(8 * scanned));
+    let all: Vec<usize> = (0..store.chunk_count()).collect();
+    let by_name = store
+        .fold_columns(&all, 0u64, |n, _idx, cols| {
+            let matches = cols.inputs.iter().zip(&cols.durations);
+            n + matches
+                .filter(|(&i, &d)| i > min_input && d >= min_duration)
+                .count() as u64
+        })
+        .expect("scans");
+    assert!(by_name > 0, "the predicate must match something");
+    assert_eq!(counted.rows[0].values, vec![AggValue::Int(by_name)]);
+    eprintln!(
+        "1M-job store: a two-column count decoded {} and skipped {} chunk-columns over {scanned} chunks",
+        2 * scanned,
+        8 * scanned
+    );
+
     let mut group = c.benchmark_group("query_1m_jobs");
     group.sample_size(10);
     group.bench_function("selective_day_1_of_30", |b| {
@@ -152,9 +191,12 @@ fn bench_query(c: &mut Criterion) {
     group.bench_function("hand_rolled_columns_fold", |b| {
         b.iter(|| {
             black_box(&store)
-                .par_scan_columns(
+                .par_fold_projected(
+                    &all,
+                    ColumnSet::ALL,
                     || (0u64, 0u64),
-                    |(n, io), cols| {
+                    |(n, io), _idx, chunk| {
+                        let cols = NumericColumns::from(chunk);
                         let mut io = io;
                         for i in 0..cols.len() {
                             io = io.saturating_add(cols.total_io(i).bytes());

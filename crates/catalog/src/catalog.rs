@@ -25,13 +25,13 @@
 //! the manifest rename turn a concurrent-mutator race into a typed
 //! "concurrent mutation" error instead of silent corruption.
 
-use crate::cache::{ColumnCache, DEFAULT_CACHE_SHARDS};
+use crate::cache::{ColumnCache, ShardColumns, DEFAULT_CACHE_SHARDS};
 use crate::manifest::{Manifest, ShardEntry, MANIFEST_FILE};
 use crate::{CacheStats, CatalogError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use swim_store::format::columns::NumericColumns;
-use swim_store::{write_store_path, Store, StoreOptions, ZoneMap};
+use swim_store::format::columns::ColumnSet;
+use swim_store::{write_store_path, Store, StoreOptions, ZoneMap, ZONE_COLUMNS};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, Job, Timestamp, Trace, TraceSummary};
 
@@ -266,36 +266,67 @@ impl Catalog {
             .map_err(|e| CatalogError::shard(entry.file.clone(), e))
     }
 
-    /// A shard's decoded columns if they are already cached (counts a
-    /// cache hit). Never touches the disk.
-    pub fn cached_columns(&self, idx: usize) -> Option<Arc<Vec<NumericColumns>>> {
+    /// Lookup-or-fill, the one way to a shard's decoded columns: the
+    /// cache entry if it already holds every column of `set` (a hit —
+    /// the disk is not touched); otherwise, given the opened shard in
+    /// `fill`, the columns the entry lacks are decoded in one pass over
+    /// the shard, stepping over the rest, and added to it (a miss).
+    /// `None` means not cached and nothing to fill from.
+    pub fn shard_columns(
+        &self,
+        idx: usize,
+        set: ColumnSet,
+        fill: Option<&Store>,
+    ) -> Result<Option<Arc<ShardColumns>>, CatalogError> {
         let entry = &self.manifest.shards[idx];
-        self.cache.lookup(&entry.file, entry.created_gen)
+        match fill {
+            Some(store) => self.lookup_or_fill(idx, store, set).map(Some),
+            None => Ok(self.cache.lookup(&entry.file, entry.created_gen, set)),
+        }
     }
 
-    /// Decode every chunk of a shard and cache the result (counts a
-    /// cache miss). `store` must be the opened shard at `idx`.
+    /// All ten columns of a shard, from the cache or decoded into it.
+    /// `store` must be the opened shard at `idx`.
     pub fn load_columns(
         &self,
         idx: usize,
         store: &Store,
-    ) -> Result<Arc<Vec<NumericColumns>>, CatalogError> {
+    ) -> Result<Arc<ShardColumns>, CatalogError> {
+        self.lookup_or_fill(idx, store, ColumnSet::ALL)
+    }
+
+    fn lookup_or_fill(
+        &self,
+        idx: usize,
+        store: &Store,
+        set: ColumnSet,
+    ) -> Result<Arc<ShardColumns>, CatalogError> {
         let entry = &self.manifest.shards[idx];
-        let all: Vec<usize> = (0..store.chunk_count()).collect();
-        let chunks = store
-            .fold_columns(
-                &all,
-                Vec::with_capacity(all.len()),
-                |mut acc, _idx, cols| {
-                    acc.push(cols.clone());
-                    acc
-                },
+        if let Some(hit) = self.cache.lookup(&entry.file, entry.created_gen, set) {
+            return Ok(hit);
+        }
+        let shard = self.cache.entry(&entry.file, entry.created_gen, || {
+            ShardColumns::new(
+                store
+                    .chunk_meta()
+                    .iter()
+                    .map(|c| c.job_count as usize)
+                    .collect(),
             )
+        });
+        let missing = set.minus(shard.present());
+        let all: Vec<usize> = (0..store.chunk_count()).collect();
+        let decoded: [Vec<Vec<u64>>; ZONE_COLUMNS] = Default::default();
+        let decoded = store
+            .fold_projected(&all, missing, decoded, |mut decoded, _idx, chunk| {
+                for (column, values) in decoded.iter_mut().zip(chunk.cols) {
+                    column.push(values);
+                }
+                decoded
+            })
             .map_err(|e| CatalogError::shard(entry.file.clone(), e))?;
-        let columns = Arc::new(chunks);
-        self.cache
-            .insert(&entry.file, entry.created_gen, columns.clone());
-        Ok(columns)
+        shard.fill(missing, decoded);
+        Ok(shard)
     }
 
     /// Cache counters and sizing.

@@ -21,10 +21,10 @@
 //!    [`Catalog::compact`] merges undersized shards and upgrades v1
 //!    shards without touching the files old readers hold.
 //! 3. **A decoded-column LRU.** Repeated queries skip the delta+varint
-//!    decode: the catalog caches each shard's decoded
-//!    [`swim_store::format::columns::NumericColumns`], keyed by
-//!    `(shard file, creation generation)` so compaction can never serve
-//!    stale data.
+//!    decode: the catalog caches each shard's decoded columns
+//!    ([`ShardColumns`]) one column at a time — only those some query
+//!    has read — keyed by `(shard file, creation generation)` so
+//!    compaction can never serve stale data.
 //!
 //! The federated query execution itself (`catalog.execute(&query)`)
 //! lives in `swim-query`, which layers its planner on top of this
@@ -70,7 +70,7 @@ pub mod catalog;
 pub mod error;
 pub mod manifest;
 
-pub use cache::CacheStats;
+pub use cache::{CacheStats, ShardColumns};
 pub use catalog::{
     Catalog, CatalogOptions, CompactStats, IngestStats, DEFAULT_JOBS_PER_SHARD, MAX_JOBS_PER_SHARD,
 };
@@ -272,13 +272,17 @@ mod tests {
         let trace = varied_trace(WorkloadKind::CcA, 400, 0);
         let mut catalog = Catalog::init(&dir).unwrap();
         catalog.ingest_trace(&trace, &small_options(200)).unwrap();
-        assert!(catalog.cached_columns(0).is_none());
+        let all = swim_store::format::columns::ColumnSet::ALL;
+        assert!(catalog.shard_columns(0, all, None).unwrap().is_none());
         let store = catalog.open_shard(0).unwrap();
         let cols = catalog.load_columns(0, &store).unwrap();
-        let total: usize = cols.iter().map(|c| c.len()).sum();
+        let total: usize = (0..cols.chunk_count()).map(|c| cols.chunk(c).len()).sum();
         assert_eq!(total as u64, catalog.shards()[0].jobs);
         // Second access is served from memory.
-        let again = catalog.cached_columns(0).expect("cached");
+        let again = catalog
+            .shard_columns(0, all, None)
+            .unwrap()
+            .expect("cached");
         assert!(std::sync::Arc::ptr_eq(&cols, &again));
         let stats = catalog.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));

@@ -2,9 +2,11 @@
 //! kernel, finalize deterministically.
 //!
 //! Both entry points — [`execute`] (parallel, worker-claimed chunk
-//! indices via [`Store::par_fold_columns`]) and [`execute_serial`] — run
-//! the *same* kernel ([`crate::kernel`]) and the *same* finalization, and
-//! every worker merge is exact and order-insensitive, so the two produce
+//! indices via [`Store::par_fold_projected`]) and [`execute_serial`]
+//! ([`Store::fold_projected`], the same claim loop run by the caller) —
+//! decode only the columns the compiled query reads, run the *same*
+//! kernel ([`crate::kernel`]) and the *same* finalization, and every
+//! worker merge is exact and order-insensitive, so the two produce
 //! bit-identical [`QueryOutput`]s (pinned by tests and proptests). They
 //! differ only in who claims chunks.
 
@@ -117,14 +119,15 @@ fn run(store: &Store, query: &Query, parallel: bool) -> Result<QueryOutput, Quer
     query.validate()?;
     let p = plan(store, query);
     let program = Program::compile(query);
-    let full_match = &p.full_match;
+    let (full_match, columns) = (&p.full_match, program.columns());
     let worker = if parallel {
-        store.par_fold_columns(
+        store.par_fold_projected(
             &p.selected,
+            columns,
             || Worker::new(&program),
             |mut worker, idx, cols| {
                 crate::obs::CHUNK_CLAIMS.incr();
-                worker.fold_chunk(cols, full_match[idx]);
+                worker.fold_chunk(cols.view(), full_match[idx]);
                 worker
             },
             |mut a, b| {
@@ -133,11 +136,12 @@ fn run(store: &Store, query: &Query, parallel: bool) -> Result<QueryOutput, Quer
             },
         )?
     } else {
-        store.fold_columns(
+        store.fold_projected(
             &p.selected,
+            columns,
             Worker::new(&program),
             |mut worker, idx, cols| {
-                worker.fold_chunk(cols, full_match[idx]);
+                worker.fold_chunk(cols.view(), full_match[idx]);
                 worker
             },
         )?
@@ -146,7 +150,7 @@ fn run(store: &Store, query: &Query, parallel: bool) -> Result<QueryOutput, Quer
 }
 
 /// Execute in parallel: workers claim planned chunk indices off a shared
-/// counter ([`Store::par_fold_columns`]) and per-worker group tables are
+/// counter ([`Store::par_fold_projected`]) and per-worker group tables are
 /// merged exactly. Bit-identical to [`execute_serial`].
 pub fn execute(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> {
     let _span = swim_obs::span("query.execute");

@@ -2,7 +2,8 @@
 //! **without executing** the query.
 //!
 //! An [`Explain`] is pure planner output: the logical plan tree
-//! (top-down: limit → order by → aggregate → group by → filter → scan)
+//! (top-down: limit → order by → aggregate → group by → filter → columns
+//! read → scan)
 //! and, per target store, the chunk verdict counts —
 //! how many chunks the predicate's interval analysis classified
 //! [`Never`](crate::Tri::Never) (never read),
@@ -17,6 +18,8 @@
 //! [`crate::ExecStats`] and the `store.chunks_decoded` counter observed
 //! under `--profile` — pinned by `tests/explain_golden.rs` and CI.
 
+use crate::expr::Col;
+use crate::kernel::Program;
 use crate::plan::{plan, Plan, Query};
 use crate::QueryError;
 use swim_catalog::Catalog;
@@ -290,6 +293,27 @@ fn plan_steps(query: &Query) -> Vec<(String, String)> {
             query.predicate.to_string()
         },
     ));
+    // What the scan decodes: the other columns of a chunk are stepped
+    // over (or, from the column cache, never asked for).
+    let read = Program::compile(query).columns();
+    let names: Vec<&str> = Col::ALL
+        .into_iter()
+        .filter(|c| read.contains(c.zone_index()))
+        .map(Col::name)
+        .collect();
+    steps.push((
+        "columns".to_owned(),
+        if names.is_empty() {
+            "(none - rows are counted, no column is decoded)".to_owned()
+        } else {
+            format!(
+                "{} ({} of {})",
+                names.join(", "),
+                names.len(),
+                Col::ALL.len()
+            )
+        },
+    ));
     steps
 }
 
@@ -435,12 +459,17 @@ mod tests {
                 "aggregate",
                 "group by",
                 "filter",
+                "columns",
                 "scan"
             ]
         );
         let text = explain.render_text("explain: demo");
         assert!(text.contains("limit    : 5 rows"), "{text}");
         assert!(text.contains("filter   : input >= 73"), "{text}");
+        assert!(
+            text.contains("columns  : input, reduce_tasks (2 of 10)"),
+            "{text}"
+        );
         assert!(text.contains("scanned = always + maybe"), "{text}");
         assert!(text.contains("nothing was executed"), "{text}");
     }
@@ -450,7 +479,14 @@ mod tests {
         let explain =
             explain_store(&store(), "mem", &Query::new().select(Aggregate::Count)).unwrap();
         let steps: Vec<&str> = explain.steps.iter().map(|(s, _)| s.as_str()).collect();
-        assert_eq!(steps, vec!["aggregate", "group by", "filter", "scan"]);
+        assert_eq!(
+            steps,
+            vec!["aggregate", "group by", "filter", "columns", "scan"]
+        );
+        assert!(
+            explain.steps[3].1.starts_with("(none"),
+            "a bare count reads no column"
+        );
         assert_eq!(
             explain.chunk_verdicts(),
             VerdictCounts {

@@ -13,11 +13,11 @@
 //! (`crate::kernel`), which flattens these trees once per query.
 
 use std::fmt;
-use swim_store::format::columns::NumericColumns;
+use swim_store::format::columns::ChunkView;
 use swim_store::ZoneMap;
 
 /// A physical numeric column of the store (the ten columns of
-/// [`NumericColumns`], in layout order).
+/// [`swim_store::format::columns::NumericColumns`], in layout order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Col {
     /// Job id.
@@ -89,20 +89,10 @@ impl Col {
         }
     }
 
-    /// The column's decoded values within one chunk.
-    pub fn slice(self, cols: &NumericColumns) -> &[u64] {
-        match self {
-            Col::Id => &cols.ids,
-            Col::Submit => &cols.submits,
-            Col::Duration => &cols.durations,
-            Col::Input => &cols.inputs,
-            Col::Shuffle => &cols.shuffles,
-            Col::Output => &cols.outputs,
-            Col::MapTime => &cols.map_times,
-            Col::ReduceTime => &cols.reduce_times,
-            Col::MapTasks => &cols.map_tasks,
-            Col::ReduceTasks => &cols.reduce_tasks,
-        }
+    /// The column's decoded values within one chunk (empty if the chunk
+    /// was decoded without it).
+    pub fn slice<'a>(self, cols: ChunkView<'a>) -> &'a [u64] {
+        cols.column(self.zone_index())
     }
 }
 
@@ -426,6 +416,7 @@ mod tests {
     use super::*;
     use crate::kernel::tests as kernel;
     use crate::oracle;
+    use swim_store::format::columns::NumericColumns;
 
     fn chunk() -> NumericColumns {
         NumericColumns {
@@ -486,7 +477,7 @@ mod tests {
         let mut min = [0u64; swim_store::ZONE_COLUMNS];
         let mut max = [0u64; swim_store::ZONE_COLUMNS];
         for c in Col::ALL {
-            let values = c.slice(&chunk()).to_vec();
+            let values = c.slice(chunk().view()).to_vec();
             min[c.zone_index()] = values.iter().copied().min().unwrap();
             max[c.zone_index()] = values.iter().copied().max().unwrap();
         }

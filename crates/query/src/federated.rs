@@ -10,7 +10,7 @@
 //!    exactly as single-store execution does.
 //!
 //! Execution fans surviving shards out over worker-claimed indices (the
-//! same claim-a-counter pattern as [`swim_store::Store::par_fold_columns`]).
+//! same claim-a-counter pattern as [`swim_store::Store::par_fold_projected`]).
 //! Each thread folds every chunk of every shard it claims into *one*
 //! kernel worker ([`crate::kernel`]) — the same one single-store
 //! execution runs — so a query merges once per thread, not once per
@@ -19,9 +19,13 @@
 //! and a single-store query over the concatenated trace all produce
 //! bit-identical rows (property-tested).
 //!
-//! Decoded shards are served from the catalog's `(shard, generation)`
-//! LRU when a full-shard decode is wanted; chunk-pruned reads bypass the
-//! cache rather than decode chunks the planner ruled out.
+//! Every decode keeps only the columns the compiled query reads
+//! (the kernel interns one node per column). Decoded shards are
+//! served from the catalog's `(shard, generation)` LRU, which holds each
+//! shard column by column: a full-shard read is a hit iff every column
+//! it reads is there and otherwise decodes just the missing ones into
+//! the entry; a chunk-pruned read takes a hit but never fills, rather
+//! than decode chunks the planner ruled out.
 
 use crate::exec::{stats_for, ExecStats, QueryOutput};
 use crate::kernel::{Program, Worker};
@@ -29,6 +33,7 @@ use crate::plan::{plan, Query};
 use crate::{QueryError, Tri};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use swim_catalog::Catalog;
+use swim_store::format::columns::ColumnSet;
 
 /// A finished federated query: the ordinary [`QueryOutput`] plus
 /// shard-level pruning counters.
@@ -99,33 +104,35 @@ fn add_chunk_stats(total: &mut ExecStats, part: ExecStats) {
 }
 
 /// Open and chunk-plan one shard and fold its planned chunks into
-/// `worker`; returns the shard's chunk-level counters.
+/// `worker`, decoding only `columns`; returns the shard's chunk-level
+/// counters.
 fn fold_shard(
     catalog: &Catalog,
     idx: usize,
     query: &Query,
+    columns: ColumnSet,
     worker: &mut Worker<'_>,
 ) -> Result<ExecStats, QueryError> {
     let store = catalog.open_shard(idx)?;
     let p = plan(&store, query);
-    // A full-shard read with caching enabled decodes through the LRU, so
-    // the next query skips the varint decode entirely.
-    let cached = match catalog.cached_columns(idx) {
-        None if p.selected.len() == store.chunk_count() && catalog.cache_capacity() > 0 => {
-            Some(catalog.load_columns(idx, &store)?)
-        }
-        cached => cached,
-    };
-    if let Some(chunks) = cached {
-        debug_assert_eq!(chunks.len(), store.chunk_count(), "immutable shard files");
+    // A full-shard read with caching enabled fills the LRU with the
+    // columns it lacks, so the next query reading them skips the varint
+    // decode entirely; a chunk-pruned read only takes a hit.
+    let full_read = p.selected.len() == store.chunk_count() && catalog.cache_capacity() > 0;
+    if let Some(shard) = catalog.shard_columns(idx, columns, full_read.then_some(&store))? {
+        debug_assert_eq!(
+            shard.chunk_count(),
+            store.chunk_count(),
+            "immutable shard files"
+        );
         for &ci in &p.selected {
-            worker.fold_chunk(&chunks[ci], p.full_match[ci]);
+            worker.fold_chunk(shard.chunk(ci), p.full_match[ci]);
         }
     } else {
         // Chunk-pruned read (or caching disabled): decode only what the
-        // planner selected, straight off the store, no extra copy.
-        store.fold_columns(&p.selected, (), |(), ci, cols| {
-            worker.fold_chunk(cols, p.full_match[ci])
+        // planner selected, straight off the store.
+        store.fold_projected(&p.selected, columns, (), |(), ci, cols| {
+            worker.fold_chunk(cols.view(), p.full_match[ci])
         })?;
     }
     Ok(stats_for(&p))
@@ -138,6 +145,7 @@ fn run(catalog: &Catalog, query: &Query, parallel: bool) -> Result<CatalogOutput
     query.validate()?;
     let selected = prune_shards(catalog, query);
     let program = Program::compile(query);
+    let columns = program.columns();
     let cursor = AtomicUsize::new(0);
     let claim_shards = || -> Result<(Worker<'_>, ExecStats), QueryError> {
         let mut worker = Worker::new(&program);
@@ -148,7 +156,10 @@ fn run(catalog: &Catalog, query: &Query, parallel: bool) -> Result<CatalogOutput
             let Some(&idx) = selected.get(slot) else {
                 break;
             };
-            add_chunk_stats(&mut stats, fold_shard(catalog, idx, query, &mut worker)?);
+            add_chunk_stats(
+                &mut stats,
+                fold_shard(catalog, idx, query, columns, &mut worker)?,
+            );
         }
         Ok((worker, stats))
     };

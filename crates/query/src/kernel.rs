@@ -42,7 +42,7 @@ use crate::exec::Row;
 use crate::expr::{CmpOp, Col, Expr, Pred};
 use crate::plan::Query;
 use std::collections::HashMap;
-use swim_store::format::columns::NumericColumns;
+use swim_store::format::columns::{ChunkView, ColumnSet};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ArithOp {
@@ -185,6 +185,17 @@ impl<'q> Program<'q> {
             inputs,
         }
     }
+
+    /// The columns the query reads — one interned [`Node::Col`] each —
+    /// and so all a decode has to keep for it. A bare `count` reads none.
+    pub(crate) fn columns(&self) -> ColumnSet {
+        self.nodes
+            .iter()
+            .fold(ColumnSet::EMPTY, |set, node| match node {
+                Node::Col(c) => set.with(c.zone_index()),
+                _ => set,
+            })
+    }
 }
 
 #[inline]
@@ -217,7 +228,7 @@ impl Operand<'_> {
 fn operand<'a>(
     nodes: &[Node],
     bufs: &'a [Vec<u64>],
-    cols: &'a NumericColumns,
+    cols: ChunkView<'a>,
     idx: usize,
 ) -> Operand<'a> {
     match nodes[idx] {
@@ -229,12 +240,7 @@ fn operand<'a>(
 
 /// A key or aggregate-input node as a slice ([`Builder::column`] made
 /// sure it is one).
-fn column<'a>(
-    nodes: &[Node],
-    bufs: &'a [Vec<u64>],
-    cols: &'a NumericColumns,
-    idx: usize,
-) -> &'a [u64] {
+fn column<'a>(nodes: &[Node], bufs: &'a [Vec<u64>], cols: ChunkView<'a>, idx: usize) -> &'a [u64] {
     match operand(nodes, bufs, cols, idx) {
         Operand::Slice(s) => s,
         Operand::Lit(_) => &[],
@@ -446,10 +452,14 @@ impl<'p> Worker<'p> {
 
     /// Fold one decoded chunk in. `full_match` skips the row filter when
     /// the planner proved the whole chunk matches.
-    pub(crate) fn fold_chunk(&mut self, cols: &NumericColumns, full_match: bool) {
+    pub(crate) fn fold_chunk(&mut self, cols: ChunkView<'_>, full_match: bool) {
         let p = self.program;
         let n = cols.len();
         assert!(u32::try_from(n).is_ok(), "row indices fit u32");
+        debug_assert!(
+            (p.nodes.iter()).all(|node| !matches!(node, Node::Col(c) if c.slice(cols).len() != n)),
+            "the chunk was decoded without a column of `Program::columns`"
+        );
         self.rows_scanned += n as u64;
         let filtered = !full_match && !p.conjuncts.is_empty();
         if filtered {
@@ -472,7 +482,7 @@ impl<'p> Worker<'p> {
     }
 
     /// Stage 1 over the nodes `wanted` picks.
-    fn eval(&mut self, cols: &NumericColumns, wanted: impl Fn(usize) -> bool) {
+    fn eval(&mut self, cols: ChunkView<'_>, wanted: impl Fn(usize) -> bool) {
         let nodes = &self.program.nodes;
         let n = cols.len();
         for (idx, node) in nodes.iter().enumerate() {
@@ -513,7 +523,7 @@ impl<'p> Worker<'p> {
     }
 
     /// Stage 2: `self.sel` becomes the rows every conjunct accepts.
-    fn select(&mut self, cols: &NumericColumns) {
+    fn select(&mut self, cols: ChunkView<'_>) {
         let p = self.program;
         let n = cols.len();
         let sel = &mut self.sel;
@@ -544,7 +554,7 @@ impl<'p> Worker<'p> {
     /// Stages 3 and 4 over the selected `rows` (`matched` of them).
     fn fold_rows(
         &mut self,
-        cols: &NumericColumns,
+        cols: ChunkView<'_>,
         rows: impl Iterator<Item = usize> + Clone,
         matched: usize,
     ) {
@@ -659,15 +669,16 @@ pub(crate) mod tests {
     use crate::agg::{AggValue, Aggregate};
     use crate::oracle;
     use proptest::prelude::*;
+    use swim_store::format::columns::NumericColumns;
 
     /// `expr` over every row of `cols`, through stage 1.
     pub(crate) fn eval(expr: &Expr, cols: &NumericColumns) -> Vec<u64> {
         let query = Query::new().select(Aggregate::Max(expr.clone()));
         let program = Program::compile(&query);
         let mut worker = Worker::new(&program);
-        worker.eval(cols, |_| true);
+        worker.eval(cols.view(), |_| true);
         let input = program.inputs[0].expect("max reads its expression");
-        column(&program.nodes, &worker.bufs, cols, input).to_vec()
+        column(&program.nodes, &worker.bufs, cols.view(), input).to_vec()
     }
 
     /// The rows of `cols` passing `pred`, through stages 1 and 2.
@@ -678,8 +689,8 @@ pub(crate) mod tests {
         if program.conjuncts.is_empty() {
             return (0..cols.len() as u32).collect();
         }
-        worker.eval(cols, |idx| idx < program.filter_end);
-        worker.select(cols);
+        worker.eval(cols.view(), |idx| idx < program.filter_end);
+        worker.select(cols.view());
         worker.sel
     }
 
@@ -738,7 +749,7 @@ pub(crate) mod tests {
             .map(|(k, from)| {
                 let mut chunk = NumericColumns::default();
                 for c in Col::ALL {
-                    let rows = &c.slice(cols)[from..cols.len().min(from + size)];
+                    let rows = &c.slice(cols.view())[from..cols.len().min(from + size)];
                     *col_mut(&mut chunk, c) = rows.to_vec();
                 }
                 (chunk, full >> (k % 8) & 1 == 1)
@@ -752,7 +763,7 @@ pub(crate) mod tests {
     ) -> Worker<'p> {
         let mut worker = Worker::new(program);
         for (cols, full_match) in chunks {
-            worker.fold_chunk(cols, *full_match);
+            worker.fold_chunk(cols.view(), *full_match);
         }
         worker
     }
@@ -994,7 +1005,7 @@ pub(crate) mod tests {
         }
         let mut reversed = NumericColumns::default();
         for c in Col::ALL {
-            *col_mut(&mut reversed, c) = c.slice(&cols).iter().rev().copied().collect();
+            *col_mut(&mut reversed, c) = c.slice(cols.view()).iter().rev().copied().collect();
         }
         let chunks = [(cols, false), (reversed, true)];
         for arity in 0..4 {

@@ -19,14 +19,15 @@
 //!    are never read and chunks that match entirely skip the row filter.
 //!    Version-1 files still work (their synthesized maps prune on submit
 //!    only).
-//! 2. **Vectorized execution** — chunks decode to
-//!    [`swim_store::format::columns::NumericColumns`] and one chunk
+//! 2. **Vectorized execution** — chunks decode to a
+//!    [`swim_store::format::columns::ChunkView`] of just the columns the
+//!    query reads (the rest are stepped over at decode) and one chunk
 //!    kernel folds them: expressions column-at-a-time into reused
 //!    scratch, one selection vector, dense group ids, one state vector
 //!    per aggregate. Names/paths are never decoded (they are not
 //!    addressable from a query at all).
 //! 3. **Deterministic parallelism** — workers claim chunk indices off a
-//!    shared counter ([`swim_store::Store::par_fold_columns`]); every
+//!    shared counter ([`swim_store::Store::par_fold_projected`]); every
 //!    worker merge is exact and order-insensitive (counts, saturating
 //!    `u64` sums, extrema, rank-selected percentile samples), and
 //!    finalization sorts groups canonically, so [`execute`] and

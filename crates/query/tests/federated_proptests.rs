@@ -2,11 +2,15 @@
 //! split arbitrarily across 1..=8 shards, `catalog.execute` (parallel),
 //! `catalog.execute_serial`, and a single-store query over the
 //! concatenated trace must agree bit for bit — rows, columns, and (for
-//! the two catalog paths) stats included.
+//! the two catalog paths) stats included. A second property holds the
+//! projected decode and the per-column cache to the same standard: what
+//! the cache happens to hold — nothing, other columns, more columns, or
+//! nothing ever (capacity 0) — and whether a read is chunk-pruned never
+//! show in a result.
 
 use proptest::prelude::*;
 use swim_catalog::{Catalog, CatalogOptions};
-use swim_query::{execute_serial, Aggregate, CatalogQuery, CmpOp, Col, Expr, Pred, Query};
+use swim_query::{execute, execute_serial, Aggregate, CatalogQuery, CmpOp, Col, Expr, Pred, Query};
 use swim_store::{store_to_vec, Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, Job, JobBuilder, Timestamp, Trace};
@@ -90,6 +94,38 @@ fn temp_dir() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("swim-fed-prop-{}-{n}", std::process::id()))
 }
 
+/// A fresh catalog holding one shard per non-empty slice of the
+/// assignment, and its directory.
+fn sharded_catalog(
+    jobs: &[Job],
+    assignment: &[u8],
+    n_shards: u8,
+    jobs_per_chunk: u32,
+) -> (Catalog, std::path::PathBuf) {
+    let dir = temp_dir();
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut catalog = Catalog::init(&dir).expect("init");
+    let options = CatalogOptions {
+        jobs_per_shard: 1 << 16, // one shard per ingest
+        store: StoreOptions { jobs_per_chunk },
+    };
+    for shard in 0..n_shards {
+        let shard_jobs: Vec<Job> = jobs
+            .iter()
+            .zip(assignment)
+            .filter(|(_, &a)| a == shard)
+            .map(|(j, _)| j.clone())
+            .collect();
+        if shard_jobs.is_empty() {
+            continue; // empty slices add no shard
+        }
+        let trace =
+            Trace::new(WorkloadKind::Custom("prop".into()), 3, shard_jobs).expect("unique ids");
+        catalog.ingest_trace(&trace, &options).expect("ingest");
+    }
+    (catalog, dir)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -101,27 +137,7 @@ proptest! {
         threshold in any::<u64>(),
         group_kind in any::<u8>(),
     ) {
-        let dir = temp_dir();
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut catalog = Catalog::init(&dir).expect("init");
-        let options = CatalogOptions {
-            jobs_per_shard: 1 << 16, // one shard per ingest
-            store: StoreOptions { jobs_per_chunk },
-        };
-        for shard in 0..n_shards {
-            let shard_jobs: Vec<Job> = jobs
-                .iter()
-                .zip(&assignment)
-                .filter(|(_, &a)| a == shard)
-                .map(|(j, _)| j.clone())
-                .collect();
-            if shard_jobs.is_empty() {
-                continue; // empty slices add no shard
-            }
-            let trace = Trace::new(WorkloadKind::Custom("prop".into()), 3, shard_jobs)
-                .expect("unique ids");
-            catalog.ingest_trace(&trace, &options).expect("ingest");
-        }
+        let (catalog, dir) = sharded_catalog(&jobs, &assignment, n_shards, jobs_per_chunk);
 
         let trace = Trace::new(WorkloadKind::Custom("prop".into()), 3, jobs)
             .expect("unique ids");
@@ -157,6 +173,77 @@ proptest! {
         prop_assert_eq!(serial.shards_total, catalog.shard_count());
         // Nothing the predicate matches may hide in a pruned shard.
         prop_assert_eq!(serial.output.stats.rows_matched, single.stats.rows_matched);
+
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// The generated queries read columns out of {submit, duration, input,
+    /// shuffle, output, reduce_tasks} only — a different subset per case —
+    /// so a query over the other four warms the cache with a disjoint set,
+    /// and one over all ten with a superset.
+    #[test]
+    fn cache_contents_and_projection_never_show_in_a_result(
+        (jobs, assignment, n_shards) in arb_jobs_and_split(),
+        jobs_per_chunk in 1u32..24,
+        pred_kind in any::<u8>(),
+        threshold in any::<u64>(),
+        group_kind in any::<u8>(),
+        agg_mask in 1u8..64,
+    ) {
+        let (catalog, dir) = sharded_catalog(&jobs, &assignment, n_shards, jobs_per_chunk);
+        drop(catalog);
+        let trace = Trace::new(WorkloadKind::Custom("prop".into()), 3, jobs)
+            .expect("unique ids");
+        let store = Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk }))
+            .expect("fresh store opens");
+
+        let mut query = Query::new().filter(pick_pred(pred_kind, threshold));
+        for key in pick_group(group_kind) {
+            query = query.group(key);
+        }
+        for (bit, agg) in aggregates().into_iter().enumerate() {
+            if agg_mask >> bit & 1 == 1 {
+                query = query.select(agg);
+            }
+        }
+        // The same query behind a submit window: shards it cuts through
+        // are read chunk-pruned, which takes a cache hit but never fills.
+        let lo = threshold % 30_000;
+        let pruned = query
+            .clone()
+            .filter(query.predicate.clone().and(Pred::submit_range(lo, lo + 9_000)));
+        let over = |cols: &[Col]| {
+            cols.iter()
+                .fold(Query::new(), |q, &c| q.select(Aggregate::Max(Expr::col(c))))
+        };
+        let disjoint = over(&[Col::Id, Col::MapTime, Col::ReduceTime, Col::MapTasks]);
+        let superset = over(&Col::ALL);
+
+        for query in [&query, &pruned] {
+            let single = execute_serial(&store, query).expect("single-store executes");
+            prop_assert_eq!(&execute(&store, query).expect("executes").rows, &single.rows);
+            for warm_up in [None, Some(&disjoint), Some(&superset)] {
+                let catalog = Catalog::open(&dir).expect("opens");
+                if let Some(warm_up) = warm_up {
+                    catalog.execute(warm_up).expect("warm-up executes");
+                }
+                let before = catalog.cache_stats();
+                let serial = catalog.execute_serial(query).expect("executes");
+                prop_assert_eq!(&serial.output.rows, &single.rows);
+                prop_assert_eq!(&catalog.execute(query).expect("executes"), &serial);
+                if warm_up == Some(&superset) {
+                    // Every column was there: nothing went back to a shard
+                    // the warm-up read.
+                    prop_assert_eq!(catalog.cache_stats().misses, before.misses);
+                }
+            }
+            let catalog = Catalog::open(&dir).expect("opens");
+            catalog.set_cache_capacity(0);
+            let uncached = catalog.execute_serial(query).expect("executes");
+            prop_assert_eq!(&uncached.output.rows, &single.rows);
+            prop_assert_eq!(&catalog.execute(query).expect("executes"), &uncached);
+            prop_assert_eq!(catalog.cache_stats().entries, 0);
+        }
 
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -14,7 +14,7 @@ use swim_store::format::columns::NumericColumns;
 pub fn eval_row(expr: &Expr, cols: &NumericColumns, i: usize) -> u64 {
     let at = |e: &Expr| eval_row(e, cols, i);
     match expr {
-        Expr::Col(c) => c.slice(cols)[i],
+        Expr::Col(c) => c.slice(cols.view())[i],
         Expr::Lit(v) => *v,
         Expr::Add(a, b) => at(a).saturating_add(at(b)),
         Expr::Sub(a, b) => at(a).saturating_sub(at(b)),

@@ -16,6 +16,10 @@
 //! shutdown
 //! ```
 //!
+//! A request line is at most [`MAX_REQUEST_LINE`] bytes; a longer one is
+//! answered `error bad_request` without being read to its end, and its
+//! connection is closed.
+//!
 //! **Responses** are a single header line followed by an exact byte
 //! count of body, so a reader never has to guess where a table ends:
 //!
@@ -165,6 +169,11 @@ pub fn encode_error(kind: ErrorKind, message: &str) -> Vec<u8> {
     out.extend_from_slice(body.as_bytes());
     out
 }
+
+/// Longest request line the server reads, newline excluded: 64 KiB, a
+/// hundred times the longest request the CLIs build. A longer line is
+/// answered `error bad_request` and its connection closed.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Write an `error` response directly to a stream (used by the acceptor
 /// for `overloaded` rejections, before any worker is involved).

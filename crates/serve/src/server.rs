@@ -32,7 +32,7 @@
 //! the threads.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -65,6 +65,10 @@ static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue_depth");
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Bytes of a refused request line discarded before its connection is
+/// closed, so the client can finish sending and read the refusal.
+const REFUSED_DRAIN: u64 = 16 * protocol::MAX_REQUEST_LINE as u64;
 /// Polling step while `vacuum` waits (up to
 /// [`ServeOptions::vacuum_wait_ms`]) for old-generation readers.
 const VACUUM_WAIT_STEP: Duration = Duration::from_millis(10);
@@ -538,14 +542,20 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
     let mut first_request = true;
     loop {
         buf.clear();
-        if !read_request_line(shared, &mut reader, &mut buf) {
-            return;
-        }
-        let line_text = String::from_utf8_lossy(&buf);
-        let line = line_text.trim();
-        if line.is_empty() {
-            continue;
-        }
+        let line_text;
+        let line = match read_request_line(shared, &mut reader, &mut buf) {
+            LineRead::Closed => return,
+            // Refused below, through the same accounting as any request.
+            LineRead::Oversize => None,
+            LineRead::Line => {
+                line_text = String::from_utf8_lossy(&buf);
+                let line = line_text.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                Some(line)
+            }
+        };
         REQUESTS.incr();
         // lint: ordering: statistics counter; no data is published through it
         shared.requests.fetch_add(1, Ordering::Relaxed);
@@ -555,8 +565,17 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
         // The hierarchical span (when `SWIM_OBS=spans`) nests execute/
         // render and any store/query spans under one request path.
         let span = swim_obs::span("serve.request");
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            process_request(shared, line, &mut meta)
+        let outcome = catch_unwind(AssertUnwindSafe(|| match line {
+            Some(line) => process_request(shared, line, &mut meta),
+            None => {
+                let message = format!(
+                    "request line longer than {} bytes",
+                    protocol::MAX_REQUEST_LINE
+                );
+                let (response, _) =
+                    error_response(shared, &mut meta, ErrorKind::BadRequest, &message);
+                (response, Action::Close)
+            }
         }));
         drop(span);
         let total_us = clock::now_us().saturating_sub(start_us);
@@ -594,6 +613,17 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
                 let _ = stream.flush();
                 match action {
                     Action::Continue => {}
+                    Action::Close => {
+                        // The rest of the refused line may still be on
+                        // its way: closing over unread bytes resets the
+                        // connection and can take the answer with it, so
+                        // discard a bounded amount first (until EOF, a
+                        // read timeout, or the limit).
+                        let _ = stream.shutdown(std::net::Shutdown::Write);
+                        let mut rest = reader.by_ref().take(REFUSED_DRAIN);
+                        let _ = std::io::copy(&mut rest, &mut std::io::sink());
+                        return;
+                    }
                     Action::Shutdown => {
                         shared.begin_shutdown();
                         return;
@@ -621,24 +651,48 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
     }
 }
 
-/// Accumulate one `\n`-terminated line into `buf`, polling the shutdown
-/// flag across read timeouts. Returns `false` when the connection is
-/// done (clean EOF, I/O error, or shutdown drain).
+/// What [`read_request_line`] found.
+enum LineRead {
+    /// A request line is in the buffer.
+    Line,
+    /// More than [`protocol::MAX_REQUEST_LINE`] bytes arrived without a
+    /// newline; the buffer holds the cap and one byte, never more.
+    Oversize,
+    /// The connection is done (clean EOF, I/O error, or shutdown drain).
+    Closed,
+}
+
+/// Accumulate one `\n`-terminated line of at most
+/// [`protocol::MAX_REQUEST_LINE`] bytes into `buf`, polling the shutdown
+/// flag across read timeouts. Each read is limited to what the cap still
+/// allows plus one byte, so a client that never sends a newline costs the
+/// cap in memory, not what it sends.
 fn read_request_line(
     shared: &Shared,
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
-) -> bool {
+) -> LineRead {
+    let done = |buf: &[u8]| {
+        if buf.is_empty() {
+            LineRead::Closed
+        } else {
+            LineRead::Line
+        }
+    };
     loop {
-        match reader.read_until(b'\n', buf) {
+        let room = (protocol::MAX_REQUEST_LINE + 1).saturating_sub(buf.len());
+        match reader.by_ref().take(room as u64).read_until(b'\n', buf) {
             // EOF: serve a final unterminated line if one accumulated.
-            Ok(0) => return !buf.is_empty(),
+            Ok(0) => return done(buf),
             Ok(_) => {
                 if buf.ends_with(b"\n") {
-                    return true;
+                    return LineRead::Line;
+                }
+                if buf.len() > protocol::MAX_REQUEST_LINE {
+                    return LineRead::Oversize;
                 }
                 // read_until returned without a delimiter: EOF mid-line.
-                return !buf.is_empty();
+                return done(buf);
             }
             Err(e)
                 if matches!(
@@ -648,17 +702,19 @@ fn read_request_line(
             {
                 // Partial bytes read before the timeout stay in `buf`.
                 if shared.is_shutting_down() {
-                    return false;
+                    return LineRead::Closed;
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
+            Err(_) => return LineRead::Closed,
         }
     }
 }
 
 enum Action {
     Continue,
+    /// Answer, then close this connection (the line was refused).
+    Close,
     Shutdown,
 }
 

@@ -1,11 +1,12 @@
-//! Fault injection: kill a worker mid-request (`--fault panic`) and
-//! drop client connections mid-request and mid-response. The server
-//! must stay up, account every admission permit (none leak), and keep
-//! serving afterwards.
+//! Fault injection: kill a worker mid-request (`--fault panic`), drop
+//! client connections mid-request and mid-response, and send request
+//! lines past the protocol's length cap. The server must stay up,
+//! account every admission permit (none leak), and keep serving
+//! afterwards.
 
 mod support;
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::time::Duration;
 
 use swim_serve::protocol::{self, ErrorKind};
@@ -185,6 +186,97 @@ fn overload_is_typed_and_bounded() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(served, "service must resume after the overload clears");
+
+    handle.shutdown_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request line past `MAX_REQUEST_LINE` is refused with `bad_request`
+/// as soon as the cap is exceeded — the server neither waits for a
+/// newline nor buffers what follows — a line exactly at the cap is
+/// served, and the permits of all three connections come back.
+#[test]
+fn oversize_request_lines_are_refused_at_the_cap() {
+    use swim_serve::protocol::MAX_REQUEST_LINE;
+
+    let dir = support::temp_dir("oversize");
+    let cat_dir = dir.join("cat.d");
+    drop(support::init_catalog(&cat_dir, 100));
+    let handle = serve(
+        &cat_dir,
+        ServeOptions {
+            workers: 2,
+            queue_depth: 4,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let refused = |stream: std::net::TcpStream| {
+        let mut reader = std::io::BufReader::new(stream);
+        let resp = protocol::read_response(&mut reader).unwrap();
+        assert!(!resp.ok);
+        assert_eq!(resp.kind, Some(ErrorKind::BadRequest));
+        assert!(
+            resp.body_text().contains("longer than"),
+            "{}",
+            resp.body_text()
+        );
+        // Refused means closed: nothing follows the answer.
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap_or(0), 0);
+    };
+
+    // One byte past the cap and then silence: the refusal arrives, so it
+    // was decided on cap + 1 bytes — that is all the server ever held.
+    let mut stream = support::connect(addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&vec![b'a'; MAX_REQUEST_LINE + 1]).unwrap();
+    refused(stream);
+
+    // A megabyte with no newline: refused the same way. The write may
+    // fail once the server has stopped listening; the answer must not.
+    let mut stream = support::connect(addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+    refused(stream);
+
+    // Exactly at the cap (blank padding is trimmed off a request): served,
+    // and the connection lives on.
+    let mut stream = support::connect(addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let line = format!("ping{}", " ".repeat(MAX_REQUEST_LINE - 4));
+    protocol::write_request(&mut stream, &line).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let resp = protocol::read_response(&mut reader).unwrap();
+    assert!(resp.ok, "{}", resp.body_text());
+    assert_eq!(resp.body_text(), "pong\n");
+    protocol::write_request(&mut stream, "ping").unwrap();
+    assert!(protocol::read_response(&mut reader).unwrap().ok);
+    drop((stream, reader));
+
+    let mut idle = false;
+    for _ in 0..500 {
+        let stats = handle.stats();
+        if stats.admitted == 0 && stats.queued == 0 {
+            idle = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats = handle.stats();
+    assert!(
+        idle,
+        "admission permits leaked: admitted={} queued={}",
+        stats.admitted, stats.queued
+    );
+    assert!(support::request(addr, "ping").ok);
 
     handle.shutdown_join();
     std::fs::remove_dir_all(&dir).ok();

@@ -238,6 +238,8 @@ pub struct ZoneMap {
 impl ZoneMap {
     /// Index of the submit column within the zone arrays.
     pub const SUBMIT: usize = 1;
+    /// Indices of the three byte-count columns (input, shuffle, output).
+    pub const IO: [usize; 3] = [3, 4, 5];
 
     /// Compute the zone map of a (non-empty) chunk of jobs.
     pub fn of_jobs(jobs: &[Job]) -> ZoneMap {
@@ -605,29 +607,175 @@ pub mod columns {
         }
     }
 
-    /// Decode only the numeric columns of a chunk payload (stopping before
-    /// the name/path columns).
-    pub fn decode_numeric(payload: &[u8], n: usize) -> Result<NumericColumns, StoreError> {
-        decode_numeric_at(payload, &mut 0, n)
+    impl NumericColumns {
+        /// All ten columns as the view the query kernel folds.
+        pub fn view(&self) -> ChunkView<'_> {
+            ChunkView::new(
+                self.len(),
+                [
+                    &self.ids,
+                    &self.submits,
+                    &self.durations,
+                    &self.inputs,
+                    &self.shuffles,
+                    &self.outputs,
+                    &self.map_times,
+                    &self.reduce_times,
+                    &self.map_tasks,
+                    &self.reduce_tasks,
+                ],
+            )
+        }
     }
 
-    fn decode_numeric_at(
+    impl From<ChunkColumns> for NumericColumns {
+        /// Names the ten columns of a chunk decoded under
+        /// [`ColumnSet::ALL`]; nothing is copied.
+        fn from(chunk: ChunkColumns) -> NumericColumns {
+            let [ids, submits, durations, inputs, shuffles, outputs, map_times, reduce_times, map_tasks, reduce_tasks] =
+                chunk.cols;
+            NumericColumns {
+                ids,
+                submits,
+                durations,
+                inputs,
+                shuffles,
+                outputs,
+                map_times,
+                reduce_times,
+                map_tasks,
+                reduce_tasks,
+            }
+        }
+    }
+
+    /// A set of the ten numeric columns, by layout index (the
+    /// [`ZoneMap`] order): what a reader asks a decode to keep.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ColumnSet(u16);
+
+    impl ColumnSet {
+        /// No column: a decode still walks and validates all ten.
+        pub const EMPTY: ColumnSet = ColumnSet(0);
+        /// All ten columns.
+        pub const ALL: ColumnSet = ColumnSet((1 << ZONE_COLUMNS) - 1);
+
+        /// The set plus `column` (indices past the tenth are ignored).
+        pub const fn with(self, column: usize) -> ColumnSet {
+            if column < ZONE_COLUMNS {
+                ColumnSet(self.0 | 1 << column)
+            } else {
+                self
+            }
+        }
+
+        /// `true` iff `column` is in the set.
+        pub const fn contains(self, column: usize) -> bool {
+            column < ZONE_COLUMNS && self.0 >> column & 1 == 1
+        }
+
+        /// Number of columns in the set.
+        pub const fn len(self) -> usize {
+            self.0.count_ones() as usize
+        }
+
+        /// `true` iff the set is empty.
+        pub const fn is_empty(self) -> bool {
+            self.0 == 0
+        }
+
+        /// The columns of this set that `other` lacks.
+        pub const fn minus(self, other: ColumnSet) -> ColumnSet {
+            ColumnSet(self.0 & !other.0)
+        }
+    }
+
+    /// The first columns of the layout (id, submit) are delta-encoded.
+    const DELTA_COLUMNS: usize = 2;
+
+    /// One chunk decoded under a projection: the row count, and per
+    /// column (layout order) its values — empty when the column was not
+    /// asked for.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct ChunkColumns {
+        /// Jobs in the chunk, whichever columns were kept.
+        pub rows: usize,
+        /// Decoded values per column; skipped columns stay empty.
+        pub cols: [Vec<u64>; ZONE_COLUMNS],
+    }
+
+    impl ChunkColumns {
+        /// Borrow as the view the query kernel folds.
+        pub fn view(&self) -> ChunkView<'_> {
+            ChunkView::new(self.rows, self.cols.each_ref().map(Vec::as_slice))
+        }
+    }
+
+    /// A chunk's columns borrowed from wherever they live (a fresh
+    /// decode, a cache entry's per-column vectors). The row count does
+    /// not depend on which columns are present; an absent column reads as
+    /// an empty slice.
+    #[derive(Debug, Clone, Copy)]
+    pub struct ChunkView<'a> {
+        rows: usize,
+        cols: [&'a [u64]; ZONE_COLUMNS],
+    }
+
+    impl<'a> ChunkView<'a> {
+        /// A view of `rows` rows over `cols` (layout order).
+        pub fn new(rows: usize, cols: [&'a [u64]; ZONE_COLUMNS]) -> ChunkView<'a> {
+            debug_assert!(cols.iter().all(|c| c.is_empty() || c.len() == rows));
+            ChunkView { rows, cols }
+        }
+
+        /// Number of jobs in the chunk.
+        pub fn len(&self) -> usize {
+            self.rows
+        }
+
+        /// `true` iff the chunk is empty.
+        pub fn is_empty(&self) -> bool {
+            self.rows == 0
+        }
+
+        /// Column `column`'s values (empty if absent or out of range).
+        pub fn column(&self, column: usize) -> &'a [u64] {
+            self.cols.get(column).copied().unwrap_or(&[])
+        }
+    }
+
+    /// Decode the columns of `set` from a chunk payload in one pass,
+    /// stepping over the others (and stopping before the name/path
+    /// columns). A skipped column is still walked varint by varint
+    /// ([`varint::skip_column`]): its count is checked against the
+    /// remaining bytes, truncation and `u64` overflow inside it are
+    /// reported, so every projection accepts and rejects the same payloads
+    /// with the same error.
+    pub fn decode_projected(
+        payload: &[u8],
+        n: usize,
+        set: ColumnSet,
+    ) -> Result<ChunkColumns, StoreError> {
+        decode_projected_at(payload, &mut 0, n, set)
+    }
+
+    fn decode_projected_at(
         payload: &[u8],
         pos: &mut usize,
         n: usize,
-    ) -> Result<NumericColumns, StoreError> {
-        Ok(NumericColumns {
-            ids: varint::get_delta_column(payload, pos, n)?,
-            submits: varint::get_delta_column(payload, pos, n)?,
-            durations: varint::get_column(payload, pos, n)?,
-            inputs: varint::get_column(payload, pos, n)?,
-            shuffles: varint::get_column(payload, pos, n)?,
-            outputs: varint::get_column(payload, pos, n)?,
-            map_times: varint::get_column(payload, pos, n)?,
-            reduce_times: varint::get_column(payload, pos, n)?,
-            map_tasks: varint::get_column(payload, pos, n)?,
-            reduce_tasks: varint::get_column(payload, pos, n)?,
-        })
+        set: ColumnSet,
+    ) -> Result<ChunkColumns, StoreError> {
+        let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
+        for (column, values) in cols.iter_mut().enumerate() {
+            if !set.contains(column) {
+                varint::skip_column(payload, pos, n)?;
+            } else if column < DELTA_COLUMNS {
+                *values = varint::get_delta_column(payload, pos, n)?;
+            } else {
+                *values = varint::get_column(payload, pos, n)?;
+            }
+        }
+        Ok(ChunkColumns { rows: n, cols })
     }
 
     /// Decode `n` jobs from a chunk payload.
@@ -644,7 +792,7 @@ pub mod columns {
             reduce_times,
             map_tasks,
             reduce_tasks,
-        } = decode_numeric_at(payload, pos, n)?;
+        } = decode_projected_at(payload, pos, n, ColumnSet::ALL)?.into();
         let name_lens = varint::get_column(payload, pos, n)?;
         let mut names = Vec::with_capacity(n);
         for &len in &name_lens {

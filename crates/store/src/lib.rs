@@ -204,20 +204,16 @@ mod tests {
         assert_eq!(store.zone_maps().len(), store.chunk_count());
         // Every chunk's zone map brackets every job in the chunk, per
         // column, and is tight (attained by some job).
-        for (idx, zone) in store.zone_maps().iter().enumerate() {
-            let cols = store.read_chunk_columns(idx).unwrap();
-            let per_col: [&[u64]; ZONE_COLUMNS] = [
-                &cols.ids,
-                &cols.submits,
-                &cols.durations,
-                &cols.inputs,
-                &cols.shuffles,
-                &cols.outputs,
-                &cols.map_times,
-                &cols.reduce_times,
-                &cols.map_tasks,
-                &cols.reduce_tasks,
-            ];
+        let all: Vec<usize> = (0..store.chunk_count()).collect();
+        let chunks = store
+            .fold_columns(&all, Vec::new(), |mut acc, _, cols| {
+                acc.push(cols.clone());
+                acc
+            })
+            .unwrap();
+        for (idx, (zone, cols)) in store.zone_maps().iter().zip(&chunks).enumerate() {
+            let view = cols.view();
+            let per_col: [&[u64]; ZONE_COLUMNS] = std::array::from_fn(|c| view.column(c));
             for (c, values) in per_col.iter().enumerate() {
                 assert_eq!(
                     zone.min[c],
@@ -244,14 +240,36 @@ mod tests {
         ))
         .unwrap();
         let selected: Vec<usize> = (0..store.chunk_count()).step_by(2).collect();
-        let fold = |acc: (u64, u64), _idx: usize, cols: &format::columns::NumericColumns| {
-            let sum: u64 = cols.inputs.iter().fold(0u64, |a, &v| a.saturating_add(v));
-            (acc.0 + cols.len() as u64, acc.1.saturating_add(sum))
+        // Input alone: the serial fold by name over all ten columns, the
+        // projected folds over the one the sum reads.
+        let input = format::ZoneMap::IO[0];
+        let sum = |values: &[u64]| values.iter().fold(0u64, |a, &v| a.saturating_add(v));
+        let serial = store
+            .fold_columns(&selected, (0, 0u64), |acc, _idx, cols| {
+                (
+                    acc.0 + cols.len() as u64,
+                    acc.1.saturating_add(sum(&cols.inputs)),
+                )
+            })
+            .unwrap();
+        let set = format::columns::ColumnSet::EMPTY.with(input);
+        let fold = |acc: (u64, u64), _idx: usize, chunk: format::columns::ChunkColumns| {
+            assert!(chunk
+                .cols
+                .iter()
+                .enumerate()
+                .all(|(c, v)| c == input || v.is_empty()));
+            (
+                acc.0 + chunk.rows as u64,
+                acc.1.saturating_add(sum(&chunk.cols[input])),
+            )
         };
-        let serial = store.fold_columns(&selected, (0, 0), fold).unwrap();
+        let projected = store.fold_projected(&selected, set, (0, 0), fold).unwrap();
+        assert_eq!(serial, projected);
         let parallel = store
-            .par_fold_columns(
+            .par_fold_projected(
                 &selected,
+                set,
                 || (0, 0),
                 fold,
                 |a, b| (a.0 + b.0, a.1.saturating_add(b.1)),

@@ -2,6 +2,7 @@
 //! streaming chunk scans at bounded memory, time-range scans that skip
 //! chunks via the index, and a parallel fold over chunks.
 
+use crate::format::columns::{ChunkColumns, ColumnSet, NumericColumns};
 use crate::format::{self, ChunkMeta, Footer, Header, StoredSummary, ZoneMap};
 use crate::StoreError;
 use std::fs::File;
@@ -25,6 +26,13 @@ mod obs {
     /// Chunks whose payload was actually decoded (full-row or numeric
     /// column projection alike).
     pub static CHUNKS_DECODED: Counter = Counter::new("store.chunks_decoded");
+    /// Numeric columns of decoded chunks that were kept: with
+    /// [`COLUMNS_SKIPPED`] it is projection's useful work over attempts
+    /// (the two sum to ten per decoded chunk).
+    pub static COLUMNS_DECODED: Counter = Counter::new("store.columns_decoded");
+    /// Numeric columns of decoded chunks that were stepped over (walked
+    /// and validated, nothing stored).
+    pub static COLUMNS_SKIPPED: Counter = Counter::new("store.columns_skipped");
     /// Chunks skipped by a time-range scan's index check before any
     /// byte of them was read.
     pub static CHUNKS_RANGE_SKIPPED: Counter = Counter::new("store.chunks_range_skipped");
@@ -83,17 +91,24 @@ impl ReadHandle {
     }
 }
 
-/// Decode a chunk payload's numeric column projection, counting the
-/// chunk as decoded and attributing decode time to the
-/// `store.decode_chunk` span. Every numeric decode path funnels through
-/// here so `--profile`'s `store.chunks_decoded` is exact.
-fn decode_numeric_counted(
+/// Open the `store.decode_chunk` span and count one decoded chunk that
+/// keeps `kept` of its ten numeric columns. Every decode path starts
+/// here, so `--profile`'s `store.chunks_decoded` is exact.
+fn begin_decode(kept: usize) -> swim_obs::SpanGuard {
+    obs::CHUNKS_DECODED.incr();
+    obs::COLUMNS_DECODED.add(kept as u64);
+    obs::COLUMNS_SKIPPED.add((format::ZONE_COLUMNS - kept) as u64);
+    swim_obs::span("store.decode_chunk")
+}
+
+/// Decode the columns of `set` from a chunk payload, counted and timed.
+fn decode_counted(
     payload: &[u8],
     job_count: usize,
-) -> Result<format::columns::NumericColumns, StoreError> {
-    let _span = swim_obs::span("store.decode_chunk");
-    obs::CHUNKS_DECODED.incr();
-    format::columns::decode_numeric(payload, job_count)
+    set: ColumnSet,
+) -> Result<ChunkColumns, StoreError> {
+    let _span = begin_decode(set.len());
+    format::columns::decode_projected(payload, job_count, set)
 }
 
 /// An opened columnar trace store: header + chunk index + stored summary.
@@ -314,17 +329,9 @@ impl Store {
     }
 
     fn read_chunk_with(&self, handle: &mut ReadHandle, idx: usize) -> Result<Vec<Job>, StoreError> {
-        let meta = &self.chunks[idx];
-        let block = handle.read_span(meta.offset, meta.block_len)?;
-        let (job_count, _payload_len) = format::decode_chunk_header(&block)?;
-        if u64::from(job_count) != meta.job_count {
-            return Err(StoreError::Corrupt {
-                context: "chunk job count disagrees with index",
-            });
-        }
-        let _span = swim_obs::span("store.decode_chunk");
-        obs::CHUNKS_DECODED.incr();
-        format::columns::decode(&block[format::CHUNK_HEADER_LEN..], job_count as usize)
+        let (job_count, block) = self.read_block_with(handle, idx)?;
+        let _span = begin_decode(format::ZONE_COLUMNS);
+        format::columns::decode(&block[format::CHUNK_HEADER_LEN..], job_count)
     }
 
     /// Decode one chunk by index.
@@ -353,51 +360,36 @@ impl Store {
         Ok((job_count as usize, block))
     }
 
-    /// Decode one chunk's numeric column projection by index (names and
-    /// paths are never touched).
-    pub fn read_chunk_columns(
-        &self,
-        idx: usize,
-    ) -> Result<format::columns::NumericColumns, StoreError> {
-        assert!(idx < self.chunks.len(), "chunk index out of range");
-        let mut handle = self.new_handle()?;
-        let (n, block) = self.read_block_with(&mut handle, idx)?;
-        decode_numeric_counted(&block[format::CHUNK_HEADER_LEN..], n)
-    }
-
     /// Serial fold over an explicit set of chunks (by index, visited in
-    /// the given order) as numeric column projections, sharing one read
-    /// handle. This is `swim-query`'s serial execution path; the parallel
-    /// twin is [`Store::par_fold_columns`].
-    pub fn fold_columns<T, F>(
+    /// the given order), decoding only the numeric columns in `set`: the
+    /// others are stepped over, names and paths are never touched. This
+    /// is the claim loop of [`Store::par_fold_projected`] run by the
+    /// caller alone.
+    pub fn fold_projected<T, F>(
         &self,
         selected: &[usize],
+        set: ColumnSet,
         init: T,
         mut fold: F,
     ) -> Result<T, StoreError>
     where
-        F: FnMut(T, usize, &format::columns::NumericColumns) -> T,
+        F: FnMut(T, usize, ChunkColumns) -> T,
     {
-        let mut handle = self.new_handle()?;
-        let mut acc = init;
-        for &idx in selected {
-            assert!(idx < self.chunks.len(), "chunk index out of range");
-            let (n, block) = self.read_block_with(&mut handle, idx)?;
-            let cols = decode_numeric_counted(&block[format::CHUNK_HEADER_LEN..], n)?;
-            acc = fold(acc, idx, &cols);
-        }
-        Ok(acc)
+        let cursor = AtomicUsize::new(0);
+        self.claim_payloads(selected, &cursor, init, |acc, idx, job_count, payload| {
+            Ok(fold(acc, idx, decode_counted(payload, job_count, set)?))
+        })
     }
 
-    /// Parallel fold over an explicit set of chunks (by index) as numeric
-    /// column projections: workers claim indices off a shared counter,
-    /// decode with their own read handle, and fold into per-worker
-    /// accumulators that are combined with `merge`. Visit order is
-    /// unspecified, so `fold`/`merge` must be order-insensitive for the
-    /// result to match [`Store::fold_columns`].
-    pub fn par_fold_columns<T, I, F, M>(
+    /// Parallel [`Store::fold_projected`]: workers claim indices off a
+    /// shared counter, decode with their own read handle, and fold into
+    /// per-worker accumulators that are combined with `merge`. Visit
+    /// order is unspecified, so `fold`/`merge` must be order-insensitive
+    /// for the result to match the serial fold.
+    pub fn par_fold_projected<T, I, F, M>(
         &self,
         selected: &[usize],
+        set: ColumnSet,
         init: I,
         fold: F,
         merge: M,
@@ -405,18 +397,32 @@ impl Store {
     where
         T: Send,
         I: Fn() -> T + Send + Sync,
-        F: Fn(T, usize, &format::columns::NumericColumns) -> T + Send + Sync,
+        F: Fn(T, usize, ChunkColumns) -> T + Send + Sync,
         M: Fn(T, T) -> T,
     {
         self.par_fold_payloads(
             selected,
             init,
             |acc, idx, job_count, payload| {
-                let cols = decode_numeric_counted(payload, job_count)?;
-                Ok(fold(acc, idx, &cols))
+                Ok(fold(acc, idx, decode_counted(payload, job_count, set)?))
             },
             merge,
         )
+    }
+
+    /// [`Store::fold_projected`] over all ten columns, by name.
+    pub fn fold_columns<T, F>(
+        &self,
+        selected: &[usize],
+        init: T,
+        mut fold: F,
+    ) -> Result<T, StoreError>
+    where
+        F: FnMut(T, usize, &NumericColumns) -> T,
+    {
+        self.fold_projected(selected, ColumnSet::ALL, init, |acc, idx, cols| {
+            fold(acc, idx, &cols.into())
+        })
     }
 
     /// Stream every chunk in order. Memory stays bounded by one chunk.
@@ -571,32 +577,33 @@ impl Store {
         }
     }
 
-    /// Parallel fold over chunks as *numeric column projections*: only the
-    /// ten numeric columns are decoded (they are laid out before names and
-    /// paths, which are never touched), so statistics scans run without a
-    /// single per-job allocation. This is the fast path behind
-    /// [`Store::par_summary`].
-    pub fn par_scan_columns<T, I, F, M>(&self, init: I, fold: F, merge: M) -> Result<T, StoreError>
-    where
-        T: Send,
-        I: Fn() -> T + Send + Sync,
-        F: Fn(T, &format::columns::NumericColumns) -> T + Send + Sync,
-        M: Fn(T, T) -> T,
-    {
-        self.par_fold_payloads(
-            &self.chunks_overlapping(None),
-            init,
-            |acc, _idx, job_count, payload| {
-                let cols = decode_numeric_counted(payload, job_count)?;
-                Ok(fold(acc, &cols))
-            },
-            merge,
-        )
+    /// One worker's share of a fold: claim indices of `selected` off
+    /// `cursor` until none is left, read each chunk's block through one
+    /// handle and hand its payload to `fold_payload`. A lone caller with a
+    /// fresh cursor visits `selected` in order — that is the serial fold.
+    fn claim_payloads<T>(
+        &self,
+        selected: &[usize],
+        cursor: &AtomicUsize,
+        init: T,
+        mut fold_payload: impl FnMut(T, usize, usize, &[u8]) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let mut handle = self.new_handle()?;
+        let mut acc = init;
+        loop {
+            // lint: ordering: work-stealing cursor; chunk handoff is via scoped-thread join
+            let slot = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&idx) = selected.get(slot) else {
+                return Ok(acc);
+            };
+            assert!(idx < self.chunks.len(), "chunk index out of range");
+            let (job_count, block) = self.read_block_with(&mut handle, idx)?;
+            acc = fold_payload(acc, idx, job_count, &block[format::CHUNK_HEADER_LEN..])?;
+        }
     }
 
-    /// Shared worker pool: claims the given chunk indices off a counter,
-    /// hands each chunk's raw payload to `fold_payload`, merges per-worker
-    /// accumulators.
+    /// Shared worker pool: one [`Store::claim_payloads`] loop per core
+    /// over a common cursor, per-worker accumulators merged at the end.
     fn par_fold_payloads<T, I, FP, M>(
         &self,
         selected: &[usize],
@@ -618,32 +625,9 @@ impl Store {
             .unwrap_or(1)
             .min(selected.len());
         let cursor = AtomicUsize::new(0);
-        let (init, fold_payload) = (&init, &fold_payload);
+        let claim = || self.claim_payloads(selected, &cursor, init(), &fold_payload);
         let worker_results: Vec<Result<T, StoreError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| -> Result<T, StoreError> {
-                        let mut handle = self.new_handle()?;
-                        let mut acc = init();
-                        loop {
-                            // lint: ordering: work-stealing cursor; chunk handoff is via scoped-thread join
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&idx) = selected.get(slot) else {
-                                break;
-                            };
-                            assert!(idx < self.chunks.len(), "chunk index out of range");
-                            let (job_count, block) = self.read_block_with(&mut handle, idx)?;
-                            acc = fold_payload(
-                                acc,
-                                idx,
-                                job_count,
-                                &block[format::CHUNK_HEADER_LEN..],
-                            )?;
-                        }
-                        Ok(acc)
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(claim)).collect();
             handles
                 .into_iter()
                 // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
@@ -674,19 +658,32 @@ impl Store {
             min: Option<Timestamp>,
             max: Option<Timestamp>,
         }
-        let acc = self.par_scan_columns(
+        let set = ZoneMap::IO
+            .iter()
+            .fold(ColumnSet::EMPTY.with(ZoneMap::SUBMIT), |set, &c| {
+                set.with(c)
+            });
+        let acc = self.par_fold_projected(
+            &self.chunks_overlapping(None),
+            set,
             || Acc {
                 jobs: 0,
                 bytes: DataSize::ZERO,
                 min: None,
                 max: None,
             },
-            |mut acc, cols| {
+            |mut acc, _idx, chunk| {
+                let cols = chunk.view();
                 acc.jobs += cols.len() as u64;
+                // Per job input + shuffle + output, saturating like
+                // `Job::total_io`.
                 for i in 0..cols.len() {
-                    acc.bytes += cols.total_io(i);
+                    for c in ZoneMap::IO {
+                        acc.bytes += DataSize::from_bytes(cols.column(c)[i]);
+                    }
                 }
-                if let (Some(&first), Some(&last)) = (cols.submits.first(), cols.submits.last()) {
+                let submits = cols.column(ZoneMap::SUBMIT);
+                if let (Some(&first), Some(&last)) = (submits.first(), submits.last()) {
                     // Submits are non-decreasing within a chunk, but take
                     // a defensive min/max of the endpoints anyway.
                     let (lo, hi) = (first.min(last), first.max(last));
