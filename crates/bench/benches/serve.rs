@@ -7,6 +7,11 @@
 //!    admit the fleet — this measures the server, not the limiter).
 //! 2. A warm result-cache pass over 50 distinct queries is at least 2x
 //!    faster than the cold pass that populated it.
+//!
+//! And a third, in counts rather than timings: three passes over those
+//! 50 queries render 50 results, the second pass is answered by 50
+//! canonical-key hits and the third by 50 line-key hits, with every
+//! third-pass body equal to the first-pass body it repeats.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -129,22 +134,39 @@ fn bench_serve(c: &mut Criterion) {
 
     // Headline 2: warm result-cache pass ≥2x faster than the cold pass.
     // 50 distinct queries executed serially over one client; the first
-    // pass computes and populates, the second is served from cache.
+    // pass computes and populates, the second is served from cache (by
+    // canonical key, which files each line), the third by line key.
     let queries = distinct_queries();
-    let (_, cold) = swim_obs::timed("bench.serve_cold_pass", || {
-        for line in &queries {
-            let resp = request(addr, line);
-            assert!(resp.ok, "{}", resp.body_text());
-            assert!(!resp.cached, "first execution must be a cache miss");
-        }
-    });
-    let (_, warm) = swim_obs::timed("bench.serve_warm_pass", || {
-        for line in &queries {
-            let resp = request(addr, line);
-            assert!(resp.ok, "{}", resp.body_text());
-            assert!(resp.cached, "second execution must be a cache hit");
-        }
-    });
+    swim_obs::set_enabled(swim_obs::METRICS);
+    let counts = || {
+        let snap = swim_obs::snapshot();
+        [
+            "serve.renders",
+            "serve.cache_misses",
+            "serve.cache_hits",
+            "serve.cache_line_hits",
+        ]
+        .map(|name| snap.counter(name).unwrap_or(0))
+    };
+    let pass = |cached: bool| -> Vec<Vec<u8>> {
+        queries
+            .iter()
+            .map(|line| {
+                let resp = request(addr, line);
+                assert!(resp.ok, "{}", resp.body_text());
+                assert_eq!(resp.cached, cached, "{line}");
+                resp.body
+            })
+            .collect()
+    };
+    let before = counts();
+    let (first_bodies, cold) = swim_obs::timed("bench.serve_cold_pass", || pass(false));
+    let after_cold = counts();
+    let (_, warm) = swim_obs::timed("bench.serve_warm_pass", || pass(true));
+    let after_warm = counts();
+    let third_bodies = pass(true);
+    let after_third = counts();
+    swim_obs::set_enabled(0);
     eprintln!(
         "result cache: cold pass {cold:?} vs warm pass {warm:?} => {:.1}x faster",
         cold.as_secs_f64() / warm.as_secs_f64()
@@ -152,6 +174,15 @@ fn bench_serve(c: &mut Criterion) {
     assert!(
         warm * 2 <= cold,
         "warm cache must be at least a 2x win: warm {warm:?} vs cold {cold:?}"
+    );
+    // [renders, misses, hits, line hits], pass by pass.
+    let moved = |from: [u64; 4], to: [u64; 4]| [0, 1, 2, 3].map(|i| to[i] - from[i]);
+    assert_eq!(moved(before, after_cold), [50, 50, 0, 0], "cold pass");
+    assert_eq!(moved(after_cold, after_warm), [0, 0, 50, 0], "warm pass");
+    assert_eq!(moved(after_warm, after_third), [0, 0, 50, 50], "third pass");
+    assert_eq!(
+        third_bodies, first_bodies,
+        "a line hit sends the bytes the miss rendered"
     );
 
     let mut group = c.benchmark_group("serve_400k_jobs");

@@ -16,7 +16,7 @@ use swim_report::render::Table;
 use swim_report::{Block, Section};
 
 /// Output rendering selected by `--format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OutputFormat {
     /// Aligned text table (the default).
     #[default]

@@ -20,11 +20,16 @@
 //!    error immediately instead of queueing unboundedly. A fixed worker
 //!    pool drains the queue; graceful shutdown finishes in-flight
 //!    requests before exiting.
-//! 3. **Per-generation result cache.** Query results are cached under
-//!    `(generation, canonical-query)`. A generation bump changes the
-//!    key, so a hit is *always* current for the generation the response
-//!    reports — no invalidation protocol needed, old entries simply age
-//!    out of the LRU.
+//! 3. **Per-generation result cache of rendered responses.** A query
+//!    that misses is executed and rendered once, and the body bytes are
+//!    cached under `(generation, output format, canonical-query)`; the
+//!    second time a request line is seen it is also filed under
+//!    `(generation, trimmed line)` in the same LRU. A hit — after the
+//!    on-disk generation has been peeked, as for every request — is a
+//!    lookup and a write: a repeated line is not even tokenized. A
+//!    generation bump changes both keys, so a hit is *always* current
+//!    for the generation the response reports — no invalidation
+//!    protocol needed, old entries simply age out of the LRU.
 //!
 //! The wire protocol ([`protocol`]) is a hand-rolled line protocol:
 //! one request per line (`query --select count --where "input > 1gb"`,
@@ -46,7 +51,7 @@ pub mod protocol;
 pub mod server;
 pub mod telemetry;
 
-pub use cache::{CacheStats, ResultCache};
+pub use cache::{CacheStats, KeyKind, ResultCache};
 pub use protocol::{ErrorKind, Response};
 pub use server::{serve, ServeError, ServeOptions, ServerHandle, ServerStats};
 pub use telemetry::{AccessRecord, RequestClass, Telemetry, TelemetrySnapshot};

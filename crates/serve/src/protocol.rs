@@ -18,7 +18,8 @@
 //!
 //! A request line is at most [`MAX_REQUEST_LINE`] bytes; a longer one is
 //! answered `error bad_request` without being read to its end, and its
-//! connection is closed.
+//! connection is closed. So is one that takes more than five seconds
+//! from its first byte to its newline.
 //!
 //! **Responses** are a single header line followed by an exact byte
 //! count of body, so a reader never has to guess where a table ends:

@@ -4,14 +4,27 @@
 //!
 //! Every request executes against an `Arc<Session>` pinned to one
 //! catalog generation. Before dispatching, a worker peeks the on-disk
-//! generation (two lines of the `MANIFEST`, which writers replace
-//! atomically — a read never sees a torn file) and, if it moved, opens
-//! a fresh session and retires the old one. In-flight requests keep
+//! generation (the first two lines of the `MANIFEST`, from one bounded
+//! read of its head; writers replace the file atomically, so a read
+//! never sees a torn one) and, if it moved, opens a fresh session and
+//! retires the old one. In-flight requests keep
 //! their `Arc` until they respond, so a concurrent `ingest`/`compact`
 //! never changes what an already-admitted query sees; the response
 //! header reports the exact generation it was computed against.
 //! Retired sessions are tracked as weak references so `vacuum` can wait
 //! for the last old-generation reader before deleting shard files.
+//!
+//! ## The cached request path
+//!
+//! The result cache ([`crate::cache`]) holds rendered response bodies.
+//! A `query` line first pins its session — so the generation is peeked
+//! on every request, before any lookup — then is looked up verbatim
+//! under its line key; a hit is answered there, untokenized. Otherwise
+//! the line is parsed and looked up under its canonical key: a hit
+//! files the line under its line key for next time (unless it carries
+//! `--fault`) and sends the cached bytes; a miss executes, renders once
+//! and inserts. Every `ok` answer, hit or miss, leaves through
+//! `ok_response` and the same telemetry.
 //!
 //! ## Admission control
 //!
@@ -26,12 +39,16 @@
 //!
 //! Each request runs under `catch_unwind`: a panicking request turns
 //! into an `internal` error response and the worker thread lives on.
+//! A request line is bounded in length ([`protocol::MAX_REQUEST_LINE`])
+//! and in time (`LINE_DEADLINE`, 5 s from its first byte to its newline);
+//! past either it is refused `bad_request` and its connection closed.
 //! Shutdown (the `shutdown` command, or [`ServerHandle::shutdown`])
 //! stops admission, lets every in-flight request finish, answers
 //! queued-but-unstarted connections with a `shutdown` error, and joins
 //! the threads.
 
 use std::collections::VecDeque;
+use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,7 +64,7 @@ use swim_obs::clock;
 use swim_obs::{Counter, Gauge};
 use swim_query::{cli, Session};
 
-use crate::cache::{CacheStats, ResultCache};
+use crate::cache::{CacheStats, KeyKind, ResultCache};
 use crate::protocol::{self, ErrorKind};
 use crate::telemetry::{self, AccessRecord, RequestClass, Telemetry};
 
@@ -57,6 +74,12 @@ static RESPONSES_ERROR: Counter = Counter::new("serve.responses_error");
 static OVERLOADED: Counter = Counter::new("serve.overloaded");
 static WORKER_PANICS: Counter = Counter::new("serve.worker_panics");
 static SNAPSHOT_REFRESHES: Counter = Counter::new("serve.snapshot_refreshes");
+/// Peeks that found the `MANIFEST` unreadable or malformed; the server
+/// keeps serving the snapshot it has.
+static GENERATION_PEEK_FAILED: Counter = Counter::new("serve.generation_peek_failed");
+/// Query results rendered into a response body: one per result-cache
+/// miss that executed, none per hit.
+static RENDERS: Counter = Counter::new("serve.renders");
 static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue_depth");
 // Per-request latency deliberately has NO lifetime `Histogram` static:
 // a lifetime histogram retains every sample, which is unbounded memory
@@ -66,9 +89,18 @@ static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue_depth");
 /// How long a blocked read waits before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
 
+/// How long a request line may take from its first byte to its newline.
+/// A legitimate client sends a line in one write; one that drips bytes
+/// faster than [`READ_POLL`] would otherwise hold its worker and its
+/// admission permit for as long as it liked.
+const LINE_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Bytes of a refused request line discarded before its connection is
 /// closed, so the client can finish sending and read the refusal.
-const REFUSED_DRAIN: u64 = 16 * protocol::MAX_REQUEST_LINE as u64;
+const REFUSED_DRAIN: usize = 16 * protocol::MAX_REQUEST_LINE;
+/// The longest that discarding may take, however slowly the rest of
+/// the refused line arrives.
+const REFUSED_DRAIN_FOR: Duration = Duration::from_secs(1);
 /// Polling step while `vacuum` waits (up to
 /// [`ServeOptions::vacuum_wait_ms`]) for old-generation readers.
 const VACUUM_WAIT_STEP: Duration = Duration::from_millis(10);
@@ -188,6 +220,8 @@ pub struct ServerStats {
 
 struct Shared {
     dir: PathBuf,
+    /// `dir`'s `MANIFEST`, joined once: it is peeked on every request.
+    manifest: PathBuf,
     options: ServeOptions,
     local_addr: SocketAddr,
     /// Current snapshot session; swapped whole on generation change.
@@ -254,16 +288,54 @@ fn lock<'a, T>(m: &'a StdMutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Cheap on-disk generation peek: the first two `MANIFEST` lines.
-/// Writers replace the file atomically (fsynced temp + rename), so a
-/// read sees either the old or the new manifest, never a torn mix.
-fn peek_generation(dir: &Path) -> Option<u64> {
-    let text = std::fs::read_to_string(dir.join(MANIFEST_FILE)).ok()?;
-    let mut lines = text.lines();
-    if !lines.next()?.starts_with("swim-catalog-manifest") {
+/// Bytes of the `MANIFEST` a peek reads. The two lines it parses are at
+/// most 57 (a 24-byte header, `generation ` and a 20-digit number, two
+/// newlines).
+const MANIFEST_HEAD: usize = 128;
+
+/// Cheap on-disk generation peek: the first two `MANIFEST` lines, from
+/// one bounded read of the file's head — no heap, and a cost that does
+/// not grow with the shard list below them. Writers replace the file
+/// atomically (fsynced temp + rename), so a read sees either the old or
+/// the new manifest, never a torn mix.
+fn peek_generation(manifest: &Path) -> Option<u64> {
+    let mut file = File::open(manifest).ok()?;
+    let mut head = [0u8; MANIFEST_HEAD];
+    let mut len = 0;
+    while len < head.len() {
+        match file.read(&mut head[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return None,
+        }
+    }
+    parse_manifest_head(&head[..len], len < head.len())
+}
+
+/// The generation a manifest starting with `head` declares; `whole` says
+/// that `head` is the entire file. Anything but the header line and a
+/// `generation N` line is `None`, as is a second line that `head` cuts
+/// short — half a number is not a generation.
+fn parse_manifest_head(head: &[u8], whole: bool) -> Option<u64> {
+    let text = match std::str::from_utf8(head) {
+        Ok(text) => text,
+        // The cut fell inside a multi-byte character further down.
+        Err(e) if !whole && e.error_len().is_none() => {
+            std::str::from_utf8(&head[..e.valid_up_to()]).ok()?
+        }
+        Err(_) => return None,
+    };
+    let (header, rest) = text.split_once('\n')?;
+    if !header.starts_with("swim-catalog-manifest") {
         return None;
     }
-    lines.next()?.strip_prefix("generation ")?.parse().ok()
+    let line = match rest.split_once('\n') {
+        Some((line, _)) => line.strip_suffix('\r').unwrap_or(line),
+        None if whole => rest,
+        None => return None,
+    };
+    line.strip_prefix("generation ")?.parse().ok()
 }
 
 impl Shared {
@@ -272,7 +344,10 @@ impl Shared {
     /// old session is retired, not dropped — in-flight requests keep
     /// their `Arc` and finish against the generation they started with.
     fn current_session(self: &Arc<Self>) -> Arc<Session> {
-        let on_disk = peek_generation(&self.dir);
+        let on_disk = peek_generation(&self.manifest);
+        if on_disk.is_none() {
+            GENERATION_PEEK_FAILED.incr();
+        }
         let mut snap = self.snapshot.lock();
         if let Some(generation) = on_disk {
             if snap.generation() != Some(generation) {
@@ -424,6 +499,7 @@ pub fn serve(dir: impl AsRef<Path>, options: ServeOptions) -> Result<ServerHandl
             err,
         })?;
     let shared = Arc::new(Shared {
+        manifest: dir.join(MANIFEST_FILE),
         dir,
         options,
         local_addr,
@@ -546,14 +622,21 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
         let line = match read_request_line(shared, &mut reader, &mut buf) {
             LineRead::Closed => return,
             // Refused below, through the same accounting as any request.
-            LineRead::Oversize => None,
+            LineRead::Oversize => Err(format!(
+                "request line longer than {} bytes",
+                protocol::MAX_REQUEST_LINE
+            )),
+            LineRead::Slow => Err(format!(
+                "request line not finished within {} s of its first byte",
+                LINE_DEADLINE.as_secs()
+            )),
             LineRead::Line => {
                 line_text = String::from_utf8_lossy(&buf);
                 let line = line_text.trim();
                 if line.is_empty() {
                     continue;
                 }
-                Some(line)
+                Ok(line)
             }
         };
         REQUESTS.incr();
@@ -565,15 +648,11 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
         // The hierarchical span (when `SWIM_OBS=spans`) nests execute/
         // render and any store/query spans under one request path.
         let span = swim_obs::span("serve.request");
-        let outcome = catch_unwind(AssertUnwindSafe(|| match line {
-            Some(line) => process_request(shared, line, &mut meta),
-            None => {
-                let message = format!(
-                    "request line longer than {} bytes",
-                    protocol::MAX_REQUEST_LINE
-                );
+        let outcome = catch_unwind(AssertUnwindSafe(|| match &line {
+            Ok(line) => process_request(shared, line, &mut meta),
+            Err(refusal) => {
                 let (response, _) =
-                    error_response(shared, &mut meta, ErrorKind::BadRequest, &message);
+                    error_response(shared, &mut meta, ErrorKind::BadRequest, refusal);
                 (response, Action::Close)
             }
         }));
@@ -593,14 +672,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
         shared.telemetry.record_request(meta.class, total_us);
         shared.telemetry.log_access(&AccessRecord {
             id: request_id,
-            command: meta.command.to_owned(),
+            command: meta.command,
             generation: meta.generation,
             cached: meta.cached,
             queue_us: if first_request { queue_us } else { 0 },
             execute_us: meta.execute_us,
             render_us: meta.render_us,
             total_us,
-            outcome: meta.outcome.to_owned(),
+            outcome: meta.outcome,
         });
         first_request = false;
         match outcome {
@@ -617,11 +696,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
                         // The rest of the refused line may still be on
                         // its way: closing over unread bytes resets the
                         // connection and can take the answer with it, so
-                        // discard a bounded amount first (until EOF, a
-                        // read timeout, or the limit).
+                        // discard a bounded amount first.
                         let _ = stream.shutdown(std::net::Shutdown::Write);
-                        let mut rest = reader.by_ref().take(REFUSED_DRAIN);
-                        let _ = std::io::copy(&mut rest, &mut std::io::sink());
+                        drain_refused(&mut reader);
                         return;
                     }
                     Action::Shutdown => {
@@ -658,41 +735,44 @@ enum LineRead {
     /// More than [`protocol::MAX_REQUEST_LINE`] bytes arrived without a
     /// newline; the buffer holds the cap and one byte, never more.
     Oversize,
+    /// [`LINE_DEADLINE`] passed between the line's first byte and its
+    /// newline; the buffer holds what had arrived, never more.
+    Slow,
     /// The connection is done (clean EOF, I/O error, or shutdown drain).
     Closed,
 }
 
 /// Accumulate one `\n`-terminated line of at most
 /// [`protocol::MAX_REQUEST_LINE`] bytes into `buf`, polling the shutdown
-/// flag across read timeouts. Each read is limited to what the cap still
-/// allows plus one byte, so a client that never sends a newline costs the
-/// cap in memory, not what it sends.
+/// flag across read timeouts. Each step takes what the cap still allows
+/// plus one byte, so a client that never sends a newline costs the cap
+/// in memory, not what it sends; and the loop is this function's own,
+/// not one inside the standard library, so a line that has started is
+/// held to [`LINE_DEADLINE`] however steadily its bytes keep coming.
 fn read_request_line(
     shared: &Shared,
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
 ) -> LineRead {
-    let done = |buf: &[u8]| {
-        if buf.is_empty() {
-            LineRead::Closed
-        } else {
-            LineRead::Line
-        }
-    };
+    let mut started_us = None;
     loop {
-        let room = (protocol::MAX_REQUEST_LINE + 1).saturating_sub(buf.len());
-        match reader.by_ref().take(room as u64).read_until(b'\n', buf) {
+        match reader.fill_buf() {
             // EOF: serve a final unterminated line if one accumulated.
-            Ok(0) => return done(buf),
-            Ok(_) => {
-                if buf.ends_with(b"\n") {
+            Ok([]) if buf.is_empty() => return LineRead::Closed,
+            Ok([]) => return LineRead::Line,
+            Ok(available) => {
+                let room = (protocol::MAX_REQUEST_LINE + 1).saturating_sub(buf.len());
+                let take = &available[..available.len().min(room)];
+                let newline = take.iter().position(|&b| b == b'\n');
+                let used = newline.map_or(take.len(), |at| at + 1);
+                buf.extend_from_slice(&take[..used]);
+                reader.consume(used);
+                if newline.is_some() {
                     return LineRead::Line;
                 }
                 if buf.len() > protocol::MAX_REQUEST_LINE {
                     return LineRead::Oversize;
                 }
-                // read_until returned without a delimiter: EOF mid-line.
-                return done(buf);
             }
             Err(e)
                 if matches!(
@@ -700,13 +780,40 @@ fn read_request_line(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                // Partial bytes read before the timeout stay in `buf`.
                 if shared.is_shutting_down() {
                     return LineRead::Closed;
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return LineRead::Closed,
+        }
+        // Part of a line is held: its deadline runs from here.
+        if !buf.is_empty() {
+            let now_us = clock::now_us();
+            let waited_us = now_us.saturating_sub(*started_us.get_or_insert(now_us));
+            if Duration::from_micros(waited_us) > LINE_DEADLINE {
+                return LineRead::Slow;
+            }
+        }
+    }
+}
+
+/// Discard what a refused client is still sending: until EOF, a read
+/// timeout, [`REFUSED_DRAIN`] bytes or [`REFUSED_DRAIN_FOR`], whichever
+/// comes first.
+fn drain_refused(reader: &mut BufReader<TcpStream>) {
+    let started_us = clock::now_us();
+    let mut left = REFUSED_DRAIN;
+    while left > 0
+        && Duration::from_micros(clock::now_us().saturating_sub(started_us)) < REFUSED_DRAIN_FOR
+    {
+        match reader.fill_buf() {
+            Ok([]) | Err(_) => return,
+            Ok(available) => {
+                let used = available.len().min(left);
+                reader.consume(used);
+                left -= used;
+            }
         }
     }
 }
@@ -777,7 +884,32 @@ fn error_response(
     (protocol::encode_error(kind, message), Action::Continue)
 }
 
+/// A `query` line recognised before it is parsed: the session its
+/// request is pinned to, and the line as the cache may key it.
+struct PinnedLine<'a> {
+    session: Arc<Session>,
+    line: &'a str,
+}
+
 fn process_request(shared: &Arc<Shared>, line: &str, meta: &mut ReqMeta) -> (Vec<u8>, Action) {
+    // A line whose first word is the bare `query` is a query request
+    // however the rest of it tokenizes. Its session is pinned — the
+    // on-disk generation peeked — before anything else, and a line this
+    // generation has already answered twice is answered again here,
+    // unparsed. Only this spelling is ever looked up or filed under a
+    // line key; `"query" …` works, and takes the whole path every time.
+    let pinned = (line.split_whitespace().next() == Some("query")).then(|| PinnedLine {
+        session: shared.current_session(),
+        line,
+    });
+    if let Some(pinned) = &pinned {
+        let generation = pinned.session.generation().unwrap_or(0);
+        if let Some(body) = shared.cache.lookup(generation, KeyKind::Line, line) {
+            meta.command = "query";
+            meta.class = RequestClass::Cached;
+            return ok_response(shared, meta, generation, true, &body);
+        }
+    }
     let tokens = match protocol::tokenize(line) {
         Ok(t) => t,
         Err(msg) => return error_response(shared, meta, ErrorKind::BadRequest, &msg),
@@ -793,7 +925,7 @@ fn process_request(shared: &Arc<Shared>, line: &str, meta: &mut ReqMeta) -> (Vec
         }
         "query" => {
             meta.command = "query";
-            handle_query(shared, meta, rest)
+            handle_query(shared, meta, rest, pinned)
         }
         "stats" => {
             meta.command = "stats";
@@ -858,7 +990,12 @@ fn parse_fault(value: &str) -> Result<Fault, String> {
     ))
 }
 
-fn handle_query(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (Vec<u8>, Action) {
+fn handle_query(
+    shared: &Arc<Shared>,
+    meta: &mut ReqMeta,
+    args: &[String],
+    pinned: Option<PinnedLine<'_>>,
+) -> (Vec<u8>, Action) {
     meta.class = RequestClass::Query;
     let mut flags = cli::QueryFlags::new();
     let mut fault = None;
@@ -927,7 +1064,12 @@ fn handle_query(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (V
         // contains the unwind and the test battery asserts recovery.
         panic!("injected fault: --fault panic");
     }
-    let session = shared.current_session();
+    // A line that injects a fault must do so every time it is sent, so
+    // it is never filed under a line key.
+    let (session, repeatable_line) = match pinned {
+        Some(pinned) => (pinned.session, fault.is_none().then_some(pinned.line)),
+        None => (shared.current_session(), None),
+    };
     let generation = session.generation().unwrap_or(0);
     if let Some(Fault::SleepMs(ms)) = fault {
         // The session Arc stays pinned across the sleep: if the
@@ -938,39 +1080,40 @@ fn handle_query(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (V
     // The typed Query's Debug form is deterministic, so it is the
     // canonical cache key (`--serial` is excluded on purpose: parallel
     // and serial execution are bit-identical).
+    let kind = KeyKind::Canonical(flags.format);
     let canonical = format!("{query:?}");
-    let (result, cached) = match shared.cache.lookup(generation, &canonical) {
-        Some(hit) => (hit, true),
-        None => {
-            let (executed, elapsed) =
-                swim_obs::timed("serve.execute", || session.execute(&query, flags.serial));
-            meta.execute_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-            match executed {
-                Ok(fresh) => {
-                    let fresh = Arc::new(fresh);
-                    shared
-                        .cache
-                        .insert(generation, canonical, Arc::clone(&fresh));
-                    (fresh, false)
-                }
-                Err(e) => return error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
-            }
+    if let Some(body) = shared.cache.lookup(generation, kind, &canonical) {
+        // Second sighting of this line: from now on it is answered by
+        // `process_request` without being parsed.
+        if let Some(line) = repeatable_line {
+            shared
+                .cache
+                .insert(generation, KeyKind::Line, line, Arc::clone(&body));
         }
+        meta.class = RequestClass::Cached;
+        return ok_response(shared, meta, generation, true, &body);
+    }
+    let (executed, elapsed) =
+        swim_obs::timed("serve.execute", || session.execute(&query, flags.serial));
+    meta.execute_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+    let result = match executed {
+        Ok(result) => result,
+        Err(e) => return error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
     };
-    meta.class = if cached {
-        RequestClass::Cached
-    } else {
-        RequestClass::Query
-    };
+    // Rendered once, here; every later hit sends these bytes as they are.
     let (body, render_elapsed) = swim_obs::timed("serve.render", || {
         let title = format!("swim-serve: generation {generation}");
         let mut body = cli::render_for(&result.output, flags.format, &title).into_bytes();
         body.extend_from_slice(result.summary.as_bytes());
         body.push(b'\n');
-        body
+        Arc::<[u8]>::from(body)
     });
+    RENDERS.incr();
     meta.render_us = u64::try_from(render_elapsed.as_micros()).unwrap_or(u64::MAX);
-    ok_response(shared, meta, generation, cached, &body)
+    shared
+        .cache
+        .insert(generation, kind, &canonical, Arc::clone(&body));
+    ok_response(shared, meta, generation, false, &body)
 }
 
 /// Parse the shared `[--format text|json] [--mask]` tail of the
@@ -1204,5 +1347,137 @@ fn handle_vacuum(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (
             ok_response(shared, meta, generation, false, body.as_bytes())
         }
         Err(e) => error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The peek as it was before it became a bounded read — the whole
+    /// file read and validated — kept as the oracle for the new one.
+    fn peek_generation_whole_file(manifest: &Path) -> Option<u64> {
+        let text = std::fs::read_to_string(manifest).ok()?;
+        let mut lines = text.lines();
+        if !lines.next()?.starts_with("swim-catalog-manifest") {
+            return None;
+        }
+        lines.next()?.strip_prefix("generation ")?.parse().ok()
+    }
+
+    fn scratch_manifest(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("swim-serve-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(MANIFEST_FILE)
+    }
+
+    /// Every way of putting a head together from these parts — empty,
+    /// one line, no trailing newline, CRLF, a first line longer than the
+    /// head, bad UTF-8 after the second line, a character cut by the end
+    /// of the head, 20-digit and overflowing generations — reads the
+    /// same through the bounded peek as through the whole-file one.
+    #[test]
+    fn bounded_peek_agrees_with_the_whole_file_peek() {
+        let headers: [&[u8]; 6] = [
+            b"swim-catalog-manifest v1",
+            b"swim-catalog-manifest",
+            b"swim-catalog-manifest v1\r",
+            b"not-a-manifest v9",
+            &[b'x'; 200],
+            b"",
+        ];
+        let generations: [&[u8]; 12] = [
+            b"generation 3",
+            b"generation 0",
+            b"generation 18446744073709551615",
+            b"generation 18446744073709551616",
+            b"generation 00000000000000000042",
+            b"generation +7",
+            b"generation -1",
+            b"generation  3",
+            b"generation 3 ",
+            b"generation",
+            b"Generation 3",
+            b"",
+        ];
+        let long_tail = [b"\nshards 0\n".as_slice(), &[b'a'; 300]].concat();
+        let wide_tail = ["\n", &"é".repeat(100), "\n"].concat();
+        let tails: [&[u8]; 9] = [
+            b"",
+            b"\n",
+            b"\r\n",
+            b"\r",
+            b"\nshards 1\nshard\tshard-000001.swim\tv=2\n",
+            b"\r\nshards 0\r\n",
+            b"\nshards 1\n\xff\xfe\n",
+            &long_tail,
+            wide_tail.as_bytes(),
+        ];
+        let manifest = scratch_manifest("peek-oracle");
+        let mut agreed_on_some = 0;
+        let mut check = |content: &[u8]| {
+            std::fs::write(&manifest, content).unwrap();
+            let want = peek_generation_whole_file(&manifest);
+            assert_eq!(
+                peek_generation(&manifest),
+                want,
+                "manifest {:?}",
+                String::from_utf8_lossy(content)
+            );
+            agreed_on_some += usize::from(want.is_some());
+        };
+        check(b"");
+        for header in headers {
+            check(header);
+            for generation in generations {
+                for tail in tails {
+                    check(&[header, b"\n", generation, tail].concat());
+                }
+            }
+        }
+        assert!(agreed_on_some > 50, "the battery must reach `Some`");
+        std::fs::remove_file(&manifest).unwrap();
+        assert_eq!(peek_generation(&manifest), None, "no file");
+    }
+
+    /// Where the bounded peek differs, on manifests the catalog never
+    /// writes: it does not see past its head. A header line padded
+    /// beyond it hides the generation (refused — the server keeps its
+    /// snapshot and counts a failed peek), and damage further down is
+    /// left for `Catalog::open` to find when the generation moves.
+    #[test]
+    fn bounded_peek_reads_only_the_head() {
+        let manifest = scratch_manifest("peek-head");
+        let padded = [
+            b"swim-catalog-manifest v1 ".as_slice(),
+            &[b' '; MANIFEST_HEAD],
+            b"\ngeneration 3\n",
+        ]
+        .concat();
+        std::fs::write(&manifest, &padded).unwrap();
+        assert_eq!(peek_generation_whole_file(&manifest), Some(3));
+        assert_eq!(peek_generation(&manifest), None);
+        // A number the head cuts in two is not a generation.
+        let cut = [
+            b"swim-catalog-manifest v1".as_slice(),
+            &[b' '; MANIFEST_HEAD - 24 - 1 - 12],
+            b"\ngeneration 34\n",
+        ]
+        .concat();
+        assert!(cut[..MANIFEST_HEAD].ends_with(b"generation 3"));
+        std::fs::write(&manifest, &cut).unwrap();
+        assert_eq!(peek_generation_whole_file(&manifest), Some(34));
+        assert_eq!(peek_generation(&manifest), None);
+
+        let damaged = [
+            b"swim-catalog-manifest v1\ngeneration 3\nshards 0\n".as_slice(),
+            &[b'a'; MANIFEST_HEAD],
+            b"\xff\n",
+        ]
+        .concat();
+        std::fs::write(&manifest, &damaged).unwrap();
+        assert_eq!(peek_generation_whole_file(&manifest), None);
+        assert_eq!(peek_generation(&manifest), Some(3));
+        std::fs::remove_file(&manifest).unwrap();
     }
 }

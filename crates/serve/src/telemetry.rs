@@ -27,7 +27,10 @@
 //! `id` is the server's monotonic request id (also attached to the
 //! request's [`swim_obs::flight`] event), `queue_us` is the admission
 //! queue wait (attributed to the connection's first request),
-//! `outcome` is `ok`, the error kind token, or `panic`.
+//! `outcome` is `ok`, the error kind token, or `panic`. `execute_us`
+//! and `render_us` are what this request spent executing and rendering:
+//! both read 0 on a result-cache hit (`"cached":1`), which sends bytes
+//! that the miss before it rendered.
 //!
 //! ## Wire renderings
 //!
@@ -72,13 +75,14 @@ pub enum RequestClass {
 }
 
 /// One access-log line, before encoding. Field order here is the field
-/// order on the wire.
+/// order on the wire. The two text fields are fixed tokens, so a record
+/// costs nothing to build when the log is off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessRecord {
     /// Monotonic per-server request id.
     pub id: u64,
     /// First token of the request line (`"unknown"` when unparsable).
-    pub command: String,
+    pub command: &'static str,
     /// Generation the response was computed against (0 for errors).
     pub generation: u64,
     /// Whether the result came from the result cache.
@@ -88,12 +92,13 @@ pub struct AccessRecord {
     pub queue_us: u64,
     /// Execution time, microseconds (0 for cache hits and non-queries).
     pub execute_us: u64,
-    /// Render time, microseconds.
+    /// Render time, microseconds (0 for cache hits, which send the bytes
+    /// rendered by the miss that cached them, and for non-queries).
     pub render_us: u64,
     /// Whole-request wall time, microseconds.
     pub total_us: u64,
     /// `"ok"`, an error kind token, or `"panic"`.
-    pub outcome: String,
+    pub outcome: &'static str,
 }
 
 impl AccessRecord {
@@ -103,14 +108,14 @@ impl AccessRecord {
             "{{\"id\":{},\"command\":{},\"generation\":{},\"cached\":{},\"queue_us\":{},\
              \"execute_us\":{},\"render_us\":{},\"total_us\":{},\"outcome\":{}}}",
             self.id,
-            json_string(&self.command),
+            json_string(self.command),
             self.generation,
             u8::from(self.cached),
             self.queue_us,
             self.execute_us,
             self.render_us,
             self.total_us,
-            json_string(&self.outcome),
+            json_string(self.outcome),
         )
     }
 }
@@ -461,14 +466,14 @@ mod tests {
     fn access_record_encodes_and_escapes() {
         let record = AccessRecord {
             id: 7,
-            command: "query".into(),
+            command: "query",
             generation: 2,
             cached: true,
             queue_us: 41,
             execute_us: 0,
             render_us: 9,
             total_us: 60,
-            outcome: "ok".into(),
+            outcome: "ok",
         };
         assert_eq!(
             record.to_json(),
@@ -530,14 +535,14 @@ mod tests {
         for id in 1..=3u64 {
             t.log_access(&AccessRecord {
                 id,
-                command: "ping".into(),
+                command: "ping",
                 generation: 0,
                 cached: false,
                 queue_us: 0,
                 execute_us: 0,
                 render_us: 0,
                 total_us: 1,
-                outcome: "ok".into(),
+                outcome: "ok",
             });
         }
         let text = std::fs::read_to_string(&path).unwrap();

@@ -1,5 +1,5 @@
 //! The result-cache contract, under random interleavings: a hit is
-//! returned iff `(generation, canonical-query)` matches an insert, a
+//! returned iff `(generation, key kind, text)` matches an insert, a
 //! generation bump never serves a stale entry, and cached responses are
 //! bit-for-bit equal to freshly executed ones.
 
@@ -9,57 +9,54 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use swim_query::{ExecStats, QueryOutput, SessionResult};
-use swim_serve::{serve, ResultCache, ServeOptions};
+use swim_query::cli::OutputFormat;
+use swim_serve::{serve, KeyKind, ResultCache, ServeOptions};
 
-/// A distinguishable result: the tag round-trips through the cache.
-fn tagged(tag: u64) -> Arc<SessionResult> {
-    Arc::new(SessionResult {
-        output: QueryOutput {
-            columns: vec!["count".into()],
-            rows: Vec::new(),
-            stats: ExecStats::default(),
-        },
-        summary: format!("result {tag}"),
-        generation: Some(tag),
-    })
+/// A distinguishable body: the tag round-trips through the cache.
+fn tagged(tag: u64) -> Arc<[u8]> {
+    Arc::from(format!("result {tag}\n").into_bytes())
 }
+
+/// The kinds of key one text can be filed under.
+const KINDS: [KeyKind; 3] = [
+    KeyKind::Canonical(OutputFormat::Table),
+    KeyKind::Canonical(OutputFormat::Json),
+    KeyKind::Line,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// With capacity beyond the working set (no evictions), the cache
-    /// behaves exactly like a map keyed `(generation, query)`: every
-    /// lookup returns precisely what the latest matching insert put in,
-    /// and nothing across generations.
+    /// behaves exactly like a map keyed `(generation, kind, text)`:
+    /// every lookup returns precisely what the latest matching insert
+    /// put in, and nothing across generations, formats or key kinds.
     #[test]
     fn cache_is_a_per_generation_map(
-        ops in prop::collection::vec((any::<bool>(), 0u64..4, 0u8..6), 1..120)
+        ops in prop::collection::vec((any::<bool>(), 0u64..4, 0usize..3, 0u8..6), 1..120)
     ) {
         let cache = ResultCache::new(1024);
-        let mut model: HashMap<(u64, String), u64> = HashMap::new();
+        let mut model: HashMap<(u64, usize, String), u64> = HashMap::new();
         let mut tag = 0u64;
-        for (is_insert, generation, key) in ops {
-            let canonical = format!("query-{key}");
+        for (is_insert, generation, kind, key) in ops {
+            let text = format!("query-{key}");
             if is_insert {
                 tag += 1;
-                cache.insert(generation, canonical.clone(), tagged(tag));
-                model.insert((generation, canonical), tag);
+                cache.insert(generation, KINDS[kind], &text, tagged(tag));
+                model.insert((generation, kind, text), tag);
             } else {
-                let got = cache.lookup(generation, &canonical);
-                match (got, model.get(&(generation, canonical))) {
+                let got = cache.lookup(generation, KINDS[kind], &text);
+                match (got, model.get(&(generation, kind, text))) {
                     (None, None) => {}
                     (Some(hit), Some(&expect)) => {
-                        // Bit-for-bit: the cached value IS the inserted
-                        // value (structural equality over the whole
-                        // result, not just the tag).
-                        let want = tagged(expect);
-                        prop_assert_eq!(hit.as_ref(), want.as_ref());
+                        // Bit-for-bit: the cached bytes ARE the inserted
+                        // bytes.
+                        prop_assert_eq!(hit, tagged(expect));
                     }
                     (got, want) => prop_assert!(
                         false,
                         "lookup/model disagree: got {:?}, want tag {:?}",
-                        got.map(|r| r.summary.clone()),
+                        got,
                         want
                     ),
                 }
@@ -84,21 +81,16 @@ proptest! {
         let mut last_for_probe = None;
         for (i, (generation, key)) in inserts.iter().enumerate() {
             let tag = i as u64 + 1;
-            cache.insert(*generation, format!("query-{key}"), tagged(tag));
+            cache.insert(*generation, KINDS[0], &format!("query-{key}"), tagged(tag));
             if (*generation, *key) == (probe_gen, probe_key) {
                 last_for_probe = Some(tag);
             }
         }
-        let got = cache.lookup(probe_gen, &format!("query-{probe_key}"));
+        let got = cache.lookup(probe_gen, KINDS[0], &format!("query-{probe_key}"));
         match (got, last_for_probe) {
             (None, None) => {}
-            (Some(hit), Some(tag)) => prop_assert_eq!(hit.summary.clone(), format!("result {tag}")),
-            (got, want) => prop_assert!(
-                false,
-                "probe disagreed: got {:?}, want {:?}",
-                got.map(|r| r.summary.clone()),
-                want
-            ),
+            (Some(hit), Some(tag)) => prop_assert_eq!(hit, tagged(tag)),
+            (got, want) => prop_assert!(false, "probe disagreed: got {:?}, want {:?}", got, want),
         }
     }
 }

@@ -11,9 +11,8 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Mutex;
 
-use swim_catalog::Catalog;
-use swim_query::{cli, Session};
-use swim_serve::protocol::{self, Response};
+use support::serial_oracle;
+use swim_serve::protocol::Response;
 use swim_serve::{serve, ServeOptions};
 
 /// Mixed query lines: global aggregates, group-bys, predicates, every
@@ -27,39 +26,6 @@ const MIX: &[&str] = &[
     "query --select \"sum(input),avg(duration)\" --format md",
     "query --select \"count,p90(total_task_time)\" --serial",
 ];
-
-/// Re-execute one wire query line serially against the catalog at
-/// `generation` and render it exactly as the server does.
-fn serial_oracle(dir: &Path, generation: u64, line: &str) -> Vec<u8> {
-    let tokens = protocol::tokenize(line).unwrap();
-    assert_eq!(tokens[0], "query");
-    let mut flags = cli::QueryFlags::new();
-    let mut iter = tokens[1..].iter();
-    while let Some(arg) = iter.next() {
-        let consumed = flags
-            .accept(arg, || {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{arg} requires a value"))
-            })
-            .unwrap();
-        assert!(consumed, "oracle saw unexpected token {arg}");
-    }
-    flags.validate().unwrap();
-    let query = flags.build_query().unwrap();
-    let session = Session::from_catalog(Catalog::open(dir).unwrap());
-    assert_eq!(
-        session.generation(),
-        Some(generation),
-        "oracle opened a different generation than the writer just published"
-    );
-    let result = session.execute(&query, true).unwrap();
-    let title = format!("swim-serve: generation {generation}");
-    let mut body = cli::render_for(&result.output, flags.format, &title).into_bytes();
-    body.extend_from_slice(result.summary.as_bytes());
-    body.push(b'\n');
-    body
-}
 
 fn record_oracle(dir: &Path, generation: u64, oracle: &Mutex<HashMap<(u64, usize), Vec<u8>>>) {
     let mut map = oracle.lock().unwrap();

@@ -1,8 +1,8 @@
 //! Fault injection: kill a worker mid-request (`--fault panic`), drop
-//! client connections mid-request and mid-response, and send request
-//! lines past the protocol's length cap. The server must stay up,
-//! account every admission permit (none leak), and keep serving
-//! afterwards.
+//! client connections mid-request and mid-response, send request lines
+//! past the protocol's length cap, and drip one a byte at a time. The
+//! server must stay up, account every admission permit (none leak), and
+//! keep serving afterwards.
 
 mod support;
 
@@ -10,7 +10,24 @@ use std::io::{Read, Write};
 use std::time::Duration;
 
 use swim_serve::protocol::{self, ErrorKind};
-use swim_serve::{serve, ServeOptions};
+use swim_serve::{serve, ServeOptions, ServerHandle};
+
+/// Wait (up to 5 s) for every admission permit to come back, then
+/// assert that they did.
+fn assert_permits_drain(handle: &ServerHandle) {
+    let mut stats = handle.stats();
+    for _ in 0..500 {
+        if stats.admitted == 0 && stats.queued == 0 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        stats = handle.stats();
+    }
+    panic!(
+        "admission permits leaked: admitted={} queued={}",
+        stats.admitted, stats.queued
+    );
+}
 
 #[test]
 fn panics_and_dropped_connections_leave_no_leaks() {
@@ -73,21 +90,8 @@ fn panics_and_dropped_connections_leave_no_leaks() {
 
     // Every admission permit must come back: no leaks from panics,
     // EOF-mid-line reads, or failed response writes.
-    let mut drained = false;
-    for _ in 0..500 {
-        let stats = handle.stats();
-        if stats.admitted == 0 && stats.queued == 0 {
-            drained = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert_permits_drain(&handle);
     let stats = handle.stats();
-    assert!(
-        drained,
-        "admission permits leaked: admitted={} queued={}",
-        stats.admitted, stats.queued
-    );
     assert!(stats.worker_panics >= 11, "panics: {}", stats.worker_panics);
 
     // And the server still serves normal traffic. The dropped
@@ -261,22 +265,95 @@ fn oversize_request_lines_are_refused_at_the_cap() {
     assert!(protocol::read_response(&mut reader).unwrap().ok);
     drop((stream, reader));
 
-    let mut idle = false;
-    for _ in 0..500 {
-        let stats = handle.stats();
-        if stats.admitted == 0 && stats.queued == 0 {
-            idle = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let stats = handle.stats();
-    assert!(
-        idle,
-        "admission permits leaked: admitted={} queued={}",
-        stats.admitted, stats.queued
-    );
+    assert_permits_drain(&handle);
     assert!(support::request(addr, "ping").ok);
+
+    handle.shutdown_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request line has five seconds from its first byte to its newline.
+/// A client dripping a byte every 50 ms — faster than any read timeout,
+/// so the connection never looks idle — is refused `bad_request` just
+/// after that deadline, on the hundred-odd bytes it had sent, and gives
+/// its worker and its permit back; a line that merely arrives in two
+/// writes is served.
+#[test]
+fn a_dripped_request_line_is_refused_at_its_deadline() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Instant;
+
+    let dir = support::temp_dir("slow-loris");
+    let cat_dir = dir.join("cat.d");
+    drop(support::init_catalog(&cat_dir, 100));
+    let handle = serve(
+        &cat_dir,
+        ServeOptions {
+            workers: 1,
+            queue_depth: 2,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
+
+    let stream = support::connect(addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let stop = AtomicBool::new(false);
+    let sent = AtomicUsize::new(0);
+    let started = Instant::now();
+    let (resp, waited) = std::thread::scope(|scope| {
+        let mut dripper = stream.try_clone().unwrap();
+        let (stop, sent) = (&stop, &sent);
+        scope.spawn(move || {
+            while !stop.load(Ordering::Relaxed) && dripper.write_all(b"a").is_ok() {
+                sent.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let mut reader = std::io::BufReader::new(stream);
+        let resp = protocol::read_response(&mut reader);
+        let waited = started.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        // Refused means closed: nothing follows the answer.
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap_or(0), 0);
+        (resp.unwrap(), waited)
+    });
+    assert!(!resp.ok);
+    assert_eq!(resp.kind, Some(ErrorKind::BadRequest));
+    assert!(
+        resp.body_text().contains("not finished within 5 s"),
+        "{}",
+        resp.body_text()
+    );
+    assert!(
+        waited >= Duration::from_secs(5) && waited < Duration::from_secs(9),
+        "refused after {waited:?}"
+    );
+    // Decided by the clock, on what little had arrived: nowhere near the
+    // length cap, which is the other thing that bounds a line.
+    let sent = sent.load(Ordering::Relaxed);
+    assert!((1..400).contains(&sent), "{sent} bytes dripped");
+
+    // The only worker and both permits are free again …
+    assert_permits_drain(&handle);
+
+    // … and a line sent in two writes 200 ms apart is a line.
+    let mut stream = support::connect(addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(b"pi").unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    stream.write_all(b"ng\n").unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let resp = protocol::read_response(&mut reader).unwrap();
+    assert!(resp.ok, "{}", resp.body_text());
+    assert_eq!(resp.body_text(), "pong\n");
+    drop(reader);
 
     handle.shutdown_join();
     std::fs::remove_dir_all(&dir).ok();

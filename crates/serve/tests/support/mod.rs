@@ -5,11 +5,12 @@
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use swim_catalog::{Catalog, CatalogOptions};
+use swim_query::{cli, Session};
 use swim_serve::protocol::{self, Response};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
@@ -58,6 +59,39 @@ pub fn write_trace_file(path: &PathBuf, seed: u64, jobs: u64) {
         &swim_store::StoreOptions::default(),
     );
     std::fs::write(path, bytes).unwrap();
+}
+
+/// Re-execute one wire query line serially against the catalog at
+/// `generation` and render it exactly as the server does.
+pub fn serial_oracle(dir: &Path, generation: u64, line: &str) -> Vec<u8> {
+    let tokens = protocol::tokenize(line).unwrap();
+    assert_eq!(tokens[0], "query");
+    let mut flags = cli::QueryFlags::new();
+    let mut iter = tokens[1..].iter();
+    while let Some(arg) = iter.next() {
+        let consumed = flags
+            .accept(arg, || {
+                iter.next()
+                    .cloned()
+                    .ok_or_else(|| format!("{arg} requires a value"))
+            })
+            .unwrap();
+        assert!(consumed, "oracle saw unexpected token {arg}");
+    }
+    flags.validate().unwrap();
+    let query = flags.build_query().unwrap();
+    let session = Session::from_catalog(Catalog::open(dir).unwrap());
+    assert_eq!(
+        session.generation(),
+        Some(generation),
+        "oracle opened a different generation than the writer just published"
+    );
+    let result = session.execute(&query, true).unwrap();
+    let title = format!("swim-serve: generation {generation}");
+    let mut body = cli::render_for(&result.output, flags.format, &title).into_bytes();
+    body.extend_from_slice(result.summary.as_bytes());
+    body.push(b'\n');
+    body
 }
 
 /// Connect with retry (the server thread may still be binding).

@@ -49,7 +49,7 @@ retired_sessions: 0
 cache_hits: 1
 cache_misses: 1
 cache_evictions: 0
-cache_entries: 1
+cache_entries: 2
 cache_capacity: 8
 window_ms: 60000
 window_requests: 3
@@ -80,7 +80,7 @@ admin_max_us: (masked)
   \"uptime_ms\": null,
   \"lifetime\": {\"requests\": 5, \"responses_ok\": 4, \"responses_error\": 0, \"overloaded\": 0, \"worker_panics\": 0},
   \"pool\": {\"admitted\": 1, \"queued\": 0, \"retired_sessions\": 0},
-  \"cache\": {\"hits\": 1, \"misses\": 1, \"evictions\": 0, \"entries\": 1, \"capacity\": 8},
+  \"cache\": {\"hits\": 1, \"misses\": 1, \"evictions\": 0, \"entries\": 2, \"capacity\": 8},
   \"window\": {\"window_ms\": 60000, \"requests\": 4, \"rate_per_sec\": null},
   \"query\": {\"count\": 1, \"p50_us\": null, \"p95_us\": null, \"p99_us\": null, \"max_us\": null},
   \"cached\": {\"count\": 1, \"p50_us\": null, \"p95_us\": null, \"p99_us\": null, \"max_us\": null},
@@ -102,7 +102,7 @@ admin_max_us: (masked)
   \"responses_error\": 0,
   \"overloaded\": 0,
   \"worker_panics\": 0,
-  \"cache\": {\"hits\": 1, \"misses\": 1, \"evictions\": 0, \"entries\": 1, \"capacity\": 8}
+  \"cache\": {\"hits\": 1, \"misses\": 1, \"evictions\": 0, \"entries\": 2, \"capacity\": 8}
 }
 ";
     assert_eq!(resp.body_text(), expected_stats);
@@ -171,6 +171,11 @@ fn access_log_records_every_request_with_ids_and_outcomes() {
     assert!(lines[1].contains("\"cached\":0"));
     assert!(lines[2].contains("\"cached\":1"));
     assert!(lines[2].contains("\"execute_us\":0"));
+    assert!(
+        lines[2].contains("\"render_us\":0"),
+        "a hit sends bytes the miss rendered: {}",
+        lines[2]
+    );
     // Errors carry their kind token as the outcome.
     assert!(lines[3].contains("\"command\":\"unknown\""));
     assert!(lines[3].contains("\"outcome\":\"bad_request\""));
