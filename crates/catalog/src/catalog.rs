@@ -5,10 +5,11 @@
 //!
 //! Every mutation follows the same discipline:
 //!
-//! 1. new shard files are written to a per-process temp name, fsynced,
-//!    and published with **no-clobber** link semantics (shard files are
-//!    immutable once published — appends never touch an existing
-//!    shard);
+//! 1. new shard files are written to a per-process temp name — jobs are
+//!    encoded into the open shard's [`StoreWriter`] as they arrive, one
+//!    write path for ingest and compaction — then fsynced and published
+//!    with **no-clobber** link semantics (shard files are immutable once
+//!    published — appends never touch an existing shard);
 //! 2. the `MANIFEST` is rewritten **last**, also via fsynced temp +
 //!    rename (plus a directory fsync), with the generation bumped.
 //!
@@ -16,9 +17,10 @@
 //! view: its manifest still names the old shard files, which are never
 //! modified or deleted by ingest or [`Catalog::compact`] (only
 //! [`Catalog::vacuum`] reclaims unreferenced files, and is meant to run
-//! when no older readers remain). A crash mid-mutation leaves orphan
-//! shard files and `.tmp` litter that the next vacuum removes; the
-//! manifest itself is never torn or lost to a power cut.
+//! when no older readers remain). A mutation that fails removes its open
+//! temp file and leaves the shards it had already published as orphans; a
+//! crash can leave `.tmp` litter besides. The next vacuum removes both;
+//! the manifest itself is never torn or lost to a power cut.
 //!
 //! Mutation is **single-writer, enforced loudly**: the no-clobber
 //! publish plus a re-check of the on-disk generation immediately before
@@ -31,9 +33,17 @@ use crate::{CacheStats, CatalogError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use swim_store::format::columns::ColumnSet;
-use swim_store::{write_store_path, Store, StoreOptions, ZoneMap, ZONE_COLUMNS};
+use swim_store::{Store, StoreError, StoreOptions, StoreWriter, ZoneMap, ZONE_COLUMNS};
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{DataSize, Dur, Job, Timestamp, Trace, TraceSummary};
+use swim_trace::{DataSize, Dur, Job, JobId, Timestamp, Trace, TraceSummary};
+
+/// swim-obs instruments for the write side (the cache has its own).
+mod obs {
+    use swim_obs::Counter;
+
+    /// Shard files fsynced and linked under their final name.
+    pub static SHARDS_PUBLISHED: Counter = Counter::new("catalog.shards_published");
+}
 
 /// Default shard granularity: 2^18 jobs. With the store's default 4096
 /// jobs per chunk that is 64 chunks per shard — small enough that a
@@ -135,20 +145,6 @@ fn kind_from_label(label: &str) -> WorkloadKind {
     }
 }
 
-/// Elementwise union of zone maps (the shard-level map is the union of
-/// the shard's chunk maps).
-fn zone_union(maps: &[ZoneMap]) -> Option<ZoneMap> {
-    let mut iter = maps.iter();
-    let first = *iter.next()?;
-    Some(iter.fold(first, |mut acc, z| {
-        for c in 0..acc.min.len() {
-            acc.min[c] = acc.min[c].min(z.min[c]);
-            acc.max[c] = acc.max[c].max(z.max[c]);
-        }
-        acc
-    }))
-}
-
 impl Catalog {
     /// Create a new, empty catalog in `dir` (created if missing). Fails
     /// with [`CatalogError::AlreadyInitialized`] if a manifest exists.
@@ -214,8 +210,8 @@ impl Catalog {
     /// Dataset-level zone map: the union of every shard's zone map
     /// (`None` for an empty catalog).
     pub fn dataset_zone(&self) -> Option<ZoneMap> {
-        let zones: Vec<ZoneMap> = self.manifest.shards.iter().map(|s| s.zone).collect();
-        zone_union(&zones)
+        let zones = self.manifest.shards.iter().map(|s| s.zone);
+        zones.reduce(ZoneMap::union)
     }
 
     /// The Table-1 row for the whole dataset, computed from the manifest
@@ -352,41 +348,47 @@ impl Catalog {
     // ------------------------------------------------------------------
 
     /// Ingest an in-memory trace, splitting it into shards of at most
-    /// `jobs_per_shard` jobs. The manifest is rewritten last, so readers
-    /// see the whole trace or none of it. An empty trace is a no-op.
+    /// `jobs_per_shard` jobs: [`Catalog::ingest_stream`] with the trace
+    /// as its one block, borrowed. The manifest is rewritten last, so
+    /// readers see the whole trace or none of it. An empty trace is a
+    /// no-op.
     pub fn ingest_trace(
         &mut self,
         trace: &Trace,
         options: &CatalogOptions,
     ) -> Result<IngestStats, CatalogError> {
         let _span = swim_obs::span("catalog.ingest");
-        let per_shard = options.validate()? as usize;
-        if trace.is_empty() {
-            return Ok(IngestStats::default());
-        }
-        let gen = self.manifest.generation + 1;
-        let mut entries = Vec::new();
-        for (seq, jobs) in trace.jobs().chunks(per_shard).enumerate() {
-            entries.push(self.write_shard_file(
-                gen,
-                seq,
-                trace.kind.clone(),
-                trace.machines,
-                jobs.to_vec(),
-                options,
-            )?);
-        }
-        self.commit_new_shards(entries)
+        let blocks = std::iter::once(Ok(trace.jobs()));
+        self.ingest_blocks(trace.kind.clone(), trace.machines, blocks, options)
     }
 
-    /// Ingest a stream of job blocks without ever materializing the full
-    /// trace: the catalog buffers at most one shard plus one block, so a
+    /// Ingest a stream of job blocks without ever materializing the
+    /// trace, or even a shard of it: every job is encoded into the open
+    /// shard's [`StoreWriter`] as its block arrives and the block is
+    /// dropped, so the catalog holds the encoded bytes of at most one
+    /// store chunk (`jobs_per_chunk` jobs) plus the block in hand, and a
     /// generator can pipe 100M+ jobs into sharded, immutable storage at
-    /// O(chunk) memory. Blocks concatenate to the logical trace; jobs must
-    /// arrive in ascending submit order with unique ids (the streaming
-    /// generators guarantee both). Shard files are written and fsynced as
-    /// soon as they fill; the manifest is still rewritten last, so readers
-    /// see the whole stream or none of it. An empty stream is a no-op.
+    /// O(store chunk + block) memory. Blocks concatenate to the logical
+    /// trace and may be of any length; shard and chunk boundaries depend
+    /// on the job sequence alone.
+    ///
+    /// Jobs must arrive in non-decreasing `(submit, id)` order (the
+    /// streaming generators guarantee it). This is checked: the first job
+    /// that sorts before its predecessor fails the ingest with a
+    /// [`CatalogError::Invalid`] naming its id.
+    ///
+    /// A shard is finished, fsynced and linked under its final name on
+    /// this thread as soon as it holds `jobs_per_shard` jobs, before the
+    /// next block is asked for; the manifest is still rewritten last, so
+    /// readers see the whole stream or none of it. Publishing stays
+    /// synchronous on purpose: handing fsync + link to a helper thread
+    /// measured −4 % on the 1,048,576-job `ingest-stream` build over ten
+    /// pairs and nothing on `serve-scan-cold`, not worth a thread and a
+    /// second ordering to reason about. On any failure — an invalid
+    /// option, an out-of-order job, an I/O error, a panicking iterator —
+    /// the open shard's temp file is removed and the manifest is
+    /// untouched; shards already published stay unreferenced until
+    /// [`Catalog::vacuum`]. An empty stream is a no-op.
     pub fn ingest_stream<I>(
         &mut self,
         kind: WorkloadKind,
@@ -401,41 +403,23 @@ impl Catalog {
         self.ingest_blocks(kind, machines, blocks.into_iter().map(Ok), options)
     }
 
-    /// The streaming ingest loop: buffer blocks, cut the buffer into
-    /// shards of `jobs_per_shard` jobs, write and fsync each as soon as
-    /// it fills, and publish the manifest after the last. Invalid options
-    /// or an `Err` block abort before any manifest change.
-    fn ingest_blocks(
+    /// The ingest loop: push each block into a [`ShardSink`], publish
+    /// the manifest after the last. Invalid options or an `Err` block
+    /// abort before any manifest change.
+    fn ingest_blocks<B: AsRef<[Job]>>(
         &mut self,
         kind: WorkloadKind,
         machines: u32,
-        blocks: impl Iterator<Item = Result<Vec<Job>, CatalogError>>,
+        blocks: impl Iterator<Item = Result<B, CatalogError>>,
         options: &CatalogOptions,
     ) -> Result<IngestStats, CatalogError> {
-        let per_shard = options.validate()? as usize;
+        let per_shard = options.validate()?;
         let gen = self.manifest.generation + 1;
-        let mut entries = Vec::new();
-        let mut buffer: Vec<Job> = Vec::new();
+        let mut sink = ShardSink::new(&self.dir, gen, 0, kind, machines, per_shard, options.store);
         for block in blocks {
-            buffer.extend(block?);
-            while buffer.len() >= per_shard {
-                let rest = buffer.split_off(per_shard);
-                let full = std::mem::replace(&mut buffer, rest);
-                let seq = entries.len();
-                entries.push(self.write_shard_file(
-                    gen,
-                    seq,
-                    kind.clone(),
-                    machines,
-                    full,
-                    options,
-                )?);
-            }
+            sink.push(block?.as_ref())?;
         }
-        if !buffer.is_empty() {
-            let seq = entries.len();
-            entries.push(self.write_shard_file(gen, seq, kind, machines, buffer, options)?);
-        }
+        let entries = sink.finish()?;
         self.commit_new_shards(entries)
     }
 
@@ -516,11 +500,11 @@ impl Catalog {
         }
         let gen = self.manifest.generation + 1;
         let file = shard_file_name(gen, 0);
-        let tmp = self.tmp_path(&file);
+        let tmp = TempFile(tmp_path(&self.dir, &file));
         let final_path = self.dir.join(&file);
-        std::fs::copy(path, &tmp).map_err(|e| CatalogError::io(&tmp, e))?;
-        sync_file(&tmp)?;
-        publish_no_clobber(&tmp, &final_path)?;
+        std::fs::copy(path, &tmp.0).map_err(|e| CatalogError::io(&tmp.0, e))?;
+        sync_file(&tmp.0)?;
+        publish_no_clobber(&tmp.0, &final_path)?;
         let bytes = std::fs::metadata(&final_path)
             .map_err(|e| CatalogError::io(&final_path, e))?
             .len();
@@ -534,52 +518,13 @@ impl Catalog {
             machines: store.machines(),
             bytes_moved: summary.bytes_moved.bytes(),
             task_time: summary.task_time.secs(),
-            // lint: allow(panic, "job_count > 0 was rejected above; a non-empty store has >= 1 chunk, each with a zone map")
-            zone: zone_union(store.zone_maps()).expect("non-empty store has chunks"),
+            zone: store
+                .zone_maps()
+                .iter()
+                .fold(ZoneMap::EMPTY, |u, z| u.union(*z)),
             kind_label: store.kind().label().to_owned(),
         };
         self.commit_new_shards(vec![entry])
-    }
-
-    /// Write one shard file (temp + rename) and return its index entry.
-    fn write_shard_file(
-        &self,
-        gen: u64,
-        seq: usize,
-        kind: WorkloadKind,
-        machines: u32,
-        jobs: Vec<Job>,
-        options: &CatalogOptions,
-    ) -> Result<ShardEntry, CatalogError> {
-        let _span = swim_obs::span("catalog.write_shard");
-        debug_assert!(!jobs.is_empty(), "shards are never empty");
-        let file = shard_file_name(gen, seq);
-        let tmp = self.tmp_path(&file);
-        let final_path = self.dir.join(&file);
-        let kind_label = kind.label().to_owned();
-        let trace = Trace::new_unchecked(kind, machines, jobs);
-        let stats = write_store_path(&trace, &tmp, &options.store)
-            .map_err(|e| CatalogError::shard(file.clone(), e))?;
-        sync_file(&tmp)?;
-        publish_no_clobber(&tmp, &final_path)?;
-        let (bytes_moved, task_time) = trace.jobs().iter().fold((0u64, 0u64), |(io, t), j| {
-            (
-                io.saturating_add(j.total_io().bytes()),
-                t.saturating_add(j.total_task_time().secs()),
-            )
-        });
-        Ok(ShardEntry {
-            file,
-            store_version: swim_store::format::VERSION,
-            created_gen: gen,
-            jobs: stats.jobs,
-            bytes: stats.bytes_written,
-            machines: trace.machines,
-            bytes_moved,
-            task_time,
-            zone: ZoneMap::of_jobs(trace.jobs()),
-            kind_label,
-        })
     }
 
     /// Append freshly written shards and atomically publish the new
@@ -625,14 +570,8 @@ impl Catalog {
         Ok(())
     }
 
-    /// Per-process temp path for a file about to be published (unique so
-    /// two racing processes never write the same temp file).
-    fn tmp_path(&self, file: &str) -> PathBuf {
-        self.dir.join(format!("{file}.{}.tmp", std::process::id()))
-    }
-
     fn write_manifest(&self, manifest: &Manifest) -> Result<(), CatalogError> {
-        let tmp = self.tmp_path(MANIFEST_FILE);
+        let tmp = tmp_path(&self.dir, MANIFEST_FILE);
         let final_path = self.dir.join(MANIFEST_FILE);
         std::fs::write(&tmp, manifest.encode()).map_err(|e| CatalogError::io(&tmp, e))?;
         // Durability, not just atomicity: the temp file's data must be on
@@ -658,8 +597,8 @@ impl Catalog {
     /// untouched (same generation).
     pub fn compact(&mut self, options: &CatalogOptions) -> Result<CompactStats, CatalogError> {
         let _span = swim_obs::span("catalog.compact");
-        let per_shard = options.validate()? as usize;
-        let threshold = (per_shard / 2).max(1) as u64;
+        let per_shard = options.validate()?;
+        let threshold = u64::from(per_shard / 2).max(1);
         let needs_rewrite =
             |e: &ShardEntry| e.store_version < swim_store::format::VERSION || e.jobs < threshold;
         if !self.manifest.shards.iter().any(needs_rewrite) {
@@ -675,7 +614,7 @@ impl Catalog {
             if !needs_rewrite(entry) {
                 continue;
             }
-            if !current.is_empty() && current_jobs + entry.jobs > per_shard as u64 {
+            if !current.is_empty() && current_jobs + entry.jobs > u64::from(per_shard) {
                 groups.push(std::mem::take(&mut current));
                 current_jobs = 0;
             }
@@ -702,7 +641,6 @@ impl Catalog {
         let mut new_entries = Vec::new();
         let mut rewritten = vec![false; self.manifest.shards.len()];
         let mut rewritten_count = 0usize;
-        let mut seq = 0usize;
         for group in &groups {
             let mut jobs: Vec<Job> = Vec::new();
             let mut kinds: Vec<WorkloadKind> = Vec::new();
@@ -729,22 +667,21 @@ impl Catalog {
             };
             stats.jobs += jobs.len() as u64;
             // Re-sort so merged shards regain tight, submit-ordered
-            // chunk windows, then split if a merge overflowed the cap.
+            // chunk windows; the sink splits if a merge overflowed the
+            // cap.
             jobs.sort_by_key(|j| (j.submit, j.id));
-            let mut rest = jobs;
-            while !rest.is_empty() {
-                let tail = rest.split_off(rest.len().min(per_shard));
-                let shard_jobs = std::mem::replace(&mut rest, tail);
-                new_entries.push(self.write_shard_file(
-                    gen,
-                    seq,
-                    kind.clone(),
-                    machines,
-                    shard_jobs,
-                    options,
-                )?);
-                seq += 1;
-            }
+            let seq = new_entries.len();
+            let mut sink = ShardSink::new(
+                &self.dir,
+                gen,
+                seq,
+                kind,
+                machines,
+                per_shard,
+                options.store,
+            );
+            sink.push(&jobs)?;
+            new_entries.extend(sink.finish()?);
             for &idx in group {
                 rewritten[idx] = true;
             }
@@ -871,6 +808,164 @@ impl Catalog {
     }
 }
 
+/// A temp file that is removed when the guard drops: after it was
+/// linked under its final name, and on every error and unwind path
+/// before that.
+struct TempFile(PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// The shard being written.
+struct OpenShard {
+    file: String,
+    tmp: TempFile,
+    writer: StoreWriter<std::fs::File>,
+}
+
+/// The one shard write path, under ingest and compaction alike: jobs
+/// pushed in `(submit, id)` order are encoded straight into the open
+/// shard's [`StoreWriter`], and a shard that reaches `jobs_per_shard`
+/// jobs is finished, fsynced and linked under its final name before the
+/// next job is looked at. The manifest is the caller's business.
+struct ShardSink<'a> {
+    dir: &'a Path,
+    gen: u64,
+    /// Sequence number of this sink's first shard within the generation.
+    first_seq: usize,
+    kind: WorkloadKind,
+    machines: u32,
+    per_shard: usize,
+    store: StoreOptions,
+    open: Option<OpenShard>,
+    /// Key of the last job pushed: the writer checks the order within a
+    /// shard, this links one shard to the next.
+    last: (Timestamp, JobId),
+    entries: Vec<ShardEntry>,
+}
+
+impl<'a> ShardSink<'a> {
+    fn new(
+        dir: &'a Path,
+        gen: u64,
+        first_seq: usize,
+        kind: WorkloadKind,
+        machines: u32,
+        per_shard: u32,
+        store: StoreOptions,
+    ) -> ShardSink<'a> {
+        ShardSink {
+            dir,
+            gen,
+            first_seq,
+            kind,
+            machines,
+            per_shard: per_shard as usize,
+            store,
+            open: None,
+            last: (Timestamp::ZERO, JobId(0)),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Create the next shard's temp file and write its store header.
+    fn start_shard(&self) -> Result<OpenShard, CatalogError> {
+        let file = shard_file_name(self.gen, self.first_seq + self.entries.len());
+        let tmp = TempFile(tmp_path(self.dir, &file));
+        let handle = std::fs::File::create(&tmp.0).map_err(|e| CatalogError::io(&tmp.0, e))?;
+        let writer = StoreWriter::new(handle, self.kind.clone(), self.machines, &self.store)
+            .map_err(|e| write_error(&file, &tmp.0, e))?;
+        Ok(OpenShard { file, tmp, writer })
+    }
+
+    fn push(&mut self, mut jobs: &[Job]) -> Result<(), CatalogError> {
+        while let Some(first) = jobs.first() {
+            let mut shard = match self.open.take() {
+                Some(shard) => shard,
+                None if (first.submit, first.id) < self.last => {
+                    return Err(out_of_order(first.id.0))
+                }
+                None => self.start_shard()?,
+            };
+            let room = self.per_shard - shard.writer.jobs() as usize;
+            let (head, tail) = jobs.split_at(room.min(jobs.len()));
+            shard
+                .writer
+                .push(head)
+                .map_err(|e| write_error(&shard.file, &shard.tmp.0, e))?;
+            if let Some(job) = head.last() {
+                self.last = (job.submit, job.id);
+            }
+            if head.len() == room {
+                self.publish(shard)?;
+            } else {
+                self.open = Some(shard);
+            }
+            jobs = tail;
+        }
+        Ok(())
+    }
+
+    /// Finish the shard's store, make it durable under its final name,
+    /// and record its manifest entry from what the writer folded.
+    fn publish(&mut self, shard: OpenShard) -> Result<(), CatalogError> {
+        let _span = swim_obs::span("catalog.write_shard");
+        let OpenShard { file, tmp, writer } = shard;
+        let stats = writer.finish().map_err(|e| write_error(&file, &tmp.0, e))?;
+        {
+            let _span = swim_obs::span("catalog.sync");
+            sync_file(&tmp.0)?;
+            publish_no_clobber(&tmp.0, &self.dir.join(&file))?;
+        }
+        obs::SHARDS_PUBLISHED.incr();
+        self.entries.push(ShardEntry {
+            file,
+            store_version: swim_store::format::VERSION,
+            created_gen: self.gen,
+            jobs: stats.jobs,
+            bytes: stats.bytes_written,
+            machines: self.machines,
+            bytes_moved: stats.summary.bytes_moved.bytes(),
+            task_time: stats.summary.task_time.secs(),
+            zone: stats.zone,
+            kind_label: self.kind.label().to_owned(),
+        });
+        Ok(())
+    }
+
+    /// Publish the last (short) shard; the entries of every shard written.
+    fn finish(mut self) -> Result<Vec<ShardEntry>, CatalogError> {
+        if let Some(shard) = self.open.take() {
+            self.publish(shard)?;
+        }
+        Ok(self.entries)
+    }
+}
+
+fn out_of_order(id: u64) -> CatalogError {
+    CatalogError::Invalid(format!(
+        "job {id} is out of order: jobs must be ingested in non-decreasing (submit, id) order"
+    ))
+}
+
+/// A shard write failure: the order violation as the catalog's typed
+/// refusal, anything else attributed to the shard and its temp file.
+fn write_error(file: &str, tmp: &Path, e: StoreError) -> CatalogError {
+    match e {
+        StoreError::Unsorted { id } => out_of_order(id),
+        e => CatalogError::shard(file, e.at_path(tmp)),
+    }
+}
+
+/// Per-process temp path for a file about to be published (unique so
+/// two racing processes never write the same temp file).
+fn tmp_path(dir: &Path, file: &str) -> PathBuf {
+    dir.join(format!("{file}.{}.tmp", std::process::id()))
+}
+
 /// Shard file name for a generation and a per-batch sequence number,
 /// plus a per-attempt uniqueness token (pid + counter). The token means
 /// a mutation that crashed after publishing its shard but before its
@@ -894,9 +989,7 @@ fn shard_file_name(gen: u64, seq: usize) -> String {
 /// collision should be impossible; this is the backstop that keeps it
 /// from ever being silent.
 fn publish_no_clobber(tmp: &Path, final_path: &Path) -> Result<(), CatalogError> {
-    let result = std::fs::hard_link(tmp, final_path);
-    let _ = std::fs::remove_file(tmp);
-    match result {
+    match std::fs::hard_link(tmp, final_path) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
             Err(CatalogError::Invalid(format!(
@@ -933,5 +1026,49 @@ fn sync_dir(dir: &Path) -> Result<(), CatalogError> {
     {
         let _ = dir;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swim_trace::JobBuilder;
+
+    #[test]
+    fn shard_sink_holds_back_less_than_one_store_chunk() {
+        // 200-job shards of 64-job store chunks, fed 100-job blocks: after
+        // every push each full shard is linked under its final name and
+        // the open shard's writer holds only its last partial chunk.
+        let dir = std::env::temp_dir().join(format!("swim-catalog-sink-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let jobs: Vec<Job> = (0..900u64)
+            .map(|i| {
+                JobBuilder::new(i)
+                    .submit(Timestamp::from_secs(i * 7))
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let store = StoreOptions { jobs_per_chunk: 64 };
+        let mut sink = ShardSink::new(&dir, 1, 0, WorkloadKind::CcA, 10, 200, store);
+        for (i, block) in jobs.chunks(100).enumerate() {
+            sink.push(block).unwrap();
+            let pushed = 100 * (i + 1);
+            let pending = sink
+                .open
+                .as_ref()
+                .map_or(0, |shard| shard.writer.pending_jobs());
+            assert_eq!(pending, pushed % 200 % 64, "after block {i}");
+            assert_eq!(sink.entries.len(), pushed / 200, "after block {i}");
+        }
+        let entries = sink.finish().unwrap();
+        assert_eq!(
+            entries.iter().map(|e| e.jobs).collect::<Vec<_>>(),
+            [200, 200, 200, 200, 100]
+        );
+        // Every temp file is gone; the five shards are all that is left.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -36,7 +36,7 @@ pub const PANIC_CRATES: [&str; 5] = [
 /// publish primitives directly — everything else must call them.
 pub const DURABILITY_HELPERS: [&str; 5] = [
     "write_manifest",
-    "write_shard_file",
+    "start_shard",
     "publish_no_clobber",
     "sync_file",
     "sync_dir",

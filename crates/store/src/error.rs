@@ -39,6 +39,13 @@ pub enum StoreError {
         /// Which option was invalid and why.
         context: &'static str,
     },
+    /// A job handed to [`crate::StoreWriter::push`] sorts before its
+    /// predecessor by `(submit, id)`; the chunk index and every range
+    /// scan rely on that order.
+    Unsorted {
+        /// Id of the offending job.
+        id: u64,
+    },
     /// A trace-level failure while rebuilding [`swim_trace::Trace`].
     Trace(TraceError),
 }
@@ -60,6 +67,10 @@ impl fmt::Display for StoreError {
             StoreError::InvalidOptions { context } => {
                 write!(f, "invalid store options: {context}")
             }
+            StoreError::Unsorted { id } => write!(
+                f,
+                "job {id} is out of order: jobs must be written in non-decreasing (submit, id) order"
+            ),
             StoreError::Trace(e) => write!(f, "store trace error: {e}"),
         }
     }
@@ -118,6 +129,7 @@ mod tests {
         assert!(StoreError::InvalidOptions { context: "z" }
             .to_string()
             .contains("z"));
+        assert!(StoreError::Unsorted { id: 77 }.to_string().contains("77"));
         let io = StoreError::from(std::io::Error::other("boom"));
         assert!(io.to_string().contains("boom"));
         use std::error::Error as _;

@@ -187,7 +187,7 @@ pub struct ChunkMeta {
 
 /// Footer summary: whole-trace statistics computed at write time so that
 /// Table-1-style reporting needs no scan at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoredSummary {
     /// Total job count.
     pub jobs: u64,
@@ -235,35 +235,62 @@ pub struct ZoneMap {
     pub max: [u64; ZONE_COLUMNS],
 }
 
+/// One job's ten numeric columns, in layout order.
+fn numeric_values(j: &Job) -> [u64; ZONE_COLUMNS] {
+    [
+        j.id.0,
+        j.submit.secs(),
+        j.duration.secs(),
+        j.input.bytes(),
+        j.shuffle.bytes(),
+        j.output.bytes(),
+        j.map_task_time.secs(),
+        j.reduce_task_time.secs(),
+        u64::from(j.map_tasks),
+        u64::from(j.reduce_tasks),
+    ]
+}
+
 impl ZoneMap {
     /// Index of the submit column within the zone arrays.
     pub const SUBMIT: usize = 1;
     /// Indices of the three byte-count columns (input, shuffle, output).
     pub const IO: [usize; 3] = [3, 4, 5];
 
-    /// Compute the zone map of a (non-empty) chunk of jobs.
-    pub fn of_jobs(jobs: &[Job]) -> ZoneMap {
-        let mut min = [u64::MAX; ZONE_COLUMNS];
-        let mut max = [0u64; ZONE_COLUMNS];
-        for j in jobs {
-            let values = [
-                j.id.0,
-                j.submit.secs(),
-                j.duration.secs(),
-                j.input.bytes(),
-                j.shuffle.bytes(),
-                j.output.bytes(),
-                j.map_task_time.secs(),
-                j.reduce_task_time.secs(),
-                u64::from(j.map_tasks),
-                u64::from(j.reduce_tasks),
-            ];
-            for (i, v) in values.into_iter().enumerate() {
-                min[i] = min[i].min(v);
-                max[i] = max[i].max(v);
-            }
+    /// The map of no jobs: `min > max` in every column, so it overlaps
+    /// nothing and is the identity of [`ZoneMap::union`].
+    pub const EMPTY: ZoneMap = ZoneMap {
+        min: [u64::MAX; ZONE_COLUMNS],
+        max: [0; ZONE_COLUMNS],
+    };
+
+    /// The zone map of a chunk of jobs, folded in a pass of its own: the
+    /// reference the encoder's running map is tested against.
+    #[cfg(test)]
+    pub(crate) fn of_jobs(jobs: &[Job]) -> ZoneMap {
+        let mut zone = ZoneMap::EMPTY;
+        for job in jobs {
+            zone.cover(&numeric_values(job));
         }
-        ZoneMap { min, max }
+        zone
+    }
+
+    /// Widen to cover one job's numeric columns (layout order).
+    fn cover(&mut self, values: &[u64; ZONE_COLUMNS]) {
+        *self = self.union(ZoneMap {
+            min: *values,
+            max: *values,
+        });
+    }
+
+    /// The smallest map covering both: a store's (or shard's) zone map
+    /// is the union of its chunks'.
+    pub fn union(mut self, other: ZoneMap) -> ZoneMap {
+        for i in 0..ZONE_COLUMNS {
+            self.min[i] = self.min[i].min(other.min[i]);
+            self.max[i] = self.max[i].max(other.max[i]);
+        }
+        self
     }
 
     /// The permissive map synthesized for version-1 chunks: real bounds
@@ -522,32 +549,100 @@ pub mod columns {
     use super::*;
     use swim_trace::{Job, JobBuilder, PathId};
 
-    /// Encode the thirteen column blocks for `jobs` into `out`.
-    pub fn encode(out: &mut Vec<u8>, jobs: &[Job]) {
-        varint::put_delta_column(out, jobs.iter().map(|j| j.id.0));
-        varint::put_delta_column(out, jobs.iter().map(|j| j.submit.secs()));
-        varint::put_column(out, jobs.iter().map(|j| j.duration.secs()));
-        varint::put_column(out, jobs.iter().map(|j| j.input.bytes()));
-        varint::put_column(out, jobs.iter().map(|j| j.shuffle.bytes()));
-        varint::put_column(out, jobs.iter().map(|j| j.output.bytes()));
-        varint::put_column(out, jobs.iter().map(|j| j.map_task_time.secs()));
-        varint::put_column(out, jobs.iter().map(|j| j.reduce_task_time.secs()));
-        varint::put_column(out, jobs.iter().map(|j| u64::from(j.map_tasks)));
-        varint::put_column(out, jobs.iter().map(|j| u64::from(j.reduce_tasks)));
-        // Names: lengths then concatenated bytes.
-        varint::put_column(out, jobs.iter().map(|j| j.name.len() as u64));
-        for j in jobs {
-            out.extend_from_slice(j.name.as_bytes());
-        }
-        // Path lists: per-job counts then flattened ids.
-        for paths in [
-            jobs.iter().map(|j| &j.input_paths).collect::<Vec<_>>(),
-            jobs.iter().map(|j| &j.output_paths).collect::<Vec<_>>(),
-        ] {
-            varint::put_column(out, paths.iter().map(|p| p.len() as u64));
-            for p in &paths {
-                varint::put_column(out, p.iter().map(|id| id.0));
+    /// Incremental encoder of one chunk's payload (thirteen column
+    /// blocks). [`Encoder::push`] appends a job's fields to per-column
+    /// byte buffers and widens the chunk's zone map in the same pass —
+    /// no job is kept — and [`Encoder::finish`] concatenates the buffers
+    /// in layout order and starts the next chunk.
+    #[derive(Debug)]
+    pub struct Encoder {
+        rows: usize,
+        numeric: [Vec<u8>; ZONE_COLUMNS],
+        /// Last id and submit, the running values of the delta columns.
+        prev: [u64; DELTA_COLUMNS],
+        name_lens: Vec<u8>,
+        names: Vec<u8>,
+        /// Input and output path lists: per-job counts, flattened ids.
+        paths: [(Vec<u8>, Vec<u8>); 2],
+        zone: ZoneMap,
+    }
+
+    impl Default for Encoder {
+        fn default() -> Encoder {
+            Encoder {
+                rows: 0,
+                numeric: Default::default(),
+                prev: [0; DELTA_COLUMNS],
+                name_lens: Vec::new(),
+                names: Vec::new(),
+                paths: Default::default(),
+                zone: ZoneMap::EMPTY,
             }
+        }
+    }
+
+    impl Encoder {
+        /// Jobs pushed since the last [`Encoder::finish`].
+        pub fn rows(&self) -> usize {
+            self.rows
+        }
+
+        /// Append one job to the chunk.
+        pub fn push(&mut self, job: &Job) {
+            let values = numeric_values(job);
+            self.zone.cover(&values);
+            for (column, (buf, v)) in self.numeric.iter_mut().zip(values).enumerate() {
+                match self.prev.get_mut(column) {
+                    Some(prev) => {
+                        varint::put_u64(buf, v.wrapping_sub(*prev));
+                        *prev = v;
+                    }
+                    None => varint::put_u64(buf, v),
+                }
+            }
+            varint::put_u64(&mut self.name_lens, job.name.len() as u64);
+            self.names.extend_from_slice(job.name.as_bytes());
+            for ((counts, ids), list) in self
+                .paths
+                .iter_mut()
+                .zip([&job.input_paths, &job.output_paths])
+            {
+                varint::put_u64(counts, list.len() as u64);
+                varint::put_column(ids, list.iter().map(|id| id.0));
+            }
+            self.rows += 1;
+        }
+
+        /// The column buffers in layout order: ten numeric columns, name
+        /// lengths then bytes, and per path list counts then ids.
+        fn buffers(&mut self) -> impl Iterator<Item = &mut Vec<u8>> {
+            self.numeric
+                .iter_mut()
+                .chain([&mut self.name_lens, &mut self.names])
+                .chain(
+                    self.paths
+                        .iter_mut()
+                        .flat_map(|(counts, ids)| [counts, ids]),
+                )
+        }
+
+        /// Byte length of the payload [`Encoder::finish`] would append.
+        pub fn payload_len(&self) -> usize {
+            let numeric: usize = self.numeric.iter().map(Vec::len).sum();
+            let paths: usize = self.paths.iter().map(|(c, ids)| c.len() + ids.len()).sum();
+            numeric + self.name_lens.len() + self.names.len() + paths
+        }
+
+        /// Append the chunk's payload to `out`, return the chunk's zone
+        /// map ([`ZoneMap::EMPTY`] for no rows), and start an empty chunk.
+        pub fn finish(&mut self, out: &mut Vec<u8>) -> ZoneMap {
+            for buf in self.buffers() {
+                out.extend_from_slice(buf);
+                buf.clear();
+            }
+            self.rows = 0;
+            self.prev = [0; DELTA_COLUMNS];
+            std::mem::replace(&mut self.zone, ZoneMap::EMPTY)
         }
     }
 
@@ -1014,6 +1109,71 @@ mod tests {
         let z = ZoneMap::of_jobs(&jobs);
         assert_eq!(z.min, [3, 100, 1, 5, 0, 0, 7, 0, 2, 0]);
         assert_eq!(z.max, [8, 200, 9, 50, 11, 0, 70, 3, 5, 4]);
+    }
+
+    /// The payload written out longhand, one pass per column block: what
+    /// the incremental encoder must reproduce byte for byte.
+    fn encode_by_column(out: &mut Vec<u8>, jobs: &[Job]) {
+        varint::put_delta_column(out, jobs.iter().map(|j| j.id.0));
+        varint::put_delta_column(out, jobs.iter().map(|j| j.submit.secs()));
+        varint::put_column(out, jobs.iter().map(|j| j.duration.secs()));
+        varint::put_column(out, jobs.iter().map(|j| j.input.bytes()));
+        varint::put_column(out, jobs.iter().map(|j| j.shuffle.bytes()));
+        varint::put_column(out, jobs.iter().map(|j| j.output.bytes()));
+        varint::put_column(out, jobs.iter().map(|j| j.map_task_time.secs()));
+        varint::put_column(out, jobs.iter().map(|j| j.reduce_task_time.secs()));
+        varint::put_column(out, jobs.iter().map(|j| u64::from(j.map_tasks)));
+        varint::put_column(out, jobs.iter().map(|j| u64::from(j.reduce_tasks)));
+        varint::put_column(out, jobs.iter().map(|j| j.name.len() as u64));
+        for j in jobs {
+            out.extend_from_slice(j.name.as_bytes());
+        }
+        for paths in [
+            jobs.iter().map(|j| &j.input_paths).collect::<Vec<_>>(),
+            jobs.iter().map(|j| &j.output_paths).collect::<Vec<_>>(),
+        ] {
+            varint::put_column(out, paths.iter().map(|p| p.len() as u64));
+            for p in &paths {
+                varint::put_column(out, p.iter().map(|id| id.0));
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_matches_the_column_at_a_time_layout() {
+        use swim_trace::{JobBuilder, PathId};
+        let jobs: Vec<Job> = (0..300u64)
+            .map(|i| {
+                JobBuilder::new(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .name("n".repeat((i % 5) as usize))
+                    .submit(Timestamp::from_secs(u64::MAX - i * 97 % 50_000))
+                    .duration(Dur::from_secs(i % 399))
+                    .input(DataSize::from_bytes(i << (i % 60)))
+                    .shuffle(DataSize::from_bytes(i * 13))
+                    .output(DataSize::from_bytes(u64::MAX / (i + 1)))
+                    .map_task_time(Dur::from_secs(5 + i % 100))
+                    .reduce_task_time(Dur::from_secs(i % 55))
+                    .tasks(u32::MAX - i as u32, (i % 3) as u32)
+                    .input_paths((0..i % 4).map(|p| PathId(p << 40)).collect())
+                    .output_paths(vec![PathId(i); (i % 2) as usize])
+                    .build_unchecked()
+            })
+            .collect();
+        let mut encoder = columns::Encoder::default();
+        // Back-to-back chunks through one encoder: finish leaves no state.
+        for chunk in [&jobs[..0], &jobs[..1], &jobs[1..200], &jobs[200..]] {
+            let mut expected = Vec::new();
+            encode_by_column(&mut expected, chunk);
+            for job in chunk {
+                encoder.push(job);
+            }
+            assert_eq!(encoder.rows(), chunk.len());
+            assert_eq!(encoder.payload_len(), expected.len());
+            let mut payload = Vec::new();
+            assert_eq!(encoder.finish(&mut payload), ZoneMap::of_jobs(chunk));
+            assert_eq!(payload, expected);
+            assert_eq!(columns::decode(&payload, chunk.len()).unwrap(), chunk);
+        }
     }
 
     #[test]

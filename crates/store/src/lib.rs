@@ -7,10 +7,12 @@
 //!
 //! Three layers:
 //!
-//! 1. **Codec** — [`write_store`] / [`Store`]: a little-endian layout
+//! 1. **Codec** — [`StoreWriter`] / [`Store`]: a little-endian layout
 //!    (header / chunks / footer / trailer, see [`mod@format`]) with per-column
 //!    delta + LEB128-varint encoding. Round trips are bit-exact for every
-//!    [`swim_trace::Job`] field.
+//!    [`swim_trace::Job`] field. The writer streams — jobs are pushed in
+//!    blocks of any length and encoded as they arrive — and
+//!    [`write_store`] is that writer fed a whole trace.
 //! 2. **Scans** — [`Store::scan`] streams chunks at bounded memory;
 //!    [`Store::scan_range`] uses per-chunk `[min, max]` submit windows to
 //!    skip irrelevant chunks without reading them; [`Store::par_scan`]
@@ -66,7 +68,8 @@ pub use error::StoreError;
 pub use format::{ChunkMeta, StoredSummary, ZoneMap, DEFAULT_JOBS_PER_CHUNK, ZONE_COLUMNS};
 pub use store::{ChunkScan, JobScan, Store};
 pub use writer::{
-    store_to_vec, write_store, write_store_path, StoreOptions, StoreStats, MAX_JOBS_PER_CHUNK,
+    store_to_vec, write_store, write_store_path, StoreOptions, StoreStats, StoreWriter,
+    MAX_JOBS_PER_CHUNK,
 };
 
 #[cfg(test)]

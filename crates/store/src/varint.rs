@@ -54,8 +54,10 @@ pub fn put_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
 }
 
 /// Append a column as wrapping deltas from the previous value (first value
-/// is a delta from zero).
-pub fn put_delta_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
+/// is a delta from zero): the test reference for the encoder's delta
+/// columns.
+#[cfg(test)]
+pub(crate) fn put_delta_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
     let mut prev = 0u64;
     for v in values {
         put_u64(out, v.wrapping_sub(prev));

@@ -1,9 +1,12 @@
 //! Writing traces into the columnar store format.
 //!
-//! The writer is single-pass and streaming: chunks are encoded and written
-//! in submit-time order while the footer index accumulates in memory
-//! (40 bytes per chunk), so writing never needs more memory than one
-//! chunk's worth of jobs plus the index.
+//! There is one writer, [`StoreWriter`], and it is streaming: jobs are
+//! pushed in blocks of any length, each job is encoded as it arrives
+//! ([`format::columns::Encoder`]) and never kept, a chunk block is
+//! written every `jobs_per_chunk` jobs, and the footer index accumulates
+//! in memory (200 bytes per chunk). Writing therefore needs one chunk's
+//! encoded bytes plus the index, however long the store;
+//! [`write_store`] is the same writer fed a whole trace.
 
 use crate::format::{
     self, ChunkMeta, Footer, Header, StoredSummary, ZoneMap, DEFAULT_JOBS_PER_CHUNK, VERSION,
@@ -12,7 +15,20 @@ use crate::StoreError;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use swim_trace::{DataSize, Dur, Job, Timestamp, Trace};
+use swim_trace::trace::WorkloadKind;
+use swim_trace::{Job, JobId, Timestamp, Trace};
+
+/// swim-obs instruments for the write side (see [`crate::store`] for the
+/// read side). Counter names are API.
+mod obs {
+    use swim_obs::Counter;
+
+    /// Chunk blocks encoded and handed to the writer.
+    pub static CHUNKS_ENCODED: Counter = Counter::new("store.chunks_encoded");
+    /// Bytes handed to the writer: header, chunk blocks, footer and
+    /// trailer, so one store's share is its file size.
+    pub static BYTES_WRITTEN: Counter = Counter::new("store.bytes_written");
+}
 
 /// Largest accepted `jobs_per_chunk`. Chunks are decoded whole, so a
 /// chunk bigger than this defeats both chunk skipping and the bounded
@@ -20,7 +36,7 @@ use swim_trace::{DataSize, Dur, Job, Timestamp, Trace};
 /// above it rather than writing a pathological file.
 pub const MAX_JOBS_PER_CHUNK: u32 = 1 << 20;
 
-/// Tuning knobs for [`write_store`].
+/// Tuning knobs for [`StoreWriter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
     /// Jobs per chunk (chunk-skip granularity). Zero is rejected by
@@ -52,7 +68,8 @@ impl StoreOptions {
     }
 }
 
-/// What a write produced, for logging and benchmarks.
+/// What a write produced: sizes for logging and benchmarks, and the
+/// whole-store statistics a catalog records in its manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
     /// Total bytes written, trailer included.
@@ -61,96 +78,186 @@ pub struct StoreStats {
     pub chunks: u32,
     /// Number of jobs.
     pub jobs: u64,
+    /// The footer summary as written.
+    pub summary: StoredSummary,
+    /// Union of the chunk zone maps ([`ZoneMap::EMPTY`] for no jobs).
+    pub zone: ZoneMap,
 }
 
-/// Write `trace` in store format. Jobs are chunked in their existing
-/// (submit-sorted) order, so per-chunk `[min, max]` submit windows are
+/// The streaming store writer: [`StoreWriter::push`] job blocks of any
+/// length in non-decreasing `(submit, id)` order, then
+/// [`StoreWriter::finish`]. Chunks are cut every `jobs_per_chunk` jobs
+/// whatever the block boundaries, so the bytes written depend on the job
+/// sequence alone; per-chunk `[min, max]` submit windows are
 /// non-overlapping except at boundaries and time-range readers can skip
 /// whole chunks.
+///
+/// A writer dropped before `finish` leaves a file without footer or
+/// trailer, which no reader opens; a buffered `W` is flushed by `finish`.
+#[derive(Debug)]
+pub struct StoreWriter<W: Write> {
+    out: Output<W>,
+    jobs_per_chunk: usize,
+    encoder: format::columns::Encoder,
+    /// The chunk block being assembled (header + payload), reused.
+    block: Vec<u8>,
+    chunks: Vec<ChunkMeta>,
+    zones: Vec<ZoneMap>,
+    /// Totals over every job pushed; the submit window is set at finish.
+    summary: StoredSummary,
+    /// Key of the last job pushed, for the order check.
+    last: (Timestamp, JobId),
+}
+
+/// The destination and how many bytes it has taken, which is where the
+/// next chunk block starts.
+#[derive(Debug)]
+struct Output<W: Write> {
+    writer: BufWriter<W>,
+    offset: u64,
+}
+
+impl<W: Write> Output<W> {
+    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        self.writer.write_all(bytes)?;
+        self.offset += bytes.len() as u64;
+        obs::BYTES_WRITTEN.add(bytes.len() as u64);
+        Ok(())
+    }
+}
+
+impl<W: Write> StoreWriter<W> {
+    /// Validate `options` and write the file header.
+    pub fn new(
+        writer: W,
+        kind: WorkloadKind,
+        machines: u32,
+        options: &StoreOptions,
+    ) -> Result<StoreWriter<W>, StoreError> {
+        let jobs_per_chunk = options.validate()?;
+        let mut store = StoreWriter {
+            out: Output {
+                writer: BufWriter::new(writer),
+                offset: 0,
+            },
+            jobs_per_chunk: jobs_per_chunk as usize,
+            encoder: Default::default(),
+            block: Vec::new(),
+            chunks: Vec::new(),
+            zones: Vec::new(),
+            summary: StoredSummary::default(),
+            last: (Timestamp::ZERO, JobId(0)),
+        };
+        let header = Header {
+            version: VERSION,
+            kind,
+            machines,
+            jobs_per_chunk,
+        };
+        store.out.write_all(&header.encode())?;
+        Ok(store)
+    }
+
+    /// Jobs pushed so far.
+    pub fn jobs(&self) -> u64 {
+        self.summary.jobs
+    }
+
+    /// Jobs pushed but not yet written as a chunk block: below
+    /// `jobs_per_chunk` whenever `push` has returned, which is the whole
+    /// of what the writer holds back. Read by the tests of that bound.
+    #[doc(hidden)]
+    pub fn pending_jobs(&self) -> usize {
+        self.encoder.rows()
+    }
+
+    /// Encode `jobs` onto the end of the store, writing a chunk block
+    /// each time `jobs_per_chunk` jobs have accumulated. A job that sorts
+    /// before its predecessor by `(submit, id)` is a typed
+    /// [`StoreError::Unsorted`]; nothing of it is written.
+    pub fn push(&mut self, mut jobs: &[Job]) -> Result<(), StoreError> {
+        while !jobs.is_empty() {
+            let room = self.jobs_per_chunk - self.encoder.rows();
+            let (head, tail) = jobs.split_at(room.min(jobs.len()));
+            for job in head {
+                let key = (job.submit, job.id);
+                if key < self.last {
+                    return Err(StoreError::Unsorted { id: job.id.0 });
+                }
+                self.last = key;
+                self.summary.jobs += 1;
+                self.summary.bytes_moved += job.total_io();
+                self.summary.task_time += job.total_task_time();
+                self.encoder.push(job);
+            }
+            if head.len() == room {
+                self.write_chunk()?;
+            }
+            jobs = tail;
+        }
+        Ok(())
+    }
+
+    /// Write the encoder's rows as one chunk block and index it.
+    fn write_chunk(&mut self) -> Result<(), StoreError> {
+        let rows = self.encoder.rows();
+        self.block.clear();
+        self.block.extend_from_slice(&format::encode_chunk_header(
+            rows as u32,
+            self.encoder.payload_len() as u64,
+        ));
+        let zone = self.encoder.finish(&mut self.block);
+        self.chunks.push(ChunkMeta {
+            offset: self.out.offset,
+            block_len: self.block.len() as u64,
+            job_count: rows as u64,
+            min_submit: Timestamp::from_secs(zone.min[ZoneMap::SUBMIT]),
+            max_submit: Timestamp::from_secs(zone.max[ZoneMap::SUBMIT]),
+        });
+        self.zones.push(zone);
+        obs::CHUNKS_ENCODED.incr();
+        self.out.write_all(&self.block)
+    }
+
+    /// Write the last (short) chunk, the footer and the trailer, and
+    /// flush.
+    pub fn finish(mut self) -> Result<StoreStats, StoreError> {
+        if self.encoder.rows() > 0 {
+            self.write_chunk()?;
+        }
+        let zone = self.zones.iter().fold(ZoneMap::EMPTY, |u, z| u.union(*z));
+        if self.summary.jobs > 0 {
+            self.summary.min_submit = Timestamp::from_secs(zone.min[ZoneMap::SUBMIT]);
+            self.summary.max_submit = Timestamp::from_secs(zone.max[ZoneMap::SUBMIT]);
+        }
+        let footer = Footer {
+            chunks: self.chunks,
+            summary: self.summary,
+            zones: Some(self.zones),
+        };
+        let mut tail = footer.encode();
+        tail.extend_from_slice(&format::encode_trailer(self.out.offset));
+        self.out.write_all(&tail)?;
+        self.out.writer.flush()?;
+        Ok(StoreStats {
+            bytes_written: self.out.offset,
+            chunks: footer.chunks.len() as u32,
+            jobs: self.summary.jobs,
+            summary: self.summary,
+            zone,
+        })
+    }
+}
+
+/// Write `trace` in store format: a [`StoreWriter`] fed the whole trace.
 pub fn write_store<W: Write>(
     trace: &Trace,
     writer: W,
     options: &StoreOptions,
 ) -> Result<StoreStats, StoreError> {
-    let mut w = BufWriter::new(writer);
-    let jobs_per_chunk = options.validate()?;
-    let header = Header {
-        version: VERSION,
-        kind: trace.kind.clone(),
-        machines: trace.machines,
-        jobs_per_chunk,
-    };
-    let header_bytes = header.encode();
-    w.write_all(&header_bytes)?;
-    let mut offset = header_bytes.len() as u64;
-
-    let mut chunks: Vec<ChunkMeta> = Vec::new();
-    let mut zones: Vec<ZoneMap> = Vec::new();
-    let mut bytes_moved = DataSize::ZERO;
-    let mut task_time = Dur::ZERO;
-    let mut payload = Vec::new();
-    for chunk_jobs in trace.jobs().chunks(jobs_per_chunk as usize) {
-        payload.clear();
-        format::columns::encode(&mut payload, chunk_jobs);
-        let block_header =
-            format::encode_chunk_header(chunk_jobs.len() as u32, payload.len() as u64);
-        w.write_all(&block_header)?;
-        w.write_all(&payload)?;
-        let block_len = (block_header.len() + payload.len()) as u64;
-        chunks.push(ChunkMeta {
-            offset,
-            block_len,
-            job_count: chunk_jobs.len() as u64,
-            min_submit: min_submit(chunk_jobs),
-            max_submit: max_submit(chunk_jobs),
-        });
-        zones.push(ZoneMap::of_jobs(chunk_jobs));
-        offset += block_len;
-        for job in chunk_jobs {
-            bytes_moved += job.total_io();
-            task_time += job.total_task_time();
-        }
-    }
-
-    let summary = StoredSummary {
-        jobs: trace.len() as u64,
-        bytes_moved,
-        task_time,
-        min_submit: trace.start().unwrap_or(Timestamp::ZERO),
-        max_submit: trace.end().unwrap_or(Timestamp::ZERO),
-    };
-    let footer = Footer {
-        chunks,
-        summary,
-        zones: Some(zones),
-    };
-    let footer_bytes = footer.encode();
-    w.write_all(&footer_bytes)?;
-    w.write_all(&format::encode_trailer(offset))?;
-    w.flush()?;
-
-    Ok(StoreStats {
-        bytes_written: offset + footer_bytes.len() as u64 + format::TRAILER_LEN as u64,
-        chunks: footer.chunks.len() as u32,
-        jobs: summary.jobs,
-    })
-}
-
-fn min_submit(jobs: &[Job]) -> Timestamp {
-    // Jobs are submit-sorted within a trace, so the first job holds the
-    // minimum; computed defensively anyway to keep the index correct even
-    // for hand-built unchecked traces.
-    jobs.iter()
-        .map(|j| j.submit)
-        .min()
-        .unwrap_or(Timestamp::ZERO)
-}
-
-fn max_submit(jobs: &[Job]) -> Timestamp {
-    jobs.iter()
-        .map(|j| j.submit)
-        .max()
-        .unwrap_or(Timestamp::ZERO)
+    let mut store = StoreWriter::new(writer, trace.kind.clone(), trace.machines, options)?;
+    store.push(trace.jobs())?;
+    store.finish()
 }
 
 /// Write a trace to a file path. I/O failures carry the offending path
@@ -184,23 +291,110 @@ pub fn store_to_vec(trace: &Trace, options: &StoreOptions) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swim_trace::trace::WorkloadKind;
-    use swim_trace::JobBuilder;
+    use swim_trace::{DataSize, Dur, JobBuilder, PathId};
 
     fn tiny_trace(n: u64) -> Trace {
         let jobs = (0..n)
             .map(|i| {
                 JobBuilder::new(i)
-                    .submit(Timestamp::from_secs(i * 60))
-                    .duration(Dur::from_secs(30))
-                    .input(DataSize::from_mb(1))
+                    .name(format!("job_{}", i % 7))
+                    .submit(Timestamp::from_secs(i / 3 * 60))
+                    .duration(Dur::from_secs(30 + i % 11))
+                    .input(DataSize::from_mb(1 + i % 5))
+                    .output(DataSize::from_bytes(i * 1000))
                     .map_task_time(Dur::from_secs(10))
                     .tasks(1, 0)
+                    .input_paths(vec![PathId(i % 50); (i % 3) as usize])
+                    .output_paths(vec![PathId(i)])
                     .build()
                     .unwrap()
             })
             .collect();
         Trace::new(WorkloadKind::CcA, 10, jobs).unwrap()
+    }
+
+    /// Push `trace` in blocks of `block` jobs; the image and the stats.
+    fn streamed(trace: &Trace, block: usize, options: &StoreOptions) -> (Vec<u8>, StoreStats) {
+        let mut image = Vec::new();
+        let mut writer =
+            StoreWriter::new(&mut image, trace.kind.clone(), trace.machines, options).unwrap();
+        for jobs in trace.jobs().chunks(block) {
+            writer.push(jobs).unwrap();
+            assert!(writer.pending_jobs() < options.jobs_per_chunk as usize);
+        }
+        assert_eq!(writer.jobs(), trace.len() as u64);
+        let stats = writer.finish().unwrap();
+        (image, stats)
+    }
+
+    #[test]
+    fn blocks_of_any_length_write_the_same_bytes() {
+        // Exact multiples of the chunk size, ragged tails, one-job chunks
+        // and the empty store: the bytes depend on the jobs alone.
+        for n in [0u64, 1, 8, 9, 64, 100] {
+            let trace = tiny_trace(n);
+            for jobs_per_chunk in [1u32, 4, 8, 4096] {
+                let options = StoreOptions { jobs_per_chunk };
+                let whole = store_to_vec(&trace, &options);
+                for block in [1usize, 3, 8, 37] {
+                    let (image, stats) = streamed(&trace, block, &options);
+                    assert_eq!(
+                        image, whole,
+                        "{n} jobs, chunk {jobs_per_chunk}, block {block}"
+                    );
+                    assert_eq!(stats.bytes_written, whole.len() as u64);
+                    assert_eq!(stats.chunks as u64, n.div_ceil(u64::from(jobs_per_chunk)));
+                }
+                let store = crate::Store::from_vec(whole).unwrap();
+                assert_eq!(store.read_trace().unwrap(), trace);
+            }
+        }
+    }
+
+    #[test]
+    fn finish_reports_the_footer_summary_and_the_union_zone() {
+        let trace = tiny_trace(100);
+        let (image, stats) = streamed(&trace, 7, &StoreOptions { jobs_per_chunk: 16 });
+        assert_eq!(
+            stats.summary.to_trace_summary(&trace.kind, trace.machines),
+            trace.summary()
+        );
+        assert_eq!(stats.zone, ZoneMap::of_jobs(trace.jobs()));
+        let store = crate::Store::from_vec(image).unwrap();
+        assert_eq!(*store.stored_summary(), stats.summary);
+        for (zone, jobs) in store.zone_maps().iter().zip(trace.jobs().chunks(16)) {
+            assert_eq!(*zone, ZoneMap::of_jobs(jobs));
+        }
+        // No jobs: the zero summary and the empty zone.
+        let (_, empty) = streamed(&tiny_trace(0), 1, &StoreOptions::default());
+        assert_eq!((empty.jobs, empty.chunks), (0, 0));
+        assert_eq!(empty.zone, ZoneMap::EMPTY);
+        assert_eq!(empty.summary.max_submit, Timestamp::ZERO);
+    }
+
+    #[test]
+    fn out_of_order_jobs_are_a_typed_error_naming_the_job() {
+        let trace = tiny_trace(10);
+        let jobs = trace.jobs();
+        let mut writer = StoreWriter::new(
+            std::io::sink(),
+            WorkloadKind::CcA,
+            1,
+            &StoreOptions { jobs_per_chunk: 4 },
+        )
+        .unwrap();
+        writer.push(&jobs[3..6]).unwrap();
+        // Equal keys are in order; an earlier submit, or the same submit
+        // under a smaller id, is not — within a block or across two.
+        writer.push(&jobs[5..6]).unwrap();
+        for id in [4, 2] {
+            let err = writer.push(&jobs[id..]).expect_err("out of order");
+            assert!(
+                matches!(err, StoreError::Unsorted { id: got } if got == id as u64),
+                "{err:?}"
+            );
+        }
+        assert_eq!(writer.jobs(), 4);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::dist::Zipf;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use swim_trace::{DataSize, PathId, Timestamp};
+use swim_trace::{DataSize, PathId};
 
 /// Locality/popularity parameters for one workload's file accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,9 +81,6 @@ impl AccessModel {
 struct FileRecord {
     id: PathId,
     size: DataSize,
-    last_access: Timestamp,
-    /// Files written by jobs (outputs) are eligible for output→input chaining.
-    is_output: bool,
 }
 
 /// How a job's input was chosen — reported so the generator can label
@@ -224,21 +221,20 @@ impl FilePopulation {
         self.files.iter().map(|f| f.size).sum()
     }
 
-    /// Choose (and record) the input file for a job submitting at `now`
-    /// with the given input size. Returns the path and how it was chosen.
+    /// Choose (and record) the input file for a job with the given input
+    /// size. Returns the path and how it was chosen.
     ///
     /// Fresh files take the job's input size; re-read files keep their
     /// original size (the job reads what is there).
     pub fn choose_input<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
-        now: Timestamp,
         input_size: DataSize,
     ) -> (PathId, InputChoice) {
         let u: f64 = rng.random();
         if !self.files.is_empty() && u < self.model.p_reread_input {
             let idx = self.pick_existing(rng);
-            self.touch(idx, now);
+            self.touch(idx);
             (self.files[idx].id, InputChoice::RereadInput)
         } else if !self.outputs.is_empty()
             && u < self.model.p_reread_input + self.model.p_consume_output
@@ -258,44 +254,35 @@ impl FilePopulation {
                 rng.random_range(0..self.outputs.len())
             };
             let idx = self.outputs[pos];
-            self.touch(idx, now);
+            self.touch(idx);
             (self.files[idx].id, InputChoice::ConsumedOutput)
         } else {
-            let id = self.create(now, input_size, false);
+            let id = self.create(input_size, false);
             (id, InputChoice::Fresh)
         }
     }
 
-    /// Record a job's output file written at `now` with the given size.
+    /// Record a job's output file of the given size.
     ///
     /// With probability [`AccessModel::p_overwrite_output`] the write
     /// refreshes an existing output path (Zipf-popular outputs get
     /// refreshed most — nightly tables), otherwise a fresh file is created.
-    pub fn record_output<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        now: Timestamp,
-        output_size: DataSize,
-    ) -> PathId {
+    pub fn record_output<R: Rng + ?Sized>(&mut self, rng: &mut R, output_size: DataSize) -> PathId {
         if !self.outputs.is_empty() && rng.random::<f64>() < self.model.p_overwrite_output {
             let zipf = Zipf::new(self.outputs.len() as u64, self.model.zipf_exponent);
             let idx = self.outputs[(zipf.sample(rng) - 1) as usize];
             self.files[idx].size = output_size;
-            self.touch(idx, now);
+            self.touch(idx);
             return self.files[idx].id;
         }
-        self.create(now, output_size, true)
+        self.create(output_size, true)
     }
 
-    fn create(&mut self, now: Timestamp, size: DataSize, is_output: bool) -> PathId {
+    /// Add a file; outputs become eligible for output→input chaining.
+    fn create(&mut self, size: DataSize, is_output: bool) -> PathId {
         let id = PathId(self.next_id);
         self.next_id += 1;
-        let record = FileRecord {
-            id,
-            size,
-            last_access: now,
-            is_output,
-        };
+        let record = FileRecord { id, size };
         let idx = if self.files.len() < self.bounds.max_files {
             self.files.push(record);
             self.files.len() - 1
@@ -355,8 +342,7 @@ impl FilePopulation {
         (zipf.sample(rng) - 1) as usize
     }
 
-    fn touch(&mut self, idx: usize, now: Timestamp) {
-        self.files[idx].last_access = now;
+    fn touch(&mut self, idx: usize) {
         if self.access_log.len() < self.bounds.max_access_log {
             self.access_log.push(idx);
         } else {
@@ -391,7 +377,7 @@ mod tests {
     fn first_access_is_always_fresh() {
         let mut pop = FilePopulation::new(model());
         let mut rng = StdRng::seed_from_u64(1);
-        let (_, choice) = pop.choose_input(&mut rng, Timestamp::ZERO, DataSize::from_mb(1));
+        let (_, choice) = pop.choose_input(&mut rng, DataSize::from_mb(1));
         assert_eq!(choice, InputChoice::Fresh);
         assert_eq!(pop.len(), 1);
     }
@@ -403,15 +389,14 @@ mod tests {
         let n = 30_000;
         let mut reread = 0;
         let mut consumed = 0;
-        for i in 0..n {
-            let now = Timestamp::from_secs(i as u64 * 10);
-            let (_, choice) = pop.choose_input(&mut rng, now, DataSize::from_mb(1));
+        for _ in 0..n {
+            let (_, choice) = pop.choose_input(&mut rng, DataSize::from_mb(1));
             match choice {
                 InputChoice::RereadInput => reread += 1,
                 InputChoice::ConsumedOutput => consumed += 1,
                 InputChoice::Fresh => {}
             }
-            pop.record_output(&mut rng, now, DataSize::from_mb(1));
+            pop.record_output(&mut rng, DataSize::from_mb(1));
         }
         let fr = reread as f64 / n as f64;
         let fc = consumed as f64 / n as f64;
@@ -423,9 +408,8 @@ mod tests {
     fn no_reaccess_model_only_creates() {
         let mut pop = FilePopulation::new(AccessModel::no_reaccess());
         let mut rng = StdRng::seed_from_u64(3);
-        for i in 0..500 {
-            let (_, choice) =
-                pop.choose_input(&mut rng, Timestamp::from_secs(i), DataSize::from_kb(1));
+        for _ in 0..500 {
+            let (_, choice) = pop.choose_input(&mut rng, DataSize::from_kb(1));
             assert_eq!(choice, InputChoice::Fresh);
         }
         assert_eq!(pop.len(), 500);
@@ -446,12 +430,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut counts: std::collections::HashMap<PathId, u64> = Default::default();
         let n = 20_000;
-        for i in 0..n {
-            let (id, _) = pop.choose_input(
-                &mut rng,
-                Timestamp::from_secs(i as u64),
-                DataSize::from_kb(1),
-            );
+        for _ in 0..n {
+            let (id, _) = pop.choose_input(&mut rng, DataSize::from_kb(1));
             *counts.entry(id).or_default() += 1;
         }
         let max = *counts.values().max().unwrap();
@@ -466,8 +446,8 @@ mod tests {
     fn bytes_stored_accumulates() {
         let mut pop = FilePopulation::new(AccessModel::no_reaccess());
         let mut rng = StdRng::seed_from_u64(5);
-        pop.choose_input(&mut rng, Timestamp::ZERO, DataSize::from_mb(3));
-        pop.record_output(&mut rng, Timestamp::ZERO, DataSize::from_mb(7));
+        pop.choose_input(&mut rng, DataSize::from_mb(3));
+        pop.record_output(&mut rng, DataSize::from_mb(7));
         assert_eq!(pop.bytes_stored(), DataSize::from_mb(10));
     }
 
@@ -478,8 +458,8 @@ mod tests {
             ..AccessModel::no_reaccess()
         });
         let mut rng = StdRng::seed_from_u64(6);
-        for i in 0..100 {
-            pop.choose_input(&mut rng, Timestamp::from_secs(i), DataSize::from_kb(1));
+        for _ in 0..100 {
+            pop.choose_input(&mut rng, DataSize::from_kb(1));
         }
         assert!(pop.recent.len() <= 4);
     }
@@ -496,9 +476,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut plateau = 0;
         for i in 0..10_000u64 {
-            let now = Timestamp::from_secs(i * 5);
-            pop.choose_input(&mut rng, now, DataSize::from_mb(1));
-            pop.record_output(&mut rng, now, DataSize::from_mb(2));
+            pop.choose_input(&mut rng, DataSize::from_mb(1));
+            pop.record_output(&mut rng, DataSize::from_mb(2));
             if i == 1_000 {
                 plateau = pop.resident_bytes();
             }
@@ -523,8 +502,8 @@ mod tests {
         };
         let mut pop = FilePopulation::with_bounds(model(), bounds);
         let mut rng = StdRng::seed_from_u64(9);
-        for i in 0..2_000u64 {
-            pop.choose_input(&mut rng, Timestamp::from_secs(i), DataSize::from_kb(1));
+        for _ in 0..2_000u64 {
+            pop.choose_input(&mut rng, DataSize::from_kb(1));
         }
         // The protected head keeps the very first files resident: their
         // ids are the original small ids, never recycled.
@@ -548,9 +527,8 @@ mod tests {
             p_overwrite_output: 0.0,
         });
         let mut rng = StdRng::seed_from_u64(7);
-        let out = pop.record_output(&mut rng, Timestamp::ZERO, DataSize::from_mb(1));
-        let (id, choice) =
-            pop.choose_input(&mut rng, Timestamp::from_secs(60), DataSize::from_mb(1));
+        let out = pop.record_output(&mut rng, DataSize::from_mb(1));
+        let (id, choice) = pop.choose_input(&mut rng, DataSize::from_mb(1));
         assert_eq!(choice, InputChoice::ConsumedOutput);
         assert_eq!(id, out);
     }
