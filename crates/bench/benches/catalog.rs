@@ -149,7 +149,7 @@ fn bench_catalog(c: &mut Criterion) {
         })
     });
     // Cold-ish full scan: cap the cache below the fleet size so most
-    // shards re-decode every pass.
+    // shards are decoded again every pass (all but the two it keeps).
     catalog.set_cache_capacity(2);
     group.bench_function("full_scan_cold_cache", |b| {
         b.iter(|| {
@@ -175,6 +175,30 @@ fn bench_catalog(c: &mut Criterion) {
         "decoded-column cache: {} hits, {} misses, {} entries",
         warm.hits, warm.misses, warm.entries
     );
+
+    // What `full_scan_cold_cache` ran on, checked by count: with 2 slots
+    // for 16 shards a looping scan keeps its two residents — each pass
+    // hits them and reads the other 14 through, evicting nothing (an
+    // always-admit LRU took 0 hits and 16 evictions a pass).
+    catalog.set_cache_capacity(0);
+    catalog.set_cache_capacity(2);
+    catalog
+        .execute_serial(&full_query())
+        .expect("fills both slots");
+    for pass in 1..=3 {
+        let before = catalog.cache_stats();
+        catalog.execute_serial(&full_query()).expect("executes");
+        let after = catalog.cache_stats();
+        assert_eq!(
+            (
+                after.hits - before.hits,
+                after.bypassed - before.bypassed,
+                after.evictions - before.evictions
+            ),
+            (2, SHARDS - 2, 0),
+            "pass {pass} over {SHARDS} shards at capacity 2: (hits, bypassed, evictions)"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

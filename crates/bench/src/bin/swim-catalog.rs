@@ -23,8 +23,8 @@
 //! `query --explain` prints shard- and chunk-level zone-map verdicts
 //! without executing; `query --profile` executes with `swim-obs`
 //! instrumentation forced on and appends the metrics. `stats --metrics`
-//! adds decoded-column LRU cache counters (lifetime hits, misses,
-//! evictions — they survive `compact`).
+//! adds decoded-column cache counters (lifetime hits, misses, of those
+//! bypassed, evictions — they survive `compact`).
 
 use std::process::ExitCode;
 use swim_catalog::{Catalog, CatalogOptions};
@@ -242,7 +242,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         // pressure across generations.
         let cache = catalog.cache_stats();
         println!(
-            "column cache: capacity {} shard{}, {} entr{}, {} hit{}, {} miss{}, {} eviction{}",
+            "column cache: capacity {} shard{}, {} entr{}, {} hit{}, {} miss{}, {} bypassed, {} eviction{}",
             cache.capacity,
             if cache.capacity == 1 { "" } else { "s" },
             cache.entries,
@@ -251,6 +251,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             if cache.hits == 1 { "" } else { "s" },
             cache.misses,
             if cache.misses == 1 { "" } else { "es" },
+            cache.bypassed,
             cache.evictions,
             if cache.evictions == 1 { "" } else { "s" },
         );

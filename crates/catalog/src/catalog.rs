@@ -27,7 +27,7 @@
 //! the manifest rename turn a concurrent-mutator race into a typed
 //! "concurrent mutation" error instead of silent corruption.
 
-use crate::cache::{ColumnCache, ShardColumns, DEFAULT_CACHE_SHARDS};
+use crate::cache::{ColumnCache, Found, ShardColumns, DEFAULT_CACHE_SHARDS};
 use crate::manifest::{Manifest, ShardEntry, MANIFEST_FILE};
 use crate::{CacheStats, CatalogError};
 use std::path::{Path, PathBuf};
@@ -127,6 +127,13 @@ impl std::fmt::Debug for Catalog {
             .field("shards", &self.manifest.shards.len())
             .finish()
     }
+}
+
+/// A cache entry shaped like `store` — its chunks' job counts — holding
+/// no column yet.
+fn new_entry(store: &Store) -> ShardColumns {
+    let rows = store.chunk_meta().iter().map(|c| c.job_count as usize);
+    ShardColumns::new(rows.collect())
 }
 
 /// Map a workload label back to its kind (inverse of
@@ -265,9 +272,12 @@ impl Catalog {
     /// Lookup-or-fill, the one way to a shard's decoded columns: the
     /// cache entry if it already holds every column of `set` (a hit —
     /// the disk is not touched); otherwise, given the opened shard in
-    /// `fill`, the columns the entry lacks are decoded in one pass over
-    /// the shard, stepping over the rest, and added to it (a miss).
-    /// `None` means not cached and nothing to fill from.
+    /// `fill`, a miss: the columns the entry lacks are decoded in one
+    /// pass over the shard, stepping over the rest, and added to it —
+    /// unless the cache does not admit the shard (`cache.rs`: it is full
+    /// of entries used since this shard was last looked up), which keeps
+    /// and decodes nothing. `None` means not cached and not to be: read
+    /// the shard through.
     pub fn shard_columns(
         &self,
         idx: usize,
@@ -275,41 +285,43 @@ impl Catalog {
         fill: Option<&Store>,
     ) -> Result<Option<Arc<ShardColumns>>, CatalogError> {
         let entry = &self.manifest.shards[idx];
-        match fill {
-            Some(store) => self.lookup_or_fill(idx, store, set).map(Some),
-            None => Ok(self.cache.lookup(&entry.file, entry.created_gen, set)),
+        let Some(store) = fill else {
+            return Ok(self.cache.lookup(&entry.file, entry.created_gen, set));
+        };
+        let new = || new_entry(store);
+        match self
+            .cache
+            .lookup_or_admit(&entry.file, entry.created_gen, set, new)
+        {
+            Found::Hit(shard) => Ok(Some(shard)),
+            Found::Fill(shard) => self.decode_into(idx, store, set, shard).map(Some),
+            Found::Bypass => Ok(None),
         }
     }
 
-    /// All ten columns of a shard, from the cache or decoded into it.
-    /// `store` must be the opened shard at `idx`.
+    /// All ten columns of a shard, from the cache or decoded into it —
+    /// or, for a shard the cache does not admit, into an entry of the
+    /// caller's own. `store` must be the opened shard at `idx`.
     pub fn load_columns(
         &self,
         idx: usize,
         store: &Store,
     ) -> Result<Arc<ShardColumns>, CatalogError> {
-        self.lookup_or_fill(idx, store, ColumnSet::ALL)
+        match self.shard_columns(idx, ColumnSet::ALL, Some(store))? {
+            Some(shard) => Ok(shard),
+            None => self.decode_into(idx, store, ColumnSet::ALL, Arc::new(new_entry(store))),
+        }
     }
 
-    fn lookup_or_fill(
+    /// Decode the columns of `set` that `shard` lacks, in one pass over
+    /// its store, and add them.
+    fn decode_into(
         &self,
         idx: usize,
         store: &Store,
         set: ColumnSet,
+        shard: Arc<ShardColumns>,
     ) -> Result<Arc<ShardColumns>, CatalogError> {
-        let entry = &self.manifest.shards[idx];
-        if let Some(hit) = self.cache.lookup(&entry.file, entry.created_gen, set) {
-            return Ok(hit);
-        }
-        let shard = self.cache.entry(&entry.file, entry.created_gen, || {
-            ShardColumns::new(
-                store
-                    .chunk_meta()
-                    .iter()
-                    .map(|c| c.job_count as usize)
-                    .collect(),
-            )
-        });
         let missing = set.minus(shard.present());
         let all: Vec<usize> = (0..store.chunk_count()).collect();
         let decoded: [Vec<Vec<u64>>; ZONE_COLUMNS] = Default::default();
@@ -320,7 +332,7 @@ impl Catalog {
                 }
                 decoded
             })
-            .map_err(|e| CatalogError::shard(entry.file.clone(), e))?;
+            .map_err(|e| CatalogError::shard(self.manifest.shards[idx].file.clone(), e))?;
         shard.fill(missing, decoded);
         Ok(shard)
     }

@@ -24,7 +24,10 @@
 //!    decode: the catalog caches each shard's decoded columns
 //!    ([`ShardColumns`]) one column at a time — only those some query
 //!    has read — keyed by `(shard file, creation generation)` so
-//!    compaction can never serve stale data.
+//!    compaction can never serve stale data. Eviction is LRU; a full
+//!    cache admits a shard only if its previous lookup is more recent
+//!    than the victim's last use, and reads the rest through, so a scan
+//!    looping over more shards than slots keeps hitting the residents.
 //!
 //! The federated query execution itself (`catalog.execute(&query)`)
 //! lives in `swim-query`, which layers its planner on top of this

@@ -21,11 +21,13 @@
 //!
 //! Every decode keeps only the columns the compiled query reads
 //! (the kernel interns one node per column). Decoded shards are
-//! served from the catalog's `(shard, generation)` LRU, which holds each
-//! shard column by column: a full-shard read is a hit iff every column
-//! it reads is there and otherwise decodes just the missing ones into
-//! the entry; a chunk-pruned read takes a hit but never fills, rather
-//! than decode chunks the planner ruled out.
+//! served from the catalog's `(shard, generation)` cache, which holds
+//! each shard column by column: a full-shard read is a hit iff every
+//! column it reads is there and otherwise decodes just the missing ones
+//! into the entry — unless the cache does not admit the shard, and then
+//! it is read through, chunk by chunk off the store, like a chunk-pruned
+//! read, which takes a hit but never fills rather than decode chunks the
+//! planner ruled out.
 
 use crate::exec::{stats_for, ExecStats, QueryOutput};
 use crate::kernel::{Program, Worker};
@@ -115,9 +117,10 @@ fn fold_shard(
 ) -> Result<ExecStats, QueryError> {
     let store = catalog.open_shard(idx)?;
     let p = plan(&store, query);
-    // A full-shard read with caching enabled fills the LRU with the
+    // A full-shard read with caching enabled fills the cache with the
     // columns it lacks, so the next query reading them skips the varint
-    // decode entirely; a chunk-pruned read only takes a hit.
+    // decode entirely — if the cache admits the shard; a chunk-pruned
+    // read only takes a hit.
     let full_read = p.selected.len() == store.chunk_count() && catalog.cache_capacity() > 0;
     if let Some(shard) = catalog.shard_columns(idx, columns, full_read.then_some(&store))? {
         debug_assert_eq!(
@@ -129,8 +132,9 @@ fn fold_shard(
             worker.fold_chunk(shard.chunk(ci), p.full_match[ci]);
         }
     } else {
-        // Chunk-pruned read (or caching disabled): decode only what the
-        // planner selected, straight off the store.
+        // Chunk-pruned read, caching disabled, or a shard the cache will
+        // not keep: decode only what the planner selected, straight off
+        // the store, materialising nothing.
         store.fold_projected(&p.selected, columns, (), |(), ci, cols| {
             worker.fold_chunk(cols.view(), p.full_match[ci])
         })?;

@@ -2,11 +2,12 @@
 //! split arbitrarily across 1..=8 shards, `catalog.execute` (parallel),
 //! `catalog.execute_serial`, and a single-store query over the
 //! concatenated trace must agree bit for bit — rows, columns, and (for
-//! the two catalog paths) stats included. A second property holds the
-//! projected decode and the per-column cache to the same standard: what
-//! the cache happens to hold — nothing, other columns, more columns, or
-//! nothing ever (capacity 0) — and whether a read is chunk-pruned never
-//! show in a result.
+//! the two catalog paths) stats included, at a column-cache capacity
+//! drawn from none, one, half the shards, all but one, and room for all.
+//! A second property holds the projected decode and the per-column cache
+//! to the same standard: what the cache happens to hold — nothing, other
+//! columns, more columns, or nothing ever (capacity 0) — and whether a
+//! read is chunk-pruned never show in a result.
 
 use proptest::prelude::*;
 use swim_catalog::{Catalog, CatalogOptions};
@@ -136,8 +137,14 @@ proptest! {
         pred_kind in any::<u8>(),
         threshold in any::<u64>(),
         group_kind in any::<u8>(),
+        capacity_kind in 0usize..5,
     ) {
         let (catalog, dir) = sharded_catalog(&jobs, &assignment, n_shards, jobs_per_chunk);
+        // Fewer slots than shards: from its second pass on a scan finds
+        // the cache full and refuses some shards, which are read through.
+        let shards = catalog.shard_count();
+        let capacities = [0, 1, shards / 2, shards.saturating_sub(1), catalog.cache_capacity()];
+        catalog.set_cache_capacity(capacities[capacity_kind]);
 
         let trace = Trace::new(WorkloadKind::Custom("prop".into()), 3, jobs)
             .expect("unique ids");
@@ -160,11 +167,18 @@ proptest! {
         prop_assert_eq!(&serial.output.columns, &single.columns);
         prop_assert_eq!(&serial.output.rows, &single.rows);
         // Parallel federated execution is bit-identical, stats included —
-        // and again with the decoded-column cache warm.
-        for _ in 0..2 {
+        // and again with the decoded-column cache warm, whichever shards
+        // it admitted — and so is a scan that caches nothing.
+        for _ in 0..3 {
             let parallel = catalog.execute(&query).expect("federated parallel executes");
             prop_assert_eq!(&parallel, &serial);
         }
+        let cache = catalog.cache_stats();
+        prop_assert!(cache.entries <= cache.capacity);
+        prop_assert!(cache.evictions <= cache.misses - cache.bypassed);
+        catalog.set_cache_capacity(0);
+        let uncached = catalog.execute_serial(&query).expect("federated uncached executes");
+        prop_assert_eq!(&uncached, &serial);
         // Shard accounting balances.
         prop_assert_eq!(
             serial.shards_scanned + serial.shards_pruned,
