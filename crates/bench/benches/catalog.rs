@@ -13,7 +13,7 @@ use swim_catalog::{Catalog, CatalogOptions};
 use swim_query::{Aggregate, CatalogQuery, Expr, Pred, Query};
 use swim_store::StoreOptions;
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
+use swim_trace::Trace;
 
 const SHARDS: u64 = 16;
 const JOBS_PER_SHARD: u64 = 250_000;
@@ -21,32 +21,11 @@ const JOBS_PER_SHARD: u64 = 250_000;
 const DAY: u64 = 86_400;
 
 fn shard_trace(shard: u64) -> Trace {
-    let mut state = 0x5EED_CAFE_u64 ^ (shard << 32);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let jobs = (0..JOBS_PER_SHARD)
-        .map(|i| {
-            let r = next();
-            let id = shard * JOBS_PER_SHARD + i;
-            let mut b = JobBuilder::new(id)
-                .submit(Timestamp::from_secs(shard * DAY + i * DAY / JOBS_PER_SHARD))
-                .duration(Dur::from_secs(10 + r % 3600))
-                .input(DataSize::from_bytes((r % 1_000_000) * (1 + r % 4096)))
-                .output(DataSize::from_bytes(r % 100_000_000))
-                .map_task_time(Dur::from_secs(20 + r % 7200))
-                .tasks(1 + (r % 300) as u32, (r % 4) as u32);
-            if r % 4 > 0 {
-                b = b
-                    .shuffle(DataSize::from_bytes(r % 10_000_000))
-                    .reduce_task_time(Dur::from_secs(5 + r % 900));
-            }
-            b.build().expect("consistent")
-        })
-        .collect();
+    let jobs = swim_bench::fixture::lcg_jobs(
+        0x5EED_CAFE_u64 ^ (shard << 32),
+        shard * JOBS_PER_SHARD..(shard + 1) * JOBS_PER_SHARD,
+        shard * DAY..(shard + 1) * DAY,
+    );
     Trace::new_unchecked(WorkloadKind::Custom("bench-fleet".into()), 600, jobs)
 }
 

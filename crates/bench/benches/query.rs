@@ -15,38 +15,14 @@ use swim_query::{execute, execute_serial, parse, AggValue, Aggregate, Expr, Pred
 use swim_store::format::columns::{ColumnSet, NumericColumns};
 use swim_store::{store_to_vec, Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
+use swim_trace::Trace;
 
 const JOBS: u64 = 1_000_000;
 /// One month of submissions, FB-2009 scale (same shape as the store bench).
 const SPAN_SECS: u64 = 30 * 86_400;
 
 fn million_job_trace() -> Trace {
-    let mut state = 0x5EED_CAFE_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let jobs = (0..JOBS)
-        .map(|i| {
-            let r = next();
-            let mut b = JobBuilder::new(i)
-                .submit(Timestamp::from_secs(i * SPAN_SECS / JOBS))
-                .duration(Dur::from_secs(10 + r % 3600))
-                .input(DataSize::from_bytes((r % 1_000_000) * (1 + r % 4096)))
-                .output(DataSize::from_bytes(r % 100_000_000))
-                .map_task_time(Dur::from_secs(20 + r % 7200))
-                .tasks(1 + (r % 300) as u32, (r % 4) as u32);
-            if r % 4 > 0 {
-                b = b
-                    .shuffle(DataSize::from_bytes(r % 10_000_000))
-                    .reduce_task_time(Dur::from_secs(5 + r % 900));
-            }
-            b.build().expect("consistent")
-        })
-        .collect();
+    let jobs = swim_bench::fixture::lcg_jobs(0x5EED_CAFE, 0..JOBS, 0..SPAN_SECS);
     Trace::new_unchecked(WorkloadKind::Custom("bench-1m".into()), 600, jobs)
 }
 
@@ -190,22 +166,21 @@ fn bench_query(c: &mut Criterion) {
     // over the bare store API.
     group.bench_function("hand_rolled_columns_fold", |b| {
         b.iter(|| {
-            black_box(&store)
-                .par_fold_projected(
-                    &all,
-                    ColumnSet::ALL,
-                    || (0u64, 0u64),
-                    |(n, io), _idx, chunk| {
-                        let cols = NumericColumns::from(chunk);
-                        let mut io = io;
-                        for i in 0..cols.len() {
-                            io = io.saturating_add(cols.total_io(i).bytes());
-                        }
-                        (n + cols.len() as u64, io)
-                    },
-                    |a, b| (a.0 + b.0, a.1.saturating_add(b.1)),
-                )
-                .expect("scans")
+            let store = black_box(&store);
+            let parts = swim_obs::par_claim(store.chunk_count(), swim_obs::cores(), |claims| {
+                let mut reader = store.reader().expect("opens");
+                claims.fold((0u64, 0u64), |(n, mut io), idx| {
+                    let chunk = reader.columns(idx, ColumnSet::ALL).expect("decodes");
+                    let cols = NumericColumns::from(chunk);
+                    for i in 0..cols.len() {
+                        io = io.saturating_add(cols.total_io(i).bytes());
+                    }
+                    (n + cols.len() as u64, io)
+                })
+            });
+            parts
+                .into_iter()
+                .fold((0u64, 0u64), |a, b| (a.0 + b.0, a.1.saturating_add(b.1)))
         })
     });
     group.finish();

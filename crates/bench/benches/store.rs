@@ -7,41 +7,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use swim_store::{store_to_vec, Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{io, DataSize, Dur, JobBuilder, Timestamp, Trace, TraceSummary};
+use swim_trace::{io, DataSize, Timestamp, Trace, TraceSummary};
 
 const JOBS: u64 = 1_000_000;
 /// One month of submissions at ~23 jobs/minute, FB-2009 scale (Table 1).
 const SPAN_SECS: u64 = 30 * 86_400;
 
-/// Deterministic million-job trace in FB-like proportions, built directly
-/// (generating through `swim-workloadgen` at this scale would dominate
-/// bench startup).
+/// Deterministic million-job trace in FB-like proportions.
 fn million_job_trace() -> Trace {
-    let mut state = 0x5EED_CAFE_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let jobs = (0..JOBS)
-        .map(|i| {
-            let r = next();
-            let mut b = JobBuilder::new(i)
-                .submit(Timestamp::from_secs(i * SPAN_SECS / JOBS))
-                .duration(Dur::from_secs(10 + r % 3600))
-                .input(DataSize::from_bytes((r % 1_000_000) * (1 + r % 4096)))
-                .output(DataSize::from_bytes(r % 100_000_000))
-                .map_task_time(Dur::from_secs(20 + r % 7200))
-                .tasks(1 + (r % 300) as u32, (r % 4) as u32);
-            if r % 4 > 0 {
-                b = b
-                    .shuffle(DataSize::from_bytes(r % 10_000_000))
-                    .reduce_task_time(Dur::from_secs(5 + r % 900));
-            }
-            b.build().expect("consistent")
-        })
-        .collect();
+    let jobs = swim_bench::fixture::lcg_jobs(0x5EED_CAFE, 0..JOBS, 0..SPAN_SECS);
     Trace::new_unchecked(WorkloadKind::Custom("bench-1m".into()), 600, jobs)
 }
 
@@ -143,7 +117,7 @@ fn bench_scan(c: &mut Criterion) {
     let (b, store_time) = swim_obs::timed("bench.store_par_scan", || fold_summary(&store));
     assert_eq!(a, b, "both paths must compute the same Table 1 row");
     eprintln!(
-        "headline: csv parse+summary {csv_time:?} vs store par_scan {store_time:?} \
+        "headline: csv parse+summary {csv_time:?} vs store par_summary {store_time:?} \
          => {:.1}x speedup",
         csv_time.as_secs_f64() / store_time.as_secs_f64()
     );

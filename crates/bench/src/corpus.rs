@@ -4,7 +4,6 @@
 //! (they have >1 M jobs at production scale); the Cloudera workloads run
 //! at full published job rates. Every report prints the scale it ran at.
 
-use crossbeam::thread;
 use std::path::Path;
 use swim_store::{Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
@@ -53,28 +52,17 @@ impl Corpus {
     /// Build the corpus, generating the seven workloads in parallel.
     pub fn build(scale: CorpusScale, seed: u64) -> Corpus {
         let kinds = WorkloadKind::PAPER_SEVEN;
-        let traces: Vec<Trace> = thread::scope(|s| {
-            let handles: Vec<_> = kinds
-                .iter()
-                .map(|kind| {
-                    s.spawn(move |_| {
-                        let (job_scale, days) = scale_params(kind, scale);
-                        WorkloadGenerator::new(
-                            GeneratorConfig::new(kind.clone())
-                                .scale(job_scale)
-                                .days(days)
-                                .seed(seed ^ fxhash(kind.label())),
-                        )
-                        .generate()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("generator thread"))
-                .collect()
-        })
-        .expect("corpus build scope");
+        let traces = swim_obs::par_map(kinds.len(), swim_obs::cores(), |i| {
+            let kind = &kinds[i];
+            let (job_scale, days) = scale_params(kind, scale);
+            WorkloadGenerator::new(
+                GeneratorConfig::new(kind.clone())
+                    .scale(job_scale)
+                    .days(days)
+                    .seed(seed ^ fxhash(kind.label())),
+            )
+            .generate()
+        });
         Corpus {
             traces,
             scale,

@@ -14,6 +14,7 @@
 pub mod analyze;
 pub mod corpus;
 pub mod experiments;
+pub mod fixture;
 pub mod render;
 pub mod serveload;
 pub mod top;

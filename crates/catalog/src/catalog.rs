@@ -209,9 +209,20 @@ impl Catalog {
         self.manifest.shards.len()
     }
 
-    /// Total jobs across all shards (O(manifest)).
+    /// Total jobs across all shards (O(manifest)), saturating: the
+    /// addends are manifest text.
     pub fn job_count(&self) -> u64 {
-        self.manifest.shards.iter().map(|s| s.jobs).sum()
+        let jobs = self.manifest.shards.iter().map(|s| s.jobs);
+        jobs.fold(0, u64::saturating_add)
+    }
+
+    /// The distinct workload labels of the shards, sorted.
+    fn kind_labels(&self) -> Vec<&str> {
+        let shards = self.manifest.shards.iter();
+        let mut labels: Vec<&str> = shards.map(|s| s.kind_label.as_str()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        labels
     }
 
     /// Dataset-level zone map: the union of every shard's zone map
@@ -226,15 +237,12 @@ impl Catalog {
     /// shards' common label, or `mixed(N)` when N kinds are present.
     pub fn summary(&self) -> TraceSummary {
         let shards = &self.manifest.shards;
-        let mut labels: Vec<&str> = shards.iter().map(|s| s.kind_label.as_str()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        let workload = match labels.as_slice() {
+        let workload = match self.kind_labels().as_slice() {
             [] => "empty catalog".to_owned(),
             [one] => (*one).to_owned(),
             many => format!("mixed({})", many.len()),
         };
-        let jobs: u64 = shards.iter().map(|s| s.jobs).sum();
+        let jobs = self.job_count();
         let bytes_moved = shards
             .iter()
             .fold(0u64, |acc, s| acc.saturating_add(s.bytes_moved));
@@ -262,11 +270,23 @@ impl Catalog {
         }
     }
 
-    /// Open one shard's store (reads header + footer only).
+    /// Open one shard's store (reads header + footer only). A file whose
+    /// footer job count is not its manifest line's is refused: it was
+    /// swapped or is stale, and the manifest's statistics describe
+    /// another.
     pub fn open_shard(&self, idx: usize) -> Result<Store, CatalogError> {
         let entry = &self.manifest.shards[idx];
-        Store::open(self.dir.join(&entry.file))
-            .map_err(|e| CatalogError::shard(entry.file.clone(), e))
+        let store = Store::open(self.dir.join(&entry.file))
+            .map_err(|e| CatalogError::shard(entry.file.clone(), e))?;
+        if store.job_count() != entry.jobs {
+            return Err(CatalogError::shard(
+                entry.file.clone(),
+                StoreError::Corrupt {
+                    context: "shard job count disagrees with its manifest line",
+                },
+            ));
+        }
+        Ok(store)
     }
 
     /// Lookup-or-fill, the one way to a shard's decoded columns: the
@@ -322,17 +342,16 @@ impl Catalog {
         set: ColumnSet,
         shard: Arc<ShardColumns>,
     ) -> Result<Arc<ShardColumns>, CatalogError> {
+        let at = |e| CatalogError::shard(self.manifest.shards[idx].file.clone(), e);
         let missing = set.minus(shard.present());
-        let all: Vec<usize> = (0..store.chunk_count()).collect();
-        let decoded: [Vec<Vec<u64>>; ZONE_COLUMNS] = Default::default();
-        let decoded = store
-            .fold_projected(&all, missing, decoded, |mut decoded, _idx, chunk| {
-                for (column, values) in decoded.iter_mut().zip(chunk.cols) {
-                    column.push(values);
-                }
-                decoded
-            })
-            .map_err(|e| CatalogError::shard(self.manifest.shards[idx].file.clone(), e))?;
+        let mut decoded: [Vec<Vec<u64>>; ZONE_COLUMNS] = Default::default();
+        let mut reader = store.reader().map_err(at)?;
+        for chunk in 0..store.chunk_count() {
+            let chunk = reader.columns(chunk, missing).map_err(at)?;
+            for (column, values) in decoded.iter_mut().zip(chunk.cols) {
+                column.push(values);
+            }
+        }
         shard.fill(missing, decoded);
         Ok(shard)
     }
@@ -662,15 +681,9 @@ impl Catalog {
                 if entry.store_version < swim_store::format::VERSION {
                     stats.upgraded_v1 += 1;
                 }
-                let store = self.open_shard(idx)?;
+                let store = self.read_shard(idx, None, &mut jobs)?;
                 kinds.push(store.kind().clone());
                 machines = machines.max(store.machines());
-                for chunk in store
-                    .scan()
-                    .map_err(|e| CatalogError::shard(entry.file.clone(), e))?
-                {
-                    jobs.extend(chunk.map_err(|e| CatalogError::shard(entry.file.clone(), e))?);
-                }
             }
             kinds.dedup();
             let kind = match kinds.as_slice() {
@@ -762,15 +775,7 @@ impl Catalog {
     /// `(submit, id)`. The kind is the shards' common kind, or
     /// `Custom("mixed")`.
     pub fn read_trace(&self) -> Result<Trace, CatalogError> {
-        let mut labels: Vec<&str> = self
-            .manifest
-            .shards
-            .iter()
-            .map(|s| s.kind_label.as_str())
-            .collect();
-        labels.sort_unstable();
-        labels.dedup();
-        let kind = match labels.as_slice() {
+        let kind = match self.kind_labels().as_slice() {
             [] => WorkloadKind::Custom("empty catalog".into()),
             [one] => kind_from_label(one),
             _ => WorkloadKind::Custom("mixed".into()),
@@ -782,18 +787,33 @@ impl Catalog {
             .map(|s| s.machines)
             .max()
             .unwrap_or(0);
-        let mut jobs = Vec::with_capacity(self.job_count() as usize);
+        // Grown as shards decode: each open bounds its shard's job count
+        // by its file size, the manifest's `jobs=` fields bound nothing.
+        let mut jobs = Vec::new();
         for idx in 0..self.manifest.shards.len() {
-            let entry = &self.manifest.shards[idx];
-            let store = self.open_shard(idx)?;
-            for chunk in store
-                .scan()
-                .map_err(|e| CatalogError::shard(entry.file.clone(), e))?
-            {
-                jobs.extend(chunk.map_err(|e| CatalogError::shard(entry.file.clone(), e))?);
-            }
+            self.read_shard(idx, None, &mut jobs)?;
         }
         Ok(Trace::new_unchecked(kind, machines, jobs))
+    }
+
+    /// Open shard `idx` and append its jobs — those submitted in the
+    /// half-open `range`, when given — to `jobs`.
+    fn read_shard(
+        &self,
+        idx: usize,
+        range: Option<(Timestamp, Timestamp)>,
+        jobs: &mut Vec<Job>,
+    ) -> Result<Store, CatalogError> {
+        let at = |e| CatalogError::shard(self.manifest.shards[idx].file.clone(), e);
+        let store = self.open_shard(idx)?;
+        let scan = match range {
+            Some((from, to)) => store.scan_range(from, to),
+            None => store.scan(),
+        };
+        for chunk in scan.map_err(at)? {
+            jobs.extend(chunk.map_err(at)?);
+        }
+        Ok(store)
     }
 
     /// Jobs submitted in the half-open range `[from, to)` across every
@@ -807,13 +827,7 @@ impl Catalog {
             if Timestamp::from_secs(max) < from || Timestamp::from_secs(min) >= to {
                 continue;
             }
-            let store = self.open_shard(idx)?;
-            for chunk in store
-                .scan_range(from, to)
-                .map_err(|e| CatalogError::shard(entry.file.clone(), e))?
-            {
-                jobs.extend(chunk.map_err(|e| CatalogError::shard(entry.file.clone(), e))?);
-            }
+            self.read_shard(idx, Some((from, to)), &mut jobs)?;
         }
         jobs.sort_by_key(|j| (j.submit, j.id));
         Ok(jobs)

@@ -210,18 +210,20 @@ impl Manifest {
                 .map(str::to_owned)
                 .ok_or_else(|| format!("expected `{key}=…`, got {field:?}"))
         };
-        let num = |key: &str, value: String| -> Result<u64, String> {
+        // Parsed at the field's own width, so `v=65538` is an error, not
+        // version 2.
+        fn num<T: std::str::FromStr>(key: &str, value: String) -> Result<T, String> {
             value
                 .parse()
-                .map_err(|_| format!("non-numeric `{key}` value {value:?}"))
-        };
-        let store_version = num("v", take("v")?)? as u16;
-        let created_gen = num("gen", take("gen")?)?;
-        let jobs = num("jobs", take("jobs")?)?;
-        let bytes = num("bytes", take("bytes")?)?;
-        let machines = num("machines", take("machines")?)? as u32;
-        let bytes_moved = num("io", take("io")?)?;
-        let task_time = num("task", take("task")?)?;
+                .map_err(|_| format!("non-numeric or out-of-range `{key}` value {value:?}"))
+        }
+        let store_version: u16 = num("v", take("v")?)?;
+        let created_gen: u64 = num("gen", take("gen")?)?;
+        let jobs: u64 = num("jobs", take("jobs")?)?;
+        let bytes: u64 = num("bytes", take("bytes")?)?;
+        let machines: u32 = num("machines", take("machines")?)?;
+        let bytes_moved: u64 = num("io", take("io")?)?;
+        let task_time: u64 = num("task", take("task")?)?;
         let zone_of = |key: &str, value: String| -> Result<[u64; ZONE_COLUMNS], String> {
             let mut out = [0u64; ZONE_COLUMNS];
             let parts: Vec<&str> = value.split(',').collect();

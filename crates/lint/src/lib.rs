@@ -85,6 +85,10 @@ pub struct LintResult {
     pub findings: Vec<Finding>,
     /// Findings suppressed by reasoned waivers, same order.
     pub waived: Vec<Waived>,
+    /// Per crate, by name: distinct lines of its library files on which
+    /// a non-comment token outside test scope starts. What a change adds
+    /// to or takes from each crate, by one rule, in the golden's diff.
+    pub code_lines: Vec<(String, usize)>,
 }
 
 impl LintResult {
@@ -174,11 +178,13 @@ pub fn run(root: &Path) -> Result<LintResult, String> {
 
     let mut files = 0usize;
     let mut env_referenced: BTreeSet<String> = BTreeSet::new();
+    let mut code_lines: Vec<(String, usize)> = Vec::new();
 
     for krate in &ws.crates {
         if let Some(spec) = &spec {
             rules::check_crate_manifest(krate, spec, &mut findings);
         }
+        let mut crate_lines = 0usize;
         for file in &krate.files {
             files += 1;
             let toks = lex::lex(&file.text)
@@ -186,6 +192,10 @@ pub fn run(root: &Path) -> Result<LintResult, String> {
             let scopes = scope::analyze(&toks);
             let mut waivers = waiver::collect(&toks, &scopes.test_mask, file.kind.is_test_target());
             let ctx = rules::FileCtx::new(krate, file, &toks, &scopes);
+            if file.kind == workspace::FileKind::Lib {
+                let live = ctx.code.iter().filter(|&&i| !scopes.test_mask[i]);
+                crate_lines += live.map(|&i| toks[i].line).collect::<BTreeSet<_>>().len();
+            }
             let mut sink = Sink {
                 file: &file.rel_path,
                 waivers: &mut waivers,
@@ -235,6 +245,7 @@ pub fn run(root: &Path) -> Result<LintResult, String> {
                 }
             }
         }
+        code_lines.push((krate.name.clone(), crate_lines));
     }
 
     if let Some(spec) = &spec {
@@ -265,6 +276,7 @@ pub fn run(root: &Path) -> Result<LintResult, String> {
         files,
         findings,
         waived,
+        code_lines,
     })
 }
 

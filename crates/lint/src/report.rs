@@ -30,6 +30,13 @@ pub fn to_report(result: &LintResult) -> Report {
         ]);
     }
     summary.captioned_table("per-rule results:", rules);
+    let mut lines = Table::new(vec!["crate", "code lines"]);
+    for (name, count) in &result.code_lines {
+        lines.row(vec![name.clone(), count.to_string()]);
+    }
+    let total: usize = result.code_lines.iter().map(|(_, n)| n).sum();
+    lines.row(vec!["total".to_owned(), total.to_string()]);
+    summary.captioned_table("non-test library code, lines per crate:", lines);
     report.push(summary);
 
     if !result.findings.is_empty() {
@@ -117,6 +124,20 @@ pub fn render_json(result: &LintResult) -> String {
     }
     out.push_str("  ],\n");
 
+    out.push_str("  \"code_lines\": [\n");
+    for (k, (name, lines)) in result.code_lines.iter().enumerate() {
+        let comma = if k + 1 < result.code_lines.len() {
+            ","
+        } else {
+            ""
+        };
+        out.push_str(&format!(
+            "    {{\"crate\": \"{}\", \"lines\": {lines}}}{comma}\n",
+            esc(name)
+        ));
+    }
+    out.push_str("  ],\n");
+
     out.push_str("  \"findings\": [\n");
     for (k, f) in result.findings.iter().enumerate() {
         out.push_str(&format!(
@@ -161,6 +182,7 @@ mod tests {
             files: 3,
             findings,
             waived: Vec::new(),
+            code_lines: vec![("swim-x".into(), 40), ("swim-y".into(), 2)],
         }
     }
 
@@ -175,6 +197,7 @@ mod tests {
         assert!(json.contains(r#""rule": "panic""#));
         assert!(json.contains(r#"\"quoted\""#));
         assert!(json.contains(r"\n"));
+        assert!(json.contains(r#"{"crate": "swim-x", "lines": 40},"#));
         // Every rule id appears in the rules array even with no findings.
         for rule in RuleId::ALL {
             assert!(json.contains(&format!("\"id\": \"{}\"", rule.id())));
@@ -191,5 +214,10 @@ mod tests {
         }]));
         assert!(text.contains("a.rs:3: [clock] tick"), "{text}");
         assert!(text.contains("findings"), "{text}");
+        let total = text
+            .lines()
+            .find(|l| l.contains("total"))
+            .expect("total row");
+        assert!(total.contains("42"), "{text}");
     }
 }

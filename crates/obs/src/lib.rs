@@ -7,7 +7,12 @@
 //!
 //! The crate sits **below** every other workspace crate (including
 //! `swim-store`), so any layer can instrument its hot paths without new
-//! dependency edges. Three properties keep that instrumentation honest:
+//! dependency edges. It is the std-only floor, and holds the four things
+//! every layer shares: the clock ([`timed`], [`clock`]), counters,
+//! spans, and the fan-out ([`par`]: [`par_claim`] / [`par_map`], the one
+//! place threads are spawned for a claim pool — and therefore the one
+//! place a worker's spans can be tied back to the caller's). Three
+//! properties keep the instrumentation honest:
 //!
 //! 1. **Cheap when disabled.** Every recording call starts with one
 //!    relaxed atomic load of the global enable mask; when the relevant
@@ -59,12 +64,14 @@ pub mod clock;
 pub mod flight;
 pub mod jsonl;
 pub mod metrics;
+pub mod par;
 pub mod registry;
 pub mod span;
 pub mod window;
 
 pub use flight::FlightEvent;
 pub use metrics::{quantile_of_sorted, Counter, Gauge, Histogram};
+pub use par::{cores, par_claim, par_map, Claims};
 pub use registry::{reset, snapshot, HistogramSample, Registry, Snapshot, SpanSample};
 pub use span::{span, timed, SpanGuard};
 pub use window::{BucketSummary, WindowSummary, WindowedCounter, WindowedHistogram};

@@ -1,12 +1,13 @@
 //! Query execution: plan, fold every planned chunk through the chunk
 //! kernel, finalize deterministically.
 //!
-//! Both entry points — [`execute`] (parallel, worker-claimed chunk
-//! indices via [`Store::par_fold_projected`]) and [`execute_serial`]
-//! ([`Store::fold_projected`], the same claim loop run by the caller) —
-//! decode only the columns the compiled query reads, run the *same*
-//! kernel ([`crate::kernel`]) and the *same* finalization, and every
-//! worker merge is exact and order-insensitive, so the two produce
+//! Both entry points are one body over [`swim_obs::par_claim`]:
+//! [`execute`] runs it on every core, [`execute_serial`] on one thread —
+//! which is the caller claiming the planned chunks in file order. Each
+//! worker decodes only the columns the compiled query reads through a
+//! [`swim_store::ChunkReader`] of its own and runs the *same* kernel
+//! (`crate::kernel`); every worker merge is exact and
+//! order-insensitive and finalization is shared, so the two produce
 //! bit-identical [`QueryOutput`]s (pinned by tests and proptests). They
 //! differ only in who claims chunks.
 
@@ -115,54 +116,44 @@ pub(crate) fn stats_for(p: &crate::plan::Plan) -> ExecStats {
     }
 }
 
-fn run(store: &Store, query: &Query, parallel: bool) -> Result<QueryOutput, QueryError> {
+fn run(store: &Store, query: &Query, threads: usize) -> Result<QueryOutput, QueryError> {
     query.validate()?;
     let p = plan(store, query);
     let program = Program::compile(query);
-    let (full_match, columns) = (&p.full_match, program.columns());
-    let worker = if parallel {
-        store.par_fold_projected(
-            &p.selected,
-            columns,
-            || Worker::new(&program),
-            |mut worker, idx, cols| {
+    let columns = program.columns();
+    let claimed = swim_obs::par_claim(p.selected.len(), threads, |claims| {
+        let mut worker = Worker::new(&program);
+        let mut reader = store.reader()?;
+        for slot in claims {
+            let idx = p.selected[slot];
+            if threads > 1 {
                 crate::obs::CHUNK_CLAIMS.incr();
-                worker.fold_chunk(cols.view(), full_match[idx]);
-                worker
-            },
-            |mut a, b| {
-                a.merge(b);
-                a
-            },
-        )?
-    } else {
-        store.fold_projected(
-            &p.selected,
-            columns,
-            Worker::new(&program),
-            |mut worker, idx, cols| {
-                worker.fold_chunk(cols.view(), full_match[idx]);
-                worker
-            },
-        )?
-    };
+            }
+            worker.fold_chunk(reader.columns(idx, columns)?.view(), p.full_match[idx]);
+        }
+        Ok::<_, QueryError>(worker)
+    });
+    let mut worker = Worker::new(&program);
+    for theirs in claimed {
+        worker.merge(theirs?);
+    }
     Ok(finalize(query, worker, stats_for(&p)))
 }
 
-/// Execute in parallel: workers claim planned chunk indices off a shared
-/// counter ([`Store::par_fold_projected`]) and per-worker group tables are
-/// merged exactly. Bit-identical to [`execute_serial`].
+/// Execute on every core: workers claim planned chunk indices off
+/// [`swim_obs::par_claim`]'s shared counter and per-worker group tables
+/// are merged exactly. Bit-identical to [`execute_serial`].
 pub fn execute(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> {
     let _span = swim_obs::span("query.execute");
-    run(store, query, true)
+    run(store, query, swim_obs::cores())
 }
 
-/// Execute on the calling thread, chunks in file order. The reference
-/// implementation for determinism tests — and the faster choice for tiny
-/// stores.
+/// Execute on the calling thread, chunks in file order: the same body
+/// with one worker. The reference implementation for determinism tests —
+/// and the faster choice for tiny stores.
 pub fn execute_serial(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> {
     let _span = swim_obs::span("query.execute_serial");
-    run(store, query, false)
+    run(store, query, 1)
 }
 
 #[cfg(test)]
@@ -251,15 +242,11 @@ mod tests {
         );
         // Oracle: count via the store's job-level range scan.
         let expected = store
-            .par_scan_range(
-                Timestamp::from_secs(10_000),
-                Timestamp::from_secs(12_000),
-                || 0u64,
-                |n, _| n + 1,
-                |a, b| a + b,
-            )
-            .unwrap();
-        assert_eq!(out.rows[0].values, vec![AggValue::Int(expected)]);
+            .scan_range(Timestamp::from_secs(10_000), Timestamp::from_secs(12_000))
+            .unwrap()
+            .jobs()
+            .count();
+        assert_eq!(out.rows[0].values, vec![AggValue::Int(expected as u64)]);
     }
 
     #[test]

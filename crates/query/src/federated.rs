@@ -9,15 +9,16 @@
 //! 2. for surviving shards, against the store's per-chunk zone maps,
 //!    exactly as single-store execution does.
 //!
-//! Execution fans surviving shards out over worker-claimed indices (the
-//! same claim-a-counter pattern as [`swim_store::Store::par_fold_projected`]).
-//! Each thread folds every chunk of every shard it claims into *one*
-//! kernel worker ([`crate::kernel`]) — the same one single-store
-//! execution runs — so a query merges once per thread, not once per
-//! shard; merges are exact and order-insensitive and finalization is
-//! shared, so [`CatalogQuery::execute`], [`CatalogQuery::execute_serial`],
-//! and a single-store query over the concatenated trace all produce
-//! bit-identical rows (property-tested).
+//! Execution fans surviving shards out over [`swim_obs::par_claim`]:
+//! one body, run on every core by [`CatalogQuery::execute`] and on one
+//! thread — the caller, claiming in manifest order — by
+//! [`CatalogQuery::execute_serial`]. Each worker folds every chunk of
+//! every shard it claims into *one* kernel worker (`crate::kernel`) —
+//! the same one single-store execution runs — so a query merges once per
+//! thread, not once per shard; merges are exact and order-insensitive
+//! and finalization is shared, so [`CatalogQuery::execute`],
+//! [`CatalogQuery::execute_serial`], and a single-store query over the
+//! concatenated trace all produce bit-identical rows (property-tested).
 //!
 //! Every decode keeps only the columns the compiled query reads
 //! (the kernel interns one node per column). Decoded shards are
@@ -33,7 +34,6 @@ use crate::exec::{stats_for, ExecStats, QueryOutput};
 use crate::kernel::{Program, Worker};
 use crate::plan::{plan, Query};
 use crate::{QueryError, Tri};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use swim_catalog::Catalog;
 use swim_store::format::columns::ColumnSet;
 
@@ -73,12 +73,14 @@ impl CatalogOutput {
 /// Federated execution over a catalog — implemented for
 /// [`swim_catalog::Catalog`], so call sites read `catalog.execute(&query)`.
 pub trait CatalogQuery {
-    /// Execute in parallel: workers claim surviving shard indices off a
-    /// shared counter. Bit-identical to [`CatalogQuery::execute_serial`].
+    /// Execute on every core: workers claim surviving shard indices off
+    /// [`swim_obs::par_claim`]'s shared counter. Bit-identical to
+    /// [`CatalogQuery::execute_serial`].
     fn execute(&self, query: &Query) -> Result<CatalogOutput, QueryError>;
 
-    /// Execute on the calling thread, shards in manifest order — the
-    /// reference path for determinism tests and tiny catalogs.
+    /// Execute on the calling thread, shards in manifest order: the same
+    /// body with one worker — the reference path for determinism tests
+    /// and tiny catalogs.
     fn execute_serial(&self, query: &Query) -> Result<CatalogOutput, QueryError>;
 }
 
@@ -135,58 +137,32 @@ fn fold_shard(
         // Chunk-pruned read, caching disabled, or a shard the cache will
         // not keep: decode only what the planner selected, straight off
         // the store, materialising nothing.
-        store.fold_projected(&p.selected, columns, (), |(), ci, cols| {
-            worker.fold_chunk(cols.view(), p.full_match[ci])
-        })?;
+        let mut reader = store.reader()?;
+        for &ci in &p.selected {
+            worker.fold_chunk(reader.columns(ci, columns)?.view(), p.full_match[ci]);
+        }
     }
     Ok(stats_for(&p))
 }
 
-/// Prune shards, fold the survivors, merge, finalize. Parallel and serial
-/// execution differ only in who runs `claim_shards`: one scoped thread
-/// per core, or the caller alone (which then claims in manifest order).
-fn run(catalog: &Catalog, query: &Query, parallel: bool) -> Result<CatalogOutput, QueryError> {
+/// Prune shards, fold the survivors, merge, finalize — on `threads`
+/// workers; one is the caller alone, claiming in manifest order.
+fn run(catalog: &Catalog, query: &Query, threads: usize) -> Result<CatalogOutput, QueryError> {
     query.validate()?;
     let selected = prune_shards(catalog, query);
     let program = Program::compile(query);
     let columns = program.columns();
-    let cursor = AtomicUsize::new(0);
-    let claim_shards = || -> Result<(Worker<'_>, ExecStats), QueryError> {
+    let claimed = swim_obs::par_claim(selected.len(), threads, |claims| {
         let mut worker = Worker::new(&program);
         let mut stats = ExecStats::default();
-        loop {
-            // lint: ordering: work-stealing cursor; slot handoff is via scoped-thread join
-            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&idx) = selected.get(slot) else {
-                break;
-            };
+        for slot in claims {
             add_chunk_stats(
                 &mut stats,
-                fold_shard(catalog, idx, query, columns, &mut worker)?,
+                fold_shard(catalog, selected[slot], query, columns, &mut worker)?,
             );
         }
-        Ok((worker, stats))
-    };
-    let threads = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(selected.len())
-    } else {
-        1
-    };
-    let claimed = if threads > 1 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads).map(|_| s.spawn(claim_shards)).collect();
-            handles
-                .into_iter()
-                // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
-                .map(|h| h.join().expect("federated worker panicked"))
-                .collect()
-        })
-    } else {
-        vec![claim_shards()]
-    };
+        Ok::<_, QueryError>((worker, stats))
+    });
     let mut worker = Worker::new(&program);
     let mut stats = ExecStats::default();
     for result in claimed {
@@ -205,12 +181,12 @@ fn run(catalog: &Catalog, query: &Query, parallel: bool) -> Result<CatalogOutput
 impl CatalogQuery for Catalog {
     fn execute(&self, query: &Query) -> Result<CatalogOutput, QueryError> {
         let _span = swim_obs::span("query.federated");
-        run(self, query, true)
+        run(self, query, swim_obs::cores())
     }
 
     fn execute_serial(&self, query: &Query) -> Result<CatalogOutput, QueryError> {
         let _span = swim_obs::span("query.federated_serial");
-        run(self, query, false)
+        run(self, query, 1)
     }
 }
 

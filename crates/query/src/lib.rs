@@ -26,9 +26,10 @@
 //!    scratch, one selection vector, dense group ids, one state vector
 //!    per aggregate. Names/paths are never decoded (they are not
 //!    addressable from a query at all).
-//! 3. **Deterministic parallelism** — workers claim chunk indices off a
-//!    shared counter ([`swim_store::Store::par_fold_projected`]); every
-//!    worker merge is exact and order-insensitive (counts, saturating
+//! 3. **Deterministic parallelism** — workers claim chunk indices off
+//!    [`swim_obs::par_claim`]'s shared counter and decode through a
+//!    [`swim_store::ChunkReader`] each (one thread is the serial path);
+//!    every worker merge is exact and order-insensitive (counts, saturating
 //!    `u64` sums, extrema, rank-selected percentile samples), and
 //!    finalization sorts groups canonically, so [`execute`] and
 //!    [`execute_serial`] return bit-identical results.

@@ -21,8 +21,9 @@ pub(crate) static ROWS_SCANNED: Counter = Counter::new("query.rows_scanned");
 pub(crate) static ROWS_MATCHED: Counter = Counter::new("query.rows_matched");
 /// Rows the predicate rejected (`rows_scanned - rows_matched`).
 pub(crate) static ROWS_FILTERED: Counter = Counter::new("query.rows_filtered");
-/// Chunk indices claimed by parallel workers off the shared cursor
-/// (stays zero on the serial path).
+/// Chunk indices claimed off the shared cursor by a store-level
+/// execution asked for more than one thread (stays zero on the serial
+/// path, which is the same body with one).
 pub(crate) static CHUNK_CLAIMS: Counter = Counter::new("query.chunk_claims");
 /// Shards a federated query's manifest zone maps eliminated.
 pub(crate) static SHARDS_PRUNED: Counter = Counter::new("catalog.shards_pruned");

@@ -4,17 +4,16 @@
 //! The paper's actual deliverable is the *comparison* — the same analysis
 //! battery over seven industrial workloads side by side. This module
 //! generalizes that to any set of traces: every trace × experiment cell
-//! is an independent measurement, so workers claim cells from a shared
-//! counter (the same pattern as `swim-sim`'s scenario sweeps and
-//! `swim-store`'s `par_scan`) and results land in grid order. Thread
-//! count and scheduling therefore never affect the output: a parallel run
-//! is bit-identical to a serial one, and the rendered document is
-//! deterministic across runs.
+//! is an independent measurement, so the grid is one
+//! [`swim_obs::par_map`] over cell indices (the same fan-out as
+//! `swim-sim`'s scenario sweeps and `swim-query`'s chunk folds) and
+//! results land in grid order. Thread count and scheduling therefore
+//! never affect the output: a parallel run is bit-identical to a serial
+//! one, and the rendered document is deterministic across runs.
 
 use crate::battery::{ExperimentResult, TraceContext, BATTERY};
 use crate::doc::{Block, Report, Section};
 use crate::render::Table;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A configured comparison over a set of traces.
 pub struct Comparison {
@@ -35,64 +34,20 @@ impl Comparison {
     /// Run the full battery over every trace on all cores and assemble
     /// the comparison report.
     pub fn run(&self) -> Report {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.run_with_threads(threads)
+        self.run_with_threads(swim_obs::cores())
     }
 
-    /// Run with an explicit worker count (`1` = serial). The result is
+    /// Run with an explicit worker count; `1` is the serial path — the
+    /// caller measuring every cell in grid order. The result is
     /// bit-identical for every thread count.
     pub fn run_with_threads(&self, threads: usize) -> Report {
-        let cells = self.measure(threads.max(1));
+        // Every trace × experiment cell, in grid order
+        // (experiment-major: cell `e * n_traces + t`).
+        let n_traces = self.contexts.len();
+        let cells = swim_obs::par_map(BATTERY.len() * n_traces, threads, |i| {
+            (BATTERY[i / n_traces].run)(&self.contexts[i % n_traces])
+        });
         self.assemble(&cells)
-    }
-
-    /// Measure every trace × experiment cell, in grid order
-    /// (`experiment-major`: cell `e * n_traces + t`).
-    fn measure(&self, threads: usize) -> Vec<ExperimentResult> {
-        let n_cells = BATTERY.len() * self.contexts.len();
-        if n_cells == 0 {
-            return Vec::new();
-        }
-        let threads = threads.min(n_cells);
-        let contexts = &self.contexts;
-        let cursor = AtomicUsize::new(0);
-        let cursor_ref = &cursor;
-        let mut slots: Vec<Option<ExperimentResult>> = Vec::new();
-        slots.resize_with(n_cells, || None);
-        let indexed: Vec<(usize, ExperimentResult)> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move |_| {
-                        let mut mine: Vec<(usize, ExperimentResult)> = Vec::new();
-                        loop {
-                            // lint: ordering: work-stealing cursor; results travel via scope join
-                            let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                            if i >= n_cells {
-                                break;
-                            }
-                            let exp = &BATTERY[i / contexts.len()];
-                            let ctx = &contexts[i % contexts.len()];
-                            mine.push((i, (exp.run)(ctx)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("comparison worker panicked"))
-                .collect()
-        })
-        .expect("comparison scope");
-        for (i, result) in indexed {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every cell claimed exactly once"))
-            .collect()
     }
 
     /// Assemble the report from measured cells (pure; grid order in,

@@ -6,9 +6,9 @@
 //! questions ("would a fair scheduler help?", "how much cache is
 //! enough?", "could half the nodes carry this load?"). A single
 //! simulation is embarrassingly independent of the next, so a grid of
-//! them parallelizes perfectly: workers claim scenario indices from a
-//! shared counter and results land in grid order, making the output
-//! deterministic and independent of thread scheduling.
+//! them parallelizes perfectly: the grid is one [`swim_obs::par_map`]
+//! over scenario indices, so results land in grid order and the output
+//! is deterministic and independent of thread scheduling.
 
 use crate::cache::CachePolicy;
 use crate::cluster::ClusterConfig;
@@ -16,7 +16,6 @@ use crate::engine::{SimConfig, SimResult, Simulator};
 use crate::hdfs::HdfsConfig;
 use crate::scheduler::SchedulerKind;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use swim_synth::ReplayPlan;
 use swim_trace::{DataSize, PathId};
 
@@ -107,63 +106,20 @@ pub struct SweepCell {
 impl Simulator {
     /// Replay `plan` under every scenario of `grid` in parallel.
     ///
-    /// Workers claim scenarios from a shared counter (like swim-store's
-    /// `par_scan`), so thread count and scheduling never affect which
-    /// scenario computes what; results are returned in grid order and
-    /// are bit-identical to running each scenario serially.
+    /// One [`swim_obs::par_map`] over the grid on every core: thread
+    /// count and scheduling never affect which scenario computes what;
+    /// results are returned in grid order and are bit-identical to
+    /// running each scenario serially.
     pub fn sweep(
         grid: &ScenarioGrid,
         plan: &ReplayPlan,
         input_paths: Option<&[PathId]>,
     ) -> Vec<SweepCell> {
         let configs = grid.configs();
-        if configs.is_empty() {
-            return Vec::new();
-        }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(configs.len());
-        let cursor = AtomicUsize::new(0);
-        let (configs_ref, cursor_ref) = (&configs, &cursor);
-        let mut slots: Vec<Option<SimResult>> = vec![None; configs.len()];
-        let indexed: Vec<(usize, SimResult)> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move |_| {
-                        let mut mine: Vec<(usize, SimResult)> = Vec::new();
-                        loop {
-                            // lint: ordering: work-stealing cursor; results travel via scope join
-                            let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                            let Some(config) = configs_ref.get(i) else {
-                                break;
-                            };
-                            mine.push((i, Simulator::new(*config).run(plan, input_paths)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
+        swim_obs::par_map(configs.len(), swim_obs::cores(), |i| SweepCell {
+            config: configs[i],
+            result: Simulator::new(configs[i]).run(plan, input_paths),
         })
-        // lint: allow(panic, "crossbeam scope errors only when a child thread panicked")
-        .expect("sweep scope");
-        for (i, result) in indexed {
-            slots[i] = Some(result);
-        }
-        configs
-            .into_iter()
-            .zip(slots)
-            .map(|(config, result)| SweepCell {
-                config,
-                // lint: allow(panic, "the cursor hands every index to exactly one worker, so every slot is filled")
-                result: result.expect("every scenario claimed exactly once"),
-            })
-            .collect()
     }
 }
 

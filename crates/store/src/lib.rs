@@ -15,9 +15,10 @@
 //!    [`write_store`] is that writer fed a whole trace.
 //! 2. **Scans** — [`Store::scan`] streams chunks at bounded memory;
 //!    [`Store::scan_range`] uses per-chunk `[min, max]` submit windows to
-//!    skip irrelevant chunks without reading them; [`Store::par_scan`]
-//!    folds over chunks on all cores (work-claiming counter, per-worker
-//!    file handles).
+//!    skip irrelevant chunks without reading them; [`Store::reader`]
+//!    hands out a [`ChunkReader`] that decodes any chunk as jobs or as a
+//!    column projection, one per worker of a [`swim_obs::par_claim`]
+//!    when the fold should use every core.
 //! 3. **O(1) statistics** — the footer stores a whole-trace summary, so
 //!    [`Store::summary`] answers Table-1 questions without any scan, and
 //!    [`Store::par_summary`] recomputes it from data as the verification
@@ -49,9 +50,9 @@
 //!
 //! // Chunk-skipping time-range scan: one hour out of ~83.
 //! let hour = store
-//!     .read_range(Timestamp::from_secs(0), Timestamp::from_secs(3600))
+//!     .scan_range(Timestamp::from_secs(0), Timestamp::from_secs(3600))
 //!     .unwrap();
-//! assert_eq!(hour.len(), 120);
+//! assert_eq!(hour.jobs().count(), 120);
 //! assert_eq!(store.read_trace().unwrap(), trace);        // bit-exact round trip
 //! ```
 
@@ -66,7 +67,7 @@ pub mod writer;
 
 pub use error::StoreError;
 pub use format::{ChunkMeta, StoredSummary, ZoneMap, DEFAULT_JOBS_PER_CHUNK, ZONE_COLUMNS};
-pub use store::{ChunkScan, JobScan, Store};
+pub use store::{ChunkReader, ChunkScan, Store};
 pub use writer::{
     store_to_vec, write_store, write_store_path, StoreOptions, StoreStats, StoreWriter,
     MAX_JOBS_PER_CHUNK,
@@ -143,11 +144,11 @@ mod tests {
             Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 50 })).unwrap();
         let (from, to) = (Timestamp::from_secs(10_000), Timestamp::from_secs(20_000));
         let expected = trace.select_range(from, to);
-        let got = store.read_range(from, to).unwrap();
-        assert_eq!(got.jobs(), expected.jobs());
         let scan = store.scan_range(from, to).unwrap();
         assert!(scan.skipped_chunks > 0, "range scan should skip chunks");
         assert!(scan.selected_chunks() < store.chunk_count());
+        let got: Result<Vec<_>, _> = scan.jobs().collect();
+        assert_eq!(got.unwrap(), expected.jobs());
     }
 
     #[test]
@@ -169,11 +170,10 @@ mod tests {
             Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 1 })).unwrap();
         let ids = |from: u64, to: u64| -> Vec<u64> {
             store
-                .read_range(Timestamp::from_secs(from), Timestamp::from_secs(to))
+                .scan_range(Timestamp::from_secs(from), Timestamp::from_secs(to))
                 .unwrap()
                 .jobs()
-                .iter()
-                .map(|j| j.id.0)
+                .map(|j| j.unwrap().id.0)
                 .collect()
         };
         // A job exactly at `from` is included; exactly at `to` is not.
@@ -185,17 +185,6 @@ mod tests {
         // Degenerate ranges select nothing.
         assert_eq!(ids(200, 200), Vec::<u64>::new());
         assert_eq!(ids(400, 200), Vec::<u64>::new());
-        // par_scan_range agrees with the streaming bounds.
-        let n = store
-            .par_scan_range(
-                Timestamp::from_secs(200),
-                Timestamp::from_secs(400),
-                || 0u64,
-                |acc, _| acc + 1,
-                |a, b| a + b,
-            )
-            .unwrap();
-        assert_eq!(n, 2);
     }
 
     #[test]
@@ -244,7 +233,8 @@ mod tests {
         .unwrap();
         let selected: Vec<usize> = (0..store.chunk_count()).step_by(2).collect();
         // Input alone: the serial fold by name over all ten columns, the
-        // projected folds over the one the sum reads.
+        // projecting reader over the one the sum reads — so projection ≡
+        // full decode restricted to the set.
         let input = format::ZoneMap::IO[0];
         let sum = |values: &[u64]| values.iter().fold(0u64, |a, &v| a.saturating_add(v));
         let serial = store
@@ -256,30 +246,63 @@ mod tests {
             })
             .unwrap();
         let set = format::columns::ColumnSet::EMPTY.with(input);
-        let fold = |acc: (u64, u64), _idx: usize, chunk: format::columns::ChunkColumns| {
-            assert!(chunk
-                .cols
-                .iter()
-                .enumerate()
-                .all(|(c, v)| c == input || v.is_empty()));
-            (
-                acc.0 + chunk.rows as u64,
-                acc.1.saturating_add(sum(&chunk.cols[input])),
-            )
+        let projected = |threads: usize| {
+            let parts = swim_obs::par_claim(selected.len(), threads, |claims| {
+                let mut reader = store.reader().unwrap();
+                claims.fold((0u64, 0u64), |acc, slot| {
+                    let chunk = reader.columns(selected[slot], set).unwrap();
+                    assert!(chunk
+                        .cols
+                        .iter()
+                        .enumerate()
+                        .all(|(c, v)| c == input || v.is_empty()));
+                    (
+                        acc.0 + chunk.rows as u64,
+                        acc.1.saturating_add(sum(&chunk.cols[input])),
+                    )
+                })
+            });
+            parts
+                .into_iter()
+                .fold((0, 0u64), |a, b| (a.0 + b.0, a.1.saturating_add(b.1)))
         };
-        let projected = store.fold_projected(&selected, set, (0, 0), fold).unwrap();
-        assert_eq!(serial, projected);
-        let parallel = store
-            .par_fold_projected(
-                &selected,
-                set,
-                || (0, 0),
-                fold,
-                |a, b| (a.0 + b.0, a.1.saturating_add(b.1)),
-            )
-            .unwrap();
-        assert_eq!(serial, parallel);
+        assert_eq!(serial, projected(1));
+        assert_eq!(serial, projected(4));
         assert!(serial.0 > 0);
+    }
+
+    #[test]
+    fn readers_decode_in_any_order_and_interleaved() {
+        let trace = varied_trace(1_000);
+        let dir = std::env::temp_dir().join(format!("swim-store-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("readers_any_order.swim");
+        write_store_path(&trace, &path, &StoreOptions { jobs_per_chunk: 64 }).unwrap();
+        let store = Store::open(&path).unwrap();
+        let in_order: Vec<_> = store.scan().unwrap().map(Result::unwrap).collect();
+        let n = in_order.len();
+        assert_eq!(n, store.chunk_count());
+        // One reader, chunks in a shuffled order (7 is coprime to 16).
+        assert_eq!(n, 16);
+        let mut reader = store.reader().unwrap();
+        for idx in (0..n).map(|i| i * 7 % n) {
+            assert_eq!(reader.jobs(idx).unwrap(), in_order[idx], "chunk {idx}");
+        }
+        // Two readers interleaved, one walking up and one down: each
+        // keeps its own file position, and every read seeks.
+        let mut down = store.reader().unwrap();
+        let all = format::columns::ColumnSet::ALL;
+        for idx in 0..n {
+            assert_eq!(reader.jobs(idx).unwrap(), in_order[idx]);
+            let cols = down.columns(n - 1 - idx, all).unwrap();
+            assert_eq!(cols.rows, in_order[n - 1 - idx].len());
+            let submits: Vec<u64> = in_order[n - 1 - idx]
+                .iter()
+                .map(|j| j.submit.secs())
+                .collect();
+            assert_eq!(cols.cols[format::ZoneMap::SUBMIT], submits);
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -325,32 +348,6 @@ mod tests {
         assert!(
             err.to_string().contains("swim-store-no-such-dir-ever"),
             "path missing from message: {err}"
-        );
-    }
-
-    #[test]
-    fn par_scan_counts_every_job_once() {
-        let trace = varied_trace(4_321);
-        let store =
-            Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 37 })).unwrap();
-        let count = store
-            .par_scan(|| 0u64, |acc, _| acc + 1, |a, b| a + b)
-            .unwrap();
-        assert_eq!(count, 4_321);
-        let in_range = store
-            .par_scan_range(
-                Timestamp::from_secs(0),
-                Timestamp::from_secs(25_000),
-                || 0u64,
-                |acc, _| acc + 1,
-                |a, b| a + b,
-            )
-            .unwrap();
-        assert_eq!(
-            in_range,
-            trace
-                .select_range(Timestamp::from_secs(0), Timestamp::from_secs(25_000))
-                .len() as u64
         );
     }
 

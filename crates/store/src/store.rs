@@ -1,6 +1,7 @@
-//! Reading columnar trace stores: O(1) summaries from the footer,
-//! streaming chunk scans at bounded memory, time-range scans that skip
-//! chunks via the index, and a parallel fold over chunks.
+//! Reading columnar trace stores: O(1) summaries from the footer, a
+//! chunk reader that decodes any chunk as jobs or as a column
+//! projection, streaming scans at bounded memory, and time-range scans
+//! that skip chunks via the index.
 
 use crate::format::columns::{ChunkColumns, ColumnSet, NumericColumns};
 use crate::format::{self, ChunkMeta, Footer, Header, StoredSummary, ZoneMap};
@@ -8,7 +9,6 @@ use crate::StoreError;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, Job, Timestamp, Trace, TraceSummary};
@@ -99,16 +99,6 @@ fn begin_decode(kept: usize) -> swim_obs::SpanGuard {
     obs::COLUMNS_DECODED.add(kept as u64);
     obs::COLUMNS_SKIPPED.add((format::ZONE_COLUMNS - kept) as u64);
     swim_obs::span("store.decode_chunk")
-}
-
-/// Decode the columns of `set` from a chunk payload, counted and timed.
-fn decode_counted(
-    payload: &[u8],
-    job_count: usize,
-    set: ColumnSet,
-) -> Result<ChunkColumns, StoreError> {
-    let _span = begin_decode(set.len());
-    format::columns::decode_projected(payload, job_count, set)
 }
 
 /// An opened columnar trace store: header + chunk index + stored summary.
@@ -315,8 +305,11 @@ impl Store {
             .to_trace_summary(&self.header.kind, self.header.machines)
     }
 
-    fn new_handle(&self) -> Result<ReadHandle, StoreError> {
-        Ok(match &self.source {
+    /// A read handle of the caller's own (its own file position), to
+    /// decode any chunk in any order. One per worker: readers share
+    /// nothing, so parallel workers never contend.
+    pub fn reader(&self) -> Result<ChunkReader<'_>, StoreError> {
+        let handle = match &self.source {
             StoreSource::File(path) => ReadHandle::File {
                 file: File::open(path).map_err(|source| StoreError::File {
                     path: path.clone(),
@@ -325,92 +318,16 @@ impl Store {
                 path: path.clone(),
             },
             StoreSource::Mem(bytes) => ReadHandle::Mem(bytes.clone()),
+        };
+        Ok(ChunkReader {
+            store: self,
+            handle,
         })
-    }
-
-    fn read_chunk_with(&self, handle: &mut ReadHandle, idx: usize) -> Result<Vec<Job>, StoreError> {
-        let (job_count, block) = self.read_block_with(handle, idx)?;
-        let _span = begin_decode(format::ZONE_COLUMNS);
-        format::columns::decode(&block[format::CHUNK_HEADER_LEN..], job_count)
-    }
-
-    /// Decode one chunk by index.
-    pub fn read_chunk(&self, idx: usize) -> Result<Vec<Job>, StoreError> {
-        assert!(idx < self.chunks.len(), "chunk index out of range");
-        let mut handle = self.new_handle()?;
-        self.read_chunk_with(&mut handle, idx)
-    }
-
-    /// Read one chunk's raw block, validating the header against the
-    /// footer index; returns `(job_count, block)` where the payload is
-    /// `block[CHUNK_HEADER_LEN..]`.
-    fn read_block_with(
-        &self,
-        handle: &mut ReadHandle,
-        idx: usize,
-    ) -> Result<(usize, Vec<u8>), StoreError> {
-        let meta = &self.chunks[idx];
-        let block = handle.read_span(meta.offset, meta.block_len)?;
-        let (job_count, _) = format::decode_chunk_header(&block)?;
-        if u64::from(job_count) != meta.job_count {
-            return Err(StoreError::Corrupt {
-                context: "chunk job count disagrees with index",
-            });
-        }
-        Ok((job_count as usize, block))
     }
 
     /// Serial fold over an explicit set of chunks (by index, visited in
-    /// the given order), decoding only the numeric columns in `set`: the
-    /// others are stepped over, names and paths are never touched. This
-    /// is the claim loop of [`Store::par_fold_projected`] run by the
-    /// caller alone.
-    pub fn fold_projected<T, F>(
-        &self,
-        selected: &[usize],
-        set: ColumnSet,
-        init: T,
-        mut fold: F,
-    ) -> Result<T, StoreError>
-    where
-        F: FnMut(T, usize, ChunkColumns) -> T,
-    {
-        let cursor = AtomicUsize::new(0);
-        self.claim_payloads(selected, &cursor, init, |acc, idx, job_count, payload| {
-            Ok(fold(acc, idx, decode_counted(payload, job_count, set)?))
-        })
-    }
-
-    /// Parallel [`Store::fold_projected`]: workers claim indices off a
-    /// shared counter, decode with their own read handle, and fold into
-    /// per-worker accumulators that are combined with `merge`. Visit
-    /// order is unspecified, so `fold`/`merge` must be order-insensitive
-    /// for the result to match the serial fold.
-    pub fn par_fold_projected<T, I, F, M>(
-        &self,
-        selected: &[usize],
-        set: ColumnSet,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> Result<T, StoreError>
-    where
-        T: Send,
-        I: Fn() -> T + Send + Sync,
-        F: Fn(T, usize, ChunkColumns) -> T + Send + Sync,
-        M: Fn(T, T) -> T,
-    {
-        self.par_fold_payloads(
-            selected,
-            init,
-            |acc, idx, job_count, payload| {
-                Ok(fold(acc, idx, decode_counted(payload, job_count, set)?))
-            },
-            merge,
-        )
-    }
-
-    /// [`Store::fold_projected`] over all ten columns, by name.
+    /// the given order) as all ten numeric columns by name; names and
+    /// paths are never touched.
     pub fn fold_columns<T, F>(
         &self,
         selected: &[usize],
@@ -420,22 +337,37 @@ impl Store {
     where
         F: FnMut(T, usize, &NumericColumns) -> T,
     {
-        self.fold_projected(selected, ColumnSet::ALL, init, |acc, idx, cols| {
-            fold(acc, idx, &cols.into())
+        let mut reader = self.reader()?;
+        let mut acc = init;
+        for &idx in selected {
+            acc = fold(acc, idx, &reader.columns(idx, ColumnSet::ALL)?.into());
+        }
+        Ok(acc)
+    }
+
+    /// A scan over the chunks whose submit window overlaps the half-open
+    /// `range` (every chunk when `None`).
+    fn chunk_scan(
+        &self,
+        range: Option<(Timestamp, Timestamp)>,
+    ) -> Result<ChunkScan<'_>, StoreError> {
+        let selected: Vec<usize> = (0..self.chunks.len())
+            .filter(|&i| {
+                let m = &self.chunks[i];
+                range.is_none_or(|(from, to)| m.max_submit >= from && m.min_submit < to)
+            })
+            .collect();
+        Ok(ChunkScan {
+            reader: self.reader()?,
+            skipped_chunks: self.chunks.len() - selected.len(),
+            selected: selected.into_iter(),
+            range,
         })
     }
 
     /// Stream every chunk in order. Memory stays bounded by one chunk.
     pub fn scan(&self) -> Result<ChunkScan<'_>, StoreError> {
-        let selected = (0..self.chunks.len()).collect();
-        Ok(ChunkScan {
-            store: self,
-            handle: self.new_handle()?,
-            selected,
-            next: 0,
-            range: None,
-            skipped_chunks: 0,
-        })
+        self.chunk_scan(None)
     }
 
     /// Stream jobs submitted in the half-open range `[from, to)`,
@@ -443,26 +375,12 @@ impl Store {
     ///
     /// Boundary semantics (pinned by tests): a job submitted exactly at
     /// `from` **is** included; a job submitted exactly at `to` is **not**.
-    /// `from >= to` selects nothing. [`Store::read_range`] and
-    /// [`Store::par_scan_range`] share these bounds, and they compose:
-    /// scanning `[a, b)` then `[b, c)` visits each job exactly once.
+    /// `from >= to` selects nothing. Ranges compose: scanning `[a, b)`
+    /// then `[b, c)` visits each job exactly once.
     pub fn scan_range(&self, from: Timestamp, to: Timestamp) -> Result<ChunkScan<'_>, StoreError> {
-        let selected: Vec<usize> = (0..self.chunks.len())
-            .filter(|&i| {
-                let m = &self.chunks[i];
-                m.max_submit >= from && m.min_submit < to
-            })
-            .collect();
-        let skipped = self.chunks.len() - selected.len();
-        obs::CHUNKS_RANGE_SKIPPED.add(skipped as u64);
-        Ok(ChunkScan {
-            store: self,
-            handle: self.new_handle()?,
-            selected,
-            next: 0,
-            range: Some((from, to)),
-            skipped_chunks: skipped,
-        })
+        let scan = self.chunk_scan(Some((from, to)))?;
+        obs::CHUNKS_RANGE_SKIPPED.add(scan.skipped_chunks as u64);
+        Ok(scan)
     }
 
     /// Rebuild the full trace (materializes every job).
@@ -478,201 +396,37 @@ impl Store {
         ))
     }
 
-    /// Rebuild only the jobs submitted in the half-open range `[from, to)`
-    /// as a trace, skipping non-overlapping chunks entirely. Bounds are
-    /// inclusive of `from` and exclusive of `to`, exactly as in
-    /// [`Store::scan_range`].
-    pub fn read_range(&self, from: Timestamp, to: Timestamp) -> Result<Trace, StoreError> {
-        let mut jobs = Vec::new();
-        for chunk in self.scan_range(from, to)? {
-            jobs.extend(chunk?);
-        }
-        Ok(Trace::new_unchecked(
-            self.header.kind.clone(),
-            self.header.machines,
-            jobs,
-        ))
-    }
-
-    /// Parallel fold over all chunks.
-    ///
-    /// Workers claim chunks from a shared counter, decode them with their
-    /// own read handle, and fold jobs with `fold`; per-worker accumulators
-    /// are combined with `merge`. Chunk visit order is unspecified, so
-    /// `fold`/`merge` must compute an order-insensitive result (sums,
-    /// counts, extrema — everything the §4/§5 statistics need).
-    pub fn par_scan<T, I, F, M>(&self, init: I, fold: F, merge: M) -> Result<T, StoreError>
-    where
-        T: Send,
-        I: Fn() -> T + Send + Sync,
-        F: Fn(T, &Job) -> T + Send + Sync,
-        M: Fn(T, T) -> T,
-    {
-        self.par_scan_chunks(None, init, fold, merge)
-    }
-
-    /// Parallel fold over the chunks overlapping the half-open range
-    /// `[from, to)`, folding only jobs inside it (`from` inclusive, `to`
-    /// exclusive — the [`Store::scan_range`] bounds).
-    pub fn par_scan_range<T, I, F, M>(
-        &self,
-        from: Timestamp,
-        to: Timestamp,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> Result<T, StoreError>
-    where
-        T: Send,
-        I: Fn() -> T + Send + Sync,
-        F: Fn(T, &Job) -> T + Send + Sync,
-        M: Fn(T, T) -> T,
-    {
-        self.par_scan_chunks(Some((from, to)), init, fold, merge)
-    }
-
-    fn par_scan_chunks<T, I, F, M>(
-        &self,
-        range: Option<(Timestamp, Timestamp)>,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> Result<T, StoreError>
-    where
-        T: Send,
-        I: Fn() -> T + Send + Sync,
-        F: Fn(T, &Job) -> T + Send + Sync,
-        M: Fn(T, T) -> T,
-    {
-        self.par_fold_payloads(
-            &self.chunks_overlapping(range),
-            init,
-            |mut acc, _idx, job_count, payload| {
-                let jobs = format::columns::decode(payload, job_count)?;
-                for job in &jobs {
-                    if let Some((from, to)) = range {
-                        if job.submit < from || job.submit >= to {
-                            continue;
-                        }
-                    }
-                    acc = fold(acc, job);
-                }
-                Ok(acc)
-            },
-            merge,
-        )
-    }
-
-    /// Indices of the chunks whose submit window overlaps the half-open
-    /// range (all chunks when `range` is `None`).
-    fn chunks_overlapping(&self, range: Option<(Timestamp, Timestamp)>) -> Vec<usize> {
-        match range {
-            None => (0..self.chunks.len()).collect(),
-            Some((from, to)) => (0..self.chunks.len())
-                .filter(|&i| {
-                    let m = &self.chunks[i];
-                    m.max_submit >= from && m.min_submit < to
-                })
-                .collect(),
-        }
-    }
-
-    /// One worker's share of a fold: claim indices of `selected` off
-    /// `cursor` until none is left, read each chunk's block through one
-    /// handle and hand its payload to `fold_payload`. A lone caller with a
-    /// fresh cursor visits `selected` in order — that is the serial fold.
-    fn claim_payloads<T>(
-        &self,
-        selected: &[usize],
-        cursor: &AtomicUsize,
-        init: T,
-        mut fold_payload: impl FnMut(T, usize, usize, &[u8]) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        let mut handle = self.new_handle()?;
-        let mut acc = init;
-        loop {
-            // lint: ordering: work-stealing cursor; chunk handoff is via scoped-thread join
-            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&idx) = selected.get(slot) else {
-                return Ok(acc);
-            };
-            assert!(idx < self.chunks.len(), "chunk index out of range");
-            let (job_count, block) = self.read_block_with(&mut handle, idx)?;
-            acc = fold_payload(acc, idx, job_count, &block[format::CHUNK_HEADER_LEN..])?;
-        }
-    }
-
-    /// Shared worker pool: one [`Store::claim_payloads`] loop per core
-    /// over a common cursor, per-worker accumulators merged at the end.
-    fn par_fold_payloads<T, I, FP, M>(
-        &self,
-        selected: &[usize],
-        init: I,
-        fold_payload: FP,
-        merge: M,
-    ) -> Result<T, StoreError>
-    where
-        T: Send,
-        I: Fn() -> T + Send + Sync,
-        FP: Fn(T, usize, usize, &[u8]) -> Result<T, StoreError> + Send + Sync,
-        M: Fn(T, T) -> T,
-    {
-        if selected.is_empty() {
-            return Ok(init());
-        }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(selected.len());
-        let cursor = AtomicUsize::new(0);
-        let claim = || self.claim_payloads(selected, &cursor, init(), &fold_payload);
-        let worker_results: Vec<Result<T, StoreError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads).map(|_| s.spawn(claim)).collect();
-            handles
-                .into_iter()
-                // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
-                .map(|h| h.join().expect("par_scan worker panicked"))
-                .collect()
-        });
-        let mut merged: Option<T> = None;
-        for result in worker_results {
-            let value = result?;
-            merged = Some(match merged {
-                None => value,
-                Some(acc) => merge(acc, value),
-            });
-        }
-        // lint: allow(panic, "threads >= 1 and selected is non-empty, so one worker always reports")
-        Ok(merged.expect("at least one worker"))
-    }
-
     /// Compute the Table 1 row by actually scanning every chunk in
     /// parallel — the verification path for the footer's O(1) summary, and
-    /// the template for arbitrary `par_scan` statistics. Runs on the
-    /// numeric column projection, so no names or paths are ever decoded.
+    /// the template for any statistic over a store: a
+    /// [`swim_obs::par_claim`] whose workers each fold the chunks they
+    /// claim through a reader of their own. Runs on the numeric column
+    /// projection, so no names or paths are ever decoded.
     pub fn par_summary(&self) -> Result<TraceSummary, StoreError> {
-        #[derive(Clone, Copy)]
+        /// Jobs, bytes moved and the submit window (seconds) of the
+        /// chunks one worker claimed; `min > max` until it has seen a job.
         struct Acc {
             jobs: u64,
             bytes: DataSize,
-            min: Option<Timestamp>,
-            max: Option<Timestamp>,
+            min: u64,
+            max: u64,
         }
+        let empty = || Acc {
+            jobs: 0,
+            bytes: DataSize::ZERO,
+            min: u64::MAX,
+            max: 0,
+        };
         let set = ZoneMap::IO
             .iter()
             .fold(ColumnSet::EMPTY.with(ZoneMap::SUBMIT), |set, &c| {
                 set.with(c)
             });
-        let acc = self.par_fold_projected(
-            &self.chunks_overlapping(None),
-            set,
-            || Acc {
-                jobs: 0,
-                bytes: DataSize::ZERO,
-                min: None,
-                max: None,
-            },
-            |mut acc, _idx, chunk| {
+        let claimed = |claims: swim_obs::Claims<'_>| -> Result<Acc, StoreError> {
+            let mut reader = self.reader()?;
+            let mut acc = empty();
+            for idx in claims {
+                let chunk = reader.columns(idx, set)?;
                 let cols = chunk.view();
                 acc.jobs += cols.len() as u64;
                 // Per job input + shuffle + output, saturating like
@@ -686,47 +440,83 @@ impl Store {
                 if let (Some(&first), Some(&last)) = (submits.first(), submits.last()) {
                     // Submits are non-decreasing within a chunk, but take
                     // a defensive min/max of the endpoints anyway.
-                    let (lo, hi) = (first.min(last), first.max(last));
-                    let (lo, hi) = (Timestamp::from_secs(lo), Timestamp::from_secs(hi));
-                    acc.min = Some(acc.min.map_or(lo, |m| m.min(lo)));
-                    acc.max = Some(acc.max.map_or(hi, |m| m.max(hi)));
+                    acc.min = acc.min.min(first.min(last));
+                    acc.max = acc.max.max(first.max(last));
                 }
-                acc
-            },
-            |a, b| Acc {
-                jobs: a.jobs + b.jobs,
-                bytes: a.bytes + b.bytes,
-                min: match (a.min, b.min) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, y) => x.or(y),
-                },
-                max: match (a.max, b.max) {
-                    (Some(x), Some(y)) => Some(x.max(y)),
-                    (x, y) => x.or(y),
-                },
-            },
-        )?;
-        let length = match (acc.min, acc.max) {
-            (Some(min), Some(max)) => max.since(min),
-            _ => Dur::ZERO,
+            }
+            Ok(acc)
+        };
+        let mut total = empty();
+        for part in swim_obs::par_claim(self.chunks.len(), swim_obs::cores(), claimed) {
+            let part = part?;
+            total.jobs += part.jobs;
+            total.bytes += part.bytes;
+            total.min = total.min.min(part.min);
+            total.max = total.max.max(part.max);
+        }
+        let length = if total.min <= total.max {
+            Timestamp::from_secs(total.max).since(Timestamp::from_secs(total.min))
+        } else {
+            Dur::ZERO
         };
         Ok(TraceSummary {
             workload: self.header.kind.label().to_owned(),
             machines: self.header.machines,
             length,
-            jobs: acc.jobs as usize,
-            bytes_moved: acc.bytes,
+            jobs: total.jobs as usize,
+            bytes_moved: total.bytes,
         })
+    }
+}
+
+/// One read handle on a [`Store`] ([`Store::reader`]): decodes any chunk
+/// by index, as jobs or as a column projection. Every read seeks, so
+/// chunks may be visited in any order and any number of readers may be
+/// interleaved on one store.
+pub struct ChunkReader<'s> {
+    store: &'s Store,
+    handle: ReadHandle,
+}
+
+impl ChunkReader<'_> {
+    /// Read chunk `idx`'s raw block, validating its header against the
+    /// footer index; returns `(job_count, block)` where the payload is
+    /// `block[CHUNK_HEADER_LEN..]`.
+    fn block(&mut self, idx: usize) -> Result<(usize, Vec<u8>), StoreError> {
+        let meta = &self.store.chunks[idx];
+        let block = self.handle.read_span(meta.offset, meta.block_len)?;
+        let (job_count, _) = format::decode_chunk_header(&block)?;
+        if u64::from(job_count) != meta.job_count {
+            return Err(StoreError::Corrupt {
+                context: "chunk job count disagrees with index",
+            });
+        }
+        Ok((job_count as usize, block))
+    }
+
+    /// Decode chunk `idx` into jobs. Panics if `idx` is not a chunk of
+    /// the store.
+    pub fn jobs(&mut self, idx: usize) -> Result<Vec<Job>, StoreError> {
+        let (job_count, block) = self.block(idx)?;
+        let _span = begin_decode(format::ZONE_COLUMNS);
+        format::columns::decode(&block[format::CHUNK_HEADER_LEN..], job_count)
+    }
+
+    /// Decode the numeric columns of `set` from chunk `idx`: the others
+    /// are stepped over, names and paths are never touched. Panics if
+    /// `idx` is not a chunk of the store.
+    pub fn columns(&mut self, idx: usize, set: ColumnSet) -> Result<ChunkColumns, StoreError> {
+        let (job_count, block) = self.block(idx)?;
+        let _span = begin_decode(set.len());
+        format::columns::decode_projected(&block[format::CHUNK_HEADER_LEN..], job_count, set)
     }
 }
 
 /// Streaming iterator over a store's (selected) chunks; yields each
 /// chunk's jobs already filtered to the scan's time range.
 pub struct ChunkScan<'s> {
-    store: &'s Store,
-    handle: ReadHandle,
-    selected: Vec<usize>,
-    next: usize,
+    reader: ChunkReader<'s>,
+    selected: std::vec::IntoIter<usize>,
     range: Option<(Timestamp, Timestamp)>,
     /// Chunks the index proved irrelevant for a range scan (skipped
     /// without reading a byte of them).
@@ -734,17 +524,21 @@ pub struct ChunkScan<'s> {
 }
 
 impl<'s> ChunkScan<'s> {
-    /// How many chunks this scan will read (before filtering).
+    /// How many chunks this scan has yet to read (before filtering).
     pub fn selected_chunks(&self) -> usize {
         self.selected.len()
     }
 
-    /// Flatten into a per-job iterator.
-    pub fn jobs(self) -> JobScan<'s> {
-        JobScan {
-            scan: self,
-            buffer: Vec::new().into_iter(),
-        }
+    /// Flatten into a per-job iterator; a chunk that fails to decode
+    /// yields its error in place of its jobs.
+    pub fn jobs(self) -> impl Iterator<Item = Result<Job, StoreError>> + 's {
+        self.flat_map(|chunk| {
+            let (jobs, err) = match chunk {
+                Ok(jobs) => (jobs, None),
+                Err(e) => (Vec::new(), Some(Err(e))),
+            };
+            jobs.into_iter().map(Ok).chain(err)
+        })
     }
 }
 
@@ -753,10 +547,9 @@ impl Iterator for ChunkScan<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let &idx = self.selected.get(self.next)?;
-            self.next += 1;
-            let meta = self.store.chunks[idx];
-            match self.store.read_chunk_with(&mut self.handle, idx) {
+            let idx = self.selected.next()?;
+            let meta = self.reader.store.chunks[idx];
+            match self.reader.jobs(idx) {
                 Ok(mut jobs) => {
                     if let Some((from, to)) = self.range {
                         // Boundary chunks need the per-job filter; fully
@@ -770,28 +563,6 @@ impl Iterator for ChunkScan<'_> {
                     }
                     return Some(Ok(jobs));
                 }
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
-/// Per-job streaming iterator (see [`ChunkScan::jobs`]).
-pub struct JobScan<'s> {
-    scan: ChunkScan<'s>,
-    buffer: std::vec::IntoIter<Job>,
-}
-
-impl Iterator for JobScan<'_> {
-    type Item = Result<Job, StoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(job) = self.buffer.next() {
-                return Some(Ok(job));
-            }
-            match self.scan.next()? {
-                Ok(jobs) => self.buffer = jobs.into_iter(),
                 Err(e) => return Some(Err(e)),
             }
         }

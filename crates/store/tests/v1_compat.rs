@@ -86,7 +86,9 @@ fn v1_and_v2_encodings_of_the_same_trace_agree() {
         Timestamp::from_secs(3_600),
         Timestamp::from_secs(2 * 86_400),
     );
-    let a = store_v1.read_range(from, to).unwrap();
-    let b = store_v2.read_range(from, to).unwrap();
-    assert_eq!(a.jobs(), b.jobs());
+    let in_range = |store: &Store| -> Vec<_> {
+        let jobs = store.scan_range(from, to).unwrap().jobs();
+        jobs.map(|j| j.expect("decodes")).collect()
+    };
+    assert_eq!(in_range(&store_v1), in_range(&store_v2));
 }

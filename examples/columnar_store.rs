@@ -57,21 +57,19 @@ fn main() {
     let series = HourlySeries::from_jobs(day.jobs().map(|j| j.expect("chunk decodes")));
     println!("day jobs/hour  : {:?}", &series.jobs);
 
-    // Parallel fold: bytes moved by map-only jobs, across all cores.
-    let map_only_bytes = store
-        .par_scan(
-            || DataSize::ZERO,
-            |acc, job| {
-                if job.is_map_only() {
-                    acc + job.total_io()
-                } else {
-                    acc
-                }
-            },
-            |a, b| a + b,
-        )
-        .expect("par scan");
-    println!("map-only I/O   : {map_only_bytes} (computed with par_scan)");
+    // Parallel fold: bytes moved by map-only jobs, across all cores —
+    // each worker decodes the chunks it claims through its own reader.
+    let map_only_bytes = swim_obs::par_claim(store.chunk_count(), swim_obs::cores(), |claims| {
+        let mut reader = store.reader().expect("open store");
+        claims.fold(DataSize::ZERO, |acc, idx| {
+            let jobs = reader.jobs(idx).expect("chunk decodes");
+            let map_only = jobs.iter().filter(|job| job.is_map_only());
+            map_only.fold(acc, |acc, job| acc + job.total_io())
+        })
+    })
+    .into_iter()
+    .fold(DataSize::ZERO, |a, b| a + b);
+    println!("map-only I/O   : {map_only_bytes} (computed with par_claim + reader)");
 
     std::fs::remove_file(&path).ok();
 }
