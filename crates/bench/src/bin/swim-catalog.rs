@@ -284,12 +284,13 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
         eprintln!("nothing to compact (generation {})", catalog.generation());
     } else {
         eprintln!(
-            "compacted {} shard{} into {} ({} jobs, {} v1 upgraded), generation {}",
+            "compacted {} shard{} into {} ({} jobs, {} upgraded to v{}), generation {}",
             stats.rewritten,
             if stats.rewritten == 1 { "" } else { "s" },
             stats.created,
             stats.jobs,
-            stats.upgraded_v1,
+            stats.upgraded,
+            swim_store::format::VERSION,
             catalog.generation()
         );
     }

@@ -106,8 +106,9 @@ pub struct CompactStats {
     pub rewritten: usize,
     /// Replacement shards created.
     pub created: usize,
-    /// Rewritten shards that were format v1 (now v2).
-    pub upgraded_v1: usize,
+    /// Rewritten shards that were of an older store format (now the
+    /// current one).
+    pub upgraded: usize,
     /// Jobs moved through the rewrite.
     pub jobs: u64,
 }
@@ -514,8 +515,8 @@ impl Catalog {
     }
 
     /// Adopt an existing `.swim` file verbatim: the file is copied into
-    /// the catalog as one shard, keeping its format version (v1 files
-    /// stay v1 until [`Catalog::compact`] upgrades them). Empty stores
+    /// the catalog as one shard, keeping its format version (older
+    /// files stay as they are until [`Catalog::compact`] upgrades them). Empty stores
     /// are rejected.
     pub fn adopt_store(&mut self, path: impl AsRef<Path>) -> Result<IngestStats, CatalogError> {
         let path = path.as_ref();
@@ -619,8 +620,8 @@ impl Catalog {
     // ------------------------------------------------------------------
 
     /// Merge undersized shards (fewer than half of `jobs_per_shard`
-    /// jobs) with their neighbours and rewrite any format-v1 shards to
-    /// the current store version, under a new manifest generation.
+    /// jobs) with their neighbours and rewrite any shards of an older
+    /// store format to the current one, under a new manifest generation.
     ///
     /// Old shard files are left on disk so readers that opened an
     /// earlier generation keep working; run [`Catalog::vacuum`] once no
@@ -679,7 +680,7 @@ impl Catalog {
             for &idx in group {
                 let entry = &self.manifest.shards[idx];
                 if entry.store_version < swim_store::format::VERSION {
-                    stats.upgraded_v1 += 1;
+                    stats.upgraded += 1;
                 }
                 let store = self.read_shard(idx, None, &mut jobs)?;
                 kinds.push(store.kind().clone());

@@ -349,7 +349,7 @@ mod tests {
         let before_summary = catalog.summary();
 
         let stats = catalog.compact(&CatalogOptions::default()).unwrap();
-        assert_eq!(stats.upgraded_v1, 1);
+        assert_eq!(stats.upgraded, 1);
         assert_eq!(stats.rewritten, 1);
         assert_eq!(
             catalog.shards()[0].store_version,
@@ -361,6 +361,39 @@ mod tests {
         // not just submit.
         let zone = catalog.shards()[0].zone;
         assert!(zone.max.iter().any(|&m| m != u64::MAX));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compact_upgrades_adopted_v2_shards_to_v3_and_they_shrink() {
+        let dir = temp_dir("upgrade-v2");
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../store/tests/fixtures/v2-multichunk.swim");
+        let mut catalog = Catalog::init(&dir).unwrap();
+        catalog.adopt_store(&fixture).unwrap();
+        assert_eq!(catalog.shards()[0].store_version, 2);
+        let before = catalog.read_trace().unwrap();
+        let before_bytes: u64 = catalog.shards().iter().map(|s| s.bytes).sum();
+
+        // The fixture's chunking, so only the format differs.
+        let options = CatalogOptions {
+            store: StoreOptions { jobs_per_chunk: 64 },
+            ..Default::default()
+        };
+        let stats = catalog.compact(&options).unwrap();
+        assert_eq!((stats.upgraded, stats.rewritten), (1, 1));
+        assert!(catalog.shards().iter().all(|s| s.store_version == 3));
+        for idx in 0..catalog.shard_count() {
+            assert_eq!(catalog.open_shard(idx).unwrap().format_version(), 3);
+        }
+        assert_eq!(catalog.read_trace().unwrap(), before);
+        let after_bytes: u64 = catalog.shards().iter().map(|s| s.bytes).sum();
+        assert!(
+            after_bytes < before_bytes,
+            "{after_bytes} !< {before_bytes}: names cost more than the tables"
+        );
+        // Already current: a second compact has nothing to do.
+        assert_eq!(catalog.compact(&options).unwrap(), CompactStats::default());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

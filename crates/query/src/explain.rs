@@ -293,8 +293,8 @@ fn plan_steps(query: &Query) -> Vec<(String, String)> {
             query.predicate.to_string()
         },
     ));
-    // What the scan decodes: the other columns of a chunk are stepped
-    // over (or, from the column cache, never asked for).
+    // What the scan decodes: the other columns of a chunk are not read
+    // (or, from the column cache, never asked for).
     let read = Program::compile(query).columns();
     let names: Vec<&str> = Col::ALL
         .into_iter()

@@ -21,7 +21,7 @@
 //!    only).
 //! 2. **Vectorized execution** — chunks decode to a
 //!    [`swim_store::format::columns::ChunkView`] of just the columns the
-//!    query reads (the rest are stepped over at decode) and one chunk
+//!    query reads (the rest are not decoded) and one chunk
 //!    kernel folds them: expressions column-at-a-time into reused
 //!    scratch, one selection vector, dense group ids, one state vector
 //!    per aggregate. Names/paths are never decoded (they are not

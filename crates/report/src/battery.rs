@@ -154,15 +154,24 @@ pub struct TraceContext {
     label: String,
     source: Source,
     summary: TraceSummary,
-    trace: OnceLock<Trace>,
-    weekly: OnceLock<HourlySeries>,
+    trace: Cached<Trace>,
+    weekly: Cached<HourlySeries>,
     // Full-trace derived statistics shared by several battery entries
     // (fig2+fig3, fig5+fig6, fig8+fig9): computed once per trace, not
     // once per experiment — on a million-job trace each recomputation is
     // an O(jobs) pass.
-    hourly: OnceLock<HourlySeries>,
-    locality: OnceLock<LocalityStats>,
-    input_access: OnceLock<FileAccessStats>,
+    hourly: Cached<HourlySeries>,
+    locality: Cached<LocalityStats>,
+    input_access: Cached<FileAccessStats>,
+}
+
+/// A value derived from the source at most once — or the reason it
+/// could not be: a store or catalog that opened can still turn out
+/// damaged when its chunks are read.
+type Cached<T> = OnceLock<Result<T, String>>;
+
+fn cached<T>(cell: &Cached<T>, init: impl FnOnce() -> Result<T, String>) -> Result<&T, String> {
+    cell.get_or_init(init).as_ref().map_err(String::clone)
 }
 
 impl TraceContext {
@@ -170,7 +179,7 @@ impl TraceContext {
     pub fn from_trace(label: impl Into<String>, trace: Trace) -> TraceContext {
         let summary = trace.summary();
         let cell = OnceLock::new();
-        cell.set(trace).expect("fresh cell");
+        cell.set(Ok(trace)).expect("fresh cell");
         TraceContext {
             label: label.into(),
             source: Source::Memory,
@@ -264,17 +273,18 @@ impl TraceContext {
         &self.summary
     }
 
-    /// The full trace, materialized at most once.
-    pub fn trace(&self) -> &Trace {
-        self.trace.get_or_init(|| match &self.source {
+    /// The full trace, materialized at most once; an error if the store
+    /// or catalog behind it does not decode.
+    pub fn trace(&self) -> Result<&Trace, String> {
+        cached(&self.trace, || match &self.source {
             Source::Memory => unreachable!("memory contexts are materialized at construction"),
-            Source::Store(store) => store
-                .read_trace()
-                .expect("store decoded once at load; chunks decode identically"),
-            Source::Catalog(catalog) => catalog
-                .read_trace()
-                .expect("catalog opened at load; shards decode identically"),
+            Source::Store(store) => store.read_trace().map_err(|e| self.unreadable(e)),
+            Source::Catalog(catalog) => catalog.read_trace().map_err(|e| self.unreadable(e)),
         })
+    }
+
+    fn unreadable(&self, e: impl std::fmt::Display) -> String {
+        format!("read {}: {e}", self.label)
     }
 
     /// First-week hourly series. Store inputs always compute it with a
@@ -283,14 +293,21 @@ impl TraceContext {
     /// the trace first — the code path must not vary with thread
     /// scheduling); in-memory inputs bin the first week directly. A test
     /// pins the two paths bit-identical.
-    pub fn weekly(&self) -> &HourlySeries {
-        self.weekly.get_or_init(|| match &self.source {
+    pub fn weekly(&self) -> Result<&HourlySeries, String> {
+        cached(&self.weekly, || match &self.source {
             Source::Store(store) => {
                 let start = store.stored_summary().min_submit;
                 let scan = store
                     .scan_range(start, start + Dur::from_secs(WEEK))
-                    .expect("store decoded once at load; chunks decode identically");
-                HourlySeries::from_jobs(scan.jobs().map(|j| j.expect("store chunk decodes")))
+                    .map_err(|e| self.unreadable(e))?;
+                // Streamed, not collected: the first chunk that does not
+                // decode ends the stream and is the result.
+                let mut failed = None;
+                let jobs = scan
+                    .jobs()
+                    .map_while(|j| j.map_err(|e| failed = Some(e)).ok());
+                let series = HourlySeries::from_jobs(jobs);
+                failed.map_or(Ok(series), |e| Err(self.unreadable(e)))
             }
             Source::Catalog(catalog) => {
                 // Per-shard chunk-skipping range scans; `jobs_in_range`
@@ -303,29 +320,29 @@ impl TraceContext {
                     .unwrap_or(Timestamp::ZERO);
                 let jobs = catalog
                     .jobs_in_range(start, start + Dur::from_secs(WEEK))
-                    .expect("catalog opened at load; shards decode identically");
-                HourlySeries::from_jobs(jobs.iter())
+                    .map_err(|e| self.unreadable(e))?;
+                Ok(HourlySeries::from_jobs(jobs.iter()))
             }
-            _ => HourlySeries::of(&self.trace().first_week()),
+            Source::Memory => Ok(HourlySeries::of(&self.trace()?.first_week())),
         })
     }
 
     /// Whole-trace hourly series (fig8's burstiness signal and fig9's
     /// correlations), computed once.
-    pub fn hourly(&self) -> &HourlySeries {
-        self.hourly.get_or_init(|| HourlySeries::of(self.trace()))
+    pub fn hourly(&self) -> Result<&HourlySeries, String> {
+        cached(&self.hourly, || Ok(HourlySeries::of(self.trace()?)))
     }
 
     /// Re-access locality statistics (fig5, fig6), computed once.
-    pub fn locality(&self) -> &LocalityStats {
-        self.locality
-            .get_or_init(|| LocalityStats::gather(self.trace()))
+    pub fn locality(&self) -> Result<&LocalityStats, String> {
+        cached(&self.locality, || Ok(LocalityStats::gather(self.trace()?)))
     }
 
     /// Input-stage file access statistics (fig2, fig3), computed once.
-    pub fn input_access(&self) -> &FileAccessStats {
-        self.input_access
-            .get_or_init(|| FileAccessStats::gather(self.trace(), PathStage::Input))
+    pub fn input_access(&self) -> Result<&FileAccessStats, String> {
+        cached(&self.input_access, || {
+            Ok(FileAccessStats::gather(self.trace()?, PathStage::Input))
+        })
     }
 }
 
@@ -336,8 +353,9 @@ pub struct CompareExperiment {
     pub id: &'static str,
     /// Comparison-report section title.
     pub title: &'static str,
-    /// Run the measurement on one trace.
-    pub run: fn(&TraceContext) -> ExperimentResult,
+    /// Run the measurement on one trace; an error if the trace cannot
+    /// be read.
+    pub run: fn(&TraceContext) -> Result<ExperimentResult, String>,
 }
 
 /// The full battery, in paper order (one entry per `swim-repro`
@@ -413,42 +431,42 @@ pub const BATTERY: [CompareExperiment; 13] = [
 /// Target cluster size for the `swim` battery replay (the §7 default).
 pub const SWIM_TARGET_NODES: u32 = 20;
 
-fn table1(ctx: &TraceContext) -> ExperimentResult {
+fn table1(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     let s = ctx.summary();
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new("workload", Value::Text(s.workload.clone())),
         Metric::new("machines", Value::Count(s.machines as u64)),
         Metric::new("length", Value::Text(s.length.to_string())),
         Metric::new("jobs", Value::Count(s.jobs as u64)),
         Metric::new("bytes moved", Value::Bytes(s.bytes_moved.as_f64())),
-    ])
+    ]))
 }
 
-fn fig1(ctx: &TraceContext) -> ExperimentResult {
-    let jobs = ctx.trace().jobs();
+fn fig1(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let jobs = ctx.trace()?.jobs();
     if jobs.is_empty() {
-        return ExperimentResult::Skipped("trace has no jobs");
+        return Ok(ExperimentResult::Skipped("trace has no jobs"));
     }
     let dim = |pick: fn(&swim_trace::Job) -> f64| Ecdf::new(jobs.iter().map(pick).collect());
     let input = dim(|j| j.input.as_f64());
     let shuffle = dim(|j| j.shuffle.as_f64());
     let output = dim(|j| j.output.as_f64());
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new("input p50", Value::Bytes(input.median())),
         Metric::new("input p90", Value::Bytes(input.quantile(0.9))),
         Metric::new("shuffle p50", Value::Bytes(shuffle.median())),
         Metric::new("shuffle p90", Value::Bytes(shuffle.quantile(0.9))),
         Metric::new("output p50", Value::Bytes(output.median())),
         Metric::new("output p90", Value::Bytes(output.quantile(0.9))),
-    ])
+    ]))
 }
 
-fn fig2(ctx: &TraceContext) -> ExperimentResult {
-    let stats = ctx.input_access();
+fn fig2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let stats = ctx.input_access()?;
     let Some(fit) = stats.zipf_fit(Some(300)) else {
-        return ExperimentResult::Skipped("no input path information");
+        return Ok(ExperimentResult::Skipped("no input path information"));
     };
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new(
             "distinct files",
             Value::Count(stats.distinct_files() as u64),
@@ -456,27 +474,27 @@ fn fig2(ctx: &TraceContext) -> ExperimentResult {
         Metric::new("accesses", Value::Count(stats.total_accesses())),
         Metric::new("zipf slope", Value::Number(fit.slope)),
         Metric::new("fit R²", Value::Number(fit.r_squared)),
-    ])
+    ]))
 }
 
-fn size_thresholds(ctx: &TraceContext, stage: PathStage) -> ExperimentResult {
+fn size_thresholds(ctx: &TraceContext, stage: PathStage) -> Result<ExperimentResult, String> {
     let gathered;
     let stats = match stage {
-        PathStage::Input => ctx.input_access(),
+        PathStage::Input => ctx.input_access()?,
         PathStage::Output => {
-            gathered = FileAccessStats::gather(ctx.trace(), stage);
+            gathered = FileAccessStats::gather(ctx.trace()?, stage);
             &gathered
         }
     };
     if stats.distinct_files() == 0 {
-        return ExperimentResult::Skipped(match stage {
+        return Ok(ExperimentResult::Skipped(match stage {
             PathStage::Input => "no input path information",
             PathStage::Output => "no output path information",
-        });
+        }));
     }
     let gb = swim_trace::DataSize::from_gb(1);
     let gb16 = swim_trace::DataSize::from_gb(16);
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new(
             "jobs < 1 GB",
             Value::Fraction(stats.access_fraction_below(gb)),
@@ -497,39 +515,39 @@ fn size_thresholds(ctx: &TraceContext, stage: PathStage) -> ExperimentResult {
             "80-X rule",
             Value::Number(stats.eighty_x_rule(0.8).unwrap_or(f64::NAN)),
         ),
-    ])
+    ]))
 }
 
-fn fig3(ctx: &TraceContext) -> ExperimentResult {
+fn fig3(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     size_thresholds(ctx, PathStage::Input)
 }
 
-fn fig4(ctx: &TraceContext) -> ExperimentResult {
+fn fig4(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     size_thresholds(ctx, PathStage::Output)
 }
 
-fn fig5(ctx: &TraceContext) -> ExperimentResult {
-    let loc = ctx.locality();
+fn fig5(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let loc = ctx.locality()?;
     let n = loc.input_input_intervals.len() + loc.output_input_intervals.len();
     if n == 0 {
-        return ExperimentResult::Skipped("no re-accesses observable");
+        return Ok(ExperimentResult::Skipped("no re-accesses observable"));
     }
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new("re-accesses", Value::Count(n as u64)),
         Metric::new("within 1 hr", Value::Fraction(loc.fraction_within(3_600.0))),
         Metric::new(
             "within 6 hrs",
             Value::Fraction(loc.fraction_within(6.0 * 3_600.0)),
         ),
-    ])
+    ]))
 }
 
-fn fig6(ctx: &TraceContext) -> ExperimentResult {
-    let loc = ctx.locality();
+fn fig6(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let loc = ctx.locality()?;
     if loc.frac_jobs_reaccessing() == 0.0 {
-        return ExperimentResult::Skipped("no re-accesses observable");
+        return Ok(ExperimentResult::Skipped("no re-accesses observable"));
     }
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new(
             "re-reads pre-existing input",
             Value::Fraction(loc.frac_jobs_reread_input),
@@ -542,16 +560,16 @@ fn fig6(ctx: &TraceContext) -> ExperimentResult {
             "total re-accessing",
             Value::Fraction(loc.frac_jobs_reaccessing()),
         ),
-    ])
+    ]))
 }
 
-fn fig7(ctx: &TraceContext) -> ExperimentResult {
-    let series = ctx.weekly().truncate(24 * 7);
+fn fig7(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let series = ctx.weekly()?.truncate(24 * 7);
     if series.is_empty() {
-        return ExperimentResult::Skipped("trace has no jobs");
+        return Ok(ExperimentResult::Skipped("trace has no jobs"));
     }
     let diurnal = detect_diurnal(&series.jobs, 3.0);
-    ExperimentResult::Series {
+    Ok(ExperimentResult::Series {
         metrics: vec![
             Metric::new(
                 "diurnal snr",
@@ -580,35 +598,35 @@ fn fig7(ctx: &TraceContext) -> ExperimentResult {
                 values: series.task_seconds,
             },
         ],
-    }
+    })
 }
 
-fn fig8(ctx: &TraceContext) -> ExperimentResult {
-    let series = ctx.hourly();
+fn fig8(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let series = ctx.hourly()?;
     let task = Burstiness::of(&series.task_seconds, &[]);
     let jobs = Burstiness::of(&series.jobs, &[]);
-    match (task, jobs) {
+    Ok(match (task, jobs) {
         (Some(task), Some(jobs)) => ExperimentResult::Metrics(vec![
             Metric::new("task-time peak:median", Value::Ratio(task.peak_to_median)),
             Metric::new("submissions peak:median", Value::Ratio(jobs.peak_to_median)),
         ]),
         _ => ExperimentResult::Skipped("hourly signal is empty or all-zero"),
-    }
+    })
 }
 
-fn fig9(ctx: &TraceContext) -> ExperimentResult {
-    let c = ctx.hourly().correlations();
-    ExperimentResult::Metrics(vec![
+fn fig9(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let c = ctx.hourly()?.correlations();
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new("jobs-bytes", Value::Number(c.jobs_bytes)),
         Metric::new("jobs-task-secs", Value::Number(c.jobs_task_seconds)),
         Metric::new("bytes-task-secs", Value::Number(c.bytes_task_seconds)),
-    ])
+    ]))
 }
 
-fn fig10(ctx: &TraceContext) -> ExperimentResult {
-    let analysis = NameAnalysis::of(ctx.trace());
+fn fig10(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let analysis = NameAnalysis::of(ctx.trace()?);
     if !analysis.has_names() {
-        return ExperimentResult::Skipped("trace carries no job names");
+        return Ok(ExperimentResult::Skipped("trace carries no job names"));
     }
     let top = analysis
         .sorted_by(swim_core::names::Weighting::Jobs)
@@ -617,7 +635,7 @@ fn fig10(ctx: &TraceContext) -> ExperimentResult {
         .expect("has_names implies at least one group");
     let shares = analysis.framework_shares();
     let top2: f64 = shares.iter().take(2).map(|s| s.jobs).sum();
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new("top word", Value::Text(top.word.clone())),
         Metric::new(
             "top word share",
@@ -628,13 +646,13 @@ fn fig10(ctx: &TraceContext) -> ExperimentResult {
             Value::Fraction(analysis.top_k_job_share(5)),
         ),
         Metric::new("top-2 frameworks", Value::Fraction(top2)),
-    ])
+    ]))
 }
 
-fn table2(ctx: &TraceContext) -> ExperimentResult {
-    let trace = ctx.trace();
+fn table2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let trace = ctx.trace()?;
     if trace.len() < 10 {
-        return ExperimentResult::Skipped("too few jobs to cluster");
+        return Ok(ExperimentResult::Skipped("too few jobs to cluster"));
     }
     // Raw feature space and the 0.5 elbow, as in the Table 2 reproduction:
     // raw distance isolates the tiny huge-data clusters that matter.
@@ -649,7 +667,7 @@ fn table2(ctx: &TraceContext) -> ExperimentResult {
     );
     let total: u64 = model.clusters.iter().map(|c| c.count).sum();
     let dominant = &model.clusters[0];
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new("job types (elbow k)", Value::Count(model.config.k as u64)),
         Metric::new(
             "dominant share",
@@ -657,17 +675,19 @@ fn table2(ctx: &TraceContext) -> ExperimentResult {
         ),
         Metric::new("dominant label", Value::Text(dominant.label.clone())),
         Metric::new("dominant input", Value::Bytes(dominant.input.as_f64())),
-    ])
+    ]))
 }
 
-fn swim(ctx: &TraceContext) -> ExperimentResult {
-    let trace = ctx.trace();
+fn swim(ctx: &TraceContext) -> Result<ExperimentResult, String> {
+    let trace = ctx.trace()?;
     if trace.len() < 24 {
-        return ExperimentResult::Skipped("too few jobs to sample a synthetic day");
+        return Ok(ExperimentResult::Skipped(
+            "too few jobs to sample a synthetic day",
+        ));
     }
     let sampled = sample_windows(trace, SampleConfig::one_day_from_hours(7));
     if sampled.is_empty() {
-        return ExperimentResult::Skipped("sampled day is empty");
+        return Ok(ExperimentResult::Skipped("sampled day is empty"));
     }
     let report = SynthesisReport::compare(trace, &sampled);
     let scaled = scale_trace(
@@ -680,7 +700,7 @@ fn swim(ctx: &TraceContext) -> ExperimentResult {
     );
     let plan = ReplayPlan::from_trace(&scaled);
     let result = Simulator::new(SimConfig::new(SWIM_TARGET_NODES)).run(&plan, None);
-    ExperimentResult::Metrics(vec![
+    Ok(ExperimentResult::Metrics(vec![
         Metric::new("sampled jobs", Value::Count(sampled.len() as u64)),
         Metric::new("worst KS", Value::Number(report.worst())),
         Metric::new("makespan", Value::Text(result.makespan.to_string())),
@@ -689,7 +709,7 @@ fn swim(ctx: &TraceContext) -> ExperimentResult {
             "mean queue delay",
             Value::Seconds(result.mean_queue_delay()),
         ),
-    ])
+    ]))
 }
 
 #[cfg(test)]
@@ -727,7 +747,7 @@ mod tests {
     fn battery_runs_on_an_in_memory_trace() {
         let ctx = TraceContext::from_trace("cc-e", sample_trace());
         for exp in &BATTERY {
-            let result = (exp.run)(&ctx);
+            let result = (exp.run)(&ctx).unwrap();
             match &result {
                 ExperimentResult::Skipped(reason) => {
                     panic!("{} skipped a path-bearing named trace: {reason}", exp.id)
@@ -829,7 +849,7 @@ mod tests {
         for id in ["fig2", "fig3", "fig4", "fig5", "fig6", "fig10"] {
             let exp = BATTERY.iter().find(|e| e.id == id).unwrap();
             assert!(
-                matches!((exp.run)(&ctx), ExperimentResult::Skipped(_)),
+                matches!((exp.run)(&ctx), Ok(ExperimentResult::Skipped(_))),
                 "{id} should skip a pathless/nameless trace"
             );
         }
@@ -837,7 +857,7 @@ mod tests {
         for id in ["table1", "fig1", "fig7", "fig8", "fig9", "table2"] {
             let exp = BATTERY.iter().find(|e| e.id == id).unwrap();
             assert!(
-                !matches!((exp.run)(&ctx), ExperimentResult::Skipped(_)),
+                !matches!((exp.run)(&ctx), Ok(ExperimentResult::Skipped(_))),
                 "{id} should run on a pathless trace"
             );
         }

@@ -131,6 +131,13 @@ fn main() -> ExitCode {
         Some(n) => comparison.run_with_threads(n),
         None => comparison.run(),
     };
+    let report = match report {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let rendered = match output_format(&args) {
         Format::Markdown => markdown::render_report(&report),
         Format::Html => html::render_report(&report),

@@ -32,22 +32,25 @@ impl Comparison {
     }
 
     /// Run the full battery over every trace on all cores and assemble
-    /// the comparison report.
-    pub fn run(&self) -> Report {
+    /// the comparison report. A trace that opened but cannot be read (a
+    /// damaged store or shard) is an error naming it.
+    pub fn run(&self) -> Result<Report, String> {
         self.run_with_threads(swim_obs::cores())
     }
 
     /// Run with an explicit worker count; `1` is the serial path — the
     /// caller measuring every cell in grid order. The result is
-    /// bit-identical for every thread count.
-    pub fn run_with_threads(&self, threads: usize) -> Report {
+    /// bit-identical for every thread count (of several failing cells,
+    /// the first in grid order is reported).
+    pub fn run_with_threads(&self, threads: usize) -> Result<Report, String> {
         // Every trace × experiment cell, in grid order
         // (experiment-major: cell `e * n_traces + t`).
         let n_traces = self.contexts.len();
         let cells = swim_obs::par_map(BATTERY.len() * n_traces, threads, |i| {
             (BATTERY[i / n_traces].run)(&self.contexts[i % n_traces])
         });
-        self.assemble(&cells)
+        let cells: Vec<ExperimentResult> = cells.into_iter().collect::<Result<_, _>>()?;
+        Ok(self.assemble(&cells))
     }
 
     /// Assemble the report from measured cells (pure; grid order in,
@@ -164,7 +167,7 @@ mod tests {
 
     #[test]
     fn report_has_one_section_per_experiment() {
-        let report = Comparison::new(contexts()).run_with_threads(2);
+        let report = Comparison::new(contexts()).run_with_threads(2).unwrap();
         assert_eq!(report.sections.len(), BATTERY.len());
         assert_eq!(report.sections[0].title, "Table 1: Trace summaries");
     }
@@ -172,8 +175,8 @@ mod tests {
     #[test]
     fn parallel_run_is_bit_identical_to_serial() {
         let comparison = Comparison::new(contexts());
-        let serial = comparison.run_with_threads(1);
-        let parallel = comparison.run_with_threads(8);
+        let serial = comparison.run_with_threads(1).unwrap();
+        let parallel = comparison.run_with_threads(8).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(
             crate::markdown::render_report(&serial),
@@ -183,14 +186,14 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic_across_invocations() {
-        let a = Comparison::new(contexts()).run_with_threads(4);
-        let b = Comparison::new(contexts()).run_with_threads(3);
+        let a = Comparison::new(contexts()).run_with_threads(4).unwrap();
+        let b = Comparison::new(contexts()).run_with_threads(3).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn every_trace_appears_in_every_applicable_table() {
-        let report = Comparison::new(contexts()).run();
+        let report = Comparison::new(contexts()).run().unwrap();
         let md = crate::markdown::render_report(&report);
         assert!(md.contains("| cc-b |"));
         assert!(md.contains("| cc-e |"));
@@ -199,7 +202,7 @@ mod tests {
 
     #[test]
     fn empty_comparison_produces_headers_only() {
-        let report = Comparison::new(Vec::new()).run();
+        let report = Comparison::new(Vec::new()).run().unwrap();
         assert_eq!(report.sections.len(), BATTERY.len());
         let md = crate::markdown::render_report(&report);
         assert!(md.contains("# Cross-trace comparison — 0 traces"));

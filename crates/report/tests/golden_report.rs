@@ -32,8 +32,8 @@ fn load_samples() -> Vec<TraceContext> {
 #[test]
 fn sample_report_matches_golden_and_is_parallel_deterministic() {
     let comparison = Comparison::new(load_samples());
-    let serial = comparison.run_with_threads(1);
-    let parallel = comparison.run_with_threads(8);
+    let serial = comparison.run_with_threads(1).expect("samples read");
+    let parallel = comparison.run_with_threads(8).expect("samples read");
     assert_eq!(serial, parallel, "serial vs parallel document drift");
 
     let md = markdown::render_report(&serial);
@@ -70,7 +70,7 @@ fn sample_report_matches_golden_and_is_parallel_deterministic() {
 
 #[test]
 fn sample_report_covers_both_traces_and_all_experiments() {
-    let report = Comparison::new(load_samples()).run();
+    let report = Comparison::new(load_samples()).run().expect("samples read");
     let md = markdown::render_report(&report);
     assert!(md.contains("| sample-a |"), "CSV trace row missing");
     assert!(md.contains("| sample-b |"), "store trace row missing");

@@ -42,6 +42,8 @@ pub enum ScenarioError {
     Generator(GeneratorError),
     /// Catalog ingestion failed while streaming a scenario to disk.
     Catalog(String),
+    /// The report battery could not read one of the traces it compares.
+    Report(String),
 }
 
 impl fmt::Display for ScenarioError {
@@ -55,6 +57,7 @@ impl fmt::Display for ScenarioError {
             }
             ScenarioError::Generator(e) => write!(f, "generator: {e}"),
             ScenarioError::Catalog(e) => write!(f, "catalog: {e}"),
+            ScenarioError::Report(e) => write!(f, "report: {e}"),
         }
     }
 }

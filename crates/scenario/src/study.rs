@@ -60,7 +60,8 @@ pub fn compare(scenarios: &[Scenario], options: &StudyOptions) -> Result<Report,
     let mut report = match options.threads {
         Some(n) => comparison.run_with_threads(n),
         None => comparison.run(),
-    };
+    }
+    .map_err(ScenarioError::Report)?;
     report.title = format!("Cross-scenario study ({} scenarios)", generated.len());
 
     report.push(declared_section(&generated));

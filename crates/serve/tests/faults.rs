@@ -358,3 +358,70 @@ fn a_dripped_request_line_is_refused_at_its_deadline() {
     handle.shutdown_join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A shard damaged on disk: the request that reads the damage is a typed
+/// `internal` naming the shard file, every time — an error is never put
+/// in the result cache — while requests that do not read it, and the
+/// server, carry on.
+#[test]
+fn a_damaged_shard_is_an_internal_error_and_never_a_cached_answer() {
+    let dir = support::temp_dir("damaged-shard");
+    let cat_dir = dir.join("cat.d");
+    let catalog = support::init_catalog(&cat_dir, 200);
+    let shard = catalog.shards()[0].file.clone();
+    drop(catalog);
+
+    // Flip one bit inside the shard's `input` column block, found
+    // through the chunk's own table of block lengths.
+    let path = cat_dir.join(&shard);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let chunk = swim_store::Store::from_vec(bytes.clone())
+        .unwrap()
+        .chunk_meta()[0];
+    let table = chunk.offset as usize + swim_store::format::CHUNK_HEADER_LEN;
+    let input = swim_store::ZoneMap::IO[0];
+    let len = |block: usize| {
+        let entry = table + block * 16;
+        u64::from_le_bytes(bytes[entry..entry + 8].try_into().unwrap()) as usize
+    };
+    let at = (0..input).map(len).sum::<usize>() + len(input) / 2;
+    bytes[table + swim_store::format::columns::TABLE_LEN + at] ^= 0x08;
+    std::fs::write(&path, bytes).unwrap();
+
+    let handle = serve(
+        &cat_dir,
+        ServeOptions {
+            workers: 2,
+            queue_depth: 8,
+            cache_capacity: 16,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
+
+    for _ in 0..3 {
+        let resp = support::request(addr, "query --select sum(input)");
+        assert!(!resp.ok, "{}", resp.body_text());
+        assert_eq!(resp.kind, Some(ErrorKind::Internal));
+        let body = resp.body_text();
+        assert!(body.contains("checksum mismatch"), "{body}");
+        assert!(body.contains(&shard), "{body}");
+    }
+    let stats = handle.stats();
+    assert_eq!((stats.cache.entries, stats.cache.hits), (0, 0));
+    assert_eq!(stats.cache.misses, 3, "looked up and executed every time");
+    assert_eq!(stats.worker_panics, 0);
+
+    // Columns the damage is not in still answer, and are cached.
+    for cached in [false, true] {
+        let resp = support::request(addr, "query --select count,sum(duration)");
+        assert!(resp.ok, "{}", resp.body_text());
+        assert_eq!(resp.cached, cached);
+    }
+    assert_permits_drain(&handle);
+    assert!(support::request(addr, "ping").ok);
+
+    handle.shutdown_join();
+    std::fs::remove_dir_all(&dir).ok();
+}

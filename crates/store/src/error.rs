@@ -31,6 +31,14 @@ pub enum StoreError {
         /// What was violated.
         context: &'static str,
     },
+    /// Stored bytes do not match the checksum stored with them: the file
+    /// was damaged after it was written.
+    Checksum {
+        /// The store file, when the bytes came from one.
+        path: Option<PathBuf>,
+        /// Which checksummed part failed.
+        context: &'static str,
+    },
     /// The file carries a format version this build does not read.
     UnsupportedVersion(u16),
     /// Writer options were rejected before any bytes were written
@@ -61,6 +69,14 @@ impl fmt::Display for StoreError {
                 write!(f, "truncated store: {context}")
             }
             StoreError::Corrupt { context } => write!(f, "corrupt store: {context}"),
+            StoreError::Checksum {
+                path: Some(path),
+                context,
+            } => write!(f, "checksum mismatch in {}: {context}", path.display()),
+            StoreError::Checksum {
+                path: None,
+                context,
+            } => write!(f, "checksum mismatch: {context}"),
             StoreError::UnsupportedVersion(v) => {
                 write!(f, "unsupported store format version {v}")
             }
@@ -94,13 +110,20 @@ impl From<std::io::Error> for StoreError {
 }
 
 impl StoreError {
-    /// Attribute a bare I/O error to `path`. Errors that already carry a
-    /// path (or are not I/O at all) pass through unchanged.
+    /// Attribute a bare I/O error or a checksum mismatch to `path`. Errors
+    /// that already carry a path (or are neither) pass through unchanged.
     pub fn at_path(self, path: &std::path::Path) -> StoreError {
         match self {
             StoreError::Io(source) => StoreError::File {
                 path: path.to_path_buf(),
                 source,
+            },
+            StoreError::Checksum {
+                path: None,
+                context,
+            } => StoreError::Checksum {
+                path: Some(path.to_path_buf()),
+                context,
             },
             other => other,
         }
@@ -155,7 +178,20 @@ mod tests {
         let attributed = io.at_path(std::path::Path::new("x.swim"));
         assert!(matches!(attributed, StoreError::File { .. }));
         assert!(attributed.to_string().contains("x.swim"));
-        // Non-I/O errors pass through untouched.
+        // A checksum mismatch learns its file once.
+        let damaged = StoreError::Checksum {
+            path: None,
+            context: "column block",
+        };
+        assert_eq!(damaged.to_string(), "checksum mismatch: column block");
+        let damaged = damaged
+            .at_path(std::path::Path::new("x.swim"))
+            .at_path(std::path::Path::new("y.swim"));
+        assert_eq!(
+            damaged.to_string(),
+            "checksum mismatch in x.swim: column block"
+        );
+        // Other errors pass through untouched.
         let corrupt = StoreError::Corrupt { context: "c" }.at_path(std::path::Path::new("y.swim"));
         assert!(matches!(corrupt, StoreError::Corrupt { .. }));
         assert!(!corrupt.to_string().contains("y.swim"));

@@ -1,4 +1,4 @@
-//! On-disk layout of the `swim-store` columnar trace format.
+//! On-disk layout of the `swim-store` columnar trace format (version 3).
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────┐
@@ -7,7 +7,14 @@
 //! │          u32 custom_len + custom kind label bytes              │
 //! ├────────────────────────────────────────────────────────────────┤
 //! │ Chunk 0  "SCHK" u32 job_count  u64 payload_len                 │
-//! │          payload: 13 column blocks, delta+varint encoded       │
+//! │          table: 17 × (u64 length, u64 checksum), one per block │
+//! │          17 column blocks, back to back:                       │
+//! │            10 numeric   varint; id and submit as deltas        │
+//! │            stems        count, then length + bytes each        │
+//! │            codes        per job stem_id * 2 + has_suffix       │
+//! │            suffixes     zigzag delta from the stem's last one  │
+//! │            input paths  per-job counts, then the ids           │
+//! │            output paths per-job counts, then the ids           │
 //! ├────────────────────────────────────────────────────────────────┤
 //! │ Chunk 1 …                                                      │
 //! ├────────────────────────────────────────────────────────────────┤
@@ -16,22 +23,53 @@
 //! │                     u64 min_submit, u64 max_submit             │
 //! │          summary: u64 jobs, u64 bytes_moved, u64 task_time,    │
 //! │                   u64 min_submit, u64 max_submit               │
+//! │          "SZMP", per chunk: u64 min × 10, u64 max × 10         │
 //! ├────────────────────────────────────────────────────────────────┤
-//! │ Trailer  u64 footer_offset  "SWIMEND1"                         │
+//! │ Trailer  u64 checksum of header, footer and footer_offset      │
+//! │          u64 footer_offset  "SWIMEND1"                         │
 //! └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! All fixed-width integers are little-endian. Per-chunk `min`/`max`
 //! submit times let readers skip chunks wholesale for time-range queries;
-//! the footer summary makes [`TraceSummary`]-style statistics O(1).
+//! the footer summary makes [`TraceSummary`]-style statistics O(1); the
+//! zone-map section bounds **every** numeric column of every chunk — in
+//! the column layout order of [`columns::NumericColumns`] — so the
+//! `swim-query` planner can skip chunks on arbitrary column predicates.
 //!
-//! Version 2 appends a zone-map section to the footer (`"SZMP"`, then per
-//! chunk `u64 min × 10` and `u64 max × 10`): `[min, max]` bounds for
-//! **every** numeric column — not just submit — in the column layout
-//! order of [`columns::NumericColumns`]. Zone maps let the `swim-query`
-//! planner skip chunks on arbitrary column predicates. Version 1 files
-//! (no zone section) still open and scan; readers synthesize permissive
-//! zone maps from the per-chunk submit windows.
+//! **Integrity.** Every byte of a version-3 file is covered by a
+//! [`checksum`] or by a check against bytes that are. The trailer's
+//! checksum covers the header, the footer and the footer offset, and is
+//! verified at open. Each chunk's table holds the length and checksum of
+//! each of its column blocks: the lengths must add up to `payload_len`
+//! (which must agree with the footer's index, as must `job_count`), and
+//! a block is verified against its checksum before it is decoded —
+//! *only* then, so a projected read verifies exactly the blocks it
+//! reads and slices straight to them by the table's lengths. A mismatch
+//! is a typed [`StoreError::Checksum`].
+//!
+//! **Job names.** §6.1 of the paper (Fig. 10) finds that a handful of
+//! framework-generated first words name nearly all jobs. A name is
+//! therefore stored split ([`columns::split_name`]) as `stem ‖
+//! decimal(suffix)`, where the suffix is the longest run of ASCII digits
+//! at the end of the name that fits a `u64` and has no leading zero
+//! (`0` itself is fine): `insert_4411` is `insert_` + 4411, `job_007` is
+//! `job_00` + 7, a 25-digit tail keeps its first digits in the stem, and
+//! a name with no such run (the empty name too) is all stem. The chunk
+//! lists each distinct stem once, in order of first use; a job costs one
+//! code naming its stem and, if it has a suffix, the suffix as a delta
+//! from the previous suffix under the same stem — about 2 bytes a job on
+//! generated workloads, where the raw bytes cost 23. Every UTF-8 name
+//! round-trips byte for byte. The worst case is a chunk of all-distinct
+//! digitless names: each costs its length and bytes, as it would raw,
+//! plus a code of at most 3 bytes (2 at the default chunk size).
+//!
+//! Versions 1 and 2 still open and scan. Their chunk payload is thirteen
+//! column blocks with no table — names as a length column and the raw
+//! bytes — and nothing in them is checksummed, so a skipped column is
+//! still walked ([`varint::skip_column`]) to find the next. Version 1
+//! also lacks the zone-map section; readers synthesize permissive maps
+//! from the per-chunk submit windows.
 
 use crate::varint;
 use crate::StoreError;
@@ -48,15 +86,24 @@ pub const CHUNK_MAGIC: u32 = u32::from_le_bytes(*b"SCHK");
 pub const FOOTER_MAGIC: u32 = u32::from_le_bytes(*b"SFTR");
 /// Zone-map section magic (footer, version ≥ 2).
 pub const ZONE_MAGIC: u32 = u32::from_le_bytes(*b"SZMP");
-/// Format version written by this build (v2: footer zone maps).
-pub const VERSION: u16 = 2;
+/// Format version written by this build (v3: block table, checksums,
+/// stem-coded names).
+pub const VERSION: u16 = 3;
 /// The original format version: no zone-map section in the footer.
 pub const VERSION_1: u16 = 1;
+
+/// `true` for versions 1 and 2, which carry no block table and no
+/// checksums and store names raw.
+pub fn is_legacy(version: u16) -> bool {
+    version < 3
+}
 /// Number of numeric columns covered by a [`ZoneMap`] (the ten columns of
 /// [`columns::NumericColumns`], in layout order).
 pub const ZONE_COLUMNS: usize = 10;
-/// Size of the fixed trailer (footer offset + magic).
+/// Size of the trailer of every version (footer offset + magic).
 pub const TRAILER_LEN: usize = 16;
+/// Size of a stored [`checksum`]; version 3 puts one before the trailer.
+pub const CHECKSUM_LEN: usize = 8;
 /// Size of each chunk block's fixed header ("SCHK", count, payload_len).
 pub const CHUNK_HEADER_LEN: usize = 16;
 
@@ -480,15 +527,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encode one chunk's fixed header.
-pub fn encode_chunk_header(job_count: u32, payload_len: u64) -> [u8; CHUNK_HEADER_LEN] {
-    let mut out = [0u8; CHUNK_HEADER_LEN];
-    out[0..4].copy_from_slice(&CHUNK_MAGIC.to_le_bytes()); // lint: allow(panic, "constant ranges inside a fixed [u8; 16]")
-    out[4..8].copy_from_slice(&job_count.to_le_bytes()); // lint: allow(panic, "constant ranges inside a fixed [u8; 16]")
-    out[8..16].copy_from_slice(&payload_len.to_le_bytes()); // lint: allow(panic, "constant ranges inside a fixed [u8; 16]")
-    out
-}
-
 /// Decode and validate a chunk block's fixed header; returns
 /// `(job_count, payload_len)`.
 pub fn decode_chunk_header(block: &[u8]) -> Result<(u32, u64), StoreError> {
@@ -514,12 +552,103 @@ pub fn decode_chunk_header(block: &[u8]) -> Result<(u32, u64), StoreError> {
     Ok((job_count, payload_len))
 }
 
-/// Encode the file trailer pointing at the footer.
-pub fn encode_trailer(footer_offset: u64) -> [u8; TRAILER_LEN] {
-    let mut out = [0u8; TRAILER_LEN];
-    out[0..8].copy_from_slice(&footer_offset.to_le_bytes()); // lint: allow(panic, "constant ranges inside a fixed [u8; 16]")
-    out[8..16].copy_from_slice(&END_MAGIC); // lint: allow(panic, "constant ranges inside a fixed [u8; 16]")
+/// The store's checksum: a 64-bit multiply-rotate fold over the bytes as
+/// little-endian words (the last one zero-padded), seeded with the
+/// length. Whole 32-byte groups go through four independent lanes, a
+/// word each, so the multiplies overlap; the lanes are then folded into
+/// one state like four more words, and the rest of the bytes after them.
+/// Each step is a bijection of the state for a given word and of the
+/// word for a given state, and so is the final mix: two inputs of one
+/// length that differ within a single word — any single flipped bit —
+/// never share a checksum; anything else collides with probability 2⁻⁶⁴.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    fn step(h: u64, word: &[u8]) -> u64 {
+        let mut padded = [0u8; 8];
+        for (to, from) in padded.iter_mut().zip(word) {
+            *to = *from;
+        }
+        (h.rotate_left(23) ^ u64::from_le_bytes(padded)).wrapping_mul(K)
+    }
+    let seed = (bytes.len() as u64 ^ K).wrapping_mul(K);
+    let mut lanes = [seed, !seed, seed ^ K, !seed ^ K];
+    let mut groups = bytes.chunks_exact(32);
+    for group in &mut groups {
+        for (lane, word) in lanes.iter_mut().zip(group.chunks_exact(8)) {
+            *lane = step(*lane, word);
+        }
+    }
+    let mut h = seed;
+    for lane in lanes {
+        h = step(h, &lane.to_le_bytes());
+    }
+    for word in groups.remainder().chunks(8) {
+        h = step(h, word);
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(K);
+    h ^ h >> 29
+}
+
+/// Fail with [`StoreError::Checksum`] unless `bytes` have the stored
+/// checksum `expected`. The error names no file; the reader that knows
+/// one adds it ([`StoreError::at_path`]).
+fn verify(bytes: &[u8], expected: u64, context: &'static str) -> Result<(), StoreError> {
+    if checksum(bytes) == expected {
+        Ok(())
+    } else {
+        Err(StoreError::Checksum {
+            path: None,
+            context,
+        })
+    }
+}
+
+/// What the trailer's checksum is taken over: the checksums of the
+/// encoded header and footer and the footer offset, so a flipped bit in
+/// any of the three changes exactly one word of what is folded.
+fn meta_words(header: &[u8], footer: &[u8], footer_offset: u64) -> [u8; 24] {
+    let mut words = [0u8; 24];
+    let parts = [checksum(header), checksum(footer), footer_offset];
+    for (word, part) in words.chunks_exact_mut(8).zip(parts) {
+        word.copy_from_slice(&part.to_le_bytes());
+    }
+    words
+}
+
+/// Encode what follows the footer: the checksum of the file's metadata
+/// (the encoded `header` and `footer`, and where the footer starts) and
+/// the trailer pointing at the footer.
+pub fn encode_tail(
+    header: &[u8],
+    footer: &[u8],
+    footer_offset: u64,
+) -> [u8; CHECKSUM_LEN + TRAILER_LEN] {
+    let mut out = [0u8; CHECKSUM_LEN + TRAILER_LEN];
+    let fields = [
+        checksum(&meta_words(header, footer, footer_offset)).to_le_bytes(),
+        footer_offset.to_le_bytes(),
+        END_MAGIC,
+    ];
+    for (to, from) in out.chunks_exact_mut(8).zip(fields) {
+        to.copy_from_slice(&from);
+    }
     out
+}
+
+/// Verify a version-3 file's metadata against the checksum `stored`
+/// before its trailer.
+pub fn verify_meta(
+    header: &[u8],
+    footer: &[u8],
+    footer_offset: u64,
+    stored: &[u8],
+) -> Result<(), StoreError> {
+    verify(
+        &meta_words(header, footer, footer_offset),
+        Reader::new(stored).u64()?,
+        "header and footer",
+    )
 }
 
 /// Decode the file trailer: validates the end magic and returns the
@@ -544,24 +673,121 @@ pub fn header_custom_len(fixed: &[u8]) -> Result<u32, StoreError> {
     r.u32()
 }
 
-/// Column payload codec for one chunk of jobs.
+/// Column codec for one chunk of jobs.
 pub mod columns {
     use super::*;
+    use std::collections::HashMap;
     use swim_trace::{Job, JobBuilder, PathId};
 
-    /// Incremental encoder of one chunk's payload (thirteen column
-    /// blocks). [`Encoder::push`] appends a job's fields to per-column
-    /// byte buffers and widens the chunk's zone map in the same pass —
-    /// no job is kept — and [`Encoder::finish`] concatenates the buffers
-    /// in layout order and starts the next chunk.
+    /// Column blocks in a version-3 chunk: the ten numeric columns,
+    /// then stems, codes, suffixes, and per path list counts and ids.
+    pub const BLOCKS: usize = ZONE_COLUMNS + 3 + 4;
+    /// Bytes of a chunk's block table: a `u64` length and a `u64`
+    /// [`checksum`] per block.
+    pub const TABLE_LEN: usize = BLOCKS * 16;
+    /// The first of the three name blocks (stems, codes, suffixes).
+    const NAME_BLOCKS: usize = ZONE_COLUMNS;
+    /// The first of the four path blocks.
+    const PATH_BLOCKS: usize = NAME_BLOCKS + 3;
+
+    /// Split a name as `stem ‖ decimal(suffix)`: the suffix is the longest
+    /// run of ASCII digits at the end of `name` that fits a `u64` and has
+    /// no leading zero (a lone `0` has none); `None` when the name ends in
+    /// no digit. Appending the suffix in decimal to the stem gives back
+    /// `name`, whatever it is.
+    pub fn split_name(name: &str) -> (&str, Option<u64>) {
+        let bytes = name.as_bytes();
+        let digits = bytes.iter().rev().take_while(|b| b.is_ascii_digit());
+        let mut start = bytes.len() - digits.count();
+        // From the whole run of digits, give the stem every leading zero
+        // (but not a lone `0`) and then digits for as long as what is
+        // left does not fit.
+        while let Some(tail) = bytes.get(start..).filter(|tail| !tail.is_empty()) {
+            if tail.len() > 1 && tail.first() == Some(&b'0') {
+                start += 1;
+                continue;
+            }
+            let value = tail.iter().try_fold(0u64, |value, digit| {
+                value.checked_mul(10)?.checked_add(u64::from(digit - b'0'))
+            });
+            if value.is_some() {
+                // Everything from `start` on is ASCII: a char boundary.
+                return (&name[..start], value);
+            }
+            start += 1;
+        }
+        (name, None)
+    }
+
+    /// A wrapping difference as an unsigned varint-friendly number: small
+    /// steps in either direction become small values.
+    fn zigzag(delta: u64) -> u64 {
+        (delta << 1) ^ ((delta as i64 >> 63) as u64)
+    }
+
+    fn unzigzag(coded: u64) -> u64 {
+        (coded >> 1) ^ (coded & 1).wrapping_neg()
+    }
+
+    /// The three name blocks of the chunk being encoded.
+    #[derive(Debug, Default)]
+    struct NameEncoder {
+        /// Id of each stem seen in this chunk, in order of first use.
+        ids: HashMap<Box<str>, usize>,
+        /// Per stem id, the last suffix coded under it.
+        last: Vec<u64>,
+        /// Length + bytes of each stem, in id order (the count that
+        /// starts the block is known only at the end).
+        stems: Vec<u8>,
+        codes: Vec<u8>,
+        suffixes: Vec<u8>,
+    }
+
+    impl NameEncoder {
+        fn push(&mut self, name: &str) {
+            let (stem, suffix) = split_name(name);
+            let id = match self.ids.get(stem) {
+                Some(&id) => id,
+                None => {
+                    varint::put_u64(&mut self.stems, stem.len() as u64);
+                    self.stems.extend_from_slice(stem.as_bytes());
+                    self.ids.insert(stem.into(), self.last.len());
+                    self.last.push(0);
+                    self.last.len() - 1
+                }
+            };
+            varint::put_u64(&mut self.codes, id as u64 * 2 + u64::from(suffix.is_some()));
+            if let Some(suffix) = suffix {
+                let last = &mut self.last[id];
+                varint::put_u64(&mut self.suffixes, zigzag(suffix.wrapping_sub(*last)));
+                *last = suffix;
+            }
+        }
+
+        /// Complete the stems block with its leading count and forget the
+        /// chunk's stems.
+        fn finish(&mut self) {
+            let mut count = Vec::with_capacity(3);
+            varint::put_u64(&mut count, self.last.len() as u64);
+            self.stems.splice(0..0, count);
+            self.ids.clear();
+            self.last.clear();
+        }
+    }
+
+    /// Incremental encoder of one chunk block. [`Encoder::push`] appends
+    /// a job's fields to per-column byte buffers and widens the chunk's
+    /// zone map in the same pass — no job is kept — and
+    /// [`Encoder::finish`] writes the block: fixed header, the table of
+    /// the buffers' lengths and checksums, then the buffers in layout
+    /// order.
     #[derive(Debug)]
     pub struct Encoder {
         rows: usize,
         numeric: [Vec<u8>; ZONE_COLUMNS],
         /// Last id and submit, the running values of the delta columns.
         prev: [u64; DELTA_COLUMNS],
-        name_lens: Vec<u8>,
-        names: Vec<u8>,
+        names: NameEncoder,
         /// Input and output path lists: per-job counts, flattened ids.
         paths: [(Vec<u8>, Vec<u8>); 2],
         zone: ZoneMap,
@@ -573,8 +799,7 @@ pub mod columns {
                 rows: 0,
                 numeric: Default::default(),
                 prev: [0; DELTA_COLUMNS],
-                name_lens: Vec::new(),
-                names: Vec::new(),
+                names: NameEncoder::default(),
                 paths: Default::default(),
                 zone: ZoneMap::EMPTY,
             }
@@ -600,8 +825,7 @@ pub mod columns {
                     None => varint::put_u64(buf, v),
                 }
             }
-            varint::put_u64(&mut self.name_lens, job.name.len() as u64);
-            self.names.extend_from_slice(job.name.as_bytes());
+            self.names.push(&job.name);
             for ((counts, ids), list) in self
                 .paths
                 .iter_mut()
@@ -613,30 +837,38 @@ pub mod columns {
             self.rows += 1;
         }
 
-        /// The column buffers in layout order: ten numeric columns, name
-        /// lengths then bytes, and per path list counts then ids.
-        fn buffers(&mut self) -> impl Iterator<Item = &mut Vec<u8>> {
-            self.numeric
-                .iter_mut()
-                .chain([&mut self.name_lens, &mut self.names])
-                .chain(
-                    self.paths
-                        .iter_mut()
-                        .flat_map(|(counts, ids)| [counts, ids]),
-                )
+        /// The column buffers in layout order, one per block.
+        fn buffers(&mut self) -> [&mut Vec<u8>; BLOCKS] {
+            let [n0, n1, n2, n3, n4, n5, n6, n7, n8, n9] = self.numeric.each_mut();
+            let NameEncoder {
+                stems,
+                codes,
+                suffixes,
+                ..
+            } = &mut self.names;
+            let [(in_counts, in_ids), (out_counts, out_ids)] = &mut self.paths;
+            [
+                n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, stems, codes, suffixes, in_counts, in_ids,
+                out_counts, out_ids,
+            ]
         }
 
-        /// Byte length of the payload [`Encoder::finish`] would append.
-        pub fn payload_len(&self) -> usize {
-            let numeric: usize = self.numeric.iter().map(Vec::len).sum();
-            let paths: usize = self.paths.iter().map(|(c, ids)| c.len() + ids.len()).sum();
-            numeric + self.name_lens.len() + self.names.len() + paths
-        }
-
-        /// Append the chunk's payload to `out`, return the chunk's zone
-        /// map ([`ZoneMap::EMPTY`] for no rows), and start an empty chunk.
+        /// Append the chunk's block to `out`, return the chunk's zone map
+        /// ([`ZoneMap::EMPTY`] for no rows), and start an empty chunk.
         pub fn finish(&mut self, out: &mut Vec<u8>) -> ZoneMap {
-            for buf in self.buffers() {
+            self.names.finish();
+            let rows = self.rows as u32;
+            let buffers = self.buffers();
+            let payload_len = TABLE_LEN + buffers.iter().map(|b| b.len()).sum::<usize>();
+            out.reserve(CHUNK_HEADER_LEN + payload_len);
+            out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
+            out.extend_from_slice(&rows.to_le_bytes());
+            out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+            for buf in &buffers {
+                out.extend_from_slice(&(buf.len() as u64).to_le_bytes());
+                out.extend_from_slice(&checksum(buf).to_le_bytes());
+            }
+            for buf in buffers {
                 out.extend_from_slice(buf);
                 buf.clear();
             }
@@ -750,7 +982,7 @@ pub mod columns {
     pub struct ColumnSet(u16);
 
     impl ColumnSet {
-        /// No column: a decode still walks and validates all ten.
+        /// No column: the decode checks the chunk's framing and stops.
         pub const EMPTY: ColumnSet = ColumnSet(0);
         /// All ten columns.
         pub const ALL: ColumnSet = ColumnSet((1 << ZONE_COLUMNS) - 1);
@@ -839,22 +1071,109 @@ pub mod columns {
         }
     }
 
-    /// Decode the columns of `set` from a chunk payload in one pass,
-    /// stepping over the others (and stopping before the name/path
-    /// columns). A skipped column is still walked varint by varint
-    /// ([`varint::skip_column`]): its count is checked against the
-    /// remaining bytes, truncation and `u64` overflow inside it are
-    /// reported, so every projection accepts and rejects the same payloads
-    /// with the same error.
+    /// A version-3 chunk body (what follows the fixed chunk header) cut
+    /// into its column blocks by the table that starts it.
+    struct Blocks<'a> {
+        /// Each block's bytes and stored checksum, in layout order.
+        blocks: [(&'a [u8], u64); BLOCKS],
+    }
+
+    impl<'a> Blocks<'a> {
+        /// Read the table and cut the rest of `body` by its lengths, which
+        /// must add up to exactly what is there. Nothing is verified or
+        /// reserved yet.
+        fn parse(body: &'a [u8]) -> Result<Blocks<'a>, StoreError> {
+            let mut table = Reader::new(body);
+            let mut rest = body.get(TABLE_LEN..).ok_or(StoreError::Truncated {
+                context: "chunk shorter than its block table",
+            })?;
+            let mut blocks = [(rest, 0u64); BLOCKS];
+            for block in &mut blocks {
+                let len = usize::try_from(table.u64()?).ok();
+                let (bytes, after) =
+                    len.and_then(|len| rest.split_at_checked(len))
+                        .ok_or(StoreError::Corrupt {
+                            context: "block lengths exceed chunk payload",
+                        })?;
+                *block = (bytes, table.u64()?);
+                rest = after;
+            }
+            if !rest.is_empty() {
+                return Err(StoreError::Corrupt {
+                    context: "block lengths fall short of chunk payload",
+                });
+            }
+            Ok(Blocks { blocks })
+        }
+
+        /// Block `index`'s bytes, once they match their checksum.
+        fn verified(&self, index: usize) -> Result<&'a [u8], StoreError> {
+            let (bytes, sum) = self.blocks[index];
+            verify(bytes, sum, "column block")?;
+            Ok(bytes)
+        }
+    }
+
+    /// Fail unless a block's decode consumed it to the last byte.
+    fn consumed(block: &[u8], pos: usize) -> Result<(), StoreError> {
+        if pos == block.len() {
+            Ok(())
+        } else {
+            Err(StoreError::Corrupt {
+                context: "trailing bytes after a column block's values",
+            })
+        }
+    }
+
+    /// A block of exactly `n` varints.
+    fn whole_column(block: &[u8], n: usize, delta: bool) -> Result<Vec<u64>, StoreError> {
+        let mut pos = 0;
+        let values = if delta {
+            varint::get_delta_column(block, &mut pos, n)?
+        } else {
+            varint::get_column(block, &mut pos, n)?
+        };
+        consumed(block, pos)?;
+        Ok(values)
+    }
+
+    /// Decode the numeric columns of `set` from the body of a chunk of
+    /// `n` jobs written by format `version`.
+    ///
+    /// Version 3: the block table leads straight to the blocks of `set`;
+    /// each is verified against its checksum and decoded, and no other
+    /// block — numeric, name or path — is looked at. Versions 1 and 2
+    /// have no table, so the columns outside `set` are walked varint by
+    /// varint ([`varint::skip_column`]) up to the last numeric one, and
+    /// every projection accepts and rejects the same payloads with the
+    /// same error.
     pub fn decode_projected(
-        payload: &[u8],
+        version: u16,
+        body: &[u8],
         n: usize,
         set: ColumnSet,
     ) -> Result<ChunkColumns, StoreError> {
-        decode_projected_at(payload, &mut 0, n, set)
+        if is_legacy(version) {
+            return decode_projected_v2(body, &mut 0, n, set);
+        }
+        decode_blocks(&Blocks::parse(body)?, n, set)
     }
 
-    fn decode_projected_at(
+    fn decode_blocks(
+        blocks: &Blocks<'_>,
+        n: usize,
+        set: ColumnSet,
+    ) -> Result<ChunkColumns, StoreError> {
+        let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
+        for (column, values) in cols.iter_mut().enumerate() {
+            if set.contains(column) {
+                *values = whole_column(blocks.verified(column)?, n, column < DELTA_COLUMNS)?;
+            }
+        }
+        Ok(ChunkColumns { rows: n, cols })
+    }
+
+    fn decode_projected_v2(
         payload: &[u8],
         pos: &mut usize,
         n: usize,
@@ -873,21 +1192,133 @@ pub mod columns {
         Ok(ChunkColumns { rows: n, cols })
     }
 
-    /// Decode `n` jobs from a chunk payload.
-    pub fn decode(payload: &[u8], n: usize) -> Result<Vec<Job>, StoreError> {
+    /// Decode the `n` jobs of a chunk body written by format `version`;
+    /// every block of a version-3 chunk is verified first.
+    pub fn decode(version: u16, body: &[u8], n: usize) -> Result<Vec<Job>, StoreError> {
+        if is_legacy(version) {
+            return decode_v2(body, n);
+        }
+        let blocks = Blocks::parse(body)?;
+        let numeric = decode_blocks(&blocks, n, ColumnSet::ALL)?;
+        let names = decode_names(
+            blocks.verified(NAME_BLOCKS)?,
+            blocks.verified(NAME_BLOCKS + 1)?,
+            blocks.verified(NAME_BLOCKS + 2)?,
+            n,
+        )?;
+        let inputs = decode_paths(
+            blocks.verified(PATH_BLOCKS)?,
+            blocks.verified(PATH_BLOCKS + 1)?,
+            n,
+        )?;
+        let outputs = decode_paths(
+            blocks.verified(PATH_BLOCKS + 2)?,
+            blocks.verified(PATH_BLOCKS + 3)?,
+            n,
+        )?;
+        build_jobs(numeric.into(), names, inputs, outputs)
+    }
+
+    /// The names of a chunk of `n` jobs from its stems, codes and
+    /// suffixes blocks. Nothing is reserved on the word of a count that
+    /// the blocks' own lengths do not bear out.
+    fn decode_names(
+        stems: &[u8],
+        codes: &[u8],
+        suffixes: &[u8],
+        n: usize,
+    ) -> Result<Vec<String>, StoreError> {
+        let pos = &mut 0;
+        let count = varint::get_u64(stems, pos)?;
+        // A stem is listed because some job uses it, and takes a byte.
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&count| count <= n && count <= stems.len())
+            .ok_or(StoreError::Corrupt {
+                context: "stem count exceeds the chunk's jobs",
+            })?;
+        // Each stem, and the last suffix decoded under it.
+        let mut dictionary: Vec<(&str, u64)> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let len = varint::get_u64(stems, pos)?;
+            let bytes = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .and_then(|end| stems.get(*pos..end))
+                .ok_or(StoreError::Corrupt {
+                    context: "stem bytes run past the stems block",
+                })?;
+            *pos += bytes.len();
+            let stem = std::str::from_utf8(bytes).map_err(|_| StoreError::Corrupt {
+                context: "job name not utf-8",
+            })?;
+            dictionary.push((stem, 0));
+        }
+        consumed(stems, *pos)?;
+
+        let codes = whole_column(codes, n, false)?;
+        let pos = &mut 0;
+        let mut names = Vec::with_capacity(n);
+        for code in codes {
+            let (stem, last) = usize::try_from(code / 2)
+                .ok()
+                .and_then(|id| dictionary.get_mut(id))
+                .ok_or(StoreError::Corrupt {
+                    context: "name code names no stem",
+                })?;
+            let mut name = String::with_capacity(stem.len() + 20);
+            name.push_str(stem);
+            if code % 2 == 1 {
+                *last = last.wrapping_add(unzigzag(varint::get_u64(suffixes, pos)?));
+                push_decimal(&mut name, *last);
+            }
+            names.push(name);
+        }
+        consumed(suffixes, *pos)?;
+        Ok(names)
+    }
+
+    /// Append `value` in decimal.
+    fn push_decimal(out: &mut String, mut value: u64) {
+        let mut digits = [b'0'; 20];
+        let mut at = digits.len();
+        while let Some(digit) = at.checked_sub(1).and_then(|at| digits.get_mut(at)) {
+            *digit = b'0' + (value % 10) as u8;
+            (value, at) = (value / 10, at - 1);
+            if value == 0 {
+                break;
+            }
+        }
+        // ASCII digits: always text.
+        out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+    }
+
+    /// The path lists of a chunk of `n` jobs from a counts block and an
+    /// ids block.
+    fn decode_paths(counts: &[u8], ids: &[u8], n: usize) -> Result<Vec<Vec<PathId>>, StoreError> {
+        let counts = whole_column(counts, n, false)?;
+        // Each id takes at least a byte, so the block's length bounds
+        // every count before a list is reserved for it.
+        let total = counts
+            .iter()
+            .try_fold(0u64, |sum, &count| sum.checked_add(count))
+            .and_then(|total| usize::try_from(total).ok())
+            .filter(|&total| total <= ids.len())
+            .ok_or(StoreError::Corrupt {
+                context: "path counts exceed the ids block",
+            })?;
+        let mut ids = whole_column(ids, total, false)?.into_iter().map(PathId);
+        Ok(counts
+            .iter()
+            .map(|&count| ids.by_ref().take(count as usize).collect())
+            .collect())
+    }
+
+    /// Decode `n` jobs from a version-1 or version-2 chunk payload:
+    /// thirteen column blocks back to back, names as lengths then bytes.
+    fn decode_v2(payload: &[u8], n: usize) -> Result<Vec<Job>, StoreError> {
         let pos = &mut 0usize;
-        let NumericColumns {
-            ids,
-            submits,
-            durations,
-            inputs,
-            shuffles,
-            outputs,
-            map_times,
-            reduce_times,
-            map_tasks,
-            reduce_tasks,
-        } = decode_projected_at(payload, pos, n, ColumnSet::ALL)?.into();
+        let numeric = decode_projected_v2(payload, pos, n, ColumnSet::ALL)?;
         let name_lens = varint::get_column(payload, pos, n)?;
         let mut names = Vec::with_capacity(n);
         for &len in &name_lens {
@@ -929,10 +1360,33 @@ pub mod columns {
                 context: "trailing bytes after last column",
             });
         }
-        let [mut input_paths, mut output_paths] = path_lists;
+        let [input_paths, output_paths] = path_lists;
+        build_jobs(numeric.into(), names, input_paths, output_paths)
+    }
 
-        let mut jobs = Vec::with_capacity(n);
-        for i in 0..n {
+    /// Assemble jobs from a chunk's decoded columns (one entry per job in
+    /// each).
+    fn build_jobs(
+        numeric: NumericColumns,
+        names: Vec<String>,
+        input_paths: Vec<Vec<PathId>>,
+        output_paths: Vec<Vec<PathId>>,
+    ) -> Result<Vec<Job>, StoreError> {
+        let NumericColumns {
+            ids,
+            submits,
+            durations,
+            inputs,
+            shuffles,
+            outputs,
+            map_times,
+            reduce_times,
+            map_tasks,
+            reduce_tasks,
+        } = numeric;
+        let mut jobs = Vec::with_capacity(ids.len());
+        let lists = names.into_iter().zip(input_paths).zip(output_paths);
+        for (i, ((name, input_paths), output_paths)) in lists.enumerate() {
             let map = u32::try_from(map_tasks[i]).map_err(|_| StoreError::Corrupt {
                 context: "map task count overflows u32",
             })?;
@@ -941,7 +1395,7 @@ pub mod columns {
             })?;
             jobs.push(
                 JobBuilder::new(ids[i])
-                    .name(std::mem::take(&mut names[i]))
+                    .name(name)
                     .submit(Timestamp::from_secs(submits[i]))
                     .duration(Dur::from_secs(durations[i]))
                     .input(DataSize::from_bytes(inputs[i]))
@@ -950,8 +1404,8 @@ pub mod columns {
                     .map_task_time(Dur::from_secs(map_times[i]))
                     .reduce_task_time(Dur::from_secs(reduce_times[i]))
                     .tasks(map, reduce)
-                    .input_paths(std::mem::take(&mut input_paths[i]))
-                    .output_paths(std::mem::take(&mut output_paths[i]))
+                    .input_paths(input_paths)
+                    .output_paths(output_paths)
                     .build_unchecked(),
             );
         }
@@ -1040,7 +1494,7 @@ mod tests {
         // v1 layout (no zone section).
         assert_eq!(Footer::decode(&f.encode()).unwrap(), f);
 
-        // v2 layout: one zone map per chunk.
+        // From v2 on: one zone map per chunk.
         let mut v2 = f.clone();
         v2.zones = Some(
             (0..2)
@@ -1111,32 +1565,170 @@ mod tests {
         assert_eq!(z.max, [8, 200, 9, 50, 11, 0, 70, 3, 5, 4]);
     }
 
-    /// The payload written out longhand, one pass per column block: what
-    /// the incremental encoder must reproduce byte for byte.
-    fn encode_by_column(out: &mut Vec<u8>, jobs: &[Job]) {
-        varint::put_delta_column(out, jobs.iter().map(|j| j.id.0));
-        varint::put_delta_column(out, jobs.iter().map(|j| j.submit.secs()));
-        varint::put_column(out, jobs.iter().map(|j| j.duration.secs()));
-        varint::put_column(out, jobs.iter().map(|j| j.input.bytes()));
-        varint::put_column(out, jobs.iter().map(|j| j.shuffle.bytes()));
-        varint::put_column(out, jobs.iter().map(|j| j.output.bytes()));
-        varint::put_column(out, jobs.iter().map(|j| j.map_task_time.secs()));
-        varint::put_column(out, jobs.iter().map(|j| j.reduce_task_time.secs()));
-        varint::put_column(out, jobs.iter().map(|j| u64::from(j.map_tasks)));
-        varint::put_column(out, jobs.iter().map(|j| u64::from(j.reduce_tasks)));
-        varint::put_column(out, jobs.iter().map(|j| j.name.len() as u64));
-        for j in jobs {
-            out.extend_from_slice(j.name.as_bytes());
+    /// The split rule by trial: the earliest start whose tail is all
+    /// digits, parses as a `u64` and prints back as itself.
+    fn split_reference(name: &str) -> (&str, Option<u64>) {
+        for (start, _) in name.char_indices() {
+            let tail = &name[start..];
+            if !tail.bytes().all(|b| b.is_ascii_digit()) {
+                continue;
+            }
+            match tail.parse::<u64>() {
+                Ok(suffix) if suffix.to_string() == tail => return (&name[..start], Some(suffix)),
+                _ => {}
+            }
         }
+        (name, None)
+    }
+
+    #[test]
+    fn names_split_at_the_longest_suffix_that_prints_back() {
+        for (name, stem, suffix) in [
+            ("", "", None),
+            ("insert", "insert", None),
+            ("insert_4411", "insert_", Some(4411)),
+            ("job_007", "job_00", Some(7)),
+            ("job_000", "job_00", Some(0)),
+            ("job_0", "job_", Some(0)),
+            ("job_100", "job_", Some(100)),
+            ("42", "", Some(42)),
+            ("0", "", Some(0)),
+            ("00", "0", Some(0)),
+            ("é9", "é", Some(9)),
+            ("9é", "9é", None),
+            ("n18446744073709551615", "n", Some(u64::MAX)),
+            ("n18446744073709551616", "n1", Some(8446744073709551616)),
+            ("n99999999999999999999", "n9", Some(9999999999999999999)),
+            // A 25-digit tail, and one whose twentieth digit from the end
+            // is a zero: the stem keeps what the suffix cannot.
+            (
+                "t1234567890123456789012345",
+                "t123456",
+                Some(7890123456789012345),
+            ),
+            (
+                "t1234500000000000000000007",
+                "t123450000000000000000000",
+                Some(7),
+            ),
+        ] {
+            assert_eq!(columns::split_name(name), (stem, suffix), "{name:?}");
+            assert_eq!(split_reference(name), (stem, suffix), "{name:?}");
+            let printed = suffix.map_or(String::new(), |s| s.to_string());
+            assert_eq!(format!("{stem}{printed}"), name);
+        }
+    }
+
+    #[test]
+    fn checksums_tell_single_flips_lengths_and_padding_apart() {
+        let bytes: Vec<u8> = (0..75u8).map(|i| i.wrapping_mul(37)).collect();
+        let sum = checksum(&bytes);
+        assert_eq!(sum, checksum(&bytes), "a pure function of the bytes");
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum(&flipped), sum, "bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        // Zero padding is not free: the length is part of the sum.
+        let sums: Vec<u64> = (0..20).map(|n| checksum(&vec![0u8; n])).collect();
+        for (n, sum) in sums.iter().enumerate() {
+            assert!(!sums[..n].contains(sum), "{n} zero bytes");
+        }
+        assert!(verify(&bytes, sum, "x").is_ok());
+        assert!(matches!(
+            verify(&flipped[1..], sum, "x"),
+            Err(StoreError::Checksum {
+                path: None,
+                context: "x"
+            })
+        ));
+    }
+
+    /// A chunk block written out longhand, one pass per column block: what
+    /// the incremental encoder must reproduce byte for byte.
+    fn block_reference(jobs: &[Job]) -> Vec<u8> {
+        let raw = |pick: &dyn Fn(&Job) -> u64| {
+            let mut block = Vec::new();
+            varint::put_column(&mut block, jobs.iter().map(pick));
+            block
+        };
+        let delta = |pick: &dyn Fn(&Job) -> u64| {
+            let mut block = Vec::new();
+            varint::put_delta_column(&mut block, jobs.iter().map(pick));
+            block
+        };
+        let mut blocks = vec![
+            delta(&|j| j.id.0),
+            delta(&|j| j.submit.secs()),
+            raw(&|j| j.duration.secs()),
+            raw(&|j| j.input.bytes()),
+            raw(&|j| j.shuffle.bytes()),
+            raw(&|j| j.output.bytes()),
+            raw(&|j| j.map_task_time.secs()),
+            raw(&|j| j.reduce_task_time.secs()),
+            raw(&|j| u64::from(j.map_tasks)),
+            raw(&|j| u64::from(j.reduce_tasks)),
+        ];
+
+        // Names: the distinct stems in order of first use; per job the
+        // position of its stem, doubled, plus one if it has a suffix; per
+        // job with a suffix, its signed step from the previous suffix
+        // under the same stem (from zero for the first), zigzagged.
+        let split: Vec<(&str, Option<u64>)> =
+            jobs.iter().map(|j| split_reference(&j.name)).collect();
+        let mut stems: Vec<&str> = Vec::new();
+        for (stem, _) in &split {
+            if !stems.contains(stem) {
+                stems.push(stem);
+            }
+        }
+        let mut block = Vec::new();
+        varint::put_u64(&mut block, stems.len() as u64);
+        for stem in &stems {
+            varint::put_u64(&mut block, stem.len() as u64);
+            block.extend_from_slice(stem.as_bytes());
+        }
+        blocks.push(block);
+        let mut codes = Vec::new();
+        let mut suffixes = Vec::new();
+        for (i, (stem, suffix)) in split.iter().enumerate() {
+            let id = stems.iter().position(|s| s == stem).unwrap() as u64;
+            varint::put_u64(&mut codes, id * 2 + u64::from(suffix.is_some()));
+            let Some(suffix) = suffix else { continue };
+            let previous = split[..i]
+                .iter()
+                .rev()
+                .find_map(|(s, suffix)| suffix.filter(|_| s == stem))
+                .unwrap_or(0);
+            let step = i128::from(suffix.wrapping_sub(previous) as i64);
+            let coded = if step >= 0 { 2 * step } else { -2 * step - 1 };
+            varint::put_u64(&mut suffixes, coded as u64);
+        }
+        blocks.extend([codes, suffixes]);
+
         for paths in [
             jobs.iter().map(|j| &j.input_paths).collect::<Vec<_>>(),
             jobs.iter().map(|j| &j.output_paths).collect::<Vec<_>>(),
         ] {
-            varint::put_column(out, paths.iter().map(|p| p.len() as u64));
-            for p in &paths {
-                varint::put_column(out, p.iter().map(|id| id.0));
-            }
+            let mut counts = Vec::new();
+            varint::put_column(&mut counts, paths.iter().map(|p| p.len() as u64));
+            let mut ids = Vec::new();
+            varint::put_column(&mut ids, paths.iter().flat_map(|p| p.iter().map(|id| id.0)));
+            blocks.extend([counts, ids]);
         }
+        assert_eq!(blocks.len(), columns::BLOCKS);
+
+        let payload_len = columns::TABLE_LEN + blocks.iter().map(Vec::len).sum::<usize>();
+        let mut out = b"SCHK".to_vec();
+        out.extend_from_slice(&(jobs.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+        for block in &blocks {
+            out.extend_from_slice(&(block.len() as u64).to_le_bytes());
+            out.extend_from_slice(&checksum(block).to_le_bytes());
+        }
+        out.extend(blocks.concat());
+        out
     }
 
     #[test]
@@ -1144,8 +1736,16 @@ mod tests {
         use swim_trace::{JobBuilder, PathId};
         let jobs: Vec<Job> = (0..300u64)
             .map(|i| {
+                let name = match i % 6 {
+                    0 => format!("insert_{}", 9_000 + i * 3),
+                    1 => format!("select_{}", 500 - i),
+                    2 => "n".repeat((i % 5) as usize),
+                    3 => format!("piglatin:{i:04}"),
+                    4 => format!("é{}", u64::MAX - i),
+                    _ => format!("{}", i * i),
+                };
                 JobBuilder::new(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .name("n".repeat((i % 5) as usize))
+                    .name(name)
                     .submit(Timestamp::from_secs(u64::MAX - i * 97 % 50_000))
                     .duration(Dur::from_secs(i % 399))
                     .input(DataSize::from_bytes(i << (i % 60)))
@@ -1162,18 +1762,152 @@ mod tests {
         let mut encoder = columns::Encoder::default();
         // Back-to-back chunks through one encoder: finish leaves no state.
         for chunk in [&jobs[..0], &jobs[..1], &jobs[1..200], &jobs[200..]] {
-            let mut expected = Vec::new();
-            encode_by_column(&mut expected, chunk);
+            let expected = block_reference(chunk);
             for job in chunk {
                 encoder.push(job);
             }
             assert_eq!(encoder.rows(), chunk.len());
-            assert_eq!(encoder.payload_len(), expected.len());
-            let mut payload = Vec::new();
-            assert_eq!(encoder.finish(&mut payload), ZoneMap::of_jobs(chunk));
-            assert_eq!(payload, expected);
-            assert_eq!(columns::decode(&payload, chunk.len()).unwrap(), chunk);
+            let mut block = Vec::new();
+            assert_eq!(encoder.finish(&mut block), ZoneMap::of_jobs(chunk));
+            assert_eq!(block, expected);
+            assert_eq!(
+                decode_chunk_header(&block).unwrap(),
+                (chunk.len() as u32, (block.len() - CHUNK_HEADER_LEN) as u64)
+            );
+            let body = &block[CHUNK_HEADER_LEN..];
+            assert_eq!(columns::decode(VERSION, body, chunk.len()).unwrap(), chunk);
         }
+    }
+
+    /// The body of one chunk of `jobs`: what follows the fixed header.
+    fn body_of(jobs: &[Job]) -> Vec<u8> {
+        let mut encoder = columns::Encoder::default();
+        jobs.iter().for_each(|job| encoder.push(job));
+        let mut block = Vec::new();
+        encoder.finish(&mut block);
+        block.split_off(CHUNK_HEADER_LEN)
+    }
+
+    /// One chunk body of `jobs`, with block `index` replaced by `bytes`
+    /// (its table entry rewritten to match, so only the block's own
+    /// decode can object).
+    fn body_with_block(jobs: &[Job], index: usize, bytes: &[u8]) -> Vec<u8> {
+        let body = body_of(jobs);
+        let lens: Vec<usize> = (0..columns::BLOCKS)
+            .map(|b| u64::from_le_bytes(body[b * 16..][..8].try_into().unwrap()) as usize)
+            .collect();
+        let start = columns::TABLE_LEN + lens[..index].iter().sum::<usize>();
+        let mut out = body[..start].to_vec();
+        out.extend_from_slice(bytes);
+        out.extend_from_slice(&body[start + lens[index]..]);
+        out[index * 16..][..8].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        out[index * 16 + 8..][..8].copy_from_slice(&checksum(bytes).to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn declared_counts_never_drive_an_allocation() {
+        use swim_trace::JobBuilder;
+        let jobs: Vec<Job> = (0..3u64)
+            .map(|i| JobBuilder::new(i).name(format!("a{i}")).build_unchecked())
+            .collect();
+        let corrupt = |index: usize, bytes: &[u8], want: &str| {
+            let body = body_with_block(&jobs, index, bytes);
+            match columns::decode(VERSION, &body, jobs.len()) {
+                Err(StoreError::Corrupt { context }) => assert_eq!(context, want),
+                other => panic!("block {index} = {bytes:02x?}: {other:?}"),
+            }
+        };
+        let mut huge = Vec::new();
+        varint::put_u64(&mut huge, u64::MAX);
+        // Stems: a count beyond the jobs (4 > 3, and 2^64 - 1), a stem
+        // longer than what is left of the block, bytes after the last.
+        corrupt(10, &[4, 1, b'a'], "stem count exceeds the chunk's jobs");
+        corrupt(10, &huge, "stem count exceeds the chunk's jobs");
+        corrupt(10, &[1, 9, b'a'], "stem bytes run past the stems block");
+        corrupt(
+            10,
+            &[&[1u8][..], &huge].concat(),
+            "stem bytes run past the stems block",
+        );
+        corrupt(
+            10,
+            &[1, 1, b'a', 0],
+            "trailing bytes after a column block's values",
+        );
+        corrupt(10, &[1, 1, 0xFF], "job name not utf-8");
+        // Codes: a stem that is not listed.
+        corrupt(11, &[3, 1, 5], "name code names no stem");
+        // Path counts: more ids than the ids block has bytes, or than a
+        // u64 can count.
+        corrupt(13, &[0, 9, 0], "path counts exceed the ids block");
+        let overflow = [&huge[..], &huge, &[0]].concat();
+        corrupt(15, &overflow, "path counts exceed the ids block");
+
+        // The table: lengths past the payload, short of it, and wrapping.
+        let body = body_with_block(&jobs, 12, &[2, 2, 2]);
+        for (entry, len, want) in [
+            (0, 1 << 40, "block lengths exceed chunk payload"),
+            (16, u64::MAX, "block lengths exceed chunk payload"),
+            (12, 2, "block lengths fall short of chunk payload"),
+        ] {
+            let mut body = body.clone();
+            body[entry * 16..][..8].copy_from_slice(&u64::to_le_bytes(len));
+            for set in [columns::ColumnSet::EMPTY, columns::ColumnSet::ALL] {
+                match columns::decode_projected(VERSION, &body, jobs.len(), set) {
+                    Err(StoreError::Corrupt { context }) => assert_eq!(context, want),
+                    other => panic!("entry {entry} = {len}: {other:?}"),
+                }
+            }
+        }
+        assert!(matches!(
+            columns::decode_projected(VERSION, &body[..100], 3, columns::ColumnSet::EMPTY),
+            Err(StoreError::Truncated { .. })
+        ));
+        // A job count no block could hold is refused before a column is
+        // reserved for it.
+        assert!(matches!(
+            columns::decode_projected(VERSION, &body, 1 << 40, columns::ColumnSet::ALL),
+            Err(StoreError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn a_projected_decode_verifies_exactly_the_blocks_it_reads() {
+        use swim_trace::JobBuilder;
+        let jobs: Vec<Job> = (0..40u64)
+            .map(|i| {
+                JobBuilder::new(i)
+                    .name(format!("a{i}"))
+                    .input(DataSize::from_bytes(i * 1000))
+                    .build_unchecked()
+            })
+            .collect();
+        let input = ZoneMap::IO[0];
+        let intact = body_of(&jobs);
+        let mut damaged = intact.clone();
+        let last = damaged.len() - 1; // the last output path count
+        damaged[last] ^= 1;
+        let at_input = columns::TABLE_LEN + 40 + 40 + 40 + 5;
+        damaged[at_input] ^= 0x10;
+        let set = |c| columns::ColumnSet::EMPTY.with(c);
+        for column in (0..ZONE_COLUMNS).filter(|&c| c != input) {
+            assert_eq!(
+                columns::decode_projected(VERSION, &damaged, 40, set(column)).unwrap(),
+                columns::decode_projected(VERSION, &intact, 40, set(column)).unwrap()
+            );
+        }
+        for set in [set(input), columns::ColumnSet::ALL] {
+            assert!(matches!(
+                columns::decode_projected(VERSION, &damaged, 40, set),
+                Err(StoreError::Checksum { .. })
+            ));
+        }
+        assert!(matches!(
+            columns::decode(VERSION, &damaged, 40),
+            Err(StoreError::Checksum { .. })
+        ));
+        assert_eq!(columns::decode(VERSION, &intact, 40).unwrap(), jobs);
     }
 
     #[test]
@@ -1200,8 +1934,9 @@ mod tests {
 
     #[test]
     fn chunk_header_validates_length() {
-        let header = encode_chunk_header(5, 10);
-        let mut block = header.to_vec();
+        let mut block = b"SCHK".to_vec();
+        block.extend_from_slice(&5u32.to_le_bytes());
+        block.extend_from_slice(&10u64.to_le_bytes());
         block.extend_from_slice(&[0u8; 10]);
         assert_eq!(decode_chunk_header(&block).unwrap(), (5, 10));
         block.push(0);

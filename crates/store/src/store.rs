@@ -30,12 +30,15 @@ mod obs {
     /// [`COLUMNS_SKIPPED`] it is projection's useful work over attempts
     /// (the two sum to ten per decoded chunk).
     pub static COLUMNS_DECODED: Counter = Counter::new("store.columns_decoded");
-    /// Numeric columns of decoded chunks that were stepped over (walked
-    /// and validated, nothing stored).
+    /// Numeric columns of decoded chunks that were not kept (from
+    /// version 3 on not looked at; before it, walked varint by varint).
     pub static COLUMNS_SKIPPED: Counter = Counter::new("store.columns_skipped");
     /// Chunks skipped by a time-range scan's index check before any
     /// byte of them was read.
     pub static CHUNKS_RANGE_SKIPPED: Counter = Counter::new("store.chunks_range_skipped");
+    /// Reads refused because stored bytes did not match their checksum
+    /// (at open: header and footer; at decode: a column block).
+    pub static CHECKSUM_FAILURES: Counter = Counter::new("store.checksum_failures");
 }
 
 /// Where the store's bytes live.
@@ -89,6 +92,18 @@ impl ReadHandle {
             }
         }
     }
+
+    /// Every error of a read made through this handle leaves here: a
+    /// checksum mismatch is counted, and names the file if there is one.
+    fn blame(&self, e: StoreError) -> StoreError {
+        if matches!(e, StoreError::Checksum { .. }) {
+            obs::CHECKSUM_FAILURES.incr();
+        }
+        match self {
+            ReadHandle::File { path, .. } => e.at_path(path),
+            ReadHandle::Mem(_) => e,
+        }
+    }
 }
 
 /// Open the `store.decode_chunk` span and count one decoded chunk that
@@ -111,7 +126,7 @@ pub struct Store {
     header: Header,
     chunks: Vec<ChunkMeta>,
     summary: StoredSummary,
-    /// One zone map per chunk: read from the footer for v2 files,
+    /// One zone map per chunk: read from the footer from v2 on,
     /// synthesized (submit bounds only, permissive elsewhere) for v1.
     zones: Vec<ZoneMap>,
 }
@@ -131,7 +146,7 @@ impl Store {
             file,
             path: path.clone(),
         };
-        Self::parse(StoreSource::File(path), &mut handle, file_len)
+        Self::parse(StoreSource::File(path), &mut handle, file_len).map_err(|e| handle.blame(e))
     }
 
     /// Open a store from an in-memory image.
@@ -143,7 +158,7 @@ impl Store {
     pub fn from_bytes(bytes: Arc<[u8]>) -> Result<Store, StoreError> {
         let len = bytes.len() as u64;
         let mut handle = ReadHandle::Mem(bytes.clone());
-        Self::parse(StoreSource::Mem(bytes), &mut handle, len)
+        Self::parse(StoreSource::Mem(bytes), &mut handle, len).map_err(|e| handle.blame(e))
     }
 
     fn parse(
@@ -151,26 +166,19 @@ impl Store {
         handle: &mut ReadHandle,
         file_len: u64,
     ) -> Result<Store, StoreError> {
+        // Every version ends in the same trailer; from version 3 the
+        // metadata checksum sits before it. No file that opens is too
+        // short for both, so one read fetches them.
         let trailer_len = format::TRAILER_LEN as u64;
+        let tail_len = trailer_len + format::CHECKSUM_LEN as u64;
         if file_len < trailer_len + 24 {
             return Err(StoreError::Truncated {
                 context: "file shorter than header + trailer",
             });
         }
-        let trailer = handle.read_span(file_len - trailer_len, trailer_len)?;
-        let footer_offset = format::decode_trailer(&trailer)?;
-        if footer_offset >= file_len - trailer_len {
-            return Err(StoreError::Corrupt {
-                context: "footer offset past end of file",
-            });
-        }
-        let footer_bytes =
-            handle.read_span(footer_offset, file_len - trailer_len - footer_offset)?;
-        let Footer {
-            chunks,
-            summary,
-            zones,
-        } = Footer::decode(&footer_bytes)?;
+        let tail = handle.read_span(file_len - tail_len, tail_len)?;
+        let (stored_sum, trailer) = tail.split_at(format::CHECKSUM_LEN);
+        let footer_offset = format::decode_trailer(trailer)?;
 
         // Header: fixed 24 bytes, then the custom-kind label if present.
         let fixed = handle.read_span(0, 24)?;
@@ -182,6 +190,23 @@ impl Store {
         }
         let header_bytes = handle.read_span(0, 24 + custom_len)?;
         let header = Header::decode(&header_bytes)?;
+
+        let legacy = format::is_legacy(header.version);
+        let footer_end = file_len - if legacy { trailer_len } else { tail_len };
+        if footer_offset >= footer_end {
+            return Err(StoreError::Corrupt {
+                context: "footer offset past end of file",
+            });
+        }
+        let footer_bytes = handle.read_span(footer_offset, footer_end - footer_offset)?;
+        if !legacy {
+            format::verify_meta(&header_bytes, &footer_bytes, footer_offset, stored_sum)?;
+        }
+        let Footer {
+            chunks,
+            summary,
+            zones,
+        } = Footer::decode(&footer_bytes)?;
 
         // Index sanity: chunks must lie between header and footer, in
         // order, and account for every job in the summary. The per-chunk
@@ -279,17 +304,17 @@ impl Store {
         &self.chunks
     }
 
-    /// Format version the file was written with (1 or 2).
+    /// Format version the file was written with (1, 2 or 3).
     pub fn format_version(&self) -> u16 {
         self.header.version
     }
 
     /// Per-chunk zone maps: `[min, max]` bounds for every numeric column.
     ///
-    /// Version-2 files store these in the footer; for version-1 files the
-    /// maps are synthesized at open (real submit bounds, full range for
-    /// every other column), so planners can prune uniformly — a v1 map
-    /// simply never rules a chunk out on a non-submit predicate.
+    /// Files from version 2 on store these in the footer; for version-1
+    /// files the maps are synthesized at open (real submit bounds, full
+    /// range for every other column), so planners can prune uniformly — a
+    /// v1 map simply never rules a chunk out on a non-submit predicate.
     pub fn zone_maps(&self) -> &[ZoneMap] {
         &self.zones
     }
@@ -497,18 +522,35 @@ impl ChunkReader<'_> {
     /// Decode chunk `idx` into jobs. Panics if `idx` is not a chunk of
     /// the store.
     pub fn jobs(&mut self, idx: usize) -> Result<Vec<Job>, StoreError> {
-        let (job_count, block) = self.block(idx)?;
-        let _span = begin_decode(format::ZONE_COLUMNS);
-        format::columns::decode(&block[format::CHUNK_HEADER_LEN..], job_count)
+        self.decode(idx, format::ZONE_COLUMNS, format::columns::decode)
     }
 
-    /// Decode the numeric columns of `set` from chunk `idx`: the others
-    /// are stepped over, names and paths are never touched. Panics if
-    /// `idx` is not a chunk of the store.
+    /// Decode the numeric columns of `set` from chunk `idx`; names and
+    /// paths are never touched, and from format version 3 on neither are
+    /// the numeric columns outside `set`. Panics if `idx` is not a chunk
+    /// of the store.
     pub fn columns(&mut self, idx: usize, set: ColumnSet) -> Result<ChunkColumns, StoreError> {
+        self.decode(idx, set.len(), |version, body, n| {
+            format::columns::decode_projected(version, body, n, set)
+        })
+    }
+
+    /// Read chunk `idx` and decode its body (what follows the fixed chunk
+    /// header), keeping `kept` numeric columns.
+    fn decode<T>(
+        &mut self,
+        idx: usize,
+        kept: usize,
+        decode: impl FnOnce(u16, &[u8], usize) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
         let (job_count, block) = self.block(idx)?;
-        let _span = begin_decode(set.len());
-        format::columns::decode_projected(&block[format::CHUNK_HEADER_LEN..], job_count, set)
+        let _span = begin_decode(kept);
+        decode(
+            self.store.header.version,
+            &block[format::CHUNK_HEADER_LEN..],
+            job_count,
+        )
+        .map_err(|e| self.handle.blame(e))
     }
 }
 

@@ -99,7 +99,9 @@ pub struct StoreWriter<W: Write> {
     out: Output<W>,
     jobs_per_chunk: usize,
     encoder: format::columns::Encoder,
-    /// The chunk block being assembled (header + payload), reused.
+    /// The encoded file header, which the trailer's checksum covers.
+    header: Vec<u8>,
+    /// The chunk block being assembled, reused.
     block: Vec<u8>,
     chunks: Vec<ChunkMeta>,
     zones: Vec<ZoneMap>,
@@ -135,6 +137,12 @@ impl<W: Write> StoreWriter<W> {
         options: &StoreOptions,
     ) -> Result<StoreWriter<W>, StoreError> {
         let jobs_per_chunk = options.validate()?;
+        let header = Header {
+            version: VERSION,
+            kind,
+            machines,
+            jobs_per_chunk,
+        };
         let mut store = StoreWriter {
             out: Output {
                 writer: BufWriter::new(writer),
@@ -142,19 +150,14 @@ impl<W: Write> StoreWriter<W> {
             },
             jobs_per_chunk: jobs_per_chunk as usize,
             encoder: Default::default(),
+            header: header.encode(),
             block: Vec::new(),
             chunks: Vec::new(),
             zones: Vec::new(),
             summary: StoredSummary::default(),
             last: (Timestamp::ZERO, JobId(0)),
         };
-        let header = Header {
-            version: VERSION,
-            kind,
-            machines,
-            jobs_per_chunk,
-        };
-        store.out.write_all(&header.encode())?;
+        store.out.write_all(&store.header)?;
         Ok(store)
     }
 
@@ -202,10 +205,6 @@ impl<W: Write> StoreWriter<W> {
     fn write_chunk(&mut self) -> Result<(), StoreError> {
         let rows = self.encoder.rows();
         self.block.clear();
-        self.block.extend_from_slice(&format::encode_chunk_header(
-            rows as u32,
-            self.encoder.payload_len() as u64,
-        ));
         let zone = self.encoder.finish(&mut self.block);
         self.chunks.push(ChunkMeta {
             offset: self.out.offset,
@@ -236,7 +235,8 @@ impl<W: Write> StoreWriter<W> {
             zones: Some(self.zones),
         };
         let mut tail = footer.encode();
-        tail.extend_from_slice(&format::encode_trailer(self.out.offset));
+        let trailer = format::encode_tail(&self.header, &tail, self.out.offset);
+        tail.extend_from_slice(&trailer);
         self.out.write_all(&tail)?;
         self.out.writer.flush()?;
         Ok(StoreStats {

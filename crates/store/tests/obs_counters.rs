@@ -1,0 +1,87 @@
+//! The `swim-obs` instruments of the read side. They are process-wide,
+//! so this file holds one test and reads them as deltas.
+
+use swim_store::format::columns::ColumnSet;
+use swim_store::{Store, StoreError, ZoneMap, ZONE_COLUMNS};
+
+/// A damaged file is counted where it is refused: once per read that
+/// meets the damage, at open or at decode, and never by a read that
+/// does not. The decode counters still count the refused attempt.
+#[test]
+fn checksum_failures_count_refused_reads() {
+    swim_obs::set_enabled(swim_obs::ALL);
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/v3-multichunk.swim"
+    );
+    let image = std::fs::read(fixture).unwrap();
+    let dir = std::env::temp_dir().join(format!("swim-store-obs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let counter = |delta: &swim_obs::Snapshot, name| delta.counter(name).unwrap_or(0);
+
+    // The last byte of chunk 1 (in its last path block), found through
+    // the index.
+    let meta = Store::from_vec(image.clone()).unwrap().chunk_meta()[1];
+    let mut damaged = image.clone();
+    damaged[(meta.offset + meta.block_len) as usize - 1] ^= 0x40;
+    let path = dir.join("damaged-chunk.swim");
+    std::fs::write(&path, &damaged).unwrap();
+
+    let before = swim_obs::snapshot();
+    let store = Store::open(&path).unwrap();
+    let mut reader = store.reader().unwrap();
+    let submit = ColumnSet::EMPTY.with(ZoneMap::SUBMIT);
+    for chunk in 0..3 {
+        reader.columns(chunk, submit).unwrap();
+        reader.columns(chunk, ColumnSet::ALL).unwrap();
+    }
+    assert_eq!(
+        store.par_summary().unwrap().jobs,
+        40,
+        "no numeric read touches it"
+    );
+    let delta = swim_obs::snapshot().delta(&before);
+    assert_eq!(counter(&delta, "store.checksum_failures"), 0);
+
+    let before = swim_obs::snapshot();
+    reader.jobs(0).unwrap();
+    let refused = reader
+        .jobs(1)
+        .expect_err("a full-row read decodes every block");
+    assert!(
+        matches!(&refused, StoreError::Checksum { path: Some(p), .. } if *p == path),
+        "{refused:?}"
+    );
+    assert_eq!(
+        refused.to_string(),
+        format!("checksum mismatch in {}: column block", path.display())
+    );
+    assert!(store.read_trace().is_err());
+    let delta = swim_obs::snapshot().delta(&before);
+    assert_eq!(counter(&delta, "store.checksum_failures"), 2);
+    // jobs(0), jobs(1), then read_trace's chunks 0 and 1.
+    assert_eq!(counter(&delta, "store.chunks_decoded"), 4);
+    assert_eq!(
+        counter(&delta, "store.columns_decoded"),
+        4 * ZONE_COLUMNS as u64
+    );
+
+    // One bit of the footer: refused at open, counted once, named.
+    let mut damaged = image.clone();
+    let footer_byte = image.len() - 60;
+    damaged[footer_byte] ^= 1;
+    let path = dir.join("damaged-footer.swim");
+    std::fs::write(&path, &damaged).unwrap();
+    let before = swim_obs::snapshot();
+    let refused = Store::open(&path).expect_err("the footer is verified at open");
+    assert_eq!(
+        refused.to_string(),
+        format!("checksum mismatch in {}: header and footer", path.display())
+    );
+    let delta = swim_obs::snapshot().delta(&before);
+    assert_eq!(counter(&delta, "store.checksum_failures"), 1);
+    assert_eq!(counter(&delta, "store.chunks_decoded"), 0);
+
+    swim_obs::set_enabled(0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -3,7 +3,8 @@
 //! chunk-skipping correctness for time-range selection.
 
 use proptest::prelude::*;
-use swim_store::{store_to_vec, Store, StoreOptions};
+use swim_store::format::columns;
+use swim_store::{store_to_vec, Store, StoreOptions, StoreWriter};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{io, DataSize, Dur, Job, JobBuilder, PathId, Timestamp, Trace};
 
@@ -51,8 +52,124 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// Names from every corner of the split rule: stems empty, ASCII, with
+/// multi-byte characters (also right before the digits), or ending in
+/// zeros; tails absent, short, with leading zeros, around `u64::MAX`,
+/// and longer than any `u64`. Few distinct stems, so they repeat within
+/// a chunk and the per-stem deltas run in both directions.
+fn arb_name() -> impl Strategy<Value = String> {
+    (0u8..8, 0u8..10, any::<u64>(), 0u64..50).prop_map(|(stem, tail, wide, narrow)| {
+        let stem = match stem {
+            0 => "",
+            1 => "insert_",
+            2 => "oozie:launcher:T=",
+            3 => "é",
+            4 => "数据-",
+            5 => "job_00",
+            6 => "a1b",
+            _ => "0",
+        };
+        let tail = match tail {
+            0 => String::new(),
+            1 => narrow.to_string(),
+            2 => wide.to_string(),
+            3 => format!("{narrow:03}"),
+            4 => u64::MAX.to_string(),
+            5 => "18446744073709551616".to_owned(), // u64::MAX + 1
+            6 => format!("{}{wide}", u64::MAX),
+            7 => format!("{wide}0000000000000000000000"),
+            8 => "0".to_owned(),
+            _ => (u64::MAX - narrow).to_string(),
+        };
+        format!("{stem}{tail}")
+    })
+}
+
+/// One job per name, in order, through `StoreWriter` and back through
+/// `ChunkReader::jobs`; the store's image comes back too.
+fn names_round_trip(names: &[String], jobs_per_chunk: u32) -> (Vec<String>, Vec<u8>) {
+    let mut image = Vec::new();
+    let kind = WorkloadKind::Custom("names".into());
+    let mut writer = StoreWriter::new(&mut image, kind, 1, &StoreOptions { jobs_per_chunk })
+        .expect("valid options");
+    let jobs: Vec<Job> = (0u64..)
+        .zip(names)
+        .map(|(i, name)| JobBuilder::new(i).name(name.clone()).build_unchecked())
+        .collect();
+    for block in jobs.chunks(7) {
+        writer.push(block).expect("in order");
+    }
+    writer.finish().expect("writes");
+    let store = Store::from_vec(image.clone()).expect("opens");
+    let mut reader = store.reader().expect("reads");
+    let back = (0..store.chunk_count())
+        .flat_map(|chunk| reader.jobs(chunk).expect("decodes"))
+        .map(|job| job.name)
+        .collect();
+    (back, image)
+}
+
+#[test]
+fn all_distinct_digitless_names_cost_at_most_three_bytes_a_job_over_raw() {
+    // The worst case of the name coding: every name its own stem, none
+    // with a suffix to save on. 4,096 of them in one default chunk.
+    let names: Vec<String> = (0..4096u32)
+        .map(|i| {
+            let letters = (0..3).map(|d| char::from(b'a' + (i >> (4 * d) & 15) as u8));
+            letters.collect::<String>() + "-é"
+        })
+        .collect();
+    assert!(names
+        .iter()
+        .all(|n| columns::split_name(n) == (n.as_str(), None)));
+    let (back, image) = names_round_trip(&names, 4096);
+    assert_eq!(back, names);
+
+    // The chunk's table: lengths of the stems, codes and suffixes blocks.
+    let store = Store::from_vec(image.clone()).unwrap();
+    let table = store.chunk_meta()[0].offset as usize + swim_store::format::CHUNK_HEADER_LEN;
+    let len = |block: usize| {
+        let entry = table + block * 16;
+        u64::from_le_bytes(image[entry..entry + 8].try_into().unwrap())
+    };
+    // Raw (format v2) each name costs its length, one byte here, and
+    // its six bytes. Coded it costs the same in the stems block, which
+    // also starts with a two-byte count, plus a code: one byte for the
+    // first 64 stems, two for the rest.
+    let raw = 4096 * (1 + 6);
+    assert_eq!(len(10), 2 + raw);
+    assert_eq!(len(11), 64 + 2 * (4096 - 64));
+    assert_eq!(len(12), 0);
+    assert!(len(10) + len(11) + len(12) <= raw + 3 * 4096);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every name comes back byte for byte, whatever the chunking, and
+    /// the split the encoder relies on always prints back as the name.
+    #[test]
+    fn names_round_trip_exactly(
+        names in prop::collection::vec(arb_name(), 0..150),
+        jobs_per_chunk in 1u32..80,
+    ) {
+        for name in &names {
+            let (stem, suffix) = columns::split_name(name);
+            let printed = suffix.map_or(String::new(), |s| s.to_string());
+            prop_assert_eq!(&format!("{stem}{printed}"), name);
+            // And it is the longest such split: the earliest start whose
+            // tail parses as a `u64` and prints back as itself.
+            let by_trial = (0..name.len())
+                .filter(|&at| name.is_char_boundary(at))
+                .find_map(|at| {
+                    let value: u64 = name[at..].parse().ok()?;
+                    (value.to_string() == name[at..]).then_some((&name[..at], Some(value)))
+                });
+            prop_assert_eq!((stem, suffix), by_trial.unwrap_or((name.as_str(), None)));
+        }
+        let (back, _) = names_round_trip(&names, jobs_per_chunk);
+        prop_assert_eq!(back, names);
+    }
 
     /// Trace → store → Trace is the identity, at any chunking.
     #[test]
