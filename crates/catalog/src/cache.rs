@@ -1,7 +1,7 @@
 //! Cache of decoded per-shard numeric columns, held column by column:
 //! LRU eviction behind a recency-gated admission rule.
 //!
-//! Decoding a shard's chunks (delta+varint → `Vec<u64>` columns) is the
+//! Decoding a shard's chunks (packed blocks → `Vec<u64>` columns) is the
 //! dominant cost of a federated scan once zone maps have pruned the I/O,
 //! so the catalog keeps decoded shards in memory. An entry is one shard
 //! ([`ShardColumns`]) and holds each of its ten columns *individually*:

@@ -20,7 +20,7 @@
 //!    generation. Readers of an older generation keep a consistent view;
 //!    [`Catalog::compact`] merges undersized shards and upgrades v1
 //!    shards without touching the files old readers hold.
-//! 3. **A decoded-column LRU.** Repeated queries skip the delta+varint
+//! 3. **A decoded-column LRU.** Repeated queries skip the column
 //!    decode: the catalog caches each shard's decoded columns
 //!    ([`ShardColumns`]) one column at a time — only those some query
 //!    has read — keyed by `(shard file, creation generation)` so
@@ -364,37 +364,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn compact_upgrades_adopted_v2_shards_to_v3_and_they_shrink() {
-        let dir = temp_dir("upgrade-v2");
+    /// Adopt the frozen fixture `name` of format `version`, compact it
+    /// at its own chunking (`jobs_per_chunk`), so only the format
+    /// differs: every shard is current, the trace is equal and the shard
+    /// bytes fall.
+    fn compact_upgrades_and_shrinks(name: &str, version: u16, jobs_per_chunk: u32) {
+        let dir = temp_dir(&format!("upgrade-v{version}"));
         let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../store/tests/fixtures/v2-multichunk.swim");
+            .join("../store/tests/fixtures")
+            .join(name);
         let mut catalog = Catalog::init(&dir).unwrap();
         catalog.adopt_store(&fixture).unwrap();
-        assert_eq!(catalog.shards()[0].store_version, 2);
+        assert_eq!(catalog.shards()[0].store_version, version);
         let before = catalog.read_trace().unwrap();
         let before_bytes: u64 = catalog.shards().iter().map(|s| s.bytes).sum();
 
-        // The fixture's chunking, so only the format differs.
         let options = CatalogOptions {
-            store: StoreOptions { jobs_per_chunk: 64 },
+            store: StoreOptions { jobs_per_chunk },
             ..Default::default()
         };
         let stats = catalog.compact(&options).unwrap();
         assert_eq!((stats.upgraded, stats.rewritten), (1, 1));
-        assert!(catalog.shards().iter().all(|s| s.store_version == 3));
+        let current = swim_store::format::VERSION;
+        assert!(catalog.shards().iter().all(|s| s.store_version == current));
         for idx in 0..catalog.shard_count() {
-            assert_eq!(catalog.open_shard(idx).unwrap().format_version(), 3);
+            assert_eq!(catalog.open_shard(idx).unwrap().format_version(), current);
         }
         assert_eq!(catalog.read_trace().unwrap(), before);
         let after_bytes: u64 = catalog.shards().iter().map(|s| s.bytes).sum();
         assert!(
             after_bytes < before_bytes,
-            "{after_bytes} !< {before_bytes}: names cost more than the tables"
+            "{after_bytes} !< {before_bytes}"
         );
         // Already current: a second compact has nothing to do.
         assert_eq!(catalog.compact(&options).unwrap(), CompactStats::default());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compact_upgrades_adopted_v2_shards_and_they_shrink() {
+        compact_upgrades_and_shrinks("v2-multichunk.swim", 2, 64);
+    }
+
+    #[test]
+    fn compact_upgrades_adopted_v3_shards_and_they_shrink() {
+        compact_upgrades_and_shrinks("v3-multichunk.swim", 3, 16);
     }
 
     #[test]

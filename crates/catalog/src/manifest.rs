@@ -32,7 +32,8 @@ pub const MANIFEST_HEADER: &str = "swim-catalog-manifest v1";
 pub struct ShardEntry {
     /// File name within the catalog directory (never a path).
     pub file: String,
-    /// Store format version the shard was written with (1 or 2).
+    /// Store format version the shard was written with (1 to
+    /// `swim_store::format::VERSION`).
     pub store_version: u16,
     /// Catalog generation in which this shard file was created. Shard
     /// files are immutable once renamed into place, so `(file,

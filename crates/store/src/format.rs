@@ -1,4 +1,4 @@
-//! On-disk layout of the `swim-store` columnar trace format (version 3).
+//! On-disk layout of the `swim-store` columnar trace format (version 4).
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────┐
@@ -8,8 +8,9 @@
 //! ├────────────────────────────────────────────────────────────────┤
 //! │ Chunk 0  "SCHK" u32 job_count  u64 payload_len                 │
 //! │          table: 17 × (u64 length, u64 checksum), one per block │
-//! │          17 column blocks, back to back:                       │
-//! │            10 numeric   varint; id and submit as deltas        │
+//! │          17 column blocks, back to back, every one but stems   │
+//! │          bit-packed (crate::pack):                             │
+//! │            10 numeric   per job; id and submit as deltas       │
 //! │            stems        count, then length + bytes each        │
 //! │            codes        per job stem_id * 2 + has_suffix       │
 //! │            suffixes     zigzag delta from the stem's last one  │
@@ -37,7 +38,21 @@
 //! the column layout order of [`columns::NumericColumns`] — so the
 //! `swim-query` planner can skip chunks on arbitrary column predicates.
 //!
-//! **Integrity.** Every byte of a version-3 file is covered by a
+//! **Integers.** Each of the sixteen integer blocks is one
+//! [`crate::pack`] block: the block's minimum, one bit width, the low
+//! bits of every value above the minimum packed at that width, and the
+//! few values that do not fit patched in after them. The width is the
+//! one that makes the block smallest, so a column of zeros — the reduce
+//! columns of a map-only job — costs three bytes a chunk, and no block
+//! costs more than 8 bytes a value plus a 12-byte header. The number of
+//! values is never stored in the block: it is the chunk's rows, the
+//! number of codes with a suffix, or the sum of the path counts. Since
+//! a run of equal values packs to nothing, a chunk's job count is
+//! bounded by the header's `jobs_per_chunk`, itself at most
+//! [`MAX_JOBS_PER_CHUNK`], not by the chunk's length; path ids are never
+//! packed at width 0, so their block's length bounds the path counts.
+//!
+//! **Integrity.** Every byte of a version-3 or -4 file is covered by a
 //! [`checksum`] or by a check against bytes that are. The trailer's
 //! checksum covers the header, the footer and the footer offset, and is
 //! verified at open. Each chunk's table holds the length and checksum of
@@ -62,15 +77,18 @@
 //! generated workloads, where the raw bytes cost 23. Every UTF-8 name
 //! round-trips byte for byte. The worst case is a chunk of all-distinct
 //! digitless names: each costs its length and bytes, as it would raw,
-//! plus a code of at most 3 bytes (2 at the default chunk size).
+//! plus a code of at most 21 bits (13 at the default chunk size).
 //!
-//! Versions 1 and 2 still open and scan. Their chunk payload is thirteen
-//! column blocks with no table — names as a length column and the raw
-//! bytes — and nothing in them is checksummed, so a skipped column is
-//! still walked ([`varint::skip_column`]) to find the next. Version 1
-//! also lacks the zone-map section; readers synthesize permissive maps
-//! from the per-chunk submit windows.
+//! Older versions still open and scan. Version 3 has this layout with
+//! every integer block a run of LEB128 varints ([`varint`]), at least a
+//! byte a value. Versions 1 and 2 store thirteen varint column blocks
+//! with no table — names as a length column and the raw bytes — and
+//! nothing in them is checksummed, so a skipped column is still walked
+//! ([`varint::skip_column`]) to find the next. Version 1 also lacks the
+//! zone-map section; readers synthesize permissive maps from the
+//! per-chunk submit windows.
 
+use crate::pack;
 use crate::varint;
 use crate::StoreError;
 use swim_trace::trace::WorkloadKind;
@@ -86,23 +104,35 @@ pub const CHUNK_MAGIC: u32 = u32::from_le_bytes(*b"SCHK");
 pub const FOOTER_MAGIC: u32 = u32::from_le_bytes(*b"SFTR");
 /// Zone-map section magic (footer, version ≥ 2).
 pub const ZONE_MAGIC: u32 = u32::from_le_bytes(*b"SZMP");
-/// Format version written by this build (v3: block table, checksums,
-/// stem-coded names).
-pub const VERSION: u16 = 3;
+/// Format version written by this build (v4: bit-packed integer blocks;
+/// v3: block table, checksums, stem-coded names).
+pub const VERSION: u16 = 4;
 /// The original format version: no zone-map section in the footer.
 pub const VERSION_1: u16 = 1;
+
+/// Largest `jobs_per_chunk` a file may have. Chunks are decoded whole,
+/// so a chunk bigger than this defeats both chunk skipping and the
+/// bounded memory of streaming scans; the writer caps requests above it
+/// and readers refuse a version-4 file that claims more.
+pub const MAX_JOBS_PER_CHUNK: u32 = 1 << 20;
 
 /// `true` for versions 1 and 2, which carry no block table and no
 /// checksums and store names raw.
 pub fn is_legacy(version: u16) -> bool {
     version < 3
 }
+
+/// `true` from version 4 on, whose integer blocks are bit-packed
+/// ([`pack`]) rather than varints.
+pub fn is_packed(version: u16) -> bool {
+    version >= 4
+}
 /// Number of numeric columns covered by a [`ZoneMap`] (the ten columns of
 /// [`columns::NumericColumns`], in layout order).
 pub const ZONE_COLUMNS: usize = 10;
 /// Size of the trailer of every version (footer offset + magic).
 pub const TRAILER_LEN: usize = 16;
-/// Size of a stored [`checksum`]; version 3 puts one before the trailer.
+/// Size of a stored [`checksum`]; from version 3 one precedes the trailer.
 pub const CHECKSUM_LEN: usize = 8;
 /// Size of each chunk block's fixed header ("SCHK", count, payload_len).
 pub const CHUNK_HEADER_LEN: usize = 16;
@@ -636,7 +666,7 @@ pub fn encode_tail(
     out
 }
 
-/// Verify a version-3 file's metadata against the checksum `stored`
+/// Verify a version-3 or later file's metadata against the checksum `stored`
 /// before its trailer.
 pub fn verify_meta(
     header: &[u8],
@@ -679,8 +709,9 @@ pub mod columns {
     use std::collections::HashMap;
     use swim_trace::{Job, JobBuilder, PathId};
 
-    /// Column blocks in a version-3 chunk: the ten numeric columns,
-    /// then stems, codes, suffixes, and per path list counts and ids.
+    /// Column blocks in a version-3 or -4 chunk: the ten numeric
+    /// columns, then stems, codes, suffixes, and per path list counts
+    /// and ids.
     pub const BLOCKS: usize = ZONE_COLUMNS + 3 + 4;
     /// Bytes of a chunk's block table: a `u64` length and a `u64`
     /// [`checksum`] per block.
@@ -719,8 +750,8 @@ pub mod columns {
         (name, None)
     }
 
-    /// A wrapping difference as an unsigned varint-friendly number: small
-    /// steps in either direction become small values.
+    /// A wrapping difference as an unsigned number: small steps in
+    /// either direction become small values.
     fn zigzag(delta: u64) -> u64 {
         (delta << 1) ^ ((delta as i64 >> 63) as u64)
     }
@@ -739,8 +770,8 @@ pub mod columns {
         /// Length + bytes of each stem, in id order (the count that
         /// starts the block is known only at the end).
         stems: Vec<u8>,
-        codes: Vec<u8>,
-        suffixes: Vec<u8>,
+        codes: Vec<u64>,
+        suffixes: Vec<u64>,
     }
 
     impl NameEncoder {
@@ -756,41 +787,44 @@ pub mod columns {
                     self.last.len() - 1
                 }
             };
-            varint::put_u64(&mut self.codes, id as u64 * 2 + u64::from(suffix.is_some()));
+            self.codes.push(id as u64 * 2 + u64::from(suffix.is_some()));
             if let Some(suffix) = suffix {
                 let last = &mut self.last[id];
-                varint::put_u64(&mut self.suffixes, zigzag(suffix.wrapping_sub(*last)));
+                self.suffixes.push(zigzag(suffix.wrapping_sub(*last)));
                 *last = suffix;
             }
         }
 
-        /// Complete the stems block with its leading count and forget the
-        /// chunk's stems.
-        fn finish(&mut self) {
-            let mut count = Vec::with_capacity(3);
-            varint::put_u64(&mut count, self.last.len() as u64);
-            self.stems.splice(0..0, count);
+        /// Append the stems block — the count, then the stems — and
+        /// forget the chunk's stems.
+        fn finish_stems(&mut self, out: &mut Vec<u8>) {
+            varint::put_u64(out, self.last.len() as u64);
+            out.extend_from_slice(&self.stems);
             self.ids.clear();
             self.last.clear();
+            self.stems.clear();
         }
     }
 
     /// Incremental encoder of one chunk block. [`Encoder::push`] appends
-    /// a job's fields to per-column byte buffers and widens the chunk's
+    /// a job's fields to per-column value buffers and widens the chunk's
     /// zone map in the same pass — no job is kept — and
-    /// [`Encoder::finish`] writes the block: fixed header, the table of
-    /// the buffers' lengths and checksums, then the buffers in layout
-    /// order.
+    /// [`Encoder::finish`] packs each buffer into its column block and
+    /// writes the chunk: fixed header, the table of the blocks' lengths
+    /// and checksums, then the blocks in layout order.
     #[derive(Debug)]
     pub struct Encoder {
         rows: usize,
-        numeric: [Vec<u8>; ZONE_COLUMNS],
+        numeric: [Vec<u64>; ZONE_COLUMNS],
         /// Last id and submit, the running values of the delta columns.
         prev: [u64; DELTA_COLUMNS],
         names: NameEncoder,
         /// Input and output path lists: per-job counts, flattened ids.
-        paths: [(Vec<u8>, Vec<u8>); 2],
+        paths: [(Vec<u64>, Vec<u64>); 2],
         zone: ZoneMap,
+        /// The chunk's column blocks, back to back, as `finish` packs
+        /// them.
+        blocks: Vec<u8>,
     }
 
     impl Default for Encoder {
@@ -802,6 +836,7 @@ pub mod columns {
                 names: NameEncoder::default(),
                 paths: Default::default(),
                 zone: ZoneMap::EMPTY,
+                blocks: Vec::new(),
             }
         }
     }
@@ -819,10 +854,10 @@ pub mod columns {
             for (column, (buf, v)) in self.numeric.iter_mut().zip(values).enumerate() {
                 match self.prev.get_mut(column) {
                     Some(prev) => {
-                        varint::put_u64(buf, v.wrapping_sub(*prev));
+                        buf.push(v.wrapping_sub(*prev));
                         *prev = v;
                     }
-                    None => varint::put_u64(buf, v),
+                    None => buf.push(v),
                 }
             }
             self.names.push(&job.name);
@@ -831,46 +866,59 @@ pub mod columns {
                 .iter_mut()
                 .zip([&job.input_paths, &job.output_paths])
             {
-                varint::put_u64(counts, list.len() as u64);
-                varint::put_column(ids, list.iter().map(|id| id.0));
+                counts.push(list.len() as u64);
+                ids.extend(list.iter().map(|id| id.0));
             }
             self.rows += 1;
-        }
-
-        /// The column buffers in layout order, one per block.
-        fn buffers(&mut self) -> [&mut Vec<u8>; BLOCKS] {
-            let [n0, n1, n2, n3, n4, n5, n6, n7, n8, n9] = self.numeric.each_mut();
-            let NameEncoder {
-                stems,
-                codes,
-                suffixes,
-                ..
-            } = &mut self.names;
-            let [(in_counts, in_ids), (out_counts, out_ids)] = &mut self.paths;
-            [
-                n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, stems, codes, suffixes, in_counts, in_ids,
-                out_counts, out_ids,
-            ]
         }
 
         /// Append the chunk's block to `out`, return the chunk's zone map
         /// ([`ZoneMap::EMPTY`] for no rows), and start an empty chunk.
         pub fn finish(&mut self, out: &mut Vec<u8>) -> ZoneMap {
-            self.names.finish();
-            let rows = self.rows as u32;
-            let buffers = self.buffers();
-            let payload_len = TABLE_LEN + buffers.iter().map(|b| b.len()).sum::<usize>();
-            out.reserve(CHUNK_HEADER_LEN + payload_len);
-            out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
-            out.extend_from_slice(&rows.to_le_bytes());
-            out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-            for buf in &buffers {
-                out.extend_from_slice(&(buf.len() as u64).to_le_bytes());
-                out.extend_from_slice(&checksum(buf).to_le_bytes());
+            let blocks = &mut self.blocks;
+            blocks.clear();
+            // Where each block ends in `blocks`.
+            let mut ends = Vec::with_capacity(BLOCKS);
+            for column in &self.numeric {
+                pack::encode(blocks, column, 0);
+                ends.push(blocks.len());
             }
-            for buf in buffers {
-                out.extend_from_slice(buf);
-                buf.clear();
+            let names = &mut self.names;
+            names.finish_stems(blocks);
+            ends.push(blocks.len());
+            let [(in_counts, in_ids), (out_counts, out_ids)] = &self.paths;
+            // Path ids are never packed at width 0, so the length of their
+            // block bounds the path counts.
+            for (values, min_width) in [
+                (&names.codes, 0),
+                (&names.suffixes, 0),
+                (in_counts, 0),
+                (in_ids, 1),
+                (out_counts, 0),
+                (out_ids, 1),
+            ] {
+                pack::encode(blocks, values, min_width);
+                ends.push(blocks.len());
+            }
+
+            out.reserve(CHUNK_HEADER_LEN + TABLE_LEN + blocks.len());
+            out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
+            out.extend_from_slice(&(self.rows as u32).to_le_bytes());
+            out.extend_from_slice(&((TABLE_LEN + blocks.len()) as u64).to_le_bytes());
+            let mut start = 0;
+            for end in ends {
+                let block = blocks.get(start..end).unwrap_or_default();
+                out.extend_from_slice(&(block.len() as u64).to_le_bytes());
+                out.extend_from_slice(&checksum(block).to_le_bytes());
+                start = end;
+            }
+            out.extend_from_slice(blocks);
+            let values = self
+                .numeric
+                .iter_mut()
+                .chain([&mut self.names.codes, &mut self.names.suffixes]);
+            for column in values.chain(self.paths.iter_mut().flat_map(|(c, i)| [c, i])) {
+                column.clear();
             }
             self.rows = 0;
             self.prev = [0; DELTA_COLUMNS];
@@ -1071,8 +1119,8 @@ pub mod columns {
         }
     }
 
-    /// A version-3 chunk body (what follows the fixed chunk header) cut
-    /// into its column blocks by the table that starts it.
+    /// A version-3 or -4 chunk body (what follows the fixed chunk
+    /// header) cut into its column blocks by the table that starts it.
     struct Blocks<'a> {
         /// Each block's bytes and stored checksum, in layout order.
         blocks: [(&'a [u8], u64); BLOCKS],
@@ -1125,28 +1173,46 @@ pub mod columns {
         }
     }
 
-    /// A block of exactly `n` varints.
-    fn whole_column(block: &[u8], n: usize, delta: bool) -> Result<Vec<u64>, StoreError> {
-        let mut pos = 0;
-        let values = if delta {
-            varint::get_delta_column(block, &mut pos, n)?
-        } else {
-            varint::get_column(block, &mut pos, n)?
-        };
-        consumed(block, pos)?;
+    /// An integer block of exactly `n` values written by format
+    /// `version` (3 or later): packed from version 4, varints before.
+    /// A `delta` column comes back as the running sums of its values.
+    fn whole_column(
+        version: u16,
+        block: &[u8],
+        n: usize,
+        delta: bool,
+    ) -> Result<Vec<u64>, StoreError> {
+        if !is_packed(version) {
+            let mut pos = 0;
+            let values = if delta {
+                varint::get_delta_column(block, &mut pos, n)?
+            } else {
+                varint::get_column(block, &mut pos, n)?
+            };
+            consumed(block, pos)?;
+            return Ok(values);
+        }
+        let mut values = pack::decode(block, n)?;
+        if delta {
+            let mut sum = 0u64;
+            for v in &mut values {
+                sum = sum.wrapping_add(*v);
+                *v = sum;
+            }
+        }
         Ok(values)
     }
 
     /// Decode the numeric columns of `set` from the body of a chunk of
     /// `n` jobs written by format `version`.
     ///
-    /// Version 3: the block table leads straight to the blocks of `set`;
-    /// each is verified against its checksum and decoded, and no other
-    /// block — numeric, name or path — is looked at. Versions 1 and 2
-    /// have no table, so the columns outside `set` are walked varint by
-    /// varint ([`varint::skip_column`]) up to the last numeric one, and
-    /// every projection accepts and rejects the same payloads with the
-    /// same error.
+    /// From version 3: the block table leads straight to the blocks of
+    /// `set`; each is verified against its checksum and decoded, and no
+    /// other block — numeric, name or path — is looked at. Versions 1
+    /// and 2 have no table, so the columns outside `set` are walked
+    /// varint by varint ([`varint::skip_column`]) up to the last numeric
+    /// one, and every projection accepts and rejects the same payloads
+    /// with the same error.
     pub fn decode_projected(
         version: u16,
         body: &[u8],
@@ -1156,10 +1222,11 @@ pub mod columns {
         if is_legacy(version) {
             return decode_projected_v2(body, &mut 0, n, set);
         }
-        decode_blocks(&Blocks::parse(body)?, n, set)
+        decode_blocks(version, &Blocks::parse(body)?, n, set)
     }
 
     fn decode_blocks(
+        version: u16,
         blocks: &Blocks<'_>,
         n: usize,
         set: ColumnSet,
@@ -1167,7 +1234,8 @@ pub mod columns {
         let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
         for (column, values) in cols.iter_mut().enumerate() {
             if set.contains(column) {
-                *values = whole_column(blocks.verified(column)?, n, column < DELTA_COLUMNS)?;
+                let block = blocks.verified(column)?;
+                *values = whole_column(version, block, n, column < DELTA_COLUMNS)?;
             }
         }
         Ok(ChunkColumns { rows: n, cols })
@@ -1193,25 +1261,28 @@ pub mod columns {
     }
 
     /// Decode the `n` jobs of a chunk body written by format `version`;
-    /// every block of a version-3 chunk is verified first.
+    /// from version 3 every block is verified first.
     pub fn decode(version: u16, body: &[u8], n: usize) -> Result<Vec<Job>, StoreError> {
         if is_legacy(version) {
             return decode_v2(body, n);
         }
         let blocks = Blocks::parse(body)?;
-        let numeric = decode_blocks(&blocks, n, ColumnSet::ALL)?;
+        let numeric = decode_blocks(version, &blocks, n, ColumnSet::ALL)?;
         let names = decode_names(
+            version,
             blocks.verified(NAME_BLOCKS)?,
             blocks.verified(NAME_BLOCKS + 1)?,
             blocks.verified(NAME_BLOCKS + 2)?,
             n,
         )?;
         let inputs = decode_paths(
+            version,
             blocks.verified(PATH_BLOCKS)?,
             blocks.verified(PATH_BLOCKS + 1)?,
             n,
         )?;
         let outputs = decode_paths(
+            version,
             blocks.verified(PATH_BLOCKS + 2)?,
             blocks.verified(PATH_BLOCKS + 3)?,
             n,
@@ -1223,6 +1294,7 @@ pub mod columns {
     /// suffixes blocks. Nothing is reserved on the word of a count that
     /// the blocks' own lengths do not bear out.
     fn decode_names(
+        version: u16,
         stems: &[u8],
         codes: &[u8],
         suffixes: &[u8],
@@ -1256,8 +1328,9 @@ pub mod columns {
         }
         consumed(stems, *pos)?;
 
-        let codes = whole_column(codes, n, false)?;
-        let pos = &mut 0;
+        let codes = whole_column(version, codes, n, false)?;
+        let with_suffix = codes.iter().filter(|&&code| code % 2 == 1).count();
+        let mut suffixes = whole_column(version, suffixes, with_suffix, false)?.into_iter();
         let mut names = Vec::with_capacity(n);
         for code in codes {
             let (stem, last) = usize::try_from(code / 2)
@@ -1269,12 +1342,12 @@ pub mod columns {
             let mut name = String::with_capacity(stem.len() + 20);
             name.push_str(stem);
             if code % 2 == 1 {
-                *last = last.wrapping_add(unzigzag(varint::get_u64(suffixes, pos)?));
+                // One suffix was decoded for each code that has one.
+                *last = last.wrapping_add(unzigzag(suffixes.next().unwrap_or_default()));
                 push_decimal(&mut name, *last);
             }
             names.push(name);
         }
-        consumed(suffixes, *pos)?;
         Ok(names)
     }
 
@@ -1295,19 +1368,27 @@ pub mod columns {
 
     /// The path lists of a chunk of `n` jobs from a counts block and an
     /// ids block.
-    fn decode_paths(counts: &[u8], ids: &[u8], n: usize) -> Result<Vec<Vec<PathId>>, StoreError> {
-        let counts = whole_column(counts, n, false)?;
-        // Each id takes at least a byte, so the block's length bounds
-        // every count before a list is reserved for it.
+    fn decode_paths(
+        version: u16,
+        counts: &[u8],
+        ids: &[u8],
+        n: usize,
+    ) -> Result<Vec<Vec<PathId>>, StoreError> {
+        let counts = whole_column(version, counts, n, false)?;
+        // Each id takes at least a bit (a byte before version 4; ids are
+        // never packed at width 0), so the block's length bounds every
+        // count before a list is reserved for it.
         let total = counts
             .iter()
             .try_fold(0u64, |sum, &count| sum.checked_add(count))
             .and_then(|total| usize::try_from(total).ok())
-            .filter(|&total| total <= ids.len())
+            .filter(|&total| total <= ids.len().saturating_mul(8))
             .ok_or(StoreError::Corrupt {
                 context: "path counts exceed the ids block",
             })?;
-        let mut ids = whole_column(ids, total, false)?.into_iter().map(PathId);
+        let mut ids = whole_column(version, ids, total, false)?
+            .into_iter()
+            .map(PathId);
         Ok(counts
             .iter()
             .map(|&count| ids.by_ref().take(count as usize).collect())
@@ -1645,18 +1726,51 @@ mod tests {
         ));
     }
 
+    /// An integer block written out longhand: the block at every width
+    /// from `floor` to 64, its values' bits laid down one at a time, and
+    /// the shortest kept (the narrowest of equals).
+    fn packed_reference(values: &[u64], floor: u32) -> Vec<u8> {
+        let min = values.iter().copied().min().unwrap_or(0);
+        let at_width = |width: u32| {
+            let mut block = Vec::new();
+            varint::put_u64(&mut block, min);
+            block.push(width as u8);
+            let high = |v: u64| if width == 64 { 0 } else { (v - min) >> width };
+            let exceptions: Vec<usize> = (0..values.len())
+                .filter(|&i| high(values[i]) != 0)
+                .collect();
+            varint::put_u64(&mut block, exceptions.len() as u64);
+            let bits: Vec<bool> = values
+                .iter()
+                .flat_map(|v| (0..width).map(move |bit| (v - min) >> bit & 1 == 1))
+                .collect();
+            for byte in bits.chunks(8) {
+                block.push((0..byte.len()).map(|k| u8::from(byte[k]) << k).sum());
+            }
+            let mut first_free = 0;
+            for at in exceptions {
+                varint::put_u64(&mut block, (at - first_free) as u64);
+                varint::put_u64(&mut block, high(values[at]));
+                first_free = at + 1;
+            }
+            block
+        };
+        (floor..=64).map(at_width).min_by_key(Vec::len).unwrap()
+    }
+
     /// A chunk block written out longhand, one pass per column block: what
     /// the incremental encoder must reproduce byte for byte.
     fn block_reference(jobs: &[Job]) -> Vec<u8> {
         let raw = |pick: &dyn Fn(&Job) -> u64| {
-            let mut block = Vec::new();
-            varint::put_column(&mut block, jobs.iter().map(pick));
-            block
+            packed_reference(&jobs.iter().map(pick).collect::<Vec<_>>(), 0)
         };
+        // Each value less the one before it (the first less zero).
         let delta = |pick: &dyn Fn(&Job) -> u64| {
-            let mut block = Vec::new();
-            varint::put_delta_column(&mut block, jobs.iter().map(pick));
-            block
+            let values: Vec<u64> = jobs.iter().map(pick).collect();
+            let steps: Vec<u64> = (0..values.len())
+                .map(|i| values[i].wrapping_sub(if i == 0 { 0 } else { values[i - 1] }))
+                .collect();
+            packed_reference(&steps, 0)
         };
         let mut blocks = vec![
             delta(&|j| j.id.0),
@@ -1694,7 +1808,7 @@ mod tests {
         let mut suffixes = Vec::new();
         for (i, (stem, suffix)) in split.iter().enumerate() {
             let id = stems.iter().position(|s| s == stem).unwrap() as u64;
-            varint::put_u64(&mut codes, id * 2 + u64::from(suffix.is_some()));
+            codes.push(id * 2 + u64::from(suffix.is_some()));
             let Some(suffix) = suffix else { continue };
             let previous = split[..i]
                 .iter()
@@ -1703,19 +1817,18 @@ mod tests {
                 .unwrap_or(0);
             let step = i128::from(suffix.wrapping_sub(previous) as i64);
             let coded = if step >= 0 { 2 * step } else { -2 * step - 1 };
-            varint::put_u64(&mut suffixes, coded as u64);
+            suffixes.push(coded as u64);
         }
-        blocks.extend([codes, suffixes]);
+        blocks.extend([packed_reference(&codes, 0), packed_reference(&suffixes, 0)]);
 
+        // Path ids never at width 0.
         for paths in [
             jobs.iter().map(|j| &j.input_paths).collect::<Vec<_>>(),
             jobs.iter().map(|j| &j.output_paths).collect::<Vec<_>>(),
         ] {
-            let mut counts = Vec::new();
-            varint::put_column(&mut counts, paths.iter().map(|p| p.len() as u64));
-            let mut ids = Vec::new();
-            varint::put_column(&mut ids, paths.iter().flat_map(|p| p.iter().map(|id| id.0)));
-            blocks.extend([counts, ids]);
+            let counts: Vec<u64> = paths.iter().map(|p| p.len() as u64).collect();
+            let ids: Vec<u64> = paths.iter().flat_map(|p| p.iter().map(|id| id.0)).collect();
+            blocks.extend([packed_reference(&counts, 0), packed_reference(&ids, 1)]);
         }
         assert_eq!(blocks.len(), columns::BLOCKS);
 
@@ -1788,6 +1901,18 @@ mod tests {
         block.split_off(CHUNK_HEADER_LEN)
     }
 
+    /// Where each block of a chunk body starts, by its table.
+    fn block_starts(body: &[u8]) -> Vec<usize> {
+        (0..columns::BLOCKS)
+            .scan(columns::TABLE_LEN, |start, b| {
+                let len = u64::from_le_bytes(body[b * 16..][..8].try_into().unwrap());
+                let this = *start;
+                *start += len as usize;
+                Some(this)
+            })
+            .collect()
+    }
+
     /// One chunk body of `jobs`, with block `index` replaced by `bytes`
     /// (its table entry rewritten to match, so only the block's own
     /// decode can object).
@@ -1796,7 +1921,7 @@ mod tests {
         let lens: Vec<usize> = (0..columns::BLOCKS)
             .map(|b| u64::from_le_bytes(body[b * 16..][..8].try_into().unwrap()) as usize)
             .collect();
-        let start = columns::TABLE_LEN + lens[..index].iter().sum::<usize>();
+        let start = block_starts(&body)[index];
         let mut out = body[..start].to_vec();
         out.extend_from_slice(bytes);
         out.extend_from_slice(&body[start + lens[index]..]);
@@ -1818,6 +1943,11 @@ mod tests {
                 other => panic!("block {index} = {bytes:02x?}: {other:?}"),
             }
         };
+        let packed = |values: &[u64]| {
+            let mut block = Vec::new();
+            pack::encode(&mut block, values, 0);
+            block
+        };
         let mut huge = Vec::new();
         varint::put_u64(&mut huge, u64::MAX);
         // Stems: a count beyond the jobs (4 > 3, and 2^64 - 1), a stem
@@ -1837,12 +1967,27 @@ mod tests {
         );
         corrupt(10, &[1, 1, 0xFF], "job name not utf-8");
         // Codes: a stem that is not listed.
-        corrupt(11, &[3, 1, 5], "name code names no stem");
-        // Path counts: more ids than the ids block has bytes, or than a
-        // u64 can count.
-        corrupt(13, &[0, 9, 0], "path counts exceed the ids block");
-        let overflow = [&huge[..], &huge, &[0]].concat();
-        corrupt(15, &overflow, "path counts exceed the ids block");
+        corrupt(11, &packed(&[3, 1, 5]), "name code names no stem");
+        // Path counts: more ids than the (empty, three-byte) ids block
+        // has bits, than a u64 can count, or 2^40 of them from a width-0
+        // block that is one exception.
+        let exceed = "path counts exceed the ids block";
+        corrupt(13, &packed(&[0, 25, 0]), exceed);
+        corrupt(15, &packed(&[u64::MAX, u64::MAX, 0]), exceed);
+        let bomb = [&[0, 0, 1, 0][..], &[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]].concat();
+        assert_eq!(pack::decode(&bomb, 3).unwrap(), [1 << 40, 0, 0]);
+        corrupt(13, &bomb, exceed);
+        // Any integer block: an exception past the jobs, and high bits
+        // that do not fit above the width.
+        corrupt(
+            2,
+            &[0, 0, 1, 3, 1],
+            "exception position past the block's values",
+        );
+        let mut wide = vec![0, 63, 1];
+        wide.extend([0; 24]); // three 63-bit values
+        wide.extend([0, 2]); // the first one's two bits over 2^63
+        corrupt(2, &wide, "exception bits overflow u64");
 
         // The table: lengths past the payload, short of it, and wrapping.
         let body = body_with_block(&jobs, 12, &[2, 2, 2]);
@@ -1886,9 +2031,9 @@ mod tests {
         let input = ZoneMap::IO[0];
         let intact = body_of(&jobs);
         let mut damaged = intact.clone();
-        let last = damaged.len() - 1; // the last output path count
+        let last = damaged.len() - 1; // in the output path ids
         damaged[last] ^= 1;
-        let at_input = columns::TABLE_LEN + 40 + 40 + 40 + 5;
+        let at_input = block_starts(&intact)[input] + 5;
         damaged[at_input] ^= 0x10;
         let set = |c| columns::ColumnSet::EMPTY.with(c);
         for column in (0..ZONE_COLUMNS).filter(|&c| c != input) {

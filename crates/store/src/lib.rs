@@ -8,8 +8,10 @@
 //! Three layers:
 //!
 //! 1. **Codec** — [`StoreWriter`] / [`Store`]: a little-endian layout
-//!    (header / chunks / footer / trailer, see [`mod@format`]) with per-column
-//!    delta + LEB128-varint encoding, job names stored as a per-chunk
+//!    (header / chunks / footer / trailer, see [`mod@format`]) with every
+//!    integer column bit-packed per chunk at one width above the chunk's
+//!    minimum, outliers patched in ([`mod@pack`]; id and submit as
+//!    deltas), job names stored as a per-chunk
 //!    stem dictionary plus numeric suffixes, and a checksum over every
 //!    column block and over the file's metadata: damage is a typed
 //!    [`StoreError::Checksum`], never a wrong number. Round trips are
@@ -64,16 +66,18 @@
 
 pub mod error;
 pub mod format;
+pub mod pack;
 pub mod store;
 pub mod varint;
 pub mod writer;
 
 pub use error::StoreError;
-pub use format::{ChunkMeta, StoredSummary, ZoneMap, DEFAULT_JOBS_PER_CHUNK, ZONE_COLUMNS};
+pub use format::{
+    ChunkMeta, StoredSummary, ZoneMap, DEFAULT_JOBS_PER_CHUNK, MAX_JOBS_PER_CHUNK, ZONE_COLUMNS,
+};
 pub use store::{ChunkReader, ChunkScan, Store};
 pub use writer::{
     store_to_vec, write_store, write_store_path, StoreOptions, StoreStats, StoreWriter,
-    MAX_JOBS_PER_CHUNK,
 };
 
 #[cfg(test)]
@@ -322,6 +326,71 @@ mod tests {
             },
         )
         .unwrap();
+        let store = Store::open(&path).unwrap();
+        assert_eq!(store.read_trace().unwrap(), trace);
+        assert_eq!(store.par_summary().unwrap(), trace.summary());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// 4,096 copies of one job (ids aside), `paths` on each, written to
+    /// the file `name`: the trace and the file's path.
+    fn identical_jobs_file(name: &str, paths: Vec<PathId>) -> (Trace, std::path::PathBuf) {
+        let jobs = (1..=4096u64)
+            .map(|id| {
+                JobBuilder::new(id)
+                    .name("insert_7")
+                    .submit(Timestamp::from_secs(86_400))
+                    .duration(Dur::from_secs(30))
+                    .input(DataSize::from_mb(64))
+                    .map_task_time(Dur::from_secs(20))
+                    .tasks(1, 0)
+                    .input_paths(paths.clone())
+                    .output_paths(paths.clone())
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let trace = Trace::new(WorkloadKind::CcA, 5, jobs).unwrap();
+        let dir = std::env::temp_dir().join(format!("swim-store-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        write_store_path(&trace, &path, &StoreOptions::default()).unwrap();
+        (trace, path)
+    }
+
+    #[test]
+    fn a_chunk_of_identical_jobs_packs_every_block_at_width_0() {
+        let (trace, path) = identical_jobs_file("identical.swim", vec![]);
+        let store = Store::open(&path).unwrap();
+        // Far fewer bytes than jobs: a job count no version-3 reader
+        // would take from a chunk this short.
+        let meta = store.chunk_meta()[0];
+        assert_eq!((store.chunk_count(), meta.job_count), (1, 4096));
+        assert!(meta.block_len < 400, "{} bytes", meta.block_len);
+        assert_eq!(store.read_trace().unwrap(), trace);
+        // Every integer block but the path ids (never width 0) has width
+        // 0: ids 1, 2, … are steps of one, the one submit time a step
+        // from zero and then none, the one suffix likewise.
+        let image = std::fs::read(&path).unwrap();
+        let table = meta.offset as usize + format::CHUNK_HEADER_LEN;
+        let mut at = table + format::columns::TABLE_LEN;
+        for block in 0..format::columns::BLOCKS {
+            let entry = table + block * 16;
+            let len = u64::from_le_bytes(image[entry..entry + 8].try_into().unwrap()) as usize;
+            if ![10, 14, 16].contains(&block) {
+                let mut pos = at;
+                varint::get_u64(&image, &mut pos).unwrap();
+                assert_eq!(image[pos], 0, "block {block}");
+            }
+            at += len;
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_job_reading_the_same_three_paths_round_trips() {
+        let paths = vec![PathId(3), PathId(1 << 40), PathId(3)];
+        let (trace, path) = identical_jobs_file("same-paths.swim", paths);
         let store = Store::open(&path).unwrap();
         assert_eq!(store.read_trace().unwrap(), trace);
         assert_eq!(store.par_summary().unwrap(), trace.summary());

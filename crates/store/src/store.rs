@@ -209,10 +209,18 @@ impl Store {
         } = Footer::decode(&footer_bytes)?;
 
         // Index sanity: chunks must lie between header and footer, in
-        // order, and account for every job in the summary. The per-chunk
-        // job-count-vs-length check also bounds `summary.jobs` by the file
-        // size, so later `with_capacity(jobs)` calls cannot be driven to
-        // absurd sizes by a crafted footer.
+        // order, and account for every job in the summary. Up to version
+        // 3 every job takes at least a byte of its chunk. From version 4
+        // a run of equal values packs to nothing, so a chunk holds at
+        // most the header's chunk size, itself capped; a reservation made
+        // before any chunk is decoded is capped by the chunk bytes
+        // instead (`read_trace`).
+        let packed = format::is_packed(header.version);
+        if packed && header.jobs_per_chunk > format::MAX_JOBS_PER_CHUNK {
+            return Err(StoreError::Corrupt {
+                context: "chunk size exceeds the format's cap",
+            });
+        }
         let mut expected_offset = 24 + custom_len;
         let mut jobs_total = 0u64;
         for c in &chunks {
@@ -227,11 +235,16 @@ impl Store {
                 .ok_or(StoreError::Corrupt {
                     context: "chunk length overflow",
                 })?;
-            if c.job_count > c.block_len {
-                // Every job occupies at least one byte per column.
-                return Err(StoreError::Corrupt {
-                    context: "chunk job count exceeds chunk length",
-                });
+            let (most, context) = if packed {
+                (
+                    u64::from(header.jobs_per_chunk),
+                    "chunk job count exceeds the header's chunk size",
+                )
+            } else {
+                (c.block_len, "chunk job count exceeds chunk length")
+            };
+            if c.job_count > most {
+                return Err(StoreError::Corrupt { context });
             }
             jobs_total += c.job_count;
         }
@@ -304,7 +317,7 @@ impl Store {
         &self.chunks
     }
 
-    /// Format version the file was written with (1, 2 or 3).
+    /// Format version the file was written with (1 to 4).
     pub fn format_version(&self) -> u16 {
         self.header.version
     }
@@ -410,7 +423,10 @@ impl Store {
 
     /// Rebuild the full trace (materializes every job).
     pub fn read_trace(&self) -> Result<Trace, StoreError> {
-        let mut jobs = Vec::with_capacity(self.summary.jobs as usize);
+        // A job a stored byte at most up front: the footer's count is
+        // only confirmed chunk by chunk.
+        let bytes: u64 = self.chunks.iter().map(|c| c.block_len).sum();
+        let mut jobs = Vec::with_capacity(self.summary.jobs.min(bytes) as usize);
         for chunk in self.scan()? {
             jobs.extend(chunk?);
         }

@@ -1,5 +1,6 @@
-//! LEB128 variable-length integers plus the wrapping-delta transform used
-//! by the columnar codec.
+//! LEB128 variable-length integers: every integer block of format
+//! versions 1 to 3, and the scalars of a version-4 packed block
+//! ([`crate::pack`]) and its stems block.
 //!
 //! Sorted or clustered columns (submit times, sequential job ids) encode
 //! as deltas between consecutive values. Deltas are taken with
@@ -47,15 +48,15 @@ pub fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
 }
 
 /// Append a whole column of raw values as varints.
-pub fn put_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
+#[cfg(test)]
+pub(crate) fn put_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
     for v in values {
         put_u64(out, v);
     }
 }
 
 /// Append a column as wrapping deltas from the previous value (first value
-/// is a delta from zero): the test reference for the encoder's delta
-/// columns.
+/// is a delta from zero).
 #[cfg(test)]
 pub(crate) fn put_delta_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
     let mut prev = 0u64;

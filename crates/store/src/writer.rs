@@ -9,7 +9,8 @@
 //! [`write_store`] is the same writer fed a whole trace.
 
 use crate::format::{
-    self, ChunkMeta, Footer, Header, StoredSummary, ZoneMap, DEFAULT_JOBS_PER_CHUNK, VERSION,
+    self, ChunkMeta, Footer, Header, StoredSummary, ZoneMap, DEFAULT_JOBS_PER_CHUNK,
+    MAX_JOBS_PER_CHUNK, VERSION,
 };
 use crate::StoreError;
 use std::fs::File;
@@ -29,12 +30,6 @@ mod obs {
     /// trailer, so one store's share is its file size.
     pub static BYTES_WRITTEN: Counter = Counter::new("store.bytes_written");
 }
-
-/// Largest accepted `jobs_per_chunk`. Chunks are decoded whole, so a
-/// chunk bigger than this defeats both chunk skipping and the bounded
-/// memory of streaming scans; [`StoreOptions::validate`] caps requests
-/// above it rather than writing a pathological file.
-pub const MAX_JOBS_PER_CHUNK: u32 = 1 << 20;
 
 /// Tuning knobs for [`StoreWriter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,13 +1,15 @@
 //! Deterministic mutation battery for the store's decoders, under the
 //! projections ∅, each single column and all ten.
 //!
-//! **Version 3** (`v3-multichunk.swim`, whole file): every truncation is
-//! a typed error at open, and every single flipped bit is a typed error
-//! for whoever reads the damaged part — at open for the header, footer
-//! and trailer, under every projection for a chunk's framing, and for a
-//! column block under exactly the projections that read it — while every
-//! other read still gives the intact file's values. Never a panic, never
-//! `Ok` with different values; a full-row read refuses every flip.
+//! **Versions 3 and 4** (`v3-multichunk.swim` and `v4-multichunk.swim`,
+//! the same 40 jobs in varint and in packed blocks; whole files): every
+//! truncation is a typed error at open, and every single flipped bit is
+//! a typed error for whoever reads the damaged part — at open for the
+//! header, footer and trailer, under every projection for a chunk's
+//! framing, and for a column block under exactly the projections that
+//! read it — while every other read still gives the intact file's
+//! values. Never a panic, never `Ok` with different values; a full-row
+//! read refuses every flip.
 //!
 //! **Versions 1 and 2** carry no checksums, so the promise is weaker and
 //! made of one chunk payload from each frozen fixture (the payload codec
@@ -184,6 +186,21 @@ fn the_v3_fixture_holds_the_first_jobs_of_the_v1_fixture() {
     );
 }
 
+#[test]
+fn the_v4_fixture_holds_the_v3_fixtures_jobs_in_fewer_bytes() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let v3 = Store::open(dir.join("v3-multichunk.swim")).expect("opens");
+    let v4 = Store::open(dir.join("v4-multichunk.swim")).expect("opens");
+    assert_eq!((v4.format_version(), v4.chunk_count()), (4, 3));
+    assert_eq!(
+        v4.read_trace().expect("decodes"),
+        v3.read_trace().expect("decodes")
+    );
+    let block_bytes =
+        |store: &Store| -> u64 { store.chunk_meta().iter().map(|c| c.block_len).sum() };
+    assert!(block_bytes(&v4) < block_bytes(&v3));
+}
+
 /// Everything there is to read in a store image: each chunk under each
 /// projection, and each chunk's jobs.
 struct Reading {
@@ -219,7 +236,7 @@ fn assert_typed(e: &StoreError, what: &str) {
     );
 }
 
-/// Which reads a byte of a version-3 file belongs to.
+/// Which reads a byte of a version-3 or -4 file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Owner {
     /// Header, footer, checksum or trailer: read at open.
@@ -268,8 +285,23 @@ fn owners(image: &[u8]) -> Vec<Owner> {
 
 #[test]
 fn every_flipped_bit_of_a_v3_file_is_a_typed_error_for_whoever_reads_it() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3-multichunk.swim");
+    flip_battery("v3-multichunk.swim", 3);
+}
+
+#[test]
+fn every_flipped_bit_of_a_v4_file_is_a_typed_error_for_whoever_reads_it() {
+    flip_battery("v4-multichunk.swim", 4);
+}
+
+/// Every bit of `fixture`, a file with a block table, flipped in turn
+/// and every truncation of it, read under every projection and as jobs.
+fn flip_battery(fixture: &str, version: u16) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
     let image = std::fs::read(path).expect("fixture reads");
+    let opened = Store::from_vec(image.clone()).expect("fixture opens");
+    assert_eq!(opened.format_version(), version);
     let intact = read_everything(&image).expect("fixture opens");
     assert!(intact.columns.iter().flatten().all(Result::is_ok));
     assert!(intact.jobs.iter().all(Result::is_ok));

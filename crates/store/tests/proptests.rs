@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use swim_store::format::columns;
-use swim_store::{store_to_vec, Store, StoreOptions, StoreWriter};
+use swim_store::{pack, store_to_vec, Store, StoreOptions, StoreWriter};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{io, DataSize, Dur, Job, JobBuilder, PathId, Timestamp, Trace};
 
@@ -134,13 +134,67 @@ fn all_distinct_digitless_names_cost_at_most_three_bytes_a_job_over_raw() {
     };
     // Raw (format v2) each name costs its length, one byte here, and
     // its six bytes. Coded it costs the same in the stems block, which
-    // also starts with a two-byte count, plus a code: one byte for the
-    // first 64 stems, two for the rest.
+    // also starts with a two-byte count, plus a code: up to 8,190 (the
+    // last stem id, doubled), so 13 bits each behind a three-byte header.
+    // The empty suffixes block is a header alone.
     let raw = 4096 * (1 + 6);
     assert_eq!(len(10), 2 + raw);
-    assert_eq!(len(11), 64 + 2 * (4096 - 64));
-    assert_eq!(len(12), 0);
+    assert_eq!(len(11), 3 + 4096 * 13 / 8);
+    assert_eq!(len(12), 3);
     assert!(len(10) + len(11) + len(12) <= raw + 3 * 4096);
+}
+
+/// Values from every corner of the packed codec: runs of one value,
+/// small values with a few wide outliers, either end of the `u64` range,
+/// and full-width noise.
+fn arb_block() -> impl Strategy<Value = Vec<u64>> {
+    let draws = prop::collection::vec((0u8..6, any::<u64>()), 0..300);
+    (0u8..3, draws, any::<u64>(), any::<usize>()).prop_map(|(shape, draws, wide, at)| {
+        let mut values: Vec<u64> = draws
+            .into_iter()
+            .map(|(kind, r)| match kind {
+                0 => 0,
+                1 => u64::MAX,
+                2 => r % 8,
+                3 => r % 100_000,
+                4 => u64::MAX - r % 1000,
+                _ => r,
+            })
+            .collect();
+        match shape {
+            0 => {}
+            1 => values.fill(wide),
+            _ => {
+                values.iter_mut().for_each(|v| *v %= 16);
+                if !values.is_empty() {
+                    let at = at % values.len();
+                    values[at] = wide;
+                }
+            }
+        }
+        values
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every block packs and unpacks to itself, never at width 0 when
+    /// the caller forbids it, and never past the worst case: 8 bytes a
+    /// value plus the header.
+    #[test]
+    fn packed_blocks_round_trip_within_the_worst_case(
+        values in arb_block(),
+        floor in 0u32..2,
+    ) {
+        let mut block = Vec::new();
+        pack::encode(&mut block, &values, floor);
+        prop_assert_eq!(pack::decode(&block, values.len()).unwrap(), values.clone());
+        prop_assert!(block.len() <= 8 * values.len() + pack::MAX_HEADER_LEN);
+        let mut pos = 0;
+        swim_store::varint::get_u64(&block, &mut pos).unwrap();
+        prop_assert!(u32::from(block[pos]) >= floor);
+    }
 }
 
 proptest! {
