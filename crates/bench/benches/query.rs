@@ -7,13 +7,13 @@
 //! is held to exact counts, not times: parallel ≡ serial, and the
 //! kernel's key-table probes stay far below the rows it groups. So is
 //! projection: a two-column count decodes two columns of every chunk it
-//! scans, steps over the other eight, and agrees with the all-column fold.
+//! scans, skips the other eight, and agrees with the all-column fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use swim_query::{execute, execute_serial, parse, AggValue, Aggregate, Expr, Pred, Query};
-use swim_store::format::columns::{ColumnSet, NumericColumns};
-use swim_store::{store_to_vec, Store, StoreOptions};
+use swim_query::{execute, execute_serial, parse, AggValue, Aggregate, Col, Expr, Pred, Query};
+use swim_store::format::columns::ColumnSet;
+use swim_store::{store_to_vec, Store, StoreOptions, ZoneMap};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::Trace;
 
@@ -113,7 +113,7 @@ fn bench_query(c: &mut Criterion) {
 
     // Projection at decode, as counts: the query reads `input` and
     // `duration`, so each scanned chunk has two columns decoded and eight
-    // stepped over, and the answer is the all-column fold's.
+    // skipped, and the answer is the all-column fold's.
     let (min_input, min_duration) = (1u64 << 30, 1800u64);
     let predicate = format!("input > {min_input} and duration >= {min_duration}");
     let two_column = Query::new()
@@ -131,16 +131,17 @@ fn bench_query(c: &mut Criterion) {
     assert_eq!(snapshot.counter("store.columns_decoded"), Some(2 * scanned));
     assert_eq!(snapshot.counter("store.columns_skipped"), Some(8 * scanned));
     let all: Vec<usize> = (0..store.chunk_count()).collect();
-    let by_name = store
+    let (input, duration) = (Col::Input.zone_index(), Col::Duration.zone_index());
+    let folded = store
         .fold_columns(&all, 0u64, |n, _idx, cols| {
-            let matches = cols.inputs.iter().zip(&cols.durations);
+            let matches = cols.cols[input].iter().zip(&cols.cols[duration]);
             n + matches
                 .filter(|(&i, &d)| i > min_input && d >= min_duration)
                 .count() as u64
         })
         .expect("scans");
-    assert!(by_name > 0, "the predicate must match something");
-    assert_eq!(counted.rows[0].values, vec![AggValue::Int(by_name)]);
+    assert!(folded > 0, "the predicate must match something");
+    assert_eq!(counted.rows[0].values, vec![AggValue::Int(folded)]);
     eprintln!(
         "1M-job store: a two-column count decoded {} and skipped {} chunk-columns over {scanned} chunks",
         2 * scanned,
@@ -171,11 +172,10 @@ fn bench_query(c: &mut Criterion) {
                 let mut reader = store.reader().expect("opens");
                 claims.fold((0u64, 0u64), |(n, mut io), idx| {
                     let chunk = reader.columns(idx, ColumnSet::ALL).expect("decodes");
-                    let cols = NumericColumns::from(chunk);
-                    for i in 0..cols.len() {
-                        io = io.saturating_add(cols.total_io(i).bytes());
+                    for c in ZoneMap::IO {
+                        io = chunk.cols[c].iter().fold(io, |io, &v| io.saturating_add(v));
                     }
-                    (n + cols.len() as u64, io)
+                    (n + chunk.len() as u64, io)
                 })
             });
             parts

@@ -48,10 +48,9 @@
 //! that is refused on every pass, as if never seen (it would not have
 //! hit an LRU either).
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use swim_store::format::columns::{ChunkView, ColumnSet};
 use swim_store::ZONE_COLUMNS;
 
@@ -318,6 +317,11 @@ impl ColumnCache {
         }
     }
 
+    /// The policy state, locked; a poisoned lock is used as is.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A shard's entry, if it holds every column of `set` (counted as a
     /// hit). Anything else is `None` and leaves the cache as it was: a
     /// caller that cannot fill is no candidate for admission.
@@ -328,7 +332,7 @@ impl ColumnCache {
         set: ColumnSet,
     ) -> Option<Arc<ShardColumns>> {
         let has_all = |held: &ShardColumns| set.minus(held.present()).is_empty();
-        let hit = self.inner.lock().touch(file, created_gen, has_all)?;
+        let hit = self.lock().touch(file, created_gen, has_all)?;
         self.count_hit();
         Some(hit)
     }
@@ -345,7 +349,7 @@ impl ColumnCache {
         set: ColumnSet,
         new: impl FnOnce() -> ShardColumns,
     ) -> Found {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(held) = inner.touch(file, created_gen, |_| true) {
             drop(inner);
             return if set.minus(held.present()).is_empty() {
@@ -397,14 +401,14 @@ impl ColumnCache {
     /// the manifest). Lifetime counters are deliberately untouched:
     /// clearing invalidates *entries*, not history.
     pub(crate) fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.slots.clear();
         inner.resident.clear();
         inner.refused.clear();
     }
 
     pub(crate) fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.capacity = capacity;
         let evicted = inner.trim();
         drop(inner);
@@ -413,11 +417,11 @@ impl ColumnCache {
 
     /// Current capacity (cheap: one lock, no counter reads).
     pub(crate) fn capacity(&self) -> usize {
-        self.inner.lock().capacity
+        self.lock().capacity
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         CacheStats {
             // lint: ordering: monotonic stats reads; a stale value only skews the snapshot
             hits: self.hits.load(Ordering::Relaxed),
@@ -480,7 +484,7 @@ mod tests {
         /// Resident file names, sorted (read off the index: no lookup,
         /// so nothing is touched or counted).
         fn resident(&self) -> Vec<String> {
-            let inner = self.inner.lock();
+            let inner = self.lock();
             let mut files: Vec<String> = inner.resident.values().map(|k| k.1.to_string()).collect();
             files.sort();
             files
@@ -724,7 +728,7 @@ mod tests {
         for i in 0..100_000 {
             cache.read(&format!("s{i}"));
         }
-        let inner = cache.inner.lock();
+        let inner = cache.lock();
         assert_eq!(inner.resident.len(), 4);
         assert_eq!(inner.refused.len(), 4 * HISTORY_PER_SLOT);
         let slots: usize = inner.slots.values().map(HashMap::len).sum();
@@ -734,7 +738,7 @@ mod tests {
         assert_eq!(&*oldest.1, format!("s{}", 100_000 - 4 * HISTORY_PER_SLOT));
         drop(inner);
         cache.set_capacity(1);
-        assert_eq!(cache.inner.lock().refused.len(), HISTORY_PER_SLOT);
+        assert_eq!(cache.lock().refused.len(), HISTORY_PER_SLOT);
     }
 
     /// The rule, longhand: plain `Vec`s and linear scans, two columns.

@@ -17,7 +17,7 @@ use swim_store::format::columns::ChunkView;
 use swim_store::ZoneMap;
 
 /// A physical numeric column of the store (the ten columns of
-/// [`swim_store::format::columns::NumericColumns`], in layout order).
+/// [`swim_store::format::columns::ChunkColumns`], in layout order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Col {
     /// Job id.
@@ -416,20 +416,24 @@ mod tests {
     use super::*;
     use crate::kernel::tests as kernel;
     use crate::oracle;
-    use swim_store::format::columns::NumericColumns;
+    use swim_store::format::columns::ChunkColumns;
 
-    fn chunk() -> NumericColumns {
-        NumericColumns {
-            ids: vec![0, 1, 2],
-            submits: vec![10, 20, 30],
-            durations: vec![5, 50, 500],
-            inputs: vec![100, 0, 1000],
-            shuffles: vec![0, 0, 7],
-            outputs: vec![1, 2, 3],
-            map_times: vec![9, 9, 9],
-            reduce_times: vec![0, 1, 2],
-            map_tasks: vec![1, 2, 3],
-            reduce_tasks: vec![0, 0, 1],
+    /// Three rows; columns in layout order, id to reduce_tasks.
+    fn chunk() -> ChunkColumns {
+        ChunkColumns {
+            rows: 3,
+            cols: [
+                vec![0, 1, 2],
+                vec![10, 20, 30],
+                vec![5, 50, 500],
+                vec![100, 0, 1000],
+                vec![0, 0, 7],
+                vec![1, 2, 3],
+                vec![9, 9, 9],
+                vec![0, 1, 2],
+                vec![1, 2, 3],
+                vec![0, 0, 1],
+            ],
         }
     }
 

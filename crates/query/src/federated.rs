@@ -120,8 +120,8 @@ fn fold_shard(
     let store = catalog.open_shard(idx)?;
     let p = plan(&store, query);
     // A full-shard read with caching enabled fills the cache with the
-    // columns it lacks, so the next query reading them skips the varint
-    // decode entirely — if the cache admits the shard; a chunk-pruned
+    // columns it lacks, so the next query reading them reads and decodes
+    // no chunk at all — if the cache admits the shard; a chunk-pruned
     // read only takes a hit.
     let full_read = p.selected.len() == store.chunk_count() && catalog.cache_capacity() > 0;
     if let Some(shard) = catalog.shard_columns(idx, columns, full_read.then_some(&store))? {

@@ -669,10 +669,10 @@ pub(crate) mod tests {
     use crate::agg::{AggValue, Aggregate};
     use crate::oracle;
     use proptest::prelude::*;
-    use swim_store::format::columns::NumericColumns;
+    use swim_store::format::columns::ChunkColumns;
 
     /// `expr` over every row of `cols`, through stage 1.
-    pub(crate) fn eval(expr: &Expr, cols: &NumericColumns) -> Vec<u64> {
+    pub(crate) fn eval(expr: &Expr, cols: &ChunkColumns) -> Vec<u64> {
         let query = Query::new().select(Aggregate::Max(expr.clone()));
         let program = Program::compile(&query);
         let mut worker = Worker::new(&program);
@@ -682,7 +682,7 @@ pub(crate) mod tests {
     }
 
     /// The rows of `cols` passing `pred`, through stages 1 and 2.
-    pub(crate) fn select(pred: &Pred, cols: &NumericColumns) -> Vec<u32> {
+    pub(crate) fn select(pred: &Pred, cols: &ChunkColumns) -> Vec<u32> {
         let query = Query::new().filter(pred.clone()).select(Aggregate::Count);
         let program = Program::compile(&query);
         let mut worker = Worker::new(&program);
@@ -694,64 +694,51 @@ pub(crate) mod tests {
         worker.sel
     }
 
-    fn col_mut(cols: &mut NumericColumns, c: Col) -> &mut Vec<u64> {
-        match c {
-            Col::Id => &mut cols.ids,
-            Col::Submit => &mut cols.submits,
-            Col::Duration => &mut cols.durations,
-            Col::Input => &mut cols.inputs,
-            Col::Shuffle => &mut cols.shuffles,
-            Col::Output => &mut cols.outputs,
-            Col::MapTime => &mut cols.map_times,
-            Col::ReduceTime => &mut cols.reduce_times,
-            Col::MapTasks => &mut cols.map_tasks,
-            Col::ReduceTasks => &mut cols.reduce_tasks,
-        }
-    }
-
     /// Ten cells to a row. A cell in 64 is zero and one is `u64::MAX`;
     /// an eighth are small (so groups repeat and divisors hit zero) and
     /// the rest spread over every magnitude, so sums saturate in some
     /// cases and not in others.
-    fn columns_from(cells: &[u64]) -> NumericColumns {
-        let mut cols = NumericColumns::default();
+    fn columns_from(cells: &[u64]) -> ChunkColumns {
+        let mut cols = ChunkColumns::default();
         for row in cells.chunks_exact(Col::ALL.len()) {
-            for (c, &cell) in Col::ALL.into_iter().zip(row) {
-                col_mut(&mut cols, c).push(match cell % 64 {
+            for (values, &cell) in cols.cols.iter_mut().zip(row) {
+                values.push(match cell % 64 {
                     0 => 0,
                     1 => u64::MAX,
                     2..=9 => (cell >> 6) % 8,
                     _ => cell >> ((cell >> 6) % 64),
                 });
             }
+            cols.rows += 1;
         }
         cols
     }
 
     /// `rows` rows of small, distinct-ish values: nothing saturates, so
     /// every aggregate is sensitive to every row it reads.
-    fn plain_columns(rows: u64) -> NumericColumns {
-        let mut cols = NumericColumns::default();
+    fn plain_columns(rows: u64) -> ChunkColumns {
+        let mut cols = ChunkColumns::default();
         for i in 0..rows {
-            for (k, c) in Col::ALL.into_iter().enumerate() {
-                col_mut(&mut cols, c).push((i * 31 + k as u64 * 17) % 1000);
+            for (k, values) in cols.cols.iter_mut().enumerate() {
+                values.push((i * 31 + k as u64 * 17) % 1000);
             }
+            cols.rows += 1;
         }
         cols
     }
 
     /// `cols` cut into chunks of `size` rows; chunk `k` is flagged a full
     /// match when bit `k % 8` of `full` is set.
-    fn chunks_of(cols: &NumericColumns, size: usize, full: u8) -> Vec<(NumericColumns, bool)> {
+    fn chunks_of(cols: &ChunkColumns, size: usize, full: u8) -> Vec<(ChunkColumns, bool)> {
         (0..cols.len())
             .step_by(size)
             .enumerate()
             .map(|(k, from)| {
-                let mut chunk = NumericColumns::default();
-                for c in Col::ALL {
-                    let rows = &c.slice(cols.view())[from..cols.len().min(from + size)];
-                    *col_mut(&mut chunk, c) = rows.to_vec();
-                }
+                let to = cols.len().min(from + size);
+                let chunk = ChunkColumns {
+                    rows: to - from,
+                    cols: cols.cols.each_ref().map(|values| values[from..to].to_vec()),
+                };
                 (chunk, full >> (k % 8) & 1 == 1)
             })
             .collect()
@@ -759,7 +746,7 @@ pub(crate) mod tests {
 
     fn fold<'p>(
         program: &'p Program<'p>,
-        chunks: impl IntoIterator<Item = &'p (NumericColumns, bool)>,
+        chunks: impl IntoIterator<Item = &'p (ChunkColumns, bool)>,
     ) -> Worker<'p> {
         let mut worker = Worker::new(program);
         for (cols, full_match) in chunks {
@@ -942,12 +929,10 @@ pub(crate) mod tests {
 
     #[test]
     fn the_memo_probes_the_table_once_per_run_of_equal_keys() {
-        let mut cols = NumericColumns::default();
-        for i in 0..1000u64 {
-            for c in Col::ALL {
-                col_mut(&mut cols, c).push(i);
-            }
-        }
+        let cols = ChunkColumns {
+            rows: 1000,
+            cols: std::array::from_fn(|_| (0..1000).collect()),
+        };
         // Time-sorted submits: `submit / 100` arrives in 10 runs of 100,
         // and the memo carries across the chunk boundary at row 550.
         let hourly = Query::new()
@@ -997,16 +982,14 @@ pub(crate) mod tests {
 
     #[test]
     fn workers_that_met_the_groups_in_opposite_orders_merge_alike() {
-        let mut cols = NumericColumns::default();
-        for i in 0..6u64 {
-            for c in Col::ALL {
-                col_mut(&mut cols, c).push(i);
-            }
-        }
-        let mut reversed = NumericColumns::default();
-        for c in Col::ALL {
-            *col_mut(&mut reversed, c) = c.slice(cols.view()).iter().rev().copied().collect();
-        }
+        let cols = ChunkColumns {
+            rows: 6,
+            cols: std::array::from_fn(|_| (0..6).collect()),
+        };
+        let reversed = ChunkColumns {
+            rows: 6,
+            cols: std::array::from_fn(|_| (0..6).rev().collect()),
+        };
         let chunks = [(cols, false), (reversed, true)];
         for arity in 0..4 {
             let query = query(predicate(1, 2048), arity);

@@ -1,5 +1,5 @@
 //! Projection at decode, counted: what `store.columns_decoded` and
-//! `store.columns_skipped` say a read kept and stepped over. The counters
+//! `store.columns_skipped` say a read kept and skipped. The counters
 //! are process-wide, so this file is a test binary of its own and its
 //! tests take turns.
 
@@ -73,8 +73,8 @@ fn a_bare_count_decodes_no_column_and_still_counts_every_row() {
         let mut rows = Vec::new();
         let counts = counted(|| rows = catalog.execute_serial(&query).unwrap().output.rows);
         assert_eq!(rows[0].values, vec![AggValue::Int(JOBS)]);
-        // Every chunk was read and all ten of its columns stepped over
-        // (so still validated), none stored.
+        // Every chunk was read (its framing checked) and all ten of its
+        // columns skipped, none decoded.
         assert_eq!(counts, (chunks, 0, chunks * ZONE_COLUMNS as u64));
     }
     // The cache entry the second run made holds no column, and is a hit

@@ -8,7 +8,7 @@ mod support;
 
 use proptest::prelude::*;
 use swim_query::{execute, execute_serial, AggValue, Aggregate, CmpOp, Col, Expr, Pred, Query};
-use swim_store::format::columns::NumericColumns;
+use swim_store::format::columns::{ChunkColumns, ColumnSet};
 use swim_store::{store_to_vec, Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, Job, JobBuilder, Timestamp, Trace};
@@ -130,21 +130,8 @@ fn aggregates() -> Vec<Aggregate> {
 
 /// The trace's jobs as one unchunked, unfiltered column set: what the
 /// oracle evaluates rows of.
-fn columns_of(trace: &Trace) -> NumericColumns {
-    let mut cols = NumericColumns::default();
-    for job in trace.jobs() {
-        cols.ids.push(job.id.0);
-        cols.submits.push(job.submit.secs());
-        cols.durations.push(job.duration.secs());
-        cols.inputs.push(job.input.bytes());
-        cols.shuffles.push(job.shuffle.bytes());
-        cols.outputs.push(job.output.bytes());
-        cols.map_times.push(job.map_task_time.secs());
-        cols.reduce_times.push(job.reduce_task_time.secs());
-        cols.map_tasks.push(u64::from(job.map_tasks));
-        cols.reduce_tasks.push(u64::from(job.reduce_tasks));
-    }
-    cols
+fn columns_of(trace: &Trace) -> ChunkColumns {
+    ChunkColumns::project(trace.jobs(), ColumnSet::ALL)
 }
 
 fn oracle(trace: &Trace, query: &Query) -> Vec<(Vec<u64>, Vec<AggValue>)> {

@@ -8,10 +8,10 @@
 
 use std::collections::BTreeMap;
 use swim_query::{AggValue, Aggregate, Expr, Pred, Query};
-use swim_store::format::columns::NumericColumns;
+use swim_store::format::columns::ChunkColumns;
 
 /// `expr` over row `i`: saturating arithmetic, `x / 0 = 0`.
-pub fn eval_row(expr: &Expr, cols: &NumericColumns, i: usize) -> u64 {
+pub fn eval_row(expr: &Expr, cols: &ChunkColumns, i: usize) -> u64 {
     let at = |e: &Expr| eval_row(e, cols, i);
     match expr {
         Expr::Col(c) => c.slice(cols.view())[i],
@@ -24,7 +24,7 @@ pub fn eval_row(expr: &Expr, cols: &NumericColumns, i: usize) -> u64 {
 }
 
 /// Whether row `i` passes `pred`.
-pub fn matches_row(pred: &Pred, cols: &NumericColumns, i: usize) -> bool {
+pub fn matches_row(pred: &Pred, cols: &ChunkColumns, i: usize) -> bool {
     match pred {
         Pred::True => true,
         Pred::Cmp(a, op, b) => op.eval(eval_row(a, cols, i), eval_row(b, cols, i)),
@@ -69,7 +69,7 @@ pub fn aggregate(agg: &Aggregate, col: &[u64]) -> AggValue {
 /// key-sorted, as the engine's do before `order_by`/`limit`. A chunk
 /// flagged `true` is taken to match entirely — the planner's `Always`
 /// contract — so its rows skip the predicate.
-pub fn run(query: &Query, chunks: &[(NumericColumns, bool)]) -> Vec<(Vec<u64>, Vec<AggValue>)> {
+pub fn run(query: &Query, chunks: &[(ChunkColumns, bool)]) -> Vec<(Vec<u64>, Vec<AggValue>)> {
     let mut groups: BTreeMap<Vec<u64>, Vec<Vec<u64>>> = BTreeMap::new();
     for (cols, full_match) in chunks {
         for i in 0..cols.len() {

@@ -10,7 +10,7 @@ use swim_report::{Comparison, TraceContext};
 use swim_store::Store;
 
 fn fixture() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures/v3-multichunk.swim")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures/v4-multichunk.swim")
 }
 
 /// Flip a bit in the last byte of the file's first chunk: its output

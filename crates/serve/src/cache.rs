@@ -37,9 +37,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use swim_obs::Counter;
 use swim_query::cli::OutputFormat;
 
@@ -118,15 +117,20 @@ impl ResultCache {
         }
     }
 
+    /// The keys and ticks, locked; a poisoned lock is used as is.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Maximum resident keys.
     pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
+        self.lock().capacity
     }
 
     /// Look up the body filed under `(generation, kind, text)`.
     pub fn lookup(&self, generation: u64, kind: KeyKind, text: &str) -> Option<Arc<[u8]>> {
         let hit = {
-            let mut guard = self.inner.lock();
+            let mut guard = self.lock();
             let inner = &mut *guard;
             let slot = inner
                 .slots
@@ -164,7 +168,7 @@ impl ResultCache {
     /// least-recently-used keys past capacity. A no-op when caching is
     /// disabled.
     pub fn insert(&self, generation: u64, kind: KeyKind, text: &str, body: Arc<[u8]>) {
-        let mut guard = self.inner.lock();
+        let mut guard = self.lock();
         let inner = &mut *guard;
         if inner.capacity == 0 {
             return;
@@ -203,14 +207,14 @@ impl ResultCache {
 
     /// Drop all resident keys; lifetime counters survive.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.slots.clear();
         inner.by_tick.clear();
     }
 
     /// Lifetime counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         CacheStats {
             // lint: ordering: statistics counter; no data is published through it
             hits: self.hits.load(Ordering::Relaxed),

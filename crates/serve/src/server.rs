@@ -54,11 +54,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use swim_catalog::{Catalog, CatalogError, CatalogOptions, MANIFEST_FILE};
 use swim_obs::clock;
 use swim_obs::{Counter, Gauge};
@@ -236,9 +235,8 @@ struct Shared {
     telemetry: Telemetry,
     /// Admitted connections waiting for a worker, with the
     /// process-clock microseconds at which each was admitted (for
-    /// queue-wait attribution). std Mutex because the vendored
-    /// parking_lot has no Condvar.
-    queue: StdMutex<VecDeque<(TcpStream, Permit, u64)>>,
+    /// queue-wait attribution).
+    queue: Mutex<VecDeque<(TcpStream, Permit, u64)>>,
     available: Condvar,
     admitted: AtomicUsize,
     shutdown: AtomicBool,
@@ -282,10 +280,11 @@ fn try_admit(shared: &Arc<Shared>) -> Option<Permit> {
     })
 }
 
-/// Recover the guard from a poisoned std mutex: the queue holds plain
-/// data (streams and permits), valid regardless of a panicking holder.
-fn lock<'a, T>(m: &'a StdMutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Recover the guard from a poisoned mutex: what the server's mutexes
+/// hold (the queue's streams and permits, the snapshot, the retired
+/// list, the writer token) is valid regardless of a panicking holder.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Bytes of the `MANIFEST` a peek reads. The two lines it parses are at
@@ -348,14 +347,14 @@ impl Shared {
         if on_disk.is_none() {
             GENERATION_PEEK_FAILED.incr();
         }
-        let mut snap = self.snapshot.lock();
+        let mut snap = lock(&self.snapshot);
         if let Some(generation) = on_disk {
             if snap.generation() != Some(generation) {
                 if let Ok(catalog) = Catalog::open(&self.dir) {
                     let fresh = Arc::new(Session::from_catalog(catalog));
                     let old = std::mem::replace(&mut *snap, Arc::clone(&fresh));
                     drop(snap);
-                    let mut retired = self.retired.lock();
+                    let mut retired = lock(&self.retired);
                     retired.retain(|w| w.strong_count() > 0);
                     retired.push(Arc::downgrade(&old));
                     SNAPSHOT_REFRESHES.incr();
@@ -367,10 +366,10 @@ impl Shared {
     }
 
     fn stats(&self) -> ServerStats {
-        let generation = self.snapshot.lock().generation().unwrap_or(0);
+        let generation = lock(&self.snapshot).generation().unwrap_or(0);
         let queued = lock(&self.queue).len();
         let retired_sessions = {
-            let mut retired = self.retired.lock();
+            let mut retired = lock(&self.retired);
             retired.retain(|w| w.strong_count() > 0);
             retired.len()
         };
@@ -508,7 +507,7 @@ pub fn serve(dir: impl AsRef<Path>, options: ServeOptions) -> Result<ServerHandl
         cache: ResultCache::new(cache_capacity),
         telemetry,
         writer: Mutex::new(()),
-        queue: StdMutex::new(VecDeque::new()),
+        queue: Mutex::new(VecDeque::new()),
         available: Condvar::new(),
         admitted: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
@@ -578,7 +577,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 queue = shared
                     .available
                     .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let Some((stream, permit, admitted_us)) = next else {
@@ -949,7 +948,7 @@ fn process_request(shared: &Arc<Shared>, line: &str, meta: &mut ReqMeta) -> (Vec
         }
         "shutdown" => {
             meta.command = "shutdown";
-            let generation = shared.snapshot.lock().generation().unwrap_or(0);
+            let generation = lock(&shared.snapshot).generation().unwrap_or(0);
             RESPONSES_OK.incr();
             meta.generation = generation;
             meta.outcome = "ok";
@@ -1230,7 +1229,7 @@ fn handle_ingest(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (
             "ingest requires exactly one trace path",
         );
     };
-    let _writer = shared.writer.lock();
+    let _writer = lock(&shared.writer);
     let mut catalog = match Catalog::open(&shared.dir) {
         Ok(c) => c,
         Err(e) => return error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
@@ -1264,7 +1263,7 @@ fn handle_compact(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> 
             "compact takes no arguments",
         );
     }
-    let _writer = shared.writer.lock();
+    let _writer = lock(&shared.writer);
     let mut catalog = match Catalog::open(&shared.dir) {
         Ok(c) => c,
         Err(e) => return error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
@@ -1296,7 +1295,7 @@ fn handle_vacuum(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (
             "vacuum takes no arguments",
         );
     }
-    let _writer = shared.writer.lock();
+    let _writer = lock(&shared.writer);
     // Move the current snapshot to the latest generation first, so the
     // view vacuum deletes against is the one new requests use …
     let session = shared.current_session();
@@ -1308,7 +1307,7 @@ fn handle_vacuum(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (
     let mut old_readers = 0usize;
     for step in 0..=steps {
         old_readers = {
-            let mut retired = shared.retired.lock();
+            let mut retired = lock(&shared.retired);
             retired.retain(|w| w.strong_count() > 0);
             retired.len()
         };

@@ -35,7 +35,7 @@
 //! submit times let readers skip chunks wholesale for time-range queries;
 //! the footer summary makes [`TraceSummary`]-style statistics O(1); the
 //! zone-map section bounds **every** numeric column of every chunk — in
-//! the column layout order of [`columns::NumericColumns`] — so the
+//! the column layout order of [`columns::ChunkColumns`] — so the
 //! `swim-query` planner can skip chunks on arbitrary column predicates.
 //!
 //! **Integers.** Each of the sixteen integer blocks is one
@@ -79,14 +79,14 @@
 //! digitless names: each costs its length and bytes, as it would raw,
 //! plus a code of at most 21 bits (13 at the default chunk size).
 //!
-//! Older versions still open and scan. Version 3 has this layout with
-//! every integer block a run of LEB128 varints ([`varint`]), at least a
-//! byte a value. Versions 1 and 2 store thirteen varint column blocks
-//! with no table — names as a length column and the raw bytes — and
-//! nothing in them is checksummed, so a skipped column is still walked
-//! ([`varint::skip_column`]) to find the next. Version 1 also lacks the
-//! zone-map section; readers synthesize permissive maps from the
-//! per-chunk submit windows.
+//! Older versions still open and scan, but only as whole rows: a
+//! projected read of an older chunk decodes its jobs and projects them.
+//! Version 3 has this layout with every integer block a run of LEB128
+//! varints ([`varint`]), at least a byte a value. Versions 1 and 2 store
+//! thirteen varint column blocks with no table — names as a length
+//! column and the raw bytes — and nothing in them is checksummed.
+//! Version 1 also lacks the zone-map section; readers synthesize
+//! permissive maps from the per-chunk submit windows.
 
 use crate::pack;
 use crate::varint;
@@ -128,7 +128,7 @@ pub fn is_packed(version: u16) -> bool {
     version >= 4
 }
 /// Number of numeric columns covered by a [`ZoneMap`] (the ten columns of
-/// [`columns::NumericColumns`], in layout order).
+/// [`columns::ChunkColumns`], in layout order).
 pub const ZONE_COLUMNS: usize = 10;
 /// Size of the trailer of every version (footer offset + magic).
 pub const TRAILER_LEN: usize = 16;
@@ -297,7 +297,7 @@ impl StoredSummary {
 }
 
 /// Per-chunk `[min, max]` bounds for every numeric column, in the column
-/// layout order of [`columns::NumericColumns`]: id, submit, duration,
+/// layout order of [`columns::ChunkColumns`]: id, submit, duration,
 /// input, shuffle, output, map_time, reduce_time, map_tasks,
 /// reduce_tasks.
 ///
@@ -926,104 +926,6 @@ pub mod columns {
         }
     }
 
-    /// The ten numeric columns of one chunk, decoded without touching the
-    /// variable-width name/path columns that follow them in the layout.
-    ///
-    /// This is the projection the §4/§5 statistics fold over: because the
-    /// numeric columns are stored *first*, a statistics scan never walks —
-    /// let alone allocates — names or path lists.
-    #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    pub struct NumericColumns {
-        /// Job ids.
-        pub ids: Vec<u64>,
-        /// Submit seconds (non-decreasing within a chunk).
-        pub submits: Vec<u64>,
-        /// Durations in seconds.
-        pub durations: Vec<u64>,
-        /// Input bytes.
-        pub inputs: Vec<u64>,
-        /// Shuffle bytes.
-        pub shuffles: Vec<u64>,
-        /// Output bytes.
-        pub outputs: Vec<u64>,
-        /// Map task-time seconds.
-        pub map_times: Vec<u64>,
-        /// Reduce task-time seconds.
-        pub reduce_times: Vec<u64>,
-        /// Map task counts.
-        pub map_tasks: Vec<u64>,
-        /// Reduce task counts.
-        pub reduce_tasks: Vec<u64>,
-    }
-
-    impl NumericColumns {
-        /// Number of jobs in the chunk.
-        pub fn len(&self) -> usize {
-            self.ids.len()
-        }
-
-        /// `true` iff the chunk is empty.
-        pub fn is_empty(&self) -> bool {
-            self.ids.is_empty()
-        }
-
-        /// Total I/O bytes of job `i` (input + shuffle + output),
-        /// saturating like [`Job::total_io`].
-        pub fn total_io(&self, i: usize) -> DataSize {
-            DataSize::from_bytes(self.inputs[i])
-                + DataSize::from_bytes(self.shuffles[i])
-                + DataSize::from_bytes(self.outputs[i])
-        }
-
-        /// Total task-time of job `i`, saturating like
-        /// [`Job::total_task_time`].
-        pub fn total_task_time(&self, i: usize) -> Dur {
-            Dur::from_secs(self.map_times[i]) + Dur::from_secs(self.reduce_times[i])
-        }
-    }
-
-    impl NumericColumns {
-        /// All ten columns as the view the query kernel folds.
-        pub fn view(&self) -> ChunkView<'_> {
-            ChunkView::new(
-                self.len(),
-                [
-                    &self.ids,
-                    &self.submits,
-                    &self.durations,
-                    &self.inputs,
-                    &self.shuffles,
-                    &self.outputs,
-                    &self.map_times,
-                    &self.reduce_times,
-                    &self.map_tasks,
-                    &self.reduce_tasks,
-                ],
-            )
-        }
-    }
-
-    impl From<ChunkColumns> for NumericColumns {
-        /// Names the ten columns of a chunk decoded under
-        /// [`ColumnSet::ALL`]; nothing is copied.
-        fn from(chunk: ChunkColumns) -> NumericColumns {
-            let [ids, submits, durations, inputs, shuffles, outputs, map_times, reduce_times, map_tasks, reduce_tasks] =
-                chunk.cols;
-            NumericColumns {
-                ids,
-                submits,
-                durations,
-                inputs,
-                shuffles,
-                outputs,
-                map_times,
-                reduce_times,
-                map_tasks,
-                reduce_tasks,
-            }
-        }
-    }
-
     /// A set of the ten numeric columns, by layout index (the
     /// [`ZoneMap`] order): what a reader asks a decode to keep.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1080,6 +982,34 @@ pub mod columns {
     }
 
     impl ChunkColumns {
+        /// The columns of `set` of a chunk's decoded `jobs`: what a
+        /// projected decode of the chunk gives.
+        pub fn project(jobs: &[Job], set: ColumnSet) -> ChunkColumns {
+            let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
+            for job in jobs {
+                let row = cols.iter_mut().zip(numeric_values(job));
+                for (column, (values, value)) in row.enumerate() {
+                    if set.contains(column) {
+                        values.push(value);
+                    }
+                }
+            }
+            ChunkColumns {
+                rows: jobs.len(),
+                cols,
+            }
+        }
+
+        /// Number of jobs in the chunk.
+        pub fn len(&self) -> usize {
+            self.rows
+        }
+
+        /// `true` iff the chunk is empty.
+        pub fn is_empty(&self) -> bool {
+            self.rows == 0
+        }
+
         /// Borrow as the view the query kernel folds.
         pub fn view(&self) -> ChunkView<'_> {
             ChunkView::new(self.rows, self.cols.each_ref().map(Vec::as_slice))
@@ -1204,25 +1134,17 @@ pub mod columns {
     }
 
     /// Decode the numeric columns of `set` from the body of a chunk of
-    /// `n` jobs written by format `version`.
-    ///
-    /// From version 3: the block table leads straight to the blocks of
-    /// `set`; each is verified against its checksum and decoded, and no
-    /// other block — numeric, name or path — is looked at. Versions 1
-    /// and 2 have no table, so the columns outside `set` are walked
-    /// varint by varint ([`varint::skip_column`]) up to the last numeric
-    /// one, and every projection accepts and rejects the same payloads
-    /// with the same error.
+    /// `n` jobs written by this build's format ([`VERSION`]): the block
+    /// table leads straight to the blocks of `set`; each is verified
+    /// against its checksum and decoded, and no other block — numeric,
+    /// name or path — is looked at. Older chunks are only ever decoded
+    /// whole ([`decode`]).
     pub fn decode_projected(
-        version: u16,
         body: &[u8],
         n: usize,
         set: ColumnSet,
     ) -> Result<ChunkColumns, StoreError> {
-        if is_legacy(version) {
-            return decode_projected_v2(body, &mut 0, n, set);
-        }
-        decode_blocks(version, &Blocks::parse(body)?, n, set)
+        decode_blocks(VERSION, &Blocks::parse(body)?, n, set)
     }
 
     fn decode_blocks(
@@ -1236,25 +1158,6 @@ pub mod columns {
             if set.contains(column) {
                 let block = blocks.verified(column)?;
                 *values = whole_column(version, block, n, column < DELTA_COLUMNS)?;
-            }
-        }
-        Ok(ChunkColumns { rows: n, cols })
-    }
-
-    fn decode_projected_v2(
-        payload: &[u8],
-        pos: &mut usize,
-        n: usize,
-        set: ColumnSet,
-    ) -> Result<ChunkColumns, StoreError> {
-        let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
-        for (column, values) in cols.iter_mut().enumerate() {
-            if !set.contains(column) {
-                varint::skip_column(payload, pos, n)?;
-            } else if column < DELTA_COLUMNS {
-                *values = varint::get_delta_column(payload, pos, n)?;
-            } else {
-                *values = varint::get_column(payload, pos, n)?;
             }
         }
         Ok(ChunkColumns { rows: n, cols })
@@ -1287,7 +1190,7 @@ pub mod columns {
             blocks.verified(PATH_BLOCKS + 3)?,
             n,
         )?;
-        build_jobs(numeric.into(), names, inputs, outputs)
+        build_jobs(numeric, names, inputs, outputs)
     }
 
     /// The names of a chunk of `n` jobs from its stems, codes and
@@ -1399,7 +1302,14 @@ pub mod columns {
     /// thirteen column blocks back to back, names as lengths then bytes.
     fn decode_v2(payload: &[u8], n: usize) -> Result<Vec<Job>, StoreError> {
         let pos = &mut 0usize;
-        let numeric = decode_projected_v2(payload, pos, n, ColumnSet::ALL)?;
+        let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
+        for (column, values) in cols.iter_mut().enumerate() {
+            *values = if column < DELTA_COLUMNS {
+                varint::get_delta_column(payload, pos, n)?
+            } else {
+                varint::get_column(payload, pos, n)?
+            };
+        }
         let name_lens = varint::get_column(payload, pos, n)?;
         let mut names = Vec::with_capacity(n);
         for &len in &name_lens {
@@ -1442,30 +1352,21 @@ pub mod columns {
             });
         }
         let [input_paths, output_paths] = path_lists;
-        build_jobs(numeric.into(), names, input_paths, output_paths)
+        let numeric = ChunkColumns { rows: n, cols };
+        build_jobs(numeric, names, input_paths, output_paths)
     }
 
     /// Assemble jobs from a chunk's decoded columns (one entry per job in
     /// each).
     fn build_jobs(
-        numeric: NumericColumns,
+        numeric: ChunkColumns,
         names: Vec<String>,
         input_paths: Vec<Vec<PathId>>,
         output_paths: Vec<Vec<PathId>>,
     ) -> Result<Vec<Job>, StoreError> {
-        let NumericColumns {
-            ids,
-            submits,
-            durations,
-            inputs,
-            shuffles,
-            outputs,
-            map_times,
-            reduce_times,
-            map_tasks,
-            reduce_tasks,
-        } = numeric;
-        let mut jobs = Vec::with_capacity(ids.len());
+        let [ids, submits, durations, inputs, shuffles, outputs, map_times, reduce_times, map_tasks, reduce_tasks] =
+            numeric.cols;
+        let mut jobs = Vec::with_capacity(numeric.rows);
         let lists = names.into_iter().zip(input_paths).zip(output_paths);
         for (i, ((name, input_paths), output_paths)) in lists.enumerate() {
             let map = u32::try_from(map_tasks[i]).map_err(|_| StoreError::Corrupt {
@@ -1999,20 +1900,20 @@ mod tests {
             let mut body = body.clone();
             body[entry * 16..][..8].copy_from_slice(&u64::to_le_bytes(len));
             for set in [columns::ColumnSet::EMPTY, columns::ColumnSet::ALL] {
-                match columns::decode_projected(VERSION, &body, jobs.len(), set) {
+                match columns::decode_projected(&body, jobs.len(), set) {
                     Err(StoreError::Corrupt { context }) => assert_eq!(context, want),
                     other => panic!("entry {entry} = {len}: {other:?}"),
                 }
             }
         }
         assert!(matches!(
-            columns::decode_projected(VERSION, &body[..100], 3, columns::ColumnSet::EMPTY),
+            columns::decode_projected(&body[..100], 3, columns::ColumnSet::EMPTY),
             Err(StoreError::Truncated { .. })
         ));
         // A job count no block could hold is refused before a column is
         // reserved for it.
         assert!(matches!(
-            columns::decode_projected(VERSION, &body, 1 << 40, columns::ColumnSet::ALL),
+            columns::decode_projected(&body, 1 << 40, columns::ColumnSet::ALL),
             Err(StoreError::Corrupt { .. })
         ));
     }
@@ -2038,13 +1939,13 @@ mod tests {
         let set = |c| columns::ColumnSet::EMPTY.with(c);
         for column in (0..ZONE_COLUMNS).filter(|&c| c != input) {
             assert_eq!(
-                columns::decode_projected(VERSION, &damaged, 40, set(column)).unwrap(),
-                columns::decode_projected(VERSION, &intact, 40, set(column)).unwrap()
+                columns::decode_projected(&damaged, 40, set(column)).unwrap(),
+                columns::decode_projected(&intact, 40, set(column)).unwrap()
             );
         }
         for set in [set(input), columns::ColumnSet::ALL] {
             assert!(matches!(
-                columns::decode_projected(VERSION, &damaged, 40, set),
+                columns::decode_projected(&damaged, 40, set),
                 Err(StoreError::Checksum { .. })
             ));
         }

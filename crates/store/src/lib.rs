@@ -239,7 +239,7 @@ mod tests {
         ))
         .unwrap();
         let selected: Vec<usize> = (0..store.chunk_count()).step_by(2).collect();
-        // Input alone: the serial fold by name over all ten columns, the
+        // Input alone: the serial fold over all ten columns, the
         // projecting reader over the one the sum reads — so projection ≡
         // full decode restricted to the set.
         let input = format::ZoneMap::IO[0];
@@ -248,7 +248,7 @@ mod tests {
             .fold_columns(&selected, (0, 0u64), |acc, _idx, cols| {
                 (
                     acc.0 + cols.len() as u64,
-                    acc.1.saturating_add(sum(&cols.inputs)),
+                    acc.1.saturating_add(sum(&cols.cols[input])),
                 )
             })
             .unwrap();

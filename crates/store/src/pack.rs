@@ -314,7 +314,7 @@ pub fn decode(block: &[u8], n: usize) -> Result<Vec<u64>, StoreError> {
 /// The eight bytes at `at` as a little-endian word, `None` within seven
 /// bytes of the end.
 #[inline]
-fn load_word(data: &[u8], at: usize) -> Option<u64> {
+fn word_at(data: &[u8], at: usize) -> Option<u64> {
     let bytes = data.get(at..at.checked_add(8)?)?;
     Some(u64::from_le_bytes(<[u8; 8]>::try_from(bytes).ok()?))
 }
@@ -336,7 +336,7 @@ fn unpack(data: &[u8], n: usize, width: u32, min: u64, out: &mut Vec<u64>) {
     };
     out.extend((0..direct).map(|i| {
         let bit = i * w;
-        let word = load_word(data, bit / 8).unwrap_or(0);
+        let word = word_at(data, bit / 8).unwrap_or(0);
         min.wrapping_add(word >> (bit % 8) & mask)
     }));
     // The rest from a zero-padded copy of what is left from their first

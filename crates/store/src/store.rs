@@ -3,7 +3,7 @@
 //! projection, streaming scans at bounded memory, and time-range scans
 //! that skip chunks via the index.
 
-use crate::format::columns::{ChunkColumns, ColumnSet, NumericColumns};
+use crate::format::columns::{ChunkColumns, ColumnSet};
 use crate::format::{self, ChunkMeta, Footer, Header, StoredSummary, ZoneMap};
 use crate::StoreError;
 use std::fs::File;
@@ -30,8 +30,9 @@ mod obs {
     /// [`COLUMNS_SKIPPED`] it is projection's useful work over attempts
     /// (the two sum to ten per decoded chunk).
     pub static COLUMNS_DECODED: Counter = Counter::new("store.columns_decoded");
-    /// Numeric columns of decoded chunks that were not kept (from
-    /// version 3 on not looked at; before it, walked varint by varint).
+    /// Numeric columns of decoded chunks that were not kept, and so not
+    /// looked at. A projected read of a chunk older than version 4
+    /// decodes it whole and skips none.
     pub static COLUMNS_SKIPPED: Counter = Counter::new("store.columns_skipped");
     /// Chunks skipped by a time-range scan's index check before any
     /// byte of them was read.
@@ -364,8 +365,8 @@ impl Store {
     }
 
     /// Serial fold over an explicit set of chunks (by index, visited in
-    /// the given order) as all ten numeric columns by name; names and
-    /// paths are never touched.
+    /// the given order) as all ten numeric columns; from version 4 on,
+    /// names and paths are never touched.
     pub fn fold_columns<T, F>(
         &self,
         selected: &[usize],
@@ -373,12 +374,12 @@ impl Store {
         mut fold: F,
     ) -> Result<T, StoreError>
     where
-        F: FnMut(T, usize, &NumericColumns) -> T,
+        F: FnMut(T, usize, &ChunkColumns) -> T,
     {
         let mut reader = self.reader()?;
         let mut acc = init;
         for &idx in selected {
-            acc = fold(acc, idx, &reader.columns(idx, ColumnSet::ALL)?.into());
+            acc = fold(acc, idx, &reader.columns(idx, ColumnSet::ALL)?);
         }
         Ok(acc)
     }
@@ -442,7 +443,7 @@ impl Store {
     /// the template for any statistic over a store: a
     /// [`swim_obs::par_claim`] whose workers each fold the chunks they
     /// claim through a reader of their own. Runs on the numeric column
-    /// projection, so no names or paths are ever decoded.
+    /// projection, so from version 4 on no names or paths are decoded.
     pub fn par_summary(&self) -> Result<TraceSummary, StoreError> {
         /// Jobs, bytes moved and the submit window (seconds) of the
         /// chunks one worker claimed; `min > max` until it has seen a job.
@@ -541,13 +542,18 @@ impl ChunkReader<'_> {
         self.decode(idx, format::ZONE_COLUMNS, format::columns::decode)
     }
 
-    /// Decode the numeric columns of `set` from chunk `idx`; names and
-    /// paths are never touched, and from format version 3 on neither are
-    /// the numeric columns outside `set`. Panics if `idx` is not a chunk
-    /// of the store.
+    /// Decode the numeric columns of `set` from chunk `idx`. From format
+    /// version 4 on, nothing else of the chunk is touched: not names, not
+    /// paths, not the numeric columns outside `set`. An older chunk is
+    /// decoded whole ([`ChunkReader::jobs`], counted as such) and its
+    /// jobs projected ([`ChunkColumns::project`]). Panics if `idx` is
+    /// not a chunk of the store.
     pub fn columns(&mut self, idx: usize, set: ColumnSet) -> Result<ChunkColumns, StoreError> {
-        self.decode(idx, set.len(), |version, body, n| {
-            format::columns::decode_projected(version, body, n, set)
+        if self.store.header.version < format::VERSION {
+            return Ok(ChunkColumns::project(&self.jobs(idx)?, set));
+        }
+        self.decode(idx, set.len(), |_, body, n| {
+            format::columns::decode_projected(body, n, set)
         })
     }
 

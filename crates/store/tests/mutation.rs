@@ -1,53 +1,28 @@
-//! Deterministic mutation battery for the store's decoders, under the
-//! projections ∅, each single column and all ten.
+//! Deterministic mutation battery for the store's decoders.
 //!
 //! **Versions 3 and 4** (`v3-multichunk.swim` and `v4-multichunk.swim`,
-//! the same 40 jobs in varint and in packed blocks; whole files): every
-//! truncation is a typed error at open, and every single flipped bit is
-//! a typed error for whoever reads the damaged part — at open for the
-//! header, footer and trailer, under every projection for a chunk's
-//! framing, and for a column block under exactly the projections that
-//! read it — while every other read still gives the intact file's
-//! values. Never a panic, never `Ok` with different values; a full-row
-//! read refuses every flip.
+//! the same 40 jobs in varint and in packed blocks; whole files), read
+//! under the projections ∅, each single column and all ten, and as jobs:
+//! every truncation is a typed error at open, and every single flipped
+//! bit is a typed error for whoever reads the damaged part — at open for
+//! the header, footer and trailer, and otherwise for every read of the
+//! chunk it is in, except that a column block of a version-4 chunk is
+//! read by exactly the projections that name it — while every other
+//! read still gives the intact file's values. Never a panic, never `Ok`
+//! with different values; a full-row read refuses every flip.
 //!
-//! **Versions 1 and 2** carry no checksums, so the promise is weaker and
-//! made of one chunk payload from each frozen fixture (the payload codec
-//! is the same, the files are not), truncated at every length and with
-//! every bit flipped in turn: [`columns::decode_projected`] gives either
-//! the values of the byte-at-a-time full decode restricted to the
-//! projection, or that decode's error — same variant, same context —
-//! and never panics: skipping a column checks exactly what decoding it
-//! checks.
+//! **Versions 1 and 2** carry no checksums and are read rows-only, so
+//! the promise is weaker and made of one chunk payload from each frozen
+//! fixture (the payload codec is the same, the files are not): every
+//! truncation of it is refused, and with every bit flipped in turn
+//! [`columns::decode`] gives a typed error or a chunk of the right
+//! length — never a panic.
 
 use std::path::PathBuf;
 use swim_store::format::columns::{self, ChunkColumns, ColumnSet};
-use swim_store::format::CHUNK_HEADER_LEN;
-use swim_store::{varint, Store, StoreError, ZONE_COLUMNS};
+use swim_store::format::{self, CHUNK_HEADER_LEN};
+use swim_store::{Store, StoreError, ZONE_COLUMNS};
 use swim_trace::Job;
-
-/// The numeric columns as the decoder read them before the word loop: a
-/// count check, then one [`varint::get_u64`] per value. Returns the
-/// columns and the offset just past them.
-fn reference(payload: &[u8], n: usize) -> Result<([Vec<u64>; ZONE_COLUMNS], usize), StoreError> {
-    let mut pos = 0;
-    let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
-    for (column, values) in cols.iter_mut().enumerate() {
-        if n > payload.len() - pos {
-            return Err(StoreError::Corrupt {
-                context: "column count exceeds remaining chunk bytes",
-            });
-        }
-        let mut prev = 0u64;
-        for _ in 0..n {
-            let v = varint::get_u64(payload, &mut pos)?;
-            // id and submit are stored as wrapping deltas.
-            prev = if column < 2 { prev.wrapping_add(v) } else { v };
-            values.push(prev);
-        }
-    }
-    Ok((cols, pos))
-}
 
 fn projections() -> Vec<ColumnSet> {
     let singles = (0..ZONE_COLUMNS).map(|c| ColumnSet::EMPTY.with(c));
@@ -55,30 +30,6 @@ fn projections() -> Vec<ColumnSet> {
         .into_iter()
         .chain(singles)
         .collect()
-}
-
-/// Every projection of a version-2 `payload` against the reference;
-/// returns whether the payload was accepted.
-fn check(payload: &[u8], n: usize, what: &str) -> bool {
-    let expected = reference(payload, n).map_err(|e| format!("{e:?}"));
-    for set in projections() {
-        let got = columns::decode_projected(2, payload, n, set).map_err(|e| format!("{e:?}"));
-        match (&expected, got) {
-            (Ok((full, _)), Ok(chunk)) => {
-                assert_eq!(chunk.rows, n, "{what}, {set:?}");
-                for (c, values) in chunk.cols.iter().enumerate() {
-                    if set.contains(c) {
-                        assert_eq!(values, &full[c], "{what}, {set:?}, column {c}");
-                    } else {
-                        assert!(values.is_empty(), "{what}, {set:?}, column {c}");
-                    }
-                }
-            }
-            (Err(expected), Err(got)) => assert_eq!(&got, expected, "{what}, {set:?}"),
-            (expected, got) => panic!("{what}, {set:?}: expected {expected:?}, got {got:?}"),
-        }
-    }
-    expected.is_ok()
 }
 
 /// Chunk `idx` of a fixture: its job count and raw payload.
@@ -94,56 +45,50 @@ fn chunk_payload(fixture: &str, version: u16, idx: usize) -> (usize, Vec<u8>) {
     (meta.job_count as usize, block[CHUNK_HEADER_LEN..].to_vec())
 }
 
+/// One version-1 or -2 chunk payload, cut short at every length and
+/// with every bit flipped in turn, decoded as rows — which is what every
+/// projection of such a chunk decodes.
 fn battery(fixture: &str, version: u16, idx: usize) {
     let (n, payload) = chunk_payload(fixture, version, idx);
-    let (_, numeric_end) = reference(&payload, n).expect("the fixture decodes");
-    assert!(check(&payload, n, "intact"));
-    // The numeric decode stops at `numeric_end`; a few bytes of what
-    // follows (name lengths) stay, so word loads at the end of the last
-    // column see real neighbours, and the rest is cut to keep this fast.
-    let payload = &payload[..payload.len().min(numeric_end + 12)];
-    assert!(check(payload, n, "trimmed"));
+    let decode = |payload: &[u8], n: usize| columns::decode(version, payload, n);
+    assert_eq!(decode(&payload, n).expect("the fixture decodes").len(), n);
 
-    let mut rejected = 0;
+    // The decode consumes the payload to its last byte, so any shorter
+    // one runs out.
     for len in 0..payload.len() {
-        let accepted = check(&payload[..len], n, &format!("truncated to {len}"));
-        assert_eq!(accepted, len >= numeric_end, "truncated to {len}");
-        rejected += usize::from(!accepted);
+        match decode(&payload[..len], n) {
+            Err(e) => assert_typed(&e, &format!("truncated to {len}")),
+            Ok(_) => panic!("truncated to {len}: accepted"),
+        }
     }
-    assert_eq!(rejected, numeric_end);
 
-    // Flipped payload bits change a value. Flipped continuation bits
-    // change the framing: every later value moves, and a varint that
-    // grew by a byte runs the decode off the end — unless bytes follow,
-    // so flip with the tail (nearly all accepted, shifted) and without.
-    for payload in [payload, &payload[..numeric_end]] {
-        let (mut accepted, mut rejected) = (0, 0);
-        let mut mutated = payload.to_vec();
-        for bit in 0..payload.len() * 8 {
-            mutated[bit / 8] ^= 1 << (bit % 8);
-            if check(&mutated, n, &format!("bit {bit} flipped")) {
-                accepted += 1;
-            } else {
+    let (mut accepted, mut rejected) = (0u32, 0u32);
+    let mut mutated = payload.clone();
+    for bit in 0..payload.len() * 8 {
+        mutated[bit / 8] ^= 1 << (bit % 8);
+        match decode(&mutated, n) {
+            Err(e) => {
+                assert_typed(&e, &format!("bit {bit} flipped"));
                 rejected += 1;
             }
-            mutated[bit / 8] ^= 1 << (bit % 8);
+            Ok(jobs) => {
+                assert_eq!(jobs.len(), n, "bit {bit} flipped");
+                accepted += 1;
+            }
         }
-        assert!(accepted > rejected, "{accepted} / {rejected}");
-        assert!(
-            rejected > 0 || payload.len() > numeric_end,
-            "{accepted} / {rejected}"
-        );
+        mutated[bit / 8] ^= 1 << (bit % 8);
     }
+    // A flipped value bit changes a value; a flipped continuation bit
+    // moves the framing, and the decode mostly runs off the end.
+    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
 
     // A job count no payload could hold is refused before any column is
-    // reserved for it, whatever the projection.
+    // reserved for it.
     for absurd in [payload.len() + 1, 1 << 40, usize::MAX] {
-        for set in projections() {
-            assert!(matches!(
-                columns::decode_projected(2, payload, absurd, set),
-                Err(StoreError::Corrupt { .. })
-            ));
-        }
+        assert!(matches!(
+            decode(&payload, absurd),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 }
 
@@ -154,8 +99,7 @@ fn v1_chunk_payload_survives_truncation_and_bit_flips_under_every_projection() {
 
 #[test]
 fn v2_chunk_payload_survives_truncation_and_bit_flips_under_every_projection() {
-    // A different chunk than the v1 run, and the short last one (8 jobs:
-    // one word of one-byte varints per narrow column).
+    // A different chunk than the v1 run, and the short last one (8 jobs).
     battery("v2-multichunk.swim", 2, 3);
     battery("v2-multichunk.swim", 2, 7);
 }
@@ -241,11 +185,11 @@ fn assert_typed(e: &StoreError, what: &str) {
 enum Owner {
     /// Header, footer, checksum or trailer: read at open.
     Meta,
-    /// A chunk's fixed header or a length in its table: every read of
-    /// the chunk.
+    /// A chunk's fixed header or a length in its table, or any byte of
+    /// a version-3 chunk (read rows-only): every read of the chunk.
     Framing(usize),
-    /// A chunk's column block or that block's stored checksum: the
-    /// reads that decode the block.
+    /// A version-4 chunk's column block or that block's stored
+    /// checksum: the reads that decode the block.
     Block(usize, usize),
 }
 
@@ -267,13 +211,15 @@ fn owners(image: &[u8]) -> Vec<Owner> {
     let mut owners = vec![Owner::Meta; image.len()];
     for (chunk, meta) in store.chunk_meta().iter().enumerate() {
         let start = meta.offset as usize;
+        owners[start..][..meta.block_len as usize].fill(Owner::Framing(chunk));
+        if store.format_version() < format::VERSION {
+            continue;
+        }
         let table = start + CHUNK_HEADER_LEN;
-        owners[start..table].fill(Owner::Framing(chunk));
         let mut at = table + columns::TABLE_LEN;
         for block in 0..columns::BLOCKS {
             let entry = table + block * 16;
             let len = u64::from_le_bytes(image[entry..entry + 8].try_into().unwrap()) as usize;
-            owners[entry..entry + 8].fill(Owner::Framing(chunk));
             owners[entry + 8..entry + 16].fill(Owner::Block(chunk, block));
             owners[at..at + len].fill(Owner::Block(chunk, block));
             at += len;

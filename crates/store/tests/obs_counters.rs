@@ -1,23 +1,67 @@
 //! The `swim-obs` instruments of the read side. They are process-wide,
 //! so this file holds one test and reads them as deltas.
 
-use swim_store::format::columns::ColumnSet;
-use swim_store::{Store, StoreError, ZoneMap, ZONE_COLUMNS};
+use std::path::PathBuf;
+use swim_store::format::columns::{ChunkColumns, ColumnSet};
+use swim_store::{format, Store, StoreError, ZoneMap, ZONE_COLUMNS};
 
+fn projections() -> Vec<ColumnSet> {
+    let singles = (0..ZONE_COLUMNS).map(|c| ColumnSet::EMPTY.with(c));
+    [ColumnSet::EMPTY, ColumnSet::ALL]
+        .into_iter()
+        .chain(singles)
+        .collect()
+}
+
+/// A projected read of a chunk older than this build's format decodes
+/// it as rows and projects them, and is counted as the whole decode it
+/// is; a current chunk decodes just the columns asked for. Either way
+/// the columns are the chunk's jobs projected.
+///
 /// A damaged file is counted where it is refused: once per read that
 /// meets the damage, at open or at decode, and never by a read that
 /// does not. The decode counters still count the refused attempt.
 #[test]
 fn checksum_failures_count_refused_reads() {
     swim_obs::set_enabled(swim_obs::ALL);
-    let fixture = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/v3-multichunk.swim"
-    );
-    let image = std::fs::read(fixture).unwrap();
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let counter = |delta: &swim_obs::Snapshot, name| delta.counter(name).unwrap_or(0);
+
+    for version in 1..=format::VERSION {
+        let store = Store::open(fixtures.join(format!("v{version}-multichunk.swim"))).unwrap();
+        assert_eq!(store.format_version(), version);
+        let mut reader = store.reader().unwrap();
+        for chunk in 0..store.chunk_count() {
+            let jobs = reader.jobs(chunk).unwrap();
+            for set in projections() {
+                let before = swim_obs::snapshot();
+                let columns = reader.columns(chunk, set).unwrap();
+                let delta = swim_obs::snapshot().delta(&before);
+                let what = format!("v{version}, chunk {chunk}, {set:?}");
+                assert_eq!(columns, ChunkColumns::project(&jobs, set), "{what}");
+                let kept = if version < format::VERSION {
+                    ZONE_COLUMNS
+                } else {
+                    set.len()
+                };
+                let counts = [
+                    "store.chunks_decoded",
+                    "store.columns_decoded",
+                    "store.columns_skipped",
+                ]
+                .map(|name| counter(&delta, name));
+                assert_eq!(
+                    counts,
+                    [1, kept as u64, (ZONE_COLUMNS - kept) as u64],
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    let image = std::fs::read(fixtures.join("v4-multichunk.swim")).unwrap();
     let dir = std::env::temp_dir().join(format!("swim-store-obs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let counter = |delta: &swim_obs::Snapshot, name| delta.counter(name).unwrap_or(0);
 
     // The last byte of chunk 1 (in its last path block), found through
     // the index.

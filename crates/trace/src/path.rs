@@ -6,11 +6,10 @@
 //! paths to ids when ingesting external logs. Synthetic generators mint
 //! `PathId`s directly.
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// Opaque identity of one HDFS file path.
 ///
@@ -61,10 +60,10 @@ impl PathInterner {
     /// Intern `path`, returning its stable id. Repeated calls with the same
     /// string return the same id.
     pub fn intern(&self, path: &str) -> PathId {
-        if let Some(&id) = self.inner.read().by_name.get(path) {
+        if let Some(&id) = self.read().by_name.get(path) {
             return id;
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         // Re-check: another writer may have interned between lock transitions.
         if let Some(&id) = inner.by_name.get(path) {
             return id;
@@ -77,17 +76,22 @@ impl PathInterner {
 
     /// Resolve an id back to its path string, if it was interned here.
     pub fn resolve(&self, id: PathId) -> Option<String> {
-        self.inner.read().names.get(id.0 as usize).cloned()
+        self.read().names.get(id.0 as usize).cloned()
     }
 
     /// Number of distinct paths interned.
     pub fn len(&self) -> usize {
-        self.inner.read().names.len()
+        self.read().names.len()
     }
 
     /// `true` iff nothing interned yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The shared state, read-locked; a poisoned lock is used as is.
+    fn read(&self) -> RwLockReadGuard<'_, InternerInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
