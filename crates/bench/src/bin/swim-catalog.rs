@@ -6,6 +6,7 @@
 //!                                  [--jobs-per-chunk N] [--adopt]
 //! swim-catalog stats DIR [--metrics]
 //! swim-catalog compact DIR [--jobs-per-shard N] [--jobs-per-chunk N] [--vacuum]
+//! swim-catalog verify DIR
 //! swim-catalog query DIR --select AGGS [--where PRED] [--group-by EXPRS]
 //!                        [--order-by N] [--desc] [--limit N]
 //!                        [--format table|md|json] [--serial]
@@ -25,6 +26,11 @@
 //! instrumentation forced on and appends the metrics. `stats --metrics`
 //! adds decoded-column cache counters (lifetime hits, misses, of those
 //! bypassed, evictions — they survive `compact`).
+//!
+//! `verify` decodes every chunk of every shard, which checks every block
+//! against its checksum (opening a shard checks only its header and
+//! footer), prints `FILE: ok` or `FILE: error: …` per shard, and exits 1
+//! if any shard failed.
 
 use std::process::ExitCode;
 use swim_catalog::{Catalog, CatalogOptions};
@@ -37,6 +43,7 @@ const USAGE: &str = "usage:\n\
  [--jobs-per-chunk N] [--adopt]\n\
  swim-catalog stats DIR [--metrics]\n\
  swim-catalog compact DIR [--jobs-per-shard N] [--jobs-per-chunk N] [--vacuum]\n\
+ swim-catalog verify DIR\n\
  swim-catalog query DIR --select AGGS [--where PRED] [--group-by EXPRS] \
  [--order-by N] [--desc] [--limit N] [--format table|md|json] [--serial] \
  [--explain | --profile]\n\
@@ -301,6 +308,44 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+fn cmd_verify(args: &[String]) -> Result<(), CliError> {
+    let (positional, _) = split_flags(args, &[]).map_err(CliError::Usage)?;
+    let [dir] = positional.as_slice() else {
+        return Err(CliError::Usage("verify takes exactly one directory".into()));
+    };
+    let catalog = Catalog::open(dir).map_err(runtime)?;
+    // `ChunkReader::jobs` verifies every block of the chunk it decodes.
+    let verify = |idx: usize| -> Result<(u64, usize), String> {
+        let store = catalog.open_shard(idx).map_err(|e| e.to_string())?;
+        let mut reader = store.reader().map_err(|e| e.to_string())?;
+        for chunk in 0..store.chunk_count() {
+            reader.jobs(chunk).map_err(|e| e.to_string())?;
+        }
+        Ok((store.job_count(), store.chunk_count()))
+    };
+    let mut failed = 0;
+    for (idx, entry) in catalog.shards().iter().enumerate() {
+        match verify(idx) {
+            Ok((jobs, chunks)) => println!(
+                "{}: ok ({jobs} jobs in {chunks} chunk{})",
+                entry.file,
+                if chunks == 1 { "" } else { "s" }
+            ),
+            Err(e) => {
+                failed += 1;
+                println!("{}: error: {e}", entry.file);
+            }
+        }
+    }
+    if failed > 0 {
+        return Err(CliError::Runtime(format!(
+            "{failed} of {} shards failed verification",
+            catalog.shard_count()
+        )));
+    }
+    Ok(())
+}
+
 /// Parse the query subcommand's arguments: one catalog directory plus
 /// the flag set shared with `swim-query` ([`swim_query::cli`]).
 fn parse_query_args(args: &[String]) -> Result<(String, cli::QueryFlags), String> {
@@ -381,6 +426,7 @@ fn main() -> ExitCode {
         "ingest" => cmd_ingest(rest),
         "stats" => cmd_stats(rest),
         "compact" => cmd_compact(rest),
+        "verify" => cmd_verify(rest),
         "query" => cmd_query(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");

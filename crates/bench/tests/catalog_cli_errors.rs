@@ -3,7 +3,8 @@
 //! misplaced flags, unparsable queries) exit 2 with the usage text,
 //! runtime errors (missing or unreadable catalogs) exit 1 without it,
 //! every error prints an `error: …` first line on stderr, and stdout
-//! stays empty.
+//! stays empty — but for `verify`'s per-shard report, which is its
+//! output.
 
 use std::process::Command;
 
@@ -46,6 +47,54 @@ fn init_arity_is_enforced() {
     let (code, _, first) = run(&["init", "a", "b"]);
     assert_eq!(code, 2);
     assert_eq!(first, "error: init takes exactly one directory");
+}
+
+#[test]
+fn verify_arity_is_enforced() {
+    for args in [&["verify"][..], &["verify", "a", "b"]] {
+        let (code, stdout, first) = run(args);
+        assert_eq!(code, 2);
+        assert!(stdout.is_empty());
+        assert_eq!(first, "error: verify takes exactly one directory");
+    }
+    let (code, _, first) = run(&["verify", "some-dir", "--vacuum"]);
+    assert_eq!(code, 2);
+    assert_eq!(first, "error: --vacuum does not apply to this subcommand");
+}
+
+#[test]
+fn verify_names_every_damaged_shard_and_exits_1() {
+    let dir = std::env::temp_dir().join(format!("swim-catalog-verify-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/../../testdata/sample-b.swim");
+    assert_eq!(run(&["init", dir_arg]).0, 0);
+    assert_eq!(run(&["ingest", dir_arg, sample]).0, 0);
+    let (code, stdout, _) = run(&["verify", dir_arg]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(stdout.ends_with(": ok (337 jobs in 1 chunk)\n"), "{stdout}");
+
+    // One flipped bit in the shard's last chunk byte: a path block no
+    // numeric query reads, which only a full decode meets.
+    let shard = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.extension().is_some_and(|e| e == "swim"))
+        .unwrap();
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let chunk = swim_store::Store::from_vec(bytes.clone())
+        .unwrap()
+        .chunk_meta()[0];
+    bytes[(chunk.offset + chunk.block_len) as usize - 1] ^= 0x10;
+    std::fs::write(&shard, bytes).unwrap();
+    let (code, stdout, first) = run(&["verify", dir_arg]);
+    assert_eq!(code, 1);
+    assert!(
+        stdout.contains(": error: checksum mismatch in ") && stdout.ends_with(": column block\n"),
+        "{stdout}"
+    );
+    assert_eq!(first, "error: 1 of 1 shards failed verification");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -364,11 +364,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Adopt the frozen fixture `name` of format `version`, compact it
-    /// at its own chunking (`jobs_per_chunk`), so only the format
-    /// differs: every shard is current, the trace is equal and the shard
-    /// bytes fall.
-    fn compact_upgrades_and_shrinks(name: &str, version: u16, jobs_per_chunk: u32) {
+    /// Adopt the frozen fixture `name` of format `version` and compact
+    /// it at its own chunking (`jobs_per_chunk`), so only the format
+    /// differs: every shard is current and the trace is equal. Returns
+    /// the shard bytes before and after.
+    fn compact_upgrades(name: &str, version: u16, jobs_per_chunk: u32) -> (u64, u64) {
         let dir = temp_dir(&format!("upgrade-v{version}"));
         let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../store/tests/fixtures")
@@ -392,23 +392,30 @@ mod tests {
         }
         assert_eq!(catalog.read_trace().unwrap(), before);
         let after_bytes: u64 = catalog.shards().iter().map(|s| s.bytes).sum();
-        assert!(
-            after_bytes < before_bytes,
-            "{after_bytes} !< {before_bytes}"
-        );
         // Already current: a second compact has nothing to do.
         assert_eq!(catalog.compact(&options).unwrap(), CompactStats::default());
         std::fs::remove_dir_all(&dir).unwrap();
+        (before_bytes, after_bytes)
     }
 
     #[test]
     fn compact_upgrades_adopted_v2_shards_and_they_shrink() {
-        compact_upgrades_and_shrinks("v2-multichunk.swim", 2, 64);
+        let (before, after) = compact_upgrades("v2-multichunk.swim", 2, 64);
+        assert!(after < before, "{after} !< {before}");
     }
 
     #[test]
     fn compact_upgrades_adopted_v3_shards_and_they_shrink() {
-        compact_upgrades_and_shrinks("v3-multichunk.swim", 3, 16);
+        let (before, after) = compact_upgrades("v3-multichunk.swim", 3, 16);
+        assert!(after < before, "{after} !< {before}");
+    }
+
+    #[test]
+    fn compact_upgrades_adopted_v4_shards() {
+        // No shrink asserted: on 40 jobs in chunks of 16, the two table
+        // entries and two block headers a v5 chunk adds outweigh what
+        // its path references save, and the shard grows.
+        compact_upgrades("v4-multichunk.swim", 4, 16);
     }
 
     #[test]

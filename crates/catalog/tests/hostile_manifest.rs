@@ -125,8 +125,8 @@ fn job_counts_that_overflow_their_sum_saturate() {
 #[test]
 fn version_and_machines_are_range_checked_not_truncated() {
     for (tag, from, to) in [
-        // 65540 cut to 16 bits is 4, the version this build writes.
-        ("version", "\tv=4\t", "\tv=65540\t"),
+        // 65541 cut to 16 bits is 5, the version this build writes.
+        ("version", "\tv=5\t", "\tv=65541\t"),
         // 2^32 + 42 cut to 32 bits is the real 42.
         ("machines", "\tmachines=42\t", "\tmachines=4294967338\t"),
     ] {

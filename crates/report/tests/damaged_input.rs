@@ -10,11 +10,11 @@ use swim_report::{Comparison, TraceContext};
 use swim_store::Store;
 
 fn fixture() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures/v4-multichunk.swim")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures/v5-multichunk.swim")
 }
 
-/// Flip a bit in the last byte of the file's first chunk: its output
-/// path ids, which no numeric projection reads.
+/// Flip a bit in the last byte of the file's first chunk: its path
+/// literals, which no numeric projection reads.
 fn damage(path: &Path) {
     let mut bytes = std::fs::read(path).unwrap();
     let first = Store::from_vec(bytes.clone()).unwrap().chunk_meta()[0];

@@ -1,4 +1,4 @@
-//! On-disk layout of the `swim-store` columnar trace format (version 4).
+//! On-disk layout of the `swim-store` columnar trace format (version 5).
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────┐
@@ -7,15 +7,18 @@
 //! │          u32 custom_len + custom kind label bytes              │
 //! ├────────────────────────────────────────────────────────────────┤
 //! │ Chunk 0  "SCHK" u32 job_count  u64 payload_len                 │
-//! │          table: 17 × (u64 length, u64 checksum), one per block │
-//! │          17 column blocks, back to back, every one but stems   │
+//! │          table: 19 × (u64 length, u64 checksum), one per block │
+//! │          19 column blocks, back to back, every one but stems   │
 //! │          bit-packed (crate::pack):                             │
 //! │            10 numeric   per job; id and submit as deltas       │
 //! │            stems        count, then length + bytes each        │
 //! │            codes        per job stem_id * 2 + has_suffix       │
 //! │            suffixes     zigzag delta from the stem's last one  │
-//! │            input paths  per-job counts, then the ids           │
-//! │            output paths per-job counts, then the ids           │
+//! │            2 counts     per job its input, its output paths    │
+//! │            kinds        per path id: fresh, back or literal    │
+//! │            fresh        step over the running maximum          │
+//! │            back         distance to the id's last occurrence   │
+//! │            literals     the id itself                          │
 //! ├────────────────────────────────────────────────────────────────┤
 //! │ Chunk 1 …                                                      │
 //! ├────────────────────────────────────────────────────────────────┤
@@ -38,7 +41,7 @@
 //! the column layout order of [`columns::ChunkColumns`] — so the
 //! `swim-query` planner can skip chunks on arbitrary column predicates.
 //!
-//! **Integers.** Each of the sixteen integer blocks is one
+//! **Integers.** Each of the eighteen integer blocks is one
 //! [`crate::pack`] block: the block's minimum, one bit width, the low
 //! bits of every value above the minimum packed at that width, and the
 //! few values that do not fit patched in after them. The width is the
@@ -46,13 +49,29 @@
 //! columns of a map-only job — costs three bytes a chunk, and no block
 //! costs more than 8 bytes a value plus a 12-byte header. The number of
 //! values is never stored in the block: it is the chunk's rows, the
-//! number of codes with a suffix, or the sum of the path counts. Since
-//! a run of equal values packs to nothing, a chunk's job count is
-//! bounded by the header's `jobs_per_chunk`, itself at most
-//! [`MAX_JOBS_PER_CHUNK`], not by the chunk's length; path ids are never
-//! packed at width 0, so their block's length bounds the path counts.
+//! number of codes with a suffix, the sum of the path counts, or how
+//! many of those references are of a kind. Since a run of equal values
+//! packs to nothing, a chunk's job count is bounded by the header's
+//! `jobs_per_chunk`, itself at most [`MAX_JOBS_PER_CHUNK`], not by the
+//! chunk's length; kinds are never packed at width 0, so their block's
+//! length bounds the path counts.
 //!
-//! **Integrity.** Every byte of a version-3 or -4 file is covered by a
+//! **Path ids.** §4 of the paper finds a job's files mostly new or
+//! touched shortly before (Figs. 5–6). A chunk's path ids are one stream
+//! in job order — each job's inputs, then its outputs — and each is one
+//! of three references: *fresh* (kind 0), an id above every id before it
+//! in the chunk, stored as its step over their maximum less one (the
+//! chunk's first id whole); *back* (1), the id `d + 1` references
+//! earlier, stored as `d`; or *literal* (2), the id itself. Ids minted
+//! densely in order of first use make a new file a fresh step near zero
+//! and a recent re-access a short distance; only an old file costs a
+//! whole id. The writer finds back-references through a direct-mapped
+//! memo of where each id last occurred, so a collision turns one into a
+//! literal: hostile ids cost bytes, never time. A reader just follows
+//! the distances. Ids with neither order nor repeats pay two bits a
+//! kind over storing them whole.
+//!
+//! **Integrity.** Every byte of a version-3 or later file is covered by a
 //! [`checksum`] or by a check against bytes that are. The trailer's
 //! checksum covers the header, the footer and the footer offset, and is
 //! verified at open. Each chunk's table holds the length and checksum of
@@ -80,9 +99,12 @@
 //! plus a code of at most 21 bits (13 at the default chunk size).
 //!
 //! Older versions still open and scan, but only as whole rows: a
-//! projected read of an older chunk decodes its jobs and projects them.
-//! Version 3 has this layout with every integer block a run of LEB128
-//! varints ([`varint`]), at least a byte a value. Versions 1 and 2 store
+//! projected read of an older chunk decodes its jobs and projects them
+//! — versions 1–4 are read rows-only. Version 4 has seventeen blocks:
+//! the path ids are whole, after each list's counts (input counts, ids,
+//! output counts, ids). Version 3 has version 4's layout with every
+//! integer block a run of LEB128 varints ([`varint`]), at least a byte a
+//! value. Versions 1 and 2 store
 //! thirteen varint column blocks with no table — names as a length
 //! column and the raw bytes — and nothing in them is checksummed.
 //! Version 1 also lacks the zone-map section; readers synthesize
@@ -104,16 +126,17 @@ pub const CHUNK_MAGIC: u32 = u32::from_le_bytes(*b"SCHK");
 pub const FOOTER_MAGIC: u32 = u32::from_le_bytes(*b"SFTR");
 /// Zone-map section magic (footer, version ≥ 2).
 pub const ZONE_MAGIC: u32 = u32::from_le_bytes(*b"SZMP");
-/// Format version written by this build (v4: bit-packed integer blocks;
-/// v3: block table, checksums, stem-coded names).
-pub const VERSION: u16 = 4;
+/// Format version written by this build (v5: path ids as references;
+/// v4: bit-packed integer blocks; v3: block table, checksums, stem-coded
+/// names).
+pub const VERSION: u16 = 5;
 /// The original format version: no zone-map section in the footer.
 pub const VERSION_1: u16 = 1;
 
 /// Largest `jobs_per_chunk` a file may have. Chunks are decoded whole,
 /// so a chunk bigger than this defeats both chunk skipping and the
 /// bounded memory of streaming scans; the writer caps requests above it
-/// and readers refuse a version-4 file that claims more.
+/// and readers refuse a file of version 4 or later that claims more.
 pub const MAX_JOBS_PER_CHUNK: u32 = 1 << 20;
 
 /// `true` for versions 1 and 2, which carry no block table and no
@@ -709,17 +732,30 @@ pub mod columns {
     use std::collections::HashMap;
     use swim_trace::{Job, JobBuilder, PathId};
 
-    /// Column blocks in a version-3 or -4 chunk: the ten numeric
-    /// columns, then stems, codes, suffixes, and per path list counts
-    /// and ids.
-    pub const BLOCKS: usize = ZONE_COLUMNS + 3 + 4;
-    /// Bytes of a chunk's block table: a `u64` length and a `u64`
+    /// Column blocks in a chunk of this build's format: the ten numeric
+    /// columns; stems, codes and suffixes; the input and output path
+    /// counts; then kinds, fresh steps, back distances and literals.
+    pub const BLOCKS: usize = ZONE_COLUMNS + 3 + 2 + 4;
+    /// Bytes of such a chunk's block table: a `u64` length and a `u64`
     /// [`checksum`] per block.
     pub const TABLE_LEN: usize = BLOCKS * 16;
     /// The first of the three name blocks (stems, codes, suffixes).
     const NAME_BLOCKS: usize = ZONE_COLUMNS;
-    /// The first of the four path blocks.
+    /// The first path block: the input path counts.
     const PATH_BLOCKS: usize = NAME_BLOCKS + 3;
+    /// The first of the four reference blocks: the kinds.
+    const KIND_BLOCK: usize = PATH_BLOCKS + 2;
+    /// The reference kinds: kind `k`'s values are block `KIND_BLOCK + 1 + k`.
+    const FRESH: u64 = 0;
+    const BACK: u64 = 1;
+    const LITERAL: u64 = 2;
+    /// The writer's memo of where each id last occurred has `2^12` slots.
+    const MEMO_BITS: u32 = 12;
+
+    /// The memo slot of `id`: the top bits of a multiplicative hash.
+    pub(crate) fn memo_slot(id: u64) -> usize {
+        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - MEMO_BITS)) as usize
+    }
 
     /// Split a name as `stem ‖ decimal(suffix)`: the suffix is the longest
     /// run of ASCII digits at the end of `name` that fits a `u64` and has
@@ -809,9 +845,10 @@ pub mod columns {
     /// Incremental encoder of one chunk block. [`Encoder::push`] appends
     /// a job's fields to per-column value buffers and widens the chunk's
     /// zone map in the same pass — no job is kept — and
-    /// [`Encoder::finish`] packs each buffer into its column block and
-    /// writes the chunk: fixed header, the table of the blocks' lengths
-    /// and checksums, then the blocks in layout order.
+    /// [`Encoder::finish`] makes the path ids into references, packs each
+    /// buffer into its column block and writes the chunk: fixed header,
+    /// the table of the blocks' lengths and checksums, then the blocks in
+    /// layout order.
     #[derive(Debug)]
     pub struct Encoder {
         rows: usize,
@@ -819,8 +856,15 @@ pub mod columns {
         /// Last id and submit, the running values of the delta columns.
         prev: [u64; DELTA_COLUMNS],
         names: NameEncoder,
-        /// Input and output path lists: per-job counts, flattened ids.
-        paths: [(Vec<u64>, Vec<u64>); 2],
+        /// Per job, its input and its output path count.
+        path_counts: [Vec<u64>; 2],
+        /// The path ids in stream order: each job's inputs, then outputs.
+        path_ids: Vec<u64>,
+        /// What `finish` makes of them: kinds, fresh steps, back
+        /// distances and literals.
+        references: [Vec<u64>; 4],
+        /// Per [`memo_slot`], where in `path_ids` the last id in it was.
+        memo: Vec<usize>,
         zone: ZoneMap,
         /// The chunk's column blocks, back to back, as `finish` packs
         /// them.
@@ -834,7 +878,10 @@ pub mod columns {
                 numeric: Default::default(),
                 prev: [0; DELTA_COLUMNS],
                 names: NameEncoder::default(),
-                paths: Default::default(),
+                path_counts: Default::default(),
+                path_ids: Vec::new(),
+                references: Default::default(),
+                memo: vec![0; 1 << MEMO_BITS],
                 zone: ZoneMap::EMPTY,
                 blocks: Vec::new(),
             }
@@ -861,20 +908,42 @@ pub mod columns {
                 }
             }
             self.names.push(&job.name);
-            for ((counts, ids), list) in self
-                .paths
-                .iter_mut()
-                .zip([&job.input_paths, &job.output_paths])
-            {
+            let lists = [&job.input_paths, &job.output_paths];
+            for (counts, list) in self.path_counts.iter_mut().zip(lists) {
                 counts.push(list.len() as u64);
-                ids.extend(list.iter().map(|id| id.0));
+                self.path_ids.extend(list.iter().map(|id| id.0));
             }
             self.rows += 1;
+        }
+
+        /// Make the chunk's path ids into references. A memo slot is
+        /// believed only if the id at the position it holds is this one.
+        /// A slot no earlier id of this chunk has reached holds a stale
+        /// position, and the id there is not this one, or it would have
+        /// reached the slot: the memo needs no reset between chunks.
+        fn reference_paths(&mut self) {
+            let [kinds, fresh, back, literals] = &mut self.references;
+            let mut max = None;
+            for (at, &id) in self.path_ids.iter().enumerate() {
+                let last = std::mem::replace(&mut self.memo[memo_slot(id)], at);
+                if Some(id) > max {
+                    kinds.push(FRESH);
+                    fresh.push(max.map_or(id, |max| id - max - 1));
+                    max = Some(id);
+                } else if last < at && self.path_ids.get(last) == Some(&id) {
+                    kinds.push(BACK);
+                    back.push((at - last - 1) as u64);
+                } else {
+                    kinds.push(LITERAL);
+                    literals.push(id);
+                }
+            }
         }
 
         /// Append the chunk's block to `out`, return the chunk's zone map
         /// ([`ZoneMap::EMPTY`] for no rows), and start an empty chunk.
         pub fn finish(&mut self, out: &mut Vec<u8>) -> ZoneMap {
+            self.reference_paths();
             let blocks = &mut self.blocks;
             blocks.clear();
             // Where each block ends in `blocks`.
@@ -886,16 +955,19 @@ pub mod columns {
             let names = &mut self.names;
             names.finish_stems(blocks);
             ends.push(blocks.len());
-            let [(in_counts, in_ids), (out_counts, out_ids)] = &self.paths;
-            // Path ids are never packed at width 0, so the length of their
+            let [in_counts, out_counts] = &self.path_counts;
+            let [kinds, fresh, back, literals] = &self.references;
+            // Kinds are never packed at width 0, so the length of their
             // block bounds the path counts.
             for (values, min_width) in [
                 (&names.codes, 0),
                 (&names.suffixes, 0),
                 (in_counts, 0),
-                (in_ids, 1),
                 (out_counts, 0),
-                (out_ids, 1),
+                (kinds, 1),
+                (fresh, 0),
+                (back, 0),
+                (literals, 0),
             ] {
                 pack::encode(blocks, values, min_width);
                 ends.push(blocks.len());
@@ -916,8 +988,11 @@ pub mod columns {
             let values = self
                 .numeric
                 .iter_mut()
-                .chain([&mut self.names.codes, &mut self.names.suffixes]);
-            for column in values.chain(self.paths.iter_mut().flat_map(|(c, i)| [c, i])) {
+                .chain([&mut self.names.codes, &mut self.names.suffixes])
+                .chain(&mut self.path_counts)
+                .chain([&mut self.path_ids])
+                .chain(&mut self.references);
+            for column in values {
                 column.clear();
             }
             self.rows = 0;
@@ -1049,24 +1124,25 @@ pub mod columns {
         }
     }
 
-    /// A version-3 or -4 chunk body (what follows the fixed chunk
+    /// A chunk body of version 3 or later (what follows the fixed chunk
     /// header) cut into its column blocks by the table that starts it.
     struct Blocks<'a> {
-        /// Each block's bytes and stored checksum, in layout order.
+        /// Each block's bytes and stored checksum, in layout order (the
+        /// last two empty in a version-3 or -4 chunk).
         blocks: [(&'a [u8], u64); BLOCKS],
     }
 
     impl<'a> Blocks<'a> {
-        /// Read the table and cut the rest of `body` by its lengths, which
-        /// must add up to exactly what is there. Nothing is verified or
-        /// reserved yet.
-        fn parse(body: &'a [u8]) -> Result<Blocks<'a>, StoreError> {
+        /// Read the table of `count` blocks and cut the rest of `body` by
+        /// its lengths, which must add up to exactly what is there.
+        /// Nothing is verified or reserved yet.
+        fn parse(body: &'a [u8], count: usize) -> Result<Blocks<'a>, StoreError> {
             let mut table = Reader::new(body);
-            let mut rest = body.get(TABLE_LEN..).ok_or(StoreError::Truncated {
+            let mut rest = body.get(count * 16..).ok_or(StoreError::Truncated {
                 context: "chunk shorter than its block table",
             })?;
-            let mut blocks = [(rest, 0u64); BLOCKS];
-            for block in &mut blocks {
+            let mut blocks = [(&[][..], 0u64); BLOCKS];
+            for block in blocks.iter_mut().take(count) {
                 let len = usize::try_from(table.u64()?).ok();
                 let (bytes, after) =
                     len.and_then(|len| rest.split_at_checked(len))
@@ -1144,7 +1220,7 @@ pub mod columns {
         n: usize,
         set: ColumnSet,
     ) -> Result<ChunkColumns, StoreError> {
-        decode_blocks(VERSION, &Blocks::parse(body)?, n, set)
+        decode_blocks(VERSION, &Blocks::parse(body, BLOCKS)?, n, set)
     }
 
     fn decode_blocks(
@@ -1169,7 +1245,13 @@ pub mod columns {
         if is_legacy(version) {
             return decode_v2(body, n);
         }
-        let blocks = Blocks::parse(body)?;
+        // Up to version 4 the path ids are two blocks, not four.
+        let count = if version < VERSION {
+            BLOCKS - 2
+        } else {
+            BLOCKS
+        };
+        let blocks = Blocks::parse(body, count)?;
         let numeric = decode_blocks(version, &blocks, n, ColumnSet::ALL)?;
         let names = decode_names(
             version,
@@ -1178,18 +1260,7 @@ pub mod columns {
             blocks.verified(NAME_BLOCKS + 2)?,
             n,
         )?;
-        let inputs = decode_paths(
-            version,
-            blocks.verified(PATH_BLOCKS)?,
-            blocks.verified(PATH_BLOCKS + 1)?,
-            n,
-        )?;
-        let outputs = decode_paths(
-            version,
-            blocks.verified(PATH_BLOCKS + 2)?,
-            blocks.verified(PATH_BLOCKS + 3)?,
-            n,
-        )?;
+        let [inputs, outputs] = decode_paths(version, &blocks, n)?;
         build_jobs(numeric, names, inputs, outputs)
     }
 
@@ -1269,33 +1340,97 @@ pub mod columns {
         out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
     }
 
-    /// The path lists of a chunk of `n` jobs from a counts block and an
-    /// ids block.
+    /// The input and the output path lists of a chunk of `n` jobs. Up to
+    /// version 4 each list is a counts block and a block of whole ids;
+    /// from version 5 both counts blocks come first, then one reference
+    /// stream.
     fn decode_paths(
         version: u16,
-        counts: &[u8],
-        ids: &[u8],
+        blocks: &Blocks<'_>,
         n: usize,
-    ) -> Result<Vec<Vec<PathId>>, StoreError> {
-        let counts = whole_column(version, counts, n, false)?;
-        // Each id takes at least a bit (a byte before version 4; ids are
-        // never packed at width 0), so the block's length bounds every
-        // count before a list is reserved for it.
-        let total = counts
+    ) -> Result<[Vec<Vec<PathId>>; 2], StoreError> {
+        let streamed = version >= VERSION;
+        let mut counts: [Vec<u64>; 2] = Default::default();
+        let mut ids: [Vec<u64>; 2] = Default::default();
+        for (list, counts) in counts.iter_mut().enumerate() {
+            let at = PATH_BLOCKS + if streamed { list } else { 2 * list };
+            *counts = whole_column(version, blocks.verified(at)?, n, false)?;
+        }
+        if streamed {
+            let mut stream = decode_references(blocks, &counts.concat())?.into_iter();
+            for job in 0..n {
+                for (ids, counts) in ids.iter_mut().zip(&counts) {
+                    ids.extend(stream.by_ref().take(counts[job] as usize));
+                }
+            }
+        } else {
+            for (list, ids) in ids.iter_mut().enumerate() {
+                let block = blocks.verified(PATH_BLOCKS + 2 * list + 1)?;
+                let total = bounded(&counts[list], block, "path counts exceed the ids block")?;
+                *ids = whole_column(version, block, total, false)?;
+            }
+        }
+        Ok([0, 1].map(|list| {
+            let mut ids = std::mem::take(&mut ids[list]).into_iter().map(PathId);
+            let counts = counts[list].iter();
+            counts
+                .map(|&count| ids.by_ref().take(count as usize).collect())
+                .collect()
+        }))
+    }
+
+    /// Σ `counts`, refused unless `block` can hold that many values of
+    /// at least a bit each (a byte before version 4; neither ids nor
+    /// kinds are ever packed at width 0), so no list is reserved for a
+    /// count its bytes do not bear out.
+    fn bounded(counts: &[u64], block: &[u8], context: &'static str) -> Result<usize, StoreError> {
+        counts
             .iter()
             .try_fold(0u64, |sum, &count| sum.checked_add(count))
             .and_then(|total| usize::try_from(total).ok())
-            .filter(|&total| total <= ids.len().saturating_mul(8))
-            .ok_or(StoreError::Corrupt {
-                context: "path counts exceed the ids block",
-            })?;
-        let mut ids = whole_column(version, ids, total, false)?
-            .into_iter()
-            .map(PathId);
-        Ok(counts
-            .iter()
-            .map(|&count| ids.by_ref().take(count as usize).collect())
-            .collect())
+            .filter(|&total| total <= block.len().saturating_mul(8))
+            .ok_or(StoreError::Corrupt { context })
+    }
+
+    /// The path ids of a version-5 chunk in stream order, as many as its
+    /// path `counts` add up to, rebuilt from its four reference blocks.
+    fn decode_references(blocks: &Blocks<'_>, counts: &[u64]) -> Result<Vec<u64>, StoreError> {
+        let corrupt = |context| StoreError::Corrupt { context };
+        let kinds = blocks.verified(KIND_BLOCK)?;
+        let total = bounded(counts, kinds, "path counts exceed the kinds block")?;
+        let kinds = pack::decode(kinds, total)?;
+        let mut per_kind = [0; 3];
+        for &kind in &kinds {
+            let count = usize::try_from(kind).ok().and_then(|k| per_kind.get_mut(k));
+            *count.ok_or(corrupt("path reference kind above 2"))? += 1;
+        }
+        let values = |kind: usize| -> Result<_, StoreError> {
+            let block = blocks.verified(KIND_BLOCK + 1 + kind)?;
+            Ok(pack::decode(block, per_kind[kind])?.into_iter())
+        };
+        let (mut fresh, mut back, mut literals) = (values(0)?, values(1)?, values(2)?);
+        let mut ids: Vec<u64> = Vec::with_capacity(total);
+        let mut max = None;
+        for kind in kinds {
+            // Each kind's block holds one value per reference of it.
+            let id = match kind {
+                FRESH => {
+                    let step = fresh.next().unwrap_or_default();
+                    let id =
+                        max.map_or(Some(step), |max: u64| max.checked_add(step)?.checked_add(1));
+                    id.ok_or(corrupt("fresh path id step overflows u64"))?
+                }
+                BACK => {
+                    let distance = usize::try_from(back.next().unwrap_or_default()).ok();
+                    let id = distance.and_then(|d| ids.iter().rev().nth(d).copied());
+                    id.ok_or(corrupt("path back-reference before the chunk's first id"))?
+                }
+                _ => literals.next().unwrap_or_default(),
+            };
+            max = max.max(Some(id));
+            ids.push(id);
+        }
+        Ok(ids)
     }
 
     /// Decode `n` jobs from a version-1 or version-2 chunk payload:
@@ -1398,6 +1533,7 @@ pub mod columns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn header_round_trip_paper_kind() {
@@ -1722,14 +1858,46 @@ mod tests {
         }
         blocks.extend([packed_reference(&codes, 0), packed_reference(&suffixes, 0)]);
 
-        // Path ids never at width 0.
-        for paths in [
-            jobs.iter().map(|j| &j.input_paths).collect::<Vec<_>>(),
-            jobs.iter().map(|j| &j.output_paths).collect::<Vec<_>>(),
-        ] {
-            let counts: Vec<u64> = paths.iter().map(|p| p.len() as u64).collect();
-            let ids: Vec<u64> = paths.iter().flat_map(|p| p.iter().map(|id| id.0)).collect();
-            blocks.extend([packed_reference(&counts, 0), packed_reference(&ids, 1)]);
+        // Paths: per job its input count, then its output count; then
+        // every id, each job's inputs before its outputs, as fresh (0)
+        // if above every id before it — its step over their maximum less
+        // one, the first id whole — else as back (1) if the last id
+        // before it in its memo slot is itself — the number of ids
+        // between — else as itself (2). Kinds never at width 0.
+        blocks.push(packed_reference(
+            &jobs
+                .iter()
+                .map(|j| j.input_paths.len() as u64)
+                .collect::<Vec<_>>(),
+            0,
+        ));
+        blocks.push(packed_reference(
+            &jobs
+                .iter()
+                .map(|j| j.output_paths.len() as u64)
+                .collect::<Vec<_>>(),
+            0,
+        ));
+        let stream: Vec<u64> = jobs
+            .iter()
+            .flat_map(|j| j.input_paths.iter().chain(&j.output_paths))
+            .map(|id| id.0)
+            .collect();
+        let mut references: [Vec<u64>; 4] = Default::default();
+        for (at, &id) in stream.iter().enumerate() {
+            let before = &stream[..at];
+            let same_slot = |&other: &u64| columns::memo_slot(other) == columns::memo_slot(id);
+            let (kind, value) = match (before.iter().max(), before.iter().rposition(same_slot)) {
+                (None, _) => (0, id),
+                (Some(&max), _) if id > max => (0, id - max - 1),
+                (_, Some(last)) if before[last] == id => (1, (at - last - 1) as u64),
+                _ => (2, id),
+            };
+            references[0].push(kind);
+            references[kind as usize + 1].push(value);
+        }
+        for (kind, values) in references.iter().enumerate() {
+            blocks.push(packed_reference(values, u32::from(kind == 0)));
         }
         assert_eq!(blocks.len(), columns::BLOCKS);
 
@@ -1748,6 +1916,11 @@ mod tests {
     #[test]
     fn encoder_matches_the_column_at_a_time_layout() {
         use swim_trace::{JobBuilder, PathId};
+        // An id in the memo slot of 2^40, which the inputs below re-read:
+        // where it comes between two of them the second is a literal.
+        let twin = (0..)
+            .find(|&id| columns::memo_slot(id) == columns::memo_slot(1 << 40))
+            .unwrap();
         let jobs: Vec<Job> = (0..300u64)
             .map(|i| {
                 let name = match i % 6 {
@@ -1769,7 +1942,10 @@ mod tests {
                     .reduce_task_time(Dur::from_secs(i % 55))
                     .tasks(u32::MAX - i as u32, (i % 3) as u32)
                     .input_paths((0..i % 4).map(|p| PathId(p << 40)).collect())
-                    .output_paths(vec![PathId(i); (i % 2) as usize])
+                    .output_paths(match i % 5 {
+                        0 => vec![PathId(twin), PathId(i)],
+                        _ => vec![PathId(i); (i % 2) as usize],
+                    })
                     .build_unchecked()
             })
             .collect();
@@ -1802,10 +1978,11 @@ mod tests {
         block.split_off(CHUNK_HEADER_LEN)
     }
 
-    /// Where each block of a chunk body starts, by its table.
-    fn block_starts(body: &[u8]) -> Vec<usize> {
-        (0..columns::BLOCKS)
-            .scan(columns::TABLE_LEN, |start, b| {
+    /// Where each of the `count` blocks of a chunk body starts, by its
+    /// table.
+    fn block_starts(body: &[u8], count: usize) -> Vec<usize> {
+        (0..count)
+            .scan(count * 16, |start, b| {
                 let len = u64::from_le_bytes(body[b * 16..][..8].try_into().unwrap());
                 let this = *start;
                 *start += len as usize;
@@ -1814,18 +1991,15 @@ mod tests {
             .collect()
     }
 
-    /// One chunk body of `jobs`, with block `index` replaced by `bytes`
-    /// (its table entry rewritten to match, so only the block's own
-    /// decode can object).
-    fn body_with_block(jobs: &[Job], index: usize, bytes: &[u8]) -> Vec<u8> {
-        let body = body_of(jobs);
-        let lens: Vec<usize> = (0..columns::BLOCKS)
-            .map(|b| u64::from_le_bytes(body[b * 16..][..8].try_into().unwrap()) as usize)
-            .collect();
-        let start = block_starts(&body)[index];
+    /// A chunk body of `count` blocks with block `index` replaced by
+    /// `bytes` (its table entry rewritten to match, so only the block's
+    /// own decode can object).
+    fn with_block(body: &[u8], count: usize, index: usize, bytes: &[u8]) -> Vec<u8> {
+        let len = u64::from_le_bytes(body[index * 16..][..8].try_into().unwrap()) as usize;
+        let start = block_starts(body, count)[index];
         let mut out = body[..start].to_vec();
         out.extend_from_slice(bytes);
-        out.extend_from_slice(&body[start + lens[index]..]);
+        out.extend_from_slice(&body[start + len..]);
         out[index * 16..][..8].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
         out[index * 16 + 8..][..8].copy_from_slice(&checksum(bytes).to_le_bytes());
         out
@@ -1833,12 +2007,19 @@ mod tests {
 
     #[test]
     fn declared_counts_never_drive_an_allocation() {
-        use swim_trace::JobBuilder;
+        use swim_trace::{JobBuilder, PathId};
+        // Paths 0, 1, 2: three fresh references, steps 0 (the first id
+        // whole), 0 and 0, so the kinds block is four bytes.
         let jobs: Vec<Job> = (0..3u64)
-            .map(|i| JobBuilder::new(i).name(format!("a{i}")).build_unchecked())
+            .map(|i| {
+                JobBuilder::new(i)
+                    .name(format!("a{i}"))
+                    .input_paths(vec![PathId(i)])
+                    .build_unchecked()
+            })
             .collect();
         let corrupt = |index: usize, bytes: &[u8], want: &str| {
-            let body = body_with_block(&jobs, index, bytes);
+            let body = with_block(&body_of(&jobs), columns::BLOCKS, index, bytes);
             match columns::decode(VERSION, &body, jobs.len()) {
                 Err(StoreError::Corrupt { context }) => assert_eq!(context, want),
                 other => panic!("block {index} = {bytes:02x?}: {other:?}"),
@@ -1869,15 +2050,56 @@ mod tests {
         corrupt(10, &[1, 1, 0xFF], "job name not utf-8");
         // Codes: a stem that is not listed.
         corrupt(11, &packed(&[3, 1, 5]), "name code names no stem");
-        // Path counts: more ids than the (empty, three-byte) ids block
+        // Path counts: more references than the four-byte kinds block
         // has bits, than a u64 can count, or 2^40 of them from a width-0
         // block that is one exception.
-        let exceed = "path counts exceed the ids block";
-        corrupt(13, &packed(&[0, 25, 0]), exceed);
-        corrupt(15, &packed(&[u64::MAX, u64::MAX, 0]), exceed);
+        let exceed = "path counts exceed the kinds block";
+        corrupt(13, &packed(&[0, 40, 0]), exceed);
+        corrupt(14, &packed(&[u64::MAX, u64::MAX, 0]), exceed);
         let bomb = [&[0, 0, 1, 0][..], &[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]].concat();
         assert_eq!(pack::decode(&bomb, 3).unwrap(), [1 << 40, 0, 0]);
         corrupt(13, &bomb, exceed);
+        // References: a kind of 3; a back-reference first, which reaches
+        // before the chunk (distance 0 from the width-0 back block); a
+        // fresh step past u64::MAX.
+        corrupt(15, &packed(&[0, 3, 0]), "path reference kind above 2");
+        corrupt(
+            15,
+            &packed(&[1, 0, 0]),
+            "path back-reference before the chunk's first id",
+        );
+        corrupt(
+            16,
+            &packed(&[0, u64::MAX, 0]),
+            "fresh path id step overflows u64",
+        );
+        // Version 4, which still opens: the first chunk of the frozen
+        // fixture, its input counts declaring one id more than its ids
+        // block has bits, or more than a u64 can count.
+        let file = include_bytes!("../tests/fixtures/v4-multichunk.swim");
+        let header = Header::decode(file).unwrap();
+        assert_eq!(header.version, 4);
+        let at = header.encoded_len();
+        let n = u32::from_le_bytes(file[at + 4..][..4].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(file[at + 8..][..8].try_into().unwrap()) as usize;
+        let v4 = &file[at..][..CHUNK_HEADER_LEN + len];
+        assert_eq!(decode_chunk_header(v4).unwrap(), (n as u32, len as u64));
+        let (v4, v4_blocks) = (&v4[CHUNK_HEADER_LEN..], columns::BLOCKS - 2);
+        assert_eq!(columns::decode(4, v4, n).unwrap().len(), n);
+        let ids_len = u64::from_le_bytes(v4[14 * 16..][..8].try_into().unwrap());
+        let mut over = vec![0; n];
+        over[1] = 8 * ids_len + 1;
+        let mut wraps = vec![0; n];
+        wraps[..2].fill(u64::MAX);
+        for counts in [over, wraps] {
+            let body = with_block(v4, v4_blocks, 13, &packed(&counts));
+            match columns::decode(4, &body, n) {
+                Err(StoreError::Corrupt { context }) => {
+                    assert_eq!(context, "path counts exceed the ids block")
+                }
+                other => panic!("v4 input counts {counts:?}: {other:?}"),
+            }
+        }
         // Any integer block: an exception past the jobs, and high bits
         // that do not fit above the width.
         corrupt(
@@ -1891,7 +2113,7 @@ mod tests {
         corrupt(2, &wide, "exception bits overflow u64");
 
         // The table: lengths past the payload, short of it, and wrapping.
-        let body = body_with_block(&jobs, 12, &[2, 2, 2]);
+        let body = with_block(&body_of(&jobs), columns::BLOCKS, 12, &[2, 2, 2]);
         for (entry, len, want) in [
             (0, 1 << 40, "block lengths exceed chunk payload"),
             (16, u64::MAX, "block lengths exceed chunk payload"),
@@ -1932,9 +2154,9 @@ mod tests {
         let input = ZoneMap::IO[0];
         let intact = body_of(&jobs);
         let mut damaged = intact.clone();
-        let last = damaged.len() - 1; // in the output path ids
+        let last = damaged.len() - 1; // in the path literals
         damaged[last] ^= 1;
-        let at_input = block_starts(&intact)[input] + 5;
+        let at_input = block_starts(&intact, columns::BLOCKS)[input] + 5;
         damaged[at_input] ^= 0x10;
         let set = |c| columns::ColumnSet::EMPTY.with(c);
         for column in (0..ZONE_COLUMNS).filter(|&c| c != input) {
@@ -1954,6 +2176,103 @@ mod tests {
             Err(StoreError::Checksum { .. })
         ));
         assert_eq!(columns::decode(VERSION, &intact, 40).unwrap(), jobs);
+    }
+
+    #[test]
+    fn ids_with_neither_order_nor_repeats_cost_two_bits_a_kind_over_whole_ids() {
+        use swim_trace::{JobBuilder, PathId};
+        // 8,192 hashed ids: each of 4,096 jobs reads one and writes one.
+        let hashed = |i: u64| checksum(&i.to_le_bytes());
+        let jobs: Vec<Job> = (0..4096u64)
+            .map(|i| {
+                JobBuilder::new(i)
+                    .input_paths(vec![PathId(hashed(2 * i))])
+                    .output_paths(vec![PathId(hashed(2 * i + 1))])
+                    .build_unchecked()
+            })
+            .collect();
+        let body = body_of(&jobs);
+        let len = |b: usize| u64::from_le_bytes(body[b * 16..][..8].try_into().unwrap()) as usize;
+        let references: usize = (15..19).map(len).sum();
+        // Version 4 stored each list's ids whole, never at width 0.
+        let whole: usize = (0..2)
+            .map(|list| {
+                let ids: Vec<u64> = (0..4096).map(|i| hashed(2 * i + list)).collect();
+                let mut block = Vec::new();
+                pack::encode(&mut block, &ids, 1);
+                block.len()
+            })
+            .sum();
+        let most = 8192usize.div_ceil(4) + 4 * pack::MAX_HEADER_LEN;
+        assert!(
+            references <= whole + most,
+            "{references} B > {whole} B + {most} B"
+        );
+        assert_eq!(columns::decode(VERSION, &body, jobs.len()).unwrap(), jobs);
+    }
+
+    /// Jobs whose path ids are minted densely (fresh), re-read soon
+    /// (back) or long after (back, or literal once their memo slot has
+    /// moved on), 0, `u64::MAX`, runs of one id, ids sharing a memo slot
+    /// with the first ids minted, and noise.
+    fn arb_path_jobs() -> impl Strategy<Value = Vec<Job>> {
+        let draws = prop::collection::vec((0u8..8, any::<u64>(), 0u8..3), 0..300);
+        draws.prop_map(|draws| {
+            let twin = |id: u64| {
+                let slot = columns::memo_slot(id);
+                (id + 1..).find(|&other| columns::memo_slot(other) == slot)
+            };
+            let (mut ids, mut minted) = (Vec::new(), 0u64);
+            let (mut jobs, mut lists) = (Vec::new(), [Vec::new(), Vec::new()]);
+            for (kind, r, cut) in draws {
+                let id = match kind {
+                    0 => {
+                        minted += 1 + r % 3;
+                        minted
+                    }
+                    1 => ids.iter().rev().nth(r as usize % 8).copied().unwrap_or(r),
+                    2 => ids.get(r as usize % ids.len().max(1)).copied().unwrap_or(r),
+                    3 => 0,
+                    4 => u64::MAX,
+                    5 => ids.last().copied().unwrap_or(r),
+                    6 => twin(r % 16).unwrap_or(r),
+                    _ => r,
+                };
+                ids.push(id);
+                // Into the job's inputs (0) or outputs (1, 2); 2 also
+                // closes the job.
+                lists[usize::from(cut > 0)].push(swim_trace::PathId(id));
+                if cut == 2 {
+                    let [inputs, outputs] = std::mem::take(&mut lists);
+                    jobs.push(
+                        swim_trace::JobBuilder::new(jobs.len() as u64)
+                            .input_paths(inputs)
+                            .output_paths(outputs)
+                            .build_unchecked(),
+                    );
+                }
+            }
+            jobs
+        })
+    }
+
+    proptest! {
+        /// Every id stream comes back exactly, through one encoder at
+        /// chunk sizes 1, 7 and 4,096 — its memo carried from chunk to
+        /// chunk.
+        #[test]
+        fn path_references_round_trip_at_every_chunk_size(jobs in arb_path_jobs()) {
+            for size in [1, 7, 4096] {
+                let mut encoder = columns::Encoder::default();
+                for chunk in jobs.chunks(size) {
+                    chunk.iter().for_each(|job| encoder.push(job));
+                    let mut block = Vec::new();
+                    encoder.finish(&mut block);
+                    let body = &block[CHUNK_HEADER_LEN..];
+                    prop_assert_eq!(columns::decode(VERSION, body, chunk.len()).unwrap(), chunk);
+                }
+            }
+        }
     }
 
     #[test]

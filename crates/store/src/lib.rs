@@ -368,16 +368,16 @@ mod tests {
         assert_eq!((store.chunk_count(), meta.job_count), (1, 4096));
         assert!(meta.block_len < 400, "{} bytes", meta.block_len);
         assert_eq!(store.read_trace().unwrap(), trace);
-        // Every integer block but the path ids (never width 0) has width
-        // 0: ids 1, 2, … are steps of one, the one submit time a step
-        // from zero and then none, the one suffix likewise.
+        // Every integer block but the path reference kinds (never width
+        // 0) has width 0: ids 1, 2, … are steps of one, the one submit
+        // time a step from zero and then none, the one suffix likewise.
         let image = std::fs::read(&path).unwrap();
         let table = meta.offset as usize + format::CHUNK_HEADER_LEN;
         let mut at = table + format::columns::TABLE_LEN;
         for block in 0..format::columns::BLOCKS {
             let entry = table + block * 16;
             let len = u64::from_le_bytes(image[entry..entry + 8].try_into().unwrap()) as usize;
-            if ![10, 14, 16].contains(&block) {
+            if ![10, 15].contains(&block) {
                 let mut pos = at;
                 varint::get_u64(&image, &mut pos).unwrap();
                 assert_eq!(image[pos], 0, "block {block}");

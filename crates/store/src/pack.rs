@@ -31,9 +31,9 @@
 //! **Bounds.** At width ≥ 1 a block of `n` values holds at least `n`
 //! bits, so its length bounds `n` before anything is reserved; a width-0
 //! block is a run of one value and costs the same at any length, so it
-//! may hold at most [`MAX_JOBS_PER_CHUNK`] values — more than any block
-//! the writer packs at width 0 (rows, or names with a suffix, of one
-//! chunk). The writer never packs path ids at width 0.
+//! may hold at most [`MAX_JOBS_PER_CHUNK`] values — a chunk's rows — and
+//! [`encode`] packs a longer block at width 1 or more. The writer never
+//! packs path reference kinds at width 0.
 
 use crate::format::MAX_JOBS_PER_CHUNK;
 use crate::varint;
@@ -59,11 +59,14 @@ fn low_mask(width: u32) -> u64 {
 }
 
 /// Append `values` as one packed block at the cheapest width of at
-/// least `min_width` (at most 64).
+/// least `min_width` (at most 64), and of at least 1 for more values
+/// than a chunk has rows.
 pub fn encode(out: &mut Vec<u8>, values: &[u64], min_width: u32) {
     let min = minimum(values);
     let lengths = bit_lengths(values, min);
-    let width = choose_width(values, min, &lengths, min_width.min(64));
+    let longer_than_a_chunk = values.len() > MAX_JOBS_PER_CHUNK as usize;
+    let min_width = min_width.max(u32::from(longer_than_a_chunk)).min(64);
+    let width = choose_width(values, min, &lengths, min_width);
     encode_at(out, values, min, width, exceptions(&lengths, width));
 }
 
@@ -484,6 +487,17 @@ mod tests {
         let mut block = Vec::new();
         encode(&mut block, &[42; 4096], 1);
         assert_eq!(block.len(), 3 + 512);
+        // Or the run is longer than a width-0 block may be.
+        let longest = MAX_JOBS_PER_CHUNK as usize;
+        for n in [longest, longest + 1] {
+            let mut block = Vec::new();
+            encode(&mut block, &vec![42; n], 0);
+            assert_eq!(
+                block.len(),
+                if n == longest { 3 } else { 3 + n.div_ceil(8) }
+            );
+            assert_eq!(decode(&block, n).unwrap(), vec![42; n]);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod obs {
     /// (the two sum to ten per decoded chunk).
     pub static COLUMNS_DECODED: Counter = Counter::new("store.columns_decoded");
     /// Numeric columns of decoded chunks that were not kept, and so not
-    /// looked at. A projected read of a chunk older than version 4
+    /// looked at. A projected read of a chunk older than version 5
     /// decodes it whole and skips none.
     pub static COLUMNS_SKIPPED: Counter = Counter::new("store.columns_skipped");
     /// Chunks skipped by a time-range scan's index check before any
@@ -318,7 +318,7 @@ impl Store {
         &self.chunks
     }
 
-    /// Format version the file was written with (1 to 4).
+    /// Format version the file was written with (1 to 5).
     pub fn format_version(&self) -> u16 {
         self.header.version
     }
@@ -365,7 +365,7 @@ impl Store {
     }
 
     /// Serial fold over an explicit set of chunks (by index, visited in
-    /// the given order) as all ten numeric columns; from version 4 on,
+    /// the given order) as all ten numeric columns; from version 5 on,
     /// names and paths are never touched.
     pub fn fold_columns<T, F>(
         &self,
@@ -443,7 +443,7 @@ impl Store {
     /// the template for any statistic over a store: a
     /// [`swim_obs::par_claim`] whose workers each fold the chunks they
     /// claim through a reader of their own. Runs on the numeric column
-    /// projection, so from version 4 on no names or paths are decoded.
+    /// projection, so from version 5 on no names or paths are decoded.
     pub fn par_summary(&self) -> Result<TraceSummary, StoreError> {
         /// Jobs, bytes moved and the submit window (seconds) of the
         /// chunks one worker claimed; `min > max` until it has seen a job.
@@ -542,12 +542,13 @@ impl ChunkReader<'_> {
         self.decode(idx, format::ZONE_COLUMNS, format::columns::decode)
     }
 
-    /// Decode the numeric columns of `set` from chunk `idx`. From format
-    /// version 4 on, nothing else of the chunk is touched: not names, not
-    /// paths, not the numeric columns outside `set`. An older chunk is
-    /// decoded whole ([`ChunkReader::jobs`], counted as such) and its
-    /// jobs projected ([`ChunkColumns::project`]). Panics if `idx` is
-    /// not a chunk of the store.
+    /// Decode the numeric columns of `set` from chunk `idx`. In a chunk
+    /// of this build's format (version 5), nothing else of the chunk is
+    /// touched: not names, not paths, not the numeric columns outside
+    /// `set`. A chunk of versions 1–4 is decoded whole
+    /// ([`ChunkReader::jobs`], counted as such) and its jobs projected
+    /// ([`ChunkColumns::project`]). Panics if `idx` is not a chunk of the
+    /// store.
     pub fn columns(&mut self, idx: usize, set: ColumnSet) -> Result<ChunkColumns, StoreError> {
         if self.store.header.version < format::VERSION {
             return Ok(ChunkColumns::project(&self.jobs(idx)?, set));

@@ -1,6 +1,6 @@
 //! LEB128 variable-length integers: every integer block of format
-//! versions 1 to 3, and the scalars of a version-4 packed block
-//! ([`crate::pack`]) and its stems block. Nothing writes versions 1 to 3
+//! versions 1 to 3, and from version 4 the scalars of a packed block
+//! ([`crate::pack`]) and the stems block. Nothing writes versions 1 to 3
 //! any more and their chunks are only ever decoded whole, so a column
 //! is decoded one byte at a time by [`get_u64`], and there is no way to
 //! step over one.

@@ -59,7 +59,7 @@ fn checksum_failures_count_refused_reads() {
         }
     }
 
-    let image = std::fs::read(fixtures.join("v4-multichunk.swim")).unwrap();
+    let image = std::fs::read(fixtures.join("v5-multichunk.swim")).unwrap();
     let dir = std::env::temp_dir().join(format!("swim-store-obs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
