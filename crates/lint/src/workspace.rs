@@ -231,9 +231,5 @@ mod tests {
             .files
             .iter()
             .any(|f| f.kind == FileKind::Bin && f.rel_path.ends_with("swim-catalog.rs")));
-        assert!(bench
-            .files
-            .iter()
-            .any(|f| f.kind == FileKind::Bench && f.rel_path.starts_with("crates/bench/benches/")));
     }
 }

@@ -2,7 +2,8 @@
 //! (`crates/store/tests/fixtures/v1-multichunk.swim`, format v1, and
 //! `testdata/sample-b.swim`, format v2), plus the acceptance
 //! cross-check: the chunk verdict counts `--explain` *predicts* must
-//! equal the decode counters `--profile` *observes* for the same query.
+//! equal the decode counters `--profile` *observes* for the same query,
+//! on those fixtures and on a 30-day store in the current format.
 //!
 //! Regenerate after an intentional output change with
 //!
@@ -12,6 +13,9 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use swim_store::{write_store_path, StoreOptions};
+use swim_trace::trace::WorkloadKind;
+use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
 
 /// The workspace root: fixture paths are passed relative to it so the
 /// golden output (which echoes the path) is machine-independent.
@@ -32,6 +36,42 @@ const QUERY_ARGS: &[&str] = &[
     "--group-by",
     "submit/3600",
 ];
+
+/// The first day of the 30-day store.
+const FIRST_DAY_ARGS: &[&str] = &["--select", "count,sum(total_io)", "--where", "submit < 1d"];
+/// The benchmark mix's `groupby` class (`perf/src/mix.rs`): the diurnal
+/// profile of the jobs that moved data.
+const HOUR_OF_DAY_ARGS: &[&str] = &[
+    "--select",
+    "count,sum(total_io),avg(duration)",
+    "--where",
+    "total_io * 1024 >= 7",
+    "--group-by",
+    "submit / 1h - submit / 1d * 24",
+];
+
+/// Write 48,000 jobs spread evenly over 30 days to `path` in 16 chunks,
+/// in the current format; every fifth job moves no data.
+fn write_month_store(path: &Path) {
+    const JOBS: u64 = 48_000;
+    let jobs = (0..JOBS)
+        .map(|i| {
+            JobBuilder::new(i)
+                .submit(Timestamp::from_secs(i * 30 * 86_400 / JOBS))
+                .duration(Dur::from_secs(1 + i % 3_600))
+                .input(DataSize::from_bytes(i % 5 * 1_000_003))
+                .map_task_time(Dur::from_secs(3 + i % 60))
+                .tasks(1 + (i % 20) as u32, 0)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let trace = Trace::new(WorkloadKind::Custom("month".into()), 9, jobs).unwrap();
+    let options = StoreOptions {
+        jobs_per_chunk: 3_000,
+    };
+    write_store_path(&trace, path, &options).unwrap();
+}
 
 /// Run `swim-query` from the workspace root, returning stdout.
 fn swim_query(args: &[&str]) -> String {
@@ -118,16 +158,31 @@ fn explain_v2_fixture_matches_golden() {
 /// says execution *would* decode (`always + maybe`) are exactly the
 /// chunks `--profile` counts as decoded (`store.chunks_decoded`), and
 /// the per-verdict planner counters agree with the explain split.
+///
+/// On the 30-day store, one day decodes at most half the chunks, and
+/// the `groupby` class answers 24 rows, identical in parallel and
+/// serial, with the kernel's memo sparing all but one key-table probe
+/// in eight matched rows.
 #[test]
 fn explain_verdicts_match_profile_decode_counters() {
-    for fixture in [V1_FIXTURE, V2_FIXTURE] {
+    let month =
+        std::env::temp_dir().join(format!("swim-explain-month-{}.swim", std::process::id()));
+    write_month_store(&month);
+    let month_path = month.to_str().expect("a UTF-8 temp path");
+    let mut counted = Vec::new();
+    for (fixture, query) in [
+        (V1_FIXTURE, QUERY_ARGS),
+        (V2_FIXTURE, QUERY_ARGS),
+        (month_path, FIRST_DAY_ARGS),
+        (month_path, HOUR_OF_DAY_ARGS),
+    ] {
         let mut explain_args = vec!["--trace", fixture];
-        explain_args.extend_from_slice(QUERY_ARGS);
+        explain_args.extend_from_slice(query);
         explain_args.extend_from_slice(&["--explain", "--format", "json"]);
         let explain = swim_query(&explain_args);
 
         let mut profile_args = vec!["--trace", fixture];
-        profile_args.extend_from_slice(QUERY_ARGS);
+        profile_args.extend_from_slice(query);
         profile_args.extend_from_slice(&["--profile", "--serial"]);
         let profile = swim_query(&profile_args);
 
@@ -143,7 +198,40 @@ fn explain_verdicts_match_profile_decode_counters() {
                 "{fixture}: explain {explain_field} vs profile {counter}"
             );
         }
+        counted.push((explain, profile));
     }
+
+    let (first_day, _) = &counted[2];
+    let chunks: u64 = ["never", "always", "maybe"]
+        .map(|verdict| explain_chunk_field(first_day, verdict))
+        .iter()
+        .sum();
+    let scanned = explain_chunk_field(first_day, "scanned");
+    assert_eq!(chunks, 16);
+    assert!(
+        scanned * 2 <= chunks,
+        "one day of thirty decoded {scanned} of {chunks} chunks"
+    );
+
+    let (_, hourly) = &counted[3];
+    let probes = profile_counter(hourly, "query.group_probes");
+    let matched = profile_counter(hourly, "query.rows_matched");
+    assert!(
+        matched > 0 && probes <= matched / 8,
+        "{probes} key-table probes for {matched} matched rows"
+    );
+    let mut args = vec!["--trace", month_path];
+    args.extend_from_slice(HOUR_OF_DAY_ARGS);
+    let parallel = swim_query(&args);
+    args.push("--serial");
+    assert_eq!(parallel, swim_query(&args), "parallel ≡ serial");
+    let rows = parallel
+        .lines()
+        .skip_while(|line| !line.starts_with("---"))
+        .skip(1)
+        .take_while(|line| !line.is_empty());
+    assert_eq!(rows.count(), 24, "{parallel}");
+    std::fs::remove_file(&month).unwrap();
 }
 
 /// `--explain` must refuse to also `--profile` (it never executes).

@@ -8,7 +8,7 @@
 //! inputs are read at first launch, so for FIFO plans the two engines
 //! are held to bit-for-bit identical [`SimResult`]s by the parity tests
 //! in `tests/determinism.rs` — only the event count (and wall-clock)
-//! differ, which is precisely what `benches/simulator.rs` measures.
+//! differ, which is what `swim-sim --per-task --repeat N` prints.
 
 use crate::cluster::SlotPool;
 use crate::engine::{materialize_jobs, maybe_finish, JobState, SimConfig, SimResult};
