@@ -11,7 +11,12 @@
 //! workload comparisons offsite".
 
 use serde::{Deserialize, Serialize};
-use swim_core::workload::WorkloadAnalysis;
+use swim_core::burstiness::Burstiness;
+use swim_core::fourier::detect_diurnal;
+use swim_core::kmeans::{FeatureScaling, KMeans, KMeansConfig};
+use swim_core::names::NameAnalysis;
+use swim_core::stats::Ecdf;
+use swim_report::TraceContext;
 use swim_synth::datagen::DataGenPlan;
 use swim_synth::sample::{sample_windows, SampleConfig};
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
@@ -59,40 +64,53 @@ pub struct SharedMetrics {
 }
 
 impl SharedMetrics {
-    /// Build the shareable document from a full analysis.
-    pub fn from_analysis(analysis: &WorkloadAnalysis) -> SharedMetrics {
-        let size_quantiles = EXPORT_QUANTILES
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    analysis.input_sizes.quantile(p),
-                    analysis.shuffle_sizes.quantile(p),
-                    analysis.output_sizes.quantile(p),
-                )
-            })
-            .collect();
-        SharedMetrics {
-            workload: analysis.summary.workload.clone(),
-            jobs: analysis.summary.jobs,
-            length_hours: analysis.summary.length.as_hours_f64(),
-            bytes_moved: analysis.summary.bytes_moved.bytes(),
-            size_quantiles,
-            input_zipf_slope: analysis
-                .input_access
-                .zipf_fit(Some(300))
-                .map(|fit| fit.slope),
-            locality_within_6h: analysis.locality.fraction_within(6.0 * 3600.0),
-            frac_jobs_reaccessing: analysis.locality.frac_jobs_reaccessing(),
-            peak_to_median: analysis.burstiness.as_ref().map(|b| b.peak_to_median),
+    /// Build the shareable document from a trace's analysis context; an
+    /// error if the trace is empty or cannot be read.
+    pub fn from_context(ctx: &TraceContext) -> Result<SharedMetrics, String> {
+        let trace = ctx.trace()?;
+        if trace.is_empty() {
+            return Err("cannot analyze an empty trace".to_owned());
+        }
+        // A job's feature vector starts with its input, shuffle and output sizes.
+        let size =
+            |i: usize| Ecdf::new(trace.jobs().iter().map(|j| j.feature_vector()[i]).collect());
+        let (input, shuffle, output) = (size(0), size(1), size(2));
+        let locality = ctx.locality()?;
+        let hourly = ctx.hourly()?;
+        let correlations = hourly.correlations();
+        // Raw features and the 0.5 elbow, as Table 2 clusters.
+        let raw = KMeansConfig {
+            scaling: FeatureScaling::Raw,
+            ..KMeansConfig::default()
+        };
+        let summary = ctx.summary();
+        Ok(SharedMetrics {
+            workload: summary.workload.clone(),
+            jobs: summary.jobs,
+            length_hours: summary.length.as_hours_f64(),
+            bytes_moved: summary.bytes_moved.bytes(),
+            size_quantiles: EXPORT_QUANTILES
+                .iter()
+                .map(|&p| {
+                    (
+                        p,
+                        input.quantile(p),
+                        shuffle.quantile(p),
+                        output.quantile(p),
+                    )
+                })
+                .collect(),
+            input_zipf_slope: ctx.input_access()?.zipf_fit(Some(300)).map(|fit| fit.slope),
+            locality_within_6h: locality.fraction_within(6.0 * 3600.0),
+            frac_jobs_reaccessing: locality.frac_jobs_reaccessing(),
+            peak_to_median: Burstiness::of(&hourly.task_seconds, &[]).map(|b| b.peak_to_median),
             correlations: (
-                analysis.correlations.jobs_bytes,
-                analysis.correlations.jobs_task_seconds,
-                analysis.correlations.bytes_task_seconds,
+                correlations.jobs_bytes,
+                correlations.jobs_task_seconds,
+                correlations.bytes_task_seconds,
             ),
-            diurnal_detected: analysis.diurnal.map(|d| d.detected),
-            job_types: analysis
-                .job_types
+            diurnal_detected: detect_diurnal(&hourly.jobs, 3.0).map(|d| d.detected),
+            job_types: KMeans::fit_with_elbow(trace, 12, 0.5, raw)
                 .clusters
                 .iter()
                 .map(|c| {
@@ -108,13 +126,12 @@ impl SharedMetrics {
                     )
                 })
                 .collect(),
-            framework_job_shares: analysis
-                .names
+            framework_job_shares: NameAnalysis::of(trace)
                 .framework_shares()
                 .iter()
                 .map(|s| (s.framework.label().to_owned(), s.jobs))
                 .collect(),
-        }
+        })
     }
 
     /// Serialize to pretty JSON.
@@ -158,6 +175,7 @@ pub fn synthesize_bundle(trace: &Trace, target_machines: u32, seed: u64) -> Synt
 mod tests {
     use super::*;
     use swim_trace::trace::WorkloadKind;
+    use swim_trace::{Dur, JobBuilder, PathId, Timestamp};
     use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
     fn sample_trace() -> Trace {
@@ -170,11 +188,86 @@ mod tests {
         .generate()
     }
 
+    fn metrics_of(trace: Trace) -> Result<SharedMetrics, String> {
+        SharedMetrics::from_context(&TraceContext::from_trace("t", trace))
+    }
+
+    /// 200 small named jobs every 700 s on 13 re-read inputs, then 20
+    /// huge ones on a single input.
+    fn mixed_trace() -> Trace {
+        let small = (0..200u64).map(|i| {
+            JobBuilder::new(i)
+                .name(if i % 2 == 0 { "insert x" } else { "ad y" })
+                .submit(Timestamp::from_secs(i * 700))
+                .duration(Dur::from_secs(30))
+                .input(DataSize::from_mb(10))
+                .output(DataSize::from_kb(900))
+                .map_task_time(Dur::from_secs(20))
+                .tasks(1, 0)
+                .input_paths(vec![PathId(i % 13)])
+                .output_paths(vec![PathId(1000 + i)])
+                .build()
+                .unwrap()
+        });
+        let big = (200..220u64).map(|i| {
+            JobBuilder::new(i)
+                .name("from big")
+                .submit(Timestamp::from_secs(i * 700))
+                .duration(Dur::from_hours(1))
+                .input(DataSize::from_gb(400))
+                .shuffle(DataSize::from_tb(1))
+                .output(DataSize::from_gb(40))
+                .map_task_time(Dur::from_secs(500_000))
+                .reduce_task_time(Dur::from_secs(400_000))
+                .tasks(100, 10)
+                .input_paths(vec![PathId(7)])
+                .output_paths(vec![PathId(2000 + i)])
+                .build()
+                .unwrap()
+        });
+        let jobs = small.chain(big).collect();
+        Trace::new(WorkloadKind::Custom("mixed".into()), 10, jobs).unwrap()
+    }
+
+    #[test]
+    fn full_analysis_runs_end_to_end() {
+        let m = metrics_of(mixed_trace()).unwrap();
+        assert_eq!(m.jobs, 220);
+        assert_eq!(m.size_quantiles.len(), EXPORT_QUANTILES.len());
+        assert!(m.input_zipf_slope.is_some());
+        assert!(!m.framework_job_shares.is_empty());
+        assert!(m.job_types.len() >= 2);
+        // Clusters come largest first: the dominant one holds > 80 %.
+        assert!(m.job_types[0].0 as f64 / 220.0 > 0.8);
+    }
+
+    #[test]
+    fn burstiness_present_for_active_trace() {
+        // Every hour has at least one submission (jobs every 700 s), so the
+        // median task-seconds is positive and burstiness is defined.
+        assert!(metrics_of(mixed_trace()).unwrap().peak_to_median.is_some());
+    }
+
+    #[test]
+    fn correlations_bytes_tasktime_strongest() {
+        // Big jobs carry both bytes and task-time; jobs/hour is constant-ish.
+        let (jobs_bytes, _, bytes_task) = metrics_of(mixed_trace()).unwrap().correlations;
+        assert!(
+            bytes_task > jobs_bytes.abs(),
+            "bytes↔task {bytes_task} vs jobs↔bytes {jobs_bytes}"
+        );
+    }
+
+    #[test]
+    fn empty_trace_rejected() {
+        let t = Trace::new(WorkloadKind::Custom("e".into()), 1, vec![]).unwrap();
+        assert_eq!(metrics_of(t).unwrap_err(), "cannot analyze an empty trace");
+    }
+
     #[test]
     fn shared_metrics_carry_no_identifiers() {
         let trace = sample_trace();
-        let analysis = WorkloadAnalysis::of(&trace);
-        let metrics = SharedMetrics::from_analysis(&analysis);
+        let metrics = metrics_of(trace.clone()).unwrap();
         let json = metrics.to_json();
         // No raw job names (beyond framework labels / cluster labels) and
         // no path ids may appear in the export.
@@ -193,8 +286,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_monotone_per_dimension() {
-        let analysis = WorkloadAnalysis::of(&sample_trace());
-        let m = SharedMetrics::from_analysis(&analysis);
+        let m = metrics_of(sample_trace()).unwrap();
         for dim in 1..=3 {
             let series: Vec<f64> = m
                 .size_quantiles
@@ -211,8 +303,7 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let analysis = WorkloadAnalysis::of(&sample_trace());
-        let m = SharedMetrics::from_analysis(&analysis);
+        let m = metrics_of(sample_trace()).unwrap();
         let back: SharedMetrics = serde_json::from_str(&m.to_json()).unwrap();
         assert_eq!(back.jobs, m.jobs);
         assert_eq!(back.job_types.len(), m.job_types.len());

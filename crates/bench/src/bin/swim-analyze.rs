@@ -15,7 +15,7 @@
 use std::fs::File;
 use std::process::ExitCode;
 use swim_bench::analyze::{synthesize_bundle, SharedMetrics};
-use swim_core::workload::WorkloadAnalysis;
+use swim_report::TraceContext;
 use swim_trace::trace::WorkloadKind;
 use swim_trace::Trace;
 
@@ -215,8 +215,14 @@ fn main() -> ExitCode {
     }
 
     eprintln!("analyzing {} jobs ...", trace.len());
-    let analysis = WorkloadAnalysis::of(&trace);
-    let metrics = SharedMetrics::from_analysis(&analysis);
+    let ctx = TraceContext::from_trace(trace.kind.label().to_owned(), trace);
+    let metrics = match SharedMetrics::from_context(&ctx) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     println!("workload         : {}", metrics.workload);
     println!("jobs             : {}", metrics.jobs);
@@ -255,7 +261,8 @@ fn main() -> ExitCode {
         eprintln!("wrote anonymized metrics to {path}");
     }
     if let Some(nodes) = args.synthesize {
-        let bundle = synthesize_bundle(&trace, nodes, 17);
+        let trace = ctx.trace().expect("an in-memory context holds its trace");
+        let bundle = synthesize_bundle(trace, nodes, 17);
         eprintln!(
             "synthesized bundle: {} replay jobs, {} files to pre-populate, worst KS {:.3}",
             bundle.replay.len(),

@@ -16,7 +16,8 @@
 //! reduction the wave engine achieves.
 
 use std::process::ExitCode;
-use swim_bench::render::{cache_label, pct, Table};
+use swim_bench::experiments::swimexp::cache_label;
+use swim_report::render::{pct, Table};
 use swim_sim::reference::run_per_task;
 use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, Simulator};
 use swim_synth::ReplayPlan;

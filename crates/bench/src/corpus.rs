@@ -3,8 +3,14 @@
 //! off the same data. Facebook workloads are down-scaled in job count
 //! (they have >1 M jobs at production scale); the Cloudera workloads run
 //! at full published job rates. Every report prints the scale it ran at.
+//!
+//! Each trace sits behind a [`TraceContext`], the same per-trace analysis
+//! state `swim-report`'s battery reads, so an analysis several figures
+//! share (hourly series, locality, file access) is computed once.
 
 use std::path::Path;
+use swim_core::access::{FileAccessStats, PathStage};
+use swim_report::TraceContext;
 use swim_store::{Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::Trace;
@@ -38,17 +44,42 @@ pub fn scale_params(kind: &WorkloadKind, scale: CorpusScale) -> (f64, f64) {
 }
 
 /// The seven generated traces, in Table 1 order.
-#[derive(Debug, Clone)]
 pub struct Corpus {
-    /// The traces.
-    pub traces: Vec<Trace>,
+    /// One in-memory context per trace, labelled with its workload.
+    pub contexts: Vec<TraceContext>,
     /// Scale the corpus was generated at.
     pub scale: CorpusScale,
     /// Seed used.
     pub seed: u64,
 }
 
+/// A corpus context's value: every corpus trace is held in memory, so
+/// nothing computed from one can fail to read.
+pub(crate) fn in_memory<T>(value: Result<T, String>) -> T {
+    value.expect("corpus traces are held in memory")
+}
+
+/// A corpus trace's file access statistics for one stage (Figs. 2–4).
+pub(crate) fn access(ctx: &TraceContext, stage: PathStage) -> &FileAccessStats {
+    in_memory(match stage {
+        PathStage::Input => ctx.input_access(),
+        PathStage::Output => ctx.output_access(),
+    })
+}
+
 impl Corpus {
+    fn new(traces: Vec<Trace>, scale: CorpusScale, seed: u64) -> Corpus {
+        let contexts = traces
+            .into_iter()
+            .map(|t| TraceContext::from_trace(t.kind.label().to_owned(), t))
+            .collect();
+        Corpus {
+            contexts,
+            scale,
+            seed,
+        }
+    }
+
     /// Build the corpus, generating the seven workloads in parallel.
     pub fn build(scale: CorpusScale, seed: u64) -> Corpus {
         let kinds = WorkloadKind::PAPER_SEVEN;
@@ -63,11 +94,12 @@ impl Corpus {
             )
             .generate()
         });
-        Corpus {
-            traces,
-            scale,
-            seed,
-        }
+        Corpus::new(traces, scale, seed)
+    }
+
+    /// The traces, in Table 1 order.
+    pub fn traces(&self) -> impl Iterator<Item = &Trace> {
+        self.contexts.iter().map(|c| in_memory(c.trace()))
     }
 
     /// File name for one workload's store file inside a corpus directory.
@@ -94,7 +126,7 @@ impl Corpus {
     pub fn save_store(&self, dir: impl AsRef<Path>) -> Result<(), swim_store::StoreError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        for trace in &self.traces {
+        for trace in self.traces() {
             swim_store::write_store_path(
                 trace,
                 dir.join(Self::store_file_name(&trace.kind)),
@@ -128,11 +160,7 @@ impl Corpus {
             let store = Store::open(dir.join(Self::store_file_name(kind)))?;
             traces.push(store.read_trace()?);
         }
-        Ok(Corpus {
-            traces,
-            scale,
-            seed,
-        })
+        Ok(Corpus::new(traces, scale, seed))
     }
 
     /// Build the corpus, or load it from `store_dir` when it already
@@ -164,29 +192,20 @@ impl Corpus {
         corpus
     }
 
-    /// Trace for a given workload.
-    pub fn get(&self, kind: &WorkloadKind) -> &Trace {
-        self.traces
+    /// Context for a given workload.
+    pub fn get(&self, kind: &WorkloadKind) -> &TraceContext {
+        self.contexts
             .iter()
-            .find(|t| &t.kind == kind)
+            .find(|c| c.label() == kind.label())
             .expect("paper workload present in corpus")
     }
 
-    /// The five Cloudera traces with output paths (CC-b..CC-e) — the
-    /// subset Figs. 2 (output), 4, and 6 can use.
-    pub fn with_output_paths(&self) -> Vec<&Trace> {
-        self.traces
-            .iter()
-            .filter(|t| t.jobs().iter().any(|j| !j.output_paths.is_empty()))
-            .collect()
-    }
-
-    /// Traces with input paths (CC-b..CC-e, FB-2010).
-    pub fn with_input_paths(&self) -> Vec<&Trace> {
-        self.traces
-            .iter()
-            .filter(|t| t.jobs().iter().any(|j| !j.input_paths.is_empty()))
-            .collect()
+    /// The traces with paths at `stage`, in Table 1 order: input paths on
+    /// CC-b..CC-e and FB-2010, output paths on the four Cloudera traces
+    /// CC-b..CC-e only (the subset Figs. 2 (output) and 4 can use).
+    pub fn with_paths(&self, stage: PathStage) -> Vec<&TraceContext> {
+        let has_paths = |c: &&TraceContext| access(c, stage).distinct_files() > 0;
+        self.contexts.iter().filter(has_paths).collect()
     }
 }
 
@@ -207,8 +226,8 @@ mod tests {
     #[test]
     fn quick_corpus_builds_all_seven() {
         let c = Corpus::build(CorpusScale::Quick, 1);
-        assert_eq!(c.traces.len(), 7);
-        for t in &c.traces {
+        assert_eq!(c.contexts.len(), 7);
+        for t in c.traces() {
             assert!(!t.is_empty(), "{} is empty", t.kind);
         }
     }
@@ -216,17 +235,17 @@ mod tests {
     #[test]
     fn path_subsets_match_availability_matrix() {
         let c = Corpus::build(CorpusScale::Quick, 2);
-        let with_out: Vec<&str> = c
-            .with_output_paths()
-            .iter()
-            .map(|t| t.kind.label())
-            .collect();
-        assert_eq!(with_out, vec!["CC-b", "CC-c", "CC-d", "CC-e"]);
-        let with_in: Vec<&str> = c
-            .with_input_paths()
-            .iter()
-            .map(|t| t.kind.label())
-            .collect();
+        let labels = |stage| {
+            c.with_paths(stage)
+                .iter()
+                .map(|t| t.label())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            labels(PathStage::Output),
+            vec!["CC-b", "CC-c", "CC-d", "CC-e"]
+        );
+        let with_in = labels(PathStage::Input);
         assert_eq!(with_in, vec!["CC-b", "CC-c", "CC-d", "CC-e", "FB-2010"]);
     }
 
@@ -234,7 +253,7 @@ mod tests {
     fn corpus_is_deterministic() {
         let a = Corpus::build(CorpusScale::Quick, 3);
         let b = Corpus::build(CorpusScale::Quick, 3);
-        for (x, y) in a.traces.iter().zip(&b.traces) {
+        for (x, y) in a.traces().zip(b.traces()) {
             assert_eq!(x, y);
         }
     }
@@ -242,7 +261,8 @@ mod tests {
     #[test]
     fn get_returns_requested_kind() {
         let c = Corpus::build(CorpusScale::Quick, 4);
-        assert_eq!(c.get(&WorkloadKind::CcC).kind, WorkloadKind::CcC);
+        let ctx = c.get(&WorkloadKind::CcC);
+        assert_eq!(in_memory(ctx.trace()).kind, WorkloadKind::CcC);
     }
 
     #[test]
@@ -254,8 +274,8 @@ mod tests {
         let a = Corpus::build(CorpusScale::Quick, 5);
         a.save_store(&dir).unwrap();
         let b = Corpus::load_store(&dir, CorpusScale::Quick, 5).unwrap();
-        assert_eq!(a.traces.len(), b.traces.len());
-        for (x, y) in a.traces.iter().zip(&b.traces) {
+        assert_eq!(a.contexts.len(), b.contexts.len());
+        for (x, y) in a.traces().zip(b.traces()) {
             assert_eq!(x, y);
         }
         // A scale/seed mismatch must refuse to load the cache.
@@ -263,7 +283,7 @@ mod tests {
         assert!(Corpus::load_store(&dir, CorpusScale::Standard, 5).is_err());
         // build_or_load takes the cached path on a match.
         let c = Corpus::build_or_load(CorpusScale::Quick, 5, Some(dir.as_path()));
-        assert_eq!(c.traces[0], a.traces[0]);
+        assert_eq!(c.traces().next(), a.traces().next());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,49 +5,13 @@
 //! magnitude respectively, and most jobs move MB–GB per stage (so
 //! TB-scale microbenchmarks cover only a narrow slice).
 
-use crate::render::{bytes, Table};
 use crate::Corpus;
-use swim_query::{execute, AggValue, Aggregate, Col, Expr, Query};
+use swim_core::stats::Ecdf;
+use swim_report::render::{bytes, Table};
 use swim_report::Section;
-use swim_store::{store_to_vec, Store, StoreOptions};
-use swim_trace::Trace;
 
 /// Quantiles printed per stage.
 const QS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
-
-/// The three stage columns of this figure, in presentation order.
-const STAGES: [Col; 3] = [Col::Input, Col::Shuffle, Col::Output];
-
-/// Compute every stage's p10/p25/p50/p75/p90 quantiles through
-/// `swim-query`: encode the trace to the columnar store once, reopen,
-/// and run one query selecting all fifteen percentile aggregates
-/// vectorized over the numeric columns — names and paths are never
-/// decoded. The percentile aggregate uses the same nearest-rank rule as
-/// [`swim_core::stats::Ecdf::quantile`], so this is byte-for-byte the
-/// published table (a test pins the equivalence). Returned in
-/// input, shuffle, output order (the `STAGES` constant).
-pub fn store_quantiles(trace: &Trace) -> [Vec<f64>; 3] {
-    let store = Store::from_vec(store_to_vec(trace, &StoreOptions::default()))
-        .expect("freshly encoded store reopens");
-    let mut query = Query::new();
-    for stage in STAGES {
-        for q in QS {
-            query = query.select(Aggregate::Percentile(Expr::col(stage), q));
-        }
-    }
-    let out = execute(&store, &query).expect("in-memory store query cannot fail");
-    let values: Vec<f64> = out.rows[0]
-        .values
-        .iter()
-        .map(|v| match v {
-            AggValue::Float(f) => *f,
-            AggValue::Null => 0.0, // empty trace
-            AggValue::Int(_) => unreachable!("percentiles are floats"),
-        })
-        .collect();
-    let mut stages = values.chunks_exact(QS.len()).map(<[f64]>::to_vec);
-    std::array::from_fn(|_| stages.next().expect("three stages of five quantiles"))
-}
 
 /// Orders of magnitude spanned by the across-workload medians of a stage.
 /// Zero medians are ignored (map-only workload shuffle medians).
@@ -63,37 +27,31 @@ pub fn median_span_orders(medians: &[f64]) -> f64 {
 
 /// Build the Figure 1 document.
 pub fn doc(corpus: &Corpus) -> Section {
-    let mut section = Section::new(
-        "Figure 1: Per-job input, shuffle, and output size distributions \
-         (quantiles via swim-query percentile aggregates)",
-    );
-    // One store encode + one fifteen-aggregate query per trace.
-    let per_trace: Vec<[Vec<f64>; 3]> = corpus.traces.iter().map(store_quantiles).collect();
-    let mut medians = (Vec::new(), Vec::new(), Vec::new());
+    let mut section =
+        Section::new("Figure 1: Per-job input, shuffle, and output size distributions");
+    let mut spans = Vec::new();
+    // A job's feature vector starts with its input, shuffle and output sizes.
     for (idx, stage) in ["input", "shuffle", "output"].into_iter().enumerate() {
         let mut table = Table::new(vec!["Workload", "p10", "p25", "p50", "p75", "p90"]);
-        for (trace, quantiles) in corpus.traces.iter().zip(&per_trace) {
-            let quantiles = &quantiles[idx];
+        let mut medians = Vec::new();
+        for trace in corpus.traces() {
+            let ecdf = Ecdf::new(
+                trace
+                    .jobs()
+                    .iter()
+                    .map(|j| j.feature_vector()[idx])
+                    .collect(),
+            );
             let mut cells = vec![trace.kind.label().to_owned()];
-            for &q in quantiles {
-                cells.push(bytes(q));
-            }
-            let median = quantiles[2]; // QS[2] == 0.5
-            match idx {
-                0 => medians.0.push(median),
-                1 => medians.1.push(median),
-                _ => medians.2.push(median),
-            }
+            cells.extend(QS.iter().map(|&q| bytes(ecdf.quantile(q))));
+            medians.push(ecdf.quantile(0.5));
             table.row(cells);
         }
+        spans.push(median_span_orders(&medians));
         section.captioned_table(format!("Per-job {stage} size quantiles:"), table);
         section.prose("\n");
     }
-    let (i, s, o) = (
-        median_span_orders(&medians.0),
-        median_span_orders(&medians.1),
-        median_span_orders(&medians.2),
-    );
+    let (i, s, o) = (spans[0], spans[1], spans[2]);
     section.prose(format!(
         "Across-workload median spans: input 10^{i:.1}, shuffle 10^{s:.1}, \
          output 10^{o:.1} (paper: ≈6, ≈8, and ≈4 orders of magnitude).\n\
@@ -112,14 +70,12 @@ pub fn run(corpus: &Corpus) -> String {
 mod tests {
     use super::*;
     use crate::experiments::tests::test_corpus;
-    use swim_core::stats::Ecdf;
 
     #[test]
     fn median_spans_are_wide() {
         let corpus = test_corpus();
         let input_medians: Vec<f64> = corpus
-            .traces
-            .iter()
+            .traces()
             .map(|t| Ecdf::new(t.jobs().iter().map(|j| j.input.as_f64()).collect()).median())
             .collect();
         let span = median_span_orders(&input_medians);
@@ -140,30 +96,5 @@ mod tests {
         assert!(r.contains("input size quantiles"));
         assert!(r.contains("shuffle size quantiles"));
         assert!(r.contains("output size quantiles"));
-    }
-
-    #[test]
-    fn query_quantiles_equal_ecdf_quantiles() {
-        // The swim-query percentile aggregate and the in-memory Ecdf must
-        // produce identical values for every trace, stage, and quantile.
-        let corpus = test_corpus();
-        for trace in &corpus.traces {
-            let via_query = store_quantiles(trace);
-            for (pick, quantiles) in via_query.iter().enumerate() {
-                let samples: Vec<f64> = trace
-                    .jobs()
-                    .iter()
-                    .map(|j| match pick {
-                        0 => j.input.as_f64(),
-                        1 => j.shuffle.as_f64(),
-                        _ => j.output.as_f64(),
-                    })
-                    .collect();
-                let ecdf = Ecdf::new(samples);
-                for (&q, &got) in QS.iter().zip(quantiles) {
-                    assert_eq!(got, ecdf.quantile(q), "{} stage {pick} p{q}", trace.kind);
-                }
-            }
-        }
     }
 }

@@ -6,9 +6,9 @@
 //! and `select` with `from` prominent only in FB-2009; data-centric words
 //! rise under the I/O and task-time weightings. FB-2010 ships no names.
 
-use crate::render::{pct, Table};
 use crate::Corpus;
 use swim_core::names::{NameAnalysis, Weighting};
+use swim_report::render::{pct, Table};
 use swim_report::{Block, KeyValueBlock, Section};
 
 /// How many top words to print per weighting.
@@ -18,7 +18,8 @@ pub const TOP_N: usize = 5;
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section =
         Section::new("Figure 10: First word of job names (by jobs / I/O / task-time)");
-    for trace in &corpus.traces {
+    let mut table = Table::new(vec!["Workload", "top-2 framework share of jobs"]);
+    for trace in corpus.traces() {
         let analysis = NameAnalysis::of(trace);
         section.prose(format!("{}:\n", trace.kind));
         if !analysis.has_names() {
@@ -65,14 +66,6 @@ pub fn doc(corpus: &Corpus) -> Section {
             fw.join(", "),
             pct(analysis.top_k_job_share(TOP_N))
         ));
-    }
-    let mut table = Table::new(vec!["Workload", "top-2 framework share of jobs"]);
-    for trace in &corpus.traces {
-        let analysis = NameAnalysis::of(trace);
-        if !analysis.has_names() {
-            continue;
-        }
-        let shares = analysis.framework_shares();
         let top2: f64 = shares.iter().take(2).map(|s| s.jobs).sum();
         table.row(vec![trace.kind.label().to_owned(), pct(top2)]);
     }
@@ -93,13 +86,14 @@ pub fn run(corpus: &Corpus) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::in_memory;
     use crate::experiments::tests::test_corpus;
     use swim_trace::trace::WorkloadKind;
 
     #[test]
     fn top_words_cover_dominant_majority() {
         let corpus = test_corpus();
-        for trace in &corpus.traces {
+        for trace in corpus.traces() {
             let analysis = NameAnalysis::of(trace);
             if !analysis.has_names() {
                 continue;
@@ -112,7 +106,7 @@ mod tests {
     #[test]
     fn two_frameworks_dominate() {
         let corpus = test_corpus();
-        for trace in &corpus.traces {
+        for trace in corpus.traces() {
             let analysis = NameAnalysis::of(trace);
             if !analysis.has_names() {
                 continue;
@@ -126,7 +120,7 @@ mod tests {
     #[test]
     fn from_is_io_heavy_in_fb2009() {
         let corpus = test_corpus();
-        let analysis = NameAnalysis::of(corpus.get(&WorkloadKind::Fb2009));
+        let analysis = NameAnalysis::of(in_memory(corpus.get(&WorkloadKind::Fb2009).trace()));
         let from = analysis
             .groups
             .iter()
@@ -143,7 +137,7 @@ mod tests {
     #[test]
     fn fb2010_is_nameless() {
         let corpus = test_corpus();
-        let analysis = NameAnalysis::of(corpus.get(&WorkloadKind::Fb2010));
+        let analysis = NameAnalysis::of(in_memory(corpus.get(&WorkloadKind::Fb2010).trace()));
         assert!(!analysis.has_names());
     }
 }

@@ -4,9 +4,10 @@
 //! same shape on every workload, with slope magnitude ≈ 5/6, for both
 //! input and output files.
 
-use crate::render::Table;
+use crate::corpus::access;
 use crate::Corpus;
-use swim_core::access::{FileAccessStats, PathStage};
+use swim_core::access::PathStage;
+use swim_report::render::Table;
 use swim_report::Section;
 
 /// The published cross-workload slope magnitude.
@@ -30,18 +31,15 @@ pub fn doc(corpus: &Corpus) -> Section {
         "paper slope",
     ]);
     let mut slopes = Vec::new();
-    for (stage, traces) in [
-        (PathStage::Input, corpus.with_input_paths()),
-        (PathStage::Output, corpus.with_output_paths()),
-    ] {
-        for trace in traces {
-            let stats = FileAccessStats::gather(trace, stage);
+    for stage in [PathStage::Input, PathStage::Output] {
+        for ctx in corpus.with_paths(stage) {
+            let stats = access(ctx, stage);
             let Some(fit) = stats.zipf_fit(Some(FIT_RANKS)) else {
                 continue;
             };
             slopes.push(-fit.slope);
             table.row(vec![
-                trace.kind.label().to_owned(),
+                ctx.label().to_owned(),
                 format!("{stage:?}"),
                 stats.distinct_files().to_string(),
                 stats.total_accesses().to_string(),
@@ -76,14 +74,14 @@ mod tests {
     #[test]
     fn fitted_slopes_are_near_paper_value() {
         let corpus = test_corpus();
-        for trace in corpus.with_input_paths() {
-            let stats = FileAccessStats::gather(trace, PathStage::Input);
+        for ctx in corpus.with_paths(PathStage::Input) {
+            let stats = access(ctx, PathStage::Input);
             let fit = stats.zipf_fit(Some(FIT_RANKS)).expect("fit exists");
             let mag = -fit.slope;
             assert!(
                 (0.3..1.6).contains(&mag),
                 "{}: slope magnitude {mag:.3} outside plausible Zipf band",
-                trace.kind
+                ctx.label()
             );
         }
     }
@@ -91,13 +89,13 @@ mod tests {
     #[test]
     fn fits_are_good_lines() {
         let corpus = test_corpus();
-        for trace in corpus.with_input_paths() {
-            let stats = FileAccessStats::gather(trace, PathStage::Input);
+        for ctx in corpus.with_paths(PathStage::Input) {
+            let stats = access(ctx, PathStage::Input);
             let fit = stats.zipf_fit(Some(FIT_RANKS)).unwrap();
             assert!(
                 fit.r_squared > 0.7,
                 "{}: R² {:.3}",
-                trace.kind,
+                ctx.label(),
                 fit.r_squared
             );
         }

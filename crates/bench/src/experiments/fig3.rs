@@ -7,9 +7,10 @@
 //! hold at most ≈16 % of stored bytes; 80 % of accesses go to 1–8 % of
 //! bytes (the "80-1 to 80-8 rule").
 
-use crate::render::{pct, Table};
+use crate::corpus::access;
 use crate::Corpus;
-use swim_core::access::{FileAccessStats, PathStage};
+use swim_core::access::PathStage;
+use swim_report::render::{pct, Table};
 use swim_report::Section;
 use swim_trace::DataSize;
 
@@ -18,10 +19,6 @@ pub const THRESHOLDS_GB: [u64; 4] = [1, 4, 16, 64];
 
 /// Build the per-workload threshold report for a stage (shared with Fig. 4).
 pub fn threshold_report(corpus: &Corpus, stage: PathStage) -> (Table, Vec<f64>) {
-    let traces = match stage {
-        PathStage::Input => corpus.with_input_paths(),
-        PathStage::Output => corpus.with_output_paths(),
-    };
     let mut table = Table::new(vec![
         "Workload",
         "jobs<1GB",
@@ -35,9 +32,9 @@ pub fn threshold_report(corpus: &Corpus, stage: PathStage) -> (Table, Vec<f64>) 
         "80-X rule",
     ]);
     let mut x_values = Vec::new();
-    for trace in traces {
-        let stats = FileAccessStats::gather(trace, stage);
-        let mut cells = vec![trace.kind.label().to_owned()];
+    for ctx in corpus.with_paths(stage) {
+        let stats = access(ctx, stage);
+        let mut cells = vec![ctx.label().to_owned()];
         for gb in THRESHOLDS_GB {
             let thr = DataSize::from_gb(gb);
             cells.push(pct(stats.access_fraction_below(thr)));
@@ -83,8 +80,8 @@ mod tests {
     #[test]
     fn jobs_fraction_exceeds_bytes_fraction_at_every_threshold() {
         let corpus = test_corpus();
-        for trace in corpus.with_input_paths() {
-            let stats = FileAccessStats::gather(trace, PathStage::Input);
+        for ctx in corpus.with_paths(PathStage::Input) {
+            let stats = access(ctx, PathStage::Input);
             for gb in THRESHOLDS_GB {
                 let thr = DataSize::from_gb(gb);
                 let jobs = stats.access_fraction_below(thr);
@@ -92,7 +89,7 @@ mod tests {
                 assert!(
                     jobs + 1e-9 >= bytes,
                     "{} @ {gb} GB: jobs {jobs:.3} < bytes {bytes:.3}",
-                    trace.kind
+                    ctx.label()
                 );
             }
         }
@@ -101,13 +98,12 @@ mod tests {
     #[test]
     fn eighty_x_rule_is_small() {
         let corpus = test_corpus();
-        for trace in corpus.with_input_paths() {
-            let stats = FileAccessStats::gather(trace, PathStage::Input);
-            let x = stats.eighty_x_rule(0.8).unwrap();
+        for ctx in corpus.with_paths(PathStage::Input) {
+            let x = access(ctx, PathStage::Input).eighty_x_rule(0.8).unwrap();
             assert!(
                 x < 65.0,
                 "{}: 80 % of accesses need {x:.1}% of bytes — no skew benefit",
-                trace.kind
+                ctx.label()
             );
         }
     }

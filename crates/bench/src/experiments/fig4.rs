@@ -32,17 +32,17 @@ pub fn run(corpus: &Corpus) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::access;
     use crate::experiments::tests::test_corpus;
-    use swim_core::access::FileAccessStats;
 
     #[test]
     fn only_cloudera_traces_have_output_stats() {
         let corpus = test_corpus();
-        let with_outputs = corpus.with_output_paths();
+        let with_outputs = corpus.with_paths(PathStage::Output);
         assert_eq!(with_outputs.len(), 4);
-        for trace in with_outputs {
-            let stats = FileAccessStats::gather(trace, PathStage::Output);
-            assert!(stats.distinct_files() > 0, "{}", trace.kind);
+        for ctx in with_outputs {
+            let stats = access(ctx, PathStage::Output);
+            assert!(stats.distinct_files() > 0, "{}", ctx.label());
         }
     }
 

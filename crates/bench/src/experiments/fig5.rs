@@ -5,9 +5,10 @@
 //! Published shape: strong temporal locality — ≈75 % of re-accesses fall
 //! within six hours, motivating LRU-like eviction.
 
-use crate::render::{pct, Table};
+use crate::corpus::in_memory;
 use crate::Corpus;
-use swim_core::locality::LocalityStats;
+use swim_core::access::PathStage;
+use swim_report::render::{pct, Table};
 use swim_report::Section;
 
 /// Interval thresholds reported (seconds): 1 min, 1 h, 6 h, 60 h.
@@ -30,8 +31,8 @@ pub fn doc(corpus: &Corpus) -> Section {
             "≤6 hrs",
             "≤60 hrs",
         ]);
-        for trace in corpus.with_input_paths() {
-            let loc = LocalityStats::gather(trace);
+        for ctx in corpus.with_paths(PathStage::Input) {
+            let loc = in_memory(ctx.locality());
             let intervals = if pick == 0 {
                 &loc.input_input_intervals
             } else {
@@ -41,7 +42,7 @@ pub fn doc(corpus: &Corpus) -> Section {
                 continue;
             }
             let n = intervals.len() as f64;
-            let mut cells = vec![trace.kind.label().to_owned(), intervals.len().to_string()];
+            let mut cells = vec![ctx.label().to_owned(), intervals.len().to_string()];
             for (secs, _) in THRESHOLDS {
                 let within = intervals.iter().filter(|&&x| x <= secs as f64).count() as f64;
                 cells.push(pct(within / n));
@@ -53,9 +54,8 @@ pub fn doc(corpus: &Corpus) -> Section {
     }
     // Cross-workload six-hour fraction.
     let mut fracs = Vec::new();
-    for trace in corpus.with_input_paths() {
-        let loc = LocalityStats::gather(trace);
-        let f = loc.fraction_within(6.0 * 3600.0);
+    for ctx in corpus.with_paths(PathStage::Input) {
+        let f = in_memory(ctx.locality()).fraction_within(6.0 * 3600.0);
         if f > 0.0 {
             fracs.push(f);
         }
@@ -84,12 +84,11 @@ mod tests {
     #[test]
     fn reaccesses_exist_for_path_bearing_workloads() {
         let corpus = test_corpus();
-        for trace in corpus.with_input_paths() {
-            let loc = LocalityStats::gather(trace);
+        for ctx in corpus.with_paths(PathStage::Input) {
             assert!(
-                !loc.input_input_intervals.is_empty(),
+                !in_memory(ctx.locality()).input_input_intervals.is_empty(),
                 "{}: no input re-accesses",
-                trace.kind
+                ctx.label()
             );
         }
     }
@@ -100,9 +99,8 @@ mod tests {
         // window; within-6-hours should be well above a uniform spread.
         let corpus = test_corpus();
         let mut any_strong = false;
-        for trace in corpus.with_input_paths() {
-            let loc = LocalityStats::gather(trace);
-            if loc.fraction_within(6.0 * 3600.0) > 0.5 {
+        for ctx in corpus.with_paths(PathStage::Input) {
+            if in_memory(ctx.locality()).fraction_within(6.0 * 3600.0) > 0.5 {
                 any_strong = true;
             }
         }

@@ -4,9 +4,10 @@
 //! Published shape: up to ≈78 % of jobs involve re-accesses on CC-c/d/e,
 //! lower on the others; FB-2010's output-path column is missing.
 
-use crate::render::{pct, Table};
+use crate::corpus::in_memory;
 use crate::Corpus;
-use swim_core::locality::LocalityStats;
+use swim_core::access::PathStage;
+use swim_report::render::{pct, Table};
 use swim_report::Section;
 
 /// Build the Figure 6 document.
@@ -19,11 +20,11 @@ pub fn doc(corpus: &Corpus) -> Section {
         "total re-accessing",
     ]);
     let mut totals = Vec::new();
-    for trace in corpus.with_input_paths() {
-        let loc = LocalityStats::gather(trace);
+    for ctx in corpus.with_paths(PathStage::Input) {
+        let loc = in_memory(ctx.locality());
         totals.push(loc.frac_jobs_reaccessing());
         table.row(vec![
-            trace.kind.label().to_owned(),
+            ctx.label().to_owned(),
             pct(loc.frac_jobs_reread_input),
             pct(loc.frac_jobs_consume_output),
             pct(loc.frac_jobs_reaccessing()),
@@ -52,36 +53,21 @@ pub fn run(corpus: &Corpus) -> String {
 mod tests {
     use super::*;
     use crate::experiments::tests::test_corpus;
+    use swim_trace::trace::WorkloadKind;
 
     #[test]
     fn cc_c_reaccesses_more_than_cc_b() {
         // Calibration: CC-c p_reread 0.48+0.30 vs CC-b 0.25+0.15.
         let corpus = test_corpus();
-        let loc = |label: &str| {
-            let t = corpus
-                .traces
-                .iter()
-                .find(|t| t.kind.label() == label)
-                .unwrap();
-            LocalityStats::gather(t).frac_jobs_reaccessing()
-        };
-        assert!(
-            loc("CC-c") > loc("CC-b"),
-            "CC-c {} vs CC-b {}",
-            loc("CC-c"),
-            loc("CC-b")
-        );
+        let loc = |kind| in_memory(corpus.get(&kind).locality()).frac_jobs_reaccessing();
+        let (cc_c, cc_b) = (loc(WorkloadKind::CcC), loc(WorkloadKind::CcB));
+        assert!(cc_c > cc_b, "CC-c {cc_c} vs CC-b {cc_b}");
     }
 
     #[test]
     fn fb2010_has_no_output_consumption() {
         let corpus = test_corpus();
-        let t = corpus
-            .traces
-            .iter()
-            .find(|t| t.kind.label() == "FB-2010")
-            .unwrap();
-        let loc = LocalityStats::gather(t);
+        let loc = in_memory(corpus.get(&WorkloadKind::Fb2010).locality());
         assert_eq!(loc.frac_jobs_consume_output, 0.0);
         assert!(loc.frac_jobs_reread_input > 0.0);
     }
@@ -89,8 +75,8 @@ mod tests {
     #[test]
     fn fractions_are_probabilities() {
         let corpus = test_corpus();
-        for trace in corpus.with_input_paths() {
-            let loc = LocalityStats::gather(trace);
+        for ctx in corpus.with_paths(PathStage::Input) {
+            let loc = in_memory(ctx.locality());
             for f in [
                 loc.frac_jobs_reread_input,
                 loc.frac_jobs_consume_output,

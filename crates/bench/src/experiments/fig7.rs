@@ -6,87 +6,30 @@
 //! diurnal cycles on some workloads (FB-2010 submissions), and large
 //! variation both across dimensions of one workload and across workloads.
 
+use crate::corpus::in_memory;
 use crate::Corpus;
 use swim_core::fourier::detect_diurnal;
-use swim_core::timeseries::HourlySeries;
-use swim_query::{execute, AggValue, Aggregate, Expr, Pred, Query};
 use swim_report::{Block, Section};
 use swim_sim::{SimConfig, Simulator};
-use swim_store::{store_to_vec, Store, StoreOptions};
 use swim_synth::ReplayPlan;
-use swim_trace::time::WEEK;
 use swim_trace::trace::WorkloadKind;
-use swim_trace::Trace;
 
 /// Workloads whose utilization column is produced by replaying on the
 /// simulator (kept to the smaller clusters so `fig7` stays fast; the
 /// paper likewise lacks utilization for CC-c, CC-d, FB-2009).
 pub const REPLAYED: [WorkloadKind; 3] = [WorkloadKind::CcA, WorkloadKind::CcB, WorkloadKind::CcE];
 
-/// The first-week hourly series, computed through `swim-query`: the full
-/// trace is encoded once, then one grouped query —
-/// `where submit in [start, start+week) group by submit/3600
-/// select count, sum(total_io), sum(total_task_time)` — runs vectorized
-/// over the store with zone maps skipping every chunk outside the week.
-/// No job is ever materialized. This is how the §5 per-window statistics
-/// run against stores bigger than RAM; a test asserts equality with the
-/// in-memory `HourlySeries::of(first_week)` path.
-pub fn store_first_week_series(trace: &Trace) -> HourlySeries {
-    let empty = HourlySeries {
-        jobs: vec![],
-        bytes: vec![],
-        task_seconds: vec![],
-    };
-    let store = Store::from_vec(store_to_vec(trace, &StoreOptions::default()))
-        .expect("freshly encoded store reopens");
-    let Some(start) = trace.start() else {
-        return empty;
-    };
-    let query = Query::new()
-        .filter(Pred::submit_range(start.secs(), start.secs() + WEEK))
-        .group(Expr::submit_hour())
-        .select(Aggregate::Count)
-        .select(Aggregate::Sum(Expr::total_io()))
-        .select(Aggregate::Sum(Expr::total_task_time()));
-    let out = execute(&store, &query).expect("in-memory store query cannot fail");
-    let (Some(first), Some(last)) = (out.rows.first(), out.rows.last()) else {
-        return empty;
-    };
-    // Densify the sparse hour buckets over the observed span, exactly as
-    // `HourlySeries::from_jobs` does for unordered job streams.
-    let (first, last) = (first.key[0], last.key[0]);
-    let n = (last - first + 1) as usize;
-    let mut series = HourlySeries {
-        jobs: vec![0.0; n],
-        bytes: vec![0.0; n],
-        task_seconds: vec![0.0; n],
-    };
-    let int = |v: &AggValue| match v {
-        AggValue::Int(n) => *n as f64,
-        _ => unreachable!("count and sums are integral"),
-    };
-    for row in &out.rows {
-        let idx = (row.key[0] - first) as usize;
-        series.jobs[idx] = int(&row.values[0]);
-        series.bytes[idx] = int(&row.values[1]);
-        series.task_seconds[idx] = int(&row.values[2]);
-    }
-    series
-}
-
 /// Build the Figure 7 document.
 pub fn doc(corpus: &Corpus) -> Section {
-    let mut section = Section::new(
-        "Figure 7: Workload behaviour over one week (hourly series via a \
-         grouped swim-query over the columnar store)",
-    );
+    let mut section = Section::new("Figure 7: Workload behaviour over one week (hourly series)");
     section.prose(
         "Columns: jobs/hr, I/O bytes/hr, task-time/hr — rendered as \
          7-day sparklines; utilization (avg active slots) from simulator \
          replay where marked.\n\n",
     );
-    for trace in &corpus.traces {
-        let series = store_first_week_series(trace).truncate(24 * 7);
+    for ctx in &corpus.contexts {
+        let trace = in_memory(ctx.trace());
+        let series = in_memory(ctx.weekly()).truncate(24 * 7);
         section.prose(format!("{}:\n", trace.kind));
         section.push(Block::spark("jobs/hr", series.jobs.clone(), ""));
         section.push(Block::spark("io/hr", series.bytes.clone(), ""));
@@ -149,30 +92,17 @@ mod tests {
     #[test]
     fn series_are_nonempty_for_all_workloads() {
         let corpus = test_corpus();
-        for trace in &corpus.traces {
-            let s = HourlySeries::of(&trace.first_week());
-            assert!(!s.is_empty(), "{}", trace.kind);
+        for ctx in &corpus.contexts {
+            let s = in_memory(ctx.weekly());
+            assert!(!s.is_empty(), "{}", ctx.label());
             assert!(s.jobs.iter().sum::<f64>() > 0.0);
-        }
-    }
-
-    #[test]
-    fn store_range_scan_series_equals_in_memory_series() {
-        let corpus = test_corpus();
-        for trace in &corpus.traces {
-            assert_eq!(
-                store_first_week_series(trace),
-                HourlySeries::of(&trace.first_week()),
-                "{}",
-                trace.kind
-            );
         }
     }
 
     #[test]
     fn replay_produces_utilization_within_slot_bounds() {
         let corpus = test_corpus();
-        let trace = corpus.get(&WorkloadKind::CcE);
+        let trace = in_memory(corpus.get(&WorkloadKind::CcE).trace());
         let week = trace.first_week();
         let plan = ReplayPlan::from_trace(&week);
         let sim = Simulator::new(SimConfig::new(trace.machines));
@@ -191,8 +121,7 @@ mod tests {
         // FB-2010 is calibrated with amplitude 0.5; over a week of hourly
         // data the daily bin should stand out.
         let corpus = test_corpus();
-        let trace = corpus.get(&WorkloadKind::Fb2010);
-        let series = HourlySeries::of(trace);
+        let series = in_memory(corpus.get(&WorkloadKind::Fb2010).hourly());
         let d = detect_diurnal(&series.jobs, 2.0).expect("long enough");
         assert!(d.snr > 1.0, "snr {}", d.snr);
     }

@@ -6,10 +6,11 @@
 //! its median (peak-to-median 9:1 … 260:1), far burstier than diurnal
 //! sinusoids; FB's ratio dropped 31:1 → 9:1 between 2009 and 2010.
 
-use crate::render::{ratio, Table};
+use crate::corpus::in_memory;
 use crate::Corpus;
 use swim_core::burstiness::{sine_reference, Burstiness};
 use swim_core::timeseries::HourlySeries;
+use swim_report::render::{ratio, Table};
 use swim_report::Section;
 
 /// Percentiles printed per curve.
@@ -29,10 +30,9 @@ fn signal_table(corpus: &Corpus, extract: impl Fn(&HourlySeries) -> Vec<f64>) ->
         "peak:median",
     ]);
     let mut rows: Vec<(String, Burstiness)> = Vec::new();
-    for trace in &corpus.traces {
-        let series = HourlySeries::of(trace);
-        if let Some(b) = Burstiness::of(&extract(&series), &PCTS) {
-            rows.push((trace.kind.label().to_owned(), b));
+    for ctx in &corpus.contexts {
+        if let Some(b) = Burstiness::of(&extract(in_memory(ctx.hourly())), &PCTS) {
+            rows.push((ctx.label().to_owned(), b));
         }
     }
     let hours = 24 * 14;
@@ -98,7 +98,7 @@ mod tests {
     /// arrival calibration controls directly (the task-time signal is
     /// dominated by job-size tails at reduced corpus scale).
     fn p2m(corpus: &crate::Corpus, kind: &WorkloadKind) -> f64 {
-        let series = HourlySeries::of(corpus.get(kind));
+        let series = in_memory(corpus.get(kind).hourly());
         Burstiness::of(&series.jobs, &[])
             .map(|b| b.peak_to_median)
             .unwrap_or(0.0)
@@ -111,8 +111,8 @@ mod tests {
             .unwrap()
             .peak_to_median;
         let mut above = 0;
-        for trace in &corpus.traces {
-            let series = HourlySeries::of(trace);
+        for ctx in &corpus.contexts {
+            let series = in_memory(ctx.hourly());
             if let Some(b) = Burstiness::of(&series.task_seconds, &[]) {
                 if b.peak_to_median > 2.0 * sine {
                     above += 1;
@@ -142,14 +142,14 @@ mod tests {
         // corpus, but insist on double digits somewhere and > 3 everywhere.
         let corpus = test_corpus();
         let mut max = 0.0f64;
-        for trace in &corpus.traces {
-            let series = HourlySeries::of(trace);
+        for ctx in &corpus.contexts {
+            let series = in_memory(ctx.hourly());
             if let Some(b) = Burstiness::of(&series.task_seconds, &[]) {
                 max = max.max(b.peak_to_median);
                 assert!(
                     b.peak_to_median > 2.0,
                     "{}: {:.1}:1 too flat",
-                    trace.kind,
+                    ctx.label(),
                     b.peak_to_median
                 );
             }

@@ -6,9 +6,9 @@
 //! most correlated pair, so MapReduce workloads are data-centric and jobs
 //! per second is the wrong load metric.
 
-use crate::render::Table;
+use crate::corpus::in_memory;
 use crate::Corpus;
-use swim_core::timeseries::HourlySeries;
+use swim_report::render::Table;
 use swim_report::Section;
 
 /// Published Fig. 9 averages: `(jobs↔bytes, jobs↔task, bytes↔task)`.
@@ -25,14 +25,14 @@ pub fn doc(corpus: &Corpus) -> Section {
     ]);
     let mut sums = (0.0, 0.0, 0.0);
     let mut n = 0.0;
-    for trace in &corpus.traces {
-        let c = HourlySeries::of(trace).correlations();
+    for ctx in &corpus.contexts {
+        let c = in_memory(ctx.hourly()).correlations();
         sums.0 += c.jobs_bytes;
         sums.1 += c.jobs_task_seconds;
         sums.2 += c.bytes_task_seconds;
         n += 1.0;
         table.row(vec![
-            trace.kind.label().to_owned(),
+            ctx.label().to_owned(),
             format!("{:.2}", c.jobs_bytes),
             format!("{:.2}", c.jobs_task_seconds),
             format!("{:.2}", c.bytes_task_seconds),
@@ -73,8 +73,8 @@ mod tests {
     fn bytes_tasktime_is_strongest_pair_on_average() {
         let corpus = test_corpus();
         let mut sums = (0.0, 0.0, 0.0);
-        for trace in &corpus.traces {
-            let c = HourlySeries::of(trace).correlations();
+        for ctx in &corpus.contexts {
+            let c = in_memory(ctx.hourly()).correlations();
             sums.0 += c.jobs_bytes;
             sums.1 += c.jobs_task_seconds;
             sums.2 += c.bytes_task_seconds;
@@ -92,20 +92,20 @@ mod tests {
     fn bytes_tasktime_correlation_is_strong() {
         let corpus = test_corpus();
         let mut mean = 0.0;
-        for trace in &corpus.traces {
-            mean += HourlySeries::of(trace).correlations().bytes_task_seconds;
+        for ctx in &corpus.contexts {
+            mean += in_memory(ctx.hourly()).correlations().bytes_task_seconds;
         }
-        mean /= corpus.traces.len() as f64;
+        mean /= corpus.contexts.len() as f64;
         assert!((0.3..=1.0).contains(&mean), "mean bytes↔task {mean:.2}");
     }
 
     #[test]
     fn correlations_are_valid() {
         let corpus = test_corpus();
-        for trace in &corpus.traces {
-            let c = HourlySeries::of(trace).correlations();
+        for ctx in &corpus.contexts {
+            let c = in_memory(ctx.hourly()).correlations();
             for v in [c.jobs_bytes, c.jobs_task_seconds, c.bytes_task_seconds] {
-                assert!((-1.0..=1.0).contains(&v), "{}: r = {v}", trace.kind);
+                assert!((-1.0..=1.0).contains(&v), "{}: r = {v}", ctx.label());
             }
         }
     }

@@ -4,8 +4,9 @@
 //! with Kolmogorov–Smirnov distances that the synthesis preserved the
 //! original per-job distributions.
 
-use crate::render::Table;
+use crate::corpus::in_memory;
 use crate::Corpus;
+use swim_report::render::Table;
 use swim_report::{Block, KeyValueBlock, Section};
 use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, SimConfig, Simulator};
 use swim_synth::datagen::DataGenPlan;
@@ -37,9 +38,21 @@ pub fn whatif_grid() -> ScenarioGrid {
         ])
 }
 
+/// Label a simulator cache configuration for sweep tables: `none`,
+/// `lru:10.0 GB`, `lfu:10.0 GB`, `thr<500 MB:2.00 GB`, `unlimited`.
+pub fn cache_label(cache: &Option<(CachePolicy, DataSize)>) -> String {
+    match cache {
+        None => "none".into(),
+        Some((CachePolicy::Lru, cap)) => format!("lru:{cap}"),
+        Some((CachePolicy::Lfu, cap)) => format!("lfu:{cap}"),
+        Some((CachePolicy::SizeThreshold { threshold }, cap)) => format!("thr<{threshold}:{cap}"),
+        Some((CachePolicy::Unlimited, _)) => "unlimited".into(),
+    }
+}
+
 /// Build the SWIM pipeline document, reporting each stage.
 pub fn doc(corpus: &Corpus) -> Section {
-    let source = corpus.get(&WorkloadKind::Fb2009);
+    let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
     let mut section =
         Section::new("SWIM (§7): synthesize a scaled-down, replayable FB-2009 workload");
     let mut stages: Vec<(String, String)> = Vec::new();
@@ -154,7 +167,7 @@ pub fn doc(corpus: &Corpus) -> Section {
         sweep_table.row(vec![
             cell.config.cluster.nodes.to_string(),
             format!("{:?}", cell.config.scheduler).to_lowercase(),
-            crate::render::cache_label(&cell.config.cache),
+            cache_label(&cell.config.cache),
             format!("{:.0} s", cell.result.median_latency()),
             format!("{:.0} s", cell.result.latency_percentile(0.99)),
             format!("{:.1} s", cell.result.mean_queue_delay()),
@@ -214,7 +227,7 @@ mod tests {
     #[test]
     fn pipeline_preserves_distributions() {
         let corpus = test_corpus();
-        let source = corpus.get(&WorkloadKind::Fb2009);
+        let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
         let sampled = sample_windows(source, SampleConfig::one_day_from_hours(7));
         let report = SynthesisReport::compare(source, &sampled);
         assert!(
@@ -227,7 +240,7 @@ mod tests {
     #[test]
     fn scaled_replay_completes() {
         let corpus = test_corpus();
-        let source = corpus.get(&WorkloadKind::Fb2009);
+        let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
         let sampled = sample_windows(source, SampleConfig::one_day_from_hours(3));
         let scaled = scale_trace(
             &sampled,
@@ -245,7 +258,7 @@ mod tests {
     #[test]
     fn whatif_sweep_covers_twelve_scenarios_and_matches_serial_runs() {
         let corpus = test_corpus();
-        let source = corpus.get(&WorkloadKind::Fb2009);
+        let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
         let sampled = sample_windows(source, SampleConfig::one_day_from_hours(3));
         let scaled = scale_trace(
             &sampled,
@@ -272,7 +285,7 @@ mod tests {
     #[test]
     fn scaling_shrinks_bytes_by_node_ratio() {
         let corpus = test_corpus();
-        let source = corpus.get(&WorkloadKind::Fb2009);
+        let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
         let scaled = scale_trace(
             source,
             ScaleConfig {
@@ -284,5 +297,18 @@ mod tests {
         let expected = TARGET_NODES as f64 / source.machines as f64;
         let actual = scaled.bytes_moved().as_f64() / source.bytes_moved().as_f64();
         assert!((actual / expected - 1.0).abs() < 0.01, "ratio {actual:.4}");
+    }
+
+    #[test]
+    fn cache_labels() {
+        assert_eq!(cache_label(&None), "none");
+        assert_eq!(
+            cache_label(&Some((CachePolicy::Lru, DataSize::from_gb(10)))),
+            "lru:10.0 GB"
+        );
+        assert_eq!(
+            cache_label(&Some((CachePolicy::Unlimited, DataSize::ZERO))),
+            "unlimited"
+        );
     }
 }

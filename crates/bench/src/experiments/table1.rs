@@ -1,12 +1,10 @@
 //! Table 1 — summary of traces: machines, length, jobs, bytes moved.
 
-use crate::corpus::scale_params;
-use crate::render::Table;
+use crate::corpus::{in_memory, scale_params};
 use crate::Corpus;
-use swim_query::{execute, AggValue, Aggregate, Col, Expr, Query};
+use swim_report::render::{bytes, Table};
 use swim_report::Section;
-use swim_store::{store_to_vec, Store, StoreOptions};
-use swim_trace::{DataSize, Dur, Trace, TraceSummary};
+use swim_trace::TraceSummary;
 
 /// Published Table 1 rows: `(workload, machines, jobs, bytes_moved)`.
 /// Machines for CC-d is the 400–500 midpoint the profiles use.
@@ -20,50 +18,10 @@ pub const PAPER: [(&str, u32, u64, f64); 7] = [
     ("FB-2010", 3_000, 1_169_184, 1.5e18),
 ];
 
-/// Compute a trace's Table 1 row through the query engine: encode to the
-/// `swim-store` format, reopen, and run
-/// `select count, sum(total_io), min(submit), max(submit)` via
-/// `swim-query` — the exact path a production deployment with on-disk
-/// stores would take. Exercised here (rather than `Trace::summary`) so
-/// every `table1` run covers codec + planner + vectorized aggregation end
-/// to end; a test asserts equality with the in-memory path.
-pub fn store_summary(trace: &Trace) -> TraceSummary {
-    let store = Store::from_vec(store_to_vec(trace, &StoreOptions::default()))
-        .expect("freshly encoded store reopens");
-    let query = Query::new()
-        .select(Aggregate::Count)
-        .select(Aggregate::Sum(Expr::total_io()))
-        .select(Aggregate::Min(Expr::col(Col::Submit)))
-        .select(Aggregate::Max(Expr::col(Col::Submit)));
-    let out = execute(&store, &query).expect("in-memory store query cannot fail");
-    let row = &out.rows[0];
-    let int = |v: &AggValue| match v {
-        AggValue::Int(n) => Some(*n),
-        AggValue::Float(_) => unreachable!("all four aggregates are integral"),
-        AggValue::Null => None,
-    };
-    let jobs = int(&row.values[0]).expect("count is never null");
-    let bytes_moved = DataSize::from_bytes(int(&row.values[1]).expect("sum is never null"));
-    let length = match (int(&row.values[2]), int(&row.values[3])) {
-        (Some(min), Some(max)) => Dur::from_secs(max - min),
-        _ => Dur::ZERO, // empty trace: min/max are null
-    };
-    TraceSummary {
-        workload: store.kind().label().to_owned(),
-        machines: store.machines(),
-        length,
-        jobs: jobs as usize,
-        bytes_moved,
-    }
-}
-
 /// Build the Table 1 document, next to the published values rescaled to
 /// the corpus scale factor for a like-for-like check.
 pub fn doc(corpus: &Corpus) -> Section {
-    let mut section = Section::new(
-        "Table 1: Summary of traces (synthetic reproduction vs paper; rows \
-         computed via swim-query over the columnar store)",
-    );
+    let mut section = Section::new("Table 1: Summary of traces (synthetic reproduction vs paper)");
     let mut table = Table::new(vec![
         "Workload",
         "Machines",
@@ -75,17 +33,17 @@ pub fn doc(corpus: &Corpus) -> Section {
         "jobs ratio",
     ]);
     let mut rows: Vec<TraceSummary> = Vec::new();
-    for trace in &corpus.traces {
-        let s = store_summary(trace);
-        let (job_scale, days) = scale_params(&trace.kind, corpus.scale);
+    for ctx in &corpus.contexts {
+        let s = ctx.summary();
+        let kind = &in_memory(ctx.trace()).kind;
+        let (job_scale, days) = scale_params(kind, corpus.scale);
         let paper = PAPER
             .iter()
             .find(|(w, ..)| *w == s.workload)
             .expect("paper row exists");
         // Scale published totals to the generated job-count scale and the
         // generated window length relative to the original trace length.
-        let profile =
-            swim_workloadgen::WorkloadProfile::for_kind(&trace.kind).expect("paper workload");
+        let profile = swim_workloadgen::WorkloadProfile::for_kind(kind).expect("paper workload");
         let window_frac = (days / profile.length_days).min(1.0);
         let expected_jobs = paper.2 as f64 * job_scale * window_frac;
         let expected_bytes = paper.3 * job_scale * window_frac;
@@ -97,10 +55,10 @@ pub fn doc(corpus: &Corpus) -> Section {
             s.jobs.to_string(),
             s.bytes_moved.to_string(),
             format!("{expected_jobs:.0}"),
-            crate::render::bytes(expected_bytes),
+            bytes(expected_bytes),
             format!("{ratio:.2}"),
         ]);
-        rows.push(s);
+        rows.push(s.clone());
     }
     let total = TraceSummary::total(&rows);
     table.row(vec![
@@ -135,7 +93,7 @@ mod tests {
     #[test]
     fn job_counts_track_scaled_paper_totals() {
         let corpus = test_corpus();
-        for trace in &corpus.traces {
+        for trace in corpus.traces() {
             let (job_scale, days) = crate::corpus::scale_params(&trace.kind, corpus.scale);
             let paper = PAPER
                 .iter()
@@ -160,12 +118,5 @@ mod tests {
             assert!(r.contains(w), "missing {w}");
         }
         assert!(r.contains("Total"));
-    }
-
-    #[test]
-    fn store_summary_equals_in_memory_summary() {
-        for trace in &test_corpus().traces {
-            assert_eq!(store_summary(trace), trace.summary(), "{}", trace.kind);
-        }
     }
 }

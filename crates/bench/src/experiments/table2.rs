@@ -7,10 +7,10 @@
 //! behaviours with wildly varying scales; FB's job types changed
 //! substantially between 2009 and 2010.
 
-use crate::render::Table;
 use crate::Corpus;
 use swim_core::kmeans::{FeatureScaling, KMeansConfig};
 use swim_core::KMeans;
+use swim_report::render::Table;
 use swim_report::Section;
 
 /// Published cluster counts per workload (number of Table 2 rows).
@@ -82,7 +82,7 @@ pub fn doc(corpus: &Corpus) -> Section {
          diminishing returns in residual variance, which at our reduced \n\
          corpus scale saturates earlier).\n\n",
     );
-    for trace in &corpus.traces {
+    for trace in corpus.traces() {
         let model = fit_paper_k(trace);
         let elbow = KMeans::fit_with_elbow(trace, MAX_K, ELBOW, table2_config());
         section.prose(format!(
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn dominant_cluster_exceeds_ninety_percent() {
         let corpus = test_corpus();
-        for trace in &corpus.traces {
+        for trace in corpus.traces() {
             let model = fit_paper_k(trace);
             let total: u64 = model.clusters.iter().map(|c| c.count).sum();
             let share = model.clusters[0].count as f64 / total as f64;
@@ -160,7 +160,7 @@ mod tests {
     fn dominant_cluster_is_labelled_small_jobs() {
         let corpus = test_corpus();
         let mut small = 0;
-        for trace in &corpus.traces {
+        for trace in corpus.traces() {
             let model = fit_paper_k(trace);
             if model.clusters[0].label == "Small jobs" {
                 small += 1;
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn elbow_finds_multiple_types() {
         let corpus = test_corpus();
-        for trace in &corpus.traces {
+        for trace in corpus.traces() {
             let model = fit_paper_k(trace);
             assert!(
                 model.config.k >= 2,

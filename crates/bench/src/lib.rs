@@ -14,7 +14,6 @@
 pub mod analyze;
 pub mod corpus;
 pub mod experiments;
-pub mod render;
 pub mod serveload;
 pub mod top;
 

@@ -1,7 +1,8 @@
-//! Golden-output pin for every experiment: the exact bytes each `run`
-//! printed before the document-model refactor, regenerated from the
+//! Golden-output pins: the exact bytes each experiment's `run` printed
+//! before the document-model refactor, regenerated from the
 //! deterministic quick corpus (seed 17 — the same corpus the unit smoke
-//! tests share).
+//! tests share), and the metrics document `swim-analyze --demo --export`
+//! writes.
 //!
 //! Regenerate after an *intentional* output change with
 //!
@@ -12,10 +13,37 @@
 //! and review the diff like any other code change.
 
 use std::path::PathBuf;
+use std::process::Command;
 use swim_bench::{experiments, Corpus, CorpusScale};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+#[test]
+fn analyze_demo_export_is_bit_identical_to_golden() {
+    let out = std::env::temp_dir().join(format!("swim-analyze-demo-{}.json", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_swim-analyze"))
+        .args(["--demo", "--export"])
+        .arg(&out)
+        .output()
+        .expect("run swim-analyze")
+        .status;
+    assert!(status.success(), "swim-analyze --demo --export failed");
+    let exported = std::fs::read_to_string(&out).unwrap();
+    std::fs::remove_file(&out).unwrap();
+    let path = golden_dir().join("analyze-demo.json");
+    if std::env::var_os("SWIM_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &exported).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+    assert!(
+        exported == golden,
+        "swim-analyze --demo --export drifted from {}",
+        path.display()
+    );
 }
 
 #[test]

@@ -3,12 +3,11 @@
 //! stored-bytes-vs-file-size CDFs of Figs. 3–4, and the 80-X rule.
 
 use crate::stats::{ols, Ecdf, Regression};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use swim_trace::{DataSize, PathId, Trace};
 
 /// Which stage's paths to analyze.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathStage {
     /// Job input files.
     Input,
@@ -17,7 +16,7 @@ pub enum PathStage {
 }
 
 /// Per-file access statistics for one stage of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileAccessStats {
     /// Which stage was analyzed.
     pub stage: PathStage,

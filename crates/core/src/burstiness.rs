@@ -8,11 +8,10 @@
 //! peak-to-median ratio (100th percentile over median).
 
 use crate::stats::Ecdf;
-use serde::{Deserialize, Serialize};
 
 /// One point of the burstiness curve: percentile `n` and the ratio of the
 /// nth percentile to the median.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstinessPoint {
     /// Percentile in `[0, 100]`.
     pub percentile: f64,
@@ -21,7 +20,7 @@ pub struct BurstinessPoint {
 }
 
 /// The burstiness profile of one hourly load signal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Burstiness {
     /// Curve points, ordered by percentile.
     pub points: Vec<BurstinessPoint>,

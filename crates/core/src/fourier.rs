@@ -5,10 +5,8 @@
 //! hourly signals and a detector that reports whether the 24-hour
 //! component stands out from the spectrum's noise floor.
 
-use serde::{Deserialize, Serialize};
-
 /// Magnitude spectrum of a real-valued signal (DC component excluded).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Spectrum {
     /// Number of input samples.
     pub n: usize,
@@ -72,7 +70,7 @@ impl Spectrum {
 }
 
 /// Result of diurnal detection on an hourly signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalDetection {
     /// Magnitude of the 24-hour component.
     pub daily_magnitude: f64,

@@ -15,11 +15,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use swim_trace::{DataSize, Dur, Job, Trace};
 
 /// Feature preprocessing applied before clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureScaling {
     /// Cluster the raw byte/second values (the paper's literal procedure).
     Raw,
@@ -28,7 +27,7 @@ pub enum FeatureScaling {
 }
 
 /// Configuration for [`KMeans`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
@@ -53,7 +52,7 @@ impl Default for KMeansConfig {
 
 /// One fitted cluster, reported in original (unscaled) units as a Table 2
 /// row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Number of member jobs.
     pub count: u64,
@@ -102,7 +101,7 @@ pub struct Cluster {
 /// assert_eq!(model.clusters[0].label, "Small jobs");
 /// assert_eq!(model.assignments.len(), trace.len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     /// Configuration used.
     pub config: KMeansConfig,

@@ -16,9 +16,8 @@
 //!   analysis ([`names`]) and 6-dimensional k-means job clustering with
 //!   elbow-based `k` selection ([`kmeans`]).
 //!
-//! [`workload::WorkloadAnalysis`] orchestrates all of it over a trace and
-//! produces the serializable report types each figure/table harness
-//! consumes.
+//! Each analysis is a plain function of a trace. `swim_report::TraceContext`
+//! computes the ones several figures share once per trace and caches them.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,7 +30,5 @@ pub mod locality;
 pub mod names;
 pub mod stats;
 pub mod timeseries;
-pub mod workload;
 
 pub use kmeans::{KMeans, KMeansConfig};
-pub use workload::WorkloadAnalysis;

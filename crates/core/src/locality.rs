@@ -3,12 +3,11 @@
 //! data (Fig. 6).
 
 use crate::stats::Ecdf;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use swim_trace::{PathId, Trace};
 
 /// Re-access analysis of one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalityStats {
     /// Seconds between successive reads of the same input file
     /// (Fig. 5 top: input→input re-access intervals).

@@ -2,13 +2,12 @@
 //! by the first word of their names, classify the originating framework,
 //! and weight groups by job count, total I/O, and total task-time.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use swim_trace::{Framework, Trace};
 
 /// How one first-word group weighs in a workload, under the three Fig. 10
 /// weightings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WordGroup {
     /// The first word ("insert", "piglatin", "ad", …).
     pub word: String,
@@ -23,7 +22,7 @@ pub struct WordGroup {
 }
 
 /// Full name analysis for one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NameAnalysis {
     /// Groups sorted by job count, descending.
     pub groups: Vec<WordGroup>,
@@ -134,7 +133,13 @@ impl NameAnalysis {
                 s
             })
             .collect();
-        out.sort_by(|a, b| b.jobs.partial_cmp(&a.jobs).expect("finite"));
+        // Ties break by label: `acc`'s iteration order is random per call.
+        out.sort_by(|a, b| {
+            b.jobs
+                .partial_cmp(&a.jobs)
+                .expect("finite")
+                .then_with(|| a.framework.label().cmp(b.framework.label()))
+        });
         out
     }
 
@@ -153,7 +158,7 @@ impl NameAnalysis {
 }
 
 /// Per-framework normalized shares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameworkShare {
     /// The framework.
     pub framework: Framework,
@@ -166,7 +171,7 @@ pub struct FrameworkShare {
 }
 
 /// The three Fig. 10 weightings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Weighting {
     /// Weight groups by number of jobs (Fig. 10 top).
     Jobs,
@@ -254,6 +259,19 @@ mod tests {
         assert!((hive.jobs - 2.0 / 3.0).abs() < 1e-12);
         assert!((hive.bytes - 0.5).abs() < 1e-12);
         assert!((native.task_seconds - 0.8).abs() < 1e-12);
+
+        // Equal job counts come back in one order on every call.
+        let tie = NameAnalysis::of(&trace(vec![
+            named_job(0, "insert a", 1, 1),
+            named_job(1, "select b", 1, 1),
+            named_job(2, "piglatin c", 1, 1),
+            named_job(3, "pig d", 1, 1),
+        ]));
+        for _ in 0..32 {
+            let order: Vec<Framework> =
+                tie.framework_shares().iter().map(|s| s.framework).collect();
+            assert_eq!(order, [Framework::Hive, Framework::Pig]);
+        }
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Statistical primitives: empirical CDFs/quantiles, descriptive stats,
 //! Pearson correlation, ordinary least squares, and log-scale histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution over a finite sample.
 ///
 /// Every figure-1-style CDF in the paper is one of these; the harness
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(sizes.quantile(1.0), 100.0);
 /// assert_eq!(sizes.cdf(2.0), 0.6); // 3 of 5 samples are ≤ 2
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -105,7 +103,7 @@ impl Ecdf {
 }
 
 /// Descriptive statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Describe {
     /// Sample size.
     pub n: usize,
@@ -171,7 +169,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 }
 
 /// Result of a simple linear regression `y = slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Regression {
     /// Fitted slope.
     pub slope: f64,
@@ -218,7 +216,7 @@ pub fn ols(points: &[(f64, f64)]) -> Option<Regression> {
 
 /// A histogram over log10-spaced bins, used for Fig. 1-style summaries
 /// and for the data-generation plans in `swim-synth`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     /// Inclusive lower edge of bin 0 (log10).
     pub min_log10: f64,

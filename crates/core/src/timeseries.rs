@@ -7,7 +7,6 @@
 //! `swim-sim` replaying the trace.)
 
 use crate::stats::pearson;
-use serde::{Deserialize, Serialize};
 use swim_trace::Trace;
 
 /// Hour-granularity submission time series for one trace.
@@ -37,7 +36,7 @@ use swim_trace::Trace;
 /// assert_eq!(series.jobs, vec![2.0, 0.0, 1.0]);
 /// assert_eq!(series.task_seconds, vec![120.0, 0.0, 60.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HourlySeries {
     /// Jobs submitted per hour.
     pub jobs: Vec<f64>,
@@ -157,7 +156,7 @@ impl HourlySeries {
 }
 
 /// The Fig. 9 correlation triple for one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesCorrelations {
     /// Correlation between jobs/hour and bytes/hour.
     pub jobs_bytes: f64,

@@ -1,11 +1,12 @@
 //! The per-trace experiment battery: every `fig*`/`table*` analysis of
 //! the paper, reduced to comparable per-trace measurements.
 //!
-//! Where `swim-bench`'s experiment modules reproduce the *published
-//! artifacts* (one report over the calibrated seven-workload corpus, with
-//! the paper's values alongside), this module answers the cross-trace
-//! question: *given any N traces, how do they compare on each analysis?*
-//! Each battery entry maps one trace to an [`ExperimentResult`] — named
+//! This module answers the cross-trace question: *given any N traces, how
+//! do they compare on each analysis?* `swim-repro`'s experiment modules
+//! read the same [`TraceContext`] values for the calibrated seven-workload
+//! corpus and set the paper's values alongside; there is one per-trace
+//! analysis state, not two. Each battery entry maps one trace to an
+//! [`ExperimentResult`] — named
 //! scalar metrics, optionally with hourly series for sparklines — and the
 //! [`crate::compare`] pipeline fans the battery across traces in parallel
 //! and assembles one trace×metric table per experiment.
@@ -157,12 +158,13 @@ pub struct TraceContext {
     trace: Cached<Trace>,
     weekly: Cached<HourlySeries>,
     // Full-trace derived statistics shared by several battery entries
-    // (fig2+fig3, fig5+fig6, fig8+fig9): computed once per trace, not
-    // once per experiment — on a million-job trace each recomputation is
-    // an O(jobs) pass.
+    // (fig2+fig3, fig2+fig4, fig5+fig6, fig8+fig9): computed once per
+    // trace, not once per experiment — on a million-job trace each
+    // recomputation is an O(jobs) pass.
     hourly: Cached<HourlySeries>,
     locality: Cached<LocalityStats>,
     input_access: Cached<FileAccessStats>,
+    output_access: Cached<FileAccessStats>,
 }
 
 /// A value derived from the source at most once — or the reason it
@@ -175,21 +177,25 @@ fn cached<T>(cell: &Cached<T>, init: impl FnOnce() -> Result<T, String>) -> Resu
 }
 
 impl TraceContext {
-    /// Wrap an in-memory trace.
-    pub fn from_trace(label: impl Into<String>, trace: Trace) -> TraceContext {
-        let summary = trace.summary();
-        let cell = OnceLock::new();
-        cell.set(Ok(trace)).expect("fresh cell");
+    fn new(label: String, source: Source, summary: TraceSummary) -> TraceContext {
         TraceContext {
-            label: label.into(),
-            source: Source::Memory,
+            label,
+            source,
             summary,
-            trace: cell,
+            trace: OnceLock::new(),
             weekly: OnceLock::new(),
             hourly: OnceLock::new(),
             locality: OnceLock::new(),
             input_access: OnceLock::new(),
+            output_access: OnceLock::new(),
         }
+    }
+
+    /// Wrap an in-memory trace.
+    pub fn from_trace(label: impl Into<String>, trace: Trace) -> TraceContext {
+        let ctx = TraceContext::new(label.into(), Source::Memory, trace.summary());
+        ctx.trace.set(Ok(trace)).expect("fresh cell");
+        ctx
     }
 
     /// Load a trace file or catalog directory. Directories open as
@@ -208,16 +214,7 @@ impl TraceContext {
         if path.is_dir() {
             let catalog = swim_catalog::Catalog::open(path).map_err(|e| e.to_string())?;
             let summary = catalog.summary();
-            return Ok(TraceContext {
-                label,
-                source: Source::Catalog(catalog),
-                summary,
-                trace: OnceLock::new(),
-                weekly: OnceLock::new(),
-                hourly: OnceLock::new(),
-                locality: OnceLock::new(),
-                input_access: OnceLock::new(),
-            });
+            return Ok(TraceContext::new(label, Source::Catalog(catalog), summary));
         }
         let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
         match ext {
@@ -231,16 +228,7 @@ impl TraceContext {
                 let summary = store
                     .par_summary()
                     .map_err(|e| format!("scan {}: {e}", path.display()))?;
-                Ok(TraceContext {
-                    label,
-                    source: Source::Store(store),
-                    summary,
-                    trace: OnceLock::new(),
-                    weekly: OnceLock::new(),
-                    hourly: OnceLock::new(),
-                    locality: OnceLock::new(),
-                    input_access: OnceLock::new(),
-                })
+                Ok(TraceContext::new(label, Source::Store(store), summary))
             }
             "csv" => {
                 let file = std::fs::File::open(path)
@@ -342,6 +330,13 @@ impl TraceContext {
     pub fn input_access(&self) -> Result<&FileAccessStats, String> {
         cached(&self.input_access, || {
             Ok(FileAccessStats::gather(self.trace()?, PathStage::Input))
+        })
+    }
+
+    /// Output-stage file access statistics (fig2, fig4), computed once.
+    pub fn output_access(&self) -> Result<&FileAccessStats, String> {
+        cached(&self.output_access, || {
+            Ok(FileAccessStats::gather(self.trace()?, PathStage::Output))
         })
     }
 }
@@ -478,13 +473,9 @@ fn fig2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 }
 
 fn size_thresholds(ctx: &TraceContext, stage: PathStage) -> Result<ExperimentResult, String> {
-    let gathered;
     let stats = match stage {
         PathStage::Input => ctx.input_access()?,
-        PathStage::Output => {
-            gathered = FileAccessStats::gather(ctx.trace()?, stage);
-            &gathered
-        }
+        PathStage::Output => ctx.output_access()?,
     };
     if stats.distinct_files() == 0 {
         return Ok(ExperimentResult::Skipped(match stage {

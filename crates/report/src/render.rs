@@ -2,9 +2,8 @@
 //! and the paper's number formats.
 //!
 //! These began life in `swim-bench`'s terminal reports and moved here when
-//! the document model ([`crate::doc`]) took over rendering; `swim-bench`
-//! re-exports them unchanged, and the text renderer reproduces the
-//! historical terminal output byte for byte.
+//! the document model ([`crate::doc`]) took over rendering; the text
+//! renderer reproduces the historical terminal output byte for byte.
 
 /// A simple left-aligned ASCII table.
 ///
@@ -177,5 +176,115 @@ mod tests {
         let mut t = Table::new(Vec::<String>::new());
         t.row(vec!["dropped"]);
         assert_eq!(t.render(), "");
+    }
+
+    #[test]
+    fn table_aligns_columns() {
+        let mut t = Table::new(vec!["a", "bb"]);
+        t.row(vec!["xxx", "y"]);
+        t.row(vec!["z", "wwww"]);
+        let out = t.render();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].starts_with("a  "));
+        assert!(lines[2].starts_with("xxx"));
+    }
+
+    #[test]
+    fn table_render_pads_every_column_to_its_widest_cell() {
+        let mut t = Table::new(vec!["id", "name", "n"]);
+        t.row(vec!["1", "a-very-long-name", "2"]);
+        t.row(vec!["1234", "b", "3"]);
+        let out = t.render();
+        let lines: Vec<&str> = out.lines().collect();
+        // Header row: "id" padded to width 4 ("1234"), then two spaces.
+        assert_eq!(lines[0], "id    name              n");
+        // Separator spans sum(widths) + 2 spaces per gap.
+        assert_eq!(lines[1].len(), 4 + 16 + 1 + 2 * 2);
+        assert!(lines[1].chars().all(|c| c == '-'));
+        // Last column is never right-padded.
+        assert_eq!(lines[2], "1     a-very-long-name  2");
+        assert_eq!(lines[3], "1234  b                 3");
+    }
+
+    #[test]
+    fn short_rows_are_padded() {
+        let mut t = Table::new(vec!["a", "b", "c"]);
+        t.row(vec!["1"]);
+        assert_eq!(t.len(), 1);
+        assert!(t.render().lines().count() >= 3);
+    }
+
+    #[test]
+    fn sparkline_levels() {
+        let s = sparkline(&[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(s.chars().count(), 4);
+        assert!(s.starts_with('▁'));
+        assert!(s.ends_with('█'));
+        assert_eq!(sparkline(&[]), "");
+        assert_eq!(sparkline(&[5.0, 5.0]), "▄▄");
+    }
+
+    #[test]
+    fn sparkline_edge_cases() {
+        // Single value: zero range renders mid-level.
+        assert_eq!(sparkline(&[7.0]), "▄");
+        // NaN and infinities render as `?` without poisoning neighbours…
+        assert_eq!(sparkline(&[0.0, f64::NAN, 1.0]), "▁?█");
+        // …unless the extremes themselves are non-finite, which collapses
+        // the scale: every finite value then renders at one level.
+        assert_eq!(sparkline(&[f64::INFINITY, 0.0]), "?▁");
+        assert_eq!(sparkline(&[f64::NAN, f64::NAN]), "??");
+        // Constant non-zero series renders mid-level throughout.
+        assert_eq!(sparkline(&[3.0, 3.0, 3.0]), "▄▄▄");
+        // Negative ranges scale like positive ones.
+        assert_eq!(sparkline(&[-2.0, -1.0]), "▁█");
+    }
+
+    #[test]
+    fn formatting_helpers() {
+        assert_eq!(ratio(31.2), "31:1");
+        assert_eq!(ratio(9.4), "9.4:1");
+        assert_eq!(pct(0.80), "80%");
+        assert_eq!(pct(0.056), "5.6%");
+        assert_eq!(pct(0.0012), "0.12%");
+        assert_eq!(bytes(1.2e12), "1.20 TB");
+    }
+
+    #[test]
+    fn ratio_rounding_edges() {
+        // The 10.0 boundary switches precision: just below it one decimal
+        // is kept (9.96 rounds to 10.0:1), from 10.0 the decimal drops.
+        assert_eq!(ratio(9.96), "10.0:1");
+        assert_eq!(ratio(10.0), "10:1");
+        assert_eq!(ratio(9.44), "9.4:1");
+        assert_eq!(ratio(0.0), "0.0:1");
+        // {:.0} uses round-half-to-even: 10.5 rounds down, 11.5 up.
+        assert_eq!(ratio(10.5), "10:1");
+        assert_eq!(ratio(11.5), "12:1");
+    }
+
+    #[test]
+    fn pct_rounding_edges() {
+        // Precision steps at 1 % and 10 %.
+        assert_eq!(pct(0.0999), "10.0%");
+        assert_eq!(pct(0.1), "10%");
+        assert_eq!(pct(0.00999), "1.00%");
+        assert_eq!(pct(0.01), "1.0%");
+        assert_eq!(pct(0.0), "0.00%");
+        assert_eq!(pct(1.0), "100%");
+        // Over-unity fractions render as >100 % rather than clamping.
+        assert_eq!(pct(1.5), "150%");
+        assert_eq!(pct(0.005), "0.50%");
+    }
+
+    #[test]
+    fn bytes_rounding_edges() {
+        assert_eq!(bytes(0.0), "0 B");
+        assert_eq!(bytes(999.0), "999 B");
+        assert_eq!(bytes(1e3), "1.00 KB");
+        assert_eq!(bytes(1e6), "1.00 MB");
+        assert_eq!(bytes(1.5e9), "1.50 GB");
+        assert_eq!(bytes(1e15), "1.00 PB");
     }
 }

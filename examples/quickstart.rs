@@ -1,5 +1,5 @@
-//! Quickstart: generate one workload, run the full characterization, and
-//! print a one-page summary.
+//! Quickstart: generate one workload, run the paper's full analysis
+//! battery over it, and print one section per table and figure.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -18,61 +18,10 @@ fn main() {
     )
     .generate();
 
-    let analysis = WorkloadAnalysis::of(&trace);
-    let s = &analysis.summary;
-    println!("workload       : {}", s.workload);
-    println!("jobs           : {}", s.jobs);
-    println!("trace length   : {}", s.length);
-    println!("bytes moved    : {}", s.bytes_moved);
-    println!();
-
-    println!("per-job data sizes (median):");
-    println!(
-        "  input  {}",
-        DataSize::from_f64(analysis.input_sizes.median())
-    );
-    println!(
-        "  shuffle{:>7}",
-        DataSize::from_f64(analysis.shuffle_sizes.median()).to_string()
-    );
-    println!(
-        "  output {}",
-        DataSize::from_f64(analysis.output_sizes.median())
-    );
-    println!();
-
-    if let Some(b) = &analysis.burstiness {
-        println!(
-            "burstiness     : peak-to-median {:.1}:1 (paper band: 9:1 … 260:1)",
-            b.peak_to_median
-        );
-    }
-    let c = analysis.correlations;
-    println!(
-        "correlations   : jobs-bytes {:.2}, jobs-task {:.2}, bytes-task {:.2}",
-        c.jobs_bytes, c.jobs_task_seconds, c.bytes_task_seconds
-    );
-    println!();
-
-    println!(
-        "job types (k = {} by elbow; dominant cluster {:.1}% of jobs):",
-        analysis.job_types.config.k,
-        analysis.dominant_job_type_share() * 100.0
-    );
-    for cluster in &analysis.job_types.clusters {
-        println!(
-            "  {:>6} jobs  in {:>9}  out {:>9}  dur {:>12}  [{}]",
-            cluster.count,
-            cluster.input.to_string(),
-            cluster.output.to_string(),
-            cluster.duration.to_string(),
-            cluster.label
-        );
-    }
-    println!();
-
-    println!("top job-name words by count:");
-    for g in analysis.names.groups.iter().take(5) {
-        println!("  {:<12} {:>6} jobs ({})", g.word, g.jobs, g.framework);
+    let report = Comparison::new(vec![TraceContext::from_trace("FB-2009", trace)])
+        .run()
+        .expect("an in-memory trace always reads");
+    for section in &report.sections {
+        println!("{}", section.render_text());
     }
 }

@@ -50,15 +50,15 @@
 //! )
 //! .generate();
 //!
-//! // ... characterize it with the paper's full methodology ...
-//! let analysis = WorkloadAnalysis::of(&trace);
-//! assert!(analysis.dominant_job_type_share() > 0.5);
-//!
-//! // ... and synthesize a scaled-down replayable benchmark from it.
+//! // ... sample a scaled-down replayable benchmark from it ...
 //! let sampled = sample_windows(&trace, SampleConfig::one_day_from_hours(1));
 //! let plan = ReplayPlan::from_trace(&sampled);
 //! let result = Simulator::new(SimConfig::new(20)).run(&plan, None);
 //! assert_eq!(result.outcomes.len(), plan.len());
+//!
+//! // ... and run the paper's full analysis battery over it.
+//! let report = Comparison::new(vec![TraceContext::from_trace("FB-2009", trace)]).run();
+//! assert_eq!(report.unwrap().sections.len(), swim::report::BATTERY.len());
 //! ```
 
 #![warn(missing_docs)]
@@ -78,8 +78,8 @@ pub use swim_workloadgen as workloadgen;
 /// The most common imports in one place.
 pub mod prelude {
     pub use swim_catalog::{Catalog, CatalogOptions};
-    pub use swim_core::workload::WorkloadAnalysis;
     pub use swim_query::{CatalogQuery, Query};
+    pub use swim_report::{Comparison, TraceContext};
     pub use swim_sim::{CachePolicy, SimConfig, Simulator};
     pub use swim_store::{Store, StoreOptions};
     pub use swim_synth::sample::{sample_windows, SampleConfig};

@@ -4,6 +4,7 @@
 use swim::prelude::*;
 use swim_core::access::{FileAccessStats, PathStage};
 use swim_core::burstiness::Burstiness;
+use swim_core::kmeans::{FeatureScaling, KMeansConfig};
 use swim_core::locality::LocalityStats;
 use swim_core::timeseries::HourlySeries;
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
@@ -107,13 +108,20 @@ fn full_analysis_of_every_workload_succeeds() {
             _ => 0.3,
         };
         let trace = gen(kind.clone(), scale, 3.0, 105);
-        let analysis = WorkloadAnalysis::of(&trace);
-        assert!(analysis.summary.jobs > 0, "{kind}");
-        assert!(
-            analysis.dominant_job_type_share() > 0.5,
-            "{kind}: dominant share {:.2}",
-            analysis.dominant_job_type_share()
-        );
+        // Raw features and the 0.5 elbow, as Table 2 and swim-analyze cluster.
+        let raw = KMeansConfig {
+            scaling: FeatureScaling::Raw,
+            ..KMeansConfig::default()
+        };
+        let clusters = swim_core::KMeans::fit_with_elbow(&trace, 12, 0.5, raw).clusters;
+        let ctx = TraceContext::from_trace(kind.label(), trace);
+        let report = Comparison::new(vec![ctx])
+            .run()
+            .expect("every analysis runs");
+        assert_eq!(report.sections.len(), swim_report::BATTERY.len(), "{kind}");
+        // Clusters come largest first.
+        let share = clusters[0].count as f64 / clusters.iter().map(|c| c.count).sum::<u64>() as f64;
+        assert!(share > 0.5, "{kind}: dominant share {share:.2}");
     }
 }
 
