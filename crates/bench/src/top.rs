@@ -62,7 +62,6 @@ impl Sample {
             counters: Snapshot {
                 counters,
                 gauges: Vec::new(),
-                histograms: Vec::new(),
                 spans: Vec::new(),
             },
             rate_per_sec: rate,

@@ -11,7 +11,6 @@
 //! ```json
 //! {"type":"counter","name":"store.chunks_decoded","value":12}
 //! {"type":"gauge","name":"catalog.cache_entries","value":3}
-//! {"type":"histogram","name":"...","count":4,"sum":10,"min":1,"p50":2,"p90":4,"p99":4,"max":4}
 //! {"type":"span","path":"query.execute","count":1,"total_ns":123,"min_ns":123,"max_ns":123}
 //! ```
 
@@ -42,10 +41,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn opt(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_owned(), |v| v.to_string())
-}
-
 /// Render a snapshot as JSON lines (trailing newline included when
 /// non-empty; an empty snapshot renders as the empty string).
 pub fn to_jsonl(snapshot: &Snapshot) -> String {
@@ -62,19 +57,6 @@ pub fn to_jsonl(snapshot: &Snapshot) -> String {
             "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}\n",
             json_string(name),
             value
-        ));
-    }
-    for h in &snapshot.histograms {
-        out.push_str(&format!(
-            "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}\n",
-            json_string(&h.name),
-            h.count,
-            h.sum,
-            opt(h.min),
-            opt(h.p50),
-            opt(h.p90),
-            opt(h.p99),
-            opt(h.max),
         ));
     }
     for s in &snapshot.spans {
@@ -119,23 +101,13 @@ pub fn append_env(snapshot: &Snapshot) -> std::io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{HistogramSample, SpanSample};
+    use crate::registry::SpanSample;
 
     #[test]
     fn jsonl_lines_have_fixed_shapes() {
         let snap = Snapshot {
             counters: vec![("a.count".to_owned(), 2)],
             gauges: vec![("b.level".to_owned(), -3)],
-            histograms: vec![HistogramSample {
-                name: "c.hist".to_owned(),
-                count: 0,
-                sum: 0,
-                min: None,
-                p50: None,
-                p90: None,
-                p99: None,
-                max: None,
-            }],
             spans: vec![SpanSample {
                 path: "d/e".to_owned(),
                 count: 1,
@@ -151,7 +123,6 @@ mod tests {
             vec![
                 "{\"type\":\"counter\",\"name\":\"a.count\",\"value\":2}",
                 "{\"type\":\"gauge\",\"name\":\"b.level\",\"value\":-3}",
-                "{\"type\":\"histogram\",\"name\":\"c.hist\",\"count\":0,\"sum\":0,\"min\":null,\"p50\":null,\"p90\":null,\"p99\":null,\"max\":null}",
                 "{\"type\":\"span\",\"path\":\"d/e\",\"count\":1,\"total_ns\":5,\"min_ns\":5,\"max_ns\":5}",
             ]
         );

@@ -1,9 +1,11 @@
 //! # swim-obs
 //!
 //! A zero-dependency observability layer for the swim workspace:
-//! counters, gauges, nearest-rank latency histograms, and hierarchical
-//! timed spans, collected into one process-wide [`Registry`] and
-//! exported as plain data ([`Snapshot`]) or JSON lines ([`jsonl`]).
+//! counters, gauges and hierarchical timed spans, collected into one
+//! process-wide [`registry`] and exported as plain data ([`Snapshot`])
+//! or JSON lines ([`jsonl`]); windowed nearest-rank latency histograms
+//! ([`WindowedHistogram`]); and the nearest-rank rule ([`nearest_rank`])
+//! every quantile in the workspace reads.
 //!
 //! The crate sits **below** every other workspace crate (including
 //! `swim-store`), so any layer can instrument its hot paths without new
@@ -24,7 +26,7 @@
 //!    themselves with the global registry on first *enabled* touch, so
 //!    an instrument that never fires never shows up in a snapshot.
 //! 3. **Exact, deterministic data.** Counters are exact `u64`s,
-//!    histogram quantiles use the same nearest-rank rule as
+//!    quantiles use the same nearest-rank rule as
 //!    `swim_core::stats::Ecdf::quantile` (property-tested bit-for-bit),
 //!    and snapshots sort by name — so for a deterministic workload the
 //!    counter section of a snapshot is byte-stable.
@@ -70,15 +72,15 @@ pub mod span;
 pub mod window;
 
 pub use flight::FlightEvent;
-pub use metrics::{quantile_of_sorted, Counter, Gauge, Histogram};
+pub use metrics::{nearest_rank, quantile_of_sorted, Counter, Gauge};
 pub use par::{cores, par_claim, par_map, Claims};
-pub use registry::{reset, snapshot, HistogramSample, Registry, Snapshot, SpanSample};
+pub use registry::{reset, snapshot, Snapshot, SpanSample};
 pub use span::{span, timed, SpanGuard};
 pub use window::{BucketSummary, WindowSummary, WindowedCounter, WindowedHistogram};
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Enable bit for counters, gauges, and histograms.
+/// Enable bit for counters and gauges.
 pub const METRICS: u32 = 1;
 /// Enable bit for hierarchical timed spans.
 pub const SPANS: u32 = 2;

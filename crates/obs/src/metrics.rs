@@ -1,14 +1,14 @@
-//! Static instruments: [`Counter`], [`Gauge`], and [`Histogram`].
+//! Static instruments, [`Counter`] and [`Gauge`], and the nearest-rank
+//! rule ([`nearest_rank`]) every quantile in the workspace reads.
 //!
-//! All three are designed to be declared as `static` items (`new` is
-//! `const`) and to cost one relaxed atomic load + branch when the
-//! [`crate::METRICS`] bit is off. On the first *enabled*
-//! touch an instrument registers itself with the global
-//! [`Registry`](crate::Registry), so snapshots only ever list
+//! Both instruments are designed to be declared as `static` items
+//! (`new` is `const`) and to cost one relaxed atomic load + branch when
+//! the [`crate::METRICS`] bit is off. On the first *enabled*
+//! touch an instrument registers itself with the process-wide registry
+//! ([`crate::registry`]), so snapshots only ever list
 //! instruments that actually fired.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::registry;
 use crate::{enabled, METRICS};
@@ -127,105 +127,27 @@ impl Gauge {
     }
 }
 
-/// An exact-sample latency/size distribution. Samples are kept raw and
-/// sorted only at snapshot time, where quantiles are finalized with the
-/// same nearest-rank rule as `swim_core::stats::Ecdf::quantile`
-/// ([`quantile_of_sorted`]).
-pub struct Histogram {
-    name: &'static str,
-    samples: Mutex<Vec<u64>>,
-    registered: AtomicBool,
-}
-
-impl Histogram {
-    /// Create an unregistered histogram (`const`; see [`Counter::new`]).
-    pub const fn new(name: &'static str) -> Self {
-        Histogram {
-            name,
-            samples: Mutex::new(Vec::new()),
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// The name the histogram registers and snapshots under.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Record one sample. A no-op when metrics are disabled; otherwise
-    /// takes a short mutex and pushes the raw value.
-    #[inline]
-    pub fn record(&'static self, v: u64) {
-        if !enabled(METRICS) {
-            return;
-        }
-        self.ensure_registered();
-        self.lock().push(v);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// `true` when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// A sorted copy of the raw samples.
-    pub fn sorted_samples(&self) -> Vec<u64> {
-        let mut samples = self.lock().clone();
-        samples.sort_unstable();
-        samples
-    }
-
-    /// Nearest-rank quantile over the recorded samples (`None` when
-    /// empty). Matches `Ecdf::quantile` bit-for-bit for the same data.
-    pub fn quantile(&self, p: f64) -> Option<u64> {
-        quantile_of_sorted(&self.sorted_samples(), p)
-    }
-
-    pub(crate) fn reset(&self) {
-        self.lock().clear();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u64>> {
-        self.samples
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn ensure_registered(&'static self) {
-        if self
-            .registered
-            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            registry::register_histogram(self);
-        }
-    }
+/// 0-based index of the nearest-rank `p`-quantile among `n` ascending
+/// samples (`n` ≥ 1): rank `ceil(p * n)` with `p` clamped to `[0, 1]`,
+/// itself clamped to `[1, n]`. So `p` ≤ 0 and NaN (which `as usize`
+/// reads as 0) select the minimum and `p` ≥ 1 the maximum.
+///
+/// This is the rule of `swim_core::stats::Ecdf::quantile`, and the one
+/// place it is written outside that reference: [`quantile_of_sorted`],
+/// swim-query's `pN` aggregates and swim-sim's latency percentiles all
+/// index with it — property-tested against `Ecdf` in
+/// `tests/nearest_rank_ecdf.rs`.
+pub fn nearest_rank(p: f64, n: usize) -> usize {
+    let rank = (p.clamp(0.0, 1.0) * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
 /// Nearest-rank quantile of an ascending-sorted slice, or `None` when
-/// the slice is empty.
-///
-/// This is the exact rule of `swim_core::stats::Ecdf::quantile` (which
-/// panics on empty input instead): clamp `p` to `[0, 1]`; `p == 0`
-/// selects the minimum; otherwise select rank `ceil(p * n)` (1-based,
-/// clamped to `[1, n]`). `u64 -> f64` never reorders values for the
-/// magnitudes involved, so agreement is bit-for-bit — property-tested
-/// in `tests/histogram_ecdf.rs`.
+/// the slice is empty (where `Ecdf::quantile` panics instead). `u64 ->
+/// f64` never reorders values for the magnitudes involved, so agreement
+/// with `Ecdf` is bit-for-bit.
 pub fn quantile_of_sorted(sorted: &[u64], p: f64) -> Option<u64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let p = p.clamp(0.0, 1.0);
-    if p == 0.0 {
-        return sorted.first().copied();
-    }
-    let rank = (p * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
+    (!sorted.is_empty()).then(|| sorted[nearest_rank(p, sorted.len())])
 }
 
 #[cfg(test)]
@@ -237,7 +159,6 @@ mod tests {
     static DISABLED_COUNTER: Counter = Counter::new("test.metrics.disabled_counter");
     static LIVE_COUNTER: Counter = Counter::new("test.metrics.live_counter");
     static LIVE_GAUGE: Gauge = Gauge::new("test.metrics.live_gauge");
-    static LIVE_HISTOGRAM: Histogram = Histogram::new("test.metrics.live_histogram");
 
     #[test]
     fn disabled_instruments_record_nothing() {
@@ -255,22 +176,15 @@ mod tests {
         LIVE_COUNTER.add(2);
         LIVE_COUNTER.incr();
         LIVE_GAUGE.set(-7);
-        LIVE_HISTOGRAM.record(30);
-        LIVE_HISTOGRAM.record(10);
-        LIVE_HISTOGRAM.record(20);
         set_enabled(0);
 
         assert_eq!(LIVE_COUNTER.get(), 3);
         assert_eq!(LIVE_GAUGE.get(), -7);
-        assert_eq!(LIVE_HISTOGRAM.len(), 3);
-        assert_eq!(LIVE_HISTOGRAM.sorted_samples(), vec![10, 20, 30]);
-        assert_eq!(LIVE_HISTOGRAM.quantile(0.5), Some(20));
 
         LIVE_COUNTER.reset();
         LIVE_GAUGE.reset();
-        LIVE_HISTOGRAM.reset();
         assert_eq!(LIVE_COUNTER.get(), 0);
-        assert!(LIVE_HISTOGRAM.is_empty());
+        assert_eq!(LIVE_GAUGE.get(), 0);
     }
 
     #[test]
@@ -285,5 +199,12 @@ mod tests {
         // Out-of-range p clamps rather than panics.
         assert_eq!(quantile_of_sorted(&[1, 2, 3], -0.5), Some(1));
         assert_eq!(quantile_of_sorted(&[1, 2, 3], 1.5), Some(3));
+        // Non-finite p: NaN and -inf read the minimum, +inf the maximum,
+        // as in the `Ecdf` reference.
+        let ecdf = swim_core::stats::Ecdf::new(vec![1.0, 2.0, 3.0]);
+        for (p, want) in [(f64::NAN, 1), (f64::NEG_INFINITY, 1), (f64::INFINITY, 3)] {
+            assert_eq!(quantile_of_sorted(&[1, 2, 3], p), Some(want));
+            assert_eq!(ecdf.quantile(p), want as f64);
+        }
     }
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::metrics::{quantile_of_sorted, Counter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge};
 
 /// Aggregated statistics for one span path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,10 +24,9 @@ pub(crate) struct SpanStat {
 /// The global registry: every registered instrument plus the span
 /// aggregation map. One per process, behind [`snapshot`] / [`reset`].
 #[derive(Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     counters: Vec<&'static Counter>,
     gauges: Vec<&'static Gauge>,
-    histograms: Vec<&'static Histogram>,
     spans: BTreeMap<String, SpanStat>,
 }
 
@@ -48,10 +47,6 @@ pub(crate) fn register_gauge(gauge: &'static Gauge) {
     with_registry(|r| r.gauges.push(gauge));
 }
 
-pub(crate) fn register_histogram(histogram: &'static Histogram) {
-    with_registry(|r| r.histograms.push(histogram));
-}
-
 pub(crate) fn record_span(path: &str, elapsed: Duration) {
     let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
     with_registry(|r| {
@@ -68,9 +63,9 @@ pub(crate) fn record_span(path: &str, elapsed: Duration) {
     });
 }
 
-/// Zero every registered counter and gauge, clear histogram samples and
-/// span statistics. Instruments stay registered; `--profile` calls this
-/// before executing so the snapshot covers exactly one query.
+/// Zero every registered counter and gauge and clear span statistics.
+/// Instruments stay registered; `--profile` calls this before executing
+/// so the snapshot covers exactly one query.
 pub fn reset() {
     with_registry(|r| {
         for c in &r.counters {
@@ -78,9 +73,6 @@ pub fn reset() {
         }
         for g in &r.gauges {
             g.reset();
-        }
-        for h in &r.histograms {
-            h.reset();
         }
         r.spans.clear();
     });
@@ -101,39 +93,14 @@ pub struct SpanSample {
     pub max_ns: u64,
 }
 
-/// Summary of one histogram, finalized with the `Ecdf::quantile`
-/// nearest-rank rule. Quantile fields are `None` when no samples were
-/// recorded.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSample {
-    /// Instrument name.
-    pub name: String,
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Minimum sample.
-    pub min: Option<u64>,
-    /// Nearest-rank median.
-    pub p50: Option<u64>,
-    /// Nearest-rank 90th percentile.
-    pub p90: Option<u64>,
-    /// Nearest-rank 99th percentile.
-    pub p99: Option<u64>,
-    /// Maximum sample.
-    pub max: Option<u64>,
-}
-
 /// A frozen, lock-free view of the registry: counters/gauges sorted by
-/// name, histograms finalized, spans sorted by path.
+/// name, spans sorted by path.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// `(name, value)` for every registered counter, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` for every registered gauge, sorted by name.
     pub gauges: Vec<(String, i64)>,
-    /// Finalized histograms, sorted by name.
-    pub histograms: Vec<HistogramSample>,
     /// Span statistics, sorted by path.
     pub spans: Vec<SpanSample>,
 }
@@ -159,10 +126,7 @@ impl Snapshot {
 
     /// `true` when nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.spans.is_empty()
     }
 
     /// What happened between `earlier` and `self`: the rate-computation
@@ -172,9 +136,8 @@ impl Snapshot {
     ///   (saturating, so a counter reset between snapshots reads as 0
     ///   rather than wrapping); instruments absent from `earlier`
     ///   contribute their full value.
-    /// * **Gauges** are levels and **histogram quantiles** are not
-    ///   differentiable, so both carry the later snapshot's values
-    ///   unchanged.
+    /// * **Gauges** are levels, not differentiable, so they carry the
+    ///   later snapshot's values unchanged.
     ///
     /// Only instruments present in `self` appear in the delta, and
     /// span `min_ns`/`max_ns` keep the later snapshot's lifetime
@@ -207,7 +170,6 @@ impl Snapshot {
         Snapshot {
             counters,
             gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
             spans,
         }
     }
@@ -228,24 +190,6 @@ pub fn snapshot() -> Snapshot {
             .map(|g| (g.name().to_owned(), g.get()))
             .collect();
         gauges.sort();
-        let mut histograms: Vec<HistogramSample> = r
-            .histograms
-            .iter()
-            .map(|h| {
-                let sorted = h.sorted_samples();
-                HistogramSample {
-                    name: h.name().to_owned(),
-                    count: sorted.len() as u64,
-                    sum: sorted.iter().sum(),
-                    min: sorted.first().copied(),
-                    p50: quantile_of_sorted(&sorted, 0.5),
-                    p90: quantile_of_sorted(&sorted, 0.9),
-                    p99: quantile_of_sorted(&sorted, 0.99),
-                    max: sorted.last().copied(),
-                }
-            })
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
         let spans = r
             .spans
             .iter()
@@ -260,7 +204,6 @@ pub fn snapshot() -> Snapshot {
         Snapshot {
             counters,
             gauges,
-            histograms,
             spans,
         }
     })
@@ -277,7 +220,6 @@ mod tests {
         let earlier = Snapshot {
             counters: vec![("a".into(), 10), ("gone".into(), 99)],
             gauges: vec![("g".into(), 1)],
-            histograms: Vec::new(),
             spans: vec![SpanSample {
                 path: "p".into(),
                 count: 2,
@@ -289,7 +231,6 @@ mod tests {
         let later = Snapshot {
             counters: vec![("a".into(), 25), ("new".into(), 7)],
             gauges: vec![("g".into(), 5)],
-            histograms: Vec::new(),
             spans: vec![SpanSample {
                 path: "p".into(),
                 count: 5,
@@ -313,7 +254,6 @@ mod tests {
 
     static SNAP_COUNTER: Counter = Counter::new("test.registry.counter");
     static SNAP_GAUGE: Gauge = Gauge::new("test.registry.gauge");
-    static SNAP_HISTOGRAM: Histogram = Histogram::new("test.registry.histogram");
 
     #[test]
     fn snapshot_freezes_sorted_data_and_reset_zeroes() {
@@ -321,9 +261,6 @@ mod tests {
         set_enabled(ALL);
         SNAP_COUNTER.add(5);
         SNAP_GAUGE.set(11);
-        for v in [4u64, 1, 3, 2] {
-            SNAP_HISTOGRAM.record(v);
-        }
         record_span("test.registry.span", Duration::from_nanos(100));
         record_span("test.registry.span", Duration::from_nanos(300));
         set_enabled(0);
@@ -331,16 +268,6 @@ mod tests {
         let snap = snapshot();
         assert_eq!(snap.counter("test.registry.counter"), Some(5));
         assert_eq!(snap.gauge("test.registry.gauge"), Some(11));
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "test.registry.histogram")
-            .unwrap();
-        assert_eq!(hist.count, 4);
-        assert_eq!(hist.sum, 10);
-        assert_eq!(hist.min, Some(1));
-        assert_eq!(hist.p50, Some(2));
-        assert_eq!(hist.max, Some(4));
         let span = snap.span("test.registry.span").unwrap();
         assert_eq!(span.count, 2);
         assert_eq!(span.total_ns, 400);
@@ -353,12 +280,5 @@ mod tests {
         assert_eq!(snap.counter("test.registry.counter"), Some(0));
         assert_eq!(snap.gauge("test.registry.gauge"), Some(0));
         assert!(snap.span("test.registry.span").is_none());
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "test.registry.histogram")
-            .unwrap();
-        assert_eq!(hist.count, 0);
-        assert_eq!(hist.p50, None);
     }
 }

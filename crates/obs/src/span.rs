@@ -4,8 +4,8 @@
 //! span opened while another is active records under the joined path
 //! (`"catalog.compact/store.decode_chunk"`), which is how decode time
 //! shows up attributed to the operation that caused it. Aggregated
-//! statistics per path (count / total / min / max) land in the global
-//! [`Registry`](crate::Registry).
+//! statistics per path (count / total / min / max) land in the
+//! process-wide registry ([`crate::registry`]).
 //!
 //! [`timed`] is the workspace's one clock path: it always measures (and
 //! returns) the wall-clock duration, and *additionally* records a span

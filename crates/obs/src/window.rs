@@ -1,11 +1,12 @@
 //! Time-windowed metrics with bounded memory: [`WindowedCounter`] and
 //! [`WindowedHistogram`].
 //!
-//! The lifetime instruments in [`crate::metrics`] are exact but
-//! unbounded: a [`crate::Histogram`] retains every sample forever,
-//! which is fine for a bench run and fatal for a resident server. The
-//! windowed types here answer "what happened over the last minute"
-//! with memory that is **O(buckets)**, independent of request count:
+//! A distribution that retained every sample for the process's lifetime
+//! would be exact but unbounded: fine for a bench run, fatal for a
+//! resident server. The windowed types here are the workspace's one
+//! recorded distribution; they answer "what happened over the last
+//! minute" with memory that is **O(buckets)**, independent of request
+//! count:
 //!
 //! * Time is divided into fixed-width buckets (`width_ms` each) and a
 //!   ring of `buckets` of them covers the window. Recording into a

@@ -2,8 +2,8 @@
 //!
 //! 1. The windowed quantile rule must agree with
 //!    `swim_core::stats::Ecdf::quantile` **bit-for-bit over the
-//!    retained window** — the same contract `tests/histogram_ecdf.rs`
-//!    pins for lifetime histograms, extended to rotation: whatever
+//!    retained window** — the same contract `tests/nearest_rank_ecdf.rs`
+//!    pins for the shared nearest-rank index, extended to rotation: whatever
 //!    samples the window retains, the quantile the window reports is
 //!    exactly the Ecdf answer for those samples.
 //! 2. Memory is **O(buckets), not O(requests)**: however many values a
@@ -100,8 +100,8 @@ proptest! {
 }
 
 /// A server-shaped scenario: a minute-long window under a million
-/// records holds its memory bound while lifetime `Histogram` would have
-/// retained every sample. This is the resident-process footgun test.
+/// records holds its memory bound where a store of every sample would
+/// grow with them. This is the resident-process footgun test.
 #[test]
 fn server_scale_recording_stays_o_buckets() {
     let clock = ManualClock::new();

@@ -135,18 +135,6 @@ fn fold_into(
     }
 }
 
-/// Index into the sorted samples that nearest-rank reads, identical to
-/// `Ecdf::quantile`: rank = ceil(p·n) clamped to `[1, n]`. `n` must be
-/// nonzero.
-fn rank_index(p: f64, n: usize) -> usize {
-    let p = p.clamp(0.0, 1.0);
-    if p == 0.0 {
-        0
-    } else {
-        ((p * n as f64).ceil() as usize).clamp(1, n) - 1
-    }
-}
-
 impl AggCol {
     /// Empty state (no groups yet) for one aggregate.
     pub(crate) fn new(agg: &Aggregate) -> AggCol {
@@ -244,7 +232,7 @@ impl AggCol {
                 // bits, so the value read is the same whatever order the
                 // samples arrived or were merged in.
                 let samples = &mut groups[g];
-                let idx = rank_index(*p, samples.len());
+                let idx = swim_obs::nearest_rank(*p, samples.len());
                 let (_, nth, _) = samples.select_nth_unstable(idx);
                 AggValue::Float(*nth as f64)
             }

@@ -168,7 +168,7 @@ pub fn render_explain(explain: &Explain, format: OutputFormat, title: &str) -> S
 ///
 /// Table and Markdown get a report section: counters and gauges as
 /// key/value pairs (deterministic for a deterministic workload), then
-/// span and histogram tables (wall-clock timings, inherently not).
+/// a span table (wall-clock timings, inherently not).
 /// JSON gets the snapshot as JSON lines ([`swim_obs::jsonl`]), one
 /// object per instrument, appended after the result object.
 pub fn render_profile(snapshot: &swim_obs::Snapshot, format: OutputFormat) -> String {
@@ -203,30 +203,6 @@ pub fn render_profile(snapshot: &swim_obs::Snapshot, format: OutputFormat) -> St
             ]);
         }
         section.captioned_table("\nspans", table);
-    }
-    if !snapshot.histograms.is_empty() {
-        let cell = |v: Option<u64>| v.map_or_else(|| "-".to_owned(), |v| v.to_string());
-        let mut table = Table::new(vec![
-            "histogram",
-            "count",
-            "min",
-            "p50",
-            "p90",
-            "p99",
-            "max",
-        ]);
-        for h in &snapshot.histograms {
-            table.row(vec![
-                h.name.clone(),
-                h.count.to_string(),
-                cell(h.min),
-                cell(h.p50),
-                cell(h.p90),
-                cell(h.p99),
-                cell(h.max),
-            ]);
-        }
-        section.captioned_table("\nhistograms", table);
     }
     if section.blocks.is_empty() {
         section.prose("(no instruments fired)\n");

@@ -48,8 +48,7 @@
 //! the threads.
 
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -58,7 +57,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use swim_catalog::{Catalog, CatalogError, CatalogOptions, MANIFEST_FILE};
+use swim_catalog::{Catalog, CatalogError, CatalogOptions, Manifest, MANIFEST_FILE};
 use swim_obs::clock;
 use swim_obs::{Counter, Gauge};
 use swim_query::{cli, Session};
@@ -80,10 +79,9 @@ static GENERATION_PEEK_FAILED: Counter = Counter::new("serve.generation_peek_fai
 /// miss that executed, none per hit.
 static RENDERS: Counter = Counter::new("serve.renders");
 static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue_depth");
-// Per-request latency deliberately has NO lifetime `Histogram` static:
-// a lifetime histogram retains every sample, which is unbounded memory
-// in a resident process. Latencies go to the bounded windowed
-// histograms in [`Telemetry`] instead.
+// Per-request latencies go to the bounded windowed histograms in
+// [`Telemetry`]: a distribution that kept every sample for the
+// process's lifetime would be unbounded memory in a resident process.
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -287,63 +285,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Bytes of the `MANIFEST` a peek reads. The two lines it parses are at
-/// most 57 (a 24-byte header, `generation ` and a 20-digit number, two
-/// newlines).
-const MANIFEST_HEAD: usize = 128;
-
-/// Cheap on-disk generation peek: the first two `MANIFEST` lines, from
-/// one bounded read of the file's head — no heap, and a cost that does
-/// not grow with the shard list below them. Writers replace the file
-/// atomically (fsynced temp + rename), so a read sees either the old or
-/// the new manifest, never a torn mix.
-fn peek_generation(manifest: &Path) -> Option<u64> {
-    let mut file = File::open(manifest).ok()?;
-    let mut head = [0u8; MANIFEST_HEAD];
-    let mut len = 0;
-    while len < head.len() {
-        match file.read(&mut head[len..]) {
-            Ok(0) => break,
-            Ok(n) => len += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    parse_manifest_head(&head[..len], len < head.len())
-}
-
-/// The generation a manifest starting with `head` declares; `whole` says
-/// that `head` is the entire file. Anything but the header line and a
-/// `generation N` line is `None`, as is a second line that `head` cuts
-/// short — half a number is not a generation.
-fn parse_manifest_head(head: &[u8], whole: bool) -> Option<u64> {
-    let text = match std::str::from_utf8(head) {
-        Ok(text) => text,
-        // The cut fell inside a multi-byte character further down.
-        Err(e) if !whole && e.error_len().is_none() => {
-            std::str::from_utf8(&head[..e.valid_up_to()]).ok()?
-        }
-        Err(_) => return None,
-    };
-    let (header, rest) = text.split_once('\n')?;
-    if !header.starts_with("swim-catalog-manifest") {
-        return None;
-    }
-    let line = match rest.split_once('\n') {
-        Some((line, _)) => line.strip_suffix('\r').unwrap_or(line),
-        None if whole => rest,
-        None => return None,
-    };
-    line.strip_prefix("generation ")?.parse().ok()
-}
-
 impl Shared {
     /// The session requests should execute against: the current
     /// snapshot, refreshed first if the on-disk generation moved. The
     /// old session is retired, not dropped — in-flight requests keep
     /// their `Arc` and finish against the generation they started with.
     fn current_session(self: &Arc<Self>) -> Arc<Session> {
-        let on_disk = peek_generation(&self.manifest);
+        let on_disk = Manifest::peek_generation(&self.manifest);
         if on_disk.is_none() {
             GENERATION_PEEK_FAILED.incr();
         }
@@ -1346,137 +1294,5 @@ fn handle_vacuum(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (
             ok_response(shared, meta, generation, false, body.as_bytes())
         }
         Err(e) => error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The peek as it was before it became a bounded read — the whole
-    /// file read and validated — kept as the oracle for the new one.
-    fn peek_generation_whole_file(manifest: &Path) -> Option<u64> {
-        let text = std::fs::read_to_string(manifest).ok()?;
-        let mut lines = text.lines();
-        if !lines.next()?.starts_with("swim-catalog-manifest") {
-            return None;
-        }
-        lines.next()?.strip_prefix("generation ")?.parse().ok()
-    }
-
-    fn scratch_manifest(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("swim-serve-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(MANIFEST_FILE)
-    }
-
-    /// Every way of putting a head together from these parts — empty,
-    /// one line, no trailing newline, CRLF, a first line longer than the
-    /// head, bad UTF-8 after the second line, a character cut by the end
-    /// of the head, 20-digit and overflowing generations — reads the
-    /// same through the bounded peek as through the whole-file one.
-    #[test]
-    fn bounded_peek_agrees_with_the_whole_file_peek() {
-        let headers: [&[u8]; 6] = [
-            b"swim-catalog-manifest v1",
-            b"swim-catalog-manifest",
-            b"swim-catalog-manifest v1\r",
-            b"not-a-manifest v9",
-            &[b'x'; 200],
-            b"",
-        ];
-        let generations: [&[u8]; 12] = [
-            b"generation 3",
-            b"generation 0",
-            b"generation 18446744073709551615",
-            b"generation 18446744073709551616",
-            b"generation 00000000000000000042",
-            b"generation +7",
-            b"generation -1",
-            b"generation  3",
-            b"generation 3 ",
-            b"generation",
-            b"Generation 3",
-            b"",
-        ];
-        let long_tail = [b"\nshards 0\n".as_slice(), &[b'a'; 300]].concat();
-        let wide_tail = ["\n", &"é".repeat(100), "\n"].concat();
-        let tails: [&[u8]; 9] = [
-            b"",
-            b"\n",
-            b"\r\n",
-            b"\r",
-            b"\nshards 1\nshard\tshard-000001.swim\tv=2\n",
-            b"\r\nshards 0\r\n",
-            b"\nshards 1\n\xff\xfe\n",
-            &long_tail,
-            wide_tail.as_bytes(),
-        ];
-        let manifest = scratch_manifest("peek-oracle");
-        let mut agreed_on_some = 0;
-        let mut check = |content: &[u8]| {
-            std::fs::write(&manifest, content).unwrap();
-            let want = peek_generation_whole_file(&manifest);
-            assert_eq!(
-                peek_generation(&manifest),
-                want,
-                "manifest {:?}",
-                String::from_utf8_lossy(content)
-            );
-            agreed_on_some += usize::from(want.is_some());
-        };
-        check(b"");
-        for header in headers {
-            check(header);
-            for generation in generations {
-                for tail in tails {
-                    check(&[header, b"\n", generation, tail].concat());
-                }
-            }
-        }
-        assert!(agreed_on_some > 50, "the battery must reach `Some`");
-        std::fs::remove_file(&manifest).unwrap();
-        assert_eq!(peek_generation(&manifest), None, "no file");
-    }
-
-    /// Where the bounded peek differs, on manifests the catalog never
-    /// writes: it does not see past its head. A header line padded
-    /// beyond it hides the generation (refused — the server keeps its
-    /// snapshot and counts a failed peek), and damage further down is
-    /// left for `Catalog::open` to find when the generation moves.
-    #[test]
-    fn bounded_peek_reads_only_the_head() {
-        let manifest = scratch_manifest("peek-head");
-        let padded = [
-            b"swim-catalog-manifest v1 ".as_slice(),
-            &[b' '; MANIFEST_HEAD],
-            b"\ngeneration 3\n",
-        ]
-        .concat();
-        std::fs::write(&manifest, &padded).unwrap();
-        assert_eq!(peek_generation_whole_file(&manifest), Some(3));
-        assert_eq!(peek_generation(&manifest), None);
-        // A number the head cuts in two is not a generation.
-        let cut = [
-            b"swim-catalog-manifest v1".as_slice(),
-            &[b' '; MANIFEST_HEAD - 24 - 1 - 12],
-            b"\ngeneration 34\n",
-        ]
-        .concat();
-        assert!(cut[..MANIFEST_HEAD].ends_with(b"generation 3"));
-        std::fs::write(&manifest, &cut).unwrap();
-        assert_eq!(peek_generation_whole_file(&manifest), Some(34));
-        assert_eq!(peek_generation(&manifest), None);
-
-        let damaged = [
-            b"swim-catalog-manifest v1\ngeneration 3\nshards 0\n".as_slice(),
-            &[b'a'; MANIFEST_HEAD],
-            b"\xff\n",
-        ]
-        .concat();
-        std::fs::write(&manifest, &damaged).unwrap();
-        assert_eq!(peek_generation_whole_file(&manifest), None);
-        assert_eq!(peek_generation(&manifest), Some(3));
-        std::fs::remove_file(&manifest).unwrap();
     }
 }

@@ -213,8 +213,8 @@ fn request_ids_reach_the_flight_recorder() {
 
 /// The resident-process memory bound: a server that has recorded far
 /// more requests than the windows can hold retains O(buckets) latency
-/// samples, not O(requests). (A lifetime `Histogram` here would retain
-/// every sample — the footgun this layer exists to remove.)
+/// samples, not O(requests). (Keeping every sample for the process's
+/// lifetime is the footgun this layer exists to remove.)
 #[test]
 fn server_latency_memory_is_o_buckets_not_o_requests() {
     let telemetry = Telemetry::new(None).unwrap();

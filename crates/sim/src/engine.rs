@@ -151,8 +151,7 @@ impl SimResult {
         }
         let mut lat: Vec<f64> = self.outcomes.iter().map(|o| o.latency().as_f64()).collect();
         lat.sort_by(f64::total_cmp);
-        let rank = ((p.clamp(0.0, 1.0)) * lat.len() as f64).ceil() as usize;
-        lat[rank.clamp(1, lat.len()) - 1]
+        lat[swim_obs::nearest_rank(p, lat.len())]
     }
 }
 

@@ -31,7 +31,7 @@
 //!   Markdown/HTML renderers, and the parallel cross-trace comparison
 //!   pipeline behind the `swim-report` binary;
 //! * [`obs`] — the zero-dependency observability layer (counters,
-//!   gauges, nearest-rank histograms, hierarchical timed spans) that
+//!   gauges, hierarchical timed spans, windowed nearest-rank histograms) that
 //!   every other crate instruments its hot paths with, surfaced through
 //!   `swim-query --explain` / `--profile` and a JSONL sink;
 //! * [`serve`] — a resident threaded TCP query server over a catalog
