@@ -10,12 +10,12 @@
 //! matching the paper's call for "anonymized and aggregated metrics for
 //! workload comparisons offsite".
 
-use serde::{Deserialize, Serialize};
 use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
 use swim_core::kmeans::{FeatureScaling, KMeans, KMeansConfig};
 use swim_core::names::NameAnalysis;
 use swim_core::stats::Ecdf;
+use swim_obs::json::{self, Value};
 use swim_report::TraceContext;
 use swim_synth::datagen::DataGenPlan;
 use swim_synth::sample::{sample_windows, SampleConfig};
@@ -32,7 +32,7 @@ const EXPORT_QUANTILES: [f64; 7] = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
 pub type JobTypeRow = (u64, u64, u64, u64, u64, u64, u64, String);
 
 /// The anonymized, aggregated metrics document for offsite sharing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SharedMetrics {
     /// Workload label (operator-chosen; not derived from job content).
     pub workload: String,
@@ -134,14 +134,56 @@ impl SharedMetrics {
         })
     }
 
-    /// Serialize to pretty JSON.
+    /// The document as pretty JSON: one key per field, in declaration
+    /// order; tuples become arrays, and `None` becomes `null`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics are serializable")
+        let f64s = |values: &[f64]| Value::Array(values.iter().map(|&f| Value::F64(f)).collect());
+        let opt = |value: Option<f64>| value.map_or(Value::Null, Value::F64);
+        let (jobs_bytes, jobs_task, bytes_task) = self.correlations;
+        let quantiles = self
+            .size_quantiles
+            .iter()
+            .map(|&(p, i, s, o)| f64s(&[p, i, s, o]));
+        let job_types = self
+            .job_types
+            .iter()
+            .map(|(count, i, s, o, dur, map, reduce, label)| {
+                let sizes = [count, i, s, o, dur, map, reduce].map(|&n| Value::U64(n));
+                Value::Array(
+                    sizes
+                        .into_iter()
+                        .chain([Value::Str(label.clone())])
+                        .collect(),
+                )
+            });
+        let shares = self.framework_job_shares.iter().map(|(label, share)| {
+            Value::Array(vec![Value::Str(label.clone()), Value::F64(*share)])
+        });
+        let diurnal = self.diurnal_detected.map_or(Value::Null, Value::Bool);
+        let doc = Value::object([
+            ("workload", Value::Str(self.workload.clone())),
+            ("jobs", Value::U64(self.jobs as u64)),
+            ("length_hours", Value::F64(self.length_hours)),
+            ("bytes_moved", Value::U64(self.bytes_moved)),
+            ("size_quantiles", Value::Array(quantiles.collect())),
+            ("input_zipf_slope", opt(self.input_zipf_slope)),
+            ("locality_within_6h", Value::F64(self.locality_within_6h)),
+            (
+                "frac_jobs_reaccessing",
+                Value::F64(self.frac_jobs_reaccessing),
+            ),
+            ("peak_to_median", opt(self.peak_to_median)),
+            ("correlations", f64s(&[jobs_bytes, jobs_task, bytes_task])),
+            ("diurnal_detected", diurnal),
+            ("job_types", Value::Array(job_types.collect())),
+            ("framework_job_shares", Value::Array(shares.collect())),
+        ]);
+        json::to_string_pretty(&doc)
     }
 }
 
 /// A synthesized, scaled-down benchmark bundle derived from a trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthBundle {
     /// Replay schedule.
     pub replay: ReplayPlan,
@@ -149,6 +191,52 @@ pub struct SynthBundle {
     pub datagen: DataGenPlan,
     /// KS validation of the synthesis against the source trace.
     pub validation_worst_ks: f64,
+}
+
+impl SynthBundle {
+    /// The bundle as compact JSON: `replay` (`name`, `machines`, `jobs`),
+    /// `datagen` (`files` of `path` and `size`, `block_size`) and
+    /// `validation_worst_ks`; sizes in bytes, times in seconds.
+    pub fn to_json(&self) -> String {
+        let replay = &self.replay;
+        let jobs = replay.jobs.iter().map(|j| {
+            Value::object([
+                ("gap", Value::U64(j.gap.secs())),
+                ("input", Value::U64(j.input.bytes())),
+                ("shuffle", Value::U64(j.shuffle.bytes())),
+                ("output", Value::U64(j.output.bytes())),
+                ("map_task_time", Value::U64(j.map_task_time.secs())),
+                ("reduce_task_time", Value::U64(j.reduce_task_time.secs())),
+                ("map_tasks", Value::U64(j.map_tasks.into())),
+                ("reduce_tasks", Value::U64(j.reduce_tasks.into())),
+            ])
+        });
+        let files = self.datagen.files.iter().map(|f| {
+            Value::object([
+                ("path", Value::U64(f.path.0)),
+                ("size", Value::U64(f.size.bytes())),
+            ])
+        });
+        let doc = Value::object([
+            (
+                "replay",
+                Value::object([
+                    ("name", Value::Str(replay.name.clone())),
+                    ("machines", Value::U64(replay.machines.into())),
+                    ("jobs", Value::Array(jobs.collect())),
+                ]),
+            ),
+            (
+                "datagen",
+                Value::object([
+                    ("files", Value::Array(files.collect())),
+                    ("block_size", Value::U64(self.datagen.block_size.bytes())),
+                ]),
+            ),
+            ("validation_worst_ks", Value::F64(self.validation_worst_ks)),
+        ]);
+        json::to_string(&doc)
+    }
 }
 
 /// Run the SWIM synthesize path: sample one representative day, scale to
@@ -304,9 +392,13 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let m = metrics_of(sample_trace()).unwrap();
-        let back: SharedMetrics = serde_json::from_str(&m.to_json()).unwrap();
-        assert_eq!(back.jobs, m.jobs);
-        assert_eq!(back.job_types.len(), m.job_types.len());
+        let back = json::parse_value(&m.to_json()).unwrap();
+        assert_eq!(
+            back.get("jobs").and_then(Value::as_u64),
+            Some(m.jobs as u64)
+        );
+        let job_types = back.get("job_types").and_then(Value::as_array).unwrap();
+        assert_eq!(job_types.len(), m.job_types.len());
     }
 
     #[test]

@@ -270,19 +270,11 @@ fn main() -> ExitCode {
             bundle.validation_worst_ks
         );
         if let Some(path) = &args.bundle {
-            match serde_json::to_string(&bundle) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(path, json) {
-                        eprintln!("error: write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("wrote replay bundle to {path}");
-                }
-                Err(e) => {
-                    eprintln!("error: serialize bundle: {e}");
-                    return ExitCode::FAILURE;
-                }
+            if let Err(e) = std::fs::write(path, bundle.to_json()) {
+                eprintln!("error: write {path}: {e}");
+                return ExitCode::FAILURE;
             }
+            eprintln!("wrote replay bundle to {path}");
         }
     }
     ExitCode::SUCCESS

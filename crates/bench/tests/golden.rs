@@ -20,29 +20,50 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-#[test]
-fn analyze_demo_export_is_bit_identical_to_golden() {
-    let out = std::env::temp_dir().join(format!("swim-analyze-demo-{}.json", std::process::id()));
+/// Run `swim-analyze` with `args` followed by an output file, and compare
+/// what it wrote there with `golden`.
+fn assert_analyze_file_matches(args: &[&str], golden: &str) {
+    let out = std::env::temp_dir().join(format!("swim-{golden}-{}", std::process::id()));
     let status = Command::new(env!("CARGO_BIN_EXE_swim-analyze"))
-        .args(["--demo", "--export"])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .args(args)
         .arg(&out)
         .output()
         .expect("run swim-analyze")
         .status;
-    assert!(status.success(), "swim-analyze --demo --export failed");
-    let exported = std::fs::read_to_string(&out).unwrap();
+    assert!(status.success(), "swim-analyze {args:?} failed");
+    let written = std::fs::read_to_string(&out).unwrap();
     std::fs::remove_file(&out).unwrap();
-    let path = golden_dir().join("analyze-demo.json");
+    let path = golden_dir().join(golden);
     if std::env::var_os("SWIM_REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &exported).unwrap();
+        std::fs::write(&path, &written).unwrap();
         return;
     }
-    let golden = std::fs::read_to_string(&path)
+    let pinned = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
     assert!(
-        exported == golden,
-        "swim-analyze --demo --export drifted from {}",
+        written == pinned,
+        "swim-analyze {args:?} drifted from {}",
         path.display()
+    );
+}
+
+#[test]
+fn analyze_demo_export_is_bit_identical_to_golden() {
+    assert_analyze_file_matches(&["--demo", "--export"], "analyze-demo.json");
+}
+
+#[test]
+fn analyze_bundle_is_bit_identical_to_golden() {
+    assert_analyze_file_matches(
+        &[
+            "--input",
+            "testdata/sample-a.csv",
+            "--synthesize",
+            "5",
+            "--bundle",
+        ],
+        "bundle-sample-a.json",
     );
 }
 

@@ -1,507 +1,19 @@
-//! Offline stand-in for `serde_json`: JSON text ⇄ [`serde::Value`] with the
-//! `to_string` / `to_string_pretty` / `to_writer` / `from_str` / `json!`
-//! surface the workspace uses.
-//!
-//! Numbers are kept exact for the full `u64`/`i64` range (job ids and byte
-//! counts need every bit); floats round-trip through Rust's shortest
-//! `Display` form. Non-finite floats serialize as `null`, which reads back
-//! as NaN.
+//! Forwarding stub: the `serde_json` names the benchmark package
+//! (`perf/`) still imports, over the workspace's one JSON codec,
+//! [`swim_obs::json`]. It has no parser or printer of its own, and no
+//! workspace crate depends on it. ROADMAP item 1's benchmark change
+//! deletes it once `perf/` imports `swim_obs::json` directly.
 
 #![warn(missing_docs)]
 
-use std::fmt;
-use std::io::Write;
+pub use swim_obs::json::{parse_value, Value};
 
-pub use serde::Value;
-use serde::{DeError, Deserialize, Serialize};
-
-/// JSON (de)serialization failure.
-#[derive(Debug)]
-pub struct Error {
-    msg: String,
+/// Compact JSON text; never fails.
+pub fn to_string(value: &Value) -> Result<String, swim_obs::json::Error> {
+    Ok(swim_obs::json::to_string(value))
 }
 
-impl Error {
-    fn new(msg: impl fmt::Display) -> Error {
-        Error {
-            msg: msg.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json: {}", self.msg)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Error {
-        Error::new(e)
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Error {
-        Error::new(e)
-    }
-}
-
-/// Convert any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    value.to_value()
-}
-
-/// Rebuild a deserializable type from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    T::from_value(value).map_err(Error::from)
-}
-
-/// Serialize to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
-}
-
-/// Serialize to pretty-printed JSON text (two-space indent).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
-}
-
-/// Serialize compact JSON into a writer.
-pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<(), Error> {
-    let s = to_string(value)?;
-    writer.write_all(s.as_bytes())?;
-    Ok(())
-}
-
-/// Parse JSON text into a deserializable type.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    T::from_value(&value).map_err(Error::from)
-}
-
-/// Parse JSON text into a [`Value`] tree.
-pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(v)
-}
-
-/// Build a [`Value`] object literal: `json!({ "k": expr, ... })`.
-#[macro_export]
-macro_rules! json {
-    (null) => { $crate::Value::Null };
-    ({ $($k:literal : $v:expr),* $(,)? }) => {
-        $crate::Value::Object(vec![
-            $(($k.to_string(), $crate::to_value(&$v))),*
-        ])
-    };
-    ([ $($v:expr),* $(,)? ]) => {
-        $crate::Value::Array(vec![$($crate::to_value(&$v)),*])
-    };
-    ($v:expr) => { $crate::to_value(&$v) };
-}
-
-// ---- printer ----------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => {
-            if f.is_finite() {
-                // Shortest round-trip form; integral floats keep a ".0" so
-                // the type survives a Value-level round trip.
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    out.push_str(&format!("{f:.1}"));
-                } else {
-                    out.push_str(&format!("{f}"));
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_json_string(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, level);
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_json_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, level + 1);
-            }
-            if !entries.is_empty() {
-                newline_indent(out, indent, level);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---- parser -----------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(Error::new(format!(
-                "unexpected byte `{}` at {}",
-                b as char, self.pos
-            ))),
-            None => Err(Error::new("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            entries.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(Error::new(format!("expected `,` or `}}` at {}", self.pos))),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::new(format!("expected `,` or `]` at {}", self.pos))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if !self.eat_keyword("\\u") {
-                                    return Err(Error::new("unpaired surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(Error::new("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // byte boundaries are valid).
-                    let start = self.pos;
-                    let s = &self.bytes[start..];
-                    let len = utf8_len(s[0]);
-                    let chunk = std::str::from_utf8(&s[..len])
-                        .map_err(|_| Error::new("invalid utf-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-                None => return Err(Error::new("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::new("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::new("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| Error::new("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::I64(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalar_round_trips() {
-        for text in [
-            "0",
-            "18446744073709551615",
-            "-42",
-            "1.5",
-            "true",
-            "false",
-            "null",
-            "\"hi\"",
-        ] {
-            let v = parse_value(text).unwrap();
-            let mut out = String::new();
-            write_value(&mut out, &v, None, 0);
-            assert_eq!(out, text, "round-trip of {text}");
-        }
-    }
-
-    #[test]
-    fn string_escapes() {
-        let v = parse_value(r#""a\"b\\c\ndA""#).unwrap();
-        assert_eq!(v, Value::Str("a\"b\\c\nd\u{41}".into()));
-        let s = to_string(&"tab\there").unwrap();
-        assert_eq!(s, r#""tab\there""#);
-    }
-
-    #[test]
-    fn surrogate_pairs() {
-        let v = parse_value(r#""😀""#).unwrap();
-        assert_eq!(v, Value::Str("😀".into()));
-    }
-
-    #[test]
-    fn nested_containers() {
-        let v = parse_value(r#"{"a": [1, 2, {"b": null}], "c": "x"}"#).unwrap();
-        assert_eq!(v.get("c").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        assert!(parse_value("1 2").is_err());
-        assert!(parse_value("{").is_err());
-        assert!(parse_value("").is_err());
-    }
-
-    #[test]
-    fn pretty_printing_indents() {
-        let v = parse_value(r#"{"a":1}"#).unwrap();
-        let pretty = to_string_pretty(&v).unwrap();
-        assert_eq!(pretty, "{\n  \"a\": 1\n}");
-    }
-
-    #[test]
-    fn json_macro_builds_objects() {
-        let v = json!({ "kind": "x", "machines": 3u32 });
-        assert_eq!(v.get("machines"), Some(&Value::U64(3)));
-    }
-
-    #[test]
-    fn float_display_round_trips() {
-        let v = Value::F64(0.1 + 0.2);
-        let mut out = String::new();
-        write_value(&mut out, &v, None, 0);
-        let back = parse_value(&out).unwrap();
-        assert_eq!(back, v);
-    }
+/// Pretty-printed JSON text; never fails.
+pub fn to_string_pretty(value: &Value) -> Result<String, swim_obs::json::Error> {
+    Ok(swim_obs::json::to_string_pretty(value))
 }

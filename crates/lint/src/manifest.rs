@@ -93,7 +93,7 @@ pub fn parse(text: &str) -> Manifest {
                 }
             }
             "dependencies" | "dev-dependencies" => {
-                // `serde.workspace = true` and `serde = { … }` both name
+                // `rand.workspace = true` and `rand = { … }` both name
                 // the dependency before the first `.`.
                 let dep = key.split('.').next().unwrap_or(key).trim().to_owned();
                 if !dep.is_empty() {

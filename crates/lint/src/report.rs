@@ -2,6 +2,7 @@
 //! and a hand-rolled fixed-shape JSON document for machines and the CI
 //! golden diff.
 
+use swim_obs::json::quote;
 use swim_report::render::Table;
 use swim_report::{Block, KeyValueBlock, Report, Section};
 
@@ -81,23 +82,6 @@ pub fn render_markdown(result: &LintResult) -> String {
     swim_report::markdown::render_report(&to_report(result))
 }
 
-/// Escape a string for JSON output.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Fixed-shape JSON: one finding/waiver per line, keys in a stable
 /// order, entries pre-sorted by the engine — byte-stable for a given
 /// workspace state, which is what the CI golden diff pins.
@@ -132,8 +116,8 @@ pub fn render_json(result: &LintResult) -> String {
             ""
         };
         out.push_str(&format!(
-            "    {{\"crate\": \"{}\", \"lines\": {lines}}}{comma}\n",
-            esc(name)
+            "    {{\"crate\": {}, \"lines\": {lines}}}{comma}\n",
+            quote(name)
         ));
     }
     out.push_str("  ],\n");
@@ -141,11 +125,11 @@ pub fn render_json(result: &LintResult) -> String {
     out.push_str("  \"findings\": [\n");
     for (k, f) in result.findings.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
+            "    {{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"message\": {}}}{}\n",
             f.rule.id(),
-            esc(&f.file),
+            quote(&f.file),
             f.line,
-            esc(&f.message),
+            quote(&f.message),
             if k + 1 < result.findings.len() {
                 ","
             } else {
@@ -158,11 +142,11 @@ pub fn render_json(result: &LintResult) -> String {
     out.push_str("  \"waivers\": [\n");
     for (k, w) in result.waived.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"reason\": \"{}\"}}{}\n",
+            "    {{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"reason\": {}}}{}\n",
             w.rule.id(),
-            esc(&w.file),
+            quote(&w.file),
             w.line,
-            esc(&w.reason),
+            quote(&w.reason),
             if k + 1 < result.waived.len() { "," } else { "" }
         ));
     }

@@ -2,9 +2,8 @@
 //!
 //! One JSON object per line, one line per instrument, so the bench
 //! harness can append successive snapshots to a single file and grep /
-//! parse them without a streaming JSON parser. Serialization is
-//! hand-rolled (this crate has no dependencies): names are the only
-//! strings and get full JSON escaping.
+//! parse them without a streaming JSON parser. Names are the only
+//! strings and are escaped by [`crate::json::quote`].
 //!
 //! Line shapes:
 //!
@@ -16,30 +15,12 @@
 
 use std::io::Write as _;
 
+use crate::json::quote;
 use crate::registry::Snapshot;
 
 /// Environment variable naming the JSONL sink file. When set, CLIs
 /// append their final snapshot to it via [`append_env`].
 pub const SINK_ENV: &str = "SWIM_OBS_JSONL";
-
-/// Escape a string into a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Render a snapshot as JSON lines (trailing newline included when
 /// non-empty; an empty snapshot renders as the empty string).
@@ -48,21 +29,21 @@ pub fn to_jsonl(snapshot: &Snapshot) -> String {
     for (name, value) in &snapshot.counters {
         out.push_str(&format!(
             "{{\"type\":\"counter\",\"name\":{},\"value\":{}}}\n",
-            json_string(name),
+            quote(name),
             value
         ));
     }
     for (name, value) in &snapshot.gauges {
         out.push_str(&format!(
             "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-            json_string(name),
+            quote(name),
             value
         ));
     }
     for s in &snapshot.spans {
         out.push_str(&format!(
             "{{\"type\":\"span\",\"path\":{},\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}\n",
-            json_string(&s.path),
+            quote(&s.path),
             s.count,
             s.total_ns,
             s.min_ns,
@@ -132,8 +113,20 @@ mod tests {
 
     #[test]
     fn json_strings_escape_specials() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let snap = Snapshot {
+            counters: vec![("a\"b\\c\n\u{1}".to_owned(), 1)],
+            ..Snapshot::default()
+        };
+        let line = to_jsonl(&snap);
+        assert_eq!(
+            line,
+            "{\"type\":\"counter\",\"name\":\"a\\\"b\\\\c\\n\\u0001\",\"value\":1}\n"
+        );
+        let parsed = crate::json::parse_value(line.trim_end()).unwrap();
+        assert_eq!(
+            parsed.get("name").and_then(|v| v.as_str()),
+            Some("a\"b\\c\n\u{1}")
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! counters, gauges and hierarchical timed spans, collected into one
 //! process-wide [`registry`] and exported as plain data ([`Snapshot`])
 //! or JSON lines ([`jsonl`]); windowed nearest-rank latency histograms
-//! ([`WindowedHistogram`]); and the nearest-rank rule ([`nearest_rank`])
-//! every quantile in the workspace reads.
+//! ([`WindowedHistogram`]); the nearest-rank rule ([`nearest_rank`])
+//! every quantile in the workspace reads; and the workspace's one JSON
+//! codec ([`json`]: value tree, writer, string escaper, total parser).
 //!
 //! The crate sits **below** every other workspace crate (including
 //! `swim-store`), so any layer can instrument its hot paths without new
@@ -64,6 +65,7 @@
 
 pub mod clock;
 pub mod flight;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod par;

@@ -23,6 +23,7 @@ use crate::kernel::Program;
 use crate::plan::{plan, Plan, Query};
 use crate::QueryError;
 use swim_catalog::Catalog;
+use swim_obs::json::quote;
 use swim_report::doc::KeyValueBlock;
 use swim_report::render::Table;
 use swim_report::{markdown, Block, Report, Section};
@@ -187,19 +188,6 @@ impl Explain {
 
     /// One JSON object with fixed key order (byte-deterministic).
     pub fn render_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' | '\\' => {
-                        out.push('\\');
-                        out.push(c);
-                    }
-                    _ => out.push(c),
-                }
-            }
-            out
-        }
         fn verdicts(v: &VerdictCounts) -> String {
             format!(
                 "{{\"never\":{},\"always\":{},\"maybe\":{},\"scanned\":{}}}",
@@ -214,7 +202,7 @@ impl Explain {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("[\"{}\",\"{}\"]", escape(step), escape(detail)));
+            out.push_str(&format!("[{},{}]", quote(step), quote(detail)));
         }
         out.push_str("],\"shards\":");
         match &self.shards {
@@ -227,8 +215,8 @@ impl Explain {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"label\":\"{}\",\"version\":{},\"jobs\":{},\"verdicts\":{}}}",
-                escape(&store.label),
+                "{{\"label\":{},\"version\":{},\"jobs\":{},\"verdicts\":{}}}",
+                quote(&store.label),
                 store.version,
                 store.jobs,
                 verdicts(&store.verdicts)
@@ -515,6 +503,18 @@ mod tests {
             json.ends_with("\"chunks\":{\"never\":7,\"always\":2,\"maybe\":1,\"scanned\":3}}"),
             "{json}"
         );
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_labels() {
+        let json = explain_store(&store(), "tab\there.swim", &query())
+            .unwrap()
+            .render_json();
+        assert!(json.contains(r#""label":"tab\there.swim""#), "{json}");
+        let parsed = swim_obs::json::parse_value(&json).unwrap();
+        let stores = parsed.get("stores").and_then(|s| s.as_array()).unwrap();
+        let label = stores[0].get("label").and_then(|l| l.as_str());
+        assert_eq!(label, Some("tab\there.swim"));
     }
 
     #[test]

@@ -49,6 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use swim_obs::clock;
+use swim_obs::json::quote;
 use swim_obs::{WindowSummary, WindowedCounter, WindowedHistogram};
 
 use crate::server::ServerStats;
@@ -108,37 +109,16 @@ impl AccessRecord {
             "{{\"id\":{},\"command\":{},\"generation\":{},\"cached\":{},\"queue_us\":{},\
              \"execute_us\":{},\"render_us\":{},\"total_us\":{},\"outcome\":{}}}",
             self.id,
-            json_string(self.command),
+            quote(self.command),
             self.generation,
             u8::from(self.cached),
             self.queue_us,
             self.execute_us,
             self.render_us,
             self.total_us,
-            json_string(self.outcome),
+            quote(self.outcome),
         )
     }
-}
-
-/// Minimal JSON string encoding (the fields this file writes are fixed
-/// tokens, but escape anyway so a hostile request line cannot corrupt
-/// the log).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Per-instance live telemetry: request ids, windowed rates and
@@ -480,8 +460,17 @@ mod tests {
             "{\"id\":7,\"command\":\"query\",\"generation\":2,\"cached\":1,\"queue_us\":41,\
              \"execute_us\":0,\"render_us\":9,\"total_us\":60,\"outcome\":\"ok\"}"
         );
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        // Both strings go through the one escaper, so a hostile token
+        // cannot corrupt the log line.
+        let hostile = AccessRecord {
+            command: "a\"b\\c\nd\u{1}",
+            ..record
+        };
+        let line = swim_obs::json::parse_value(&hostile.to_json()).unwrap();
+        assert_eq!(
+            line.get("command").and_then(|v| v.as_str()),
+            Some(hostile.command)
+        );
     }
 
     #[test]

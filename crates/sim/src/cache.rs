@@ -9,12 +9,11 @@
 //! This module implements the candidate policies so those claims can be
 //! measured rather than asserted.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use swim_trace::{DataSize, PathId, Timestamp};
 
 /// Which replacement/admission policy a cache tier uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CachePolicy {
     /// Evict the least-recently-used file; admit everything that fits.
     Lru,
@@ -31,7 +30,7 @@ pub enum CachePolicy {
 }
 
 /// Aggregate cache statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Accesses served from cache.
     pub hits: u64,

@@ -4,10 +4,8 @@
 //! each TaskTracker into map slots and reduce slots; utilization in
 //! Fig. 7 is "average active slots". The simulator models exactly that.
 
-use serde::{Deserialize, Serialize};
-
 /// Static cluster description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
     pub nodes: u32,

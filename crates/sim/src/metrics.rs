@@ -1,12 +1,11 @@
 //! Simulation output metrics: per-job latency records and hourly slot
 //! utilization (the Fig. 7 fourth column signal).
 
-use serde::{Deserialize, Serialize};
 use swim_trace::time::HOUR;
 use swim_trace::{Dur, Timestamp};
 
 /// Per-job outcome of a replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobOutcome {
     /// Index in the replay plan.
     pub job: usize,

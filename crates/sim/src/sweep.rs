@@ -15,7 +15,6 @@ use crate::cluster::ClusterConfig;
 use crate::engine::{SimConfig, SimResult, Simulator};
 use crate::hdfs::HdfsConfig;
 use crate::scheduler::SchedulerKind;
-use serde::{Deserialize, Serialize};
 use swim_synth::ReplayPlan;
 use swim_trace::{DataSize, PathId};
 
@@ -23,7 +22,7 @@ use swim_trace::{DataSize, PathId};
 ///
 /// Scenario order (and therefore sweep output order) is the
 /// lexicographic product `nodes × schedulers × caches`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioGrid {
     /// Cluster sizes to try.
     pub nodes: Vec<u32>,
@@ -95,7 +94,7 @@ impl ScenarioGrid {
 }
 
 /// One sweep cell: the scenario and its replay result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// The scenario configuration.
     pub config: SimConfig,

@@ -7,11 +7,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use swim_trace::{DataSize, PathId, Trace};
 
 /// One file to pre-create.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedFile {
     /// Path id the replay jobs will reference.
     pub path: PathId,
@@ -20,7 +19,7 @@ pub struct PlannedFile {
 }
 
 /// A complete pre-population plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataGenPlan {
     /// Files to create before replay starts.
     pub files: Vec<PlannedFile>,

@@ -6,11 +6,10 @@
 //! SWIM Hadoop scripts) launches one generic job per entry, reading and
 //! writing padding data of the specified sizes.
 
-use serde::{Deserialize, Serialize};
 use swim_trace::{DataSize, Dur, Timestamp, Trace};
 
 /// One job of a replay plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayJob {
     /// Gap since the previous job's submission (first job: gap from t=0).
     pub gap: Dur,
@@ -32,7 +31,7 @@ pub struct ReplayJob {
 }
 
 /// A complete replay plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayPlan {
     /// Descriptive name (source workload + transforms applied).
     pub name: String,
@@ -217,14 +216,6 @@ mod tests {
         assert_eq!(plan.jobs[0].gap, Dur::from_secs(50));
         assert_eq!(plan.jobs[1].gap, Dur::from_secs(30));
         assert_eq!(plan.jobs[0].input, DataSize::from_mb(5));
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let plan = ReplayPlan::from_trace(&trace());
-        let s = serde_json::to_string(&plan).unwrap();
-        let back: ReplayPlan = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, plan);
     }
 
     #[test]

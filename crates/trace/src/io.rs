@@ -1,4 +1,5 @@
-//! Trace codecs: a simple CSV dialect and JSON-lines, both round-trip safe.
+//! Trace codecs: a simple CSV dialect and JSON-lines (through
+//! [`swim_obs::json`]), both round-trip safe.
 //!
 //! The CSV dialect mirrors the per-job Hadoop history summaries the paper
 //! ingests. Paths are encoded as `;`-separated raw ids (the original traces
@@ -12,6 +13,7 @@ use crate::time::{Dur, Timestamp};
 use crate::trace::{Trace, WorkloadKind};
 use crate::TraceError;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use swim_obs::json::{self, Value};
 
 /// CSV header line for the per-job schema.
 pub const CSV_HEADER: &str = "job_id,name,submit_secs,duration_secs,input_bytes,\
@@ -152,47 +154,188 @@ fn decode_paths(s: &str, lineno: usize) -> Result<Vec<PathId>, TraceError> {
         .collect()
 }
 
-/// Write a trace as JSON-lines: one JSON object per job, preceded by a
-/// metadata object (`{"kind": …, "machines": …}`).
+/// Write a trace as JSON-lines: a metadata object (`{"kind": …,
+/// "machines": …}`), then one object per job with its fields in schema
+/// order. A job's `input_paths` / `output_paths` keys are left out when
+/// empty. A paper kind is written as its variant name (`"CcA"`), a
+/// custom one as `{"Custom": "name"}`.
 pub fn write_jsonl<W: Write>(trace: &Trace, writer: W) -> Result<(), TraceError> {
     let mut w = BufWriter::new(writer);
-    let meta = serde_json::json!({
-        "kind": trace.kind,
-        "machines": trace.machines,
-    });
-    serde_json::to_writer(&mut w, &meta)?;
-    writeln!(w)?;
+    let meta = Value::object([
+        ("kind", kind_to_json(&trace.kind)),
+        ("machines", Value::U64(trace.machines.into())),
+    ]);
+    writeln!(w, "{}", json::to_string(&meta))?;
     for job in trace.jobs() {
-        serde_json::to_writer(&mut w, job)?;
-        writeln!(w)?;
+        writeln!(w, "{}", json::to_string(&job_to_json(job)))?;
     }
     w.flush()?;
     Ok(())
 }
 
-/// Read a trace from JSON-lines produced by [`write_jsonl`].
+/// Read a trace from JSON-lines produced by [`write_jsonl`]. Blank job
+/// lines are skipped and unknown keys ignored; every malformed line is a
+/// [`TraceError::Parse`] naming the line and, for a bad record, the field.
 pub fn read_jsonl<R: Read>(reader: R) -> Result<Trace, TraceError> {
-    let r = BufReader::new(reader);
-    let mut lines = r.lines();
+    let mut lines = BufReader::new(reader).lines();
     let meta_line = lines.next().ok_or_else(|| TraceError::Parse {
         line: 1,
         reason: "empty stream".into(),
-    })??;
-    #[derive(serde::Deserialize)]
-    struct Meta {
-        kind: WorkloadKind,
-        machines: u32,
-    }
-    let meta: Meta = serde_json::from_str(&meta_line)?;
+    })?;
+    let (kind, machines) = decode_line(1, &line_text(1, meta_line)?, meta_from_json)?;
     let mut jobs = Vec::new();
-    for line in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    for (i, line) in lines.enumerate() {
+        let lineno = i + 2;
+        let text = line_text(lineno, line)?;
+        if !text.trim().is_empty() {
+            jobs.push(decode_line(lineno, &text, job_from_json)?);
         }
-        jobs.push(serde_json::from_str::<Job>(&line)?);
     }
-    Trace::new(meta.kind, meta.machines, jobs)
+    Trace::new(kind, machines, jobs)
+}
+
+/// A line's text; bytes that are not UTF-8 are a parse error of that line.
+fn line_text(lineno: usize, line: std::io::Result<String>) -> Result<String, TraceError> {
+    line.map_err(|e| match e.kind() {
+        std::io::ErrorKind::InvalidData => TraceError::Parse {
+            line: lineno,
+            reason: e.to_string(),
+        },
+        _ => TraceError::Io(e),
+    })
+}
+
+fn decode_line<T>(
+    lineno: usize,
+    text: &str,
+    decode: fn(&Value) -> Result<T, String>,
+) -> Result<T, TraceError> {
+    let decoded = match json::parse_value(text) {
+        Ok(v) if v.as_object().is_some() => decode(&v),
+        Ok(_) => Err("expected a JSON object".to_owned()),
+        Err(e) => Err(e.to_string()),
+    };
+    decoded.map_err(|reason| TraceError::Parse {
+        line: lineno,
+        reason,
+    })
+}
+
+/// The JSONL name of one of the paper's seven kinds.
+fn kind_name(kind: &WorkloadKind) -> Option<&'static str> {
+    Some(match kind {
+        WorkloadKind::CcA => "CcA",
+        WorkloadKind::CcB => "CcB",
+        WorkloadKind::CcC => "CcC",
+        WorkloadKind::CcD => "CcD",
+        WorkloadKind::CcE => "CcE",
+        WorkloadKind::Fb2009 => "Fb2009",
+        WorkloadKind::Fb2010 => "Fb2010",
+        WorkloadKind::Custom(_) => return None,
+    })
+}
+
+fn kind_to_json(kind: &WorkloadKind) -> Value {
+    match kind_name(kind) {
+        Some(name) => Value::Str(name.to_owned()),
+        None => Value::object([("Custom", Value::Str(kind.label().to_owned()))]),
+    }
+}
+
+fn kind_from_json(v: &Value) -> Option<WorkloadKind> {
+    match v {
+        Value::Str(s) => WorkloadKind::PAPER_SEVEN
+            .into_iter()
+            .find(|k| kind_name(k) == Some(s.as_str())),
+        Value::Object(entries) => match entries.as_slice() {
+            [(tag, Value::Str(name))] if tag == "Custom" => {
+                Some(WorkloadKind::Custom(name.clone()))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+fn meta_from_json(v: &Value) -> Result<(WorkloadKind, u32), String> {
+    let kind = kind_from_json(field(v, "kind")?).ok_or("field `kind` is not a workload kind")?;
+    Ok((kind, u32_field(v, "machines")?))
+}
+
+fn job_to_json(job: &Job) -> Value {
+    let mut fields = vec![
+        ("id", Value::U64(job.id.0)),
+        ("name", Value::Str(job.name.clone())),
+        ("submit", Value::U64(job.submit.secs())),
+        ("duration", Value::U64(job.duration.secs())),
+        ("input", Value::U64(job.input.bytes())),
+        ("shuffle", Value::U64(job.shuffle.bytes())),
+        ("output", Value::U64(job.output.bytes())),
+        ("map_task_time", Value::U64(job.map_task_time.secs())),
+        ("reduce_task_time", Value::U64(job.reduce_task_time.secs())),
+        ("map_tasks", Value::U64(job.map_tasks.into())),
+        ("reduce_tasks", Value::U64(job.reduce_tasks.into())),
+    ];
+    for (key, paths) in [
+        ("input_paths", &job.input_paths),
+        ("output_paths", &job.output_paths),
+    ] {
+        if !paths.is_empty() {
+            fields.push((
+                key,
+                Value::Array(paths.iter().map(|p| Value::U64(p.0)).collect()),
+            ));
+        }
+    }
+    Value::object(fields)
+}
+
+/// Fields are read in schema order, so a record missing several names
+/// the first.
+fn job_from_json(v: &Value) -> Result<Job, String> {
+    let secs = |key: &str| u64_field(v, key).map(Dur::from_secs);
+    let bytes = |key: &str| u64_field(v, key).map(DataSize::from_bytes);
+    Ok(JobBuilder::new(u64_field(v, "id")?)
+        .name(
+            field(v, "name")?
+                .as_str()
+                .ok_or("field `name` is not a string")?,
+        )
+        .submit(Timestamp::from_secs(u64_field(v, "submit")?))
+        .duration(secs("duration")?)
+        .input(bytes("input")?)
+        .shuffle(bytes("shuffle")?)
+        .output(bytes("output")?)
+        .map_task_time(secs("map_task_time")?)
+        .reduce_task_time(secs("reduce_task_time")?)
+        .tasks(u32_field(v, "map_tasks")?, u32_field(v, "reduce_tasks")?)
+        .input_paths(paths_field(v, "input_paths")?)
+        .output_paths(paths_field(v, "output_paths")?)
+        .build_unchecked())
+}
+
+fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
+    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
+}
+
+fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
+    field(v, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
+}
+
+fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
+    u32::try_from(u64_field(v, key)?).map_err(|_| format!("field `{key}` does not fit in u32"))
+}
+
+/// An absent path list is empty.
+fn paths_field(v: &Value, key: &str) -> Result<Vec<PathId>, String> {
+    let Some(list) = v.get(key) else {
+        return Ok(Vec::new());
+    };
+    list.as_array()
+        .and_then(|items| items.iter().map(|p| p.as_u64().map(PathId)).collect())
+        .ok_or_else(|| format!("field `{key}` is not an array of path ids"))
 }
 
 /// Serialize a trace to a CSV string (convenience).
@@ -287,6 +430,44 @@ mod tests {
     #[test]
     fn jsonl_rejects_empty_stream() {
         assert!(read_jsonl(&b""[..]).is_err());
+    }
+
+    fn jsonl_error(text: &str) -> (usize, String) {
+        match read_jsonl(text.as_bytes()) {
+            Err(TraceError::Parse { line, reason }) => (line, reason),
+            other => panic!("expected a Parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jsonl_errors_name_the_line_and_field() {
+        let meta = r#"{"kind":"CcA","machines":3}"#;
+        let (line, reason) = jsonl_error(&format!("{meta}\n{{\"id\":1}}\n"));
+        assert_eq!((line, reason.as_str()), (2, "missing field `name`"));
+        let (line, reason) = jsonl_error("{\"kind\":\"Nope\",\"machines\":3}\n");
+        assert_eq!(
+            (line, reason.as_str()),
+            (1, "field `kind` is not a workload kind")
+        );
+        let (line, reason) = jsonl_error(&format!("{meta}\n\n[1]\n"));
+        assert_eq!((line, reason.as_str()), (3, "expected a JSON object"));
+        let (line, _) = jsonl_error(&format!("{meta}\n{{\"id\":"));
+        assert_eq!(line, 2);
+        let (line, reason) = jsonl_error(r#"{"kind":"CcA","machines":4294967296}"#);
+        assert_eq!(
+            (line, reason.as_str()),
+            (1, "field `machines` does not fit in u32")
+        );
+    }
+
+    #[test]
+    fn jsonl_non_utf8_line_is_a_parse_error() {
+        let mut bytes = br#"{"kind":"CcA","machines":3}"#.to_vec();
+        bytes.extend_from_slice(b"\n{\"id\":\xff}\n");
+        assert!(matches!(
+            read_jsonl(&bytes[..]),
+            Err(TraceError::Parse { line: 2, .. })
+        ));
     }
 
     #[test]

@@ -4,12 +4,10 @@ use crate::path::PathId;
 use crate::size::DataSize;
 use crate::time::{Dur, Timestamp};
 use crate::TraceError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Numerical job key, unique within one trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -22,7 +20,7 @@ impl fmt::Display for JobId {
 /// conventions exactly as §6.1 does (Hive and Pig auto-generate names;
 /// Oozie launchers are identifiable; everything else is native MapReduce
 /// or unknown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Framework {
     /// Hive query (names beginning `insert`, `select`, `from`, …).
     Hive,
@@ -66,7 +64,7 @@ impl fmt::Display for Framework {
 /// traces sometimes lack (paths, names) are `Option`/empty to model exactly
 /// the availability matrix in §4.2 ("FB-2009 and CC-a do not contain path
 /// names; FB-2010 contains input paths only").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {
     /// Unique numerical key.
     pub id: JobId,
@@ -92,10 +90,8 @@ pub struct Job {
     /// Number of reduce tasks (0 for map-only jobs).
     pub reduce_tasks: u32,
     /// Input file paths read, when the trace exposes them.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub input_paths: Vec<PathId>,
     /// Output file paths written, when the trace exposes them.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub output_paths: Vec<PathId>,
 }
 

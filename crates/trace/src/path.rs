@@ -6,7 +6,6 @@
 //! paths to ids when ingesting external logs. Synthetic generators mint
 //! `PathId`s directly.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
@@ -15,8 +14,7 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 ///
 /// `PathId(u64)` rather than a string: the paper's traces ship hashed paths,
 /// and identity is all the data-access analysis (§4) consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathId(pub u64);
 
 impl PathId {

@@ -1,7 +1,6 @@
 //! [`DataSize`]: a byte-count newtype with the log-scale formatting used
 //! throughout the paper's figures (1 B … TB axes on log scale).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
@@ -11,10 +10,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// The paper's workloads span *at least* six orders of magnitude in per-job
 /// data size (Fig. 1), so this type offers log-scale binning helpers in
 /// addition to ordinary arithmetic.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DataSize(u64);
 
 /// One kibibyte-free kilobyte: the paper uses decimal axis labels (KB/MB/GB/TB).

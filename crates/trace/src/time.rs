@@ -2,7 +2,6 @@
 //! (a span of seconds). Hour-granularity bucketing helpers support the
 //! paper's hourly time-series analysis (§5).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
@@ -20,10 +19,7 @@ pub const WEEK: u64 = 7 * DAY;
 ///
 /// Traces are self-relative: the first job of a freshly generated trace
 /// submits at or shortly after `Timestamp::ZERO`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -114,10 +110,7 @@ impl fmt::Display for Timestamp {
 /// Doubles as the unit for *task-time* (slot-seconds): a job with two map
 /// tasks of 10 s each has `map_task_time = Dur::from_secs(20)`, exactly the
 /// paper's Table 2 convention.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(u64);
 
 impl Dur {
