@@ -291,13 +291,11 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
         eprintln!("nothing to compact (generation {})", catalog.generation());
     } else {
         eprintln!(
-            "compacted {} shard{} into {} ({} jobs, {} upgraded to v{}), generation {}",
+            "compacted {} shard{} into {} ({} jobs), generation {}",
             stats.rewritten,
             if stats.rewritten == 1 { "" } else { "s" },
             stats.created,
             stats.jobs,
-            stats.upgraded,
-            swim_store::format::VERSION,
             catalog.generation()
         );
     }

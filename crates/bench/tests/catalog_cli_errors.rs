@@ -98,6 +98,44 @@ fn verify_names_every_damaged_shard_and_exits_1() {
 }
 
 #[test]
+fn a_store_of_another_format_version_is_neither_ingested_nor_adopted() {
+    let dir = std::env::temp_dir().join(format!("swim-catalog-v4-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../store/tests/fixtures/multichunk.swim"
+    );
+    let mut image = std::fs::read(fixture).unwrap();
+    image[8..10].copy_from_slice(&4u16.to_le_bytes());
+    let old = dir.join("old.swim");
+    std::fs::write(&old, image).unwrap();
+    let (catalog, old) = (dir.join("c.d"), old.to_str().expect("utf-8 temp dir"));
+    let catalog_arg = catalog.to_str().expect("utf-8 temp dir");
+    assert_eq!(run(&["init", catalog_arg]).0, 0);
+    let manifest = std::fs::read(catalog.join("MANIFEST")).unwrap();
+    for adopt in [&[][..], &["--adopt"]] {
+        let mut args = vec!["ingest", catalog_arg, old];
+        args.extend_from_slice(adopt);
+        let (code, stdout, first) = run(&args);
+        assert_eq!(code, 1, "{args:?}");
+        assert!(stdout.is_empty());
+        assert_eq!(
+            first,
+            format!(
+                "error: cannot ingest {old}: \
+                 unsupported store format version 4 (this build reads version 5)"
+            )
+        );
+        // Nothing published: the MANIFEST alone, at generation 0.
+        let files: Vec<_> = std::fs::read_dir(&catalog).unwrap().collect();
+        assert_eq!(files.len(), 1, "{args:?}");
+        assert_eq!(std::fs::read(catalog.join("MANIFEST")).unwrap(), manifest);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn misplaced_flag_is_a_usage_error() {
     // --vacuum belongs to compact, not stats.
     let (code, _, first) = run(&["stats", "some-dir", "--vacuum"]);

@@ -102,13 +102,10 @@ pub struct IngestStats {
 /// What one compaction did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompactStats {
-    /// Shards rewritten (merged away or upgraded).
+    /// Shards merged away.
     pub rewritten: usize,
     /// Replacement shards created.
     pub created: usize,
-    /// Rewritten shards that were of an older store format (now the
-    /// current one).
-    pub upgraded: usize,
     /// Jobs moved through the rewrite.
     pub jobs: u64,
 }
@@ -515,9 +512,8 @@ impl Catalog {
     }
 
     /// Adopt an existing `.swim` file verbatim: the file is copied into
-    /// the catalog as one shard, keeping its format version (older
-    /// files stay as they are until [`Catalog::compact`] upgrades them). Empty stores
-    /// are rejected.
+    /// the catalog as one shard. Empty stores, and files of a format
+    /// version this build does not read, are rejected.
     pub fn adopt_store(&mut self, path: impl AsRef<Path>) -> Result<IngestStats, CatalogError> {
         let path = path.as_ref();
         let store = Store::open(path).map_err(|e| CatalogError::Parse {
@@ -620,8 +616,7 @@ impl Catalog {
     // ------------------------------------------------------------------
 
     /// Merge undersized shards (fewer than half of `jobs_per_shard`
-    /// jobs) with their neighbours and rewrite any shards of an older
-    /// store format to the current one, under a new manifest generation.
+    /// jobs) with their neighbours, under a new manifest generation.
     ///
     /// Old shard files are left on disk so readers that opened an
     /// earlier generation keep working; run [`Catalog::vacuum`] once no
@@ -631,19 +626,14 @@ impl Catalog {
         let _span = swim_obs::span("catalog.compact");
         let per_shard = options.validate()?;
         let threshold = u64::from(per_shard / 2).max(1);
-        let needs_rewrite =
-            |e: &ShardEntry| e.store_version < swim_store::format::VERSION || e.jobs < threshold;
-        if !self.manifest.shards.iter().any(needs_rewrite) {
-            return Ok(CompactStats::default());
-        }
 
-        // Group rewrite candidates greedily (in manifest order) into
+        // Group undersized shards greedily (in manifest order) into
         // bins of at most `jobs_per_shard` jobs.
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut current: Vec<usize> = Vec::new();
         let mut current_jobs = 0u64;
         for (idx, entry) in self.manifest.shards.iter().enumerate() {
-            if !needs_rewrite(entry) {
+            if entry.jobs >= threshold {
                 continue;
             }
             if !current.is_empty() && current_jobs + entry.jobs > u64::from(per_shard) {
@@ -656,14 +646,11 @@ impl Catalog {
         if !current.is_empty() {
             groups.push(current);
         }
-        // Convergence: a singleton group whose shard is already at the
-        // current format gains nothing from a rewrite — it is undersized
-        // but has no merge partner. Skipping it makes repeated compacts
-        // of the same catalog a no-op instead of generation churn.
-        groups.retain(|group| match group.as_slice() {
-            [only] => self.manifest.shards[*only].store_version < swim_store::format::VERSION,
-            _ => true,
-        });
+        // Convergence: a singleton group gains nothing from a rewrite —
+        // its shard is undersized but has no merge partner. Skipping it
+        // makes repeated compacts of the same catalog a no-op instead of
+        // generation churn.
+        groups.retain(|group| group.len() > 1);
         if groups.is_empty() {
             return Ok(CompactStats::default());
         }
@@ -678,10 +665,6 @@ impl Catalog {
             let mut kinds: Vec<WorkloadKind> = Vec::new();
             let mut machines = 0u32;
             for &idx in group {
-                let entry = &self.manifest.shards[idx];
-                if entry.store_version < swim_store::format::VERSION {
-                    stats.upgraded += 1;
-                }
                 let store = self.read_shard(idx, None, &mut jobs)?;
                 kinds.push(store.kind().clone());
                 machines = machines.max(store.machines());

@@ -18,8 +18,8 @@
 //!    renamed into place; ingest writes temp files, renames them, and
 //!    rewrites the manifest *last* (also temp + rename) under a bumped
 //!    generation. Readers of an older generation keep a consistent view;
-//!    [`Catalog::compact`] merges undersized shards and upgrades v1
-//!    shards without touching the files old readers hold.
+//!    [`Catalog::compact`] merges undersized shards without touching
+//!    the files old readers hold.
 //! 3. **A decoded-column LRU.** Repeated queries skip the column
 //!    decode: the catalog caches each shard's decoded columns
 //!    ([`ShardColumns`]) one column at a time — only those some query
@@ -327,9 +327,9 @@ mod tests {
             assert!(!dir.join(file).exists());
         }
         // Compaction converges: the merged shard is still undersized
-        // relative to 1000/2, but it has no merge partner and is
-        // already at the current format, so a second compact with the
-        // *same* options is a no-op — no generation churn, no rewrite.
+        // relative to 1000/2, but it has no merge partner, so a second
+        // compact with the *same* options is a no-op — no generation
+        // churn, no rewrite.
         let gen = catalog.generation();
         let stats = catalog.compact(&small_options(1000)).unwrap();
         assert_eq!(stats, CompactStats::default());
@@ -338,84 +338,33 @@ mod tests {
     }
 
     #[test]
-    fn compact_upgrades_adopted_v1_shards() {
-        let dir = temp_dir("upgrade");
-        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../store/tests/fixtures/v1-multichunk.swim");
+    fn a_catalog_listing_an_old_shard_opens_but_refuses_to_read_it() {
+        let dir = temp_dir("old-shard");
         let mut catalog = Catalog::init(&dir).unwrap();
-        catalog.adopt_store(&fixture).unwrap();
-        assert_eq!(catalog.shards()[0].store_version, 1);
-        let before = catalog.read_trace().unwrap();
-        let before_summary = catalog.summary();
+        let trace = varied_trace(WorkloadKind::CcA, 100, 0);
+        catalog.ingest_trace(&trace, &small_options(1000)).unwrap();
+        // The one shard, and its manifest line, as a version-4 file.
+        let file = catalog.shards()[0].file.clone();
+        let mut image = std::fs::read(dir.join(&file)).unwrap();
+        image[8..10].copy_from_slice(&4u16.to_le_bytes());
+        std::fs::write(dir.join(&file), image).unwrap();
+        let manifest = dir.join(crate::manifest::MANIFEST_FILE);
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        std::fs::write(&manifest, text.replace("\tv=5\t", "\tv=4\t")).unwrap();
 
-        let stats = catalog.compact(&CatalogOptions::default()).unwrap();
-        assert_eq!(stats.upgraded, 1);
-        assert_eq!(stats.rewritten, 1);
-        assert_eq!(
-            catalog.shards()[0].store_version,
-            swim_store::format::VERSION
-        );
-        assert_eq!(catalog.read_trace().unwrap(), before);
-        assert_eq!(catalog.summary(), before_summary);
-        // The upgraded shard's zone map is now tight on every column,
-        // not just submit.
-        let zone = catalog.shards()[0].zone;
-        assert!(zone.max.iter().any(|&m| m != u64::MAX));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Adopt the frozen fixture `name` of format `version` and compact
-    /// it at its own chunking (`jobs_per_chunk`), so only the format
-    /// differs: every shard is current and the trace is equal. Returns
-    /// the shard bytes before and after.
-    fn compact_upgrades(name: &str, version: u16, jobs_per_chunk: u32) -> (u64, u64) {
-        let dir = temp_dir(&format!("upgrade-v{version}"));
-        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../store/tests/fixtures")
-            .join(name);
-        let mut catalog = Catalog::init(&dir).unwrap();
-        catalog.adopt_store(&fixture).unwrap();
-        assert_eq!(catalog.shards()[0].store_version, version);
-        let before = catalog.read_trace().unwrap();
-        let before_bytes: u64 = catalog.shards().iter().map(|s| s.bytes).sum();
-
-        let options = CatalogOptions {
-            store: StoreOptions { jobs_per_chunk },
-            ..Default::default()
-        };
-        let stats = catalog.compact(&options).unwrap();
-        assert_eq!((stats.upgraded, stats.rewritten), (1, 1));
-        let current = swim_store::format::VERSION;
-        assert!(catalog.shards().iter().all(|s| s.store_version == current));
-        for idx in 0..catalog.shard_count() {
-            assert_eq!(catalog.open_shard(idx).unwrap().format_version(), current);
+        let catalog = Catalog::open(&dir).unwrap();
+        assert_eq!(catalog.shards()[0].store_version, 4);
+        assert_eq!(catalog.summary(), trace.summary());
+        match catalog.open_shard(0) {
+            Err(CatalogError::Shard {
+                file: named,
+                source: swim_store::StoreError::UnsupportedVersion(4),
+            }) => assert_eq!(named, file),
+            other => panic!("{other:?}"),
         }
-        assert_eq!(catalog.read_trace().unwrap(), before);
-        let after_bytes: u64 = catalog.shards().iter().map(|s| s.bytes).sum();
-        // Already current: a second compact has nothing to do.
-        assert_eq!(catalog.compact(&options).unwrap(), CompactStats::default());
+        assert!(catalog.read_trace().is_err());
+        assert_eq!(catalog.vacuum().unwrap(), 0, "a listed shard is kept");
         std::fs::remove_dir_all(&dir).unwrap();
-        (before_bytes, after_bytes)
-    }
-
-    #[test]
-    fn compact_upgrades_adopted_v2_shards_and_they_shrink() {
-        let (before, after) = compact_upgrades("v2-multichunk.swim", 2, 64);
-        assert!(after < before, "{after} !< {before}");
-    }
-
-    #[test]
-    fn compact_upgrades_adopted_v3_shards_and_they_shrink() {
-        let (before, after) = compact_upgrades("v3-multichunk.swim", 3, 16);
-        assert!(after < before, "{after} !< {before}");
-    }
-
-    #[test]
-    fn compact_upgrades_adopted_v4_shards() {
-        // No shrink asserted: on 40 jobs in chunks of 16, the two table
-        // entries and two block headers a v5 chunk adds outweigh what
-        // its path references save, and the shard grows.
-        compact_upgrades("v4-multichunk.swim", 4, 16);
     }
 
     #[test]

@@ -38,8 +38,10 @@ const MANIFEST_HEAD: usize = 128;
 pub struct ShardEntry {
     /// File name within the catalog directory (never a path).
     pub file: String,
-    /// Store format version the shard was written with (1 to
-    /// `swim_store::format::VERSION`).
+    /// Store format version the shard was written with, as its line
+    /// records it. A catalog listing a shard of a version other than
+    /// `swim_store::format::VERSION` still opens (and vacuums); reading
+    /// that shard is refused.
     pub store_version: u16,
     /// Catalog generation in which this shard file was created. Shard
     /// files are immutable once renamed into place, so `(file,
@@ -56,8 +58,7 @@ pub struct ShardEntry {
     /// Σ (map + reduce task-time) over the shard's jobs (saturating).
     pub task_time: u64,
     /// Shard-level zone map: `[min, max]` for all ten numeric columns
-    /// over every job in the shard (union of the chunk zone maps; for a
-    /// v1 shard, real submit bounds and full range elsewhere).
+    /// over every job in the shard (union of the chunk zone maps).
     pub zone: ZoneMap,
     /// Workload label recorded in the shard's header.
     pub kind_label: String,

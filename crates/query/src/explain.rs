@@ -75,7 +75,7 @@ impl VerdictCounts {
 pub struct StoreExplain {
     /// Display label (file name for catalog shards).
     pub label: String,
-    /// Store format version (v1 prunes on submit only).
+    /// Store format version.
     pub version: u16,
     /// Jobs in the store.
     pub jobs: u64,

@@ -12,13 +12,11 @@
 //! over chunk-at-a-time numeric column projections. Three properties do
 //! the heavy lifting:
 //!
-//! 1. **Zone-map pruning** — format v2 stores per-chunk `[min, max]`
+//! 1. **Zone-map pruning** — the store keeps per-chunk `[min, max]`
 //!    bounds for *all ten* numeric columns, and the planner interval-
 //!    evaluates the predicate against them
 //!    ([`Pred::zone_verdict`]), so chunks that cannot match
 //!    are never read and chunks that match entirely skip the row filter.
-//!    Version-1 files still work (their synthesized maps prune on submit
-//!    only).
 //! 2. **Vectorized execution** — chunks decode to a
 //!    [`swim_store::format::columns::ChunkView`] of just the columns the
 //!    query reads (the rest are not decoded) and one chunk

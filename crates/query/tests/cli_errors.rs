@@ -10,7 +10,7 @@ use std::process::Command;
 fn fixture() -> String {
     concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../store/tests/fixtures/v1-multichunk.swim"
+        "/../store/tests/fixtures/multichunk.swim"
     )
     .to_owned()
 }
@@ -125,5 +125,24 @@ fn missing_store_file_errors_with_the_path() {
     assert!(
         first.starts_with("error: open /no/such/file.swim:"),
         "{first}"
+    );
+}
+
+#[test]
+fn a_store_of_another_format_version_is_refused_with_the_version_named() {
+    let mut image = std::fs::read(fixture()).expect("fixture reads");
+    image[8..10].copy_from_slice(&4u16.to_le_bytes());
+    let path = std::env::temp_dir().join(format!("swim-query-v4-{}.swim", std::process::id()));
+    std::fs::write(&path, image).unwrap();
+    let trace = path.to_str().expect("a UTF-8 temp path");
+    let (code, stdout, first) = run(&["--trace", trace, "--select", "count"]);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(code, 1);
+    assert!(stdout.is_empty());
+    assert_eq!(
+        first,
+        format!(
+            "error: open {trace}: unsupported store format version 4 (this build reads version 5)"
+        )
     );
 }

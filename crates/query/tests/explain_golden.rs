@@ -1,9 +1,9 @@
 //! Golden pins for `swim-query --explain` over the two frozen fixtures
-//! (`crates/store/tests/fixtures/v1-multichunk.swim`, format v1, and
-//! `testdata/sample-b.swim`, format v2), plus the acceptance
-//! cross-check: the chunk verdict counts `--explain` *predicts* must
-//! equal the decode counters `--profile` *observes* for the same query,
-//! on those fixtures and on a 30-day store in the current format.
+//! (`crates/store/tests/fixtures/multichunk.swim`, 8 chunks, and
+//! `testdata/sample-b.swim`, one), plus the acceptance cross-check: the
+//! chunk verdict counts `--explain` *predicts* must equal the decode
+//! counters `--profile` *observes* for the same query, on those fixtures
+//! and on a 30-day store written fresh.
 //!
 //! Regenerate after an intentional output change with
 //!
@@ -26,8 +26,8 @@ fn repo_root() -> PathBuf {
         .expect("workspace root")
 }
 
-const V1_FIXTURE: &str = "crates/store/tests/fixtures/v1-multichunk.swim";
-const V2_FIXTURE: &str = "testdata/sample-b.swim";
+const MULTICHUNK: &str = "crates/store/tests/fixtures/multichunk.swim";
+const SAMPLE_B: &str = "testdata/sample-b.swim";
 const QUERY_ARGS: &[&str] = &[
     "--select",
     "count,sum(total_io),p50(duration)",
@@ -50,8 +50,8 @@ const HOUR_OF_DAY_ARGS: &[&str] = &[
     "submit / 1h - submit / 1d * 24",
 ];
 
-/// Write 48,000 jobs spread evenly over 30 days to `path` in 16 chunks,
-/// in the current format; every fifth job moves no data.
+/// Write 48,000 jobs spread evenly over 30 days to `path` in 16 chunks;
+/// every fifth job moves no data.
 fn write_month_store(path: &Path) {
     const JOBS: u64 = 48_000;
     let jobs = (0..JOBS)
@@ -136,22 +136,22 @@ fn explain_chunk_field(explain_json: &str, field: &str) -> u64 {
 }
 
 #[test]
-fn explain_v1_fixture_matches_golden() {
-    let mut args = vec!["--trace", V1_FIXTURE];
+fn explain_multichunk_fixture_matches_golden() {
+    let mut args = vec!["--trace", MULTICHUNK];
     args.extend_from_slice(QUERY_ARGS);
     args.push("--explain");
-    check_golden("explain-v1.txt", &swim_query(&args));
+    check_golden("explain-multichunk.txt", &swim_query(&args));
 
     args.extend_from_slice(&["--format", "json"]);
-    check_golden("explain-v1.json", &swim_query(&args));
+    check_golden("explain-multichunk.json", &swim_query(&args));
 }
 
 #[test]
-fn explain_v2_fixture_matches_golden() {
-    let mut args = vec!["--trace", V2_FIXTURE];
+fn explain_sample_b_fixture_matches_golden() {
+    let mut args = vec!["--trace", SAMPLE_B];
     args.extend_from_slice(QUERY_ARGS);
     args.push("--explain");
-    check_golden("explain-v2.txt", &swim_query(&args));
+    check_golden("explain-sample-b.txt", &swim_query(&args));
 }
 
 /// The acceptance invariant: for the same query, the chunks `--explain`
@@ -171,8 +171,8 @@ fn explain_verdicts_match_profile_decode_counters() {
     let month_path = month.to_str().expect("a UTF-8 temp path");
     let mut counted = Vec::new();
     for (fixture, query) in [
-        (V1_FIXTURE, QUERY_ARGS),
-        (V2_FIXTURE, QUERY_ARGS),
+        (MULTICHUNK, QUERY_ARGS),
+        (SAMPLE_B, QUERY_ARGS),
         (month_path, FIRST_DAY_ARGS),
         (month_path, HOUR_OF_DAY_ARGS),
     ] {
@@ -239,7 +239,7 @@ fn explain_verdicts_match_profile_decode_counters() {
 fn explain_and_profile_are_mutually_exclusive() {
     let out = Command::new(env!("CARGO_BIN_EXE_swim-query"))
         .current_dir(repo_root())
-        .args(["--trace", V1_FIXTURE, "--explain", "--profile"])
+        .args(["--trace", MULTICHUNK, "--explain", "--profile"])
         .output()
         .expect("swim-query runs");
     assert!(!out.status.success());

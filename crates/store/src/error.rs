@@ -39,7 +39,8 @@ pub enum StoreError {
         /// Which checksummed part failed.
         context: &'static str,
     },
-    /// The file carries a format version this build does not read.
+    /// The file carries a format version other than
+    /// [`crate::format::VERSION`], the only one this build reads.
     UnsupportedVersion(u16),
     /// Writer options were rejected before any bytes were written
     /// (e.g. a zero `jobs_per_chunk`).
@@ -77,9 +78,11 @@ impl fmt::Display for StoreError {
                 path: None,
                 context,
             } => write!(f, "checksum mismatch: {context}"),
-            StoreError::UnsupportedVersion(v) => {
-                write!(f, "unsupported store format version {v}")
-            }
+            StoreError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported store format version {v} (this build reads version {})",
+                crate::format::VERSION
+            ),
             StoreError::InvalidOptions { context } => {
                 write!(f, "invalid store options: {context}")
             }
@@ -148,7 +151,10 @@ mod tests {
         assert!(StoreError::Corrupt { context: "y" }
             .to_string()
             .contains("y"));
-        assert!(StoreError::UnsupportedVersion(9).to_string().contains('9'));
+        assert_eq!(
+            StoreError::UnsupportedVersion(2).to_string(),
+            "unsupported store format version 2 (this build reads version 5)"
+        );
         assert!(StoreError::InvalidOptions { context: "z" }
             .to_string()
             .contains("z"));

@@ -71,7 +71,7 @@
 //! the distances. Ids with neither order nor repeats pay two bits a
 //! kind over storing them whole.
 //!
-//! **Integrity.** Every byte of a version-3 or later file is covered by a
+//! **Integrity.** Every byte of a file is covered by a
 //! [`checksum`] or by a check against bytes that are. The trailer's
 //! checksum covers the header, the footer and the footer offset, and is
 //! verified at open. Each chunk's table holds the length and checksum of
@@ -98,17 +98,11 @@
 //! digitless names: each costs its length and bytes, as it would raw,
 //! plus a code of at most 21 bits (13 at the default chunk size).
 //!
-//! Older versions still open and scan, but only as whole rows: a
-//! projected read of an older chunk decodes its jobs and projects them
-//! — versions 1–4 are read rows-only. Version 4 has seventeen blocks:
-//! the path ids are whole, after each list's counts (input counts, ids,
-//! output counts, ids). Version 3 has version 4's layout with every
-//! integer block a run of LEB128 varints ([`varint`]), at least a byte a
-//! value. Versions 1 and 2 store
-//! thirteen varint column blocks with no table — names as a length
-//! column and the raw bytes — and nothing in them is checksummed.
-//! Version 1 also lacks the zone-map section; readers synthesize
-//! permissive maps from the per-chunk submit windows.
+//! **Versions.** This is the only layout a reader accepts: a header of
+//! any other version is refused with [`StoreError::UnsupportedVersion`]
+//! before its footer is read or any checksum checked. Files of versions
+//! 1–4 are brought across by re-encoding them with a build that still
+//! reads them.
 
 use crate::pack;
 use crate::varint;
@@ -124,38 +118,23 @@ pub const END_MAGIC: [u8; 8] = *b"SWIMEND1";
 pub const CHUNK_MAGIC: u32 = u32::from_le_bytes(*b"SCHK");
 /// Footer magic.
 pub const FOOTER_MAGIC: u32 = u32::from_le_bytes(*b"SFTR");
-/// Zone-map section magic (footer, version ≥ 2).
+/// Zone-map section magic (footer).
 pub const ZONE_MAGIC: u32 = u32::from_le_bytes(*b"SZMP");
-/// Format version written by this build (v5: path ids as references;
-/// v4: bit-packed integer blocks; v3: block table, checksums, stem-coded
-/// names).
+/// The format version this build writes, and the only one it reads.
 pub const VERSION: u16 = 5;
-/// The original format version: no zone-map section in the footer.
-pub const VERSION_1: u16 = 1;
 
 /// Largest `jobs_per_chunk` a file may have. Chunks are decoded whole,
 /// so a chunk bigger than this defeats both chunk skipping and the
 /// bounded memory of streaming scans; the writer caps requests above it
-/// and readers refuse a file of version 4 or later that claims more.
+/// and readers refuse a file that claims more.
 pub const MAX_JOBS_PER_CHUNK: u32 = 1 << 20;
 
-/// `true` for versions 1 and 2, which carry no block table and no
-/// checksums and store names raw.
-pub fn is_legacy(version: u16) -> bool {
-    version < 3
-}
-
-/// `true` from version 4 on, whose integer blocks are bit-packed
-/// ([`pack`]) rather than varints.
-pub fn is_packed(version: u16) -> bool {
-    version >= 4
-}
 /// Number of numeric columns covered by a [`ZoneMap`] (the ten columns of
 /// [`columns::ChunkColumns`], in layout order).
 pub const ZONE_COLUMNS: usize = 10;
-/// Size of the trailer of every version (footer offset + magic).
+/// Size of the trailer (footer offset + magic).
 pub const TRAILER_LEN: usize = 16;
-/// Size of a stored [`checksum`]; from version 3 one precedes the trailer.
+/// Size of a stored [`checksum`]; one precedes the trailer.
 pub const CHECKSUM_LEN: usize = 8;
 /// Size of each chunk block's fixed header ("SCHK", count, payload_len).
 pub const CHUNK_HEADER_LEN: usize = 16;
@@ -237,7 +216,7 @@ impl Header {
             });
         }
         let version = r.u16()?;
-        if !(VERSION_1..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(StoreError::UnsupportedVersion(version));
         }
         let tag = r.u8()?;
@@ -323,10 +302,6 @@ impl StoredSummary {
 /// layout order of [`columns::ChunkColumns`]: id, submit, duration,
 /// input, shuffle, output, map_time, reduce_time, map_tasks,
 /// reduce_tasks.
-///
-/// Written by format version 2; readers of version-1 files synthesize a
-/// permissive map via [`ZoneMap::submit_only`] so planners can treat
-/// every store uniformly (v1 maps prune on submit alone).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZoneMap {
     /// Per-column minimum over the chunk's jobs.
@@ -392,40 +367,24 @@ impl ZoneMap {
         }
         self
     }
-
-    /// The permissive map synthesized for version-1 chunks: real bounds
-    /// for submit (the v1 index stores them), full-range everywhere else,
-    /// so non-submit predicates can never wrongly skip a v1 chunk.
-    pub fn submit_only(min_submit: Timestamp, max_submit: Timestamp) -> ZoneMap {
-        let mut min = [0u64; ZONE_COLUMNS];
-        let mut max = [u64::MAX; ZONE_COLUMNS];
-        min[Self::SUBMIT] = min_submit.secs();
-        max[Self::SUBMIT] = max_submit.secs();
-        ZoneMap { min, max }
-    }
 }
 
-/// Parsed footer: the chunk index, the stored summary, and (version ≥ 2)
-/// the per-chunk zone maps.
+/// Parsed footer: the chunk index, the stored summary and the per-chunk
+/// zone maps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Footer {
     /// Per-chunk index entries, in file order (non-decreasing min_submit).
     pub chunks: Vec<ChunkMeta>,
     /// Whole-trace statistics.
     pub summary: StoredSummary,
-    /// Per-chunk zone maps (`Some` iff the file carries the v2 section;
-    /// when present, one entry per chunk).
-    pub zones: Option<Vec<ZoneMap>>,
+    /// Per-chunk zone maps, one per chunk.
+    pub zones: Vec<ZoneMap>,
 }
 
 impl Footer {
-    /// Serialize the footer (the zone section is written iff `zones` is
-    /// `Some`).
+    /// Serialize the footer.
     pub fn encode(&self) -> Vec<u8> {
-        let zone_len = self
-            .zones
-            .as_ref()
-            .map_or(0, |z| 4 + z.len() * 16 * ZONE_COLUMNS);
+        let zone_len = 4 + self.zones.len() * 16 * ZONE_COLUMNS;
         let mut out = Vec::with_capacity(8 + self.chunks.len() * 40 + 40 + zone_len);
         out.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
         out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
@@ -442,20 +401,17 @@ impl Footer {
         out.extend_from_slice(&s.task_time.secs().to_le_bytes());
         out.extend_from_slice(&s.min_submit.secs().to_le_bytes());
         out.extend_from_slice(&s.max_submit.secs().to_le_bytes());
-        if let Some(zones) = &self.zones {
-            out.extend_from_slice(&ZONE_MAGIC.to_le_bytes());
-            for z in zones {
-                for v in z.min.iter().chain(z.max.iter()) {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+        out.extend_from_slice(&ZONE_MAGIC.to_le_bytes());
+        for z in &self.zones {
+            for v in z.min.iter().chain(z.max.iter()) {
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
         out
     }
 
-    /// Parse a footer from `bytes`. The zone section is recognized by its
-    /// magic, so decoding needs no out-of-band version (v1 footers simply
-    /// end after the summary).
+    /// Parse a footer from `bytes`; the zone section must follow the
+    /// summary and hold exactly one map per chunk.
     pub fn decode(bytes: &[u8]) -> Result<Footer, StoreError> {
         let mut r = Reader::new(bytes);
         let magic = r.u32()?;
@@ -489,33 +445,27 @@ impl Footer {
             min_submit: Timestamp::from_secs(r.u64()?),
             max_submit: Timestamp::from_secs(r.u64()?),
         };
-        let zones = if r.remaining() == 0 {
-            None // v1 footer: nothing after the summary.
-        } else {
-            let magic = r.u32()?;
-            if magic != ZONE_MAGIC {
-                return Err(StoreError::Corrupt {
-                    context: "bad zone-map magic",
-                });
+        if r.u32().ok() != Some(ZONE_MAGIC) {
+            return Err(StoreError::Corrupt {
+                context: "footer lacks the zone-map section",
+            });
+        }
+        if r.remaining() != chunks.len() * 16 * ZONE_COLUMNS {
+            return Err(StoreError::Corrupt {
+                context: "zone-map section length disagrees with chunk count",
+            });
+        }
+        let mut zones = Vec::with_capacity(chunks.len());
+        for _ in 0..chunks.len() {
+            let mut z = ZoneMap {
+                min: [0; ZONE_COLUMNS],
+                max: [0; ZONE_COLUMNS],
+            };
+            for v in z.min.iter_mut().chain(z.max.iter_mut()) {
+                *v = r.u64()?;
             }
-            if r.remaining() != chunks.len() * 16 * ZONE_COLUMNS {
-                return Err(StoreError::Corrupt {
-                    context: "zone-map section length disagrees with chunk count",
-                });
-            }
-            let mut zones = Vec::with_capacity(chunks.len());
-            for _ in 0..chunks.len() {
-                let mut z = ZoneMap {
-                    min: [0; ZONE_COLUMNS],
-                    max: [0; ZONE_COLUMNS],
-                };
-                for v in z.min.iter_mut().chain(z.max.iter_mut()) {
-                    *v = r.u64()?;
-                }
-                zones.push(z);
-            }
-            Some(zones)
-        };
+            zones.push(z);
+        }
         Ok(Footer {
             chunks,
             summary,
@@ -689,8 +639,8 @@ pub fn encode_tail(
     out
 }
 
-/// Verify a version-3 or later file's metadata against the checksum `stored`
-/// before its trailer.
+/// Verify a file's metadata against the checksum `stored` before its
+/// trailer.
 pub fn verify_meta(
     header: &[u8],
     footer: &[u8],
@@ -1124,25 +1074,24 @@ pub mod columns {
         }
     }
 
-    /// A chunk body of version 3 or later (what follows the fixed chunk
-    /// header) cut into its column blocks by the table that starts it.
+    /// A chunk body (what follows the fixed chunk header) cut into its
+    /// column blocks by the table that starts it.
     struct Blocks<'a> {
-        /// Each block's bytes and stored checksum, in layout order (the
-        /// last two empty in a version-3 or -4 chunk).
+        /// Each block's bytes and stored checksum, in layout order.
         blocks: [(&'a [u8], u64); BLOCKS],
     }
 
     impl<'a> Blocks<'a> {
-        /// Read the table of `count` blocks and cut the rest of `body` by
-        /// its lengths, which must add up to exactly what is there.
-        /// Nothing is verified or reserved yet.
-        fn parse(body: &'a [u8], count: usize) -> Result<Blocks<'a>, StoreError> {
+        /// Read the table and cut the rest of `body` by its lengths,
+        /// which must add up to exactly what is there. Nothing is
+        /// verified or reserved yet.
+        fn parse(body: &'a [u8]) -> Result<Blocks<'a>, StoreError> {
             let mut table = Reader::new(body);
-            let mut rest = body.get(count * 16..).ok_or(StoreError::Truncated {
+            let mut rest = body.get(TABLE_LEN..).ok_or(StoreError::Truncated {
                 context: "chunk shorter than its block table",
             })?;
             let mut blocks = [(&[][..], 0u64); BLOCKS];
-            for block in blocks.iter_mut().take(count) {
+            for block in &mut blocks {
                 let len = usize::try_from(table.u64()?).ok();
                 let (bytes, after) =
                     len.and_then(|len| rest.split_at_checked(len))
@@ -1179,25 +1128,9 @@ pub mod columns {
         }
     }
 
-    /// An integer block of exactly `n` values written by format
-    /// `version` (3 or later): packed from version 4, varints before.
-    /// A `delta` column comes back as the running sums of its values.
-    fn whole_column(
-        version: u16,
-        block: &[u8],
-        n: usize,
-        delta: bool,
-    ) -> Result<Vec<u64>, StoreError> {
-        if !is_packed(version) {
-            let mut pos = 0;
-            let values = if delta {
-                varint::get_delta_column(block, &mut pos, n)?
-            } else {
-                varint::get_column(block, &mut pos, n)?
-            };
-            consumed(block, pos)?;
-            return Ok(values);
-        }
+    /// An integer block of exactly `n` values. A `delta` column comes
+    /// back as the running sums of its values.
+    fn whole_column(block: &[u8], n: usize, delta: bool) -> Result<Vec<u64>, StoreError> {
         let mut values = pack::decode(block, n)?;
         if delta {
             let mut sum = 0u64;
@@ -1210,57 +1143,39 @@ pub mod columns {
     }
 
     /// Decode the numeric columns of `set` from the body of a chunk of
-    /// `n` jobs written by this build's format ([`VERSION`]): the block
-    /// table leads straight to the blocks of `set`; each is verified
-    /// against its checksum and decoded, and no other block — numeric,
-    /// name or path — is looked at. Older chunks are only ever decoded
-    /// whole ([`decode`]).
+    /// `n` jobs: the block table leads straight to the blocks of `set`;
+    /// each is verified against its checksum and decoded, and no other
+    /// block — numeric, name or path — is looked at.
     pub fn decode_projected(
         body: &[u8],
         n: usize,
         set: ColumnSet,
     ) -> Result<ChunkColumns, StoreError> {
-        decode_blocks(VERSION, &Blocks::parse(body, BLOCKS)?, n, set)
+        numeric(&Blocks::parse(body)?, n, set)
     }
 
-    fn decode_blocks(
-        version: u16,
-        blocks: &Blocks<'_>,
-        n: usize,
-        set: ColumnSet,
-    ) -> Result<ChunkColumns, StoreError> {
+    fn numeric(blocks: &Blocks<'_>, n: usize, set: ColumnSet) -> Result<ChunkColumns, StoreError> {
         let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
         for (column, values) in cols.iter_mut().enumerate() {
             if set.contains(column) {
                 let block = blocks.verified(column)?;
-                *values = whole_column(version, block, n, column < DELTA_COLUMNS)?;
+                *values = whole_column(block, n, column < DELTA_COLUMNS)?;
             }
         }
         Ok(ChunkColumns { rows: n, cols })
     }
 
-    /// Decode the `n` jobs of a chunk body written by format `version`;
-    /// from version 3 every block is verified first.
-    pub fn decode(version: u16, body: &[u8], n: usize) -> Result<Vec<Job>, StoreError> {
-        if is_legacy(version) {
-            return decode_v2(body, n);
-        }
-        // Up to version 4 the path ids are two blocks, not four.
-        let count = if version < VERSION {
-            BLOCKS - 2
-        } else {
-            BLOCKS
-        };
-        let blocks = Blocks::parse(body, count)?;
-        let numeric = decode_blocks(version, &blocks, n, ColumnSet::ALL)?;
+    /// Decode the `n` jobs of a chunk body, every block verified first.
+    pub fn decode(body: &[u8], n: usize) -> Result<Vec<Job>, StoreError> {
+        let blocks = Blocks::parse(body)?;
+        let numeric = numeric(&blocks, n, ColumnSet::ALL)?;
         let names = decode_names(
-            version,
             blocks.verified(NAME_BLOCKS)?,
             blocks.verified(NAME_BLOCKS + 1)?,
             blocks.verified(NAME_BLOCKS + 2)?,
             n,
         )?;
-        let [inputs, outputs] = decode_paths(version, &blocks, n)?;
+        let [inputs, outputs] = decode_paths(&blocks, n)?;
         build_jobs(numeric, names, inputs, outputs)
     }
 
@@ -1268,7 +1183,6 @@ pub mod columns {
     /// suffixes blocks. Nothing is reserved on the word of a count that
     /// the blocks' own lengths do not bear out.
     fn decode_names(
-        version: u16,
         stems: &[u8],
         codes: &[u8],
         suffixes: &[u8],
@@ -1302,9 +1216,9 @@ pub mod columns {
         }
         consumed(stems, *pos)?;
 
-        let codes = whole_column(version, codes, n, false)?;
+        let codes = whole_column(codes, n, false)?;
         let with_suffix = codes.iter().filter(|&&code| code % 2 == 1).count();
-        let mut suffixes = whole_column(version, suffixes, with_suffix, false)?.into_iter();
+        let mut suffixes = whole_column(suffixes, with_suffix, false)?.into_iter();
         let mut names = Vec::with_capacity(n);
         for code in codes {
             let (stem, last) = usize::try_from(code / 2)
@@ -1340,34 +1254,18 @@ pub mod columns {
         out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
     }
 
-    /// The input and the output path lists of a chunk of `n` jobs. Up to
-    /// version 4 each list is a counts block and a block of whole ids;
-    /// from version 5 both counts blocks come first, then one reference
-    /// stream.
-    fn decode_paths(
-        version: u16,
-        blocks: &Blocks<'_>,
-        n: usize,
-    ) -> Result<[Vec<Vec<PathId>>; 2], StoreError> {
-        let streamed = version >= VERSION;
+    /// The input and the output path lists of a chunk of `n` jobs: both
+    /// counts blocks, then one reference stream.
+    fn decode_paths(blocks: &Blocks<'_>, n: usize) -> Result<[Vec<Vec<PathId>>; 2], StoreError> {
         let mut counts: [Vec<u64>; 2] = Default::default();
-        let mut ids: [Vec<u64>; 2] = Default::default();
         for (list, counts) in counts.iter_mut().enumerate() {
-            let at = PATH_BLOCKS + if streamed { list } else { 2 * list };
-            *counts = whole_column(version, blocks.verified(at)?, n, false)?;
+            *counts = whole_column(blocks.verified(PATH_BLOCKS + list)?, n, false)?;
         }
-        if streamed {
-            let mut stream = decode_references(blocks, &counts.concat())?.into_iter();
-            for job in 0..n {
-                for (ids, counts) in ids.iter_mut().zip(&counts) {
-                    ids.extend(stream.by_ref().take(counts[job] as usize));
-                }
-            }
-        } else {
-            for (list, ids) in ids.iter_mut().enumerate() {
-                let block = blocks.verified(PATH_BLOCKS + 2 * list + 1)?;
-                let total = bounded(&counts[list], block, "path counts exceed the ids block")?;
-                *ids = whole_column(version, block, total, false)?;
+        let mut stream = decode_references(blocks, &counts.concat())?.into_iter();
+        let mut ids: [Vec<u64>; 2] = Default::default();
+        for job in 0..n {
+            for (ids, counts) in ids.iter_mut().zip(&counts) {
+                ids.extend(stream.by_ref().take(counts[job] as usize));
             }
         }
         Ok([0, 1].map(|list| {
@@ -1379,25 +1277,20 @@ pub mod columns {
         }))
     }
 
-    /// Σ `counts`, refused unless `block` can hold that many values of
-    /// at least a bit each (a byte before version 4; neither ids nor
-    /// kinds are ever packed at width 0), so no list is reserved for a
-    /// count its bytes do not bear out.
-    fn bounded(counts: &[u64], block: &[u8], context: &'static str) -> Result<usize, StoreError> {
-        counts
-            .iter()
-            .try_fold(0u64, |sum, &count| sum.checked_add(count))
-            .and_then(|total| usize::try_from(total).ok())
-            .filter(|&total| total <= block.len().saturating_mul(8))
-            .ok_or(StoreError::Corrupt { context })
-    }
-
-    /// The path ids of a version-5 chunk in stream order, as many as its
-    /// path `counts` add up to, rebuilt from its four reference blocks.
+    /// The path ids of a chunk in stream order, as many as its path
+    /// `counts` add up to, rebuilt from its four reference blocks.
     fn decode_references(blocks: &Blocks<'_>, counts: &[u64]) -> Result<Vec<u64>, StoreError> {
         let corrupt = |context| StoreError::Corrupt { context };
         let kinds = blocks.verified(KIND_BLOCK)?;
-        let total = bounded(counts, kinds, "path counts exceed the kinds block")?;
+        // Kinds are never packed at width 0, so the block holds a bit a
+        // reference at least: no list is reserved for a count its bytes
+        // do not bear out.
+        let total = counts
+            .iter()
+            .try_fold(0u64, |sum, &count| sum.checked_add(count))
+            .and_then(|total| usize::try_from(total).ok())
+            .filter(|&total| total <= kinds.len().saturating_mul(8))
+            .ok_or(corrupt("path counts exceed the kinds block"))?;
         let kinds = pack::decode(kinds, total)?;
         let mut per_kind = [0; 3];
         for &kind in &kinds {
@@ -1431,64 +1324,6 @@ pub mod columns {
             ids.push(id);
         }
         Ok(ids)
-    }
-
-    /// Decode `n` jobs from a version-1 or version-2 chunk payload:
-    /// thirteen column blocks back to back, names as lengths then bytes.
-    fn decode_v2(payload: &[u8], n: usize) -> Result<Vec<Job>, StoreError> {
-        let pos = &mut 0usize;
-        let mut cols: [Vec<u64>; ZONE_COLUMNS] = Default::default();
-        for (column, values) in cols.iter_mut().enumerate() {
-            *values = if column < DELTA_COLUMNS {
-                varint::get_delta_column(payload, pos, n)?
-            } else {
-                varint::get_column(payload, pos, n)?
-            };
-        }
-        let name_lens = varint::get_column(payload, pos, n)?;
-        let mut names = Vec::with_capacity(n);
-        for &len in &name_lens {
-            let len = usize::try_from(len).map_err(|_| StoreError::Corrupt {
-                context: "name length overflows usize",
-            })?;
-            let end = pos.checked_add(len).filter(|&e| e <= payload.len()).ok_or(
-                StoreError::Truncated {
-                    context: "name bytes run past chunk",
-                },
-            )?;
-            let name =
-                std::str::from_utf8(&payload[*pos..end]).map_err(|_| StoreError::Corrupt {
-                    context: "job name not utf-8",
-                })?;
-            names.push(name.to_owned());
-            *pos = end;
-        }
-        let mut path_lists = [Vec::new(), Vec::new()];
-        for lists in &mut path_lists {
-            let counts = varint::get_column(payload, pos, n)?;
-            for &count in &counts {
-                let count = usize::try_from(count).map_err(|_| StoreError::Corrupt {
-                    context: "path count overflows usize",
-                })?;
-                if count > payload.len() {
-                    // Each id takes at least one byte; anything larger than
-                    // the payload is corrupt, not just big.
-                    return Err(StoreError::Corrupt {
-                        context: "path count exceeds chunk payload",
-                    });
-                }
-                let ids = varint::get_column(payload, pos, count)?;
-                lists.push(ids.into_iter().map(PathId).collect::<Vec<_>>());
-            }
-        }
-        if *pos != payload.len() {
-            return Err(StoreError::Corrupt {
-                context: "trailing bytes after last column",
-            });
-        }
-        let [input_paths, output_paths] = path_lists;
-        let numeric = ChunkColumns { rows: n, cols };
-        build_jobs(numeric, names, input_paths, output_paths)
     }
 
     /// Assemble jobs from a chunk's decoded columns (one entry per job in
@@ -1607,22 +1442,14 @@ mod tests {
                 min_submit: Timestamp::from_secs(0),
                 max_submit: Timestamp::from_secs(9000),
             },
-            zones: None,
-        };
-        // v1 layout (no zone section).
-        assert_eq!(Footer::decode(&f.encode()).unwrap(), f);
-
-        // From v2 on: one zone map per chunk.
-        let mut v2 = f.clone();
-        v2.zones = Some(
-            (0..2)
+            zones: (0..2)
                 .map(|i| ZoneMap {
                     min: [i; ZONE_COLUMNS],
                     max: [i + 100; ZONE_COLUMNS],
                 })
                 .collect(),
-        );
-        assert_eq!(Footer::decode(&v2.encode()).unwrap(), v2);
+        };
+        assert_eq!(Footer::decode(&f.encode()).unwrap(), f);
     }
 
     #[test]
@@ -1642,10 +1469,10 @@ mod tests {
                 min_submit: Timestamp::ZERO,
                 max_submit: Timestamp::ZERO,
             },
-            zones: Some(vec![ZoneMap {
+            zones: vec![ZoneMap {
                 min: [0; ZONE_COLUMNS],
                 max: [0; ZONE_COLUMNS],
-            }]),
+            }],
         };
         let mut bytes = f.encode();
         bytes.extend_from_slice(&[0u8; 8]); // extra trailing bytes
@@ -1965,7 +1792,7 @@ mod tests {
                 (chunk.len() as u32, (block.len() - CHUNK_HEADER_LEN) as u64)
             );
             let body = &block[CHUNK_HEADER_LEN..];
-            assert_eq!(columns::decode(VERSION, body, chunk.len()).unwrap(), chunk);
+            assert_eq!(columns::decode(body, chunk.len()).unwrap(), chunk);
         }
     }
 
@@ -2020,7 +1847,7 @@ mod tests {
             .collect();
         let corrupt = |index: usize, bytes: &[u8], want: &str| {
             let body = with_block(&body_of(&jobs), columns::BLOCKS, index, bytes);
-            match columns::decode(VERSION, &body, jobs.len()) {
+            match columns::decode(&body, jobs.len()) {
                 Err(StoreError::Corrupt { context }) => assert_eq!(context, want),
                 other => panic!("block {index} = {bytes:02x?}: {other:?}"),
             }
@@ -2073,33 +1900,6 @@ mod tests {
             &packed(&[0, u64::MAX, 0]),
             "fresh path id step overflows u64",
         );
-        // Version 4, which still opens: the first chunk of the frozen
-        // fixture, its input counts declaring one id more than its ids
-        // block has bits, or more than a u64 can count.
-        let file = include_bytes!("../tests/fixtures/v4-multichunk.swim");
-        let header = Header::decode(file).unwrap();
-        assert_eq!(header.version, 4);
-        let at = header.encoded_len();
-        let n = u32::from_le_bytes(file[at + 4..][..4].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(file[at + 8..][..8].try_into().unwrap()) as usize;
-        let v4 = &file[at..][..CHUNK_HEADER_LEN + len];
-        assert_eq!(decode_chunk_header(v4).unwrap(), (n as u32, len as u64));
-        let (v4, v4_blocks) = (&v4[CHUNK_HEADER_LEN..], columns::BLOCKS - 2);
-        assert_eq!(columns::decode(4, v4, n).unwrap().len(), n);
-        let ids_len = u64::from_le_bytes(v4[14 * 16..][..8].try_into().unwrap());
-        let mut over = vec![0; n];
-        over[1] = 8 * ids_len + 1;
-        let mut wraps = vec![0; n];
-        wraps[..2].fill(u64::MAX);
-        for counts in [over, wraps] {
-            let body = with_block(v4, v4_blocks, 13, &packed(&counts));
-            match columns::decode(4, &body, n) {
-                Err(StoreError::Corrupt { context }) => {
-                    assert_eq!(context, "path counts exceed the ids block")
-                }
-                other => panic!("v4 input counts {counts:?}: {other:?}"),
-            }
-        }
         // Any integer block: an exception past the jobs, and high bits
         // that do not fit above the width.
         corrupt(
@@ -2172,10 +1972,10 @@ mod tests {
             ));
         }
         assert!(matches!(
-            columns::decode(VERSION, &damaged, 40),
+            columns::decode(&damaged, 40),
             Err(StoreError::Checksum { .. })
         ));
-        assert_eq!(columns::decode(VERSION, &intact, 40).unwrap(), jobs);
+        assert_eq!(columns::decode(&intact, 40).unwrap(), jobs);
     }
 
     #[test]
@@ -2194,7 +1994,7 @@ mod tests {
         let body = body_of(&jobs);
         let len = |b: usize| u64::from_le_bytes(body[b * 16..][..8].try_into().unwrap()) as usize;
         let references: usize = (15..19).map(len).sum();
-        // Version 4 stored each list's ids whole, never at width 0.
+        // Each list's ids stored whole: a block never at width 0.
         let whole: usize = (0..2)
             .map(|list| {
                 let ids: Vec<u64> = (0..4096).map(|i| hashed(2 * i + list)).collect();
@@ -2208,7 +2008,7 @@ mod tests {
             references <= whole + most,
             "{references} B > {whole} B + {most} B"
         );
-        assert_eq!(columns::decode(VERSION, &body, jobs.len()).unwrap(), jobs);
+        assert_eq!(columns::decode(&body, jobs.len()).unwrap(), jobs);
     }
 
     /// Jobs whose path ids are minted densely (fresh), re-read soon
@@ -2269,20 +2069,9 @@ mod tests {
                     let mut block = Vec::new();
                     encoder.finish(&mut block);
                     let body = &block[CHUNK_HEADER_LEN..];
-                    prop_assert_eq!(columns::decode(VERSION, body, chunk.len()).unwrap(), chunk);
+                    prop_assert_eq!(columns::decode(body, chunk.len()).unwrap(), chunk);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn submit_only_zone_is_permissive_everywhere_else() {
-        let z = ZoneMap::submit_only(Timestamp::from_secs(5), Timestamp::from_secs(9));
-        assert_eq!(z.min[ZoneMap::SUBMIT], 5);
-        assert_eq!(z.max[ZoneMap::SUBMIT], 9);
-        for i in (0..ZONE_COLUMNS).filter(|&i| i != ZoneMap::SUBMIT) {
-            assert_eq!(z.min[i], 0);
-            assert_eq!(z.max[i], u64::MAX);
         }
     }
 

@@ -362,8 +362,8 @@ mod tests {
     fn a_chunk_of_identical_jobs_packs_every_block_at_width_0() {
         let (trace, path) = identical_jobs_file("identical.swim", vec![]);
         let store = Store::open(&path).unwrap();
-        // Far fewer bytes than jobs: a job count no version-3 reader
-        // would take from a chunk this short.
+        // Far fewer bytes than jobs: the job count is bounded by the
+        // header's chunk size, not by the chunk's length.
         let meta = store.chunk_meta()[0];
         assert_eq!((store.chunk_count(), meta.job_count), (1, 4096));
         assert!(meta.block_len < 400, "{} bytes", meta.block_len);

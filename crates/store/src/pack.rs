@@ -1,5 +1,5 @@
 //! Patched frame-of-reference bit packing (PFOR: Zukowski et al., ICDE
-//! 2006), the codec of every integer block from format version 4.
+//! 2006), the codec of every integer block.
 //!
 //! ```text
 //! varint(min) ‖ u8 width ‖ varint(exceptions)

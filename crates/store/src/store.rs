@@ -31,8 +31,7 @@ mod obs {
     /// (the two sum to ten per decoded chunk).
     pub static COLUMNS_DECODED: Counter = Counter::new("store.columns_decoded");
     /// Numeric columns of decoded chunks that were not kept, and so not
-    /// looked at. A projected read of a chunk older than version 5
-    /// decodes it whole and skips none.
+    /// looked at.
     pub static COLUMNS_SKIPPED: Counter = Counter::new("store.columns_skipped");
     /// Chunks skipped by a time-range scan's index check before any
     /// byte of them was read.
@@ -127,8 +126,7 @@ pub struct Store {
     header: Header,
     chunks: Vec<ChunkMeta>,
     summary: StoredSummary,
-    /// One zone map per chunk: read from the footer from v2 on,
-    /// synthesized (submit bounds only, permissive elsewhere) for v1.
+    /// One zone map per chunk, from the footer.
     zones: Vec<ZoneMap>,
 }
 
@@ -167,12 +165,10 @@ impl Store {
         handle: &mut ReadHandle,
         file_len: u64,
     ) -> Result<Store, StoreError> {
-        // Every version ends in the same trailer; from version 3 the
-        // metadata checksum sits before it. No file that opens is too
-        // short for both, so one read fetches them.
-        let trailer_len = format::TRAILER_LEN as u64;
-        let tail_len = trailer_len + format::CHECKSUM_LEN as u64;
-        if file_len < trailer_len + 24 {
+        // The trailer, and the metadata checksum before it: no file
+        // that opens is too short for both, so one read fetches them.
+        let tail_len = (format::CHECKSUM_LEN + format::TRAILER_LEN) as u64;
+        if file_len < tail_len + 24 {
             return Err(StoreError::Truncated {
                 context: "file shorter than header + trailer",
             });
@@ -192,17 +188,14 @@ impl Store {
         let header_bytes = handle.read_span(0, 24 + custom_len)?;
         let header = Header::decode(&header_bytes)?;
 
-        let legacy = format::is_legacy(header.version);
-        let footer_end = file_len - if legacy { trailer_len } else { tail_len };
+        let footer_end = file_len - tail_len;
         if footer_offset >= footer_end {
             return Err(StoreError::Corrupt {
                 context: "footer offset past end of file",
             });
         }
         let footer_bytes = handle.read_span(footer_offset, footer_end - footer_offset)?;
-        if !legacy {
-            format::verify_meta(&header_bytes, &footer_bytes, footer_offset, stored_sum)?;
-        }
+        format::verify_meta(&header_bytes, &footer_bytes, footer_offset, stored_sum)?;
         let Footer {
             chunks,
             summary,
@@ -210,14 +203,11 @@ impl Store {
         } = Footer::decode(&footer_bytes)?;
 
         // Index sanity: chunks must lie between header and footer, in
-        // order, and account for every job in the summary. Up to version
-        // 3 every job takes at least a byte of its chunk. From version 4
-        // a run of equal values packs to nothing, so a chunk holds at
-        // most the header's chunk size, itself capped; a reservation made
-        // before any chunk is decoded is capped by the chunk bytes
-        // instead (`read_trace`).
-        let packed = format::is_packed(header.version);
-        if packed && header.jobs_per_chunk > format::MAX_JOBS_PER_CHUNK {
+        // order, and account for every job in the summary. A run of equal
+        // values packs to nothing, so a chunk holds at most the header's
+        // chunk size, itself capped; a reservation made before any chunk
+        // is decoded is capped by the chunk bytes instead (`read_trace`).
+        if header.jobs_per_chunk > format::MAX_JOBS_PER_CHUNK {
             return Err(StoreError::Corrupt {
                 context: "chunk size exceeds the format's cap",
             });
@@ -236,16 +226,10 @@ impl Store {
                 .ok_or(StoreError::Corrupt {
                     context: "chunk length overflow",
                 })?;
-            let (most, context) = if packed {
-                (
-                    u64::from(header.jobs_per_chunk),
-                    "chunk job count exceeds the header's chunk size",
-                )
-            } else {
-                (c.block_len, "chunk job count exceeds chunk length")
-            };
-            if c.job_count > most {
-                return Err(StoreError::Corrupt { context });
+            if c.job_count > u64::from(header.jobs_per_chunk) {
+                return Err(StoreError::Corrupt {
+                    context: "chunk job count exceeds the header's chunk size",
+                });
             }
             jobs_total += c.job_count;
         }
@@ -259,31 +243,7 @@ impl Store {
                 context: "summary job count disagrees with chunk index",
             });
         }
-        // Zone maps: v2 files must carry the section; v1 files must not
-        // (their maps are synthesized from the submit windows so every
-        // reader sees a uniform, if permissive, index). When present,
-        // `Footer::decode` has already sized the section to exactly one
-        // map per chunk.
-        let zones = match (header.version, zones) {
-            (format::VERSION_1, None) => chunks
-                .iter()
-                .map(|c| ZoneMap::submit_only(c.min_submit, c.max_submit))
-                .collect(),
-            (format::VERSION_1, Some(_)) => {
-                return Err(StoreError::Corrupt {
-                    context: "v1 file carries a zone-map section",
-                })
-            }
-            (_, Some(zones)) => {
-                debug_assert_eq!(zones.len(), chunks.len(), "sized by Footer::decode");
-                zones
-            }
-            (_, None) => {
-                return Err(StoreError::Corrupt {
-                    context: "v2 footer missing zone-map section",
-                })
-            }
-        };
+        // `Footer::decode` has sized the zone section to one map a chunk.
         Ok(Store {
             source,
             header,
@@ -318,17 +278,14 @@ impl Store {
         &self.chunks
     }
 
-    /// Format version the file was written with (1 to 5).
+    /// Format version the file was written with: always
+    /// [`format::VERSION`], the only one that opens.
     pub fn format_version(&self) -> u16 {
         self.header.version
     }
 
-    /// Per-chunk zone maps: `[min, max]` bounds for every numeric column.
-    ///
-    /// Files from version 2 on store these in the footer; for version-1
-    /// files the maps are synthesized at open (real submit bounds, full
-    /// range for every other column), so planners can prune uniformly — a
-    /// v1 map simply never rules a chunk out on a non-submit predicate.
+    /// Per-chunk zone maps: `[min, max]` bounds for every numeric column,
+    /// as the footer stores them.
     pub fn zone_maps(&self) -> &[ZoneMap] {
         &self.zones
     }
@@ -365,8 +322,8 @@ impl Store {
     }
 
     /// Serial fold over an explicit set of chunks (by index, visited in
-    /// the given order) as all ten numeric columns; from version 5 on,
-    /// names and paths are never touched.
+    /// the given order) as all ten numeric columns; names and paths are
+    /// never touched.
     pub fn fold_columns<T, F>(
         &self,
         selected: &[usize],
@@ -443,7 +400,7 @@ impl Store {
     /// the template for any statistic over a store: a
     /// [`swim_obs::par_claim`] whose workers each fold the chunks they
     /// claim through a reader of their own. Runs on the numeric column
-    /// projection, so from version 5 on no names or paths are decoded.
+    /// projection, so no names or paths are decoded.
     pub fn par_summary(&self) -> Result<TraceSummary, StoreError> {
         /// Jobs, bytes moved and the submit window (seconds) of the
         /// chunks one worker claimed; `min > max` until it has seen a job.
@@ -542,18 +499,12 @@ impl ChunkReader<'_> {
         self.decode(idx, format::ZONE_COLUMNS, format::columns::decode)
     }
 
-    /// Decode the numeric columns of `set` from chunk `idx`. In a chunk
-    /// of this build's format (version 5), nothing else of the chunk is
-    /// touched: not names, not paths, not the numeric columns outside
-    /// `set`. A chunk of versions 1–4 is decoded whole
-    /// ([`ChunkReader::jobs`], counted as such) and its jobs projected
-    /// ([`ChunkColumns::project`]). Panics if `idx` is not a chunk of the
+    /// Decode the numeric columns of `set` from chunk `idx`; nothing else
+    /// of the chunk is touched: not names, not paths, not the numeric
+    /// columns outside `set`. Panics if `idx` is not a chunk of the
     /// store.
     pub fn columns(&mut self, idx: usize, set: ColumnSet) -> Result<ChunkColumns, StoreError> {
-        if self.store.header.version < format::VERSION {
-            return Ok(ChunkColumns::project(&self.jobs(idx)?, set));
-        }
-        self.decode(idx, set.len(), |_, body, n| {
+        self.decode(idx, set.len(), |body, n| {
             format::columns::decode_projected(body, n, set)
         })
     }
@@ -564,16 +515,11 @@ impl ChunkReader<'_> {
         &mut self,
         idx: usize,
         kept: usize,
-        decode: impl FnOnce(u16, &[u8], usize) -> Result<T, StoreError>,
+        decode: impl FnOnce(&[u8], usize) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let (job_count, block) = self.block(idx)?;
         let _span = begin_decode(kept);
-        decode(
-            self.store.header.version,
-            &block[format::CHUNK_HEADER_LEN..],
-            job_count,
-        )
-        .map_err(|e| self.handle.blame(e))
+        decode(&block[format::CHUNK_HEADER_LEN..], job_count).map_err(|e| self.handle.blame(e))
     }
 }
 

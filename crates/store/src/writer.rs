@@ -227,7 +227,7 @@ impl<W: Write> StoreWriter<W> {
         let footer = Footer {
             chunks: self.chunks,
             summary: self.summary,
-            zones: Some(self.zones),
+            zones: self.zones,
         };
         let mut tail = footer.encode();
         let trailer = format::encode_tail(&self.header, &tail, self.out.offset);

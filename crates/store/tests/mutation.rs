@@ -1,24 +1,14 @@
 //! Deterministic mutation battery for the store's decoders.
 //!
-//! **Versions 3, 4 and 5** (`v3-multichunk.swim`, `v4-multichunk.swim`
-//! and `v5-multichunk.swim`, the same 40 jobs in varint blocks, in packed
-//! blocks and with path ids as references; whole files), read under the
-//! projections ∅, each single column and all ten, and as jobs: every
-//! truncation is a typed error at open, and every single flipped bit is
-//! a typed error for whoever reads the damaged part — at open for the
-//! header, footer and trailer, and otherwise for every read of the chunk
-//! it is in, except that a column block of a version-5 chunk is read by
-//! exactly the projections that name it (versions 3 and 4 are read
-//! rows-only) — while every other read still gives the intact file's
-//! values. Never a panic, never `Ok` with different values; a full-row
-//! read refuses every flip.
-//!
-//! **Versions 1 and 2** carry no checksums and are read rows-only, so
-//! the promise is weaker and made of one chunk payload from each frozen
-//! fixture (the payload codec is the same, the files are not): every
-//! truncation of it is refused, and with every bit flipped in turn
-//! [`columns::decode`] gives a typed error or a chunk of the right
-//! length — never a panic.
+//! `v5-multichunk.swim` (40 jobs, 16 to a chunk; the whole file), read
+//! under the projections ∅, each single column and all ten, and as jobs:
+//! every truncation is a typed error at open, and every single flipped
+//! bit is a typed error for whoever reads the damaged part — at open for
+//! the header, footer and trailer, for every read of the chunk for its
+//! framing, and for exactly the projections that name a column block —
+//! while every other read still gives the intact file's values. Never a
+//! panic, never `Ok` with different values; a full-row read refuses
+//! every flip.
 
 use std::path::PathBuf;
 use swim_store::format::columns::{self, ChunkColumns, ColumnSet};
@@ -34,130 +24,17 @@ fn projections() -> Vec<ColumnSet> {
         .collect()
 }
 
-/// Chunk `idx` of a fixture: its job count and raw payload.
-fn chunk_payload(fixture: &str, version: u16, idx: usize) -> (usize, Vec<u8>) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(fixture);
-    let store = Store::open(&path).expect("fixture opens");
-    assert_eq!(store.format_version(), version);
-    let meta = store.chunk_meta()[idx];
-    let file = std::fs::read(&path).expect("fixture reads");
-    let block = &file[meta.offset as usize..][..meta.block_len as usize];
-    (meta.job_count as usize, block[CHUNK_HEADER_LEN..].to_vec())
-}
-
-/// One version-1 or -2 chunk payload, cut short at every length and
-/// with every bit flipped in turn, decoded as rows — which is what every
-/// projection of such a chunk decodes.
-fn battery(fixture: &str, version: u16, idx: usize) {
-    let (n, payload) = chunk_payload(fixture, version, idx);
-    let decode = |payload: &[u8], n: usize| columns::decode(version, payload, n);
-    assert_eq!(decode(&payload, n).expect("the fixture decodes").len(), n);
-
-    // The decode consumes the payload to its last byte, so any shorter
-    // one runs out.
-    for len in 0..payload.len() {
-        match decode(&payload[..len], n) {
-            Err(e) => assert_typed(&e, &format!("truncated to {len}")),
-            Ok(_) => panic!("truncated to {len}: accepted"),
-        }
-    }
-
-    let (mut accepted, mut rejected) = (0u32, 0u32);
-    let mut mutated = payload.clone();
-    for bit in 0..payload.len() * 8 {
-        mutated[bit / 8] ^= 1 << (bit % 8);
-        match decode(&mutated, n) {
-            Err(e) => {
-                assert_typed(&e, &format!("bit {bit} flipped"));
-                rejected += 1;
-            }
-            Ok(jobs) => {
-                assert_eq!(jobs.len(), n, "bit {bit} flipped");
-                accepted += 1;
-            }
-        }
-        mutated[bit / 8] ^= 1 << (bit % 8);
-    }
-    // A flipped value bit changes a value; a flipped continuation bit
-    // moves the framing, and the decode mostly runs off the end.
-    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
-
-    // A job count no payload could hold is refused before any column is
-    // reserved for it.
-    for absurd in [payload.len() + 1, 1 << 40, usize::MAX] {
-        assert!(matches!(
-            decode(&payload, absurd),
-            Err(StoreError::Corrupt { .. })
-        ));
-    }
-}
-
 #[test]
-fn v1_chunk_payload_survives_truncation_and_bit_flips_under_every_projection() {
-    battery("v1-multichunk.swim", 1, 0);
-}
-
-#[test]
-fn v2_chunk_payload_survives_truncation_and_bit_flips_under_every_projection() {
-    // A different chunk than the v1 run, and the short last one (8 jobs).
-    battery("v2-multichunk.swim", 2, 3);
-    battery("v2-multichunk.swim", 2, 7);
-}
-
-#[test]
-fn the_v2_fixture_holds_the_v1_fixtures_jobs() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let v1 = Store::open(dir.join("v1-multichunk.swim")).expect("opens");
-    let v2 = Store::open(dir.join("v2-multichunk.swim")).expect("opens");
-    assert_eq!((v1.format_version(), v2.format_version()), (1, 2));
-    assert_eq!(v1.chunk_count(), v2.chunk_count());
-    assert_eq!(
-        v1.read_trace().expect("decodes"),
-        v2.read_trace().expect("decodes")
-    );
-}
-
-#[test]
-fn the_v3_fixture_holds_the_first_jobs_of_the_v1_fixture() {
+fn the_v5_fixture_holds_the_first_jobs_of_the_multichunk_fixture() {
     // Small enough to flip every bit of: 40 jobs, 16 to a chunk.
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let v1 = Store::open(dir.join("v1-multichunk.swim")).expect("opens");
-    let v3 = Store::open(dir.join("v3-multichunk.swim")).expect("opens");
-    assert_eq!((v3.format_version(), v3.chunk_count()), (3, 3));
-    assert_eq!(
-        v3.read_trace().expect("decodes").jobs(),
-        &v1.read_trace().expect("decodes").jobs()[..40]
-    );
-}
-
-#[test]
-fn the_v4_fixture_holds_the_v3_fixtures_jobs_in_fewer_bytes() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let v3 = Store::open(dir.join("v3-multichunk.swim")).expect("opens");
-    let v4 = Store::open(dir.join("v4-multichunk.swim")).expect("opens");
-    assert_eq!((v4.format_version(), v4.chunk_count()), (4, 3));
-    assert_eq!(
-        v4.read_trace().expect("decodes"),
-        v3.read_trace().expect("decodes")
-    );
-    let block_bytes =
-        |store: &Store| -> u64 { store.chunk_meta().iter().map(|c| c.block_len).sum() };
-    assert!(block_bytes(&v4) < block_bytes(&v3));
-}
-
-#[test]
-fn the_v5_fixture_holds_the_v4_fixtures_jobs() {
-    // At this size the two extra blocks a chunk carries outweigh what
-    // the references save, so no byte count is compared.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let v4 = Store::open(dir.join("v4-multichunk.swim")).expect("opens");
+    let multi = Store::open(dir.join("multichunk.swim")).expect("opens");
     let v5 = Store::open(dir.join("v5-multichunk.swim")).expect("opens");
-    assert_eq!((v5.format_version(), v5.chunk_count()), (5, 3));
+    assert_eq!((multi.job_count(), multi.chunk_count()), (456, 8));
+    assert_eq!(v5.chunk_count(), 3);
     assert_eq!(
-        v5.read_trace().expect("decodes"),
-        v4.read_trace().expect("decodes")
+        v5.read_trace().expect("decodes").jobs(),
+        &multi.read_trace().expect("decodes").jobs()[..40]
     );
 }
 
@@ -196,16 +73,16 @@ fn assert_typed(e: &StoreError, what: &str) {
     );
 }
 
-/// Which reads a byte of a file of version 3 or later belongs to.
+/// Which reads a byte of a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Owner {
     /// Header, footer, checksum or trailer: read at open.
     Meta,
-    /// A chunk's fixed header or a length in its table, or any byte of
-    /// a version-3 or -4 chunk (read rows-only): every read of the chunk.
+    /// A chunk's fixed header or a length in its table: every read of
+    /// the chunk.
     Framing(usize),
-    /// A version-5 chunk's column block or that block's stored
-    /// checksum: the reads that decode the block.
+    /// A chunk's column block or that block's stored checksum: the
+    /// reads that decode the block.
     Block(usize, usize),
 }
 
@@ -228,9 +105,6 @@ fn owners(image: &[u8]) -> Vec<Owner> {
     for (chunk, meta) in store.chunk_meta().iter().enumerate() {
         let start = meta.offset as usize;
         owners[start..][..meta.block_len as usize].fill(Owner::Framing(chunk));
-        if store.format_version() < format::VERSION {
-            continue;
-        }
         let table = start + CHUNK_HEADER_LEN;
         let mut at = table + columns::TABLE_LEN;
         for block in 0..columns::BLOCKS {
@@ -245,30 +119,14 @@ fn owners(image: &[u8]) -> Vec<Owner> {
     owners
 }
 
-#[test]
-fn every_flipped_bit_of_a_v3_file_is_a_typed_error_for_whoever_reads_it() {
-    flip_battery("v3-multichunk.swim", 3);
-}
-
-#[test]
-fn every_flipped_bit_of_a_v4_file_is_a_typed_error_for_whoever_reads_it() {
-    flip_battery("v4-multichunk.swim", 4);
-}
-
+/// Every bit of the fixture flipped in turn and every truncation of it,
+/// read under every projection and as jobs.
 #[test]
 fn every_flipped_bit_of_a_v5_file_is_a_typed_error_for_whoever_reads_it() {
-    flip_battery("v5-multichunk.swim", 5);
-}
-
-/// Every bit of `fixture`, a file with a block table, flipped in turn
-/// and every truncation of it, read under every projection and as jobs.
-fn flip_battery(fixture: &str, version: u16) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(fixture);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v5-multichunk.swim");
     let image = std::fs::read(path).expect("fixture reads");
     let opened = Store::from_vec(image.clone()).expect("fixture opens");
-    assert_eq!(opened.format_version(), version);
+    assert_eq!(opened.format_version(), format::VERSION);
     let intact = read_everything(&image).expect("fixture opens");
     assert!(intact.columns.iter().flatten().all(Result::is_ok));
     assert!(intact.jobs.iter().all(Result::is_ok));

@@ -132,7 +132,7 @@ fn all_distinct_digitless_names_cost_at_most_three_bytes_a_job_over_raw() {
         let entry = table + block * 16;
         u64::from_le_bytes(image[entry..entry + 8].try_into().unwrap())
     };
-    // Raw (format v2) each name costs its length, one byte here, and
+    // Stored raw, each name would cost its length, one byte here, and
     // its six bytes. Coded it costs the same in the stems block, which
     // also starts with a two-byte count, plus a code: up to 8,190 (the
     // last stem id, doubled), so 13 bits each behind a three-byte header.

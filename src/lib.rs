@@ -23,7 +23,7 @@
 //!   ingest, shard-level zone maps, a decoded-column LRU cache, and
 //!   compaction;
 //! * [`query`] — a vectorized filter/group/aggregate query engine over
-//!   the store, with per-chunk zone maps (format v2) that let the
+//!   the store, with per-chunk zone maps that let the
 //!   planner skip chunks on any numeric-column predicate — and, over a
 //!   catalog, federated execution with two-level (shard, then chunk)
 //!   pruning;
