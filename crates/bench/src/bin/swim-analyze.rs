@@ -94,11 +94,8 @@ fn parse_args() -> Result<Args, String> {
             "--convert" => args.convert = Some(next("--convert")?),
             "--to" => args.convert_to = Some(Format::parse(&next("--to")?)?),
             "--synthesize" => {
-                args.synthesize = Some(
-                    next("--synthesize")?
-                        .parse()
-                        .map_err(|_| "--synthesize requires a node count".to_owned())?,
-                )
+                let nodes = next("--synthesize")?.parse().ok().filter(|&n: &u32| n > 0);
+                args.synthesize = Some(nodes.ok_or("--synthesize requires a positive node count")?)
             }
             "--bundle" => args.bundle = Some(next("--bundle")?),
             "--demo" => args.demo = true,
@@ -109,16 +106,17 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn load_trace(args: &Args) -> Result<Trace, String> {
+fn load(args: &Args) -> Result<TraceContext, String> {
     if args.demo {
         use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
-        return Ok(WorkloadGenerator::new(
+        let trace = WorkloadGenerator::new(
             GeneratorConfig::new(WorkloadKind::CcB)
                 .scale(0.3)
                 .days(3.0)
                 .seed(1),
         )
-        .generate());
+        .generate();
+        return Ok(TraceContext::from_trace("demo", trace));
     }
     let path = args
         .input
@@ -126,14 +124,14 @@ fn load_trace(args: &Args) -> Result<Trace, String> {
         .ok_or("--input (or --demo) is required")?;
     let kind = WorkloadKind::Custom(args.name.clone().unwrap_or_else(|| "custom".to_owned()));
     let machines = args.machines.unwrap_or(100);
-    match args.format.unwrap_or_else(|| Format::infer(path)) {
+    let trace = match args.format.unwrap_or_else(|| Format::infer(path)) {
         Format::Csv => {
             let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            swim_trace::io::read_csv(kind, machines, file).map_err(|e| format!("parse {path}: {e}"))
+            swim_trace::io::read_csv(kind, machines, file)
         }
         Format::Jsonl => {
             let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            swim_trace::io::read_jsonl(file).map_err(|e| format!("parse {path}: {e}"))
+            swim_trace::io::read_jsonl(file)
         }
         Format::Store => {
             // The store carries its own kind/machines metadata.
@@ -144,9 +142,12 @@ fn load_trace(args: &Args) -> Result<Trace, String> {
                 );
             }
             let store = swim_store::Store::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            store.read_trace().map_err(|e| format!("parse {path}: {e}"))
+            return TraceContext::from_store(path.as_str(), store)
+                .map_err(|e| format!("parse {path}: {e}"));
         }
-    }
+    };
+    let trace = trace.map_err(|e| format!("parse {path}: {e}"))?;
+    Ok(TraceContext::from_trace(path.as_str(), trace))
 }
 
 fn write_converted(trace: &Trace, path: &str, format: Format) -> Result<(), String> {
@@ -188,7 +189,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let trace = match load_trace(&args) {
+    let ctx = match load(&args) {
+        Ok(ctx) => ctx,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let trace = match ctx.trace() {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: {e}");
@@ -202,7 +210,7 @@ fn main() -> ExitCode {
 
     if let Some(out) = &args.convert {
         let to = args.convert_to.unwrap_or_else(|| Format::infer(out));
-        if let Err(e) = write_converted(&trace, out, to) {
+        if let Err(e) = write_converted(trace, out, to) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
@@ -215,7 +223,6 @@ fn main() -> ExitCode {
     }
 
     eprintln!("analyzing {} jobs ...", trace.len());
-    let ctx = TraceContext::from_trace(trace.kind.label().to_owned(), trace);
     let metrics = match SharedMetrics::from_context(&ctx) {
         Ok(m) => m,
         Err(e) => {
@@ -261,7 +268,6 @@ fn main() -> ExitCode {
         eprintln!("wrote anonymized metrics to {path}");
     }
     if let Some(nodes) = args.synthesize {
-        let trace = ctx.trace().expect("an in-memory context holds its trace");
         let bundle = synthesize_bundle(trace, nodes, 17);
         eprintln!(
             "synthesized bundle: {} replay jobs, {} files to pre-populate, worst KS {:.3}",

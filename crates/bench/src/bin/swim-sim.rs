@@ -23,13 +23,11 @@ use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, Simulator};
 use swim_synth::ReplayPlan;
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, PathId};
-use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
+use swim_workloadgen::{GeneratorConfig, GeneratorError, WorkloadGenerator};
 
 struct Args {
-    workload: WorkloadKind,
-    days: f64,
-    scale: f64,
-    seed: u64,
+    /// Workload, days, scale and seed of the synthesized trace.
+    generator: GeneratorConfig,
     repeat: usize,
     nodes: Vec<u32>,
     schedulers: Vec<SchedulerKind>,
@@ -40,10 +38,12 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Args {
-            workload: WorkloadKind::CcE,
-            days: 2.0,
-            scale: 0.3,
-            seed: 42,
+            generator: GeneratorConfig {
+                days: Some(2.0),
+                scale: 0.3,
+                seed: 42,
+                ..GeneratorConfig::new(WorkloadKind::CcE)
+            },
             repeat: 1,
             nodes: vec![20, 50],
             schedulers: vec![SchedulerKind::Fifo, SchedulerKind::Fair],
@@ -134,19 +134,23 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     };
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--workload" => args.workload = parse_workload(&next_value("--workload", &mut iter)?)?,
+            "--workload" => {
+                args.generator.kind = parse_workload(&next_value("--workload", &mut iter)?)?
+            }
             "--days" => {
-                args.days = next_value("--days", &mut iter)?
-                    .parse()
-                    .map_err(|_| "--days expects a number".to_string())?
+                args.generator.days = Some(
+                    next_value("--days", &mut iter)?
+                        .parse()
+                        .map_err(|_| "--days expects a number".to_string())?,
+                )
             }
             "--scale" => {
-                args.scale = next_value("--scale", &mut iter)?
+                args.generator.scale = next_value("--scale", &mut iter)?
                     .parse()
                     .map_err(|_| "--scale expects a number".to_string())?
             }
             "--seed" => {
-                args.seed = next_value("--seed", &mut iter)?
+                args.generator.seed = next_value("--seed", &mut iter)?
                     .parse()
                     .map_err(|_| "--seed expects an integer".to_string())?
             }
@@ -178,6 +182,14 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     if args.nodes.is_empty() || args.schedulers.is_empty() || args.caches.is_empty() {
         return Err("every grid axis needs at least one entry".into());
     }
+    args.generator.validate().map_err(|e| match e {
+        GeneratorError::InvalidConfig {
+            field,
+            value,
+            constraint,
+        } => format!("--{field} {constraint} (got {value})"),
+        other => other.to_string(),
+    })?;
     Ok(args)
 }
 
@@ -215,17 +227,15 @@ fn main() -> ExitCode {
         }
     };
 
+    let g = &args.generator;
     eprintln!(
         "synthesizing {} ({} days, scale {}, seed {}) ...",
-        args.workload, args.days, args.scale, args.seed
+        g.kind,
+        g.days.unwrap_or_default(),
+        g.scale,
+        g.seed
     );
-    let trace = WorkloadGenerator::new(
-        GeneratorConfig::new(args.workload.clone())
-            .scale(args.scale)
-            .days(args.days)
-            .seed(args.seed),
-    )
-    .generate();
+    let trace = WorkloadGenerator::new(g.clone()).generate();
     let mut plan = ReplayPlan::from_trace(&trace);
     if args.repeat > 1 {
         plan = plan.repeat(args.repeat);

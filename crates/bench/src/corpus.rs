@@ -11,7 +11,7 @@
 use std::path::Path;
 use swim_core::access::{FileAccessStats, PathStage};
 use swim_report::TraceContext;
-use swim_store::{Store, StoreOptions};
+use swim_store::{Store, StoreError, StoreOptions};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::Trace;
 use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
@@ -68,33 +68,26 @@ pub(crate) fn access(ctx: &TraceContext, stage: PathStage) -> &FileAccessStats {
 }
 
 impl Corpus {
-    fn new(traces: Vec<Trace>, scale: CorpusScale, seed: u64) -> Corpus {
-        let contexts = traces
-            .into_iter()
-            .map(|t| TraceContext::from_trace(t.kind.label().to_owned(), t))
-            .collect();
-        Corpus {
-            contexts,
-            scale,
-            seed,
-        }
-    }
-
     /// Build the corpus, generating the seven workloads in parallel.
     pub fn build(scale: CorpusScale, seed: u64) -> Corpus {
         let kinds = WorkloadKind::PAPER_SEVEN;
-        let traces = swim_obs::par_map(kinds.len(), swim_obs::cores(), |i| {
+        let contexts = swim_obs::par_map(kinds.len(), swim_obs::cores(), |i| {
             let kind = &kinds[i];
             let (job_scale, days) = scale_params(kind, scale);
-            WorkloadGenerator::new(
+            let trace = WorkloadGenerator::new(
                 GeneratorConfig::new(kind.clone())
                     .scale(job_scale)
                     .days(days)
                     .seed(seed ^ fxhash(kind.label())),
             )
-            .generate()
+            .generate();
+            TraceContext::from_trace(kind.label(), trace)
         });
-        Corpus::new(traces, scale, seed)
+        Corpus {
+            contexts,
+            scale,
+            seed,
+        }
     }
 
     /// The traces, in Table 1 order.
@@ -141,26 +134,35 @@ impl Corpus {
     }
 
     /// Load a corpus previously written by [`Corpus::save_store`]. Fails
-    /// (with a corrupt-store error naming the mismatch) when the
-    /// directory's manifest does not record exactly this scale and seed.
+    /// when the directory's manifest does not record exactly this scale
+    /// and seed, or when a store does not open or decode: each trace is
+    /// read whole here, so a corpus context never fails a read later.
     pub fn load_store(
         dir: impl AsRef<Path>,
         scale: CorpusScale,
         seed: u64,
-    ) -> Result<Corpus, swim_store::StoreError> {
+    ) -> Result<Corpus, String> {
         let dir = dir.as_ref();
-        let manifest = std::fs::read_to_string(dir.join(Self::MANIFEST_FILE))?;
+        let manifest_path = dir.join(Self::MANIFEST_FILE);
+        let manifest = std::fs::read_to_string(&manifest_path)
+            .map_err(|e| format!("read {}: {e}", manifest_path.display()))?;
         if manifest != Self::manifest_line(scale, seed) {
-            return Err(swim_store::StoreError::Corrupt {
-                context: "corpus directory was generated with a different scale/seed",
-            });
+            return Err("corpus directory was generated with a different scale/seed".to_owned());
         }
-        let mut traces = Vec::with_capacity(WorkloadKind::PAPER_SEVEN.len());
+        let mut contexts = Vec::with_capacity(WorkloadKind::PAPER_SEVEN.len());
         for kind in &WorkloadKind::PAPER_SEVEN {
-            let store = Store::open(dir.join(Self::store_file_name(kind)))?;
-            traces.push(store.read_trace()?);
+            let path = dir.join(Self::store_file_name(kind));
+            let at = |e: StoreError| format!("{}: {e}", path.display());
+            let store = Store::open(&path).map_err(at)?;
+            let ctx = TraceContext::from_store(kind.label(), store).map_err(at)?;
+            ctx.trace()?;
+            contexts.push(ctx);
         }
-        Ok(Corpus::new(traces, scale, seed))
+        Ok(Corpus {
+            contexts,
+            scale,
+            seed,
+        })
     }
 
     /// Build the corpus, or load it from `store_dir` when it already
@@ -284,6 +286,37 @@ mod tests {
         // build_or_load takes the cached path on a match.
         let c = Corpus::build_or_load(CorpusScale::Quick, 5, Some(dir.as_path()));
         assert_eq!(c.traces().next(), a.traces().next());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_cache_is_regenerated() {
+        let dir =
+            std::env::temp_dir().join(format!("swim-corpus-damaged-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fresh = Corpus::build(CorpusScale::Quick, 8);
+        fresh.save_store(&dir).unwrap();
+        let cc_b = dir.join("cc-b.swim");
+        let pristine = std::fs::read(&cc_b).unwrap();
+        // A byte of the first chunk's numeric blocks, which the load's
+        // `par_summary` decodes, and the chunk's last byte: its path
+        // literals, which only reading the whole trace touches.
+        let first = Store::from_vec(pristine.clone()).unwrap().chunk_meta()[0];
+        for offset in [200, (first.offset + first.block_len) as usize - 1] {
+            let mut bytes = pristine.clone();
+            bytes[offset] ^= 0x04;
+            std::fs::write(&cc_b, bytes).unwrap();
+            let Err(err) = Corpus::load_store(&dir, CorpusScale::Quick, 8) else {
+                panic!("offset {offset}: the damage went unseen");
+            };
+            assert!(err.contains("cc-b.swim"), "offset {offset}: {err}");
+            let c = Corpus::build_or_load(CorpusScale::Quick, 8, Some(dir.as_path()));
+            assert_eq!(c.contexts.len(), 7);
+            for (x, y) in fresh.traces().zip(c.traces()) {
+                assert_eq!(x, y, "offset {offset}");
+            }
+            assert_eq!(std::fs::read(&cc_b).unwrap(), pristine, "offset {offset}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -134,20 +134,27 @@ fn new_entry(store: &Store) -> ShardColumns {
     ShardColumns::new(rows.collect())
 }
 
-/// Map a workload label back to its kind (inverse of
-/// `WorkloadKind::label`, exact for the seven built-in workloads and for
-/// custom labels).
-fn kind_from_label(label: &str) -> WorkloadKind {
-    match label {
-        "CC-a" => WorkloadKind::CcA,
-        "CC-b" => WorkloadKind::CcB,
-        "CC-c" => WorkloadKind::CcC,
-        "CC-d" => WorkloadKind::CcD,
-        "CC-e" => WorkloadKind::CcE,
-        "FB-2009" => WorkloadKind::Fb2009,
-        "FB-2010" => WorkloadKind::Fb2010,
-        other => WorkloadKind::Custom(other.to_owned()),
+/// Materialize `stores` as one trace, jobs sorted by `(submit, id)`. The
+/// kind is the stores' common kind, or `Custom("mixed")` when they differ
+/// (`Custom("empty catalog")` when there are none); the machine count is
+/// the largest. `at` attributes a read error to the store (by index) it
+/// came from.
+pub fn read_stores<E>(stores: &[Store], at: impl Fn(usize, StoreError) -> E) -> Result<Trace, E> {
+    let kind = match stores {
+        [] => WorkloadKind::Custom("empty catalog".into()),
+        [first, rest @ ..] if rest.iter().all(|s| s.kind() == first.kind()) => first.kind().clone(),
+        _ => WorkloadKind::Custom("mixed".into()),
+    };
+    let machines = stores.iter().map(Store::machines).max().unwrap_or(0);
+    // Grown as stores decode: each open bounds its store's job count by
+    // its file size, a manifest's `jobs=` fields bound nothing.
+    let mut jobs = Vec::new();
+    for (idx, store) in stores.iter().enumerate() {
+        for chunk in store.scan().map_err(|e| at(idx, e))? {
+            jobs.extend(chunk.map_err(|e| at(idx, e))?);
+        }
     }
+    Ok(Trace::new_unchecked(kind, machines, jobs))
 }
 
 impl Catalog {
@@ -223,13 +230,6 @@ impl Catalog {
         labels
     }
 
-    /// Dataset-level zone map: the union of every shard's zone map
-    /// (`None` for an empty catalog).
-    pub fn dataset_zone(&self) -> Option<ZoneMap> {
-        let zones = self.manifest.shards.iter().map(|s| s.zone);
-        zones.reduce(ZoneMap::union)
-    }
-
     /// The Table-1 row for the whole dataset, computed from the manifest
     /// in O(shards) without opening any shard. The workload label is the
     /// shards' common label, or `mixed(N)` when N kinds are present.
@@ -285,6 +285,19 @@ impl Catalog {
             ));
         }
         Ok(store)
+    }
+
+    /// Open every shard's store, in manifest order (headers and footers
+    /// only).
+    pub fn open_shards(&self) -> Result<Vec<Store>, CatalogError> {
+        (0..self.shard_count())
+            .map(|idx| self.open_shard(idx))
+            .collect()
+    }
+
+    /// Attribute a read error of shard `idx` to its file.
+    fn shard_error(&self, idx: usize, e: StoreError) -> CatalogError {
+        CatalogError::shard(self.manifest.shards[idx].file.clone(), e)
     }
 
     /// Lookup-or-fill, the one way to a shard's decoded columns: the
@@ -452,10 +465,10 @@ impl Catalog {
         self.commit_new_shards(entries)
     }
 
-    /// Ingest a trace file by extension: `.csv` (labelled by file stem,
-    /// sized by `csv_machines`), `.swim`/`.store` (streamed chunk by
-    /// chunk, so arbitrarily large stores ingest at bounded memory), and
-    /// anything else as JSON-lines.
+    /// Ingest a trace file by extension: `.swim`/`.store` streamed chunk
+    /// by chunk, so arbitrarily large stores ingest at bounded memory;
+    /// anything else through [`swim_trace::io::read_file`] (`.csv`
+    /// labelled by file stem and sized by `csv_machines`, or JSON-lines).
     pub fn ingest_path(
         &mut self,
         path: impl AsRef<Path>,
@@ -463,32 +476,20 @@ impl Catalog {
         options: &CatalogOptions,
     ) -> Result<IngestStats, CatalogError> {
         let path = path.as_ref();
-        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-        match ext {
-            "swim" | "store" => self.ingest_store_streaming(path, options),
-            "csv" => {
-                let stem = path
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| path.display().to_string());
-                let file = std::fs::File::open(path).map_err(|e| CatalogError::io(path, e))?;
-                let trace =
-                    swim_trace::io::read_csv(WorkloadKind::Custom(stem), csv_machines, file)
-                        .map_err(|e| CatalogError::Parse {
-                            path: path.to_path_buf(),
-                            message: e.to_string(),
-                        })?;
-                self.ingest_trace(&trace, options)
-            }
-            _ => {
-                let file = std::fs::File::open(path).map_err(|e| CatalogError::io(path, e))?;
-                let trace = swim_trace::io::read_jsonl(file).map_err(|e| CatalogError::Parse {
-                    path: path.to_path_buf(),
-                    message: e.to_string(),
-                })?;
-                self.ingest_trace(&trace, options)
-            }
+        if matches!(
+            path.extension().and_then(|e| e.to_str()),
+            Some("swim" | "store")
+        ) {
+            return self.ingest_store_streaming(path, options);
         }
+        let file = std::fs::File::open(path).map_err(|e| CatalogError::io(path, e))?;
+        let trace = swim_trace::io::read_file(path, csv_machines, file).map_err(|e| {
+            CatalogError::Parse {
+                path: path.to_path_buf(),
+                message: e.to_string(),
+            }
+        })?;
+        self.ingest_trace(&trace, options)
     }
 
     /// Stream a `.swim` store into shards without materializing it.
@@ -661,35 +662,23 @@ impl Catalog {
         let mut rewritten = vec![false; self.manifest.shards.len()];
         let mut rewritten_count = 0usize;
         for group in &groups {
-            let mut jobs: Vec<Job> = Vec::new();
-            let mut kinds: Vec<WorkloadKind> = Vec::new();
-            let mut machines = 0u32;
-            for &idx in group {
-                let store = self.read_shard(idx, None, &mut jobs)?;
-                kinds.push(store.kind().clone());
-                machines = machines.max(store.machines());
-            }
-            kinds.dedup();
-            let kind = match kinds.as_slice() {
-                [one] => one.clone(),
-                _ => WorkloadKind::Custom("mixed".into()),
-            };
-            stats.jobs += jobs.len() as u64;
-            // Re-sort so merged shards regain tight, submit-ordered
-            // chunk windows; the sink splits if a merge overflowed the
-            // cap.
-            jobs.sort_by_key(|j| (j.submit, j.id));
+            let stores = group.iter().map(|&idx| self.open_shard(idx));
+            let stores = stores.collect::<Result<Vec<_>, _>>()?;
+            // Sorted, so merged shards regain tight, submit-ordered chunk
+            // windows; the sink splits if a merge overflowed the cap.
+            let merged = read_stores(&stores, |i, e| self.shard_error(group[i], e))?;
+            stats.jobs += merged.len() as u64;
             let seq = new_entries.len();
             let mut sink = ShardSink::new(
                 &self.dir,
                 gen,
                 seq,
-                kind,
-                machines,
+                merged.kind.clone(),
+                merged.machines,
                 per_shard,
                 options.store,
             );
-            sink.push(&jobs)?;
+            sink.push(merged.jobs())?;
             new_entries.extend(sink.finish()?);
             for &idx in group {
                 rewritten[idx] = true;
@@ -755,66 +744,10 @@ impl Catalog {
     // Materialization
     // ------------------------------------------------------------------
 
-    /// Rebuild the whole dataset as one trace, jobs sorted by
-    /// `(submit, id)`. The kind is the shards' common kind, or
-    /// `Custom("mixed")`.
+    /// Rebuild the whole dataset as one trace: [`read_stores`] over
+    /// every shard.
     pub fn read_trace(&self) -> Result<Trace, CatalogError> {
-        let kind = match self.kind_labels().as_slice() {
-            [] => WorkloadKind::Custom("empty catalog".into()),
-            [one] => kind_from_label(one),
-            _ => WorkloadKind::Custom("mixed".into()),
-        };
-        let machines = self
-            .manifest
-            .shards
-            .iter()
-            .map(|s| s.machines)
-            .max()
-            .unwrap_or(0);
-        // Grown as shards decode: each open bounds its shard's job count
-        // by its file size, the manifest's `jobs=` fields bound nothing.
-        let mut jobs = Vec::new();
-        for idx in 0..self.manifest.shards.len() {
-            self.read_shard(idx, None, &mut jobs)?;
-        }
-        Ok(Trace::new_unchecked(kind, machines, jobs))
-    }
-
-    /// Open shard `idx` and append its jobs — those submitted in the
-    /// half-open `range`, when given — to `jobs`.
-    fn read_shard(
-        &self,
-        idx: usize,
-        range: Option<(Timestamp, Timestamp)>,
-        jobs: &mut Vec<Job>,
-    ) -> Result<Store, CatalogError> {
-        let at = |e| CatalogError::shard(self.manifest.shards[idx].file.clone(), e);
-        let store = self.open_shard(idx)?;
-        let scan = match range {
-            Some((from, to)) => store.scan_range(from, to),
-            None => store.scan(),
-        };
-        for chunk in scan.map_err(at)? {
-            jobs.extend(chunk.map_err(at)?);
-        }
-        Ok(store)
-    }
-
-    /// Jobs submitted in the half-open range `[from, to)` across every
-    /// shard, sorted by `(submit, id)` — the same order a materialized
-    /// trace would yield. Shards whose submit window cannot overlap are
-    /// never opened.
-    pub fn jobs_in_range(&self, from: Timestamp, to: Timestamp) -> Result<Vec<Job>, CatalogError> {
-        let mut jobs = Vec::new();
-        for (idx, entry) in self.manifest.shards.iter().enumerate() {
-            let (min, max) = entry.submit_window();
-            if Timestamp::from_secs(max) < from || Timestamp::from_secs(min) >= to {
-                continue;
-            }
-            self.read_shard(idx, Some((from, to)), &mut jobs)?;
-        }
-        jobs.sort_by_key(|j| (j.submit, j.id));
-        Ok(jobs)
+        read_stores(&self.open_shards()?, |idx, e| self.shard_error(idx, e))
     }
 }
 

@@ -11,11 +11,14 @@
 //! [`crate::compare`] pipeline fans the battery across traces in parallel
 //! and assembles one trace×metric table per experiment.
 //!
-//! Traces are wrapped in a [`TraceContext`] so cheap questions stay cheap:
-//! a `swim-store` input answers its Table-1 row via the columnar
-//! `par_summary` scan and its weekly series via a chunk-skipping range
-//! scan, and the full job vector is materialized at most once, lazily,
-//! when the first distribution-level analysis asks for it.
+//! Traces are wrapped in a [`TraceContext`], which reads every input the
+//! same way — as an ordered list of `swim-store` stores: a `.swim` file,
+//! a catalog's shards, or the in-memory store a CSV, JSON-lines or
+//! generated trace is encoded into once — so cheap questions stay cheap
+//! and no cell depends on where its trace came from. The weekly series
+//! is a chunk-skipping range scan of the stores, and the full job vector
+//! is materialized at most once, lazily, when the first
+//! distribution-level analysis asks for it.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -29,12 +32,12 @@ use swim_core::stats::Ecdf;
 use swim_core::timeseries::HourlySeries;
 use swim_core::KMeans;
 use swim_sim::{SimConfig, Simulator};
+use swim_store::{Store, StoreError, StoreOptions};
 use swim_synth::sample::{sample_windows, SampleConfig};
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
 use swim_synth::validate::SynthesisReport;
 use swim_synth::ReplayPlan;
 use swim_trace::time::WEEK;
-use swim_trace::trace::WorkloadKind;
 use swim_trace::{Dur, Timestamp, Trace, TraceSummary};
 
 use crate::render::{bytes, pct, ratio};
@@ -137,23 +140,15 @@ impl ExperimentResult {
     }
 }
 
-/// How a trace entered the pipeline.
-enum Source {
-    /// Fully materialized at load (CSV / JSON-lines / generated).
-    Memory,
-    /// Backed by an open columnar store; materialized lazily.
-    Store(swim_store::Store),
-    /// Backed by a sharded catalog directory; materialized lazily from
-    /// every shard.
-    Catalog(swim_catalog::Catalog),
-}
-
 /// One input trace plus cached derived data, shared (immutably) by every
 /// worker thread of the comparison pipeline.
 pub struct TraceContext {
     /// Display label (file stem for loaded files).
     label: String,
-    source: Source,
+    /// Where every job is read from, whatever the input's format: one
+    /// store for a `.swim` file or an in-memory trace, a catalog's shards
+    /// in manifest order.
+    stores: Vec<Store>,
     summary: TraceSummary,
     trace: Cached<Trace>,
     weekly: Cached<HourlySeries>,
@@ -167,9 +162,9 @@ pub struct TraceContext {
     output_access: Cached<FileAccessStats>,
 }
 
-/// A value derived from the source at most once — or the reason it
-/// could not be: a store or catalog that opened can still turn out
-/// damaged when its chunks are read.
+/// A value derived from the stores at most once — or the reason it
+/// could not be: a store that opened can still turn out damaged when
+/// its chunks are read.
 type Cached<T> = OnceLock<Result<T, String>>;
 
 fn cached<T>(cell: &Cached<T>, init: impl FnOnce() -> Result<T, String>) -> Result<&T, String> {
@@ -177,10 +172,10 @@ fn cached<T>(cell: &Cached<T>, init: impl FnOnce() -> Result<T, String>) -> Resu
 }
 
 impl TraceContext {
-    fn new(label: String, source: Source, summary: TraceSummary) -> TraceContext {
+    fn new(label: String, stores: Vec<Store>, summary: TraceSummary) -> TraceContext {
         TraceContext {
             label,
-            source,
+            stores,
             summary,
             trace: OnceLock::new(),
             weekly: OnceLock::new(),
@@ -191,64 +186,57 @@ impl TraceContext {
         }
     }
 
-    /// Wrap an in-memory trace.
+    /// Wrap an in-memory trace: encoded once into an in-memory store, so
+    /// it is read the way every other input is; the trace in hand seeds
+    /// the materialized-trace cache.
     pub fn from_trace(label: impl Into<String>, trace: Trace) -> TraceContext {
-        let ctx = TraceContext::new(label.into(), Source::Memory, trace.summary());
+        let bytes = swim_store::store_to_vec(&trace, &StoreOptions::default());
+        let store = Store::from_vec(bytes).expect("a store this build just wrote opens");
+        let ctx = TraceContext::new(label.into(), vec![store], trace.summary());
         ctx.trace.set(Ok(trace)).expect("fresh cell");
         ctx
     }
 
+    /// Wrap an opened store. Its Table-1 row is recomputed from the
+    /// numeric columns by the parallel `par_summary` scan, not copied
+    /// from the footer, so a damaged numeric block fails here rather
+    /// than in a battery cell; names and paths are not read until an
+    /// experiment asks for the trace.
+    pub fn from_store(label: impl Into<String>, store: Store) -> Result<TraceContext, StoreError> {
+        let summary = store.par_summary()?;
+        Ok(TraceContext::new(label.into(), vec![store], summary))
+    }
+
     /// Load a trace file or catalog directory. Directories open as
-    /// `swim-catalog` datasets (summary straight from the manifest, no
-    /// shard I/O); file formats are inferred from the extension (`.csv`,
-    /// `.swim`/`.store`, anything else JSON-lines). CSV inputs take the
-    /// workload label from the file stem and the given machine count.
-    /// Store inputs answer their summary through the columnar
-    /// `par_summary` scan without materializing the trace.
+    /// `swim-catalog` datasets: the summary comes from the manifest and
+    /// each shard's header and footer are read (a shard that does not
+    /// open is an error here). `.swim`/`.store` files open through
+    /// [`TraceContext::from_store`]; anything else is read by
+    /// [`swim_trace::io::read_file`] (`.csv` labelled by file stem and
+    /// sized by `csv_machines`, or JSON-lines).
     pub fn load(path: impl AsRef<Path>, csv_machines: u32) -> Result<TraceContext, String> {
         let path = path.as_ref();
         let label = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
+        let at = |what: &str, e: &dyn std::fmt::Display| format!("{what} {}: {e}", path.display());
         if path.is_dir() {
             let catalog = swim_catalog::Catalog::open(path).map_err(|e| e.to_string())?;
-            let summary = catalog.summary();
-            return Ok(TraceContext::new(label, Source::Catalog(catalog), summary));
+            let stores = catalog.open_shards().map_err(|e| e.to_string())?;
+            return Ok(TraceContext::new(label, stores, catalog.summary()));
         }
-        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-        match ext {
-            "swim" | "store" => {
-                let store = swim_store::Store::open(path)
-                    .map_err(|e| format!("open {}: {e}", path.display()))?;
-                // The parallel columnar scan, not the O(1) footer copy:
-                // this both verifies the stored summary and keeps the
-                // whole-file read off the critical path of experiments
-                // that never need per-job data.
-                let summary = store
-                    .par_summary()
-                    .map_err(|e| format!("scan {}: {e}", path.display()))?;
-                Ok(TraceContext::new(label, Source::Store(store), summary))
-            }
-            "csv" => {
-                let file = std::fs::File::open(path)
-                    .map_err(|e| format!("open {}: {e}", path.display()))?;
-                let trace = swim_trace::io::read_csv(
-                    WorkloadKind::Custom(label.clone()),
-                    csv_machines,
-                    file,
-                )
-                .map_err(|e| format!("parse {}: {e}", path.display()))?;
-                Ok(TraceContext::from_trace(label, trace))
-            }
-            _ => {
-                let file = std::fs::File::open(path)
-                    .map_err(|e| format!("open {}: {e}", path.display()))?;
-                let trace = swim_trace::io::read_jsonl(file)
-                    .map_err(|e| format!("parse {}: {e}", path.display()))?;
-                Ok(TraceContext::from_trace(label, trace))
-            }
+        if matches!(
+            path.extension().and_then(|e| e.to_str()),
+            Some("swim" | "store")
+        ) {
+            let store = Store::open(path).map_err(|e| at("open", &e))?;
+            return TraceContext::from_store(label, store).map_err(|e| at("scan", &e));
         }
+        let file = std::fs::File::open(path).map_err(|e| at("open", &e))?;
+        let trace =
+            swim_trace::io::read_file(path, csv_machines, file).map_err(|e| at("parse", &e))?;
+        Ok(TraceContext::from_trace(label, trace))
     }
 
     /// Display label.
@@ -256,18 +244,18 @@ impl TraceContext {
         &self.label
     }
 
-    /// The Table-1 row (from `par_summary` for store inputs).
+    /// The Table-1 row: from the trace in hand, from `par_summary` for a
+    /// store, from the manifest for a catalog.
     pub fn summary(&self) -> &TraceSummary {
         &self.summary
     }
 
-    /// The full trace, materialized at most once; an error if the store
-    /// or catalog behind it does not decode.
+    /// The full trace, materialized at most once by
+    /// [`swim_catalog::read_stores`] (the catalog's own rule for kind and
+    /// machines); an error if a store behind it does not decode.
     pub fn trace(&self) -> Result<&Trace, String> {
-        cached(&self.trace, || match &self.source {
-            Source::Memory => unreachable!("memory contexts are materialized at construction"),
-            Source::Store(store) => store.read_trace().map_err(|e| self.unreadable(e)),
-            Source::Catalog(catalog) => catalog.read_trace().map_err(|e| self.unreadable(e)),
+        cached(&self.trace, || {
+            swim_catalog::read_stores(&self.stores, |_, e| self.unreadable(e))
         })
     }
 
@@ -275,43 +263,27 @@ impl TraceContext {
         format!("read {}: {e}", self.label)
     }
 
-    /// First-week hourly series. Store inputs always compute it with a
-    /// chunk-skipping range scan (no trace materialization, and no
-    /// dependence on whether another experiment happened to materialize
-    /// the trace first — the code path must not vary with thread
-    /// scheduling); in-memory inputs bin the first week directly. A test
-    /// pins the two paths bit-identical.
+    /// First-week hourly series, always from chunk-skipping range scans
+    /// of the stores (no trace materialization, and no dependence on
+    /// whether another experiment happened to materialize the trace
+    /// first — the code path must not vary with thread scheduling). The
+    /// week's jobs are folded in `(submit, id)` order, the order of a
+    /// materialized trace, so the f64 hourly sums are bit-identical to
+    /// `HourlySeries::of(&trace.first_week())`.
     pub fn weekly(&self) -> Result<&HourlySeries, String> {
-        cached(&self.weekly, || match &self.source {
-            Source::Store(store) => {
-                let start = store.stored_summary().min_submit;
-                let scan = store
-                    .scan_range(start, start + Dur::from_secs(WEEK))
-                    .map_err(|e| self.unreadable(e))?;
-                // Streamed, not collected: the first chunk that does not
-                // decode ends the stream and is the result.
-                let mut failed = None;
-                let jobs = scan
-                    .jobs()
-                    .map_while(|j| j.map_err(|e| failed = Some(e)).ok());
-                let series = HourlySeries::from_jobs(jobs);
-                failed.map_or(Ok(series), |e| Err(self.unreadable(e)))
+        cached(&self.weekly, || {
+            let nonempty = self.stores.iter().filter(|s| s.job_count() > 0);
+            let start = nonempty.map(|s| s.stored_summary().min_submit).min();
+            let start = start.unwrap_or(Timestamp::ZERO);
+            let mut jobs = Vec::new();
+            for store in &self.stores {
+                let scan = store.scan_range(start, start + Dur::from_secs(WEEK));
+                for chunk in scan.map_err(|e| self.unreadable(e))? {
+                    jobs.extend(chunk.map_err(|e| self.unreadable(e))?);
+                }
             }
-            Source::Catalog(catalog) => {
-                // Per-shard chunk-skipping range scans; `jobs_in_range`
-                // returns `(submit, id)` order, the same order the
-                // in-memory path folds in, so the f64 hourly sums are
-                // bit-identical to `HourlySeries::of(first_week)`.
-                let start = catalog
-                    .dataset_zone()
-                    .map(|z| Timestamp::from_secs(z.min[swim_store::ZoneMap::SUBMIT]))
-                    .unwrap_or(Timestamp::ZERO);
-                let jobs = catalog
-                    .jobs_in_range(start, start + Dur::from_secs(WEEK))
-                    .map_err(|e| self.unreadable(e))?;
-                Ok(HourlySeries::from_jobs(jobs.iter()))
-            }
-            Source::Memory => Ok(HourlySeries::of(&self.trace()?.first_week())),
+            jobs.sort_by_key(|j| (j.submit, j.id));
+            Ok(HourlySeries::from_jobs(jobs.iter()))
         })
     }
 
@@ -606,7 +578,11 @@ fn fig8(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 }
 
 fn fig9(ctx: &TraceContext) -> Result<ExperimentResult, String> {
-    let c = ctx.hourly()?.correlations();
+    let series = ctx.hourly()?;
+    if series.is_empty() {
+        return Ok(ExperimentResult::Skipped("trace has no jobs"));
+    }
+    let c = series.correlations();
     Ok(ExperimentResult::Metrics(vec![
         Metric::new("jobs-bytes", Value::Number(c.jobs_bytes)),
         Metric::new("jobs-task-secs", Value::Number(c.jobs_task_seconds)),
@@ -706,6 +682,7 @@ fn swim(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swim_trace::trace::WorkloadKind;
     use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
     fn sample_trace() -> Trace {
@@ -804,6 +781,76 @@ mod tests {
         for exp in &BATTERY {
             assert_eq!((exp.run)(&cat), (exp.run)(&mem), "{}", exp.id);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_empty_input_skips_every_cell_but_table1_alike() {
+        let dir = std::env::temp_dir().join(format!("swim-report-empty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let empty = Trace::new(WorkloadKind::CcE, 100, Vec::new()).unwrap();
+        let path = dir.join("empty.swim");
+        swim_store::write_store_path(&empty, &path, &StoreOptions::default()).unwrap();
+        let catalog = dir.join("empty.d");
+        swim_catalog::Catalog::init(&catalog).unwrap();
+
+        let contexts = [
+            TraceContext::from_trace("empty", empty),
+            TraceContext::load(&path, 100).unwrap(),
+            TraceContext::load(&catalog, 100).unwrap(),
+        ];
+        for exp in BATTERY.iter().filter(|e| e.id != "table1") {
+            let results: Vec<_> = contexts.iter().map(|ctx| (exp.run)(ctx)).collect();
+            assert!(
+                matches!(results[0], Ok(ExperimentResult::Skipped(_))),
+                "{}: {results:?}",
+                exp.id
+            );
+            assert!(
+                results.iter().all(|r| r == &results[0]),
+                "{}: {results:?}",
+                exp.id
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_catalog_of_two_kinds_reads_as_catalog_read_trace_does() {
+        let dir = std::env::temp_dir().join(format!("swim-report-mixed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cc_e = sample_trace();
+        let cc_b = WorkloadGenerator::new(
+            GeneratorConfig::new(WorkloadKind::CcB)
+                .scale(0.2)
+                .days(2.0)
+                .seed(4),
+        )
+        .generate();
+        assert_ne!(cc_e.machines, cc_b.machines);
+        // Both start on day 0: the two ingests' submit windows overlap.
+        assert!(cc_b.start() < cc_e.end() && cc_e.start() < cc_b.end());
+        let mut catalog = swim_catalog::Catalog::init(&dir).unwrap();
+        for trace in [&cc_e, &cc_b] {
+            let options = swim_catalog::CatalogOptions {
+                jobs_per_shard: (trace.len() as u32 / 2).max(1),
+                ..Default::default()
+            };
+            catalog.ingest_trace(trace, &options).unwrap();
+        }
+        assert!(catalog.shard_count() >= 3, "want a multi-shard catalog");
+
+        let ctx = TraceContext::load(&dir, 100).unwrap();
+        let trace = ctx.trace().unwrap();
+        assert_eq!(trace, &catalog.read_trace().unwrap());
+        assert_eq!(trace.kind, WorkloadKind::Custom("mixed".into()));
+        assert_eq!(trace.machines, cc_e.machines.max(cc_b.machines));
+        assert_eq!(trace.len(), cc_e.len() + cc_b.len());
+        assert_eq!(
+            ctx.weekly().unwrap(),
+            &HourlySeries::of(&trace.first_week())
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

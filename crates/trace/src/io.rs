@@ -13,6 +13,7 @@ use crate::time::{Dur, Timestamp};
 use crate::trace::{Trace, WorkloadKind};
 use crate::TraceError;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::path::Path;
 use swim_obs::json::{self, Value};
 
 /// CSV header line for the per-job schema.
@@ -336,6 +337,21 @@ fn paths_field(v: &Value, key: &str) -> Result<Vec<PathId>, String> {
     list.as_array()
         .and_then(|items| items.iter().map(|p| p.as_u64().map(PathId)).collect())
         .ok_or_else(|| format!("field `{key}` is not an array of path ids"))
+}
+
+/// Read the contents of the trace file at `path`, by its extension: a
+/// `.csv` file is CSV, its workload labelled `Custom(file stem)` and sized
+/// `csv_machines`; anything else is JSON-lines, which records both.
+pub fn read_file<R: Read>(path: &Path, csv_machines: u32, reader: R) -> Result<Trace, TraceError> {
+    if path.extension().is_some_and(|ext| ext == "csv") {
+        let stem = path
+            .file_stem()
+            .map(|s| s.to_string_lossy().into_owned())
+            .unwrap_or_else(|| path.display().to_string());
+        read_csv(WorkloadKind::Custom(stem), csv_machines, reader)
+    } else {
+        read_jsonl(reader)
+    }
 }
 
 /// Serialize a trace to a CSV string (convenience).
