@@ -226,8 +226,8 @@ mod tests {
             .all(|f| !f.rel_path.contains("tests/fixtures/")));
         let store = ws.crates.iter().find(|c| c.name == "swim-store").unwrap();
         assert!(store.deps.contains("swim-obs"));
-        let bench = ws.crates.iter().find(|c| c.name == "swim-bench").unwrap();
-        assert!(bench
+        let query = ws.crates.iter().find(|c| c.name == "swim-query").unwrap();
+        assert!(query
             .files
             .iter()
             .any(|f| f.kind == FileKind::Bin && f.rel_path.ends_with("swim-catalog.rs")));

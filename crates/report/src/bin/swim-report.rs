@@ -91,6 +91,17 @@ fn output_format(args: &Args) -> Format {
 }
 
 fn main() -> ExitCode {
+    // SWIM_OBS turns recording on; SWIM_OBS_JSONL=FILE appends the
+    // snapshot on exit.
+    swim_obs::init_from_env();
+    let code = run();
+    if let Err(e) = swim_obs::jsonl::append_env(&swim_obs::snapshot()) {
+        eprintln!("warning: SWIM_OBS_JSONL: {e}");
+    }
+    code
+}
+
+fn run() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {

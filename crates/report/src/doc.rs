@@ -4,7 +4,7 @@
 //! strings, and every output format is a pure function of that tree:
 //!
 //! * [`Section::render_text`] — the historical terminal format, byte for
-//!   byte (pinned by `swim-bench`'s golden tests),
+//!   byte (pinned by `tests/golden.rs`),
 //! * [`crate::markdown`] — GitHub-flavoured Markdown,
 //! * [`crate::html`] — a standalone HTML page.
 //!

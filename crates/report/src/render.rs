@@ -1,9 +1,10 @@
 //! Shared rendering primitives: aligned ASCII tables, unicode sparklines,
 //! and the paper's number formats.
 //!
-//! These began life in `swim-bench`'s terminal reports and moved here when
-//! the document model ([`crate::doc`]) took over rendering; the text
-//! renderer reproduces the historical terminal output byte for byte.
+//! These began life in the experiments' terminal reports and stayed
+//! when the document model ([`crate::doc`]) took over rendering; the
+//! text renderer reproduces the historical terminal output byte for
+//! byte.
 
 /// A simple left-aligned ASCII table.
 ///

@@ -42,14 +42,21 @@
 //! by request class (query/cached/admin), and the read-only `stats` /
 //! `metrics` wire commands expose it all as text or fixed-shape JSON —
 //! what `swim-top` polls.
+//!
+//! The client side lives here too: one wire [`client`], the load
+//! driver behind `swim-bench serve` ([`load`]), and the `swim-top`
+//! dashboard engine ([`top`]). Both render through `swim-report`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
+pub mod client;
+pub mod load;
 pub mod protocol;
 pub mod server;
 pub mod telemetry;
+pub mod top;
 
 pub use cache::{CacheStats, KeyKind, ResultCache};
 pub use protocol::{ErrorKind, Response};

@@ -1,9 +1,8 @@
 //! Shared fixtures for the swim-serve test battery: deterministic
-//! traces, temp catalogs, and tiny protocol clients.
+//! traces, temp catalogs, and `swim_serve::client` with retry.
 
 #![allow(dead_code)] // each test target uses a subset
 
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,6 +10,7 @@ use std::time::Duration;
 
 use swim_catalog::{Catalog, CatalogOptions};
 use swim_query::{cli, Session};
+use swim_serve::client::{self, Client};
 use swim_serve::protocol::{self, Response};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
@@ -94,52 +94,39 @@ pub fn serial_oracle(dir: &Path, generation: u64, line: &str) -> Vec<u8> {
     body
 }
 
-/// Connect with retry (the server thread may still be binding).
-pub fn connect(addr: SocketAddr) -> TcpStream {
+/// Open with retry (the server thread may still be binding).
+fn retry<T>(addr: SocketAddr, open: impl Fn(SocketAddr) -> std::io::Result<T>) -> T {
     for _ in 0..100 {
-        if let Ok(stream) = TcpStream::connect(addr) {
-            return stream;
+        if let Ok(opened) = open(addr) {
+            return opened;
         }
         std::thread::sleep(Duration::from_millis(20));
     }
     panic!("could not connect to {addr}");
 }
 
+/// A raw connected stream, for tests that write malformed bytes.
+pub fn connect(addr: SocketAddr) -> TcpStream {
+    retry(addr, client::connect)
+}
+
 /// One request over a fresh connection; panics on I/O failure.
 pub fn request(addr: SocketAddr, line: &str) -> Response {
-    let mut stream = connect(addr);
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    protocol::write_request(&mut stream, line).unwrap();
-    let mut reader = BufReader::new(stream);
-    protocol::read_response(&mut reader).unwrap()
+    Conn::open(addr).send(line)
 }
 
 /// A persistent client connection: requests sent through it share one
 /// admission permit, so `admitted`/`queued` stay deterministic for a
 /// sequential request script (the telemetry golden tests rely on it).
-pub struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
+pub struct Conn(Client);
 
 impl Conn {
     pub fn open(addr: SocketAddr) -> Conn {
-        let stream = connect(addr);
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let reader = BufReader::new(stream.try_clone().unwrap());
-        Conn {
-            reader,
-            writer: stream,
-        }
+        Conn(retry(addr, Client::connect))
     }
 
     pub fn send(&mut self, line: &str) -> Response {
-        protocol::write_request(&mut self.writer, line).unwrap();
-        protocol::read_response(&mut self.reader).unwrap()
+        self.0.send(line).unwrap()
     }
 }
 
