@@ -33,7 +33,7 @@ use crate::{CacheStats, CatalogError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use swim_store::format::columns::ColumnSet;
-use swim_store::{Store, StoreError, StoreOptions, StoreWriter, ZoneMap, ZONE_COLUMNS};
+use swim_store::{Store, StoreError, StoreOptions, StoreWriter, ZONE_COLUMNS};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, Job, JobId, Timestamp, Trace, TraceSummary};
 
@@ -510,50 +510,6 @@ impl Catalog {
             .map_err(shard_err)?
             .map(|chunk| chunk.map_err(shard_err));
         self.ingest_blocks(kind, machines, blocks, options)
-    }
-
-    /// Adopt an existing `.swim` file verbatim: the file is copied into
-    /// the catalog as one shard. Empty stores, and files of a format
-    /// version this build does not read, are rejected.
-    pub fn adopt_store(&mut self, path: impl AsRef<Path>) -> Result<IngestStats, CatalogError> {
-        let path = path.as_ref();
-        let store = Store::open(path).map_err(|e| CatalogError::Parse {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        if store.job_count() == 0 {
-            return Err(CatalogError::Invalid(format!(
-                "refusing to adopt empty store {}",
-                path.display()
-            )));
-        }
-        let gen = self.manifest.generation + 1;
-        let file = shard_file_name(gen, 0);
-        let tmp = TempFile(tmp_path(&self.dir, &file));
-        let final_path = self.dir.join(&file);
-        std::fs::copy(path, &tmp.0).map_err(|e| CatalogError::io(&tmp.0, e))?;
-        sync_file(&tmp.0)?;
-        publish_no_clobber(&tmp.0, &final_path)?;
-        let bytes = std::fs::metadata(&final_path)
-            .map_err(|e| CatalogError::io(&final_path, e))?
-            .len();
-        let summary = store.stored_summary();
-        let entry = ShardEntry {
-            file,
-            store_version: store.format_version(),
-            created_gen: gen,
-            jobs: store.job_count(),
-            bytes,
-            machines: store.machines(),
-            bytes_moved: summary.bytes_moved.bytes(),
-            task_time: summary.task_time.secs(),
-            zone: store
-                .zone_maps()
-                .iter()
-                .fold(ZoneMap::EMPTY, |u, z| u.union(*z)),
-            kind_label: store.kind().label().to_owned(),
-        };
-        self.commit_new_shards(vec![entry])
     }
 
     /// Append freshly written shards and atomically publish the new

@@ -43,7 +43,7 @@ pub enum CatalogError {
         /// The codec's error message.
         message: String,
     },
-    /// An operation was invalid (zero shard size, empty adopt, …).
+    /// An operation was invalid (zero shard size, out-of-order jobs, …).
     Invalid(String),
 }
 

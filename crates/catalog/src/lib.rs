@@ -524,21 +524,4 @@ mod tests {
         assert_eq!(stats, IngestStats::default());
         std::fs::remove_dir_all(&dir).unwrap();
     }
-
-    #[test]
-    fn adopting_an_empty_store_is_rejected() {
-        let dir = temp_dir("adopt-empty");
-        let src = temp_dir("adopt-empty-src");
-        std::fs::create_dir_all(&src).unwrap();
-        let path = src.join("empty.swim");
-        let empty = Trace::new(WorkloadKind::CcA, 1, vec![]).unwrap();
-        swim_store::write_store_path(&empty, &path, &StoreOptions::default()).unwrap();
-        let mut catalog = Catalog::init(&dir).unwrap();
-        assert!(matches!(
-            catalog.adopt_store(&path),
-            Err(CatalogError::Invalid(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&src).unwrap();
-    }
 }

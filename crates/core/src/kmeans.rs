@@ -9,49 +9,20 @@
 //! jobs", "Map only transform", "Aggregate", …) from the one or two
 //! dimensions that separate them.
 //!
-//! Feature scaling is an explicit, ablatable choice: job dimensions span
-//! nine orders of magnitude, so the default is `log1p` + z-score; raw
-//! features reproduce the paper's literal procedure.
+//! Jobs are clustered on their raw byte and second values, the paper's
+//! literal procedure, so the largest dimensions dominate the distance.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use swim_trace::{DataSize, Dur, Job, Trace};
 
-/// Feature preprocessing applied before clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeatureScaling {
-    /// Cluster the raw byte/second values (the paper's literal procedure).
-    Raw,
-    /// `ln(1+x)` then per-dimension z-score (numerically robust default).
-    LogZScore,
-}
+/// Maximum Lloyd iterations of one k-means run.
+const MAX_ITERS: usize = 100;
 
-/// Configuration for [`KMeans`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KMeansConfig {
-    /// Number of clusters.
-    pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iters: usize,
-    /// RNG seed for centroid initialization (k-means++).
-    pub seed: u64,
-    /// Feature preprocessing.
-    pub scaling: FeatureScaling,
-}
+/// RNG seed for centroid initialization (k-means++).
+const SEED: u64 = 0;
 
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        KMeansConfig {
-            k: 4,
-            max_iters: 100,
-            seed: 0,
-            scaling: FeatureScaling::LogZScore,
-        }
-    }
-}
-
-/// One fitted cluster, reported in original (unscaled) units as a Table 2
-/// row.
+/// One fitted cluster, reported in original units as a Table 2 row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Number of member jobs.
@@ -75,7 +46,7 @@ pub struct Cluster {
 /// A fitted k-means model.
 ///
 /// ```
-/// use swim_core::{KMeans, KMeansConfig};
+/// use swim_core::KMeans;
 /// use swim_trace::trace::WorkloadKind;
 /// use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
 ///
@@ -94,7 +65,7 @@ pub struct Cluster {
 ///     .collect();
 /// let trace = Trace::new(WorkloadKind::Custom("demo".into()), 10, jobs).unwrap();
 ///
-/// let model = KMeans::fit(&trace, KMeansConfig { k: 2, ..Default::default() });
+/// let model = KMeans::fit(&trace, 2);
 /// // Clusters come back in population order; the small-job blob dominates.
 /// assert_eq!(model.clusters.len(), 2);
 /// assert_eq!(model.clusters[0].count, 40);
@@ -103,55 +74,14 @@ pub struct Cluster {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
-    /// Configuration used.
-    pub config: KMeansConfig,
+    /// Number of clusters.
+    pub k: usize,
     /// Fitted clusters, sorted by population (largest first — Table 2 order).
     pub clusters: Vec<Cluster>,
-    /// Residual (total intra-cluster) variance in scaled feature space.
+    /// Residual (total intra-cluster) variance in feature space.
     pub inertia: f64,
     /// Per-job cluster assignment, parallel to the input job order.
     pub assignments: Vec<usize>,
-}
-
-/// Per-dimension scaling parameters recovered during preprocessing.
-struct Scaler {
-    scaling: FeatureScaling,
-    mean: [f64; 6],
-    std: [f64; 6],
-}
-
-impl Scaler {
-    fn fit(features: &[[f64; 6]], scaling: FeatureScaling) -> Scaler {
-        let mut mean = [0.0; 6];
-        let mut std = [1.0; 6];
-        if scaling == FeatureScaling::LogZScore && !features.is_empty() {
-            let n = features.len() as f64;
-            for d in 0..6 {
-                let m: f64 = features.iter().map(|f| f[d].ln_1p()).sum::<f64>() / n;
-                let v: f64 = features
-                    .iter()
-                    .map(|f| (f[d].ln_1p() - m).powi(2))
-                    .sum::<f64>()
-                    / n;
-                mean[d] = m;
-                std[d] = v.sqrt().max(1e-12);
-            }
-        }
-        Scaler { scaling, mean, std }
-    }
-
-    fn transform(&self, f: &[f64; 6]) -> [f64; 6] {
-        match self.scaling {
-            FeatureScaling::Raw => *f,
-            FeatureScaling::LogZScore => {
-                let mut out = [0.0; 6];
-                for d in 0..6 {
-                    out[d] = (f[d].ln_1p() - self.mean[d]) / self.std[d];
-                }
-                out
-            }
-        }
-    }
 }
 
 fn sq_dist(a: &[f64; 6], b: &[f64; 6]) -> f64 {
@@ -166,42 +96,30 @@ fn sq_dist(a: &[f64; 6], b: &[f64; 6]) -> f64 {
 impl KMeans {
     /// Fit k-means over a trace's jobs. Panics if the trace has fewer jobs
     /// than clusters.
-    pub fn fit(trace: &Trace, config: KMeansConfig) -> KMeans {
-        let features: Vec<[f64; 6]> = trace.jobs().iter().map(|j| j.feature_vector()).collect();
-        Self::fit_features(&features, trace.jobs(), config)
-    }
-
-    fn fit_features(raw: &[[f64; 6]], jobs: &[Job], config: KMeansConfig) -> KMeans {
-        assert!(config.k >= 1, "k must be at least 1");
+    pub fn fit(trace: &Trace, k: usize) -> KMeans {
+        let jobs = trace.jobs();
+        assert!(k >= 1, "k must be at least 1");
         assert!(
-            raw.len() >= config.k,
-            "need at least k = {} jobs, got {}",
-            config.k,
-            raw.len()
+            jobs.len() >= k,
+            "need at least k = {k} jobs, got {}",
+            jobs.len()
         );
-        let scaler = Scaler::fit(raw, config.scaling);
-        let points: Vec<[f64; 6]> = raw.iter().map(|f| scaler.transform(f)).collect();
+        let points: Vec<[f64; 6]> = jobs.iter().map(|j| j.feature_vector()).collect();
 
         // Best of a few k-means++ restarts: single-init Lloyd can land in a
         // poor local minimum, which makes the elbow criterion unstable.
         // k = 1 is seed-independent (the centroid is the global mean), so
         // one run suffices there.
         const RESTARTS: u64 = 4;
-        let restarts = if config.k == 1 { 1 } else { RESTARTS };
+        let restarts = if k == 1 { 1 } else { RESTARTS };
         let (assignments, inertia) = (0..restarts)
-            .map(|r| {
-                lloyd(
-                    &points,
-                    config,
-                    config.seed.wrapping_add(r.wrapping_mul(0x9E37_79B9)),
-                )
-            })
+            .map(|r| lloyd(&points, k, SEED.wrapping_add(r.wrapping_mul(0x9E37_79B9))))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite inertia"))
             .expect("at least one restart");
 
         // Report centroids in original units as per-cluster medians (robust
         // against the heavy within-cluster tails), labelled heuristically.
-        let mut clusters: Vec<Cluster> = (0..config.k)
+        let mut clusters: Vec<Cluster> = (0..k)
             .map(|c| {
                 let members: Vec<&Job> = jobs
                     .iter()
@@ -215,9 +133,9 @@ impl KMeans {
 
         // Table 2 orders clusters by population, largest first; remap
         // assignments to the sorted order.
-        let mut order: Vec<usize> = (0..config.k).collect();
+        let mut order: Vec<usize> = (0..k).collect();
         order.sort_by(|&a, &b| clusters[b].count.cmp(&clusters[a].count));
-        let mut remap = vec![0usize; config.k];
+        let mut remap = vec![0usize; k];
         for (new_idx, &old_idx) in order.iter().enumerate() {
             remap[old_idx] = new_idx;
         }
@@ -225,7 +143,7 @@ impl KMeans {
         let assignments = assignments.into_iter().map(|a| remap[a]).collect();
 
         KMeans {
-            config,
+            k,
             clusters,
             inertia,
             assignments,
@@ -238,17 +156,12 @@ impl KMeans {
     /// k = 1 baseline rather than the previous inertia keeps the rule
     /// stable on well-separated clusters, where every further split still
     /// halves an already-tiny residual. Returns the chosen model.
-    pub fn fit_with_elbow(
-        trace: &Trace,
-        max_k: usize,
-        threshold: f64,
-        base: KMeansConfig,
-    ) -> KMeans {
+    pub fn fit_with_elbow(trace: &Trace, max_k: usize, threshold: f64) -> KMeans {
         assert!(max_k >= 1);
         let mut total: f64 = 0.0;
         let mut prev: Option<KMeans> = None;
         for k in 1..=max_k.min(trace.len()) {
-            let model = KMeans::fit(trace, KMeansConfig { k, ..base });
+            let model = KMeans::fit(trace, k);
             if k == 1 {
                 total = model.inertia;
             }
@@ -270,12 +183,12 @@ impl KMeans {
 
 /// One k-means++-initialized Lloyd run; returns the assignment vector and
 /// its residual intra-cluster variance.
-fn lloyd(points: &[[f64; 6]], config: KMeansConfig, seed: u64) -> (Vec<usize>, f64) {
+fn lloyd(points: &[[f64; 6]], k: usize, seed: u64) -> (Vec<usize>, f64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut centroids = kmeanspp_init(points, config.k, &mut rng);
+    let mut centroids = kmeanspp_init(points, k, &mut rng);
     let mut assignments = vec![0usize; points.len()];
 
-    for _ in 0..config.max_iters {
+    for _ in 0..MAX_ITERS {
         let mut changed = false;
         for (i, p) in points.iter().enumerate() {
             let nearest = centroids
@@ -291,8 +204,8 @@ fn lloyd(points: &[[f64; 6]], config: KMeansConfig, seed: u64) -> (Vec<usize>, f
         }
         // Recompute centroids; empty clusters are re-seeded at the
         // point farthest from its centroid to keep k populated.
-        let mut sums = vec![[0.0; 6]; config.k];
-        let mut counts = vec![0u64; config.k];
+        let mut sums = vec![[0.0; 6]; k];
+        let mut counts = vec![0u64; k];
         for (i, p) in points.iter().enumerate() {
             let c = assignments[i];
             counts[c] += 1;
@@ -300,7 +213,7 @@ fn lloyd(points: &[[f64; 6]], config: KMeansConfig, seed: u64) -> (Vec<usize>, f
                 sums[c][d] += p[d];
             }
         }
-        for c in 0..config.k {
+        for c in 0..k {
             if counts[c] == 0 {
                 let far = points
                     .iter()
@@ -502,13 +415,7 @@ mod tests {
     #[test]
     fn separates_bimodal_population() {
         let t = bimodal_trace(900, 100);
-        let m = KMeans::fit(
-            &t,
-            KMeansConfig {
-                k: 2,
-                ..Default::default()
-            },
-        );
+        let m = KMeans::fit(&t, 2);
         assert_eq!(m.clusters.len(), 2);
         assert_eq!(m.clusters[0].count, 900);
         assert_eq!(m.clusters[1].count, 100);
@@ -519,13 +426,7 @@ mod tests {
     #[test]
     fn assignments_match_cluster_sizes() {
         let t = bimodal_trace(50, 50);
-        let m = KMeans::fit(
-            &t,
-            KMeansConfig {
-                k: 2,
-                ..Default::default()
-            },
-        );
+        let m = KMeans::fit(&t, 2);
         for (c_idx, cluster) in m.clusters.iter().enumerate() {
             let assigned = m.assignments.iter().filter(|&&a| a == c_idx).count() as u64;
             assert_eq!(assigned, cluster.count);
@@ -537,14 +438,7 @@ mod tests {
         let t = bimodal_trace(300, 60);
         let mut last = f64::INFINITY;
         for k in 1..=5 {
-            let m = KMeans::fit(
-                &t,
-                KMeansConfig {
-                    k,
-                    seed: 42,
-                    ..Default::default()
-                },
-            );
+            let m = KMeans::fit(&t, k);
             assert!(
                 m.inertia <= last + 1e-6,
                 "inertia increased at k={k}: {} > {last}",
@@ -557,8 +451,8 @@ mod tests {
     #[test]
     fn elbow_picks_two_for_bimodal() {
         let t = bimodal_trace(500, 100);
-        let m = KMeans::fit_with_elbow(&t, 8, 0.25, KMeansConfig::default());
-        assert_eq!(m.config.k, 2, "elbow chose k = {}", m.config.k);
+        let m = KMeans::fit_with_elbow(&t, 8, 0.25);
+        assert_eq!(m.k, 2, "elbow chose k = {}", m.k);
     }
 
     #[test]
@@ -566,14 +460,7 @@ mod tests {
         // With raw features the shuffle-TB dimension dwarfs everything;
         // the fit still separates bimodal data but inertia is huge.
         let t = bimodal_trace(100, 100);
-        let m = KMeans::fit(
-            &t,
-            KMeansConfig {
-                k: 2,
-                scaling: FeatureScaling::Raw,
-                ..Default::default()
-            },
-        );
+        let m = KMeans::fit(&t, 2);
         assert_eq!(m.clusters.len(), 2);
         assert_eq!(m.clusters[0].count, 100);
     }
@@ -581,20 +468,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let t = bimodal_trace(200, 40);
-        let a = KMeans::fit(
-            &t,
-            KMeansConfig {
-                seed: 7,
-                ..Default::default()
-            },
-        );
-        let b = KMeans::fit(
-            &t,
-            KMeansConfig {
-                seed: 7,
-                ..Default::default()
-            },
-        );
+        let a = KMeans::fit(&t, 4);
+        let b = KMeans::fit(&t, 4);
         assert_eq!(a.clusters, b.clusters);
         assert_eq!(a.assignments, b.assignments);
     }
@@ -673,12 +548,6 @@ mod tests {
     #[should_panic(expected = "need at least k")]
     fn rejects_fewer_jobs_than_k() {
         let t = bimodal_trace(2, 0);
-        KMeans::fit(
-            &t,
-            KMeansConfig {
-                k: 5,
-                ..Default::default()
-            },
-        );
+        KMeans::fit(&t, 5);
     }
 }

@@ -31,4 +31,4 @@ pub mod names;
 pub mod stats;
 pub mod timeseries;
 
-pub use kmeans::{KMeans, KMeansConfig};
+pub use kmeans::KMeans;

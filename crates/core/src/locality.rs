@@ -2,7 +2,6 @@
 //! distributions (Fig. 5) and the fraction of jobs touching pre-existing
 //! data (Fig. 6).
 
-use crate::stats::Ecdf;
 use std::collections::{HashMap, HashSet};
 use swim_trace::{PathId, Trace};
 
@@ -81,16 +80,6 @@ impl LocalityStats {
             frac_jobs_reread_input: jobs_reread as f64 / denom,
             frac_jobs_consume_output: jobs_consumed as f64 / denom,
         }
-    }
-
-    /// CDF of input→input re-access intervals (seconds).
-    pub fn input_input_cdf(&self) -> Ecdf {
-        Ecdf::new(self.input_input_intervals.clone())
-    }
-
-    /// CDF of output→input re-access intervals (seconds).
-    pub fn output_input_cdf(&self) -> Ecdf {
-        Ecdf::new(self.output_input_intervals.clone())
     }
 
     /// Fraction of all re-accesses (both kinds) within `secs` seconds —

@@ -257,11 +257,6 @@ impl LogHistogram {
     pub fn total(&self) -> u64 {
         self.zeros + self.counts.iter().sum::<u64>()
     }
-
-    /// Geometric midpoint value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        10f64.powf(self.min_log10 + (i as f64 + 0.5) * self.width_log10)
-    }
 }
 
 #[cfg(test)]
@@ -359,6 +354,5 @@ mod tests {
         assert_eq!(h.zeros, 2);
         assert_eq!(h.counts, vec![1, 1, 2]); // 5000 clamps into last bin
         assert_eq!(h.total(), 6);
-        assert!((h.bin_center(0) - 10f64.powf(0.5)).abs() < 1e-9);
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! swim-catalog init DIR
 //! swim-catalog ingest DIR TRACE... [--machines N] [--jobs-per-shard N]
-//!                                  [--jobs-per-chunk N] [--adopt]
+//!                                  [--jobs-per-chunk N]
 //! swim-catalog stats DIR [--metrics]
 //! swim-catalog compact DIR [--jobs-per-shard N] [--jobs-per-chunk N] [--vacuum]
 //! swim-catalog verify DIR
@@ -15,11 +15,11 @@
 //!
 //! `ingest` accepts `.csv` (labelled by file stem, sized by
 //! `--machines`), `.swim`/`.store` (streamed chunk by chunk), and
-//! JSON-lines; `--adopt` copies `.swim` files in verbatim as single
-//! shards instead of re-sharding them. `query` is federated: shards are
-//! pruned by manifest-level zone maps before any file is opened, then by
-//! per-chunk zone maps. Tables go to stdout, pruning summaries to
-//! stderr.
+//! JSON-lines, and re-shards every input, so each `.swim` chunk is
+//! checked against its checksums before it is published. `query` is
+//! federated: shards are pruned by manifest-level zone maps before any
+//! file is opened, then by per-chunk zone maps. Tables go to stdout,
+//! pruning summaries to stderr.
 //!
 //! `query --explain` prints shard- and chunk-level zone-map verdicts
 //! without executing; `query --profile` executes with `swim-obs`
@@ -40,7 +40,7 @@ use swim_store::StoreOptions;
 const USAGE: &str = "usage:\n\
  swim-catalog init DIR\n\
  swim-catalog ingest DIR TRACE... [--machines N] [--jobs-per-shard N] \
- [--jobs-per-chunk N] [--adopt]\n\
+ [--jobs-per-chunk N]\n\
  swim-catalog stats DIR [--metrics]\n\
  swim-catalog compact DIR [--jobs-per-shard N] [--jobs-per-chunk N] [--vacuum]\n\
  swim-catalog verify DIR\n\
@@ -83,12 +83,8 @@ fn runtime(e: impl std::fmt::Display) -> CliError {
 struct OptionFlags {
     machines: u32,
     options: CatalogOptions,
-    adopt: bool,
     vacuum: bool,
     metrics: bool,
-    /// Flags actually present on the command line (so subcommands can
-    /// reject combinations where a given flag would have no effect).
-    seen: Vec<&'static str>,
 }
 
 /// Split option flags out of an argument stream; everything else
@@ -102,10 +98,8 @@ fn split_flags(
     let mut flags = OptionFlags {
         machines: 100,
         options: CatalogOptions::default(),
-        adopt: false,
         vacuum: false,
         metrics: false,
-        seen: Vec::new(),
     };
     let mut positional = Vec::new();
     let mut iter = args.iter();
@@ -119,13 +113,8 @@ fn split_flags(
                 .parse()
                 .map_err(|_| format!("{flag} requires an integer, got {value:?}"))
         };
-        if arg.starts_with('-') {
-            if !allowed.contains(&arg.as_str()) {
-                return Err(format!("{arg} does not apply to this subcommand"));
-            }
-            if let Some(&known) = allowed.iter().find(|&&a| a == arg.as_str()) {
-                flags.seen.push(known);
-            }
+        if arg.starts_with('-') && !allowed.contains(&arg.as_str()) {
+            return Err(format!("{arg} does not apply to this subcommand"));
         }
         match arg.as_str() {
             "--machines" => flags.machines = parse_u32("--machines", next("--machines")?)?,
@@ -138,7 +127,6 @@ fn split_flags(
                     jobs_per_chunk: parse_u32("--jobs-per-chunk", next("--jobs-per-chunk")?)?,
                 }
             }
-            "--adopt" => flags.adopt = true,
             "--vacuum" => flags.vacuum = true,
             "--metrics" => flags.metrics = true,
             other => positional.push(other.to_owned()),
@@ -164,12 +152,7 @@ fn cmd_init(args: &[String]) -> Result<(), CliError> {
 fn cmd_ingest(args: &[String]) -> Result<(), CliError> {
     let (positional, flags) = split_flags(
         args,
-        &[
-            "--machines",
-            "--jobs-per-shard",
-            "--jobs-per-chunk",
-            "--adopt",
-        ],
+        &["--machines", "--jobs-per-shard", "--jobs-per-chunk"],
     )
     .map_err(CliError::Usage)?;
     let [dir, traces @ ..] = positional.as_slice() else {
@@ -182,26 +165,11 @@ fn cmd_ingest(args: &[String]) -> Result<(), CliError> {
             "ingest takes a directory and at least one trace".into(),
         ));
     }
-    if flags.adopt {
-        // Adopt copies stores in verbatim — the re-sharding knobs would
-        // silently do nothing, so reject the combination.
-        for sharding in ["--machines", "--jobs-per-shard", "--jobs-per-chunk"] {
-            if flags.seen.contains(&sharding) {
-                return Err(CliError::Usage(format!(
-                    "{sharding} has no effect with --adopt (adopt copies stores verbatim as single shards)"
-                )));
-            }
-        }
-    }
     let mut catalog = Catalog::open(dir).map_err(runtime)?;
     for path in traces {
-        let stats = if flags.adopt {
-            catalog.adopt_store(path).map_err(runtime)?
-        } else {
-            catalog
-                .ingest_path(path, flags.machines, &flags.options)
-                .map_err(runtime)?
-        };
+        let stats = catalog
+            .ingest_path(path, flags.machines, &flags.options)
+            .map_err(runtime)?;
         eprintln!(
             "ingested {path}: {} jobs into {} shard{} ({} bytes), generation {}",
             stats.jobs,

@@ -98,7 +98,7 @@ fn verify_names_every_damaged_shard_and_exits_1() {
 }
 
 #[test]
-fn a_store_of_another_format_version_is_neither_ingested_nor_adopted() {
+fn a_store_of_another_format_version_is_not_ingested() {
     let dir = std::env::temp_dir().join(format!("swim-catalog-v4-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -114,24 +114,20 @@ fn a_store_of_another_format_version_is_neither_ingested_nor_adopted() {
     let catalog_arg = catalog.to_str().expect("utf-8 temp dir");
     assert_eq!(run(&["init", catalog_arg]).0, 0);
     let manifest = std::fs::read(catalog.join("MANIFEST")).unwrap();
-    for adopt in [&[][..], &["--adopt"]] {
-        let mut args = vec!["ingest", catalog_arg, old];
-        args.extend_from_slice(adopt);
-        let (code, stdout, first) = run(&args);
-        assert_eq!(code, 1, "{args:?}");
-        assert!(stdout.is_empty());
-        assert_eq!(
-            first,
-            format!(
-                "error: cannot ingest {old}: \
-                 unsupported store format version 4 (this build reads version 5)"
-            )
-        );
-        // Nothing published: the MANIFEST alone, at generation 0.
-        let files: Vec<_> = std::fs::read_dir(&catalog).unwrap().collect();
-        assert_eq!(files.len(), 1, "{args:?}");
-        assert_eq!(std::fs::read(catalog.join("MANIFEST")).unwrap(), manifest);
-    }
+    let (code, stdout, first) = run(&["ingest", catalog_arg, old]);
+    assert_eq!(code, 1);
+    assert!(stdout.is_empty());
+    assert_eq!(
+        first,
+        format!(
+            "error: cannot ingest {old}: \
+             unsupported store format version 4 (this build reads version 5)"
+        )
+    );
+    // Nothing published: the MANIFEST alone, at generation 0.
+    let files: Vec<_> = std::fs::read_dir(&catalog).unwrap().collect();
+    assert_eq!(files.len(), 1);
+    assert_eq!(std::fs::read(catalog.join("MANIFEST")).unwrap(), manifest);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -141,17 +137,6 @@ fn misplaced_flag_is_a_usage_error() {
     let (code, _, first) = run(&["stats", "some-dir", "--vacuum"]);
     assert_eq!(code, 2);
     assert_eq!(first, "error: --vacuum does not apply to this subcommand");
-}
-
-#[test]
-fn adopt_rejects_resharding_knobs() {
-    let (code, _, first) = run(&["ingest", "d", "t.swim", "--adopt", "--machines", "5"]);
-    assert_eq!(code, 2);
-    assert_eq!(
-        first,
-        "error: --machines has no effect with --adopt \
-         (adopt copies stores verbatim as single shards)"
-    );
 }
 
 #[test]

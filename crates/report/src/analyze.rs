@@ -13,7 +13,7 @@
 use crate::TraceContext;
 use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
-use swim_core::kmeans::{FeatureScaling, KMeans, KMeansConfig};
+use swim_core::kmeans::KMeans;
 use swim_core::names::NameAnalysis;
 use swim_core::stats::Ecdf;
 use swim_obs::json::{self, Value};
@@ -78,11 +78,6 @@ impl SharedMetrics {
         let locality = ctx.locality()?;
         let hourly = ctx.hourly()?;
         let correlations = hourly.correlations();
-        // Raw features and the 0.5 elbow, as Table 2 clusters.
-        let raw = KMeansConfig {
-            scaling: FeatureScaling::Raw,
-            ..KMeansConfig::default()
-        };
         let summary = ctx.summary();
         Ok(SharedMetrics {
             workload: summary.workload.clone(),
@@ -110,7 +105,8 @@ impl SharedMetrics {
                 correlations.bytes_task_seconds,
             ),
             diurnal_detected: detect_diurnal(&hourly.jobs, 3.0).map(|d| d.detected),
-            job_types: KMeans::fit_with_elbow(trace, 12, 0.5, raw)
+            // The 0.5 elbow, as Table 2 clusters.
+            job_types: KMeans::fit_with_elbow(trace, 12, 0.5)
                 .clusters
                 .iter()
                 .map(|c| {

@@ -25,7 +25,6 @@ use std::sync::OnceLock;
 use swim_core::access::{FileAccessStats, PathStage};
 use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
-use swim_core::kmeans::{FeatureScaling, KMeansConfig};
 use swim_core::locality::LocalityStats;
 use swim_core::names::NameAnalysis;
 use swim_core::stats::Ecdf;
@@ -623,19 +622,11 @@ fn table2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     }
     // Raw feature space and the 0.5 elbow, as in the Table 2 reproduction:
     // raw distance isolates the tiny huge-data clusters that matter.
-    let model = KMeans::fit_with_elbow(
-        trace,
-        8,
-        0.5,
-        KMeansConfig {
-            scaling: FeatureScaling::Raw,
-            ..Default::default()
-        },
-    );
+    let model = KMeans::fit_with_elbow(trace, 8, 0.5);
     let total: u64 = model.clusters.iter().map(|c| c.count).sum();
     let dominant = &model.clusters[0];
     Ok(ExperimentResult::Metrics(vec![
-        Metric::new("job types (elbow k)", Value::Count(model.config.k as u64)),
+        Metric::new("job types (elbow k)", Value::Count(model.k as u64)),
         Metric::new(
             "dominant share",
             Value::Fraction(dominant.count as f64 / total.max(1) as f64),

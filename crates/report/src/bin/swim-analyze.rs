@@ -103,6 +103,13 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    // A flag that only qualifies another must not be dropped without a word.
+    if args.bundle.is_some() && args.synthesize.is_none() {
+        return Err("--bundle requires --synthesize".to_owned());
+    }
+    if args.convert_to.is_some() && args.convert.is_none() {
+        return Err("--to requires --convert".to_owned());
+    }
     Ok(args)
 }
 

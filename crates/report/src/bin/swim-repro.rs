@@ -39,7 +39,6 @@ fn run() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = CorpusScale::Standard;
     let mut seed: u64 = 42;
-    let mut store_dir: Option<String> = None;
     let mut format = OutputFormat::Text;
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
@@ -59,13 +58,6 @@ fn run() -> ExitCode {
                 Some(s) => seed = s,
                 None => {
                     eprintln!("--seed requires an integer argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--store-dir" => match iter.next() {
-                Some(dir) => store_dir = Some(dir),
-                None => {
-                    eprintln!("--store-dir requires a directory argument");
                     return ExitCode::FAILURE;
                 }
             },
@@ -102,17 +94,13 @@ fn run() -> ExitCode {
     }
 
     eprintln!(
-        "building corpus ({}, seed {seed}{}) ...",
+        "building corpus ({}, seed {seed}) ...",
         match scale {
             CorpusScale::Quick => "quick",
             CorpusScale::Standard => "standard",
-        },
-        store_dir
-            .as_deref()
-            .map(|d| format!(", store cache {d}"))
-            .unwrap_or_default()
+        }
     );
-    let corpus = Corpus::build_or_load(scale, seed, store_dir.as_deref().map(std::path::Path::new));
+    let corpus = Corpus::build(scale, seed);
     match format {
         OutputFormat::Text => {
             for (i, id) in ids.iter().enumerate() {
@@ -150,11 +138,11 @@ fn run() -> ExitCode {
 fn print_help() {
     eprintln!(
         "swim-repro — regenerate the VLDB'12 study's tables and figures\n\n\
-         usage: swim-repro [--quick] [--seed N] [--store-dir DIR] \
-         [--format text|md|html] <experiment>...\n\
+         usage: swim-repro [--quick] [--seed N] [--format text|md|html] \
+         <experiment>...\n\
          experiments: {} | all\n\
-         flags: --quick (small corpus), --seed N, --store-dir DIR (cache the \
-         corpus as swim-store files), --format text|md|html, --list, --help",
+         flags: --quick (small corpus), --seed N, --format text|md|html, \
+         --list, --help",
         experiments::ALL.join(" | ")
     );
 }

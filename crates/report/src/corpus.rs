@@ -9,9 +9,7 @@
 //! share (hourly series, locality, file access) is computed once.
 
 use crate::TraceContext;
-use std::path::Path;
 use swim_core::access::{FileAccessStats, PathStage};
-use swim_store::{Store, StoreError, StoreOptions};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::Trace;
 use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
@@ -95,105 +93,6 @@ impl Corpus {
         self.contexts.iter().map(|c| in_memory(c.trace()))
     }
 
-    /// File name for one workload's store file inside a corpus directory.
-    fn store_file_name(kind: &WorkloadKind) -> String {
-        format!("{}.swim", kind.label().to_lowercase())
-    }
-
-    /// Manifest recording what a corpus directory was generated with, so
-    /// a cache written at a different scale or seed is never silently
-    /// loaded and misreported.
-    fn manifest_line(scale: CorpusScale, seed: u64) -> String {
-        let scale = match scale {
-            CorpusScale::Quick => "quick",
-            CorpusScale::Standard => "standard",
-        };
-        format!("scale={scale} seed={seed}\n")
-    }
-
-    const MANIFEST_FILE: &'static str = "corpus.meta";
-
-    /// Persist the corpus as one `swim-store` file per workload plus a
-    /// scale/seed manifest, so later runs (and `swim-repro --store-dir`)
-    /// can skip generation entirely.
-    pub fn save_store(&self, dir: impl AsRef<Path>) -> Result<(), swim_store::StoreError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        for trace in self.traces() {
-            swim_store::write_store_path(
-                trace,
-                dir.join(Self::store_file_name(&trace.kind)),
-                &StoreOptions::default(),
-            )?;
-        }
-        std::fs::write(
-            dir.join(Self::MANIFEST_FILE),
-            Self::manifest_line(self.scale, self.seed),
-        )?;
-        Ok(())
-    }
-
-    /// Load a corpus previously written by [`Corpus::save_store`]. Fails
-    /// when the directory's manifest does not record exactly this scale
-    /// and seed, or when a store does not open or decode: each trace is
-    /// read whole here, so a corpus context never fails a read later.
-    pub fn load_store(
-        dir: impl AsRef<Path>,
-        scale: CorpusScale,
-        seed: u64,
-    ) -> Result<Corpus, String> {
-        let dir = dir.as_ref();
-        let manifest_path = dir.join(Self::MANIFEST_FILE);
-        let manifest = std::fs::read_to_string(&manifest_path)
-            .map_err(|e| format!("read {}: {e}", manifest_path.display()))?;
-        if manifest != Self::manifest_line(scale, seed) {
-            return Err("corpus directory was generated with a different scale/seed".to_owned());
-        }
-        let mut contexts = Vec::with_capacity(WorkloadKind::PAPER_SEVEN.len());
-        for kind in &WorkloadKind::PAPER_SEVEN {
-            let path = dir.join(Self::store_file_name(kind));
-            let at = |e: StoreError| format!("{}: {e}", path.display());
-            let store = Store::open(&path).map_err(at)?;
-            let ctx = TraceContext::from_store(kind.label(), store).map_err(at)?;
-            ctx.trace()?;
-            contexts.push(ctx);
-        }
-        Ok(Corpus {
-            contexts,
-            scale,
-            seed,
-        })
-    }
-
-    /// Build the corpus, or load it from `store_dir` when it already
-    /// holds a matching corpus (writing one there on first use, or after
-    /// a scale/seed mismatch or corruption).
-    pub fn build_or_load(scale: CorpusScale, seed: u64, store_dir: Option<&Path>) -> Corpus {
-        let Some(dir) = store_dir else {
-            return Self::build(scale, seed);
-        };
-        let complete = dir.join(Self::MANIFEST_FILE).is_file()
-            && WorkloadKind::PAPER_SEVEN
-                .iter()
-                .all(|k| dir.join(Self::store_file_name(k)).is_file());
-        if complete {
-            match Self::load_store(dir, scale, seed) {
-                Ok(corpus) => return corpus,
-                Err(e) => {
-                    eprintln!(
-                        "store corpus in {} not usable ({e}); regenerating",
-                        dir.display()
-                    );
-                }
-            }
-        }
-        let corpus = Self::build(scale, seed);
-        if let Err(e) = corpus.save_store(dir) {
-            eprintln!("could not cache corpus to {}: {e}", dir.display());
-        }
-        corpus
-    }
-
     /// Context for a given workload.
     pub fn get(&self, kind: &WorkloadKind) -> &TraceContext {
         self.contexts
@@ -265,58 +164,5 @@ mod tests {
         let c = Corpus::build(CorpusScale::Quick, 4);
         let ctx = c.get(&WorkloadKind::CcC);
         assert_eq!(in_memory(ctx.trace()).kind, WorkloadKind::CcC);
-    }
-
-    #[test]
-    fn store_save_load_round_trips() {
-        // Unique per process so concurrent test runs never share the dir.
-        let dir =
-            std::env::temp_dir().join(format!("swim-corpus-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let a = Corpus::build(CorpusScale::Quick, 5);
-        a.save_store(&dir).unwrap();
-        let b = Corpus::load_store(&dir, CorpusScale::Quick, 5).unwrap();
-        assert_eq!(a.contexts.len(), b.contexts.len());
-        for (x, y) in a.traces().zip(b.traces()) {
-            assert_eq!(x, y);
-        }
-        // A scale/seed mismatch must refuse to load the cache.
-        assert!(Corpus::load_store(&dir, CorpusScale::Quick, 6).is_err());
-        assert!(Corpus::load_store(&dir, CorpusScale::Standard, 5).is_err());
-        // build_or_load takes the cached path on a match.
-        let c = Corpus::build_or_load(CorpusScale::Quick, 5, Some(dir.as_path()));
-        assert_eq!(c.traces().next(), a.traces().next());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_damaged_cache_is_regenerated() {
-        let dir =
-            std::env::temp_dir().join(format!("swim-corpus-damaged-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fresh = Corpus::build(CorpusScale::Quick, 8);
-        fresh.save_store(&dir).unwrap();
-        let cc_b = dir.join("cc-b.swim");
-        let pristine = std::fs::read(&cc_b).unwrap();
-        // A byte of the first chunk's numeric blocks, which the load's
-        // `par_summary` decodes, and the chunk's last byte: its path
-        // literals, which only reading the whole trace touches.
-        let first = Store::from_vec(pristine.clone()).unwrap().chunk_meta()[0];
-        for offset in [200, (first.offset + first.block_len) as usize - 1] {
-            let mut bytes = pristine.clone();
-            bytes[offset] ^= 0x04;
-            std::fs::write(&cc_b, bytes).unwrap();
-            let Err(err) = Corpus::load_store(&dir, CorpusScale::Quick, 8) else {
-                panic!("offset {offset}: the damage went unseen");
-            };
-            assert!(err.contains("cc-b.swim"), "offset {offset}: {err}");
-            let c = Corpus::build_or_load(CorpusScale::Quick, 8, Some(dir.as_path()));
-            assert_eq!(c.contexts.len(), 7);
-            for (x, y) in fresh.traces().zip(c.traces()) {
-                assert_eq!(x, y, "offset {offset}");
-            }
-            assert_eq!(std::fs::read(&cc_b).unwrap(), pristine, "offset {offset}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,7 +10,6 @@
 use crate::render::Table;
 use crate::Corpus;
 use crate::Section;
-use swim_core::kmeans::{FeatureScaling, KMeansConfig};
 use swim_core::KMeans;
 
 /// Published cluster counts per workload (number of Table 2 rows).
@@ -34,21 +33,12 @@ pub const ELBOW: f64 = 0.5;
 /// Maximum k explored.
 pub const MAX_K: usize = 12;
 
-/// The paper clusters *raw* feature vectors. In raw space the byte
-/// dimensions of the largest jobs dominate distance, which is precisely
-/// what isolates the tiny-population/huge-data clusters of Table 2 (and
-/// collapses every small job into one cluster). The log-z-score
-/// alternative (ablation: `swim-core`'s default) spreads the small-job
-/// blob and keeps splitting it instead.
-pub fn table2_config() -> KMeansConfig {
-    KMeansConfig {
-        scaling: FeatureScaling::Raw,
-        ..Default::default()
-    }
-}
-
 /// Fit Table 2 for one trace: k-means at the paper's published k (the
-/// cluster-count column of Table 2), raw features. At the corpus's
+/// cluster-count column of Table 2). The paper clusters *raw* feature
+/// vectors, as [`KMeans`] does: in raw space the byte dimensions of the
+/// largest jobs dominate distance, which is precisely what isolates the
+/// tiny-population/huge-data clusters of Table 2 (and collapses every
+/// small job into one cluster). At the corpus's
 /// reduced scale some tiny clusters (single-digit populations in the
 /// original) may have no members; k is capped at the job count.
 pub fn fit_paper_k(trace: &swim_trace::Trace) -> KMeans {
@@ -64,13 +54,7 @@ pub fn fit_paper_k(trace: &swim_trace::Trace) -> KMeans {
     // dichotomy must always be visible). At the standard corpus scale the
     // cap is inactive and the paper's k is used as-is.
     let k = paper_k.min((trace.len() / 150).max(2));
-    KMeans::fit(
-        trace,
-        KMeansConfig {
-            k,
-            ..table2_config()
-        },
-    )
+    KMeans::fit(trace, k)
 }
 
 /// Build the Table 2 document.
@@ -84,10 +68,10 @@ pub fn doc(corpus: &Corpus) -> Section {
     );
     for trace in corpus.traces() {
         let model = fit_paper_k(trace);
-        let elbow = KMeans::fit_with_elbow(trace, MAX_K, ELBOW, table2_config());
+        let elbow = KMeans::fit_with_elbow(trace, MAX_K, ELBOW);
         section.prose(format!(
             "{} — paper k = {} (elbow would choose k = {}):\n",
-            trace.kind, model.config.k, elbow.config.k
+            trace.kind, model.k, elbow.k
         ));
         let mut table = Table::new(vec![
             "# Jobs",
@@ -178,10 +162,10 @@ mod tests {
         for trace in corpus.traces() {
             let model = fit_paper_k(trace);
             assert!(
-                model.config.k >= 2,
+                model.k >= 2,
                 "{}: k = {} — the small/large dichotomy must appear",
                 trace.kind,
-                model.config.k
+                model.k
             );
         }
     }

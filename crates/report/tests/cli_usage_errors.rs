@@ -1,6 +1,7 @@
-//! Flag values a library call would panic on are refused by
-//! `swim-analyze` as usage errors naming the flag: exit 1, an `error: …` first line on
-//! stderr, nothing on stdout, and no panic.
+//! Flag values a library call would panic on, and flags that only
+//! qualify one that is absent, are refused by `swim-analyze` as usage
+//! errors naming the flag: exit 1, an `error: …` first line on stderr,
+//! nothing on stdout, and no panic.
 
 use std::process::Command;
 
@@ -37,4 +38,17 @@ fn swim_analyze_refuses_a_synthesis_for_zero_nodes() {
         &["--input", sample, "--synthesize", "0"],
         "error: --synthesize requires a positive node count",
     );
+}
+
+#[test]
+fn swim_analyze_refuses_a_qualifier_without_the_flag_it_qualifies() {
+    for (args, first_line) in [
+        (
+            &["--demo", "--bundle", "b.json"],
+            "error: --bundle requires --synthesize",
+        ),
+        (&["--demo", "--to", "csv"], "error: --to requires --convert"),
+    ] {
+        assert_usage_error(env!("CARGO_BIN_EXE_swim-analyze"), args, first_line);
+    }
 }

@@ -78,12 +78,13 @@ struct Args {
 
 /// `Ok(None)` means `--help` was requested.
 fn parse_args() -> Result<Option<Args>, String> {
+    let defaults = ServeOptions::default();
     let mut options = ServeOptions {
-        workers: env_usize("SWIM_SERVE_WORKERS", 4)?,
-        queue_depth: env_usize("SWIM_SERVE_QUEUE_DEPTH", 64)?,
-        cache_capacity: env_usize("SWIM_SERVE_CACHE", 256)?,
+        workers: env_usize("SWIM_SERVE_WORKERS", defaults.workers)?,
+        queue_depth: env_usize("SWIM_SERVE_QUEUE_DEPTH", defaults.queue_depth)?,
+        cache_capacity: env_usize("SWIM_SERVE_CACHE", defaults.cache_capacity)?,
         access_log: std::env::var_os("SWIM_SERVE_ACCESS_LOG").map(std::path::PathBuf::from),
-        ..ServeOptions::default()
+        ..defaults
     };
     let mut catalog = String::new();
     let mut print_port = false;

@@ -386,12 +386,6 @@ impl ServerHandle {
         self.shared.telemetry.snapshot(self.shared.stats())
     }
 
-    /// Latency samples currently retained by the windowed telemetry —
-    /// the memory-bound observable (O(buckets), not O(requests)).
-    pub fn telemetry_retained_samples(&self) -> usize {
-        self.shared.telemetry.retained_samples()
-    }
-
     /// Begin a graceful shutdown: stop admitting, drain in-flight
     /// requests. Returns immediately; [`ServerHandle::join`] waits.
     pub fn shutdown(&self) {

@@ -34,11 +34,6 @@ impl ClusterConfig {
     pub fn reduce_slots(&self) -> u32 {
         self.nodes * self.reduce_slots_per_node
     }
-
-    /// Total slots of both kinds.
-    pub fn total_slots(&self) -> u32 {
-        self.map_slots() + self.reduce_slots()
-    }
 }
 
 /// Mutable slot occupancy during simulation.
@@ -133,7 +128,6 @@ mod tests {
         let c = ClusterConfig::with_nodes(100);
         assert_eq!(c.map_slots(), 200);
         assert_eq!(c.reduce_slots(), 200);
-        assert_eq!(c.total_slots(), 400);
     }
 
     #[test]

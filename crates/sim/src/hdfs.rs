@@ -29,10 +29,6 @@ pub struct Hdfs {
     config: HdfsConfig,
     files: HashMap<PathId, DataSize>,
     cache: Option<Cache>,
-    reads: u64,
-    writes: u64,
-    bytes_read: DataSize,
-    bytes_written: DataSize,
 }
 
 impl Hdfs {
@@ -42,10 +38,6 @@ impl Hdfs {
             config,
             files: HashMap::new(),
             cache: None,
-            reads: 0,
-            writes: 0,
-            bytes_read: DataSize::ZERO,
-            bytes_written: DataSize::ZERO,
         }
     }
 
@@ -57,8 +49,6 @@ impl Hdfs {
 
     /// Create (or overwrite) a file. Overwrites invalidate the cache entry.
     pub fn write(&mut self, path: PathId, size: DataSize, _now: Timestamp) {
-        self.writes += 1;
-        self.bytes_written += size;
         if let Some(c) = &mut self.cache {
             c.invalidate(path);
         }
@@ -71,8 +61,6 @@ impl Hdfs {
     /// the read was served from cache.
     pub fn read(&mut self, path: PathId, fallback_size: DataSize, now: Timestamp) -> bool {
         let size = *self.files.entry(path).or_insert(fallback_size);
-        self.reads += 1;
-        self.bytes_read += size;
         match &mut self.cache {
             Some(c) => c.access(path, size, now),
             None => false,
@@ -112,11 +100,6 @@ impl Hdfs {
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
     }
-
-    /// Lifetime read/write counters: `(reads, writes, bytes_read, bytes_written)`.
-    pub fn io_counters(&self) -> (u64, u64, DataSize, DataSize) {
-        (self.reads, self.writes, self.bytes_read, self.bytes_written)
-    }
 }
 
 #[cfg(test)]
@@ -133,10 +116,7 @@ mod tests {
         fs.write(PathId(1), DataSize::from_mb(64), ts(0));
         assert_eq!(fs.size_of(PathId(1)), Some(DataSize::from_mb(64)));
         fs.read(PathId(1), DataSize::ZERO, ts(1));
-        let (reads, writes, br, bw) = fs.io_counters();
-        assert_eq!((reads, writes), (1, 1));
-        assert_eq!(br, DataSize::from_mb(64));
-        assert_eq!(bw, DataSize::from_mb(64));
+        assert_eq!(fs.size_of(PathId(1)), Some(DataSize::from_mb(64)));
     }
 
     #[test]

@@ -51,16 +51,6 @@ impl WorkloadSuite {
         self.entries.is_empty()
     }
 
-    /// Total bytes the whole suite will move during replay.
-    pub fn total_replay_bytes(&self) -> DataSize {
-        self.entries.iter().map(|e| e.replay.total_bytes()).sum()
-    }
-
-    /// Total bytes the whole suite pre-populates.
-    pub fn total_pregen_bytes(&self) -> DataSize {
-        self.entries.iter().map(|e| e.datagen.total_bytes()).sum()
-    }
-
     /// Look up a member by name.
     pub fn get(&self, name: &str) -> Option<&SuiteEntry> {
         self.entries.iter().find(|e| e.name == name)
@@ -120,7 +110,9 @@ mod tests {
             &tiny_trace(WorkloadKind::CcB, 6),
             DataSize::from_mb(128),
         );
-        assert_eq!(suite.total_replay_bytes(), DataSize::from_mb(80));
-        assert_eq!(suite.total_pregen_bytes(), DataSize::from_mb(80));
+        let total =
+            |bytes: fn(&SuiteEntry) -> DataSize| suite.entries.iter().map(bytes).sum::<DataSize>();
+        assert_eq!(total(|e| e.replay.total_bytes()), DataSize::from_mb(80));
+        assert_eq!(total(|e| e.datagen.total_bytes()), DataSize::from_mb(80));
     }
 }

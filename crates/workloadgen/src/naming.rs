@@ -73,11 +73,6 @@ impl NameVocabulary {
         NameVocabulary::new(vec![entry("", Framework::Native, 1.0, 1.0)])
     }
 
-    /// `true` iff this vocabulary produces empty names.
-    pub fn is_unnamed(&self) -> bool {
-        self.entries.len() == 1 && self.entries[0].word.is_empty()
-    }
-
     /// The vocabulary entries.
     pub fn entries(&self) -> &[NameEntry] {
         &self.entries
@@ -322,7 +317,6 @@ mod tests {
     #[test]
     fn fb2010_is_unnamed() {
         let mut v = fb2010();
-        assert!(v.is_unnamed());
         let mut rng = StdRng::seed_from_u64(22);
         let (name, fw) = v.sample(&mut rng, false);
         assert!(name.is_empty());

@@ -4,7 +4,6 @@
 use swim::prelude::*;
 use swim_core::access::{FileAccessStats, PathStage};
 use swim_core::burstiness::Burstiness;
-use swim_core::kmeans::{FeatureScaling, KMeansConfig};
 use swim_core::locality::LocalityStats;
 use swim_core::timeseries::HourlySeries;
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
@@ -109,11 +108,7 @@ fn full_analysis_of_every_workload_succeeds() {
         };
         let trace = gen(kind.clone(), scale, 3.0, 105);
         // Raw features and the 0.5 elbow, as Table 2 and swim-analyze cluster.
-        let raw = KMeansConfig {
-            scaling: FeatureScaling::Raw,
-            ..KMeansConfig::default()
-        };
-        let clusters = swim_core::KMeans::fit_with_elbow(&trace, 12, 0.5, raw).clusters;
+        let clusters = swim_core::KMeans::fit_with_elbow(&trace, 12, 0.5).clusters;
         let ctx = TraceContext::from_trace(kind.label(), trace);
         let report = Comparison::new(vec![ctx])
             .run()
