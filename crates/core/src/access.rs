@@ -2,7 +2,7 @@
 //! Zipf rank–frequency fit of Fig. 2, the jobs-vs-file-size and
 //! stored-bytes-vs-file-size CDFs of Figs. 3–4, and the 80-X rule.
 
-use crate::stats::{ols, Ecdf, Regression};
+use crate::stats::{ols, Regression};
 use std::collections::HashMap;
 use swim_trace::{DataSize, PathId, Trace};
 
@@ -82,37 +82,6 @@ impl FileAccessStats {
             .map(|(i, &f)| (((i + 1) as f64).ln(), (f as f64).ln()))
             .collect();
         ols(&pts)
-    }
-
-    /// CDF of jobs (accesses) against file size — Figs. 3–4, top panels.
-    /// Each access contributes one sample at its file's size.
-    pub fn jobs_by_file_size(&self) -> Ecdf {
-        let mut samples = Vec::with_capacity(self.total_accesses() as usize);
-        for &(size, count) in &self.file_sizes {
-            for _ in 0..count {
-                samples.push(size.as_f64());
-            }
-        }
-        Ecdf::new(samples)
-    }
-
-    /// CDF of stored bytes against file size — Figs. 3–4, bottom panels.
-    /// Returns `(file_size, cumulative_fraction_of_bytes)` points.
-    pub fn bytes_stored_by_file_size(&self) -> Vec<(f64, f64)> {
-        let mut sizes: Vec<DataSize> = self.file_sizes.iter().map(|&(s, _)| s).collect();
-        sizes.sort_unstable();
-        let total: f64 = sizes.iter().map(|s| s.as_f64()).sum();
-        if total == 0.0 {
-            return Vec::new();
-        }
-        let mut acc = 0.0;
-        sizes
-            .into_iter()
-            .map(|s| {
-                acc += s.as_f64();
-                (s.as_f64(), acc / total)
-            })
-            .collect()
     }
 
     /// The 80-X rule (§4.2): the percentage X of stored bytes reached by
@@ -248,24 +217,6 @@ mod tests {
             -s_true
         );
         assert!(fit.r_squared > 0.999);
-    }
-
-    #[test]
-    fn jobs_by_file_size_weights_by_accesses() {
-        let s = FileAccessStats::gather(&skewed_trace(), PathStage::Input);
-        let cdf = s.jobs_by_file_size();
-        // 8 of 11 accesses touch the 1 MB file.
-        assert!((cdf.cdf(DataSize::from_mb(1).as_f64()) - 8.0 / 11.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bytes_stored_cdf_reaches_one() {
-        let s = FileAccessStats::gather(&skewed_trace(), PathStage::Input);
-        let pts = s.bytes_stored_by_file_size();
-        assert_eq!(pts.len(), 3);
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
-        // The tiny hot file holds a negligible share of stored bytes.
-        assert!(pts[0].1 < 0.01);
     }
 
     #[test]

@@ -80,26 +80,6 @@ impl Ecdf {
     pub fn samples(&self) -> &[f64] {
         &self.sorted
     }
-
-    /// Evaluate the CDF at `n` log-spaced points spanning
-    /// `[max(min, floor), max]` — the paper's log-axis CDF plots. `floor`
-    /// guards against zero samples on a log axis (byte sizes of 0).
-    pub fn log_spaced_points(&self, n: usize, floor: f64) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "need at least two points");
-        assert!(floor > 0.0, "floor must be positive");
-        if self.sorted.is_empty() {
-            return Vec::new();
-        }
-        let lo = self.min().max(floor);
-        let hi = self.max().max(lo * (1.0 + 1e-12));
-        let (l0, l1) = (lo.log10(), hi.log10());
-        (0..n)
-            .map(|i| {
-                let x = 10f64.powf(l0 + (l1 - l0) * i as f64 / (n - 1) as f64);
-                (x, self.cdf(x))
-            })
-            .collect()
-    }
 }
 
 /// Descriptive statistics of a sample.
@@ -291,17 +271,6 @@ mod tests {
     #[should_panic(expected = "quantile of empty sample")]
     fn ecdf_empty_quantile_panics() {
         Ecdf::new(vec![]).quantile(0.5);
-    }
-
-    #[test]
-    fn log_spaced_points_cover_range() {
-        let e = Ecdf::new(vec![1.0, 10.0, 100.0, 1000.0]);
-        let pts = e.log_spaced_points(4, 1e-3);
-        assert_eq!(pts.len(), 4);
-        assert!((pts[0].0 - 1.0).abs() < 1e-9);
-        assert!((pts[3].0 - 1000.0).abs() < 1e-6);
-        assert!((pts[3].1 - 1.0).abs() < 1e-12);
-        assert!(pts.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]

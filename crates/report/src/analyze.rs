@@ -10,7 +10,11 @@
 //! matching the paper's call for "anonymized and aggregated metrics for
 //! workload comparisons offsite".
 
+use crate::battery::{
+    DIURNAL_MIN_SNR, ELBOW_MAX_K, ELBOW_THRESHOLD, LOCALITY_WINDOW_SECS, ZIPF_FIT_RANKS,
+};
 use crate::TraceContext;
+use swim_core::access::PathStage;
 use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
 use swim_core::kmeans::KMeans;
@@ -22,7 +26,7 @@ use swim_synth::sample::{sample_windows, SampleConfig};
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
 use swim_synth::validate::SynthesisReport;
 use swim_synth::ReplayPlan;
-use swim_trace::{DataSize, Trace};
+use swim_trace::{DataSize, Dur, PathId, Trace};
 
 /// Quantiles exported per data dimension.
 const EXPORT_QUANTILES: [f64; 7] = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
@@ -46,7 +50,7 @@ pub struct SharedMetrics {
     pub size_quantiles: Vec<(f64, f64, f64, f64)>,
     /// Zipf rank–frequency slope of input-file accesses, if paths present.
     pub input_zipf_slope: Option<f64>,
-    /// Fraction of re-accesses within six hours.
+    /// Fraction of re-accesses within the six-hour locality window.
     pub locality_within_6h: f64,
     /// Fraction of jobs re-accessing pre-existing data.
     pub frac_jobs_reaccessing: f64,
@@ -95,8 +99,11 @@ impl SharedMetrics {
                     )
                 })
                 .collect(),
-            input_zipf_slope: ctx.input_access()?.zipf_fit(Some(300)).map(|fit| fit.slope),
-            locality_within_6h: locality.fraction_within(6.0 * 3600.0),
+            input_zipf_slope: ctx
+                .access(PathStage::Input)?
+                .zipf_fit(Some(ZIPF_FIT_RANKS))
+                .map(|fit| fit.slope),
+            locality_within_6h: locality.fraction_within(LOCALITY_WINDOW_SECS as f64),
             frac_jobs_reaccessing: locality.frac_jobs_reaccessing(),
             peak_to_median: Burstiness::of(&hourly.task_seconds, &[]).map(|b| b.peak_to_median),
             correlations: (
@@ -104,9 +111,9 @@ impl SharedMetrics {
                 correlations.jobs_task_seconds,
                 correlations.bytes_task_seconds,
             ),
-            diurnal_detected: detect_diurnal(&hourly.jobs, 3.0).map(|d| d.detected),
-            // The 0.5 elbow, as Table 2 clusters.
-            job_types: KMeans::fit_with_elbow(trace, 12, 0.5)
+            diurnal_detected: detect_diurnal(&hourly.jobs, DIURNAL_MIN_SNR).map(|d| d.detected),
+            // Table 2's elbow.
+            job_types: KMeans::fit_with_elbow(trace, ELBOW_MAX_K, ELBOW_THRESHOLD)
                 .clusters
                 .iter()
                 .map(|c| {
@@ -185,8 +192,15 @@ pub struct SynthBundle {
     pub replay: ReplayPlan,
     /// HDFS pre-population plan.
     pub datagen: DataGenPlan,
-    /// KS validation of the synthesis against the source trace.
-    pub validation_worst_ks: f64,
+    /// KS validation of the sampled day against the source trace.
+    pub validation: SynthesisReport,
+    /// Submit span of the sampled day (the replay has one job per
+    /// sampled job, so `replay.len()` is the sampled job count).
+    pub sampled_span: Dur,
+    /// The file each replay job reads, for a cache simulation: the job's
+    /// first input path, or a private file of its own when it has none
+    /// (a shared placeholder would fabricate cache hits).
+    pub input_paths: Vec<PathId>,
 }
 
 impl SynthBundle {
@@ -229,17 +243,21 @@ impl SynthBundle {
                     ("block_size", Value::U64(self.datagen.block_size.bytes())),
                 ]),
             ),
-            ("validation_worst_ks", Value::F64(self.validation_worst_ks)),
+            ("validation_worst_ks", Value::F64(self.validation.worst())),
         ]);
         json::to_string(&doc)
     }
 }
 
 /// Run the SWIM synthesize path: sample one representative day, scale to
-/// `target_machines`, emit plans, and validate.
-pub fn synthesize_bundle(trace: &Trace, target_machines: u32, seed: u64) -> SynthBundle {
+/// `target_machines`, emit plans, and validate. `None` when the sampled
+/// day holds no job. Panics if `trace` is empty.
+pub fn synthesize_bundle(trace: &Trace, target_machines: u32, seed: u64) -> Option<SynthBundle> {
     let sampled = sample_windows(trace, SampleConfig::one_day_from_hours(seed));
-    let report = SynthesisReport::compare(trace, &sampled);
+    if sampled.is_empty() {
+        return None;
+    }
+    let validation = SynthesisReport::compare(trace, &sampled);
     let scaled = scale_trace(
         &sampled,
         ScaleConfig {
@@ -248,11 +266,22 @@ pub fn synthesize_bundle(trace: &Trace, target_machines: u32, seed: u64) -> Synt
             seed,
         },
     );
-    SynthBundle {
+    let input_paths = scaled
+        .jobs()
+        .iter()
+        .enumerate()
+        .map(|(i, j)| {
+            let private = PathId(1_000_000_000 + i as u64);
+            j.input_paths.first().copied().unwrap_or(private)
+        })
+        .collect();
+    Some(SynthBundle {
         replay: ReplayPlan::from_trace(&scaled),
         datagen: DataGenPlan::from_trace(&scaled, DataSize::from_mb(128)),
-        validation_worst_ks: report.worst(),
-    }
+        validation,
+        sampled_span: sampled.span(),
+        input_paths,
+    })
 }
 
 #[cfg(test)]
@@ -400,9 +429,10 @@ mod tests {
     #[test]
     fn bundle_synthesis_validates() {
         let trace = sample_trace();
-        let bundle = synthesize_bundle(&trace, 10, 5);
+        let bundle = synthesize_bundle(&trace, 10, 5).expect("a non-empty day");
         assert!(!bundle.replay.is_empty());
+        assert_eq!(bundle.input_paths.len(), bundle.replay.len());
         assert!(bundle.datagen.file_count() > 0);
-        assert!(bundle.validation_worst_ks <= 1.0);
+        assert!(bundle.validation.worst() <= 1.0);
     }
 }

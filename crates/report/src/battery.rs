@@ -1,15 +1,18 @@
 //! The per-trace experiment battery: every `fig*`/`table*` analysis of
-//! the paper, reduced to comparable per-trace measurements.
+//! the paper, reduced to typed per-trace measurements. This module is the
+//! one implementation of the paper's characterization: a battery cell is
+//! the only code that computes a figure's per-trace values.
 //!
-//! This module answers the cross-trace question: *given any N traces, how
-//! do they compare on each analysis?* `swim-repro`'s experiment modules
-//! read the same [`TraceContext`] values for the calibrated seven-workload
-//! corpus and set the paper's values alongside; there is one per-trace
-//! analysis state, not two. Each battery entry maps one trace to an
-//! [`ExperimentResult`] — named
-//! scalar metrics, optionally with hourly series for sparklines — and the
-//! [`crate::compare`] pipeline fans the battery across traces in parallel
-//! and assembles one trace×metric table per experiment.
+//! Two front ends read the cells. The [`crate::compare`] pipeline fans
+//! the battery across any N traces in parallel and assembles one
+//! trace×metric table per experiment (`swim-report`). Each
+//! [`crate::experiments`] module runs its cell on the seven-workload
+//! corpus and lays the cells' [`Value`]s out beside the paper's
+//! reference values and the cross-workload aggregates (`swim-repro`).
+//! So a cell reports every per-trace value its repro section prints, and
+//! every analysis parameter (the constants below) has one owner.
+//! Each battery entry maps one trace to an [`ExperimentResult`] — named
+//! scalar metrics, optionally with hourly series for sparklines.
 //!
 //! Traces are wrapped in a [`TraceContext`], which reads every input the
 //! same way — as an ordered list of `swim-store` stores: a `.swim` file,
@@ -26,20 +29,104 @@ use swim_core::access::{FileAccessStats, PathStage};
 use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
 use swim_core::locality::LocalityStats;
-use swim_core::names::NameAnalysis;
+use swim_core::names::{NameAnalysis, Weighting};
 use swim_core::stats::Ecdf;
 use swim_core::timeseries::HourlySeries;
 use swim_core::KMeans;
 use swim_sim::{SimConfig, Simulator};
 use swim_store::{Store, StoreError, StoreOptions};
-use swim_synth::sample::{sample_windows, SampleConfig};
-use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
-use swim_synth::validate::SynthesisReport;
-use swim_synth::ReplayPlan;
 use swim_trace::time::WEEK;
-use swim_trace::{Dur, Timestamp, Trace, TraceSummary};
+use swim_trace::{DataSize, Dur, Timestamp, Trace, TraceSummary};
 
+use crate::analyze::synthesize_bundle;
 use crate::render::{bytes, pct, ratio};
+
+/// Table 2's elbow search: the largest k tried.
+pub const ELBOW_MAX_K: usize = 12;
+
+/// Table 2's elbow threshold. Raw-space inertia is dominated by the heavy
+/// right tails of the byte dimensions, where even splits of a single
+/// log-normal blob keep paying ≈40 % per extra centroid; 0.5 stops once a
+/// split no longer halves the residual. Raw distance is what isolates
+/// the tiny huge-data clusters that matter.
+pub const ELBOW_THRESHOLD: f64 = 0.5;
+
+/// Ranks in Fig. 2's Zipf fit: the head of the rank distribution (the
+/// published log-log lines are visually dominated by the first couple of
+/// decades of ranks).
+pub const ZIPF_FIT_RANKS: usize = 300;
+
+/// The paper's temporal-locality window (§4.3: ≈75 % of re-accesses fall
+/// within six hours), in seconds.
+pub const LOCALITY_WINDOW_SECS: u64 = 6 * 3_600;
+
+/// SNR above which Fig. 7's 24-hour bin counts as a daily cycle.
+pub const DIURNAL_MIN_SNR: f64 = 3.0;
+
+/// Seed of the `swim` cell's one-day window sample.
+pub const SWIM_SAMPLE_SEED: u64 = 7;
+
+/// Target cluster size for the `swim` cell's replay (the §7 default).
+pub const SWIM_TARGET_NODES: u32 = 20;
+
+/// Fig. 1's stages, in a job's feature-vector order.
+pub const SIZE_STAGES: [&str; 3] = ["input", "shuffle", "output"];
+
+/// Fig. 1's per-job size percentiles: column `input p10` holds the input
+/// sizes' 10th percentile.
+pub const SIZE_PERCENTILES: [u32; 5] = [10, 25, 50, 75, 90];
+
+/// Fig. 2's stages, each with the prefix of its `distinct files`,
+/// `accesses`, `zipf slope` and `fit R²` columns.
+pub const ZIPF_STAGES: [(PathStage, &str); 2] =
+    [(PathStage::Input, ""), (PathStage::Output, "output ")];
+
+/// Figs. 3–4's file-size thresholds in GB: columns `jobs < N GB` and
+/// `bytes < N GB` each.
+pub const SIZE_THRESHOLDS_GB: [u64; 4] = [1, 4, 16, 64];
+
+/// Fig. 5's panels: inputs re-read, and outputs re-read as inputs. Each
+/// has a `<panel> re-accesses` count column.
+pub const REACCESS_PANELS: [&str; 2] = ["input→input", "output→input"];
+
+/// Fig. 5's re-access interval thresholds in seconds, each with its
+/// column suffix (column `input→input ≤1 hr` holds a fraction).
+pub const REACCESS_THRESHOLDS: [(u64, &str); 4] = [
+    (60, "1 min"),
+    (3_600, "1 hr"),
+    (LOCALITY_WINDOW_SECS, "6 hrs"),
+    (60 * 3_600, "60 hrs"),
+];
+
+/// Fig. 8's signals: hourly task-time, then hourly submissions. Each has
+/// a `<signal> pN` column per [`BURSTINESS_PERCENTILES`] entry and a
+/// `<signal> peak:median` one.
+pub const BURSTINESS_SIGNALS: [&str; 2] = ["task-time", "submissions"];
+
+/// Fig. 8's percentiles of an hourly signal, as ratios to its median.
+pub const BURSTINESS_PERCENTILES: [f64; 6] = [5.0, 25.0, 50.0, 75.0, 90.0, 99.0];
+
+/// How many top words Fig. 10 reports per weighting.
+pub const TOP_WORDS: usize = 5;
+
+/// Fig. 10's weightings, each with its top-words column.
+pub const TOP_WORDS_COLUMNS: [(Weighting, &str); 3] = [
+    (Weighting::Jobs, "by jobs"),
+    (Weighting::Bytes, "by bytes"),
+    (Weighting::TaskTime, "by task-time"),
+];
+
+/// The `swim` cell's validated dimensions, in
+/// [`swim_synth::validate::SynthesisReport`] field order: one
+/// `<dimension> KS` column each.
+pub const KS_DIMENSIONS: [&str; 6] = [
+    "input",
+    "shuffle",
+    "output",
+    "duration",
+    "task-time",
+    "inter-arrival",
+];
 
 /// One measured value, tagged with how it should render.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +137,8 @@ pub enum Value {
     Bytes(f64),
     /// A duration in seconds (rendered `{:.0} s`).
     Seconds(f64),
+    /// A span of time (rendered like `2 days 3 hrs`).
+    Span(Dur),
     /// A fraction in `[0, 1]` (rendered as a percentage).
     Fraction(f64),
     /// A peak-to-median style ratio (rendered `N:1`).
@@ -61,6 +150,21 @@ pub enum Value {
 }
 
 impl Value {
+    /// The numeric value (a count as `f64`, a span in seconds); `None`
+    /// for text.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Count(n) => Some(*n as f64),
+            Value::Span(d) => Some(d.secs() as f64),
+            Value::Bytes(x)
+            | Value::Seconds(x)
+            | Value::Fraction(x)
+            | Value::Ratio(x)
+            | Value::Number(x) => Some(*x),
+            Value::Text(_) => None,
+        }
+    }
+
     /// Render for a comparison-table cell. Non-finite numerics render as
     /// `-` (the "not measurable" cell).
     pub fn render(&self) -> String {
@@ -68,6 +172,7 @@ impl Value {
             Value::Count(n) => n.to_string(),
             Value::Bytes(b) if b.is_finite() => bytes(*b),
             Value::Seconds(s) if s.is_finite() => format!("{s:.0} s"),
+            Value::Span(d) => d.to_string(),
             Value::Fraction(f) if f.is_finite() => pct(*f),
             Value::Ratio(r) if r.is_finite() => ratio(*r),
             Value::Number(x) if x.is_finite() => format!("{x:.2}"),
@@ -81,15 +186,18 @@ impl Value {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// Column name in the comparison table.
-    pub name: &'static str,
+    pub name: String,
     /// The measured value.
     pub value: Value,
 }
 
 impl Metric {
     /// Construct a metric.
-    pub fn new(name: &'static str, value: Value) -> Metric {
-        Metric { name, value }
+    pub fn new(name: impl Into<String>, value: Value) -> Metric {
+        Metric {
+            name: name.into(),
+            value,
+        }
     }
 }
 
@@ -137,6 +245,33 @@ impl ExperimentResult {
             _ => &[],
         }
     }
+
+    /// `true` iff the experiment did not apply to the trace.
+    pub fn is_skipped(&self) -> bool {
+        matches!(self, ExperimentResult::Skipped(_))
+    }
+
+    /// The value of metric `name`, if the result has it.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        let metric = self.metrics().iter().find(|m| m.name == name);
+        metric.map(|m| &m.value)
+    }
+
+    /// Numeric metric `name` (see [`Value::as_f64`]). Panics if the
+    /// result has no such metric or it is text.
+    pub fn number(&self, name: &str) -> f64 {
+        let number = self.get(name).and_then(Value::as_f64);
+        number.unwrap_or_else(|| panic!("no numeric metric {name:?} in {self:?}"))
+    }
+
+    /// Metric `name` rendered as in a comparison table. Panics if the
+    /// result has no such metric.
+    pub fn render(&self, name: &str) -> String {
+        let value = self.get(name);
+        value
+            .unwrap_or_else(|| panic!("no metric {name:?} in {self:?}"))
+            .render()
+    }
 }
 
 /// One input trace plus cached derived data, shared (immutably) by every
@@ -157,8 +292,8 @@ pub struct TraceContext {
     // recomputation is an O(jobs) pass.
     hourly: Cached<HourlySeries>,
     locality: Cached<LocalityStats>,
-    input_access: Cached<FileAccessStats>,
-    output_access: Cached<FileAccessStats>,
+    /// File access statistics, input stage then output stage.
+    access: [Cached<FileAccessStats>; 2],
 }
 
 /// A value derived from the stores at most once — or the reason it
@@ -180,8 +315,7 @@ impl TraceContext {
             weekly: OnceLock::new(),
             hourly: OnceLock::new(),
             locality: OnceLock::new(),
-            input_access: OnceLock::new(),
-            output_access: OnceLock::new(),
+            access: [OnceLock::new(), OnceLock::new()],
         }
     }
 
@@ -297,23 +431,20 @@ impl TraceContext {
         cached(&self.locality, || Ok(LocalityStats::gather(self.trace()?)))
     }
 
-    /// Input-stage file access statistics (fig2, fig3), computed once.
-    pub fn input_access(&self) -> Result<&FileAccessStats, String> {
-        cached(&self.input_access, || {
-            Ok(FileAccessStats::gather(self.trace()?, PathStage::Input))
-        })
-    }
-
-    /// Output-stage file access statistics (fig2, fig4), computed once.
-    pub fn output_access(&self) -> Result<&FileAccessStats, String> {
-        cached(&self.output_access, || {
-            Ok(FileAccessStats::gather(self.trace()?, PathStage::Output))
-        })
+    /// File access statistics of one stage's paths (fig2, and fig3 for
+    /// inputs, fig4 for outputs), computed once.
+    pub fn access(&self, stage: PathStage) -> Result<&FileAccessStats, String> {
+        let cell = match stage {
+            PathStage::Input => &self.access[0],
+            PathStage::Output => &self.access[1],
+        };
+        cached(cell, || Ok(FileAccessStats::gather(self.trace()?, stage)))
     }
 }
 
 /// One battery entry: an experiment id, a section title for the
 /// comparison report, and the per-trace measurement.
+#[derive(Clone, Copy)]
 pub struct CompareExperiment {
     /// Experiment id (`table1`, `fig1` … `fig10`, `table2`, `swim`).
     pub id: &'static str,
@@ -394,15 +525,17 @@ pub const BATTERY: [CompareExperiment; 13] = [
     },
 ];
 
-/// Target cluster size for the `swim` battery replay (the §7 default).
-pub const SWIM_TARGET_NODES: u32 = 20;
+/// The battery entry with experiment id `id`.
+pub fn experiment(id: &str) -> Option<CompareExperiment> {
+    BATTERY.iter().find(|e| e.id == id).copied()
+}
 
 fn table1(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     let s = ctx.summary();
     Ok(ExperimentResult::Metrics(vec![
         Metric::new("workload", Value::Text(s.workload.clone())),
         Metric::new("machines", Value::Count(s.machines as u64)),
-        Metric::new("length", Value::Text(s.length.to_string())),
+        Metric::new("length", Value::Span(s.length)),
         Metric::new("jobs", Value::Count(s.jobs as u64)),
         Metric::new("bytes moved", Value::Bytes(s.bytes_moved.as_f64())),
     ]))
@@ -413,71 +546,60 @@ fn fig1(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     if jobs.is_empty() {
         return Ok(ExperimentResult::Skipped("trace has no jobs"));
     }
-    let dim = |pick: fn(&swim_trace::Job) -> f64| Ecdf::new(jobs.iter().map(pick).collect());
-    let input = dim(|j| j.input.as_f64());
-    let shuffle = dim(|j| j.shuffle.as_f64());
-    let output = dim(|j| j.output.as_f64());
-    Ok(ExperimentResult::Metrics(vec![
-        Metric::new("input p50", Value::Bytes(input.median())),
-        Metric::new("input p90", Value::Bytes(input.quantile(0.9))),
-        Metric::new("shuffle p50", Value::Bytes(shuffle.median())),
-        Metric::new("shuffle p90", Value::Bytes(shuffle.quantile(0.9))),
-        Metric::new("output p50", Value::Bytes(output.median())),
-        Metric::new("output p90", Value::Bytes(output.quantile(0.9))),
-    ]))
+    let mut metrics = Vec::new();
+    for (i, stage) in SIZE_STAGES.iter().enumerate() {
+        let ecdf = Ecdf::new(jobs.iter().map(|j| j.feature_vector()[i]).collect());
+        for p in SIZE_PERCENTILES {
+            let value = Value::Bytes(ecdf.quantile(p as f64 / 100.0));
+            metrics.push(Metric::new(format!("{stage} p{p}"), value));
+        }
+    }
+    Ok(ExperimentResult::Metrics(metrics))
 }
 
 fn fig2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
-    let stats = ctx.input_access()?;
-    let Some(fit) = stats.zipf_fit(Some(300)) else {
+    let mut metrics = Vec::new();
+    for (stage, prefix) in ZIPF_STAGES {
+        let stats = ctx.access(stage)?;
+        if let Some(fit) = stats.zipf_fit(Some(ZIPF_FIT_RANKS)) {
+            let stage_metrics = [
+                (
+                    "distinct files",
+                    Value::Count(stats.distinct_files() as u64),
+                ),
+                ("accesses", Value::Count(stats.total_accesses())),
+                ("zipf slope", Value::Number(fit.slope)),
+                ("fit R²", Value::Number(fit.r_squared)),
+            ];
+            let named = |(name, value)| Metric::new(format!("{prefix}{name}"), value);
+            metrics.extend(stage_metrics.map(named));
+        }
+    }
+    if metrics.is_empty() {
         return Ok(ExperimentResult::Skipped("no input path information"));
-    };
-    Ok(ExperimentResult::Metrics(vec![
-        Metric::new(
-            "distinct files",
-            Value::Count(stats.distinct_files() as u64),
-        ),
-        Metric::new("accesses", Value::Count(stats.total_accesses())),
-        Metric::new("zipf slope", Value::Number(fit.slope)),
-        Metric::new("fit R²", Value::Number(fit.r_squared)),
-    ]))
+    }
+    Ok(ExperimentResult::Metrics(metrics))
 }
 
 fn size_thresholds(ctx: &TraceContext, stage: PathStage) -> Result<ExperimentResult, String> {
-    let stats = match stage {
-        PathStage::Input => ctx.input_access()?,
-        PathStage::Output => ctx.output_access()?,
-    };
+    let stats = ctx.access(stage)?;
     if stats.distinct_files() == 0 {
         return Ok(ExperimentResult::Skipped(match stage {
             PathStage::Input => "no input path information",
             PathStage::Output => "no output path information",
         }));
     }
-    let gb = swim_trace::DataSize::from_gb(1);
-    let gb16 = swim_trace::DataSize::from_gb(16);
-    Ok(ExperimentResult::Metrics(vec![
-        Metric::new(
-            "jobs < 1 GB",
-            Value::Fraction(stats.access_fraction_below(gb)),
-        ),
-        Metric::new(
-            "bytes < 1 GB",
-            Value::Fraction(stats.bytes_fraction_below(gb)),
-        ),
-        Metric::new(
-            "jobs < 16 GB",
-            Value::Fraction(stats.access_fraction_below(gb16)),
-        ),
-        Metric::new(
-            "bytes < 16 GB",
-            Value::Fraction(stats.bytes_fraction_below(gb16)),
-        ),
-        Metric::new(
-            "80-X rule",
-            Value::Number(stats.eighty_x_rule(0.8).unwrap_or(f64::NAN)),
-        ),
-    ]))
+    let mut metrics = Vec::new();
+    for gb in SIZE_THRESHOLDS_GB {
+        let size = DataSize::from_gb(gb);
+        let jobs = Value::Fraction(stats.access_fraction_below(size));
+        metrics.push(Metric::new(format!("jobs < {gb} GB"), jobs));
+        let bytes = Value::Fraction(stats.bytes_fraction_below(size));
+        metrics.push(Metric::new(format!("bytes < {gb} GB"), bytes));
+    }
+    let x = stats.eighty_x_rule(0.8).unwrap_or(f64::NAN);
+    metrics.push(Metric::new("80-X rule", Value::Number(x)));
+    Ok(ExperimentResult::Metrics(metrics))
 }
 
 fn fig3(ctx: &TraceContext) -> Result<ExperimentResult, String> {
@@ -490,18 +612,28 @@ fn fig4(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 
 fn fig5(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     let loc = ctx.locality()?;
-    let n = loc.input_input_intervals.len() + loc.output_input_intervals.len();
+    let panels = [&loc.input_input_intervals, &loc.output_input_intervals];
+    let n: usize = panels.iter().map(|intervals| intervals.len()).sum();
     if n == 0 {
         return Ok(ExperimentResult::Skipped("no re-accesses observable"));
     }
-    Ok(ExperimentResult::Metrics(vec![
+    let window = LOCALITY_WINDOW_SECS as f64;
+    let mut metrics = vec![
         Metric::new("re-accesses", Value::Count(n as u64)),
         Metric::new("within 1 hr", Value::Fraction(loc.fraction_within(3_600.0))),
-        Metric::new(
-            "within 6 hrs",
-            Value::Fraction(loc.fraction_within(6.0 * 3_600.0)),
-        ),
-    ]))
+        Metric::new("within 6 hrs", Value::Fraction(loc.fraction_within(window))),
+    ];
+    for (panel, intervals) in REACCESS_PANELS.into_iter().zip(panels) {
+        let count = Value::Count(intervals.len() as u64);
+        metrics.push(Metric::new(format!("{panel} re-accesses"), count));
+        for (secs, column) in REACCESS_THRESHOLDS {
+            let within = intervals.iter().filter(|&&x| x <= secs as f64).count();
+            // An empty panel's fractions are NaN: not measurable.
+            let fraction = Value::Fraction(within as f64 / intervals.len() as f64);
+            metrics.push(Metric::new(format!("{panel} ≤{column}"), fraction));
+        }
+    }
+    Ok(ExperimentResult::Metrics(metrics))
 }
 
 fn fig6(ctx: &TraceContext) -> Result<ExperimentResult, String> {
@@ -530,7 +662,7 @@ fn fig7(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     if series.is_empty() {
         return Ok(ExperimentResult::Skipped("trace has no jobs"));
     }
-    let diurnal = detect_diurnal(&series.jobs, 3.0);
+    let diurnal = detect_diurnal(&series.jobs, DIURNAL_MIN_SNR);
     Ok(ExperimentResult::Series {
         metrics: vec![
             Metric::new(
@@ -565,15 +697,24 @@ fn fig7(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 
 fn fig8(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     let series = ctx.hourly()?;
-    let task = Burstiness::of(&series.task_seconds, &[]);
-    let jobs = Burstiness::of(&series.jobs, &[]);
-    Ok(match (task, jobs) {
-        (Some(task), Some(jobs)) => ExperimentResult::Metrics(vec![
-            Metric::new("task-time peak:median", Value::Ratio(task.peak_to_median)),
-            Metric::new("submissions peak:median", Value::Ratio(jobs.peak_to_median)),
-        ]),
-        _ => ExperimentResult::Skipped("hourly signal is empty or all-zero"),
-    })
+    let mut metrics = Vec::new();
+    let signals = [&series.task_seconds, &series.jobs];
+    for (name, signal) in BURSTINESS_SIGNALS.into_iter().zip(signals) {
+        if let Some(b) = Burstiness::of(signal, &BURSTINESS_PERCENTILES) {
+            for p in &b.points {
+                let column = format!("{name} p{}", p.percentile);
+                metrics.push(Metric::new(column, Value::Number(p.ratio)));
+            }
+            let peak = Value::Ratio(b.peak_to_median);
+            metrics.push(Metric::new(format!("{name} peak:median"), peak));
+        }
+    }
+    if metrics.is_empty() {
+        return Ok(ExperimentResult::Skipped(
+            "hourly signal is empty or all-zero",
+        ));
+    }
+    Ok(ExperimentResult::Metrics(metrics))
 }
 
 fn fig9(ctx: &TraceContext) -> Result<ExperimentResult, String> {
@@ -595,13 +736,13 @@ fn fig10(ctx: &TraceContext) -> Result<ExperimentResult, String> {
         return Ok(ExperimentResult::Skipped("trace carries no job names"));
     }
     let top = analysis
-        .sorted_by(swim_core::names::Weighting::Jobs)
+        .sorted_by(Weighting::Jobs)
         .into_iter()
         .next()
         .expect("has_names implies at least one group");
     let shares = analysis.framework_shares();
     let top2: f64 = shares.iter().take(2).map(|s| s.jobs).sum();
-    Ok(ExperimentResult::Metrics(vec![
+    let mut metrics = vec![
         Metric::new("top word", Value::Text(top.word.clone())),
         Metric::new(
             "top word share",
@@ -609,10 +750,33 @@ fn fig10(ctx: &TraceContext) -> Result<ExperimentResult, String> {
         ),
         Metric::new(
             "top-5 words cover",
-            Value::Fraction(analysis.top_k_job_share(5)),
+            Value::Fraction(analysis.top_k_job_share(TOP_WORDS)),
         ),
         Metric::new("top-2 frameworks", Value::Fraction(top2)),
-    ]))
+    ];
+    // Each weighting's top words, as `word share` items.
+    for (weighting, column) in TOP_WORDS_COLUMNS {
+        let weight = |jobs: u64, bytes: f64, task_seconds: f64| match weighting {
+            Weighting::Jobs => jobs as f64,
+            Weighting::Bytes => bytes,
+            Weighting::TaskTime => task_seconds,
+        };
+        let a = &analysis;
+        let total = weight(a.total_jobs, a.total_bytes, a.total_task_seconds).max(1.0);
+        let groups = analysis.sorted_by(weighting);
+        let words = groups.iter().take(TOP_WORDS).map(|g| {
+            let share = weight(g.jobs, g.bytes, g.task_seconds) / total;
+            format!("{} {}", g.word, pct(share))
+        });
+        let words = Value::Text(words.collect::<Vec<_>>().join(", "));
+        metrics.push(Metric::new(column, words));
+    }
+    let frameworks = shares
+        .iter()
+        .map(|s| format!("{} {}", s.framework, pct(s.jobs)));
+    let frameworks = Value::Text(frameworks.collect::<Vec<_>>().join(", "));
+    metrics.push(Metric::new("frameworks", frameworks));
+    Ok(ExperimentResult::Metrics(metrics))
 }
 
 fn table2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
@@ -620,9 +784,7 @@ fn table2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     if trace.len() < 10 {
         return Ok(ExperimentResult::Skipped("too few jobs to cluster"));
     }
-    // Raw feature space and the 0.5 elbow, as in the Table 2 reproduction:
-    // raw distance isolates the tiny huge-data clusters that matter.
-    let model = KMeans::fit_with_elbow(trace, 8, 0.5);
+    let model = KMeans::fit_with_elbow(trace, ELBOW_MAX_K, ELBOW_THRESHOLD);
     let total: u64 = model.clusters.iter().map(|c| c.count).sum();
     let dominant = &model.clusters[0];
     Ok(ExperimentResult::Metrics(vec![
@@ -643,31 +805,36 @@ fn swim(ctx: &TraceContext) -> Result<ExperimentResult, String> {
             "too few jobs to sample a synthetic day",
         ));
     }
-    let sampled = sample_windows(trace, SampleConfig::one_day_from_hours(7));
-    if sampled.is_empty() {
+    let Some(bundle) = synthesize_bundle(trace, SWIM_TARGET_NODES, SWIM_SAMPLE_SEED) else {
         return Ok(ExperimentResult::Skipped("sampled day is empty"));
+    };
+    let (plan, datagen, ks) = (&bundle.replay, &bundle.datagen, &bundle.validation);
+    let result = Simulator::new(SimConfig::new(SWIM_TARGET_NODES)).run(plan, None);
+    let mut metrics = vec![
+        Metric::new("sampled jobs", Value::Count(plan.len() as u64)),
+        Metric::new("sampled span", Value::Span(bundle.sampled_span)),
+    ];
+    for (dimension, d) in KS_DIMENSIONS.into_iter().zip(ks.distances()) {
+        metrics.push(Metric::new(format!("{dimension} KS"), Value::Number(d)));
     }
-    let report = SynthesisReport::compare(trace, &sampled);
-    let scaled = scale_trace(
-        &sampled,
-        ScaleConfig {
-            target_machines: SWIM_TARGET_NODES,
-            mode: ScaleMode::DataSize,
-            seed: 0,
-        },
-    );
-    let plan = ReplayPlan::from_trace(&scaled);
-    let result = Simulator::new(SimConfig::new(SWIM_TARGET_NODES)).run(&plan, None);
-    Ok(ExperimentResult::Metrics(vec![
-        Metric::new("sampled jobs", Value::Count(sampled.len() as u64)),
-        Metric::new("worst KS", Value::Number(report.worst())),
+    metrics.extend([
+        Metric::new("worst KS", Value::Number(ks.worst())),
+        Metric::new("bytes to move", Value::Bytes(plan.total_bytes().as_f64())),
+        Metric::new("datagen files", Value::Count(datagen.file_count() as u64)),
+        Metric::new(
+            "datagen bytes",
+            Value::Bytes(datagen.total_bytes().as_f64()),
+        ),
+        Metric::new("datagen blocks", Value::Count(datagen.total_blocks())),
+        Metric::new("schedule length", Value::Span(plan.schedule_length())),
         Metric::new("makespan", Value::Text(result.makespan.to_string())),
         Metric::new("median latency", Value::Seconds(result.median_latency())),
         Metric::new(
             "mean queue delay",
             Value::Seconds(result.mean_queue_delay()),
         ),
-    ]))
+    ]);
+    Ok(ExperimentResult::Metrics(metrics))
 }
 
 #[cfg(test)]

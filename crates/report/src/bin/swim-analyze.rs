@@ -286,12 +286,15 @@ fn run() -> ExitCode {
         eprintln!("wrote anonymized metrics to {path}");
     }
     if let Some(nodes) = args.synthesize {
-        let bundle = synthesize_bundle(trace, nodes, 17);
+        let Some(bundle) = synthesize_bundle(trace, nodes, 17) else {
+            eprintln!("error: the sampled day holds no job; nothing to synthesize");
+            return ExitCode::FAILURE;
+        };
         eprintln!(
             "synthesized bundle: {} replay jobs, {} files to pre-populate, worst KS {:.3}",
             bundle.replay.len(),
             bundle.datagen.file_count(),
-            bundle.validation_worst_ks
+            bundle.validation.worst()
         );
         if let Some(path) = &args.bundle {
             if let Err(e) = std::fs::write(path, bundle.to_json()) {

@@ -11,7 +11,7 @@
 //! never affect the output: a parallel run is bit-identical to a serial
 //! one, and the rendered document is deterministic across runs.
 
-use crate::battery::{ExperimentResult, TraceContext, BATTERY};
+use crate::battery::{ExperimentResult, TraceContext, Value, BATTERY};
 use crate::doc::{Block, Report, Section};
 use crate::render::Table;
 
@@ -78,11 +78,11 @@ impl Comparison {
         let mut section = Section::new(title);
 
         // Column union in first-appearance order across traces.
-        let mut columns: Vec<&'static str> = Vec::new();
+        let mut columns: Vec<&str> = Vec::new();
         for result in row {
             for metric in result.metrics() {
-                if !columns.contains(&metric.name) {
-                    columns.push(metric.name);
+                if !columns.contains(&metric.name.as_str()) {
+                    columns.push(&metric.name);
                 }
             }
         }
@@ -92,20 +92,16 @@ impl Comparison {
             header.extend(columns.iter().map(|c| (*c).to_owned()));
             let mut table = Table::new(header);
             for (ctx, result) in self.contexts.iter().zip(row) {
-                if matches!(result, ExperimentResult::Skipped(_)) {
+                if result.is_skipped() {
                     continue;
                 }
                 let mut cells = vec![ctx.label().to_owned()];
-                for col in &columns {
-                    cells.push(
-                        result
-                            .metrics()
-                            .iter()
-                            .find(|m| m.name == *col)
-                            .map(|m| m.value.render())
-                            .unwrap_or_else(|| "-".to_owned()),
-                    );
-                }
+                let shown = |col| {
+                    result
+                        .get(col)
+                        .map_or_else(|| "-".to_owned(), Value::render)
+                };
+                cells.extend(columns.iter().map(|col| shown(col)));
                 table.row(cells);
             }
             section.table(table);

@@ -5,13 +5,14 @@
 //! at full published job rates. Every report prints the scale it ran at.
 //!
 //! Each trace sits behind a [`TraceContext`], the same per-trace analysis
-//! state the comparison battery reads, so an analysis several figures
-//! share (hourly series, locality, file access) is computed once.
+//! state the comparison battery reads, and the experiments measure it by
+//! running the battery's cells ([`Corpus::cells`]), so an analysis
+//! several figures share (hourly series, locality, file access) is
+//! computed once.
 
+use crate::battery::{experiment, ExperimentResult};
 use crate::TraceContext;
-use swim_core::access::{FileAccessStats, PathStage};
 use swim_trace::trace::WorkloadKind;
-use swim_trace::Trace;
 use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 /// How big a corpus to build.
@@ -57,14 +58,6 @@ pub(crate) fn in_memory<T>(value: Result<T, String>) -> T {
     value.expect("corpus traces are held in memory")
 }
 
-/// A corpus trace's file access statistics for one stage (Figs. 2–4).
-pub(crate) fn access(ctx: &TraceContext, stage: PathStage) -> &FileAccessStats {
-    in_memory(match stage {
-        PathStage::Input => ctx.input_access(),
-        PathStage::Output => ctx.output_access(),
-    })
-}
-
 impl Corpus {
     /// Build the corpus, generating the seven workloads in parallel.
     pub fn build(scale: CorpusScale, seed: u64) -> Corpus {
@@ -88,11 +81,6 @@ impl Corpus {
         }
     }
 
-    /// The traces, in Table 1 order.
-    pub fn traces(&self) -> impl Iterator<Item = &Trace> {
-        self.contexts.iter().map(|c| in_memory(c.trace()))
-    }
-
     /// Context for a given workload.
     pub fn get(&self, kind: &WorkloadKind) -> &TraceContext {
         self.contexts
@@ -101,12 +89,20 @@ impl Corpus {
             .expect("paper workload present in corpus")
     }
 
-    /// The traces with paths at `stage`, in Table 1 order: input paths on
-    /// CC-b..CC-e and FB-2010, output paths on the four Cloudera traces
-    /// CC-b..CC-e only (the subset Figs. 2 (output) and 4 can use).
-    pub fn with_paths(&self, stage: PathStage) -> Vec<&TraceContext> {
-        let has_paths = |c: &&TraceContext| access(c, stage).distinct_files() > 0;
-        self.contexts.iter().filter(has_paths).collect()
+    /// Run battery cell `id` on every trace, in Table 1 order; the traces
+    /// are measured in parallel. Panics if `id` names no battery cell.
+    pub fn cells(&self, id: &str) -> Vec<(&TraceContext, ExperimentResult)> {
+        let run = experiment(id).expect("a battery cell").run;
+        let results = swim_obs::par_map(self.contexts.len(), swim_obs::cores(), |i| {
+            in_memory(run(&self.contexts[i]))
+        });
+        self.contexts.iter().zip(results).collect()
+    }
+
+    /// Run battery cell `id` on the trace of one workload.
+    pub fn cell(&self, id: &str, kind: &WorkloadKind) -> ExperimentResult {
+        let run = experiment(id).expect("a battery cell").run;
+        in_memory(run(self.get(kind)))
     }
 }
 
@@ -128,7 +124,7 @@ mod tests {
     fn quick_corpus_builds_all_seven() {
         let c = Corpus::build(CorpusScale::Quick, 1);
         assert_eq!(c.contexts.len(), 7);
-        for t in c.traces() {
+        for t in c.contexts.iter().map(|ctx| in_memory(ctx.trace())) {
             assert!(!t.is_empty(), "{} is empty", t.kind);
         }
     }
@@ -136,17 +132,15 @@ mod tests {
     #[test]
     fn path_subsets_match_availability_matrix() {
         let c = Corpus::build(CorpusScale::Quick, 2);
-        let labels = |stage| {
-            c.with_paths(stage)
-                .iter()
-                .map(|t| t.label())
-                .collect::<Vec<_>>()
+        // Fig. 3 measures input paths and Fig. 4 output paths; each skips
+        // a trace without them.
+        let labels = |id| {
+            let cells = c.cells(id);
+            let measured = cells.into_iter().filter(|(_, r)| !r.is_skipped());
+            measured.map(|(ctx, _)| ctx.label()).collect::<Vec<_>>()
         };
-        assert_eq!(
-            labels(PathStage::Output),
-            vec!["CC-b", "CC-c", "CC-d", "CC-e"]
-        );
-        let with_in = labels(PathStage::Input);
+        assert_eq!(labels("fig4"), vec!["CC-b", "CC-c", "CC-d", "CC-e"]);
+        let with_in = labels("fig3");
         assert_eq!(with_in, vec!["CC-b", "CC-c", "CC-d", "CC-e", "FB-2010"]);
     }
 
@@ -154,8 +148,8 @@ mod tests {
     fn corpus_is_deterministic() {
         let a = Corpus::build(CorpusScale::Quick, 3);
         let b = Corpus::build(CorpusScale::Quick, 3);
-        for (x, y) in a.traces().zip(b.traces()) {
-            assert_eq!(x, y);
+        for (x, y) in a.contexts.iter().zip(&b.contexts) {
+            assert_eq!(x.trace(), y.trace());
         }
     }
 

@@ -5,13 +5,10 @@
 //! magnitude respectively, and most jobs move MB–GB per stage (so
 //! TB-scale microbenchmarks cover only a narrow slice).
 
-use crate::render::{bytes, Table};
+use crate::battery::{SIZE_PERCENTILES, SIZE_STAGES};
+use crate::render::Table;
 use crate::Corpus;
 use crate::Section;
-use swim_core::stats::Ecdf;
-
-/// Quantiles printed per stage.
-const QS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
 
 /// Orders of magnitude spanned by the across-workload medians of a stage.
 /// Zero medians are ignored (map-only workload shuffle medians).
@@ -29,24 +26,21 @@ pub fn median_span_orders(medians: &[f64]) -> f64 {
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section =
         Section::new("Figure 1: Per-job input, shuffle, and output size distributions");
+    let cells = corpus.cells("fig1");
+    let measured = || cells.iter().filter(|(_, r)| !r.is_skipped());
     let mut spans = Vec::new();
-    // A job's feature vector starts with its input, shuffle and output sizes.
-    for (idx, stage) in ["input", "shuffle", "output"].into_iter().enumerate() {
-        let mut table = Table::new(vec!["Workload", "p10", "p25", "p50", "p75", "p90"]);
-        let mut medians = Vec::new();
-        for trace in corpus.traces() {
-            let ecdf = Ecdf::new(
-                trace
-                    .jobs()
-                    .iter()
-                    .map(|j| j.feature_vector()[idx])
-                    .collect(),
-            );
-            let mut cells = vec![trace.kind.label().to_owned()];
-            cells.extend(QS.iter().map(|&q| bytes(ecdf.quantile(q))));
-            medians.push(ecdf.quantile(0.5));
-            table.row(cells);
+    for stage in SIZE_STAGES {
+        let mut header = vec!["Workload".to_owned()];
+        header.extend(SIZE_PERCENTILES.map(|p| format!("p{p}")));
+        let mut table = Table::new(header);
+        for (ctx, r) in measured() {
+            let mut row = vec![ctx.label().to_owned()];
+            row.extend(SIZE_PERCENTILES.map(|p| r.render(&format!("{stage} p{p}"))));
+            table.row(row);
         }
+        let medians: Vec<f64> = measured()
+            .map(|(_, r)| r.number(&format!("{stage} p50")))
+            .collect();
         spans.push(median_span_orders(&medians));
         section.captioned_table(format!("Per-job {stage} size quantiles:"), table);
         section.prose("\n");
@@ -61,11 +55,6 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 1 series in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,11 +62,8 @@ mod tests {
 
     #[test]
     fn median_spans_are_wide() {
-        let corpus = test_corpus();
-        let input_medians: Vec<f64> = corpus
-            .traces()
-            .map(|t| Ecdf::new(t.jobs().iter().map(|j| j.input.as_f64()).collect()).median())
-            .collect();
+        let cells = test_corpus().cells("fig1");
+        let input_medians: Vec<f64> = cells.iter().map(|(_, r)| r.number("input p50")).collect();
         let span = median_span_orders(&input_medians);
         assert!(span >= 3.0, "input median span only 10^{span:.1}");
     }
@@ -92,7 +78,7 @@ mod tests {
 
     #[test]
     fn report_mentions_all_stages() {
-        let r = run(test_corpus());
+        let r = doc(test_corpus()).render_text();
         assert!(r.contains("input size quantiles"));
         assert!(r.contains("shuffle size quantiles"));
         assert!(r.contains("output size quantiles"));

@@ -6,68 +6,40 @@
 //! and `select` with `from` prominent only in FB-2009; data-centric words
 //! rise under the I/O and task-time weightings. FB-2010 ships no names.
 
+use crate::battery::TOP_WORDS_COLUMNS;
 use crate::render::{pct, Table};
 use crate::Corpus;
 use crate::{Block, KeyValueBlock, Section};
-use swim_core::names::{NameAnalysis, Weighting};
-
-/// How many top words to print per weighting.
-pub const TOP_N: usize = 5;
 
 /// Build the Figure 10 document.
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section =
         Section::new("Figure 10: First word of job names (by jobs / I/O / task-time)");
     let mut table = Table::new(vec!["Workload", "top-2 framework share of jobs"]);
-    for trace in corpus.traces() {
-        let analysis = NameAnalysis::of(trace);
-        section.prose(format!("{}:\n", trace.kind));
-        if !analysis.has_names() {
+    for (ctx, r) in corpus.cells("fig10") {
+        section.prose(format!("{}:\n", ctx.label()));
+        if r.is_skipped() {
             section.prose("  (trace has no job names — as published for FB-2010)\n\n");
             continue;
         }
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for (weighting, label, total) in [
-            (Weighting::Jobs, "jobs", analysis.total_jobs as f64),
-            (Weighting::Bytes, "bytes", analysis.total_bytes),
-            (
-                Weighting::TaskTime,
-                "task-time",
-                analysis.total_task_seconds,
-            ),
-        ] {
-            let groups = analysis.sorted_by(weighting);
-            let parts: Vec<String> = groups
-                .iter()
-                .take(TOP_N)
-                .map(|g| {
-                    let w = match weighting {
-                        Weighting::Jobs => g.jobs as f64,
-                        Weighting::Bytes => g.bytes,
-                        Weighting::TaskTime => g.task_seconds,
-                    };
-                    format!("{} {}", g.word, pct(w / total.max(1.0)))
-                })
-                .collect();
-            pairs.push((format!("by {label}"), parts.join(", ")));
-        }
+        let pairs = TOP_WORDS_COLUMNS
+            .iter()
+            .map(|&(_, column)| (column.to_owned(), r.render(column)))
+            .collect();
         section.push(Block::KeyValue(KeyValueBlock {
             pairs,
             key_width: 12,
             indent: 2,
         }));
-        let shares = analysis.framework_shares();
-        let fw: Vec<String> = shares
-            .iter()
-            .map(|s| format!("{} {}", s.framework, pct(s.jobs)))
-            .collect();
         section.prose(format!(
             "  frameworks : {} | top-5 words cover {} of jobs\n\n",
-            fw.join(", "),
-            pct(analysis.top_k_job_share(TOP_N))
+            r.render("frameworks"),
+            pct(r.number("top-5 words cover"))
         ));
-        let top2: f64 = shares.iter().take(2).map(|s| s.jobs).sum();
-        table.row(vec![trace.kind.label().to_owned(), pct(top2)]);
+        table.row(vec![
+            ctx.label().to_owned(),
+            pct(r.number("top-2 frameworks")),
+        ]);
     }
     section.table(table);
     section.prose(
@@ -78,56 +50,54 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 10 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::corpus::in_memory;
     use crate::experiments::tests::test_corpus;
     use swim_trace::trace::WorkloadKind;
 
     #[test]
     fn top_words_cover_dominant_majority() {
-        let corpus = test_corpus();
-        for trace in corpus.traces() {
-            let analysis = NameAnalysis::of(trace);
-            if !analysis.has_names() {
+        for (ctx, r) in test_corpus().cells("fig10") {
+            if r.is_skipped() {
                 continue;
             }
-            let share = analysis.top_k_job_share(TOP_N);
-            assert!(share > 0.6, "{}: top-{TOP_N} share {share:.2}", trace.kind);
+            let share = r.number("top-5 words cover");
+            assert!(share > 0.6, "{}: top-5 share {share:.2}", ctx.label());
         }
     }
 
     #[test]
     fn two_frameworks_dominate() {
-        let corpus = test_corpus();
-        for trace in corpus.traces() {
-            let analysis = NameAnalysis::of(trace);
-            if !analysis.has_names() {
+        for (ctx, r) in test_corpus().cells("fig10") {
+            if r.is_skipped() {
                 continue;
             }
-            let shares = analysis.framework_shares();
-            let top2: f64 = shares.iter().take(2).map(|s| s.jobs).sum();
-            assert!(top2 > 0.55, "{}: top-2 frameworks {top2:.2}", trace.kind);
+            let top2 = r.number("top-2 frameworks");
+            assert!(top2 > 0.55, "{}: top-2 frameworks {top2:.2}", ctx.label());
         }
     }
 
     #[test]
     fn from_is_io_heavy_in_fb2009() {
-        let corpus = test_corpus();
-        let analysis = NameAnalysis::of(in_memory(corpus.get(&WorkloadKind::Fb2009).trace()));
-        let from = analysis
-            .groups
-            .iter()
-            .find(|g| g.word == "from")
-            .expect("fb2009 has `from` jobs");
-        let job_share = from.jobs as f64 / analysis.total_jobs as f64;
-        let io_share = from.bytes / analysis.total_bytes;
+        let fb2009 = test_corpus().cell("fig10", &WorkloadKind::Fb2009);
+        // Each weighting's top words read `word share, …`, largest first.
+        let top = |column| -> Vec<(String, f64)> {
+            let words = fb2009.render(column);
+            words
+                .split(", ")
+                .map(|w| {
+                    let (word, share) = w.rsplit_once(' ').unwrap();
+                    let share: f64 = share.trim_end_matches('%').parse().unwrap();
+                    (word.to_owned(), share / 100.0)
+                })
+                .collect()
+        };
+        let share_of_from =
+            |words: &[(String, f64)]| words.iter().find(|(w, _)| w == "from").map(|&(_, s)| s);
+        let (by_jobs, by_bytes) = (top("by jobs"), top("by bytes"));
+        let io_share = share_of_from(&by_bytes).expect("`from` is a top I/O word");
+        // Outside the top words, `from`'s job share is at most the last one's.
+        let job_share = share_of_from(&by_jobs).unwrap_or(by_jobs.last().unwrap().1);
         assert!(
             io_share > 2.0 * job_share,
             "from: io share {io_share:.3} vs job share {job_share:.3}"
@@ -136,8 +106,8 @@ mod tests {
 
     #[test]
     fn fb2010_is_nameless() {
-        let corpus = test_corpus();
-        let analysis = NameAnalysis::of(in_memory(corpus.get(&WorkloadKind::Fb2010).trace()));
-        assert!(!analysis.has_names());
+        assert!(test_corpus()
+            .cell("fig10", &WorkloadKind::Fb2010)
+            .is_skipped());
     }
 }

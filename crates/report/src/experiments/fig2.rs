@@ -4,18 +4,13 @@
 //! same shape on every workload, with slope magnitude ≈ 5/6, for both
 //! input and output files.
 
-use crate::corpus::access;
+use crate::battery::ZIPF_STAGES;
 use crate::render::Table;
 use crate::Corpus;
 use crate::Section;
-use swim_core::access::PathStage;
 
 /// The published cross-workload slope magnitude.
 pub const PAPER_SLOPE: f64 = 5.0 / 6.0;
-
-/// Head of the rank distribution used for the fit (the published log-log
-/// lines are visually dominated by the first couple of decades of ranks).
-pub const FIT_RANKS: usize = 300;
 
 /// Build the Figure 2 document.
 pub fn doc(corpus: &Corpus) -> Section {
@@ -30,21 +25,19 @@ pub fn doc(corpus: &Corpus) -> Section {
         "R^2",
         "paper slope",
     ]);
+    let cells = corpus.cells("fig2");
     let mut slopes = Vec::new();
-    for stage in [PathStage::Input, PathStage::Output] {
-        for ctx in corpus.with_paths(stage) {
-            let stats = access(ctx, stage);
-            let Some(fit) = stats.zipf_fit(Some(FIT_RANKS)) else {
-                continue;
-            };
-            slopes.push(-fit.slope);
+    for (stage, prefix) in ZIPF_STAGES {
+        let slope = format!("{prefix}zipf slope");
+        for (ctx, r) in cells.iter().filter(|(_, r)| r.get(&slope).is_some()) {
+            slopes.push(-r.number(&slope));
             table.row(vec![
                 ctx.label().to_owned(),
                 format!("{stage:?}"),
-                stats.distinct_files().to_string(),
-                stats.total_accesses().to_string(),
-                format!("{:.3}", fit.slope),
-                format!("{:.3}", fit.r_squared),
+                r.render(&format!("{prefix}distinct files")),
+                r.render(&format!("{prefix}accesses")),
+                format!("{:.3}", r.number(&slope)),
+                format!("{:.3}", r.number(&format!("{prefix}fit R²"))),
                 format!("-{PAPER_SLOPE:.3}"),
             ]);
         }
@@ -61,49 +54,44 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 2 fits in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::tests::test_corpus;
+    use crate::ExperimentResult;
+
+    /// The input-stage Zipf fits: `(label, [slope, R²])` per path-bearing
+    /// trace.
+    fn input_fits() -> Vec<(&'static str, [f64; 2])> {
+        let cells = test_corpus().cells("fig2");
+        let fitted = cells.iter().filter(|(_, r)| r.get("zipf slope").is_some());
+        let fit = |r: &ExperimentResult| [r.number("zipf slope"), r.number("fit R²")];
+        let fits: Vec<_> = fitted.map(|(ctx, r)| (ctx.label(), fit(r))).collect();
+        assert_eq!(fits.len(), 5, "CC-b..CC-e and FB-2010 carry input paths");
+        fits
+    }
 
     #[test]
     fn fitted_slopes_are_near_paper_value() {
-        let corpus = test_corpus();
-        for ctx in corpus.with_paths(PathStage::Input) {
-            let stats = access(ctx, PathStage::Input);
-            let fit = stats.zipf_fit(Some(FIT_RANKS)).expect("fit exists");
-            let mag = -fit.slope;
+        for (label, [slope, _]) in input_fits() {
+            let mag = -slope;
             assert!(
                 (0.3..1.6).contains(&mag),
-                "{}: slope magnitude {mag:.3} outside plausible Zipf band",
-                ctx.label()
+                "{label}: slope magnitude {mag:.3} outside plausible Zipf band"
             );
         }
     }
 
     #[test]
     fn fits_are_good_lines() {
-        let corpus = test_corpus();
-        for ctx in corpus.with_paths(PathStage::Input) {
-            let stats = access(ctx, PathStage::Input);
-            let fit = stats.zipf_fit(Some(FIT_RANKS)).unwrap();
-            assert!(
-                fit.r_squared > 0.7,
-                "{}: R² {:.3}",
-                ctx.label(),
-                fit.r_squared
-            );
+        for (label, [_, r_squared]) in input_fits() {
+            assert!(r_squared > 0.7, "{label}: R² {r_squared:.3}");
         }
     }
 
     #[test]
     fn report_covers_both_stages() {
-        let r = run(test_corpus());
+        let r = doc(test_corpus()).render_text();
         assert!(r.contains("Input"));
         assert!(r.contains("Output"));
     }

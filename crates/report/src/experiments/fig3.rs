@@ -7,18 +7,15 @@
 //! hold at most ≈16 % of stored bytes; 80 % of accesses go to 1–8 % of
 //! bytes (the "80-1 to 80-8 rule").
 
-use crate::corpus::access;
+use crate::battery::SIZE_THRESHOLDS_GB;
 use crate::render::{pct, Table};
 use crate::Corpus;
 use crate::Section;
-use swim_core::access::PathStage;
-use swim_trace::DataSize;
 
-/// File-size thresholds reported in the table.
-pub const THRESHOLDS_GB: [u64; 4] = [1, 4, 16, 64];
-
-/// Build the per-workload threshold report for a stage (shared with Fig. 4).
-pub fn threshold_report(corpus: &Corpus, stage: PathStage) -> (Table, Vec<f64>) {
+/// Build the per-workload threshold report of battery cell `id` (`fig3`
+/// for input files, `fig4` for output files), with each workload's 80-X
+/// rule.
+pub fn threshold_report(corpus: &Corpus, id: &str) -> (Table, Vec<f64>) {
     let mut table = Table::new(vec![
         "Workload",
         "jobs<1GB",
@@ -32,18 +29,19 @@ pub fn threshold_report(corpus: &Corpus, stage: PathStage) -> (Table, Vec<f64>) 
         "80-X rule",
     ]);
     let mut x_values = Vec::new();
-    for ctx in corpus.with_paths(stage) {
-        let stats = access(ctx, stage);
-        let mut cells = vec![ctx.label().to_owned()];
-        for gb in THRESHOLDS_GB {
-            let thr = DataSize::from_gb(gb);
-            cells.push(pct(stats.access_fraction_below(thr)));
-            cells.push(pct(stats.bytes_fraction_below(thr)));
+    for (ctx, r) in corpus.cells(id) {
+        if r.is_skipped() {
+            continue;
         }
-        let x = stats.eighty_x_rule(0.8).unwrap_or(f64::NAN);
+        let mut row = vec![ctx.label().to_owned()];
+        for gb in SIZE_THRESHOLDS_GB {
+            row.push(pct(r.number(&format!("jobs < {gb} GB"))));
+            row.push(pct(r.number(&format!("bytes < {gb} GB"))));
+        }
+        let x = r.number("80-X rule");
         x_values.push(x);
-        cells.push(format!("80-{x:.1}"));
-        table.row(cells);
+        row.push(format!("80-{x:.1}"));
+        table.row(row);
     }
     (table, x_values)
 }
@@ -51,7 +49,7 @@ pub fn threshold_report(corpus: &Corpus, stage: PathStage) -> (Table, Vec<f64>) 
 /// Build the Figure 3 document.
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section = Section::new("Figure 3: Access patterns vs input file size");
-    let (table, xs) = threshold_report(corpus, PathStage::Input);
+    let (table, xs) = threshold_report(corpus, "fig3");
     section.captioned_table(
         "Cumulative fraction of jobs / stored bytes below a file size:",
         table,
@@ -67,11 +65,6 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 3 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,13 +72,13 @@ mod tests {
 
     #[test]
     fn jobs_fraction_exceeds_bytes_fraction_at_every_threshold() {
-        let corpus = test_corpus();
-        for ctx in corpus.with_paths(PathStage::Input) {
-            let stats = access(ctx, PathStage::Input);
-            for gb in THRESHOLDS_GB {
-                let thr = DataSize::from_gb(gb);
-                let jobs = stats.access_fraction_below(thr);
-                let bytes = stats.bytes_fraction_below(thr);
+        for (ctx, r) in test_corpus().cells("fig3") {
+            if r.is_skipped() {
+                continue;
+            }
+            for gb in SIZE_THRESHOLDS_GB {
+                let jobs = r.number(&format!("jobs < {gb} GB"));
+                let bytes = r.number(&format!("bytes < {gb} GB"));
                 assert!(
                     jobs + 1e-9 >= bytes,
                     "{} @ {gb} GB: jobs {jobs:.3} < bytes {bytes:.3}",
@@ -97,9 +90,11 @@ mod tests {
 
     #[test]
     fn eighty_x_rule_is_small() {
-        let corpus = test_corpus();
-        for ctx in corpus.with_paths(PathStage::Input) {
-            let x = access(ctx, PathStage::Input).eighty_x_rule(0.8).unwrap();
+        for (ctx, r) in test_corpus().cells("fig3") {
+            if r.is_skipped() {
+                continue;
+            }
+            let x = r.number("80-X rule");
             assert!(
                 x < 65.0,
                 "{}: 80 % of accesses need {x:.1}% of bytes — no skew benefit",
@@ -110,7 +105,7 @@ mod tests {
 
     #[test]
     fn report_prints_thresholds() {
-        let r = run(test_corpus());
+        let r = doc(test_corpus()).render_text();
         assert!(r.contains("jobs<1GB"));
         assert!(r.contains("80-X rule"));
     }

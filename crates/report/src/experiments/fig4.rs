@@ -4,12 +4,11 @@
 use crate::experiments::fig3::threshold_report;
 use crate::Corpus;
 use crate::Section;
-use swim_core::access::PathStage;
 
 /// Build the Figure 4 document.
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section = Section::new("Figure 4: Access patterns vs output file size (CC-b..CC-e)");
-    let (table, xs) = threshold_report(corpus, PathStage::Output);
+    let (table, xs) = threshold_report(corpus, "fig4");
     section.captioned_table(
         "Cumulative fraction of jobs / stored bytes below a file size:",
         table,
@@ -24,31 +23,24 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 4 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::access;
     use crate::experiments::tests::test_corpus;
 
     #[test]
     fn only_cloudera_traces_have_output_stats() {
-        let corpus = test_corpus();
-        let with_outputs = corpus.with_paths(PathStage::Output);
+        let cells = test_corpus().cells("fig4");
+        let with_outputs: Vec<_> = cells.iter().filter(|(_, r)| !r.is_skipped()).collect();
         assert_eq!(with_outputs.len(), 4);
-        for ctx in with_outputs {
-            let stats = access(ctx, PathStage::Output);
-            assert!(stats.distinct_files() > 0, "{}", ctx.label());
+        for (ctx, _) in with_outputs {
+            assert!(ctx.label().starts_with("CC-"), "{}", ctx.label());
         }
     }
 
     #[test]
     fn report_runs() {
-        let r = run(test_corpus());
+        let r = doc(test_corpus()).render_text();
         assert!(r.contains("CC-b"));
         assert!(!r.contains("FB-2010"), "FB-2010 has no output paths");
     }

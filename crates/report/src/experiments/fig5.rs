@@ -5,61 +5,39 @@
 //! Published shape: strong temporal locality — ≈75 % of re-accesses fall
 //! within six hours, motivating LRU-like eviction.
 
-use crate::corpus::in_memory;
+use crate::battery::{REACCESS_PANELS, REACCESS_THRESHOLDS};
 use crate::render::{pct, Table};
 use crate::Corpus;
 use crate::Section;
-use swim_core::access::PathStage;
-
-/// Interval thresholds reported (seconds): 1 min, 1 h, 6 h, 60 h.
-pub const THRESHOLDS: [(u64, &str); 4] = [
-    (60, "1 min"),
-    (3_600, "1 hr"),
-    (6 * 3_600, "6 hrs"),
-    (60 * 3_600, "60 hrs"),
-];
 
 /// Build the Figure 5 document.
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section = Section::new("Figure 5: Data re-access interval CDFs");
-    for (panel, pick) in [("input→input", 0usize), ("output→input", 1)] {
-        let mut table = Table::new(vec![
-            "Workload",
-            "re-accesses",
-            "≤1 min",
-            "≤1 hr",
-            "≤6 hrs",
-            "≤60 hrs",
-        ]);
-        for ctx in corpus.with_paths(PathStage::Input) {
-            let loc = in_memory(ctx.locality());
-            let intervals = if pick == 0 {
-                &loc.input_input_intervals
-            } else {
-                &loc.output_input_intervals
-            };
-            if intervals.is_empty() {
+    let cells = corpus.cells("fig5");
+    let measured = || cells.iter().filter(|(_, r)| !r.is_skipped());
+    for panel in REACCESS_PANELS {
+        let mut header = vec!["Workload".to_owned(), "re-accesses".to_owned()];
+        header.extend(REACCESS_THRESHOLDS.map(|(_, column)| format!("≤{column}")));
+        let mut table = Table::new(header);
+        for (ctx, r) in measured() {
+            let count = format!("{panel} re-accesses");
+            if r.number(&count) == 0.0 {
                 continue;
             }
-            let n = intervals.len() as f64;
-            let mut cells = vec![ctx.label().to_owned(), intervals.len().to_string()];
-            for (secs, _) in THRESHOLDS {
-                let within = intervals.iter().filter(|&&x| x <= secs as f64).count() as f64;
-                cells.push(pct(within / n));
+            let mut row = vec![ctx.label().to_owned(), r.render(&count)];
+            for (_, column) in REACCESS_THRESHOLDS {
+                row.push(pct(r.number(&format!("{panel} ≤{column}"))));
             }
-            table.row(cells);
+            table.row(row);
         }
         section.captioned_table(format!("{panel} re-access intervals:"), table);
         section.prose("\n");
     }
     // Cross-workload six-hour fraction.
-    let mut fracs = Vec::new();
-    for ctx in corpus.with_paths(PathStage::Input) {
-        let f = in_memory(ctx.locality()).fraction_within(6.0 * 3600.0);
-        if f > 0.0 {
-            fracs.push(f);
-        }
-    }
+    let fracs: Vec<f64> = measured()
+        .map(|(_, r)| r.number("within 6 hrs"))
+        .filter(|&f| f > 0.0)
+        .collect();
     let mean = fracs.iter().sum::<f64>() / fracs.len().max(1) as f64;
     section.prose(format!(
         "Mean fraction of re-accesses within 6 hours: {} \
@@ -71,11 +49,6 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 5 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,10 +56,14 @@ mod tests {
 
     #[test]
     fn reaccesses_exist_for_path_bearing_workloads() {
+        // Fig. 3's cell measures exactly the traces with input paths.
         let corpus = test_corpus();
-        for ctx in corpus.with_paths(PathStage::Input) {
+        for ((_, paths), (ctx, r)) in corpus.cells("fig3").iter().zip(corpus.cells("fig5")) {
+            if paths.is_skipped() {
+                continue;
+            }
             assert!(
-                !in_memory(ctx.locality()).input_input_intervals.is_empty(),
+                r.number("input→input re-accesses") > 0.0,
                 "{}: no input re-accesses",
                 ctx.label()
             );
@@ -97,19 +74,17 @@ mod tests {
     fn temporal_locality_holds() {
         // The access model targets ~75 % of re-reads through the recency
         // window; within-6-hours should be well above a uniform spread.
-        let corpus = test_corpus();
-        let mut any_strong = false;
-        for ctx in corpus.with_paths(PathStage::Input) {
-            if in_memory(ctx.locality()).fraction_within(6.0 * 3600.0) > 0.5 {
-                any_strong = true;
-            }
-        }
+        let cells = test_corpus().cells("fig5");
+        let measured = cells.iter().filter(|(_, r)| !r.is_skipped());
+        let any_strong = measured
+            .map(|(_, r)| r.number("within 6 hrs"))
+            .any(|f| f > 0.5);
         assert!(any_strong, "no workload shows 6-hour locality above 50 %");
     }
 
     #[test]
     fn report_has_both_panels() {
-        let r = run(test_corpus());
+        let r = doc(test_corpus()).render_text();
         assert!(r.contains("input→input"));
         assert!(r.contains("output→input"));
     }

@@ -4,31 +4,32 @@
 //! Published shape: up to ≈78 % of jobs involve re-accesses on CC-c/d/e,
 //! lower on the others; FB-2010's output-path column is missing.
 
-use crate::corpus::in_memory;
 use crate::render::{pct, Table};
 use crate::Corpus;
 use crate::Section;
-use swim_core::access::PathStage;
+
+/// The cell's three fractions, one table column each.
+const COLUMNS: [&str; 3] = [
+    "re-reads pre-existing input",
+    "consumes pre-existing output",
+    "total re-accessing",
+];
 
 /// Build the Figure 6 document.
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section = Section::new("Figure 6: Fraction of jobs reading pre-existing data");
-    let mut table = Table::new(vec![
-        "Workload",
-        "re-reads pre-existing input",
-        "consumes pre-existing output",
-        "total re-accessing",
-    ]);
+    let mut header = vec!["Workload"];
+    header.extend(COLUMNS);
+    let mut table = Table::new(header);
     let mut totals = Vec::new();
-    for ctx in corpus.with_paths(PathStage::Input) {
-        let loc = in_memory(ctx.locality());
-        totals.push(loc.frac_jobs_reaccessing());
-        table.row(vec![
-            ctx.label().to_owned(),
-            pct(loc.frac_jobs_reread_input),
-            pct(loc.frac_jobs_consume_output),
-            pct(loc.frac_jobs_reaccessing()),
-        ]);
+    for (ctx, r) in corpus.cells("fig6") {
+        if r.is_skipped() {
+            continue;
+        }
+        totals.push(r.number("total re-accessing"));
+        let mut row = vec![ctx.label().to_owned()];
+        row.extend(COLUMNS.map(|c| pct(r.number(c))));
+        table.row(row);
     }
     section.table(table);
     let max = totals.iter().cloned().fold(0.0f64, f64::max);
@@ -44,11 +45,6 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 6 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,30 +55,27 @@ mod tests {
     fn cc_c_reaccesses_more_than_cc_b() {
         // Calibration: CC-c p_reread 0.48+0.30 vs CC-b 0.25+0.15.
         let corpus = test_corpus();
-        let loc = |kind| in_memory(corpus.get(&kind).locality()).frac_jobs_reaccessing();
-        let (cc_c, cc_b) = (loc(WorkloadKind::CcC), loc(WorkloadKind::CcB));
+        let total = |kind| corpus.cell("fig6", &kind).number("total re-accessing");
+        let (cc_c, cc_b) = (total(WorkloadKind::CcC), total(WorkloadKind::CcB));
         assert!(cc_c > cc_b, "CC-c {cc_c} vs CC-b {cc_b}");
     }
 
     #[test]
     fn fb2010_has_no_output_consumption() {
-        let corpus = test_corpus();
-        let loc = in_memory(corpus.get(&WorkloadKind::Fb2010).locality());
-        assert_eq!(loc.frac_jobs_consume_output, 0.0);
-        assert!(loc.frac_jobs_reread_input > 0.0);
+        let fb2010 = test_corpus().cell("fig6", &WorkloadKind::Fb2010);
+        assert_eq!(fb2010.number("consumes pre-existing output"), 0.0);
+        assert!(fb2010.number("re-reads pre-existing input") > 0.0);
     }
 
     #[test]
     fn fractions_are_probabilities() {
-        let corpus = test_corpus();
-        for ctx in corpus.with_paths(PathStage::Input) {
-            let loc = in_memory(ctx.locality());
-            for f in [
-                loc.frac_jobs_reread_input,
-                loc.frac_jobs_consume_output,
-                loc.frac_jobs_reaccessing(),
-            ] {
-                assert!((0.0..=1.0).contains(&f));
+        for (ctx, r) in test_corpus().cells("fig6") {
+            if r.is_skipped() {
+                continue;
+            }
+            for c in COLUMNS {
+                let f = r.number(c);
+                assert!((0.0..=1.0).contains(&f), "{}: {c} = {f}", ctx.label());
             }
         }
     }

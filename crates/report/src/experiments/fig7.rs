@@ -9,7 +9,6 @@
 use crate::corpus::in_memory;
 use crate::Corpus;
 use crate::{Block, Section};
-use swim_core::fourier::detect_diurnal;
 use swim_sim::{SimConfig, Simulator};
 use swim_synth::ReplayPlan;
 use swim_trace::trace::WorkloadKind;
@@ -27,16 +26,15 @@ pub fn doc(corpus: &Corpus) -> Section {
          7-day sparklines; utilization (avg active slots) from simulator \
          replay where marked.\n\n",
     );
-    for ctx in &corpus.contexts {
-        let trace = in_memory(ctx.trace());
-        let series = in_memory(ctx.weekly()).truncate(24 * 7);
-        section.prose(format!("{}:\n", trace.kind));
-        section.push(Block::spark("jobs/hr", series.jobs.clone(), ""));
-        section.push(Block::spark("io/hr", series.bytes.clone(), ""));
-        section.push(Block::spark("task-t/hr", series.task_seconds.clone(), ""));
-        if REPLAYED.contains(&trace.kind) {
-            // Replay still materializes the week: the simulator consumes a
+    for (ctx, r) in corpus.cells("fig7") {
+        section.prose(format!("{}:\n", ctx.label()));
+        for series in r.series() {
+            section.push(Block::spark(series.name, series.values.clone(), ""));
+        }
+        if REPLAYED.iter().any(|kind| kind.label() == ctx.label()) {
+            // Replay materializes the week: the simulator consumes a
             // schedule, not a statistic.
+            let trace = in_memory(ctx.trace());
             let plan = ReplayPlan::from_trace(&trace.first_week());
             let sim = Simulator::new(SimConfig::new(trace.machines));
             let result = sim.run(&plan, None);
@@ -54,19 +52,17 @@ pub fn doc(corpus: &Corpus) -> Section {
                 "(not replayed — as in the paper, not all traces have utilization)",
             ));
         }
-        if let Some(d) = detect_diurnal(&series.jobs, 3.0) {
+        let verdict = match r.render("daily cycle").as_str() {
+            "detected" => Some("daily cycle detected"),
+            "no clear cycle" => Some("no clear daily cycle"),
+            _ => None, // too short a series to test
+        };
+        if let Some(verdict) = verdict {
+            let snr = r.number("diurnal snr");
             section.push(Block::spark(
                 "diurnal",
                 Vec::new(),
-                format!(
-                    "snr={:.1} → {}",
-                    d.snr,
-                    if d.detected {
-                        "daily cycle detected"
-                    } else {
-                        "no clear daily cycle"
-                    }
-                ),
+                format!("snr={snr:.1} → {verdict}"),
             ));
         }
         section.prose("\n");
@@ -79,11 +75,6 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 7 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,11 +82,10 @@ mod tests {
 
     #[test]
     fn series_are_nonempty_for_all_workloads() {
-        let corpus = test_corpus();
-        for ctx in &corpus.contexts {
-            let s = in_memory(ctx.weekly());
-            assert!(!s.is_empty(), "{}", ctx.label());
-            assert!(s.jobs.iter().sum::<f64>() > 0.0);
+        for (ctx, r) in test_corpus().cells("fig7") {
+            let series = r.series();
+            assert_eq!(series.len(), 3, "{}", ctx.label());
+            assert!(series[0].values.iter().sum::<f64>() > 0.0);
         }
     }
 
@@ -120,9 +110,8 @@ mod tests {
     fn fb2010_shows_diurnal_cycle() {
         // FB-2010 is calibrated with amplitude 0.5; over a week of hourly
         // data the daily bin should stand out.
-        let corpus = test_corpus();
-        let series = in_memory(corpus.get(&WorkloadKind::Fb2010).hourly());
-        let d = detect_diurnal(&series.jobs, 2.0).expect("long enough");
-        assert!(d.snr > 1.0, "snr {}", d.snr);
+        let fb2010 = test_corpus().cell("fig7", &WorkloadKind::Fb2010);
+        let snr = fb2010.number("diurnal snr");
+        assert!(snr > 1.0, "snr {snr}");
     }
 }

@@ -6,51 +6,37 @@
 //! its median (peak-to-median 9:1 … 260:1), far burstier than diurnal
 //! sinusoids; FB's ratio dropped 31:1 → 9:1 between 2009 and 2010.
 
-use crate::corpus::in_memory;
+use crate::battery::{ExperimentResult, BURSTINESS_PERCENTILES, BURSTINESS_SIGNALS};
 use crate::render::{ratio, Table};
-use crate::Corpus;
-use crate::Section;
+use crate::{Corpus, Section, TraceContext};
 use swim_core::burstiness::{sine_reference, Burstiness};
-use swim_core::timeseries::HourlySeries;
 
-/// Percentiles printed per curve.
-pub const PCTS: [f64; 7] = [5.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0];
-
-/// Render one burstiness table for a named per-workload signal extractor.
-fn signal_table(corpus: &Corpus, extract: impl Fn(&HourlySeries) -> Vec<f64>) -> Table {
-    let mut table = Table::new(vec![
-        "Signal",
-        "p5",
-        "p25",
-        "p50",
-        "p75",
-        "p90",
-        "p99",
-        "peak",
-        "peak:median",
-    ]);
-    let mut rows: Vec<(String, Burstiness)> = Vec::new();
-    for ctx in &corpus.contexts {
-        if let Some(b) = Burstiness::of(&extract(in_memory(ctx.hourly())), &PCTS) {
-            rows.push((ctx.label().to_owned(), b));
-        }
+/// One burstiness table: a row per workload measuring `signal`, then the
+/// two sinusoid references.
+fn signal_table(cells: &[(&TraceContext, ExperimentResult)], signal: &str) -> Table {
+    let mut header = vec!["Signal".to_owned()];
+    header.extend(BURSTINESS_PERCENTILES.map(|p| format!("p{p}")));
+    header.extend(["peak".to_owned(), "peak:median".to_owned()]);
+    let mut table = Table::new(header);
+    let peak = format!("{signal} peak:median");
+    let mut rows: Vec<(String, Vec<f64>, f64)> = Vec::new();
+    for (ctx, r) in cells.iter().filter(|(_, r)| r.get(&peak).is_some()) {
+        let ratios = BURSTINESS_PERCENTILES.map(|p| r.number(&format!("{signal} p{p}")));
+        rows.push((ctx.label().to_owned(), ratios.to_vec(), r.number(&peak)));
     }
     let hours = 24 * 14;
     for (name, offset) in [("sine + 2", 2.0), ("sine + 20", 20.0)] {
-        if let Some(b) = Burstiness::of(&sine_reference(offset, hours), &PCTS) {
-            rows.push((name.to_owned(), b));
+        if let Some(b) = Burstiness::of(&sine_reference(offset, hours), &BURSTINESS_PERCENTILES) {
+            let ratios = b.points.iter().map(|p| p.ratio).collect();
+            rows.push((name.to_owned(), ratios, b.peak_to_median));
         }
     }
-    for (name, b) in &rows {
-        let mut cells = vec![name.clone()];
-        for p in PCTS {
-            cells.push(format!("{:.2}", b.ratio_at(p).unwrap_or(f64::NAN)));
-        }
-        // Keep peak:median as the last column (PCTS already includes 100).
-        cells.pop();
-        cells.push(format!("{:.1}", b.peak_to_median));
-        cells.push(ratio(b.peak_to_median));
-        table.row(cells);
+    for (name, ratios, peak_to_median) in rows {
+        let mut row = vec![name];
+        row.extend(ratios.iter().map(|r| format!("{r:.2}")));
+        row.push(format!("{peak_to_median:.1}"));
+        row.push(ratio(peak_to_median));
+        table.row(row);
     }
     table
 }
@@ -58,15 +44,16 @@ fn signal_table(corpus: &Corpus, extract: impl Fn(&HourlySeries) -> Vec<f64>) ->
 /// Build the Figure 8 document.
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section = Section::new("Figure 8: Burstiness — hourly load normalized by median");
+    let cells = corpus.cells("fig8");
     section.captioned_table(
         "Task-time per hour (the paper's signal):",
-        signal_table(corpus, |s| s.task_seconds.clone()),
+        signal_table(&cells, BURSTINESS_SIGNALS[0]),
     );
     section.prose("\n");
     section.captioned_table(
         "Job submissions per hour (arrival-process burstiness, where the \
          per-workload Fig. 8 calibration shows through directly):",
-        signal_table(corpus, |s| s.jobs.clone()),
+        signal_table(&cells, BURSTINESS_SIGNALS[1]),
     );
     section.prose(
         "\nShape check (paper): workload peak-to-median ratios range 9:1 to \
@@ -83,42 +70,42 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 8 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::tests::test_corpus;
+    use crate::Value;
     use swim_trace::trace::WorkloadKind;
 
     /// Peak-to-median of the *submission* signal — the dimension the
     /// arrival calibration controls directly (the task-time signal is
     /// dominated by job-size tails at reduced corpus scale).
-    fn p2m(corpus: &crate::Corpus, kind: &WorkloadKind) -> f64 {
-        let series = in_memory(corpus.get(kind).hourly());
-        Burstiness::of(&series.jobs, &[])
-            .map(|b| b.peak_to_median)
+    fn p2m(kind: &WorkloadKind) -> f64 {
+        let fig8 = test_corpus().cell("fig8", kind);
+        fig8.get("submissions peak:median")
+            .and_then(Value::as_f64)
             .unwrap_or(0.0)
+    }
+
+    /// Task-time peak-to-median per workload that has one.
+    fn task_time_p2m() -> Vec<(String, f64)> {
+        let cells = test_corpus().cells("fig8");
+        let peak = "task-time peak:median";
+        let measured = cells.iter().filter(|(_, r)| r.get(peak).is_some());
+        measured
+            .map(|(ctx, r)| (ctx.label().to_owned(), r.number(peak)))
+            .collect()
     }
 
     #[test]
     fn workloads_are_burstier_than_sines() {
-        let corpus = test_corpus();
         let sine = Burstiness::of(&sine_reference(2.0, 24 * 14), &[])
             .unwrap()
             .peak_to_median;
-        let mut above = 0;
-        for ctx in &corpus.contexts {
-            let series = in_memory(ctx.hourly());
-            if let Some(b) = Burstiness::of(&series.task_seconds, &[]) {
-                if b.peak_to_median > 2.0 * sine {
-                    above += 1;
-                }
-            }
-        }
+        let above = task_time_p2m()
+            .iter()
+            .filter(|(_, p2m)| *p2m > 2.0 * sine)
+            .count();
         assert!(
             above >= 5,
             "only {above}/7 workloads beat the sine reference"
@@ -127,9 +114,8 @@ mod tests {
 
     #[test]
     fn fb2010_less_bursty_than_fb2009() {
-        let corpus = test_corpus();
-        let fb09 = p2m(corpus, &WorkloadKind::Fb2009);
-        let fb10 = p2m(corpus, &WorkloadKind::Fb2010);
+        let fb09 = p2m(&WorkloadKind::Fb2009);
+        let fb10 = p2m(&WorkloadKind::Fb2010);
         assert!(
             fb10 < fb09,
             "FB-2010 {fb10:.1}:1 should be below FB-2009 {fb09:.1}:1"
@@ -140,19 +126,10 @@ mod tests {
     fn peak_ratios_in_published_band() {
         // The paper's band is 9:1 … 260:1; allow slack for the short quick
         // corpus, but insist on double digits somewhere and > 3 everywhere.
-        let corpus = test_corpus();
         let mut max = 0.0f64;
-        for ctx in &corpus.contexts {
-            let series = in_memory(ctx.hourly());
-            if let Some(b) = Burstiness::of(&series.task_seconds, &[]) {
-                max = max.max(b.peak_to_median);
-                assert!(
-                    b.peak_to_median > 2.0,
-                    "{}: {:.1}:1 too flat",
-                    ctx.label(),
-                    b.peak_to_median
-                );
-            }
+        for (label, p2m) in task_time_p2m() {
+            max = max.max(p2m);
+            assert!(p2m > 2.0, "{label}: {p2m:.1}:1 too flat");
         }
         assert!(max > 10.0, "max peak-to-median {max:.1}:1");
     }

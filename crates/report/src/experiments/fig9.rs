@@ -6,7 +6,6 @@
 //! most correlated pair, so MapReduce workloads are data-centric and jobs
 //! per second is the wrong load metric.
 
-use crate::corpus::in_memory;
 use crate::render::Table;
 use crate::Corpus;
 use crate::Section;
@@ -14,36 +13,38 @@ use crate::Section;
 /// Published Fig. 9 averages: `(jobs↔bytes, jobs↔task, bytes↔task)`.
 pub const PAPER_MEANS: (f64, f64, f64) = (0.21, 0.14, 0.62);
 
+/// The cell's three correlations, in [`PAPER_MEANS`] order.
+const PAIRS: [&str; 3] = ["jobs-bytes", "jobs-task-secs", "bytes-task-secs"];
+
+/// Each workload's correlations, in [`PAIRS`] order.
+fn pairs_per_workload(corpus: &Corpus) -> Vec<(String, [f64; 3])> {
+    let cells = corpus.cells("fig9");
+    let measured = cells.into_iter().filter(|(_, r)| !r.is_skipped());
+    measured
+        .map(|(ctx, r)| (ctx.label().to_owned(), PAIRS.map(|p| r.number(p))))
+        .collect()
+}
+
 /// Build the Figure 9 document.
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section = Section::new("Figure 9: Correlations between hourly submission series");
-    let mut table = Table::new(vec![
-        "Workload",
-        "jobs-bytes",
-        "jobs-task-secs",
-        "bytes-task-secs",
-    ]);
-    let mut sums = (0.0, 0.0, 0.0);
-    let mut n = 0.0;
-    for ctx in &corpus.contexts {
-        let c = in_memory(ctx.hourly()).correlations();
-        sums.0 += c.jobs_bytes;
-        sums.1 += c.jobs_task_seconds;
-        sums.2 += c.bytes_task_seconds;
-        n += 1.0;
-        table.row(vec![
-            ctx.label().to_owned(),
-            format!("{:.2}", c.jobs_bytes),
-            format!("{:.2}", c.jobs_task_seconds),
-            format!("{:.2}", c.bytes_task_seconds),
-        ]);
+    let mut header = vec!["Workload"];
+    header.extend(PAIRS);
+    let mut table = Table::new(header);
+    let rows = pairs_per_workload(corpus);
+    let mut sums = [0.0; 3];
+    for (label, c) in &rows {
+        let mut row = vec![label.clone()];
+        for (sum, r) in sums.iter_mut().zip(c) {
+            *sum += r;
+            row.push(format!("{r:.2}"));
+        }
+        table.row(row);
     }
-    table.row(vec![
-        "Mean".to_owned(),
-        format!("{:.2}", sums.0 / n),
-        format!("{:.2}", sums.1 / n),
-        format!("{:.2}", sums.2 / n),
-    ]);
+    let n = rows.len() as f64;
+    let mut mean = vec!["Mean".to_owned()];
+    mean.extend(sums.map(|sum| format!("{:.2}", sum / n)));
+    table.row(mean);
     table.row(vec![
         "paper mean".to_owned(),
         format!("{:.2}", PAPER_MEANS.0),
@@ -59,11 +60,6 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Figure 9 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,41 +67,32 @@ mod tests {
 
     #[test]
     fn bytes_tasktime_is_strongest_pair_on_average() {
-        let corpus = test_corpus();
-        let mut sums = (0.0, 0.0, 0.0);
-        for ctx in &corpus.contexts {
-            let c = in_memory(ctx.hourly()).correlations();
-            sums.0 += c.jobs_bytes;
-            sums.1 += c.jobs_task_seconds;
-            sums.2 += c.bytes_task_seconds;
+        let mut sums = [0.0; 3];
+        for (_, c) in pairs_per_workload(test_corpus()) {
+            for (sum, r) in sums.iter_mut().zip(c) {
+                *sum += r;
+            }
         }
+        let [jobs_bytes, jobs_task, bytes_task] = sums;
         assert!(
-            sums.2 > sums.0 && sums.2 > sums.1,
-            "bytes↔task {:.2} must dominate jobs↔bytes {:.2} and jobs↔task {:.2}",
-            sums.2,
-            sums.0,
-            sums.1
+            bytes_task > jobs_bytes && bytes_task > jobs_task,
+            "bytes↔task {bytes_task:.2} must dominate jobs↔bytes {jobs_bytes:.2} and jobs↔task {jobs_task:.2}",
         );
     }
 
     #[test]
     fn bytes_tasktime_correlation_is_strong() {
-        let corpus = test_corpus();
-        let mut mean = 0.0;
-        for ctx in &corpus.contexts {
-            mean += in_memory(ctx.hourly()).correlations().bytes_task_seconds;
-        }
-        mean /= corpus.contexts.len() as f64;
+        let rows = pairs_per_workload(test_corpus());
+        assert_eq!(rows.len(), 7);
+        let mean = rows.iter().map(|(_, c)| c[2]).sum::<f64>() / rows.len() as f64;
         assert!((0.3..=1.0).contains(&mean), "mean bytes↔task {mean:.2}");
     }
 
     #[test]
     fn correlations_are_valid() {
-        let corpus = test_corpus();
-        for ctx in &corpus.contexts {
-            let c = in_memory(ctx.hourly()).correlations();
-            for v in [c.jobs_bytes, c.jobs_task_seconds, c.bytes_task_seconds] {
-                assert!((-1.0..=1.0).contains(&v), "{}: r = {v}", ctx.label());
+        for (label, c) in pairs_per_workload(test_corpus()) {
+            for v in c {
+                assert!((-1.0..=1.0).contains(&v), "{label}: r = {v}");
             }
         }
     }

@@ -1,12 +1,19 @@
-//! One module per reproduced artifact. Every `doc` function takes the
-//! shared [`crate::Corpus`] and builds a [`crate::Section`] — a
-//! typed block tree stating (a) what the paper reports, (b) what the
-//! synthetic reproduction measures, and (c) whether the *shape* of the
-//! result holds. The historical terminal output is re-derived from the
-//! same tree by `render_text` (each module's `run`) and pinned byte for
-//! byte by the golden tests; Markdown and HTML come from the
-//! [`crate::markdown`] and [`crate::html`] renderers (`swim-repro
-//! --format md|html`).
+//! One module per reproduced artifact: the paper's presentation of the
+//! [`crate::battery`] cells. Every `doc` function takes the shared
+//! [`crate::Corpus`], runs its battery cell on the corpus traces it shows
+//! ([`crate::Corpus::cells`]), and lays the cells' typed values out in a
+//! [`crate::Section`] — a block tree stating (a) what the paper reports,
+//! (b) what the synthetic reproduction measures, with the cross-workload
+//! aggregates (means, maxima, spans over cell values), and (c) whether
+//! the *shape* of the result holds. No module computes a per-trace
+//! value itself; four computations that are not per-trace measurements
+//! stay here: Table 2's fit at the paper's k, Fig. 7's utilization
+//! replay, the SWIM what-if sweep and Fig. 8's sine references.
+//!
+//! The historical terminal output is re-derived from the section tree by
+//! `render_text` ([`run`]) and pinned byte for byte by the golden tests;
+//! Markdown and HTML come from the [`crate::markdown`] and
+//! [`crate::html`] renderers (`swim-repro --format md|html`).
 
 pub mod fig1;
 pub mod fig10;
@@ -22,14 +29,20 @@ pub mod swimexp;
 pub mod table1;
 pub mod table2;
 
+use crate::battery::BATTERY;
 use crate::Corpus;
 use crate::Section;
 
-/// All experiment ids, in paper order.
-pub const ALL: [&str; 13] = [
-    "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "table2", "swim",
-];
+/// All experiment ids, in paper order: the battery's.
+pub const ALL: [&str; BATTERY.len()] = {
+    let mut ids = [""; BATTERY.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = BATTERY[i].id;
+        i += 1;
+    }
+    ids
+};
 
 /// Dispatch an experiment by id, returning its document section.
 pub fn doc(id: &str, corpus: &Corpus) -> Option<Section> {

@@ -4,21 +4,15 @@
 //! with Kolmogorov–Smirnov distances that the synthesis preserved the
 //! original per-job distributions.
 
+use crate::analyze::{synthesize_bundle, SynthBundle};
+use crate::battery::{KS_DIMENSIONS, SWIM_SAMPLE_SEED, SWIM_TARGET_NODES};
 use crate::corpus::in_memory;
 use crate::render::Table;
 use crate::Corpus;
 use crate::{Block, KeyValueBlock, Section};
-use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, SimConfig, Simulator};
-use swim_synth::datagen::DataGenPlan;
-use swim_synth::sample::{sample_windows, SampleConfig};
-use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
-use swim_synth::validate::SynthesisReport;
-use swim_synth::ReplayPlan;
+use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, Simulator};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::DataSize;
-
-/// Target cluster for the scaled-down replay.
-pub const TARGET_NODES: u32 = 20;
 
 /// KS acceptance threshold for the per-dimension distribution checks.
 /// Window sampling preserves distributions statistically, not exactly;
@@ -29,7 +23,7 @@ pub const KS_THRESHOLD: f64 = 0.25;
 /// policy × cluster size (12 scenarios), answering §7's "experiment with
 /// configurations before deploying them" use case on the same plan.
 pub fn whatif_grid() -> ScenarioGrid {
-    ScenarioGrid::new(vec![TARGET_NODES, 2 * TARGET_NODES])
+    ScenarioGrid::new(vec![SWIM_TARGET_NODES, 2 * SWIM_TARGET_NODES])
         .schedulers(vec![SchedulerKind::Fifo, SchedulerKind::Fair])
         .caches(vec![
             None,
@@ -50,106 +44,87 @@ pub fn cache_label(cache: &Option<(CachePolicy, DataSize)>) -> String {
     }
 }
 
+/// The `swim` cell's FB-2009 bundle, scaled to `nodes` machines: the
+/// plan the what-if sweep replays.
+fn fb2009_bundle(corpus: &Corpus, nodes: u32) -> SynthBundle {
+    let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
+    synthesize_bundle(source, nodes, SWIM_SAMPLE_SEED).expect("FB-2009 samples a non-empty day")
+}
+
 /// Build the SWIM pipeline document, reporting each stage.
 pub fn doc(corpus: &Corpus) -> Section {
-    let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
+    let source = corpus.cell("table1", &WorkloadKind::Fb2009);
+    let swim = corpus.cell("swim", &WorkloadKind::Fb2009);
     let mut section =
         Section::new("SWIM (§7): synthesize a scaled-down, replayable FB-2009 workload");
-    let mut stages: Vec<(String, String)> = Vec::new();
-    stages.push((
-        "source trace".into(),
-        format!(
-            "{} jobs over {}, {} moved",
-            source.len(),
-            source.span(),
-            source.bytes_moved()
+    // The pipeline's stages: sample one synthetic day out of the trace,
+    // scale its data sizes to the target cluster, plan the HDFS
+    // pre-population and the replay, and replay on the simulator.
+    let stages = [
+        (
+            "source trace",
+            format!(
+                "{} jobs over {}, {} moved",
+                source.render("jobs"),
+                source.render("length"),
+                source.render("bytes moved")
+            ),
         ),
-    ));
-
-    // 1. Sample one synthetic day out of the trace.
-    let sampled = sample_windows(source, SampleConfig::one_day_from_hours(7));
-    stages.push((
-        "sampled".into(),
-        format!(
-            "{} jobs over {} (hour windows → 1 day)",
-            sampled.len(),
-            sampled.span()
+        (
+            "sampled",
+            format!(
+                "{} jobs over {} (hour windows → 1 day)",
+                swim.render("sampled jobs"),
+                swim.render("sampled span")
+            ),
         ),
-    ));
-
-    // 2. Scale data sizes to the target cluster.
-    let scaled = scale_trace(
-        &sampled,
-        ScaleConfig {
-            target_machines: TARGET_NODES,
-            mode: ScaleMode::DataSize,
-            seed: 0,
-        },
-    );
-    stages.push((
-        "scaled".into(),
-        format!("{} nodes, {} to move", TARGET_NODES, scaled.bytes_moved()),
-    ));
-
-    // 3. Pre-population + replay plans.
-    let datagen = DataGenPlan::from_trace(&scaled, DataSize::from_mb(128));
-    let plan = ReplayPlan::from_trace(&scaled);
-    stages.push((
-        "datagen".into(),
-        format!(
-            "{} files, {} ({} blocks) to pre-populate",
-            datagen.file_count(),
-            datagen.total_bytes(),
-            datagen.total_blocks()
+        (
+            "scaled",
+            format!(
+                "{SWIM_TARGET_NODES} nodes, {} to move",
+                swim.render("bytes to move")
+            ),
         ),
-    ));
-    stages.push((
-        "replay plan".into(),
-        format!(
-            "{} jobs, schedule length {}",
-            plan.len(),
-            plan.schedule_length()
+        (
+            "datagen",
+            format!(
+                "{} files, {} ({} blocks) to pre-populate",
+                swim.render("datagen files"),
+                swim.render("datagen bytes"),
+                swim.render("datagen blocks")
+            ),
         ),
-    ));
-
-    // 4. Replay on the simulator.
-    let sim = Simulator::new(SimConfig::new(TARGET_NODES));
-    let result = sim.run(&plan, None);
-    stages.push((
-        "replayed".into(),
-        format!(
-            "makespan {}, median latency {:.0} s, mean queue delay {:.1} s",
-            result.makespan,
-            result.median_latency(),
-            result.mean_queue_delay()
+        (
+            "replay plan",
+            format!(
+                "{} jobs, schedule length {}",
+                swim.render("sampled jobs"),
+                swim.render("schedule length")
+            ),
         ),
-    ));
+        (
+            "replayed",
+            format!(
+                "makespan {}, median latency {:.0} s, mean queue delay {:.1} s",
+                swim.render("makespan"),
+                swim.number("median latency"),
+                swim.number("mean queue delay")
+            ),
+        ),
+    ];
     section.push(Block::KeyValue(KeyValueBlock {
-        pairs: stages,
+        pairs: stages.map(|(k, v)| (k.to_owned(), v)).to_vec(),
         key_width: 12,
         indent: 0,
     }));
     section.prose("\n");
 
-    // 5. What-if sweep: the same plan across a scheduler × cache ×
-    //    cluster-size grid, fanned out in parallel (deterministic,
-    //    order-independent results).
+    // What-if sweep: the same plan across a scheduler × cache ×
+    // cluster-size grid, fanned out in parallel (deterministic,
+    // order-independent results).
     let grid = whatif_grid();
-    // Jobs without trace-level path information fall back to a *unique*
-    // private file (the engine's null model for absent paths) — a shared
-    // placeholder would fabricate cache hits.
-    let paths: Vec<swim_trace::PathId> = scaled
-        .jobs()
-        .iter()
-        .enumerate()
-        .map(|(i, j)| {
-            j.input_paths
-                .first()
-                .copied()
-                .unwrap_or(swim_trace::PathId(1_000_000_000 + i as u64))
-        })
-        .collect();
-    let cells = Simulator::sweep(&grid, &plan, Some(&paths));
+    let bundle = fb2009_bundle(corpus, SWIM_TARGET_NODES);
+    let cells = Simulator::sweep(&grid, &bundle.replay, Some(&bundle.input_paths));
     section.prose(format!(
         "what-if sweep : {} scenarios (scheduler × cache × cluster size), in parallel\n",
         cells.len()
@@ -184,18 +159,19 @@ pub fn doc(corpus: &Corpus) -> Section {
          `swim-sim --workload cc-e` sweeps a workload with shared paths.)\n\n",
     );
 
-    // 6. Validate distributions (scale-invariant dims: duration, task-time,
-    //    interarrival; byte dims compared pre-scaling).
-    let report = SynthesisReport::compare(source, &sampled);
+    // Validated distributions (scale-invariant dims: duration, task-time,
+    // interarrival; byte dims compared pre-scaling).
     let mut table = Table::new(vec!["Dimension", "KS distance", "within threshold"]);
-    for (name, d) in [
-        ("input bytes", report.input),
-        ("shuffle bytes", report.shuffle),
-        ("output bytes", report.output),
-        ("duration", report.duration),
-        ("task-time", report.task_time),
-        ("inter-arrival", report.interarrival),
-    ] {
+    let dimensions = [
+        "input bytes",
+        "shuffle bytes",
+        "output bytes",
+        "duration",
+        "task-time",
+        "inter-arrival",
+    ];
+    for (name, dimension) in dimensions.into_iter().zip(KS_DIMENSIONS) {
+        let d = swim.number(&format!("{dimension} KS"));
         table.row(vec![
             name.to_owned(),
             format!("{d:.3}"),
@@ -207,68 +183,38 @@ pub fn doc(corpus: &Corpus) -> Section {
         "\nworst dimension: {:.3} (threshold {KS_THRESHOLD}).\n\
          Shape check (paper): SWIM's replay preserves per-job data-size and \
          arrival distributions while compressing months to a day and \
-         thousands of nodes to {TARGET_NODES}.\n",
-        report.worst()
+         thousands of nodes to {SWIM_TARGET_NODES}.\n",
+        swim.number("worst KS")
     ));
     section
-}
-
-/// Run the SWIM pipeline and report each stage in the historical
-/// terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::tests::test_corpus;
+    use swim_sim::SimConfig;
 
     #[test]
     fn pipeline_preserves_distributions() {
-        let corpus = test_corpus();
-        let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
-        let sampled = sample_windows(source, SampleConfig::one_day_from_hours(7));
-        let report = SynthesisReport::compare(source, &sampled);
+        let swim = test_corpus().cell("swim", &WorkloadKind::Fb2009);
+        let worst = swim.number("worst KS");
         assert!(
-            report.passes(KS_THRESHOLD),
-            "KS worst {:.3} exceeds {KS_THRESHOLD}",
-            report.worst()
+            worst <= KS_THRESHOLD,
+            "KS worst {worst:.3} exceeds {KS_THRESHOLD}"
         );
     }
 
     #[test]
     fn scaled_replay_completes() {
-        let corpus = test_corpus();
-        let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
-        let sampled = sample_windows(source, SampleConfig::one_day_from_hours(3));
-        let scaled = scale_trace(
-            &sampled,
-            ScaleConfig {
-                target_machines: TARGET_NODES,
-                mode: ScaleMode::DataSize,
-                seed: 0,
-            },
-        );
-        let plan = ReplayPlan::from_trace(&scaled);
-        let result = Simulator::new(SimConfig::new(TARGET_NODES)).run(&plan, None);
+        let plan = fb2009_bundle(test_corpus(), SWIM_TARGET_NODES).replay;
+        let result = Simulator::new(SimConfig::new(SWIM_TARGET_NODES)).run(&plan, None);
         assert_eq!(result.outcomes.len(), plan.len());
     }
 
     #[test]
     fn whatif_sweep_covers_twelve_scenarios_and_matches_serial_runs() {
-        let corpus = test_corpus();
-        let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
-        let sampled = sample_windows(source, SampleConfig::one_day_from_hours(3));
-        let scaled = scale_trace(
-            &sampled,
-            ScaleConfig {
-                target_machines: TARGET_NODES,
-                mode: ScaleMode::DataSize,
-                seed: 0,
-            },
-        );
-        let plan = ReplayPlan::from_trace(&scaled);
+        let plan = fb2009_bundle(test_corpus(), SWIM_TARGET_NODES).replay;
         let grid = whatif_grid();
         assert!(grid.len() >= 12, "grid has {} cells", grid.len());
         let cells = Simulator::sweep(&grid, &plan, None);
@@ -285,17 +231,16 @@ mod tests {
     #[test]
     fn scaling_shrinks_bytes_by_node_ratio() {
         let corpus = test_corpus();
-        let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
-        let scaled = scale_trace(
-            source,
-            ScaleConfig {
-                target_machines: TARGET_NODES,
-                mode: ScaleMode::DataSize,
-                seed: 0,
-            },
-        );
-        let expected = TARGET_NODES as f64 / source.machines as f64;
-        let actual = scaled.bytes_moved().as_f64() / source.bytes_moved().as_f64();
+        let machines = corpus
+            .cell("table1", &WorkloadKind::Fb2009)
+            .number("machines") as u32;
+        // The same sampled day at full size and scaled down.
+        let full = fb2009_bundle(corpus, machines).replay.total_bytes();
+        let scaled = fb2009_bundle(corpus, SWIM_TARGET_NODES)
+            .replay
+            .total_bytes();
+        let expected = SWIM_TARGET_NODES as f64 / machines as f64;
+        let actual = scaled.as_f64() / full.as_f64();
         assert!((actual / expected - 1.0).abs() < 0.01, "ratio {actual:.4}");
     }
 

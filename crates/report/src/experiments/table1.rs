@@ -1,10 +1,11 @@
 //! Table 1 — summary of traces: machines, length, jobs, bytes moved.
 
-use crate::corpus::{in_memory, scale_params};
+use crate::corpus::scale_params;
 use crate::render::{bytes, Table};
-use crate::Corpus;
-use crate::Section;
-use swim_trace::TraceSummary;
+use crate::{Corpus, CorpusScale, Section};
+use swim_trace::trace::WorkloadKind;
+use swim_trace::Dur;
+use swim_workloadgen::WorkloadProfile;
 
 /// Published Table 1 rows: `(workload, machines, jobs, bytes_moved)`.
 /// Machines for CC-d is the 400–500 midpoint the profiles use.
@@ -18,10 +19,30 @@ pub const PAPER: [(&str, u32, u64, f64); 7] = [
     ("FB-2010", 3_000, 1_169_184, 1.5e18),
 ];
 
+/// Workload `label`'s published job count and bytes moved, scaled to a
+/// corpus: by its job-count scale and by its generated window's share of
+/// the original trace length.
+fn scaled_paper_totals(label: &str, scale: CorpusScale) -> (f64, f64) {
+    let paper = PAPER.iter().find(|(w, ..)| *w == label);
+    let (_, _, jobs, bytes) = paper.expect("paper row exists");
+    let kind = WorkloadKind::PAPER_SEVEN
+        .into_iter()
+        .find(|k| k.label() == label);
+    let kind = kind.expect("paper workload");
+    let (job_scale, days) = scale_params(&kind, scale);
+    let profile = WorkloadProfile::for_kind(&kind).expect("paper workload");
+    let window_frac = (days / profile.length_days).min(1.0);
+    (
+        *jobs as f64 * job_scale * window_frac,
+        bytes * job_scale * window_frac,
+    )
+}
+
 /// Build the Table 1 document, next to the published values rescaled to
 /// the corpus scale factor for a like-for-like check.
 pub fn doc(corpus: &Corpus) -> Section {
     let mut section = Section::new("Table 1: Summary of traces (synthetic reproduction vs paper)");
+    const COLUMNS: [&str; 5] = ["workload", "machines", "length", "jobs", "bytes moved"];
     let mut table = Table::new(vec![
         "Workload",
         "Machines",
@@ -32,41 +53,29 @@ pub fn doc(corpus: &Corpus) -> Section {
         "paper bytes (scaled)",
         "jobs ratio",
     ]);
-    let mut rows: Vec<TraceSummary> = Vec::new();
-    for ctx in &corpus.contexts {
-        let s = ctx.summary();
-        let kind = &in_memory(ctx.trace()).kind;
-        let (job_scale, days) = scale_params(kind, corpus.scale);
-        let paper = PAPER
-            .iter()
-            .find(|(w, ..)| *w == s.workload)
-            .expect("paper row exists");
-        // Scale published totals to the generated job-count scale and the
-        // generated window length relative to the original trace length.
-        let profile = swim_workloadgen::WorkloadProfile::for_kind(kind).expect("paper workload");
-        let window_frac = (days / profile.length_days).min(1.0);
-        let expected_jobs = paper.2 as f64 * job_scale * window_frac;
-        let expected_bytes = paper.3 * job_scale * window_frac;
-        let ratio = s.jobs as f64 / expected_jobs.max(1.0);
-        table.row(vec![
-            s.workload.clone(),
-            s.machines.to_string(),
-            s.length.to_string(),
-            s.jobs.to_string(),
-            s.bytes_moved.to_string(),
+    // The Total row sums every numeric column.
+    let mut totals = [0.0; 5];
+    for (ctx, r) in corpus.cells("table1") {
+        let (expected_jobs, expected_bytes) = scaled_paper_totals(ctx.label(), corpus.scale);
+        let ratio = r.number("jobs") / expected_jobs.max(1.0);
+        let mut row: Vec<String> = COLUMNS.iter().map(|&c| r.render(c)).collect();
+        row.extend([
             format!("{expected_jobs:.0}"),
             bytes(expected_bytes),
             format!("{ratio:.2}"),
         ]);
-        rows.push(s.clone());
+        table.row(row);
+        for (total, c) in totals.iter_mut().zip(COLUMNS).skip(1) {
+            *total += r.number(c);
+        }
     }
-    let total = TraceSummary::total(&rows);
+    let [_, machines, length, jobs, bytes_moved] = totals;
     table.row(vec![
-        total.workload,
-        total.machines.to_string(),
-        total.length.to_string(),
-        total.jobs.to_string(),
-        total.bytes_moved.to_string(),
+        "Total".to_owned(),
+        machines.to_string(),
+        Dur::from_secs(length as u64).to_string(),
+        jobs.to_string(),
+        bytes(bytes_moved),
         String::new(),
         String::new(),
         String::new(),
@@ -80,11 +89,6 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate Table 1 in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,27 +97,21 @@ mod tests {
     #[test]
     fn job_counts_track_scaled_paper_totals() {
         let corpus = test_corpus();
-        for trace in corpus.traces() {
-            let (job_scale, days) = crate::corpus::scale_params(&trace.kind, corpus.scale);
-            let paper = PAPER
-                .iter()
-                .find(|(w, ..)| *w == trace.kind.label())
-                .unwrap();
-            let profile = swim_workloadgen::WorkloadProfile::for_kind(&trace.kind).unwrap();
-            let expected = paper.2 as f64 * job_scale * (days / profile.length_days).min(1.0);
-            let ratio = trace.len() as f64 / expected;
+        for (ctx, r) in corpus.cells("table1") {
+            let (expected, _) = scaled_paper_totals(ctx.label(), corpus.scale);
+            let jobs = r.number("jobs");
+            let ratio = jobs / expected;
             assert!(
                 (0.6..1.6).contains(&ratio),
-                "{}: {} jobs vs expected {expected:.0}",
-                trace.kind,
-                trace.len()
+                "{}: {jobs} jobs vs expected {expected:.0}",
+                ctx.label(),
             );
         }
     }
 
     #[test]
     fn report_contains_all_workloads_and_total() {
-        let r = run(test_corpus());
+        let r = doc(test_corpus()).render_text();
         for (w, ..) in PAPER {
             assert!(r.contains(w), "missing {w}");
         }

@@ -7,6 +7,7 @@
 //! behaviours with wildly varying scales; FB's job types changed
 //! substantially between 2009 and 2010.
 
+use crate::corpus::in_memory;
 use crate::render::Table;
 use crate::Corpus;
 use crate::Section;
@@ -22,16 +23,6 @@ pub const PAPER_K: [(&str, usize); 7] = [
     ("FB-2009", 10),
     ("FB-2010", 10),
 ];
-
-/// Elbow threshold used for the reproduction. Raw-space inertia is
-/// dominated by the heavy right tails of the byte dimensions, where even
-/// splits of a single log-normal blob keep paying ≈40 % per extra
-/// centroid; 0.5 stops once a split no longer halves the residual, which
-/// empirically lands k in the paper's 4–10 band.
-pub const ELBOW: f64 = 0.5;
-
-/// Maximum k explored.
-pub const MAX_K: usize = 12;
 
 /// Fit Table 2 for one trace: k-means at the paper's published k (the
 /// cluster-count column of Table 2). The paper clusters *raw* feature
@@ -66,12 +57,13 @@ pub fn doc(corpus: &Corpus) -> Section {
          diminishing returns in residual variance, which at our reduced \n\
          corpus scale saturates earlier).\n\n",
     );
-    for trace in corpus.traces() {
-        let model = fit_paper_k(trace);
-        let elbow = KMeans::fit_with_elbow(trace, MAX_K, ELBOW);
+    for (ctx, r) in corpus.cells("table2") {
+        let model = fit_paper_k(in_memory(ctx.trace()));
         section.prose(format!(
             "{} — paper k = {} (elbow would choose k = {}):\n",
-            trace.kind, model.k, elbow.k
+            ctx.label(),
+            model.k,
+            r.render("job types (elbow k)")
         ));
         let mut table = Table::new(vec![
             "# Jobs",
@@ -112,44 +104,37 @@ pub fn doc(corpus: &Corpus) -> Section {
     section
 }
 
-/// Regenerate the Table 2 report in the historical terminal format.
-pub fn run(corpus: &Corpus) -> String {
-    doc(corpus).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::tests::test_corpus;
 
+    /// Every corpus trace's Table 2 fit at the paper's k.
+    fn paper_k_fits() -> Vec<(String, KMeans)> {
+        let fit =
+            |c: &crate::TraceContext| (c.label().to_owned(), fit_paper_k(in_memory(c.trace())));
+        test_corpus().contexts.iter().map(fit).collect()
+    }
+
     #[test]
     fn dominant_cluster_exceeds_ninety_percent() {
-        let corpus = test_corpus();
-        for trace in corpus.traces() {
-            let model = fit_paper_k(trace);
+        for (label, model) in paper_k_fits() {
             let total: u64 = model.clusters.iter().map(|c| c.count).sum();
             let share = model.clusters[0].count as f64 / total as f64;
             // The paper's dominant share exceeds 90 % at production scale;
             // the quick test corpus has only a few hundred jobs per
             // workload, where raw k-means sheds a little more of the blob.
-            assert!(
-                share > 0.7,
-                "{}: dominant cluster share {share:.3}",
-                trace.kind
-            );
+            assert!(share > 0.7, "{label}: dominant cluster share {share:.3}");
         }
     }
 
     #[test]
     fn dominant_cluster_is_labelled_small_jobs() {
-        let corpus = test_corpus();
-        let mut small = 0;
-        for trace in corpus.traces() {
-            let model = fit_paper_k(trace);
-            if model.clusters[0].label == "Small jobs" {
-                small += 1;
-            }
-        }
+        let fits = paper_k_fits();
+        let small = fits
+            .iter()
+            .filter(|(_, model)| model.clusters[0].label == "Small jobs")
+            .count();
         assert!(
             small >= 6,
             "only {small}/7 dominant clusters labelled Small jobs"
@@ -158,13 +143,10 @@ mod tests {
 
     #[test]
     fn elbow_finds_multiple_types() {
-        let corpus = test_corpus();
-        for trace in corpus.traces() {
-            let model = fit_paper_k(trace);
+        for (label, model) in paper_k_fits() {
             assert!(
                 model.k >= 2,
-                "{}: k = {} — the small/large dichotomy must appear",
-                trace.kind,
+                "{label}: k = {} — the small/large dichotomy must appear",
                 model.k
             );
         }

@@ -21,9 +21,13 @@
 //!    bit-identical to serial runs), and emit one trace×metric comparison
 //!    table per experiment with per-trace sparklines.
 //!
-//! Beside the battery, the crate holds the paper's own deliverables: one
-//! [`experiments`] module per table/figure of the VLDB'12 study over a
-//! shared synthetic [`Corpus`], and the SWIM user path ([`analyze`]:
+//! The battery's cells are the crate's one implementation of the paper:
+//! the only code that computes a table's or figure's per-trace values.
+//! The paper's own deliverables are layouts of the same cells: one
+//! [`experiments`] module per table/figure of the VLDB'12 study runs its
+//! cell on a shared synthetic [`Corpus`] and sets the values beside the
+//! paper's, so `swim-repro` and `swim-report` differ only in their input
+//! and their renderer. Beside them sits the SWIM user path ([`analyze`]:
 //! characterize a job history, export shareable metrics, synthesize a
 //! replay bundle; §7–8).
 //!

@@ -1,8 +1,8 @@
 //! Golden-output pins: the exact bytes each experiment's `run` printed
 //! before the document-model refactor, regenerated from the
 //! deterministic quick corpus (seed 17 — the same corpus the unit smoke
-//! tests share), and the metrics document `swim-analyze --demo --export`
-//! writes.
+//! tests share), the same bytes as `swim-repro` prints them, and the
+//! metrics document `swim-analyze --demo --export` writes.
 //!
 //! Regenerate after an *intentional* output change with
 //!
@@ -108,5 +108,34 @@ fn experiment_output_is_bit_identical_to_golden() {
         mismatches.is_empty(),
         "experiment output drifted from golden pins:\n{}",
         mismatches.join("\n")
+    );
+}
+
+#[test]
+fn repro_binary_prints_the_experiment_goldens() {
+    // The experiment test above rewrites the goldens under regeneration.
+    if std::env::var_os("SWIM_REGEN_GOLDEN").is_some() {
+        return;
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_swim-repro"))
+        .args(["--seed", "17", "--quick", "all"])
+        .output()
+        .expect("run swim-repro");
+    assert!(out.status.success(), "swim-repro failed");
+    // Every experiment's golden, in battery order, each printed on its
+    // own and parted from the previous one by the `=`×72 separator.
+    let mut expected = String::new();
+    for (i, id) in experiments::ALL.iter().enumerate() {
+        if i > 0 {
+            expected.push_str(&format!("\n{}\n\n", "=".repeat(72)));
+        }
+        let path = golden_dir().join(format!("{id}.txt"));
+        expected.push_str(&std::fs::read_to_string(&path).unwrap());
+        expected.push('\n');
+    }
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    assert!(
+        stdout == expected,
+        "swim-repro --seed 17 --quick all drifted from the experiment goldens"
     );
 }

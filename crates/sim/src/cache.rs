@@ -36,10 +36,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Accesses that missed.
     pub misses: u64,
-    /// Bytes served from cache.
-    pub hit_bytes: u64,
-    /// Bytes that had to come from disk.
-    pub miss_bytes: u64,
     /// Files evicted.
     pub evictions: u64,
 }
@@ -52,16 +48,6 @@ impl CacheStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Hit rate by bytes, in `[0,1]`; 0 when no bytes moved.
-    pub fn byte_hit_rate(&self) -> f64 {
-        let total = self.hit_bytes + self.miss_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.hit_bytes as f64 / total as f64
         }
     }
 }
@@ -109,11 +95,9 @@ impl Cache {
             e.access_count += 1;
             e.seq = self.seq;
             self.stats.hits += 1;
-            self.stats.hit_bytes = self.stats.hit_bytes.saturating_add(size.bytes());
             return true;
         }
         self.stats.misses += 1;
-        self.stats.miss_bytes = self.stats.miss_bytes.saturating_add(size.bytes());
         if self.admits(size) {
             self.make_room(size);
             // make_room may fail to free enough for pathological sizes;
@@ -299,17 +283,5 @@ mod tests {
         c.invalidate(PathId(1));
         assert!(c.is_empty());
         assert!(!c.access(PathId(1), DataSize::from_mb(10), ts(1)));
-    }
-
-    #[test]
-    fn byte_hit_rate_weights_by_size() {
-        let mut c = Cache::new(CachePolicy::Unlimited, DataSize::ZERO);
-        c.access(PathId(1), DataSize::from_mb(1), ts(0)); // miss 1 MB
-        c.access(PathId(1), DataSize::from_mb(1), ts(1)); // hit 1 MB
-        c.access(PathId(2), DataSize::from_mb(3), ts(2)); // miss 3 MB
-        let s = c.stats();
-        assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        // 1 MB served from cache out of 5 MB moved (1 hit + 4 missed).
-        assert!((s.byte_hit_rate() - 0.2).abs() < 1e-12);
     }
 }

@@ -106,11 +106,6 @@ impl EventQueue {
         self.heap.pop().map(|q| (q.at, q.event))
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|q| q.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -170,15 +165,6 @@ mod tests {
         q.push(t, wave(0, true, 1));
         let (_, first) = q.pop().unwrap();
         assert_eq!(first, wave(0, true, 1));
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(Timestamp::from_secs(7), Event::JobSubmit { job: 0 });
-        assert_eq!(q.peek_time(), Some(Timestamp::from_secs(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]

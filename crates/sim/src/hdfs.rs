@@ -1,5 +1,5 @@
-//! The HDFS-like storage layer: a flat file namespace with sizes,
-//! replication accounting, and an optional cache tier in front of reads.
+//! The HDFS-like storage layer: a flat file namespace with sizes, block
+//! accounting, and an optional cache tier in front of reads.
 
 use crate::cache::{Cache, CachePolicy, CacheStats};
 use std::collections::HashMap;
@@ -10,15 +10,12 @@ use swim_trace::{DataSize, PathId, Timestamp};
 pub struct HdfsConfig {
     /// Block size (for block counting; default 128 MB).
     pub block_size: DataSize,
-    /// Replication factor (default 3).
-    pub replication: u32,
 }
 
 impl Default for HdfsConfig {
     fn default() -> Self {
         HdfsConfig {
             block_size: DataSize::from_mb(128),
-            replication: 3,
         }
     }
 }
@@ -77,14 +74,9 @@ impl Hdfs {
         self.files.len()
     }
 
-    /// Logical bytes stored (before replication).
+    /// Bytes stored (one copy of each file).
     pub fn bytes_stored(&self) -> DataSize {
         self.files.values().copied().sum()
-    }
-
-    /// Raw bytes consumed including replication.
-    pub fn raw_bytes_stored(&self) -> DataSize {
-        self.bytes_stored().scale(self.config.replication as f64)
     }
 
     /// Total blocks across all files.
@@ -146,17 +138,6 @@ mod tests {
         fs.write(PathId(1), DataSize::from_mb(20), ts(2)); // invalidates
         assert!(!fs.read(PathId(1), DataSize::ZERO, ts(3)));
         assert_eq!(fs.size_of(PathId(1)), Some(DataSize::from_mb(20)));
-    }
-
-    #[test]
-    fn replication_multiplies_raw_bytes() {
-        let mut fs = Hdfs::new(HdfsConfig {
-            replication: 3,
-            ..Default::default()
-        });
-        fs.write(PathId(1), DataSize::from_gb(1), ts(0));
-        assert_eq!(fs.bytes_stored(), DataSize::from_gb(1));
-        assert_eq!(fs.raw_bytes_stored(), DataSize::from_gb(3));
     }
 
     #[test]

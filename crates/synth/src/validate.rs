@@ -88,8 +88,8 @@ impl SynthesisReport {
         }
     }
 
-    /// Largest per-dimension distance.
-    pub fn worst(&self) -> f64 {
+    /// The six distances, in field order.
+    pub fn distances(&self) -> [f64; 6] {
         [
             self.input,
             self.shuffle,
@@ -98,8 +98,11 @@ impl SynthesisReport {
             self.task_time,
             self.interarrival,
         ]
-        .into_iter()
-        .fold(0.0, f64::max)
+    }
+
+    /// Largest per-dimension distance.
+    pub fn worst(&self) -> f64 {
+        self.distances().into_iter().fold(0.0, f64::max)
     }
 
     /// `true` iff every dimension is within `threshold`.

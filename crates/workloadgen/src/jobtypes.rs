@@ -147,14 +147,6 @@ impl JobTypeMix {
         &self.types
     }
 
-    /// Fraction of the population in the largest (by count) type — the
-    /// paper's ">90% small jobs" observation holds for all seven mixes.
-    pub fn dominant_share(&self) -> f64 {
-        let total: u64 = self.types.iter().map(|t| t.count).sum();
-        let max = self.types.iter().map(|t| t.count).max().unwrap_or(0);
-        max as f64 / total.max(1) as f64
-    }
-
     /// Sample one job: pick a type by population weight, then jitter each
     /// dimension log-normally around the centroid. Zero centroid
     /// dimensions stay exactly zero (map-only stays map-only).
@@ -263,11 +255,6 @@ mod tests {
                 "Aggregate, fast",
             ),
         ])
-    }
-
-    #[test]
-    fn dominant_share_matches_counts() {
-        assert!((two_type_mix().dominant_share() - 0.9).abs() < 1e-12);
     }
 
     #[test]
