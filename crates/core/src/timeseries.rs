@@ -36,7 +36,7 @@ use swim_trace::Trace;
 /// assert_eq!(series.jobs, vec![2.0, 0.0, 1.0]);
 /// assert_eq!(series.task_seconds, vec![120.0, 0.0, 60.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HourlySeries {
     /// Jobs submitted per hour.
     pub jobs: Vec<f64>,
@@ -47,18 +47,12 @@ pub struct HourlySeries {
 }
 
 impl HourlySeries {
-    /// Bin a trace into hourly sums. The series spans from the trace's
-    /// first submit hour to its last (inclusive); empty traces yield empty
-    /// series. The hour span is known up front here, so this bins
-    /// directly without the sparse buffer [`HourlySeries::from_jobs`]
-    /// needs for unordered streams.
+    /// Bin a trace into hourly sums, in job order. The series spans from
+    /// the trace's first submit hour to its last (inclusive); empty
+    /// traces yield empty series.
     pub fn of(trace: &Trace) -> HourlySeries {
         let (Some(start), Some(end)) = (trace.start(), trace.end()) else {
-            return HourlySeries {
-                jobs: vec![],
-                bytes: vec![],
-                task_seconds: vec![],
-            };
+            return HourlySeries::default();
         };
         let first = start.hour_bucket();
         let n = (end.hour_bucket() - first + 1) as usize;
@@ -70,53 +64,6 @@ impl HourlySeries {
             jobs[h] += 1.0;
             bytes[h] += job.total_io().as_f64();
             task_seconds[h] += job.total_task_time().as_f64();
-        }
-        HourlySeries {
-            jobs,
-            bytes,
-            task_seconds,
-        }
-    }
-
-    /// Bin an arbitrary job stream into hourly sums without materializing
-    /// a [`Trace`] — the entry point for `swim-store`'s chunked scans,
-    /// where jobs arrive chunk by chunk from disk (owned or borrowed).
-    /// Jobs may arrive in any order; the series spans the observed
-    /// min..=max submit hours and memory stays at one 24-byte tuple per
-    /// job regardless of name/path payloads.
-    pub fn from_jobs<J: std::borrow::Borrow<swim_trace::Job>>(
-        jobs: impl Iterator<Item = J>,
-    ) -> HourlySeries {
-        // Accumulate sparsely first: the hour span is unknown until every
-        // job has been seen.
-        let mut first = u64::MAX;
-        let mut last = 0u64;
-        let mut sparse: Vec<(u64, f64, f64)> = Vec::new();
-        let mut count = 0usize;
-        for job in jobs {
-            let job = job.borrow();
-            let h = job.submit.hour_bucket();
-            first = first.min(h);
-            last = last.max(h);
-            sparse.push((h, job.total_io().as_f64(), job.total_task_time().as_f64()));
-            count += 1;
-        }
-        if count == 0 {
-            return HourlySeries {
-                jobs: vec![],
-                bytes: vec![],
-                task_seconds: vec![],
-            };
-        }
-        let n = (last - first + 1) as usize;
-        let mut jobs = vec![0.0; n];
-        let mut bytes = vec![0.0; n];
-        let mut task_seconds = vec![0.0; n];
-        for (h, io, task) in sparse {
-            let idx = (h - first) as usize;
-            jobs[idx] += 1.0;
-            bytes[idx] += io;
-            task_seconds[idx] += task;
         }
         HourlySeries {
             jobs,

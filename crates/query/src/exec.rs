@@ -165,7 +165,7 @@ mod tests {
     use swim_trace::trace::WorkloadKind;
     use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
 
-    fn store(n: u64, jobs_per_chunk: u32) -> Store {
+    fn trace(n: u64) -> Trace {
         let jobs = (0..n)
             .map(|i| {
                 let mut b = JobBuilder::new(i)
@@ -183,8 +183,11 @@ mod tests {
                 b.build().unwrap()
             })
             .collect();
-        let trace = Trace::new(WorkloadKind::Custom("exec".into()), 9, jobs).unwrap();
-        Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk })).unwrap()
+        Trace::new(WorkloadKind::Custom("exec".into()), 9, jobs).unwrap()
+    }
+
+    fn store(n: u64, jobs_per_chunk: u32) -> Store {
+        Store::from_vec(store_to_vec(&trace(n), &StoreOptions { jobs_per_chunk })).unwrap()
     }
 
     #[test]
@@ -240,13 +243,48 @@ mod tests {
             "expected skips: {:?}",
             out.stats
         );
-        // Oracle: count via the store's job-level range scan.
-        let expected = store
-            .scan_range(Timestamp::from_secs(10_000), Timestamp::from_secs(12_000))
-            .unwrap()
-            .jobs()
-            .count();
+        // Oracle: the in-memory trace's own range selection.
+        let expected = trace(10_000)
+            .select_range(Timestamp::from_secs(10_000), Timestamp::from_secs(12_000))
+            .len();
         assert_eq!(out.rows[0].values, vec![AggValue::Int(expected as u64)]);
+    }
+
+    #[test]
+    fn submit_ranges_include_from_and_exclude_to() {
+        // Jobs at t = 0, 100, 200, …; one job a chunk, so the zone maps,
+        // not luck, decide which chunks are read.
+        let jobs = (0..10u64)
+            .map(|i| {
+                JobBuilder::new(i)
+                    .submit(Timestamp::from_secs(i * 100))
+                    .map_task_time(Dur::from_secs(1))
+                    .tasks(1, 0)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let trace = Trace::new(WorkloadKind::Custom("bounds".into()), 1, jobs).unwrap();
+        let store =
+            Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 1 })).unwrap();
+        let ids = |from: u64, to: u64| -> Vec<u64> {
+            let q = Query::new()
+                .filter(Pred::submit_range(from, to))
+                .group(Expr::col(Col::Id))
+                .select(Aggregate::Count);
+            let out = execute(&store, &q).unwrap();
+            assert_eq!(out.stats.chunks_skipped, 10 - out.rows.len());
+            out.rows.iter().map(|r| r.key[0]).collect()
+        };
+        // A job exactly at `from` is included; exactly at `to` is not.
+        assert_eq!(ids(200, 400), vec![2, 3]);
+        // Adjacent ranges partition: no job seen twice or dropped.
+        let mut both = ids(0, 300);
+        both.extend(ids(300, 1000));
+        assert_eq!(both, (0..10).collect::<Vec<_>>());
+        // Degenerate ranges select nothing.
+        assert_eq!(ids(200, 200), Vec::<u64>::new());
+        assert_eq!(ids(400, 200), Vec::<u64>::new());
     }
 
     #[test]

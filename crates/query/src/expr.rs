@@ -353,7 +353,9 @@ impl Pred {
         Pred::Or(Box::new(self), Box::new(other))
     }
 
-    /// `submit in [from, to)` — the store's range-scan bounds.
+    /// `submit in [from, to)`: `from` inclusive, `to` exclusive, so
+    /// adjacent windows partition a trace and `from >= to` matches
+    /// nothing. Zone maps skip the chunks outside the window.
     pub fn submit_range(from: u64, to: u64) -> Pred {
         Pred::cmp(Col::Submit, CmpOp::Ge, from).and(Pred::cmp(Col::Submit, CmpOp::Lt, to))
     }

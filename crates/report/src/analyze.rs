@@ -19,7 +19,6 @@ use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
 use swim_core::kmeans::KMeans;
 use swim_core::names::NameAnalysis;
-use swim_core::stats::Ecdf;
 use swim_obs::json::{self, Value};
 use swim_synth::datagen::DataGenPlan;
 use swim_synth::sample::{sample_windows, SampleConfig};
@@ -75,10 +74,7 @@ impl SharedMetrics {
         if trace.is_empty() {
             return Err("cannot analyze an empty trace".to_owned());
         }
-        // A job's feature vector starts with its input, shuffle and output sizes.
-        let size =
-            |i: usize| Ecdf::new(trace.jobs().iter().map(|j| j.feature_vector()[i]).collect());
-        let (input, shuffle, output) = (size(0), size(1), size(2));
+        let [input, shuffle, output] = ctx.sizes()?;
         let locality = ctx.locality()?;
         let hourly = ctx.hourly()?;
         let correlations = hourly.correlations();

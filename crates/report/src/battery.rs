@@ -18,10 +18,11 @@
 //! same way — as an ordered list of `swim-store` stores: a `.swim` file,
 //! a catalog's shards, or the in-memory store a CSV, JSON-lines or
 //! generated trace is encoded into once — so cheap questions stay cheap
-//! and no cell depends on where its trace came from. The weekly series
-//! is a chunk-skipping range scan of the stores, and the full job vector
-//! is materialized at most once, lazily, when the first
-//! distribution-level analysis asks for it.
+//! and no cell depends on where its trace came from. The numeric cells
+//! (table1, fig1, fig7, fig8, fig9) read only the numeric columns they
+//! name, in hand folds over the stores' chunks; the full job vector is
+//! materialized at most once, lazily, when the first cell that needs
+//! names or paths asks for it.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -34,7 +35,8 @@ use swim_core::stats::Ecdf;
 use swim_core::timeseries::HourlySeries;
 use swim_core::KMeans;
 use swim_sim::{SimConfig, Simulator};
-use swim_store::{Store, StoreError, StoreOptions};
+use swim_store::format::columns::{ChunkView, ColumnSet};
+use swim_store::{Store, StoreError, StoreOptions, ZoneMap};
 use swim_trace::time::WEEK;
 use swim_trace::{DataSize, Dur, Timestamp, Trace, TraceSummary};
 
@@ -71,6 +73,19 @@ pub const SWIM_TARGET_NODES: u32 = 20;
 
 /// Fig. 1's stages, in a job's feature-vector order.
 pub const SIZE_STAGES: [&str; 3] = ["input", "shuffle", "output"];
+
+/// The columns Fig. 1's size ECDFs read: input, shuffle and output.
+const SIZE_COLUMNS: ColumnSet = ColumnSet::EMPTY
+    .with(ZoneMap::IO[0])
+    .with(ZoneMap::IO[1])
+    .with(ZoneMap::IO[2]);
+
+/// The columns the hourly series read: submit, the sizes and the map and
+/// reduce task times.
+const HOURLY_COLUMNS: ColumnSet = SIZE_COLUMNS
+    .with(ZoneMap::SUBMIT)
+    .with(ZoneMap::TASK_TIME[0])
+    .with(ZoneMap::TASK_TIME[1]);
 
 /// Fig. 1's per-job size percentiles: column `input p10` holds the input
 /// sizes' 10th percentile.
@@ -285,12 +300,15 @@ pub struct TraceContext {
     stores: Vec<Store>,
     summary: TraceSummary,
     trace: Cached<Trace>,
-    weekly: Cached<HourlySeries>,
     // Full-trace derived statistics shared by several battery entries
-    // (fig2+fig3, fig2+fig4, fig5+fig6, fig8+fig9): computed once per
-    // trace, not once per experiment — on a million-job trace each
+    // (fig7+fig8+fig9, fig2+fig3, fig2+fig4, fig5+fig6): computed once
+    // per trace, not once per experiment — on a million-job trace each
     // recomputation is an O(jobs) pass.
-    hourly: Cached<HourlySeries>,
+    /// The hourly series, and how many of its leading hours hold a job
+    /// of the first week.
+    hourly: Cached<(HourlySeries, usize)>,
+    /// Per-job input, shuffle and output sizes.
+    sizes: Cached<[Ecdf; 3]>,
     locality: Cached<LocalityStats>,
     /// File access statistics, input stage then output stage.
     access: [Cached<FileAccessStats>; 2],
@@ -312,8 +330,8 @@ impl TraceContext {
             stores,
             summary,
             trace: OnceLock::new(),
-            weekly: OnceLock::new(),
             hourly: OnceLock::new(),
+            sizes: OnceLock::new(),
             locality: OnceLock::new(),
             access: [OnceLock::new(), OnceLock::new()],
         }
@@ -396,34 +414,100 @@ impl TraceContext {
         format!("read {}: {e}", self.label)
     }
 
-    /// First-week hourly series, always from chunk-skipping range scans
-    /// of the stores (no trace materialization, and no dependence on
-    /// whether another experiment happened to materialize the trace
-    /// first — the code path must not vary with thread scheduling). The
-    /// week's jobs are folded in `(submit, id)` order, the order of a
-    /// materialized trace, so the f64 hourly sums are bit-identical to
-    /// `HourlySeries::of(&trace.first_week())`.
-    pub fn weekly(&self) -> Result<&HourlySeries, String> {
-        cached(&self.weekly, || {
-            let nonempty = self.stores.iter().filter(|s| s.job_count() > 0);
-            let start = nonempty.map(|s| s.stored_summary().min_submit).min();
-            let start = start.unwrap_or(Timestamp::ZERO);
-            let mut jobs = Vec::new();
-            for store in &self.stores {
-                let scan = store.scan_range(start, start + Dur::from_secs(WEEK));
-                for chunk in scan.map_err(|e| self.unreadable(e))? {
-                    jobs.extend(chunk.map_err(|e| self.unreadable(e))?);
-                }
+    /// Visit every chunk's numeric columns of `set`, stores in order and
+    /// chunks in order: the order [`TraceContext::trace`] concatenates
+    /// them in. Names and paths are never decoded.
+    fn fold_chunks(
+        &self,
+        set: ColumnSet,
+        mut visit: impl FnMut(ChunkView<'_>),
+    ) -> Result<(), String> {
+        for store in &self.stores {
+            let mut reader = store.reader().map_err(|e| self.unreadable(e))?;
+            for idx in 0..store.chunk_count() {
+                let chunk = reader.columns(idx, set).map_err(|e| self.unreadable(e))?;
+                visit(chunk.view());
             }
-            jobs.sort_by_key(|j| (j.submit, j.id));
-            Ok(HourlySeries::from_jobs(jobs.iter()))
+        }
+        Ok(())
+    }
+
+    /// Whole-trace hourly series (fig7's week, fig8's burstiness signal
+    /// and fig9's correlations), computed once from the submit, size and
+    /// task-time columns. Each hour sums its jobs' `as_f64` values as
+    /// `HourlySeries::of` does, in the stores' order: one store's order
+    /// is the trace's, and sums of integers below 2^53 do not depend on
+    /// order at all.
+    pub fn hourly(&self) -> Result<&HourlySeries, String> {
+        self.hourly_and_week().map(|(series, _)| series)
+    }
+
+    /// The hourly series, and how many of its leading hours hold a job
+    /// submitted within a week of the first: its last such hour + 1.
+    fn hourly_and_week(&self) -> Result<&(HourlySeries, usize), String> {
+        cached(&self.hourly, || {
+            let nonempty = || {
+                self.stores
+                    .iter()
+                    .map(Store::stored_summary)
+                    .filter(|s| s.jobs > 0)
+            };
+            let start = nonempty().map(|s| s.min_submit).min();
+            let end = nonempty().map(|s| s.max_submit).max();
+            let (Some(start), Some(end)) = (start, end) else {
+                return Ok((HourlySeries::default(), 0));
+            };
+            let (first, week_end) = (start.hour_bucket(), start + Dur::from_secs(WEEK));
+            let n = (end.hour_bucket() - first + 1) as usize;
+            let (mut jobs, mut bytes, mut task_seconds) =
+                (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let mut week_hours = 0;
+            let mut outside = false;
+            self.fold_chunks(HOURLY_COLUMNS, |cols| {
+                let [input, shuffle, output] = ZoneMap::IO.map(|c| cols.column(c));
+                let [map, reduce] = ZoneMap::TASK_TIME.map(|c| cols.column(c));
+                for (i, &submit) in cols.column(ZoneMap::SUBMIT).iter().enumerate() {
+                    let submit = Timestamp::from_secs(submit);
+                    let h = submit.hour_bucket().wrapping_sub(first) as usize;
+                    if h >= n {
+                        outside = true;
+                        continue;
+                    }
+                    let io = input[i]
+                        .saturating_add(shuffle[i])
+                        .saturating_add(output[i]);
+                    jobs[h] += 1.0;
+                    bytes[h] += io as f64;
+                    task_seconds[h] += map[i].saturating_add(reduce[i]) as f64;
+                    if submit < week_end {
+                        week_hours = week_hours.max(h + 1);
+                    }
+                }
+            })?;
+            if outside {
+                return Err(self.unreadable("a job's submit lies outside its store's window"));
+            }
+            let series = HourlySeries {
+                jobs,
+                bytes,
+                task_seconds,
+            };
+            Ok((series, week_hours))
         })
     }
 
-    /// Whole-trace hourly series (fig8's burstiness signal and fig9's
-    /// correlations), computed once.
-    pub fn hourly(&self) -> Result<&HourlySeries, String> {
-        cached(&self.hourly, || Ok(HourlySeries::of(self.trace()?)))
+    /// Per-job input, shuffle and output sizes (fig1, and `swim-analyze`'s
+    /// exported quantiles), computed once from the three I/O columns.
+    pub fn sizes(&self) -> Result<&[Ecdf; 3], String> {
+        cached(&self.sizes, || {
+            let mut stages: [Vec<f64>; 3] = Default::default();
+            self.fold_chunks(SIZE_COLUMNS, |cols| {
+                for (values, c) in stages.iter_mut().zip(ZoneMap::IO) {
+                    values.extend(cols.column(c).iter().map(|&b| b as f64));
+                }
+            })?;
+            Ok(stages.map(Ecdf::new))
+        })
     }
 
     /// Re-access locality statistics (fig5, fig6), computed once.
@@ -542,13 +626,12 @@ fn table1(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 }
 
 fn fig1(ctx: &TraceContext) -> Result<ExperimentResult, String> {
-    let jobs = ctx.trace()?.jobs();
-    if jobs.is_empty() {
+    let sizes = ctx.sizes()?;
+    if sizes[0].is_empty() {
         return Ok(ExperimentResult::Skipped("trace has no jobs"));
     }
     let mut metrics = Vec::new();
-    for (i, stage) in SIZE_STAGES.iter().enumerate() {
-        let ecdf = Ecdf::new(jobs.iter().map(|j| j.feature_vector()[i]).collect());
+    for (stage, ecdf) in SIZE_STAGES.iter().zip(sizes) {
         for p in SIZE_PERCENTILES {
             let value = Value::Bytes(ecdf.quantile(p as f64 / 100.0));
             metrics.push(Metric::new(format!("{stage} p{p}"), value));
@@ -658,7 +741,8 @@ fn fig6(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 }
 
 fn fig7(ctx: &TraceContext) -> Result<ExperimentResult, String> {
-    let series = ctx.weekly()?.truncate(24 * 7);
+    let (hourly, week_hours) = ctx.hourly_and_week()?;
+    let series = hourly.truncate((*week_hours).min(24 * 7));
     if series.is_empty() {
         return Ok(ExperimentResult::Skipped("trace has no jobs"));
     }
@@ -841,6 +925,7 @@ fn swim(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 mod tests {
     use super::*;
     use swim_trace::trace::WorkloadKind;
+    use swim_trace::JobBuilder;
     use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
     fn sample_trace() -> Trace {
@@ -899,9 +984,9 @@ mod tests {
         let store = TraceContext::load(&path, 100).unwrap();
         assert_eq!(store.label(), "cc-e");
         assert_eq!(store.summary(), &trace.summary(), "par_summary path");
-        // Weekly series must come out identical whether computed by store
-        // range scan or from the in-memory first week.
-        assert_eq!(store.weekly(), mem.weekly());
+        // The hourly fold over the file's columns ≡ the in-memory trace's.
+        assert_eq!(store.hourly(), Ok(&HourlySeries::of(&trace)));
+        assert_eq!(store.hourly_and_week(), mem.hourly_and_week());
         // Every battery entry must agree bit-for-bit across sources.
         for exp in &BATTERY {
             assert_eq!((exp.run)(&store), (exp.run)(&mem), "{}", exp.id);
@@ -932,9 +1017,9 @@ mod tests {
         let cat = TraceContext::load(&dir, 100).unwrap();
         // O(manifest) summary equals the in-memory Table-1 row.
         assert_eq!(cat.summary(), &trace.summary(), "manifest summary path");
-        // Weekly series agree bit for bit (sorted federated range scan
-        // vs in-memory first week).
-        assert_eq!(cat.weekly(), mem.weekly());
+        // The hourly fold over the shards' columns ≡ the in-memory trace's.
+        assert_eq!(cat.hourly(), Ok(&HourlySeries::of(&trace)));
+        assert_eq!(cat.hourly_and_week(), mem.hourly_and_week());
         // Every battery entry agrees bit for bit across sources.
         for exp in &BATTERY {
             assert_eq!((exp.run)(&cat), (exp.run)(&mem), "{}", exp.id);
@@ -1005,10 +1090,93 @@ mod tests {
         assert_eq!(trace.kind, WorkloadKind::Custom("mixed".into()));
         assert_eq!(trace.machines, cc_e.machines.max(cc_b.machines));
         assert_eq!(trace.len(), cc_e.len() + cc_b.len());
-        assert_eq!(
-            ctx.weekly().unwrap(),
-            &HourlySeries::of(&trace.first_week())
-        );
+        // The shards' windows overlap, so the fold visits jobs out of
+        // trace order: its integer hour sums are exact all the same.
+        assert_eq!(ctx.hourly(), Ok(&HourlySeries::of(trace)));
+        assert_eq!(fig7_series(&ctx), HourlySeries::of(&trace.first_week()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// fig7's series, as an [`HourlySeries`].
+    fn fig7_series(ctx: &TraceContext) -> HourlySeries {
+        let result = fig7(ctx).unwrap();
+        let [jobs, bytes, task_seconds] = [0, 1, 2].map(|i| result.series()[i].values.clone());
+        HourlySeries {
+            jobs,
+            bytes,
+            task_seconds,
+        }
+    }
+
+    #[test]
+    fn fig7_ends_with_the_last_hour_that_holds_a_first_week_job() {
+        // Jobs in hours 0–160, then from hour 200: the week has 161 hours,
+        // not the 168 a plain truncation of the whole series would give.
+        let hours = (0..=160u64).chain(200..260);
+        let jobs = hours
+            .enumerate()
+            .map(|(id, hour)| {
+                JobBuilder::new(id as u64)
+                    .submit(Timestamp::from_secs(hour * 3_600 + 60))
+                    .input(DataSize::from_mb(1 + hour))
+                    .map_task_time(Dur::from_secs(30))
+                    .tasks(1, 0)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let trace = Trace::new(WorkloadKind::Custom("gap".into()), 10, jobs).unwrap();
+        let ctx = TraceContext::from_trace("gap", trace.clone());
+        assert_eq!(ctx.hourly().unwrap().len(), 260);
+        let week = fig7_series(&ctx);
+        assert_eq!(week.len(), 161);
+        assert_eq!(week, HourlySeries::of(&trace.first_week()));
+    }
+
+    #[test]
+    fn a_footer_window_that_misses_a_job_is_an_error_not_a_panic() {
+        use swim_store::format::{self, Footer, Header};
+        // Re-seal the footer over a summary whose submit window ends at
+        // its first job: the hourly fold must not index past its series.
+        let image = swim_store::store_to_vec(&sample_trace(), &StoreOptions::default());
+        let header = &image[..Header::decode(&image).unwrap().encoded_len()];
+        let tail = image.len() - format::CHECKSUM_LEN - format::TRAILER_LEN;
+        let at = format::decode_trailer(&image[tail + format::CHECKSUM_LEN..]).unwrap();
+        let mut footer = Footer::decode(&image[at as usize..tail]).unwrap();
+        footer.summary.max_submit = footer.summary.min_submit;
+        let footer = footer.encode();
+        let seal = format::encode_tail(header, &footer, at);
+        let forged = [&image[..at as usize], &footer, &seal].concat();
+        let ctx = TraceContext::from_store("forged", Store::from_vec(forged).unwrap()).unwrap();
+        let err = ctx.hourly().unwrap_err();
+        assert!(err.contains("outside its store's window"), "{err}");
+    }
+
+    #[test]
+    fn numeric_cells_never_materialize_the_trace() {
+        let trace = sample_trace();
+        let dir = std::env::temp_dir().join(format!("swim-report-numeric-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cc-e.swim");
+        swim_store::write_store_path(&trace, &path, &StoreOptions::default()).unwrap();
+        let catalog = dir.join("cc-e.d");
+        let options = swim_catalog::CatalogOptions {
+            jobs_per_shard: (trace.len() as u32 / 3).max(1),
+            ..Default::default()
+        };
+        let mut cat = swim_catalog::Catalog::init(&catalog).unwrap();
+        cat.ingest_trace(&trace, &options).unwrap();
+        drop(cat);
+
+        for input in [&path, &catalog] {
+            let ctx = TraceContext::load(input, 100).unwrap();
+            for id in ["table1", "fig1", "fig7", "fig8", "fig9"] {
+                let result = (experiment(id).unwrap().run)(&ctx).unwrap();
+                assert!(!result.is_skipped(), "{id} on {}", input.display());
+            }
+            assert!(ctx.trace.get().is_none(), "{}", input.display());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1027,7 +1195,6 @@ mod tests {
 
     #[test]
     fn pathless_nameless_trace_skips_path_and_name_experiments() {
-        use swim_trace::{DataSize, JobBuilder, Timestamp};
         let jobs = (0..200u64)
             .map(|i| {
                 JobBuilder::new(i)

@@ -19,18 +19,19 @@
 //!    jobs are pushed in blocks of any length and encoded as they arrive
 //!    — and [`write_store`] is that writer fed a whole trace.
 //! 2. **Scans** — [`Store::scan`] streams chunks at bounded memory;
-//!    [`Store::scan_range`] uses per-chunk `[min, max]` submit windows to
-//!    skip irrelevant chunks without reading them; [`Store::reader`]
-//!    hands out a [`ChunkReader`] that decodes any chunk as jobs or as a
-//!    column projection, one per worker of a [`swim_obs::par_claim`]
-//!    when the fold should use every core.
+//!    [`Store::reader`] hands out a [`ChunkReader`] that decodes any
+//!    chunk as jobs or as a column projection, one per worker of a
+//!    [`swim_obs::par_claim`] when the fold should use every core. The
+//!    footer's per-chunk zone maps let a caller skip chunks a predicate
+//!    cannot match (`swim-query` prunes time windows this way).
 //! 3. **O(1) statistics** — the footer stores a whole-trace summary, so
 //!    [`Store::summary`] answers Table-1 questions without any scan, and
 //!    [`Store::par_summary`] recomputes it from data as the verification
 //!    path.
 //!
 //! ```
-//! use swim_store::{store_to_vec, Store, StoreOptions};
+//! use swim_store::format::columns::ColumnSet;
+//! use swim_store::{store_to_vec, Store, StoreOptions, ZoneMap};
 //! use swim_trace::trace::WorkloadKind;
 //! use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
 //!
@@ -53,11 +54,12 @@
 //! assert_eq!(store.summary(), trace.summary());          // O(1), from the footer
 //! assert_eq!(store.par_summary().unwrap(), trace.summary()); // parallel re-scan
 //!
-//! // Chunk-skipping time-range scan: one hour out of ~83.
-//! let hour = store
-//!     .scan_range(Timestamp::from_secs(0), Timestamp::from_secs(3600))
-//!     .unwrap();
-//! assert_eq!(hour.jobs().count(), 120);
+//! // One hour out of ~83 from the submit column alone: the first
+//! // chunk's names and paths are never decoded.
+//! let submit = ColumnSet::EMPTY.with(ZoneMap::SUBMIT);
+//! let first = store.reader().unwrap().columns(0, submit).unwrap();
+//! let hour = first.cols[ZoneMap::SUBMIT].iter().filter(|&&s| s < 3600);
+//! assert_eq!(hour.count(), 120);
 //! assert_eq!(store.read_trace().unwrap(), trace);        // bit-exact round trip
 //! ```
 
@@ -75,7 +77,7 @@ pub use error::StoreError;
 pub use format::{
     ChunkMeta, StoredSummary, ZoneMap, DEFAULT_JOBS_PER_CHUNK, MAX_JOBS_PER_CHUNK, ZONE_COLUMNS,
 };
-pub use store::{ChunkReader, ChunkScan, Store};
+pub use store::{ChunkReader, Store};
 pub use writer::{
     store_to_vec, write_store, write_store_path, StoreOptions, StoreStats, StoreWriter,
 };
@@ -142,56 +144,6 @@ mod tests {
         assert_eq!(store.summary(), trace.summary());
         assert_eq!(store.par_summary().unwrap(), trace.summary());
         assert_eq!(store.chunk_count(), 0);
-    }
-
-    #[test]
-    fn range_scan_matches_select_range_and_skips_chunks() {
-        let trace = varied_trace(3_000);
-        let store =
-            Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 50 })).unwrap();
-        let (from, to) = (Timestamp::from_secs(10_000), Timestamp::from_secs(20_000));
-        let expected = trace.select_range(from, to);
-        let scan = store.scan_range(from, to).unwrap();
-        assert!(scan.skipped_chunks > 0, "range scan should skip chunks");
-        assert!(scan.selected_chunks() < store.chunk_count());
-        let got: Result<Vec<_>, _> = scan.jobs().collect();
-        assert_eq!(got.unwrap(), expected.jobs());
-    }
-
-    #[test]
-    fn range_bounds_are_inclusive_from_exclusive_to() {
-        // Jobs at t = 0, 100, 200, …; chunk size 1 so every job is its
-        // own chunk and the index, not luck, decides inclusion.
-        let jobs = (0..10u64)
-            .map(|i| {
-                JobBuilder::new(i)
-                    .submit(Timestamp::from_secs(i * 100))
-                    .map_task_time(Dur::from_secs(1))
-                    .tasks(1, 0)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        let trace = Trace::new(WorkloadKind::Custom("bounds".into()), 1, jobs).unwrap();
-        let store =
-            Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 1 })).unwrap();
-        let ids = |from: u64, to: u64| -> Vec<u64> {
-            store
-                .scan_range(Timestamp::from_secs(from), Timestamp::from_secs(to))
-                .unwrap()
-                .jobs()
-                .map(|j| j.unwrap().id.0)
-                .collect()
-        };
-        // A job exactly at `from` is included; exactly at `to` is not.
-        assert_eq!(ids(200, 400), vec![2, 3]);
-        // Adjacent ranges partition: no job seen twice or dropped.
-        let mut both = ids(0, 300);
-        both.extend(ids(300, 1000));
-        assert_eq!(both, (0..10).collect::<Vec<_>>());
-        // Degenerate ranges select nothing.
-        assert_eq!(ids(200, 200), Vec::<u64>::new());
-        assert_eq!(ids(400, 200), Vec::<u64>::new());
     }
 
     #[test]
@@ -428,8 +380,8 @@ mod tests {
         let trace = varied_trace(700);
         let store =
             Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 64 })).unwrap();
-        let jobs: Result<Vec<_>, _> = store.scan().unwrap().jobs().collect();
-        assert_eq!(jobs.unwrap(), trace.jobs());
+        let chunks: Result<Vec<_>, _> = store.scan().unwrap().collect();
+        assert_eq!(chunks.unwrap().concat(), trace.jobs());
     }
 
     #[test]

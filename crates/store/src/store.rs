@@ -1,7 +1,6 @@
 //! Reading columnar trace stores: O(1) summaries from the footer, a
 //! chunk reader that decodes any chunk as jobs or as a column
-//! projection, streaming scans at bounded memory, and time-range scans
-//! that skip chunks via the index.
+//! projection, and streaming scans at bounded memory.
 
 use crate::format::columns::{ChunkColumns, ColumnSet};
 use crate::format::{self, ChunkMeta, Footer, Header, StoredSummary, ZoneMap};
@@ -33,9 +32,6 @@ mod obs {
     /// Numeric columns of decoded chunks that were not kept, and so not
     /// looked at.
     pub static COLUMNS_SKIPPED: Counter = Counter::new("store.columns_skipped");
-    /// Chunks skipped by a time-range scan's index check before any
-    /// byte of them was read.
-    pub static CHUNKS_RANGE_SKIPPED: Counter = Counter::new("store.chunks_range_skipped");
     /// Reads refused because stored bytes did not match their checksum
     /// (at open: header and footer; at decode: a column block).
     pub static CHECKSUM_FAILURES: Counter = Counter::new("store.checksum_failures");
@@ -341,42 +337,14 @@ impl Store {
         Ok(acc)
     }
 
-    /// A scan over the chunks whose submit window overlaps the half-open
-    /// `range` (every chunk when `None`).
-    fn chunk_scan(
+    /// Stream every chunk's jobs in order, through one reader; chunks of
+    /// no jobs are passed over. Memory stays bounded by one chunk.
+    pub fn scan(
         &self,
-        range: Option<(Timestamp, Timestamp)>,
-    ) -> Result<ChunkScan<'_>, StoreError> {
-        let selected: Vec<usize> = (0..self.chunks.len())
-            .filter(|&i| {
-                let m = &self.chunks[i];
-                range.is_none_or(|(from, to)| m.max_submit >= from && m.min_submit < to)
-            })
-            .collect();
-        Ok(ChunkScan {
-            reader: self.reader()?,
-            skipped_chunks: self.chunks.len() - selected.len(),
-            selected: selected.into_iter(),
-            range,
-        })
-    }
-
-    /// Stream every chunk in order. Memory stays bounded by one chunk.
-    pub fn scan(&self) -> Result<ChunkScan<'_>, StoreError> {
-        self.chunk_scan(None)
-    }
-
-    /// Stream jobs submitted in the half-open range `[from, to)`,
-    /// skipping chunks whose `[min, max]` submit window falls outside it.
-    ///
-    /// Boundary semantics (pinned by tests): a job submitted exactly at
-    /// `from` **is** included; a job submitted exactly at `to` is **not**.
-    /// `from >= to` selects nothing. Ranges compose: scanning `[a, b)`
-    /// then `[b, c)` visits each job exactly once.
-    pub fn scan_range(&self, from: Timestamp, to: Timestamp) -> Result<ChunkScan<'_>, StoreError> {
-        let scan = self.chunk_scan(Some((from, to)))?;
-        obs::CHUNKS_RANGE_SKIPPED.add(scan.skipped_chunks as u64);
-        Ok(scan)
+    ) -> Result<impl Iterator<Item = Result<Vec<Job>, StoreError>> + '_, StoreError> {
+        let mut reader = self.reader()?;
+        let nonempty = (0..self.chunks.len()).filter(|&idx| self.chunks[idx].job_count > 0);
+        Ok(nonempty.map(move |idx| reader.jobs(idx)))
     }
 
     /// Rebuild the full trace (materializes every job).
@@ -520,62 +488,5 @@ impl ChunkReader<'_> {
         let (job_count, block) = self.block(idx)?;
         let _span = begin_decode(kept);
         decode(&block[format::CHUNK_HEADER_LEN..], job_count).map_err(|e| self.handle.blame(e))
-    }
-}
-
-/// Streaming iterator over a store's (selected) chunks; yields each
-/// chunk's jobs already filtered to the scan's time range.
-pub struct ChunkScan<'s> {
-    reader: ChunkReader<'s>,
-    selected: std::vec::IntoIter<usize>,
-    range: Option<(Timestamp, Timestamp)>,
-    /// Chunks the index proved irrelevant for a range scan (skipped
-    /// without reading a byte of them).
-    pub skipped_chunks: usize,
-}
-
-impl<'s> ChunkScan<'s> {
-    /// How many chunks this scan has yet to read (before filtering).
-    pub fn selected_chunks(&self) -> usize {
-        self.selected.len()
-    }
-
-    /// Flatten into a per-job iterator; a chunk that fails to decode
-    /// yields its error in place of its jobs.
-    pub fn jobs(self) -> impl Iterator<Item = Result<Job, StoreError>> + 's {
-        self.flat_map(|chunk| {
-            let (jobs, err) = match chunk {
-                Ok(jobs) => (jobs, None),
-                Err(e) => (Vec::new(), Some(Err(e))),
-            };
-            jobs.into_iter().map(Ok).chain(err)
-        })
-    }
-}
-
-impl Iterator for ChunkScan<'_> {
-    type Item = Result<Vec<Job>, StoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let idx = self.selected.next()?;
-            let meta = self.reader.store.chunks[idx];
-            match self.reader.jobs(idx) {
-                Ok(mut jobs) => {
-                    if let Some((from, to)) = self.range {
-                        // Boundary chunks need the per-job filter; fully
-                        // covered chunks pass through untouched.
-                        if meta.min_submit < from || meta.max_submit >= to {
-                            jobs.retain(|j| j.submit >= from && j.submit < to);
-                        }
-                    }
-                    if jobs.is_empty() {
-                        continue;
-                    }
-                    return Some(Ok(jobs));
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
     }
 }

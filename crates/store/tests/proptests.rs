@@ -1,6 +1,5 @@
 //! Property tests for the columnar store: bit-exact round trips against
-//! arbitrary traces, cross-codec agreement with CSV and JSON-lines, and
-//! chunk-skipping correctness for time-range selection.
+//! arbitrary traces and cross-codec agreement with CSV and JSON-lines.
 
 use proptest::prelude::*;
 use swim_store::format::columns;
@@ -266,69 +265,5 @@ proptest! {
         prop_assert_eq!(&via_store, &via_jsonl);
         prop_assert_eq!(via_store.jobs(), via_csv.jobs());
         prop_assert_eq!(&via_store, &trace);
-    }
-
-    /// Chunk-skipping time-range selection equals the in-memory
-    /// `select_range`, and actually skips chunks when the range is a
-    /// narrow slice of a multi-chunk store.
-    #[test]
-    fn range_scan_equals_select_range(
-        trace in arb_trace(),
-        jobs_per_chunk in 1u32..40,
-        a in 0u64..2_500_000,
-        b in 0u64..2_500_000,
-    ) {
-        let (from, to) = (a.min(b), a.max(b));
-        let (from, to) = (Timestamp::from_secs(from), Timestamp::from_secs(to));
-        let store = Store::from_vec(
-            store_to_vec(&trace, &StoreOptions { jobs_per_chunk }),
-        ).unwrap();
-        let got: Result<Vec<_>, _> = store.scan_range(from, to).unwrap().jobs().collect();
-        let expected = trace.select_range(from, to);
-        prop_assert_eq!(got.unwrap(), expected.jobs());
-
-        let scan = store.scan_range(from, to).unwrap();
-        prop_assert_eq!(
-            scan.selected_chunks() + scan.skipped_chunks,
-            store.chunk_count()
-        );
-        // Every skipped chunk is provably outside the range.
-        for (i, meta) in store.chunk_meta().iter().enumerate() {
-            let selected = meta.max_submit >= from && meta.min_submit < to;
-            if !selected {
-                prop_assert!(
-                    meta.max_submit < from || meta.min_submit >= to,
-                    "chunk {i} skipped but overlaps range"
-                );
-            }
-        }
-    }
-
-    /// A narrow window over a long trace must skip most chunks.
-    #[test]
-    fn narrow_ranges_skip_most_chunks(n in 500usize..1500) {
-        let jobs: Vec<Job> = (0..n)
-            .map(|i| {
-                JobBuilder::new(i as u64)
-                    .submit(Timestamp::from_secs(i as u64 * 60))
-                    .duration(Dur::from_secs(30))
-                    .input(DataSize::from_mb(1))
-                    .map_task_time(Dur::from_secs(10))
-                    .tasks(1, 0)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        let trace = Trace::new(WorkloadKind::Custom("dense".into()), 3, jobs).unwrap();
-        let store = Store::from_vec(
-            store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 32 }),
-        ).unwrap();
-        let scan = store
-            .scan_range(Timestamp::from_secs(0), Timestamp::from_secs(30 * 60))
-            .unwrap();
-        prop_assert_eq!(scan.selected_chunks(), 1);
-        prop_assert_eq!(scan.skipped_chunks, store.chunk_count() - 1);
-        let jobs: Result<Vec<_>, _> = scan.jobs().collect();
-        prop_assert_eq!(jobs.unwrap().len(), 30);
     }
 }

@@ -1,16 +1,17 @@
 //! Columnar store walk-through: persist a generated workload as a
 //! `swim-store` file, then answer the paper's Table 1 / Fig. 7 style
-//! questions from disk — O(1) from the footer, streaming for a time
-//! window (skipping chunks), and in parallel over all cores.
+//! questions from disk — O(1) from the footer, as a query over a time
+//! window (zone maps skip the chunks outside it), and in parallel over
+//! all cores.
 //!
 //! ```text
 //! cargo run --release --example columnar_store
 //! ```
 
 use swim::prelude::*;
-use swim_core::timeseries::HourlySeries;
+use swim_query::parse::{parse_aggregates, parse_group_by, parse_predicate};
+use swim_query::Query;
 use swim_store::write_store_path;
-use swim_trace::time::WEEK;
 
 fn main() {
     // A week of the FB-2010-like workload at 2 % job scale.
@@ -23,9 +24,13 @@ fn main() {
     .generate();
     println!("generated      : {} jobs", trace.len());
 
-    // Persist as a columnar store and drop the in-memory trace.
+    // Persist as a columnar store (small chunks, so a day is a few of
+    // them) and drop the in-memory trace.
     let path = std::env::temp_dir().join("fb2010-demo.swim");
-    let stats = write_store_path(&trace, &path, &StoreOptions::default()).expect("write store");
+    let options = StoreOptions {
+        jobs_per_chunk: 256,
+    };
+    let stats = write_store_path(&trace, &path, &options).expect("write store");
     println!(
         "stored         : {} chunks, {} bytes ({:.1} B/job)",
         stats.chunks,
@@ -44,18 +49,24 @@ fn main() {
         summary.jobs, summary.bytes_moved, summary.length
     );
 
-    // Stream one day out of the week; the index skips the other chunks.
-    let day = store
-        .scan_range(Timestamp::from_secs(0), Timestamp::from_secs(WEEK / 7))
-        .expect("range scan");
+    // Jobs and bytes per hour of the first day: the zone maps skip the
+    // chunks that hold none of its jobs.
+    let mut day = Query::new().filter(parse_predicate("submit < 1d").expect("predicate"));
+    for key in parse_group_by("submit / 3600").expect("group by") {
+        day = day.group(key);
+    }
+    for agg in parse_aggregates("count, sum(total_io)").expect("aggregates") {
+        day = day.select(agg);
+    }
+    let out = swim_query::execute(&store, &day).expect("query");
     println!(
-        "day scan       : reads {} of {} chunks ({} skipped via index)",
-        day.selected_chunks(),
-        store.chunk_count(),
-        day.skipped_chunks
+        "day query      : reads {} of {} chunks ({} skipped via zone maps)",
+        out.stats.chunks_scanned, out.stats.chunks_total, out.stats.chunks_skipped
     );
-    let series = HourlySeries::from_jobs(day.jobs().map(|j| j.expect("chunk decodes")));
-    println!("day jobs/hour  : {:?}", &series.jobs);
+    for (i, label) in ["day jobs/hour  ", "day bytes/hour "].iter().enumerate() {
+        let hourly: Vec<String> = out.rows.iter().map(|r| r.values[i].to_string()).collect();
+        println!("{label}: [{}]", hourly.join(", "));
+    }
 
     // Parallel fold: bytes moved by map-only jobs, across all cores —
     // each worker decodes the chunks it claims through its own reader.

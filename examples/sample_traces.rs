@@ -10,7 +10,7 @@
 //! accepts: CSV (no embedded metadata — the loader takes the label from
 //! the file stem) and the `swim-store` columnar format (which carries its
 //! own workload kind and machine count, and exercises `par_summary` plus
-//! the chunk-skipping range scans in the pipeline's store fast path).
+//! the numeric cells' column folds in the pipeline's store fast path).
 
 use swim::prelude::*;
 
