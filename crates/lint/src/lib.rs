@@ -14,9 +14,10 @@
 //!
 //! Violations can carry narrowly-scoped waivers
 //! (`// lint: allow(rule, "reason")` — see [`waiver`]); a waiver
-//! without a reason is itself a finding. Results render through
-//! `swim-report` as text/markdown and as fixed-shape JSON
-//! ([`report`]), and per-rule counters are exported via `swim-obs`.
+//! without a reason is itself a finding. Results render through the
+//! [`swim_obs::doc`] model as text/markdown and as fixed-shape JSON
+//! ([`report`]), and per-rule counters are exported via `swim-obs`,
+//! the crate's one dependency.
 //!
 //! ```
 //! use std::path::Path;

@@ -1,10 +1,10 @@
-//! Rendering lint results: a `swim_report::Report` for text/markdown,
+//! Rendering lint results: a [`swim_obs::doc::Report`] for text/markdown,
 //! and a hand-rolled fixed-shape JSON document for machines and the CI
 //! golden diff.
 
+use swim_obs::doc::{Block, KeyValueBlock, Report, Section};
 use swim_obs::json::quote;
-use swim_report::render::Table;
-use swim_report::{Block, KeyValueBlock, Report, Section};
+use swim_obs::render::Table;
 
 use crate::LintResult;
 
@@ -13,15 +13,12 @@ pub fn to_report(result: &LintResult) -> Report {
     let mut report = Report::new("swim-lint");
 
     let mut summary = Section::new("swim-lint: workspace invariants");
-    summary.push(Block::KeyValue(KeyValueBlock::new(
-        vec![
-            ("crates", result.crates.to_string()),
-            ("files scanned", result.files.to_string()),
-            ("findings", result.findings.len().to_string()),
-            ("waived", result.waived.len().to_string()),
-        ],
-        13,
-    )));
+    summary.push(Block::KeyValue(KeyValueBlock::new(vec![
+        ("crates", result.crates.to_string()),
+        ("files scanned", result.files.to_string()),
+        ("findings", result.findings.len().to_string()),
+        ("waived", result.waived.len().to_string()),
+    ])));
     let mut rules = Table::new(vec!["rule", "findings", "waived"]);
     for (rule, findings, waived) in result.rule_counts() {
         rules.row(vec![
@@ -79,7 +76,7 @@ pub fn render_text(result: &LintResult) -> String {
 
 /// GitHub-flavoured markdown.
 pub fn render_markdown(result: &LintResult) -> String {
-    swim_report::markdown::render_report(&to_report(result))
+    swim_obs::markdown::render_report(&to_report(result))
 }
 
 /// Fixed-shape JSON: one finding/waiver per line, keys in a stable

@@ -3,7 +3,7 @@
 //!
 //! | id           | invariant enforced                                            |
 //! |--------------|---------------------------------------------------------------|
-//! | `layering`   | dependency graph matches `docs/depgraph.spec`; obs is the floor, catalog never reaches query, no cycles; every `use` resolves to a declared edge |
+//! | `layering`   | dependency graph matches `docs/depgraph.spec`; obs is the floor, catalog never reaches query, query/serve/lint never reach report, no cycles; every `use` resolves to a declared edge |
 //! | `panic`      | no `unwrap`/`expect`/`panic!`-family/constant-subscript indexing in non-test library code of store/query/catalog/sim/obs |
 //! | `clock`      | `Instant::now`/`SystemTime::now` only inside `swim-obs`       |
 //! | `ordering`   | every atomic `Ordering::…` outside swim-obs/compat carries a `// lint: ordering:` justification |
@@ -551,12 +551,21 @@ pub fn check_spec(ws: &Workspace, spec: &DepSpec, spec_rel: &str, findings: &mut
             "swim-obs must have no dependencies — it is the floor every layer records into".into(),
         );
     }
-    if spec.deps.contains_key("swim-catalog") && spec.reaches("swim-catalog", "swim-query", true) {
-        emit(
-            "swim-catalog reaches swim-query — the catalog must stay query-free (that is what \
-             lets swim-report accept catalogs without a cycle)"
-                .into(),
-        );
+    const CATALOG: &str = "the catalog must stay query-free (that is what lets swim-report \
+                           accept catalogs without a cycle)";
+    const SERVING: &str = "the serving and lint paths never compile the analysis stack (they \
+                           render through swim-obs's document model)";
+    // (from, to, over dev edges too, why `from` must not reach `to`)
+    let forbidden = [
+        ("swim-catalog", "swim-query", true, CATALOG),
+        ("swim-query", "swim-report", false, SERVING),
+        ("swim-serve", "swim-report", false, SERVING),
+        ("swim-lint", "swim-report", false, SERVING),
+    ];
+    for (from, to, include_dev, why) in forbidden {
+        if spec.deps.contains_key(from) && spec.reaches(from, to, include_dev) {
+            emit(format!("{from} reaches {to} — {why}"));
+        }
     }
     if let Some(cycle) = spec.find_cycle() {
         emit(format!("dependency cycle: {}", cycle.join(" -> ")));
@@ -665,6 +674,86 @@ pub fn check_env_registry(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What `check_spec` says about a spec whose every crate is a
+    /// workspace member.
+    fn spec_messages(text: &str) -> Vec<String> {
+        let spec = crate::spec::parse_depgraph(text).unwrap();
+        let crates = spec
+            .crates()
+            .into_iter()
+            .map(|name| CrateInfo {
+                name: name.to_owned(),
+                lib_name: name.replace('-', "_"),
+                rel_dir: String::new(),
+                manifest_rel: String::new(),
+                deps: Default::default(),
+                dev_deps: Default::default(),
+                files: Vec::new(),
+            })
+            .collect();
+        let ws = Workspace {
+            root: Default::default(),
+            crates,
+        };
+        let mut findings = Vec::new();
+        check_spec(&ws, &spec, "docs/depgraph.spec", &mut findings);
+        findings.into_iter().map(|f| f.message).collect()
+    }
+
+    #[test]
+    fn swim_obs_with_a_dependency_breaks_the_floor() {
+        assert!(spec_messages("swim-obs:\nswim-trace: swim-obs\n").is_empty());
+        assert_eq!(
+            spec_messages("swim-obs: swim-trace\nswim-trace:\n"),
+            ["swim-obs must have no dependencies — it is the floor every layer records into"]
+        );
+    }
+
+    #[test]
+    fn swim_catalog_reaching_swim_query_is_refused() {
+        let ok = "swim-obs:\nswim-catalog: swim-obs\nswim-query: swim-obs swim-catalog\n";
+        assert!(spec_messages(ok).is_empty());
+        let messages = spec_messages(
+            "swim-obs:\nswim-query: swim-obs\nswim-catalog: swim-obs\ndev swim-catalog: swim-query\n",
+        );
+        assert_eq!(messages.len(), 1, "{messages:?}");
+        assert!(messages[0].starts_with("swim-catalog reaches swim-query"));
+    }
+
+    #[test]
+    fn serving_and_lint_crates_reaching_swim_report_are_refused() {
+        let ok = "swim-obs:\nswim-report: swim-obs\nswim-query: swim-obs\n\
+                  swim-serve: swim-obs swim-query\nswim-lint: swim-obs\n";
+        assert!(spec_messages(ok).is_empty());
+        // swim-serve reaches swim-report through swim-query.
+        let bad = "swim-obs:\nswim-report: swim-obs\nswim-query: swim-obs swim-report\n\
+                   swim-serve: swim-obs swim-query\nswim-lint: swim-obs swim-report\n";
+        let messages = spec_messages(bad);
+        assert_eq!(messages.len(), 3, "{messages:?}");
+        for (message, from) in messages
+            .iter()
+            .zip(["swim-query", "swim-serve", "swim-lint"])
+        {
+            assert_eq!(
+                *message,
+                format!(
+                    "{from} reaches swim-report — the serving and lint paths never compile \
+                     the analysis stack (they render through swim-obs's document model)"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn a_dependency_cycle_is_refused() {
+        let messages = spec_messages("swim-obs:\nswim-a: swim-b\nswim-b: swim-a\n");
+        assert_eq!(messages.len(), 1, "{messages:?}");
+        assert!(
+            messages[0].starts_with("dependency cycle: "),
+            "{messages:?}"
+        );
+    }
 
     #[test]
     fn env_name_shape() {

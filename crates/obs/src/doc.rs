@@ -1,10 +1,12 @@
-//! The report document model: [`Report`] → [`Section`] → [`Block`].
+//! The document model: [`Report`] → [`Section`] → [`Block`].
 //!
-//! Every experiment builds a `Section` of typed blocks instead of pushing
-//! strings, and every output format is a pure function of that tree:
+//! Every experiment, comparison report, query answer, profile, lint
+//! result and dashboard builds a `Section` of typed blocks instead of
+//! pushing strings, and every output format is a pure function of that
+//! tree:
 //!
 //! * [`Section::render_text`] — the historical terminal format, byte for
-//!   byte (pinned by `tests/golden.rs`),
+//!   byte (pinned by swim-report's `tests/golden.rs`),
 //! * [`crate::markdown`] — GitHub-flavoured Markdown,
 //! * [`crate::html`] — a standalone HTML page.
 //!
@@ -142,13 +144,12 @@ impl Block {
                 ));
             }
             Block::KeyValue(kv) => {
+                let width = kv.pairs.iter().map(|(key, _)| key.chars().count()).max();
+                let width = width.unwrap_or(0);
                 for (key, value) in &kv.pairs {
                     out.push_str(&format!(
-                        "{}{:<width$}: {}\n",
-                        " ".repeat(kv.indent),
-                        key,
-                        value,
-                        width = kv.key_width
+                        "{}{key:<width$}: {value}\n",
+                        " ".repeat(kv.indent)
                     ));
                 }
             }
@@ -177,30 +178,24 @@ pub struct SparklineBlock {
     pub note: String,
 }
 
-/// Aligned key–value pairs.
+/// Aligned key–value pairs: in the text format every key is padded to
+/// the longest key's width before the `": "` separator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyValueBlock {
     /// The pairs, in presentation order.
     pub pairs: Vec<(String, String)>,
-    /// Minimum key column width (keys are left-padded with spaces to this
-    /// width before the `": "` separator).
-    pub key_width: usize,
     /// Spaces of indentation before each key.
     pub indent: usize,
 }
 
 impl KeyValueBlock {
-    /// Pairs at the given key width, unindented.
-    pub fn new<K: Into<String>, V: Into<String>>(
-        pairs: Vec<(K, V)>,
-        key_width: usize,
-    ) -> KeyValueBlock {
+    /// Unindented pairs.
+    pub fn new<K: Into<String>, V: Into<String>>(pairs: Vec<(K, V)>) -> KeyValueBlock {
         KeyValueBlock {
             pairs: pairs
                 .into_iter()
                 .map(|(k, v)| (k.into(), v.into()))
                 .collect(),
-            key_width,
             indent: 0,
         }
     }
@@ -240,10 +235,10 @@ mod tests {
     #[test]
     fn key_value_block_aligns_keys() {
         let mut s = Section::new("T");
-        s.push(Block::KeyValue(KeyValueBlock::new(
-            vec![("source trace", "7 jobs"), ("sampled", "3 jobs")],
-            12,
-        )));
+        s.push(Block::KeyValue(KeyValueBlock::new(vec![
+            ("source trace", "7 jobs"),
+            ("sampled", "3 jobs"),
+        ])));
         let text = s.render_text();
         assert!(text.contains("source trace: 7 jobs\n"), "{text:?}");
         assert!(text.contains("sampled     : 3 jobs\n"), "{text:?}");

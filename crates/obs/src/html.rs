@@ -13,7 +13,7 @@ font-variant-numeric:tabular-nums}th{background:#f3f3f3}\
 dd{margin:0 0 0.4rem 1.5rem}";
 
 /// Escape text for HTML body and attribute contexts.
-pub fn escape(text: &str) -> String {
+fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {
@@ -42,7 +42,7 @@ pub fn render_report(report: &Report) -> String {
 }
 
 /// Render one section as an HTML fragment.
-pub fn render_section(section: &Section) -> String {
+fn render_section(section: &Section) -> String {
     let mut out = format!("<section>\n<h2>{}</h2>\n", escape(&section.title));
     for block in &section.blocks {
         match block {

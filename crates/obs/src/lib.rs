@@ -10,12 +10,18 @@
 //!
 //! The crate sits **below** every other workspace crate (including
 //! `swim-store`), so any layer can instrument its hot paths without new
-//! dependency edges. It is the std-only floor, and holds the four things
+//! dependency edges. It is the std-only floor, and holds the five things
 //! every layer shares: the clock ([`timed`], [`clock`]), counters,
-//! spans, and the fan-out ([`par`]: [`par_claim`] / [`par_map`], the one
+//! spans, the fan-out ([`par`]: [`par_claim`] / [`par_map`], the one
 //! place threads are spawned for a claim pool — and therefore the one
-//! place a worker's spans can be tied back to the caller's). Three
-//! properties keep the instrumentation honest:
+//! place a worker's spans can be tied back to the caller's), and the
+//! document model every report, query answer, profile, lint result and
+//! dashboard is rendered through ([`doc`]: [`doc::Report`] →
+//! [`doc::Section`] → [`doc::Block`], built from [`render::Table`] and
+//! [`render::sparkline`], rendered as text, [`markdown`] or [`html`]).
+//! Because the model lives here, the serving and lint paths render
+//! without compiling the analysis stack. Three properties keep the
+//! instrumentation honest:
 //!
 //! 1. **Cheap when disabled.** Every recording call starts with one
 //!    relaxed atomic load of the global enable mask; when the relevant
@@ -64,12 +70,16 @@
 #![warn(rust_2018_idioms)]
 
 pub mod clock;
+pub mod doc;
 pub mod flight;
+pub mod html;
 pub mod json;
 pub mod jsonl;
+pub mod markdown;
 pub mod metrics;
 pub mod par;
 pub mod registry;
+pub mod render;
 pub mod span;
 pub mod window;
 

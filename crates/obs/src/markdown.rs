@@ -99,10 +99,9 @@ mod tests {
         s.captioned_table("quantiles:", t);
         s.prose("\nShape check: wide spans.\n");
         s.push(Block::spark("jobs/hr", vec![0.0, 1.0, 2.0], ""));
-        s.push(Block::KeyValue(KeyValueBlock::new(
-            vec![("sampled", "42 jobs")],
-            12,
-        )));
+        s.push(Block::KeyValue(KeyValueBlock::new(vec![(
+            "sampled", "42 jobs",
+        )])));
         report.push(s);
         report
     }

@@ -11,9 +11,8 @@ use crate::exec::QueryOutput;
 use crate::explain::Explain;
 use crate::plan::Query;
 use crate::{parse, render};
-use swim_report::doc::KeyValueBlock;
-use swim_report::render::Table;
-use swim_report::{Block, Section};
+use swim_obs::doc::{Block, KeyValueBlock, Report, Section};
+use swim_obs::render::Table;
 
 /// Output rendering selected by `--format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -188,8 +187,7 @@ pub fn render_profile(snapshot: &swim_obs::Snapshot, format: OutputFormat) -> St
             .map(|(name, value)| (name.clone(), value.to_string())),
     );
     if !pairs.is_empty() {
-        let key_width = pairs.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        section.push(Block::KeyValue(KeyValueBlock::new(pairs, key_width)));
+        section.push(Block::KeyValue(KeyValueBlock::new(pairs)));
     }
     if !snapshot.spans.is_empty() {
         let mut table = Table::new(vec!["span", "count", "total_us", "min_us", "max_us"]);
@@ -209,9 +207,9 @@ pub fn render_profile(snapshot: &swim_obs::Snapshot, format: OutputFormat) -> St
     }
     match format {
         OutputFormat::Markdown => {
-            let mut report = swim_report::Report::new("profile");
+            let mut report = Report::new("profile");
             report.push(section);
-            swim_report::markdown::render_report(&report)
+            swim_obs::markdown::render_report(&report)
         }
         _ => section.render_text(),
     }

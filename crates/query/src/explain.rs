@@ -23,10 +23,10 @@ use crate::kernel::Program;
 use crate::plan::{plan, Plan, Query};
 use crate::QueryError;
 use swim_catalog::Catalog;
+use swim_obs::doc::{Block, KeyValueBlock, Report, Section};
 use swim_obs::json::quote;
-use swim_report::doc::KeyValueBlock;
-use swim_report::render::Table;
-use swim_report::{markdown, Block, Report, Section};
+use swim_obs::markdown;
+use swim_obs::render::Table;
 use swim_store::Store;
 
 /// Three-valued zone-map verdict counts over one pruning level.
@@ -109,19 +109,7 @@ impl Explain {
     /// renderers.
     pub fn to_section(&self, title: impl Into<String>) -> Section {
         let mut section = Section::new(title);
-        let key_width = self
-            .steps
-            .iter()
-            .map(|(step, _)| step.len())
-            .max()
-            .unwrap_or(0);
-        section.push(Block::KeyValue(KeyValueBlock::new(
-            self.steps
-                .iter()
-                .map(|(step, detail)| (step.clone(), detail.clone()))
-                .collect(),
-            key_width,
-        )));
+        section.push(Block::KeyValue(KeyValueBlock::new(self.steps.clone())));
         if let Some(shards) = &self.shards {
             let mut table = Table::new(vec!["never", "always", "maybe", "opened"]);
             table.row(vec![

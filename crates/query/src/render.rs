@@ -1,12 +1,13 @@
-//! Rendering a [`QueryOutput`] through `swim-report` blocks — the same
-//! document model every other surface of the workspace renders with —
+//! Rendering a [`QueryOutput`] through [`swim_obs::doc`] blocks — the
+//! same document model every other surface of the workspace renders with —
 //! plus a minimal JSON form for machine consumers.
 
 use crate::agg::AggValue;
 use crate::exec::QueryOutput;
+use swim_obs::doc::{Block, Report, Section};
 use swim_obs::json::quote;
-use swim_report::render::Table;
-use swim_report::{markdown, Block, Report, Section};
+use swim_obs::markdown;
+use swim_obs::render::Table;
 
 /// Build the result table as a report block.
 pub fn to_table(output: &QueryOutput) -> Table {

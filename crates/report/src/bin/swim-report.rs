@@ -13,7 +13,8 @@
 //! documents regardless of `--threads`.
 
 use std::process::ExitCode;
-use swim_report::{html, markdown, Comparison, TraceContext};
+use swim_obs::{html, markdown};
+use swim_report::{Comparison, TraceContext};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {

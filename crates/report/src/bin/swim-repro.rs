@@ -15,7 +15,8 @@
 //! renderers over the identical section trees.
 
 use std::process::ExitCode;
-use swim_report::{experiments, Corpus, CorpusScale, Report};
+use swim_obs::doc::Report;
+use swim_report::{experiments, Corpus, CorpusScale};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
@@ -126,8 +127,8 @@ fn run() -> ExitCode {
                 }
             }
             let rendered = match format {
-                OutputFormat::Markdown => swim_report::markdown::render_report(&report),
-                _ => swim_report::html::render_report(&report),
+                OutputFormat::Markdown => swim_obs::markdown::render_report(&report),
+                _ => swim_obs::html::render_report(&report),
             };
             print!("{rendered}");
         }

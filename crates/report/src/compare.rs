@@ -12,8 +12,8 @@
 //! one, and the rendered document is deterministic across runs.
 
 use crate::battery::{ExperimentResult, TraceContext, Value, BATTERY};
-use crate::doc::{Block, Report, Section};
-use crate::render::Table;
+use swim_obs::doc::{Block, Report, Section};
+use swim_obs::render::Table;
 
 /// A configured comparison over a set of traces.
 pub struct Comparison {
@@ -175,8 +175,8 @@ mod tests {
         let parallel = comparison.run_with_threads(8).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(
-            crate::markdown::render_report(&serial),
-            crate::markdown::render_report(&parallel)
+            swim_obs::markdown::render_report(&serial),
+            swim_obs::markdown::render_report(&parallel)
         );
     }
 
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn every_trace_appears_in_every_applicable_table() {
         let report = Comparison::new(contexts()).run().unwrap();
-        let md = crate::markdown::render_report(&report);
+        let md = swim_obs::markdown::render_report(&report);
         assert!(md.contains("| cc-b |"));
         assert!(md.contains("| cc-e |"));
         assert!(md.contains("jobs/hr per trace:"));
@@ -200,7 +200,7 @@ mod tests {
     fn empty_comparison_produces_headers_only() {
         let report = Comparison::new(Vec::new()).run().unwrap();
         assert_eq!(report.sections.len(), BATTERY.len());
-        let md = crate::markdown::render_report(&report);
+        let md = swim_obs::markdown::render_report(&report);
         assert!(md.contains("# Cross-trace comparison — 0 traces"));
     }
 }

@@ -6,9 +6,9 @@
 //! TB-scale microbenchmarks cover only a narrow slice).
 
 use crate::battery::{SIZE_PERCENTILES, SIZE_STAGES};
-use crate::render::Table;
 use crate::Corpus;
-use crate::Section;
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 
 /// Orders of magnitude spanned by the across-workload medians of a stage.
 /// Zero medians are ignored (map-only workload shuffle medians).

@@ -7,9 +7,10 @@
 //! rise under the I/O and task-time weightings. FB-2010 ships no names.
 
 use crate::battery::TOP_WORDS_COLUMNS;
-use crate::render::{pct, Table};
+use crate::render::pct;
 use crate::Corpus;
-use crate::{Block, KeyValueBlock, Section};
+use swim_obs::doc::{Block, KeyValueBlock, Section};
+use swim_obs::render::Table;
 
 /// Build the Figure 10 document.
 pub fn doc(corpus: &Corpus) -> Section {
@@ -26,11 +27,7 @@ pub fn doc(corpus: &Corpus) -> Section {
             .iter()
             .map(|&(_, column)| (column.to_owned(), r.render(column)))
             .collect();
-        section.push(Block::KeyValue(KeyValueBlock {
-            pairs,
-            key_width: 12,
-            indent: 2,
-        }));
+        section.push(Block::KeyValue(KeyValueBlock { pairs, indent: 2 }));
         section.prose(format!(
             "  frameworks : {} | top-5 words cover {} of jobs\n\n",
             r.render("frameworks"),

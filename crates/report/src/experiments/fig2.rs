@@ -5,9 +5,9 @@
 //! input and output files.
 
 use crate::battery::ZIPF_STAGES;
-use crate::render::Table;
 use crate::Corpus;
-use crate::Section;
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 
 /// The published cross-workload slope magnitude.
 pub const PAPER_SLOPE: f64 = 5.0 / 6.0;

@@ -8,9 +8,10 @@
 //! bytes (the "80-1 to 80-8 rule").
 
 use crate::battery::SIZE_THRESHOLDS_GB;
-use crate::render::{pct, Table};
+use crate::render::pct;
 use crate::Corpus;
-use crate::Section;
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 
 /// Build the per-workload threshold report of battery cell `id` (`fig3`
 /// for input files, `fig4` for output files), with each workload's 80-X

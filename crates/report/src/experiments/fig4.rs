@@ -3,7 +3,7 @@
 
 use crate::experiments::fig3::threshold_report;
 use crate::Corpus;
-use crate::Section;
+use swim_obs::doc::Section;
 
 /// Build the Figure 4 document.
 pub fn doc(corpus: &Corpus) -> Section {

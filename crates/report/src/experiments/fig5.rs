@@ -6,9 +6,10 @@
 //! within six hours, motivating LRU-like eviction.
 
 use crate::battery::{REACCESS_PANELS, REACCESS_THRESHOLDS};
-use crate::render::{pct, Table};
+use crate::render::pct;
 use crate::Corpus;
-use crate::Section;
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 
 /// Build the Figure 5 document.
 pub fn doc(corpus: &Corpus) -> Section {

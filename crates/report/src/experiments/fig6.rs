@@ -4,9 +4,10 @@
 //! Published shape: up to ≈78 % of jobs involve re-accesses on CC-c/d/e,
 //! lower on the others; FB-2010's output-path column is missing.
 
-use crate::render::{pct, Table};
+use crate::render::pct;
 use crate::Corpus;
-use crate::Section;
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 
 /// The cell's three fractions, one table column each.
 const COLUMNS: [&str; 3] = [

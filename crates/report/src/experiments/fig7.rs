@@ -8,7 +8,7 @@
 
 use crate::corpus::in_memory;
 use crate::Corpus;
-use crate::{Block, Section};
+use swim_obs::doc::{Block, Section};
 use swim_sim::{SimConfig, Simulator};
 use swim_synth::ReplayPlan;
 use swim_trace::trace::WorkloadKind;

@@ -7,9 +7,11 @@
 //! sinusoids; FB's ratio dropped 31:1 → 9:1 between 2009 and 2010.
 
 use crate::battery::{ExperimentResult, BURSTINESS_PERCENTILES, BURSTINESS_SIGNALS};
-use crate::render::{ratio, Table};
-use crate::{Corpus, Section, TraceContext};
+use crate::render::ratio;
+use crate::{Corpus, TraceContext};
 use swim_core::burstiness::{sine_reference, Burstiness};
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 
 /// One burstiness table: a row per workload measuring `signal`, then the
 /// two sinusoid references.

@@ -6,9 +6,9 @@
 //! most correlated pair, so MapReduce workloads are data-centric and jobs
 //! per second is the wrong load metric.
 
-use crate::render::Table;
 use crate::Corpus;
-use crate::Section;
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 
 /// Published Fig. 9 averages: `(jobs↔bytes, jobs↔task, bytes↔task)`.
 pub const PAPER_MEANS: (f64, f64, f64) = (0.21, 0.14, 0.62);

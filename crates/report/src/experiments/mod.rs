@@ -2,18 +2,19 @@
 //! [`crate::battery`] cells. Every `doc` function takes the shared
 //! [`crate::Corpus`], runs its battery cell on the corpus traces it shows
 //! ([`crate::Corpus::cells`]), and lays the cells' typed values out in a
-//! [`crate::Section`] — a block tree stating (a) what the paper reports,
-//! (b) what the synthetic reproduction measures, with the cross-workload
-//! aggregates (means, maxima, spans over cell values), and (c) whether
-//! the *shape* of the result holds. No module computes a per-trace
-//! value itself; four computations that are not per-trace measurements
-//! stay here: Table 2's fit at the paper's k, Fig. 7's utilization
-//! replay, the SWIM what-if sweep and Fig. 8's sine references.
+//! [`swim_obs::doc::Section`] — a block tree stating (a) what the paper
+//! reports, (b) what the synthetic reproduction measures, with the
+//! cross-workload aggregates (means, maxima, spans over cell values), and
+//! (c) whether the *shape* of the result holds. No module computes a
+//! per-trace value itself; four computations that are not per-trace
+//! measurements stay here: Table 2's fit at the paper's k, Fig. 7's
+//! utilization replay, the SWIM what-if sweep and Fig. 8's sine
+//! references.
 //!
 //! The historical terminal output is re-derived from the section tree by
 //! `render_text` ([`run`]) and pinned byte for byte by the golden tests;
-//! Markdown and HTML come from the [`crate::markdown`] and
-//! [`crate::html`] renderers (`swim-repro --format md|html`).
+//! Markdown and HTML come from the [`swim_obs::markdown`] and
+//! [`swim_obs::html`] renderers (`swim-repro --format md|html`).
 
 pub mod fig1;
 pub mod fig10;
@@ -31,7 +32,7 @@ pub mod table2;
 
 use crate::battery::BATTERY;
 use crate::Corpus;
-use crate::Section;
+use swim_obs::doc::Section;
 
 /// All experiment ids, in paper order: the battery's.
 pub const ALL: [&str; BATTERY.len()] = {
@@ -112,7 +113,7 @@ mod tests {
                 "{id}: run() must be the text rendering of doc()"
             );
             // Every experiment's Markdown form must also render non-trivially.
-            let md = crate::markdown::render_section(&section, 2);
+            let md = swim_obs::markdown::render_section(&section, 2);
             assert!(md.starts_with("## "), "{id} markdown heading");
             assert!(md.len() > 100, "{id} markdown suspiciously short");
         }

@@ -7,9 +7,9 @@
 use crate::analyze::{synthesize_bundle, SynthBundle};
 use crate::battery::{KS_DIMENSIONS, SWIM_SAMPLE_SEED, SWIM_TARGET_NODES};
 use crate::corpus::in_memory;
-use crate::render::Table;
 use crate::Corpus;
-use crate::{Block, KeyValueBlock, Section};
+use swim_obs::doc::{Block, KeyValueBlock, Section};
+use swim_obs::render::Table;
 use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, Simulator};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::DataSize;
@@ -112,11 +112,7 @@ pub fn doc(corpus: &Corpus) -> Section {
             ),
         ),
     ];
-    section.push(Block::KeyValue(KeyValueBlock {
-        pairs: stages.map(|(k, v)| (k.to_owned(), v)).to_vec(),
-        key_width: 12,
-        indent: 0,
-    }));
+    section.push(Block::KeyValue(KeyValueBlock::new(stages.to_vec())));
     section.prose("\n");
 
     // What-if sweep: the same plan across a scheduler × cache ×

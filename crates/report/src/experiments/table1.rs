@@ -1,8 +1,10 @@
 //! Table 1 — summary of traces: machines, length, jobs, bytes moved.
 
 use crate::corpus::scale_params;
-use crate::render::{bytes, Table};
-use crate::{Corpus, CorpusScale, Section};
+use crate::render::bytes;
+use crate::{Corpus, CorpusScale};
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 use swim_trace::trace::WorkloadKind;
 use swim_trace::Dur;
 use swim_workloadgen::WorkloadProfile;

@@ -8,10 +8,10 @@
 //! substantially between 2009 and 2010.
 
 use crate::corpus::in_memory;
-use crate::render::Table;
 use crate::Corpus;
-use crate::Section;
 use swim_core::KMeans;
+use swim_obs::doc::Section;
+use swim_obs::render::Table;
 
 /// Published cluster counts per workload (number of Table 2 rows).
 pub const PAPER_K: [(&str, usize); 7] = [

@@ -1,25 +1,25 @@
 //! # swim-report
 //!
-//! The reporting layer of the `swim` workspace: a typed document model,
-//! three renderers, and the parallel cross-trace comparison pipeline that
-//! is the paper's actual deliverable — the same analysis battery run over
-//! N workloads side by side (the VLDB'12 study is a *cross-industry
-//! comparison*, not any single figure).
+//! The reporting layer of the `swim` workspace: the parallel
+//! cross-trace comparison pipeline that is the paper's actual
+//! deliverable — the same analysis battery run over N workloads side by
+//! side (the VLDB'12 study is a *cross-industry comparison*, not any
+//! single figure).
 //!
-//! Three layers:
-//!
-//! 1. **Document model** ([`doc`]) — [`Report`] → [`Section`] →
-//!    [`Block`]`::{Table, Sparkline, Prose, KeyValue}`. Experiments build
-//!    block trees instead of pushing strings.
-//! 2. **Renderers** — [`Section::render_text`] reproduces the historical
-//!    terminal format byte for byte (golden-pinned by `tests/golden.rs`);
-//!    [`markdown`] and [`html`] render the same tree for documents.
-//! 3. **Comparison pipeline** ([`battery`], [`compare`]) — load N traces
-//!    (CSV, JSON-lines, or `swim-store`), run every figure/table
-//!    experiment per trace in parallel (workers claim trace × experiment
-//!    cells from a shared counter, so results are deterministic and
-//!    bit-identical to serial runs), and emit one trace×metric comparison
-//!    table per experiment with per-trace sparklines.
+//! Its output is the document model of [`swim_obs::doc`]
+//! ([`Report`](swim_obs::doc::Report) → [`Section`](swim_obs::doc::Section)
+//! → [`Block`](swim_obs::doc::Block)): experiments build block trees
+//! instead of pushing strings, `Section::render_text` reproduces the
+//! historical terminal format byte for byte (golden-pinned by
+//! `tests/golden.rs`), and [`swim_obs::markdown`] and [`swim_obs::html`]
+//! render the same tree for documents. This crate adds the paper's
+//! number formats ([`render`]) and the comparison pipeline ([`battery`],
+//! [`compare`]): load N traces (CSV, JSON-lines, or `swim-store`), run
+//! every figure/table experiment per trace in parallel (workers claim
+//! trace × experiment cells from a shared counter, so results are
+//! deterministic and bit-identical to serial runs), and emit one
+//! trace×metric comparison table per experiment with per-trace
+//! sparklines.
 //!
 //! The battery's cells are the crate's one implementation of the paper:
 //! the only code that computes a table's or figure's per-trace values.
@@ -46,10 +46,7 @@ pub mod analyze;
 pub mod battery;
 pub mod compare;
 pub mod corpus;
-pub mod doc;
 pub mod experiments;
-pub mod html;
-pub mod markdown;
 pub mod render;
 
 pub use battery::{
@@ -57,5 +54,3 @@ pub use battery::{
 };
 pub use compare::Comparison;
 pub use corpus::{Corpus, CorpusScale};
-pub use doc::{Block, KeyValueBlock, Report, Section, SparklineBlock, TableBlock};
-pub use render::{bytes, pct, ratio, sparkline, Table};

@@ -16,7 +16,8 @@
 //! ```
 
 use std::path::PathBuf;
-use swim_report::{markdown, Comparison, TraceContext};
+use swim_obs::markdown;
+use swim_report::{Comparison, TraceContext};
 
 fn testdata() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../testdata")

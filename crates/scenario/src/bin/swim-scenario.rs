@@ -139,7 +139,7 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
     if !positional.is_empty() {
         return Err(CliError::Usage("list takes no arguments".into()));
     }
-    let mut table = swim_report::Table::new(vec![
+    let mut table = swim_obs::render::Table::new(vec![
         "name", "version", "industry", "tenants", "overlays", "summary",
     ]);
     for s in presets::presets() {
@@ -274,8 +274,8 @@ fn cmd_compare(args: &[String]) -> Result<(), CliError> {
     options.threads = env_usize("SWIM_SCENARIO_THREADS")?;
     let report = swim_scenario::compare(&scenarios, &options).map_err(runtime)?;
     let rendered = match flags.format.as_deref().unwrap_or("md") {
-        "md" | "markdown" => swim_report::markdown::render_report(&report),
-        "html" => swim_report::html::render_report(&report),
+        "md" | "markdown" => swim_obs::markdown::render_report(&report),
+        "html" => swim_obs::html::render_report(&report),
         other => {
             return Err(CliError::Usage(format!(
                 "--format must be md or html, got {other:?}"

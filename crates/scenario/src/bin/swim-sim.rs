@@ -16,8 +16,9 @@
 //! reduction the wave engine achieves.
 
 use std::process::ExitCode;
+use swim_obs::render::Table;
 use swim_report::experiments::swimexp::cache_label;
-use swim_report::render::{pct, Table};
+use swim_report::render::pct;
 use swim_sim::reference::run_per_task;
 use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, Simulator};
 use swim_synth::ReplayPlan;

@@ -6,7 +6,9 @@
 //! battery is deterministic in its input traces, and the sweep grid is
 //! fixed — so the rendered markdown can be byte-diffed in CI.
 
-use swim_report::{Comparison, Report, Section, Table, TraceContext};
+use swim_obs::doc::{Report, Section};
+use swim_obs::render::Table;
+use swim_report::{Comparison, TraceContext};
 use swim_sim::{ScenarioGrid, SchedulerKind, Simulator};
 use swim_synth::ReplayPlan;
 use swim_trace::Trace;
@@ -171,7 +173,7 @@ mod tests {
         let scenarios = vec![presets::steady_retail(), presets::retrystorm_fintech()];
         let options = small_options();
         let report = compare(&scenarios, &options).expect("study runs");
-        let text = swim_report::markdown::render_report(&report);
+        let text = swim_obs::markdown::render_report(&report);
         for s in &scenarios {
             assert!(text.contains(&s.name), "report must mention {}", s.name);
         }
@@ -180,7 +182,7 @@ mod tests {
         let again = compare(&scenarios, &options).expect("study runs twice");
         assert_eq!(
             text,
-            swim_report::markdown::render_report(&again),
+            swim_obs::markdown::render_report(&again),
             "study must be deterministic"
         );
     }

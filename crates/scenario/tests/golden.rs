@@ -77,7 +77,7 @@ fn compare_study_matches_golden() {
         ..Default::default()
     };
     let report = swim_scenario::compare(&scenarios, &options).expect("study runs");
-    let md = swim_report::markdown::render_report(&report);
+    let md = swim_obs::markdown::render_report(&report);
     // Thread-count independence: the golden must not depend on the
     // battery's parallelism.
     let serial = swim_scenario::compare(
@@ -90,7 +90,7 @@ fn compare_study_matches_golden() {
     .expect("serial study runs");
     assert_eq!(
         md,
-        swim_report::markdown::render_report(&serial),
+        swim_obs::markdown::render_report(&serial),
         "study output depends on thread count"
     );
     assert_matches_golden("compare-study.md", &md);

@@ -45,7 +45,8 @@
 //!
 //! The client side lives here too: one wire [`client`], the load
 //! driver behind `swim-bench serve` ([`load`]), and the `swim-top`
-//! dashboard engine ([`top`]). Both render through `swim-report`.
+//! dashboard engine ([`top`]). Both render through the
+//! [`swim_obs::doc`] model.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

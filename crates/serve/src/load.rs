@@ -1,8 +1,8 @@
 //! Load driver for `swim-serve` (the engine behind `swim-bench serve`):
 //! N client threads drive a mixed query workload over persistent
 //! [`Client`] connections, and the sorted per-request latencies give
-//! nearest-rank percentiles. The renderer goes through `swim-report`
-//! like every other harness output; `mask: true` replaces the
+//! nearest-rank percentiles. The renderer goes through the
+//! [`swim_obs::doc`] model like every other harness output; `mask: true` replaces the
 //! scheduling-dependent numbers (latencies, cache hits) so the report
 //! can be golden-pinned.
 
@@ -10,8 +10,8 @@ use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use swim_obs::doc::{Block, KeyValueBlock, Section};
 use swim_obs::{clock, WindowedHistogram};
-use swim_report::{Block, KeyValueBlock, Section};
 
 use crate::client::Client;
 use crate::protocol::ErrorKind;
@@ -204,7 +204,7 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     report
 }
 
-/// Render the report through `swim-report`. With `mask: true` the
+/// Render the report through the document model. With `mask: true` the
 /// scheduling-dependent values (latency percentiles, cache hits) are
 /// replaced with a fixed placeholder so the output can be golden-pinned;
 /// the deterministic counters (requests, ok, errors, overloaded) are
@@ -221,19 +221,16 @@ pub fn render(report: &LoadReport, mask: bool) -> String {
         }
     };
     let mut section = Section::new("swim-serve load report");
-    section.push(Block::KeyValue(KeyValueBlock::new(
-        vec![
-            ("requests", report.requests.to_string()),
-            ("ok", report.ok.to_string()),
-            ("errors", report.errors.to_string()),
-            ("overloaded", report.overloaded.to_string()),
-            ("cached", masked(Some(report.cached), "")),
-            ("latency p50", masked(report.latency_us(0.50), " us")),
-            ("latency p95", masked(report.latency_us(0.95), " us")),
-            ("latency p99", masked(report.latency_us(0.99), " us")),
-        ],
-        11,
-    )));
+    section.push(Block::KeyValue(KeyValueBlock::new(vec![
+        ("requests", report.requests.to_string()),
+        ("ok", report.ok.to_string()),
+        ("errors", report.errors.to_string()),
+        ("overloaded", report.overloaded.to_string()),
+        ("cached", masked(Some(report.cached), "")),
+        ("latency p50", masked(report.latency_us(0.50), " us")),
+        ("latency p95", masked(report.latency_us(0.95), " us")),
+        ("latency p99", masked(report.latency_us(0.99), " us")),
+    ])));
     // Windowed mean-latency sparkline (500 ms buckets): pure timing
     // data, so it is emptied under `mask` like the percentiles.
     if mask {

@@ -2,7 +2,7 @@
 //! read-only `metrics` wire command, difference consecutive samples
 //! with [`swim_obs::Snapshot::delta`], and render a live dashboard
 //! (req/s, latency quantiles, cache hit ratio, pool occupancy) through
-//! `swim-report`.
+//! the [`swim_obs::doc`] model.
 //!
 //! The wire body is the fixed-order `key: value` text that
 //! `swim-serve` pins byte-for-byte in its own tests, so parsing is a
@@ -13,8 +13,8 @@
 
 use std::net::SocketAddr;
 
-use swim_obs::Snapshot;
-use swim_report::{markdown, Block, KeyValueBlock, Section};
+use swim_obs::doc::{Block, KeyValueBlock, Section};
+use swim_obs::{markdown, Snapshot};
 
 use crate::client;
 
@@ -149,25 +149,22 @@ impl Dashboard {
         }
     }
 
-    /// The dashboard as a `swim-report` section; `history` is the
+    /// The dashboard as a document [`Section`]; `history` is the
     /// req/s series for the sparkline row (empty hides it).
     pub fn section(&self, history: &[f64]) -> Section {
         let mut section = Section::new("swim-top");
-        section.push(Block::KeyValue(KeyValueBlock::new(
-            vec![
-                ("generation", self.generation.to_string()),
-                ("req/s", self.fmt_f64(self.req_per_sec)),
-                ("p50", self.fmt_u64(self.p50_us, " us")),
-                ("p95", self.fmt_u64(self.p95_us, " us")),
-                ("p99", self.fmt_u64(self.p99_us, " us")),
-                ("cache hit", self.fmt_f64(self.cache_hit_ratio)),
-                ("admitted", self.admitted.to_string()),
-                ("queued", self.queued.to_string()),
-                ("overloaded", self.overloaded.to_string()),
-                ("window reqs", self.window_requests.to_string()),
-            ],
-            11,
-        )));
+        section.push(Block::KeyValue(KeyValueBlock::new(vec![
+            ("generation", self.generation.to_string()),
+            ("req/s", self.fmt_f64(self.req_per_sec)),
+            ("p50", self.fmt_u64(self.p50_us, " us")),
+            ("p95", self.fmt_u64(self.p95_us, " us")),
+            ("p99", self.fmt_u64(self.p99_us, " us")),
+            ("cache hit", self.fmt_f64(self.cache_hit_ratio)),
+            ("admitted", self.admitted.to_string()),
+            ("queued", self.queued.to_string()),
+            ("overloaded", self.overloaded.to_string()),
+            ("window reqs", self.window_requests.to_string()),
+        ])));
         if !history.is_empty() {
             let note = if self.masked { " (masked)" } else { "" };
             let values = if self.masked {
