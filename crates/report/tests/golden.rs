@@ -54,6 +54,16 @@ fn analyze_demo_export_is_bit_identical_to_golden() {
 }
 
 #[test]
+fn analyze_store_export_is_bit_identical_to_golden() {
+    // The `.swim` path: its summary, size quantiles (p1 and p99 too) and
+    // hourly-derived fields come from the store's columns.
+    assert_analyze_file_matches(
+        &["--input", "testdata/sample-b.swim", "--export"],
+        "analyze-sample-b.json",
+    );
+}
+
+#[test]
 fn analyze_bundle_is_bit_identical_to_golden() {
     assert_analyze_file_matches(
         &[
