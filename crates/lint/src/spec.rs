@@ -23,24 +23,24 @@ impl DepSpec {
     }
 
     /// Is `to` reachable from `from` over normal dependency edges
-    /// (optionally also dev edges)?
+    /// (optionally also `from`'s own dev edges)? A dev edge is only
+    /// compiled for the crate that declares it, so past the first hop
+    /// only normal edges are followed.
     pub fn reaches(&self, from: &str, to: &str, include_dev: bool) -> bool {
+        if from == to {
+            return true;
+        }
+        let first_dev = self.dev.get(from).filter(|_| include_dev);
+        let mut stack: Vec<&String> = (self.deps.get(from).into_iter().flatten())
+            .chain(first_dev.into_iter().flatten())
+            .collect();
         let mut seen = BTreeSet::new();
-        let mut stack = vec![from.to_owned()];
         while let Some(cur) = stack.pop() {
             if cur == to {
                 return true;
             }
-            if !seen.insert(cur.clone()) {
-                continue;
-            }
-            if let Some(next) = self.deps.get(&cur) {
-                stack.extend(next.iter().cloned());
-            }
-            if include_dev {
-                if let Some(next) = self.dev.get(&cur) {
-                    stack.extend(next.iter().cloned());
-                }
+            if seen.insert(cur) {
+                stack.extend(self.deps.get(cur).into_iter().flatten());
             }
         }
         false
@@ -208,6 +208,20 @@ mod tests {
         assert!(!spec.reaches("c", "a", false));
         assert!(!spec.reaches("d", "c", false));
         assert!(spec.reaches("d", "c", true));
+    }
+
+    #[test]
+    fn dev_edges_count_only_out_of_the_starting_crate() {
+        // swim-store's store tests may use swim-query; swim-catalog,
+        // which depends on swim-store, compiles none of them.
+        let spec = parse_depgraph(
+            "swim-obs:\nswim-query:\nswim-store: swim-obs\ndev swim-store: swim-query\n\
+             swim-catalog: swim-obs swim-store\n",
+        )
+        .unwrap();
+        assert!(!spec.reaches("swim-catalog", "swim-query", true));
+        assert!(spec.reaches("swim-store", "swim-query", true));
+        assert!(!spec.reaches("swim-store", "swim-query", false));
     }
 
     #[test]

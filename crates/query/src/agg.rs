@@ -108,7 +108,17 @@ pub(crate) enum AggCol {
     Min(Vec<u64>),
     Max(Vec<u64>),
     Avg(Vec<u64>),
-    Samples { p: f64, groups: Vec<Vec<u64>> },
+    /// Percentile `p`, over each group's samples of its input.
+    Samples {
+        p: f64,
+        groups: Vec<Vec<u64>>,
+    },
+    /// Percentile `p` over the samples the `Samples` column at index `of`
+    /// keeps of the same input: percentiles of one input keep one copy.
+    Rank {
+        p: f64,
+        of: usize,
+    },
 }
 
 /// Fold `v[row]` into `state[id]` for each `(id, row)` pair — or, with no
@@ -136,15 +146,17 @@ fn fold_into(
 }
 
 impl AggCol {
-    /// Empty state (no groups yet) for one aggregate.
-    pub(crate) fn new(agg: &Aggregate) -> AggCol {
-        match agg {
-            Aggregate::Count => AggCol::Count,
-            Aggregate::Sum(_) => AggCol::Sum(Vec::new()),
-            Aggregate::Min(_) => AggCol::Min(Vec::new()),
-            Aggregate::Max(_) => AggCol::Max(Vec::new()),
-            Aggregate::Avg(_) => AggCol::Avg(Vec::new()),
-            Aggregate::Percentile(_, p) => AggCol::Samples {
+    /// Empty state (no groups yet) for one aggregate; a percentile whose
+    /// samples column `samples_of` names reads that one's samples.
+    pub(crate) fn new(agg: &Aggregate, samples_of: Option<usize>) -> AggCol {
+        match (agg, samples_of) {
+            (Aggregate::Count, _) => AggCol::Count,
+            (Aggregate::Sum(_), _) => AggCol::Sum(Vec::new()),
+            (Aggregate::Min(_), _) => AggCol::Min(Vec::new()),
+            (Aggregate::Max(_), _) => AggCol::Max(Vec::new()),
+            (Aggregate::Avg(_), _) => AggCol::Avg(Vec::new()),
+            (Aggregate::Percentile(_, p), Some(of)) => AggCol::Rank { p: *p, of },
+            (Aggregate::Percentile(_, p), None) => AggCol::Samples {
                 p: *p,
                 groups: Vec::new(),
             },
@@ -154,7 +166,7 @@ impl AggCol {
     /// Extend to `groups` groups, new ones at the aggregate's identity.
     pub(crate) fn grow(&mut self, groups: usize) {
         match self {
-            AggCol::Count => {}
+            AggCol::Count | AggCol::Rank { .. } => {}
             AggCol::Sum(s) | AggCol::Avg(s) | AggCol::Max(s) => s.resize(groups, 0),
             AggCol::Min(s) => s.resize(groups, u64::MAX),
             AggCol::Samples { groups: g, .. } => g.resize_with(groups, Vec::new),
@@ -172,7 +184,7 @@ impl AggCol {
         v: &[u64],
     ) {
         match self {
-            AggCol::Count => {}
+            AggCol::Count | AggCol::Rank { .. } => {}
             AggCol::Sum(s) | AggCol::Avg(s) => fold_into(s, rows, ids, v, u64::saturating_add),
             AggCol::Min(s) => fold_into(s, rows, ids, v, u64::min),
             AggCol::Max(s) => fold_into(s, rows, ids, v, u64::max),
@@ -197,7 +209,7 @@ impl AggCol {
     /// side's states.
     pub(crate) fn merge(&mut self, other: AggCol, remap: &[u32]) {
         match (self, other) {
-            (AggCol::Count, AggCol::Count) => {}
+            (AggCol::Count, AggCol::Count) | (AggCol::Rank { .. }, AggCol::Rank { .. }) => {}
             (AggCol::Sum(a), AggCol::Sum(b)) | (AggCol::Avg(a), AggCol::Avg(b)) => {
                 fold_into(a, 0..b.len(), Some(remap), &b, u64::saturating_add)
             }
@@ -218,26 +230,38 @@ impl AggCol {
         }
     }
 
-    /// Finalize group `g`, which `count` rows reached.
+    /// Finalize group `g`, which `count` rows reached, of a column that
+    /// reads no other column's samples.
+    #[cfg(test)]
     pub(crate) fn finalize(&mut self, g: usize, count: u64) -> AggValue {
-        match self {
-            AggCol::Count => AggValue::Int(count),
-            AggCol::Sum(s) => AggValue::Int(s[g]),
-            _ if count == 0 => AggValue::Null,
-            AggCol::Min(s) | AggCol::Max(s) => AggValue::Int(s[g]),
-            AggCol::Avg(s) => AggValue::Float(s[g] as f64 / count as f64),
-            AggCol::Samples { p, groups } => {
-                // Rank-select instead of a full sort: it places at `idx`
-                // the element a sort would, and equal elements are equal
-                // bits, so the value read is the same whatever order the
-                // samples arrived or were merged in.
-                let samples = &mut groups[g];
-                let idx = swim_obs::nearest_rank(*p, samples.len());
-                let (_, nth, _) = samples.select_nth_unstable(idx);
-                AggValue::Float(*nth as f64)
-            }
-        }
+        finalize(std::slice::from_mut(self), 0, g, count)
     }
+}
+
+/// Finalize column `a` of `cols` for group `g`, which `count` rows
+/// reached. A [`AggCol::Rank`] selects from its samples column's samples.
+pub(crate) fn finalize(cols: &mut [AggCol], a: usize, g: usize, count: u64) -> AggValue {
+    let (p, of) = match cols[a] {
+        AggCol::Count => return AggValue::Int(count),
+        AggCol::Sum(ref s) => return AggValue::Int(s[g]),
+        _ if count == 0 => return AggValue::Null,
+        AggCol::Min(ref s) | AggCol::Max(ref s) => return AggValue::Int(s[g]),
+        AggCol::Avg(ref s) => return AggValue::Float(s[g] as f64 / count as f64),
+        AggCol::Samples { p, .. } => (p, a),
+        AggCol::Rank { p, of } => (p, of),
+    };
+    // Only a `Samples` column is ever named by a `Rank`.
+    let AggCol::Samples { groups, .. } = &mut cols[of] else {
+        return AggValue::Null;
+    };
+    // Rank-select instead of a full sort: it places at `idx` the element
+    // a sort would, and equal elements are equal bits, so the value read
+    // is the same whatever order the samples arrived or were merged in —
+    // or an earlier selection of another rank left them in.
+    let samples = &mut groups[g];
+    let idx = swim_obs::nearest_rank(p, samples.len());
+    let (_, nth, _) = samples.select_nth_unstable(idx);
+    AggValue::Float(*nth as f64)
 }
 
 #[cfg(test)]
@@ -248,7 +272,7 @@ mod tests {
 
     /// One group's state after `values` reached it.
     fn state(agg: &Aggregate, values: &[u64]) -> AggCol {
-        let mut col = AggCol::new(agg);
+        let mut col = AggCol::new(agg, None);
         col.grow(1);
         col.update(0..values.len(), None, values);
         col
@@ -301,10 +325,10 @@ mod tests {
             Aggregate::Max(Expr::col(Col::Input)),
             Aggregate::Percentile(Expr::col(Col::Input), 1.0),
         ] {
-            let mut ours = AggCol::new(&agg);
+            let mut ours = AggCol::new(&agg, None);
             ours.grow(2);
             ours.update(0..3, Some(&[0, 1, 0]), &[10, 20, 30]);
-            let mut theirs = AggCol::new(&agg);
+            let mut theirs = AggCol::new(&agg, None);
             theirs.grow(3);
             theirs.update(0..3, Some(&[0, 1, 2]), &[7, 8, 99]);
             ours.grow(3);

@@ -1,27 +1,31 @@
 //! Query execution: plan, fold every planned chunk through the chunk
 //! kernel, finalize deterministically.
 //!
-//! Both entry points are one body over [`swim_obs::par_claim`]:
-//! [`execute`] runs it on every core, [`execute_serial`] on one thread —
-//! which is the caller claiming the planned chunks in file order. Each
-//! worker decodes only the columns the compiled query reads through a
-//! [`swim_store::ChunkReader`] of its own and runs the *same* kernel
-//! (`crate::kernel`); every worker merge is exact and
-//! order-insensitive and finalization is shared, so the two produce
-//! bit-identical [`QueryOutput`]s (pinned by tests and proptests). They
-//! differ only in who claims chunks.
+//! Every entry point is one body over [`swim_obs::par_claim`], run on an
+//! ordered slice of stores: [`execute`] runs it on every core over one
+//! store, [`execute_serial`] on one thread — which is the caller
+//! claiming the planned chunks in file order — and
+//! [`execute_stores_serial`] on one thread over several stores, in
+//! order. Workers claim planned `(store, chunk)` slots, decode only the
+//! columns the compiled query reads through a
+//! [`swim_store::ChunkReader`] of their own on the store at hand and run
+//! the *same* kernel (`crate::kernel`); every worker merge is exact and
+//! order-insensitive and finalization is shared, so all of them produce
+//! bit-identical [`QueryOutput`]s (pinned by tests and proptests), and a
+//! slice of stores gives the rows one store over their concatenated
+//! trace would. They differ only in who claims chunks.
 
 use crate::agg::AggValue;
 use crate::kernel::{Program, Worker};
 use crate::plan::{plan, Query};
 use crate::QueryError;
-use swim_store::Store;
+use swim_store::{ChunkReader, Store};
 
 /// What execution did, beyond the result rows: the observability side of
 /// zone-map pruning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
-    /// Chunks in the store.
+    /// Chunks in the store (or stores).
     pub chunks_total: usize,
     /// Chunks actually read and decoded.
     pub chunks_scanned: usize,
@@ -116,20 +120,41 @@ pub(crate) fn stats_for(p: &crate::plan::Plan) -> ExecStats {
     }
 }
 
-fn run(store: &Store, query: &Query, threads: usize) -> Result<QueryOutput, QueryError> {
+/// Add one store's (or one thread's) chunk-level counters to a total.
+/// Row totals are the kernel worker's to report, not these.
+pub(crate) fn add_chunk_stats(total: &mut ExecStats, part: ExecStats) {
+    total.chunks_total += part.chunks_total;
+    total.chunks_scanned += part.chunks_scanned;
+    total.chunks_skipped += part.chunks_skipped;
+    total.chunks_full_match += part.chunks_full_match;
+}
+
+fn run(stores: &[Store], query: &Query, threads: usize) -> Result<QueryOutput, QueryError> {
     query.validate()?;
-    let p = plan(store, query);
+    let plans: Vec<_> = stores.iter().map(|store| plan(store, query)).collect();
+    let slots: Vec<(usize, usize)> = (plans.iter().enumerate())
+        .flat_map(|(s, p)| p.selected.iter().map(move |&idx| (s, idx)))
+        .collect();
     let program = Program::compile(query);
     let columns = program.columns();
-    let claimed = swim_obs::par_claim(p.selected.len(), threads, |claims| {
+    let claimed = swim_obs::par_claim(slots.len(), threads, |claims| {
         let mut worker = Worker::new(&program);
-        let mut reader = store.reader()?;
+        // A worker's claims ascend, so it meets each store as one run of
+        // slots: one reader at a time, never more open files than workers.
+        let mut current: Option<(usize, ChunkReader<'_>)> = None;
         for slot in claims {
-            let idx = p.selected[slot];
+            let (s, idx) = slots[slot];
             if threads > 1 {
                 crate::obs::CHUNK_CLAIMS.incr();
             }
-            worker.fold_chunk(reader.columns(idx, columns)?.view(), p.full_match[idx]);
+            let reader = match &mut current {
+                Some((at, reader)) if *at == s => reader,
+                other => &mut other.insert((s, stores[s].reader()?)).1,
+            };
+            worker.fold_chunk(
+                reader.columns(idx, columns)?.view(),
+                plans[s].full_match[idx],
+            );
         }
         Ok::<_, QueryError>(worker)
     });
@@ -137,7 +162,11 @@ fn run(store: &Store, query: &Query, threads: usize) -> Result<QueryOutput, Quer
     for theirs in claimed {
         worker.merge(theirs?);
     }
-    Ok(finalize(query, worker, stats_for(&p)))
+    let mut stats = ExecStats::default();
+    for p in &plans {
+        add_chunk_stats(&mut stats, stats_for(p));
+    }
+    Ok(finalize(query, worker, stats))
 }
 
 /// Execute on every core: workers claim planned chunk indices off
@@ -145,7 +174,7 @@ fn run(store: &Store, query: &Query, threads: usize) -> Result<QueryOutput, Quer
 /// are merged exactly. Bit-identical to [`execute_serial`].
 pub fn execute(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> {
     let _span = swim_obs::span("query.execute");
-    run(store, query, swim_obs::cores())
+    run(std::slice::from_ref(store), query, swim_obs::cores())
 }
 
 /// Execute on the calling thread, chunks in file order: the same body
@@ -153,7 +182,16 @@ pub fn execute(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> 
 /// and the faster choice for tiny stores.
 pub fn execute_serial(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> {
     let _span = swim_obs::span("query.execute_serial");
-    run(store, query, 1)
+    run(std::slice::from_ref(store), query, 1)
+}
+
+/// Execute over an ordered slice of stores on the calling thread, stores
+/// in order and each one's chunks in file order: the same rows a single
+/// store over their concatenated trace gives. `stats` sums the stores'
+/// chunk counters.
+pub fn execute_stores_serial(stores: &[Store], query: &Query) -> Result<QueryOutput, QueryError> {
+    let _span = swim_obs::span("query.execute_stores_serial");
+    run(stores, query, 1)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! read, which takes a hit but never fills rather than decode chunks the
 //! planner ruled out.
 
-use crate::exec::{stats_for, ExecStats, QueryOutput};
+use crate::exec::{add_chunk_stats, stats_for, ExecStats, QueryOutput};
 use crate::kernel::{Program, Worker};
 use crate::plan::{plan, Query};
 use crate::{QueryError, Tri};
@@ -96,15 +96,6 @@ fn prune_shards(catalog: &Catalog, query: &Query) -> Vec<usize> {
     crate::obs::SHARDS_SCANNED.add(selected.len() as u64);
     crate::obs::SHARDS_PRUNED.add((catalog.shard_count() - selected.len()) as u64);
     selected
-}
-
-/// Add one shard's (or one thread's) chunk-level counters to a total.
-/// Row totals are the kernel worker's to report, not these.
-fn add_chunk_stats(total: &mut ExecStats, part: ExecStats) {
-    total.chunks_total += part.chunks_total;
-    total.chunks_scanned += part.chunks_scanned;
-    total.chunks_skipped += part.chunks_skipped;
-    total.chunks_full_match += part.chunks_full_match;
 }
 
 /// Open and chunk-plan one shard and fold its planned chunks into

@@ -29,15 +29,16 @@
 //!
 //! Scratch is bounded by the chunk size: one `u64` buffer per arithmetic
 //! node plus the `u32` selection and id vectors, whatever the store's
-//! size. Accumulated state is one entry per group per aggregate (plus
-//! every sample, for percentiles).
+//! size. Accumulated state is one entry per group per aggregate, plus
+//! every sample for percentiles: one copy per input node, however many
+//! ranks read it.
 //!
 //! Workers merge exactly and in any order ([`Worker::merge`] re-interns
 //! the other side's keys and folds its states in), and
 //! [`Worker::into_rows`] leaves ordering to the caller, so who folded
 //! which chunk never shows in a result.
 
-use crate::agg::AggCol;
+use crate::agg::{self, AggCol, Aggregate};
 use crate::exec::Row;
 use crate::expr::{CmpOp, Col, Expr, Pred};
 use crate::plan::Query;
@@ -87,6 +88,9 @@ pub(crate) struct Program<'q> {
     conjuncts: Vec<Filter>,
     keys: Vec<usize>,
     inputs: Vec<Option<usize>>,
+    /// Per aggregate: for a percentile, the earlier percentile over the
+    /// same input node whose samples it ranks.
+    samples_of: Vec<Option<usize>>,
 }
 
 #[derive(Default)]
@@ -175,6 +179,13 @@ impl<'q> Program<'q> {
         for &root in keys.iter().chain(inputs.iter().flatten()) {
             mark_output(&b.nodes, &mut output, root);
         }
+        let percentile = |a: usize| matches!(query.aggregates[a], Aggregate::Percentile(..));
+        let samples_of = (0..inputs.len())
+            .map(|a| {
+                let shares = |b: &usize| percentile(*b) && inputs[*b] == inputs[a];
+                (0..a).find(shares).filter(|_| percentile(a))
+            })
+            .collect();
         Program {
             query,
             nodes: b.nodes,
@@ -183,6 +194,7 @@ impl<'q> Program<'q> {
             conjuncts,
             keys,
             inputs,
+            samples_of,
         }
     }
 
@@ -427,7 +439,9 @@ impl<'p> Worker<'p> {
             keys: Vec::new(),
             recent: vec![u32::MAX; RECENT],
             counts: Vec::new(),
-            aggs: program.query.aggregates.iter().map(AggCol::new).collect(),
+            aggs: (program.query.aggregates.iter().zip(&program.samples_of))
+                .map(|(agg, &of)| AggCol::new(agg, of))
+                .collect(),
             rows_scanned: 0,
             rows_matched: 0,
             group_probes: 0,
@@ -653,10 +667,8 @@ impl<'p> Worker<'p> {
         (0..self.counts.len())
             .map(|g| Row {
                 key: self.keys[g * arity..][..arity].to_vec(),
-                values: self
-                    .aggs
-                    .iter_mut()
-                    .map(|agg| agg.finalize(g, self.counts[g]))
+                values: (0..self.aggs.len())
+                    .map(|a| agg::finalize(&mut self.aggs, a, g, self.counts[g]))
                     .collect(),
             })
             .collect()
@@ -666,7 +678,7 @@ impl<'p> Worker<'p> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::agg::{AggValue, Aggregate};
+    use crate::agg::AggValue;
     use crate::oracle;
     use proptest::prelude::*;
     use swim_store::format::columns::ChunkColumns;
@@ -925,6 +937,26 @@ pub(crate) mod tests {
         let program = Program::compile(&folded);
         assert_eq!(arithmetic(&program), 0);
         assert!(program.nodes.contains(&Node::Fill(u64::MAX)));
+    }
+
+    #[test]
+    fn percentiles_of_one_input_keep_one_copy_of_its_samples() {
+        let shared = Query::new()
+            .group(Expr::col(Col::MapTasks))
+            .select(Aggregate::Percentile(Expr::total_io(), 0.1))
+            .select(Aggregate::Percentile(Expr::col(Col::Duration), 0.5))
+            .select(Aggregate::Count)
+            .select(Aggregate::Percentile(Expr::total_io(), 0.99))
+            .select(Aggregate::Percentile(Expr::col(Col::Duration), 0.5));
+        let program = Program::compile(&shared);
+        assert_eq!(program.samples_of, [None, None, None, Some(0), Some(1)]);
+        let chunks = chunks_of(&plain_columns(500), 64, 0);
+        let worker = fold(&program, &chunks);
+        let copies = (worker.aggs.iter())
+            .filter(|agg| matches!(agg, AggCol::Samples { .. }))
+            .count();
+        assert_eq!(copies, 2);
+        assert_eq!(sorted_rows(worker), oracle::run(&shared, &chunks));
     }
 
     #[test]

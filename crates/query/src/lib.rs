@@ -100,7 +100,7 @@ extern crate self as swim_query;
 mod oracle;
 
 pub use agg::{AggValue, Aggregate};
-pub use exec::{execute, execute_serial, ExecStats, QueryOutput, Row};
+pub use exec::{execute, execute_serial, execute_stores_serial, ExecStats, QueryOutput, Row};
 pub use explain::{explain_catalog, explain_store, Explain, StoreExplain, VerdictCounts};
 pub use expr::{CmpOp, Col, Expr, Pred, Tri};
 pub use federated::{CatalogOutput, CatalogQuery};

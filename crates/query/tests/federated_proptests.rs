@@ -1,7 +1,8 @@
 //! Property tests for federated catalog execution: for random job sets
 //! split arbitrarily across 1..=8 shards, `catalog.execute` (parallel),
-//! `catalog.execute_serial`, and a single-store query over the
-//! concatenated trace must agree bit for bit — rows, columns, and (for
+//! `catalog.execute_serial`, `execute_stores_serial` over the opened
+//! shards, and a single-store query over the concatenated trace must
+//! agree bit for bit — rows, columns, and (for
 //! the two catalog paths) stats included, at a column-cache capacity
 //! drawn from none, one, half the shards, all but one, and room for all.
 //! A second property holds the projected decode and the per-column cache
@@ -11,7 +12,10 @@
 
 use proptest::prelude::*;
 use swim_catalog::{Catalog, CatalogOptions};
-use swim_query::{execute, execute_serial, Aggregate, CatalogQuery, CmpOp, Col, Expr, Pred, Query};
+use swim_query::{
+    execute, execute_serial, execute_stores_serial, Aggregate, CatalogQuery, CmpOp, Col, Expr,
+    Pred, Query,
+};
 use swim_store::{store_to_vec, Store, StoreOptions};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, Job, JobBuilder, Timestamp, Trace};
@@ -86,6 +90,9 @@ fn aggregates() -> Vec<Aggregate> {
         Aggregate::Max(Expr::col(Col::Input)),
         Aggregate::Avg(Expr::col(Col::Duration)),
         Aggregate::Percentile(Expr::col(Col::Duration), 0.5),
+        // Shares p50's samples of `duration`; `input`'s are its own.
+        Aggregate::Percentile(Expr::col(Col::Duration), 0.9),
+        Aggregate::Percentile(Expr::col(Col::Input), 0.5),
     ]
 }
 
@@ -166,6 +173,11 @@ proptest! {
         // shard pruning are different physical plans).
         prop_assert_eq!(&serial.output.columns, &single.columns);
         prop_assert_eq!(&serial.output.rows, &single.rows);
+        // So are they over the catalog's shards as a slice of stores.
+        let shards = catalog.open_shards().expect("shards open");
+        let sliced = execute_stores_serial(&shards, &query).expect("slice executes");
+        prop_assert_eq!(&sliced.columns, &single.columns);
+        prop_assert_eq!(&sliced.rows, &single.rows);
         // Parallel federated execution is bit-identical, stats included —
         // and again with the decoded-column cache warm, whichever shards
         // it admitted — and so is a scan that caches nothing.

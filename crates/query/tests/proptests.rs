@@ -125,6 +125,9 @@ fn aggregates() -> Vec<Aggregate> {
         Aggregate::Max(Expr::col(Col::Input)),
         Aggregate::Avg(Expr::col(Col::Duration)),
         Aggregate::Percentile(Expr::col(Col::Duration), 0.5),
+        // Shares p50's samples of `duration`; `input`'s are its own.
+        Aggregate::Percentile(Expr::col(Col::Duration), 0.9),
+        Aggregate::Percentile(Expr::col(Col::Input), 0.5),
     ]
 }
 

@@ -11,7 +11,8 @@
 //! workload comparisons offsite".
 
 use crate::battery::{
-    DIURNAL_MIN_SNR, ELBOW_MAX_K, ELBOW_THRESHOLD, LOCALITY_WINDOW_SECS, ZIPF_FIT_RANKS,
+    size_quantile, DIURNAL_MIN_SNR, ELBOW_MAX_K, ELBOW_THRESHOLD, LOCALITY_WINDOW_SECS,
+    ZIPF_FIT_RANKS,
 };
 use crate::TraceContext;
 use swim_core::access::PathStage;
@@ -28,7 +29,7 @@ use swim_synth::ReplayPlan;
 use swim_trace::{DataSize, Dur, PathId, Trace};
 
 /// Quantiles exported per data dimension.
-const EXPORT_QUANTILES: [f64; 7] = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
+pub(crate) const EXPORT_QUANTILES: [f64; 7] = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
 
 /// One anonymized job-type centroid row: `(count, input, shuffle, output,
 /// duration_s, map_s, reduce_s, label)`.
@@ -74,7 +75,7 @@ impl SharedMetrics {
         if trace.is_empty() {
             return Err("cannot analyze an empty trace".to_owned());
         }
-        let [input, shuffle, output] = ctx.sizes()?;
+        let sizes = ctx.sizes()?;
         let locality = ctx.locality()?;
         let hourly = ctx.hourly()?;
         let correlations = hourly.correlations();
@@ -87,12 +88,8 @@ impl SharedMetrics {
             size_quantiles: EXPORT_QUANTILES
                 .iter()
                 .map(|&p| {
-                    (
-                        p,
-                        input.quantile(p),
-                        shuffle.quantile(p),
-                        output.quantile(p),
-                    )
+                    let [input, shuffle, output] = size_quantile(sizes, p);
+                    (p, input, shuffle, output)
                 })
                 .collect(),
             input_zipf_slope: ctx

@@ -19,10 +19,10 @@
 //! a catalog's shards, or the in-memory store a CSV, JSON-lines or
 //! generated trace is encoded into once — so cheap questions stay cheap
 //! and no cell depends on where its trace came from. The numeric cells
-//! (table1, fig1, fig7, fig8, fig9) read only the numeric columns they
-//! name, in hand folds over the stores' chunks; the full job vector is
-//! materialized at most once, lazily, when the first cell that needs
-//! names or paths asks for it.
+//! (table1, fig1, fig7, fig8, fig9) are `swim-query` plans over the
+//! stores, which read only the numeric columns they name; the full job
+//! vector is materialized at most once, lazily, when the first cell that
+//! needs names or paths asks for it.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -31,16 +31,15 @@ use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
 use swim_core::locality::LocalityStats;
 use swim_core::names::{NameAnalysis, Weighting};
-use swim_core::stats::Ecdf;
 use swim_core::timeseries::HourlySeries;
 use swim_core::KMeans;
+use swim_query::{AggValue, Aggregate, Col, Expr, Query, QueryError, Row};
 use swim_sim::{SimConfig, Simulator};
-use swim_store::format::columns::{ChunkView, ColumnSet};
-use swim_store::{Store, StoreError, StoreOptions, ZoneMap};
+use swim_store::{Store, StoreError, StoreOptions};
 use swim_trace::time::WEEK;
 use swim_trace::{DataSize, Dur, Timestamp, Trace, TraceSummary};
 
-use crate::analyze::synthesize_bundle;
+use crate::analyze::{synthesize_bundle, EXPORT_QUANTILES};
 use crate::render::{bytes, pct, ratio};
 
 /// Table 2's elbow search: the largest k tried.
@@ -73,19 +72,6 @@ pub const SWIM_TARGET_NODES: u32 = 20;
 
 /// Fig. 1's stages, in a job's feature-vector order.
 pub const SIZE_STAGES: [&str; 3] = ["input", "shuffle", "output"];
-
-/// The columns Fig. 1's size ECDFs read: input, shuffle and output.
-const SIZE_COLUMNS: ColumnSet = ColumnSet::EMPTY
-    .with(ZoneMap::IO[0])
-    .with(ZoneMap::IO[1])
-    .with(ZoneMap::IO[2]);
-
-/// The columns the hourly series read: submit, the sizes and the map and
-/// reduce task times.
-const HOURLY_COLUMNS: ColumnSet = SIZE_COLUMNS
-    .with(ZoneMap::SUBMIT)
-    .with(ZoneMap::TASK_TIME[0])
-    .with(ZoneMap::TASK_TIME[1]);
 
 /// Fig. 1's per-job size percentiles: column `input p10` holds the input
 /// sizes' 10th percentile.
@@ -307,8 +293,9 @@ pub struct TraceContext {
     /// The hourly series, and how many of its leading hours hold a job
     /// of the first week.
     hourly: Cached<(HourlySeries, usize)>,
-    /// Per-job input, shuffle and output sizes.
-    sizes: Cached<[Ecdf; 3]>,
+    /// The input, shuffle and output sizes' quantiles at each rank any
+    /// cell reads, ascending by rank; none for a trace of no jobs.
+    sizes: Cached<Vec<(f64, [f64; 3])>>,
     locality: Cached<LocalityStats>,
     /// File access statistics, input stage then output stage.
     access: [Cached<FileAccessStats>; 2],
@@ -349,12 +336,27 @@ impl TraceContext {
     }
 
     /// Wrap an opened store. Its Table-1 row is recomputed from the
-    /// numeric columns by the parallel `par_summary` scan, not copied
-    /// from the footer, so a damaged numeric block fails here rather
-    /// than in a battery cell; names and paths are not read until an
-    /// experiment asks for the trace.
+    /// numeric columns by a query plan, `count, sum(total_io),
+    /// min(submit), max(submit)`, not copied from the footer, so a
+    /// damaged numeric block fails here rather than in a battery cell;
+    /// kind and machines come from the header. Names and paths are not
+    /// read until an experiment asks for the trace.
     pub fn from_store(label: impl Into<String>, store: Store) -> Result<TraceContext, StoreError> {
-        let summary = store.par_summary()?;
+        let query = Query::new()
+            .select(Aggregate::Count)
+            .select(Aggregate::Sum(Expr::total_io()))
+            .select(Aggregate::Min(Expr::col(Col::Submit)))
+            .select(Aggregate::Max(Expr::col(Col::Submit)));
+        let out = swim_query::execute_serial(&store, &query).map_err(store_error)?;
+        // No jobs: the extrema are null, and so zero, as the length is.
+        let [jobs, bytes, min, max] = ints(&out.rows[0]);
+        let summary = TraceSummary {
+            workload: store.kind().label().to_owned(),
+            machines: store.machines(),
+            length: Timestamp::from_secs(max).since(Timestamp::from_secs(min)),
+            jobs: jobs as usize,
+            bytes_moved: DataSize::from_bytes(bytes),
+        };
         Ok(TraceContext::new(label.into(), vec![store], summary))
     }
 
@@ -395,8 +397,8 @@ impl TraceContext {
         &self.label
     }
 
-    /// The Table-1 row: from the trace in hand, from `par_summary` for a
-    /// store, from the manifest for a catalog.
+    /// The Table-1 row: from the trace in hand, from a plan over the
+    /// columns for a store, from the manifest for a catalog.
     pub fn summary(&self) -> &TraceSummary {
         &self.summary
     }
@@ -414,30 +416,20 @@ impl TraceContext {
         format!("read {}: {e}", self.label)
     }
 
-    /// Visit every chunk's numeric columns of `set`, stores in order and
-    /// chunks in order: the order [`TraceContext::trace`] concatenates
-    /// them in. Names and paths are never decoded.
-    fn fold_chunks(
-        &self,
-        set: ColumnSet,
-        mut visit: impl FnMut(ChunkView<'_>),
-    ) -> Result<(), String> {
-        for store in &self.stores {
-            let mut reader = store.reader().map_err(|e| self.unreadable(e))?;
-            for idx in 0..store.chunk_count() {
-                let chunk = reader.columns(idx, set).map_err(|e| self.unreadable(e))?;
-                visit(chunk.view());
-            }
-        }
-        Ok(())
+    /// Run `query` over the stores in order, on the calling thread: the
+    /// battery already fans its cells out across workers. Names and paths
+    /// are never decoded.
+    fn run(&self, query: &Query) -> Result<Vec<Row>, String> {
+        let out = swim_query::execute_stores_serial(&self.stores, query);
+        out.map(|out| out.rows)
+            .map_err(|e| self.unreadable(store_error(e)))
     }
 
     /// Whole-trace hourly series (fig7's week, fig8's burstiness signal
-    /// and fig9's correlations), computed once from the submit, size and
-    /// task-time columns. Each hour sums its jobs' `as_f64` values as
-    /// `HourlySeries::of` does, in the stores' order: one store's order
-    /// is the trace's, and sums of integers below 2^53 do not depend on
-    /// order at all.
+    /// and fig9's correlations), computed once by one plan over the
+    /// submit, size and task-time columns. Its exact integer hour sums
+    /// are what `HourlySeries::of`'s `f64` sums come to while they stay
+    /// below 2^53, whatever order the jobs arrive in.
     pub fn hourly(&self) -> Result<&HourlySeries, String> {
         self.hourly_and_week().map(|(series, _)| series)
     }
@@ -446,68 +438,71 @@ impl TraceContext {
     /// submitted within a week of the first: its last such hour + 1.
     fn hourly_and_week(&self) -> Result<&(HourlySeries, usize), String> {
         cached(&self.hourly, || {
-            let nonempty = || {
-                self.stores
-                    .iter()
-                    .map(Store::stored_summary)
-                    .filter(|s| s.jobs > 0)
-            };
-            let start = nonempty().map(|s| s.min_submit).min();
-            let end = nonempty().map(|s| s.max_submit).max();
-            let (Some(start), Some(end)) = (start, end) else {
+            let query = Query::new()
+                .group(Expr::submit_hour())
+                .select(Aggregate::Count)
+                .select(Aggregate::Sum(Expr::total_io()))
+                .select(Aggregate::Sum(Expr::total_task_time()))
+                .select(Aggregate::Min(Expr::col(Col::Submit)));
+            // One row per hour that holds a job, ascending by hour.
+            let rows = self.run(&query)?;
+            let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
                 return Ok((HourlySeries::default(), 0));
             };
-            let (first, week_end) = (start.hour_bucket(), start + Dur::from_secs(WEEK));
-            let n = (end.hour_bucket() - first + 1) as usize;
-            let (mut jobs, mut bytes, mut task_seconds) =
-                (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            let mut week_hours = 0;
-            let mut outside = false;
-            self.fold_chunks(HOURLY_COLUMNS, |cols| {
-                let [input, shuffle, output] = ZoneMap::IO.map(|c| cols.column(c));
-                let [map, reduce] = ZoneMap::TASK_TIME.map(|c| cols.column(c));
-                for (i, &submit) in cols.column(ZoneMap::SUBMIT).iter().enumerate() {
-                    let submit = Timestamp::from_secs(submit);
-                    let h = submit.hour_bucket().wrapping_sub(first) as usize;
-                    if h >= n {
-                        outside = true;
-                        continue;
-                    }
-                    let io = input[i]
-                        .saturating_add(shuffle[i])
-                        .saturating_add(output[i]);
-                    jobs[h] += 1.0;
-                    bytes[h] += io as f64;
-                    task_seconds[h] += map[i].saturating_add(reduce[i]) as f64;
-                    if submit < week_end {
-                        week_hours = week_hours.max(h + 1);
-                    }
-                }
-            })?;
-            if outside {
-                return Err(self.unreadable("a job's submit lies outside its store's window"));
-            }
-            let series = HourlySeries {
-                jobs,
-                bytes,
-                task_seconds,
+            let first_hour = first.key[0];
+            let n = (last.key[0] - first_hour + 1) as usize;
+            let [.., start] = ints::<4>(first);
+            let week_end = start.saturating_add(WEEK);
+            let mut series = HourlySeries {
+                jobs: vec![0.0; n],
+                bytes: vec![0.0; n],
+                task_seconds: vec![0.0; n],
             };
+            let mut week_hours = 0;
+            for row in &rows {
+                let h = (row.key[0] - first_hour) as usize;
+                let [jobs, bytes, task_seconds, min_submit] = ints(row);
+                series.jobs[h] = jobs as f64;
+                series.bytes[h] = bytes as f64;
+                series.task_seconds[h] = task_seconds as f64;
+                if min_submit < week_end {
+                    week_hours = h + 1;
+                }
+            }
             Ok((series, week_hours))
         })
     }
 
-    /// Per-job input, shuffle and output sizes (fig1, and `swim-analyze`'s
-    /// exported quantiles), computed once from the three I/O columns.
-    pub fn sizes(&self) -> Result<&[Ecdf; 3], String> {
-        cached(&self.sizes, || {
-            let mut stages: [Vec<f64>; 3] = Default::default();
-            self.fold_chunks(SIZE_COLUMNS, |cols| {
-                for (values, c) in stages.iter_mut().zip(ZoneMap::IO) {
-                    values.extend(cols.column(c).iter().map(|&b| b as f64));
+    /// The input, shuffle and output sizes' quantiles (nearest rank, as
+    /// `Ecdf::quantile`) at every rank a cell reads — fig1's
+    /// [`SIZE_PERCENTILES`] and `swim-analyze`'s exported quantiles —
+    /// ascending by rank; empty for a trace of no jobs. Computed once, by
+    /// one plan over the three I/O columns, and kept as these numbers
+    /// alone.
+    pub fn sizes(&self) -> Result<&[(f64, [f64; 3])], String> {
+        let sizes = cached(&self.sizes, || {
+            let percentiles = SIZE_PERCENTILES.map(|p| p as f64 / 100.0);
+            let mut ranks: Vec<f64> = EXPORT_QUANTILES.into_iter().chain(percentiles).collect();
+            ranks.sort_by(f64::total_cmp);
+            ranks.dedup();
+            let mut query = Query::new();
+            for &p in &ranks {
+                for col in [Col::Input, Col::Shuffle, Col::Output] {
+                    query = query.select(Aggregate::Percentile(Expr::col(col), p));
                 }
-            })?;
-            Ok(stages.map(Ecdf::new))
-        })
+            }
+            let rows = self.run(&query)?;
+            let float = |v: &AggValue| match *v {
+                AggValue::Float(x) => Some(x),
+                _ => None,
+            };
+            // A global plan yields one row; its percentiles of no jobs are null.
+            let quantiles = (ranks.iter().zip(rows[0].values.chunks_exact(3)))
+                .map(|(&p, q)| Some((p, [float(&q[0])?, float(&q[1])?, float(&q[2])?])))
+                .collect::<Option<Vec<_>>>();
+            Ok(quantiles.unwrap_or_default())
+        });
+        sizes.map(Vec::as_slice)
     }
 
     /// Re-access locality statistics (fig5, fig6), computed once.
@@ -609,6 +604,35 @@ pub const BATTERY: [CompareExperiment; 13] = [
     },
 ];
 
+/// The input, shuffle and output quantile at rank `p` of
+/// [`TraceContext::sizes`]. Panics if `p` is not one of its ranks.
+pub(crate) fn size_quantile(sizes: &[(f64, [f64; 3])], p: f64) -> [f64; 3] {
+    let (_, quantiles) = sizes
+        .iter()
+        .find(|(rank, _)| *rank == p)
+        .expect("a planned rank");
+    *quantiles
+}
+
+/// A plan's error as the store error behind it. The report's plans are
+/// valid and read stores alone, so a store is all that can fail; the
+/// fallback keeps any other failure's message.
+fn store_error(e: QueryError) -> StoreError {
+    match e {
+        QueryError::Store(e) => e,
+        other => StoreError::Io(std::io::Error::other(other.to_string())),
+    }
+}
+
+/// A row's first `N` aggregates as integers; a null (the extremum of no
+/// jobs) as 0.
+fn ints<const N: usize>(row: &Row) -> [u64; N] {
+    std::array::from_fn(|i| match row.values[i] {
+        AggValue::Int(v) => v,
+        _ => 0,
+    })
+}
+
 /// The battery entry with experiment id `id`.
 pub fn experiment(id: &str) -> Option<CompareExperiment> {
     BATTERY.iter().find(|e| e.id == id).copied()
@@ -627,13 +651,13 @@ fn table1(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 
 fn fig1(ctx: &TraceContext) -> Result<ExperimentResult, String> {
     let sizes = ctx.sizes()?;
-    if sizes[0].is_empty() {
+    if sizes.is_empty() {
         return Ok(ExperimentResult::Skipped("trace has no jobs"));
     }
     let mut metrics = Vec::new();
-    for (stage, ecdf) in SIZE_STAGES.iter().zip(sizes) {
+    for (s, stage) in SIZE_STAGES.iter().enumerate() {
         for p in SIZE_PERCENTILES {
-            let value = Value::Bytes(ecdf.quantile(p as f64 / 100.0));
+            let value = Value::Bytes(size_quantile(sizes, p as f64 / 100.0)[s]);
             metrics.push(Metric::new(format!("{stage} p{p}"), value));
         }
     }
@@ -983,7 +1007,7 @@ mod tests {
         let mem = TraceContext::from_trace("cc-e", trace.clone());
         let store = TraceContext::load(&path, 100).unwrap();
         assert_eq!(store.label(), "cc-e");
-        assert_eq!(store.summary(), &trace.summary(), "par_summary path");
+        assert_eq!(store.summary(), &trace.summary(), "column plan path");
         // The hourly fold over the file's columns ≡ the in-memory trace's.
         assert_eq!(store.hourly(), Ok(&HourlySeries::of(&trace)));
         assert_eq!(store.hourly_and_week(), mem.hourly_and_week());
@@ -1043,6 +1067,8 @@ mod tests {
             TraceContext::load(&path, 100).unwrap(),
             TraceContext::load(&catalog, 100).unwrap(),
         ];
+        // The store's Table-1 row, from a plan over no jobs, is the trace's.
+        assert_eq!(contexts[1].summary(), contexts[0].summary());
         for exp in BATTERY.iter().filter(|e| e.id != "table1") {
             let results: Vec<_> = contexts.iter().map(|ctx| (exp.run)(ctx)).collect();
             assert!(
@@ -1134,11 +1160,13 @@ mod tests {
     }
 
     #[test]
-    fn a_footer_window_that_misses_a_job_is_an_error_not_a_panic() {
+    fn a_forged_footer_window_changes_no_hourly_bin() {
         use swim_store::format::{self, Footer, Header};
         // Re-seal the footer over a summary whose submit window ends at
-        // its first job: the hourly fold must not index past its series.
-        let image = swim_store::store_to_vec(&sample_trace(), &StoreOptions::default());
+        // its first job: the series is indexed from the data, so nothing
+        // in it moves.
+        let trace = sample_trace();
+        let image = swim_store::store_to_vec(&trace, &StoreOptions::default());
         let header = &image[..Header::decode(&image).unwrap().encoded_len()];
         let tail = image.len() - format::CHECKSUM_LEN - format::TRAILER_LEN;
         let at = format::decode_trailer(&image[tail + format::CHECKSUM_LEN..]).unwrap();
@@ -1148,8 +1176,7 @@ mod tests {
         let seal = format::encode_tail(header, &footer, at);
         let forged = [&image[..at as usize], &footer, &seal].concat();
         let ctx = TraceContext::from_store("forged", Store::from_vec(forged).unwrap()).unwrap();
-        let err = ctx.hourly().unwrap_err();
-        assert!(err.contains("outside its store's window"), "{err}");
+        assert_eq!(ctx.hourly(), Ok(&HourlySeries::of(&trace)));
     }
 
     #[test]

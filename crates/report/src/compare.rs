@@ -62,8 +62,8 @@ impl Comparison {
             if self.contexts.len() == 1 { "" } else { "s" }
         ));
         // No separate overview section: the battery's leading `table1`
-        // entry *is* the per-trace summary table (computed through
-        // `par_summary` for store inputs), so rendering both would print
+        // entry *is* the per-trace summary table (computed by a query
+        // plan over the columns for store inputs), so rendering both would print
         // the same rows twice.
         for (e, exp) in BATTERY.iter().enumerate() {
             let row = &cells[e * self.contexts.len()..(e + 1) * self.contexts.len()];

@@ -82,7 +82,7 @@ fn sample_report_covers_both_traces_and_all_experiments() {
     ] {
         assert!(md.contains(heading), "missing {heading}");
     }
-    // The store-backed trace answers Table 1 via par_summary: its summary
+    // The store-backed trace answers Table 1 via a column plan: its summary
     // must carry the store's own metadata (CC-b, 300 machines), not the
     // CSV defaults.
     assert!(md.contains("| sample-b | CC-b | 300 |"), "{md}");

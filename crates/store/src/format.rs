@@ -331,8 +331,6 @@ impl ZoneMap {
     pub const SUBMIT: usize = 1;
     /// Indices of the three byte-count columns (input, shuffle, output).
     pub const IO: [usize; 3] = [3, 4, 5];
-    /// Indices of the two task-time columns (map, reduce).
-    pub const TASK_TIME: [usize; 2] = [6, 7];
 
     /// The map of no jobs: `min > max` in every column, so it overlaps
     /// nothing and is the identity of [`ZoneMap::union`].

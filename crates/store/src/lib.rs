@@ -25,9 +25,8 @@
 //!    footer's per-chunk zone maps let a caller skip chunks a predicate
 //!    cannot match (`swim-query` prunes time windows this way).
 //! 3. **O(1) statistics** — the footer stores a whole-trace summary, so
-//!    [`Store::summary`] answers Table-1 questions without any scan, and
-//!    [`Store::par_summary`] recomputes it from data as the verification
-//!    path.
+//!    [`Store::summary`] answers Table-1 questions without any scan;
+//!    recomputing it from the columns is a `swim-query` plan.
 //!
 //! ```
 //! use swim_store::format::columns::ColumnSet;
@@ -51,8 +50,7 @@
 //!
 //! // Encode, reopen, and answer questions without materializing the trace.
 //! let store = Store::from_vec(store_to_vec(&trace, &StoreOptions::default())).unwrap();
-//! assert_eq!(store.summary(), trace.summary());          // O(1), from the footer
-//! assert_eq!(store.par_summary().unwrap(), trace.summary()); // parallel re-scan
+//! assert_eq!(store.summary(), trace.summary()); // O(1), from the footer
 //!
 //! // One hour out of ~83 from the submit column alone: the first
 //! // chunk's names and paths are never decoded.
@@ -131,7 +129,6 @@ mod tests {
         let store =
             Store::from_vec(store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 64 })).unwrap();
         assert_eq!(store.summary(), trace.summary());
-        assert_eq!(store.par_summary().unwrap(), trace.summary());
         assert_eq!(store.job_count(), 2_000);
         assert_eq!(store.chunk_count(), 2_000usize.div_ceil(64));
     }
@@ -142,7 +139,6 @@ mod tests {
         let store = Store::from_vec(store_to_vec(&trace, &StoreOptions::default())).unwrap();
         assert_eq!(store.read_trace().unwrap(), trace);
         assert_eq!(store.summary(), trace.summary());
-        assert_eq!(store.par_summary().unwrap(), trace.summary());
         assert_eq!(store.chunk_count(), 0);
     }
 
@@ -280,7 +276,6 @@ mod tests {
         .unwrap();
         let store = Store::open(&path).unwrap();
         assert_eq!(store.read_trace().unwrap(), trace);
-        assert_eq!(store.par_summary().unwrap(), trace.summary());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -345,7 +340,6 @@ mod tests {
         let (trace, path) = identical_jobs_file("same-paths.swim", paths);
         let store = Store::open(&path).unwrap();
         assert_eq!(store.read_trace().unwrap(), trace);
-        assert_eq!(store.par_summary().unwrap(), trace.summary());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -10,7 +10,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{DataSize, Dur, Job, Timestamp, Trace, TraceSummary};
+use swim_trace::{Job, Trace, TraceSummary};
 
 /// swim-obs instruments for the store layer. Counter names are part of
 /// the observable surface (`swim-query --profile`, the JSONL sink), so
@@ -361,78 +361,6 @@ impl Store {
             self.header.machines,
             jobs,
         ))
-    }
-
-    /// Compute the Table 1 row by actually scanning every chunk in
-    /// parallel — the verification path for the footer's O(1) summary, and
-    /// the template for any statistic over a store: a
-    /// [`swim_obs::par_claim`] whose workers each fold the chunks they
-    /// claim through a reader of their own. Runs on the numeric column
-    /// projection, so no names or paths are decoded.
-    pub fn par_summary(&self) -> Result<TraceSummary, StoreError> {
-        /// Jobs, bytes moved and the submit window (seconds) of the
-        /// chunks one worker claimed; `min > max` until it has seen a job.
-        struct Acc {
-            jobs: u64,
-            bytes: DataSize,
-            min: u64,
-            max: u64,
-        }
-        let empty = || Acc {
-            jobs: 0,
-            bytes: DataSize::ZERO,
-            min: u64::MAX,
-            max: 0,
-        };
-        let set = ZoneMap::IO
-            .iter()
-            .fold(ColumnSet::EMPTY.with(ZoneMap::SUBMIT), |set, &c| {
-                set.with(c)
-            });
-        let claimed = |claims: swim_obs::Claims<'_>| -> Result<Acc, StoreError> {
-            let mut reader = self.reader()?;
-            let mut acc = empty();
-            for idx in claims {
-                let chunk = reader.columns(idx, set)?;
-                let cols = chunk.view();
-                acc.jobs += cols.len() as u64;
-                // Per job input + shuffle + output, saturating like
-                // `Job::total_io`.
-                for i in 0..cols.len() {
-                    for c in ZoneMap::IO {
-                        acc.bytes += DataSize::from_bytes(cols.column(c)[i]);
-                    }
-                }
-                let submits = cols.column(ZoneMap::SUBMIT);
-                if let (Some(&first), Some(&last)) = (submits.first(), submits.last()) {
-                    // Submits are non-decreasing within a chunk, but take
-                    // a defensive min/max of the endpoints anyway.
-                    acc.min = acc.min.min(first.min(last));
-                    acc.max = acc.max.max(first.max(last));
-                }
-            }
-            Ok(acc)
-        };
-        let mut total = empty();
-        for part in swim_obs::par_claim(self.chunks.len(), swim_obs::cores(), claimed) {
-            let part = part?;
-            total.jobs += part.jobs;
-            total.bytes += part.bytes;
-            total.min = total.min.min(part.min);
-            total.max = total.max.max(part.max);
-        }
-        let length = if total.min <= total.max {
-            Timestamp::from_secs(total.max).since(Timestamp::from_secs(total.min))
-        } else {
-            Dur::ZERO
-        };
-        Ok(TraceSummary {
-            workload: self.header.kind.label().to_owned(),
-            machines: self.header.machines,
-            length,
-            jobs: total.jobs as usize,
-            bytes_moved: total.bytes,
-        })
     }
 }
 

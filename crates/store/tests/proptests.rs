@@ -233,15 +233,13 @@ proptest! {
         prop_assert_eq!(back, trace);
     }
 
-    /// The footer summary and the `par_summary` re-scan both equal the
-    /// in-memory summary.
+    /// The footer summary equals the in-memory summary.
     #[test]
     fn summaries_agree(trace in arb_trace(), jobs_per_chunk in 1u32..64) {
         let store = Store::from_vec(
             store_to_vec(&trace, &StoreOptions { jobs_per_chunk }),
         ).unwrap();
         prop_assert_eq!(store.summary(), trace.summary());
-        prop_assert_eq!(store.par_summary().unwrap(), trace.summary());
     }
 
     /// CSV ↔ store ↔ JSON-lines: the three codecs agree on every job

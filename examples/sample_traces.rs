@@ -9,8 +9,8 @@
 //! workloads, stored once in each on-disk format the report pipeline
 //! accepts: CSV (no embedded metadata — the loader takes the label from
 //! the file stem) and the `swim-store` columnar format (which carries its
-//! own workload kind and machine count, and exercises `par_summary` plus
-//! the numeric cells' column folds in the pipeline's store fast path).
+//! own workload kind and machine count, and exercises `summary()` plus
+//! the numeric cells' query plans on the pipeline's store path).
 
 use swim::prelude::*;
 
