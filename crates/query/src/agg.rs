@@ -111,7 +111,7 @@ pub(crate) enum AggCol {
     /// Percentile `p`, over each group's samples of its input.
     Samples {
         p: f64,
-        groups: Vec<Vec<u64>>,
+        groups: Vec<pool::Buf>,
     },
     /// Percentile `p` over the samples the `Samples` column at index `of`
     /// keeps of the same input: percentiles of one input keep one copy.
@@ -121,25 +121,46 @@ pub(crate) enum AggCol {
     },
 }
 
-/// Fold `v[row]` into `state[id]` for each `(id, row)` pair — or, with no
-/// ids (a global aggregate), every row into the first state, in a register.
+/// Which group each selected row of a chunk folds into.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Groups<'a> {
+    /// The one group of a global aggregate.
+    Global,
+    /// One id per row, parallel to the rows.
+    Rows(&'a [u32]),
+    /// `(id, rows)` runs of equal ids, covering the rows in order.
+    Runs(&'a [(u32, u32)]),
+}
+
+/// Fold `v[row]` into the state of each row's group. A global aggregate
+/// and each run fold in a register and store once; only per-row ids pay
+/// a store per row.
 fn fold_into(
     state: &mut [u64],
-    rows: impl Iterator<Item = usize>,
-    ids: Option<&[u32]>,
+    mut rows: impl Iterator<Item = usize>,
+    groups: Groups<'_>,
     v: &[u64],
     f: impl Fn(u64, u64) -> u64,
 ) {
-    match ids {
-        Some(ids) => {
+    match groups {
+        Groups::Global => {
+            if let Some(s) = state.first_mut() {
+                *s = rows.fold(*s, |acc, i| f(acc, v[i]));
+            }
+        }
+        Groups::Rows(ids) => {
             for (&g, i) in ids.iter().zip(rows) {
                 let s = &mut state[g as usize];
                 *s = f(*s, v[i]);
             }
         }
-        None => {
-            if let Some(s) = state.first_mut() {
-                *s = rows.fold(*s, |acc, i| f(acc, v[i]));
+        Groups::Runs(runs) => {
+            for &(g, len) in runs {
+                let s = &mut state[g as usize];
+                *s = rows
+                    .by_ref()
+                    .take(len as usize)
+                    .fold(*s, |acc, i| f(acc, v[i]));
             }
         }
     }
@@ -169,34 +190,41 @@ impl AggCol {
             AggCol::Count | AggCol::Rank { .. } => {}
             AggCol::Sum(s) | AggCol::Avg(s) | AggCol::Max(s) => s.resize(groups, 0),
             AggCol::Min(s) => s.resize(groups, u64::MAX),
-            AggCol::Samples { groups: g, .. } => g.resize_with(groups, Vec::new),
+            AggCol::Samples { groups: g, .. } => g.resize_with(groups, pool::Buf::default),
         }
     }
 
     /// Fold one chunk in, column-at-a-time: `v[row]` for each selected
-    /// row, into the group `ids` names for it (`ids` runs parallel to
-    /// `rows`; `None` means the single global group). The aggregate kind
-    /// is matched here, once per chunk, not per row.
+    /// row, into the group `groups` names for it. The aggregate kind is
+    /// matched here, once per chunk, not per row.
     pub(crate) fn update(
         &mut self,
-        rows: impl Iterator<Item = usize>,
-        ids: Option<&[u32]>,
+        mut rows: impl Iterator<Item = usize>,
+        groups: Groups<'_>,
         v: &[u64],
     ) {
         match self {
             AggCol::Count | AggCol::Rank { .. } => {}
-            AggCol::Sum(s) | AggCol::Avg(s) => fold_into(s, rows, ids, v, u64::saturating_add),
-            AggCol::Min(s) => fold_into(s, rows, ids, v, u64::min),
-            AggCol::Max(s) => fold_into(s, rows, ids, v, u64::max),
-            AggCol::Samples { groups, .. } => match ids {
-                Some(ids) => {
-                    for (&g, i) in ids.iter().zip(rows) {
-                        groups[g as usize].push(v[i]);
+            AggCol::Sum(s) | AggCol::Avg(s) => fold_into(s, rows, groups, v, u64::saturating_add),
+            AggCol::Min(s) => fold_into(s, rows, groups, v, u64::min),
+            AggCol::Max(s) => fold_into(s, rows, groups, v, u64::max),
+            AggCol::Samples {
+                groups: samples, ..
+            } => match groups {
+                Groups::Global => {
+                    if let Some(all) = samples.first_mut() {
+                        all.extend(rows.map(|i| v[i]));
                     }
                 }
-                None => {
-                    if let Some(all) = groups.first_mut() {
-                        all.extend(rows.map(|i| v[i]));
+                Groups::Rows(ids) => {
+                    for (&g, i) in ids.iter().zip(rows) {
+                        samples[g as usize].push(v[i]);
+                    }
+                }
+                Groups::Runs(runs) => {
+                    for &(g, len) in runs {
+                        let run = rows.by_ref().take(len as usize);
+                        samples[g as usize].extend(run.map(|i| v[i]));
                     }
                 }
             },
@@ -208,21 +236,17 @@ impl AggCol {
     /// order-insensitive: a merge is an update whose values are the other
     /// side's states.
     pub(crate) fn merge(&mut self, other: AggCol, remap: &[u32]) {
+        let ids = Groups::Rows(remap);
         match (self, other) {
             (AggCol::Count, AggCol::Count) | (AggCol::Rank { .. }, AggCol::Rank { .. }) => {}
             (AggCol::Sum(a), AggCol::Sum(b)) | (AggCol::Avg(a), AggCol::Avg(b)) => {
-                fold_into(a, 0..b.len(), Some(remap), &b, u64::saturating_add)
+                fold_into(a, 0..b.len(), ids, &b, u64::saturating_add)
             }
-            (AggCol::Min(a), AggCol::Min(b)) => fold_into(a, 0..b.len(), Some(remap), &b, u64::min),
-            (AggCol::Max(a), AggCol::Max(b)) => fold_into(a, 0..b.len(), Some(remap), &b, u64::max),
+            (AggCol::Min(a), AggCol::Min(b)) => fold_into(a, 0..b.len(), ids, &b, u64::min),
+            (AggCol::Max(a), AggCol::Max(b)) => fold_into(a, 0..b.len(), ids, &b, u64::max),
             (AggCol::Samples { groups: a, .. }, AggCol::Samples { groups: b, .. }) => {
-                for (&g, mut samples) in remap.iter().zip(b) {
-                    let dst = &mut a[g as usize];
-                    if dst.is_empty() {
-                        *dst = samples;
-                    } else {
-                        dst.append(&mut samples);
-                    }
+                for (&g, samples) in remap.iter().zip(b) {
+                    a[g as usize].append(samples);
                 }
             }
             // lint: allow(panic, "merge partners are built from the same aggregate list, so variants always pair up")
@@ -254,14 +278,120 @@ pub(crate) fn finalize(cols: &mut [AggCol], a: usize, g: usize, count: u64) -> A
     let AggCol::Samples { groups, .. } = &mut cols[of] else {
         return AggValue::Null;
     };
+    let samples = &mut groups[g].0;
     // Rank-select instead of a full sort: it places at `idx` the element
     // a sort would, and equal elements are equal bits, so the value read
     // is the same whatever order the samples arrived or were merged in —
     // or an earlier selection of another rank left them in.
-    let samples = &mut groups[g];
     let idx = swim_obs::nearest_rank(p, samples.len());
     let (_, nth, _) = samples.select_nth_unstable(idx);
     AggValue::Float(*nth as f64)
+}
+
+/// The bounded, process-wide free list behind every large percentile
+/// sample buffer. A percentile over a million rows collects 8 MB of
+/// samples. Grown by doubling in fresh pages, and handed back to the
+/// kernel by the allocator when the query ends, that cost thousands of
+/// minor faults per query, a few microseconds each. Here a buffer about
+/// to grow past [`pool::MIN_BYTES`] is swapped for the smallest free one
+/// that holds twice its samples, and goes back to the list when dropped,
+/// so a warm query grows into pages an earlier one faulted in. The list
+/// keeps its roomiest buffers, at most [`pool::MAX_BUFFERS`] of them and
+/// [`pool::MAX_BYTES`] bytes; what it does not keep is freed.
+pub(crate) mod pool {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Buffers below this size grow and go in the allocator's own heap.
+    pub(crate) const MIN_BYTES: usize = 64 << 10;
+    /// Most buffers kept.
+    pub(crate) const MAX_BUFFERS: usize = 16;
+    /// Most bytes kept, summed over the buffers' capacities.
+    pub(crate) const MAX_BYTES: usize = 64 << 20;
+
+    /// Free buffers, empty, roomiest first.
+    static FREE: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
+
+    fn free() -> MutexGuard<'static, Vec<Vec<u64>>> {
+        // A panic while holding the lock leaves the list valid: every
+        // change to it is one `push`, `sort`, `pop` or `remove`.
+        FREE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn bytes(list: &[Vec<u64>]) -> usize {
+        list.iter().map(|b| b.capacity() * 8).sum()
+    }
+
+    /// One group's samples, in a buffer that goes back to the free list
+    /// when dropped.
+    #[derive(Debug, Default)]
+    pub(crate) struct Buf(pub(crate) Vec<u64>);
+
+    impl Buf {
+        /// Room for `additional` more samples.
+        fn reserve(&mut self, additional: usize) {
+            let v = &mut self.0;
+            if v.capacity() - v.len() >= additional {
+                return;
+            }
+            let need = (v.len() + additional).max(2 * v.capacity());
+            if need * 8 >= MIN_BYTES {
+                let mut list = free();
+                if let Some(i) = list.iter().rposition(|b| b.capacity() >= need) {
+                    let mut room = list.remove(i);
+                    drop(list);
+                    room.extend_from_slice(v);
+                    // The outgrown buffer goes back to the list.
+                    drop(Buf(std::mem::replace(v, room)));
+                    return;
+                }
+            }
+            v.reserve(additional);
+        }
+
+        pub(crate) fn push(&mut self, value: u64) {
+            if self.0.len() == self.0.capacity() {
+                self.reserve(1);
+            }
+            self.0.push(value);
+        }
+
+        pub(crate) fn extend(&mut self, values: impl Iterator<Item = u64>) {
+            self.reserve(values.size_hint().0);
+            self.0.extend(values);
+        }
+
+        /// Move `other`'s samples in, keeping the roomier buffer.
+        pub(crate) fn append(&mut self, mut other: Buf) {
+            if other.0.capacity() > self.0.capacity() {
+                std::mem::swap(self, &mut other);
+            }
+            self.reserve(other.0.len());
+            self.0.append(&mut other.0);
+        }
+    }
+
+    impl Drop for Buf {
+        fn drop(&mut self) {
+            let mut buf = std::mem::take(&mut self.0);
+            if buf.capacity() * 8 < MIN_BYTES || buf.capacity() * 8 > MAX_BYTES {
+                return;
+            }
+            buf.clear();
+            let mut list = free();
+            list.push(buf);
+            list.sort_unstable_by_key(|b| std::cmp::Reverse(b.capacity()));
+            while list.len() > MAX_BUFFERS || bytes(&list) > MAX_BYTES {
+                list.pop();
+            }
+        }
+    }
+
+    /// Buffers and bytes the list holds right now.
+    #[cfg(test)]
+    pub(crate) fn retained() -> (usize, usize) {
+        let list = free();
+        (list.len(), bytes(&list))
+    }
 }
 
 #[cfg(test)]
@@ -274,7 +404,7 @@ mod tests {
     fn state(agg: &Aggregate, values: &[u64]) -> AggCol {
         let mut col = AggCol::new(agg, None);
         col.grow(1);
-        col.update(0..values.len(), None, values);
+        col.update(0..values.len(), Groups::Global, values);
         col
     }
 
@@ -327,10 +457,10 @@ mod tests {
         ] {
             let mut ours = AggCol::new(&agg, None);
             ours.grow(2);
-            ours.update(0..3, Some(&[0, 1, 0]), &[10, 20, 30]);
+            ours.update(0..3, Groups::Rows(&[0, 1, 0]), &[10, 20, 30]);
             let mut theirs = AggCol::new(&agg, None);
             theirs.grow(3);
-            theirs.update(0..3, Some(&[0, 1, 2]), &[7, 8, 99]);
+            theirs.update(0..3, Groups::Rows(&[0, 1, 2]), &[7, 8, 99]);
             ours.grow(3);
             ours.merge(theirs, &[1, 2, 0]);
             let got: Vec<AggValue> = (0..3).map(|g| ours.finalize(g, 1)).collect();
@@ -461,6 +591,41 @@ mod tests {
             finalize(&agg, &[u64::MAX - 5, 100]),
             AggValue::Int(u64::MAX)
         );
+    }
+
+    #[test]
+    fn the_sample_pool_keeps_its_roomiest_buffers_within_its_caps() {
+        use pool::{Buf, MAX_BUFFERS, MAX_BYTES, MIN_BYTES};
+        let within_caps = || {
+            let (buffers, bytes) = pool::retained();
+            assert!(buffers <= MAX_BUFFERS, "{buffers} buffers kept");
+            assert!(bytes <= MAX_BYTES, "{bytes} bytes kept");
+        };
+        // More buffers than the list keeps, from below its floor to above
+        // all it may keep; each holds one sample, so faults in one page.
+        let sizes = (0..2 * MAX_BUFFERS)
+            .map(|k| (MIN_BYTES / 16) << (k % 12))
+            .chain([MAX_BYTES / 8 + 1]);
+        for capacity in sizes {
+            let mut buf = Buf(Vec::with_capacity(capacity));
+            buf.0.push(7);
+            drop(buf);
+            within_caps();
+        }
+        // A buffer growing past the floor trades up through the list and
+        // keeps its samples; the one it outgrew goes back.
+        let mut buf = Buf::default();
+        let samples = (MIN_BYTES / 8) as u64 * 3;
+        buf.extend(0..samples / 2);
+        for x in samples / 2..samples {
+            buf.push(x);
+        }
+        let mut other = Buf::default();
+        other.extend(samples..samples + 5);
+        buf.append(other);
+        assert!(buf.0.iter().copied().eq(0..samples + 5));
+        drop(buf);
+        within_caps();
     }
 
     #[test]

@@ -158,7 +158,12 @@ fn run(stores: &[Store], query: &Query, threads: usize) -> Result<QueryOutput, Q
         }
         Ok::<_, QueryError>(worker)
     });
-    let mut worker = Worker::new(&program);
+    // The first worker absorbs the rest: merges are exact and insensitive
+    // to order, and its keys and states are already built.
+    let mut claimed = claimed.into_iter();
+    let mut worker = claimed
+        .next()
+        .unwrap_or_else(|| Ok(Worker::new(&program)))?;
     for theirs in claimed {
         worker.merge(theirs?);
     }
@@ -264,6 +269,47 @@ mod tests {
             for _ in 0..3 {
                 // Parallel scheduling varies run to run; results may not.
                 assert_eq!(execute(&store, q).unwrap(), serial);
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_percentiles_answer_alike_on_pooled_samples() {
+        // Sample buffers past the pool's floor come from the pool and go
+        // back to it: each run grows into buffers an earlier one filled
+        // and returned, on one worker or several, global or grouped.
+        use crate::agg::pool;
+        use swim_store::format::columns::ColumnSet;
+        let store = store(30_000, 4096);
+        let percentiles = Query::new()
+            .filter(Pred::cmp(Col::Duration, CmpOp::Ge, 100))
+            .select(Aggregate::Count)
+            .select(Aggregate::Percentile(Expr::col(Col::Duration), 0.5))
+            .select(Aggregate::Percentile(Expr::col(Col::Input), 0.9))
+            .select(Aggregate::Percentile(Expr::col(Col::Duration), 0.99));
+        let halves = Expr::Div(
+            Box::new(Expr::col(Col::ReduceTasks)),
+            Box::new(Expr::lit(2)),
+        );
+        let grouped = percentiles.clone().group(halves);
+        let stores = std::slice::from_ref(&store);
+        let mut reader = store.reader().unwrap();
+        let chunks: Vec<_> = (0..store.chunk_count())
+            .map(|idx| (reader.columns(idx, ColumnSet::ALL).unwrap(), false))
+            .collect();
+        for query in [percentiles, grouped] {
+            let first = run(stores, &query, 1).unwrap().rows;
+            let cells = (first.iter()).map(|r| (r.key.clone(), r.values.clone()));
+            assert_eq!(
+                cells.collect::<Vec<_>>(),
+                crate::oracle::run(&query, &chunks)
+            );
+            for threads in [1, 4, 2, 1, 3, 4] {
+                for _ in 0..3 {
+                    assert_eq!(run(stores, &query, threads).unwrap().rows, first);
+                    let (buffers, bytes) = pool::retained();
+                    assert!(buffers <= pool::MAX_BUFFERS && bytes <= pool::MAX_BYTES);
+                }
             }
         }
     }

@@ -154,8 +154,10 @@ fn run(catalog: &Catalog, query: &Query, threads: usize) -> Result<CatalogOutput
         }
         Ok::<_, QueryError>((worker, stats))
     });
-    let mut worker = Worker::new(&program);
-    let mut stats = ExecStats::default();
+    // The first worker absorbs the rest, as in `exec::run`.
+    let mut claimed = claimed.into_iter();
+    let (mut worker, mut stats) =
+        (claimed.next()).unwrap_or_else(|| Ok((Worker::new(&program), ExecStats::default())))?;
     for result in claimed {
         let (theirs, chunk_stats) = result?;
         worker.merge(theirs);

@@ -10,7 +10,11 @@
 //! 1. **expressions** — each arithmetic node is evaluated over the whole
 //!    chunk into that node's scratch buffer (reused across chunks, always
 //!    rewritten to exactly the chunk's length), in a loop picked once per
-//!    node by operator and operand shape (column or buffer × literal);
+//!    node by operator and operand shape (column or buffer × literal).
+//!    Saturating `+` and `-` are branch-free bit expressions that
+//!    vectorize without an emulated unsigned compare, and division by a
+//!    literal is one multiplication and one branch-free correction
+//!    ([`div_by`]);
 //! 2. **selection** — the predicate's top-level conjuncts narrow one
 //!    vector of matching row indices; a chunk the planner proved matches
 //!    entirely builds none and runs stages 3 and 4 over `0..n`;
@@ -25,7 +29,12 @@
 //!    keyed SipHash: group keys are stored data, which may be hostile,
 //!    and the speed comes from not probing, not from a weaker hash;
 //! 4. **aggregates** — each [`AggCol`] is updated column-at-a-time over
-//!    `(rows, ids)` into state vectors indexed by group id.
+//!    `(rows, ids)` into state vectors indexed by group id. When a
+//!    chunk's ids change at fewer than one row in [`RUN_EVERY`] — keys
+//!    that arrive in runs — the rows go as `(id, len)` runs instead, and
+//!    counts and `Sum`/`Avg`/`Min`/`Max` fold each run in a register and
+//!    store once. Percentile samples grow into buffers from
+//!    [`agg::pool`], so a warm query faults in no fresh pages for them.
 //!
 //! Scratch is bounded by the chunk size: one `u64` buffer per arithmetic
 //! node plus the `u32` selection and id vectors, whatever the store's
@@ -34,11 +43,12 @@
 //! ranks read it.
 //!
 //! Workers merge exactly and in any order ([`Worker::merge`] re-interns
-//! the other side's keys and folds its states in), and
+//! the other side's keys and folds its states in; callers merge into the
+//! first claimed worker), and
 //! [`Worker::into_rows`] leaves ordering to the caller, so who folded
 //! which chunk never shows in a result.
 
-use crate::agg::{self, AggCol, Aggregate};
+use crate::agg::{self, AggCol, Aggregate, Groups};
 use crate::exec::Row;
 use crate::expr::{CmpOp, Col, Expr, Pred};
 use crate::plan::Query;
@@ -213,11 +223,33 @@ impl<'q> Program<'q> {
 #[inline]
 fn arith(op: ArithOp, x: u64, y: u64) -> u64 {
     match op {
-        ArithOp::Add => x.saturating_add(y),
-        ArithOp::Sub => x.saturating_sub(y),
+        ArithOp::Add => saturating_add(x, y),
+        ArithOp::Sub => saturating_sub(x, y),
         ArithOp::Mul => x.saturating_mul(y),
         ArithOp::Div => x.checked_div(y).unwrap_or(0),
     }
+}
+
+/// `x.saturating_add(y)` in bit operations alone. The carry out of the
+/// top bit is the top bit of `(x & y) | ((x | y) & !s)`, and spread over
+/// the word it forces `u64::MAX`. Baseline x86-64 has no unsigned 64-bit
+/// lane compare, so a vectorized std add emulates one (sign flips, 32-bit
+/// compares, shuffles); this needs only and/or and one shift a lane.
+#[inline]
+fn saturating_add(x: u64, y: u64) -> u64 {
+    let s = x.wrapping_add(y);
+    let carry = ((x & y) | ((x | y) & !s)) >> 63;
+    s | carry.wrapping_neg()
+}
+
+/// `x.saturating_sub(y)` in bit operations alone: the borrow out of the
+/// top bit is the top bit of `(!x & y) | (!(x ^ y) & d)`, and it clears
+/// the word to 0.
+#[inline]
+fn saturating_sub(x: u64, y: u64) -> u64 {
+    let d = x.wrapping_sub(y);
+    let borrow = ((!x & y) | (!(x ^ y) & d)) >> 63;
+    d & borrow.wrapping_sub(1)
 }
 
 /// A node's value over the current chunk.
@@ -279,22 +311,18 @@ fn zip_into(
     }
 }
 
-/// `out[i] = a[i] / d` for a literal `d > 1`, by one multiplication: with
-/// `m = floor(2^64 / d)`, `floor(x·m / 2^64)` never exceeds `x / d` and
-/// falls short by less than one, so a single conditional step (a loop,
-/// to need no bound to be exact) lands on the quotient a division gives.
+/// `out[i] = a[i] / d` for a literal `d > 1`, by one multiplication and
+/// one branch-free correction. With `m = floor(2^64 / d)`, `d·m` falls
+/// short of `2^64` by `e = 2^64 mod d < d`, so `x·m / 2^64` falls short
+/// of `x / d` by `x·e / (d·2^64) < x / 2^64 < 1`: `q = floor(x·m / 2^64)`
+/// is the quotient or one less, and adding `(x - q·d >= d)` lands on it.
 fn div_by(a: &[u64], d: u64, out: &mut Vec<u64>) {
     debug_assert!(d > 1, "2^64 / 1 does not fit the multiplier");
     let m = ((1u128 << 64) / u128::from(d)) as u64;
     out.clear();
     out.extend(a.iter().map(|&x| {
-        let mut q = ((u128::from(x) * u128::from(m)) >> 64) as u64;
-        let mut r = x - q * d;
-        while r >= d {
-            q += 1;
-            r -= d;
-        }
-        q
+        let q = ((u128::from(x) * u128::from(m)) >> 64) as u64;
+        q + u64::from(x - q * d >= d)
     }));
 }
 
@@ -366,6 +394,11 @@ enum Table {
 /// paid anyway, so the memo gives hostile keys nothing.
 const RECENT: usize = 256;
 
+/// Stage 4 folds a chunk by runs of equal ids when its ids change at
+/// fewer than one row in this many; at more, building the runs costs
+/// more than the per-row stores it saves.
+const RUN_EVERY: usize = 8;
+
 /// The key of group `id` in the flat key vector; `None` for an empty
 /// memo slot.
 fn key_of(keys: &[u64], arity: usize, id: u32) -> Option<&[u64]> {
@@ -395,16 +428,24 @@ fn intern_many(map: &mut HashMap<Box<[u64]>, u32>, keys: &mut Vec<u64>, key: &[u
     id
 }
 
+/// Rows whose id differs from the row before, counted branch-free.
+fn changes(ids: &[u32]) -> usize {
+    let next = ids.get(1..).unwrap_or_default();
+    ids.iter().zip(next).map(|(a, b)| usize::from(a != b)).sum()
+}
+
 /// One thread's scratch and accumulated state for one query.
 #[derive(Debug)]
 pub(crate) struct Worker<'p> {
     program: &'p Program<'p>,
     /// Scratch, reused across chunks: one buffer per node (only `Bin` and
     /// `Fill` nodes ever fill theirs), the selection, the group id of
-    /// each selected row, and one multi-column key.
+    /// each selected row, the `(id, rows)` runs of those ids when stage 4
+    /// folds by run (empty when it does not), and one multi-column key.
     bufs: Vec<Vec<u64>>,
     sel: Vec<u32>,
     ids: Vec<u32>,
+    runs: Vec<(u32, u32)>,
     key: Vec<u64>,
     /// Accumulated: the key table, group keys flat in id order (`arity`
     /// values each), the memo of recently met ids, rows per group, and
@@ -430,6 +471,7 @@ impl<'p> Worker<'p> {
             bufs: vec![Vec::new(); program.nodes.len()],
             sel: Vec::new(),
             ids: Vec::new(),
+            runs: Vec::new(),
             key: vec![0; arity],
             table: match arity {
                 0 => Table::Global,
@@ -619,16 +661,30 @@ impl<'p> Worker<'p> {
         };
         if grouped {
             self.grow();
+        }
+        self.runs.clear();
+        let groups = if !grouped {
+            if let Some(count) = self.counts.first_mut() {
+                *count += matched as u64;
+            }
+            Groups::Global
+        } else if changes(&self.ids) * RUN_EVERY < self.ids.len() {
+            let runs = self.ids.chunk_by(|a, b| a == b);
+            let runs = runs.filter_map(|run| Some((*run.first()?, run.len() as u32)));
+            self.runs.extend(runs);
+            for &(g, len) in &self.runs {
+                self.counts[g as usize] += u64::from(len);
+            }
+            Groups::Runs(&self.runs)
+        } else {
             for &g in &self.ids {
                 self.counts[g as usize] += 1;
             }
-        } else if let Some(count) = self.counts.first_mut() {
-            *count += matched as u64;
-        }
-        let ids = grouped.then_some(self.ids.as_slice());
+            Groups::Rows(&self.ids)
+        };
         for (agg, input) in self.aggs.iter_mut().zip(&p.inputs) {
             let v = input.map_or(&[][..], |idx| column(&p.nodes, &self.bufs, cols, idx));
-            agg.update(rows.clone(), ids, v);
+            agg.update(rows.clone(), groups, v);
         }
     }
 
@@ -777,10 +833,16 @@ pub(crate) mod tests {
         op(Box::new(a), Box::new(b))
     }
 
-    /// Up to three keys: a raw column, a computed one, a constant.
-    fn keys(arity: usize) -> Vec<Expr> {
+    /// Up to three keys: a raw column (or, `in_runs`, a computed one of at
+    /// most 16 values that arrives in runs over sorted submits), a
+    /// computed one, a constant.
+    fn keys(arity: usize, in_runs: bool) -> Vec<Expr> {
+        let first = match in_runs {
+            true => bin(Expr::Div, Expr::col(Col::Submit), Expr::lit(1 << 60)),
+            false => Expr::col(Col::MapTasks),
+        };
         let all = [
-            Expr::col(Col::MapTasks),
+            first,
             bin(Expr::Div, Expr::col(Col::Submit), Expr::lit(3)),
             bin(Expr::Sub, Expr::lit(9), Expr::lit(2)),
         ];
@@ -829,8 +891,12 @@ pub(crate) mod tests {
     }
 
     fn query(pred: Pred, arity: usize) -> Query {
+        query_keyed(pred, keys(arity, false))
+    }
+
+    fn query_keyed(pred: Pred, keys: Vec<Expr>) -> Query {
         let mut query = Query::new().filter(pred);
-        for key in keys(arity) {
+        for key in keys {
             query = query.group(key);
         }
         for agg in aggregates() {
@@ -840,20 +906,28 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(192))]
 
+        /// Half the cases sort the submits, as a store is written, and
+        /// key the first group column on them, so ids arrive in runs and
+        /// stage 4 folds some chunks by run and others by row.
         #[test]
         fn kernel_matches_the_row_oracle(
             cells in prop::collection::vec(any::<u64>(), 0..1200),
             arity in 0usize..4,
+            in_runs in any::<bool>(),
             size_kind in 0usize..3,
             full in any::<u8>(),
             pred_kind in any::<u8>(),
             threshold in any::<u64>(),
         ) {
-            let cols = columns_from(&cells);
+            let mut cols = columns_from(&cells);
+            if in_runs {
+                cols.cols[Col::Submit.zone_index()].sort_unstable();
+            }
             let chunks = chunks_of(&cols, [1, 7, 4096][size_kind], full);
-            let query = query(predicate(pred_kind, threshold >> (threshold % 64)), arity);
+            let pred = predicate(pred_kind, threshold >> (threshold % 64));
+            let query = query_keyed(pred, keys(arity, in_runs));
             let expected = oracle::run(&query, &chunks);
             let program = Program::compile(&query);
 
@@ -1039,13 +1113,96 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn runs_of_equal_ids_fold_once_per_run_as_rows_would() {
+        // 64 rows keyed on `submit`: whether stage 4 folded by run, and
+        // the rows either way against the row oracle.
+        let keyed = |key: fn(u64) -> u64| (0..64).map(key).collect::<Vec<u64>>();
+        let cases = [
+            ("one run", keyed(|_| 5), true),
+            ("alternating ids", keyed(|i| i % 2), false),
+            ("7 changes, under one in eight", keyed(|i| i / 8), true),
+            ("8 changes, one in eight", keyed(|i| (i + 4) / 8), false),
+        ];
+        for (case, submits, by_run) in cases {
+            let mut cols = plain_columns(64);
+            cols.cols[Col::Submit.zone_index()] = submits;
+            let chunks = [(cols, true)];
+            let query = query_keyed(Pred::True, vec![Expr::col(Col::Submit)]);
+            let program = Program::compile(&query);
+            let worker = fold(&program, &chunks);
+            assert_eq!(!worker.runs.is_empty(), by_run, "{case}");
+            if by_run {
+                let rows: u32 = worker.runs.iter().map(|&(_, len)| len).sum();
+                assert_eq!(rows, 64, "{case}: the runs cover the rows");
+            }
+            assert_eq!(sorted_rows(worker), oracle::run(&query, &chunks), "{case}");
+        }
+        // An empty selection reaches neither path, and makes no group.
+        let chunks = [(plain_columns(64), false)];
+        let none = Pred::cmp(Col::Input, CmpOp::Gt, u64::MAX - 1);
+        let query = query_keyed(none, vec![Expr::col(Col::Submit)]);
+        let program = Program::compile(&query);
+        let worker = fold(&program, &chunks);
+        assert!(worker.runs.is_empty());
+        assert_eq!(sorted_rows(worker), oracle::run(&query, &chunks));
+    }
+
+    /// The edges of `u64` arithmetic: zero, one, and either side of the
+    /// 32-bit and 63-bit boundaries and of `u64::MAX`.
+    const EDGES: [u64; 10] = [
+        0,
+        1,
+        (1 << 32) - 1,
+        (1 << 32) + 1,
+        (1 << 63) - 1,
+        1 << 63,
+        (1 << 63) + 1,
+        u64::MAX - 1,
+        u64::MAX,
+        1 << 32,
+    ];
+
+    #[test]
+    fn saturating_bit_expressions_equal_std_on_the_edge_grid() {
+        for x in EDGES {
+            for y in EDGES {
+                assert_eq!(saturating_add(x, y), x.saturating_add(y), "{x} + {y}");
+                assert_eq!(saturating_sub(x, y), x.saturating_sub(y), "{x} - {y}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn saturating_bit_expressions_equal_std(x in any::<u64>(), y in any::<u64>(), shift in 0u32..64) {
+            // Shifted operands reach every magnitude, so carries and
+            // borrows out of the top bit happen in some cases and not others.
+            for (x, y) in [(x, y), (x >> shift, y), (x, y >> shift)] {
+                prop_assert_eq!(saturating_add(x, y), x.saturating_add(y));
+                prop_assert_eq!(saturating_sub(x, y), x.saturating_sub(y));
+            }
+        }
+    }
+
+    #[test]
     fn division_by_a_literal_is_exact_by_multiplication() {
-        let divisors = [2, 3, 7, 3600, 86_400, (1 << 32) - 1, 1 << 32, (1 << 32) + 1];
+        let divisors = [
+            2,
+            3,
+            7,
+            24,
+            3600,
+            86_400,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+        ];
         let divisors = divisors
             .into_iter()
             .chain([1 << 63, (1 << 63) + 1, u64::MAX - 1, u64::MAX]);
         for d in divisors {
             let mut xs = vec![0, 1, d - 1, d, d.saturating_add(1), u64::MAX - 1, u64::MAX];
+            xs.extend(EDGES);
             for k in [2, 3, 1000, u64::MAX / d] {
                 let multiple = d.saturating_mul(k) / d * d;
                 xs.extend([multiple - 1, multiple, multiple.saturating_add(1)]);
