@@ -30,10 +30,14 @@
 use crate::cache::{ColumnCache, Found, ShardColumns, DEFAULT_CACHE_SHARDS};
 use crate::manifest::{Manifest, ShardEntry, MANIFEST_FILE};
 use crate::{CacheStats, CatalogError};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use swim_store::format::columns::ColumnSet;
-use swim_store::{Store, StoreError, StoreOptions, StoreWriter, ZONE_COLUMNS};
+use swim_store::{
+    ChunkMeta, ChunkReader, Store, StoreError, StoreOptions, StoreWriter, ZONE_COLUMNS,
+};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, Job, JobId, Timestamp, Trace, TraceSummary};
 
@@ -134,27 +138,168 @@ fn new_entry(store: &Store) -> ShardColumns {
     ShardColumns::new(rows.collect())
 }
 
-/// Materialize `stores` as one trace, jobs sorted by `(submit, id)`. The
-/// kind is the stores' common kind, or `Custom("mixed")` when they differ
-/// (`Custom("empty catalog")` when there are none); the machine count is
-/// the largest. `at` attributes a read error to the store (by index) it
-/// came from.
+/// Materialize `stores` as one trace: [`merge_stores`] collected, jobs
+/// in `(submit, id)` order, ties in store order, under
+/// [`kind_and_machines`]. `at` attributes a read error to the store (by
+/// index) it came from.
 pub fn read_stores<E>(stores: &[Store], at: impl Fn(usize, StoreError) -> E) -> Result<Trace, E> {
+    let (kind, machines) = kind_and_machines(stores);
+    // Grown as chunks decode, not sized up front: a manifest's `jobs=`
+    // fields bound nothing.
+    let jobs = merge_stores(stores).map(|job| job.map_err(|(idx, e)| at(idx, e)));
+    let jobs = jobs.collect::<Result<_, E>>()?;
+    Ok(Trace::new_unchecked(kind, machines, jobs))
+}
+
+/// The identity of `stores` read as one trace: their common kind, or
+/// `Custom("mixed")` when they differ (`Custom("empty catalog")` when
+/// there are none), and the largest machine count.
+pub fn kind_and_machines(stores: &[Store]) -> (WorkloadKind, u32) {
     let kind = match stores {
         [] => WorkloadKind::Custom("empty catalog".into()),
         [first, rest @ ..] if rest.iter().all(|s| s.kind() == first.kind()) => first.kind().clone(),
         _ => WorkloadKind::Custom("mixed".into()),
     };
-    let machines = stores.iter().map(Store::machines).max().unwrap_or(0);
-    // Grown as stores decode: each open bounds its store's job count by
-    // its file size, a manifest's `jobs=` fields bound nothing.
-    let mut jobs = Vec::new();
-    for (idx, store) in stores.iter().enumerate() {
-        for chunk in store.scan().map_err(|e| at(idx, e))? {
-            jobs.extend(chunk.map_err(|e| at(idx, e))?);
+    (kind, stores.iter().map(Store::machines).max().unwrap_or(0))
+}
+
+/// Every job of `stores`, k-way merged by `(submit, id)`, ties in store
+/// order. A store's chunks are decoded one at a time, each when the
+/// first submit of its window comes up, so shards whose windows do not
+/// overlap are read one chunk at a time. An error names the store (by
+/// index) it came from and ends the merge; a job that sorts before one
+/// already yielded (a store out of order, or a chunk window that
+/// understates its jobs) is [`StoreError::Corrupt`].
+pub fn merge_stores(stores: &[Store]) -> StoreMerge<'_> {
+    merge_stores_with_text(stores, |_| true)
+}
+
+/// [`merge_stores`], decoding a chunk's names and paths only when `text`
+/// accepts its index entry: the jobs of every other chunk come out with
+/// their numeric fields alone ([`ChunkReader::numeric_jobs`]).
+pub fn merge_stores_with_text<'s>(
+    stores: &'s [Store],
+    text: impl Fn(&ChunkMeta) -> bool + 's,
+) -> StoreMerge<'s> {
+    let mut cursors: Vec<Cursor<'_>> = stores.iter().map(Cursor::new).collect();
+    let steps = cursors.iter_mut().enumerate();
+    let heap = steps.filter_map(|(idx, cursor)| cursor.next_step(idx));
+    StoreMerge {
+        heap: heap.map(Reverse).collect(),
+        cursors,
+        text: Box::new(text),
+        last: None,
+    }
+}
+
+/// The iterator of [`merge_stores`].
+pub struct StoreMerge<'s> {
+    cursors: Vec<Cursor<'s>>,
+    /// Each unfinished store's next step, least first.
+    heap: BinaryHeap<Reverse<Step>>,
+    /// Whether a chunk's names and paths are decoded.
+    text: Box<dyn Fn(&ChunkMeta) -> bool + 's>,
+    last: Option<(Timestamp, JobId)>,
+}
+
+/// A store's next step: yield its next job, keyed `(submit, id)`, or
+/// decode its next chunk, keyed `(min_submit, 0)` and sorting before a
+/// job of the same key; then the store's index.
+type Step = (Timestamp, JobId, bool, usize);
+
+/// One store's place in a [`StoreMerge`].
+struct Cursor<'s> {
+    store: &'s Store,
+    /// Open from the first chunk decoded to the last.
+    reader: Option<ChunkReader<'s>>,
+    next_chunk: usize,
+    /// The rest of the decoded chunk.
+    jobs: std::vec::IntoIter<Job>,
+}
+
+impl<'s> Cursor<'s> {
+    fn new(store: &'s Store) -> Cursor<'s> {
+        Cursor {
+            store,
+            reader: None,
+            next_chunk: 0,
+            jobs: Vec::new().into_iter(),
         }
     }
-    Ok(Trace::new_unchecked(kind, machines, jobs))
+
+    /// The step after the one taken, for the store at `idx`; none once
+    /// its last chunk is spent.
+    fn next_step(&mut self, idx: usize) -> Option<Step> {
+        if let Some(job) = self.jobs.as_slice().first() {
+            return Some((job.submit, job.id, true, idx));
+        }
+        let chunks = self.store.chunk_meta();
+        while let Some(meta) = chunks.get(self.next_chunk) {
+            if meta.job_count > 0 {
+                return Some((meta.min_submit, JobId(0), false, idx));
+            }
+            self.next_chunk += 1;
+        }
+        self.reader = None;
+        None
+    }
+
+    fn decode(&mut self, text: &dyn Fn(&ChunkMeta) -> bool) -> Result<(), StoreError> {
+        let reader = match &mut self.reader {
+            Some(reader) => reader,
+            None => self.reader.insert(self.store.reader()?),
+        };
+        let idx = self.next_chunk;
+        let jobs = match text(&self.store.chunk_meta()[idx]) {
+            true => reader.jobs(idx)?,
+            false => reader.numeric_jobs(idx)?,
+        };
+        self.jobs = jobs.into_iter();
+        self.next_chunk += 1;
+        Ok(())
+    }
+}
+
+impl Iterator for StoreMerge<'_> {
+    type Item = Result<Job, (usize, StoreError)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            // The least step is replaced in place by its store's next.
+            let mut top = self.heap.peek_mut()?;
+            let Reverse((_, _, decoded, idx)) = *top;
+            let cursor = &mut self.cursors[idx];
+            let job = match decoded {
+                true => cursor.jobs.next(),
+                false => match cursor.decode(&self.text) {
+                    Ok(()) => None,
+                    Err(e) => {
+                        drop(top);
+                        self.heap.clear();
+                        return Some(Err((idx, e)));
+                    }
+                },
+            };
+            match cursor.next_step(idx) {
+                Some(step) => {
+                    *top = Reverse(step);
+                    drop(top);
+                }
+                None => drop(PeekMut::pop(top)),
+            }
+            let Some(job) = job else {
+                continue;
+            };
+            let key = (job.submit, job.id);
+            if self.last.is_some_and(|last| key < last) {
+                self.heap.clear();
+                let context = "jobs out of (submit, id) order";
+                return Some(Err((idx, StoreError::Corrupt { context })));
+            }
+            self.last = Some(key);
+            return Some(Ok(job));
+        }
+    }
 }
 
 impl Catalog {
@@ -932,6 +1077,68 @@ fn sync_dir(dir: &Path) -> Result<(), CatalogError> {
 mod tests {
     use super::*;
     use swim_trace::JobBuilder;
+
+    /// A store image of jobs `(id, submit)`, in 3-job chunks, each job
+    /// named after the store's `tag`.
+    fn image_of(tag: usize, jobs: &[(u64, u64)]) -> Vec<u8> {
+        let jobs = jobs.iter().map(|&(id, submit)| {
+            let job = JobBuilder::new(id).submit(Timestamp::from_secs(submit));
+            job.name(format!("store {tag}")).build().unwrap()
+        });
+        let trace = Trace::new_unchecked(WorkloadKind::CcA, 10, jobs.collect());
+        swim_store::store_to_vec(&trace, &StoreOptions { jobs_per_chunk: 3 })
+    }
+
+    fn store_of(tag: usize, jobs: &[(u64, u64)]) -> Store {
+        Store::from_vec(image_of(tag, jobs)).unwrap()
+    }
+
+    #[test]
+    fn merge_stores_is_a_stable_sort_of_the_stores_jobs() {
+        // Overlapping windows, a store of no jobs, and a job of one
+        // `(submit, id)` in two stores: store order breaks the tie.
+        let parts: [&[(u64, u64)]; 4] = [
+            &[(0, 5), (2, 9), (4, 9), (6, 40), (8, 41)],
+            &[],
+            &[(1, 1), (3, 9), (4, 9), (5, 12), (7, 50), (9, 50), (11, 60)],
+            &[(10, 0), (12, 41)],
+        ];
+        let stores: Vec<Store> = (parts.iter().enumerate())
+            .map(|(tag, jobs)| store_of(tag, jobs))
+            .collect();
+        let mut expected: Vec<Job> = Vec::new();
+        for store in &stores {
+            expected.extend(store.read_trace().unwrap().jobs().iter().cloned());
+        }
+        expected.sort_by_key(|job| (job.submit, job.id));
+        let merged: Vec<Job> = merge_stores(&stores).map(Result::unwrap).collect();
+        assert_eq!(merged, expected);
+        assert_eq!(read_stores(&stores, |_, e| e).unwrap().jobs(), expected);
+    }
+
+    #[test]
+    fn a_chunk_window_that_understates_its_jobs_is_corrupt() {
+        use swim_store::format::{self, Footer, Header};
+        // Store 0's second chunk (submits 30–50) claims to start at 45:
+        // store 1's job at 40 comes out first, then a job at 30.
+        let image = image_of(0, &[(0, 1), (1, 2), (2, 3), (3, 30), (4, 50)]);
+        let header = &image[..Header::decode(&image).unwrap().encoded_len()];
+        let tail = image.len() - format::CHECKSUM_LEN - format::TRAILER_LEN;
+        let at = format::decode_trailer(&image[tail + format::CHECKSUM_LEN..]).unwrap();
+        let mut footer = Footer::decode(&image[at as usize..tail]).unwrap();
+        footer.chunks[1].min_submit = Timestamp::from_secs(45);
+        let footer = footer.encode();
+        let seal = format::encode_tail(header, &footer, at);
+        let forged = Store::from_vec([&image[..at as usize], &footer, &seal].concat()).unwrap();
+        let stores = [forged, store_of(1, &[(9, 40)])];
+        let merged: Vec<_> = merge_stores(&stores).collect();
+        let n = merged.len();
+        assert!(
+            matches!(merged[n - 1], Err((0, StoreError::Corrupt { .. }))),
+            "{merged:?}"
+        );
+        assert!(merged[..n - 1].iter().all(Result::is_ok), "{merged:?}");
+    }
 
     #[test]
     fn shard_sink_holds_back_less_than_one_store_chunk() {

@@ -75,8 +75,8 @@ pub mod manifest;
 
 pub use cache::{CacheStats, ShardColumns};
 pub use catalog::{
-    read_stores, Catalog, CatalogOptions, CompactStats, IngestStats, DEFAULT_JOBS_PER_SHARD,
-    MAX_JOBS_PER_SHARD,
+    kind_and_machines, merge_stores, merge_stores_with_text, read_stores, Catalog, CatalogOptions,
+    CompactStats, IngestStats, StoreMerge, DEFAULT_JOBS_PER_SHARD, MAX_JOBS_PER_SHARD,
 };
 pub use error::CatalogError;
 pub use manifest::{Manifest, ShardEntry, MANIFEST_FILE};

@@ -4,7 +4,7 @@
 
 use crate::stats::{ols, Regression};
 use std::collections::HashMap;
-use swim_trace::{DataSize, PathId, Trace};
+use swim_trace::{DataSize, Job, PathId, Trace};
 
 /// Which stage's paths to analyze.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,30 +27,14 @@ pub struct FileAccessStats {
 }
 
 impl FileAccessStats {
-    /// Gather access statistics from a trace. Jobs without paths for the
-    /// requested stage are skipped (matching the paper's availability
-    /// matrix). File size is taken as the job data size at first touch.
+    /// Gather access statistics from a trace: an [`AccessFold`] over its
+    /// jobs. Jobs without paths for the requested stage are skipped
+    /// (matching the paper's availability matrix). File size is taken as
+    /// the job data size at first touch.
     pub fn gather(trace: &Trace, stage: PathStage) -> FileAccessStats {
-        let mut counts: HashMap<PathId, u64> = HashMap::new();
-        let mut sizes: HashMap<PathId, DataSize> = HashMap::new();
-        for job in trace.jobs() {
-            let (paths, size) = match stage {
-                PathStage::Input => (&job.input_paths, job.input),
-                PathStage::Output => (&job.output_paths, job.output),
-            };
-            for &p in paths {
-                *counts.entry(p).or_insert(0) += 1;
-                sizes.entry(p).or_insert(size);
-            }
-        }
-        let mut frequencies: Vec<u64> = counts.values().copied().collect();
-        frequencies.sort_unstable_by(|a, b| b.cmp(a));
-        let file_sizes: Vec<(DataSize, u64)> = sizes.iter().map(|(p, &s)| (s, counts[p])).collect();
-        FileAccessStats {
-            stage,
-            frequencies,
-            file_sizes,
-        }
+        let mut fold = AccessFold::new(stage);
+        trace.jobs().iter().for_each(|job| fold.push(job));
+        fold.finish()
     }
 
     /// Number of distinct files.
@@ -146,6 +130,47 @@ impl FileAccessStats {
             .map(|&(_, c)| c)
             .sum();
         below as f64 / total as f64
+    }
+}
+
+/// [`FileAccessStats::gather`] a job at a time: push every job in trace
+/// order, then [`AccessFold::finish`]. Holds one entry per distinct file.
+#[derive(Debug, Clone)]
+pub struct AccessFold {
+    stage: PathStage,
+    /// Per file: the job data size at first touch, and the access count.
+    files: HashMap<PathId, (DataSize, u64)>,
+}
+
+impl AccessFold {
+    /// An empty fold over one stage's paths.
+    pub fn new(stage: PathStage) -> AccessFold {
+        AccessFold {
+            stage,
+            files: HashMap::new(),
+        }
+    }
+
+    /// Count the next job's accesses.
+    pub fn push(&mut self, job: &Job) {
+        let (paths, size) = match self.stage {
+            PathStage::Input => (&job.input_paths, job.input),
+            PathStage::Output => (&job.output_paths, job.output),
+        };
+        for &p in paths {
+            self.files.entry(p).or_insert((size, 0)).1 += 1;
+        }
+    }
+
+    /// The statistics of every job pushed.
+    pub fn finish(self) -> FileAccessStats {
+        let mut frequencies: Vec<u64> = self.files.values().map(|&(_, n)| n).collect();
+        frequencies.sort_unstable_by(|a, b| b.cmp(a));
+        FileAccessStats {
+            stage: self.stage,
+            frequencies,
+            file_sizes: self.files.into_values().collect(),
+        }
     }
 }
 

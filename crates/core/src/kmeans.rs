@@ -9,12 +9,13 @@
 //! jobs", "Map only transform", "Aggregate", …) from the one or two
 //! dimensions that separate them.
 //!
-//! Jobs are clustered on their raw byte and second values, the paper's
-//! literal procedure, so the largest dimensions dominate the distance.
+//! Jobs are clustered on their raw byte and second values
+//! ([`swim_trace::Job::feature_vector`]), the paper's literal procedure,
+//! so the largest dimensions dominate the distance.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use swim_trace::{DataSize, Dur, Job, Trace};
+use swim_trace::{DataSize, Dur};
 
 /// Maximum Lloyd iterations of one k-means run.
 const MAX_ITERS: usize = 100;
@@ -64,8 +65,9 @@ pub struct Cluster {
 ///     })
 ///     .collect();
 /// let trace = Trace::new(WorkloadKind::Custom("demo".into()), 10, jobs).unwrap();
+/// let points: Vec<[f64; 6]> = trace.jobs().iter().map(|j| j.feature_vector()).collect();
 ///
-/// let model = KMeans::fit(&trace, 2);
+/// let model = KMeans::fit(&points, 2);
 /// // Clusters come back in population order; the small-job blob dominates.
 /// assert_eq!(model.clusters.len(), 2);
 /// assert_eq!(model.clusters[0].count, 40);
@@ -80,7 +82,7 @@ pub struct KMeans {
     pub clusters: Vec<Cluster>,
     /// Residual (total intra-cluster) variance in feature space.
     pub inertia: f64,
-    /// Per-job cluster assignment, parallel to the input job order.
+    /// Per-job cluster assignment, parallel to the input points.
     pub assignments: Vec<usize>,
 }
 
@@ -94,17 +96,15 @@ fn sq_dist(a: &[f64; 6], b: &[f64; 6]) -> f64 {
 }
 
 impl KMeans {
-    /// Fit k-means over a trace's jobs. Panics if the trace has fewer jobs
-    /// than clusters.
-    pub fn fit(trace: &Trace, k: usize) -> KMeans {
-        let jobs = trace.jobs();
+    /// Fit k-means over jobs' feature vectors, one point a job. Panics if
+    /// there are fewer points than clusters.
+    pub fn fit(points: &[[f64; 6]], k: usize) -> KMeans {
         assert!(k >= 1, "k must be at least 1");
         assert!(
-            jobs.len() >= k,
+            points.len() >= k,
             "need at least k = {k} jobs, got {}",
-            jobs.len()
+            points.len()
         );
-        let points: Vec<[f64; 6]> = jobs.iter().map(|j| j.feature_vector()).collect();
 
         // Best of a few k-means++ restarts: single-init Lloyd can land in a
         // poor local minimum, which makes the elbow criterion unstable.
@@ -113,7 +113,7 @@ impl KMeans {
         const RESTARTS: u64 = 4;
         let restarts = if k == 1 { 1 } else { RESTARTS };
         let (assignments, inertia) = (0..restarts)
-            .map(|r| lloyd(&points, k, SEED.wrapping_add(r.wrapping_mul(0x9E37_79B9))))
+            .map(|r| lloyd(points, k, SEED.wrapping_add(r.wrapping_mul(0x9E37_79B9))))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite inertia"))
             .expect("at least one restart");
 
@@ -121,11 +121,11 @@ impl KMeans {
         // against the heavy within-cluster tails), labelled heuristically.
         let mut clusters: Vec<Cluster> = (0..k)
             .map(|c| {
-                let members: Vec<&Job> = jobs
+                let members: Vec<&[f64; 6]> = points
                     .iter()
                     .zip(&assignments)
                     .filter(|(_, &a)| a == c)
-                    .map(|(j, _)| j)
+                    .map(|(p, _)| p)
                     .collect();
                 cluster_from_members(&members)
             })
@@ -156,12 +156,12 @@ impl KMeans {
     /// k = 1 baseline rather than the previous inertia keeps the rule
     /// stable on well-separated clusters, where every further split still
     /// halves an already-tiny residual. Returns the chosen model.
-    pub fn fit_with_elbow(trace: &Trace, max_k: usize, threshold: f64) -> KMeans {
+    pub fn fit_with_elbow(points: &[[f64; 6]], max_k: usize, threshold: f64) -> KMeans {
         assert!(max_k >= 1);
         let mut total: f64 = 0.0;
         let mut prev: Option<KMeans> = None;
-        for k in 1..=max_k.min(trace.len()) {
-            let model = KMeans::fit(trace, k);
+        for k in 1..=max_k.min(points.len()) {
+            let model = KMeans::fit(points, k);
             if k == 1 {
                 total = model.inertia;
             }
@@ -286,18 +286,10 @@ fn median_of(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
-fn cluster_from_members(members: &[&Job]) -> Cluster {
-    let input = median_of(members.iter().map(|j| j.input.as_f64()).collect());
-    let shuffle = median_of(members.iter().map(|j| j.shuffle.as_f64()).collect());
-    let output = median_of(members.iter().map(|j| j.output.as_f64()).collect());
-    let duration = median_of(members.iter().map(|j| j.duration.as_f64()).collect());
-    let map_time = median_of(members.iter().map(|j| j.map_task_time.as_f64()).collect());
-    let reduce_time = median_of(
-        members
-            .iter()
-            .map(|j| j.reduce_task_time.as_f64())
-            .collect(),
-    );
+/// A cluster row of its members' per-dimension medians.
+fn cluster_from_members(members: &[&[f64; 6]]) -> Cluster {
+    let [input, shuffle, output, duration, map_time, reduce_time] =
+        std::array::from_fn(|d| median_of(members.iter().map(|p| p[d]).collect()));
     let c = Cluster {
         count: members.len() as u64,
         input: DataSize::from_f64(input),
@@ -357,7 +349,7 @@ pub fn label_cluster(c: &Cluster) -> String {
 mod tests {
     use super::*;
     use swim_trace::trace::WorkloadKind;
-    use swim_trace::{JobBuilder, Timestamp};
+    use swim_trace::{JobBuilder, Timestamp, Trace};
 
     /// Deterministic multiplicative jitter in (0.8, 1.25), independent per
     /// call — keeps within-cluster spread continuous in all six dimensions
@@ -374,8 +366,9 @@ mod tests {
         }
     }
 
-    /// Two well-separated synthetic populations: tiny jobs and huge jobs.
-    fn bimodal_trace(n_small: usize, n_big: usize) -> Trace {
+    /// Two well-separated synthetic populations: tiny jobs and huge jobs,
+    /// as the points k-means clusters.
+    fn bimodal_trace(n_small: usize, n_big: usize) -> Vec<[f64; 6]> {
         let mut jobs = Vec::new();
         let mut jit = Jitter(0x5EED);
         for i in 0..n_small {
@@ -409,7 +402,8 @@ mod tests {
                     .unwrap(),
             );
         }
-        Trace::new(WorkloadKind::Custom("bimodal".into()), 1, jobs).unwrap()
+        let trace = Trace::new(WorkloadKind::Custom("bimodal".into()), 1, jobs).unwrap();
+        trace.jobs().iter().map(|j| j.feature_vector()).collect()
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //!   analysis ([`names`]) and 6-dimensional k-means job clustering with
 //!   elbow-based `k` selection ([`kmeans`]).
 //!
-//! Each analysis is a plain function of a trace. `swim_report::TraceContext`
-//! computes the ones several figures share once per trace and caches them.
+//! Each analysis is a plain function of a trace. The path and name
+//! analyses are also job-at-a-time folds ([`access::AccessFold`],
+//! [`locality::LocalityFold`], [`names::NameFold`]) and k-means takes
+//! the jobs' feature vectors, so `swim_report::TraceContext` computes
+//! them all in one ordered pass over a trace it never holds whole.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

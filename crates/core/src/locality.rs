@@ -2,8 +2,8 @@
 //! distributions (Fig. 5) and the fraction of jobs touching pre-existing
 //! data (Fig. 6).
 
-use std::collections::{HashMap, HashSet};
-use swim_trace::{PathId, Trace};
+use std::collections::HashMap;
+use swim_trace::{Job, PathId, Trace};
 
 /// Re-access analysis of one trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,63 +23,13 @@ pub struct LocalityStats {
 }
 
 impl LocalityStats {
-    /// Compute locality statistics over a trace. Jobs without input paths
-    /// are excluded from the denominators (path-less traces yield zeroes).
+    /// Compute locality statistics over a trace: a [`LocalityFold`] over
+    /// its jobs. Jobs without input paths are excluded from the
+    /// denominators (path-less traces yield zeroes).
     pub fn gather(trace: &Trace) -> LocalityStats {
-        let mut last_input_read: HashMap<PathId, u64> = HashMap::new();
-        let mut output_written: HashMap<PathId, u64> = HashMap::new();
-        let mut seen_inputs: HashSet<PathId> = HashSet::new();
-        let mut input_input_intervals = Vec::new();
-        let mut output_input_intervals = Vec::new();
-        let mut jobs_with_paths = 0usize;
-        let mut jobs_reread = 0usize;
-        let mut jobs_consumed = 0usize;
-
-        for job in trace.jobs() {
-            let t = job.submit.secs();
-            if !job.input_paths.is_empty() {
-                jobs_with_paths += 1;
-                let mut reread = false;
-                let mut consumed = false;
-                for &p in &job.input_paths {
-                    if let Some(&prev) = last_input_read.get(&p) {
-                        input_input_intervals.push((t.saturating_sub(prev)) as f64);
-                    }
-                    if seen_inputs.contains(&p) {
-                        reread = true;
-                    }
-                    if let Some(&wrote) = output_written.get(&p) {
-                        if wrote <= t {
-                            consumed = true;
-                            output_input_intervals.push((t.saturating_sub(wrote)) as f64);
-                        }
-                    }
-                    last_input_read.insert(p, t);
-                    seen_inputs.insert(p);
-                }
-                // Fig. 6 is a stacked bar of *disjoint* categories: a job
-                // counts once, with output-consumption taking precedence
-                // (reading a file that some job wrote is the stronger
-                // dependency signal).
-                if consumed {
-                    jobs_consumed += 1;
-                } else if reread {
-                    jobs_reread += 1;
-                }
-            }
-            let finish = job.finish().secs();
-            for &p in &job.output_paths {
-                output_written.entry(p).or_insert(finish);
-            }
-        }
-
-        let denom = jobs_with_paths.max(1) as f64;
-        LocalityStats {
-            input_input_intervals,
-            output_input_intervals,
-            frac_jobs_reread_input: jobs_reread as f64 / denom,
-            frac_jobs_consume_output: jobs_consumed as f64 / denom,
-        }
+        let mut fold = LocalityFold::default();
+        trace.jobs().iter().for_each(|job| fold.push(job));
+        fold.finish()
     }
 
     /// Fraction of all re-accesses (both kinds) within `secs` seconds —
@@ -103,6 +53,73 @@ impl LocalityStats {
     /// are disjoint, so the stacked total is their exact sum.
     pub fn frac_jobs_reaccessing(&self) -> f64 {
         (self.frac_jobs_reread_input + self.frac_jobs_consume_output).min(1.0)
+    }
+}
+
+/// [`LocalityStats::gather`] a job at a time: push every job in submit
+/// order, then [`LocalityFold::finish`]. Holds one entry per distinct
+/// input and output file, and one interval per re-access.
+#[derive(Debug, Clone, Default)]
+pub struct LocalityFold {
+    /// Each input file's latest read; a key is a file read before.
+    last_input_read: HashMap<PathId, u64>,
+    /// Each output file's first write (its writer's finish).
+    output_written: HashMap<PathId, u64>,
+    input_input_intervals: Vec<f64>,
+    output_input_intervals: Vec<f64>,
+    jobs_with_paths: usize,
+    jobs_reread: usize,
+    jobs_consumed: usize,
+}
+
+impl LocalityFold {
+    /// Account the next job's reads and writes.
+    pub fn push(&mut self, job: &Job) {
+        let t = job.submit.secs();
+        if !job.input_paths.is_empty() {
+            self.jobs_with_paths += 1;
+            let mut reread = false;
+            let mut consumed = false;
+            for &p in &job.input_paths {
+                if let Some(&prev) = self.last_input_read.get(&p) {
+                    self.input_input_intervals
+                        .push((t.saturating_sub(prev)) as f64);
+                    reread = true;
+                }
+                if let Some(&wrote) = self.output_written.get(&p) {
+                    if wrote <= t {
+                        consumed = true;
+                        self.output_input_intervals
+                            .push((t.saturating_sub(wrote)) as f64);
+                    }
+                }
+                self.last_input_read.insert(p, t);
+            }
+            // Fig. 6 is a stacked bar of *disjoint* categories: a job
+            // counts once, with output-consumption taking precedence
+            // (reading a file that some job wrote is the stronger
+            // dependency signal).
+            if consumed {
+                self.jobs_consumed += 1;
+            } else if reread {
+                self.jobs_reread += 1;
+            }
+        }
+        let finish = job.finish().secs();
+        for &p in &job.output_paths {
+            self.output_written.entry(p).or_insert(finish);
+        }
+    }
+
+    /// The statistics of every job pushed.
+    pub fn finish(self) -> LocalityStats {
+        let denom = self.jobs_with_paths.max(1) as f64;
+        LocalityStats {
+            input_input_intervals: self.input_input_intervals,
+            output_input_intervals: self.output_input_intervals,
+            frac_jobs_reread_input: self.jobs_reread as f64 / denom,
+            frac_jobs_consume_output: self.jobs_consumed as f64 / denom,
+        }
     }
 }
 

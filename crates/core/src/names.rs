@@ -3,7 +3,7 @@
 //! and weight groups by job count, total I/O, and total task-time.
 
 use std::collections::HashMap;
-use swim_trace::{Framework, Trace};
+use swim_trace::{Framework, Job, Trace};
 
 /// How one first-word group weighs in a workload, under the three Fig. 10
 /// weightings.
@@ -49,42 +49,11 @@ pub fn classify_framework(word: &str) -> Framework {
 }
 
 impl NameAnalysis {
-    /// Analyze a trace's job names.
+    /// Analyze a trace's job names: a [`NameFold`] over its jobs.
     pub fn of(trace: &Trace) -> NameAnalysis {
-        let mut groups: HashMap<String, WordGroup> = HashMap::new();
-        let mut unnamed = 0u64;
-        let mut total_bytes = 0.0;
-        let mut total_task_seconds = 0.0;
-        for job in trace.jobs() {
-            let bytes = job.total_io().as_f64();
-            let task_seconds = job.total_task_time().as_f64();
-            total_bytes += bytes;
-            total_task_seconds += task_seconds;
-            match job.name_first_word() {
-                Some(word) => {
-                    let entry = groups.entry(word.clone()).or_insert_with(|| WordGroup {
-                        framework: classify_framework(&word),
-                        word,
-                        jobs: 0,
-                        bytes: 0.0,
-                        task_seconds: 0.0,
-                    });
-                    entry.jobs += 1;
-                    entry.bytes += bytes;
-                    entry.task_seconds += task_seconds;
-                }
-                None => unnamed += 1,
-            }
-        }
-        let mut groups: Vec<WordGroup> = groups.into_values().collect();
-        groups.sort_by(|a, b| b.jobs.cmp(&a.jobs).then(a.word.cmp(&b.word)));
-        NameAnalysis {
-            groups,
-            unnamed_jobs: unnamed,
-            total_jobs: trace.len() as u64,
-            total_bytes,
-            total_task_seconds,
-        }
+        let mut fold = NameFold::default();
+        trace.jobs().iter().for_each(|job| fold.push(job));
+        fold.finish()
     }
 
     /// `true` iff the trace carried usable names.
@@ -154,6 +123,59 @@ impl NameAnalysis {
             }
         }
         gs
+    }
+}
+
+/// [`NameAnalysis::of`] a job at a time: push every job in trace order,
+/// then [`NameFold::finish`]. Holds one group per distinct first word.
+#[derive(Debug, Clone, Default)]
+pub struct NameFold {
+    groups: HashMap<String, WordGroup>,
+    unnamed_jobs: u64,
+    total_jobs: u64,
+    total_bytes: f64,
+    total_task_seconds: f64,
+}
+
+impl NameFold {
+    /// Account the next job under its name's first word.
+    pub fn push(&mut self, job: &Job) {
+        let bytes = job.total_io().as_f64();
+        let task_seconds = job.total_task_time().as_f64();
+        self.total_jobs += 1;
+        self.total_bytes += bytes;
+        self.total_task_seconds += task_seconds;
+        match job.name_first_word() {
+            Some(word) => {
+                let entry = self
+                    .groups
+                    .entry(word.clone())
+                    .or_insert_with(|| WordGroup {
+                        framework: classify_framework(&word),
+                        word,
+                        jobs: 0,
+                        bytes: 0.0,
+                        task_seconds: 0.0,
+                    });
+                entry.jobs += 1;
+                entry.bytes += bytes;
+                entry.task_seconds += task_seconds;
+            }
+            None => self.unnamed_jobs += 1,
+        }
+    }
+
+    /// The analysis of every job pushed.
+    pub fn finish(self) -> NameAnalysis {
+        let mut groups: Vec<WordGroup> = self.groups.into_values().collect();
+        groups.sort_by(|a, b| b.jobs.cmp(&a.jobs).then(a.word.cmp(&b.word)));
+        NameAnalysis {
+            groups,
+            unnamed_jobs: self.unnamed_jobs,
+            total_jobs: self.total_jobs,
+            total_bytes: self.total_bytes,
+            total_task_seconds: self.total_task_seconds,
+        }
     }
 }
 

@@ -22,6 +22,7 @@
 //! (`metric`,`span`,`all`) enables instrumentation without `--profile`,
 //! and `SWIM_OBS_JSONL=FILE` appends the final snapshot as JSON lines.
 
+use std::io::Write;
 use std::process::ExitCode;
 use swim_query::{cli, Session};
 
@@ -150,11 +151,7 @@ fn main() -> ExitCode {
         return match session.explain(&query) {
             Ok(explain) => {
                 let title = format!("explain: {path}");
-                print!(
-                    "{}",
-                    cli::render_explain(&explain, args.flags.format, &title)
-                );
-                ExitCode::SUCCESS
+                write_stdout(&cli::render_explain(&explain, args.flags.format, &title))
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -170,28 +167,34 @@ fn main() -> ExitCode {
         }
     };
     let title = format!("swim-query: {path}");
-    print!(
-        "{}",
-        cli::render_for(&result.output, args.flags.format, &title)
-    );
-    eprintln!("{}", result.summary);
-    finish_profile(&args.flags);
-    ExitCode::SUCCESS
-}
-
-/// Print `--profile` metrics to stdout (below the query result) and
-/// honour `SWIM_OBS_JSONL` regardless of flags.
-fn finish_profile(flags: &cli::QueryFlags) {
+    let mut body = cli::render_for(&result.output, args.flags.format, &title);
     let snap = swim_obs::snapshot();
-    if flags.profile {
-        let sep = match flags.format {
-            // JSON lines follow the result object directly.
-            cli::OutputFormat::Json => "",
-            _ => "\n",
-        };
-        print!("{sep}{}", cli::render_profile(&snap, flags.format));
+    if args.flags.profile {
+        // The metrics follow the result; JSON lines follow the result
+        // object directly.
+        if args.flags.format != cli::OutputFormat::Json {
+            body.push('\n');
+        }
+        body.push_str(&cli::render_profile(&snap, args.flags.format));
     }
+    let code = write_stdout(&body);
+    eprintln!("{}", result.summary);
     if let Err(e) = swim_obs::jsonl::append_env(&snap) {
         eprintln!("warning: SWIM_OBS_JSONL: {e}");
+    }
+    code
+}
+
+/// Write `body` to stdout in one write. A reader that has gone away
+/// (`swim-query … | head`) has all it wanted: that is a success.
+fn write_stdout(body: &str) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(body.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: write stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -19,14 +19,14 @@ use swim_core::access::PathStage;
 use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
 use swim_core::kmeans::KMeans;
-use swim_core::names::NameAnalysis;
 use swim_obs::json::{self, Value};
+use swim_store::ChunkMeta;
 use swim_synth::datagen::DataGenPlan;
-use swim_synth::sample::{sample_windows, SampleConfig};
+use swim_synth::sample::{SampleConfig, WindowSampler};
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
-use swim_synth::validate::SynthesisReport;
+use swim_synth::validate::{KsColumns, SynthesisReport};
 use swim_synth::ReplayPlan;
-use swim_trace::{DataSize, Dur, PathId, Trace};
+use swim_trace::{DataSize, Dur, PathId};
 
 /// Quantiles exported per data dimension.
 pub(crate) const EXPORT_QUANTILES: [f64; 7] = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
@@ -71,15 +71,14 @@ impl SharedMetrics {
     /// Build the shareable document from a trace's analysis context; an
     /// error if the trace is empty or cannot be read.
     pub fn from_context(ctx: &TraceContext) -> Result<SharedMetrics, String> {
-        let trace = ctx.trace()?;
-        if trace.is_empty() {
+        let summary = ctx.summary();
+        if summary.jobs == 0 {
             return Err("cannot analyze an empty trace".to_owned());
         }
         let sizes = ctx.sizes()?;
         let locality = ctx.locality()?;
         let hourly = ctx.hourly()?;
         let correlations = hourly.correlations();
-        let summary = ctx.summary();
         Ok(SharedMetrics {
             workload: summary.workload.clone(),
             jobs: summary.jobs,
@@ -106,7 +105,7 @@ impl SharedMetrics {
             ),
             diurnal_detected: detect_diurnal(&hourly.jobs, DIURNAL_MIN_SNR).map(|d| d.detected),
             // Table 2's elbow.
-            job_types: KMeans::fit_with_elbow(trace, ELBOW_MAX_K, ELBOW_THRESHOLD)
+            job_types: KMeans::fit_with_elbow(ctx.points()?, ELBOW_MAX_K, ELBOW_THRESHOLD)
                 .clusters
                 .iter()
                 .map(|c| {
@@ -122,7 +121,8 @@ impl SharedMetrics {
                     )
                 })
                 .collect(),
-            framework_job_shares: NameAnalysis::of(trace)
+            framework_job_shares: ctx
+                .names()?
                 .framework_shares()
                 .iter()
                 .map(|s| (s.framework.label().to_owned(), s.jobs))
@@ -243,14 +243,34 @@ impl SynthBundle {
 }
 
 /// Run the SWIM synthesize path: sample one representative day, scale to
-/// `target_machines`, emit plans, and validate. `None` when the sampled
-/// day holds no job. Panics if `trace` is empty.
-pub fn synthesize_bundle(trace: &Trace, target_machines: u32, seed: u64) -> Option<SynthBundle> {
-    let sampled = sample_windows(trace, SampleConfig::one_day_from_hours(seed));
-    if sampled.is_empty() {
-        return None;
+/// `target_machines`, emit plans, and validate. One pass over the jobs
+/// keeps the sampled day's windows and the columns the validation
+/// compares, and decodes names and paths only of chunks that overlap a
+/// drawn window. `Ok(None)` when the sampled day holds no job; an error if
+/// the trace cannot be read.
+pub fn synthesize_bundle(
+    ctx: &TraceContext,
+    target_machines: u32,
+    seed: u64,
+) -> Result<Option<SynthBundle>, String> {
+    let (start, span) = ctx.submits()?;
+    let mut sampler = WindowSampler::new(start, span, SampleConfig::one_day_from_hours(seed));
+    let mut original = KsColumns::default();
+    // Names and paths are read only where a sampled job can come from.
+    let drawn = sampler.clone();
+    let text = move |chunk: &ChunkMeta| drawn.draws_any(chunk.min_submit, chunk.max_submit);
+    for job in ctx.jobs_with_text(text) {
+        let job = job?;
+        sampler.push(&job);
+        original.push(&job);
     }
-    let validation = SynthesisReport::compare(trace, &sampled);
+    let (kind, machines) = ctx.identity();
+    let sampled = sampler.finish(&kind, machines);
+    if sampled.is_empty() {
+        return Ok(None);
+    }
+    let validation = SynthesisReport::of_columns(original, KsColumns::of(&sampled));
+    let sampled_span = sampled.span();
     let scaled = scale_trace(
         &sampled,
         ScaleConfig {
@@ -259,6 +279,7 @@ pub fn synthesize_bundle(trace: &Trace, target_machines: u32, seed: u64) -> Opti
             seed,
         },
     );
+    drop(sampled);
     let input_paths = scaled
         .jobs()
         .iter()
@@ -268,20 +289,20 @@ pub fn synthesize_bundle(trace: &Trace, target_machines: u32, seed: u64) -> Opti
             j.input_paths.first().copied().unwrap_or(private)
         })
         .collect();
-    Some(SynthBundle {
+    Ok(Some(SynthBundle {
         replay: ReplayPlan::from_trace(&scaled),
         datagen: DataGenPlan::from_trace(&scaled, DataSize::from_mb(128)),
         validation,
-        sampled_span: sampled.span(),
+        sampled_span,
         input_paths,
-    })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use swim_trace::trace::WorkloadKind;
-    use swim_trace::{Dur, JobBuilder, PathId, Timestamp};
+    use swim_trace::{Dur, JobBuilder, PathId, Timestamp, Trace};
     use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
     fn sample_trace() -> Trace {
@@ -421,11 +442,41 @@ mod tests {
 
     #[test]
     fn bundle_synthesis_validates() {
-        let trace = sample_trace();
-        let bundle = synthesize_bundle(&trace, 10, 5).expect("a non-empty day");
+        let ctx = TraceContext::from_trace("t", sample_trace());
+        let bundle = synthesize_bundle(&ctx, 10, 5)
+            .unwrap()
+            .expect("a non-empty day");
         assert!(!bundle.replay.is_empty());
         assert_eq!(bundle.input_paths.len(), bundle.replay.len());
         assert!(bundle.datagen.file_count() > 0);
         assert!(bundle.validation.worst() <= 1.0);
+    }
+
+    #[test]
+    fn the_streamed_bundle_is_the_bundle_of_the_whole_trace() {
+        // 64-job chunks over two days: most chunks lie outside the drawn
+        // windows, so the pass reads their numeric columns alone.
+        let trace = sample_trace();
+        let options = swim_store::StoreOptions { jobs_per_chunk: 64 };
+        let store = swim_store::Store::from_vec(swim_store::store_to_vec(&trace, &options));
+        let ctx = TraceContext::from_store("t", store.unwrap()).unwrap();
+        let bundle = synthesize_bundle(&ctx, 10, 5).unwrap().unwrap();
+
+        let sampled = swim_synth::sample_windows(&trace, SampleConfig::one_day_from_hours(5));
+        let config = ScaleConfig {
+            target_machines: 10,
+            mode: ScaleMode::DataSize,
+            seed: 5,
+        };
+        let scaled = scale_trace(&sampled, config);
+        assert_eq!(bundle.replay, ReplayPlan::from_trace(&scaled));
+        let datagen = DataGenPlan::from_trace(&scaled, DataSize::from_mb(128));
+        assert_eq!(bundle.datagen, datagen);
+        let validation = SynthesisReport::compare(&trace, &sampled);
+        assert_eq!(bundle.validation, validation);
+        assert_eq!(bundle.sampled_span, sampled.span());
+        let firsts = scaled.jobs().iter().map(|j| j.input_paths.first().copied());
+        let paths: Vec<_> = firsts.map(Option::unwrap).collect();
+        assert_eq!(bundle.input_paths, paths);
     }
 }

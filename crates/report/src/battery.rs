@@ -20,24 +20,28 @@
 //! generated trace is encoded into once — so cheap questions stay cheap
 //! and no cell depends on where its trace came from. The numeric cells
 //! (table1, fig1, fig7, fig8, fig9) are `swim-query` plans over the
-//! stores, which read only the numeric columns they name; the full job
-//! vector is materialized at most once, lazily, when the first cell that
-//! needs names or paths asks for it.
+//! stores, which read only the numeric columns they name. The path, name
+//! and job-type cells (fig2–6, fig10, table2) share one ordered pass over
+//! every job, made at most once, lazily, when the first of them asks;
+//! the swim cell makes one pass of its own. No cell holds the trace's
+//! jobs: a pass streams the stores' chunks, merged in `(submit, id)`
+//! order, and keeps only what its cells read.
 
 use std::path::Path;
 use std::sync::OnceLock;
-use swim_core::access::{FileAccessStats, PathStage};
+use swim_core::access::{AccessFold, FileAccessStats, PathStage};
 use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
-use swim_core::locality::LocalityStats;
-use swim_core::names::{NameAnalysis, Weighting};
+use swim_core::locality::{LocalityFold, LocalityStats};
+use swim_core::names::{NameAnalysis, NameFold, Weighting};
 use swim_core::timeseries::HourlySeries;
 use swim_core::KMeans;
 use swim_query::{AggValue, Aggregate, Col, Expr, Query, QueryError, Row};
 use swim_sim::{SimConfig, Simulator};
-use swim_store::{Store, StoreError, StoreOptions};
+use swim_store::{ChunkMeta, Store, StoreError, StoreOptions};
 use swim_trace::time::WEEK;
-use swim_trace::{DataSize, Dur, Timestamp, Trace, TraceSummary};
+use swim_trace::trace::WorkloadKind;
+use swim_trace::{DataSize, Dur, Job, Timestamp, Trace, TraceSummary};
 
 use crate::analyze::{synthesize_bundle, EXPORT_QUANTILES};
 use crate::render::{bytes, pct, ratio};
@@ -276,7 +280,8 @@ impl ExperimentResult {
 }
 
 /// One input trace plus cached derived data, shared (immutably) by every
-/// worker thread of the comparison pipeline.
+/// worker thread of the comparison pipeline. It holds the stores and the
+/// values derived from them, never the trace's jobs.
 pub struct TraceContext {
     /// Display label (file stem for loaded files).
     label: String,
@@ -285,20 +290,15 @@ pub struct TraceContext {
     /// in manifest order.
     stores: Vec<Store>,
     summary: TraceSummary,
-    trace: Cached<Trace>,
     // Full-trace derived statistics shared by several battery entries
-    // (fig7+fig8+fig9, fig2+fig3, fig2+fig4, fig5+fig6): computed once
-    // per trace, not once per experiment — on a million-job trace each
+    // (fig7+fig8+fig9, fig2–6+fig10+table2): computed once per trace,
+    // not once per experiment — on a million-job trace each
     // recomputation is an O(jobs) pass.
-    /// The hourly series, and how many of its leading hours hold a job
-    /// of the first week.
-    hourly: Cached<(HourlySeries, usize)>,
+    hourly: Cached<Hourly>,
     /// The input, shuffle and output sizes' quantiles at each rank any
     /// cell reads, ascending by rank; none for a trace of no jobs.
     sizes: Cached<Vec<(f64, [f64; 3])>>,
-    locality: Cached<LocalityStats>,
-    /// File access statistics, input stage then output stage.
-    access: [Cached<FileAccessStats>; 2],
+    jobs: Cached<JobFold>,
 }
 
 /// A value derived from the stores at most once — or the reason it
@@ -310,29 +310,46 @@ fn cached<T>(cell: &Cached<T>, init: impl FnOnce() -> Result<T, String>) -> Resu
     cell.get_or_init(init).as_ref().map_err(String::clone)
 }
 
+/// The hourly plan's result.
+#[derive(Debug, PartialEq)]
+struct Hourly {
+    series: HourlySeries,
+    /// How many leading hours hold a job submitted within a week of the
+    /// first: the last such hour + 1.
+    week_hours: usize,
+    /// The first submit, and the span from it to the last.
+    submits: (Timestamp, Dur),
+}
+
+/// What the one ordered pass over every job keeps for the path, name and
+/// job-type cells.
+struct JobFold {
+    /// File access statistics, input stage then output stage.
+    access: [FileAccessStats; 2],
+    locality: LocalityStats,
+    names: NameAnalysis,
+    /// Each job's k-means feature vector, in trace order.
+    points: Vec<[f64; 6]>,
+}
+
 impl TraceContext {
     fn new(label: String, stores: Vec<Store>, summary: TraceSummary) -> TraceContext {
         TraceContext {
             label,
             stores,
             summary,
-            trace: OnceLock::new(),
             hourly: OnceLock::new(),
             sizes: OnceLock::new(),
-            locality: OnceLock::new(),
-            access: [OnceLock::new(), OnceLock::new()],
+            jobs: OnceLock::new(),
         }
     }
 
     /// Wrap an in-memory trace: encoded once into an in-memory store, so
-    /// it is read the way every other input is; the trace in hand seeds
-    /// the materialized-trace cache.
+    /// it is read the way every other input is.
     pub fn from_trace(label: impl Into<String>, trace: Trace) -> TraceContext {
         let bytes = swim_store::store_to_vec(&trace, &StoreOptions::default());
         let store = Store::from_vec(bytes).expect("a store this build just wrote opens");
-        let ctx = TraceContext::new(label.into(), vec![store], trace.summary());
-        ctx.trace.set(Ok(trace)).expect("fresh cell");
-        ctx
+        TraceContext::new(label.into(), vec![store], trace.summary())
     }
 
     /// Wrap an opened store. Its Table-1 row is recomputed from the
@@ -340,7 +357,7 @@ impl TraceContext {
     /// min(submit), max(submit)`, not copied from the footer, so a
     /// damaged numeric block fails here rather than in a battery cell;
     /// kind and machines come from the header. Names and paths are not
-    /// read until an experiment asks for the trace.
+    /// read until an experiment passes over the jobs.
     pub fn from_store(label: impl Into<String>, store: Store) -> Result<TraceContext, StoreError> {
         let query = Query::new()
             .select(Aggregate::Count)
@@ -403,13 +420,49 @@ impl TraceContext {
         &self.summary
     }
 
-    /// The full trace, materialized at most once by
-    /// [`swim_catalog::read_stores`] (the catalog's own rule for kind and
-    /// machines); an error if a store behind it does not decode.
-    pub fn trace(&self) -> Result<&Trace, String> {
-        cached(&self.trace, || {
-            swim_catalog::read_stores(&self.stores, |_, e| self.unreadable(e))
-        })
+    /// The stores every job is read from, in order.
+    pub fn stores(&self) -> &[Store] {
+        &self.stores
+    }
+
+    /// The trace's kind and machine count, by the catalog's one rule
+    /// ([`swim_catalog::kind_and_machines`]).
+    pub(crate) fn identity(&self) -> (WorkloadKind, u32) {
+        swim_catalog::kind_and_machines(&self.stores)
+    }
+
+    /// Every job, in `(submit, id)` order, ties in store order: the
+    /// stores' chunks decoded one at a time and merged
+    /// ([`swim_catalog::merge_stores`]). An error, if a store behind it
+    /// does not decode, ends the stream.
+    pub(crate) fn jobs(&self) -> impl Iterator<Item = Result<Job, String>> + '_ {
+        self.jobs_with_text(|_| true)
+    }
+
+    /// [`TraceContext::jobs`], with names and paths only from the chunks
+    /// `text` accepts ([`swim_catalog::merge_stores_with_text`]).
+    pub(crate) fn jobs_with_text<'a>(
+        &'a self,
+        text: impl Fn(&ChunkMeta) -> bool + 'a,
+    ) -> impl Iterator<Item = Result<Job, String>> + 'a {
+        let jobs = swim_catalog::merge_stores_with_text(&self.stores, text);
+        jobs.map(|job| job.map_err(|(_, e)| self.unreadable(e)))
+    }
+
+    /// The jobs submitted within a week of the first, as a trace (fig7's
+    /// replay); the pass stops at the first job past the week.
+    pub(crate) fn first_week(&self) -> Result<Trace, String> {
+        let (kind, machines) = self.identity();
+        let mut week = Vec::new();
+        let mut end = None;
+        for job in self.jobs() {
+            let job = job?;
+            if job.submit >= *end.get_or_insert(job.submit + Dur::from_secs(WEEK)) {
+                break;
+            }
+            week.push(job);
+        }
+        Ok(Trace::new_unchecked(kind, machines, week))
     }
 
     fn unreadable(&self, e: impl std::fmt::Display) -> String {
@@ -431,27 +484,38 @@ impl TraceContext {
     /// are what `HourlySeries::of`'s `f64` sums come to while they stay
     /// below 2^53, whatever order the jobs arrive in.
     pub fn hourly(&self) -> Result<&HourlySeries, String> {
-        self.hourly_and_week().map(|(series, _)| series)
+        self.hourly_plan().map(|hourly| &hourly.series)
     }
 
-    /// The hourly series, and how many of its leading hours hold a job
-    /// submitted within a week of the first: its last such hour + 1.
-    fn hourly_and_week(&self) -> Result<&(HourlySeries, usize), String> {
+    /// The first submit, and the span from it to the last, from the same
+    /// plan as [`TraceContext::hourly`].
+    pub(crate) fn submits(&self) -> Result<(Timestamp, Dur), String> {
+        self.hourly_plan().map(|hourly| hourly.submits)
+    }
+
+    fn hourly_plan(&self) -> Result<&Hourly, String> {
         cached(&self.hourly, || {
             let query = Query::new()
                 .group(Expr::submit_hour())
                 .select(Aggregate::Count)
                 .select(Aggregate::Sum(Expr::total_io()))
                 .select(Aggregate::Sum(Expr::total_task_time()))
-                .select(Aggregate::Min(Expr::col(Col::Submit)));
+                .select(Aggregate::Min(Expr::col(Col::Submit)))
+                .select(Aggregate::Max(Expr::col(Col::Submit)));
             // One row per hour that holds a job, ascending by hour.
             let rows = self.run(&query)?;
             let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
-                return Ok((HourlySeries::default(), 0));
+                let (series, submits) = (HourlySeries::default(), (Timestamp::ZERO, Dur::ZERO));
+                return Ok(Hourly {
+                    series,
+                    week_hours: 0,
+                    submits,
+                });
             };
             let first_hour = first.key[0];
             let n = (last.key[0] - first_hour + 1) as usize;
-            let [.., start] = ints::<4>(first);
+            let [.., start, _] = ints::<5>(first);
+            let [.., end] = ints::<5>(last);
             let week_end = start.saturating_add(WEEK);
             let mut series = HourlySeries {
                 jobs: vec![0.0; n],
@@ -469,7 +533,12 @@ impl TraceContext {
                     week_hours = h + 1;
                 }
             }
-            Ok((series, week_hours))
+            let start = Timestamp::from_secs(start);
+            Ok(Hourly {
+                series,
+                week_hours,
+                submits: (start, Timestamp::from_secs(end).since(start)),
+            })
         })
     }
 
@@ -505,19 +574,53 @@ impl TraceContext {
         sizes.map(Vec::as_slice)
     }
 
-    /// Re-access locality statistics (fig5, fig6), computed once.
+    /// The one ordered pass over every job that the path, name and
+    /// job-type cells share, made at most once.
+    fn job_fold(&self) -> Result<&JobFold, String> {
+        cached(&self.jobs, || {
+            let mut access = [PathStage::Input, PathStage::Output].map(AccessFold::new);
+            let mut locality = LocalityFold::default();
+            let mut names = NameFold::default();
+            let mut points = Vec::new();
+            for job in self.jobs() {
+                let job = job?;
+                access.iter_mut().for_each(|stage| stage.push(&job));
+                locality.push(&job);
+                names.push(&job);
+                points.push(job.feature_vector());
+            }
+            Ok(JobFold {
+                access: access.map(AccessFold::finish),
+                locality: locality.finish(),
+                names: names.finish(),
+                points,
+            })
+        })
+    }
+
+    /// Re-access locality statistics (fig5, fig6).
     pub fn locality(&self) -> Result<&LocalityStats, String> {
-        cached(&self.locality, || Ok(LocalityStats::gather(self.trace()?)))
+        self.job_fold().map(|fold| &fold.locality)
     }
 
     /// File access statistics of one stage's paths (fig2, and fig3 for
-    /// inputs, fig4 for outputs), computed once.
+    /// inputs, fig4 for outputs).
     pub fn access(&self, stage: PathStage) -> Result<&FileAccessStats, String> {
-        let cell = match stage {
-            PathStage::Input => &self.access[0],
-            PathStage::Output => &self.access[1],
-        };
-        cached(cell, || Ok(FileAccessStats::gather(self.trace()?, stage)))
+        let fold = self.job_fold()?;
+        Ok(match stage {
+            PathStage::Input => &fold.access[0],
+            PathStage::Output => &fold.access[1],
+        })
+    }
+
+    /// The job-name analysis (fig10).
+    pub(crate) fn names(&self) -> Result<&NameAnalysis, String> {
+        self.job_fold().map(|fold| &fold.names)
+    }
+
+    /// Every job's k-means feature vector, in trace order (table2).
+    pub(crate) fn points(&self) -> Result<&[[f64; 6]], String> {
+        self.job_fold().map(|fold| fold.points.as_slice())
     }
 }
 
@@ -765,8 +868,8 @@ fn fig6(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 }
 
 fn fig7(ctx: &TraceContext) -> Result<ExperimentResult, String> {
-    let (hourly, week_hours) = ctx.hourly_and_week()?;
-    let series = hourly.truncate((*week_hours).min(24 * 7));
+    let hourly = ctx.hourly_plan()?;
+    let series = hourly.series.truncate(hourly.week_hours.min(24 * 7));
     if series.is_empty() {
         return Ok(ExperimentResult::Skipped("trace has no jobs"));
     }
@@ -839,7 +942,7 @@ fn fig9(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 }
 
 fn fig10(ctx: &TraceContext) -> Result<ExperimentResult, String> {
-    let analysis = NameAnalysis::of(ctx.trace()?);
+    let analysis = ctx.names()?;
     if !analysis.has_names() {
         return Ok(ExperimentResult::Skipped("trace carries no job names"));
     }
@@ -869,7 +972,7 @@ fn fig10(ctx: &TraceContext) -> Result<ExperimentResult, String> {
             Weighting::Bytes => bytes,
             Weighting::TaskTime => task_seconds,
         };
-        let a = &analysis;
+        let a = analysis;
         let total = weight(a.total_jobs, a.total_bytes, a.total_task_seconds).max(1.0);
         let groups = analysis.sorted_by(weighting);
         let words = groups.iter().take(TOP_WORDS).map(|g| {
@@ -888,11 +991,11 @@ fn fig10(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 }
 
 fn table2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
-    let trace = ctx.trace()?;
-    if trace.len() < 10 {
+    let points = ctx.points()?;
+    if points.len() < 10 {
         return Ok(ExperimentResult::Skipped("too few jobs to cluster"));
     }
-    let model = KMeans::fit_with_elbow(trace, ELBOW_MAX_K, ELBOW_THRESHOLD);
+    let model = KMeans::fit_with_elbow(points, ELBOW_MAX_K, ELBOW_THRESHOLD);
     let total: u64 = model.clusters.iter().map(|c| c.count).sum();
     let dominant = &model.clusters[0];
     Ok(ExperimentResult::Metrics(vec![
@@ -907,13 +1010,12 @@ fn table2(ctx: &TraceContext) -> Result<ExperimentResult, String> {
 }
 
 fn swim(ctx: &TraceContext) -> Result<ExperimentResult, String> {
-    let trace = ctx.trace()?;
-    if trace.len() < 24 {
+    if ctx.summary().jobs < 24 {
         return Ok(ExperimentResult::Skipped(
             "too few jobs to sample a synthetic day",
         ));
     }
-    let Some(bundle) = synthesize_bundle(trace, SWIM_TARGET_NODES, SWIM_SAMPLE_SEED) else {
+    let Some(bundle) = synthesize_bundle(ctx, SWIM_TARGET_NODES, SWIM_SAMPLE_SEED)? else {
         return Ok(ExperimentResult::Skipped("sampled day is empty"));
     };
     let (plan, datagen, ks) = (&bundle.replay, &bundle.datagen, &bundle.validation);
@@ -1010,7 +1112,8 @@ mod tests {
         assert_eq!(store.summary(), &trace.summary(), "column plan path");
         // The hourly fold over the file's columns ≡ the in-memory trace's.
         assert_eq!(store.hourly(), Ok(&HourlySeries::of(&trace)));
-        assert_eq!(store.hourly_and_week(), mem.hourly_and_week());
+        assert_eq!(store.hourly_plan(), mem.hourly_plan());
+        assert_eq!(store.submits(), Ok((trace.start().unwrap(), trace.span())));
         // Every battery entry must agree bit-for-bit across sources.
         for exp in &BATTERY {
             assert_eq!((exp.run)(&store), (exp.run)(&mem), "{}", exp.id);
@@ -1018,36 +1121,69 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A catalog of `trace` in shards of about a third of it, ingested
+    /// as `parts` in turn.
+    fn catalog_of(dir: &Path, trace: &Trace, parts: &[Trace]) {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut catalog = swim_catalog::Catalog::init(dir).unwrap();
+        let options = swim_catalog::CatalogOptions {
+            jobs_per_shard: (trace.len() as u32 / 3).max(1),
+            ..Default::default()
+        };
+        for part in parts {
+            catalog.ingest_trace(part, &options).unwrap();
+        }
+        assert!(catalog.shard_count() >= 3, "want a multi-shard catalog");
+    }
+
+    /// Every battery entry, and the hourly plan under it, agree bit for
+    /// bit between the catalog in `dir` and the in-memory `trace`.
+    fn assert_catalog_matches_memory(dir: &Path, trace: &Trace) {
+        let mem = TraceContext::from_trace("cc-e", trace.clone());
+        let cat = TraceContext::load(dir, 100).unwrap();
+        // O(manifest) summary equals the in-memory Table-1 row.
+        assert_eq!(cat.summary(), &trace.summary(), "manifest summary path");
+        // The hourly fold over the shards' columns ≡ the in-memory trace's.
+        assert_eq!(cat.hourly(), Ok(&HourlySeries::of(trace)));
+        assert_eq!(cat.hourly_plan(), mem.hourly_plan());
+        assert_eq!(cat.first_week(), Ok(trace.first_week()));
+        for exp in &BATTERY {
+            assert_eq!((exp.run)(&cat), (exp.run)(&mem), "{}", exp.id);
+        }
+    }
+
     #[test]
     fn catalog_context_matches_memory_context() {
         let trace = sample_trace();
         let dir = std::env::temp_dir().join(format!("swim-report-cat-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut catalog = swim_catalog::Catalog::init(&dir).unwrap();
         // Several small shards, so the battery runs truly federated.
-        catalog
-            .ingest_trace(
-                &trace,
-                &swim_catalog::CatalogOptions {
-                    jobs_per_shard: (trace.len() as u32 / 3).max(1),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert!(catalog.shard_count() >= 3, "want a multi-shard catalog");
-        drop(catalog);
+        catalog_of(&dir, &trace, std::slice::from_ref(&trace));
+        assert_catalog_matches_memory(&dir, &trace);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
-        let mem = TraceContext::from_trace("cc-e", sample_trace());
-        let cat = TraceContext::load(&dir, 100).unwrap();
-        // O(manifest) summary equals the in-memory Table-1 row.
-        assert_eq!(cat.summary(), &trace.summary(), "manifest summary path");
-        // The hourly fold over the shards' columns ≡ the in-memory trace's.
-        assert_eq!(cat.hourly(), Ok(&HourlySeries::of(&trace)));
-        assert_eq!(cat.hourly_and_week(), mem.hourly_and_week());
-        // Every battery entry agrees bit for bit across sources.
-        for exp in &BATTERY {
-            assert_eq!((exp.run)(&cat), (exp.run)(&mem), "{}", exp.id);
-        }
+    #[test]
+    fn a_catalog_of_interleaved_ingests_matches_memory_context() {
+        // The even jobs, then the odd ones: every shard of the second
+        // ingest overlaps shards of the first in time, so each pass over
+        // the jobs must merge the shards, not read them one after another.
+        let trace = sample_trace();
+        let (even, odd): (Vec<Job>, Vec<Job>) =
+            (trace.jobs().iter().cloned()).partition(|job| job.id.0 % 2 == 0);
+        let parts = [even, odd].map(|jobs| Trace::new(trace.kind.clone(), trace.machines, jobs));
+        let parts = parts.map(Result::unwrap);
+        let dir = std::env::temp_dir().join(format!("swim-report-inter-{}", std::process::id()));
+        catalog_of(&dir, &trace, &parts);
+        let windows = |shard: &swim_catalog::ShardEntry| shard.submit_window();
+        let catalog = swim_catalog::Catalog::open(&dir).unwrap();
+        let shards: Vec<_> = catalog.shards().iter().map(windows).collect();
+        let overlap = |(a, b): &(u64, u64), (c, d): &(u64, u64)| a < d && c < b;
+        let crossed = shards.iter().enumerate().any(|(i, x)| {
+            let later = &shards[i + 1..];
+            later.iter().any(|y| overlap(x, y))
+        });
+        assert!(crossed, "want shards whose windows overlap: {shards:?}");
+        assert_catalog_matches_memory(&dir, &trace);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1111,15 +1247,18 @@ mod tests {
         assert!(catalog.shard_count() >= 3, "want a multi-shard catalog");
 
         let ctx = TraceContext::load(&dir, 100).unwrap();
-        let trace = ctx.trace().unwrap();
-        assert_eq!(trace, &catalog.read_trace().unwrap());
+        let trace = catalog.read_trace().unwrap();
+        let jobs: Result<Vec<Job>, String> = ctx.jobs().collect();
+        assert_eq!(jobs.unwrap(), trace.jobs());
+        assert_eq!(ctx.identity(), (trace.kind.clone(), trace.machines));
         assert_eq!(trace.kind, WorkloadKind::Custom("mixed".into()));
         assert_eq!(trace.machines, cc_e.machines.max(cc_b.machines));
         assert_eq!(trace.len(), cc_e.len() + cc_b.len());
         // The shards' windows overlap, so the fold visits jobs out of
         // trace order: its integer hour sums are exact all the same.
-        assert_eq!(ctx.hourly(), Ok(&HourlySeries::of(trace)));
+        assert_eq!(ctx.hourly(), Ok(&HourlySeries::of(&trace)));
         assert_eq!(fig7_series(&ctx), HourlySeries::of(&trace.first_week()));
+        assert_eq!(ctx.first_week(), Ok(trace.first_week()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1202,7 +1341,10 @@ mod tests {
                 let result = (experiment(id).unwrap().run)(&ctx).unwrap();
                 assert!(!result.is_skipped(), "{id} on {}", input.display());
             }
-            assert!(ctx.trace.get().is_none(), "{}", input.display());
+            // No pass over the jobs: no name or path was decoded.
+            assert!(ctx.jobs.get().is_none(), "{}", input.display());
+            assert!((experiment("fig2").unwrap().run)(&ctx).is_ok());
+            assert!(ctx.jobs.get().is_some(), "{}", input.display());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -81,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--input" => args.input = Some(next("--input")?),
             "--format" => args.format = Some(Format::parse(&next("--format")?)?),
-            "--csv" => args.format = Some(Format::Csv), // backwards compatible
             "--machines" => {
                 args.machines = Some(
                     next("--machines")?
@@ -214,25 +213,22 @@ fn run() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let trace = match ctx.trace() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if trace.is_empty() {
+    let jobs = ctx.summary().jobs;
+    if jobs == 0 {
         eprintln!("error: trace contains no jobs");
         return ExitCode::FAILURE;
     }
 
     if let Some(out) = &args.convert {
         let to = args.convert_to.unwrap_or_else(|| Format::infer(out));
-        if let Err(e) = write_converted(trace, out, to) {
+        let read = |_, e| format!("read {}: {e}", ctx.label());
+        let converted = swim_catalog::read_stores(ctx.stores(), read)
+            .and_then(|trace| write_converted(&trace, out, to));
+        if let Err(e) = converted {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("converted {} jobs to {out}", trace.len());
+        eprintln!("converted {jobs} jobs to {out}");
         // Pure format migration: don't burn minutes on an unrequested
         // characterization of a potentially million-job trace.
         if args.export.is_none() && args.synthesize.is_none() {
@@ -240,7 +236,7 @@ fn run() -> ExitCode {
         }
     }
 
-    eprintln!("analyzing {} jobs ...", trace.len());
+    eprintln!("analyzing {jobs} jobs ...");
     let metrics = match SharedMetrics::from_context(&ctx) {
         Ok(m) => m,
         Err(e) => {
@@ -286,9 +282,16 @@ fn run() -> ExitCode {
         eprintln!("wrote anonymized metrics to {path}");
     }
     if let Some(nodes) = args.synthesize {
-        let Some(bundle) = synthesize_bundle(trace, nodes, 17) else {
-            eprintln!("error: the sampled day holds no job; nothing to synthesize");
-            return ExitCode::FAILURE;
+        let bundle = match synthesize_bundle(&ctx, nodes, 17) {
+            Ok(Some(bundle)) => bundle,
+            Ok(None) => {
+                eprintln!("error: the sampled day holds no job; nothing to synthesize");
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
         };
         eprintln!(
             "synthesized bundle: {} replay jobs, {} files to pre-populate, worst KS {:.3}",

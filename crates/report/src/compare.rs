@@ -44,11 +44,17 @@ impl Comparison {
     /// the first in grid order is reported).
     pub fn run_with_threads(&self, threads: usize) -> Result<Report, String> {
         // Every trace × experiment cell, in grid order
-        // (experiment-major: cell `e * n_traces + t`).
+        // (experiment-major: cell `e * n_traces + t`), claimed last first:
+        // the long cells (table2, swim) end the battery, and the swim
+        // cell's own pass over the jobs then runs beside the pass the
+        // path, name and job-type cells share, not queued behind it.
         let n_traces = self.contexts.len();
-        let cells = swim_obs::par_map(BATTERY.len() * n_traces, threads, |i| {
+        let n = BATTERY.len() * n_traces;
+        let mut cells = swim_obs::par_map(n, threads, |j| {
+            let i = n - 1 - j;
             (BATTERY[i / n_traces].run)(&self.contexts[i % n_traces])
         });
+        cells.reverse();
         let cells: Vec<ExperimentResult> = cells.into_iter().collect::<Result<_, _>>()?;
         Ok(self.assemble(&cells))
     }

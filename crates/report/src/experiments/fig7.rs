@@ -34,9 +34,9 @@ pub fn doc(corpus: &Corpus) -> Section {
         if REPLAYED.iter().any(|kind| kind.label() == ctx.label()) {
             // Replay materializes the week: the simulator consumes a
             // schedule, not a statistic.
-            let trace = in_memory(ctx.trace());
-            let plan = ReplayPlan::from_trace(&trace.first_week());
-            let sim = Simulator::new(SimConfig::new(trace.machines));
+            let week = in_memory(ctx.first_week());
+            let plan = ReplayPlan::from_trace(&week);
+            let sim = Simulator::new(SimConfig::new(week.machines));
             let result = sim.run(&plan, None);
             let util: Vec<f64> = result
                 .hourly_utilization
@@ -92,12 +92,11 @@ mod tests {
     #[test]
     fn replay_produces_utilization_within_slot_bounds() {
         let corpus = test_corpus();
-        let trace = in_memory(corpus.get(&WorkloadKind::CcE).trace());
-        let week = trace.first_week();
+        let week = in_memory(corpus.get(&WorkloadKind::CcE).first_week());
         let plan = ReplayPlan::from_trace(&week);
-        let sim = Simulator::new(SimConfig::new(trace.machines));
+        let sim = Simulator::new(SimConfig::new(week.machines));
         let result = sim.run(&plan, None);
-        let max_slots = (trace.machines * 4) as f64;
+        let max_slots = (week.machines * 4) as f64;
         for (h, &u) in result.hourly_utilization.iter().enumerate() {
             assert!(
                 u <= max_slots + 1e-6,

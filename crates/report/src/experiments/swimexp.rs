@@ -47,8 +47,9 @@ pub fn cache_label(cache: &Option<(CachePolicy, DataSize)>) -> String {
 /// The `swim` cell's FB-2009 bundle, scaled to `nodes` machines: the
 /// plan the what-if sweep replays.
 fn fb2009_bundle(corpus: &Corpus, nodes: u32) -> SynthBundle {
-    let source = in_memory(corpus.get(&WorkloadKind::Fb2009).trace());
-    synthesize_bundle(source, nodes, SWIM_SAMPLE_SEED).expect("FB-2009 samples a non-empty day")
+    let source = corpus.get(&WorkloadKind::Fb2009);
+    let bundle = in_memory(synthesize_bundle(source, nodes, SWIM_SAMPLE_SEED));
+    bundle.expect("FB-2009 samples a non-empty day")
 }
 
 /// Build the SWIM pipeline document, reporting each stage.

@@ -32,10 +32,11 @@ pub const PAPER_K: [(&str, usize); 7] = [
 /// small job into one cluster). At the corpus's
 /// reduced scale some tiny clusters (single-digit populations in the
 /// original) may have no members; k is capped at the job count.
-pub fn fit_paper_k(trace: &swim_trace::Trace) -> KMeans {
+/// `workload` is the trace's label, `points` its jobs' feature vectors.
+pub fn fit_paper_k(workload: &str, points: &[[f64; 6]]) -> KMeans {
     let paper_k = PAPER_K
         .iter()
-        .find(|(w, _)| *w == trace.kind.label())
+        .find(|(w, _)| *w == workload)
         .map(|(_, k)| *k)
         .unwrap_or(4);
     // Sample-size guard: the published k values come from traces with
@@ -44,8 +45,8 @@ pub fn fit_paper_k(trace: &swim_trace::Trace) -> KMeans {
     // is capped at one cluster per ~150 jobs (minimum 2: the small/large
     // dichotomy must always be visible). At the standard corpus scale the
     // cap is inactive and the paper's k is used as-is.
-    let k = paper_k.min((trace.len() / 150).max(2));
-    KMeans::fit(trace, k)
+    let k = paper_k.min((points.len() / 150).max(2));
+    KMeans::fit(points, k)
 }
 
 /// Build the Table 2 document.
@@ -58,7 +59,7 @@ pub fn doc(corpus: &Corpus) -> Section {
          corpus scale saturates earlier).\n\n",
     );
     for (ctx, r) in corpus.cells("table2") {
-        let model = fit_paper_k(in_memory(ctx.trace()));
+        let model = fit_paper_k(&ctx.summary().workload, in_memory(ctx.points()));
         section.prose(format!(
             "{} — paper k = {} (elbow would choose k = {}):\n",
             ctx.label(),
@@ -111,8 +112,10 @@ mod tests {
 
     /// Every corpus trace's Table 2 fit at the paper's k.
     fn paper_k_fits() -> Vec<(String, KMeans)> {
-        let fit =
-            |c: &crate::TraceContext| (c.label().to_owned(), fit_paper_k(in_memory(c.trace())));
+        let fit = |c: &crate::TraceContext| {
+            let model = fit_paper_k(&c.summary().workload, in_memory(c.points()));
+            (c.label().to_owned(), model)
+        };
         test_corpus().contexts.iter().map(fit).collect()
     }
 

@@ -1,5 +1,5 @@
-//! Flag values a library call would panic on, and flags that only
-//! qualify one that is absent, are refused by `swim-analyze` as usage
+//! Flag values a library call would panic on, flags that only qualify
+//! one that is absent, and flags it does not know are refused by `swim-analyze` as usage
 //! errors naming the flag: exit 1, an `error: …` first line on stderr,
 //! nothing on stdout, and no panic. A trace too sparse to synthesize
 //! from is an error too, after its analysis is printed.
@@ -52,6 +52,17 @@ fn swim_analyze_refuses_a_qualifier_without_the_flag_it_qualifies() {
     ] {
         assert_usage_error(env!("CARGO_BIN_EXE_swim-analyze"), args, first_line);
     }
+}
+
+#[test]
+fn swim_analyze_has_no_csv_alias_of_format_csv() {
+    // `--format csv` is the one spelling.
+    let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/../../testdata/sample-a.csv");
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_swim-analyze"),
+        &["--input", sample, "--csv"],
+        "error: unknown flag --csv",
+    );
 }
 
 #[test]

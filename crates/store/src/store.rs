@@ -395,6 +395,13 @@ impl ChunkReader<'_> {
         self.decode(idx, format::ZONE_COLUMNS, format::columns::decode)
     }
 
+    /// Decode chunk `idx` into jobs of their numeric fields alone, with
+    /// no name and no paths: those blocks are not read. Panics if `idx`
+    /// is not a chunk of the store.
+    pub fn numeric_jobs(&mut self, idx: usize) -> Result<Vec<Job>, StoreError> {
+        self.decode(idx, format::ZONE_COLUMNS, format::columns::decode_numeric)
+    }
+
     /// Decode the numeric columns of `set` from chunk `idx`; nothing else
     /// of the chunk is touched: not names, not paths, not the numeric
     /// columns outside `set`. Panics if `idx` is not a chunk of the

@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{Dur, Job, JobId, Timestamp, Trace};
 
@@ -34,52 +35,110 @@ impl SampleConfig {
     }
 }
 
-/// Sample a shorter synthetic trace out of `trace`.
+/// Sample a shorter synthetic trace out of `trace`: a [`WindowSampler`]
+/// over its jobs.
 ///
 /// Panics if the trace is empty or the window is zero-length. If the
 /// trace is shorter than one window it is returned unchanged (relabelled).
 pub fn sample_windows(trace: &Trace, config: SampleConfig) -> Trace {
-    assert!(!trace.is_empty(), "cannot sample an empty trace");
-    assert!(!config.window.is_zero(), "window must be positive");
-    assert!(
-        !config.target_length.is_zero(),
-        "target length must be positive"
-    );
+    let start = trace.start().expect("cannot sample an empty trace");
+    let mut sampler = WindowSampler::new(start, trace.span(), config);
+    trace.jobs().iter().for_each(|job| sampler.push(job));
+    sampler.finish(&trace.kind, trace.machines)
+}
 
-    let start = trace.start().expect("non-empty");
-    let span = trace.span();
-    let n_windows = (span.secs() / config.window.secs()).max(1);
-    let n_draws = config.target_length.secs().div_ceil(config.window.secs());
+/// [`sample_windows`] a job at a time, for a trace known only by its
+/// first submit and its span: the windows are drawn up front, so only
+/// the jobs of drawn windows are kept. Push every job in submit order,
+/// then [`WindowSampler::finish`].
+#[derive(Debug, Clone)]
+pub struct WindowSampler {
+    window: u64,
+    n_windows: u64,
+    /// The window of each draw, in draw order.
+    draws: Vec<u64>,
+    start: Timestamp,
+    /// Each drawn window's draw count, and its jobs in push order.
+    kept: HashMap<u64, (usize, Vec<Job>)>,
+}
 
-    // Pre-bucket job indices per window for O(jobs + draws) sampling.
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n_windows as usize];
-    for (i, job) in trace.jobs().iter().enumerate() {
-        let w = (job.submit.since(start).secs() / config.window.secs()).min(n_windows - 1);
-        buckets[w as usize].push(i);
-    }
-
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut next_id = 0u64;
-    for draw in 0..n_draws {
-        let w = rng.random_range(0..n_windows) as usize;
-        let window_start = Timestamp::from_secs(start.secs() + w as u64 * config.window.secs());
-        let out_base = draw * config.window.secs();
-        for &idx in &buckets[w] {
-            let job = &trace.jobs()[idx];
-            let offset = job.submit.since(window_start);
-            let mut copy = job.clone();
-            copy.id = JobId(next_id);
-            next_id += 1;
-            copy.submit = Timestamp::from_secs(out_base + offset.secs());
-            jobs.push(copy);
+impl WindowSampler {
+    /// Draw the windows of a trace whose submits span `span` from
+    /// `start`. Panics if the window or the target length is zero-length.
+    pub fn new(start: Timestamp, span: Dur, config: SampleConfig) -> WindowSampler {
+        assert!(!config.window.is_zero(), "window must be positive");
+        assert!(
+            !config.target_length.is_zero(),
+            "target length must be positive"
+        );
+        let window = config.window.secs();
+        let n_windows = (span.secs() / window).max(1);
+        let n_draws = config.target_length.secs().div_ceil(window);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let draws: Vec<u64> = (0..n_draws)
+            .map(|_| rng.random_range(0..n_windows))
+            .collect();
+        let mut kept = HashMap::new();
+        for &w in &draws {
+            kept.entry(w).or_insert((0, Vec::new())).0 += 1;
+        }
+        WindowSampler {
+            window,
+            n_windows,
+            draws,
+            start,
+            kept,
         }
     }
-    Trace::new_unchecked(
-        WorkloadKind::Custom(format!("{}-synth", trace.kind)),
-        trace.machines,
-        jobs,
-    )
+
+    /// The window of a submit; one past the span falls in the last.
+    fn window_of(&self, submit: Timestamp) -> u64 {
+        (submit.since(self.start).secs() / self.window).min(self.n_windows - 1)
+    }
+
+    /// Whether a job submitted within `[from, to]` can fall in a drawn
+    /// window.
+    pub fn draws_any(&self, from: Timestamp, to: Timestamp) -> bool {
+        let windows = self.window_of(from)..=self.window_of(to);
+        self.kept.keys().any(|w| windows.contains(w))
+    }
+
+    /// Keep the next job if its window was drawn.
+    pub fn push(&mut self, job: &Job) {
+        if let Some((_, jobs)) = self.kept.get_mut(&self.window_of(job.submit)) {
+            jobs.push(job.clone());
+        }
+    }
+
+    /// The sampled trace: each draw's window copied in draw order, every
+    /// job at its offset within its window and renumbered from 0. Its
+    /// kind is `<kind>-synth`.
+    pub fn finish(mut self, kind: &WorkloadKind, machines: u32) -> Trace {
+        let start = self.start.secs();
+        let mut jobs: Vec<Job> = Vec::new();
+        for (draw, w) in (0u64..).zip(&self.draws) {
+            let window_start = Timestamp::from_secs(start + w * self.window);
+            let out_base = draw * self.window;
+            // A window's last draw takes its jobs; an earlier one copies them.
+            let (draws_left, kept) = self.kept.get_mut(w).expect("a drawn window");
+            *draws_left -= 1;
+            let window = match draws_left {
+                0 => std::mem::take(kept),
+                _ => kept.clone(),
+            };
+            for mut job in window {
+                let offset = job.submit.since(window_start);
+                job.id = JobId(jobs.len() as u64);
+                job.submit = Timestamp::from_secs(out_base + offset.secs());
+                jobs.push(job);
+            }
+        }
+        Trace::new_unchecked(
+            WorkloadKind::Custom(format!("{kind}-synth")),
+            machines,
+            jobs,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -6,19 +6,24 @@
 //! synthesized workload's per-job distributions should track the
 //! original's. KS distance is the natural non-parametric check.
 
-use swim_trace::Trace;
+use swim_trace::{Job, Trace};
 
 /// Two-sample Kolmogorov–Smirnov distance: the supremum of the absolute
 /// difference between the two empirical CDFs. Returns `None` when either
 /// sample is empty.
 pub fn ks_distance(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.is_empty() || b.is_empty() {
+    ks_sorted(&mut a.to_vec(), &mut b.to_vec())
+}
+
+/// [`ks_distance`] that sorts its samples in place.
+fn ks_sorted(sa: &mut [f64], sb: &mut [f64]) -> Option<f64> {
+    if sa.is_empty() || sb.is_empty() {
         return None;
     }
-    let mut sa: Vec<f64> = a.to_vec();
-    let mut sb: Vec<f64> = b.to_vec();
-    sa.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-    sb.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+    // Equal samples are interchangeable: the walk below compares values
+    // only, so an unstable sort gives the same distance.
+    sa.sort_unstable_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+    sb.sort_unstable_by(|x, y| x.partial_cmp(y).expect("no NaN"));
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let mut i = 0usize;
     let mut j = 0usize;
@@ -39,6 +44,43 @@ pub fn ks_distance(a: &[f64], b: &[f64]) -> Option<f64> {
         d = d.max((fa - fb).abs());
     }
     Some(d)
+}
+
+/// The six samples a [`SynthesisReport`] compares, gathered a job at a
+/// time: per-job input, shuffle and output bytes, duration and total
+/// task-time, and the gaps between consecutive submits. Push every job
+/// in trace order.
+#[derive(Debug, Clone, Default)]
+pub struct KsColumns {
+    columns: [Vec<f64>; 6],
+    last_submit: Option<u64>,
+}
+
+impl KsColumns {
+    /// The columns of every job of `trace`.
+    pub fn of(trace: &Trace) -> KsColumns {
+        let mut columns = KsColumns::default();
+        trace.jobs().iter().for_each(|job| columns.push(job));
+        columns
+    }
+
+    /// Add the next job's values.
+    pub fn push(&mut self, job: &Job) {
+        let values = [
+            job.input.as_f64(),
+            job.shuffle.as_f64(),
+            job.output.as_f64(),
+            job.duration.as_f64(),
+            job.total_task_time().as_f64(),
+        ];
+        for (column, value) in self.columns.iter_mut().zip(values) {
+            column.push(value);
+        }
+        let submit = job.submit.secs();
+        if let Some(last) = self.last_submit.replace(submit) {
+            self.columns[5].push((submit - last) as f64);
+        }
+    }
 }
 
 /// Per-dimension KS distances between an original and a synthesized trace.
@@ -62,29 +104,25 @@ impl SynthesisReport {
     /// Compare `synth` against `original` on all six dimensions.
     /// Panics if either trace is empty.
     pub fn compare(original: &Trace, synth: &Trace) -> SynthesisReport {
+        SynthesisReport::of_columns(KsColumns::of(original), KsColumns::of(synth))
+    }
+
+    /// Compare the columns of a synthesized trace against an original's.
+    /// Panics if either holds no job.
+    pub fn of_columns(original: KsColumns, synth: KsColumns) -> SynthesisReport {
+        let [mut a, mut b] = [original.columns, synth.columns];
         assert!(
-            !original.is_empty() && !synth.is_empty(),
+            !a[0].is_empty() && !b[0].is_empty(),
             "traces must be non-empty"
         );
-        let dim = |f: &dyn Fn(&swim_trace::Job) -> f64, t: &Trace| -> Vec<f64> {
-            t.jobs().iter().map(f).collect()
-        };
-        let gaps = |t: &Trace| -> Vec<f64> {
-            t.jobs()
-                .windows(2)
-                .map(|w| (w[1].submit.secs() - w[0].submit.secs()) as f64)
-                .collect()
-        };
-        let ks = |f: &dyn Fn(&swim_trace::Job) -> f64| -> f64 {
-            ks_distance(&dim(f, original), &dim(f, synth)).expect("non-empty")
-        };
+        let mut ks = |d: usize| ks_sorted(&mut a[d], &mut b[d]);
         SynthesisReport {
-            input: ks(&|j| j.input.as_f64()),
-            shuffle: ks(&|j| j.shuffle.as_f64()),
-            output: ks(&|j| j.output.as_f64()),
-            duration: ks(&|j| j.duration.as_f64()),
-            task_time: ks(&|j| j.total_task_time().as_f64()),
-            interarrival: ks_distance(&gaps(original), &gaps(synth)).unwrap_or(1.0),
+            input: ks(0).expect("non-empty"),
+            shuffle: ks(1).expect("non-empty"),
+            output: ks(2).expect("non-empty"),
+            duration: ks(3).expect("non-empty"),
+            task_time: ks(4).expect("non-empty"),
+            interarrival: ks(5).unwrap_or(1.0),
         }
     }
 

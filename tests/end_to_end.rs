@@ -108,7 +108,8 @@ fn full_analysis_of_every_workload_succeeds() {
         };
         let trace = gen(kind.clone(), scale, 3.0, 105);
         // Raw features and the 0.5 elbow, as Table 2 and swim-analyze cluster.
-        let clusters = swim_core::KMeans::fit_with_elbow(&trace, 12, 0.5).clusters;
+        let points: Vec<[f64; 6]> = trace.jobs().iter().map(|j| j.feature_vector()).collect();
+        let clusters = swim_core::KMeans::fit_with_elbow(&points, 12, 0.5).clusters;
         let ctx = TraceContext::from_trace(kind.label(), trace);
         let report = Comparison::new(vec![ctx])
             .run()
