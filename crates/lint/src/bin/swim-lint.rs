@@ -13,108 +13,52 @@
 //! README markdown table from `docs/env-registry.txt` and exits.
 
 use std::process::ExitCode;
+use swim_obs::cli::{self as run, Args, Cli, Command, Error, Flag};
 
-const USAGE: &str = "usage: swim-lint [--root DIR] [--format text|md|json] [--deny]\n\
- swim-lint --print-env-table [--root DIR]\n\
- --root DIR           workspace root to lint (default: current directory)\n\
- --format text|md|json  report format (default: text)\n\
- --deny               exit 1 if any finding survives (CI mode)\n\
- --print-env-table    render the README env-var table from docs/env-registry.txt\n\
- rules: layering panic clock ordering durability env (+ waiver hygiene)\n\
- waive a finding with `// lint: allow(rule, \"reason\")` on or above the line";
-
-enum Format {
-    Text,
-    Markdown,
-    Json,
-}
-
-struct Args {
-    root: String,
-    format: Format,
-    deny: bool,
-    print_env_table: bool,
-}
-
-/// `Ok(None)` means `--help` was requested.
-fn parse_args() -> Result<Option<Args>, String> {
-    let mut args = Args {
-        root: ".".to_owned(),
-        format: Format::Text,
-        deny: false,
-        print_env_table: false,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--root" => {
-                args.root = iter.next().ok_or("--root requires a value")?;
-            }
-            "--format" => {
-                args.format = match iter.next().ok_or("--format requires a value")?.as_str() {
-                    "text" => Format::Text,
-                    "md" | "markdown" => Format::Markdown,
-                    "json" => Format::Json,
-                    other => return Err(format!("unknown format `{other}` (text|md|json)")),
-                };
-            }
-            "--deny" => args.deny = true,
-            "--print-env-table" => args.print_env_table = true,
-            "--help" | "-h" => return Ok(None),
-            flag => return Err(format!("unknown argument {flag}")),
-        }
-    }
-    Ok(Some(args))
-}
+const CLI: Cli = Cli {
+    name: "swim-lint",
+    commands: &[Command {
+        name: "",
+        args: "",
+        flags: &[&[
+            Flag::value("--root", "DIR", "workspace root (default .)"),
+            Flag::value("--format", "text|md|json", "report format (default text)"),
+            Flag::switch("--deny", "exit 1 if any finding survives (CI)"),
+            Flag::switch("--print-env-table", "print README's env-var table"),
+        ]],
+    }],
+    notes: "rules: layering panic clock ordering durability env (+ waiver hygiene)\n\
+            waive a finding with `// lint: allow(rule, \"reason\")` on or above the line\n\
+            --print-env-table renders the table from docs/env-registry.txt\n",
+};
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Ok(Some(a)) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
+    run::main(&CLI, body)
+}
+
+fn body(args: Args) -> Result<(), Error> {
+    let root = std::path::Path::new(args.value("--root").unwrap_or("."));
+    let render = match args.value("--format").unwrap_or("text") {
+        "text" => swim_lint::report::render_text,
+        "md" | "markdown" => swim_lint::report::render_markdown,
+        "json" => swim_lint::report::render_json,
+        other => {
+            return Err(Error::Usage(format!(
+                "unknown format `{other}` (text|md|json)"
+            )))
         }
     };
-    swim_obs::init_from_env();
-    let root = std::path::Path::new(&args.root);
-    if args.print_env_table {
-        return match swim_lint::env_table(root) {
-            Ok(table) => {
-                print!("{table}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        };
+    if args.has("--print-env-table") {
+        run::print(&swim_lint::env_table(root)?)?;
+        return Ok(());
     }
-    let result = match swim_lint::run(root) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rendered = match args.format {
-        Format::Text => swim_lint::report::render_text(&result),
-        Format::Markdown => swim_lint::report::render_markdown(&result),
-        Format::Json => swim_lint::report::render_json(&result),
-    };
-    print!("{rendered}");
-    if let Err(e) = swim_obs::jsonl::append_env(&swim_obs::snapshot()) {
-        eprintln!("warning: SWIM_OBS_JSONL: {e}");
-    }
-    if args.deny && !result.is_clean() {
-        eprintln!(
-            "error: swim-lint: {} finding(s) denied (see report above)",
+    let result = swim_lint::run(root)?;
+    run::print(&render(&result))?;
+    if args.has("--deny") && !result.is_clean() {
+        return Err(Error::Runtime(format!(
+            "swim-lint: {} finding(s) denied (see report above)",
             result.findings.len()
-        );
-        return ExitCode::FAILURE;
+        )));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -10,7 +10,7 @@
 //!
 //! The crate sits **below** every other workspace crate (including
 //! `swim-store`), so any layer can instrument its hot paths without new
-//! dependency edges. It is the std-only floor, and holds the five things
+//! dependency edges. It is the std-only floor, and holds the six things
 //! every layer shares: the clock ([`timed`], [`clock`]), counters,
 //! spans, the fan-out ([`par`]: [`par_claim`] / [`par_map`], the one
 //! place threads are spawned for a claim pool — and therefore the one
@@ -18,7 +18,9 @@
 //! document model every report, query answer, profile, lint result and
 //! dashboard is rendered through ([`doc`]: [`doc::Report`] →
 //! [`doc::Section`] → [`doc::Block`], built from [`render::Table`] and
-//! [`render::sparkline`], rendered as text, [`markdown`] or [`html`]).
+//! [`render::sparkline`], rendered as text, [`markdown`] or [`html`]),
+//! and the command-line runtime every binary runs on ([`cli`]: one flag
+//! table per command, one parser, one exit rule, one stdout sink).
 //! Because the model lives here, the serving and lint paths render
 //! without compiling the analysis stack. Three properties keep the
 //! instrumentation honest:
@@ -69,6 +71,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cli;
 pub mod clock;
 pub mod doc;
 pub mod flight;

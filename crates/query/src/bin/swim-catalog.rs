@@ -34,113 +34,98 @@
 
 use std::process::ExitCode;
 use swim_catalog::{Catalog, CatalogOptions};
+use swim_obs::cli::{self as run, Args, Cli, Command, Error, Flag};
 use swim_query::{cli, Session};
 use swim_store::StoreOptions;
 
-const USAGE: &str = "usage:\n\
- swim-catalog init DIR\n\
- swim-catalog ingest DIR TRACE... [--machines N] [--jobs-per-shard N] \
- [--jobs-per-chunk N]\n\
- swim-catalog stats DIR [--metrics]\n\
- swim-catalog compact DIR [--jobs-per-shard N] [--jobs-per-chunk N] [--vacuum]\n\
- swim-catalog verify DIR\n\
- swim-catalog query DIR --select AGGS [--where PRED] [--group-by EXPRS] \
- [--order-by N] [--desc] [--limit N] [--format table|md|json] [--serial] \
- [--explain | --profile]\n\
- trace formats by extension: .csv (needs --machines), .swim/.store \
- (streamed), anything else JSON-lines";
+const MACHINES: Flag = Flag::value("--machines", "N", "CSV cluster size (default 100)");
+const JOBS_PER_SHARD: Flag = Flag::value("--jobs-per-shard", "N", "jobs per shard file");
+const JOBS_PER_CHUNK: Flag = Flag::value("--jobs-per-chunk", "N", "jobs per store chunk");
 
-/// CLI failures carry their exit class: malformed invocations (bad
-/// flags, wrong arity, unparsable queries) are usage errors and exit 2
-/// with the usage text; failures of well-formed commands (missing
-/// catalog, I/O, corrupt store, failed execution) are runtime errors
-/// and exit 1 without it. Both start stderr with `error: …`.
-enum CliError {
-    Usage(String),
-    Runtime(String),
+const CLI: Cli = Cli {
+    name: "swim-catalog",
+    commands: &[
+        Command {
+            name: "init",
+            args: "DIR",
+            flags: &[],
+        },
+        Command {
+            name: "ingest",
+            args: "DIR TRACE...",
+            flags: &[&[MACHINES, JOBS_PER_SHARD, JOBS_PER_CHUNK]],
+        },
+        Command {
+            name: "stats",
+            args: "DIR",
+            flags: &[&[Flag::switch("--metrics", "add column-cache counters")]],
+        },
+        Command {
+            name: "compact",
+            args: "DIR",
+            flags: &[&[
+                JOBS_PER_SHARD,
+                JOBS_PER_CHUNK,
+                Flag::switch("--vacuum", "then remove unreferenced files"),
+            ]],
+        },
+        Command {
+            name: "verify",
+            args: "DIR",
+            flags: &[],
+        },
+        Command {
+            name: "query",
+            args: "DIR",
+            flags: &[cli::FLAGS],
+        },
+        Command {
+            name: "help",
+            args: "",
+            flags: &[],
+        },
+    ],
+    notes: "trace formats by extension: .csv (needs --machines), .swim/.store \
+            (streamed), anything else JSON-lines\n",
+};
+
+fn main() -> ExitCode {
+    run::main(&CLI, |args| match args.command {
+        "init" => cmd_init(&args),
+        "ingest" => cmd_ingest(&args),
+        "stats" => cmd_stats(&args),
+        "compact" => cmd_compact(&args),
+        "verify" => cmd_verify(&args),
+        "query" => cmd_query(&args),
+        _ => run::print(&run::usage(&CLI)).map(drop),
+    })
 }
 
-impl CliError {
-    fn exit(self) -> ExitCode {
-        match self {
-            CliError::Usage(msg) => {
-                eprintln!("error: {msg}\n\n{USAGE}");
-                ExitCode::from(2)
-            }
-            CliError::Runtime(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        }
+/// The one directory a subcommand other than `ingest` takes.
+fn one_dir(args: &Args) -> Result<&str, Error> {
+    match args.positional.as_slice() {
+        [dir] => Ok(dir),
+        _ => Err(Error::Usage(format!(
+            "{} takes exactly one directory",
+            args.command
+        ))),
     }
 }
 
-/// Shorthand for `map_err` on catalog/store/query operations.
-fn runtime(e: impl std::fmt::Display) -> CliError {
-    CliError::Runtime(e.to_string())
-}
-
-struct OptionFlags {
-    machines: u32,
-    options: CatalogOptions,
-    vacuum: bool,
-    metrics: bool,
-}
-
-/// Split option flags out of an argument stream; everything else
-/// (subcommand positionals) is returned in order. Each subcommand
-/// passes the flags it actually honours — anything else (misplaced or
-/// unknown) is an error, never silently ignored.
-fn split_flags(
-    args: &[String],
-    allowed: &[&'static str],
-) -> Result<(Vec<String>, OptionFlags), String> {
-    let mut flags = OptionFlags {
-        machines: 100,
-        options: CatalogOptions::default(),
-        vacuum: false,
-        metrics: false,
-    };
-    let mut positional = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut next = |flag: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        let parse_u32 = |flag: &str, value: &str| -> Result<u32, String> {
-            value
-                .parse()
-                .map_err(|_| format!("{flag} requires an integer, got {value:?}"))
-        };
-        if arg.starts_with('-') && !allowed.contains(&arg.as_str()) {
-            return Err(format!("{arg} does not apply to this subcommand"));
-        }
-        match arg.as_str() {
-            "--machines" => flags.machines = parse_u32("--machines", next("--machines")?)?,
-            "--jobs-per-shard" => {
-                flags.options.jobs_per_shard =
-                    parse_u32("--jobs-per-shard", next("--jobs-per-shard")?)?
-            }
-            "--jobs-per-chunk" => {
-                flags.options.store = StoreOptions {
-                    jobs_per_chunk: parse_u32("--jobs-per-chunk", next("--jobs-per-chunk")?)?,
-                }
-            }
-            "--vacuum" => flags.vacuum = true,
-            "--metrics" => flags.metrics = true,
-            other => positional.push(other.to_owned()),
-        }
+/// The `--jobs-per-shard` / `--jobs-per-chunk` layout options.
+fn options(args: &Args) -> Result<CatalogOptions, Error> {
+    let mut options = CatalogOptions::default();
+    if let Some(n) = args.parse("--jobs-per-shard", "an integer")? {
+        options.jobs_per_shard = n;
     }
-    Ok((positional, flags))
+    if let Some(jobs_per_chunk) = args.parse("--jobs-per-chunk", "an integer")? {
+        options.store = StoreOptions { jobs_per_chunk };
+    }
+    Ok(options)
 }
 
-fn cmd_init(args: &[String]) -> Result<(), CliError> {
-    let (positional, _) = split_flags(args, &[]).map_err(CliError::Usage)?;
-    let [dir] = positional.as_slice() else {
-        return Err(CliError::Usage("init takes exactly one directory".into()));
-    };
-    let catalog = Catalog::init(dir).map_err(runtime)?;
+fn cmd_init(args: &Args) -> Result<(), Error> {
+    let catalog = Catalog::init(one_dir(args)?)?;
     eprintln!(
         "initialized empty catalog at {} (generation {})",
         catalog.dir().display(),
@@ -149,27 +134,22 @@ fn cmd_init(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_ingest(args: &[String]) -> Result<(), CliError> {
-    let (positional, flags) = split_flags(
-        args,
-        &["--machines", "--jobs-per-shard", "--jobs-per-chunk"],
-    )
-    .map_err(CliError::Usage)?;
-    let [dir, traces @ ..] = positional.as_slice() else {
-        return Err(CliError::Usage(
+fn cmd_ingest(args: &Args) -> Result<(), Error> {
+    let [dir, traces @ ..] = args.positional.as_slice() else {
+        return Err(Error::Usage(
             "ingest takes a directory and at least one trace".into(),
         ));
     };
     if traces.is_empty() {
-        return Err(CliError::Usage(
+        return Err(Error::Usage(
             "ingest takes a directory and at least one trace".into(),
         ));
     }
-    let mut catalog = Catalog::open(dir).map_err(runtime)?;
+    let machines = args.parse("--machines", "an integer")?.unwrap_or(100);
+    let options = options(args)?;
+    let mut catalog = Catalog::open(dir)?;
     for path in traces {
-        let stats = catalog
-            .ingest_path(path, flags.machines, &flags.options)
-            .map_err(runtime)?;
+        let stats = catalog.ingest_path(path, machines, &options)?;
         eprintln!(
             "ingested {path}: {} jobs into {} shard{} ({} bytes), generation {}",
             stats.jobs,
@@ -182,15 +162,11 @@ fn cmd_ingest(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
-    let (positional, flags) = split_flags(args, &["--metrics"]).map_err(CliError::Usage)?;
-    let [dir] = positional.as_slice() else {
-        return Err(CliError::Usage("stats takes exactly one directory".into()));
-    };
-    let catalog = Catalog::open(dir).map_err(runtime)?;
+fn cmd_stats(args: &Args) -> Result<(), Error> {
+    let catalog = Catalog::open(one_dir(args)?)?;
     let summary = catalog.summary();
-    println!(
-        "catalog generation {}: {} shard{}, {} jobs, workload {}, {} machines, length {}",
+    let mut out = format!(
+        "catalog generation {}: {} shard{}, {} jobs, workload {}, {} machines, length {}\n",
         catalog.generation(),
         catalog.shard_count(),
         if catalog.shard_count() == 1 { "" } else { "s" },
@@ -201,23 +177,23 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     );
     for entry in catalog.shards() {
         let (min, max) = entry.submit_window();
-        println!(
-            "  {}  v{}  gen {}  {} jobs  {} bytes  submit [{min}, {max}]  {}",
+        out.push_str(&format!(
+            "  {}  v{}  gen {}  {} jobs  {} bytes  submit [{min}, {max}]  {}\n",
             entry.file,
             entry.store_version,
             entry.created_gen,
             entry.jobs,
             entry.bytes,
             entry.kind_label,
-        );
+        ));
     }
-    if flags.metrics {
+    if args.has("--metrics") {
         // Lifetime counters for this catalog handle: they survive
         // clear() and compact(), so a long-lived process sees cache
         // pressure across generations.
         let cache = catalog.cache_stats();
-        println!(
-            "column cache: capacity {} shard{}, {} entr{}, {} hit{}, {} miss{}, {} bypassed, {} eviction{}",
+        out.push_str(&format!(
+            "column cache: capacity {} shard{}, {} entr{}, {} hit{}, {} miss{}, {} bypassed, {} eviction{}\n",
             cache.capacity,
             if cache.capacity == 1 { "" } else { "s" },
             cache.entries,
@@ -229,32 +205,25 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             cache.bypassed,
             cache.evictions,
             if cache.evictions == 1 { "" } else { "s" },
-        );
+        ));
         let snap = swim_obs::snapshot();
         if !snap.counters.is_empty() {
-            println!(
-                "swim-obs counters (SWIM_OBS={:?}):",
+            out.push_str(&format!(
+                "swim-obs counters (SWIM_OBS={:?}):\n",
                 std::env::var("SWIM_OBS").unwrap_or_default()
-            );
+            ));
             for (name, value) in &snap.counters {
-                println!("  {name}: {value}");
+                out.push_str(&format!("  {name}: {value}\n"));
             }
         }
     }
+    run::print(&out)?;
     Ok(())
 }
 
-fn cmd_compact(args: &[String]) -> Result<(), CliError> {
-    let (positional, flags) =
-        split_flags(args, &["--jobs-per-shard", "--jobs-per-chunk", "--vacuum"])
-            .map_err(CliError::Usage)?;
-    let [dir] = positional.as_slice() else {
-        return Err(CliError::Usage(
-            "compact takes exactly one directory".into(),
-        ));
-    };
-    let mut catalog = Catalog::open(dir).map_err(runtime)?;
-    let stats = catalog.compact(&flags.options).map_err(runtime)?;
+fn cmd_compact(args: &Args) -> Result<(), Error> {
+    let mut catalog = Catalog::open(one_dir(args)?)?;
+    let stats = catalog.compact(&options(args)?)?;
     if stats.rewritten == 0 {
         eprintln!("nothing to compact (generation {})", catalog.generation());
     } else {
@@ -267,19 +236,15 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
             catalog.generation()
         );
     }
-    if flags.vacuum {
-        let removed = catalog.vacuum().map_err(runtime)?;
+    if args.has("--vacuum") {
+        let removed = catalog.vacuum()?;
         eprintln!("vacuum removed {removed} unreferenced file(s)");
     }
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), CliError> {
-    let (positional, _) = split_flags(args, &[]).map_err(CliError::Usage)?;
-    let [dir] = positional.as_slice() else {
-        return Err(CliError::Usage("verify takes exactly one directory".into()));
-    };
-    let catalog = Catalog::open(dir).map_err(runtime)?;
+fn cmd_verify(args: &Args) -> Result<(), Error> {
+    let catalog = Catalog::open(one_dir(args)?)?;
     // `ChunkReader::jobs` verifies every block of the chunk it decodes.
     let verify = |idx: usize| -> Result<(u64, usize), String> {
         let store = catalog.open_shard(idx).map_err(|e| e.to_string())?;
@@ -289,22 +254,25 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
         }
         Ok((store.job_count(), store.chunk_count()))
     };
+    // Every shard is verified, and the exit code says how it went, even
+    // once the reader of the per-shard lines has gone away.
     let mut failed = 0;
     for (idx, entry) in catalog.shards().iter().enumerate() {
-        match verify(idx) {
-            Ok((jobs, chunks)) => println!(
-                "{}: ok ({jobs} jobs in {chunks} chunk{})",
+        let line = match verify(idx) {
+            Ok((jobs, chunks)) => format!(
+                "{}: ok ({jobs} jobs in {chunks} chunk{})\n",
                 entry.file,
                 if chunks == 1 { "" } else { "s" }
             ),
             Err(e) => {
                 failed += 1;
-                println!("{}: error: {e}", entry.file);
+                format!("{}: error: {e}\n", entry.file)
             }
-        }
+        };
+        run::print(&line)?;
     }
     if failed > 0 {
-        return Err(CliError::Runtime(format!(
+        return Err(Error::Runtime(format!(
             "{failed} of {} shards failed verification",
             catalog.shard_count()
         )));
@@ -312,47 +280,21 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse the query subcommand's arguments: one catalog directory plus
-/// the flag set shared with `swim-query` ([`swim_query::cli`]).
-fn parse_query_args(args: &[String]) -> Result<(String, cli::QueryFlags), String> {
-    let mut dir = String::new();
-    let mut flags = cli::QueryFlags::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut next = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        if flags.accept(arg, || next(arg))? {
-            continue;
-        }
-        if arg.starts_with('-') {
-            return Err(format!("unknown flag {arg}"));
-        }
-        if dir.is_empty() {
-            dir = arg.to_owned();
-        } else {
-            return Err(format!("unexpected argument {arg}"));
-        }
-    }
-    if dir.is_empty() {
-        return Err("query takes a catalog directory".into());
-    }
-    Ok((dir, flags))
-}
-
-fn cmd_query(args: &[String]) -> Result<(), CliError> {
-    let (dir, flags) = parse_query_args(args).map_err(CliError::Usage)?;
-    flags.validate().map_err(CliError::Usage)?;
-    let query = flags.build_query().map_err(CliError::Usage)?;
+fn cmd_query(args: &Args) -> Result<(), Error> {
+    let dir = match args.positional.as_slice() {
+        [dir] => dir,
+        [] => return Err(Error::Usage("query takes a catalog directory".into())),
+        [_, extra, ..] => return Err(Error::Usage(format!("unexpected argument {extra}"))),
+    };
+    let flags = cli::QueryFlags::from_args(args).map_err(Error::Usage)?;
+    let query = flags.build_query().map_err(Error::Usage)?;
     // The shared Session engine — the same execution path swim-query
     // and swim-serve use, so all three stay byte-identical.
-    let session = Session::open_catalog(&dir).map_err(runtime)?;
+    let session = Session::open_catalog(dir)?;
     if flags.explain {
-        let explain = session.explain(&query).map_err(runtime)?;
+        let explain = session.explain(&query)?;
         let title = format!("explain: {dir}");
-        print!("{}", cli::render_explain(&explain, flags.format, &title));
+        run::print(&cli::render_explain(&explain, flags.format, &title))?;
         return Ok(());
     }
     if flags.profile {
@@ -361,51 +303,16 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         swim_obs::set_enabled(swim_obs::ALL);
         swim_obs::reset();
     }
-    let out = session.execute(&query, flags.serial).map_err(runtime)?;
+    let out = session.execute(&query, flags.serial)?;
     let title = format!("swim-catalog: {dir}");
-    print!("{}", cli::render_for(&out.output, flags.format, &title));
-    eprintln!("{}", out.summary);
+    let mut body = cli::render_for(&out.output, flags.format, &title);
     if flags.profile {
-        let sep = match flags.format {
-            cli::OutputFormat::Json => "",
-            _ => "\n",
-        };
-        print!(
-            "{sep}{}",
-            cli::render_profile(&swim_obs::snapshot(), flags.format)
-        );
-    }
-    Ok(())
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        return CliError::Usage("a subcommand is required".into()).exit();
-    };
-    // SWIM_OBS enables instrumentation for any subcommand (ingest and
-    // compact record spans too); `query --profile` forces it on itself.
-    swim_obs::init_from_env();
-    let rest = &args[1..];
-    let result = match command.as_str() {
-        "init" => cmd_init(rest),
-        "ingest" => cmd_ingest(rest),
-        "stats" => cmd_stats(rest),
-        "compact" => cmd_compact(rest),
-        "verify" => cmd_verify(rest),
-        "query" => cmd_query(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
+        if flags.format != cli::OutputFormat::Json {
+            body.push('\n');
         }
-        other => return CliError::Usage(format!("unknown subcommand {other}")).exit(),
-    };
-    let snap = swim_obs::snapshot();
-    if let Err(e) = swim_obs::jsonl::append_env(&snap) {
-        eprintln!("warning: SWIM_OBS_JSONL: {e}");
+        body.push_str(&cli::render_profile(&swim_obs::snapshot(), flags.format));
     }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => err.exit(),
-    }
+    run::print(&body)?;
+    eprintln!("{}", out.summary);
+    Ok(())
 }

@@ -4,13 +4,17 @@
 //! (`--select/--where/--group-by/--order-by/--desc/--limit/--format/
 //! --serial/--explain/--profile`); this module owns the parsing,
 //! validation, and renderer dispatch for it so the two CLIs cannot
-//! drift apart. Error messages are pinned by
-//! `crates/query/tests/cli_errors.rs`.
+//! drift apart. [`FLAGS`] is that set as a [`swim_obs::cli`] table;
+//! the binaries parse argv against it and feed the result through
+//! [`QueryFlags::from_args`], and the server and the benchmark feed
+//! wire tokens through [`QueryFlags::accept`]. Error messages are
+//! pinned by `crates/query/tests/cli_errors.rs`.
 
 use crate::exec::QueryOutput;
 use crate::explain::Explain;
 use crate::plan::Query;
 use crate::{parse, render};
+use swim_obs::cli::{Args, Flag};
 use swim_obs::doc::{Block, KeyValueBlock, Report, Section};
 use swim_obs::render::Table;
 
@@ -37,6 +41,32 @@ impl OutputFormat {
         }
     }
 }
+
+/// The shared query flags, as a `swim_obs::cli` table.
+pub const FLAGS: &[Flag] = &[
+    Flag::value("--select", "AGGS", "aggregates (default count)"),
+    Flag::value("--where", "PRED", "row filter"),
+    Flag::value("--group-by", "EXPRS", "group keys"),
+    Flag::value("--order-by", "N", "1-based output column to order by"),
+    Flag::switch("--desc", "order descending"),
+    Flag::value("--limit", "N", "print at most N rows"),
+    Flag::value("--format", "table|md|json", "output format"),
+    Flag::switch("--serial", "run on one thread (same bytes)"),
+    Flag::switch("--explain", "print the plan; execute nothing"),
+    Flag::switch("--profile", "execute, then append the metrics"),
+];
+
+/// What the query flags' values look like, for a usage text.
+pub const NOTES: &str = "columns: id submit duration input shuffle output map_time reduce_time \
+ map_tasks reduce_tasks (derived: total_io total_task_time total_tasks)
+aggregates: count sum min max avg p0..p100, e.g. --select \"count,sum(total_io),p50(duration)\"
+predicates: comparisons over expressions with and/or/not and unit suffixes, \
+e.g. --where \"input >= 1gb and submit < 2d\"
+group keys: expressions, e.g. --group-by \"submit/3600\" for hourly bins
+--explain prints the plan tree and zone-map verdict counts (never/always/maybe) \
+without executing; --profile executes with swim-obs instrumentation forced on \
+and appends the metrics
+";
 
 /// Accumulates the common query flags while a binary walks its
 /// argument stream; [`QueryFlags::build_query`] turns them into a typed
@@ -104,15 +134,20 @@ impl QueryFlags {
         Ok(true)
     }
 
-    /// Cross-flag validation, called once the whole command line is
-    /// parsed.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.explain && self.profile {
+    /// The query flags among `args` (other flags are left to the
+    /// caller), fed through [`QueryFlags::accept`] in order, then
+    /// checked against each other.
+    pub fn from_args(args: &Args) -> Result<QueryFlags, String> {
+        let mut flags = QueryFlags::new();
+        for (name, value) in &args.flags {
+            flags.accept(name, || Ok(value.clone().unwrap_or_default()))?;
+        }
+        if flags.explain && flags.profile {
             return Err(
                 "--explain and --profile are mutually exclusive (explain never executes)".into(),
             );
         }
-        Ok(())
+        Ok(flags)
     }
 
     /// Build the typed query from the accumulated flag text.

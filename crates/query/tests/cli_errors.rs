@@ -3,9 +3,18 @@
 //! (missing or corrupt inputs) exit 1, every error prints a specific
 //! `error: …` first line on stderr, and stdout stays empty. The exact
 //! messages and codes are pinned so error UX changes are deliberate,
-//! not accidental.
+//! not accidental. Both of the crate's binaries keep the workspace's
+//! command-line convention, and a reader that stops early (`swim-query
+//! … | head -2`) ends their output: exit 0, no panic.
+
+#[path = "../../obs/tests/support/cli_convention.rs"]
+mod convention;
 
 use std::process::Command;
+use swim_catalog::{Catalog, CatalogOptions};
+use swim_store::{write_store_path, StoreOptions};
+use swim_trace::trace::WorkloadKind;
+use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
 
 fn fixture() -> String {
     concat!(
@@ -145,4 +154,91 @@ fn a_store_of_another_format_version_is_refused_with_the_version_named() {
             "error: open {trace}: unsupported store format version 4 (this build reads version 5)"
         )
     );
+}
+
+/// Every flag of `swim-query`'s table.
+const QUERY_FLAGS: &[&str] = &[
+    "--trace",
+    "--catalog",
+    "--select",
+    "--where",
+    "--group-by",
+    "--order-by",
+    "--desc",
+    "--limit",
+    "--format",
+    "--serial",
+    "--explain",
+    "--profile",
+];
+
+#[test]
+fn both_binaries_keep_the_convention() {
+    let query = env!("CARGO_BIN_EXE_swim-query");
+    convention::help_names_every_flag(query, QUERY_FLAGS);
+    convention::refuses_bogus_and_missing_value(query, &[], "--select");
+
+    let catalog = env!("CARGO_BIN_EXE_swim-catalog");
+    let mut flags = QUERY_FLAGS[2..].to_vec();
+    flags.extend([
+        "--machines",
+        "--jobs-per-shard",
+        "--jobs-per-chunk",
+        "--metrics",
+        "--vacuum",
+    ]);
+    convention::help_names_every_flag(catalog, &flags);
+    convention::usage_error(catalog, &["--bogus"]);
+    convention::refuses_bogus_and_missing_value(catalog, &["ingest", "d"], "--machines");
+    convention::refuses_bogus_and_missing_value(catalog, &["query", "d"], "--where");
+}
+
+/// A store of 20,000 jobs, one result row each under `--group-by id`:
+/// far more output than a pipe buffers.
+fn write_store(path: &std::path::Path) {
+    let jobs = (0..20_000u64)
+        .map(|i| {
+            JobBuilder::new(i)
+                .submit(Timestamp::from_secs(i * 7))
+                .duration(Dur::from_secs(1 + i % 600))
+                .input(DataSize::from_bytes(i * 1_001))
+                .map_task_time(Dur::from_secs(5))
+                .tasks(1, 0)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let trace = Trace::new(WorkloadKind::Custom("pipe".into()), 4, jobs).unwrap();
+    write_store_path(&trace, path, &StoreOptions::default()).unwrap();
+}
+
+#[test]
+fn a_reader_that_closes_early_ends_the_output_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("swim-query-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("pipe.swim");
+    write_store(&store);
+    let trace = store.to_str().unwrap();
+    let query = env!("CARGO_BIN_EXE_swim-query");
+    let group_by_id = ["--select", "count,sum(input)", "--group-by", "id"];
+    for extra in [&[][..], &["--profile"], &["--format", "json", "--profile"]] {
+        let args = [&["--trace", trace][..], &group_by_id, extra].concat();
+        convention::early_close_is_success(query, &args);
+    }
+
+    // 1,250 shards of 16 jobs: `verify` and `stats` print a line each.
+    let catalog_dir = dir.join("c.d");
+    let mut catalog = Catalog::init(&catalog_dir).unwrap();
+    let options = CatalogOptions {
+        jobs_per_shard: 16,
+        ..CatalogOptions::default()
+    };
+    catalog.ingest_path(&store, 4, &options).unwrap();
+    let dir_arg = catalog_dir.to_str().unwrap();
+    let catalog = env!("CARGO_BIN_EXE_swim-catalog");
+    convention::early_close_is_success(catalog, &[&["query", dir_arg][..], &group_by_id].concat());
+    convention::early_close_is_success(catalog, &["verify", dir_arg]);
+    convention::early_close_is_success(catalog, &["stats", dir_arg]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -272,14 +272,13 @@ pub fn synthesize_bundle(
     let validation = SynthesisReport::of_columns(original, KsColumns::of(&sampled));
     let sampled_span = sampled.span();
     let scaled = scale_trace(
-        &sampled,
+        sampled,
         ScaleConfig {
             target_machines,
             mode: ScaleMode::DataSize,
             seed,
         },
     );
-    drop(sampled);
     let input_paths = scaled
         .jobs()
         .iter()
@@ -468,7 +467,7 @@ mod tests {
             mode: ScaleMode::DataSize,
             seed: 5,
         };
-        let scaled = scale_trace(&sampled, config);
+        let scaled = scale_trace(sampled.clone(), config);
         assert_eq!(bundle.replay, ReplayPlan::from_trace(&scaled));
         let datagen = DataGenPlan::from_trace(&scaled, DataSize::from_mb(128));
         assert_eq!(bundle.datagen, datagen);

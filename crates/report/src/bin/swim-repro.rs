@@ -15,83 +15,59 @@
 //! renderers over the identical section trees.
 
 use std::process::ExitCode;
+use swim_obs::cli::{self as run, Args, Cli, Command, Error, Flag};
 use swim_obs::doc::Report;
 use swim_report::{experiments, Corpus, CorpusScale};
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OutputFormat {
-    Text,
-    Markdown,
-    Html,
-}
+const CLI: Cli = Cli {
+    name: "swim-repro",
+    commands: &[Command {
+        name: "",
+        args: "EXPERIMENT...",
+        flags: &[&[
+            Flag::switch("--quick", "small corpus"),
+            Flag::value("--seed", "N", "corpus seed (default 42)"),
+            Flag::value("--format", "text|md|html", "output format (default text)"),
+            Flag::switch("--list", "list the experiment ids"),
+        ]],
+    }],
+    notes: "regenerates the VLDB'12 study's tables and figures; EXPERIMENT is an id \
+            from --list, or all\n",
+};
 
 fn main() -> ExitCode {
-    // SWIM_OBS turns recording on; SWIM_OBS_JSONL=FILE appends the
-    // snapshot on exit.
-    swim_obs::init_from_env();
-    let code = run();
-    if let Err(e) = swim_obs::jsonl::append_env(&swim_obs::snapshot()) {
-        eprintln!("warning: SWIM_OBS_JSONL: {e}");
-    }
-    code
+    run::main(&CLI, body)
 }
 
-fn run() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = CorpusScale::Standard;
-    let mut seed: u64 = 42;
-    let mut format = OutputFormat::Text;
-    let mut ids: Vec<String> = Vec::new();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => scale = CorpusScale::Quick,
-            "--format" => match iter.next().as_deref() {
-                Some("text") => format = OutputFormat::Text,
-                Some("md") | Some("markdown") => format = OutputFormat::Markdown,
-                Some("html") => format = OutputFormat::Html,
-                _ => {
-                    eprintln!("--format requires text|md|html");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed requires an integer argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--list" => {
-                for id in experiments::ALL {
-                    println!("{id}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                print_help();
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                print_help();
-                return ExitCode::FAILURE;
-            }
-            other => ids.push(other.to_owned()),
-        }
+fn body(args: Args) -> Result<(), Error> {
+    if args.has("--list") {
+        run::print(&experiments::ALL.map(|id| format!("{id}\n")).concat())?;
+        return Ok(());
     }
+    let scale = if args.has("--quick") {
+        CorpusScale::Quick
+    } else {
+        CorpusScale::Standard
+    };
+    let seed: u64 = args.parse("--seed", "an integer")?.unwrap_or(42);
+    let format = args.value("--format").unwrap_or("text");
+    if !matches!(format, "text" | "md" | "markdown" | "html") {
+        return Err(Error::Usage(format!(
+            "unknown format {format} (expected text|md|html)"
+        )));
+    }
+    let mut ids = args.positional.clone();
     if ids.is_empty() {
-        print_help();
-        return ExitCode::FAILURE;
+        return Err(Error::Usage("an experiment id (or all) is required".into()));
     }
     if ids.iter().any(|i| i == "all") {
         ids = experiments::ALL.iter().map(|s| s.to_string()).collect();
     }
-    for id in &ids {
-        if !experiments::ALL.contains(&id.as_str()) {
-            eprintln!("unknown experiment {id}; use --list");
-            return ExitCode::FAILURE;
-        }
+    if let Some(id) = ids
+        .iter()
+        .find(|id| !experiments::ALL.contains(&id.as_str()))
+    {
+        return Err(Error::Usage(format!("unknown experiment {id}; use --list")));
     }
 
     eprintln!(
@@ -102,48 +78,33 @@ fn run() -> ExitCode {
         }
     );
     let corpus = Corpus::build(scale, seed);
-    match format {
-        OutputFormat::Text => {
-            for (i, id) in ids.iter().enumerate() {
-                if i > 0 {
-                    println!("\n{}\n", "=".repeat(72));
-                }
-                match experiments::run(id, &corpus) {
-                    Some(report) => println!("{report}"),
-                    None => unreachable!("ids validated above"),
-                }
-            }
-        }
-        OutputFormat::Markdown | OutputFormat::Html => {
-            let mut report = Report::new(
-                "swim-repro — VLDB'12 cross-industry MapReduce workload study, reproduced",
-            );
-            for id in &ids {
-                match experiments::doc(id, &corpus) {
-                    Some(section) => {
-                        report.push(section);
-                    }
-                    None => unreachable!("ids validated above"),
-                }
-            }
-            let rendered = match format {
-                OutputFormat::Markdown => swim_obs::markdown::render_report(&report),
-                _ => swim_obs::html::render_report(&report),
+    // Ids were checked against `experiments::ALL` above, so every one
+    // has a section.
+    let sections = ids.iter().filter_map(|id| experiments::doc(id, &corpus));
+    if format == "text" {
+        // One experiment at a time, as each is ready; a reader that has
+        // gone away ends the run.
+        for (i, section) in sections.enumerate() {
+            let rule = if i > 0 {
+                format!("\n{}\n\n", "=".repeat(72))
+            } else {
+                String::new()
             };
-            print!("{rendered}");
+            if !run::print(&format!("{rule}{}\n", section.render_text()))? {
+                break;
+            }
         }
+        return Ok(());
     }
-    ExitCode::SUCCESS
-}
-
-fn print_help() {
-    eprintln!(
-        "swim-repro — regenerate the VLDB'12 study's tables and figures\n\n\
-         usage: swim-repro [--quick] [--seed N] [--format text|md|html] \
-         <experiment>...\n\
-         experiments: {} | all\n\
-         flags: --quick (small corpus), --seed N, --format text|md|html, \
-         --list, --help",
-        experiments::ALL.join(" | ")
-    );
+    let mut report =
+        Report::new("swim-repro — VLDB'12 cross-industry MapReduce workload study, reproduced");
+    for section in sections {
+        report.push(section);
+    }
+    let rendered = match format {
+        "html" => swim_obs::html::render_report(&report),
+        _ => swim_obs::markdown::render_report(&report),
+    };
+    run::print(&rendered)?;
+    Ok(())
 }

@@ -1,8 +1,13 @@
 //! Flag values a library call would panic on, flags that only qualify
 //! one that is absent, and flags it does not know are refused by `swim-analyze` as usage
-//! errors naming the flag: exit 1, an `error: …` first line on stderr,
+//! errors naming the flag: exit 2, an `error: …` first line on stderr,
 //! nothing on stdout, and no panic. A trace too sparse to synthesize
-//! from is an error too, after its analysis is printed.
+//! from is a runtime error (exit 1), after its analysis is printed.
+//! Every binary of the crate keeps the workspace's command-line
+//! convention.
+
+#[path = "../../obs/tests/support/cli_convention.rs"]
+mod convention;
 
 use std::process::Command;
 
@@ -21,7 +26,7 @@ fn run(binary: &str, args: &[&str]) -> (Option<i32>, String, String) {
 
 fn assert_usage_error(binary: &str, args: &[&str], first_line: &str) {
     let (code, stdout, stderr) = run(binary, args);
-    assert_eq!(code, Some(1), "{args:?}: {stderr}");
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
     assert!(stdout.is_empty(), "{args:?}: {stdout}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     assert_eq!(
@@ -89,4 +94,45 @@ fn swim_analyze_reports_a_sampled_day_without_jobs() {
         Some("error: the sampled day holds no job; nothing to synthesize"),
         "{stderr}"
     );
+}
+
+#[test]
+fn every_binary_keeps_the_convention() {
+    let analyze = env!("CARGO_BIN_EXE_swim-analyze");
+    let flags = [
+        "--input",
+        "--format",
+        "--machines",
+        "--name",
+        "--export",
+        "--convert",
+        "--to",
+        "--synthesize",
+        "--bundle",
+        "--demo",
+    ];
+    convention::help_names_every_flag(analyze, &flags);
+    convention::refuses_bogus_and_missing_value(analyze, &[], "--input");
+
+    let report = env!("CARGO_BIN_EXE_swim-report");
+    let flags = ["--traces", "--out", "--format", "--machines", "--threads"];
+    convention::help_names_every_flag(report, &flags);
+    convention::refuses_bogus_and_missing_value(report, &[], "--out");
+
+    let repro = env!("CARGO_BIN_EXE_swim-repro");
+    let flags = ["--quick", "--seed", "--format", "--list"];
+    convention::help_names_every_flag(repro, &flags);
+    convention::refuses_bogus_and_missing_value(repro, &[], "--seed");
+}
+
+#[test]
+fn a_reader_that_closes_early_ends_the_output_without_a_panic() {
+    // One experiment at a time: the reader is gone before the second.
+    let repro = env!("CARGO_BIN_EXE_swim-repro");
+    convention::early_close_is_success(repro, &["--seed", "17", "all"]);
+    // Forty-eight traces make a report larger than a pipe holds.
+    let a = concat!(env!("CARGO_MANIFEST_DIR"), "/../../testdata/sample-a.csv");
+    let b = concat!(env!("CARGO_MANIFEST_DIR"), "/../../testdata/sample-b.swim");
+    let traces: Vec<&str> = [a, b].into_iter().cycle().take(48).collect();
+    convention::early_close_is_success(env!("CARGO_BIN_EXE_swim-report"), &traces);
 }

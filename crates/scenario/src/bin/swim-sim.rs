@@ -16,6 +16,7 @@
 //! reduction the wave engine achieves.
 
 use std::process::ExitCode;
+use swim_obs::cli::{self as run, Cli, Command, Error, Flag};
 use swim_obs::render::Table;
 use swim_report::experiments::swimexp::cache_label;
 use swim_report::render::pct;
@@ -27,37 +28,29 @@ use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, PathId};
 use swim_workloadgen::{GeneratorConfig, GeneratorError, WorkloadGenerator};
 
-struct Args {
-    /// Workload, days, scale and seed of the synthesized trace.
-    generator: GeneratorConfig,
-    repeat: usize,
-    nodes: Vec<u32>,
-    schedulers: Vec<SchedulerKind>,
-    caches: Vec<Option<(CachePolicy, DataSize)>>,
-    per_task: bool,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            generator: GeneratorConfig {
-                days: Some(2.0),
-                scale: 0.3,
-                seed: 42,
-                ..GeneratorConfig::new(WorkloadKind::CcE)
-            },
-            repeat: 1,
-            nodes: vec![20, 50],
-            schedulers: vec![SchedulerKind::Fifo, SchedulerKind::Fair],
-            caches: vec![
-                None,
-                Some((CachePolicy::Lru, DataSize::from_gb(10))),
-                Some((CachePolicy::Unlimited, DataSize::ZERO)),
-            ],
-            per_task: false,
-        }
-    }
-}
+const CLI: Cli = Cli {
+    name: "swim-sim",
+    commands: &[Command {
+        name: "",
+        args: "",
+        flags: &[&[
+            Flag::value("--workload", "KIND", "workload to synthesize (default cc-e)"),
+            Flag::value("--days", "F", "days to synthesize (default 2)"),
+            Flag::value("--scale", "F", "generator scale (default 0.3)"),
+            Flag::value("--seed", "N", "generator seed (default 42)"),
+            Flag::value("--repeat", "N", "tile the plan N times"),
+            Flag::value("--nodes", "20,50", "cluster sizes to sweep"),
+            Flag::value("--schedulers", "fifo,fair", "schedulers to sweep"),
+            Flag::value("--caches", "none,lru:10gb,unlimited", "caches to sweep"),
+            Flag::switch("--per-task", "also run the per-task engine"),
+        ]],
+    }],
+    notes: "wave-scheduled replay simulator: parallel what-if sweeps\n\
+            workloads: cc-a cc-b cc-c cc-d cc-e fb-2009 fb-2010\n\
+            caches: none | unlimited | lru:CAP | lfu:CAP | threshold:THR:CAP (sizes like 512mb, 10gb)\n\
+            --per-task runs the per-task reference engine on the first scenario and \
+            reports the wave engine's event reduction\n",
+};
 
 fn parse_workload(s: &str) -> Result<WorkloadKind, String> {
     let norm = s.to_ascii_lowercase().replace('_', "-");
@@ -132,108 +125,50 @@ fn parse_list<T>(s: &str, parse: impl Fn(&str) -> Result<T, String>) -> Result<V
         .collect()
 }
 
-fn parse_args(argv: Vec<String>) -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut iter = argv.into_iter();
-    let next_value = |flag: &str, iter: &mut std::vec::IntoIter<String>| {
-        iter.next().ok_or(format!("{flag} requires a value"))
+fn main() -> ExitCode {
+    run::main(&CLI, body)
+}
+
+fn body(args: run::Args) -> Result<(), Error> {
+    let mut g = GeneratorConfig {
+        days: Some(2.0),
+        scale: 0.3,
+        seed: 42,
+        ..GeneratorConfig::new(WorkloadKind::CcE)
     };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--workload" => {
-                args.generator.kind = parse_workload(&next_value("--workload", &mut iter)?)?
-            }
-            "--days" => {
-                args.generator.days = Some(
-                    next_value("--days", &mut iter)?
-                        .parse()
-                        .map_err(|_| "--days expects a number".to_string())?,
-                )
-            }
-            "--scale" => {
-                args.generator.scale = next_value("--scale", &mut iter)?
-                    .parse()
-                    .map_err(|_| "--scale expects a number".to_string())?
-            }
-            "--seed" => {
-                args.generator.seed = next_value("--seed", &mut iter)?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?
-            }
-            "--repeat" => {
-                args.repeat = next_value("--repeat", &mut iter)?
-                    .parse()
-                    .map_err(|_| "--repeat expects an integer".to_string())?;
-                if args.repeat == 0 {
-                    return Err("--repeat must be ≥ 1".into());
-                }
-            }
-            "--nodes" => {
-                args.nodes = parse_list(&next_value("--nodes", &mut iter)?, |p| {
-                    p.parse().map_err(|_| format!("bad node count {p}"))
-                })?
-            }
-            "--schedulers" => {
-                args.schedulers =
-                    parse_list(&next_value("--schedulers", &mut iter)?, parse_scheduler)?
-            }
-            "--caches" => {
-                args.caches = parse_list(&next_value("--caches", &mut iter)?, parse_cache)?
-            }
-            "--per-task" => args.per_task = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
-        }
+    if let Some(kind) = args.value("--workload") {
+        g.kind = parse_workload(kind).map_err(Error::Usage)?;
     }
-    if args.nodes.is_empty() || args.schedulers.is_empty() || args.caches.is_empty() {
-        return Err("every grid axis needs at least one entry".into());
+    g.days = args.parse("--days", "a number")?.or(g.days);
+    g.scale = args.parse("--scale", "a number")?.unwrap_or(g.scale);
+    g.seed = args.parse("--seed", "an integer")?.unwrap_or(g.seed);
+    let repeat: usize = args.parse("--repeat", "an integer")?.unwrap_or(1);
+    if repeat == 0 {
+        return Err(Error::Usage("--repeat must be ≥ 1".into()));
     }
-    args.generator.validate().map_err(|e| match e {
+    let list = |flag, default| args.value(flag).unwrap_or(default);
+    let nodes: Vec<u32> = parse_list(list("--nodes", "20,50"), |p| {
+        p.parse().map_err(|_| format!("bad node count {p}"))
+    })
+    .map_err(Error::Usage)?;
+    let schedulers =
+        parse_list(list("--schedulers", "fifo,fair"), parse_scheduler).map_err(Error::Usage)?;
+    let caches = parse_list(list("--caches", "none,lru:10gb,unlimited"), parse_cache)
+        .map_err(Error::Usage)?;
+    if nodes.is_empty() || schedulers.is_empty() || caches.is_empty() {
+        return Err(Error::Usage(
+            "every grid axis needs at least one entry".into(),
+        ));
+    }
+    g.validate().map_err(|e| match e {
         GeneratorError::InvalidConfig {
             field,
             value,
             constraint,
-        } => format!("--{field} {constraint} (got {value})"),
-        other => other.to_string(),
+        } => Error::Usage(format!("--{field} {constraint} (got {value})")),
+        other => Error::Usage(other.to_string()),
     })?;
-    Ok(args)
-}
 
-fn print_help() {
-    eprintln!(
-        "swim-sim — wave-scheduled replay simulator: parallel what-if sweeps\n\n\
-         usage: swim-sim [--workload KIND] [--days F] [--scale F] [--seed N]\n\
-         \u{20}               [--repeat N] [--nodes 20,50] [--schedulers fifo,fair]\n\
-         \u{20}               [--caches none,lru:10gb,unlimited] [--per-task]\n\n\
-         workloads: cc-a cc-b cc-c cc-d cc-e fb-2009 fb-2010\n\
-         caches:    none | unlimited | lru:CAP | lfu:CAP | threshold:THR:CAP\n\
-         \u{20}          (sizes like 512mb, 10gb)\n\
-         --repeat   tile the synthesized plan N times (bigger job streams)\n\
-         --per-task also run the per-task reference engine on the first\n\
-         \u{20}          scenario and report the wave engine's event reduction"
-    );
-}
-
-fn main() -> ExitCode {
-    // SWIM_OBS=span,metric collects sim counters/spans; the snapshot can
-    // be exported with SWIM_OBS_JSONL=FILE.
-    swim_obs::init_from_env();
-    let args = match parse_args(std::env::args().skip(1).collect()) {
-        Ok(args) => args,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            print_help();
-            return if msg.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
-    };
-
-    let g = &args.generator;
     eprintln!(
         "synthesizing {} ({} days, scale {}, seed {}) ...",
         g.kind,
@@ -243,8 +178,8 @@ fn main() -> ExitCode {
     );
     let trace = WorkloadGenerator::new(g.clone()).generate();
     let mut plan = ReplayPlan::from_trace(&trace);
-    if args.repeat > 1 {
-        plan = plan.repeat(args.repeat);
+    if repeat > 1 {
+        plan = plan.repeat(repeat);
     }
     // Shared input paths from the generator's file model, so the cache
     // axis sees the workload's real re-access pattern. Jobs without path
@@ -268,15 +203,15 @@ fn main() -> ExitCode {
         plan.schedule_length()
     );
 
-    let grid = ScenarioGrid::new(args.nodes.clone())
-        .schedulers(args.schedulers.clone())
-        .caches(args.caches.clone());
+    let grid = ScenarioGrid::new(nodes.clone())
+        .schedulers(schedulers.clone())
+        .caches(caches.clone());
     eprintln!(
         "sweeping {} scenarios ({} nodes × {} schedulers × {} caches) in parallel ...",
         grid.len(),
-        args.nodes.len(),
-        args.schedulers.len(),
-        args.caches.len()
+        nodes.len(),
+        schedulers.len(),
+        caches.len()
     );
     let (cells, elapsed) = swim_obs::timed("bench.sim_sweep", || {
         Simulator::sweep(&grid, &plan, Some(&paths))
@@ -309,16 +244,16 @@ fn main() -> ExitCode {
             r.events.to_string(),
         ]);
     }
-    println!("{}", table.render());
-    println!(
-        "swept {} scenarios over {} jobs in {:.2?} ({:.1} scenarios/s)",
+    run::print(&format!(
+        "{}\nswept {} scenarios over {} jobs in {:.2?} ({:.1} scenarios/s)\n",
+        table.render(),
         cells.len(),
         plan.len(),
         elapsed,
         cells.len() as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
+    ))?;
 
-    if args.per_task {
+    if args.has("--per-task") {
         let config = grid.configs()[0];
         eprintln!("\nrunning per-task reference engine on the first scenario ...");
         let (wave, wave_elapsed) = swim_obs::timed("bench.sim_wave_engine", || {
@@ -327,24 +262,22 @@ fn main() -> ExitCode {
         let (per_task, ref_elapsed) = swim_obs::timed("bench.sim_per_task_engine", || {
             run_per_task(&config, &plan, Some(&paths))
         });
-        println!(
+        run::print(&format!(
             "wave engine:     {} heap events, {:.2?}\n\
              per-task engine: {} heap events, {:.2?}\n\
-             reduction:       {:.1}x fewer events, {:.1}x wall-clock speedup",
+             reduction:       {:.1}x fewer events, {:.1}x wall-clock speedup\n",
             wave.events,
             wave_elapsed,
             per_task.events,
             ref_elapsed,
             per_task.events as f64 / wave.events.max(1) as f64,
             ref_elapsed.as_secs_f64() / wave_elapsed.as_secs_f64().max(1e-9)
-        );
+        ))?;
         if wave.outcomes != per_task.outcomes {
-            eprintln!("WARNING: engines disagree on per-job outcomes");
-            return ExitCode::FAILURE;
+            return Err(Error::Runtime(
+                "engines disagree on per-job outcomes".into(),
+            ));
         }
     }
-    if let Err(e) = swim_obs::jsonl::append_env(&swim_obs::snapshot()) {
-        eprintln!("warning: SWIM_OBS_JSONL: {e}");
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -21,143 +21,85 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use swim_obs::cli::{self as run, Args, Cli, Command, Error, Flag};
 use swim_serve::client;
 use swim_serve::top::{self, Dashboard, Sample, HISTORY_LEN};
 
-const USAGE: &str = "usage: swim-top --addr HOST:PORT [--interval SECS] [--count N] [--once] \
- [--format text|json|md] [--mask] [--raw CMD]\n\
- polls swim-serve metrics and renders a live dashboard\n\
- --addr H:P      the server to watch (required)\n\
- --interval SECS seconds between polls (default 2)\n\
- --count N       stop after N ticks (default: run until the server goes away)\n\
- --once          poll once, print one dashboard, exit\n\
- --format F      output format for --once: text (default), json, or md\n\
- --mask          poll `metrics --mask` (byte-stable output for goldens)\n\
- --raw CMD       send one wire request verbatim and print its body";
+const CLI: Cli = Cli {
+    name: "swim-top",
+    commands: &[Command {
+        name: "",
+        args: "",
+        flags: &[&[
+            Flag::value("--addr", "HOST:PORT", "the server to watch (required)"),
+            Flag::value("--interval", "SECS", "seconds between polls (default 2)"),
+            Flag::value("--count", "N", "stop after N ticks"),
+            Flag::switch("--once", "poll once, print one dashboard"),
+            Flag::value(
+                "--format",
+                "text|json|md",
+                "format for --once (default text)",
+            ),
+            Flag::switch("--mask", "poll `metrics --mask` (byte-stable)"),
+            Flag::value("--raw", "CMD", "send one request; print its body"),
+        ]],
+    }],
+    notes: "polls swim-serve metrics and renders a live dashboard until the server goes away\n",
+};
 
-enum CliError {
-    Usage(String),
-    Runtime(String),
-}
-
-impl CliError {
-    fn exit(self) -> ExitCode {
-        match self {
-            CliError::Usage(msg) => {
-                eprintln!("error: {msg}\n\n{USAGE}");
-                ExitCode::from(2)
-            }
-            CliError::Runtime(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        }
+/// The value of `flag` as a positive integer, if given.
+fn positive(args: &Args, flag: &str) -> Result<Option<u64>, Error> {
+    match args.parse(flag, "a positive integer")? {
+        Some(0) => Err(Error::Usage(format!(
+            "{flag} requires a positive integer, got \"0\""
+        ))),
+        n => Ok(n),
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Md,
+fn main() -> ExitCode {
+    run::main(&CLI, body)
 }
 
-struct Args {
-    addr: SocketAddr,
-    interval: u64,
-    count: Option<u64>,
-    once: bool,
-    format: Format,
-    mask: bool,
-    raw: Option<String>,
-}
-
-/// `Ok(None)` means `--help` was requested.
-fn parse_args() -> Result<Option<Args>, String> {
-    let mut addr = String::new();
-    let mut args = Args {
-        addr: ([127, 0, 0, 1], 0).into(),
-        interval: 2,
-        count: None,
-        once: false,
-        format: Format::Text,
-        mask: false,
-        raw: None,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut next = |flag: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = next("--addr")?,
-            "--interval" => {
-                let value = next("--interval")?;
-                args.interval = value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--interval requires a positive integer, got {value:?}")
-                })?;
-            }
-            "--count" => {
-                let value = next("--count")?;
-                args.count = Some(value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--count requires a positive integer, got {value:?}")
-                })?);
-            }
-            "--once" => args.once = true,
-            "--format" => {
-                args.format = match next("--format")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "md" => Format::Md,
-                    other => {
-                        return Err(format!("--format must be text, json, or md, got {other:?}"))
-                    }
-                };
-            }
-            "--mask" => args.mask = true,
-            "--raw" => args.raw = Some(next("--raw")?),
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if addr.is_empty() {
-        return Err("--addr is required (swim-top --addr HOST:PORT)".into());
-    }
-    args.addr = addr
+fn body(args: Args) -> Result<(), Error> {
+    let addr = args
+        .value("--addr")
+        .ok_or_else(|| Error::Usage("--addr is required (swim-top --addr HOST:PORT)".into()))?;
+    let addr: SocketAddr = addr
         .parse()
-        .map_err(|_| format!("--addr must be HOST:PORT, got {addr:?}"))?;
-    if args.format != Format::Text && !args.once && args.raw.is_none() {
-        return Err("--format json|md requires --once".into());
-    }
-    Ok(Some(args))
-}
-
-/// `--raw CMD`: one wire request, body verbatim on stdout. Typed error
-/// responses exit 1 with the server's kind and message.
-fn run_raw(args: &Args, line: &str) -> Result<(), CliError> {
-    let resp = client::request(args.addr, line).map_err(|e| CliError::Runtime(e.to_string()))?;
-    if !resp.ok {
-        let kind = resp.kind.map_or("error", |k| k.as_str());
-        return Err(CliError::Runtime(format!(
-            "{kind}: {}",
-            resp.body_text().trim()
+        .map_err(|_| Error::Usage(format!("--addr must be HOST:PORT, got {addr:?}")))?;
+    let interval = positive(&args, "--interval")?.unwrap_or(2);
+    let count = positive(&args, "--count")?;
+    let format = args.value("--format").unwrap_or("text");
+    if !matches!(format, "text" | "json" | "md") {
+        return Err(Error::Usage(format!(
+            "--format must be text, json, or md, got {format:?}"
         )));
     }
-    print!("{}", resp.body_text());
-    Ok(())
-}
-
-fn run(args: Args) -> Result<(), CliError> {
-    if let Some(line) = &args.raw {
-        return run_raw(&args, line);
+    let raw = args.value("--raw");
+    if format != "text" && !args.has("--once") && raw.is_none() {
+        return Err(Error::Usage("--format json|md requires --once".into()));
+    }
+    if let Some(line) = raw {
+        // One wire request, body verbatim on stdout. Typed error
+        // responses exit 1 with the server's kind and message.
+        let resp = client::request(addr, line)?;
+        if !resp.ok {
+            let kind = resp.kind.map_or("error", |k| k.as_str());
+            return Err(Error::Runtime(format!(
+                "{kind}: {}",
+                resp.body_text().trim()
+            )));
+        }
+        run::print(&resp.body_text())?;
+        return Ok(());
     }
     let mut prev: Option<Sample> = None;
     let mut history: Vec<f64> = Vec::new();
     let mut tick = 0u64;
     loop {
-        let sample = top::poll(args.addr, args.mask)
-            .map_err(|e| CliError::Runtime(format!("poll {} failed: {e}", args.addr)))?;
+        let sample =
+            top::poll(addr, args.has("--mask")).map_err(|e| format!("poll {addr} failed: {e}"))?;
         let dash = Dashboard::from_samples(prev.as_ref(), &sample);
         if let Some(rate) = dash.req_per_sec {
             history.push(rate);
@@ -165,36 +107,17 @@ fn run(args: Args) -> Result<(), CliError> {
                 history.remove(0);
             }
         }
-        match args.format {
-            Format::Text => print!("{}", dash.render_text(&history)),
-            Format::Json => print!("{}", dash.render_json()),
-            Format::Md => print!("{}", dash.render_md(&history)),
-        }
+        let text = match format {
+            "json" => dash.render_json(),
+            "md" => dash.render_md(&history),
+            _ => dash.render_text(&history),
+        };
         tick += 1;
-        if args.once || args.count == Some(tick) {
+        // A reader that has gone away ends the watch, as --count does.
+        if !run::print(&text)? || args.has("--once") || count == Some(tick) {
             return Ok(());
         }
         prev = Some(sample);
-        std::thread::sleep(Duration::from_secs(args.interval));
-    }
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Ok(Some(args)) => args,
-        Err(msg) => return CliError::Usage(msg).exit(),
-    };
-    swim_obs::init_from_env();
-    let result = run(args);
-    if let Err(e) = swim_obs::jsonl::append_env(&swim_obs::snapshot()) {
-        eprintln!("warning: SWIM_OBS_JSONL: {e}");
-    }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => err.exit(),
+        std::thread::sleep(Duration::from_secs(interval));
     }
 }

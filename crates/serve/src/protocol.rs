@@ -182,10 +182,11 @@ pub fn write_error(w: &mut impl Write, kind: ErrorKind, message: &str) -> io::Re
     w.write_all(&encode_error(kind, message))
 }
 
-/// Write a request line (appends the newline).
+/// Write a request line and its newline in one write, so a request on
+/// a `nodelay` stream leaves as one segment and the server's line read
+/// wakes once.
 pub fn write_request(w: &mut impl Write, line: &str) -> io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
+    w.write_all(format!("{line}\n").as_bytes())?;
     w.flush()
 }
 
@@ -253,6 +254,27 @@ pub fn read_response(r: &mut impl BufRead) -> io::Result<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_request_is_one_write() {
+        /// Counts `write` calls and keeps the bytes.
+        struct Counting(usize, Vec<u8>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(0, Vec::new());
+        write_request(&mut w, "query --select count").unwrap();
+        write_request(&mut w, "ping").unwrap();
+        assert_eq!(w.0, 2, "one write per request");
+        assert_eq!(w.1, b"query --select count\nping\n");
+    }
 
     #[test]
     fn tokenize_plain_and_quoted() {

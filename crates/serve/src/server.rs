@@ -58,6 +58,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use swim_catalog::{Catalog, CatalogError, CatalogOptions, Manifest, MANIFEST_FILE};
+use swim_obs::cli::{Args, Cli, Command, Flag};
 use swim_obs::clock;
 use swim_obs::{Counter, Gauge};
 use swim_query::{cli, Session};
@@ -825,6 +826,58 @@ fn error_response(
     (protocol::encode_error(kind, message), Action::Continue)
 }
 
+/// A typed refusal: the error kind and its message, encoded by
+/// `process_request` through `error_response`.
+type Refusal = (ErrorKind, String);
+
+/// What a command handler produces: its encoded `ok` frame, or a
+/// refusal.
+type Handled = Result<(Vec<u8>, Action), Refusal>;
+
+fn bad_request(message: impl Into<String>) -> Refusal {
+    (ErrorKind::BadRequest, message.into())
+}
+
+fn internal(e: impl std::fmt::Display) -> Refusal {
+    (ErrorKind::Internal, e.to_string())
+}
+
+/// A wire `query`'s flags: the shared query set, plus `--fault` (honoured
+/// only by a server started with fault injection enabled).
+const QUERY_ARGS: Cli = Cli {
+    name: "query",
+    commands: &[Command {
+        name: "",
+        args: "",
+        flags: &[
+            cli::FLAGS,
+            &[Flag::value("--fault", "KIND", "inject a fault")],
+        ],
+    }],
+    notes: "",
+};
+
+/// The `[--format text|json] [--mask]` tail of the read-only telemetry
+/// commands.
+const TELEMETRY_ARGS: Cli = Cli {
+    name: "",
+    commands: &[Command {
+        name: "",
+        args: "",
+        flags: &[&[
+            Flag::value("--format", "text|json", "body format"),
+            Flag::switch("--mask", "blank scheduling-dependent fields"),
+        ]],
+    }],
+    notes: "",
+};
+
+/// Parse wire tokens against `table`; `--help` is not a wire request.
+fn wire_args(table: &Cli, tokens: &[String]) -> Result<Args, Refusal> {
+    let parsed = swim_obs::cli::parse(table, tokens).map_err(bad_request)?;
+    parsed.ok_or_else(|| bad_request("--help is not available over the wire"))
+}
+
 /// A `query` line recognised before it is parsed: the session its
 /// request is pinned to, and the line as the cache may key it.
 struct PinnedLine<'a> {
@@ -833,6 +886,13 @@ struct PinnedLine<'a> {
 }
 
 fn process_request(shared: &Arc<Shared>, line: &str, meta: &mut ReqMeta) -> (Vec<u8>, Action) {
+    match dispatch(shared, line, meta) {
+        Ok(response) => response,
+        Err((kind, message)) => error_response(shared, meta, kind, &message),
+    }
+}
+
+fn dispatch(shared: &Arc<Shared>, line: &str, meta: &mut ReqMeta) -> Handled {
     // A line whose first word is the bare `query` is a query request
     // however the rest of it tokenizes. Its session is pinned — the
     // on-disk generation peeked — before anything else, and a line this
@@ -848,21 +908,18 @@ fn process_request(shared: &Arc<Shared>, line: &str, meta: &mut ReqMeta) -> (Vec
         if let Some(body) = shared.cache.lookup(generation, KeyKind::Line, line) {
             meta.command = "query";
             meta.class = RequestClass::Cached;
-            return ok_response(shared, meta, generation, true, &body);
+            return Ok(ok_response(shared, meta, generation, true, &body));
         }
     }
-    let tokens = match protocol::tokenize(line) {
-        Ok(t) => t,
-        Err(msg) => return error_response(shared, meta, ErrorKind::BadRequest, &msg),
-    };
+    let tokens = protocol::tokenize(line).map_err(bad_request)?;
     let Some((command, rest)) = tokens.split_first() else {
-        return error_response(shared, meta, ErrorKind::BadRequest, "empty request");
+        return Err(bad_request("empty request"));
     };
     match command.as_str() {
         "ping" => {
             meta.command = "ping";
             let generation = shared.current_session().generation().unwrap_or(0);
-            ok_response(shared, meta, generation, false, b"pong\n")
+            Ok(ok_response(shared, meta, generation, false, b"pong\n"))
         }
         "query" => {
             meta.command = "query";
@@ -894,17 +951,12 @@ fn process_request(shared: &Arc<Shared>, line: &str, meta: &mut ReqMeta) -> (Vec
             RESPONSES_OK.incr();
             meta.generation = generation;
             meta.outcome = "ok";
-            (
-                protocol::encode_ok(generation, false, b"shutting down\n"),
-                Action::Shutdown,
-            )
+            let frame = protocol::encode_ok(generation, false, b"shutting down\n");
+            Ok((frame, Action::Shutdown))
         }
-        other => error_response(
-            shared,
-            meta,
-            ErrorKind::BadRequest,
-            &format!("unknown command {other} (expected ping, query, stats, metrics, ingest, compact, vacuum, or shutdown)"),
-        ),
+        other => Err(bad_request(format!(
+            "unknown command {other} (expected ping, query, stats, metrics, ingest, compact, vacuum, or shutdown)"
+        ))),
     }
 }
 
@@ -936,69 +988,25 @@ fn handle_query(
     meta: &mut ReqMeta,
     args: &[String],
     pinned: Option<PinnedLine<'_>>,
-) -> (Vec<u8>, Action) {
+) -> Handled {
     meta.class = RequestClass::Query;
-    let mut flags = cli::QueryFlags::new();
-    let mut fault = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--fault" {
-            match iter.next() {
-                Some(value) => match parse_fault(value) {
-                    Ok(f) => fault = Some(f),
-                    Err(msg) => return error_response(shared, meta, ErrorKind::BadRequest, &msg),
-                },
-                None => {
-                    return error_response(
-                        shared,
-                        meta,
-                        ErrorKind::BadRequest,
-                        "--fault requires a value",
-                    )
-                }
-            }
-            continue;
-        }
-        let accepted = flags.accept(arg, || {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        });
-        match accepted {
-            Ok(true) => {}
-            Ok(false) => {
-                return error_response(
-                    shared,
-                    meta,
-                    ErrorKind::BadRequest,
-                    &format!("unexpected argument {arg}"),
-                )
-            }
-            Err(msg) => return error_response(shared, meta, ErrorKind::BadRequest, &msg),
-        }
-    }
-    if let Err(msg) = flags.validate() {
-        return error_response(shared, meta, ErrorKind::BadRequest, &msg);
-    }
+    let args = wire_args(&QUERY_ARGS, args)?;
+    let fault = args
+        .value("--fault")
+        .map(parse_fault)
+        .transpose()
+        .map_err(bad_request)?;
+    let flags = cli::QueryFlags::from_args(&args).map_err(bad_request)?;
     if flags.explain || flags.profile {
-        return error_response(
-            shared,
-            meta,
-            ErrorKind::BadRequest,
+        return Err(bad_request(
             "--explain and --profile are not available over the wire",
-        );
+        ));
     }
-    let query = match flags.build_query() {
-        Ok(q) => q,
-        Err(msg) => return error_response(shared, meta, ErrorKind::BadRequest, &msg),
-    };
+    let query = flags.build_query().map_err(bad_request)?;
     if fault.is_some() && !shared.options.allow_faults {
-        return error_response(
-            shared,
-            meta,
-            ErrorKind::BadRequest,
+        return Err(bad_request(
             "--fault requires a server started with fault injection enabled",
-        );
+        ));
     }
     if let Some(Fault::Panic) = fault {
         // Deliberately kill this worker mid-request; handle_connection
@@ -1032,15 +1040,12 @@ fn handle_query(
                 .insert(generation, KeyKind::Line, line, Arc::clone(&body));
         }
         meta.class = RequestClass::Cached;
-        return ok_response(shared, meta, generation, true, &body);
+        return Ok(ok_response(shared, meta, generation, true, &body));
     }
     let (executed, elapsed) =
         swim_obs::timed("serve.execute", || session.execute(&query, flags.serial));
     meta.execute_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-    let result = match executed {
-        Ok(result) => result,
-        Err(e) => return error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
-    };
+    let result = executed.map_err(internal)?;
     // Rendered once, here; every later hit sends these bytes as they are.
     let (body, render_elapsed) = swim_obs::timed("serve.render", || {
         let title = format!("swim-serve: generation {generation}");
@@ -1054,49 +1059,42 @@ fn handle_query(
     shared
         .cache
         .insert(generation, kind, &canonical, Arc::clone(&body));
-    ok_response(shared, meta, generation, false, &body)
+    Ok(ok_response(shared, meta, generation, false, &body))
 }
 
 /// Parse the shared `[--format text|json] [--mask]` tail of the
 /// read-only telemetry commands. Returns `(json, mask)`.
-fn parse_telemetry_args(command: &str, args: &[String]) -> Result<(bool, bool), String> {
-    let mut json = false;
-    let mut mask = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--format" => match iter.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                Some(other) => {
-                    return Err(format!("unknown format {other} (expected text or json)"))
-                }
-                None => return Err("--format requires a value".to_owned()),
-            },
-            "--mask" => mask = true,
-            other => return Err(format!("{command} does not take {other}")),
+fn parse_telemetry_args(args: &[String]) -> Result<(bool, bool), Refusal> {
+    let args = wire_args(&TELEMETRY_ARGS, args)?;
+    let json = match args.value("--format") {
+        None | Some("text") => false,
+        Some("json") => true,
+        Some(other) => {
+            return Err(bad_request(format!(
+                "unknown format {other} (expected text or json)"
+            )))
         }
-    }
-    Ok((json, mask))
+    };
+    Ok((json, args.has("--mask")))
 }
 
-fn handle_stats(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (Vec<u8>, Action) {
-    let (json, mask) = match parse_telemetry_args("stats", args) {
-        Ok(parsed) => parsed,
-        Err(msg) => return error_response(shared, meta, ErrorKind::BadRequest, &msg),
-    };
+fn handle_stats(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> Handled {
+    let (json, mask) = parse_telemetry_args(args)?;
     if mask {
-        return error_response(
-            shared,
-            meta,
-            ErrorKind::BadRequest,
+        return Err(bad_request(
             "stats has no masked fields (use metrics --mask)",
-        );
+        ));
     }
     let stats = shared.stats();
     if json {
         let body = telemetry::render_stats_json(&stats);
-        return ok_response(shared, meta, stats.generation, false, body.as_bytes());
+        return Ok(ok_response(
+            shared,
+            meta,
+            stats.generation,
+            false,
+            body.as_bytes(),
+        ));
     }
     let body = format!(
         "generation: {}\nadmitted: {}\nqueued: {}\nretired_sessions: {}\nrequests: {}\n\
@@ -1117,7 +1115,13 @@ fn handle_stats(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (V
         stats.cache.entries,
         stats.cache.capacity,
     );
-    ok_response(shared, meta, stats.generation, false, body.as_bytes())
+    Ok(ok_response(
+        shared,
+        meta,
+        stats.generation,
+        false,
+        body.as_bytes(),
+    ))
 }
 
 /// `metrics [--format text|json] [--mask]`: the live-telemetry
@@ -1125,117 +1129,92 @@ fn handle_stats(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (V
 /// per-class latency quantiles. Read-only, allowed without `--admin`;
 /// `--mask` blanks the scheduling-dependent fields so a deterministic
 /// request sequence yields a byte-stable body (CI golden-pins it).
-fn handle_metrics(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (Vec<u8>, Action) {
-    let (json, mask) = match parse_telemetry_args("metrics", args) {
-        Ok(parsed) => parsed,
-        Err(msg) => return error_response(shared, meta, ErrorKind::BadRequest, &msg),
-    };
+fn handle_metrics(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> Handled {
+    let (json, mask) = parse_telemetry_args(args)?;
     let snapshot = shared.telemetry.snapshot(shared.stats());
     let body = if json {
         snapshot.render_json(mask)
     } else {
         snapshot.render_text(mask)
     };
-    ok_response(
+    let generation = snapshot.stats.generation;
+    Ok(ok_response(
         shared,
         meta,
-        snapshot.stats.generation,
+        generation,
         false,
         body.as_bytes(),
-    )
+    ))
 }
 
-fn admin_gate(shared: &Shared, meta: &mut ReqMeta) -> Option<(Vec<u8>, Action)> {
-    if shared.options.allow_admin {
-        meta.class = RequestClass::Admin;
-        None
-    } else {
-        Some(error_response(
-            shared,
-            meta,
-            ErrorKind::BadRequest,
+fn admin_gate(shared: &Shared, meta: &mut ReqMeta) -> Result<(), Refusal> {
+    if !shared.options.allow_admin {
+        return Err(bad_request(
             "admin commands are disabled (start the server with --admin)",
-        ))
+        ));
     }
+    meta.class = RequestClass::Admin;
+    Ok(())
 }
 
-fn handle_ingest(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (Vec<u8>, Action) {
-    if let Some(denied) = admin_gate(shared, meta) {
-        return denied;
-    }
+fn handle_ingest(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> Handled {
+    admin_gate(shared, meta)?;
     let [path] = args else {
-        return error_response(
-            shared,
-            meta,
-            ErrorKind::BadRequest,
-            "ingest requires exactly one trace path",
-        );
+        return Err(bad_request("ingest requires exactly one trace path"));
     };
     let _writer = lock(&shared.writer);
-    let mut catalog = match Catalog::open(&shared.dir) {
-        Ok(c) => c,
-        Err(e) => return error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
-    };
-    match catalog.ingest_path(path, 100, &CatalogOptions::default()) {
-        Ok(stats) => {
-            let generation = catalog.generation();
-            drop(catalog);
-            // Publish the new generation to subsequent requests now
-            // rather than on their first post-ingest peek.
-            let _ = shared.current_session();
-            let body = format!(
-                "ingested: shards={} jobs={} generation={generation}\n",
-                stats.shards, stats.jobs
-            );
-            ok_response(shared, meta, generation, false, body.as_bytes())
-        }
-        Err(e) => error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
-    }
+    let mut catalog = Catalog::open(&shared.dir).map_err(internal)?;
+    let stats = catalog
+        .ingest_path(path, 100, &CatalogOptions::default())
+        .map_err(internal)?;
+    let generation = catalog.generation();
+    drop(catalog);
+    // Publish the new generation to subsequent requests now rather than
+    // on their first post-ingest peek.
+    let _ = shared.current_session();
+    let body = format!(
+        "ingested: shards={} jobs={} generation={generation}\n",
+        stats.shards, stats.jobs
+    );
+    Ok(ok_response(
+        shared,
+        meta,
+        generation,
+        false,
+        body.as_bytes(),
+    ))
 }
 
-fn handle_compact(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (Vec<u8>, Action) {
-    if let Some(denied) = admin_gate(shared, meta) {
-        return denied;
-    }
+fn handle_compact(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> Handled {
+    admin_gate(shared, meta)?;
     if !args.is_empty() {
-        return error_response(
-            shared,
-            meta,
-            ErrorKind::BadRequest,
-            "compact takes no arguments",
-        );
+        return Err(bad_request("compact takes no arguments"));
     }
     let _writer = lock(&shared.writer);
-    let mut catalog = match Catalog::open(&shared.dir) {
-        Ok(c) => c,
-        Err(e) => return error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
-    };
-    match catalog.compact(&CatalogOptions::default()) {
-        Ok(stats) => {
-            let generation = catalog.generation();
-            drop(catalog);
-            let _ = shared.current_session();
-            let body = format!(
-                "compacted: rewritten={} created={} jobs={} generation={generation}\n",
-                stats.rewritten, stats.created, stats.jobs
-            );
-            ok_response(shared, meta, generation, false, body.as_bytes())
-        }
-        Err(e) => error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
-    }
+    let mut catalog = Catalog::open(&shared.dir).map_err(internal)?;
+    let stats = catalog
+        .compact(&CatalogOptions::default())
+        .map_err(internal)?;
+    let generation = catalog.generation();
+    drop(catalog);
+    let _ = shared.current_session();
+    let body = format!(
+        "compacted: rewritten={} created={} jobs={} generation={generation}\n",
+        stats.rewritten, stats.created, stats.jobs
+    );
+    Ok(ok_response(
+        shared,
+        meta,
+        generation,
+        false,
+        body.as_bytes(),
+    ))
 }
 
-fn handle_vacuum(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (Vec<u8>, Action) {
-    if let Some(denied) = admin_gate(shared, meta) {
-        return denied;
-    }
+fn handle_vacuum(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> Handled {
+    admin_gate(shared, meta)?;
     if !args.is_empty() {
-        return error_response(
-            shared,
-            meta,
-            ErrorKind::BadRequest,
-            "vacuum takes no arguments",
-        );
+        return Err(bad_request("vacuum takes no arguments"));
     }
     let _writer = lock(&shared.writer);
     // Move the current snapshot to the latest generation first, so the
@@ -1263,30 +1242,25 @@ fn handle_vacuum(shared: &Arc<Shared>, meta: &mut ReqMeta, args: &[String]) -> (
     if old_readers > 0 {
         // Typed, retryable outcome: nothing was deleted, the slow
         // readers keep their files, and the client may try again.
-        return error_response(
-            shared,
-            meta,
+        return Err((
             ErrorKind::Busy,
-            &format!(
+            format!(
                 "vacuum timed out after {} ms waiting for {} in-flight reader(s) on old generations",
                 shared.options.vacuum_wait_ms, old_readers
             ),
-        );
+        ));
     }
-    let Some(catalog) = session.catalog() else {
-        return error_response(
-            shared,
-            meta,
-            ErrorKind::Internal,
-            "server session is not catalog-backed",
-        );
-    };
-    match catalog.vacuum() {
-        Ok(removed) => {
-            let generation = catalog.generation();
-            let body = format!("vacuumed: files={removed} generation={generation}\n");
-            ok_response(shared, meta, generation, false, body.as_bytes())
-        }
-        Err(e) => error_response(shared, meta, ErrorKind::Internal, &e.to_string()),
-    }
+    let catalog = session
+        .catalog()
+        .ok_or_else(|| internal("server session is not catalog-backed"))?;
+    let removed = catalog.vacuum().map_err(internal)?;
+    let generation = catalog.generation();
+    let body = format!("vacuumed: files={removed} generation={generation}\n");
+    Ok(ok_response(
+        shared,
+        meta,
+        generation,
+        false,
+        body.as_bytes(),
+    ))
 }

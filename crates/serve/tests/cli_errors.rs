@@ -2,12 +2,16 @@
 //! workspace convention: usage errors (bad flags, bad env defaults)
 //! exit 2 with the usage text, runtime errors (missing catalog, port
 //! already in use) exit 1, and every error prints a specific
-//! `error: …` first line on stderr with stdout left empty.
+//! `error: …` first line on stderr with stdout left empty. All three of
+//! the crate's binaries keep the convention.
 
+#[path = "../../obs/tests/support/cli_convention.rs"]
+mod convention;
 mod support;
 
 use std::net::TcpListener;
 use std::process::Command;
+use swim_serve::{serve, ServeOptions};
 
 /// Run the binary; return (exit code, stdout, first stderr line).
 fn run(args: &[&str]) -> (i32, String, String) {
@@ -135,5 +139,66 @@ fn port_in_use_is_a_runtime_error_naming_the_bind_address() {
         "{first}"
     );
     drop(holder);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_binary_keeps_the_convention() {
+    let serve = env!("CARGO_BIN_EXE_swim-serve");
+    let flags = [
+        "--catalog",
+        "--addr",
+        "--port",
+        "--workers",
+        "--queue-depth",
+        "--cache",
+        "--admin",
+        "--print-port",
+        "--access-log",
+    ];
+    convention::help_names_every_flag(serve, &flags);
+    convention::refuses_bogus_and_missing_value(serve, &[], "--port");
+
+    let top = env!("CARGO_BIN_EXE_swim-top");
+    let flags = [
+        "--addr",
+        "--interval",
+        "--count",
+        "--once",
+        "--format",
+        "--mask",
+        "--raw",
+    ];
+    convention::help_names_every_flag(top, &flags);
+    convention::refuses_bogus_and_missing_value(top, &[], "--addr");
+
+    let bench = env!("CARGO_BIN_EXE_swim-bench");
+    let flags = [
+        "--catalog",
+        "--addr",
+        "--clients",
+        "--requests",
+        "--mask",
+        "--shutdown",
+    ];
+    convention::help_names_every_flag(bench, &flags);
+    convention::usage_error(bench, &["--bogus"]);
+    convention::refuses_bogus_and_missing_value(bench, &["serve"], "--clients");
+}
+
+#[test]
+fn a_reader_that_closes_early_ends_the_raw_body_without_a_panic() {
+    // 20,000 groups: a response body larger than a pipe holds.
+    let dir = support::temp_dir("cli-pipe");
+    let cat_dir = dir.join("cat.d");
+    drop(support::init_catalog(&cat_dir, 20_000));
+    let handle = serve(&cat_dir, ServeOptions::default()).unwrap();
+    let addr = handle.addr().to_string();
+    let raw = "query --select count --group-by id";
+    convention::early_close_is_success(
+        env!("CARGO_BIN_EXE_swim-top"),
+        &["--addr", &addr, "--raw", raw],
+    );
+    handle.shutdown_join();
     std::fs::remove_dir_all(&dir).ok();
 }

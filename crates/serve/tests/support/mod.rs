@@ -78,7 +78,6 @@ pub fn serial_oracle(dir: &Path, generation: u64, line: &str) -> Vec<u8> {
             .unwrap();
         assert!(consumed, "oracle saw unexpected token {arg}");
     }
-    flags.validate().unwrap();
     let query = flags.build_query().unwrap();
     let session = Session::from_catalog(Catalog::open(dir).unwrap());
     assert_eq!(

@@ -35,50 +35,38 @@ pub struct ScaleConfig {
     pub seed: u64,
 }
 
-/// Scale a trace down (or up) to `config.target_machines`.
+/// Scale a trace down (or up) to `config.target_machines`, in place:
+/// the jobs are rescaled (or, for [`ScaleMode::JobCount`], thinned and
+/// renumbered) where they lie, so the trace is never held twice.
 ///
 /// Task *times* are preserved: the paper's replay methodology reproduces
 /// per-job data patterns and lets the target cluster determine execution
 /// times; shrinking slot-seconds would double-count the smaller cluster.
-pub fn scale_trace(trace: &Trace, config: ScaleConfig) -> Trace {
+pub fn scale_trace(trace: Trace, config: ScaleConfig) -> Trace {
     assert!(
         config.target_machines > 0,
         "target cluster must be non-empty"
     );
     let ratio = config.target_machines as f64 / trace.machines.max(1) as f64;
     let kind = WorkloadKind::Custom(format!("{}@{}nodes", trace.kind, config.target_machines));
+    let mut jobs = trace.into_jobs();
     match config.mode {
         ScaleMode::DataSize => {
-            let jobs = trace
-                .jobs()
-                .iter()
-                .map(|j| {
-                    let mut copy = j.clone();
-                    copy.input = j.input.scale(ratio);
-                    copy.shuffle = j.shuffle.scale(ratio);
-                    copy.output = j.output.scale(ratio);
-                    copy
-                })
-                .collect();
-            Trace::new_unchecked(kind, config.target_machines, jobs)
+            for job in &mut jobs {
+                job.input = job.input.scale(ratio);
+                job.shuffle = job.shuffle.scale(ratio);
+                job.output = job.output.scale(ratio);
+            }
         }
         ScaleMode::JobCount => {
             let mut rng = StdRng::seed_from_u64(config.seed);
-            let mut next_id = 0u64;
-            let jobs = trace
-                .jobs()
-                .iter()
-                .filter(|_| rng.random::<f64>() < ratio.min(1.0))
-                .map(|j| {
-                    let mut copy = j.clone();
-                    copy.id = JobId(next_id);
-                    next_id += 1;
-                    copy
-                })
-                .collect();
-            Trace::new_unchecked(kind, config.target_machines, jobs)
+            jobs.retain(|_| rng.random::<f64>() < ratio.min(1.0));
+            for (id, job) in jobs.iter_mut().enumerate() {
+                job.id = JobId(id as u64);
+            }
         }
     }
+    Trace::new_unchecked(kind, config.target_machines, jobs)
 }
 
 #[cfg(test)]
@@ -109,7 +97,7 @@ mod tests {
     fn data_mode_scales_bytes_keeps_jobs() {
         let src = trace_with(600, 100);
         let out = scale_trace(
-            &src,
+            src,
             ScaleConfig {
                 target_machines: 60,
                 mode: ScaleMode::DataSize,
@@ -129,7 +117,7 @@ mod tests {
     fn job_mode_thins_stream_keeps_bytes() {
         let src = trace_with(600, 2_000);
         let out = scale_trace(
-            &src,
+            src.clone(),
             ScaleConfig {
                 target_machines: 60,
                 mode: ScaleMode::JobCount,
@@ -145,7 +133,7 @@ mod tests {
     fn upscaling_grows_bytes() {
         let src = trace_with(100, 10);
         let out = scale_trace(
-            &src,
+            src,
             ScaleConfig {
                 target_machines: 200,
                 mode: ScaleMode::DataSize,
@@ -159,7 +147,7 @@ mod tests {
     fn job_mode_reassigns_dense_ids() {
         let src = trace_with(600, 500);
         let out = scale_trace(
-            &src,
+            src,
             ScaleConfig {
                 target_machines: 300,
                 mode: ScaleMode::JobCount,
@@ -176,7 +164,7 @@ mod tests {
     fn bytes_moved_shrinks_by_ratio() {
         let src = trace_with(600, 50);
         let out = scale_trace(
-            &src,
+            src.clone(),
             ScaleConfig {
                 target_machines: 60,
                 mode: ScaleMode::DataSize,
@@ -191,7 +179,7 @@ mod tests {
     #[should_panic(expected = "target cluster must be non-empty")]
     fn zero_target_rejected() {
         scale_trace(
-            &trace_with(10, 1),
+            trace_with(10, 1),
             ScaleConfig {
                 target_machines: 0,
                 mode: ScaleMode::DataSize,

@@ -98,9 +98,12 @@ impl Trace {
     }
 
     /// Build without per-job validation (codecs validate separately; tests
-    /// construct edge cases). Jobs are still sorted by submit time.
+    /// construct edge cases). Jobs are still sorted by submit time; jobs
+    /// already in order are not, so no sort buffer is allocated for them.
     pub fn new_unchecked(kind: WorkloadKind, machines: u32, mut jobs: Vec<Job>) -> Self {
-        jobs.sort_by_key(|j| (j.submit, j.id));
+        if !jobs.is_sorted_by_key(|j| (j.submit, j.id)) {
+            jobs.sort_by_key(|j| (j.submit, j.id));
+        }
         Trace {
             kind,
             machines,
@@ -112,6 +115,11 @@ impl Trace {
     #[inline]
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
+    }
+
+    /// The jobs, owned, in non-decreasing submit-time order.
+    pub fn into_jobs(self) -> Vec<Job> {
+        self.jobs
     }
 
     /// Number of jobs.

@@ -52,7 +52,7 @@ fn main() {
 
     // 4. Scale the data down from 600 production nodes to a 20-node test rig.
     let scaled = scale_trace(
-        &sampled,
+        sampled,
         ScaleConfig {
             target_machines: 20,
             mode: ScaleMode::DataSize,

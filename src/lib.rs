@@ -27,13 +27,15 @@
 //!   planner skip chunks on any numeric-column predicate — and, over a
 //!   catalog, federated execution with two-level (shard, then chunk)
 //!   pruning;
-//! * [`report`] — the document model (report → section → block), the
-//!   Markdown/HTML renderers, and the parallel cross-trace comparison
-//!   pipeline behind the `swim-report` binary;
-//! * [`obs`] — the zero-dependency observability layer (counters,
-//!   gauges, hierarchical timed spans, windowed nearest-rank histograms) that
-//!   every other crate instruments its hot paths with, surfaced through
-//!   `swim-query --explain` / `--profile` and a JSONL sink;
+//! * [`report`] — the paper's analysis battery and experiments, and the
+//!   parallel cross-trace comparison pipeline behind the `swim-report`
+//!   binary;
+//! * [`obs`] — the zero-dependency floor every other crate builds on:
+//!   the observability layer (counters, gauges, hierarchical timed
+//!   spans, windowed nearest-rank histograms) surfaced through
+//!   `swim-query --explain` / `--profile` and a JSONL sink, the document
+//!   model (report → section → block) with its Markdown/HTML renderers,
+//!   and the one command-line runtime every binary runs on;
 //! * [`serve`] — a resident threaded TCP query server over a catalog
 //!   directory: snapshot-isolated concurrent reads across
 //!   `ingest`/`compact`/`vacuum`, bounded admission control, and a

@@ -133,7 +133,7 @@ fn synthesis_pipeline_preserves_distributions_and_replays() {
     );
 
     let scaled = scale_trace(
-        &sampled,
+        sampled,
         ScaleConfig {
             target_machines: 30,
             mode: ScaleMode::DataSize,
