@@ -840,16 +840,6 @@ impl Catalog {
         }
         Ok(removed)
     }
-
-    // ------------------------------------------------------------------
-    // Materialization
-    // ------------------------------------------------------------------
-
-    /// Rebuild the whole dataset as one trace: [`read_stores`] over
-    /// every shard.
-    pub fn read_trace(&self) -> Result<Trace, CatalogError> {
-        read_stores(&self.open_shards()?, |idx, e| self.shard_error(idx, e))
-    }
 }
 
 /// A temp file that is removed when the guard drops: after it was
@@ -1108,7 +1098,7 @@ mod tests {
             .collect();
         let mut expected: Vec<Job> = Vec::new();
         for store in &stores {
-            expected.extend(store.read_trace().unwrap().jobs().iter().cloned());
+            expected.extend(store.scan().unwrap().flat_map(Result::unwrap));
         }
         expected.sort_by_key(|job| (job.submit, job.id));
         let merged: Vec<Job> = merge_stores(&stores).map(Result::unwrap).collect();
@@ -1122,7 +1112,7 @@ mod tests {
         // Store 0's second chunk (submits 30–50) claims to start at 45:
         // store 1's job at 40 comes out first, then a job at 30.
         let image = image_of(0, &[(0, 1), (1, 2), (2, 3), (3, 30), (4, 50)]);
-        let header = &image[..Header::decode(&image).unwrap().encoded_len()];
+        let header = &image[..Header::decode(&image).unwrap().encode().len()];
         let tail = image.len() - format::CHECKSUM_LEN - format::TRAILER_LEN;
         let at = format::decode_trailer(&image[tail + format::CHECKSUM_LEN..]).unwrap();
         let mut footer = Footer::decode(&image[at as usize..tail]).unwrap();

@@ -35,7 +35,7 @@
 //! directories through the same storage surface.
 //!
 //! ```
-//! use swim_catalog::{Catalog, CatalogOptions};
+//! use swim_catalog::{read_stores, Catalog, CatalogOptions};
 //! use swim_trace::trace::WorkloadKind;
 //! use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
 //!
@@ -61,7 +61,8 @@
 //! assert_eq!(stats.shards, 4); // 1000 jobs at ≤256 per shard
 //! assert_eq!(catalog.job_count(), 1000);
 //! assert_eq!(catalog.summary(), trace.summary());
-//! assert_eq!(catalog.read_trace().unwrap(), trace);
+//! let stored = read_stores(&catalog.open_shards().unwrap(), |_, e| e).unwrap();
+//! assert_eq!(stored, trace);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
@@ -87,6 +88,13 @@ mod tests {
     use swim_store::StoreOptions;
     use swim_trace::trace::WorkloadKind;
     use swim_trace::{DataSize, Dur, JobBuilder, PathId, Timestamp, Trace};
+
+    /// The catalog read back as one trace: [`read_stores`] over its
+    /// shards, a read error named by the shard it came from.
+    fn read_back(catalog: &Catalog) -> Result<Trace, CatalogError> {
+        let shard = |idx: usize, e| CatalogError::shard(catalog.shards()[idx].file.clone(), e);
+        read_stores(&catalog.open_shards()?, shard)
+    }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -168,7 +176,7 @@ mod tests {
         }
         // Bit-exact materialization (new_unchecked re-sorts (submit, id)
         // exactly as Trace::new did for the source).
-        assert_eq!(catalog.read_trace().unwrap(), trace);
+        assert_eq!(read_back(&catalog).unwrap(), trace);
         // Summary is O(manifest) and matches the in-memory path.
         assert_eq!(catalog.summary(), trace.summary());
         // Reopen from disk: identical manifest view.
@@ -212,7 +220,7 @@ mod tests {
         let summary = catalog.summary();
         assert_eq!(summary.workload, "mixed(2)");
         assert_eq!(summary.jobs, 500);
-        let trace = catalog.read_trace().unwrap();
+        let trace = read_back(&catalog).unwrap();
         assert_eq!(trace.kind, WorkloadKind::Custom("mixed".into()));
         assert_eq!(trace.len(), 500);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -242,7 +250,7 @@ mod tests {
         let mut catalog = Catalog::init(&dir).unwrap();
         let stats = catalog.ingest_path(&swim, 1, &small_options(250)).unwrap();
         assert_eq!(stats.shards, 3); // 250+250+200
-        assert_eq!(catalog.read_trace().unwrap(), trace);
+        assert_eq!(read_back(&catalog).unwrap(), trace);
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&source).unwrap();
     }
@@ -281,7 +289,7 @@ mod tests {
             catalog.ingest_trace(&slice, &small_options(1000)).unwrap();
         }
         assert_eq!(catalog.shard_count(), 5);
-        let before = catalog.read_trace().unwrap();
+        let before = read_back(&catalog).unwrap();
         let gen_before = catalog.generation();
         let old_files: Vec<String> = catalog.shards().iter().map(|s| s.file.clone()).collect();
 
@@ -293,7 +301,7 @@ mod tests {
         assert_eq!(catalog.shard_count(), 1);
         assert_eq!(catalog.shards()[0].kind_label, "CC-d");
         // Data is preserved bit for bit.
-        assert_eq!(catalog.read_trace().unwrap(), before);
+        assert_eq!(read_back(&catalog).unwrap(), before);
         // Old shard files survive for old readers …
         for file in &old_files {
             assert!(dir.join(file).exists(), "{file} must survive compaction");
@@ -340,7 +348,7 @@ mod tests {
             }) => assert_eq!(named, file),
             other => panic!("{other:?}"),
         }
-        assert!(catalog.read_trace().is_err());
+        assert!(read_back(&catalog).is_err());
         assert_eq!(catalog.vacuum().unwrap(), 0, "a listed shard is kept");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -411,7 +419,7 @@ mod tests {
         let reopened = Catalog::open(&dir).unwrap();
         assert_eq!(reopened.generation(), 1);
         assert_eq!(reopened.job_count(), 50);
-        assert_eq!(reopened.read_trace().unwrap().len(), 50);
+        assert_eq!(read_back(&reopened).unwrap().len(), 50);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -441,7 +449,7 @@ mod tests {
         assert_eq!(stats.shards, 4); // 300+300+300+100
         assert_eq!(stats.jobs, 1000);
         assert_eq!(streamed.summary(), whole.summary());
-        assert_eq!(streamed.read_trace().unwrap(), whole.read_trace().unwrap());
+        assert_eq!(read_back(&streamed).unwrap(), read_back(&whole).unwrap());
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
     }
@@ -494,7 +502,7 @@ mod tests {
         assert_eq!(stats.shards, 5);
         assert_eq!(stats.jobs, 900);
         assert_eq!(shard_files(), 5);
-        assert_eq!(catalog.read_trace().unwrap(), trace);
+        assert_eq!(read_back(&catalog).unwrap(), trace);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -86,6 +86,7 @@ pub struct ProptestConfig {
 
 impl ProptestConfig {
     /// Config with an explicit case count.
+    // lint: surface: this shim is a dev-dependency, so tests are the only callers of its whole surface
     pub fn with_cases(cases: u32) -> ProptestConfig {
         ProptestConfig { cases }
     }

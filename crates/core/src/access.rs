@@ -4,7 +4,7 @@
 
 use crate::stats::{ols, Regression};
 use std::collections::HashMap;
-use swim_trace::{DataSize, Job, PathId, Trace};
+use swim_trace::{DataSize, Job, PathId};
 
 /// Which stage's paths to analyze.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,16 +27,6 @@ pub struct FileAccessStats {
 }
 
 impl FileAccessStats {
-    /// Gather access statistics from a trace: an [`AccessFold`] over its
-    /// jobs. Jobs without paths for the requested stage are skipped
-    /// (matching the paper's availability matrix). File size is taken as
-    /// the job data size at first touch.
-    pub fn gather(trace: &Trace, stage: PathStage) -> FileAccessStats {
-        let mut fold = AccessFold::new(stage);
-        trace.jobs().iter().for_each(|job| fold.push(job));
-        fold.finish()
-    }
-
     /// Number of distinct files.
     pub fn distinct_files(&self) -> usize {
         self.frequencies.len()
@@ -133,8 +123,11 @@ impl FileAccessStats {
     }
 }
 
-/// [`FileAccessStats::gather`] a job at a time: push every job in trace
-/// order, then [`AccessFold::finish`]. Holds one entry per distinct file.
+/// [`FileAccessStats`] of one stage, a job at a time: push every job in
+/// trace order, then [`AccessFold::finish`]. Jobs without paths for the
+/// stage are skipped (matching the paper's availability matrix); a
+/// file's size is the job data size at first touch. Holds one entry per
+/// distinct file.
 #[derive(Debug, Clone)]
 pub struct AccessFold {
     stage: PathStage,
@@ -178,7 +171,13 @@ impl AccessFold {
 mod tests {
     use super::*;
     use swim_trace::trace::WorkloadKind;
-    use swim_trace::{Dur, JobBuilder, Timestamp};
+    use swim_trace::{Dur, JobBuilder, Timestamp, Trace};
+
+    fn gather(trace: &Trace, stage: PathStage) -> FileAccessStats {
+        let mut fold = AccessFold::new(stage);
+        trace.jobs().iter().for_each(|job| fold.push(job));
+        fold.finish()
+    }
 
     /// Trace where file p0 is read by 8 jobs, p1 by 2, p2 by 1; p0 is tiny,
     /// p2 is huge.
@@ -209,7 +208,7 @@ mod tests {
 
     #[test]
     fn gather_counts_and_ranks() {
-        let s = FileAccessStats::gather(&skewed_trace(), PathStage::Input);
+        let s = gather(&skewed_trace(), PathStage::Input);
         assert_eq!(s.distinct_files(), 3);
         assert_eq!(s.total_accesses(), 11);
         assert_eq!(s.frequencies, vec![8, 2, 1]);
@@ -217,7 +216,7 @@ mod tests {
 
     #[test]
     fn output_stage_empty_when_no_output_paths() {
-        let s = FileAccessStats::gather(&skewed_trace(), PathStage::Output);
+        let s = gather(&skewed_trace(), PathStage::Output);
         assert_eq!(s.distinct_files(), 0);
         assert!(s.zipf_fit(None).is_none());
     }
@@ -246,7 +245,7 @@ mod tests {
 
     #[test]
     fn eighty_x_rule_small_for_skewed_access() {
-        let s = FileAccessStats::gather(&skewed_trace(), PathStage::Input);
+        let s = gather(&skewed_trace(), PathStage::Input);
         // By ascending size: the 1 MB file covers 8/11 accesses (73 %),
         // adding the 1 GB file reaches 10/11 (91 %) ≥ 80 % — the bytes
         // below that size are ≈0.1 % of the ~1 TB total.
@@ -256,7 +255,7 @@ mod tests {
 
     #[test]
     fn threshold_fractions() {
-        let s = FileAccessStats::gather(&skewed_trace(), PathStage::Input);
+        let s = gather(&skewed_trace(), PathStage::Input);
         let thr = DataSize::from_gb(2);
         // p0 and p1 are below 2 GB: 10 of 11 accesses, ~0.1 % of bytes.
         assert!((s.access_fraction_below(thr) - 10.0 / 11.0).abs() < 1e-9);

@@ -63,7 +63,8 @@ impl Burstiness {
     }
 
     /// Ratio at a given percentile (linear scan; curves are ≤ 100 points).
-    pub fn ratio_at(&self, percentile: f64) -> Option<f64> {
+    #[cfg(test)]
+    fn ratio_at(&self, percentile: f64) -> Option<f64> {
         self.points
             .iter()
             .find(|p| (p.percentile - percentile).abs() < 1e-9)

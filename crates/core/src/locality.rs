@@ -3,7 +3,7 @@
 //! data (Fig. 6).
 
 use std::collections::HashMap;
-use swim_trace::{Job, PathId, Trace};
+use swim_trace::{Job, PathId};
 
 /// Re-access analysis of one trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,15 +23,6 @@ pub struct LocalityStats {
 }
 
 impl LocalityStats {
-    /// Compute locality statistics over a trace: a [`LocalityFold`] over
-    /// its jobs. Jobs without input paths are excluded from the
-    /// denominators (path-less traces yield zeroes).
-    pub fn gather(trace: &Trace) -> LocalityStats {
-        let mut fold = LocalityFold::default();
-        trace.jobs().iter().for_each(|job| fold.push(job));
-        fold.finish()
-    }
-
     /// Fraction of all re-accesses (both kinds) within `secs` seconds —
     /// the §4.3 "75 % of re-accesses take place within 6 hours" check.
     pub fn fraction_within(&self, secs: f64) -> f64 {
@@ -56,9 +47,11 @@ impl LocalityStats {
     }
 }
 
-/// [`LocalityStats::gather`] a job at a time: push every job in submit
-/// order, then [`LocalityFold::finish`]. Holds one entry per distinct
-/// input and output file, and one interval per re-access.
+/// [`LocalityStats`] a job at a time: push every job in submit order,
+/// then [`LocalityFold::finish`]. Jobs without input paths are excluded
+/// from the denominators (path-less traces yield zeroes). Holds one
+/// entry per distinct input and output file, and one interval per
+/// re-access.
 #[derive(Debug, Clone, Default)]
 pub struct LocalityFold {
     /// Each input file's latest read; a key is a file read before.
@@ -127,7 +120,13 @@ impl LocalityFold {
 mod tests {
     use super::*;
     use swim_trace::trace::WorkloadKind;
-    use swim_trace::{DataSize, Dur, JobBuilder, Timestamp};
+    use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
+
+    fn gather(trace: &Trace) -> LocalityStats {
+        let mut fold = LocalityFold::default();
+        trace.jobs().iter().for_each(|job| fold.push(job));
+        fold.finish()
+    }
 
     fn job(id: u64, submit: u64, dur: u64, inputs: Vec<u64>, outputs: Vec<u64>) -> swim_trace::Job {
         JobBuilder::new(id)
@@ -153,7 +152,7 @@ mod tests {
             job(0, 0, 10, vec![1], vec![]),
             job(1, 100, 10, vec![1], vec![]),
         ]);
-        let s = LocalityStats::gather(&t);
+        let s = gather(&t);
         assert_eq!(s.input_input_intervals, vec![100.0]);
         assert_eq!(s.frac_jobs_reread_input, 0.5);
         assert_eq!(s.frac_jobs_consume_output, 0.0);
@@ -166,7 +165,7 @@ mod tests {
             job(0, 0, 10, vec![1], vec![7]),
             job(1, 250, 10, vec![7], vec![]),
         ]);
-        let s = LocalityStats::gather(&t);
+        let s = gather(&t);
         assert_eq!(s.output_input_intervals, vec![240.0]);
         assert_eq!(s.frac_jobs_consume_output, 0.5);
     }
@@ -178,7 +177,7 @@ mod tests {
             job(1, 50, 1, vec![1], vec![]),
             job(2, 80, 1, vec![1], vec![]),
         ]);
-        let s = LocalityStats::gather(&t);
+        let s = gather(&t);
         assert_eq!(s.input_input_intervals, vec![50.0, 30.0]);
     }
 
@@ -197,7 +196,7 @@ mod tests {
     #[test]
     fn pathless_trace_yields_zeroes() {
         let t = trace(vec![job(0, 0, 1, vec![], vec![])]);
-        let s = LocalityStats::gather(&t);
+        let s = gather(&t);
         assert_eq!(s.frac_jobs_reread_input, 0.0);
         assert_eq!(s.frac_jobs_consume_output, 0.0);
         assert!(s.input_input_intervals.is_empty());
@@ -223,7 +222,7 @@ mod tests {
             job(0, 0, 1, vec![7], vec![]),
             job(1, 100, 10, vec![], vec![7]),
         ]);
-        let s = LocalityStats::gather(&t);
+        let s = gather(&t);
         assert!(s.output_input_intervals.is_empty());
     }
 }

@@ -30,16 +30,6 @@ impl Ecdf {
         Ecdf { sorted: samples }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// `true` iff no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Fraction of samples ≤ `x` (the CDF value at `x`).
     pub fn cdf(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -74,11 +64,6 @@ impl Ecdf {
     /// Maximum sample.
     pub fn max(&self) -> f64 {
         *self.sorted.last().expect("non-empty")
-    }
-
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 

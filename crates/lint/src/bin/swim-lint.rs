@@ -1,6 +1,6 @@
 //! `swim-lint`: workspace-aware static analysis enforcing the SWIM
-//! repo's layering, panic-policy, clock, atomics, durability, and
-//! env-registry invariants.
+//! repo's layering, panic-policy, clock, atomics, durability,
+//! env-registry and library-surface invariants.
 //!
 //! ```text
 //! swim-lint [--root DIR] [--format text|md|json] [--deny]
@@ -27,8 +27,9 @@ const CLI: Cli = Cli {
             Flag::switch("--print-env-table", "print README's env-var table"),
         ]],
     }],
-    notes: "rules: layering panic clock ordering durability env (+ waiver hygiene)\n\
+    notes: "rules: layering panic clock ordering durability env surface (+ waiver hygiene)\n\
             waive a finding with `// lint: allow(rule, \"reason\")` on or above the line\n\
+            (a kept test-only `pub fn`: `// lint: surface: reason` above it)\n\
             --print-env-table renders the table from docs/env-registry.txt\n",
 };
 

@@ -6,8 +6,9 @@
 //! prose — the dependency graph is strictly layered, hot-path crates
 //! stay panic-free, wall-clock reads are unified in `swim-obs`, atomic
 //! memory orders are justified, durable catalog mutation goes through
-//! the fsynced publish helpers, and every `SWIM_*` environment variable
-//! is documented. `swim-lint` tokenizes the workspace's own sources
+//! the fsynced publish helpers, every `SWIM_*` environment variable
+//! is documented, and every library `pub fn` has a caller outside the
+//! tests. `swim-lint` tokenizes the workspace's own sources
 //! with a hand-rolled lexer ([`lex`]), scopes out `#[cfg(test)]` code
 //! ([`scope`]), and runs a rule engine ([`rules`]) over
 //! (file, token-stream, manifest) triples.
@@ -61,6 +62,7 @@ static FINDINGS_CLOCK: Counter = Counter::new("lint.findings.clock");
 static FINDINGS_ORDERING: Counter = Counter::new("lint.findings.ordering");
 static FINDINGS_DURABILITY: Counter = Counter::new("lint.findings.durability");
 static FINDINGS_ENV: Counter = Counter::new("lint.findings.env");
+static FINDINGS_SURFACE: Counter = Counter::new("lint.findings.surface");
 static FINDINGS_WAIVER: Counter = Counter::new("lint.findings.waiver");
 
 fn finding_counter(rule: RuleId) -> &'static Counter {
@@ -71,6 +73,7 @@ fn finding_counter(rule: RuleId) -> &'static Counter {
         RuleId::Ordering => &FINDINGS_ORDERING,
         RuleId::Durability => &FINDINGS_DURABILITY,
         RuleId::Env => &FINDINGS_ENV,
+        RuleId::Surface => &FINDINGS_SURFACE,
         RuleId::Waiver => &FINDINGS_WAIVER,
     }
 }
@@ -86,9 +89,10 @@ pub struct LintResult {
     pub findings: Vec<Finding>,
     /// Findings suppressed by reasoned waivers, same order.
     pub waived: Vec<Waived>,
-    /// Per crate, by name: distinct lines of its library files on which
-    /// a non-comment token outside test scope starts. What a change adds
-    /// to or takes from each crate, by one rule, in the golden's diff.
+    /// Per crate, by name: distinct lines of its library and binary
+    /// files on which a non-comment token outside test scope starts.
+    /// What a change adds to or takes from each crate, by one rule, in
+    /// the golden's diff.
     pub code_lines: Vec<(String, usize)>,
 }
 
@@ -177,23 +181,48 @@ pub fn run(root: &Path) -> Result<LintResult, String> {
         .map(|c| (c.lib_name.clone(), c.name.clone()))
         .collect();
 
+    // Every file is lexed once up front: the surface rule needs the names
+    // that all non-test code calls before it can judge any one file.
+    let lex_file = |file: &workspace::SourceFile| {
+        let toks = lex::lex(&file.text)
+            .map_err(|e| format!("{}: {e} (swim-lint lexer)", file.rel_path))?;
+        let scopes = scope::analyze(&toks);
+        Ok::<_, String>((toks, scopes))
+    };
+    let lexed = ws
+        .crates
+        .iter()
+        .map(|krate| krate.files.iter().map(lex_file).collect())
+        .collect::<Result<Vec<Vec<_>>, String>>()?;
+    let mut callers: BTreeSet<String> = BTreeSet::new();
+    for file in &ws.callers {
+        let (toks, scopes) = lex_file(file)?;
+        rules::surface_names(&toks, &scopes, &mut callers);
+    }
+    let members = ws.crates.iter().zip(&lexed);
+    for (file, (toks, scopes)) in members.flat_map(|(krate, lexed)| krate.files.iter().zip(lexed)) {
+        if !file.kind.is_test_target() {
+            rules::surface_names(toks, scopes, &mut callers);
+        }
+    }
+
     let mut files = 0usize;
     let mut env_referenced: BTreeSet<String> = BTreeSet::new();
     let mut code_lines: Vec<(String, usize)> = Vec::new();
 
-    for krate in &ws.crates {
+    for (krate, crate_lexed) in ws.crates.iter().zip(&lexed) {
         if let Some(spec) = &spec {
             rules::check_crate_manifest(krate, spec, &mut findings);
         }
         let mut crate_lines = 0usize;
-        for file in &krate.files {
+        for (file, (toks, scopes)) in krate.files.iter().zip(crate_lexed) {
             files += 1;
-            let toks = lex::lex(&file.text)
-                .map_err(|e| format!("{}: {e} (swim-lint lexer)", file.rel_path))?;
-            let scopes = scope::analyze(&toks);
-            let mut waivers = waiver::collect(&toks, &scopes.test_mask, file.kind.is_test_target());
-            let ctx = rules::FileCtx::new(krate, file, &toks, &scopes);
-            if file.kind == workspace::FileKind::Lib {
+            let mut waivers = waiver::collect(toks, &scopes.test_mask, file.kind.is_test_target());
+            let ctx = rules::FileCtx::new(krate, file, toks, scopes);
+            if matches!(
+                file.kind,
+                workspace::FileKind::Lib | workspace::FileKind::Bin
+            ) {
                 let live = ctx.code.iter().filter(|&&i| !scopes.test_mask[i]);
                 crate_lines += live.map(|&i| toks[i].line).collect::<BTreeSet<_>>().len();
             }
@@ -209,6 +238,7 @@ pub fn run(root: &Path) -> Result<LintResult, String> {
             rules::check_ordering(&ctx, &mut sink);
             rules::check_durability(&ctx, &mut sink);
             rules::check_env_refs(&ctx, &registry, &mut env_referenced, &mut sink);
+            rules::check_surface(&ctx, &callers, &mut sink);
 
             // Waiver hygiene: malformed directives, then directives that
             // matched nothing (stale waivers rot fast if tolerated).

@@ -34,7 +34,7 @@ pub fn to_report(result: &LintResult) -> Report {
     }
     let total: usize = result.code_lines.iter().map(|(_, n)| n).sum();
     lines.row(vec!["total".to_owned(), total.to_string()]);
-    summary.captioned_table("non-test library code, lines per crate:", lines);
+    summary.captioned_table("non-test library and binary code, lines per crate:", lines);
     report.push(summary);
 
     if !result.findings.is_empty() {

@@ -1,4 +1,4 @@
-//! The workspace rule engine: rule identities, findings, and the six
+//! The workspace rule engine: rule identities, findings, and the seven
 //! architecture rules.
 //!
 //! | id           | invariant enforced                                            |
@@ -9,12 +9,13 @@
 //! | `ordering`   | every atomic `Ordering::…` outside swim-obs/compat carries a `// lint: ordering:` justification |
 //! | `durability` | `fs::rename`/`fs::write`/`fs::hard_link`/`File::create` in swim-catalog only inside the fsynced publish helpers |
 //! | `env`        | every `SWIM_*` literal is declared in `docs/env-registry.txt`, nothing in the registry is stale, and the README table matches |
+//! | `surface`    | every `pub fn` of non-test library code is named by some non-test code: a lib, bin or example file, or `perf/src` |
 //! | `waiver`     | meta: malformed/reasonless/unknown/unused waivers             |
 //!
 //! Rules emit through a [`Sink`] that consults the file's waivers, so a
 //! `// lint: allow(rule, "reason")` downgrade is applied uniformly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::lex::{Tok, TokKind};
@@ -59,30 +60,34 @@ pub enum RuleId {
     Durability,
     /// L6 — environment variable registry.
     Env,
+    /// L7 — library surface: no `pub fn` that only tests call.
+    Surface,
     /// Meta — waiver hygiene (not itself waivable).
     Waiver,
 }
 
 impl RuleId {
     /// All rules, reporting order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::Layering,
         RuleId::Panic,
         RuleId::Clock,
         RuleId::Ordering,
         RuleId::Durability,
         RuleId::Env,
+        RuleId::Surface,
         RuleId::Waiver,
     ];
 
     /// The names accepted inside `lint: allow(...)`.
-    pub const WAIVABLE_NAMES: [&'static str; 6] = [
+    pub const WAIVABLE_NAMES: [&'static str; 7] = [
         "layering",
         "panic",
         "clock",
         "ordering",
         "durability",
         "env",
+        "surface",
     ];
 
     /// Stable string id.
@@ -94,6 +99,7 @@ impl RuleId {
             RuleId::Ordering => "ordering",
             RuleId::Durability => "durability",
             RuleId::Env => "env",
+            RuleId::Surface => "surface",
             RuleId::Waiver => "waiver",
         }
     }
@@ -108,6 +114,7 @@ impl RuleId {
             "ordering" => Some(RuleId::Ordering),
             "durability" => Some(RuleId::Durability),
             "env" => Some(RuleId::Env),
+            "surface" => Some(RuleId::Surface),
             _ => None,
         }
     }
@@ -671,6 +678,71 @@ pub fn check_env_registry(
     }
 }
 
+// ----------------------------------------------------------------------
+// L7 — library surface
+// ----------------------------------------------------------------------
+
+/// Add to `out` every identifier that non-test code in `toks` names:
+/// outside `#[cfg(test)]`, outside `use` items (an import calls
+/// nothing), and not the name a `fn` item declares.
+pub fn surface_names(toks: &[Tok], scopes: &Scopes, out: &mut BTreeSet<String>) {
+    let mut in_use = false;
+    let mut prev: Option<&Tok> = None;
+    for (i, tok) in toks.iter().enumerate() {
+        if tok.is_comment() {
+            continue;
+        }
+        let declared = prev.is_some_and(|p| p.is_ident("fn"));
+        prev = Some(tok);
+        if scopes.test_mask[i] {
+            continue;
+        }
+        if in_use {
+            in_use = !tok.is_punct(";");
+        } else if tok.is_ident("use") {
+            in_use = true;
+        } else if tok.kind == TokKind::Ident && !declared {
+            out.insert(tok.text.clone());
+        }
+    }
+}
+
+/// Every `pub fn` of non-test library code must be named somewhere in
+/// `callers` (built by [`surface_names`] over the workspace's lib, bin
+/// and example files and `perf/src`). Trait definitions and trait impls
+/// carry no `pub` on their methods, so they are exempt by construction;
+/// `pub(crate)` and narrower are left to rustc's dead-code lint.
+pub fn check_surface(ctx: &FileCtx<'_>, callers: &BTreeSet<String>, sink: &mut Sink<'_>) {
+    if ctx.file.kind != FileKind::Lib {
+        return;
+    }
+    for w in 0..ctx.code.len() {
+        if !ctx.tok(w).is_ident("pub") || ctx.in_test(w) {
+            continue;
+        }
+        let qualifiers = ["const", "async", "unsafe"];
+        let k = (w + 1..ctx.code.len()).find(|&k| !qualifiers.contains(&ctx.tok(k).text.as_str()));
+        let Some(name) = k
+            .filter(|&k| ctx.tok(k).is_ident("fn"))
+            .and_then(|k| ctx.code.get(k + 1))
+        else {
+            continue;
+        };
+        let name = &ctx.toks[*name];
+        if name.kind == TokKind::Ident && !callers.contains(&name.text) {
+            sink.emit(
+                RuleId::Surface,
+                ctx.tok(w).line,
+                format!(
+                    "`pub fn {}` is named by no non-test code (library surface): delete it, \
+                     make it `#[cfg(test)]`, or waive with `// lint: surface: <reason>`",
+                    name.text
+                ),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,6 +767,7 @@ mod tests {
         let ws = Workspace {
             root: Default::default(),
             crates,
+            callers: Vec::new(),
         };
         let mut findings = Vec::new();
         check_spec(&ws, &spec, "docs/depgraph.spec", &mut findings);

@@ -7,7 +7,8 @@
 //! contents mention `test` (`#[test]`, `#[cfg(test)]`,
 //! `#[cfg(all(test, …))]`) marks the *next item* — everything up to the
 //! matching close brace of the item's body, or its terminating `;` —
-//! as test-scoped.
+//! as test-scoped. A file that opens with the inner attribute
+//! `#![cfg(test)]` is a test-only module: all of it is test-scoped.
 //!
 //! The same walk records `fn` body spans so the durability rule can ask
 //! "is this `fs::rename` inside one of the publish helpers?".
@@ -47,6 +48,19 @@ pub fn analyze(toks: &[Tok]) -> Scopes {
     let code = code_indices(toks);
     let mut test_mask = vec![false; toks.len()];
     let mut fns = Vec::new();
+
+    // A leading `#![cfg(test)]` gates the whole file.
+    let mut c = 0usize;
+    while c + 2 < code.len() && toks[code[c]].is_punct("#") && toks[code[c + 1]].is_punct("!") {
+        let Some(close) = match_open(toks, &code, c + 2, "[", "]") else {
+            break;
+        };
+        if attr_is_test(toks, &code[c + 3..close]) {
+            test_mask.iter_mut().for_each(|m| *m = true);
+            break;
+        }
+        c = close + 1;
+    }
 
     // Pass 1: attributes → test ranges.
     let mut c = 0usize;
@@ -241,6 +255,17 @@ mod tests {
         let src = "#[cfg(test)]\nuse std::collections::HashMap;\nfn live() { after(); }";
         assert!(mask_for(src, "HashMap"));
         assert!(!mask_for(src, "after"));
+    }
+
+    #[test]
+    fn inner_cfg_test_gates_the_whole_file() {
+        let src = "//! Oracle.\n#![allow(dead_code)]\n#![cfg(test)]\npub fn oracle() { body(); }";
+        assert!(mask_for(src, "oracle"));
+        assert!(mask_for(src, "body"));
+        assert!(!mask_for(
+            "#![warn(missing_docs)]\npub fn live() {}",
+            "live"
+        ));
     }
 
     #[test]

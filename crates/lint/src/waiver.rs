@@ -12,6 +12,9 @@
 //! * `// lint: ordering: reason` — the justification the atomics rule
 //!   (`ordering`) requires next to every `Ordering::…` outside the
 //!   allowlisted modules. Same line attachment rules.
+//! * `// lint: surface: reason` — shorthand for
+//!   `allow(surface, "reason")`: a `pub fn` that only tests call, kept
+//!   on purpose (an oracle other crates' tests compare against).
 //!
 //! Directives inside `#[cfg(test)]` scope are ignored entirely (rules
 //! don't fire there, so a waiver would be unused by construction).
@@ -110,6 +113,21 @@ pub fn collect(toks: &[Tok], test_mask: &[bool], whole_file_test: bool) -> Waive
 fn parse_directive(directive: &str, comment_line: u32, target: u32, out: &mut Waivers) {
     if let Some(rest) = directive.strip_prefix("allow") {
         parse_allow(rest.trim_start(), comment_line, target, out);
+    } else if let Some(reason) = directive.strip_prefix("surface:") {
+        if reason.trim().is_empty() {
+            out.errors.push((
+                comment_line,
+                "surface waiver has no reason (`// lint: surface: who calls this and why`)"
+                    .to_owned(),
+            ));
+        } else {
+            out.allows.push(Allow {
+                rule: RuleId::Surface,
+                line: target,
+                reason: reason.trim().to_owned(),
+                used: false,
+            });
+        }
     } else if let Some(reason) = directive.strip_prefix("ordering:") {
         if reason.trim().is_empty() {
             out.errors.push((
@@ -128,8 +146,8 @@ fn parse_directive(directive: &str, comment_line: u32, target: u32, out: &mut Wa
         out.errors.push((
             comment_line,
             format!(
-                "unknown lint directive `{}` (expected `allow(rule, \"reason\")` or \
-                 `ordering: reason`)",
+                "unknown lint directive `{}` (expected `allow(rule, \"reason\")`, \
+                 `ordering: reason` or `surface: reason`)",
                 directive
             ),
         ));
@@ -262,6 +280,18 @@ mod tests {
         );
         assert_eq!(w.justifies.len(), 1);
         assert_eq!(w.justifies[0].line, 1);
+    }
+
+    #[test]
+    fn surface_waiver_parses_with_its_reason() {
+        let w = collect_src("// lint: surface: oracle for the store's tests\npub fn f() {}\n");
+        assert_eq!(w.allows.len(), 1);
+        assert_eq!(w.allows[0].rule, RuleId::Surface);
+        assert_eq!(w.allows[0].line, 2);
+        assert_eq!(w.allows[0].reason, "oracle for the store's tests");
+        let w = collect_src("// lint: surface:\npub fn f() {}\n");
+        assert!(w.allows.is_empty());
+        assert_eq!(w.errors.len(), 1);
     }
 
     #[test]

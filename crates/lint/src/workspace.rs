@@ -81,6 +81,10 @@ impl CrateInfo {
     }
 }
 
+/// Sources outside the members whose code calls into the library: the
+/// benchmark package's, which builds against the workspace crates.
+pub const CALLERS_DIR: &str = "perf/src";
+
 /// The loaded workspace.
 #[derive(Debug)]
 pub struct Workspace {
@@ -88,6 +92,9 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Members sorted by name, root package first by its name ordering.
     pub crates: Vec<CrateInfo>,
+    /// Sources under [`CALLERS_DIR`], sorted by path: not linted, only
+    /// searched for the names the `surface` rule looks for.
+    pub callers: Vec<SourceFile>,
 }
 
 fn rel(root: &Path, path: &Path) -> String {
@@ -201,7 +208,22 @@ pub fn load(root: &Path) -> Result<Workspace, String> {
         crates.push(load_crate(&root, &root.join(member))?);
     }
     crates.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(Workspace { root, crates })
+    let mut paths = Vec::new();
+    deep_rs(&root.join(CALLERS_DIR), &mut paths);
+    let caller = |p: &PathBuf| {
+        let (rel_path, kind) = (rel(&root, p), FileKind::Bin);
+        Ok(SourceFile {
+            rel_path,
+            kind,
+            text: read(p)?,
+        })
+    };
+    let callers = paths.iter().map(caller).collect::<Result<_, String>>()?;
+    Ok(Workspace {
+        root,
+        crates,
+        callers,
+    })
 }
 
 #[cfg(test)]
@@ -231,5 +253,6 @@ mod tests {
             .files
             .iter()
             .any(|f| f.kind == FileKind::Bin && f.rel_path.ends_with("swim-catalog.rs")));
+        assert!(ws.callers.iter().any(|f| f.rel_path == "perf/src/main.rs"));
     }
 }

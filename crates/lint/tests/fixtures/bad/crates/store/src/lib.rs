@@ -15,3 +15,16 @@ pub fn naughty(xs: &[u64]) -> u64 {
     not_a_declared_dependency();
     t.elapsed().as_nanos() as u64
 }
+
+/// Named only by the tests below, so the surface rule fires on it.
+pub fn only_tests_call_this() -> u64 {
+    7
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls_it() {
+        assert_eq!(super::only_tests_call_this(), 7);
+    }
+}

@@ -45,6 +45,13 @@ fn bad_fixture_finding_lines_are_attributed() {
     assert!(has(RuleId::Waiver, "crates/store/src/lib.rs"));
     assert!(has(RuleId::Layering, "crates/store/src/lib.rs")); // undeclared `use swim_catalog`
     assert!(has(RuleId::Durability, "crates/catalog/src/lib.rs"));
+    let surface = |name: &str| {
+        result
+            .findings
+            .iter()
+            .any(|f| f.rule == RuleId::Surface && f.message.contains(&format!("`pub fn {name}`")))
+    };
+    assert!(surface("only_tests_call_this")); // its only caller is #[cfg(test)]
     assert!(has(RuleId::Layering, "docs/depgraph.spec")); // swim-ghost resolves to nothing
     assert!(has(RuleId::Env, "docs/env-registry.txt")); // SWIM_STALE has no reader
     assert!(has(RuleId::Env, "README.md")); // markers missing

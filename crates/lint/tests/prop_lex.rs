@@ -10,13 +10,14 @@ use swim_lint::waiver;
 
 /// Every waivable rule name, indexed by the proptest strategies below
 /// (the vendored proptest has no `prop::sample::select`).
-const WAIVABLE_RULES: [&str; 6] = [
+const WAIVABLE_RULES: [&str; 7] = [
     "layering",
     "panic",
     "clock",
     "ordering",
     "durability",
     "env",
+    "surface",
 ];
 
 /// Strings drawn from an explicit character palette — the vendored

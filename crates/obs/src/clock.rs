@@ -1,5 +1,6 @@
 //! The workspace clock: monotonic milliseconds/microseconds since the
-//! first read, plus a [`ManualClock`] for deterministic tests.
+//! first read, plus (in test builds) a `ManualClock` for deterministic
+//! tests.
 //!
 //! `swim-obs` is the only crate allowed to read `Instant`/`SystemTime`
 //! (enforced by `swim-lint`, rule `clock`), so every layer that needs a
@@ -12,10 +13,11 @@
 //! Time-*driven* code (window rotation, rate computation) should not
 //! call [`now_ms`] directly in its core: the windowed types in
 //! [`crate::window`] take explicit `now_ms` arguments (`record_at`,
-//! `summary_at`), so tests inject a [`ManualClock`] — or plain
+//! `summary_at`), so tests inject a `ManualClock` — or plain
 //! integers — and rotation becomes deterministic. The argument-free
 //! convenience methods feed the process clock in.
 
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -39,11 +41,13 @@ pub fn now_ms() -> u64 {
 /// only moves when [`ManualClock::advance_ms`] is called. Pass its
 /// [`ManualClock::now_ms`] value to the `_at` methods of the windowed
 /// types to drive bucket rotation without sleeping.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct ManualClock {
+pub(crate) struct ManualClock {
     ms: AtomicU64,
 }
 
+#[cfg(test)]
 impl ManualClock {
     /// A clock at 0 ms.
     pub const fn new() -> ManualClock {

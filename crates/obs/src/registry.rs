@@ -124,11 +124,6 @@ impl Snapshot {
         self.spans.iter().find(|s| s.path == path)
     }
 
-    /// `true` when nothing at all was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.spans.is_empty()
-    }
-
     /// What happened between `earlier` and `self`: the rate-computation
     /// primitive behind `swim-top`.
     ///

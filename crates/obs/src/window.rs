@@ -31,8 +31,8 @@
 //! **Clock injection.** The core methods take an explicit `now_ms`
 //! (`record_at`, `summary_at`, …), so rotation is driven by whatever
 //! clock the caller holds — the process clock ([`crate::clock::now_ms`]
-//! via the argument-free conveniences) in production, a
-//! [`crate::clock::ManualClock`] or plain integers in tests.
+//! via the argument-free conveniences) in production, a `ManualClock`
+//! or plain integers in tests.
 
 use std::sync::Mutex;
 
@@ -229,11 +229,6 @@ impl WindowedHistogram {
         bucket.record(v, self.sample_cap);
     }
 
-    /// Freeze the window as seen from the process clock's current time.
-    pub fn summary(&self) -> WindowSummary {
-        self.summary_at(clock::now_ms())
-    }
-
     /// Freeze the window as seen from an injected timestamp: only
     /// buckets whose epoch falls inside `[now - window, now]`
     /// contribute.
@@ -332,11 +327,6 @@ impl WindowedCounter {
         self.width_ms * self.buckets as u64
     }
 
-    /// Add `n` at the process clock's current time.
-    pub fn add(&self, n: u64) {
-        self.add_at(clock::now_ms(), n);
-    }
-
     /// Add `n` at an injected timestamp.
     pub fn add_at(&self, now_ms: u64, n: u64) {
         let epoch = now_ms / self.width_ms;
@@ -352,11 +342,6 @@ impl WindowedCounter {
             *slot = (epoch, 0);
         }
         slot.1 = slot.1.saturating_add(n);
-    }
-
-    /// Window total and rate as seen from the process clock.
-    pub fn summary(&self) -> WindowSummary {
-        self.summary_at(clock::now_ms())
     }
 
     /// Window total and rate as seen from an injected timestamp. The

@@ -12,7 +12,6 @@
 
 use proptest::prelude::*;
 use swim_core::stats::Ecdf;
-use swim_obs::clock::ManualClock;
 use swim_obs::{WindowedCounter, WindowedHistogram};
 
 fn ecdf_quantile(samples: &[u64], p: f64) -> f64 {
@@ -32,13 +31,13 @@ proptest! {
         buckets in 1usize..12,
         p in -0.25f64..1.25,
     ) {
-        let clock = ManualClock::new();
+        let mut now = 0;
         let h = WindowedHistogram::new(width_ms, buckets);
         for &(advance, value) in &events {
-            clock.advance_ms(advance);
-            h.record_at(clock.now_ms(), value);
+            now += advance;
+            h.record_at(now, value);
         }
-        let summary = h.summary_at(clock.now_ms());
+        let summary = h.summary_at(now);
         prop_assert!(summary.count >= 1, "the last event is always in-window");
         let ours = summary.quantile(p).expect("retained window is non-empty");
         let theirs = ecdf_quantile(&summary.retained, p);
@@ -77,14 +76,14 @@ proptest! {
         cap in 1usize..32,
         buckets in 1usize..6,
     ) {
-        let clock = ManualClock::new();
+        let mut now = 0;
         let h = WindowedHistogram::with_sample_cap(100, buckets, cap);
         for i in 0..records {
             // Spread over time so several buckets fill and rotate.
             if i % 7 == 0 {
-                clock.advance_ms(37);
+                now += 37;
             }
-            h.record_at(clock.now_ms(), i as u64);
+            h.record_at(now, i as u64);
         }
         prop_assert!(
             h.retained_len() <= buckets * cap,
@@ -93,7 +92,7 @@ proptest! {
             buckets,
             cap
         );
-        let summary = h.summary_at(clock.now_ms());
+        let summary = h.summary_at(now);
         prop_assert!(summary.retained.len() <= buckets * cap);
         prop_assert!(summary.count as usize <= records);
     }
@@ -104,28 +103,28 @@ proptest! {
 /// grow with them. This is the resident-process footgun test.
 #[test]
 fn server_scale_recording_stays_o_buckets() {
-    let clock = ManualClock::new();
+    let mut now = 0;
     let h = WindowedHistogram::with_sample_cap(5_000, 12, 64); // 60 s window
     let total = 1_000_000u64;
     for i in 0..total {
         if i % 10_000 == 0 {
-            clock.advance_ms(700);
+            now += 700;
         }
-        h.record_at(clock.now_ms(), i % 977);
+        h.record_at(now, i % 977);
     }
     assert!(
         h.retained_len() <= 12 * 64,
         "retained {} samples for {total} records",
         h.retained_len()
     );
-    let summary = h.summary_at(clock.now_ms());
+    let summary = h.summary_at(now);
     assert!(summary.count > 0);
     assert!(summary.quantile(0.99).is_some());
     // The counter companion is O(buckets) by construction; totals stay
     // exact for the in-window portion.
     let c = WindowedCounter::new(5_000, 12);
     for _ in 0..1000 {
-        c.add_at(clock.now_ms(), 1);
+        c.add_at(now, 1);
     }
-    assert_eq!(c.summary_at(clock.now_ms()).count, 1000);
+    assert_eq!(c.summary_at(now).count, 1000);
 }

@@ -85,8 +85,7 @@ const CLI: Cli = Cli {
             flags: &[],
         },
     ],
-    notes: "trace formats by extension: .csv (needs --machines), .swim/.store \
-            (streamed), anything else JSON-lines\n",
+    notes: cli::CATALOG_NOTES,
 };
 
 fn main() -> ExitCode {

@@ -56,8 +56,10 @@ pub const FLAGS: &[Flag] = &[
     Flag::switch("--profile", "execute, then append the metrics"),
 ];
 
-/// What the query flags' values look like, for a usage text.
-pub const NOTES: &str = "columns: id submit duration input shuffle output map_time reduce_time \
+/// The text of [`NOTES`], which [`CATALOG_NOTES`] ends with too.
+macro_rules! query_notes {
+    () => {
+        "columns: id submit duration input shuffle output map_time reduce_time \
  map_tasks reduce_tasks (derived: total_io total_task_time total_tasks)
 aggregates: count sum min max avg p0..p100, e.g. --select \"count,sum(total_io),p50(duration)\"
 predicates: comparisons over expressions with and/or/not and unit suffixes, \
@@ -66,7 +68,20 @@ group keys: expressions, e.g. --group-by \"submit/3600\" for hourly bins
 --explain prints the plan tree and zone-map verdict counts (never/always/maybe) \
 without executing; --profile executes with swim-obs instrumentation forced on \
 and appends the metrics
-";
+"
+    };
+}
+
+/// What the query flags' values look like, for a usage text.
+pub const NOTES: &str = query_notes!();
+
+/// `swim-catalog`'s usage notes: its trace formats, then [`NOTES`] for
+/// its `query` subcommand.
+pub const CATALOG_NOTES: &str = concat!(
+    "trace formats by extension: .csv (needs --machines), .swim/.store \
+     (streamed), anything else JSON-lines\n",
+    query_notes!()
+);
 
 /// Accumulates the common query flags while a binary walks its
 /// argument stream; [`QueryFlags::build_query`] turns them into a typed

@@ -289,7 +289,7 @@ mod tests {
             .select(Aggregate::Percentile(Expr::col(Col::Duration), 0.99));
         let halves = Expr::Div(
             Box::new(Expr::col(Col::ReduceTasks)),
-            Box::new(Expr::lit(2)),
+            Box::new(Expr::Lit(2)),
         );
         let grouped = percentiles.clone().group(halves);
         let stores = std::slice::from_ref(&store);

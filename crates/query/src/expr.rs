@@ -125,11 +125,6 @@ impl Expr {
         Expr::Col(c)
     }
 
-    /// Convenience constructor: a literal.
-    pub fn lit(v: u64) -> Expr {
-        Expr::Lit(v)
-    }
-
     /// `input + shuffle + output` — the paper's "bytes moved" per job.
     pub fn total_io() -> Expr {
         Expr::Add(
@@ -356,7 +351,8 @@ impl Pred {
     /// `submit in [from, to)`: `from` inclusive, `to` exclusive, so
     /// adjacent windows partition a trace and `from >= to` matches
     /// nothing. Zone maps skip the chunks outside the window.
-    pub fn submit_range(from: u64, to: u64) -> Pred {
+    #[cfg(test)]
+    pub(crate) fn submit_range(from: u64, to: u64) -> Pred {
         Pred::cmp(Col::Submit, CmpOp::Ge, from).and(Pred::cmp(Col::Submit, CmpOp::Lt, to))
     }
 
@@ -446,12 +442,12 @@ mod tests {
             Expr::total_io(),
             Expr::total_task_time(),
             Expr::submit_hour(),
-            Expr::Sub(Box::new(Expr::col(Col::Duration)), Box::new(Expr::lit(40))),
+            Expr::Sub(Box::new(Expr::col(Col::Duration)), Box::new(Expr::Lit(40))),
             Expr::Mul(
                 Box::new(Expr::col(Col::MapTasks)),
-                Box::new(Expr::lit(u64::MAX)),
+                Box::new(Expr::Lit(u64::MAX)),
             ),
-            Expr::Div(Box::new(Expr::col(Col::Input)), Box::new(Expr::lit(0))),
+            Expr::Div(Box::new(Expr::col(Col::Input)), Box::new(Expr::Lit(0))),
         ];
         for e in &exprs {
             let v = kernel::eval(e, &cols);
@@ -466,15 +462,15 @@ mod tests {
     fn saturating_and_div_by_zero_semantics() {
         let cols = chunk();
         // 5 - 40 floors at 0.
-        let sub = Expr::Sub(Box::new(Expr::col(Col::Duration)), Box::new(Expr::lit(40)));
+        let sub = Expr::Sub(Box::new(Expr::col(Col::Duration)), Box::new(Expr::Lit(40)));
         assert_eq!(kernel::eval(&sub, &cols)[0], 0);
         // x / 0 == 0.
-        let div = Expr::Div(Box::new(Expr::col(Col::Input)), Box::new(Expr::lit(0)));
+        let div = Expr::Div(Box::new(Expr::col(Col::Input)), Box::new(Expr::Lit(0)));
         assert_eq!(kernel::eval(&div, &cols)[2], 0);
         // 2 * u64::MAX saturates.
         let mul = Expr::Mul(
             Box::new(Expr::col(Col::MapTasks)),
-            Box::new(Expr::lit(u64::MAX)),
+            Box::new(Expr::Lit(u64::MAX)),
         );
         assert_eq!(kernel::eval(&mul, &cols)[1], u64::MAX);
     }
@@ -538,7 +534,7 @@ mod tests {
             Tri::Maybe
         );
         assert_eq!(
-            Pred::Cmp(Expr::lit(7), CmpOp::Ne, Expr::lit(7)).zone_verdict(&z),
+            Pred::Cmp(Expr::Lit(7), CmpOp::Ne, Expr::Lit(7)).zone_verdict(&z),
             Tri::Never
         );
         // not flips Never/Always.

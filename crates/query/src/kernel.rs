@@ -838,13 +838,13 @@ pub(crate) mod tests {
     /// computed one, a constant.
     fn keys(arity: usize, in_runs: bool) -> Vec<Expr> {
         let first = match in_runs {
-            true => bin(Expr::Div, Expr::col(Col::Submit), Expr::lit(1 << 60)),
+            true => bin(Expr::Div, Expr::col(Col::Submit), Expr::Lit(1 << 60)),
             false => Expr::col(Col::MapTasks),
         };
         let all = [
             first,
-            bin(Expr::Div, Expr::col(Col::Submit), Expr::lit(3)),
-            bin(Expr::Sub, Expr::lit(9), Expr::lit(2)),
+            bin(Expr::Div, Expr::col(Col::Submit), Expr::Lit(3)),
+            bin(Expr::Sub, Expr::Lit(9), Expr::Lit(2)),
         ];
         all.into_iter().take(arity).collect()
     }
@@ -872,9 +872,9 @@ pub(crate) mod tests {
 
     fn predicate(kind: u8, threshold: u64) -> Pred {
         let io = Pred::Cmp(
-            bin(Expr::Mul, Expr::total_io(), Expr::lit(1024)),
+            bin(Expr::Mul, Expr::total_io(), Expr::Lit(1024)),
             CmpOp::Ge,
-            Expr::lit(threshold),
+            Expr::Lit(threshold),
         );
         match kind % 6 {
             0 => Pred::True,
@@ -882,10 +882,10 @@ pub(crate) mod tests {
             2 => io.and(Pred::cmp(Col::Duration, CmpOp::Lt, threshold % 8)),
             3 => io.or(Pred::cmp(Col::ReduceTasks, CmpOp::Eq, 0)),
             4 => Pred::Not(Box::new(io)).and(Pred::cmp(Col::Shuffle, CmpOp::Ne, u64::MAX)),
-            _ => Pred::Cmp(Expr::lit(threshold), CmpOp::Gt, Expr::col(Col::Input)).and(Pred::Cmp(
-                Expr::lit(3),
+            _ => Pred::Cmp(Expr::Lit(threshold), CmpOp::Gt, Expr::col(Col::Input)).and(Pred::Cmp(
+                Expr::Lit(3),
                 CmpOp::Le,
-                Expr::lit(threshold % 6),
+                Expr::Lit(threshold % 6),
             )),
         }
     }
@@ -1005,8 +1005,8 @@ pub(crate) mod tests {
         // Literal subtrees fold at compile time, to the same saturated value.
         let folded = Query::new().select(Aggregate::Sum(bin(
             Expr::Mul,
-            Expr::lit(u64::MAX),
-            bin(Expr::Add, Expr::lit(1), Expr::lit(1)),
+            Expr::Lit(u64::MAX),
+            bin(Expr::Add, Expr::Lit(1), Expr::Lit(1)),
         )));
         let program = Program::compile(&folded);
         assert_eq!(arithmetic(&program), 0);
@@ -1042,7 +1042,7 @@ pub(crate) mod tests {
         // Time-sorted submits: `submit / 100` arrives in 10 runs of 100,
         // and the memo carries across the chunk boundary at row 550.
         let hourly = Query::new()
-            .group(bin(Expr::Div, Expr::col(Col::Submit), Expr::lit(100)))
+            .group(bin(Expr::Div, Expr::col(Col::Submit), Expr::Lit(100)))
             .select(Aggregate::Count);
         let chunks = chunks_of(&cols, 550, 0xFF);
         let program = Program::compile(&hourly);
@@ -1055,11 +1055,11 @@ pub(crate) mod tests {
             Expr::col(Col::Submit),
             bin(
                 Expr::Mul,
-                bin(Expr::Div, Expr::col(Col::Submit), Expr::lit(2)),
-                Expr::lit(2),
+                bin(Expr::Div, Expr::col(Col::Submit), Expr::Lit(2)),
+                Expr::Lit(2),
             ),
         );
-        for extra in [None, Some(Expr::lit(1))] {
+        for extra in [None, Some(Expr::Lit(1))] {
             let mut scattered = Query::new().group(parity.clone()).select(Aggregate::Count);
             scattered.group_by.extend(extra);
             let program = Program::compile(&scattered);
@@ -1068,7 +1068,7 @@ pub(crate) mod tests {
         // Keys that share a memo slot and alternate defeat it: every row
         // probes, and the answer is still right.
         let colliding = Query::new()
-            .group(bin(Expr::Mul, parity, Expr::lit(RECENT as u64)))
+            .group(bin(Expr::Mul, parity, Expr::Lit(RECENT as u64)))
             .select(Aggregate::Count);
         let program = Program::compile(&colliding);
         let worker = fold(&program, &chunks);

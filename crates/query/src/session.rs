@@ -102,14 +102,6 @@ impl Session {
         self.catalog().map(Catalog::generation)
     }
 
-    /// Total jobs visible to this session.
-    pub fn job_count(&self) -> u64 {
-        match &self.source {
-            Source::Store { store, .. } => store.job_count(),
-            Source::Catalog(c) => c.job_count(),
-        }
-    }
-
     /// Execute `query`, serially when `serial` is set. Parallel and
     /// serial execution are bit-identical; the flag exists for
     /// benchmarking and debugging.
@@ -220,9 +212,9 @@ mod tests {
         assert_eq!(got, serial, "parallel and serial must be bit-identical");
         assert_eq!(got.generation, None);
         assert_eq!(session.generation(), None);
-        assert_eq!(session.job_count(), 120);
 
         let store = Store::open(&path).unwrap();
+        assert_eq!(store.job_count(), 120);
         let direct = execute(&store, &q).unwrap();
         assert_eq!(got.output, direct);
         assert_eq!(

@@ -193,6 +193,24 @@ fn both_binaries_keep_the_convention() {
     convention::refuses_bogus_and_missing_value(catalog, &["query", "d"], "--where");
 }
 
+#[test]
+fn catalog_query_help_prints_the_query_notes() {
+    let output = Command::new(env!("CARGO_BIN_EXE_swim-catalog"))
+        .args(["query", "--help"])
+        .output()
+        .expect("swim-catalog binary runs");
+    assert_eq!(output.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.starts_with("usage: swim-catalog init DIR\n"),
+        "{stdout}"
+    );
+    assert!(stdout.ends_with(swim_query::cli::NOTES), "{stdout}");
+    for topic in ["columns:", "aggregates:", "predicates:", "group keys:"] {
+        assert!(stdout.lines().any(|l| l.starts_with(topic)), "{topic}");
+    }
+}
+
 /// A store of 20,000 jobs, one result row each under `--group-by id`:
 /// far more output than a pipe buffers.
 fn write_store(path: &std::path::Path) {

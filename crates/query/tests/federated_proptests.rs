@@ -57,6 +57,11 @@ fn arb_jobs_and_split() -> impl Strategy<Value = (Vec<Job>, Vec<u8>, u8)> {
     })
 }
 
+/// `submit in [from, to)`, as a query's `--where` spells it.
+fn submit_range(from: u64, to: u64) -> Pred {
+    Pred::cmp(Col::Submit, CmpOp::Ge, from).and(Pred::cmp(Col::Submit, CmpOp::Lt, to))
+}
+
 fn pick_pred(kind: u8, threshold: u64) -> Pred {
     match kind % 8 {
         0 => Pred::True,
@@ -69,7 +74,7 @@ fn pick_pred(kind: u8, threshold: u64) -> Pred {
             CmpOp::Lt,
             threshold % 60_000,
         )),
-        6 => Pred::submit_range(threshold % 25_000, 25_000 + threshold % 25_000),
+        6 => submit_range(threshold % 25_000, 25_000 + threshold % 25_000),
         _ => Pred::Cmp(Expr::col(Col::Input), CmpOp::Ge, Expr::col(Col::Submit)),
     }
 }
@@ -237,7 +242,7 @@ proptest! {
         let lo = threshold % 30_000;
         let pruned = query
             .clone()
-            .filter(query.predicate.clone().and(Pred::submit_range(lo, lo + 9_000)));
+            .filter(query.predicate.clone().and(submit_range(lo, lo + 9_000)));
         let over = |cols: &[Col]| {
             cols.iter()
                 .fold(Query::new(), |q, &c| q.select(Aggregate::Max(Expr::col(c))))

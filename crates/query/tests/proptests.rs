@@ -91,12 +91,12 @@ fn pick_pred(kind: u8, threshold: u64) -> Pred {
             // Derived arithmetic on both sides.
             Expr::Div(
                 Box::new(Expr::col(Col::Input)),
-                Box::new(Expr::lit(1 + threshold % 1000)),
+                Box::new(Expr::Lit(1 + threshold % 1000)),
             ),
             CmpOp::Le,
             Expr::Mul(
                 Box::new(Expr::col(Col::Duration)),
-                Box::new(Expr::lit(threshold % 9)),
+                Box::new(Expr::Lit(threshold % 9)),
             ),
         ),
     }
@@ -111,7 +111,7 @@ fn pick_group(kind: u8) -> Vec<Expr> {
             Expr::col(Col::ReduceTasks),
             Expr::Div(
                 Box::new(Expr::col(Col::Submit)),
-                Box::new(Expr::lit(10_000)),
+                Box::new(Expr::Lit(10_000)),
             ),
         ],
     }

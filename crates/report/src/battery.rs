@@ -1247,7 +1247,7 @@ mod tests {
         assert!(catalog.shard_count() >= 3, "want a multi-shard catalog");
 
         let ctx = TraceContext::load(&dir, 100).unwrap();
-        let trace = catalog.read_trace().unwrap();
+        let trace = swim_catalog::read_stores(&catalog.open_shards().unwrap(), |_, e| e).unwrap();
         let jobs: Result<Vec<Job>, String> = ctx.jobs().collect();
         assert_eq!(jobs.unwrap(), trace.jobs());
         assert_eq!(ctx.identity(), (trace.kind.clone(), trace.machines));
@@ -1306,7 +1306,7 @@ mod tests {
         // in it moves.
         let trace = sample_trace();
         let image = swim_store::store_to_vec(&trace, &StoreOptions::default());
-        let header = &image[..Header::decode(&image).unwrap().encoded_len()];
+        let header = &image[..Header::decode(&image).unwrap().encode().len()];
         let tail = image.len() - format::CHECKSUM_LEN - format::TRAILER_LEN;
         let at = format::decode_trailer(&image[tail + format::CHECKSUM_LEN..]).unwrap();
         let mut footer = Footer::decode(&image[at as usize..tail]).unwrap();

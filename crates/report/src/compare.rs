@@ -26,11 +26,6 @@ impl Comparison {
         Comparison { contexts }
     }
 
-    /// The wrapped trace contexts, in row order.
-    pub fn contexts(&self) -> &[TraceContext] {
-        &self.contexts
-    }
-
     /// Run the full battery over every trace on all cores and assemble
     /// the comparison report. A trace that opened but cannot be read (a
     /// damaged store or shard) is an error naming it.

@@ -4,23 +4,20 @@
 //! print one row per scenario.
 //!
 //! ```text
-//! swim-sim [--workload KIND] [--days F] [--scale F] [--seed N] [--repeat N]
+//! swim-sim [--workload KIND] [--days F] [--scale F] [--seed N]
 //!          [--nodes 20,50] [--schedulers fifo,fair]
-//!          [--caches none,lru:10gb,unlimited] [--per-task]
+//!          [--caches none,lru:10gb,unlimited]
 //! ```
 //!
 //! Scenario results are deterministic and independent of thread count:
 //! workers claim grid cells from a shared counter but results land in
-//! grid order. `--per-task` additionally runs the retired per-task
-//! reference engine on the first scenario and reports the heap-event
-//! reduction the wave engine achieves.
+//! grid order.
 
 use std::process::ExitCode;
 use swim_obs::cli::{self as run, Cli, Command, Error, Flag};
 use swim_obs::render::Table;
 use swim_report::experiments::swimexp::cache_label;
 use swim_report::render::pct;
-use swim_sim::reference::run_per_task;
 use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, Simulator};
 use swim_synth::ReplayPlan;
 use swim_trace::size::{GB, KB, MB, TB};
@@ -38,18 +35,14 @@ const CLI: Cli = Cli {
             Flag::value("--days", "F", "days to synthesize (default 2)"),
             Flag::value("--scale", "F", "generator scale (default 0.3)"),
             Flag::value("--seed", "N", "generator seed (default 42)"),
-            Flag::value("--repeat", "N", "tile the plan N times"),
             Flag::value("--nodes", "20,50", "cluster sizes to sweep"),
             Flag::value("--schedulers", "fifo,fair", "schedulers to sweep"),
             Flag::value("--caches", "none,lru:10gb,unlimited", "caches to sweep"),
-            Flag::switch("--per-task", "also run the per-task engine"),
         ]],
     }],
     notes: "wave-scheduled replay simulator: parallel what-if sweeps\n\
             workloads: cc-a cc-b cc-c cc-d cc-e fb-2009 fb-2010\n\
-            caches: none | unlimited | lru:CAP | lfu:CAP | threshold:THR:CAP (sizes like 512mb, 10gb)\n\
-            --per-task runs the per-task reference engine on the first scenario and \
-            reports the wave engine's event reduction\n",
+            caches: none | unlimited | lru:CAP | lfu:CAP | threshold:THR:CAP (sizes like 512mb, 10gb)\n",
 };
 
 fn parse_workload(s: &str) -> Result<WorkloadKind, String> {
@@ -142,10 +135,6 @@ fn body(args: run::Args) -> Result<(), Error> {
     g.days = args.parse("--days", "a number")?.or(g.days);
     g.scale = args.parse("--scale", "a number")?.unwrap_or(g.scale);
     g.seed = args.parse("--seed", "an integer")?.unwrap_or(g.seed);
-    let repeat: usize = args.parse("--repeat", "an integer")?.unwrap_or(1);
-    if repeat == 0 {
-        return Err(Error::Usage("--repeat must be ≥ 1".into()));
-    }
     let list = |flag, default| args.value(flag).unwrap_or(default);
     let nodes: Vec<u32> = parse_list(list("--nodes", "20,50"), |p| {
         p.parse().map_err(|_| format!("bad node count {p}"))
@@ -177,23 +166,20 @@ fn body(args: run::Args) -> Result<(), Error> {
         g.seed
     );
     let trace = WorkloadGenerator::new(g.clone()).generate();
-    let mut plan = ReplayPlan::from_trace(&trace);
-    if repeat > 1 {
-        plan = plan.repeat(repeat);
-    }
+    let plan = ReplayPlan::from_trace(&trace);
     // Shared input paths from the generator's file model, so the cache
     // axis sees the workload's real re-access pattern. Jobs without path
     // information fall back to a *unique* private file per plan slot
     // (the engine's null model) — a shared placeholder would fabricate
-    // hits. Under --repeat, real paths recur across repetitions (the
-    // same inputs re-read), private fallbacks stay cold.
-    let base: Vec<Option<PathId>> = trace
+    // hits.
+    let paths: Vec<PathId> = trace
         .jobs()
         .iter()
-        .map(|j| j.input_paths.first().copied())
-        .collect();
-    let paths: Vec<PathId> = (0..plan.len())
-        .map(|i| base[i % base.len()].unwrap_or(PathId(1_000_000_000 + i as u64)))
+        .enumerate()
+        .map(|(i, j)| {
+            let private = PathId(1_000_000_000 + i as u64);
+            j.input_paths.first().copied().unwrap_or(private)
+        })
         .collect();
     eprintln!(
         "plan: {} jobs, {} tasks, {} task-time, schedule {}",
@@ -253,31 +239,5 @@ fn body(args: run::Args) -> Result<(), Error> {
         cells.len() as f64 / elapsed.as_secs_f64().max(1e-9)
     ))?;
 
-    if args.has("--per-task") {
-        let config = grid.configs()[0];
-        eprintln!("\nrunning per-task reference engine on the first scenario ...");
-        let (wave, wave_elapsed) = swim_obs::timed("bench.sim_wave_engine", || {
-            Simulator::new(config).run(&plan, Some(&paths))
-        });
-        let (per_task, ref_elapsed) = swim_obs::timed("bench.sim_per_task_engine", || {
-            run_per_task(&config, &plan, Some(&paths))
-        });
-        run::print(&format!(
-            "wave engine:     {} heap events, {:.2?}\n\
-             per-task engine: {} heap events, {:.2?}\n\
-             reduction:       {:.1}x fewer events, {:.1}x wall-clock speedup\n",
-            wave.events,
-            wave_elapsed,
-            per_task.events,
-            ref_elapsed,
-            per_task.events as f64 / wave.events.max(1) as f64,
-            ref_elapsed.as_secs_f64() / wave_elapsed.as_secs_f64().max(1e-9)
-        ))?;
-        if wave.outcomes != per_task.outcomes {
-            return Err(Error::Runtime(
-                "engines disagree on per-job outcomes".into(),
-            ));
-        }
-    }
     Ok(())
 }

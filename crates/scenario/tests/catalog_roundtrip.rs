@@ -90,7 +90,8 @@ fn catalog_round_trips_the_stream() {
     let mut catalog = Catalog::init(&dir).expect("init catalog");
     generate_into_catalog(&scenario, 7, 1_200, 128, &mut catalog, &small_options(500))
         .expect("generation succeeds");
-    let stored = catalog.read_trace().expect("read catalog back");
+    let stored = swim_catalog::read_stores(&catalog.open_shards().unwrap(), |_, e| e)
+        .expect("read catalog back");
     let direct: Vec<_> = ScenarioStream::new(&scenario, 7, 1_200)
         .expect("valid scenario")
         .flatten()

@@ -105,11 +105,9 @@ fn both_binaries_keep_the_convention() {
         "--days",
         "--scale",
         "--seed",
-        "--repeat",
         "--nodes",
         "--schedulers",
         "--caches",
-        "--per-task",
     ];
     convention::help_names_every_flag(sim, &flags);
     convention::refuses_bogus_and_missing_value(sim, &[], "--days");

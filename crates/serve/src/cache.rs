@@ -122,11 +122,6 @@ impl ResultCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Maximum resident keys.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
-    }
-
     /// Look up the body filed under `(generation, kind, text)`.
     pub fn lookup(&self, generation: u64, kind: KeyKind, text: &str) -> Option<Arc<[u8]>> {
         let hit = {

@@ -182,11 +182,6 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// The policy in force.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
 }
 
 #[cfg(test)]

@@ -85,16 +85,6 @@ impl SlotPool {
         granted
     }
 
-    /// Return one map slot.
-    pub fn release_map(&mut self) {
-        self.release_map_n(1);
-    }
-
-    /// Return one reduce slot.
-    pub fn release_reduce(&mut self) {
-        self.release_reduce_n(1);
-    }
-
     /// Return `n` map slots at once (a finished wave).
     pub fn release_map_n(&mut self, n: u32) {
         assert!(
@@ -111,11 +101,6 @@ impl SlotPool {
             "releasing more reduce slots than exist"
         );
         self.free_reduce += n;
-    }
-
-    /// The static configuration.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
     }
 }
 
@@ -143,7 +128,7 @@ mod tests {
     fn release_restores_capacity() {
         let mut p = SlotPool::new(ClusterConfig::with_nodes(1));
         p.take_reduce(2);
-        p.release_reduce();
+        p.release_reduce_n(1);
         assert_eq!(p.free_reduce, 1);
         assert_eq!(p.busy_reduce(), 1);
     }
@@ -152,7 +137,7 @@ mod tests {
     #[should_panic(expected = "releasing more map slots")]
     fn over_release_panics() {
         let mut p = SlotPool::new(ClusterConfig::with_nodes(1));
-        p.release_map();
+        p.release_map_n(1);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! grants whose durations preserve the same exact total.
 //!
 //! A per-task reference implementation with identical semantics lives in
-//! [`crate::reference`] and is held to bit-exact FIFO parity by tests.
+//! `src/reference.rs` (test builds only) and is held to bit-exact FIFO
+//! parity by its tests.
 
 use crate::cache::{CachePolicy, CacheStats};
 use crate::cluster::{ClusterConfig, SlotPool};
@@ -199,7 +200,7 @@ pub(crate) fn batch_tasks(tasks: u32, total_time: Dur, cap: u32) -> TaskBatch {
 }
 
 /// Per-job runtime state (shared with the per-task reference engine in
-/// [`crate::reference`]).
+/// `src/reference.rs`).
 #[derive(Debug, Clone)]
 pub(crate) struct JobState {
     pub(crate) submit: Timestamp,
@@ -339,7 +340,7 @@ impl Simulator {
 }
 
 /// Build per-job runtime state from the plan (shared by the wave engine
-/// and the per-task reference engine in [`crate::reference`]).
+/// and the per-task reference engine in `src/reference.rs`).
 pub(crate) fn materialize_jobs(
     plan: &ReplayPlan,
     input_paths: Option<&[PathId]>,

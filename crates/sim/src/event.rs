@@ -105,16 +105,6 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(Timestamp, Event)> {
         self.heap.pop().map(|q| (q.at, q.event))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` iff no events pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -69,16 +69,6 @@ impl Hdfs {
         self.files.get(&path).copied()
     }
 
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Bytes stored (one copy of each file).
-    pub fn bytes_stored(&self) -> DataSize {
-        self.files.values().copied().sum()
-    }
-
     /// Total blocks across all files.
     pub fn total_blocks(&self) -> u64 {
         let bs = self.config.block_size.bytes().max(1);

@@ -19,9 +19,10 @@
 //!   (Fig. 7 column 4), per-job latencies, queueing delays, and cache
 //!   hit rates ([`engine`], [`metrics`]);
 //! * a parallel **scenario sweep** driver for what-if grids over
-//!   scheduler × cache × cluster size ([`sweep`]);
-//! * the retired per-task engine as a semantic reference and benchmark
-//!   baseline ([`mod@reference`]).
+//!   scheduler × cache × cluster size ([`sweep`]).
+//!
+//! The retired per-task engine survives in test builds only
+//! (`src/reference.rs`), as the wave engine's parity oracle.
 //!
 //! The task model is deliberately the paper's own abstraction: a job is
 //! its task-time vector; each task occupies one slot for
@@ -38,7 +39,7 @@ pub mod engine;
 pub mod event;
 pub mod hdfs;
 pub mod metrics;
-pub mod reference;
+mod reference;
 pub mod scheduler;
 pub mod sweep;
 

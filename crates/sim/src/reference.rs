@@ -1,5 +1,5 @@
-//! The per-task reference engine: the pre-wave execution model kept as a
-//! semantic baseline and benchmark foil.
+//! The per-task reference engine: the pre-wave execution model, kept
+//! (test builds only) as the wave engine's parity oracle.
 //!
 //! This is the O(runnable-jobs × events) design the wave-scheduled
 //! engine replaced: one heap event per **task** and a full scan of every
@@ -7,8 +7,9 @@
 //! remainder-distribution as the wave engine (no ceil inflation) and
 //! inputs are read at first launch, so for FIFO plans the two engines
 //! are held to bit-for-bit identical [`SimResult`]s by the parity tests
-//! in `tests/determinism.rs` — only the event count (and wall-clock)
-//! differ, which is what `swim-sim --per-task --repeat N` prints.
+//! below — only the event count differs.
+
+#![cfg(test)]
 
 use crate::cluster::SlotPool;
 use crate::engine::{materialize_jobs, maybe_finish, JobState, SimConfig, SimResult};
@@ -67,10 +68,10 @@ pub fn run_per_task(
                 let js = &mut jobs[job];
                 if is_map {
                     js.running_map -= 1;
-                    slots.release_map();
+                    slots.release_map_n(1);
                 } else {
                     js.running_reduce -= 1;
-                    slots.release_reduce();
+                    slots.release_reduce_n(1);
                 }
                 maybe_finish(job, &mut jobs, &mut hdfs, &mut outcomes, now);
                 if jobs[job].done {
@@ -188,10 +189,14 @@ fn dispatch(
     }
 }
 
+#[path = "../tests/support/seeded.rs"]
+mod seeded;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Simulator;
+    use seeded::{seeded_plan, GOLDEN_FIFO_LATENCIES};
     use swim_synth::ReplayJob;
     use swim_trace::DataSize;
 
@@ -213,6 +218,33 @@ mod tests {
             name: "ref".into(),
             machines: 2,
             jobs,
+        }
+    }
+
+    #[test]
+    fn per_task_reference_reproduces_the_same_goldens() {
+        let plan = seeded_plan(2012, 200, true);
+        let r = run_per_task(&SimConfig::new(4), &plan, None);
+        let lats: Vec<u64> = r.outcomes.iter().map(|o| o.latency().secs()).collect();
+        assert_eq!(lats, GOLDEN_FIFO_LATENCIES);
+    }
+
+    #[test]
+    fn fifo_wave_and_per_task_engines_agree_on_remainder_heavy_plans() {
+        for seed in [1u64, 7, 42, 1234] {
+            let plan = seeded_plan(seed, 120, false);
+            let cfg = SimConfig::new(3);
+            let wave = Simulator::new(cfg).run(&plan, None);
+            let per_task = run_per_task(&cfg, &plan, None);
+            assert_eq!(wave.outcomes, per_task.outcomes, "seed {seed}");
+            assert_eq!(wave.makespan, per_task.makespan, "seed {seed}");
+            assert_eq!(wave.slot_seconds, per_task.slot_seconds, "seed {seed}");
+            assert!(
+                wave.events < per_task.events,
+                "seed {seed}: wave engine must push fewer events ({} vs {})",
+                wave.events,
+                per_task.events
+            );
         }
     }
 

@@ -58,7 +58,8 @@
 //! let first = store.reader().unwrap().columns(0, submit).unwrap();
 //! let hour = first.cols[ZoneMap::SUBMIT].iter().filter(|&&s| s < 3600);
 //! assert_eq!(hour.count(), 120);
-//! assert_eq!(store.read_trace().unwrap(), trace);        // bit-exact round trip
+//! let jobs: Vec<_> = store.scan().unwrap().flat_map(Result::unwrap).collect();
+//! assert_eq!(jobs, trace.jobs());                        // bit-exact round trip
 //! ```
 
 #![warn(missing_docs)]
@@ -413,7 +414,8 @@ mod tests {
     fn compression_beats_csv_on_size() {
         let trace = varied_trace(5_000);
         let bytes = store_to_vec(&trace, &StoreOptions::default());
-        let csv = swim_trace::io::to_csv_string(&trace).unwrap();
+        let mut csv = Vec::new();
+        swim_trace::io::write_csv(&trace, &mut csv).unwrap();
         assert!(
             bytes.len() < csv.len(),
             "store {} bytes should undercut CSV {} bytes",

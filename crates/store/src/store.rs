@@ -10,7 +10,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{Job, Trace, TraceSummary};
+use swim_trace::{Job, TraceSummary};
 
 /// swim-obs instruments for the store layer. Counter names are part of
 /// the observable surface (`swim-query --profile`, the JSONL sink), so
@@ -287,7 +287,8 @@ impl Store {
     }
 
     /// The summary stored in the footer.
-    pub fn stored_summary(&self) -> &StoredSummary {
+    #[cfg(test)]
+    pub(crate) fn stored_summary(&self) -> &StoredSummary {
         &self.summary
     }
 
@@ -347,8 +348,10 @@ impl Store {
         Ok(nonempty.map(move |idx| reader.jobs(idx)))
     }
 
-    /// Rebuild the full trace (materializes every job).
-    pub fn read_trace(&self) -> Result<Trace, StoreError> {
+    /// Rebuild the full trace (materializes every job): the round-trip
+    /// oracle of this crate's tests.
+    #[cfg(test)]
+    pub(crate) fn read_trace(&self) -> Result<swim_trace::Trace, StoreError> {
         // A job a stored byte at most up front: the footer's count is
         // only confirmed chunk by chunk.
         let bytes: u64 = self.chunks.iter().map(|c| c.block_len).sum();
@@ -356,7 +359,7 @@ impl Store {
         for chunk in self.scan()? {
             jobs.extend(chunk?);
         }
-        Ok(Trace::new_unchecked(
+        Ok(swim_trace::Trace::new_unchecked(
             self.header.kind.clone(),
             self.header.machines,
             jobs,

@@ -165,6 +165,7 @@ impl<W: Write> StoreWriter<W> {
     /// `jobs_per_chunk` whenever `push` has returned, which is the whole
     /// of what the writer holds back. Read by the tests of that bound.
     #[doc(hidden)]
+    // lint: surface: the write-path memory bound that swim-catalog's streaming-ingest tests read
     pub fn pending_jobs(&self) -> usize {
         self.encoder.rows()
     }

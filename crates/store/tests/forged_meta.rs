@@ -27,7 +27,7 @@ struct Parts {
 
 impl Parts {
     fn of(image: &[u8]) -> Parts {
-        let header_len = Header::decode(image).expect("intact").encoded_len();
+        let header_len = Header::decode(image).expect("intact").encode().len();
         let tail = image.len() - format::CHECKSUM_LEN - format::TRAILER_LEN;
         let footer_offset = format::decode_trailer(&image[tail + format::CHECKSUM_LEN..]).unwrap();
         let at = footer_offset as usize;

@@ -89,10 +89,10 @@ fn checksum_failures_count_refused_reads() {
         refused.to_string(),
         format!("checksum mismatch in {}: column block", path.display())
     );
-    assert!(store.read_trace().is_err());
+    assert!(store.scan().unwrap().any(|chunk| chunk.is_err()));
     let delta = swim_obs::snapshot().delta(&before);
     assert_eq!(counter(&delta, "store.checksum_failures"), 2);
-    // jobs(0), jobs(1), then read_trace's chunks 0 and 1.
+    // jobs(0), jobs(1), then the scan's chunks 0 and 1.
     assert_eq!(counter(&delta, "store.chunks_decoded"), 4);
     assert_eq!(
         counter(&delta, "store.columns_decoded"),

@@ -103,38 +103,9 @@ impl ReplayPlan {
             .sum()
     }
 
-    /// Tile the job stream `times` times end to end, preserving gaps (the
-    /// first job of each repetition follows the last job of the previous
-    /// one by its own gap). SWIM's knob for stretching a sampled day into
-    /// a multi-day soak, and the bench harness's way to build 50k-job
-    /// plans from a synthesized base.
-    pub fn repeat(&self, times: usize) -> ReplayPlan {
-        let mut jobs = Vec::with_capacity(self.jobs.len() * times);
-        for _ in 0..times {
-            jobs.extend(self.jobs.iter().cloned());
-        }
-        ReplayPlan {
-            name: format!("{}-rep{times}", self.name),
-            machines: self.machines,
-            jobs,
-        }
-    }
-
     /// Total wall-clock span of the submission schedule.
     pub fn schedule_length(&self) -> Dur {
         self.jobs.iter().map(|j| j.gap).sum()
-    }
-
-    /// Reconstruct absolute submit times from the gap encoding.
-    pub fn submit_times(&self) -> Vec<Timestamp> {
-        let mut t = Timestamp::ZERO;
-        self.jobs
-            .iter()
-            .map(|j| {
-                t += j.gap;
-                t
-            })
-            .collect()
     }
 
     /// Speed the schedule up (`factor` > 1) or slow it down (< 1) without
@@ -197,9 +168,8 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert_eq!(plan.jobs[0].gap, Dur::from_secs(100));
         assert_eq!(plan.jobs[1].gap, Dur::from_secs(60));
-        let times = plan.submit_times();
-        assert_eq!(times[0], Timestamp::from_secs(100));
-        assert_eq!(times[1], Timestamp::from_secs(160));
+        let second = Timestamp::ZERO + plan.jobs[0].gap + plan.jobs[1].gap;
+        assert_eq!(second, Timestamp::from_secs(160));
     }
 
     #[test]
@@ -229,22 +199,5 @@ mod tests {
         let plan = ReplayPlan::from_trace(&trace());
         assert_eq!(plan.total_tasks(), 1 + 2 + 1);
         assert_eq!(plan.total_task_time(), Dur::from_secs(8 + 4 + 4));
-    }
-
-    #[test]
-    fn repeat_tiles_schedule_and_preserves_totals() {
-        let plan = ReplayPlan::from_trace(&trace());
-        let tiled = plan.repeat(3);
-        assert_eq!(tiled.len(), plan.len() * 3);
-        assert_eq!(tiled.total_tasks(), plan.total_tasks() * 3);
-        assert_eq!(
-            tiled.schedule_length(),
-            Dur::from_secs(plan.schedule_length().secs() * 3)
-        );
-        assert_eq!(tiled.machines, plan.machines);
-        // Submissions keep strictly advancing across repetition joints.
-        let times = tiled.submit_times();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(plan.repeat(1).jobs, plan.jobs);
     }
 }

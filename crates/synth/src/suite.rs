@@ -42,13 +42,9 @@ impl WorkloadSuite {
     }
 
     /// Number of member workloads.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// `true` iff the suite has no members.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Look up a member by name.

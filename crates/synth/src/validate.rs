@@ -11,6 +11,7 @@ use swim_trace::{Job, Trace};
 /// Two-sample Kolmogorov–Smirnov distance: the supremum of the absolute
 /// difference between the two empirical CDFs. Returns `None` when either
 /// sample is empty.
+// lint: surface: the KS oracle the workspace's property tests pin; production sorts its samples in place
 pub fn ks_distance(a: &[f64], b: &[f64]) -> Option<f64> {
     ks_sorted(&mut a.to_vec(), &mut b.to_vec())
 }
@@ -142,11 +143,6 @@ impl SynthesisReport {
     pub fn worst(&self) -> f64 {
         self.distances().into_iter().fold(0.0, f64::max)
     }
-
-    /// `true` iff every dimension is within `threshold`.
-    pub fn passes(&self, threshold: f64) -> bool {
-        self.worst() <= threshold
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +206,7 @@ mod tests {
         let t = uniform_trace(50, 10, 60);
         let r = SynthesisReport::compare(&t, &t);
         assert_eq!(r.worst(), 0.0);
-        assert!(r.passes(0.01));
+        assert!(r.worst() <= 0.01);
     }
 
     #[test]
@@ -219,7 +215,7 @@ mod tests {
         let b = uniform_trace(50, 1000, 60);
         let r = SynthesisReport::compare(&a, &b);
         assert_eq!(r.input, 1.0);
-        assert!(!r.passes(0.5));
+        assert!(r.worst() > 0.5);
     }
 
     #[test]

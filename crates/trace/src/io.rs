@@ -354,21 +354,6 @@ pub fn read_file<R: Read>(path: &Path, csv_machines: u32, reader: R) -> Result<T
     }
 }
 
-/// Serialize a trace to a CSV string (convenience).
-pub fn to_csv_string(trace: &Trace) -> Result<String, TraceError> {
-    let mut buf = Vec::new();
-    write_csv(trace, &mut buf)?;
-    String::from_utf8(buf).map_err(|e| TraceError::Parse {
-        line: 0,
-        reason: format!("non-utf8 output: {e}"),
-    })
-}
-
-/// Deserialize a trace from a CSV string (convenience).
-pub fn from_csv_string(kind: WorkloadKind, machines: u32, s: &str) -> Result<Trace, TraceError> {
-    read_csv(kind, machines, s.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,8 +391,9 @@ mod tests {
     #[test]
     fn csv_round_trip_preserves_everything_but_commas() {
         let t = sample_trace();
-        let csv = to_csv_string(&t).unwrap();
-        let back = from_csv_string(WorkloadKind::CcB, 300, &csv).unwrap();
+        let mut csv = Vec::new();
+        write_csv(&t, &mut csv).unwrap();
+        let back = read_csv(WorkloadKind::CcB, 300, &csv[..]).unwrap();
         assert_eq!(back.len(), 2);
         // Comma in the name was replaced by a space; everything else intact.
         assert_eq!(back.jobs()[0].name, "insert overwrite  weekly");
@@ -426,21 +412,21 @@ mod tests {
 
     #[test]
     fn csv_rejects_bad_header() {
-        let r = from_csv_string(WorkloadKind::CcA, 1, "nope\n1,2,3\n");
+        let r = read_csv(WorkloadKind::CcA, 1, &b"nope\n1,2,3\n"[..]);
         assert!(matches!(r, Err(TraceError::Parse { line: 1, .. })));
     }
 
     #[test]
     fn csv_rejects_wrong_field_count() {
         let csv = format!("{CSV_HEADER}\n1,2,3\n");
-        let r = from_csv_string(WorkloadKind::CcA, 1, &csv);
+        let r = read_csv(WorkloadKind::CcA, 1, csv.as_bytes());
         assert!(matches!(r, Err(TraceError::Parse { line: 2, .. })));
     }
 
     #[test]
     fn csv_rejects_bad_path_id() {
         let csv = format!("{CSV_HEADER}\n1,n,0,1,0,0,0,1,0,1,0,x;y,\n");
-        assert!(from_csv_string(WorkloadKind::CcA, 1, &csv).is_err());
+        assert!(read_csv(WorkloadKind::CcA, 1, csv.as_bytes()).is_err());
     }
 
     #[test]
@@ -491,7 +477,7 @@ mod tests {
         // 2^32 + 2 would truncate to 2 under a silent `as u32` cast.
         let over = (1u64 << 32) + 2;
         let csv = format!("{CSV_HEADER}\n1,n,0,1,0,0,0,1,0,{over},0,,\n");
-        let err = from_csv_string(WorkloadKind::CcA, 1, &csv).unwrap_err();
+        let err = read_csv(WorkloadKind::CcA, 1, csv.as_bytes()).unwrap_err();
         match err {
             TraceError::Parse { line, reason } => {
                 assert_eq!(line, 2);
@@ -514,7 +500,7 @@ mod tests {
             ];
             fields[field_idx] = "12x";
             let csv = format!("{CSV_HEADER}\n{}\n", fields.join(","));
-            let err = from_csv_string(WorkloadKind::CcA, 1, &csv).unwrap_err();
+            let err = read_csv(WorkloadKind::CcA, 1, csv.as_bytes()).unwrap_err();
             match err {
                 TraceError::Parse { line, reason } => {
                     assert_eq!(line, 2);
@@ -530,7 +516,7 @@ mod tests {
         for bad in ["-1", "1.5", " 7", ""] {
             let csv = format!("{CSV_HEADER}\n1,n,{bad},1,0,0,0,1,0,1,0,,\n");
             assert!(
-                from_csv_string(WorkloadKind::CcA, 1, &csv).is_err(),
+                read_csv(WorkloadKind::CcA, 1, csv.as_bytes()).is_err(),
                 "submit_secs {bad:?} should be rejected"
             );
         }

@@ -73,7 +73,8 @@ impl PathInterner {
     }
 
     /// Resolve an id back to its path string, if it was interned here.
-    pub fn resolve(&self, id: PathId) -> Option<String> {
+    #[cfg(test)]
+    pub(crate) fn resolve(&self, id: PathId) -> Option<String> {
         self.read().names.get(id.0 as usize).cloned()
     }
 

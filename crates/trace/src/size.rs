@@ -24,6 +24,16 @@ pub const TB: u64 = 1_000_000_000_000;
 /// One petabyte (decimal).
 pub const PB: u64 = 1_000_000_000_000_000;
 
+/// `x.round() as u64` for `0 < x < 2^64`, by an integer cast in place
+/// of a libm call. The truncation `t` is exact, and so is `x - t`: below
+/// 2^52 it is `x`'s fraction, and from 2^52 on `x` is an integer and it
+/// is 0. So halves round away from zero, as `round` rounds them.
+#[inline]
+pub(crate) fn round_in_range(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
+}
+
 impl DataSize {
     /// Zero bytes.
     pub const ZERO: DataSize = DataSize(0);
@@ -69,7 +79,7 @@ impl DataSize {
         } else if bytes >= u64::MAX as f64 {
             DataSize(u64::MAX)
         } else {
-            DataSize(bytes.round() as u64)
+            DataSize(round_in_range(bytes))
         }
     }
 
@@ -106,13 +116,6 @@ impl DataSize {
     #[inline]
     pub fn saturating_sub(self, rhs: DataSize) -> DataSize {
         DataSize(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Saturating addition (EB-scale workload totals can overflow u64 when
-    /// multiplied carelessly; additions themselves saturate defensively).
-    #[inline]
-    pub fn saturating_add(self, rhs: DataSize) -> DataSize {
-        DataSize(self.0.saturating_add(rhs.0))
     }
 
     /// Multiply by a non-negative scale factor (used by scale-down).
@@ -192,6 +195,27 @@ mod tests {
         assert_eq!(DataSize::from_mb(2).bytes(), 2_000_000);
         assert_eq!(DataSize::from_gb(3).bytes(), 3 * GB);
         assert_eq!(DataSize::from_tb(4).bytes(), 4 * TB);
+    }
+
+    #[test]
+    fn rounding_by_cast_is_f64_round() {
+        let below_2_64 = f64::from_bits((u64::MAX as f64).to_bits() - 1);
+        let mut grid = vec![0.49999999999999994, 0.5, 1.5, 2.5, 2.0_f64.powi(52) + 0.5];
+        grid.extend([2.0_f64.powi(53), 2.0_f64.powi(63), below_2_64]);
+        grid.extend((0..64).map(|k| f64::from(k) + 0.5));
+        grid.extend((1..64).flat_map(|e| {
+            let p = 2.0_f64.powi(e);
+            [
+                p - 0.5,
+                p,
+                p + 0.5,
+                f64::from_bits(p.to_bits() - 1),
+                f64::from_bits(p.to_bits() + 1),
+            ]
+        }));
+        for x in grid.into_iter().filter(|&x| x > 0.0 && x < u64::MAX as f64) {
+            assert_eq!(round_in_range(x), x.round() as u64, "{x:e}");
+        }
     }
 
     #[test]

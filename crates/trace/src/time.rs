@@ -44,12 +44,6 @@ impl Timestamp {
         self.0
     }
 
-    /// Seconds since epoch as `f64`.
-    #[inline]
-    pub const fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-
     /// Index of the hour-long bucket containing this instant (bucket 0 is
     /// `[0, 3600)`). This is the granularity of all §5 time series.
     #[inline]
@@ -63,9 +57,9 @@ impl Timestamp {
         self.0 / DAY
     }
 
-    /// Second-of-day in `[0, 86400)`, used by diurnal arrival modulation.
-    #[inline]
-    pub const fn second_of_day(self) -> u64 {
+    /// Second-of-day in `[0, 86400)`.
+    #[cfg(test)]
+    pub(crate) const fn second_of_day(self) -> u64 {
         self.0 % DAY
     }
 
@@ -150,7 +144,7 @@ impl Dur {
         } else if secs >= u64::MAX as f64 {
             Dur(u64::MAX)
         } else {
-            Dur(secs.round() as u64)
+            Dur(crate::size::round_in_range(secs))
         }
     }
 
@@ -188,12 +182,6 @@ impl Dur {
     #[inline]
     pub fn scale(self, factor: f64) -> Dur {
         Dur::from_f64(self.0 as f64 * factor)
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: Dur) -> Dur {
-        Dur(self.0.saturating_sub(rhs.0))
     }
 }
 

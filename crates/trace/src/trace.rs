@@ -192,7 +192,8 @@ impl Trace {
     /// §3 notes "inaccuracies at trace start and termination, due to partial
     /// information for jobs straddling the trace boundaries"; trimming with a
     /// margin of the longest plausible job removes them.
-    pub fn trim_boundaries(&self, margin: Dur) -> Trace {
+    #[cfg(test)]
+    pub(crate) fn trim_boundaries(&self, margin: Dur) -> Trace {
         let (Some(start), Some(end)) = (self.start(), self.end()) else {
             return self.clone();
         };
@@ -246,11 +247,6 @@ impl Trace {
     /// Summarize into a Table 1 row.
     pub fn summary(&self) -> TraceSummary {
         TraceSummary::of(self)
-    }
-
-    /// Iterate over jobs.
-    pub fn iter(&self) -> std::slice::Iter<'_, Job> {
-        self.jobs.iter()
     }
 }
 
@@ -325,6 +321,19 @@ mod tests {
         let trimmed = t.trim_boundaries(Dur::from_secs(10));
         let ids: Vec<u64> = trimmed.jobs().iter().map(|j| j.id.0).collect();
         assert_eq!(ids, vec![3]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn trim_boundaries_never_grows(
+            spans in proptest::collection::vec((0u64..1_000_000_000, 1u64..100_000), 1..30),
+            margin in 0u64..10_000,
+        ) {
+            let jobs = spans.iter().enumerate();
+            let t = trace(jobs.map(|(id, &(submit, dur))| job(id as u64, submit, dur)).collect());
+            let trimmed = t.trim_boundaries(Dur::from_secs(margin));
+            proptest::prop_assert!(trimmed.len() <= t.len());
+        }
     }
 
     #[test]

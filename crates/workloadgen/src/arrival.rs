@@ -15,7 +15,7 @@
 //! sigma producing the published peak-to-median bands. Within an hour,
 //! arrivals are Poisson (exponential gaps).
 
-use crate::dist::{poisson, Exponential, LogNormal};
+use crate::dist::{poisson, LogNormal};
 use rand::rngs::StdRng;
 use rand::Rng;
 use swim_trace::time::HOUR;
@@ -39,7 +39,8 @@ pub struct ArrivalModel {
 impl ArrivalModel {
     /// A flat Poisson process (no diurnal, no bursts) — the baseline for
     /// the arrival-process ablation.
-    pub fn flat(jobs_per_hour: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn flat(jobs_per_hour: f64) -> Self {
         ArrivalModel {
             jobs_per_hour,
             diurnal_amplitude: 0.0,
@@ -60,7 +61,12 @@ impl ArrivalModel {
 
     /// Sample the submission instants for a trace of `hours` hours.
     /// Returned timestamps are sorted and lie in `[0, hours·3600)`.
-    pub fn sample_arrivals<R: Rng + ?Sized>(&self, rng: &mut R, hours: u64) -> Vec<Timestamp> {
+    #[cfg(test)]
+    pub(crate) fn sample_arrivals<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        hours: u64,
+    ) -> Vec<Timestamp> {
         self.sample_arrivals_with_intensity(rng, hours)
             .into_iter()
             .map(|(t, _)| t)
@@ -74,7 +80,9 @@ impl ArrivalModel {
     /// — the §1/§7 "interactive, semi-streaming analysis" storms — which
     /// is what keeps jobs/hour only weakly correlated with bytes/hour
     /// (Fig. 9) while the submission rate swings by orders of magnitude.
-    pub fn sample_arrivals_with_intensity<R: Rng + ?Sized>(
+    /// The batch oracle [`ArrivalModel::stream`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn sample_arrivals_with_intensity<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         hours: u64,
@@ -109,10 +117,9 @@ impl ArrivalModel {
         (intensity, poisson(rng, rate))
     }
 
-    /// Streaming view of the same process: an iterator of `(submit,
-    /// intensity)` pairs in O(1) memory, bit-identical to
-    /// [`ArrivalModel::sample_arrivals_with_intensity`] when driven by an
-    /// identically seeded RNG.
+    /// The arrival process: an iterator of `(submit, intensity)` pairs
+    /// in O(1) memory, bit-identical to the batch sampler its tests hold
+    /// it to when driven by an identically seeded RNG.
     pub fn stream(self, rng: StdRng, hours: u64) -> ArrivalStream {
         ArrivalStream {
             model: self,
@@ -126,8 +133,10 @@ impl ArrivalModel {
     /// Sample inter-arrival gaps for a *stationary* stream at the model's
     /// mean rate — used by replay tools that only need gaps, not absolute
     /// hours.
-    pub fn sample_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        Exponential::new(self.jobs_per_hour.max(f64::MIN_POSITIVE) / HOUR as f64).sample(rng)
+    #[cfg(test)]
+    pub(crate) fn sample_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let rate = self.jobs_per_hour.max(f64::MIN_POSITIVE) / HOUR as f64;
+        crate::dist::Exponential::new(rate).sample(rng)
     }
 }
 

@@ -56,11 +56,6 @@ impl LogNormal {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
 
-    /// The distribution median `exp(mu)`.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
-
     /// The distribution mean `exp(mu + sigma²/2)`.
     pub fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
@@ -93,11 +88,6 @@ impl Exponential {
             }
         };
         -u.ln() / self.lambda
-    }
-
-    /// Distribution mean `1/lambda`.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.lambda
     }
 }
 
@@ -137,6 +127,11 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
 pub struct Zipf {
     n: u64,
     s: f64,
+    /// `H(1/2)` and `H(n + 1/2)`: the dominating curve's mass bounds.
+    h_min: f64,
+    h_max: f64,
+    /// [`dominating_peak`] of `s`.
+    peak: f64,
 }
 
 impl Zipf {
@@ -145,7 +140,22 @@ impl Zipf {
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n >= 1, "population must be non-empty");
         assert!(s > 0.0 && s.is_finite(), "exponent must be positive");
-        Zipf { n, s }
+        Zipf {
+            n,
+            s,
+            h_min: big_h(s, 0.5),
+            h_max: big_h(s, n as f64 + 0.5),
+            peak: dominating_peak(s),
+        }
+    }
+
+    /// The same exponent over `1..=n` (`n >= 1`): only `H(n + 1/2)` is
+    /// computed, so a sampler over a growing population pays for the
+    /// exponent's constants once.
+    pub fn with_n(self, n: u64) -> Self {
+        assert!(n >= 1, "population must be non-empty");
+        let h_max = big_h(self.s, n as f64 + 0.5);
+        Zipf { n, h_max, ..self }
     }
 
     /// Sample one rank in `1..=n`.
@@ -157,14 +167,6 @@ impl Zipf {
         // rejection from a dominating curve built on the integral of x^-s.
         let n = self.n as f64;
         let s = self.s;
-        // H(x) = integral of x^-s: (x^(1-s) - 1) / (1-s) for s != 1, ln x else.
-        let h = |x: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-12 {
-                x.ln()
-            } else {
-                (x.powf(1.0 - s) - 1.0) / (1.0 - s)
-            }
-        };
         let h_inv = |y: f64| -> f64 {
             if (s - 1.0).abs() < 1e-12 {
                 y.exp()
@@ -172,31 +174,31 @@ impl Zipf {
                 (1.0 + y * (1.0 - s)).powf(1.0 / (1.0 - s))
             }
         };
-        let h_max = h(n + 0.5);
-        let h_min = h(0.5);
         loop {
             let u: f64 = rng.random();
-            let y = h_min + u * (h_max - h_min);
+            let y = self.h_min + u * (self.h_max - self.h_min);
             let x = h_inv(y);
-            let k = (x + 0.5).floor().clamp(1.0, n);
+            // `x + 0.5` is positive, so the cast floors it.
+            let k = ((x + 0.5) as u64 as f64).clamp(1.0, n);
             // Accept with probability proportional to the ratio of the true
             // pmf at k to the dominating density mass over [k-1/2, k+1/2].
-            let ratio = (k.powf(-s)) / ((h(k + 0.5) - h(k - 0.5)).max(f64::MIN_POSITIVE));
-            let accept = ratio / dominating_peak(s);
+            let mass = big_h(s, k + 0.5) - big_h(s, k - 0.5);
+            let ratio = (k.powf(-s)) / mass.max(f64::MIN_POSITIVE);
+            let accept = ratio / self.peak;
             if rng.random::<f64>() < accept {
                 return k as u64;
             }
         }
     }
+}
 
-    /// Population size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Exponent.
-    pub fn exponent(&self) -> f64 {
-        self.s
+/// `H(x)`, the integral of `x^-s`: `(x^(1-s) - 1) / (1-s)` for s != 1,
+/// `ln x` else.
+fn big_h(s: f64, x: f64) -> f64 {
+    if (s - 1.0).abs() < 1e-12 {
+        x.ln()
+    } else {
+        (x.powf(1.0 - s) - 1.0) / (1.0 - s)
     }
 }
 
@@ -204,14 +206,7 @@ impl Zipf {
 /// normalize the acceptance ratio to (0, 1]. The ratio is maximized at
 /// k = 1; evaluate there.
 fn dominating_peak(s: f64) -> f64 {
-    let h = |x: f64| -> f64 {
-        if (s - 1.0).abs() < 1e-12 {
-            x.ln()
-        } else {
-            (x.powf(1.0 - s) - 1.0) / (1.0 - s)
-        }
-    };
-    1.0 / (h(1.5) - h(0.5))
+    1.0 / (big_h(s, 1.5) - big_h(s, 0.5))
 }
 
 /// Weighted categorical sampler over `0..weights.len()` using cumulative
@@ -250,13 +245,9 @@ impl Categorical {
     }
 
     /// Number of categories.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.cumulative.len()
-    }
-
-    /// Always false (construction requires at least one weight).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Probability of category `i`.

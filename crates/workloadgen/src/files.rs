@@ -63,7 +63,8 @@ impl AccessModel {
     }
 
     /// A model that never re-accesses anything (ablation baseline).
-    pub fn no_reaccess() -> Self {
+    #[cfg(test)]
+    pub(crate) fn no_reaccess() -> Self {
         AccessModel {
             p_reread_input: 0.0,
             p_consume_output: 0.0,
@@ -145,12 +146,20 @@ impl PopulationBounds {
 pub struct FilePopulation {
     model: AccessModel,
     bounds: PopulationBounds,
+    /// The Zipf samplers of `model.zipf_exponent` and of the reference
+    /// set's exponent 1, resized per draw with [`Zipf::with_n`].
+    popularity: Zipf,
+    reference: Zipf,
     files: Vec<FileRecord>,
     /// Indices into `files` of output files (chaining candidates), oldest
     /// first; bounded by `bounds.max_outputs` (oldest dropped).
     outputs: VecDeque<usize>,
-    /// Ring of recently accessed file indices (most recent last).
-    recent: Vec<usize>,
+    /// Ring of recently accessed file indices (most recent last), at
+    /// most `recency_window` long and without repeats.
+    recent: VecDeque<usize>,
+    /// One bit per file slot: is the slot in `recent`? Spares the ring
+    /// a scan for a file that is not in it.
+    in_recent: Vec<u64>,
     /// One entry per past access (file index): sampling uniformly from
     /// this log draws a file with probability proportional to its access
     /// count — preferential attachment, the generative process behind the
@@ -177,9 +186,12 @@ impl FilePopulation {
         FilePopulation {
             model,
             bounds: bounds.sanitized(),
+            popularity: Zipf::new(1, model.zipf_exponent),
+            reference: Zipf::new(1, 1.0),
             files: Vec::new(),
             outputs: VecDeque::new(),
-            recent: Vec::new(),
+            recent: VecDeque::new(),
+            in_recent: Vec::new(),
             access_log: Vec::new(),
             log_cursor: 0,
             recycle_cursor: 0,
@@ -189,13 +201,15 @@ impl FilePopulation {
 
     /// Number of *resident* files (distinct files until `max_files`, the
     /// cap thereafter — see [`FilePopulation::created`]).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.files.len()
     }
 
     /// Total number of distinct files ever created (monotonic; unlike
     /// [`FilePopulation::len`] this keeps counting past the resident cap).
-    pub fn created(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn created(&self) -> u64 {
         self.next_id
     }
 
@@ -207,16 +221,13 @@ impl FilePopulation {
         self.files.capacity() * std::mem::size_of::<FileRecord>()
             + self.outputs.capacity() * std::mem::size_of::<usize>()
             + self.recent.capacity() * std::mem::size_of::<usize>()
+            + self.in_recent.capacity() * std::mem::size_of::<u64>()
             + self.access_log.capacity() * std::mem::size_of::<usize>()
     }
 
-    /// `true` iff no files exist yet.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
     /// Total bytes stored across all files.
-    pub fn bytes_stored(&self) -> DataSize {
+    #[cfg(test)]
+    pub(crate) fn bytes_stored(&self) -> DataSize {
         self.files.iter().map(|f| f.size).sum()
     }
 
@@ -268,7 +279,7 @@ impl FilePopulation {
     /// refreshed most — nightly tables), otherwise a fresh file is created.
     pub fn record_output<R: Rng + ?Sized>(&mut self, rng: &mut R, output_size: DataSize) -> PathId {
         if !self.outputs.is_empty() && rng.random::<f64>() < self.model.p_overwrite_output {
-            let zipf = Zipf::new(self.outputs.len() as u64, self.model.zipf_exponent);
+            let zipf = self.popularity.with_n(self.outputs.len() as u64);
             let idx = self.outputs[(zipf.sample(rng) - 1) as usize];
             self.files[idx].size = output_size;
             self.touch(idx);
@@ -330,14 +341,14 @@ impl FilePopulation {
         const REFERENCE_SET: usize = 32;
         if rng.random::<f64>() < 0.6 {
             let n = self.files.len().min(REFERENCE_SET) as u64;
-            let zipf = Zipf::new(n, 1.0);
+            let zipf = self.reference.with_n(n);
             return (zipf.sample(rng) - 1) as usize;
         }
         if !self.access_log.is_empty() && rng.random::<f64>() < 0.8 {
             let idx = self.access_log[rng.random_range(0..self.access_log.len())];
             return idx;
         }
-        let zipf = Zipf::new(self.files.len() as u64, self.model.zipf_exponent);
+        let zipf = self.popularity.with_n(self.files.len() as u64);
         (zipf.sample(rng) - 1) as usize
     }
 
@@ -352,12 +363,21 @@ impl FilePopulation {
     }
 
     fn push_recent(&mut self, idx: usize) {
-        if let Some(pos) = self.recent.iter().position(|&i| i == idx) {
-            self.recent.remove(pos);
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        if word >= self.in_recent.len() {
+            self.in_recent.resize(word + 1, 0);
         }
-        self.recent.push(idx);
+        if self.in_recent[word] & bit != 0 {
+            if let Some(pos) = self.recent.iter().rposition(|&i| i == idx) {
+                self.recent.remove(pos);
+            }
+        }
+        self.recent.push_back(idx);
+        self.in_recent[word] |= bit;
         if self.recent.len() > self.model.recency_window {
-            self.recent.remove(0);
+            if let Some(old) = self.recent.pop_front() {
+                self.in_recent[old / 64] &= !(1u64 << (old % 64));
+            }
         }
     }
 }

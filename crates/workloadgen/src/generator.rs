@@ -171,11 +171,6 @@ impl WorkloadGenerator {
         WorkloadGenerator { config, profile }
     }
 
-    /// The active profile.
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
-    }
-
     /// Generate the trace.
     ///
     /// Since the streaming refactor this is a thin wrapper over

@@ -14,7 +14,6 @@
 
 use crate::dist::Categorical;
 use rand::Rng;
-use std::fmt::Write;
 use swim_trace::Framework;
 
 /// One vocabulary entry: a first word, its framework, and its share of jobs.
@@ -133,8 +132,20 @@ pub fn push_name(out: &mut String, word: &str, seq: u64) {
     }
     out.push_str(word);
     out.push('_');
-    // Writing to a String cannot fail.
-    let _ = write!(out, "{seq}");
+    // The decimal digits, written back to front into a 20-byte buffer
+    // (u64::MAX has 20): no formatting machinery on the per-job path.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = seq;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// FB-2009 vocabulary: native `ad` pipeline dominates by jobs (≈44 %),
@@ -234,6 +245,19 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
+
+    #[test]
+    fn names_render_as_their_format_and_length() {
+        for seq in [0, 1, 9, 10, 99, 100, 2041, 1 << 32, u64::MAX] {
+            let mut name = String::from("x");
+            push_name(&mut name, "insert", seq);
+            assert_eq!(name, format!("xinsert_{seq}"));
+            assert_eq!(name_len("insert", seq), name.len() - 1);
+        }
+        let mut empty = String::new();
+        push_name(&mut empty, "", 7);
+        assert!(empty.is_empty());
+    }
 
     #[test]
     fn fb2009_word_shares_match_calibration() {

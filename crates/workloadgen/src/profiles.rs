@@ -108,11 +108,6 @@ impl WorkloadProfile {
             WorkloadKind::Custom(_) => None,
         }
     }
-
-    /// All seven profiles in Table 1 order.
-    pub fn paper_seven() -> Vec<WorkloadProfile> {
-        vec![cc_a(), cc_b(), cc_c(), cc_d(), cc_e(), fb2009(), fb2010()]
-    }
 }
 
 // Shorthand constructors keeping the table rows readable.
@@ -800,9 +795,15 @@ pub fn fb2010() -> WorkloadProfile {
 mod tests {
     use super::*;
 
+    /// The seven paper profiles, looked up in Table 1 order.
+    fn paper_seven() -> Vec<WorkloadProfile> {
+        let kinds = WorkloadKind::PAPER_SEVEN;
+        kinds.iter().filter_map(WorkloadProfile::for_kind).collect()
+    }
+
     #[test]
     fn seven_profiles_in_table1_order() {
-        let profiles = WorkloadProfile::paper_seven();
+        let profiles = paper_seven();
         let labels: Vec<&str> = profiles.iter().map(|p| p.kind.label()).collect();
         assert_eq!(
             labels,
@@ -812,7 +813,7 @@ mod tests {
 
     #[test]
     fn job_type_counts_sum_to_table1_totals() {
-        for p in WorkloadProfile::paper_seven() {
+        for p in paper_seven() {
             let sum: u64 = p.job_types.iter().map(|t| t.count).sum();
             assert_eq!(
                 sum, p.total_jobs,
@@ -826,7 +827,7 @@ mod tests {
     fn small_jobs_dominate_every_workload() {
         // §6.2: "jobs touching <10 GB of total data make up >92 % of all jobs"
         // — in every profile the `Small jobs` row must dominate.
-        for p in WorkloadProfile::paper_seven() {
+        for p in paper_seven() {
             let total: u64 = p.job_types.iter().map(|t| t.count).sum();
             let small = p
                 .job_types
@@ -853,7 +854,7 @@ mod tests {
     #[test]
     fn map_only_types_exist_in_all_but_two_workloads() {
         // §6.2: "map-only jobs appear in all but two workloads".
-        let with_map_only = WorkloadProfile::paper_seven()
+        let with_map_only = paper_seven()
             .iter()
             .filter(|p| p.job_types.iter().any(|t| t.is_map_only()))
             .count();

@@ -214,11 +214,6 @@ impl StreamingGenerator {
         self
     }
 
-    /// The active profile.
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
-    }
-
     /// Running totals over everything emitted so far.
     pub fn stats(&self) -> &GenerationStats {
         &self.stats

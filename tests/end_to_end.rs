@@ -2,9 +2,9 @@
 //! simulator, asserting the calibration targets the paper publishes.
 
 use swim::prelude::*;
-use swim_core::access::{FileAccessStats, PathStage};
+use swim_core::access::{AccessFold, PathStage};
 use swim_core::burstiness::Burstiness;
-use swim_core::locality::LocalityStats;
+use swim_core::locality::LocalityFold;
 use swim_core::timeseries::HourlySeries;
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
 use swim_synth::validate::SynthesisReport;
@@ -24,7 +24,9 @@ fn gen(kind: WorkloadKind, scale: f64, days: f64, seed: u64) -> Trace {
 fn generated_zipf_slope_is_near_five_sixths() {
     // §4.2 / Fig. 2: rank–frequency slope magnitude ≈ 5/6 across workloads.
     let trace = gen(WorkloadKind::CcC, 1.0, 10.0, 101);
-    let stats = FileAccessStats::gather(&trace, PathStage::Input);
+    let mut fold = AccessFold::new(PathStage::Input);
+    trace.jobs().iter().for_each(|job| fold.push(job));
+    let stats = fold.finish();
     let fit = stats.zipf_fit(Some(300)).expect("enough files to fit");
     let magnitude = -fit.slope;
     assert!(
@@ -53,7 +55,9 @@ fn generated_traces_show_temporal_locality() {
         WorkloadKind::CcE,
     ] {
         let trace = gen(kind, 1.0, 10.0, 102);
-        let loc = LocalityStats::gather(&trace);
+        let mut fold = LocalityFold::default();
+        trace.jobs().iter().for_each(|job| fold.push(job));
+        let loc = fold.finish();
         let n = (loc.input_input_intervals.len() + loc.output_input_intervals.len()) as f64;
         within += loc.fraction_within(6.0 * 3600.0) * n;
         total += n;
@@ -127,7 +131,7 @@ fn synthesis_pipeline_preserves_distributions_and_replays() {
     let sampled = sample_windows(&source, SampleConfig::one_day_from_hours(9));
     let report = SynthesisReport::compare(&source, &sampled);
     assert!(
-        report.passes(0.25),
+        report.worst() <= 0.25,
         "KS distances too large: worst {:.3}",
         report.worst()
     );
@@ -202,8 +206,9 @@ fn trace_codecs_round_trip_generated_traces() {
     let back = swim_trace::io::read_jsonl(&buf[..]).unwrap();
     assert_eq!(back, trace);
 
-    let csv = swim_trace::io::to_csv_string(&trace).unwrap();
-    let back = swim_trace::io::from_csv_string(trace.kind.clone(), trace.machines, &csv).unwrap();
+    let mut csv = Vec::new();
+    swim_trace::io::write_csv(&trace, &mut csv).unwrap();
+    let back = swim_trace::io::read_csv(trace.kind.clone(), trace.machines, &csv[..]).unwrap();
     assert_eq!(back.len(), trace.len());
     assert_eq!(back.bytes_moved(), trace.bytes_moved());
 }
