@@ -1,10 +1,10 @@
 //! Statistical primitives: empirical CDFs/quantiles, descriptive stats,
-//! Pearson correlation, ordinary least squares, and log-scale histograms.
+//! Pearson correlation and ordinary least squares.
 
 /// An empirical cumulative distribution over a finite sample.
 ///
 /// Every figure-1-style CDF in the paper is one of these; the harness
-/// evaluates it at log-spaced points to print the published curves.
+/// reads it at quantiles to print the published curves.
 ///
 /// ```
 /// use swim_core::stats::Ecdf;
@@ -12,7 +12,6 @@
 /// let sizes = Ecdf::new(vec![1.0, 2.0, 2.0, 8.0, 100.0]);
 /// assert_eq!(sizes.median(), 2.0);
 /// assert_eq!(sizes.quantile(1.0), 100.0);
-/// assert_eq!(sizes.cdf(2.0), 0.6); // 3 of 5 samples are ≤ 2
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
@@ -28,15 +27,6 @@ impl Ecdf {
         );
         samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         Ecdf { sorted: samples }
-    }
-
-    /// Fraction of samples ≤ `x` (the CDF value at `x`).
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.partition_point(|&v| v <= x);
-        count as f64 / self.sorted.len() as f64
     }
 
     /// Quantile at probability `p ∈ [0, 1]` using nearest-rank. Panics on
@@ -179,51 +169,6 @@ pub fn ols(points: &[(f64, f64)]) -> Option<Regression> {
     })
 }
 
-/// A histogram over log10-spaced bins, used for Fig. 1-style summaries
-/// and for the data-generation plans in `swim-synth`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogHistogram {
-    /// Inclusive lower edge of bin 0 (log10).
-    pub min_log10: f64,
-    /// Bin width in log10 units.
-    pub width_log10: f64,
-    /// Per-bin counts.
-    pub counts: Vec<u64>,
-    /// Count of samples at or below zero (unplottable on a log axis).
-    pub zeros: u64,
-}
-
-impl LogHistogram {
-    /// Build a histogram with `bins` bins spanning `[10^min_log10, 10^max_log10)`.
-    pub fn new(min_log10: f64, max_log10: f64, bins: usize) -> Self {
-        assert!(bins >= 1, "need at least one bin");
-        assert!(max_log10 > min_log10, "empty range");
-        LogHistogram {
-            min_log10,
-            width_log10: (max_log10 - min_log10) / bins as f64,
-            counts: vec![0; bins],
-            zeros: 0,
-        }
-    }
-
-    /// Add one sample. Values ≤ 0 count as `zeros`; out-of-range values
-    /// clamp into the first/last bin.
-    pub fn add(&mut self, value: f64) {
-        if value <= 0.0 || value.is_nan() {
-            self.zeros += 1;
-            return;
-        }
-        let pos = (value.log10() - self.min_log10) / self.width_log10;
-        let idx = pos.floor().clamp(0.0, (self.counts.len() - 1) as f64) as usize;
-        self.counts[idx] += 1;
-    }
-
-    /// Total samples (including zeros).
-    pub fn total(&self) -> u64 {
-        self.zeros + self.counts.iter().sum::<u64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,9 +176,6 @@ mod tests {
     #[test]
     fn ecdf_cdf_and_quantiles() {
         let e = Ecdf::new(vec![3.0, 1.0, 2.0, 4.0]);
-        assert_eq!(e.cdf(0.5), 0.0);
-        assert_eq!(e.cdf(2.0), 0.5);
-        assert_eq!(e.cdf(4.0), 1.0);
         assert_eq!(e.quantile(0.0), 1.0);
         assert_eq!(e.quantile(0.5), 2.0);
         assert_eq!(e.quantile(1.0), 4.0);
@@ -243,12 +185,11 @@ mod tests {
     #[test]
     fn ecdf_is_monotone() {
         let e = Ecdf::new(vec![5.0, 1.0, 9.0, 2.0, 2.0, 7.0]);
-        let xs: Vec<f64> = (0..100).map(|i| i as f64 / 10.0).collect();
-        let mut last = 0.0;
-        for x in xs {
-            let c = e.cdf(x);
-            assert!(c >= last);
-            last = c;
+        let mut last = e.min();
+        for p in (0..=100).map(|i| i as f64 / 100.0) {
+            let q = e.quantile(p);
+            assert!(q >= last);
+            last = q;
         }
     }
 
@@ -297,16 +238,5 @@ mod tests {
     fn ols_rejects_degenerate_inputs() {
         assert!(ols(&[(1.0, 2.0)]).is_none());
         assert!(ols(&[(1.0, 2.0), (1.0, 3.0)]).is_none());
-    }
-
-    #[test]
-    fn log_histogram_bins_and_zeros() {
-        let mut h = LogHistogram::new(0.0, 3.0, 3); // [1,10), [10,100), [100,1000)
-        for v in [0.0, 5.0, 50.0, 500.0, 5000.0, -1.0] {
-            h.add(v);
-        }
-        assert_eq!(h.zeros, 2);
-        assert_eq!(h.counts, vec![1, 1, 2]); // 5000 clamps into last bin
-        assert_eq!(h.total(), 6);
     }
 }

@@ -26,7 +26,7 @@ use swim_synth::sample::{SampleConfig, WindowSampler};
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
 use swim_synth::validate::{KsColumns, SynthesisReport};
 use swim_synth::ReplayPlan;
-use swim_trace::{DataSize, Dur, PathId};
+use swim_trace::{DataSize, Dur};
 
 /// Quantiles exported per data dimension.
 pub(crate) const EXPORT_QUANTILES: [f64; 7] = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
@@ -190,16 +190,13 @@ pub struct SynthBundle {
     /// Submit span of the sampled day (the replay has one job per
     /// sampled job, so `replay.len()` is the sampled job count).
     pub sampled_span: Dur,
-    /// The file each replay job reads, for a cache simulation: the job's
-    /// first input path, or a private file of its own when it has none
-    /// (a shared placeholder would fabricate cache hits).
-    pub input_paths: Vec<PathId>,
 }
 
 impl SynthBundle {
     /// The bundle as compact JSON: `replay` (`name`, `machines`, `jobs`),
     /// `datagen` (`files` of `path` and `size`, `block_size`) and
-    /// `validation_worst_ks`; sizes in bytes, times in seconds.
+    /// `validation_worst_ks`; sizes in bytes, times in seconds. A job's
+    /// [`input_file`](swim_synth::ReplayJob::input_file) is not written.
     pub fn to_json(&self) -> String {
         let replay = &self.replay;
         let jobs = replay.jobs.iter().map(|j| {
@@ -279,21 +276,11 @@ pub fn synthesize_bundle(
             seed,
         },
     );
-    let input_paths = scaled
-        .jobs()
-        .iter()
-        .enumerate()
-        .map(|(i, j)| {
-            let private = PathId(1_000_000_000 + i as u64);
-            j.input_paths.first().copied().unwrap_or(private)
-        })
-        .collect();
     Ok(Some(SynthBundle {
         replay: ReplayPlan::from_trace(&scaled),
         datagen: DataGenPlan::from_trace(&scaled, DataSize::from_mb(128)),
         validation,
         sampled_span,
-        input_paths,
     }))
 }
 
@@ -446,7 +433,6 @@ mod tests {
             .unwrap()
             .expect("a non-empty day");
         assert!(!bundle.replay.is_empty());
-        assert_eq!(bundle.input_paths.len(), bundle.replay.len());
         assert!(bundle.datagen.file_count() > 0);
         assert!(bundle.validation.worst() <= 1.0);
     }
@@ -474,8 +460,7 @@ mod tests {
         let validation = SynthesisReport::compare(&trace, &sampled);
         assert_eq!(bundle.validation, validation);
         assert_eq!(bundle.sampled_span, sampled.span());
-        let firsts = scaled.jobs().iter().map(|j| j.input_paths.first().copied());
-        let paths: Vec<_> = firsts.map(Option::unwrap).collect();
-        assert_eq!(bundle.input_paths, paths);
+        // Every sampled job's input path reaches the plan.
+        assert!(bundle.replay.jobs.iter().all(|j| j.input_file.is_some()));
     }
 }

@@ -1019,7 +1019,7 @@ fn swim(ctx: &TraceContext) -> Result<ExperimentResult, String> {
         return Ok(ExperimentResult::Skipped("sampled day is empty"));
     };
     let (plan, datagen, ks) = (&bundle.replay, &bundle.datagen, &bundle.validation);
-    let result = Simulator::new(SimConfig::new(SWIM_TARGET_NODES)).run(plan, None);
+    let result = Simulator::new(SimConfig::new(SWIM_TARGET_NODES)).run(plan);
     let mut metrics = vec![
         Metric::new("sampled jobs", Value::Count(plan.len() as u64)),
         Metric::new("sampled span", Value::Span(bundle.sampled_span)),

@@ -37,7 +37,7 @@ pub fn doc(corpus: &Corpus) -> Section {
             let week = in_memory(ctx.first_week());
             let plan = ReplayPlan::from_trace(&week);
             let sim = Simulator::new(SimConfig::new(week.machines));
-            let result = sim.run(&plan, None);
+            let result = sim.run(&plan);
             let util: Vec<f64> = result
                 .hourly_utilization
                 .iter()
@@ -95,7 +95,7 @@ mod tests {
         let week = in_memory(corpus.get(&WorkloadKind::CcE).first_week());
         let plan = ReplayPlan::from_trace(&week);
         let sim = Simulator::new(SimConfig::new(week.machines));
-        let result = sim.run(&plan, None);
+        let result = sim.run(&plan);
         let max_slots = (week.machines * 4) as f64;
         for (h, &u) in result.hourly_utilization.iter().enumerate() {
             assert!(

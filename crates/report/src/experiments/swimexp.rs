@@ -121,7 +121,7 @@ pub fn doc(corpus: &Corpus) -> Section {
     // order-independent results).
     let grid = whatif_grid();
     let bundle = fb2009_bundle(corpus, SWIM_TARGET_NODES);
-    let cells = Simulator::sweep(&grid, &bundle.replay, Some(&bundle.input_paths));
+    let cells = Simulator::sweep(&grid, &bundle.replay);
     section.prose(format!(
         "what-if sweep : {} scenarios (scheduler × cache × cluster size), in parallel\n",
         cells.len()
@@ -137,7 +137,7 @@ pub fn doc(corpus: &Corpus) -> Section {
     ]);
     for cell in &cells {
         sweep_table.row(vec![
-            cell.config.cluster.nodes.to_string(),
+            cell.config.nodes.to_string(),
             format!("{:?}", cell.config.scheduler).to_lowercase(),
             cache_label(&cell.config.cache),
             format!("{:.0} s", cell.result.median_latency()),
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn scaled_replay_completes() {
         let plan = fb2009_bundle(test_corpus(), SWIM_TARGET_NODES).replay;
-        let result = Simulator::new(SimConfig::new(SWIM_TARGET_NODES)).run(&plan, None);
+        let result = Simulator::new(SimConfig::new(SWIM_TARGET_NODES)).run(&plan);
         assert_eq!(result.outcomes.len(), plan.len());
     }
 
@@ -214,15 +214,15 @@ mod tests {
         let plan = fb2009_bundle(test_corpus(), SWIM_TARGET_NODES).replay;
         let grid = whatif_grid();
         assert!(grid.len() >= 12, "grid has {} cells", grid.len());
-        let cells = Simulator::sweep(&grid, &plan, None);
+        let cells = Simulator::sweep(&grid, &plan);
         assert_eq!(cells.len(), grid.len());
         // Parallel fan-out must be bit-identical to serial execution and
         // independent of scheduling order.
         for (cell, config) in cells.iter().zip(grid.configs()) {
             assert_eq!(cell.config, config);
-            assert_eq!(cell.result, Simulator::new(config).run(&plan, None));
+            assert_eq!(cell.result, Simulator::new(config).run(&plan));
         }
-        assert_eq!(cells, Simulator::sweep(&grid, &plan, None));
+        assert_eq!(cells, Simulator::sweep(&grid, &plan));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, Simulator};
 use swim_synth::ReplayPlan;
 use swim_trace::size::{GB, KB, MB, TB};
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{DataSize, PathId};
+use swim_trace::DataSize;
 use swim_workloadgen::{GeneratorConfig, GeneratorError, WorkloadGenerator};
 
 const CLI: Cli = Cli {
@@ -166,21 +166,9 @@ fn body(args: run::Args) -> Result<(), Error> {
         g.seed
     );
     let trace = WorkloadGenerator::new(g.clone()).generate();
+    // Each replay job reads its input file from the generator's file
+    // model, so the cache axis sees the workload's real re-access pattern.
     let plan = ReplayPlan::from_trace(&trace);
-    // Shared input paths from the generator's file model, so the cache
-    // axis sees the workload's real re-access pattern. Jobs without path
-    // information fall back to a *unique* private file per plan slot
-    // (the engine's null model) — a shared placeholder would fabricate
-    // hits.
-    let paths: Vec<PathId> = trace
-        .jobs()
-        .iter()
-        .enumerate()
-        .map(|(i, j)| {
-            let private = PathId(1_000_000_000 + i as u64);
-            j.input_paths.first().copied().unwrap_or(private)
-        })
-        .collect();
     eprintln!(
         "plan: {} jobs, {} tasks, {} task-time, schedule {}",
         plan.len(),
@@ -199,9 +187,7 @@ fn body(args: run::Args) -> Result<(), Error> {
         schedulers.len(),
         caches.len()
     );
-    let (cells, elapsed) = swim_obs::timed("bench.sim_sweep", || {
-        Simulator::sweep(&grid, &plan, Some(&paths))
-    });
+    let (cells, elapsed) = swim_obs::timed("bench.sim_sweep", || Simulator::sweep(&grid, &plan));
 
     let mut table = Table::new(vec![
         "Nodes",
@@ -217,7 +203,7 @@ fn body(args: run::Args) -> Result<(), Error> {
     for cell in &cells {
         let r = &cell.result;
         table.row(vec![
-            cell.config.cluster.nodes.to_string(),
+            cell.config.nodes.to_string(),
             format!("{:?}", cell.config.scheduler).to_lowercase(),
             cache_label(&cell.config.cache),
             r.makespan.to_string(),

@@ -124,7 +124,7 @@ fn sweep_section(
     ]);
     for (scenario, trace, _) in generated {
         let plan = ReplayPlan::from_trace(trace);
-        for cell in Simulator::sweep(&grid, &plan, None) {
+        for cell in Simulator::sweep(&grid, &plan) {
             let peak = cell
                 .result
                 .hourly_utilization
@@ -133,7 +133,7 @@ fn sweep_section(
                 .fold(0.0f64, f64::max);
             table.row(vec![
                 scenario.name.clone(),
-                cell.config.cluster.nodes.to_string(),
+                cell.config.nodes.to_string(),
                 match cell.config.scheduler {
                     SchedulerKind::Fifo => "fifo".to_owned(),
                     SchedulerKind::Fair => "fair".to_owned(),

@@ -1,4 +1,4 @@
-//! Cache tiers over the HDFS file store.
+//! Cache tiers in front of a replay's input reads.
 //!
 //! §4.2–4.3 of the study argue from measured skew and temporal locality
 //! that (a) any policy caching the frequently accessed files brings
@@ -61,13 +61,24 @@ struct Entry {
     seq: u64,
 }
 
+/// A file a replay reads, as the cache keys it: a path the trace names,
+/// or the file of its own that a job naming no path reads. The latter is
+/// keyed by the job's plan index, so it never equals any path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum FileKey {
+    /// A trace path, shared by every job that names it.
+    Path(PathId),
+    /// The own file of the plan job at this index.
+    Own(usize),
+}
+
 /// A single cache tier.
 #[derive(Debug)]
-pub struct Cache {
+pub(crate) struct Cache {
     policy: CachePolicy,
     capacity: DataSize,
     used: DataSize,
-    entries: HashMap<PathId, Entry>,
+    entries: HashMap<FileKey, Entry>,
     stats: CacheStats,
     seq: u64,
 }
@@ -75,7 +86,7 @@ pub struct Cache {
 impl Cache {
     /// Build a cache with the given policy and byte capacity. Capacity is
     /// ignored by [`CachePolicy::Unlimited`].
-    pub fn new(policy: CachePolicy, capacity: DataSize) -> Self {
+    pub(crate) fn new(policy: CachePolicy, capacity: DataSize) -> Self {
         Cache {
             policy,
             capacity,
@@ -86,11 +97,11 @@ impl Cache {
         }
     }
 
-    /// Record an access to `path` of `size` bytes at time `now`. Returns
+    /// Record an access to `file` of `size` bytes at time `now`. Returns
     /// `true` on a hit. Misses admit the file subject to policy.
-    pub fn access(&mut self, path: PathId, size: DataSize, now: Timestamp) -> bool {
+    pub(crate) fn access(&mut self, file: FileKey, size: DataSize, now: Timestamp) -> bool {
         self.seq += 1;
-        if let Some(e) = self.entries.get_mut(&path) {
+        if let Some(e) = self.entries.get_mut(&file) {
             e.last_access = now;
             e.access_count += 1;
             e.seq = self.seq;
@@ -105,7 +116,7 @@ impl Cache {
             if matches!(self.policy, CachePolicy::Unlimited) || self.used + size <= self.capacity {
                 self.used += size;
                 self.entries.insert(
-                    path,
+                    file,
                     Entry {
                         size,
                         last_access: now,
@@ -116,13 +127,6 @@ impl Cache {
             }
         }
         false
-    }
-
-    /// Invalidate a file (e.g. overwritten output).
-    pub fn invalidate(&mut self, path: PathId) {
-        if let Some(e) = self.entries.remove(&path) {
-            self.used = self.used.saturating_sub(e.size);
-        }
     }
 
     /// Whether the policy admits a file of `size` at all.
@@ -145,41 +149,42 @@ impl Cache {
                     .entries
                     .iter()
                     .min_by_key(|(_, e)| (e.access_count, e.seq))
-                    .map(|(&p, _)| p),
+                    .map(|(&f, _)| f),
                 // LRU and size-threshold evict by recency.
                 _ => self
                     .entries
                     .iter()
                     .min_by_key(|(_, e)| (e.last_access, e.seq))
-                    .map(|(&p, _)| p),
+                    .map(|(&f, _)| f),
             };
-            match victim {
-                Some(p) => {
-                    self.invalidate(p);
-                    self.stats.evictions += 1;
-                }
-                None => break,
-            }
+            let Some(e) = victim.and_then(|f| self.entries.remove(&f)) else {
+                break;
+            };
+            self.used = self.used.saturating_sub(e.size);
+            self.stats.evictions += 1;
         }
     }
 
     /// Bytes currently cached.
-    pub fn used(&self) -> DataSize {
+    #[cfg(test)]
+    pub(crate) fn used(&self) -> DataSize {
         self.used
     }
 
     /// Files currently cached.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// `true` iff nothing cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }
@@ -192,11 +197,15 @@ mod tests {
         Timestamp::from_secs(s)
     }
 
+    fn path(id: u64) -> FileKey {
+        FileKey::Path(PathId(id))
+    }
+
     #[test]
     fn second_access_hits() {
         let mut c = Cache::new(CachePolicy::Lru, DataSize::from_mb(100));
-        assert!(!c.access(PathId(1), DataSize::from_mb(10), ts(0)));
-        assert!(c.access(PathId(1), DataSize::from_mb(10), ts(1)));
+        assert!(!c.access(path(1), DataSize::from_mb(10), ts(0)));
+        assert!(c.access(path(1), DataSize::from_mb(10), ts(1)));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
         assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
@@ -205,25 +214,25 @@ mod tests {
     #[test]
     fn lru_evicts_oldest() {
         let mut c = Cache::new(CachePolicy::Lru, DataSize::from_mb(20));
-        c.access(PathId(1), DataSize::from_mb(10), ts(0));
-        c.access(PathId(2), DataSize::from_mb(10), ts(1));
-        c.access(PathId(1), DataSize::from_mb(10), ts(2)); // refresh 1
-        c.access(PathId(3), DataSize::from_mb(10), ts(3)); // evicts 2
-        assert!(c.access(PathId(1), DataSize::from_mb(10), ts(4)));
-        assert!(!c.access(PathId(2), DataSize::from_mb(10), ts(5)));
+        c.access(path(1), DataSize::from_mb(10), ts(0));
+        c.access(path(2), DataSize::from_mb(10), ts(1));
+        c.access(path(1), DataSize::from_mb(10), ts(2)); // refresh 1
+        c.access(path(3), DataSize::from_mb(10), ts(3)); // evicts 2
+        assert!(c.access(path(1), DataSize::from_mb(10), ts(4)));
+        assert!(!c.access(path(2), DataSize::from_mb(10), ts(5)));
         assert!(c.stats().evictions >= 1);
     }
 
     #[test]
     fn lfu_evicts_least_frequent() {
         let mut c = Cache::new(CachePolicy::Lfu, DataSize::from_mb(20));
-        c.access(PathId(1), DataSize::from_mb(10), ts(0));
-        c.access(PathId(1), DataSize::from_mb(10), ts(1));
-        c.access(PathId(1), DataSize::from_mb(10), ts(2)); // count 3
-        c.access(PathId(2), DataSize::from_mb(10), ts(3)); // count 1
-        c.access(PathId(3), DataSize::from_mb(10), ts(4)); // evicts 2
-        assert!(c.access(PathId(1), DataSize::from_mb(10), ts(5)));
-        assert!(!c.access(PathId(2), DataSize::from_mb(10), ts(6)));
+        c.access(path(1), DataSize::from_mb(10), ts(0));
+        c.access(path(1), DataSize::from_mb(10), ts(1));
+        c.access(path(1), DataSize::from_mb(10), ts(2)); // count 3
+        c.access(path(2), DataSize::from_mb(10), ts(3)); // count 1
+        c.access(path(3), DataSize::from_mb(10), ts(4)); // evicts 2
+        assert!(c.access(path(1), DataSize::from_mb(10), ts(5)));
+        assert!(!c.access(path(2), DataSize::from_mb(10), ts(6)));
     }
 
     #[test]
@@ -234,11 +243,11 @@ mod tests {
             },
             DataSize::from_gb(1),
         );
-        c.access(PathId(1), DataSize::from_gb(10), ts(0));
+        c.access(path(1), DataSize::from_gb(10), ts(0));
         // Large file was never admitted → still a miss.
-        assert!(!c.access(PathId(1), DataSize::from_gb(10), ts(1)));
-        c.access(PathId(2), DataSize::from_mb(10), ts(2));
-        assert!(c.access(PathId(2), DataSize::from_mb(10), ts(3)));
+        assert!(!c.access(path(1), DataSize::from_gb(10), ts(1)));
+        c.access(path(2), DataSize::from_mb(10), ts(2));
+        assert!(c.access(path(2), DataSize::from_mb(10), ts(3)));
         // Only the small file occupies capacity.
         assert_eq!(c.used(), DataSize::from_mb(10));
     }
@@ -247,18 +256,18 @@ mod tests {
     fn unlimited_never_evicts() {
         let mut c = Cache::new(CachePolicy::Unlimited, DataSize::ZERO);
         for i in 0..100 {
-            c.access(PathId(i), DataSize::from_gb(1), ts(i));
+            c.access(path(i), DataSize::from_gb(1), ts(i));
         }
         assert_eq!(c.len(), 100);
         assert_eq!(c.stats().evictions, 0);
-        assert!(c.access(PathId(0), DataSize::from_gb(1), ts(200)));
+        assert!(c.access(path(0), DataSize::from_gb(1), ts(200)));
     }
 
     #[test]
     fn capacity_is_never_exceeded() {
         let mut c = Cache::new(CachePolicy::Lru, DataSize::from_mb(35));
         for i in 0..50 {
-            c.access(PathId(i % 7), DataSize::from_mb(10), ts(i));
+            c.access(path(i % 7), DataSize::from_mb(10), ts(i));
             assert!(c.used() <= DataSize::from_mb(35), "used {}", c.used());
         }
     }
@@ -266,17 +275,8 @@ mod tests {
     #[test]
     fn oversized_file_is_not_admitted() {
         let mut c = Cache::new(CachePolicy::Lru, DataSize::from_mb(5));
-        c.access(PathId(1), DataSize::from_mb(10), ts(0));
+        c.access(path(1), DataSize::from_mb(10), ts(0));
         assert!(c.is_empty());
         assert_eq!(c.used(), DataSize::ZERO);
-    }
-
-    #[test]
-    fn invalidate_frees_space() {
-        let mut c = Cache::new(CachePolicy::Lru, DataSize::from_mb(10));
-        c.access(PathId(1), DataSize::from_mb(10), ts(0));
-        c.invalidate(PathId(1));
-        assert!(c.is_empty());
-        assert!(!c.access(PathId(1), DataSize::from_mb(10), ts(1)));
     }
 }

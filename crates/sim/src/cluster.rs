@@ -4,37 +4,8 @@
 //! each TaskTracker into map slots and reduce slots; utilization in
 //! Fig. 7 is "average active slots". The simulator models exactly that.
 
-/// Static cluster description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// Number of worker nodes.
-    pub nodes: u32,
-    /// Map slots per node (Hadoop 1.x default: 2).
-    pub map_slots_per_node: u32,
-    /// Reduce slots per node (Hadoop 1.x default: 2).
-    pub reduce_slots_per_node: u32,
-}
-
-impl ClusterConfig {
-    /// A cluster with the Hadoop 1.x default slot counts.
-    pub fn with_nodes(nodes: u32) -> Self {
-        ClusterConfig {
-            nodes,
-            map_slots_per_node: 2,
-            reduce_slots_per_node: 2,
-        }
-    }
-
-    /// Total map slots.
-    pub fn map_slots(&self) -> u32 {
-        self.nodes * self.map_slots_per_node
-    }
-
-    /// Total reduce slots.
-    pub fn reduce_slots(&self) -> u32 {
-        self.nodes * self.reduce_slots_per_node
-    }
-}
+/// Map slots, and reduce slots, per node (the Hadoop 1.x default).
+pub const SLOTS_PER_NODE: u32 = 2;
 
 /// Mutable slot occupancy during simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,27 +14,29 @@ pub struct SlotPool {
     pub free_map: u32,
     /// Free reduce slots.
     pub free_reduce: u32,
-    config: ClusterConfig,
+    /// Map slots, and reduce slots, in the cluster.
+    slots: u32,
 }
 
 impl SlotPool {
-    /// All slots free.
-    pub fn new(config: ClusterConfig) -> Self {
+    /// All slots of a `nodes`-node cluster free.
+    pub fn new(nodes: u32) -> Self {
+        let slots = nodes * SLOTS_PER_NODE;
         SlotPool {
-            free_map: config.map_slots(),
-            free_reduce: config.reduce_slots(),
-            config,
+            free_map: slots,
+            free_reduce: slots,
+            slots,
         }
     }
 
     /// Occupied map slots.
     pub fn busy_map(&self) -> u32 {
-        self.config.map_slots() - self.free_map
+        self.slots - self.free_map
     }
 
     /// Occupied reduce slots.
     pub fn busy_reduce(&self) -> u32 {
-        self.config.reduce_slots() - self.free_reduce
+        self.slots - self.free_reduce
     }
 
     /// Total occupied slots.
@@ -88,7 +61,7 @@ impl SlotPool {
     /// Return `n` map slots at once (a finished wave).
     pub fn release_map_n(&mut self, n: u32) {
         assert!(
-            self.free_map + n <= self.config.map_slots(),
+            self.free_map + n <= self.slots,
             "releasing more map slots than exist"
         );
         self.free_map += n;
@@ -97,7 +70,7 @@ impl SlotPool {
     /// Return `n` reduce slots at once (a finished wave).
     pub fn release_reduce_n(&mut self, n: u32) {
         assert!(
-            self.free_reduce + n <= self.config.reduce_slots(),
+            self.free_reduce + n <= self.slots,
             "releasing more reduce slots than exist"
         );
         self.free_reduce += n;
@@ -110,14 +83,13 @@ mod tests {
 
     #[test]
     fn slot_totals() {
-        let c = ClusterConfig::with_nodes(100);
-        assert_eq!(c.map_slots(), 200);
-        assert_eq!(c.reduce_slots(), 200);
+        let p = SlotPool::new(100);
+        assert_eq!((p.free_map, p.free_reduce), (200, 200));
     }
 
     #[test]
     fn take_grants_up_to_available() {
-        let mut p = SlotPool::new(ClusterConfig::with_nodes(1)); // 2+2 slots
+        let mut p = SlotPool::new(1); // 2+2 slots
         assert_eq!(p.take_map(5), 2);
         assert_eq!(p.take_map(1), 0);
         assert_eq!(p.busy_map(), 2);
@@ -126,7 +98,7 @@ mod tests {
 
     #[test]
     fn release_restores_capacity() {
-        let mut p = SlotPool::new(ClusterConfig::with_nodes(1));
+        let mut p = SlotPool::new(1);
         p.take_reduce(2);
         p.release_reduce_n(1);
         assert_eq!(p.free_reduce, 1);
@@ -136,13 +108,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "releasing more map slots")]
     fn over_release_panics() {
-        let mut p = SlotPool::new(ClusterConfig::with_nodes(1));
+        let mut p = SlotPool::new(1);
         p.release_map_n(1);
     }
 
     #[test]
     fn wave_release_returns_many_at_once() {
-        let mut p = SlotPool::new(ClusterConfig::with_nodes(2)); // 4+4 slots
+        let mut p = SlotPool::new(2); // 4+4 slots
         assert_eq!(p.take_map(4), 4);
         p.release_map_n(3);
         assert_eq!(p.free_map, 3);
@@ -152,19 +124,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "releasing more reduce slots")]
     fn wave_over_release_panics() {
-        let mut p = SlotPool::new(ClusterConfig::with_nodes(1));
+        let mut p = SlotPool::new(1);
         p.take_reduce(1);
         p.release_reduce_n(2);
-    }
-
-    #[test]
-    fn custom_slot_ratios() {
-        let c = ClusterConfig {
-            nodes: 10,
-            map_slots_per_node: 6,
-            reduce_slots_per_node: 2,
-        };
-        assert_eq!(c.map_slots(), 60);
-        assert_eq!(c.reduce_slots(), 20);
     }
 }

@@ -3,10 +3,10 @@
 //! Execution model (the paper's own abstraction level): a job is a bag of
 //! map tasks followed by a bag of reduce tasks; each task occupies one
 //! slot for roughly `task_time / task_count` seconds. Reduces launch only
-//! after every map of the job finished (no slow-start). Inputs are read
-//! through the storage layer at **first task launch** (so a job queued
-//! behind a backlog cannot warm the cache before it actually runs);
-//! outputs are written back at completion.
+//! after every map of the job finished (no slow-start). A job reads its
+//! input file through the cache tier at **first task launch** (so a job
+//! queued behind a backlog cannot warm the cache before it actually
+//! runs).
 //!
 //! # Wave scheduling
 //!
@@ -27,23 +27,25 @@
 //! granted, so `Σ task durations == total` always — no ceil-rounding
 //! inflation (the old engine inflated small jobs by up to ~20 %). Very
 //! large jobs are additionally *batched*: a job with hundreds of
-//! thousands of tasks is simulated as at most `max_tasks_per_job` slot
+//! thousands of tasks is simulated as at most [`MAX_TASKS_PER_JOB`] slot
 //! grants whose durations preserve the same exact total.
 //!
 //! A per-task reference implementation with identical semantics lives in
 //! `src/reference.rs` (test builds only) and is held to bit-exact FIFO
 //! parity by its tests.
 
-use crate::cache::{CachePolicy, CacheStats};
-use crate::cluster::{ClusterConfig, SlotPool};
+use crate::cache::{Cache, CachePolicy, CacheStats, FileKey};
+use crate::cluster::SlotPool;
 use crate::event::{Event, EventQueue};
-use crate::hdfs::{Hdfs, HdfsConfig};
 use crate::metrics::{JobOutcome, UtilizationTracker};
 use crate::scheduler::{Scheduler, SchedulerKind};
+use std::collections::HashMap;
 #[cfg(test)]
 use swim_synth::ReplayJob;
 use swim_synth::ReplayPlan;
-use swim_trace::{DataSize, Dur, PathId, Timestamp};
+#[cfg(test)]
+use swim_trace::PathId;
+use swim_trace::{DataSize, Dur, Timestamp};
 
 /// swim-obs instruments for the simulator. Tallies accumulate in locals
 /// inside the event loop and are added here once per run, so enabling
@@ -60,30 +62,28 @@ mod obs {
     pub static JOBS_REPLAYED: Counter = Counter::new("sim.jobs_replayed");
 }
 
-/// Simulation configuration.
+/// Wave-batching cap on simulated tasks per job (see module docs).
+pub const MAX_TASKS_PER_JOB: u32 = 1_000;
+
+/// Simulation configuration: the three axes a what-if sweep varies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// Cluster shape.
-    pub cluster: ClusterConfig,
+    /// Worker nodes, each with [`SLOTS_PER_NODE`](crate::cluster::SLOTS_PER_NODE)
+    /// map and reduce slots.
+    pub nodes: u32,
     /// Scheduling policy.
     pub scheduler: SchedulerKind,
-    /// Storage configuration.
-    pub hdfs: HdfsConfig,
     /// Optional cache tier: policy and capacity.
     pub cache: Option<(CachePolicy, DataSize)>,
-    /// Wave-batching cap on simulated tasks per job (see module docs).
-    pub max_tasks_per_job: u32,
 }
 
 impl SimConfig {
-    /// Defaults: FIFO, no cache, 1000-task batching cap.
+    /// Defaults: FIFO, no cache.
     pub fn new(nodes: u32) -> Self {
         SimConfig {
-            cluster: ClusterConfig::with_nodes(nodes),
+            nodes,
             scheduler: SchedulerKind::Fifo,
-            hdfs: HdfsConfig::default(),
             cache: None,
-            max_tasks_per_job: 1_000,
         }
     }
 
@@ -205,7 +205,7 @@ pub(crate) fn batch_tasks(tasks: u32, total_time: Dur, cap: u32) -> TaskBatch {
 pub(crate) struct JobState {
     pub(crate) submit: Timestamp,
     pub(crate) first_start: Option<Timestamp>,
-    /// Input has been read through the storage layer (set at first task
+    /// Input has been read through the cache tier (set at first task
     /// launch, not at submission — a queued job must not warm the cache).
     pub(crate) input_read: bool,
     pub(crate) pending_map: u32,
@@ -221,21 +221,52 @@ pub(crate) struct JobState {
     /// coalesced into wave events (scratch; zero between dispatches).
     pub(crate) grant_map: u32,
     pub(crate) grant_reduce: u32,
-    pub(crate) input_path: PathId,
-    pub(crate) output_path: PathId,
+    pub(crate) file: FileKey,
     pub(crate) input: DataSize,
-    pub(crate) output: DataSize,
     pub(crate) done: bool,
 }
 
 impl JobState {
     /// Read the job's input on its first launch (or, for task-less jobs,
     /// at its instantaneous execution).
-    pub(crate) fn ensure_input_read(&mut self, hdfs: &mut Hdfs, now: Timestamp) {
+    pub(crate) fn ensure_input_read(&mut self, storage: &mut Option<Storage>, now: Timestamp) {
         if !self.input_read {
             self.input_read = true;
-            hdfs.read(self.input_path, self.input, now);
+            if let Some(storage) = storage {
+                storage.read(self.file, self.input, now);
+            }
         }
+    }
+}
+
+/// What a replay's reads can observe, when a cache tier is configured:
+/// the tier itself, and the size each file had when it was first read.
+/// A later job naming the same file reads it at that size, whatever its
+/// own input bytes say.
+#[derive(Debug)]
+pub(crate) struct Storage {
+    cache: Cache,
+    first_size: HashMap<FileKey, DataSize>,
+}
+
+impl Storage {
+    /// The storage of a replay under `config`: `None` without a cache
+    /// tier, where no read is observable.
+    pub(crate) fn of(config: &SimConfig) -> Option<Storage> {
+        let (policy, capacity) = config.cache?;
+        Some(Storage {
+            cache: Cache::new(policy, capacity),
+            first_size: HashMap::new(),
+        })
+    }
+
+    fn read(&mut self, file: FileKey, size: DataSize, now: Timestamp) {
+        let size = *self.first_size.entry(file).or_insert(size);
+        self.cache.access(file, size, now);
+    }
+
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.cache.stats()
     }
 }
 
@@ -252,23 +283,17 @@ impl Simulator {
     }
 
     /// Execute `plan` to completion and return the collected metrics.
-    ///
-    /// `input_paths` optionally maps plan jobs to shared input files (the
-    /// pre-population plan); when absent each job reads a private file,
-    /// which makes every cache access a cold miss — the correct null model
-    /// for a plan without path information.
-    pub fn run(&self, plan: &ReplayPlan, input_paths: Option<&[PathId]>) -> SimResult {
+    /// Each job reads its [`input_file`](swim_synth::ReplayJob::input_file)
+    /// through the cache tier, if one is configured.
+    pub fn run(&self, plan: &ReplayPlan) -> SimResult {
         let _span = swim_obs::span("sim.run");
-        let mut hdfs = Hdfs::new(self.config.hdfs);
-        if let Some((policy, capacity)) = self.config.cache {
-            hdfs = hdfs.with_cache(policy, capacity);
-        }
-        let mut slots = SlotPool::new(self.config.cluster);
+        let mut storage = Storage::of(&self.config);
+        let mut slots = SlotPool::new(self.config.nodes);
         let mut scheduler = Scheduler::new(self.config.scheduler);
         let mut queue = EventQueue::new();
         let mut util = UtilizationTracker::new();
 
-        let mut jobs = materialize_jobs(plan, input_paths, self.config.max_tasks_per_job);
+        let mut jobs = materialize_jobs(plan);
         for (i, js) in jobs.iter().enumerate() {
             queue.push(js.submit, Event::JobSubmit { job: i });
         }
@@ -291,7 +316,7 @@ impl Simulator {
                     } else {
                         // Zero-task oddity (empty replay job): it executes
                         // instantaneously at submission.
-                        maybe_finish(job, &mut jobs, &mut hdfs, &mut outcomes, now);
+                        maybe_finish(job, &mut jobs, &mut storage, &mut outcomes, now);
                     }
                 }
                 Event::WaveFinish { job, is_map, count } => {
@@ -308,7 +333,7 @@ impl Simulator {
                         js.running_reduce -= count;
                         slots.release_reduce_n(count);
                     }
-                    maybe_finish(job, &mut jobs, &mut hdfs, &mut outcomes, now);
+                    maybe_finish(job, &mut jobs, &mut storage, &mut outcomes, now);
                 }
             }
             dispatch(
@@ -316,7 +341,7 @@ impl Simulator {
                 &mut scheduler,
                 &mut slots,
                 &mut queue,
-                &mut hdfs,
+                &mut storage,
                 now,
             );
             util.record(now, slots.busy_total());
@@ -330,7 +355,7 @@ impl Simulator {
         obs::JOBS_REPLAYED.add(outcomes.len() as u64);
         SimResult {
             hourly_utilization: util.hourly_average_slots(),
-            cache: hdfs.cache_stats(),
+            cache: storage.as_ref().map(Storage::stats),
             makespan: now,
             events,
             slot_seconds: util.total_slot_seconds(),
@@ -341,20 +366,13 @@ impl Simulator {
 
 /// Build per-job runtime state from the plan (shared by the wave engine
 /// and the per-task reference engine in `src/reference.rs`).
-pub(crate) fn materialize_jobs(
-    plan: &ReplayPlan,
-    input_paths: Option<&[PathId]>,
-    cap: u32,
-) -> Vec<JobState> {
+pub(crate) fn materialize_jobs(plan: &ReplayPlan) -> Vec<JobState> {
     let mut jobs: Vec<JobState> = Vec::with_capacity(plan.len());
     let mut t = Timestamp::ZERO;
     for (i, rj) in plan.jobs.iter().enumerate() {
         t += rj.gap;
-        let map = batch_tasks(rj.map_tasks, rj.map_task_time, cap);
-        let red = batch_tasks(rj.reduce_tasks, rj.reduce_task_time, cap);
-        let input_path = input_paths
-            .and_then(|p| p.get(i).copied())
-            .unwrap_or(PathId(1_000_000_000 + i as u64));
+        let map = batch_tasks(rj.map_tasks, rj.map_task_time, MAX_TASKS_PER_JOB);
+        let red = batch_tasks(rj.reduce_tasks, rj.reduce_task_time, MAX_TASKS_PER_JOB);
         jobs.push(JobState {
             submit: t,
             first_start: None,
@@ -369,10 +387,8 @@ pub(crate) fn materialize_jobs(
             reduce_base: red.base,
             grant_map: 0,
             grant_reduce: 0,
-            input_path,
-            output_path: PathId(2_000_000_000 + i as u64),
+            file: rj.input_file.map_or(FileKey::Own(i), FileKey::Path),
             input: rj.input,
-            output: rj.output,
             done: false,
         });
     }
@@ -390,7 +406,7 @@ fn dispatch(
     scheduler: &mut Scheduler,
     slots: &mut SlotPool,
     queue: &mut EventQueue,
-    hdfs: &mut Hdfs,
+    storage: &mut Option<Storage>,
     now: Timestamp,
 ) {
     if scheduler.is_idle() || (slots.free_map == 0 && slots.free_reduce == 0) {
@@ -471,7 +487,7 @@ fn dispatch(
         let js = &mut jobs[job];
         if js.grant_map > 0 || js.grant_reduce > 0 {
             js.first_start.get_or_insert(now);
-            js.ensure_input_read(hdfs, now);
+            js.ensure_input_read(storage, now);
         }
         if js.grant_map > 0 {
             let long = js.grant_map.min(js.long_map);
@@ -552,7 +568,7 @@ fn grant(js: &mut JobState, job: usize, is_map: bool, got: u32, touched: &mut Ve
 pub(crate) fn maybe_finish(
     job: usize,
     jobs: &mut [JobState],
-    hdfs: &mut Hdfs,
+    storage: &mut Option<Storage>,
     outcomes: &mut Vec<JobOutcome>,
     now: Timestamp,
 ) {
@@ -568,8 +584,7 @@ pub(crate) fn maybe_finish(
     js.done = true;
     // Task-less jobs execute instantaneously here: their only chance to
     // read input.
-    js.ensure_input_read(hdfs, now);
-    hdfs.write(js.output_path, js.output, now);
+    js.ensure_input_read(storage, now);
     outcomes.push(JobOutcome {
         job,
         submit: js.submit,
@@ -585,6 +600,7 @@ mod tests {
     fn replay_job(gap: u64, maps: u32, map_secs: u64, reds: u32, red_secs: u64) -> ReplayJob {
         ReplayJob {
             gap: Dur::from_secs(gap),
+            input_file: None,
             input: DataSize::from_mb(64),
             shuffle: if reds > 0 {
                 DataSize::from_mb(8)
@@ -607,11 +623,19 @@ mod tests {
         }
     }
 
+    /// A plan whose job `i` reads `PathId(paths[i])`.
+    fn plan_reading(mut jobs: Vec<ReplayJob>, paths: &[u64]) -> ReplayPlan {
+        for (job, &path) in jobs.iter_mut().zip(paths) {
+            job.input_file = Some(PathId(path));
+        }
+        plan(jobs)
+    }
+
     #[test]
     fn single_job_runs_to_completion() {
         // 2 maps × 10 s each (20 slot-seconds), then 1 reduce × 5 s.
         let p = plan(vec![replay_job(0, 2, 20, 1, 5)]);
-        let r = Simulator::new(SimConfig::new(2)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(2)).run(&p);
         assert_eq!(r.outcomes.len(), 1);
         let o = r.outcomes[0];
         assert_eq!(o.queue_delay(), Dur::ZERO);
@@ -625,7 +649,7 @@ mod tests {
     fn slot_contention_serializes_tasks() {
         // 1 node → 2 map slots. 4 maps × 10 s: two waves → 20 s.
         let p = plan(vec![replay_job(0, 4, 40, 0, 0)]);
-        let r = Simulator::new(SimConfig::new(1)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(1)).run(&p);
         assert_eq!(r.outcomes[0].latency(), Dur::from_secs(20));
     }
 
@@ -634,7 +658,7 @@ mod tests {
         // Big job grabs both map slots for 100 s; small job submitted 1 s
         // later waits for a free slot.
         let p = plan(vec![replay_job(0, 2, 200, 0, 0), replay_job(1, 1, 1, 0, 0)]);
-        let r = Simulator::new(SimConfig::new(1)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(1)).run(&p);
         let small = r.outcomes[1];
         assert!(
             small.queue_delay() >= Dur::from_secs(90),
@@ -651,8 +675,8 @@ mod tests {
         let big = replay_job(0, 20, 400, 0, 0); // 20 tasks × 20 s
         let small = replay_job(1, 1, 1, 0, 0);
         let p = plan(vec![big, small]);
-        let fifo = Simulator::new(SimConfig::new(1)).run(&p, None);
-        let fair = Simulator::new(SimConfig::new(1).fair()).run(&p, None);
+        let fifo = Simulator::new(SimConfig::new(1)).run(&p);
+        let fair = Simulator::new(SimConfig::new(1).fair()).run(&p);
         assert!(
             fair.outcomes[1].latency() < fifo.outcomes[1].latency(),
             "fair {} vs fifo {}",
@@ -665,7 +689,7 @@ mod tests {
     fn reduces_wait_for_all_maps() {
         // 2 maps × 10 s on 4 slots (1 wave), 2 reduces × 10 s.
         let p = plan(vec![replay_job(0, 2, 20, 2, 20)]);
-        let r = Simulator::new(SimConfig::new(2)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(2)).run(&p);
         // Maps finish at 10, reduces at 20.
         assert_eq!(r.outcomes[0].latency(), Dur::from_secs(20));
     }
@@ -673,7 +697,7 @@ mod tests {
     #[test]
     fn utilization_reflects_busy_slots() {
         let p = plan(vec![replay_job(0, 2, 7200, 0, 0)]); // 2 maps × 1 hr
-        let r = Simulator::new(SimConfig::new(1)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(1)).run(&p);
         assert!(!r.hourly_utilization.is_empty());
         // Both slots busy through the first hour.
         assert!((r.hourly_utilization[0] - 2.0).abs() < 0.01);
@@ -681,14 +705,33 @@ mod tests {
 
     #[test]
     fn cache_hits_on_shared_input() {
-        let p = plan(vec![replay_job(0, 1, 1, 0, 0), replay_job(5, 1, 1, 0, 0)]);
-        let shared = [PathId(7), PathId(7)];
+        let p = plan_reading(
+            vec![replay_job(0, 1, 1, 0, 0), replay_job(5, 1, 1, 0, 0)],
+            &[7, 7],
+        );
         let sim =
             Simulator::new(SimConfig::new(2).with_cache(CachePolicy::Lru, DataSize::from_gb(1)));
-        let r = sim.run(&p, Some(&shared));
+        let r = sim.run(&p);
         let stats = r.cache.unwrap();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
+    }
+
+    #[test]
+    fn a_file_keeps_the_size_it_had_when_first_read() {
+        // Three reads of one file, the first at 300 MB. A 100 MB size
+        // threshold never admits it, though the later jobs name 10 MB.
+        let mut jobs = vec![replay_job(0, 1, 1, 0, 0); 3];
+        jobs[0].input = DataSize::from_mb(300);
+        jobs[1].input = DataSize::from_mb(10);
+        jobs[2].input = DataSize::from_mb(10);
+        let p = plan_reading(jobs, &[5, 5, 5]);
+        let threshold = CachePolicy::SizeThreshold {
+            threshold: DataSize::from_mb(100),
+        };
+        let sim = Simulator::new(SimConfig::new(2).with_cache(threshold, DataSize::from_gb(1)));
+        let stats = sim.run(&p).cache.unwrap();
+        assert_eq!((stats.hits, stats.misses), (0, 3));
     }
 
     #[test]
@@ -696,7 +739,7 @@ mod tests {
         let p = plan(vec![replay_job(0, 1, 1, 0, 0), replay_job(5, 1, 1, 0, 0)]);
         let sim =
             Simulator::new(SimConfig::new(2).with_cache(CachePolicy::Lru, DataSize::from_gb(1)));
-        let r = sim.run(&p, None);
+        let r = sim.run(&p);
         assert_eq!(r.cache.unwrap().hits, 0);
     }
 
@@ -707,15 +750,17 @@ mod tests {
         // it. Their inputs must enter the cache at *launch* (t = 100),
         // not at submission (t = 1, t = 2): the blocker's input, read at
         // t = 0, must be the LRU victim of the single eviction.
-        let p = plan(vec![
-            replay_job(0, 2, 200, 0, 0), // blocker: both slots until t=100
-            replay_job(1, 1, 1, 0, 0),   // queued; launches at t=100
-            replay_job(1, 1, 1, 0, 0),   // queued; launches at t=100
-        ]);
-        let paths = [PathId(10), PathId(11), PathId(12)];
+        let p = plan_reading(
+            vec![
+                replay_job(0, 2, 200, 0, 0), // blocker: both slots until t=100
+                replay_job(1, 1, 1, 0, 0),   // queued; launches at t=100
+                replay_job(1, 1, 1, 0, 0),   // queued; launches at t=100
+            ],
+            &[10, 11, 12],
+        );
         let cap = DataSize::from_mb(140); // fits 2 × 64 MB inputs, not 3
         let sim = Simulator::new(SimConfig::new(1).with_cache(CachePolicy::Lru, cap));
-        let r = sim.run(&p, Some(&paths));
+        let r = sim.run(&p);
         let stats = r.cache.unwrap();
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.evictions, 1);
@@ -752,11 +797,10 @@ mod tests {
         blocker.input = DataSize::from_mb(64);
         let queued = replay_job(5, 1, 1, 0, 0);
         let warm_reuser = replay_job(5, 0, 0, 1, 1);
-        let p = plan(vec![blocker, queued, warm_reuser]);
-        let paths = [PathId(9), PathId(7), PathId(9)];
+        let p = plan_reading(vec![blocker, queued, warm_reuser], &[9, 7, 9]);
         let cap = DataSize::from_mb(100); // exactly one 64 MB entry
         let sim = Simulator::new(SimConfig::new(1).with_cache(CachePolicy::Lru, cap));
-        let r = sim.run(&p, Some(&paths));
+        let r = sim.run(&p);
         let stats = r.cache.unwrap();
         assert_eq!(stats.hits, 1, "W must hit the still-warm path 9");
         assert_eq!(stats.misses, 2);
@@ -805,7 +849,7 @@ mod tests {
     fn simulated_slot_seconds_match_plan_exactly() {
         // End-to-end exactness: the utilization integral equals the
         // plan's total task-time bit-for-bit, including under batching
-        // and contention.
+        // (the 2,000-task job is above MAX_TASKS_PER_JOB) and contention.
         let p = plan(vec![
             replay_job(0, 3, 10, 2, 7),      // remainder-heavy
             replay_job(5, 7, 13, 0, 0),      // 13/7: base 1, long 6
@@ -816,9 +860,7 @@ mod tests {
             .iter()
             .map(|j| j.map_task_time.secs() + j.reduce_task_time.secs())
             .sum();
-        let mut cfg = SimConfig::new(1);
-        cfg.max_tasks_per_job = 50;
-        let r = Simulator::new(cfg).run(&p, None);
+        let r = Simulator::new(SimConfig::new(1)).run(&p);
         assert_eq!(r.slot_seconds, total as f64, "slot-second inflation");
     }
 
@@ -827,7 +869,7 @@ mod tests {
         // 600 tasks on 4 slots: the per-task engine would push 600
         // finish events; waves push ~2 per dispatch round.
         let p = plan(vec![replay_job(0, 600, 6_000, 0, 0)]);
-        let r = Simulator::new(SimConfig::new(2)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(2)).run(&p);
         assert_eq!(r.outcomes[0].latency(), Dur::from_secs(1_500)); // 150 waves × 10 s
         assert!(
             r.events <= 1 + 2 * 150,
@@ -839,7 +881,7 @@ mod tests {
     #[test]
     fn empty_plan_yields_empty_result() {
         let p = plan(vec![]);
-        let r = Simulator::new(SimConfig::new(1)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(1)).run(&p);
         assert!(r.outcomes.is_empty());
         assert_eq!(r.makespan, Timestamp::ZERO);
         assert_eq!(r.events, 0);
@@ -850,7 +892,7 @@ mod tests {
         // tasks with a zero task-time budget must not be rounded up to
         // 1 s each (the old engine's `.max(1.0)`).
         let p = plan(vec![replay_job(0, 4, 0, 0, 0)]);
-        let r = Simulator::new(SimConfig::new(1)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(1)).run(&p);
         assert_eq!(r.outcomes[0].latency(), Dur::ZERO);
         assert_eq!(r.slot_seconds, 0.0);
     }
@@ -858,7 +900,7 @@ mod tests {
     #[test]
     fn metrics_summaries() {
         let p = plan(vec![replay_job(0, 1, 10, 0, 0), replay_job(0, 1, 10, 0, 0)]);
-        let r = Simulator::new(SimConfig::new(2)).run(&p, None);
+        let r = Simulator::new(SimConfig::new(2)).run(&p);
         assert!(r.median_latency() >= 10.0);
         assert!(r.latency_percentile(1.0) >= r.latency_percentile(0.5));
         assert!(r.mean_queue_delay() >= 0.0);

@@ -9,9 +9,11 @@
 //! * pluggable job **schedulers** — FIFO and Hadoop-fair-scheduler-style
 //!   — backed by a runnable-with-demand index for incremental dispatch
 //!   ([`scheduler`]);
-//! * an HDFS-like **storage layer** with pluggable cache tiers — LRU,
-//!   LFU, the paper's §4.2 size-threshold policy, and an unbounded
-//!   reference tier ([`hdfs`], [`cache`]);
+//! * a **cache tier** in front of each job's input read — LRU, LFU, the
+//!   paper's §4.2 size-threshold policy, and an unbounded reference tier
+//!   ([`cache`]). A job reads the file its plan names
+//!   ([`swim_synth::ReplayJob::input_file`]), at the size that file had
+//!   when first read;
 //! * a **wave-scheduled** replay engine that executes a `swim-synth`
 //!   [`swim_synth::ReplayPlan`] with one heap event per *wave* of
 //!   same-duration tasks (not per task) and exact, remainder-distributed
@@ -37,14 +39,12 @@ pub mod cache;
 pub mod cluster;
 pub mod engine;
 pub mod event;
-pub mod hdfs;
 pub mod metrics;
 mod reference;
 pub mod scheduler;
 pub mod sweep;
 
 pub use cache::{CachePolicy, CacheStats};
-pub use cluster::ClusterConfig;
 pub use engine::{SimConfig, SimResult, Simulator};
 pub use scheduler::SchedulerKind;
 pub use sweep::{ScenarioGrid, SweepCell};

@@ -12,14 +12,13 @@
 #![cfg(test)]
 
 use crate::cluster::SlotPool;
-use crate::engine::{materialize_jobs, maybe_finish, JobState, SimConfig, SimResult};
+use crate::engine::{materialize_jobs, maybe_finish, JobState, SimConfig, SimResult, Storage};
 use crate::event::{Event, EventQueue};
-use crate::hdfs::Hdfs;
 use crate::metrics::{JobOutcome, UtilizationTracker};
 use crate::scheduler::SchedulerKind;
 use std::collections::VecDeque;
 use swim_synth::ReplayPlan;
-use swim_trace::{Dur, PathId, Timestamp};
+use swim_trace::{Dur, Timestamp};
 
 /// Execute `plan` with per-task events and full-scan dispatch.
 ///
@@ -27,23 +26,16 @@ use swim_trace::{Dur, PathId, Timestamp};
 /// slot-seconds, read-at-first-launch); asymptotically worse: the event
 /// heap carries one entry per task and every event rescans all runnable
 /// jobs.
-pub fn run_per_task(
-    config: &SimConfig,
-    plan: &ReplayPlan,
-    input_paths: Option<&[PathId]>,
-) -> SimResult {
-    let mut hdfs = Hdfs::new(config.hdfs);
-    if let Some((policy, capacity)) = config.cache {
-        hdfs = hdfs.with_cache(policy, capacity);
-    }
-    let mut slots = SlotPool::new(config.cluster);
+pub fn run_per_task(config: &SimConfig, plan: &ReplayPlan) -> SimResult {
+    let mut storage = Storage::of(config);
+    let mut slots = SlotPool::new(config.nodes);
     let mut queue = EventQueue::new();
     let mut util = UtilizationTracker::new();
     // The old engine's runnable set: every submitted-but-unfinished job,
     // scanned in full on every event.
     let mut runnable: VecDeque<usize> = VecDeque::new();
 
-    let mut jobs = materialize_jobs(plan, input_paths, config.max_tasks_per_job);
+    let mut jobs = materialize_jobs(plan);
     for (i, js) in jobs.iter().enumerate() {
         queue.push(js.submit, Event::JobSubmit { job: i });
     }
@@ -60,7 +52,7 @@ pub fn run_per_task(
                 if jobs[job].pending_map > 0 || jobs[job].pending_reduce > 0 {
                     runnable.push_back(job);
                 } else {
-                    maybe_finish(job, &mut jobs, &mut hdfs, &mut outcomes, now);
+                    maybe_finish(job, &mut jobs, &mut storage, &mut outcomes, now);
                 }
             }
             Event::WaveFinish { job, is_map, count } => {
@@ -73,7 +65,7 @@ pub fn run_per_task(
                     js.running_reduce -= 1;
                     slots.release_reduce_n(1);
                 }
-                maybe_finish(job, &mut jobs, &mut hdfs, &mut outcomes, now);
+                maybe_finish(job, &mut jobs, &mut storage, &mut outcomes, now);
                 if jobs[job].done {
                     runnable.retain(|&j| j != job);
                 }
@@ -85,7 +77,7 @@ pub fn run_per_task(
             &mut runnable,
             &mut slots,
             &mut queue,
-            &mut hdfs,
+            &mut storage,
             now,
         );
         util.record(now, slots.busy_total());
@@ -94,7 +86,7 @@ pub fn run_per_task(
     outcomes.sort_by_key(|o| o.job);
     SimResult {
         hourly_utilization: util.hourly_average_slots(),
-        cache: hdfs.cache_stats(),
+        cache: storage.as_ref().map(Storage::stats),
         makespan: now,
         events,
         slot_seconds: util.total_slot_seconds(),
@@ -110,7 +102,7 @@ fn dispatch(
     runnable: &mut VecDeque<usize>,
     slots: &mut SlotPool,
     queue: &mut EventQueue,
-    hdfs: &mut Hdfs,
+    storage: &mut Option<Storage>,
     now: Timestamp,
 ) {
     loop {
@@ -127,7 +119,7 @@ fn dispatch(
                 let got = slots.take_map(want);
                 if got > 0 {
                     js.first_start.get_or_insert(now);
-                    js.ensure_input_read(hdfs, now);
+                    js.ensure_input_read(storage, now);
                     for _ in 0..got {
                         js.pending_map -= 1;
                         js.running_map += 1;
@@ -154,7 +146,7 @@ fn dispatch(
                 let got = slots.take_reduce(want);
                 if got > 0 {
                     js.first_start.get_or_insert(now);
-                    js.ensure_input_read(hdfs, now);
+                    js.ensure_input_read(storage, now);
                     for _ in 0..got {
                         js.pending_reduce -= 1;
                         js.running_reduce += 1;
@@ -203,6 +195,7 @@ mod tests {
     fn job(gap: u64, maps: u32, map_secs: u64, reds: u32, red_secs: u64) -> ReplayJob {
         ReplayJob {
             gap: Dur::from_secs(gap),
+            input_file: None,
             input: DataSize::from_mb(64),
             shuffle: DataSize::ZERO,
             output: DataSize::from_mb(8),
@@ -224,7 +217,7 @@ mod tests {
     #[test]
     fn per_task_reference_reproduces_the_same_goldens() {
         let plan = seeded_plan(2012, 200, true);
-        let r = run_per_task(&SimConfig::new(4), &plan, None);
+        let r = run_per_task(&SimConfig::new(4), &plan);
         let lats: Vec<u64> = r.outcomes.iter().map(|o| o.latency().secs()).collect();
         assert_eq!(lats, GOLDEN_FIFO_LATENCIES);
     }
@@ -234,8 +227,8 @@ mod tests {
         for seed in [1u64, 7, 42, 1234] {
             let plan = seeded_plan(seed, 120, false);
             let cfg = SimConfig::new(3);
-            let wave = Simulator::new(cfg).run(&plan, None);
-            let per_task = run_per_task(&cfg, &plan, None);
+            let wave = Simulator::new(cfg).run(&plan);
+            let per_task = run_per_task(&cfg, &plan);
             assert_eq!(wave.outcomes, per_task.outcomes, "seed {seed}");
             assert_eq!(wave.makespan, per_task.makespan, "seed {seed}");
             assert_eq!(wave.slot_seconds, per_task.slot_seconds, "seed {seed}");
@@ -252,7 +245,7 @@ mod tests {
     fn per_task_engine_pushes_one_event_per_task() {
         // 10 maps + 2 reduces + 1 submission = 13 events.
         let p = plan(vec![job(0, 10, 100, 2, 20)]);
-        let r = run_per_task(&SimConfig::new(2), &p, None);
+        let r = run_per_task(&SimConfig::new(2), &p);
         assert_eq!(r.events, 13);
     }
 
@@ -267,8 +260,8 @@ mod tests {
             job(11, 1, 1, 1, 1),
         ]);
         let cfg = SimConfig::new(1);
-        let wave = Simulator::new(cfg).run(&p, None);
-        let per_task = run_per_task(&cfg, &p, None);
+        let wave = Simulator::new(cfg).run(&p);
+        let per_task = run_per_task(&cfg, &p);
         assert_eq!(wave.outcomes, per_task.outcomes);
         assert_eq!(wave.makespan, per_task.makespan);
         assert_eq!(wave.slot_seconds, per_task.slot_seconds);

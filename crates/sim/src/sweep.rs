@@ -11,12 +11,10 @@
 //! is deterministic and independent of thread scheduling.
 
 use crate::cache::CachePolicy;
-use crate::cluster::ClusterConfig;
 use crate::engine::{SimConfig, SimResult, Simulator};
-use crate::hdfs::HdfsConfig;
 use crate::scheduler::SchedulerKind;
 use swim_synth::ReplayPlan;
-use swim_trace::{DataSize, PathId};
+use swim_trace::DataSize;
 
 /// A cross-product grid of simulation scenarios.
 ///
@@ -30,10 +28,6 @@ pub struct ScenarioGrid {
     pub schedulers: Vec<SchedulerKind>,
     /// Cache tiers to try (`None` = no cache).
     pub caches: Vec<Option<(CachePolicy, DataSize)>>,
-    /// Storage configuration shared by every scenario.
-    pub hdfs: HdfsConfig,
-    /// Wave-batching cap shared by every scenario.
-    pub max_tasks_per_job: u32,
 }
 
 impl ScenarioGrid {
@@ -45,8 +39,6 @@ impl ScenarioGrid {
             nodes,
             schedulers: vec![SchedulerKind::Fifo],
             caches: vec![None],
-            hdfs: HdfsConfig::default(),
-            max_tasks_per_job: 1_000,
         }
     }
 
@@ -80,11 +72,9 @@ impl ScenarioGrid {
             for &scheduler in &self.schedulers {
                 for &cache in &self.caches {
                     out.push(SimConfig {
-                        cluster: ClusterConfig::with_nodes(nodes),
+                        nodes,
                         scheduler,
-                        hdfs: self.hdfs,
                         cache,
-                        max_tasks_per_job: self.max_tasks_per_job,
                     });
                 }
             }
@@ -109,15 +99,11 @@ impl Simulator {
     /// count and scheduling never affect which scenario computes what;
     /// results are returned in grid order and are bit-identical to
     /// running each scenario serially.
-    pub fn sweep(
-        grid: &ScenarioGrid,
-        plan: &ReplayPlan,
-        input_paths: Option<&[PathId]>,
-    ) -> Vec<SweepCell> {
+    pub fn sweep(grid: &ScenarioGrid, plan: &ReplayPlan) -> Vec<SweepCell> {
         let configs = grid.configs();
         swim_obs::par_map(configs.len(), swim_obs::cores(), |i| SweepCell {
             config: configs[i],
-            result: Simulator::new(configs[i]).run(plan, input_paths),
+            result: Simulator::new(configs[i]).run(plan),
         })
     }
 }
@@ -126,12 +112,13 @@ impl Simulator {
 mod tests {
     use super::*;
     use swim_synth::ReplayJob;
-    use swim_trace::Dur;
+    use swim_trace::{Dur, PathId};
 
     fn small_plan() -> ReplayPlan {
         let jobs = (0..40)
             .map(|i| ReplayJob {
                 gap: Dur::from_secs(7 * (i % 5)),
+                input_file: Some(PathId(i % 3)),
                 input: DataSize::from_mb(32 + 13 * (i % 11)),
                 shuffle: DataSize::from_mb(4),
                 output: DataSize::from_mb(8),
@@ -171,11 +158,11 @@ mod tests {
     fn sweep_matches_serial_execution_bit_for_bit() {
         let grid = twelve_cell_grid();
         let plan = small_plan();
-        let swept = Simulator::sweep(&grid, &plan, None);
+        let swept = Simulator::sweep(&grid, &plan);
         assert_eq!(swept.len(), 12);
         for (cell, config) in swept.iter().zip(grid.configs()) {
             assert_eq!(cell.config, config, "grid order preserved");
-            let serial = Simulator::new(config).run(&plan, None);
+            let serial = Simulator::new(config).run(&plan);
             assert_eq!(cell.result, serial, "{config:?}");
         }
     }
@@ -185,25 +172,22 @@ mod tests {
         let grid = twelve_cell_grid();
         let plan = small_plan();
         assert_eq!(
-            Simulator::sweep(&grid, &plan, None),
-            Simulator::sweep(&grid, &plan, None)
+            Simulator::sweep(&grid, &plan),
+            Simulator::sweep(&grid, &plan)
         );
     }
 
     #[test]
     fn empty_grid_sweeps_to_nothing() {
         let grid = ScenarioGrid::new(vec![]);
-        assert!(Simulator::sweep(&grid, &small_plan(), None).is_empty());
+        assert!(Simulator::sweep(&grid, &small_plan()).is_empty());
     }
 
     #[test]
     fn cache_axis_reaches_the_simulation() {
-        use swim_trace::PathId;
         let grid = ScenarioGrid::new(vec![4])
             .caches(vec![None, Some((CachePolicy::Unlimited, DataSize::ZERO))]);
-        let plan = small_plan();
-        let paths: Vec<PathId> = (0..plan.len()).map(|i| PathId((i % 3) as u64)).collect();
-        let cells = Simulator::sweep(&grid, &plan, Some(&paths));
+        let cells = Simulator::sweep(&grid, &small_plan());
         assert!(cells[0].result.cache.is_none());
         let stats = cells[1].result.cache.expect("cache configured");
         assert!(stats.hits > 0, "shared paths must hit the unlimited cache");

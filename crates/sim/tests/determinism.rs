@@ -13,12 +13,12 @@ mod seeded;
 
 use seeded::{seeded_plan, GOLDEN_FIFO_LATENCIES};
 use swim_sim::{SimConfig, Simulator};
-use swim_trace::DataSize;
+use swim_trace::{DataSize, PathId};
 
 #[test]
 fn golden_fifo_latencies_preserved_across_wave_refactor() {
     let plan = seeded_plan(2012, 200, true);
-    let r = Simulator::new(SimConfig::new(4)).run(&plan, None);
+    let r = Simulator::new(SimConfig::new(4)).run(&plan);
     let lats: Vec<u64> = r.outcomes.iter().map(|o| o.latency().secs()).collect();
     assert_eq!(lats, GOLDEN_FIFO_LATENCIES);
 }
@@ -26,17 +26,18 @@ fn golden_fifo_latencies_preserved_across_wave_refactor() {
 #[test]
 fn identical_runs_produce_identical_results() {
     use swim_sim::CachePolicy;
-    use swim_trace::PathId;
     for seed in [3u64, 99, 2024] {
-        let plan = seeded_plan(seed, 150, false);
-        let paths: Vec<PathId> = (0..plan.len()).map(|i| PathId((i % 17) as u64)).collect();
+        let mut plan = seeded_plan(seed, 150, false);
+        for (i, job) in plan.jobs.iter_mut().enumerate() {
+            job.input_file = Some(PathId((i % 17) as u64));
+        }
         for cfg in [
             SimConfig::new(4),
             SimConfig::new(4).fair(),
             SimConfig::new(2).with_cache(CachePolicy::Lru, DataSize::from_gb(1)),
         ] {
-            let a = Simulator::new(cfg).run(&plan, Some(&paths));
-            let b = Simulator::new(cfg).run(&plan, Some(&paths));
+            let a = Simulator::new(cfg).run(&plan);
+            let b = Simulator::new(cfg).run(&plan);
             assert_eq!(a, b, "seed {seed} cfg {cfg:?}");
         }
     }
@@ -51,7 +52,7 @@ fn slot_seconds_are_exact_on_seeded_plans() {
             .iter()
             .map(|j| j.map_task_time.secs() + j.reduce_task_time.secs())
             .sum();
-        let r = Simulator::new(SimConfig::new(4)).run(&plan, None);
+        let r = Simulator::new(SimConfig::new(4)).run(&plan);
         assert_eq!(r.slot_seconds, total as f64, "seed {seed}");
     }
 }

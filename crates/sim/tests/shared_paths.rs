@@ -125,17 +125,7 @@ const PINS: [Pin; 8] = [
 
 #[test]
 fn every_policy_and_scheduler_replays_the_pinned_cells() {
-    let trace = seeded_trace();
-    let plan = ReplayPlan::from_trace(&trace);
-    let paths: Vec<PathId> = trace
-        .jobs()
-        .iter()
-        .enumerate()
-        .map(|(i, j)| {
-            let private = PathId(1_000_000_000 + i as u64);
-            j.input_paths.first().copied().unwrap_or(private)
-        })
-        .collect();
+    let plan = ReplayPlan::from_trace(&seeded_trace());
     let policies = [
         ("lru", CachePolicy::Lru, DataSize::from_gb(2)),
         ("lfu", CachePolicy::Lfu, DataSize::from_gb(2)),
@@ -155,11 +145,32 @@ fn every_policy_and_scheduler_replays_the_pinned_cells() {
             if fair {
                 config = config.fair();
             }
-            let r = Simulator::new(config).run(&plan, Some(&paths));
+            let r = Simulator::new(config).run(&plan);
             let c = r.cache.expect("cache configured");
             let figures = [c.hits, c.misses, c.evictions, r.makespan.secs(), r.events];
             cells.push((label, fair, figures, digest(&r)));
         }
     }
     assert_eq!(cells, PINS.to_vec());
+}
+
+/// A job that names no input path reads a file of its own, which no
+/// path can name: not even the number a per-job placeholder id would
+/// have given it.
+#[test]
+fn a_job_without_an_input_path_never_hits_another_jobs_file() {
+    let job = |id: u64, paths: Vec<PathId>| {
+        JobBuilder::new(id)
+            .submit(Timestamp::from_secs(10 * id))
+            .input(DataSize::from_mb(64))
+            .input_paths(paths)
+            .build()
+            .expect("valid job")
+    };
+    let jobs = vec![job(0, vec![PathId(1_000_000_001)]), job(1, vec![])];
+    let trace = Trace::new(WorkloadKind::CcE, 2, jobs).expect("valid trace");
+    let config = SimConfig::new(2).with_cache(CachePolicy::Unlimited, DataSize::ZERO);
+    let r = Simulator::new(config).run(&ReplayPlan::from_trace(&trace));
+    let stats = r.cache.expect("cache configured");
+    assert_eq!((stats.hits, stats.misses), (0, 2));
 }

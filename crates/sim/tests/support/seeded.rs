@@ -25,6 +25,7 @@ pub fn seeded_plan(seed: u64, n: usize, divisible: bool) -> ReplayPlan {
             };
             ReplayJob {
                 gap: Dur::from_secs(rng.random_range(0..120)),
+                input_file: None,
                 input: DataSize::from_mb(rng.random_range(1..512)),
                 shuffle: if reduce_tasks > 0 {
                     DataSize::from_mb(rng.random_range(1..64))

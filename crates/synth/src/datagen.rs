@@ -3,7 +3,7 @@
 //! Before replaying, SWIM writes synthetic input data into HDFS, "scaled
 //! to the number of nodes in the cluster" (§7). A [`DataGenPlan`]
 //! enumerates the files to create — count, sizes, and total volume — so a
-//! replay driver (or `swim-sim`'s storage layer) can materialize them.
+//! replay driver can materialize them.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -6,13 +6,19 @@
 //! SWIM Hadoop scripts) launches one generic job per entry, reading and
 //! writing padding data of the specified sizes.
 
-use swim_trace::{DataSize, Dur, Timestamp, Trace};
+use swim_trace::{DataSize, Dur, PathId, Timestamp, Trace};
 
 /// One job of a replay plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayJob {
     /// Gap since the previous job's submission (first job: gap from t=0).
     pub gap: Dur,
+    /// The file the job reads: the first of its trace job's input paths.
+    /// `None` when the trace names no input path; the job then reads a
+    /// file of its own, which no other job of the plan reads and no
+    /// [`PathId`] names, so a cache replay counts its read as a cold miss.
+    /// The bundle JSON `swim-analyze --bundle` writes does not carry it.
+    pub input_file: Option<PathId>,
     /// Bytes the synthetic job must read.
     pub input: DataSize,
     /// Bytes it must shuffle.
@@ -43,13 +49,14 @@ pub struct ReplayPlan {
 
 impl ReplayPlan {
     /// Derive a replay plan from a trace: gaps between successive submits,
-    /// byte targets and task shapes copied per job.
+    /// each job's input file, byte targets and task shapes copied per job.
     pub fn from_trace(trace: &Trace) -> ReplayPlan {
         let mut jobs = Vec::with_capacity(trace.len());
         let mut prev = Timestamp::ZERO;
         for job in trace.jobs() {
             jobs.push(ReplayJob {
                 gap: job.submit.since(prev),
+                input_file: job.input_paths.first().copied(),
                 input: job.input,
                 shuffle: job.shuffle,
                 output: job.output,
@@ -156,6 +163,7 @@ mod tests {
                 .map_task_time(Dur::from_secs(4))
                 .reduce_task_time(Dur::from_secs(4))
                 .tasks(2, 1)
+                .input_paths(vec![PathId(4), PathId(9)])
                 .build()
                 .unwrap(),
         ];
@@ -170,6 +178,13 @@ mod tests {
         assert_eq!(plan.jobs[1].gap, Dur::from_secs(60));
         let second = Timestamp::ZERO + plan.jobs[0].gap + plan.jobs[1].gap;
         assert_eq!(second, Timestamp::from_secs(160));
+    }
+
+    #[test]
+    fn a_job_reads_its_first_input_path_or_a_file_of_its_own() {
+        let plan = ReplayPlan::from_trace(&trace());
+        assert_eq!(plan.jobs[0].input_file, None);
+        assert_eq!(plan.jobs[1].input_file, Some(PathId(4)));
     }
 
     #[test]

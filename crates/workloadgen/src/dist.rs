@@ -1,11 +1,8 @@
 //! Statistical distributions used by the generators.
 //!
 //! Only `rand`'s uniform source is assumed; everything else (normal via
-//! Box–Muller, log-normal, exponential, bounded Zipf, categorical,
-//! piecewise-empirical) is implemented here. The paper notes (§7) that
-//! apart from the Zipf-like access frequencies, workload behaviour "does
-//! not fit well-known statistical distributions", so the empirical
-//! (trace-is-the-model) sampler is a first-class citizen.
+//! Box–Muller, log-normal, exponential, bounded Zipf, categorical) is
+//! implemented here.
 
 use rand::Rng;
 
@@ -257,105 +254,6 @@ impl Categorical {
     }
 }
 
-/// Piecewise-linear empirical distribution built from (value, cdf) knots —
-/// the "the trace is the model" sampler the paper calls for in §7
-/// ("Empirical models").
-///
-/// Knots must have non-decreasing values and strictly increasing CDF from
-/// ~0 to 1. Sampling inverts the CDF with linear interpolation between
-/// knots; values below the first knot clamp to it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    values: Vec<f64>,
-    cdf: Vec<f64>,
-}
-
-impl Empirical {
-    /// Build from knots `(value, cumulative_probability)`.
-    pub fn from_knots(knots: &[(f64, f64)]) -> Self {
-        assert!(knots.len() >= 2, "need at least two knots");
-        let mut values = Vec::with_capacity(knots.len());
-        let mut cdf = Vec::with_capacity(knots.len());
-        for &(v, p) in knots {
-            assert!(v.is_finite(), "values must be finite");
-            assert!((0.0..=1.0).contains(&p), "cdf must lie in [0,1]");
-            if let Some(&last_v) = values.last() {
-                assert!(v >= last_v, "values must be non-decreasing");
-            }
-            if let Some(&last_p) = cdf.last() {
-                assert!(p > last_p, "cdf must be strictly increasing");
-            }
-            values.push(v);
-            cdf.push(p);
-        }
-        assert!(
-            (cdf.last().unwrap() - 1.0).abs() < 1e-9,
-            "last knot must have cdf = 1"
-        );
-        Empirical { values, cdf }
-    }
-
-    /// Build from a raw sample (the empirical CDF of the data itself).
-    pub fn from_samples(samples: &[f64]) -> Self {
-        assert!(!samples.is_empty(), "need at least one sample");
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let n = sorted.len();
-        if n == 1 {
-            return Empirical::from_knots(&[(sorted[0], 0.5), (sorted[0] + 1e-12, 1.0)]);
-        }
-        let mut knots: Vec<(f64, f64)> = Vec::with_capacity(n);
-        for (i, &v) in sorted.iter().enumerate() {
-            let p = (i + 1) as f64 / n as f64;
-            // Collapse duplicate values onto the highest cdf for that value.
-            if let Some(last) = knots.last_mut() {
-                if (last.0 - v).abs() < f64::EPSILON {
-                    last.1 = p;
-                    continue;
-                }
-            }
-            knots.push((v, p));
-        }
-        if knots.len() == 1 {
-            let v = knots[0].0;
-            return Empirical::from_knots(&[(v, 0.5), (v + v.abs().max(1.0) * 1e-12, 1.0)]);
-        }
-        // Anchor the left edge slightly below the minimum so inversion of
-        // small u returns ~min rather than panicking.
-        Empirical {
-            values: knots.iter().map(|k| k.0).collect(),
-            cdf: knots.iter().map(|k| k.1).collect(),
-        }
-    }
-
-    /// Invert the CDF at probability `p` (clamped into `[0, 1]`).
-    pub fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        if p <= self.cdf[0] {
-            return self.values[0];
-        }
-        let idx = match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&p).expect("finite"))
-        {
-            Ok(i) => return self.values[i],
-            Err(i) => i,
-        };
-        if idx >= self.cdf.len() {
-            return *self.values.last().unwrap();
-        }
-        let (p0, p1) = (self.cdf[idx - 1], self.cdf[idx]);
-        let (v0, v1) = (self.values[idx - 1], self.values[idx]);
-        let t = (p - p0) / (p1 - p0);
-        v0 + t * (v1 - v0)
-    }
-
-    /// Sample one value by inverse transform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.quantile(rng.random())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,40 +407,6 @@ mod tests {
     #[should_panic(expected = "at least one weight must be positive")]
     fn categorical_rejects_all_zero() {
         Categorical::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn empirical_quantile_interpolates() {
-        let e = Empirical::from_knots(&[(0.0, 0.1), (10.0, 0.5), (100.0, 1.0)]);
-        assert_eq!(e.quantile(0.0), 0.0);
-        assert_eq!(e.quantile(0.1), 0.0);
-        assert!((e.quantile(0.3) - 5.0).abs() < 1e-9);
-        assert!((e.quantile(0.75) - 55.0).abs() < 1e-9);
-        assert_eq!(e.quantile(1.0), 100.0);
-        assert_eq!(e.quantile(2.0), 100.0);
-    }
-
-    #[test]
-    fn empirical_from_samples_recovers_range() {
-        let data = [3.0, 1.0, 2.0, 2.0, 5.0];
-        let e = Empirical::from_samples(&data);
-        let q_max = e.quantile(1.0);
-        assert_eq!(q_max, 5.0);
-        assert!(e.quantile(0.0) <= 1.0 + 1e-9);
-        let mut r = rng();
-        for _ in 0..1000 {
-            let v = e.sample(&mut r);
-            assert!((1.0..=5.0).contains(&v), "sample {v} out of data range");
-        }
-    }
-
-    #[test]
-    fn empirical_single_sample_degenerates_gracefully() {
-        let e = Empirical::from_samples(&[7.0]);
-        let mut r = rng();
-        for _ in 0..100 {
-            assert!((e.sample(&mut r) - 7.0).abs() < 1e-6);
-        }
     }
 
     #[test]

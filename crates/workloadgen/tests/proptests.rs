@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use swim_workloadgen::dist::{Categorical, Empirical, Exponential, LogNormal, Zipf};
+use swim_workloadgen::dist::{Categorical, Exponential, LogNormal, Zipf};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -46,32 +46,6 @@ proptest! {
             let idx = c.sample(&mut rng);
             prop_assert!(weights[idx] > 0.0, "sampled zero-weight index {idx}");
         }
-    }
-
-    #[test]
-    fn empirical_samples_within_data_range(
-        mut data in prop::collection::vec(-1e9f64..1e9, 1..100),
-        seed in any::<u64>(),
-    ) {
-        data.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let (lo, hi) = (data[0], *data.last().unwrap());
-        let e = Empirical::from_samples(&data);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..30 {
-            let v = e.sample(&mut rng);
-            prop_assert!(v >= lo - 1e-6 && v <= hi + 1e-6, "{v} outside [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn empirical_quantile_is_monotone(
-        data in prop::collection::vec(0.0f64..1e9, 2..60),
-        p1 in 0.0f64..1.0,
-        p2 in 0.0f64..1.0,
-    ) {
-        let e = Empirical::from_samples(&data);
-        let (lo, hi) = (p1.min(p2), p1.max(p2));
-        prop_assert!(e.quantile(lo) <= e.quantile(hi) + 1e-9);
     }
 }
 

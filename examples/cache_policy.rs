@@ -11,7 +11,6 @@
 use swim::prelude::*;
 use swim::sim::CachePolicy;
 use swim_sim::Simulator;
-use swim_trace::PathId;
 
 fn main() {
     // CC-c has the strongest re-access behaviour (≈78 % of jobs touch
@@ -23,17 +22,8 @@ fn main() {
             .seed(13),
     )
     .generate();
+    // Each replay job reads its trace job's first input path.
     let plan = ReplayPlan::from_trace(&trace);
-    let paths: Vec<PathId> = trace
-        .jobs()
-        .iter()
-        .map(|j| {
-            j.input_paths
-                .first()
-                .copied()
-                .expect("CC-c has input paths")
-        })
-        .collect();
 
     // Workload-specific size threshold (§4.2: "a viable cache policy is
     // to cache files whose size is less than a threshold"): the 90th
@@ -69,7 +59,7 @@ fn main() {
         for cap_gb in [10u64, 100, 1_000, 10_000] {
             let config =
                 SimConfig::new(trace.machines).with_cache(policy, DataSize::from_gb(cap_gb));
-            let result = Simulator::new(config).run(&plan, Some(&paths));
+            let result = Simulator::new(config).run(&plan);
             let stats = result.cache.expect("cache configured");
             print!(" {:>9.1}%", stats.hit_rate() * 100.0);
         }

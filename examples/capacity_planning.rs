@@ -44,7 +44,7 @@ fn main() {
             if fair {
                 config = config.fair();
             }
-            let result = Simulator::new(config).run(&plan, None);
+            let result = Simulator::new(config).run(&plan);
             println!(
                 "{:>6} {:>6} {:>14.1} {:>14.0} {:>14.0} {:>12}",
                 nodes,

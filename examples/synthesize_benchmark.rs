@@ -78,7 +78,7 @@ fn main() {
     );
 
     // 6. Execute on the simulated cluster (stand-in for the Hadoop rig).
-    let result = Simulator::new(SimConfig::new(20)).run(&entry.replay, None);
+    let result = Simulator::new(SimConfig::new(20)).run(&entry.replay);
     println!(
         "executed  : makespan {}, median latency {:.0} s, mean queue delay {:.1} s",
         result.makespan,
@@ -88,7 +88,7 @@ fn main() {
 
     // 7. Stress variant: same mix at 2× submission intensity.
     let stressed = entry.replay.accelerate(2.0);
-    let stress_result = Simulator::new(SimConfig::new(20)).run(&stressed, None);
+    let stress_result = Simulator::new(SimConfig::new(20)).run(&stressed);
     println!(
         "2x stress : makespan {}, median latency {:.0} s, mean queue delay {:.1} s",
         stress_result.makespan,

@@ -55,7 +55,7 @@
 //! // ... sample a scaled-down replayable benchmark from it ...
 //! let sampled = sample_windows(&trace, SampleConfig::one_day_from_hours(1));
 //! let plan = ReplayPlan::from_trace(&sampled);
-//! let result = Simulator::new(SimConfig::new(20)).run(&plan, None);
+//! let result = Simulator::new(SimConfig::new(20)).run(&plan);
 //! assert_eq!(result.outcomes.len(), plan.len());
 //!
 //! // ... and run the paper's full analysis battery over it.

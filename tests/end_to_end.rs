@@ -147,7 +147,7 @@ fn synthesis_pipeline_preserves_distributions_and_replays() {
     let plan = ReplayPlan::from_trace(&scaled);
     assert_eq!(plan.len(), scaled.len());
 
-    let result = Simulator::new(SimConfig::new(30)).run(&plan, None);
+    let result = Simulator::new(SimConfig::new(30)).run(&plan);
     assert_eq!(result.outcomes.len(), plan.len(), "work conservation");
     // Every job finishes at or after its submission.
     for o in &result.outcomes {
@@ -161,7 +161,7 @@ fn simulator_utilization_bounded_by_cluster_slots() {
     let trace = gen(WorkloadKind::CcE, 0.5, 3.0, 107);
     let plan = ReplayPlan::from_trace(&trace);
     let nodes = 50;
-    let result = Simulator::new(SimConfig::new(nodes)).run(&plan, None);
+    let result = Simulator::new(SimConfig::new(nodes)).run(&plan);
     let slot_cap = (nodes * 4) as f64;
     for (h, &u) in result.hourly_utilization.iter().enumerate() {
         assert!(u <= slot_cap + 1e-9, "hour {h}: {u} > {slot_cap}");
@@ -173,17 +173,12 @@ fn simulator_utilization_bounded_by_cluster_slots() {
 fn cache_policies_ordered_by_generosity() {
     // Unlimited ≥ threshold/LRU on hit rate, for the same access stream.
     use swim_sim::CachePolicy;
-    use swim_trace::PathId;
     let trace = gen(WorkloadKind::CcC, 0.3, 3.0, 108);
     let plan = ReplayPlan::from_trace(&trace);
-    let paths: Vec<PathId> = trace.jobs().iter().map(|j| j.input_paths[0]).collect();
+    assert!(plan.jobs.iter().all(|j| j.input_file.is_some()));
     let hit_rate = |policy: CachePolicy| {
         let cfg = SimConfig::new(100).with_cache(policy, DataSize::from_gb(100));
-        Simulator::new(cfg)
-            .run(&plan, Some(&paths))
-            .cache
-            .unwrap()
-            .hit_rate()
+        Simulator::new(cfg).run(&plan).cache.unwrap().hit_rate()
     };
     let unlimited = hit_rate(CachePolicy::Unlimited);
     let lru = hit_rate(CachePolicy::Lru);
