@@ -57,42 +57,6 @@ impl Ecdf {
     }
 }
 
-/// Descriptive statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Describe {
-    /// Sample size.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median.
-    pub median: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Describe {
-    /// Compute over a non-empty sample.
-    pub fn of(samples: &[f64]) -> Describe {
-        assert!(!samples.is_empty(), "describe of empty sample");
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        let ecdf = Ecdf::new(samples.to_vec());
-        Describe {
-            n,
-            mean,
-            std: var.sqrt(),
-            min: ecdf.min(),
-            median: ecdf.median(),
-            max: ecdf.max(),
-        }
-    }
-}
-
 /// Pearson correlation coefficient of two equal-length series.
 ///
 /// Returns 0 when either series is constant (the paper's correlation bars,
@@ -197,17 +161,6 @@ mod tests {
     #[should_panic(expected = "quantile of empty sample")]
     fn ecdf_empty_quantile_panics() {
         Ecdf::new(vec![]).quantile(0.5);
-    }
-
-    #[test]
-    fn describe_basics() {
-        let d = Describe::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.n, 4);
-        assert!((d.mean - 2.5).abs() < 1e-12);
-        assert_eq!(d.min, 1.0);
-        assert_eq!(d.max, 4.0);
-        assert_eq!(d.median, 2.0);
-        assert!((d.std - (1.25f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

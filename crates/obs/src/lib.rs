@@ -45,15 +45,13 @@
 //! programmatically ([`set_enabled`]) — `swim-query --profile` forces
 //! everything on for the duration of the query.
 //!
-//! For **resident processes** (the `swim-serve` server) three further
+//! For **resident processes** (the `swim-serve` server) two further
 //! pieces provide live telemetry at bounded memory:
 //!
 //! * [`window`] — [`WindowedHistogram`] / [`WindowedCounter`]: "last
 //!   minute" distributions and rates over a ring of fixed-duration
 //!   buckets, O(buckets) memory however many events are recorded,
 //!   rotation driven by injectable timestamps ([`clock`]).
-//! * [`flight`] — a bounded ring of the most recent span events, for
-//!   "what just happened" forensics next to the aggregates.
 //! * [`Snapshot::delta`] — difference two snapshots to turn lifetime
 //!   counters into rates (`swim-top`'s polling primitive).
 //!
@@ -74,7 +72,6 @@
 pub mod cli;
 pub mod clock;
 pub mod doc;
-pub mod flight;
 pub mod html;
 pub mod json;
 pub mod jsonl;
@@ -86,7 +83,6 @@ pub mod render;
 pub mod span;
 pub mod window;
 
-pub use flight::FlightEvent;
 pub use metrics::{nearest_rank, quantile_of_sorted, Counter, Gauge};
 pub use par::{cores, par_claim, par_map, Claims};
 pub use registry::{reset, snapshot, Snapshot, SpanSample};

@@ -11,10 +11,6 @@
 //! returns) the wall-clock duration, and *additionally* records a span
 //! when the [`crate::SPANS`] bit is on. Benches use it instead
 //! of ad-hoc `Instant::now()` pairs.
-//!
-//! While spans are enabled, every span close is also pushed into the
-//! bounded [`crate::flight`] recorder ring, so the most recent
-//! individual events stay inspectable next to the aggregates.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -52,7 +48,6 @@ pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, Duration) {
     if let Some(path) = path {
         pop();
         registry::record_span(&path, elapsed);
-        crate::flight::record(&path, elapsed);
     }
     (out, elapsed)
 }
@@ -95,7 +90,6 @@ impl Drop for SpanGuard {
             let elapsed = active.start.elapsed();
             pop();
             registry::record_span(&active.path, elapsed);
-            crate::flight::record(&active.path, elapsed);
         }
     }
 }

@@ -286,32 +286,9 @@ fn cmd_query(args: &Args) -> Result<(), Error> {
         [_, extra, ..] => return Err(Error::Usage(format!("unexpected argument {extra}"))),
     };
     let flags = cli::QueryFlags::from_args(args).map_err(Error::Usage)?;
-    let query = flags.build_query().map_err(Error::Usage)?;
     // The shared Session engine — the same execution path swim-query
     // and swim-serve use, so all three stay byte-identical.
-    let session = Session::open_catalog(dir)?;
-    if flags.explain {
-        let explain = session.explain(&query)?;
-        let title = format!("explain: {dir}");
-        run::print(&cli::render_explain(&explain, flags.format, &title))?;
-        return Ok(());
-    }
-    if flags.profile {
-        // Start counting from zero so the printed metrics cover exactly
-        // this query (including shard pruning and cache traffic).
-        swim_obs::set_enabled(swim_obs::ALL);
-        swim_obs::reset();
-    }
-    let out = session.execute(&query, flags.serial)?;
-    let title = format!("swim-catalog: {dir}");
-    let mut body = cli::render_for(&out.output, flags.format, &title);
-    if flags.profile {
-        if flags.format != cli::OutputFormat::Json {
-            body.push('\n');
-        }
-        body.push_str(&cli::render_profile(&swim_obs::snapshot(), flags.format));
-    }
-    run::print(&body)?;
-    eprintln!("{}", out.summary);
-    Ok(())
+    cli::run(&flags, "swim-catalog", dir, || {
+        Ok(Session::open_catalog(dir)?)
+    })
 }

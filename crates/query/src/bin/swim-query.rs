@@ -12,7 +12,7 @@
 //! swim-query --catalog dataset.d --select count [--where …] […]
 //! ```
 //!
-//! The query flag set is shared with `swim-catalog query`
+//! The query flag set and its run are shared with `swim-catalog query`
 //! ([`swim_query::cli`]). Results go to stdout; the scan/pruning summary
 //! goes to stderr (so `--format json` output stays machine-parseable).
 //!
@@ -69,42 +69,16 @@ fn body(args: Args) -> Result<(), Error> {
         }
         _ => {}
     }
-    let query = flags.build_query().map_err(Error::Usage)?;
-    if flags.profile {
-        // Profiling owns the whole process: force everything on and
-        // start from zero so the printed counters cover exactly this
-        // query.
-        swim_obs::set_enabled(swim_obs::ALL);
-        swim_obs::reset();
-    }
     // One shared execution path for both sources: the Session engine
     // (also what swim-catalog query and swim-serve run on). Open errors
     // keep the raw store/catalog error text. A catalog is federated:
     // every shard, pruned at the shard level before any file is opened.
     let path = trace.unwrap_or_else(|| catalog.unwrap_or_default().to_owned());
-    let session = match catalog {
-        Some(_) => Session::open_catalog(&path).map_err(|e| e.to_string()),
-        None => Session::open_store(&path).map_err(|e| e.to_string()),
-    };
-    let session = session.map_err(|e| format!("open {path}: {e}"))?;
-    if flags.explain {
-        let explain = session.explain(&query)?;
-        let title = format!("explain: {path}");
-        run::print(&cli::render_explain(&explain, flags.format, &title))?;
-        return Ok(());
-    }
-    let result = session.execute(&query, flags.serial)?;
-    let title = format!("swim-query: {path}");
-    let mut body = cli::render_for(&result.output, flags.format, &title);
-    if flags.profile {
-        // The metrics follow the result; JSON lines follow the result
-        // object directly.
-        if flags.format != cli::OutputFormat::Json {
-            body.push('\n');
+    cli::run(&flags, "swim-query", &path, || {
+        match catalog {
+            Some(_) => Session::open_catalog(&path).map_err(|e| e.to_string()),
+            None => Session::open_store(&path).map_err(|e| e.to_string()),
         }
-        body.push_str(&cli::render_profile(&swim_obs::snapshot(), flags.format));
-    }
-    run::print(&body)?;
-    eprintln!("{}", result.summary);
-    Ok(())
+        .map_err(|e| Error::Runtime(format!("open {path}: {e}")))
+    })
 }

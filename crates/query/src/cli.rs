@@ -5,16 +5,17 @@
 //! --serial/--explain/--profile`); this module owns the parsing,
 //! validation, and renderer dispatch for it so the two CLIs cannot
 //! drift apart. [`FLAGS`] is that set as a [`swim_obs::cli`] table;
-//! the binaries parse argv against it and feed the result through
-//! [`QueryFlags::from_args`], and the server and the benchmark feed
-//! wire tokens through [`QueryFlags::accept`]. Error messages are
-//! pinned by `crates/query/tests/cli_errors.rs`.
+//! the binaries parse argv against it, feed the result through
+//! [`QueryFlags::from_args`] and run it with [`run`], and the server
+//! and the benchmark feed wire tokens through [`QueryFlags::accept`].
+//! Error messages are pinned by `crates/query/tests/cli_errors.rs`.
 
 use crate::exec::QueryOutput;
 use crate::explain::Explain;
 use crate::plan::Query;
+use crate::session::Session;
 use crate::{parse, render};
-use swim_obs::cli::{Args, Flag};
+use swim_obs::cli::{self as obs_cli, Args, Error, Flag};
 use swim_obs::doc::{Block, KeyValueBlock, Report, Section};
 use swim_obs::render::Table;
 
@@ -182,6 +183,45 @@ impl QueryFlags {
         }
         Ok(query)
     }
+}
+
+/// Run a binary's query flags against the session `open` returns, named
+/// `path` in titles: print the plan (`--explain`) or the result, under
+/// `name: path`, with the profile (`--profile`) after it, and the scan
+/// summary on stderr. `--profile` switches every instrument on and
+/// zeroes it before the open, so the metrics cover the open too.
+pub fn run(
+    flags: &QueryFlags,
+    name: &str,
+    path: &str,
+    open: impl FnOnce() -> Result<Session, Error>,
+) -> Result<(), Error> {
+    let query = flags.build_query().map_err(Error::Usage)?;
+    if flags.profile {
+        swim_obs::set_enabled(swim_obs::ALL);
+        swim_obs::reset();
+    }
+    let session = open()?;
+    if flags.explain {
+        let explain = session.explain(&query)?;
+        let title = format!("explain: {path}");
+        obs_cli::print(&render_explain(&explain, flags.format, &title))?;
+        return Ok(());
+    }
+    let result = session.execute(&query, flags.serial)?;
+    let title = format!("{name}: {path}");
+    let mut body = render_for(&result.output, flags.format, &title);
+    if flags.profile {
+        // The metrics follow the result; JSON lines follow the result
+        // object directly.
+        if flags.format != OutputFormat::Json {
+            body.push('\n');
+        }
+        body.push_str(&render_profile(&swim_obs::snapshot(), flags.format));
+    }
+    obs_cli::print(&body)?;
+    eprintln!("{}", result.summary);
+    Ok(())
 }
 
 /// Render a finished query for the selected format. The returned string

@@ -22,8 +22,8 @@ use swim_core::kmeans::KMeans;
 use swim_obs::json::{self, Value};
 use swim_store::ChunkMeta;
 use swim_synth::datagen::DataGenPlan;
-use swim_synth::sample::{SampleConfig, WindowSampler};
-use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
+use swim_synth::sample::WindowSampler;
+use swim_synth::scaledown::scale_trace;
 use swim_synth::validate::{KsColumns, SynthesisReport};
 use swim_synth::ReplayPlan;
 use swim_trace::{DataSize, Dur};
@@ -251,7 +251,7 @@ pub fn synthesize_bundle(
     seed: u64,
 ) -> Result<Option<SynthBundle>, String> {
     let (start, span) = ctx.submits()?;
-    let mut sampler = WindowSampler::new(start, span, SampleConfig::one_day_from_hours(seed));
+    let mut sampler = WindowSampler::new(start, span, seed);
     let mut original = KsColumns::default();
     // Names and paths are read only where a sampled job can come from.
     let drawn = sampler.clone();
@@ -268,14 +268,7 @@ pub fn synthesize_bundle(
     }
     let validation = SynthesisReport::of_columns(original, KsColumns::of(&sampled));
     let sampled_span = sampled.span();
-    let scaled = scale_trace(
-        sampled,
-        ScaleConfig {
-            target_machines,
-            mode: ScaleMode::DataSize,
-            seed,
-        },
-    );
+    let scaled = scale_trace(sampled, target_machines);
     Ok(Some(SynthBundle {
         replay: ReplayPlan::from_trace(&scaled),
         datagen: DataGenPlan::from_trace(&scaled, DataSize::from_mb(128)),
@@ -447,13 +440,8 @@ mod tests {
         let ctx = TraceContext::from_store("t", store.unwrap()).unwrap();
         let bundle = synthesize_bundle(&ctx, 10, 5).unwrap().unwrap();
 
-        let sampled = swim_synth::sample_windows(&trace, SampleConfig::one_day_from_hours(5));
-        let config = ScaleConfig {
-            target_machines: 10,
-            mode: ScaleMode::DataSize,
-            seed: 5,
-        };
-        let scaled = scale_trace(sampled.clone(), config);
+        let sampled = swim_synth::sample_windows(&trace, 5);
+        let scaled = scale_trace(sampled.clone(), 10);
         assert_eq!(bundle.replay, ReplayPlan::from_trace(&scaled));
         let datagen = DataGenPlan::from_trace(&scaled, DataSize::from_mb(128));
         assert_eq!(bundle.datagen, datagen);

@@ -18,8 +18,7 @@
 //! cross-scenario study (report battery + what-if sweep) over the named
 //! scenarios (default: every preset) and renders one report.
 //!
-//! Environment: `SWIM_SCENARIO_CHUNK` overrides the default generate
-//! chunk size; `SWIM_SCENARIO_THREADS` pins the compare battery's
+//! Environment: `SWIM_SCENARIO_THREADS` pins the compare battery's
 //! worker count (output is identical either way).
 
 use std::process::ExitCode;
@@ -51,7 +50,7 @@ const CLI: Cli = Cli {
                 JOBS,
                 Flag::value("--out", "CATALOG", "catalog directory (required)"),
                 SEED,
-                Flag::value("--chunk", "C", "jobs per generated chunk"),
+                Flag::value("--chunk", "C", "jobs per generated chunk (default 8192)"),
                 Flag::value("--jobs-per-shard", "N", "jobs per shard file"),
             ]],
         },
@@ -72,7 +71,8 @@ const CLI: Cli = Cli {
             flags: &[],
         },
     ],
-    notes: "scenarios are named presets: see `swim-scenario list`\n",
+    notes: "scenarios are named presets: see `swim-scenario list`\n\
+            SWIM_SCENARIO_THREADS pins the compare battery's worker count\n",
 };
 
 fn main() -> ExitCode {
@@ -153,14 +153,12 @@ fn cmd_generate(args: &Args) -> Result<(), Error> {
         .parse("--jobs", "an integer")?
         .ok_or_else(|| Error::Usage("generate requires --jobs N".into()))?;
     let dir = required("--out", "CATALOG")?;
-    let chunk: Option<usize> = args.parse("--chunk", "an integer")?;
+    let chunk = args
+        .parse("--chunk", "an integer")?
+        .map_or(swim_scenario::DEFAULT_CHUNK, |c: usize| c.max(1));
     let per_shard = args.parse("--jobs-per-shard", "an integer")?;
     let seed = args.parse("--seed", "an integer")?.unwrap_or(42);
     let scenario = presets::find(name)?;
-    let chunk = match chunk {
-        Some(c) => c.max(1),
-        None => env_usize("SWIM_SCENARIO_CHUNK")?.unwrap_or(swim_scenario::DEFAULT_CHUNK),
-    };
     let mut options = CatalogOptions::default();
     if let Some(per_shard) = per_shard {
         options.jobs_per_shard = per_shard;

@@ -16,6 +16,9 @@ use swim_trace::Trace;
 use crate::model::{Scenario, ScenarioError};
 use crate::stream::{ScenarioStats, ScenarioStream};
 
+/// Cluster sizes of the what-if sweep.
+const NODES: [u32; 2] = [50, 200];
+
 /// Knobs for [`compare`].
 #[derive(Debug, Clone)]
 pub struct StudyOptions {
@@ -24,8 +27,6 @@ pub struct StudyOptions {
     pub seed: u64,
     /// Job budget per scenario.
     pub jobs_per_scenario: u64,
-    /// Cluster sizes for the what-if sweep.
-    pub nodes: Vec<u32>,
     /// Worker threads for the battery (`None` = all cores). The study's
     /// *output* is thread-count-independent; this only affects latency.
     pub threads: Option<usize>,
@@ -36,7 +37,6 @@ impl Default for StudyOptions {
         StudyOptions {
             seed: 42,
             jobs_per_scenario: 2_000,
-            nodes: vec![50, 200],
             threads: None,
         }
     }
@@ -67,7 +67,7 @@ pub fn compare(scenarios: &[Scenario], options: &StudyOptions) -> Result<Report,
     report.title = format!("Cross-scenario study ({} scenarios)", generated.len());
 
     report.push(declared_section(&generated));
-    report.push(sweep_section(&generated, options));
+    report.push(sweep_section(&generated));
     Ok(report)
 }
 
@@ -108,11 +108,8 @@ fn declared_section(generated: &[(Scenario, Trace, ScenarioStats)]) -> Section {
 
 /// What-if sweep: replay each scenario's trace over a scheduler ×
 /// cluster-size grid and tabulate makespan, queueing, and utilization.
-fn sweep_section(
-    generated: &[(Scenario, Trace, ScenarioStats)],
-    options: &StudyOptions,
-) -> Section {
-    let grid = ScenarioGrid::new(options.nodes.clone())
+fn sweep_section(generated: &[(Scenario, Trace, ScenarioStats)]) -> Section {
+    let grid = ScenarioGrid::new(NODES.to_vec())
         .schedulers(vec![SchedulerKind::Fifo, SchedulerKind::Fair]);
     let mut table = Table::new(vec![
         "scenario",
@@ -148,7 +145,7 @@ fn sweep_section(
     section.prose(format!(
         "Each scenario replayed over a FIFO/fair × {:?}-node grid \
          (wave-scheduled simulator, no cache tier).",
-        options.nodes
+        NODES
     ));
     section.table(table);
     section
@@ -163,7 +160,6 @@ mod tests {
         StudyOptions {
             seed: 7,
             jobs_per_scenario: 300,
-            nodes: vec![50],
             threads: Some(2),
         }
     }

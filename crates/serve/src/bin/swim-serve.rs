@@ -11,10 +11,7 @@
 //! writes the chosen port to stdout for scripts), then answers
 //! line-protocol requests (`query …`, `ping`, `stats`, `metrics`, and
 //! — with `--admin` — `ingest`/`compact`/`vacuum`) until a `shutdown`
-//! request arrives. Defaults for the pool come from the environment:
-//! `SWIM_SERVE_WORKERS`, `SWIM_SERVE_QUEUE_DEPTH`, and
-//! `SWIM_SERVE_CACHE` (flags override); `SWIM_SERVE_ACCESS_LOG` names
-//! a JSONL access-log file, same as `--access-log`.
+//! request arrives.
 //!
 //! Exit discipline matches the other binaries: usage errors exit 2 with
 //! the usage text, runtime errors (missing catalog, port in use) exit 1;
@@ -35,32 +32,15 @@ const CLI: Cli = Cli {
             Flag::value("--port", "N", "port; 0 (default) picks one"),
             Flag::value("--workers", "N", "worker threads (default 4)"),
             Flag::value("--queue-depth", "N", "connections admitted (default 64)"),
-            Flag::value("--cache", "N", "result-cache entries, 0 disables"),
+            Flag::value("--cache", "N", "result-cache entries (default 256)"),
             Flag::switch("--admin", "allow ingest/compact/vacuum"),
             Flag::switch("--print-port", "write the bound port to stdout"),
             Flag::value("--access-log", "FILE", "append one JSON line per request"),
         ]],
     }],
     notes: "serves swim-query requests over a line protocol until a shutdown request arrives\n\
-            defaults come from SWIM_SERVE_WORKERS, SWIM_SERVE_QUEUE_DEPTH, SWIM_SERVE_CACHE \
-            and SWIM_SERVE_ACCESS_LOG; flags override them\n",
+            --cache 0 disables the result cache\n",
 };
-
-/// An option: the flag, else the environment default `env`, else
-/// `default`. Either one unparsable is a usage error (silently
-/// ignoring it would hide a misconfigured deployment).
-fn option(args: &Args, flag: &str, env: &str, default: usize) -> Result<usize, Error> {
-    if let Some(n) = args.parse(flag, "an unsigned integer")? {
-        return Ok(n);
-    }
-    match std::env::var(env) {
-        Ok(value) => value
-            .trim()
-            .parse()
-            .map_err(|_| Error::Usage(format!("{env} must be an unsigned integer, got {value:?}"))),
-        Err(_) => Ok(default),
-    }
-}
 
 fn main() -> ExitCode {
     run::main(&CLI, body)
@@ -69,24 +49,16 @@ fn main() -> ExitCode {
 fn body(args: Args) -> Result<(), Error> {
     let defaults = ServeOptions::default();
     let options = ServeOptions {
-        workers: option(&args, "--workers", "SWIM_SERVE_WORKERS", defaults.workers)?,
-        queue_depth: option(
-            &args,
-            "--queue-depth",
-            "SWIM_SERVE_QUEUE_DEPTH",
-            defaults.queue_depth,
-        )?,
-        cache_capacity: option(
-            &args,
-            "--cache",
-            "SWIM_SERVE_CACHE",
-            defaults.cache_capacity,
-        )?,
-        access_log: args
-            .value("--access-log")
-            .map(std::ffi::OsString::from)
-            .or_else(|| std::env::var_os("SWIM_SERVE_ACCESS_LOG"))
-            .map(std::path::PathBuf::from),
+        workers: args
+            .parse("--workers", "an unsigned integer")?
+            .unwrap_or(defaults.workers),
+        queue_depth: args
+            .parse("--queue-depth", "an unsigned integer")?
+            .unwrap_or(defaults.queue_depth),
+        cache_capacity: args
+            .parse("--cache", "an unsigned integer")?
+            .unwrap_or(defaults.cache_capacity),
+        access_log: args.value("--access-log").map(std::path::PathBuf::from),
         addr: args
             .value("--addr")
             .map_or(defaults.addr.clone(), str::to_owned),

@@ -36,9 +36,8 @@
 //! `ping`, `stats`, …), one length-prefixed response per request.
 //!
 //! Because the server is resident, it also carries a **live telemetry
-//! layer** ([`telemetry`]): every request gets a monotonic id (attached
-//! to its `swim-obs` flight-recorder event and to an optional JSONL
-//! access log), latencies land in bounded *windowed* histograms keyed
+//! layer** ([`telemetry`]): every request gets a monotonic id (written
+//! to an optional JSONL access log), latencies land in bounded *windowed* histograms keyed
 //! by request class (query/cached/admin), and the read-only `stats` /
 //! `metrics` wire commands expose it all as text or fixed-shape JSON —
 //! what `swim-top` polls.

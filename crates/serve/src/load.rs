@@ -21,9 +21,9 @@ pub const WINDOW_BUCKET_MS: u64 = 500;
 /// Client-side latency window buckets (`500ms * 120` = one minute).
 pub const WINDOW_BUCKETS: usize = 120;
 
-/// A representative query mix: global aggregates, a group-by, a
-/// predicate, and both alternative output formats.
-pub const DEFAULT_MIX: &[&str] = &[
+/// The query mix every client cycles through: global aggregates, a
+/// group-by, a predicate, and both alternative output formats.
+const MIX: &[&str] = &[
     "query --select count",
     "query --select \"count,sum(total_io)\" --group-by \"submit/3600\" --limit 5",
     "query --select \"p50(duration),max(input)\" --where \"input >= 1mb\"",
@@ -38,22 +38,19 @@ pub struct LoadConfig {
     pub addr: SocketAddr,
     /// Concurrent client threads, each holding one connection.
     pub clients: usize,
-    /// Requests per client (the mix is cycled).
+    /// Requests per client (the query mix is cycled).
     pub requests_per_client: usize,
-    /// Request lines to cycle through.
-    pub mix: Vec<String>,
     /// Send a `shutdown` request once every client has finished.
     pub shutdown_after: bool,
 }
 
 impl LoadConfig {
-    /// A config against `addr` with the [`DEFAULT_MIX`].
+    /// A config against `addr`.
     pub fn new(addr: SocketAddr, clients: usize, requests_per_client: usize) -> LoadConfig {
         LoadConfig {
             addr,
             clients,
             requests_per_client,
-            mix: DEFAULT_MIX.iter().map(|s| (*s).to_owned()).collect(),
             shutdown_after: false,
         }
     }
@@ -125,7 +122,7 @@ fn run_client(config: &LoadConfig, client: usize, window: &WindowedHistogram) ->
     };
     let mut conn: Option<Client> = None;
     for i in 0..config.requests_per_client {
-        let line = &config.mix[(client + i) % config.mix.len()];
+        let line = MIX[(client + i) % MIX.len()];
         if conn.is_none() {
             match connect(config.addr) {
                 Ok(opened) => conn = Some(opened),

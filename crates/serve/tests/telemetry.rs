@@ -1,6 +1,6 @@
 //! The live-telemetry surface: byte-stable `stats`/`metrics` wire
-//! bodies, the JSONL access log, request ids in the flight recorder,
-//! and the O(buckets) memory bound for server-side latency recording.
+//! bodies, the JSONL access log, and the O(buckets) memory bound for
+//! server-side latency recording.
 
 mod support;
 
@@ -181,34 +181,6 @@ fn access_log_records_every_request_with_ids_and_outcomes() {
     assert!(lines[3].contains("\"outcome\":\"bad_request\""));
     assert!(lines[4].contains("\"command\":\"vacuum\""));
     assert!(lines[4].contains("\"outcome\":\"bad_request\""));
-}
-
-/// Request events land in the `swim-obs` flight recorder tagged with
-/// their request id, without any `SWIM_OBS` enablement.
-#[test]
-fn request_ids_reach_the_flight_recorder() {
-    let dir = temp_dir("flight");
-    init_catalog(&dir, 50);
-    let handle = serve(&dir, options(4)).unwrap();
-    let mut conn = Conn::open(handle.addr());
-    for _ in 0..3 {
-        assert!(conn.send("ping").ok);
-    }
-    drop(conn);
-    handle.shutdown_join();
-
-    let events = swim_obs::flight::recent();
-    let tagged: Vec<u64> = events
-        .iter()
-        .filter(|e| e.path == "serve.request")
-        .filter_map(|e| e.id)
-        .collect();
-    assert!(
-        tagged.len() >= 3,
-        "expected id-tagged request events, got {events:?}"
-    );
-    // This server's ids start at 1 and count up.
-    assert!(tagged.contains(&1) && tagged.contains(&3));
 }
 
 /// The resident-process memory bound: a server that has recorded far

@@ -28,6 +28,6 @@ pub mod suite;
 pub mod validate;
 
 pub use replay::{ReplayJob, ReplayPlan};
-pub use sample::{sample_windows, SampleConfig, WindowSampler};
-pub use scaledown::{scale_trace, ScaleConfig};
+pub use sample::{sample_windows, WindowSampler};
+pub use scaledown::scale_trace;
 pub use validate::{ks_distance, KsColumns, SynthesisReport};

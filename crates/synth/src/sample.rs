@@ -13,36 +13,21 @@ use std::collections::HashMap;
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{Dur, Job, JobId, Timestamp, Trace};
 
-/// Window-sampling parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleConfig {
-    /// Width of each sampling window.
-    pub window: Dur,
-    /// Target length of the synthesized trace.
-    pub target_length: Dur,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Width of each sampling window, seconds: SWIM samples hour-long
+/// windows.
+const WINDOW: u64 = Dur::from_hours(1).secs();
 
-impl SampleConfig {
-    /// SWIM's common setup: hour-long windows, one synthesized day.
-    pub fn one_day_from_hours(seed: u64) -> SampleConfig {
-        SampleConfig {
-            window: Dur::from_hours(1),
-            target_length: Dur::from_days(1),
-            seed,
-        }
-    }
-}
+/// Windows drawn: enough to cover one synthesized day.
+const DRAWS: u64 = Dur::from_days(1).secs().div_ceil(WINDOW);
 
-/// Sample a shorter synthetic trace out of `trace`: a [`WindowSampler`]
-/// over its jobs.
+/// Sample a one-day synthetic trace out of `trace`, hour-long windows
+/// drawn under `seed`: a [`WindowSampler`] over its jobs.
 ///
-/// Panics if the trace is empty or the window is zero-length. If the
-/// trace is shorter than one window it is returned unchanged (relabelled).
-pub fn sample_windows(trace: &Trace, config: SampleConfig) -> Trace {
+/// Panics if the trace is empty. A trace shorter than one window is
+/// its own one window, drawn every time.
+pub fn sample_windows(trace: &Trace, seed: u64) -> Trace {
     let start = trace.start().expect("cannot sample an empty trace");
-    let mut sampler = WindowSampler::new(start, trace.span(), config);
+    let mut sampler = WindowSampler::new(start, trace.span(), seed);
     trace.jobs().iter().for_each(|job| sampler.push(job));
     sampler.finish(&trace.kind, trace.machines)
 }
@@ -53,7 +38,6 @@ pub fn sample_windows(trace: &Trace, config: SampleConfig) -> Trace {
 /// then [`WindowSampler::finish`].
 #[derive(Debug, Clone)]
 pub struct WindowSampler {
-    window: u64,
     n_windows: u64,
     /// The window of each draw, in draw order.
     draws: Vec<u64>,
@@ -64,26 +48,16 @@ pub struct WindowSampler {
 
 impl WindowSampler {
     /// Draw the windows of a trace whose submits span `span` from
-    /// `start`. Panics if the window or the target length is zero-length.
-    pub fn new(start: Timestamp, span: Dur, config: SampleConfig) -> WindowSampler {
-        assert!(!config.window.is_zero(), "window must be positive");
-        assert!(
-            !config.target_length.is_zero(),
-            "target length must be positive"
-        );
-        let window = config.window.secs();
-        let n_windows = (span.secs() / window).max(1);
-        let n_draws = config.target_length.secs().div_ceil(window);
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let draws: Vec<u64> = (0..n_draws)
-            .map(|_| rng.random_range(0..n_windows))
-            .collect();
+    /// `start`, under `seed`.
+    pub fn new(start: Timestamp, span: Dur, seed: u64) -> WindowSampler {
+        let n_windows = (span.secs() / WINDOW).max(1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let draws: Vec<u64> = (0..DRAWS).map(|_| rng.random_range(0..n_windows)).collect();
         let mut kept = HashMap::new();
         for &w in &draws {
             kept.entry(w).or_insert((0, Vec::new())).0 += 1;
         }
         WindowSampler {
-            window,
             n_windows,
             draws,
             start,
@@ -93,7 +67,7 @@ impl WindowSampler {
 
     /// The window of a submit; one past the span falls in the last.
     fn window_of(&self, submit: Timestamp) -> u64 {
-        (submit.since(self.start).secs() / self.window).min(self.n_windows - 1)
+        (submit.since(self.start).secs() / WINDOW).min(self.n_windows - 1)
     }
 
     /// Whether a job submitted within `[from, to]` can fall in a drawn
@@ -117,8 +91,8 @@ impl WindowSampler {
         let start = self.start.secs();
         let mut jobs: Vec<Job> = Vec::new();
         for (draw, w) in (0u64..).zip(&self.draws) {
-            let window_start = Timestamp::from_secs(start + w * self.window);
-            let out_base = draw * self.window;
+            let window_start = Timestamp::from_secs(start + w * WINDOW);
+            let out_base = draw * WINDOW;
             // A window's last draw takes its jobs; an earlier one copies them.
             let (draws_left, kept) = self.kept.get_mut(w).expect("a drawn window");
             *draws_left -= 1;
@@ -170,40 +144,31 @@ mod tests {
     #[test]
     fn sampled_trace_has_target_length() {
         let src = hourly_trace(24 * 7, 10);
-        let out = sample_windows(
-            &src,
-            SampleConfig {
-                window: Dur::from_hours(1),
-                target_length: Dur::from_hours(24),
-                seed: 1,
-            },
-        );
-        // ~24 windows × 10 jobs.
+        let out = sample_windows(&src, 1);
+        // 24 one-hour windows × 10 jobs.
         assert_eq!(out.len(), 240);
-        assert!(out.span() <= Dur::from_hours(24));
+        assert!(out.span() <= Dur::from_days(1));
     }
 
     #[test]
     fn sampled_jobs_preserve_window_offsets() {
         let src = hourly_trace(48, 5);
-        let out = sample_windows(
-            &src,
-            SampleConfig {
-                window: Dur::from_hours(1),
-                target_length: Dur::from_hours(6),
-                seed: 2,
-            },
-        );
-        // Within each output hour, offsets are multiples of 60 s (< 3600).
-        for job in out.jobs() {
-            assert_eq!(job.submit.secs() % 3600 % 60, 0);
+        let out = sample_windows(&src, 2);
+        // Output hour h holds one source hour's jobs at their offsets:
+        // minutes 0..5 of the hour, all of one input size.
+        assert_eq!(out.len(), 5 * 24);
+        for (h, hour) in (0u64..).zip(out.jobs().chunks(5)) {
+            for (minute, job) in (0u64..).zip(hour) {
+                assert_eq!(job.submit.secs(), h * 3600 + minute * 60);
+                assert_eq!(job.input, hour[0].input);
+            }
         }
     }
 
     #[test]
     fn sampled_sizes_come_from_source_distribution() {
         let src = hourly_trace(24, 3);
-        let out = sample_windows(&src, SampleConfig::one_day_from_hours(3));
+        let out = sample_windows(&src, 3);
         let src_sizes: std::collections::HashSet<u64> =
             src.jobs().iter().map(|j| j.input.bytes()).collect();
         for job in out.jobs() {
@@ -214,15 +179,16 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let src = hourly_trace(24 * 3, 4);
-        let a = sample_windows(&src, SampleConfig::one_day_from_hours(9));
-        let b = sample_windows(&src, SampleConfig::one_day_from_hours(9));
+        let a = sample_windows(&src, 9);
+        let b = sample_windows(&src, 9);
         assert_eq!(a, b);
+        assert_ne!(a, sample_windows(&src, 10));
     }
 
     #[test]
     fn ids_are_unique() {
         let src = hourly_trace(24, 10);
-        let out = sample_windows(&src, SampleConfig::one_day_from_hours(5));
+        let out = sample_windows(&src, 5);
         let mut ids: Vec<u64> = out.jobs().iter().map(|j| j.id.0).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -232,21 +198,19 @@ mod tests {
     #[test]
     fn short_trace_still_samples() {
         let src = hourly_trace(1, 5); // spans < 1 window
-        let out = sample_windows(
-            &src,
-            SampleConfig {
-                window: Dur::from_hours(2),
-                target_length: Dur::from_hours(2),
-                seed: 0,
-            },
-        );
-        assert_eq!(out.len(), 5);
+        let out = sample_windows(&src, 0);
+        // The one window is drawn for each of the day's 24 hours.
+        assert_eq!(out.len(), 5 * 24);
+        for (h, copy) in (0u64..).zip(out.jobs().chunks(5)) {
+            let offsets: Vec<u64> = copy.iter().map(|j| j.submit.secs() - h * 3600).collect();
+            assert_eq!(offsets, [0, 60, 120, 180, 240]);
+        }
     }
 
     #[test]
     #[should_panic(expected = "cannot sample an empty trace")]
     fn empty_trace_rejected() {
         let t = Trace::new(WorkloadKind::Custom("e".into()), 1, vec![]).unwrap();
-        sample_windows(&t, SampleConfig::one_day_from_hours(0));
+        sample_windows(&t, 0);
     }
 }

@@ -51,12 +51,6 @@ impl Timestamp {
         self.0 / HOUR
     }
 
-    /// Index of the day containing this instant.
-    #[inline]
-    pub const fn day(self) -> u64 {
-        self.0 / DAY
-    }
-
     /// Second-of-day in `[0, 86400)`.
     #[cfg(test)]
     pub(crate) const fn second_of_day(self) -> u64 {
@@ -245,7 +239,6 @@ mod tests {
         assert_eq!(Timestamp::from_secs(0).hour_bucket(), 0);
         assert_eq!(Timestamp::from_secs(3599).hour_bucket(), 0);
         assert_eq!(Timestamp::from_secs(3600).hour_bucket(), 1);
-        assert_eq!(Timestamp::from_hours(25).day(), 1);
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl Trace {
         self.jobs.is_empty()
     }
 
-    /// Look up a job by id (O(n); traces are analyzed in bulk, not point-queried).
-    pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.iter().find(|j| j.id == id)
-    }
-
     /// Earliest submit time, or `None` for an empty trace.
     pub fn start(&self) -> Option<Timestamp> {
         self.jobs.first().map(|j| j.submit)
@@ -370,12 +365,5 @@ mod tests {
             labels,
             vec!["CC-a", "CC-b", "CC-c", "CC-d", "CC-e", "FB-2009", "FB-2010"]
         );
-    }
-
-    #[test]
-    fn job_lookup_by_id() {
-        let t = trace(vec![job(7, 0, 1)]);
-        assert!(t.job(JobId(7)).is_some());
-        assert!(t.job(JobId(8)).is_none());
     }
 }

@@ -246,12 +246,6 @@ impl Categorical {
     pub(crate) fn len(&self) -> usize {
         self.cumulative.len()
     }
-
-    /// Probability of category `i`.
-    pub fn probability(&self, i: usize) -> f64 {
-        let prev = if i == 0 { 0.0 } else { self.cumulative[i - 1] };
-        (self.cumulative[i] - prev) / self.total
-    }
 }
 
 #[cfg(test)]
@@ -390,7 +384,6 @@ mod tests {
         }
         let f0 = counts[0] as f64 / n as f64;
         assert!((f0 - 0.8).abs() < 0.02, "f0 {f0}");
-        assert!((c.probability(0) - 0.8).abs() < 1e-12);
         assert_eq!(c.len(), 3);
     }
 

@@ -142,11 +142,6 @@ impl JobTypeMix {
         }
     }
 
-    /// The job-type rows.
-    pub fn types(&self) -> &[JobTypeProfile] {
-        &self.types
-    }
-
     /// Sample one job: pick a type by population weight, then jitter each
     /// dimension log-normally around the centroid. Zero centroid
     /// dimensions stay exactly zero (map-only stays map-only).
@@ -233,7 +228,11 @@ mod tests {
     use rand::SeedableRng;
 
     fn two_type_mix() -> JobTypeMix {
-        JobTypeMix::new(vec![
+        JobTypeMix::new(two_types())
+    }
+
+    fn two_types() -> Vec<JobTypeProfile> {
+        vec![
             JobTypeProfile::new(
                 9_000,
                 DataSize::from_kb(21),
@@ -254,7 +253,7 @@ mod tests {
                 Dur::from_secs(66_760),
                 "Aggregate, fast",
             ),
-        ])
+        ]
     }
 
     #[test]
@@ -305,11 +304,12 @@ mod tests {
 
     #[test]
     fn zero_sigma_reproduces_centroids_exactly() {
-        let mix = JobTypeMix::with_sigma(two_type_mix().types().to_vec(), 0.0);
+        let types = two_types();
+        let mix = JobTypeMix::with_sigma(types.clone(), 0.0);
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..100 {
             let s = mix.sample(&mut rng);
-            let t = &mix.types()[s.type_index];
+            let t = &types[s.type_index];
             assert_eq!(s.input, t.input);
             assert_eq!(s.duration, t.duration);
         }

@@ -72,11 +72,6 @@ impl NameVocabulary {
         NameVocabulary::new(vec![entry("", Framework::Native, 1.0, 1.0)])
     }
 
-    /// The vocabulary entries.
-    pub fn entries(&self) -> &[NameEntry] {
-        &self.entries
-    }
-
     /// Sample a name as plain data — `(first word, sequence number,
     /// framework)` — so a job can cross threads before its name is
     /// rendered. `data_heavy` selects the io-weighted sampler, used for
@@ -301,7 +296,7 @@ mod tests {
     fn two_frameworks_dominate_each_workload() {
         // §6.1: "for all workloads, two frameworks account for a dominant
         // majority of jobs".
-        for (label, vocab) in [
+        for (label, mut vocab) in [
             ("FB-2009", fb2009()),
             ("CC-a", cc_a()),
             ("CC-b", cc_b()),
@@ -309,16 +304,28 @@ mod tests {
             ("CC-d", cc_d()),
             ("CC-e", cc_e()),
         ] {
+            let mut rng = StdRng::seed_from_u64(20);
+            let n = 10_000;
             let mut shares: HashMap<Framework, f64> = HashMap::new();
-            let total: f64 = vocab.entries().iter().map(|e| e.weight).sum();
-            for e in vocab.entries() {
-                *shares.entry(e.framework).or_default() += e.weight / total;
+            for _ in 0..n {
+                let (_, _, framework) = vocab.sample_word(&mut rng, false);
+                *shares.entry(framework).or_default() += 1.0 / n as f64;
             }
             let mut sorted: Vec<f64> = shares.values().copied().collect();
             sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
             let top2: f64 = sorted.iter().take(2).sum();
             assert!(top2 > 0.55, "{label}: top-2 framework share {top2}");
         }
+    }
+
+    /// How often `from` is the sampled word, by jobs and by I/O, of
+    /// `n` draws each.
+    fn from_draws(mut vocab: NameVocabulary, n: usize) -> usize {
+        let mut rng = StdRng::seed_from_u64(21);
+        (0..n)
+            .flat_map(|_| [false, true])
+            .filter(|&heavy| vocab.sample_word(&mut rng, heavy).0 == "from")
+            .count()
     }
 
     #[test]
@@ -330,12 +337,13 @@ mod tests {
             ("CC-d", cc_d()),
             ("CC-e", cc_e()),
         ] {
-            assert!(
-                vocab.entries().iter().all(|e| e.word != "from"),
+            assert_eq!(
+                from_draws(vocab, 5_000),
+                0,
                 "{label} must not contain 'from'"
             );
         }
-        assert!(fb2009().entries().iter().any(|e| e.word == "from"));
+        assert!(from_draws(fb2009(), 5_000) > 0);
     }
 
     #[test]
@@ -362,9 +370,10 @@ mod tests {
         let mut v = cc_c();
         let mut rng = StdRng::seed_from_u64(24);
         for _ in 0..100 {
-            let (name, _) = v.sample(&mut rng, false);
-            let word = swim_trace::job::first_word(&name).unwrap();
-            assert!(v.entries().iter().any(|e| e.word == word), "word {word}");
+            let (word, seq, _) = v.sample_word(&mut rng, false);
+            let mut name = String::new();
+            push_name(&mut name, word, seq);
+            assert_eq!(swim_trace::job::first_word(&name).unwrap(), word);
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use swim::prelude::*;
 use swim_sim::Simulator;
-use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
+use swim_synth::scaledown::scale_trace;
 use swim_synth::suite::WorkloadSuite;
 use swim_synth::validate::SynthesisReport;
 
@@ -29,7 +29,7 @@ fn main() {
     );
 
     // 2. Sample a representative synthetic day (hour windows).
-    let sampled = sample_windows(&source, SampleConfig::one_day_from_hours(17));
+    let sampled = sample_windows(&source, 17);
     println!(
         "sampled   : {} jobs over {} (hour windows)",
         sampled.len(),
@@ -51,14 +51,7 @@ fn main() {
     );
 
     // 4. Scale the data down from 600 production nodes to a 20-node test rig.
-    let scaled = scale_trace(
-        sampled,
-        ScaleConfig {
-            target_machines: 20,
-            mode: ScaleMode::DataSize,
-            seed: 0,
-        },
-    );
+    let scaled = scale_trace(sampled, 20);
     println!("scaled    : 20 nodes, {} to move", scaled.bytes_moved());
 
     // 5. Emit the HDFS pre-population and replay plans, bundled as a suite.

@@ -52,8 +52,8 @@
 //! )
 //! .generate();
 //!
-//! // ... sample a scaled-down replayable benchmark from it ...
-//! let sampled = sample_windows(&trace, SampleConfig::one_day_from_hours(1));
+//! // ... sample a one-day replayable benchmark from its hours (seed 1) ...
+//! let sampled = sample_windows(&trace, 1);
 //! let plan = ReplayPlan::from_trace(&sampled);
 //! let result = Simulator::new(SimConfig::new(20)).run(&plan);
 //! assert_eq!(result.outcomes.len(), plan.len());
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use swim_report::{Comparison, TraceContext};
     pub use swim_sim::{CachePolicy, SimConfig, Simulator};
     pub use swim_store::{Store, StoreOptions};
-    pub use swim_synth::sample::{sample_windows, SampleConfig};
+    pub use swim_synth::sample::sample_windows;
     pub use swim_synth::ReplayPlan;
     pub use swim_trace::trace::WorkloadKind;
     pub use swim_trace::{DataSize, Dur, Job, JobBuilder, Timestamp, Trace};

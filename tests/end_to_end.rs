@@ -6,7 +6,7 @@ use swim_core::access::{AccessFold, PathStage};
 use swim_core::burstiness::Burstiness;
 use swim_core::locality::LocalityFold;
 use swim_core::timeseries::HourlySeries;
-use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
+use swim_synth::scaledown::scale_trace;
 use swim_synth::validate::SynthesisReport;
 use swim_trace::trace::WorkloadKind;
 
@@ -128,7 +128,7 @@ fn full_analysis_of_every_workload_succeeds() {
 #[test]
 fn synthesis_pipeline_preserves_distributions_and_replays() {
     let source = gen(WorkloadKind::Fb2009, 0.02, 10.0, 106);
-    let sampled = sample_windows(&source, SampleConfig::one_day_from_hours(9));
+    let sampled = sample_windows(&source, 9);
     let report = SynthesisReport::compare(&source, &sampled);
     assert!(
         report.worst() <= 0.25,
@@ -136,14 +136,7 @@ fn synthesis_pipeline_preserves_distributions_and_replays() {
         report.worst()
     );
 
-    let scaled = scale_trace(
-        sampled,
-        ScaleConfig {
-            target_machines: 30,
-            mode: ScaleMode::DataSize,
-            seed: 0,
-        },
-    );
+    let scaled = scale_trace(sampled, 30);
     let plan = ReplayPlan::from_trace(&scaled);
     assert_eq!(plan.len(), scaled.len());
 
