@@ -3,7 +3,7 @@
 //! and weight groups by job count, total I/O, and total task-time.
 
 use std::collections::HashMap;
-use swim_trace::{Framework, Job, Trace};
+use swim_trace::{Framework, Job};
 
 /// How one first-word group weighs in a workload, under the three Fig. 10
 /// weightings.
@@ -49,13 +49,6 @@ pub fn classify_framework(word: &str) -> Framework {
 }
 
 impl NameAnalysis {
-    /// Analyze a trace's job names: a [`NameFold`] over its jobs.
-    pub fn of(trace: &Trace) -> NameAnalysis {
-        let mut fold = NameFold::default();
-        trace.jobs().iter().for_each(|job| fold.push(job));
-        fold.finish()
-    }
-
     /// `true` iff the trace carried usable names.
     pub fn has_names(&self) -> bool {
         !self.groups.is_empty()
@@ -126,8 +119,8 @@ impl NameAnalysis {
     }
 }
 
-/// [`NameAnalysis::of`] a job at a time: push every job in trace order,
-/// then [`NameFold::finish`]. Holds one group per distinct first word.
+/// A [`NameAnalysis`] built a job at a time: push every job in trace
+/// order, then [`NameFold::finish`]. Holds one group per distinct first word.
 #[derive(Debug, Clone, Default)]
 pub struct NameFold {
     groups: HashMap<String, WordGroup>,
@@ -206,10 +199,9 @@ pub enum Weighting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swim_trace::trace::WorkloadKind;
     use swim_trace::{DataSize, Dur, JobBuilder, Timestamp};
 
-    fn named_job(id: u64, name: &str, io_mb: u64, task_secs: u64) -> swim_trace::Job {
+    fn named_job(id: u64, name: &str, io_mb: u64, task_secs: u64) -> Job {
         JobBuilder::new(id)
             .name(name)
             .submit(Timestamp::from_secs(id))
@@ -221,18 +213,20 @@ mod tests {
             .unwrap()
     }
 
-    fn trace(jobs: Vec<swim_trace::Job>) -> Trace {
-        Trace::new(WorkloadKind::Custom("names".into()), 1, jobs).unwrap()
+    /// A [`NameFold`] over `jobs`.
+    fn analyze(jobs: Vec<Job>) -> NameAnalysis {
+        let mut fold = NameFold::default();
+        jobs.iter().for_each(|job| fold.push(job));
+        fold.finish()
     }
 
     #[test]
     fn groups_by_first_word() {
-        let t = trace(vec![
+        let a = analyze(vec![
             named_job(0, "insert_001", 1, 1),
             named_job(1, "insert_002", 1, 1),
             named_job(2, "piglatin_job", 1, 1),
         ]);
-        let a = NameAnalysis::of(&t);
         assert_eq!(a.groups.len(), 2);
         assert_eq!(a.groups[0].word, "insert");
         assert_eq!(a.groups[0].jobs, 2);
@@ -242,33 +236,30 @@ mod tests {
 
     #[test]
     fn unnamed_jobs_counted_separately() {
-        let t = trace(vec![named_job(0, "", 1, 1), named_job(1, "ad_x", 1, 1)]);
-        let a = NameAnalysis::of(&t);
+        let a = analyze(vec![named_job(0, "", 1, 1), named_job(1, "ad_x", 1, 1)]);
         assert_eq!(a.unnamed_jobs, 1);
         assert_eq!(a.total_jobs, 2);
     }
 
     #[test]
     fn top_k_share() {
-        let t = trace(vec![
+        let a = analyze(vec![
             named_job(0, "ad 1", 1, 1),
             named_job(1, "ad 2", 1, 1),
             named_job(2, "ad 3", 1, 1),
             named_job(3, "etl", 1, 1),
         ]);
-        let a = NameAnalysis::of(&t);
         assert!((a.top_k_job_share(1) - 0.75).abs() < 1e-12);
         assert!((a.top_k_job_share(2) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn framework_shares_normalize() {
-        let t = trace(vec![
+        let a = analyze(vec![
             named_job(0, "insert a", 100, 10),
             named_job(1, "select b", 100, 10),
             named_job(2, "custom c", 200, 80),
         ]);
-        let a = NameAnalysis::of(&t);
         let shares = a.framework_shares();
         let hive = shares
             .iter()
@@ -283,12 +274,12 @@ mod tests {
         assert!((native.task_seconds - 0.8).abs() < 1e-12);
 
         // Equal job counts come back in one order on every call.
-        let tie = NameAnalysis::of(&trace(vec![
+        let tie = analyze(vec![
             named_job(0, "insert a", 1, 1),
             named_job(1, "select b", 1, 1),
             named_job(2, "piglatin c", 1, 1),
             named_job(3, "pig d", 1, 1),
-        ]));
+        ]);
         for _ in 0..32 {
             let order: Vec<Framework> =
                 tie.framework_shares().iter().map(|s| s.framework).collect();
@@ -298,12 +289,11 @@ mod tests {
 
     #[test]
     fn weighting_reorders_groups() {
-        let t = trace(vec![
+        let a = analyze(vec![
             named_job(0, "ad 1", 1, 1),
             named_job(1, "ad 2", 1, 1),
             named_job(2, "from q", 1_000_000, 5_000),
         ]);
-        let a = NameAnalysis::of(&t);
         assert_eq!(a.sorted_by(Weighting::Jobs)[0].word, "ad");
         assert_eq!(a.sorted_by(Weighting::Bytes)[0].word, "from");
         assert_eq!(a.sorted_by(Weighting::TaskTime)[0].word, "from");
@@ -320,8 +310,7 @@ mod tests {
 
     #[test]
     fn nameless_trace_has_no_groups() {
-        let t = trace(vec![named_job(0, "", 1, 1)]);
-        let a = NameAnalysis::of(&t);
+        let a = analyze(vec![named_job(0, "", 1, 1)]);
         assert!(!a.has_names());
         assert_eq!(a.top_k_job_share(5), 0.0);
     }

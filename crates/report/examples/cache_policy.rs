@@ -8,9 +8,10 @@
 //! cargo run --release --example cache_policy
 //! ```
 
-use swim::prelude::*;
-use swim::sim::CachePolicy;
-use swim_sim::Simulator;
+use swim_sim::{CachePolicy, ReplayPlan, SimConfig, Simulator};
+use swim_trace::trace::WorkloadKind;
+use swim_trace::DataSize;
+use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 fn main() {
     // CC-c has the strongest re-access behaviour (≈78 % of jobs touch

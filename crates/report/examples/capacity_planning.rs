@@ -7,10 +7,11 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use swim::prelude::*;
 use swim_core::burstiness::Burstiness;
 use swim_core::timeseries::HourlySeries;
-use swim_sim::Simulator;
+use swim_sim::{ReplayPlan, SimConfig, Simulator};
+use swim_trace::trace::WorkloadKind;
+use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 fn main() {
     let trace = WorkloadGenerator::new(

@@ -8,10 +8,12 @@
 //! cargo run --release --example columnar_store
 //! ```
 
-use swim::prelude::*;
 use swim_query::parse::{parse_aggregates, parse_group_by, parse_predicate};
 use swim_query::Query;
-use swim_store::write_store_path;
+use swim_store::{write_store_path, Store, StoreOptions};
+use swim_trace::trace::WorkloadKind;
+use swim_trace::DataSize;
+use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 fn main() {
     // A week of the FB-2010-like workload at 2 % job scale.

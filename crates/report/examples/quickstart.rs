@@ -5,7 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use swim::prelude::*;
+use swim_report::{Comparison, TraceContext};
+use swim_trace::trace::WorkloadKind;
+use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 fn main() {
     // A week of the FB-2009-like workload at 5 % job scale: around

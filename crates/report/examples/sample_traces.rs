@@ -5,6 +5,9 @@
 //! cargo run --release --example sample_traces
 //! ```
 //!
+//! Run it from the repository root: it writes `./testdata/` relative to
+//! the working directory.
+//!
 //! The traces are small, deterministic slices of two calibrated
 //! workloads, stored once in each on-disk format the report pipeline
 //! accepts: CSV (no embedded metadata — the loader takes the label from
@@ -12,7 +15,10 @@
 //! own workload kind and machine count, and exercises `summary()` plus
 //! the numeric cells' query plans on the pipeline's store path).
 
-use swim::prelude::*;
+use swim_store::{write_store_path, StoreOptions};
+use swim_trace::io::write_csv;
+use swim_trace::trace::WorkloadKind;
+use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 fn main() {
     let dir = std::path::Path::new("testdata");
@@ -28,7 +34,7 @@ fn main() {
     .generate();
     let csv_path = dir.join("sample-a.csv");
     let file = std::fs::File::create(&csv_path).expect("create sample-a.csv");
-    swim::trace::io::write_csv(&cc_e, file).expect("write sample-a.csv");
+    write_csv(&cc_e, file).expect("write sample-a.csv");
     println!("wrote {} ({} jobs)", csv_path.display(), cc_e.len());
 
     // Sample B — a CC-b-like slice, as a columnar store.
@@ -40,7 +46,7 @@ fn main() {
     )
     .generate();
     let store_path = dir.join("sample-b.swim");
-    let stats = swim::store::write_store_path(&cc_b, &store_path, &StoreOptions::default())
+    let stats = write_store_path(&cc_b, &store_path, &StoreOptions::default())
         .expect("write sample-b.swim");
     println!(
         "wrote {} ({} jobs, {} chunks, {} bytes)",

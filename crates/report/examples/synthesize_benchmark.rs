@@ -6,11 +6,11 @@
 //! cargo run --release --example synthesize_benchmark
 //! ```
 
-use swim::prelude::*;
-use swim_sim::Simulator;
-use swim_synth::scaledown::scale_trace;
-use swim_synth::suite::WorkloadSuite;
-use swim_synth::validate::SynthesisReport;
+use swim_sim::datagen::DataGenPlan;
+use swim_sim::{sample_windows, scale_trace, ReplayPlan, SimConfig, Simulator, SynthesisReport};
+use swim_trace::trace::WorkloadKind;
+use swim_trace::DataSize;
+use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 fn main() {
     // 1. The "production" trace: two weeks of FB-2009-like load.
@@ -54,24 +54,23 @@ fn main() {
     let scaled = scale_trace(sampled, 20);
     println!("scaled    : 20 nodes, {} to move", scaled.bytes_moved());
 
-    // 5. Emit the HDFS pre-population and replay plans, bundled as a suite.
-    let mut suite = WorkloadSuite::new();
-    suite.add_trace("fb2009-1day-20nodes", &scaled, DataSize::from_mb(128));
-    let entry = suite.get("fb2009-1day-20nodes").expect("just added");
+    // 5. Emit the HDFS pre-population and replay plans.
+    let datagen = DataGenPlan::from_trace(&scaled, DataSize::from_mb(128));
+    let replay = ReplayPlan::from_trace(&scaled);
     println!(
         "datagen   : {} files / {} ({} blocks)",
-        entry.datagen.file_count(),
-        entry.datagen.total_bytes(),
-        entry.datagen.total_blocks()
+        datagen.file_count(),
+        datagen.total_bytes(),
+        datagen.total_blocks()
     );
     println!(
         "replay    : {} jobs, schedule {}",
-        entry.replay.len(),
-        entry.replay.schedule_length()
+        replay.len(),
+        replay.schedule_length()
     );
 
     // 6. Execute on the simulated cluster (stand-in for the Hadoop rig).
-    let result = Simulator::new(SimConfig::new(20)).run(&entry.replay);
+    let result = Simulator::new(SimConfig::new(20)).run(&replay);
     println!(
         "executed  : makespan {}, median latency {:.0} s, mean queue delay {:.1} s",
         result.makespan,
@@ -80,7 +79,7 @@ fn main() {
     );
 
     // 7. Stress variant: same mix at 2× submission intensity.
-    let stressed = entry.replay.accelerate(2.0);
+    let stressed = replay.accelerate(2.0);
     let stress_result = Simulator::new(SimConfig::new(20)).run(&stressed);
     println!(
         "2x stress : makespan {}, median latency {:.0} s, mean queue delay {:.1} s",

@@ -20,12 +20,9 @@ use swim_core::burstiness::Burstiness;
 use swim_core::fourier::detect_diurnal;
 use swim_core::kmeans::KMeans;
 use swim_obs::json::{self, Value};
+use swim_sim::datagen::DataGenPlan;
+use swim_sim::{scale_trace, KsColumns, ReplayPlan, SynthesisReport, WindowSampler};
 use swim_store::ChunkMeta;
-use swim_synth::datagen::DataGenPlan;
-use swim_synth::sample::WindowSampler;
-use swim_synth::scaledown::scale_trace;
-use swim_synth::validate::{KsColumns, SynthesisReport};
-use swim_synth::ReplayPlan;
 use swim_trace::{DataSize, Dur};
 
 /// Quantiles exported per data dimension.
@@ -196,7 +193,7 @@ impl SynthBundle {
     /// The bundle as compact JSON: `replay` (`name`, `machines`, `jobs`),
     /// `datagen` (`files` of `path` and `size`, `block_size`) and
     /// `validation_worst_ks`; sizes in bytes, times in seconds. A job's
-    /// [`input_file`](swim_synth::ReplayJob::input_file) is not written.
+    /// [`input_file`](swim_sim::ReplayJob::input_file) is not written.
     pub fn to_json(&self) -> String {
         let replay = &self.replay;
         let jobs = replay.jobs.iter().map(|j| {
@@ -440,7 +437,7 @@ mod tests {
         let ctx = TraceContext::from_store("t", store.unwrap()).unwrap();
         let bundle = synthesize_bundle(&ctx, 10, 5).unwrap().unwrap();
 
-        let sampled = swim_synth::sample_windows(&trace, 5);
+        let sampled = swim_sim::sample_windows(&trace, 5);
         let scaled = scale_trace(sampled.clone(), 10);
         assert_eq!(bundle.replay, ReplayPlan::from_trace(&scaled));
         let datagen = DataGenPlan::from_trace(&scaled, DataSize::from_mb(128));

@@ -122,7 +122,7 @@ pub const TOP_WORDS_COLUMNS: [(Weighting, &str); 3] = [
 ];
 
 /// The `swim` cell's validated dimensions, in
-/// [`swim_synth::validate::SynthesisReport`] field order: one
+/// [`swim_sim::SynthesisReport`] field order: one
 /// `<dimension> KS` column each.
 pub const KS_DIMENSIONS: [&str; 6] = [
     "input",

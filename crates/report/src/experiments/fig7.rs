@@ -9,8 +9,7 @@
 use crate::corpus::in_memory;
 use crate::Corpus;
 use swim_obs::doc::{Block, Section};
-use swim_sim::{SimConfig, Simulator};
-use swim_synth::ReplayPlan;
+use swim_sim::{ReplayPlan, SimConfig, Simulator};
 use swim_trace::trace::WorkloadKind;
 
 /// Workloads whose utilization column is produced by replaying on the

@@ -38,6 +38,31 @@
 //! swim-repro --quick table1 fig7        # regenerate the paper's tables/figures
 //! swim-analyze --input trace.swim       # the user path over one trace
 //! ```
+//!
+//! ## Quick start
+//!
+//! ```
+//! use swim_report::{Comparison, TraceContext, BATTERY};
+//! use swim_sim::{sample_windows, ReplayPlan, SimConfig, Simulator};
+//! use swim_trace::trace::WorkloadKind;
+//! use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
+//!
+//! // Generate a small slice of the FB-2009-like workload ...
+//! let trace = WorkloadGenerator::new(
+//!     GeneratorConfig::new(WorkloadKind::Fb2009).scale(0.01).days(2.0).seed(7),
+//! )
+//! .generate();
+//!
+//! // ... sample a one-day replayable benchmark from its hours (seed 1) ...
+//! let sampled = sample_windows(&trace, 1);
+//! let plan = ReplayPlan::from_trace(&sampled);
+//! let result = Simulator::new(SimConfig::new(20)).run(&plan);
+//! assert_eq!(result.outcomes.len(), plan.len());
+//!
+//! // ... and run the paper's full analysis battery over it.
+//! let report = Comparison::new(vec![TraceContext::from_trace("FB-2009", trace)]).run();
+//! assert_eq!(report.unwrap().sections.len(), BATTERY.len());
+//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,14 +1,15 @@
 //! Cross-crate integration tests: generator → analysis → synthesizer →
 //! simulator, asserting the calibration targets the paper publishes.
 
-use swim::prelude::*;
 use swim_core::access::{AccessFold, PathStage};
 use swim_core::burstiness::Burstiness;
 use swim_core::locality::LocalityFold;
 use swim_core::timeseries::HourlySeries;
-use swim_synth::scaledown::scale_trace;
-use swim_synth::validate::SynthesisReport;
+use swim_report::{Comparison, TraceContext};
+use swim_sim::{sample_windows, scale_trace, ReplayPlan, SimConfig, Simulator, SynthesisReport};
 use swim_trace::trace::WorkloadKind;
+use swim_trace::{DataSize, Trace};
+use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 fn gen(kind: WorkloadKind, scale: f64, days: f64, seed: u64) -> Trace {
     WorkloadGenerator::new(

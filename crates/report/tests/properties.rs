@@ -1,10 +1,11 @@
 //! Property-based tests (proptest) for the core invariants across crates.
 
 use proptest::prelude::*;
-use swim::prelude::*;
 use swim_core::stats::Ecdf;
-use swim_synth::validate::ks_distance;
+use swim_sim::{ks_distance, ReplayJob, ReplayPlan, SimConfig, Simulator};
 use swim_trace::trace::WorkloadKind;
+use swim_trace::{DataSize, Dur, Job, JobBuilder, Timestamp, Trace};
+use swim_workloadgen::{GeneratorConfig, WorkloadGenerator};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -105,9 +106,9 @@ proptest! {
     fn simulator_work_conservation(n in 1usize..25, seed in 0u64..500) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let jobs: Vec<swim_synth::ReplayJob> = (0..n).map(|_| {
+        let jobs: Vec<ReplayJob> = (0..n).map(|_| {
             let reduce_tasks = rng.random_range(0..4u32);
-            swim_synth::ReplayJob {
+            ReplayJob {
                 gap: Dur::from_secs(rng.random_range(0..300)),
                 input_file: None,
                 input: DataSize::from_mb(rng.random_range(1..100)),
@@ -123,7 +124,7 @@ proptest! {
                 reduce_tasks,
             }
         }).collect();
-        let plan = swim_synth::ReplayPlan { name: "prop".into(), machines: 3, jobs };
+        let plan = ReplayPlan { name: "prop".into(), machines: 3, jobs };
         let result = Simulator::new(SimConfig::new(3)).run(&plan);
         prop_assert_eq!(result.outcomes.len(), plan.len());
         // Outcomes are keyed uniquely by job index.

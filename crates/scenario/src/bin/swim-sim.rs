@@ -18,8 +18,7 @@ use swim_obs::cli::{self as run, Cli, Command, Error, Flag};
 use swim_obs::render::Table;
 use swim_report::experiments::swimexp::cache_label;
 use swim_report::render::pct;
-use swim_sim::{CachePolicy, ScenarioGrid, SchedulerKind, Simulator};
-use swim_synth::ReplayPlan;
+use swim_sim::{CachePolicy, ReplayPlan, ScenarioGrid, SchedulerKind, Simulator};
 use swim_trace::size::{GB, KB, MB, TB};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::DataSize;

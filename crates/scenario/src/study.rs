@@ -9,8 +9,7 @@
 use swim_obs::doc::{Report, Section};
 use swim_obs::render::Table;
 use swim_report::{Comparison, TraceContext};
-use swim_sim::{ScenarioGrid, SchedulerKind, Simulator};
-use swim_synth::ReplayPlan;
+use swim_sim::{ReplayPlan, ScenarioGrid, SchedulerKind, Simulator};
 use swim_trace::Trace;
 
 use crate::model::{Scenario, ScenarioError};

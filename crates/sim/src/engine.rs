@@ -38,11 +38,11 @@ use crate::cache::{Cache, CachePolicy, CacheStats, FileKey};
 use crate::cluster::SlotPool;
 use crate::event::{Event, EventQueue};
 use crate::metrics::{JobOutcome, UtilizationTracker};
+#[cfg(test)]
+use crate::replay::ReplayJob;
+use crate::replay::ReplayPlan;
 use crate::scheduler::{Scheduler, SchedulerKind};
 use std::collections::HashMap;
-#[cfg(test)]
-use swim_synth::ReplayJob;
-use swim_synth::ReplayPlan;
 #[cfg(test)]
 use swim_trace::PathId;
 use swim_trace::{DataSize, Dur, Timestamp};
@@ -283,7 +283,7 @@ impl Simulator {
     }
 
     /// Execute `plan` to completion and return the collected metrics.
-    /// Each job reads its [`input_file`](swim_synth::ReplayJob::input_file)
+    /// Each job reads its [`input_file`](crate::ReplayJob::input_file)
     /// through the cache tier, if one is configured.
     pub fn run(&self, plan: &ReplayPlan) -> SimResult {
         let _span = swim_obs::span("sim.run");

@@ -15,9 +15,9 @@ use crate::cluster::SlotPool;
 use crate::engine::{materialize_jobs, maybe_finish, JobState, SimConfig, SimResult, Storage};
 use crate::event::{Event, EventQueue};
 use crate::metrics::{JobOutcome, UtilizationTracker};
+use crate::replay::ReplayPlan;
 use crate::scheduler::SchedulerKind;
 use std::collections::VecDeque;
-use swim_synth::ReplayPlan;
 use swim_trace::{Dur, Timestamp};
 
 /// Execute `plan` with per-task events and full-scan dispatch.
@@ -187,9 +187,9 @@ mod seeded;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::ReplayJob;
     use crate::Simulator;
     use seeded::{seeded_plan, GOLDEN_FIFO_LATENCIES};
-    use swim_synth::ReplayJob;
     use swim_trace::DataSize;
 
     fn job(gap: u64, maps: u32, map_secs: u64, reds: u32, red_secs: u64) -> ReplayJob {

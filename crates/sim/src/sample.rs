@@ -26,6 +26,7 @@ const DRAWS: u64 = Dur::from_days(1).secs().div_ceil(WINDOW);
 /// Panics if the trace is empty. A trace shorter than one window is
 /// its own one window, drawn every time.
 pub fn sample_windows(trace: &Trace, seed: u64) -> Trace {
+    // lint: allow(panic, "documented precondition: sample_windows takes a non-empty trace")
     let start = trace.start().expect("cannot sample an empty trace");
     let mut sampler = WindowSampler::new(start, trace.span(), seed);
     trace.jobs().iter().for_each(|job| sampler.push(job));
@@ -93,8 +94,11 @@ impl WindowSampler {
         for (draw, w) in (0u64..).zip(&self.draws) {
             let window_start = Timestamp::from_secs(start + w * WINDOW);
             let out_base = draw * WINDOW;
-            // A window's last draw takes its jobs; an earlier one copies them.
-            let (draws_left, kept) = self.kept.get_mut(w).expect("a drawn window");
+            // A window's last draw takes its jobs; an earlier one copies
+            // them. `new` keeps an entry for every drawn window.
+            let Some((draws_left, kept)) = self.kept.get_mut(w) else {
+                continue;
+            };
             *draws_left -= 1;
             let window = match draws_left {
                 0 => std::mem::take(kept),

@@ -12,8 +12,8 @@
 
 use crate::cache::CachePolicy;
 use crate::engine::{SimConfig, SimResult, Simulator};
+use crate::replay::ReplayPlan;
 use crate::scheduler::SchedulerKind;
-use swim_synth::ReplayPlan;
 use swim_trace::DataSize;
 
 /// A cross-product grid of simulation scenarios.
@@ -111,7 +111,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swim_synth::ReplayJob;
+    use crate::replay::ReplayJob;
     use swim_trace::{Dur, PathId};
 
     fn small_plan() -> ReplayPlan {

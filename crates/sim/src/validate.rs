@@ -23,8 +23,8 @@ fn ks_sorted(sa: &mut [f64], sb: &mut [f64]) -> Option<f64> {
     }
     // Equal samples are interchangeable: the walk below compares values
     // only, so an unstable sort gives the same distance.
-    sa.sort_unstable_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-    sb.sort_unstable_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+    sa.sort_unstable_by(f64::total_cmp);
+    sb.sort_unstable_by(f64::total_cmp);
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let mut i = 0usize;
     let mut j = 0usize;
@@ -67,19 +67,15 @@ impl KsColumns {
 
     /// Add the next job's values.
     pub fn push(&mut self, job: &Job) {
-        let values = [
-            job.input.as_f64(),
-            job.shuffle.as_f64(),
-            job.output.as_f64(),
-            job.duration.as_f64(),
-            job.total_task_time().as_f64(),
-        ];
-        for (column, value) in self.columns.iter_mut().zip(values) {
-            column.push(value);
-        }
+        let [input, shuffle, output, duration, task_time, gaps] = &mut self.columns;
+        input.push(job.input.as_f64());
+        shuffle.push(job.shuffle.as_f64());
+        output.push(job.output.as_f64());
+        duration.push(job.duration.as_f64());
+        task_time.push(job.total_task_time().as_f64());
         let submit = job.submit.secs();
         if let Some(last) = self.last_submit.replace(submit) {
-            self.columns[5].push((submit - last) as f64);
+            gaps.push((submit - last) as f64);
         }
     }
 }
@@ -111,19 +107,22 @@ impl SynthesisReport {
     /// Compare the columns of a synthesized trace against an original's.
     /// Panics if either holds no job.
     pub fn of_columns(original: KsColumns, synth: KsColumns) -> SynthesisReport {
-        let [mut a, mut b] = [original.columns, synth.columns];
         assert!(
-            !a[0].is_empty() && !b[0].is_empty(),
+            original.last_submit.is_some() && synth.last_submit.is_some(),
             "traces must be non-empty"
         );
-        let mut ks = |d: usize| ks_sorted(&mut a[d], &mut b[d]);
+        // Past the assert only the gaps of a one-job trace can be empty,
+        // and those score the full distance.
+        let [mut a, mut b] = [original.columns, synth.columns];
+        let [input, shuffle, output, duration, task_time, interarrival] =
+            std::array::from_fn(|d| ks_sorted(&mut a[d], &mut b[d]).unwrap_or(1.0));
         SynthesisReport {
-            input: ks(0).expect("non-empty"),
-            shuffle: ks(1).expect("non-empty"),
-            output: ks(2).expect("non-empty"),
-            duration: ks(3).expect("non-empty"),
-            task_time: ks(4).expect("non-empty"),
-            interarrival: ks(5).unwrap_or(1.0),
+            input,
+            shuffle,
+            output,
+            duration,
+            task_time,
+            interarrival,
         }
     }
 

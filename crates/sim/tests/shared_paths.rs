@@ -8,8 +8,7 @@
 //! change to which file a job reads, at what size, or when, shows here.
 
 use rand::{Rng, SeedableRng};
-use swim_sim::{CachePolicy, SimConfig, SimResult, Simulator};
-use swim_synth::ReplayPlan;
+use swim_sim::{CachePolicy, ReplayPlan, SimConfig, SimResult, Simulator};
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, JobBuilder, PathId, Timestamp, Trace};
 

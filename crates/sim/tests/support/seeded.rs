@@ -3,7 +3,7 @@
 //! `src/reference.rs` (which includes this file with `#[path]`).
 
 use rand::{Rng, SeedableRng};
-use swim_synth::{ReplayJob, ReplayPlan};
+use swim_sim::{ReplayJob, ReplayPlan};
 use swim_trace::{DataSize, Dur};
 
 /// A seeded plan of `n` jobs whose task-time budgets divide evenly by

@@ -3,8 +3,7 @@
 //!
 //! The CSV dialect mirrors the per-job Hadoop history summaries the paper
 //! ingests. Paths are encoded as `;`-separated raw ids (the original traces
-//! ship hashed paths, so no escaping concerns arise; external string paths
-//! should be interned via [`crate::PathInterner`] first).
+//! ship hashed paths, so no escaping concerns arise).
 
 use crate::job::{Job, JobBuilder};
 use crate::path::PathId;

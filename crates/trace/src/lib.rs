@@ -14,7 +14,7 @@
 //!
 //! * strongly-typed newtypes for sizes ([`DataSize`]) and times
 //!   ([`Timestamp`], [`Dur`]) so byte counts and seconds cannot be mixed up,
-//! * a path interner ([`path::PathInterner`]) matching the paper's use of
+//! * an opaque file identity ([`PathId`]) matching the paper's use of
 //!   hashed path names,
 //! * the [`Job`] record and [`Trace`] container with time-range selection,
 //!   boundary trimming, and summary statistics ([`summary::TraceSummary`],
@@ -39,7 +39,7 @@ pub mod trace;
 
 pub use error::TraceError;
 pub use job::{Framework, Job, JobBuilder, JobId};
-pub use path::{PathId, PathInterner};
+pub use path::PathId;
 pub use size::DataSize;
 pub use summary::TraceSummary;
 pub use time::{Dur, Timestamp};

@@ -101,17 +101,6 @@ impl DataSize {
         self.0 == 0
     }
 
-    /// log10 of the byte count; zero maps to 0.0 (the paper plots zero-size
-    /// stages at the left edge of the log axis).
-    #[inline]
-    pub fn log10(self) -> f64 {
-        if self.0 == 0 {
-            0.0
-        } else {
-            (self.0 as f64).log10()
-        }
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: DataSize) -> DataSize {
@@ -233,12 +222,6 @@ mod tests {
         assert_eq!(DataSize::from_mb(51).to_string(), "51.0 MB");
         assert_eq!(DataSize::from_bytes(1_200 * GB).to_string(), "1.20 TB");
         assert_eq!(DataSize::from_bytes(18 * PB).to_string(), "18.0 PB");
-    }
-
-    #[test]
-    fn log10_of_zero_is_zero() {
-        assert_eq!(DataSize::ZERO.log10(), 0.0);
-        assert!((DataSize::from_bytes(1000).log10() - 3.0).abs() < 1e-12);
     }
 
     #[test]

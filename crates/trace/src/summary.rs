@@ -31,17 +31,6 @@ impl TraceSummary {
             bytes_moved: trace.bytes_moved(),
         }
     }
-
-    /// Aggregate several summaries into a "Total" row (last row of Table 1).
-    pub fn total(rows: &[TraceSummary]) -> TraceSummary {
-        TraceSummary {
-            workload: "Total".to_owned(),
-            machines: rows.iter().map(|r| r.machines).sum(),
-            length: rows.iter().map(|r| r.length).sum(),
-            jobs: rows.iter().map(|r| r.jobs).sum(),
-            bytes_moved: rows.iter().map(|r| r.bytes_moved).sum(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -71,30 +60,6 @@ mod tests {
         assert_eq!(s.jobs, 3);
         assert_eq!(s.length, Dur::from_secs(200));
         assert_eq!(s.bytes_moved, DataSize::from_gb(9));
-    }
-
-    #[test]
-    fn total_row_aggregates() {
-        let a = TraceSummary {
-            workload: "A".into(),
-            machines: 100,
-            length: Dur::from_days(1),
-            jobs: 10,
-            bytes_moved: DataSize::from_tb(1),
-        };
-        let b = TraceSummary {
-            workload: "B".into(),
-            machines: 200,
-            length: Dur::from_days(2),
-            jobs: 20,
-            bytes_moved: DataSize::from_tb(2),
-        };
-        let t = TraceSummary::total(&[a, b]);
-        assert_eq!(t.workload, "Total");
-        assert_eq!(t.machines, 300);
-        assert_eq!(t.jobs, 30);
-        assert_eq!(t.length, Dur::from_days(3));
-        assert_eq!(t.bytes_moved, DataSize::from_tb(3));
     }
 
     #[test]
