@@ -39,7 +39,7 @@ use swim_store::{
     ChunkMeta, ChunkReader, Store, StoreError, StoreOptions, StoreWriter, ZONE_COLUMNS,
 };
 use swim_trace::trace::WorkloadKind;
-use swim_trace::{DataSize, Dur, Job, JobId, Timestamp, Trace, TraceSummary};
+use swim_trace::{spent, DataSize, Dur, Job, JobId, Timestamp, Trace, TraceSummary};
 
 /// swim-obs instruments for the write side (the cache has its own).
 mod obs {
@@ -320,8 +320,10 @@ impl Catalog {
         Ok(catalog)
     }
 
-    /// Open an existing catalog directory.
+    /// Open an existing catalog directory: read and decode its MANIFEST
+    /// (the `catalog.open` span).
     pub fn open(dir: impl AsRef<Path>) -> Result<Catalog, CatalogError> {
+        let _span = swim_obs::span("catalog.open");
         let dir = dir.as_ref().to_path_buf();
         let manifest_path = dir.join(MANIFEST_FILE);
         let text = match std::fs::read_to_string(&manifest_path) {
@@ -546,18 +548,23 @@ impl Catalog {
     ) -> Result<IngestStats, CatalogError> {
         let _span = swim_obs::span("catalog.ingest");
         let blocks = std::iter::once(Ok(trace.jobs()));
-        self.ingest_blocks(trace.kind.clone(), trace.machines, blocks, options)
+        self.ingest_blocks(trace.kind.clone(), trace.machines, blocks, drop, options)
     }
 
     /// Ingest a stream of job blocks without ever materializing the
     /// trace, or even a shard of it: every job is encoded into the open
     /// shard's [`StoreWriter`] as its block arrives and the block is
-    /// dropped, so the catalog holds the encoded bytes of at most one
+    /// handed back, so the catalog holds the encoded bytes of at most one
     /// store chunk (`jobs_per_chunk` jobs) plus the block in hand, and a
     /// generator can pipe 100M+ jobs into sharded, immutable storage at
     /// O(store chunk + block) memory. Blocks concatenate to the logical
     /// trace and may be of any length; shard and chunk boundaries depend
     /// on the job sequence alone.
+    ///
+    /// Each encoded block goes to [`swim_trace::spent::stash`] rather than
+    /// being dropped, so a producer that takes it back on this thread
+    /// (`ScenarioStream::next_chunk` does) can write the next block over
+    /// it without allocating; the stash is left empty on return.
     ///
     /// Jobs must arrive in non-decreasing `(submit, id)` order (the
     /// streaming generators guarantee it). This is checked: the first job
@@ -587,24 +594,30 @@ impl Catalog {
         I: IntoIterator<Item = Vec<Job>>,
     {
         let _span = swim_obs::span("catalog.ingest");
-        self.ingest_blocks(kind, machines, blocks.into_iter().map(Ok), options)
+        let blocks = blocks.into_iter().map(Ok);
+        let ingested = self.ingest_blocks(kind, machines, blocks, spent::stash, options);
+        drop(spent::take());
+        ingested
     }
 
-    /// The ingest loop: push each block into a [`ShardSink`], publish
-    /// the manifest after the last. Invalid options or an `Err` block
-    /// abort before any manifest change.
+    /// The ingest loop: push each block into a [`ShardSink`] and pass it
+    /// to `done`, publish the manifest after the last. Invalid options or
+    /// an `Err` block abort before any manifest change.
     fn ingest_blocks<B: AsRef<[Job]>>(
         &mut self,
         kind: WorkloadKind,
         machines: u32,
         blocks: impl Iterator<Item = Result<B, CatalogError>>,
+        mut done: impl FnMut(B),
         options: &CatalogOptions,
     ) -> Result<IngestStats, CatalogError> {
         let per_shard = options.validate()?;
         let gen = self.manifest.generation + 1;
         let mut sink = ShardSink::new(&self.dir, gen, 0, kind, machines, per_shard, options.store);
         for block in blocks {
-            sink.push(block?.as_ref())?;
+            let block = block?;
+            sink.push(block.as_ref())?;
+            done(block);
         }
         let entries = sink.finish()?;
         self.commit_new_shards(entries)
@@ -654,7 +667,7 @@ impl Catalog {
             .scan()
             .map_err(shard_err)?
             .map(|chunk| chunk.map_err(shard_err));
-        self.ingest_blocks(kind, machines, blocks, options)
+        self.ingest_blocks(kind, machines, blocks, drop, options)
     }
 
     /// Append freshly written shards and atomically publish the new

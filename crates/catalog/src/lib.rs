@@ -507,6 +507,38 @@ mod tests {
     }
 
     #[test]
+    fn ingest_stream_hands_each_block_back_and_leaves_the_stash_empty() {
+        let dir = temp_dir("stream-spent");
+        let trace = varied_trace(WorkloadKind::CcA, 300, 0);
+        let mut catalog = Catalog::init(&dir).unwrap();
+        let blocks: Vec<Vec<swim_trace::Job>> =
+            trace.jobs().chunks(100).map(<[_]>::to_vec).collect();
+        let expected = blocks.clone();
+        drop(swim_trace::spent::take());
+        let blocks = blocks.into_iter().enumerate().map(|(i, block)| {
+            // Asked for block i, the catalog has handed block i - 1 back.
+            let spent = swim_trace::spent::take();
+            assert_eq!(
+                spent,
+                i.checked_sub(1).map_or(vec![], |j| expected[j].clone())
+            );
+            block
+        });
+        let stats = catalog
+            .ingest_stream(
+                trace.kind.clone(),
+                trace.machines,
+                blocks,
+                &small_options(200),
+            )
+            .unwrap();
+        assert_eq!(stats.jobs, 300);
+        assert!(swim_trace::spent::take().is_empty());
+        assert_eq!(read_back(&catalog).unwrap(), trace);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn ingest_stream_of_nothing_is_a_noop() {
         let dir = temp_dir("stream-empty");
         let mut catalog = Catalog::init(&dir).unwrap();

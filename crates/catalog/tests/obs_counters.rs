@@ -10,7 +10,9 @@ use swim_trace::{DataSize, Dur, JobBuilder, Timestamp, Trace};
 /// exact counts: 4 shards (300 + 300 + 300 + 100), 5 + 5 + 5 + 2 chunks,
 /// and as many bytes through the store writers as the shard files hold.
 /// The `catalog.sync` span (fsync + link) closes once per shard inside
-/// `catalog.write_shard`, so publish wait is a measured number.
+/// `catalog.write_shard`, so publish wait is a measured number. Opening
+/// the catalog again closes one `catalog.open` span (the MANIFEST read),
+/// so a profile shows the open.
 #[test]
 fn write_side_counters_count_what_they_name() {
     swim_obs::set_enabled(swim_obs::ALL);
@@ -56,6 +58,12 @@ fn write_side_counters_count_what_they_name() {
         .expect("the sync span nests in write_shard");
     assert_eq!(sync.count, 4);
     assert!(sync.total_ns <= delta.span(write_shard).unwrap().total_ns);
+
+    let before = swim_obs::snapshot();
+    let reopened = Catalog::open(&dir).unwrap();
+    let delta = swim_obs::snapshot().delta(&before);
+    assert_eq!(reopened.shard_count(), 4);
+    assert_eq!(delta.span("catalog.open").map(|s| s.count), Some(1));
 
     swim_obs::set_enabled(0);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -7,7 +7,7 @@ use crate::TraceError;
 use std::fmt;
 
 /// Numerical job key, unique within one trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -63,8 +63,9 @@ impl fmt::Display for Framework {
 /// All data dimensions the paper analyzes are present; fields the original
 /// traces sometimes lack (paths, names) are `Option`/empty to model exactly
 /// the availability matrix in §4.2 ("FB-2009 and CC-a do not contain path
-/// names; FB-2010 contains input paths only").
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// names; FB-2010 contains input paths only"). `Default` is the empty
+/// slot a builder writes every field of.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Job {
     /// Unique numerical key.
     pub id: JobId,
@@ -202,18 +203,8 @@ impl JobBuilder {
         JobBuilder {
             job: Job {
                 id: JobId(id),
-                name: String::new(),
-                submit: Timestamp::ZERO,
-                duration: Dur::ZERO,
-                input: DataSize::ZERO,
-                shuffle: DataSize::ZERO,
-                output: DataSize::ZERO,
-                map_task_time: Dur::ZERO,
-                reduce_task_time: Dur::ZERO,
                 map_tasks: 1,
-                reduce_tasks: 0,
-                input_paths: Vec::new(),
-                output_paths: Vec::new(),
+                ..Job::default()
             },
         }
     }

@@ -19,7 +19,9 @@
 //! * the [`Job`] record and [`Trace`] container with time-range selection,
 //!   boundary trimming, and summary statistics ([`summary::TraceSummary`],
 //!   the Table 1 row type),
-//! * CSV and JSON-lines codecs ([`io`]) for interchange with external tools.
+//! * CSV and JSON-lines codecs ([`io`]) for interchange with external tools,
+//! * a per-thread stash of one spent job block ([`spent`]) that lets a
+//!   producer rebuild jobs over a consumer's finished block.
 //!
 //! Everything here is deliberately independent of *how* traces are obtained:
 //! `swim-workloadgen` synthesizes them, `swim-core` analyzes them, and
@@ -33,6 +35,7 @@ pub mod io;
 pub mod job;
 pub mod path;
 pub mod size;
+pub mod spent;
 pub mod summary;
 pub mod time;
 pub mod trace;

@@ -113,13 +113,18 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     }
 }
 
-/// Bounded Zipf distribution over ranks `1..=n` with exponent `s`:
-/// `P(k) ∝ k^-s`.
+/// Bounded Zipf-like distribution over ranks `1..=n` with exponent `s`.
 ///
-/// Uses Devroye's rejection method, which is O(1) per sample for any `n`,
+/// Sampled with Devroye's rejection method from a dominating curve built
+/// on the integral `H` of `x^-s`, which is O(1) per sample for any `n`,
 /// so the file population may grow while sampling stays cheap. The paper's
 /// measured exponent is ≈ 5/6 across all workloads (Fig. 2) — "Zipf-like
 /// distributions of the same shape".
+///
+/// What it draws is the envelope, not `k^-s`: the acceptance ratio is
+/// never below 1 (see `dominating_peak`), so the rejection step never
+/// rejects and `P(k) ∝ H(k + 1/2) - H(k - 1/2)` (rank 1 gets its mass over
+/// `[1/2, 3/2]`). The generator goldens are pinned to this distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Zipf {
     n: u64,
@@ -130,6 +135,15 @@ pub struct Zipf {
     /// [`dominating_peak`] of `s`.
     peak: f64,
 }
+
+/// Exponents for which the acceptance ratio is ≥ 1 in floating point at
+/// every rank up to [`ACCEPTING_N`], so [`Zipf::sample`] skips its
+/// arithmetic. A scan of every rank up to 2^22 found ratios below 1 from
+/// cancellation only outside this range: at s ≤ 1e-9 (where the ratio is
+/// within 1e-9 of 1) and at s ≥ 2.5 (89,417 ranks at s = 3, 171 at s = 5).
+const ACCEPTING_S: std::ops::RangeInclusive<f64> = 0.1..=2.0;
+/// Largest population the [`ACCEPTING_S`] scan covered.
+const ACCEPTING_N: u64 = 1 << 22;
 
 impl Zipf {
     /// Zipf over `1..=n` with exponent `s` (`n >= 1`, `s > 0`, `s != 1` is
@@ -146,13 +160,15 @@ impl Zipf {
         }
     }
 
-    /// The same exponent over `1..=n` (`n >= 1`): only `H(n + 1/2)` is
-    /// computed, so a sampler over a growing population pays for the
-    /// exponent's constants once.
-    pub fn with_n(self, n: u64) -> Self {
+    /// Resize to `1..=n` (`n >= 1`), keeping the exponent's constants:
+    /// only `H(n + 1/2)` is recomputed, and only when `n` changes, so a
+    /// sampler over a growing population pays for the exponent once.
+    pub fn set_n(&mut self, n: u64) {
         assert!(n >= 1, "population must be non-empty");
-        let h_max = big_h(self.s, n as f64 + 0.5);
-        Zipf { n, h_max, ..self }
+        if n != self.n {
+            self.n = n;
+            self.h_max = big_h(self.s, n as f64 + 0.5);
+        }
     }
 
     /// Sample one rank in `1..=n`.
@@ -160,32 +176,40 @@ impl Zipf {
         if self.n == 1 {
             return 1;
         }
-        // Devroye, "Non-Uniform Random Variate Generation", ch. X.6:
-        // rejection from a dominating curve built on the integral of x^-s.
-        let n = self.n as f64;
-        let s = self.s;
-        let h_inv = |y: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-12 {
-                y.exp()
-            } else {
-                (1.0 + y * (1.0 - s)).powf(1.0 / (1.0 - s))
-            }
-        };
+        let always_accepts = self.n <= ACCEPTING_N && ACCEPTING_S.contains(&self.s);
         loop {
+            let k = self.envelope_rank(rng.random());
+            // Drawn even when the test cannot fail, so the RNG stream is
+            // the same either way.
             let u: f64 = rng.random();
-            let y = self.h_min + u * (self.h_max - self.h_min);
-            let x = h_inv(y);
-            // `x + 0.5` is positive, so the cast floors it.
-            let k = ((x + 0.5) as u64 as f64).clamp(1.0, n);
-            // Accept with probability proportional to the ratio of the true
-            // pmf at k to the dominating density mass over [k-1/2, k+1/2].
-            let mass = big_h(s, k + 0.5) - big_h(s, k - 0.5);
-            let ratio = (k.powf(-s)) / mass.max(f64::MIN_POSITIVE);
-            let accept = ratio / self.peak;
-            if rng.random::<f64>() < accept {
+            if always_accepts || u < self.acceptance(k) {
                 return k as u64;
             }
         }
+    }
+
+    /// The rank the dominating curve puts at uniform `u` (Devroye,
+    /// "Non-Uniform Random Variate Generation", ch. X.6).
+    fn envelope_rank(&self, u: f64) -> f64 {
+        let s = self.s;
+        let y = self.h_min + u * (self.h_max - self.h_min);
+        let x = if (s - 1.0).abs() < 1e-12 {
+            y.exp()
+        } else {
+            (1.0 + y * (1.0 - s)).powf(1.0 / (1.0 - s))
+        };
+        // `x + 0.5` is positive, so the cast floors it.
+        ((x + 0.5) as u64 as f64).clamp(1.0, self.n as f64)
+    }
+
+    /// Acceptance probability at rank `k`: the true pmf at `k` over the
+    /// dominating curve's mass on `[k - 1/2, k + 1/2]`, normalized by
+    /// [`dominating_peak`].
+    fn acceptance(&self, k: f64) -> f64 {
+        let s = self.s;
+        let mass = big_h(s, k + 0.5) - big_h(s, k - 0.5);
+        let ratio = (k.powf(-s)) / mass.max(f64::MIN_POSITIVE);
+        ratio / self.peak
     }
 }
 
@@ -199,9 +223,12 @@ fn big_h(s: f64, x: f64) -> f64 {
     }
 }
 
-/// Upper bound of `k^-s / (H(k+1/2) - H(k-1/2))` over `k >= 1`, used to
-/// normalize the acceptance ratio to (0, 1]. The ratio is maximized at
-/// k = 1; evaluate there.
+/// `k^-s / (H(k+1/2) - H(k-1/2))` at k = 1, the normalizer of the
+/// acceptance ratio. It is the ratio's *minimum*, not its maximum: `x^-s`
+/// is convex, so its mass over `[k-1/2, k+1/2]` exceeds `k^-s` by a share
+/// that shrinks as `k` grows, and the ratio rises from here towards 1.
+/// Normalized by it, acceptance is exactly 1 at k = 1 and above 1 beyond
+/// (up to 1.074 for s = 5/6 and 1.099 for s = 1), so no rank is rejected.
 fn dominating_peak(s: f64) -> f64 {
     1.0 / (big_h(s, 1.5) - big_h(s, 0.5))
 }
@@ -370,6 +397,78 @@ mod tests {
         let z = Zipf::new(100, 1.0);
         for _ in 0..1000 {
             assert!((1..=100).contains(&z.sample(&mut r)));
+        }
+    }
+
+    /// `Zipf::sample` as it was before it skipped the acceptance
+    /// arithmetic: the oracle the skip is held to.
+    fn devroye_reference<R: Rng + ?Sized>(z: &Zipf, rng: &mut R) -> u64 {
+        if z.n == 1 {
+            return 1;
+        }
+        let n = z.n as f64;
+        let s = z.s;
+        let h_inv = |y: f64| -> f64 {
+            if (s - 1.0).abs() < 1e-12 {
+                y.exp()
+            } else {
+                (1.0 + y * (1.0 - s)).powf(1.0 / (1.0 - s))
+            }
+        };
+        loop {
+            let u: f64 = rng.random();
+            let y = z.h_min + u * (z.h_max - z.h_min);
+            let x = h_inv(y);
+            let k = ((x + 0.5) as u64 as f64).clamp(1.0, n);
+            let mass = big_h(s, k + 0.5) - big_h(s, k - 0.5);
+            let ratio = (k.powf(-s)) / mass.max(f64::MIN_POSITIVE);
+            let accept = ratio / z.peak;
+            if rng.random::<f64>() < accept {
+                return k as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_the_acceptance_arithmetic_changes_no_draw() {
+        use rand::RngCore;
+        for s in [0.5, 5.0 / 6.0, 1.0, 1.5, 2.0] {
+            for n in [1, 2, 32, 4096, 1 << 18] {
+                let z = Zipf::new(n, s);
+                let seed = n ^ s.to_bits();
+                let (mut fast, mut oracle) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for _ in 0..100_000 {
+                    assert_eq!(
+                        z.sample(&mut fast),
+                        devroye_reference(&z, &mut oracle),
+                        "s {s}, n {n}"
+                    );
+                }
+                assert_eq!(fast.next_u64(), oracle.next_u64(), "s {s}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn acceptance_never_falls_below_one_for_the_exponents_in_use() {
+        let n = crate::files::PopulationBounds::default().max_files as u64;
+        for s in [5.0 / 6.0, 1.0] {
+            let z = Zipf::new(n, s);
+            assert_eq!(z.acceptance(1.0), 1.0, "s {s}");
+            for k in 1..=n {
+                let accept = z.acceptance(k as f64);
+                assert!(accept >= 1.0, "s {s}: acceptance {accept} at rank {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn set_n_resizes_like_a_fresh_sampler() {
+        let mut z = Zipf::new(1, 5.0 / 6.0);
+        for n in [7, 7, 4096, 2, 1] {
+            z.set_n(n);
+            assert_eq!(z, Zipf::new(n, 5.0 / 6.0));
         }
     }
 

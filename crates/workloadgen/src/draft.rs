@@ -2,8 +2,9 @@
 //! allocated for it.
 //!
 //! The generator's per-job state machine emits drafts; a draft becomes a
-//! [`Job`] through [`JobDraft::into_job`], the one place that renders the
-//! name and builds the path vectors. A draft owns no heap memory, so a
+//! [`Job`] through [`JobDraft::write_into`], the one place that renders
+//! the name and fills the path vectors, into a fresh job or over a spent
+//! one. A draft owns no heap memory, so a
 //! block of drafts can be sampled on one thread and turned into jobs on
 //! another without any per-job allocation being freed by a thread that
 //! did not make it (glibc frees against the allocating thread's arena, so
@@ -60,20 +61,31 @@ pub struct DraftPrefix<'a> {
 }
 
 impl JobDraft {
-    /// Build the job: render the name in one exactly-sized allocation and
-    /// wrap the paths, with `prefix` (if any) folded into both. With
-    /// `None` this is the generator's own output: `"{word}_{seq}"` names
-    /// and unmapped path ids.
+    /// Build the job: [`JobDraft::write_into`] an empty [`Job`], so the
+    /// name is rendered in one exactly-sized allocation.
     pub fn into_job(self, prefix: Option<&DraftPrefix<'_>>) -> Job {
-        let mut name = String::new();
+        let mut job = Job::default();
+        self.write_into(&mut job, prefix);
+        job
+    }
+
+    /// Overwrite every field of `job` with this draft: render the name
+    /// and fill the paths, with `prefix` (if any) folded into both. With
+    /// `None` this is the generator's own output: `"{word}_{seq}"` names
+    /// and unmapped path ids. The name and path buffers already in `job`
+    /// are reused, so a spent job rebuilt in place allocates only where
+    /// its old buffers are too small.
+    pub fn write_into(self, job: &mut Job, prefix: Option<&DraftPrefix<'_>>) {
+        job.name.clear();
         if !self.name_word.is_empty() {
             let label_len = prefix.map_or(0, |p| p.label.len() + 1);
-            name.reserve_exact(label_len + name_len(self.name_word, self.name_seq));
+            job.name
+                .reserve_exact(label_len + name_len(self.name_word, self.name_seq));
             if let Some(p) = prefix {
-                name.push_str(p.label);
-                name.push(':');
+                job.name.push_str(p.label);
+                job.name.push(':');
             }
-            push_name(&mut name, self.name_word, self.name_seq);
+            push_name(&mut job.name, self.name_word, self.name_seq);
         }
         let path = |p: PathId| match prefix {
             Some(ns) => PathId(
@@ -82,21 +94,27 @@ impl JobDraft {
             ),
             None => p,
         };
-        Job {
-            id: JobId(self.id),
-            name,
-            submit: self.submit,
-            duration: self.duration,
-            input: self.input,
-            shuffle: self.shuffle,
-            output: self.output,
-            map_task_time: self.map_task_time,
-            reduce_task_time: self.reduce_task_time,
-            map_tasks: self.map_tasks,
-            reduce_tasks: self.reduce_tasks,
-            input_paths: self.input_path.map_or_else(Vec::new, |p| vec![path(p)]),
-            output_paths: self.output_path.map_or_else(Vec::new, |p| vec![path(p)]),
-        }
+        // `reserve_exact`, not `extend`: an empty vector grown by `extend`
+        // takes room for four ids, and a fresh job's path holds one.
+        let set = |paths: &mut Vec<PathId>, p: Option<PathId>| {
+            paths.clear();
+            if let Some(p) = p {
+                paths.reserve_exact(1);
+                paths.push(path(p));
+            }
+        };
+        set(&mut job.input_paths, self.input_path);
+        set(&mut job.output_paths, self.output_path);
+        job.id = JobId(self.id);
+        job.submit = self.submit;
+        job.duration = self.duration;
+        job.input = self.input;
+        job.shuffle = self.shuffle;
+        job.output = self.output;
+        job.map_task_time = self.map_task_time;
+        job.reduce_task_time = self.reduce_task_time;
+        job.map_tasks = self.map_tasks;
+        job.reduce_tasks = self.reduce_tasks;
     }
 }
 
@@ -204,6 +222,31 @@ mod tests {
                     ..job
                 };
                 assert_eq!(unprefixed, plain, "{kind:?}: a prefix touches nothing else");
+            }
+        }
+    }
+
+    #[test]
+    fn writing_over_a_spent_job_equals_building_a_fresh_one() {
+        let prefix = DraftPrefix {
+            label: "tenant-with-a-long-label",
+            path_stride: 5,
+            path_offset: 4,
+        };
+        for kind in &KINDS {
+            let drafts = drafts(kind);
+            // Every slot starts out holding another workload's job, named
+            // and pathed or not, so both growing and emptying are covered.
+            let mut slot = drafts[drafts.len() / 2].into_job(Some(&prefix));
+            slot.input_paths.push(PathId(99));
+            for (i, draft) in drafts.iter().enumerate() {
+                let prefix = (i % 2 == 0).then_some(&prefix);
+                draft.write_into(&mut slot, prefix);
+                let fresh = draft.into_job(prefix);
+                assert_eq!(slot, fresh, "{kind:?}");
+                // A fresh job's path vectors hold their one id and no more.
+                assert!(fresh.input_paths.capacity() <= 1, "{kind:?}");
+                assert!(fresh.output_paths.capacity() <= 1, "{kind:?}");
             }
         }
     }

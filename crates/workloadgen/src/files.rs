@@ -17,14 +17,14 @@
 //!    configurable fraction of jobs consume them, biased towards the most
 //!    recently produced (pipeline stages run right after their producers).
 //!
-//! File *sizes* follow the job's data sizes, which makes Figs. 3/4
-//! (jobs-vs-file-size and stored-bytes-vs-file-size CDFs) emergent rather
-//! than imposed.
+//! Files carry identity only, no size: Figs. 3/4 (jobs-vs-file-size and
+//! stored-bytes-vs-file-size CDFs) are computed from the jobs' own input
+//! and output sizes.
 
 use crate::dist::Zipf;
 use rand::Rng;
 use std::collections::VecDeque;
-use swim_trace::{DataSize, PathId};
+use swim_trace::PathId;
 
 /// Locality/popularity parameters for one workload's file accesses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,13 +74,6 @@ impl AccessModel {
             p_overwrite_output: 0.0,
         }
     }
-}
-
-/// One file in the synthetic population.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FileRecord {
-    id: PathId,
-    size: DataSize,
 }
 
 /// How a job's input was chosen — reported so the generator can label
@@ -146,11 +139,15 @@ impl PopulationBounds {
 pub struct FilePopulation {
     model: AccessModel,
     bounds: PopulationBounds,
-    /// The Zipf samplers of `model.zipf_exponent` and of the reference
-    /// set's exponent 1, resized per draw with [`Zipf::with_n`].
-    popularity: Zipf,
-    reference: Zipf,
-    files: Vec<FileRecord>,
+    /// One Zipf sampler per use, each resized with [`Zipf::set_n`]
+    /// (which recomputes only when its population changed): output
+    /// overwrites and cold-log file picks by `model.zipf_exponent`, the
+    /// reference set by exponent 1.
+    output_rank: Zipf,
+    file_rank: Zipf,
+    reference_rank: Zipf,
+    /// The resident files, by slot.
+    files: Vec<PathId>,
     /// Indices into `files` of output files (chaining candidates), oldest
     /// first; bounded by `bounds.max_outputs` (oldest dropped).
     outputs: VecDeque<usize>,
@@ -186,8 +183,9 @@ impl FilePopulation {
         FilePopulation {
             model,
             bounds: bounds.sanitized(),
-            popularity: Zipf::new(1, model.zipf_exponent),
-            reference: Zipf::new(1, 1.0),
+            output_rank: Zipf::new(1, model.zipf_exponent),
+            file_rank: Zipf::new(1, model.zipf_exponent),
+            reference_rank: Zipf::new(1, 1.0),
             files: Vec::new(),
             outputs: VecDeque::new(),
             recent: VecDeque::new(),
@@ -218,34 +216,21 @@ impl FilePopulation {
     /// it plateaus at the [`PopulationBounds`] caps no matter how many
     /// jobs have been emitted.
     pub fn resident_bytes(&self) -> usize {
-        self.files.capacity() * std::mem::size_of::<FileRecord>()
+        self.files.capacity() * std::mem::size_of::<PathId>()
             + self.outputs.capacity() * std::mem::size_of::<usize>()
             + self.recent.capacity() * std::mem::size_of::<usize>()
             + self.in_recent.capacity() * std::mem::size_of::<u64>()
             + self.access_log.capacity() * std::mem::size_of::<usize>()
     }
 
-    /// Total bytes stored across all files.
-    #[cfg(test)]
-    pub(crate) fn bytes_stored(&self) -> DataSize {
-        self.files.iter().map(|f| f.size).sum()
-    }
-
-    /// Choose (and record) the input file for a job with the given input
-    /// size. Returns the path and how it was chosen.
-    ///
-    /// Fresh files take the job's input size; re-read files keep their
-    /// original size (the job reads what is there).
-    pub fn choose_input<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        input_size: DataSize,
-    ) -> (PathId, InputChoice) {
+    /// Choose (and record) the input file for a job. Returns the path and
+    /// how it was chosen.
+    pub fn choose_input<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (PathId, InputChoice) {
         let u: f64 = rng.random();
         if !self.files.is_empty() && u < self.model.p_reread_input {
             let idx = self.pick_existing(rng);
             self.touch(idx);
-            (self.files[idx].id, InputChoice::RereadInput)
+            (self.files[idx], InputChoice::RereadInput)
         } else if !self.outputs.is_empty()
             && u < self.model.p_reread_input + self.model.p_consume_output
         {
@@ -265,36 +250,34 @@ impl FilePopulation {
             };
             let idx = self.outputs[pos];
             self.touch(idx);
-            (self.files[idx].id, InputChoice::ConsumedOutput)
+            (self.files[idx], InputChoice::ConsumedOutput)
         } else {
-            let id = self.create(input_size, false);
+            let id = self.create(false);
             (id, InputChoice::Fresh)
         }
     }
 
-    /// Record a job's output file of the given size.
+    /// Record a job's output file.
     ///
     /// With probability [`AccessModel::p_overwrite_output`] the write
     /// refreshes an existing output path (Zipf-popular outputs get
     /// refreshed most — nightly tables), otherwise a fresh file is created.
-    pub fn record_output<R: Rng + ?Sized>(&mut self, rng: &mut R, output_size: DataSize) -> PathId {
+    pub fn record_output<R: Rng + ?Sized>(&mut self, rng: &mut R) -> PathId {
         if !self.outputs.is_empty() && rng.random::<f64>() < self.model.p_overwrite_output {
-            let zipf = self.popularity.with_n(self.outputs.len() as u64);
-            let idx = self.outputs[(zipf.sample(rng) - 1) as usize];
-            self.files[idx].size = output_size;
+            self.output_rank.set_n(self.outputs.len() as u64);
+            let idx = self.outputs[(self.output_rank.sample(rng) - 1) as usize];
             self.touch(idx);
-            return self.files[idx].id;
+            return self.files[idx];
         }
-        self.create(output_size, true)
+        self.create(true)
     }
 
     /// Add a file; outputs become eligible for output→input chaining.
-    fn create(&mut self, size: DataSize, is_output: bool) -> PathId {
+    fn create(&mut self, is_output: bool) -> PathId {
         let id = PathId(self.next_id);
         self.next_id += 1;
-        let record = FileRecord { id, size };
         let idx = if self.files.len() < self.bounds.max_files {
-            self.files.push(record);
+            self.files.push(id);
             self.files.len() - 1
         } else {
             // Saturated: recycle a slot past the protected head. Stale
@@ -305,7 +288,7 @@ impl FilePopulation {
             let span = self.bounds.max_files - self.bounds.reserved_files;
             let idx = self.bounds.reserved_files + self.recycle_cursor;
             self.recycle_cursor = (self.recycle_cursor + 1) % span;
-            self.files[idx] = record;
+            self.files[idx] = id;
             idx
         };
         if is_output {
@@ -325,7 +308,7 @@ impl FilePopulation {
     /// classic generative process behind Zipf-like rank-frequency curves,
     /// and it concentrates the head enough to reproduce the Fig. 2 slopes
     /// even though most accesses are fresh-file creations.
-    fn pick_existing<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    fn pick_existing<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
         debug_assert!(!self.files.is_empty());
         if !self.recent.is_empty() && rng.random::<f64>() < self.model.p_recent {
             // Bias towards the most recent entries: draw two uniform picks
@@ -341,15 +324,15 @@ impl FilePopulation {
         const REFERENCE_SET: usize = 32;
         if rng.random::<f64>() < 0.6 {
             let n = self.files.len().min(REFERENCE_SET) as u64;
-            let zipf = self.reference.with_n(n);
-            return (zipf.sample(rng) - 1) as usize;
+            self.reference_rank.set_n(n);
+            return (self.reference_rank.sample(rng) - 1) as usize;
         }
         if !self.access_log.is_empty() && rng.random::<f64>() < 0.8 {
             let idx = self.access_log[rng.random_range(0..self.access_log.len())];
             return idx;
         }
-        let zipf = self.popularity.with_n(self.files.len() as u64);
-        (zipf.sample(rng) - 1) as usize
+        self.file_rank.set_n(self.files.len() as u64);
+        (self.file_rank.sample(rng) - 1) as usize
     }
 
     fn touch(&mut self, idx: usize) {
@@ -396,7 +379,7 @@ mod tests {
     fn first_access_is_always_fresh() {
         let mut pop = FilePopulation::new(model());
         let mut rng = StdRng::seed_from_u64(1);
-        let (_, choice) = pop.choose_input(&mut rng, DataSize::from_mb(1));
+        let (_, choice) = pop.choose_input(&mut rng);
         assert_eq!(choice, InputChoice::Fresh);
         assert_eq!(pop.len(), 1);
     }
@@ -409,13 +392,13 @@ mod tests {
         let mut reread = 0;
         let mut consumed = 0;
         for _ in 0..n {
-            let (_, choice) = pop.choose_input(&mut rng, DataSize::from_mb(1));
+            let (_, choice) = pop.choose_input(&mut rng);
             match choice {
                 InputChoice::RereadInput => reread += 1,
                 InputChoice::ConsumedOutput => consumed += 1,
                 InputChoice::Fresh => {}
             }
-            pop.record_output(&mut rng, DataSize::from_mb(1));
+            pop.record_output(&mut rng);
         }
         let fr = reread as f64 / n as f64;
         let fc = consumed as f64 / n as f64;
@@ -428,7 +411,7 @@ mod tests {
         let mut pop = FilePopulation::new(AccessModel::no_reaccess());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..500 {
-            let (_, choice) = pop.choose_input(&mut rng, DataSize::from_kb(1));
+            let (_, choice) = pop.choose_input(&mut rng);
             assert_eq!(choice, InputChoice::Fresh);
         }
         assert_eq!(pop.len(), 500);
@@ -450,7 +433,7 @@ mod tests {
         let mut counts: std::collections::HashMap<PathId, u64> = Default::default();
         let n = 20_000;
         for _ in 0..n {
-            let (id, _) = pop.choose_input(&mut rng, DataSize::from_kb(1));
+            let (id, _) = pop.choose_input(&mut rng);
             *counts.entry(id).or_default() += 1;
         }
         let max = *counts.values().max().unwrap();
@@ -462,15 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_stored_accumulates() {
-        let mut pop = FilePopulation::new(AccessModel::no_reaccess());
-        let mut rng = StdRng::seed_from_u64(5);
-        pop.choose_input(&mut rng, DataSize::from_mb(3));
-        pop.record_output(&mut rng, DataSize::from_mb(7));
-        assert_eq!(pop.bytes_stored(), DataSize::from_mb(10));
-    }
-
-    #[test]
     fn recency_window_is_bounded() {
         let mut pop = FilePopulation::new(AccessModel {
             recency_window: 4,
@@ -478,7 +452,7 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..100 {
-            pop.choose_input(&mut rng, DataSize::from_kb(1));
+            pop.choose_input(&mut rng);
         }
         assert!(pop.recent.len() <= 4);
     }
@@ -495,8 +469,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut plateau = 0;
         for i in 0..10_000u64 {
-            pop.choose_input(&mut rng, DataSize::from_mb(1));
-            pop.record_output(&mut rng, DataSize::from_mb(2));
+            pop.choose_input(&mut rng);
+            pop.record_output(&mut rng);
             if i == 1_000 {
                 plateau = pop.resident_bytes();
             }
@@ -522,16 +496,12 @@ mod tests {
         let mut pop = FilePopulation::with_bounds(model(), bounds);
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..2_000u64 {
-            pop.choose_input(&mut rng, DataSize::from_kb(1));
+            pop.choose_input(&mut rng);
         }
         // The protected head keeps the very first files resident: their
         // ids are the original small ids, never recycled.
-        for (slot, f) in pop.files.iter().take(4).enumerate() {
-            assert!(
-                f.id.0 < 4,
-                "reserved slot {slot} was recycled to id {}",
-                f.id.0
-            );
+        for (slot, id) in pop.files.iter().take(4).enumerate() {
+            assert!(id.0 < 4, "reserved slot {slot} was recycled to id {}", id.0);
         }
     }
 
@@ -546,8 +516,8 @@ mod tests {
             p_overwrite_output: 0.0,
         });
         let mut rng = StdRng::seed_from_u64(7);
-        let out = pop.record_output(&mut rng, DataSize::from_mb(1));
-        let (id, choice) = pop.choose_input(&mut rng, DataSize::from_mb(1));
+        let out = pop.record_output(&mut rng);
+        let (id, choice) = pop.choose_input(&mut rng);
         assert_eq!(choice, InputChoice::ConsumedOutput);
         assert_eq!(id, out);
     }

@@ -284,8 +284,8 @@ impl StreamingGenerator {
         // is still *updated* for path-less workloads so access dynamics
         // (and downstream caching experiments run on other workloads)
         // stay comparable; the trace just does not expose the ids.
-        let (input_path, _) = self.files.choose_input(rng, s.input);
-        let output_path = self.files.record_output(rng, s.output);
+        let (input_path, _) = self.files.choose_input(rng);
+        let output_path = self.files.record_output(rng);
 
         let draft = JobDraft {
             id: self.stats.jobs,
