@@ -555,16 +555,18 @@ impl Catalog {
     /// trace, or even a shard of it: every job is encoded into the open
     /// shard's [`StoreWriter`] as its block arrives and the block is
     /// handed back, so the catalog holds the encoded bytes of at most one
-    /// store chunk (`jobs_per_chunk` jobs) plus the block in hand, and a
-    /// generator can pipe 100M+ jobs into sharded, immutable storage at
-    /// O(store chunk + block) memory. Blocks concatenate to the logical
-    /// trace and may be of any length; shard and chunk boundaries depend
-    /// on the job sequence alone.
+    /// store chunk (`jobs_per_chunk` jobs) plus the block in hand and one
+    /// spent block, and a generator can pipe 100M+ jobs into sharded,
+    /// immutable storage at O(store chunk + block) memory. Blocks
+    /// concatenate to the logical trace and may be of any length; shard
+    /// and chunk boundaries depend on the job sequence alone.
     ///
     /// Each encoded block goes to [`swim_trace::spent::stash`] rather than
     /// being dropped, so a producer that takes it back on this thread
     /// (`ScenarioStream::next_chunk` does) can write the next block over
-    /// it without allocating; the stash is left empty on return.
+    /// it without allocating. A producer that does not take it leaves it
+    /// there until the next block replaces it: that is the spent block
+    /// above. The stash is left empty on return.
     ///
     /// Jobs must arrive in non-decreasing `(submit, id)` order (the
     /// streaming generators guarantee it). This is checked: the first job

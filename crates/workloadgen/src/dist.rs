@@ -115,16 +115,19 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
 
 /// Bounded Zipf-like distribution over ranks `1..=n` with exponent `s`.
 ///
-/// Sampled with Devroye's rejection method from a dominating curve built
-/// on the integral `H` of `x^-s`, which is O(1) per sample for any `n`,
-/// so the file population may grow while sampling stays cheap. The paper's
-/// measured exponent is ≈ 5/6 across all workloads (Fig. 2) — "Zipf-like
-/// distributions of the same shape".
+/// Drawn by inverting the curve Devroye's rejection method uses as its
+/// envelope, built on the integral `H` of `x^-s`, which is O(1) per sample
+/// for any `n`, so the file population may grow while sampling stays
+/// cheap. The paper's measured exponent is ≈ 5/6 across all workloads
+/// (Fig. 2) — "Zipf-like distributions of the same shape".
 ///
-/// What it draws is the envelope, not `k^-s`: the acceptance ratio is
-/// never below 1 (see `dominating_peak`), so the rejection step never
-/// rejects and `P(k) ∝ H(k + 1/2) - H(k - 1/2)` (rank 1 gets its mass over
-/// `[1/2, 3/2]`). The generator goldens are pinned to this distribution.
+/// What it draws is the envelope, not `k^-s`: `P(k) ∝ H(k + 1/2) -
+/// H(k - 1/2)` (rank 1 gets its mass over `[1/2, 3/2]`). Devroye's
+/// acceptance test would compare a second uniform with a ratio that is at
+/// least 1 at every rank, so it cannot reject and is not computed; the
+/// uniform is still drawn, because the generator goldens are pinned to
+/// the RNG stream of the full rejection sampler (the tests keep it as the
+/// oracle).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Zipf {
     n: u64,
@@ -132,22 +135,11 @@ pub struct Zipf {
     /// `H(1/2)` and `H(n + 1/2)`: the dominating curve's mass bounds.
     h_min: f64,
     h_max: f64,
-    /// [`dominating_peak`] of `s`.
-    peak: f64,
 }
 
-/// Exponents for which the acceptance ratio is ≥ 1 in floating point at
-/// every rank up to [`ACCEPTING_N`], so [`Zipf::sample`] skips its
-/// arithmetic. A scan of every rank up to 2^22 found ratios below 1 from
-/// cancellation only outside this range: at s ≤ 1e-9 (where the ratio is
-/// within 1e-9 of 1) and at s ≥ 2.5 (89,417 ranks at s = 3, 171 at s = 5).
-const ACCEPTING_S: std::ops::RangeInclusive<f64> = 0.1..=2.0;
-/// Largest population the [`ACCEPTING_S`] scan covered.
-const ACCEPTING_N: u64 = 1 << 22;
-
 impl Zipf {
-    /// Zipf over `1..=n` with exponent `s` (`n >= 1`, `s > 0`, `s != 1` is
-    /// not required — the rejection sampler handles s = 1 too).
+    /// Zipf over `1..=n` with exponent `s` (`n >= 1`, `s > 0`; s = 1 is
+    /// allowed).
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n >= 1, "population must be non-empty");
         assert!(s > 0.0 && s.is_finite(), "exponent must be positive");
@@ -156,7 +148,6 @@ impl Zipf {
             s,
             h_min: big_h(s, 0.5),
             h_max: big_h(s, n as f64 + 0.5),
-            peak: dominating_peak(s),
         }
     }
 
@@ -171,45 +162,24 @@ impl Zipf {
         }
     }
 
-    /// Sample one rank in `1..=n`.
+    /// Sample one rank in `1..=n`: the rank the dominating curve puts at
+    /// a uniform draw (Devroye, "Non-Uniform Random Variate Generation",
+    /// ch. X.6).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         if self.n == 1 {
             return 1;
         }
-        let always_accepts = self.n <= ACCEPTING_N && ACCEPTING_S.contains(&self.s);
-        loop {
-            let k = self.envelope_rank(rng.random());
-            // Drawn even when the test cannot fail, so the RNG stream is
-            // the same either way.
-            let u: f64 = rng.random();
-            if always_accepts || u < self.acceptance(k) {
-                return k as u64;
-            }
-        }
-    }
-
-    /// The rank the dominating curve puts at uniform `u` (Devroye,
-    /// "Non-Uniform Random Variate Generation", ch. X.6).
-    fn envelope_rank(&self, u: f64) -> f64 {
         let s = self.s;
-        let y = self.h_min + u * (self.h_max - self.h_min);
+        let y = self.h_min + rng.random::<f64>() * (self.h_max - self.h_min);
         let x = if (s - 1.0).abs() < 1e-12 {
             y.exp()
         } else {
             (1.0 + y * (1.0 - s)).powf(1.0 / (1.0 - s))
         };
+        // The acceptance test's uniform: see the type's doc.
+        let _: f64 = rng.random();
         // `x + 0.5` is positive, so the cast floors it.
-        ((x + 0.5) as u64 as f64).clamp(1.0, self.n as f64)
-    }
-
-    /// Acceptance probability at rank `k`: the true pmf at `k` over the
-    /// dominating curve's mass on `[k - 1/2, k + 1/2]`, normalized by
-    /// [`dominating_peak`].
-    fn acceptance(&self, k: f64) -> f64 {
-        let s = self.s;
-        let mass = big_h(s, k + 0.5) - big_h(s, k - 0.5);
-        let ratio = (k.powf(-s)) / mass.max(f64::MIN_POSITIVE);
-        ratio / self.peak
+        ((x + 0.5) as u64).clamp(1, self.n)
     }
 }
 
@@ -221,16 +191,6 @@ fn big_h(s: f64, x: f64) -> f64 {
     } else {
         (x.powf(1.0 - s) - 1.0) / (1.0 - s)
     }
-}
-
-/// `k^-s / (H(k+1/2) - H(k-1/2))` at k = 1, the normalizer of the
-/// acceptance ratio. It is the ratio's *minimum*, not its maximum: `x^-s`
-/// is convex, so its mass over `[k-1/2, k+1/2]` exceeds `k^-s` by a share
-/// that shrinks as `k` grows, and the ratio rises from here towards 1.
-/// Normalized by it, acceptance is exactly 1 at k = 1 and above 1 beyond
-/// (up to 1.074 for s = 5/6 and 1.099 for s = 1), so no rank is rejected.
-fn dominating_peak(s: f64) -> f64 {
-    1.0 / (big_h(s, 1.5) - big_h(s, 0.5))
 }
 
 /// Weighted categorical sampler over `0..weights.len()` using cumulative
@@ -400,8 +360,28 @@ mod tests {
         }
     }
 
-    /// `Zipf::sample` as it was before it skipped the acceptance
-    /// arithmetic: the oracle the skip is held to.
+    /// `k^-s / (H(k+1/2) - H(k-1/2))` at k = 1, the normalizer of the
+    /// old acceptance ratio. It is the ratio's *minimum*, not its maximum:
+    /// `x^-s` is convex, so its mass over `[k-1/2, k+1/2]` exceeds `k^-s`
+    /// by a share that shrinks as `k` grows, and the ratio rises from here
+    /// towards 1. Normalized by it, acceptance is exactly 1 at k = 1 and
+    /// above 1 beyond (up to 1.074 for s = 5/6 and 1.099 for s = 1), so no
+    /// rank is rejected.
+    fn dominating_peak(s: f64) -> f64 {
+        1.0 / (big_h(s, 1.5) - big_h(s, 0.5))
+    }
+
+    /// The old acceptance probability at rank `k`: the true pmf at `k`
+    /// over the dominating curve's mass on `[k - 1/2, k + 1/2]`,
+    /// normalized by [`dominating_peak`].
+    fn acceptance(s: f64, k: f64) -> f64 {
+        let mass = big_h(s, k + 0.5) - big_h(s, k - 0.5);
+        let ratio = (k.powf(-s)) / mass.max(f64::MIN_POSITIVE);
+        ratio / dominating_peak(s)
+    }
+
+    /// `Zipf::sample` as it was when it ran Devroye's rejection test: the
+    /// oracle the sampler without it is held to.
     fn devroye_reference<R: Rng + ?Sized>(z: &Zipf, rng: &mut R) -> u64 {
         if z.n == 1 {
             return 1;
@@ -420,10 +400,7 @@ mod tests {
             let y = z.h_min + u * (z.h_max - z.h_min);
             let x = h_inv(y);
             let k = ((x + 0.5) as u64 as f64).clamp(1.0, n);
-            let mass = big_h(s, k + 0.5) - big_h(s, k - 0.5);
-            let ratio = (k.powf(-s)) / mass.max(f64::MIN_POSITIVE);
-            let accept = ratio / z.peak;
-            if rng.random::<f64>() < accept {
+            if rng.random::<f64>() < acceptance(s, k) {
                 return k as u64;
             }
         }
@@ -454,10 +431,9 @@ mod tests {
     fn acceptance_never_falls_below_one_for_the_exponents_in_use() {
         let n = crate::files::PopulationBounds::default().max_files as u64;
         for s in [5.0 / 6.0, 1.0] {
-            let z = Zipf::new(n, s);
-            assert_eq!(z.acceptance(1.0), 1.0, "s {s}");
+            assert_eq!(acceptance(s, 1.0), 1.0, "s {s}");
             for k in 1..=n {
-                let accept = z.acceptance(k as f64);
+                let accept = acceptance(s, k as f64);
                 assert!(accept >= 1.0, "s {s}: acceptance {accept} at rank {k}");
             }
         }
